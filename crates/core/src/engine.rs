@@ -1,15 +1,17 @@
-//! The upward message-passing engine (Theorem G.3).
+//! The engine's entry points: plan with `faqs-plan`, then run the one
+//! upward pass ([`crate::pass`]) at the sequential in-memory site.
 //!
 //! Plan *choice* — which GHD, which per-node factor join order — lives
-//! in `faqs-plan`; this module owns plan *execution*. The planner's
-//! historical entry points (`ghd_for_query`, `check_push_down`, the
-//! free-variable re-rooting search, `EngineError` itself) are
-//! re-exported below under their old names.
+//! in `faqs-plan`; the planner's historical entry points
+//! (`ghd_for_query`, `check_push_down`, the free-variable re-rooting
+//! search, `EngineError` itself) are re-exported below under their old
+//! names.
 
-use faqs_hypergraph::{EdgeId, Ghd, Var};
-use faqs_plan::{BagOp, ChosenPlan, PlannerConfig};
-use faqs_relation::{generic_join, FaqQuery, Relation};
-use faqs_semiring::{Aggregate, Boolean, LatticeOps, Semiring};
+use crate::pass::{AggFn, Pass, Sequential};
+use crate::plan::QueryPlan;
+use faqs_plan::{ChosenPlan, PlannerConfig};
+use faqs_relation::{FaqQuery, Relation};
+use faqs_semiring::{Boolean, LatticeOps, Semiring};
 
 pub use faqs_plan::{
     check_push_down, decomposition_covering_free_vars, decomposition_for_free_vars, ghd_for_query,
@@ -25,14 +27,14 @@ pub use faqs_plan::{
 /// extracts it).
 pub fn solve_faq<S: Semiring>(q: &FaqQuery<S>) -> Result<Relation<S>, EngineError> {
     let plan = faqs_plan::plan_query(q, false, &PlannerConfig::default())?;
-    solve_faq_with_plan(q, &plan, |rel, var, op| rel.aggregate_out(var, op))
+    solve_planned(q, plan, Relation::aggregate_out)
 }
 
 /// [`solve_faq`] for lattice-capable semirings: additionally accepts
 /// `Max`/`Min` aggregates.
 pub fn solve_faq_lattice<S: LatticeOps>(q: &FaqQuery<S>) -> Result<Relation<S>, EngineError> {
     let plan = faqs_plan::plan_query(q, true, &PlannerConfig::default())?;
-    solve_faq_with_plan(q, &plan, |rel, var, op| rel.aggregate_out_lattice(var, op))
+    solve_planned(q, plan, Relation::aggregate_out_lattice)
 }
 
 /// A deterministic full re-solve for differential testing: always
@@ -43,182 +45,45 @@ pub fn solve_faq_lattice<S: LatticeOps>(q: &FaqQuery<S>) -> Result<Relation<S>, 
 /// `FAQS_PLAN_DISABLE_STATS` and to digest drift.
 pub fn solve_faq_reference<S: Semiring>(q: &FaqQuery<S>) -> Result<Relation<S>, EngineError> {
     let plan = faqs_plan::plan_query(q, false, &PlannerConfig::structural())?;
-    solve_faq_with_plan(q, &plan, |rel, var, op| rel.aggregate_out(var, op))
+    solve_planned(q, plan, Relation::aggregate_out)
 }
 
-/// The upward pass on an explicit [`ChosenPlan`] — the engine-side
-/// entry point for callers that already planned (the executor replays
-/// cached plans through its own scheduler; tests compare structural and
-/// stats-aware plans for bit-identical results).
+/// The upward pass on an explicit [`ChosenPlan`] — the entry point for
+/// callers that already planned (tests compare structural and
+/// stats-aware plans for bit-identical results). `agg` performs one
+/// push-down step `⊕_{x_v} rel` (Corollary G.2).
 ///
 /// The plan must have been built by `faqs_plan::plan_query` for *this*
 /// query: planning already ran instance validation, free-variable
-/// coverage and elimination-order legality, so this entry point does
-/// not repeat them (the pre-refactor `solve_faq` paid the O(data)
-/// `q.validate()` scan once; re-checking here would make it twice per
-/// call). [`solve_faq_on_ghd`] is the validating entry point for
-/// caller-supplied GHDs of unknown provenance.
+/// coverage and elimination-order legality, so only the cheap
+/// root-coverage guard is repeated here.
 pub fn solve_faq_with_plan<S: Semiring>(
     q: &FaqQuery<S>,
     plan: &ChosenPlan,
-    agg: impl Fn(&Relation<S>, Var, Aggregate) -> Relation<S>,
+    agg: AggFn<S>,
 ) -> Result<Relation<S>, EngineError> {
-    upward_pass(q, &plan.ghd, &plan.join_order, &plan.bag_ops, agg)
+    solve_planned(q, plan.clone(), agg)
 }
 
-/// The upward pass itself, on a caller-supplied GHD (exposed so the
-/// distributed protocols can run the identical local computation),
-/// fully validated: the instance, free-variable coverage, and the
-/// elimination order are all checked here since the GHD's provenance
-/// is unknown. The per-node factor order is derived through the
-/// planner's single implementation
-/// ([`faqs_plan::join_order_for_ghd`]); use [`solve_faq_with_plan`]
-/// when a [`ChosenPlan`] is already in hand.
-///
-/// `agg` performs one push-down step `⊕_{x_v} rel` (Corollary G.2).
-pub fn solve_faq_on_ghd<S: Semiring>(
+/// The one upward pass at the sequential site, on an owned plan.
+fn solve_planned<S: Semiring>(
     q: &FaqQuery<S>,
-    ghd: &Ghd,
-    agg: impl Fn(&Relation<S>, Var, Aggregate) -> Relation<S>,
+    plan: ChosenPlan,
+    agg: AggFn<S>,
 ) -> Result<Relation<S>, EngineError> {
-    q.validate()
-        .map_err(|e| EngineError::Invalid(e.to_string()))?;
-    faqs_plan::check_elimination_order(q, ghd)?;
-    // Caller-supplied GHDs carry no operator choices: all-cascade, the
-    // always-correct lowering.
-    upward_pass(q, ghd, &faqs_plan::join_order_for_ghd(q, ghd), &[], agg)
-}
-
-/// Executes Theorem G.3's upward pass over `ghd` with the planner's
-/// per-node factor join order. Only the cheap root-coverage guard runs
-/// here; instance and elimination-order validation are the caller's
-/// contract (the planner's, on the `solve_faq`/`solve_faq_with_plan`
-/// paths).
-fn upward_pass<S: Semiring>(
-    q: &FaqQuery<S>,
-    ghd: &Ghd,
-    join_order: &[Vec<EdgeId>],
-    bag_ops: &[BagOp],
-    agg: impl Fn(&Relation<S>, Var, Aggregate) -> Relation<S>,
-) -> Result<Relation<S>, EngineError> {
-    let root = ghd.root();
-    let root_chi = ghd.chi(root);
+    let root_chi = plan.ghd.chi(plan.ghd.root());
     if let Some(bad) = q.free_vars.iter().find(|v| !root_chi.contains(v)) {
         return Err(EngineError::FreeVarsOutsideCore(vec![*bad]));
     }
-
-    // Initial relation per node: the ⊗-product of its λ factors (the
-    // synthetic root may have none — represented as `None` = identity),
-    // absorbed in the planner's order. Each factor is indexed exactly
-    // once (by the join that absorbs it) — no factor is rehashed across
-    // operations. The engine consumes the planner's order verbatim: the
-    // old consumer-local smallest-first sort is gone, and the debug
-    // assert pins the contract that the order covers exactly λ(node).
-    let n_nodes = ghd.node_ids().map(|n| n.index()).max().unwrap_or(0) + 1;
-    let mut rel: Vec<Option<Relation<S>>> = vec![None; n_nodes];
-    for node in ghd.node_ids() {
-        let order = &join_order[node.index()];
-        debug_assert!(
-            faqs_plan::join_order_covers_lambda(ghd, node, order),
-            "join order must be the planner's permutation of λ(node)"
-        );
-        // Multi-factor bags the planner marked worst-case-optimal are
-        // materialised in one generic-join pass instead of the cascade;
-        // both lowerings fold annotations in the same association
-        // order, so answers are bit-identical either way.
-        if order.len() >= 2 {
-            if let Some(BagOp::GenericJoin { var_order }) = bag_ops.get(node.index()) {
-                let factors: Vec<&Relation<S>> = order.iter().map(|&e| q.factor(e)).collect();
-                rel[node.index()] = Some(generic_join(&factors, var_order));
-                continue;
-            }
-        }
-        let mut acc: Option<Relation<S>> = None;
-        for &e in order {
-            let f = q.factor(e);
-            acc = Some(match acc {
-                Some(cur) => {
-                    let idx = f.build_index(&cur.shared_vars(f));
-                    cur.join_indexed(f, &idx)
-                }
-                None => f.clone(),
-            });
-        }
-        rel[node.index()] = acc;
-    }
-
-    // Upward pass in post-order.
-    for node in ghd.post_order() {
-        if node == root {
-            break;
-        }
-        let parent = ghd.parent(node).expect("non-root has a parent");
-        let message = rel[node.index()]
-            .take()
-            .expect("non-root nodes carry a factor");
-        // Aggregate out the variables private to this subtree: those in
-        // χ(node) but not in χ(parent).
-        let message = push_down_message(q, message, ghd.chi(parent), &agg);
-        // Combine into the parent (⊗ on the overlap).
-        rel[parent.index()] = Some(match rel[parent.index()].take() {
-            Some(cur) => cur.join(&message),
-            None => message,
-        });
-    }
-
-    // Root: aggregate out the remaining bound variables, again innermost
-    // (highest index) first.
-    let result = rel[root.index()].take().unwrap_or_else(Relation::unit);
-    Ok(finish_root(q, result, agg))
-}
-
-/// One message push-down (Corollary G.2), shared by the engine, the
-/// executor and the distributed runtime: aggregates out of `message`
-/// every variable absent from `keep` (the parent's bag), innermost
-/// (highest index) first — the order Equation (4)'s nesting requires.
-pub fn push_down_message<S: Semiring>(
-    q: &FaqQuery<S>,
-    mut message: Relation<S>,
-    keep: &[Var],
-    agg: impl Fn(&Relation<S>, Var, Aggregate) -> Relation<S>,
-) -> Relation<S> {
-    let mut private: Vec<Var> = message
-        .schema()
-        .iter()
-        .copied()
-        .filter(|v| !keep.contains(v))
-        .collect();
-    private.sort_unstable_by(|a, b| b.cmp(a));
-    for v in private {
-        debug_assert!(!q.is_free(v), "free vars never private (RIP + F ⊆ root)");
-        message = agg(&message, v, q.aggregates[v.index()]);
-    }
-    message
-}
-
-/// The root epilogue shared by the engine, the executor and the
-/// distributed runtime: aggregates the remaining bound variables of the
-/// root relation innermost (highest index) first, then presents the free
-/// variables in the query's declared order.
-pub fn finish_root<S: Semiring>(
-    q: &FaqQuery<S>,
-    mut result: Relation<S>,
-    agg: impl Fn(&Relation<S>, Var, Aggregate) -> Relation<S>,
-) -> Relation<S> {
-    let mut bound: Vec<Var> = result
-        .schema()
-        .iter()
-        .copied()
-        .filter(|v| !q.is_free(*v))
-        .collect();
-    bound.sort_unstable_by(|a, b| b.cmp(a));
-    for v in bound {
-        result = agg(&result, v, q.aggregates[v.index()]);
-    }
-    if result.schema() != q.free_vars.as_slice() {
-        result = result.reorder(&q.free_vars);
-    }
-    result
+    let plan = QueryPlan::lower(q, plan);
+    let pass = Pass {
+        q,
+        plan: &plan,
+        agg,
+        probe: None,
+    };
+    let Ok((result, _)) = pass.run(&mut Sequential);
+    Ok(result)
 }
 
 /// Evaluates a Boolean Conjunctive Query: `true` iff some assignment
@@ -236,10 +101,10 @@ mod tests {
     use super::*;
     use crate::brute::solve_faq_brute_force;
     use faqs_hypergraph::{
-        cycle_query, example_h0, example_h1, example_h2, path_query, star_query, Hypergraph,
+        cycle_query, example_h0, example_h1, example_h2, path_query, star_query, Hypergraph, Var,
     };
     use faqs_relation::{random_boolean_instance, BcqBuilder, RandomInstanceConfig};
-    use faqs_semiring::{Count, Prob};
+    use faqs_semiring::{Aggregate, Count, Prob};
 
     #[test]
     fn bcq_star_satisfiable() {

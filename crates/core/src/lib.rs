@@ -3,7 +3,9 @@
 //!
 //! Implements the upward message-passing pass of Theorem G.3 of the paper
 //! (a variable-elimination / "InsideOut"-style algorithm) on the GYO-GHDs
-//! of Construction 2.8:
+//! of Construction 2.8 — once: [`Pass::run`] is the only upward pass in
+//! the workspace, and a [`PassSite`] is what the executor, the
+//! incremental session and the distributed runtime plug into it.
 //!
 //! * [`solve_faq`] — general FAQ (Equation 4) with per-bound-variable
 //!   `Sum`/`Product` aggregates over any commutative semiring;
@@ -32,13 +34,18 @@
 
 mod brute;
 mod engine;
+mod pass;
 pub mod pgm;
+mod plan;
 mod yannakakis;
 
 pub use brute::{solve_faq_brute_force, solve_faq_brute_force_lattice};
 pub use engine::{
-    check_push_down, decomposition_covering_free_vars, decomposition_for_free_vars, finish_root,
-    ghd_for_query, push_down_message, solve_bcq, solve_faq, solve_faq_lattice, solve_faq_on_ghd,
-    solve_faq_reference, solve_faq_with_plan, EngineError,
+    check_push_down, decomposition_covering_free_vars, decomposition_for_free_vars, ghd_for_query,
+    solve_bcq, solve_faq, solve_faq_lattice, solve_faq_reference, solve_faq_with_plan, EngineError,
 };
+pub use pass::{
+    finish_root, push_down_message, AggFn, CalProbe, Pass, PassSite, Sequential, Timed,
+};
+pub use plan::{JoinStep, QueryPlan};
 pub use yannakakis::{natural_join, yannakakis_reduce};

@@ -1,0 +1,452 @@
+//! The one upward pass: Theorem G.3's bottom-up GHD reduction with the
+//! Corollary G.2 push-down.
+//!
+//! Every evaluator in the workspace — `solve_faq`, the threaded
+//! executor, the storing incremental session, the routed distributed
+//! runtime — runs [`Pass::run`]. Per GHD node: the children's messages
+//! first, then the node's own bag combined by its [`BagOp`], then the
+//! messages folded in [`QueryPlan::children`] order, then the push-down
+//! towards the parent. A [`PassSite`] answers only what differs between
+//! the evaluators: how sibling subtrees are scheduled, where a bag's
+//! factors come from, how a message travels (and the round it is ready
+//! at), and how one `⊗` is scheduled. What observes a fold is the
+//! per-pass [`CalProbe`].
+
+use crate::plan::QueryPlan;
+use faqs_hypergraph::{NodeId, Var};
+use faqs_plan::{BagOp, CalibrationLog, CalibrationRegistry, Envelope, StatsDigest};
+use faqs_relation::{generic_join, FaqQuery, JoinIndex, Relation};
+use faqs_semiring::{Aggregate, Semiring};
+use std::borrow::Cow;
+use std::convert::Infallible;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+
+/// One push-down step `⊕_{x_v} rel` (Corollary G.2):
+/// [`Relation::aggregate_out`] or its lattice twin.
+pub type AggFn<S> = fn(&Relation<S>, Var, Aggregate) -> Relation<S>;
+
+/// A relation and the round at whose end it is complete where it is
+/// (always `0` at sites that never touch a network).
+pub type Timed<R> = (R, u64);
+
+/// The fixed inputs of one upward pass.
+pub struct Pass<'a, S: Semiring> {
+    /// The instance.
+    pub q: &'a FaqQuery<S>,
+    /// The plan, built for `q`'s shape.
+    pub plan: &'a QueryPlan,
+    /// The push-down step.
+    pub agg: AggFn<S>,
+    /// The fold observer; `None` records nothing and never re-orders.
+    pub probe: Option<&'a CalProbe<'a>>,
+}
+
+/// What differs between the evaluators of the one pass. Every method
+/// has the sequential, in-memory answer as its default.
+pub trait PassSite<S: Semiring>: Sized {
+    /// How this site fails (a dead link, a panicked worker).
+    type Error;
+
+    /// How sibling subtrees are scheduled: every child's message as
+    /// delivered at `parent`, in [`QueryPlan::children`] order.
+    fn children(
+        &mut self,
+        pass: &Pass<'_, S>,
+        parent: NodeId,
+    ) -> Result<Vec<Timed<Relation<S>>>, Self::Error> {
+        pass.plan
+            .children(parent)
+            .iter()
+            .map(|&c| pass.message(self, c, parent))
+            .collect()
+    }
+
+    /// Where a bag's factors come from: `node`'s own relation (`None`
+    /// for a factorless synthetic root) and the round its inputs are
+    /// all present at.
+    fn bag(
+        &mut self,
+        pass: &Pass<'_, S>,
+        node: NodeId,
+    ) -> Result<Timed<Option<Relation<S>>>, Self::Error> {
+        Ok((pass.local_bag(self, node), 0))
+    }
+
+    /// How a message travels from `from`'s evaluator to `to`'s: what
+    /// arrives, and when.
+    fn deliver(
+        &mut self,
+        _pass: &Pass<'_, S>,
+        _from: NodeId,
+        _to: NodeId,
+        message: Relation<S>,
+        ready: u64,
+    ) -> Result<Timed<Relation<S>>, Self::Error> {
+        Ok((message, ready))
+    }
+
+    /// How one `⊗` is scheduled: `cur ⋈ other`, with `idx` an index of
+    /// `other` on exactly the shared variables.
+    fn join(&mut self, cur: &Relation<S>, other: &Relation<S>, idx: &JoinIndex) -> Relation<S> {
+        cur.join_indexed(other, idx)
+    }
+}
+
+/// The sequential in-memory site: every default.
+pub struct Sequential;
+
+impl<S: Semiring> PassSite<S> for Sequential {
+    type Error = Infallible;
+}
+
+impl<S: Semiring> Pass<'_, S> {
+    /// Runs the pass at `site`: the answer over the free variables, in
+    /// the query's declared order, and the round it is complete at.
+    ///
+    /// Telemetry from a pass that failed describes a run that never
+    /// finished: the probe reaches its registry here, on success, and
+    /// nowhere else.
+    pub fn run<X: PassSite<S>>(&self, site: &mut X) -> Result<Timed<Relation<S>>, X::Error> {
+        let (root, ready) = self.subtree(site, self.plan.root())?;
+        let root = root.unwrap_or_else(Relation::unit);
+        let answer = finish_root(self.q, root, self.agg);
+        if let Some(probe) = self.probe {
+            probe.flush();
+        }
+        Ok((answer, ready))
+    }
+
+    /// `child`'s upward message as delivered at `parent`: its subtree
+    /// relation with every variable absent from the parent's bag
+    /// aggregated out *before* it travels.
+    pub fn message<X: PassSite<S>>(
+        &self,
+        site: &mut X,
+        child: NodeId,
+        parent: NodeId,
+    ) -> Result<Timed<Relation<S>>, X::Error> {
+        let (sub, ready) = self.subtree(site, child)?;
+        let sub = sub.expect("non-root GHD nodes carry a factor");
+        let message = push_down_message(self.q, sub, self.plan.ghd.chi(parent), self.agg);
+        site.deliver(self, child, parent, message, ready)
+    }
+
+    /// `node`'s bag from the query's own factors.
+    pub fn local_bag<X: PassSite<S>>(&self, site: &mut X, node: NodeId) -> Option<Relation<S>> {
+        let factors = self.plan.joins(node).iter();
+        let factors = factors.map(|s| Cow::Borrowed(self.q.factor(s.edge)));
+        self.combine(site, node, factors.collect())
+    }
+
+    /// The `⊗`-product of `node`'s λ `factors` (one per join step, in
+    /// step order): one generic-join pass when the planner marked the
+    /// bag worst-case-optimal, otherwise the cascade over the plan's
+    /// cached key schemas. Both fold annotations in the same
+    /// association order, so the bag is identical either way.
+    pub fn combine<X: PassSite<S>>(
+        &self,
+        site: &mut X,
+        node: NodeId,
+        factors: Vec<Cow<'_, Relation<S>>>,
+    ) -> Option<Relation<S>> {
+        let steps = self.plan.joins(node);
+        debug_assert_eq!(steps.len(), factors.len(), "one factor per join step");
+        if let (true, BagOp::GenericJoin { var_order }) =
+            (factors.len() >= 2, self.plan.bag_op(node))
+        {
+            let refs: Vec<&Relation<S>> = factors.iter().map(AsRef::as_ref).collect();
+            return Some(generic_join(&refs, var_order));
+        }
+        let mut acc: Option<Relation<S>> = None;
+        for (factor, step) in factors.into_iter().zip(steps) {
+            acc = Some(match acc {
+                Some(cur) => site.join(&cur, &factor, &factor.build_index(&step.key)),
+                None => factor.into_owned(),
+            });
+        }
+        acc
+    }
+
+    /// The full (un-aggregated) relation of `node`'s subtree. `None`
+    /// only for a factorless, childless synthetic root (the
+    /// `⊗`-identity).
+    fn subtree<X: PassSite<S>>(
+        &self,
+        site: &mut X,
+        node: NodeId,
+    ) -> Result<Timed<Option<Relation<S>>>, X::Error> {
+        let mut messages = site.children(self, node)?;
+        let (mut acc, mut ready) = site.bag(self, node)?;
+
+        // Messages fold in child order; once the probe flags drift, the
+        // remaining folds of the pass go smallest-actual-first (the
+        // sort is stable: ties stay in child order). `⊗`-folds commute,
+        // so only the intermediate sizes — the thing the stale plan
+        // mispriced — change.
+        if let Some(probe) = self.probe.filter(|p| messages.len() >= 2 && p.drifted()) {
+            probe.note_replan();
+            messages.sort_by_key(|(message, _)| message.len());
+        }
+        for (message, arrived) in messages {
+            ready = ready.max(arrived);
+            acc = Some(match acc {
+                Some(cur) => {
+                    let idx = message.build_index(&cur.shared_vars(&message));
+                    site.join(&cur, &message, &idx)
+                }
+                None => message,
+            });
+        }
+
+        // Only a fold point with at least two inputs is a prediction:
+        // a single-factor leaf restates exact statistics.
+        if self.plan.joins(node).len() + self.plan.children(node).len() >= 2 {
+            if let (Some(probe), Some(rel)) = (self.probe, acc.as_ref()) {
+                probe.observe(node.index(), rel.len());
+            }
+        }
+        Ok((acc, ready))
+    }
+}
+
+/// One message push-down (Corollary G.2): aggregates out of `message`
+/// every variable absent from `keep` (the parent's bag), innermost
+/// (highest index) first — the order Equation (4)'s nesting requires.
+pub fn push_down_message<S: Semiring>(
+    q: &FaqQuery<S>,
+    mut message: Relation<S>,
+    keep: &[Var],
+    agg: impl Fn(&Relation<S>, Var, Aggregate) -> Relation<S>,
+) -> Relation<S> {
+    let mut private: Vec<Var> = message
+        .schema()
+        .iter()
+        .copied()
+        .filter(|v| !keep.contains(v))
+        .collect();
+    private.sort_unstable_by(|a, b| b.cmp(a));
+    for v in private {
+        debug_assert!(!q.is_free(v), "free vars never private (RIP + F ⊆ root)");
+        message = agg(&message, v, q.aggregates[v.index()]);
+    }
+    message
+}
+
+/// The root epilogue: aggregates the remaining bound variables of the
+/// root relation innermost (highest index) first, then presents the
+/// free variables in the query's declared order.
+pub fn finish_root<S: Semiring>(
+    q: &FaqQuery<S>,
+    mut result: Relation<S>,
+    agg: impl Fn(&Relation<S>, Var, Aggregate) -> Relation<S>,
+) -> Relation<S> {
+    let mut bound: Vec<Var> = result
+        .schema()
+        .iter()
+        .copied()
+        .filter(|v| !q.is_free(*v))
+        .collect();
+    bound.sort_unstable_by(|a, b| b.cmp(a));
+    for v in bound {
+        result = agg(&result, v, q.aggregates[v.index()]);
+    }
+    if result.schema() != q.free_vars.as_slice() {
+        result = result.reorder(&q.free_vars);
+    }
+    result
+}
+
+/// The fold observer of one pass: the plan's predicted rows, the
+/// shape's envelope, the telemetry log, and the sticky drift flag the
+/// fold points consult. Worker threads share it by reference; nothing
+/// reaches the registry until [`Pass::run`] succeeds.
+pub struct CalProbe<'a> {
+    registry: &'a CalibrationRegistry,
+    digest: &'a StatsDigest,
+    envelope: Envelope,
+    node_rows: &'a [u64],
+    log: CalibrationLog,
+    replans: AtomicU64,
+    drift: AtomicBool,
+}
+
+impl<'a> CalProbe<'a> {
+    /// A probe for one pass of `plan` on the shape `digest`, or `None`
+    /// when `registry` is disabled.
+    pub fn new(
+        registry: &'a CalibrationRegistry,
+        digest: &'a StatsDigest,
+        plan: &'a QueryPlan,
+    ) -> Option<Self> {
+        registry.is_enabled().then(|| CalProbe {
+            registry,
+            digest,
+            envelope: registry.envelope(digest),
+            node_rows: plan.node_rows(),
+            log: CalibrationLog::new(),
+            replans: AtomicU64::new(0),
+            drift: AtomicBool::new(false),
+        })
+    }
+
+    /// Records one fold point's predicted-vs-actual pair and raises the
+    /// sticky drift flag when the sample leaves the shape's envelope.
+    fn observe(&self, node: usize, actual: usize) {
+        let Some(&predicted) = self.node_rows.get(node) else {
+            return; // structural plan: nothing was predicted
+        };
+        let actual = actual as u64;
+        self.log.record(node, predicted, actual);
+        if !self.envelope.contains(predicted, actual) {
+            self.drift.store(true, Ordering::Release);
+        }
+    }
+
+    /// Whether any sample so far left the envelope.
+    fn drifted(&self) -> bool {
+        self.drift.load(Ordering::Acquire)
+    }
+
+    fn note_replan(&self) {
+        self.replans.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Hands the pass's telemetry to the registry.
+    fn flush(&self) {
+        self.registry.absorb(self.digest, &self.log);
+        self.registry
+            .record_replans(self.replans.load(Ordering::Relaxed));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::solve_faq_brute_force;
+    use faqs_hypergraph::{cycle_query, example_h2, path_query, star_query, Hypergraph};
+    use faqs_plan::{plan_query, ChosenPlan, PlannerConfig, QueryStats};
+    use faqs_relation::{random_instance, RandomInstanceConfig};
+    use faqs_semiring::Count;
+
+    /// The sequential site, counting what the skeleton asks of it.
+    #[derive(Default)]
+    struct Counting {
+        combined: Vec<NodeId>,
+        emitted: Vec<NodeId>,
+    }
+
+    impl<S: Semiring> PassSite<S> for Counting {
+        type Error = Infallible;
+
+        fn bag(
+            &mut self,
+            pass: &Pass<'_, S>,
+            node: NodeId,
+        ) -> Result<Timed<Option<Relation<S>>>, Infallible> {
+            self.combined.push(node);
+            Ok((pass.local_bag(self, node), 0))
+        }
+
+        fn deliver(
+            &mut self,
+            _pass: &Pass<'_, S>,
+            from: NodeId,
+            _to: NodeId,
+            message: Relation<S>,
+            ready: u64,
+        ) -> Result<Timed<Relation<S>>, Infallible> {
+            self.emitted.push(from);
+            Ok((message, ready))
+        }
+    }
+
+    fn instance(h: &Hypergraph) -> FaqQuery<Count> {
+        let cfg = RandomInstanceConfig {
+            tuples_per_factor: 12,
+            domain: 4,
+            seed: 7,
+        };
+        random_instance(h, &cfg, vec![], |_| Count(1))
+    }
+
+    /// Pins every multi-factor bag of `chosen` to the generic join, on
+    /// the cascade's concatenation schema.
+    fn force_generic_join(q: &FaqQuery<Count>, chosen: &mut ChosenPlan) {
+        chosen
+            .bag_ops
+            .resize(chosen.join_order.len(), BagOp::Cascade);
+        for (order, op) in chosen.join_order.iter().zip(&mut chosen.bag_ops) {
+            if order.len() >= 2 {
+                let mut var_order: Vec<Var> = Vec::new();
+                for v in order.iter().flat_map(|&e| q.factor(e).schema()) {
+                    if !var_order.contains(v) {
+                        var_order.push(*v);
+                    }
+                }
+                *op = BagOp::GenericJoin { var_order };
+            }
+        }
+    }
+
+    #[test]
+    fn skeleton_visits_each_node_once_and_observes_only_predictions() {
+        let fixtures = [
+            (star_query(4), false),
+            (path_query(4), false),
+            (example_h2(), false),
+            (cycle_query(3), true),
+        ];
+        for (h, generic) in fixtures {
+            let q = instance(&h);
+            let mut chosen = plan_query(&q, false, &PlannerConfig::stats()).unwrap();
+            if generic {
+                force_generic_join(&q, &mut chosen);
+            }
+            let plan = QueryPlan::lower(&q, chosen);
+            assert_eq!(plan.uses_generic_join(), generic, "{h:?}");
+
+            let registry = CalibrationRegistry::forced(f64::INFINITY);
+            let digest = QueryStats::of(&q).digest();
+            let probe = CalProbe::new(&registry, &digest, &plan).unwrap();
+            let pass = Pass {
+                q: &q,
+                plan: &plan,
+                agg: Relation::aggregate_out,
+                probe: Some(&probe),
+            };
+            let mut site = Counting::default();
+            let Ok((_, ready)) = pass.subtree(&mut site, plan.root());
+            assert_eq!(ready, 0, "nothing travelled");
+
+            let sorted = |mut nodes: Vec<NodeId>| {
+                nodes.sort_unstable();
+                nodes
+            };
+            let live: Vec<NodeId> = sorted(plan.ghd.node_ids().collect());
+            let root = plan.root();
+            let non_root: Vec<NodeId> = live.iter().copied().filter(|&n| n != root).collect();
+            let predicted: Vec<NodeId> = live
+                .iter()
+                .copied()
+                .filter(|&n| plan.joins(n).len() + plan.children(n).len() >= 2)
+                .collect();
+            assert!(!predicted.is_empty(), "{h:?}: some fold is a prediction");
+            assert_eq!(sorted(site.combined), live, "{h:?}: one combine per node");
+            assert_eq!(
+                sorted(site.emitted),
+                non_root,
+                "{h:?}: one message per edge"
+            );
+            let observed = probe.log.drain().into_iter().map(|s| s.node);
+            let observed = sorted(observed.map(|i| NodeId(i as u32)).collect());
+            assert_eq!(observed, predicted, "{h:?}: ≥2-input folds observe");
+
+            // Nothing reached the registry: only a whole successful
+            // run flushes.
+            assert_eq!(registry.stats().samples, 0);
+            let Ok((answer, _)) = pass.run(&mut Sequential);
+            assert_eq!(answer, solve_faq_brute_force(&q), "{h:?}");
+            assert_eq!(registry.stats().samples, predicted.len() as u64);
+        }
+    }
+}

@@ -11,9 +11,8 @@
 //! lookup — plus, under stats-driven planning, the one-pass statistics
 //! scan that computes the digest being looked up.
 
-use faqs_core::EngineError;
 use faqs_hypergraph::{EdgeId, Ghd, NodeId, Var};
-use faqs_plan::{BagOp, ChosenPlan, PlacementContext, PlanCost, PlannerConfig};
+use faqs_plan::{BagOp, ChosenPlan, EngineError, PlacementContext, PlanCost, PlannerConfig};
 use faqs_relation::FaqQuery;
 use faqs_semiring::{LatticeOps, Semiring};
 
@@ -213,6 +212,12 @@ impl QueryPlan {
     /// Total number of live GHD nodes (sizing hint for schedulers).
     pub fn num_nodes(&self) -> usize {
         self.ghd.len()
+    }
+
+    /// Length of a table dense by `NodeId` index (one past the highest
+    /// live node).
+    pub fn slots(&self) -> usize {
+        self.children.len()
     }
 }
 

@@ -21,8 +21,7 @@
 //! [`StatsDigest`]: faqs_plan::StatsDigest
 
 use crate::fingerprint::PlanKey;
-use crate::plan::QueryPlan;
-use faqs_core::EngineError;
+use faqs_core::{EngineError, QueryPlan};
 use faqs_plan::{PlannerConfig, QueryStats, StatsDigest};
 use faqs_relation::FaqQuery;
 use faqs_semiring::Semiring;

@@ -3,14 +3,14 @@
 //! Scheduling model: the upward pass of Theorem G.3 is a post-order
 //! reduction over the GHD, and sibling subtrees are independent work
 //! units (the per-subtree star peeling of Lemma 4.1 makes the same
-//! observation for the distributed protocols). The executor walks the
-//! tree recursively; at every node it tries to hand all but one child
-//! subtree to scoped worker threads, drawing on a global thread budget
-//! (`threads - 1` tokens on a `std::sync::atomic` counter — no channels,
-//! no pools, no dependencies). Whatever the budget cannot absorb runs
-//! inline, so the sequential configuration (`threads = 1`) follows
-//! *exactly* the engine's code path. Large single joins additionally
-//! split their probe side by key range across workers
+//! observation for the distributed protocols). The executor is the
+//! threaded site of [`faqs_core::Pass`]: at every node it tries to hand
+//! all but one child subtree to scoped worker threads, drawing on a
+//! global thread budget (`threads - 1` tokens on a `std::sync::atomic`
+//! counter — no channels, no pools, no dependencies). Whatever the
+//! budget cannot absorb runs inline, so the sequential configuration
+//! (`threads = 1`) is the engine's pass. Large single joins
+//! additionally split their probe side by key range across workers
 //! ([`faqs_relation::Relation::join_indexed_par`]).
 //!
 //! Determinism: child messages are folded into their parent in a fixed
@@ -19,16 +19,14 @@
 //! output is bit-identical across thread counts.
 
 use crate::cache::{CacheStats, PlanCache};
-use crate::plan::QueryPlan;
-use faqs_core::EngineError;
-use faqs_hypergraph::{NodeId, Var};
+use faqs_core::{AggFn, CalProbe, EngineError, Pass, PassSite, QueryPlan, Timed};
+use faqs_hypergraph::NodeId;
 use faqs_plan::{
-    correction_fresh, BagOp, CalibrationLog, CalibrationRegistry, CalibrationStats, Envelope,
-    PlannerConfig, QueryStats, StatsDigest,
+    correction_fresh, CalibrationRegistry, CalibrationStats, PlannerConfig, QueryStats, StatsDigest,
 };
-use faqs_relation::{generic_join, FaqQuery, Relation};
-use faqs_semiring::{Aggregate, LatticeOps, Semiring};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use faqs_relation::{FaqQuery, JoinIndex, Relation};
+use faqs_semiring::{LatticeOps, Semiring};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Executor tuning knobs.
@@ -187,7 +185,7 @@ impl Executor {
     /// every input (sequential config runs the identical pass; parallel
     /// configs only reorder commutative work).
     pub fn solve<S: Semiring>(&self, q: &FaqQuery<S>) -> Result<Relation<S>, EngineError> {
-        self.solve_impl(q, false, &|rel, var, op| rel.aggregate_out(var, op))
+        self.solve_impl(q, false, Relation::aggregate_out)
     }
 
     /// [`Executor::solve`] for lattice-capable semirings: additionally
@@ -196,7 +194,7 @@ impl Executor {
         &self,
         q: &FaqQuery<S>,
     ) -> Result<Relation<S>, EngineError> {
-        self.solve_impl(q, true, &|rel, var, op| rel.aggregate_out_lattice(var, op))
+        self.solve_impl(q, true, Relation::aggregate_out_lattice)
     }
 
     /// Runs the upward pass on an explicitly supplied (possibly stale
@@ -211,29 +209,19 @@ impl Executor {
     ) -> Result<Relation<S>, EngineError> {
         q.validate()
             .map_err(|e| EngineError::Invalid(e.to_string()))?;
-        let agg = |rel: &Relation<S>, var: Var, op: Aggregate| rel.aggregate_out(var, op);
-        if !self.calibration.is_enabled() {
-            return eval(q, plan, &self.cfg, None, &agg);
-        }
-        let digest = QueryStats::of(q).digest();
-        let probe = CalProbe::new(&self.calibration, digest, plan);
-        let out = eval(q, plan, &self.cfg, Some(&probe), &agg);
-        if out.is_ok() {
-            probe.flush();
-        }
-        out
+        let digest = self
+            .calibration
+            .is_enabled()
+            .then(|| QueryStats::of(q).digest());
+        self.eval(q, plan, digest.as_ref(), Relation::aggregate_out)
     }
 
-    fn solve_impl<S, F>(
+    fn solve_impl<S: Semiring>(
         &self,
         q: &FaqQuery<S>,
         lattice: bool,
-        agg: &F,
-    ) -> Result<Relation<S>, EngineError>
-    where
-        S: Semiring,
-        F: Fn(&Relation<S>, Var, Aggregate) -> Relation<S> + Sync,
-    {
+        agg: AggFn<S>,
+    ) -> Result<Relation<S>, EngineError> {
         q.validate()
             .map_err(|e| EngineError::Invalid(e.to_string()))?;
         // Calibration needs the digest (its shape key), which only
@@ -242,7 +230,7 @@ impl Executor {
         if !self.calibration.is_enabled() || !self.planner.use_stats {
             let plan = self.cache.get_or_build(q, lattice, &self.planner);
             let plan = plan.as_ref().as_ref().map_err(Clone::clone)?;
-            return eval(q, plan, &self.cfg, None, agg);
+            return self.eval(q, plan, None, agg);
         }
         let stats = QueryStats::of(q);
         let digest = stats.digest();
@@ -267,72 +255,40 @@ impl Executor {
             },
         );
         let plan = plan.as_ref().as_ref().map_err(Clone::clone)?;
-        let probe = CalProbe::new(&self.calibration, digest, plan);
-        let out = eval(q, plan, &self.cfg, Some(&probe), agg);
-        // Telemetry from a failed pass describes a run that never
-        // finished; only successful passes teach the registry.
-        if out.is_ok() {
-            probe.flush();
-        }
-        out
-    }
-}
-
-/// Per-execution calibration state: the plan's predicted rows, the
-/// shape's envelope, the telemetry log, and the sticky drift flag the
-/// fold points consult. Lives on the calling thread's stack for one
-/// `eval`; worker threads share it by reference.
-struct CalProbe<'a> {
-    registry: &'a CalibrationRegistry,
-    digest: StatsDigest,
-    envelope: Envelope,
-    node_rows: &'a [u64],
-    log: CalibrationLog,
-    replans: AtomicU64,
-    drift: AtomicBool,
-}
-
-impl<'a> CalProbe<'a> {
-    fn new(registry: &'a CalibrationRegistry, digest: StatsDigest, plan: &'a QueryPlan) -> Self {
-        let envelope = registry.envelope(&digest);
-        CalProbe {
-            registry,
-            digest,
-            envelope,
-            node_rows: plan.node_rows(),
-            log: CalibrationLog::new(),
-            replans: AtomicU64::new(0),
-            drift: AtomicBool::new(false),
-        }
+        self.eval(q, plan, Some(&digest), agg)
     }
 
-    /// Records one fold point's predicted-vs-actual pair and raises the
-    /// sticky drift flag when the sample leaves the shape's envelope.
-    fn observe(&self, node: usize, actual: usize) {
-        let Some(&predicted) = self.node_rows.get(node) else {
-            return; // structural plan: nothing was predicted
+    /// Runs the one upward pass on a prebuilt plan at the [`Threaded`]
+    /// site, observed under `digest` when calibration is live. Panics
+    /// anywhere in the pass — a semiring operation on a poisoned value,
+    /// an aggregation overflow, whether on the calling thread or a
+    /// scoped worker — surface as [`EngineError::WorkerPanic`] to *this*
+    /// query's caller, so one poisoned query cannot unwind through a
+    /// serving pool's worker thread and take the pool down with it.
+    fn eval<S: Semiring>(
+        &self,
+        q: &FaqQuery<S>,
+        plan: &QueryPlan,
+        digest: Option<&StatsDigest>,
+        agg: AggFn<S>,
+    ) -> Result<Relation<S>, EngineError> {
+        let probe = digest.and_then(|d| CalProbe::new(&self.calibration, d, plan));
+        let pass = Pass {
+            q,
+            plan,
+            agg,
+            probe: probe.as_ref(),
         };
-        let actual = actual as u64;
-        self.log.record(node, predicted, actual);
-        if !self.envelope.contains(predicted, actual) {
-            self.drift.store(true, Ordering::Release);
-        }
-    }
-
-    /// Whether any sample so far left the envelope.
-    fn drifted(&self) -> bool {
-        self.drift.load(Ordering::Acquire)
-    }
-
-    fn note_replan(&self) {
-        self.replans.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Hands the run's telemetry to the registry (successful runs only).
-    fn flush(&self) {
-        self.registry.absorb(&self.digest, &self.log);
-        self.registry
-            .record_replans(self.replans.load(Ordering::Relaxed));
+        let budget = AtomicUsize::new(self.cfg.threads.saturating_sub(1));
+        let mut site = Threaded {
+            cfg: &self.cfg,
+            budget: &budget,
+        };
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| pass.run(&mut site)))
+            .unwrap_or_else(|payload| {
+                Err(EngineError::WorkerPanic(panic_message(payload.as_ref())))
+            })
+            .map(|(answer, _)| answer)
     }
 }
 
@@ -363,185 +319,68 @@ fn acquire_up_to(budget: &AtomicUsize, want: usize) -> usize {
     got
 }
 
-/// Runs the upward pass on a prebuilt plan. Panics anywhere in the
-/// pass — a semiring operation on a poisoned value, an aggregation
-/// overflow, whether on the calling thread or a scoped worker — surface
-/// as [`EngineError::WorkerPanic`] to *this* query's caller, so one
-/// poisoned query cannot unwind through a serving pool's worker thread
-/// and take the pool down with it.
-fn eval<S, F>(
-    q: &FaqQuery<S>,
-    plan: &QueryPlan,
-    cfg: &ExecutorConfig,
-    cal: Option<&CalProbe<'_>>,
-    agg: &F,
-) -> Result<Relation<S>, EngineError>
-where
-    S: Semiring,
-    F: Fn(&Relation<S>, Var, Aggregate) -> Relation<S> + Sync,
-{
-    let budget = AtomicUsize::new(cfg.threads.saturating_sub(1));
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let result = eval_subtree(q, plan, plan.root(), cfg, &budget, cal, agg)?
-            .unwrap_or_else(Relation::unit);
-        // Root: the engine's shared epilogue (aggregate the remaining
-        // bound variables innermost-first, reorder onto the free-variable
-        // schema).
-        Ok(faqs_core::finish_root(q, result, |rel, v, op| {
-            agg(rel, v, op)
-        }))
-    }))
-    .unwrap_or_else(|payload| Err(EngineError::WorkerPanic(panic_message(payload.as_ref()))))
+/// The threaded site: sibling subtrees run on scoped workers while the
+/// budget lasts (whatever it cannot absorb runs inline), and large
+/// joins split their probe side. Each worker carries its own copy.
+#[derive(Clone, Copy)]
+struct Threaded<'e> {
+    cfg: &'e ExecutorConfig,
+    budget: &'e AtomicUsize,
 }
 
-/// The full (un-aggregated) relation of `node`'s subtree: its λ factors
-/// joined smallest-first per the plan, then each child's message folded
-/// in, in deterministic child order. Children evaluate concurrently when
-/// the budget allows. `Ok(None)` only for a factorless, childless
-/// synthetic root (the `⊗`-identity); a panicked worker thread becomes
-/// [`EngineError::WorkerPanic`] rather than re-raising on the caller.
-fn eval_subtree<S, F>(
-    q: &FaqQuery<S>,
-    plan: &QueryPlan,
-    node: NodeId,
-    cfg: &ExecutorConfig,
-    budget: &AtomicUsize,
-    cal: Option<&CalProbe<'_>>,
-    agg: &F,
-) -> Result<Option<Relation<S>>, EngineError>
-where
-    S: Semiring,
-    F: Fn(&Relation<S>, Var, Aggregate) -> Relation<S> + Sync,
-{
-    let children = plan.children(node);
-    let messages: Vec<Relation<S>> = if children.len() <= 1 || cfg.threads == 1 {
-        children
-            .iter()
-            .map(|&c| subtree_message(q, plan, c, node, cfg, budget, cal, agg))
-            .collect::<Result<_, _>>()?
-    } else {
+impl<S: Semiring> PassSite<S> for Threaded<'_> {
+    type Error = EngineError;
+
+    fn children(
+        &mut self,
+        pass: &Pass<'_, S>,
+        parent: NodeId,
+    ) -> Result<Vec<Timed<Relation<S>>>, EngineError> {
+        let children = pass.plan.children(parent);
+        if children.len() <= 1 || self.cfg.threads == 1 {
+            return children
+                .iter()
+                .map(|&c| pass.message(self, c, parent))
+                .collect();
+        }
+        let budget = self.budget;
         std::thread::scope(|s| {
             // Offer all but the last child to the budget; stragglers run
             // inline below while the workers make progress.
-            type Outcome<S> = Result<Relation<S>, EngineError>;
-            let mut handles: Vec<Option<std::thread::ScopedJoinHandle<'_, Outcome<S>>>> =
-                Vec::with_capacity(children.len());
-            for (i, &c) in children.iter().enumerate() {
-                if i + 1 < children.len() && try_acquire(budget) {
-                    handles.push(Some(s.spawn(move || {
-                        let m = subtree_message(q, plan, c, node, cfg, budget, cal, agg);
-                        budget.fetch_add(1, Ordering::Release);
-                        m
-                    })));
-                } else {
-                    handles.push(None);
-                }
-            }
+            let handles: Vec<_> = children
+                .iter()
+                .enumerate()
+                .map(|(i, &c)| {
+                    (i + 1 < children.len() && try_acquire(budget)).then(|| {
+                        let mut site = *self;
+                        s.spawn(move || {
+                            let m = pass.message(&mut site, c, parent);
+                            budget.fetch_add(1, Ordering::Release);
+                            m
+                        })
+                    })
+                })
+                .collect();
             // Join *every* handle before surfacing any error: an
             // unjoined panicked worker would re-raise its panic when
             // the scope closes, defeating the conversion below.
-            let outcomes: Vec<Outcome<S>> = children
+            let outcomes: Vec<_> = children
                 .iter()
                 .zip(handles)
                 .map(|(&c, h)| match h {
                     Some(h) => h
                         .join()
                         .unwrap_or_else(|p| Err(EngineError::WorkerPanic(panic_message(&*p)))),
-                    None => subtree_message(q, plan, c, node, cfg, budget, cal, agg),
+                    None => pass.message(self, c, parent),
                 })
                 .collect();
-            outcomes.into_iter().collect::<Result<_, _>>()
-        })?
-    };
-
-    // Own factors: one worst-case-optimal pass when the planner marked
-    // the bag generic-join, otherwise the cascade with the plan's
-    // cached key schemas. Both fold annotations in the same association
-    // order, so the bag relation is identical either way.
-    let mut acc: Option<Relation<S>> = None;
-    let steps = plan.joins(node);
-    if let (true, BagOp::GenericJoin { var_order }) = (steps.len() >= 2, plan.bag_op(node)) {
-        let factors: Vec<&Relation<S>> = steps.iter().map(|s| q.factor(s.edge)).collect();
-        acc = Some(generic_join(&factors, var_order));
-    } else {
-        for step in steps {
-            let f = q.factor(step.edge);
-            acc = Some(match acc {
-                Some(cur) => {
-                    let idx = f.build_index(&step.key);
-                    join_adaptive(&cur, f, &idx, cfg, budget)
-                }
-                None => f.clone(),
-            });
-        }
+            outcomes.into_iter().collect()
+        })
     }
 
-    // Fold child messages — the `⊗` on the bag overlap of Theorem G.3.
-    // Default order is node order (determinism for a fixed plan state);
-    // once calibration flags drift, the remaining folds of the pass
-    // re-plan locally to smallest-actual-first. `⊗`-folds commute, so
-    // the reorder is a safe swap point and the answer is unchanged —
-    // only the intermediate sizes (the thing the stale plan mispriced)
-    // shrink. Ties break on node order, keeping the reorder itself
-    // deterministic for a given drift state.
-    let mut order: Vec<usize> = (0..messages.len()).collect();
-    if messages.len() >= 2 && cal.is_some_and(|c| c.drifted()) {
-        if let Some(c) = cal {
-            c.note_replan();
-        }
-        order.sort_by_key(|&i| (messages[i].len(), i));
+    fn join(&mut self, cur: &Relation<S>, other: &Relation<S>, idx: &JoinIndex) -> Relation<S> {
+        join_adaptive(cur, other, idx, self.cfg, self.budget)
     }
-    let mut slots: Vec<Option<Relation<S>>> = messages.into_iter().map(Some).collect();
-    for i in order {
-        let message = slots[i].take().expect("each message folds exactly once");
-        acc = Some(match acc {
-            Some(cur) => {
-                let shared = cur.shared_vars(&message);
-                let idx = message.build_index(&shared);
-                join_adaptive(&cur, &message, &idx, cfg, budget)
-            }
-            None => message,
-        });
-    }
-
-    // Telemetry: a fold point with at least two inputs is where the
-    // cost model actually had to *predict* (single-factor leaf bags
-    // restate exact statistics — feeding them back would drown the
-    // signal in certainty).
-    if plan.joins(node).len() + plan.children(node).len() >= 2 {
-        if let (Some(c), Some(rel)) = (cal, acc.as_ref()) {
-            c.observe(node.index(), rel.len());
-        }
-    }
-    Ok(acc)
-}
-
-/// A child's upward message: its subtree relation with every variable
-/// private to the subtree (absent from the parent's bag) aggregated out,
-/// innermost (highest index) first — the push-down of Corollary G.2.
-#[allow(clippy::too_many_arguments)]
-fn subtree_message<S, F>(
-    q: &FaqQuery<S>,
-    plan: &QueryPlan,
-    child: NodeId,
-    parent: NodeId,
-    cfg: &ExecutorConfig,
-    budget: &AtomicUsize,
-    cal: Option<&CalProbe<'_>>,
-    agg: &F,
-) -> Result<Relation<S>, EngineError>
-where
-    S: Semiring,
-    F: Fn(&Relation<S>, Var, Aggregate) -> Relation<S> + Sync,
-{
-    let message = eval_subtree(q, plan, child, cfg, budget, cal, agg)?
-        .expect("non-root GHD nodes carry a factor");
-    Ok(faqs_core::push_down_message(
-        q,
-        message,
-        plan.ghd.chi(parent),
-        |rel, v, op| agg(rel, v, op),
-    ))
 }
 
 /// Indexed join that splits the probe side across idle workers when it
@@ -549,7 +388,7 @@ where
 fn join_adaptive<S: Semiring>(
     cur: &Relation<S>,
     other: &Relation<S>,
-    idx: &faqs_relation::JoinIndex,
+    idx: &JoinIndex,
     cfg: &ExecutorConfig,
     budget: &AtomicUsize,
 ) -> Relation<S> {
@@ -569,9 +408,10 @@ fn join_adaptive<S: Semiring>(
 mod tests {
     use super::*;
     use faqs_core::solve_faq;
-    use faqs_hypergraph::{example_h2, star_query};
+    use faqs_hypergraph::{example_h2, star_query, Var};
+    use faqs_plan::CalibrationLog;
     use faqs_relation::{random_instance, RandomInstanceConfig};
-    use faqs_semiring::Count;
+    use faqs_semiring::{Aggregate, Count};
 
     fn inst(seed: u64) -> FaqQuery<Count> {
         random_instance(

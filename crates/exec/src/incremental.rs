@@ -34,16 +34,14 @@
 //! 100k-tuple instance: no stats re-scan, no full upward pass).
 
 use crate::cache::PlanCache;
-use crate::plan::QueryPlan;
-use faqs_core::{finish_root, push_down_message, EngineError};
+use faqs_core::{
+    finish_root, push_down_message, CalProbe, EngineError, Pass, PassSite, QueryPlan, Timed,
+};
 use faqs_hypergraph::{EdgeId, NodeId};
-use faqs_plan::{
-    correction_fresh, BagOp, CalibrationRegistry, PlannerConfig, QueryStats, StatsDigest,
-};
-use faqs_relation::{
-    generic_join, AppliedDelta, FaqQuery, MaintainedStats, Relation, RelationDelta,
-};
+use faqs_plan::{correction_fresh, CalibrationRegistry, PlannerConfig, QueryStats, StatsDigest};
+use faqs_relation::{AppliedDelta, FaqQuery, MaintainedStats, Relation, RelationDelta};
 use faqs_semiring::{Aggregate, Semiring};
+use std::convert::Infallible;
 use std::sync::{Arc, OnceLock};
 
 /// Whether `FAQS_EXEC_DISABLE_DELTA=1` forces full re-solves. Read once
@@ -467,115 +465,50 @@ impl<S: Semiring> IncrementalFaq<S> {
         }
     }
 
-    /// The ⊗-product of `node`'s λ factors in the plan's join order
-    /// (the engine's local pipeline, with the plan's cached key
-    /// schemas), or one generic-join pass when the plan marked the bag
-    /// worst-case-optimal — both produce the identical relation, so
-    /// stored locals stay bit-compatible with either lowering.
-    fn compute_local(&self, plan: &QueryPlan, node: NodeId) -> Option<Relation<S>> {
-        let steps = plan.joins(node);
-        if let (true, BagOp::GenericJoin { var_order }) = (steps.len() >= 2, plan.bag_op(node)) {
-            let factors: Vec<&Relation<S>> =
-                steps.iter().map(|s| self.query.factor(s.edge)).collect();
-            return Some(generic_join(&factors, var_order));
-        }
-        let mut acc: Option<Relation<S>> = None;
-        for step in steps {
-            let f = self.query.factor(step.edge);
-            acc = Some(match acc {
-                Some(cur) => {
-                    let idx = f.build_index(&step.key);
-                    cur.join_indexed(f, &idx)
-                }
-                None => f.clone(),
-            });
-        }
-        acc
-    }
-
-    /// `node`'s full subtree relation from stored parts: local ⊗ child
-    /// messages. Children fold highest-id first — the engine's
-    /// post-order arrival order — so recomputed relations are
-    /// bit-identical to a fresh `solve_faq` on the same plan, even for
-    /// floating-point semirings.
-    fn subtree(&self, plan: &QueryPlan, node: NodeId) -> Option<Relation<S>> {
-        let mut acc = self.local[node.index()].clone();
-        for &c in plan.children(node).iter().rev() {
-            let m = self.msg[c.index()].as_ref().expect("child message stored");
-            acc = Some(match acc {
-                Some(cur) => cur.join(m),
-                None => m.clone(),
-            });
-        }
-        acc
-    }
-
-    /// Stores `node`'s outgoing relation: the upward message for
-    /// non-root nodes, the finished answer at the root.
-    fn emit(&mut self, plan: &QueryPlan, node: NodeId) {
-        let sub = self.subtree(plan, node);
-        // Telemetry: multi-input fold points (the ones the cost model
-        // had to predict) report predicted-vs-actual to the attached
-        // registry — an incremental maintainer teaches the planner
-        // exactly like a one-shot execution does.
-        if self.calibration.is_enabled() && plan.joins(node).len() + plan.children(node).len() >= 2
-        {
-            if let (Some(digest), Some(rel), Some(&predicted)) = (
-                self.digest.as_ref(),
-                sub.as_ref(),
-                plan.node_rows().get(node.index()),
-            ) {
-                self.calibration
-                    .observe(digest, predicted, rel.len() as u64);
-            }
-        }
-        if node == plan.root() {
-            let root_rel = sub.unwrap_or_else(Relation::unit);
-            self.answer = finish_root(&self.query, root_rel, |rel, v, op| rel.aggregate_out(v, op));
-        } else {
-            let parent = plan.ghd.parent(node).expect("non-root has a parent");
-            let m = push_down_message(
-                &self.query,
-                sub.expect("non-root GHD nodes carry a factor"),
-                plan.ghd.chi(parent),
-                |rel, v, op| rel.aggregate_out(v, op),
-            );
-            self.msg[node.index()] = Some(m);
-        }
+    /// Runs the one upward pass at the [`Stored`] site: over every node
+    /// (`path = None`), or along the dirty root `path` only, reusing
+    /// every clean sibling's stored message. Multi-input fold points
+    /// report predicted-vs-actual to the attached registry — an
+    /// incremental maintainer teaches the planner exactly like a
+    /// one-shot execution does.
+    fn run_pass(&mut self, path: Option<&[NodeId]>) {
+        let plan = self.plan_arc();
+        let plan = plan.as_ref().as_ref().expect("session plan is Ok");
+        let probe = self.digest.as_ref();
+        let probe = probe.and_then(|d| CalProbe::new(&self.calibration, d, plan));
+        let pass = Pass {
+            q: &self.query,
+            plan,
+            agg: Relation::aggregate_out,
+            probe: probe.as_ref(),
+        };
+        let mut site = Stored {
+            local: &mut self.local,
+            msg: &mut self.msg,
+            path,
+        };
+        let Ok((answer, _)) = pass.run(&mut site);
+        self.answer = answer;
     }
 
     /// The full upward pass, storing every local and message.
     fn full_recompute(&mut self) {
-        let plan = self.plan_arc();
-        let plan = plan.as_ref().as_ref().expect("session plan is Ok");
         self.counters.full_upward_passes += 1;
-        let dense = plan.ghd.node_ids().map(|n| n.index()).max().unwrap_or(0) + 1;
-        self.local = vec![None; dense];
-        self.msg = vec![None; dense];
-        for node in plan.ghd.node_ids() {
-            self.local[node.index()] = self.compute_local(plan, node);
-        }
-        for node in plan.ghd.post_order() {
-            self.emit(plan, node);
-        }
+        let slots = self.plan.as_ref().as_ref().map_or(0, QueryPlan::slots);
+        self.local = vec![None; slots];
+        self.msg = vec![None; slots];
+        self.run_pass(None);
     }
 
     /// Dirty-subtree maintenance: recompute `origin`'s local, then
-    /// re-emit along the root path only, reusing every clean sibling's
-    /// stored message.
+    /// re-emit along the root path only.
     fn recompute_path(&mut self, origin: NodeId) {
         let plan = self.plan_arc();
         let plan = plan.as_ref().as_ref().expect("session plan is Ok");
-        self.local[origin.index()] = self.compute_local(plan, origin);
-        let mut node = origin;
-        loop {
-            self.counters.node_recomputes += 1;
-            self.emit(plan, node);
-            match plan.ghd.parent(node) {
-                Some(parent) => node = parent,
-                None => break,
-            }
-        }
+        let path: Vec<NodeId> =
+            std::iter::successors(Some(origin), |&n| plan.ghd.parent(n)).collect();
+        self.counters.node_recomputes += path.len() as u64;
+        self.run_pass(Some(&path));
     }
 
     /// Inverse-mode maintenance. Builds `Δ⁺`/`Δ⁻` from the applied
@@ -673,6 +606,61 @@ impl<S: Semiring> IncrementalFaq<S> {
             self.answer = a;
         }
         Some(())
+    }
+}
+
+/// The storing site of the upward pass: every bag and message it
+/// computes is kept for [`IncrementalFaq::propagate_inverse`] and later
+/// passes, and whatever lies off the dirty `path` (origin first; `None`
+/// = everything is dirty) is answered from the store.
+struct Stored<'s, S: Semiring> {
+    local: &'s mut [Option<Relation<S>>],
+    msg: &'s mut [Option<Relation<S>>],
+    path: Option<&'s [NodeId]>,
+}
+
+impl<S: Semiring> PassSite<S> for Stored<'_, S> {
+    type Error = Infallible;
+
+    fn children(
+        &mut self,
+        pass: &Pass<'_, S>,
+        parent: NodeId,
+    ) -> Result<Vec<Timed<Relation<S>>>, Infallible> {
+        let children = pass.plan.children(parent).iter();
+        children
+            .map(|&c| {
+                if self.path.is_some_and(|path| !path.contains(&c)) {
+                    let stored = self.msg[c.index()].clone();
+                    Ok((stored.expect("clean child's message is stored"), 0))
+                } else {
+                    pass.message(self, c, parent)
+                }
+            })
+            .collect()
+    }
+
+    fn bag(
+        &mut self,
+        pass: &Pass<'_, S>,
+        node: NodeId,
+    ) -> Result<Timed<Option<Relation<S>>>, Infallible> {
+        if self.path.is_none_or(|path| path[0] == node) {
+            self.local[node.index()] = pass.local_bag(self, node);
+        }
+        Ok((self.local[node.index()].clone(), 0))
+    }
+
+    fn deliver(
+        &mut self,
+        _pass: &Pass<'_, S>,
+        from: NodeId,
+        _to: NodeId,
+        message: Relation<S>,
+        ready: u64,
+    ) -> Result<Timed<Relation<S>>, Infallible> {
+        self.msg[from.index()] = Some(message.clone());
+        Ok((message, ready))
     }
 }
 

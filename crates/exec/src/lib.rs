@@ -59,10 +59,9 @@ mod cache;
 mod executor;
 mod fingerprint;
 mod incremental;
-mod plan;
 
 pub use cache::{CacheStats, PlanCache};
 pub use executor::{Executor, ExecutorConfig};
+pub use faqs_core::{JoinStep, QueryPlan};
 pub use fingerprint::PlanKey;
 pub use incremental::{IncrementalFaq, IncrementalStats, MaintenanceMode};
-pub use plan::{JoinStep, QueryPlan};

@@ -42,15 +42,16 @@
 use crate::bounds::{model_capacity_bits, BoundReport};
 use crate::hash_split::ConsistentHashSplit;
 use crate::outcome::ProtocolError;
-use faqs_exec::QueryPlan;
+use faqs_core::{CalProbe, Pass, PassSite, QueryPlan, Timed};
 use faqs_hypergraph::{EdgeId, NodeId, Var};
 use faqs_network::{
     best_delta, Assignment, ChannelTransport, Player, RunStats, SimTransport, TcpTransport,
     Topology, Transport, TransportKind, WireStats,
 };
 use faqs_plan::{CalibrationRegistry, PlacementContext, PlannerConfig, QueryStats, StatsDigest};
-use faqs_relation::{FaqQuery, Relation};
+use faqs_relation::{FaqQuery, JoinIndex, Relation};
 use faqs_semiring::{Aggregate, Semiring};
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -202,9 +203,9 @@ pub struct DistributedFaqRun<'a, S: Semiring> {
     scaled: Topology,
     all_links_live: bool,
     threads: usize,
-    /// Attached calibration registry + this query's shape digest:
-    /// `eval_node` then reports predicted-vs-actual pairs at every
-    /// multi-input fold, so distributed runs teach the planner exactly
+    /// Attached calibration registry + this query's shape digest: every
+    /// successful run then reports predicted-vs-actual pairs at its
+    /// multi-input folds, so distributed runs teach the planner exactly
     /// like local executions do. `None` = no telemetry.
     calibration: Option<(Arc<CalibrationRegistry>, StatsDigest)>,
 }
@@ -267,9 +268,10 @@ impl<'a, S: Semiring> DistributedFaqRun<'a, S> {
         })
     }
 
-    /// Attaches a shared [`CalibrationRegistry`]: every execution then
-    /// feeds predicted-vs-actual fold-point cardinalities into it under
-    /// this query's statistics digest. No-op for disabled registries.
+    /// Attaches a shared [`CalibrationRegistry`]: every execution that
+    /// completes then feeds predicted-vs-actual fold-point cardinalities
+    /// into it under this query's statistics digest (a run that dies on
+    /// the wire teaches nothing). No-op for disabled registries.
     pub fn with_calibration(mut self, calibration: Arc<CalibrationRegistry>) -> Self {
         self.calibration = calibration
             .is_enabled()
@@ -324,12 +326,22 @@ impl<'a, S: Semiring> DistributedFaqRun<'a, S> {
     ) -> Result<DistributedOutcome<S>, ProtocolError> {
         let shards = self.materialise_shards();
         let node_player = self.node_players(&shards);
-        let root = self.plan.root();
-        let (acc, ready) = self.eval_node(root, transport, &shards, &node_player)?;
-        let result =
-            faqs_core::finish_root(self.q, acc.unwrap_or_else(Relation::unit), |rel, v, op| {
-                rel.aggregate_out(v, op)
-            });
+        let probe = self.calibration.as_ref();
+        let probe =
+            probe.and_then(|(registry, digest)| CalProbe::new(registry, digest, &self.plan));
+        let pass = Pass {
+            q: self.q,
+            plan: &self.plan,
+            agg: Relation::aggregate_out,
+            probe: probe.as_ref(),
+        };
+        let mut site = Routed {
+            run: self,
+            transport: &mut *transport,
+            shards: &shards,
+            node_player: &node_player,
+        };
+        let (result, ready) = pass.run(&mut site)?;
         let stats = transport.stats();
         let wire = transport.wire();
         if transport.carries_payload() {
@@ -458,15 +470,7 @@ impl<'a, S: Semiring> DistributedFaqRun<'a, S> {
     /// cost model ran the identical rule over estimated masses when the
     /// plan was chosen, so predicted and executed placements agree.
     fn node_players(&self, shards: &[Vec<(Player, Relation<S>)>]) -> Vec<Player> {
-        let n_nodes = self
-            .plan
-            .ghd
-            .node_ids()
-            .map(|n| n.index())
-            .max()
-            .unwrap_or(0)
-            + 1;
-        let mut node_shards: Vec<Vec<(Player, u64)>> = vec![Vec::new(); n_nodes];
+        let mut node_shards: Vec<Vec<(Player, u64)>> = vec![Vec::new(); self.plan.slots()];
         for node in self.plan.ghd.node_ids() {
             for step in self.plan.joins(node) {
                 for (p, rel) in &shards[step.edge.index()] {
@@ -480,117 +484,6 @@ impl<'a, S: Semiring> DistributedFaqRun<'a, S> {
             self.placement.output(),
             &node_shards,
         )
-    }
-
-    /// Evaluates one subtree: children first (their messages routed to
-    /// this node's aggregation player with causal ready rounds), then the
-    /// plan's smallest-first indexed join pipeline over the gathered
-    /// factors, then the child messages folded in deterministic node
-    /// order. Returns the un-aggregated node relation and the round at
-    /// whose end it is complete at the aggregation player.
-    #[allow(clippy::type_complexity)]
-    fn eval_node<T: Transport + ?Sized>(
-        &self,
-        node: NodeId,
-        transport: &mut T,
-        shards: &[Vec<(Player, Relation<S>)>],
-        node_player: &[Player],
-    ) -> Result<(Option<Relation<S>>, u64), ProtocolError> {
-        let me = node_player[node.index()];
-        let mut ready = 0u64;
-
-        // Children subtrees, in the plan's deterministic order.
-        let mut messages: Vec<Relation<S>> = Vec::new();
-        for &child in self.plan.children(node) {
-            let (sub, sub_ready) = self.eval_node(child, transport, shards, node_player)?;
-            let sub = sub.expect("non-root GHD nodes carry a factor");
-            // Push-down at the child's aggregation player: aggregate out
-            // the subtree-private variables (Corollary G.2) *before* the
-            // message travels.
-            let mut message =
-                faqs_core::push_down_message(self.q, sub, self.plan.ghd.chi(node), |rel, v, op| {
-                    rel.aggregate_out(v, op)
-                });
-            let from = node_player[child.index()];
-            let arrived = if from == me {
-                sub_ready
-            } else {
-                // The message is learned at the end of `sub_ready`, so
-                // it departs at `sub_ready + 1` — causal by construction.
-                // On payload transports the frame physically travels and
-                // the *received* bytes become the message folded below.
-                let frame = if transport.carries_payload() {
-                    message.encode_frame()
-                } else {
-                    Vec::new()
-                };
-                let d = transport
-                    .route(from, me, &frame, message.bits(self.q.domain), sub_ready)
-                    .map_err(|e| ProtocolError::Unreachable(e.to_string()))?;
-                if let Some(bytes) = d.payload {
-                    message = Relation::decode_frame(&bytes)
-                        .map_err(|e| ProtocolError::Engine(format!("message frame: {e}")))?;
-                }
-                d.arrived_at
-            };
-            ready = ready.max(arrived);
-            messages.push(message);
-        }
-
-        // Own factors: gather shards first (gathering order — and hence
-        // round accounting — is operator-independent), then combine by
-        // the plan's per-bag operator: one generic-join pass for
-        // worst-case-optimal bags, the cached join pipeline otherwise.
-        let steps = self.plan.joins(node);
-        let mut gathered: Vec<Relation<S>> = Vec::with_capacity(steps.len());
-        for step in steps {
-            let (factor, arrived) = self.gather_factor(step.edge, me, transport, shards)?;
-            ready = ready.max(arrived);
-            gathered.push(factor);
-        }
-        let mut acc: Option<Relation<S>> = None;
-        if let (true, faqs_plan::BagOp::GenericJoin { var_order }) =
-            (gathered.len() >= 2, self.plan.bag_op(node))
-        {
-            let refs: Vec<&Relation<S>> = gathered.iter().collect();
-            acc = Some(faqs_relation::generic_join(&refs, var_order));
-        } else {
-            for (factor, step) in gathered.into_iter().zip(steps) {
-                acc = Some(match acc {
-                    Some(cur) => {
-                        let idx = factor.build_index(&step.key);
-                        cur.join_indexed_par(&factor, &idx, self.threads)
-                    }
-                    None => factor,
-                });
-            }
-        }
-
-        // Fold child messages in node order — the `⊗` on the bag overlap
-        // of Theorem G.3, deterministic across runs and thread counts.
-        for message in messages {
-            acc = Some(match acc {
-                Some(cur) => {
-                    let shared = cur.shared_vars(&message);
-                    let idx = message.build_index(&shared);
-                    cur.join_indexed_par(&message, &idx, self.threads)
-                }
-                None => message,
-            });
-        }
-
-        // Calibration telemetry: multi-input folds are where the cost
-        // model predicted; report what actually materialised.
-        if self.plan.joins(node).len() + self.plan.children(node).len() >= 2 {
-            if let (Some((registry, digest)), Some(rel), Some(&predicted)) = (
-                self.calibration.as_ref(),
-                acc.as_ref(),
-                self.plan.node_rows().get(node.index()),
-            ) {
-                registry.observe(digest, predicted, rel.len() as u64);
-            }
-        }
-        Ok((acc, ready))
     }
 
     /// Routes every remote shard of factor `e` to the aggregation player
@@ -694,6 +587,78 @@ impl<'a, S: Semiring> DistributedFaqRun<'a, S> {
             })
             .collect();
         Ok((Relation::union_all(&rels), ready))
+    }
+}
+
+/// The routed site of the upward pass: each GHD node is evaluated at
+/// its aggregation player, factors are gathered from their shard
+/// holders, and messages travel the transport with causal ready rounds.
+/// The pass asks for children (and their routes) first, then the bag —
+/// the call order the pinned [`RunStats`] were measured under.
+struct Routed<'r, 'a, S: Semiring, T: Transport + ?Sized> {
+    run: &'r DistributedFaqRun<'a, S>,
+    transport: &'r mut T,
+    shards: &'r [Vec<(Player, Relation<S>)>],
+    node_player: &'r [Player],
+}
+
+impl<S: Semiring, T: Transport + ?Sized> PassSite<S> for Routed<'_, '_, S, T> {
+    type Error = ProtocolError;
+
+    fn bag(
+        &mut self,
+        pass: &Pass<'_, S>,
+        node: NodeId,
+    ) -> Result<Timed<Option<Relation<S>>>, ProtocolError> {
+        // Gather every factor before combining: gathering order — and
+        // hence round accounting — is operator-independent.
+        let me = self.node_player[node.index()];
+        let mut ready = 0u64;
+        let mut gathered = Vec::new();
+        for step in pass.plan.joins(node) {
+            let (factor, arrived) =
+                self.run
+                    .gather_factor(step.edge, me, self.transport, self.shards)?;
+            ready = ready.max(arrived);
+            gathered.push(Cow::Owned(factor));
+        }
+        Ok((pass.combine(self, node, gathered), ready))
+    }
+
+    fn deliver(
+        &mut self,
+        pass: &Pass<'_, S>,
+        from: NodeId,
+        to: NodeId,
+        mut message: Relation<S>,
+        ready: u64,
+    ) -> Result<Timed<Relation<S>>, ProtocolError> {
+        let (from, to) = (self.node_player[from.index()], self.node_player[to.index()]);
+        if from == to {
+            return Ok((message, ready));
+        }
+        // The message is learned at the end of `ready`, so it departs
+        // at `ready + 1` — causal by construction. On payload transports
+        // the frame physically travels and the *received* bytes become
+        // the message the parent folds.
+        let frame = if self.transport.carries_payload() {
+            message.encode_frame()
+        } else {
+            Vec::new()
+        };
+        let d = self
+            .transport
+            .route(from, to, &frame, message.bits(pass.q.domain), ready)
+            .map_err(|e| ProtocolError::Unreachable(e.to_string()))?;
+        if let Some(bytes) = d.payload {
+            message = Relation::decode_frame(&bytes)
+                .map_err(|e| ProtocolError::Engine(format!("message frame: {e}")))?;
+        }
+        Ok((message, d.arrived_at))
+    }
+
+    fn join(&mut self, cur: &Relation<S>, other: &Relation<S>, idx: &JoinIndex) -> Relation<S> {
+        cur.join_indexed_par(other, idx, self.run.threads)
     }
 }
 

@@ -18,9 +18,9 @@
 //!   relations are split across players by a consistent hash family.
 //! * [`DistributedFaqRun`] — the topology-general runtime: any
 //!   [`faqs_network::Topology`], any [`InputPlacement`] of factor shards,
-//!   one `faqs_exec::QueryPlan`; shards travel Steiner-tree /
-//!   shortest-path schedules and the GHD upward pass runs at per-node
-//!   aggregation players. [`ConformanceReport`] then confronts the
+//!   one `faqs_core::QueryPlan`; shards travel Steiner-tree /
+//!   shortest-path schedules and the one GHD upward pass
+//!   (`faqs_core::Pass`) runs at per-node aggregation players. [`ConformanceReport`] then confronts the
 //!   measured [`faqs_network::RunStats`] with [`BoundReport`] — the
 //!   paper's inequalities as executable checks.
 //!
