@@ -38,8 +38,10 @@ use faqs_core::{
     finish_root, push_down_message, CalProbe, EngineError, Pass, PassSite, QueryPlan, Timed,
 };
 use faqs_hypergraph::{EdgeId, NodeId};
-use faqs_plan::{correction_fresh, CalibrationRegistry, PlannerConfig, QueryStats, StatsDigest};
-use faqs_relation::{AppliedDelta, FaqQuery, MaintainedStats, Relation, RelationDelta};
+use faqs_plan::{
+    correction_fresh, CalibrationRegistry, MaintainedQueryStats, PlannerConfig, StatsDigest,
+};
+use faqs_relation::{AppliedDelta, FaqQuery, Relation, RelationDelta};
 use faqs_semiring::{Aggregate, Semiring};
 use std::convert::Infallible;
 use std::sync::{Arc, OnceLock};
@@ -131,7 +133,7 @@ pub struct IncrementalFaq<S: Semiring> {
     digest: Option<StatsDigest>,
     /// Incrementally maintained per-factor statistics, digest drift's
     /// input (no full factor re-scan per update).
-    stats: Vec<MaintainedStats>,
+    stats: MaintainedQueryStats,
     /// The GHD node whose join pipeline absorbs each edge's factor.
     edge_node: Vec<NodeId>,
     /// Per node (dense by `NodeId` index): the ⊗-product of its λ
@@ -169,13 +171,13 @@ impl<S: Semiring> IncrementalFaq<S> {
         query
             .validate()
             .map_err(|e| EngineError::Invalid(e.to_string()))?;
-        let stats: Vec<MaintainedStats> = query.factors.iter().map(MaintainedStats::of).collect();
+        let stats = MaintainedQueryStats::of(&query);
         let counters = IncrementalStats {
-            full_stats_scans: stats.len() as u64,
+            full_stats_scans: query.factors.len() as u64,
             ..IncrementalStats::default()
         };
         let digest = if planner.use_stats {
-            Some(Self::digest_of(&stats))
+            Some(stats.snapshot().digest())
         } else {
             None
         };
@@ -258,10 +260,7 @@ impl<S: Semiring> IncrementalFaq<S> {
                 self.query.factor(edge).schema()
             )));
         }
-        if delta
-            .ops()
-            .any(|(t, _)| t.iter().any(|&x| x >= self.query.domain))
-        {
+        if !delta.fits_domain(self.query.domain) {
             return Err(EngineError::Invalid(format!(
                 "delta tuple outside the domain 0..{}",
                 self.query.domain
@@ -272,7 +271,7 @@ impl<S: Semiring> IncrementalFaq<S> {
         if applied.is_empty() {
             return Ok(());
         }
-        self.stats[edge.index()].apply(&applied);
+        self.stats.apply(edge, &applied);
         self.counters.delta_stats_merges += 1;
         if self.replan_if_drifted()? {
             return Ok(());
@@ -344,10 +343,6 @@ impl<S: Semiring> IncrementalFaq<S> {
         }
     }
 
-    fn digest_of(stats: &[MaintainedStats]) -> StatsDigest {
-        QueryStats::from_factors(stats.iter().map(MaintainedStats::snapshot).collect()).digest()
-    }
-
     /// Plans through the cache from *maintained* statistics — no
     /// `QueryStats::of` factor scan on this path.
     fn build_plan(
@@ -355,13 +350,11 @@ impl<S: Semiring> IncrementalFaq<S> {
         cache: &PlanCache,
         planner: &PlannerConfig,
         digest: Option<StatsDigest>,
-        stats: &[MaintainedStats],
+        stats: &MaintainedQueryStats,
     ) -> Arc<Result<QueryPlan, EngineError>> {
         cache.get_or_build_with(q, false, digest, || {
             if planner.use_stats {
-                let qs =
-                    QueryStats::from_factors(stats.iter().map(MaintainedStats::snapshot).collect());
-                faqs_plan::plan_query_with_stats(q, false, planner, &qs)
+                faqs_plan::plan_query_with_stats(q, false, planner, &stats.snapshot())
                     .map(|chosen| QueryPlan::lower(q, chosen))
             } else {
                 faqs_plan::plan_query(q, false, planner).map(|chosen| QueryPlan::lower(q, chosen))
@@ -375,7 +368,7 @@ impl<S: Semiring> IncrementalFaq<S> {
         if !self.planner.use_stats {
             return Ok(false);
         }
-        let fresh = Self::digest_of(&self.stats);
+        let fresh = self.stats.snapshot().digest();
         if self.digest.as_ref() == Some(&fresh) {
             return Ok(false);
         }
@@ -427,15 +420,12 @@ impl<S: Semiring> IncrementalFaq<S> {
             Some(digest),
             |p| correction_fresh(p.correction(), correction),
             || {
-                let qs = QueryStats::from_factors(
-                    self.stats.iter().map(MaintainedStats::snapshot).collect(),
-                );
                 faqs_plan::plan_query_calibrated(
                     &self.query,
                     false,
                     &self.planner,
                     None,
-                    Some(&qs),
+                    Some(&self.stats.snapshot()),
                     correction,
                 )
                 .map(|chosen| QueryPlan::lower(&self.query, chosen))

@@ -66,13 +66,13 @@ pub use calibration::{
 pub use cost::PlanCost;
 pub use error::EngineError;
 pub use planner::{
-    choose_aggregation_players, cost_quote, cost_quote_calibrated,
+    choose_aggregation_players, cost_quote, cost_quote_calibrated, cost_quote_with_stats,
     decomposition_covering_free_vars, decomposition_for_free_vars, ghd_for_query,
     join_order_covers_lambda, join_order_for_ghd, plan_query, plan_query_calibrated,
     plan_query_placed, plan_query_with_stats, pre_agg_candidates, BagOp, CandidateReport,
     ChosenPlan, PlacementContext, PlannerConfig,
 };
-pub use stats::{QueryStats, StatsDigest};
+pub use stats::{MaintainedQueryStats, QueryStats, StatsDigest};
 pub use validate::{check_elimination_order, check_product_aggregates, check_push_down};
 
 #[cfg(test)]
@@ -409,6 +409,72 @@ mod tests {
             Err(EngineError::NeedsLatticeOps(_))
         ));
         assert!(cost_quote(&bad, true).is_ok());
+    }
+
+    #[test]
+    fn stats_taking_quote_is_the_scanning_quote_without_the_scans() {
+        // Same core, so same number: from a fresh scan, from maintained
+        // statistics after a delta, and under a learned correction.
+        let mut q = count_instance(&star_query(3), 5);
+        let cfg = PlannerConfig::default();
+        let scanned = QueryStats::of(&q);
+        assert_eq!(
+            cost_quote_with_stats(&q, false, &cfg, &scanned, 1.0).unwrap(),
+            cost_quote(&q, false).unwrap()
+        );
+
+        let mut maintained = MaintainedQueryStats::of(&q);
+        let mut delta = faqs_relation::RelationDelta::new(q.factors[2].schema().to_vec());
+        for x in 0..4 {
+            delta.insert(vec![x, 3 - x], Count(2));
+            delta.delete(vec![x, x]);
+        }
+        let applied = q.factors[2].apply_delta(&delta);
+        maintained.apply(EdgeId(2), &applied);
+        let quote = cost_quote_with_stats(&q, false, &cfg, &maintained.snapshot(), 1.0).unwrap();
+        assert_eq!(quote, cost_quote(&q, false).unwrap());
+
+        let registry = CalibrationRegistry::forced(f64::INFINITY);
+        let digest = maintained.snapshot().digest();
+        for _ in 0..8 {
+            registry.observe(&digest, 4, 64);
+        }
+        let learned = registry.correction(&digest);
+        assert!(learned > 2.0);
+        let calibrated =
+            cost_quote_with_stats(&q, false, &cfg, &maintained.snapshot(), learned).unwrap();
+        assert_eq!(
+            calibrated,
+            cost_quote_calibrated(&q, false, &registry).unwrap()
+        );
+        assert!(calibrated.cpu > quote.cpu);
+    }
+
+    #[test]
+    fn stats_taking_quote_checks_structure_but_never_reads_listings() {
+        let q = count_instance(&star_query(3), 2);
+        let (cfg, stats) = (PlannerConfig::stats(), QueryStats::of(&q));
+        // A value past the domain: the scanning wrapper finds it, the
+        // stats-taking quote leaves it to whoever let the data in.
+        let mut narrow = q.clone();
+        narrow.domain = 2;
+        assert!(matches!(
+            cost_quote(&narrow, false),
+            Err(EngineError::Invalid(_))
+        ));
+        assert!(cost_quote_with_stats(&narrow, false, &cfg, &stats, 1.0).is_ok());
+        // The O(k) half still runs: shape defects are rejected.
+        let mut unknown_free = q.clone();
+        unknown_free.free_vars = vec![Var(99)];
+        assert!(matches!(
+            cost_quote_with_stats(&unknown_free, false, &cfg, &stats, 1.0),
+            Err(EngineError::Invalid(_))
+        ));
+        let max = q.with_aggregate(Var(1), faqs_semiring::Aggregate::Max);
+        assert!(matches!(
+            cost_quote_with_stats(&max, false, &cfg, &stats, 1.0),
+            Err(EngineError::NeedsLatticeOps(_))
+        ));
     }
 
     #[test]

@@ -460,36 +460,76 @@ pub fn plan_query_calibrated<S: Semiring>(
 /// serving `q` with the *structural default* plan, without the full
 /// candidate search of [`plan_query`].
 ///
-/// One statistics gathering pass plus one cost-model dry run — cheap
-/// enough to price every request at a serving front door, and an upper
-/// estimate for the plan the executor will actually run (cost-based
-/// selection only ever picks a candidate predicted strictly cheaper
-/// than this default). Unlike `plan_query`, the quote simulates
-/// regardless of [`PlannerConfig`]: admission control needs a number
-/// even under `FAQS_PLAN_DISABLE_STATS=1` — the escape hatch changes
-/// which plan runs, not what the front door knows.
+/// One validation pass, one statistics gathering pass plus one
+/// cost-model dry run — cheap enough to price a request at a serving
+/// front door, and an upper estimate for the plan the executor will
+/// actually run (cost-based selection only ever picks a candidate
+/// predicted strictly cheaper than this default). Unlike `plan_query`,
+/// the quote simulates regardless of [`PlannerConfig::use_stats`]:
+/// admission control needs a number even under
+/// `FAQS_PLAN_DISABLE_STATS=1` — the escape hatch changes which plan
+/// runs, not what the front door knows. Operators are priced the way
+/// the process-wide default planner ([`PlannerConfig::from_env`]) lowers
+/// them; a caller that holds maintained statistics or its own planner
+/// configuration quotes through [`cost_quote_with_stats`] instead.
 pub fn cost_quote<S: Semiring>(q: &FaqQuery<S>, lattice: bool) -> Result<PlanCost, EngineError> {
-    quote_impl(q, lattice, None)
+    scanning_quote(q, lattice, |_| 1.0)
 }
 
 /// [`cost_quote`] corrected by what `calibration` has learned about
-/// this instance's shape: the serving front door quotes with the same
-/// per-shape multiplier the executor plans with, so admission control
-/// sharpens as the session observes executions. Identical to
-/// [`cost_quote`] for unseen shapes and disabled registries.
+/// this instance's shape: the quote carries the same per-shape
+/// multiplier the executor plans with, so admission control sharpens as
+/// the session observes executions. Identical to [`cost_quote`] for
+/// unseen shapes and disabled registries.
 pub fn cost_quote_calibrated<S: Semiring>(
     q: &FaqQuery<S>,
     lattice: bool,
     calibration: &CalibrationRegistry,
 ) -> Result<PlanCost, EngineError> {
-    quote_impl(q, lattice, Some(calibration))
+    scanning_quote(q, lattice, |stats| calibration.correction(&stats.digest()))
 }
 
-fn quote_impl<S: Semiring>(
+/// The scanning wrappers: validate the listings, gather statistics,
+/// then the one quote implementation.
+fn scanning_quote<S: Semiring>(
     q: &FaqQuery<S>,
     lattice: bool,
-    calibration: Option<&CalibrationRegistry>,
+    correction: impl FnOnce(&QueryStats) -> f64,
 ) -> Result<PlanCost, EngineError> {
+    q.validate()
+        .map_err(|e| EngineError::Invalid(e.to_string()))?;
+    let stats = QueryStats::of(q);
+    let correction = correction(&stats);
+    cost_quote_with_stats(q, lattice, &PlannerConfig::from_env(), &stats, correction)
+}
+
+/// The quote of [`cost_quote`] against *precomputed* per-factor
+/// statistics (in edge order), an explicit planner configuration and an
+/// explicit calibration `correction` (`1.0` to trust the raw estimates)
+/// — the quote counterpart of [`plan_query_with_stats`] /
+/// [`plan_query_calibrated`], for a store that maintains its statistics
+/// across deltas and must not pay `O(data)` per quote.
+///
+/// Nothing here reads the listings: only the `O(k)` structural half of
+/// validation runs ([`FaqQuery::validate_structure`]). The caller
+/// vouches that every listed value is inside `q.domain` — it validated
+/// the instance when it entered and has applied only in-domain deltas
+/// since — and that `stats` describes `q`. Of `cfg` only
+/// [`PlannerConfig::use_wcoj`] matters (see [`cost_quote`] on
+/// `use_stats`): bags are priced the way *that* planner lowers them, so
+/// the quote is for the plan the caller's executor will run.
+pub fn cost_quote_with_stats<S: Semiring>(
+    q: &FaqQuery<S>,
+    lattice: bool,
+    cfg: &PlannerConfig,
+    stats: &QueryStats,
+    correction: f64,
+) -> Result<PlanCost, EngineError> {
+    assert_eq!(
+        stats.factors.len(),
+        q.factors.len(),
+        "one stats entry per factor"
+    );
     if !lattice {
         for v in q.hypergraph.vars() {
             if !q.is_free(v) && matches!(q.aggregates[v.index()], Aggregate::Max | Aggregate::Min) {
@@ -498,7 +538,7 @@ fn quote_impl<S: Semiring>(
         }
     }
     check_product_aggregates(q)?;
-    q.validate()
+    q.validate_structure()
         .map_err(|e| EngineError::Invalid(e.to_string()))?;
     let ghd = ghd_for_query(q)?;
     let root_chi = ghd.chi(ghd.root());
@@ -507,19 +547,14 @@ fn quote_impl<S: Semiring>(
     }
     check_elimination_order(q, &ghd)?;
     let order = join_order_for_ghd(q, &ghd);
-    let stats = QueryStats::of(q);
-    let correction = calibration.map_or(1.0, |c| c.correction(&stats.digest()));
     let model = CostModel::new(
-        &stats,
+        stats,
         q.domain,
         S::value_bits(),
         S::WIRE_VALUE_BYTES,
         correction,
     );
-    // Price operators the way the process-wide default planner will
-    // lower them, so admission control quotes the plan that runs.
-    let wcoj = PlannerConfig::from_env().use_wcoj;
-    Ok(model.simulate(&ghd, &order, None, wcoj).0)
+    Ok(model.simulate(&ghd, &order, None, cfg.use_wcoj).0)
 }
 
 /// [`plan_query`] against *precomputed* per-factor statistics instead

@@ -9,11 +9,12 @@
 //! factor orders of magnitude larger, or a column concentrated on a few
 //! hot values — lands in its own bucket and gets its own plan.
 
-use faqs_relation::{FaqQuery, Relation, RelationStats};
+use faqs_hypergraph::EdgeId;
+use faqs_relation::{AppliedDelta, FaqQuery, MaintainedStats, Relation, RelationStats};
 use faqs_semiring::Semiring;
 
 /// Per-factor statistics for one FAQ instance.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct QueryStats {
     /// One entry per hyperedge, in edge order.
     pub factors: Vec<RelationStats>,
@@ -28,11 +29,10 @@ impl QueryStats {
         }
     }
 
-    /// Bundles precomputed per-factor statistics — the entry point for
-    /// incrementally *maintained* stats (snapshots of
-    /// `faqs_relation::MaintainedStats`), where re-scanning the factors
-    /// via [`QueryStats::of`] would defeat the maintenance. Digest-drift
-    /// detection is then one cheap [`QueryStats::digest`] comparison.
+    /// Bundles precomputed per-factor statistics (in edge order) — for
+    /// callers that already hold them; a mutating store keeps a
+    /// [`MaintainedQueryStats`] instead of re-scanning via
+    /// [`QueryStats::of`].
     pub fn from_factors(factors: Vec<RelationStats>) -> QueryStats {
         QueryStats { factors }
     }
@@ -71,6 +71,41 @@ impl QueryStats {
                     (rel, skew)
                 })
                 .collect(),
+        }
+    }
+}
+
+/// Exact, incrementally maintained [`QueryStats`]: one
+/// [`MaintainedStats`] per factor, built in one pass and then updated
+/// in `O(arity)` per changed tuple, so a store that mutates its factors
+/// by deltas (the serve registry, `IncrementalFaq`) keeps the planner's
+/// statistics — and therefore the digest and every cost quote — current
+/// without ever re-scanning a factor.
+#[derive(Clone, Debug)]
+pub struct MaintainedQueryStats {
+    factors: Vec<MaintainedStats>,
+}
+
+impl MaintainedQueryStats {
+    /// Builds the counters for every factor of `q` — the only full pass
+    /// over the data this object ever makes.
+    pub fn of<S: Semiring>(q: &FaqQuery<S>) -> Self {
+        MaintainedQueryStats {
+            factors: q.factors.iter().map(MaintainedStats::of).collect(),
+        }
+    }
+
+    /// Folds what [`Relation::apply_delta`] reported for factor `edge`
+    /// into that factor's counters.
+    pub fn apply<S: Semiring>(&mut self, edge: EdgeId, applied: &AppliedDelta<S>) {
+        self.factors[edge.index()].apply(applied);
+    }
+
+    /// The current statistics, equal to [`QueryStats::of`] on the
+    /// mutated instance.
+    pub fn snapshot(&self) -> QueryStats {
+        QueryStats {
+            factors: self.factors.iter().map(MaintainedStats::snapshot).collect(),
         }
     }
 }
@@ -130,6 +165,41 @@ mod tests {
             QueryStats::of(&skewed).digest(),
             "one huge leaf must separate the cache keys"
         );
+    }
+
+    #[test]
+    fn maintained_stats_equal_a_rescan_after_every_delta() {
+        use faqs_relation::RelationDelta;
+        use faqs_semiring::Count;
+        let mut q = faqs_relation::random_instance(
+            &star_query(3),
+            &RandomInstanceConfig {
+                tuples_per_factor: 24,
+                domain: 6,
+                seed: 4,
+            },
+            vec![],
+            |_| Count(1),
+        );
+        let mut maintained = MaintainedQueryStats::of(&q);
+        assert_eq!(maintained.snapshot().factors, QueryStats::of(&q).factors);
+        for step in 0..60u32 {
+            let edge = EdgeId(step % 3);
+            let schema = q.factor(edge).schema().to_vec();
+            let mut delta = RelationDelta::new(schema);
+            // Inserts (fresh and accumulating), deletes of listed and
+            // of absent rows, and a no-op set.
+            delta.insert(vec![step % 6, (step * 5) % 6], Count(1));
+            delta.delete(vec![(step * 7) % 6, step % 5]);
+            if let Some(t) = q.factor(edge).tuples().next() {
+                delta.delete(t.to_vec());
+            }
+            let applied = q.factors[edge.index()].apply_delta(&delta);
+            maintained.apply(edge, &applied);
+            let want = QueryStats::of(&q);
+            assert_eq!(maintained.snapshot().factors, want.factors, "step {step}");
+            assert_eq!(maintained.snapshot().digest(), want.digest());
+        }
     }
 
     #[test]

@@ -15,7 +15,6 @@ use crate::relation::Relation;
 use faqs_hypergraph::Var;
 use faqs_semiring::Semiring;
 use std::borrow::Cow;
-use std::cmp::Ordering;
 
 /// One pending mutation of a single tuple inside a [`RelationDelta`].
 #[derive(Clone, Debug, PartialEq)]
@@ -109,6 +108,13 @@ impl<S: Semiring> RelationDelta<S> {
     /// Records an overwrite of one tuple's annotation.
     pub fn set(&mut self, tuple: Vec<u32>, value: S) {
         self.push(tuple, DeltaOp::Set(value));
+    }
+
+    /// Whether every recorded tuple lies in `[0, domain)` — the check a
+    /// mutable store runs before applying a delta, so its instance
+    /// stays valid without a re-scan.
+    pub fn fits_domain(&self, domain: u32) -> bool {
+        self.rows.iter().all(|&x| x < domain)
     }
 
     /// Iterates over the recorded `(tuple, op)` pairs in recording order.
@@ -221,8 +227,9 @@ impl<S: Semiring> AppliedDelta<S> {
 }
 
 impl<S: Semiring> Relation<S> {
-    /// Applies a batched delta in one linear merge over the sorted
-    /// arena, returning the tuples whose annotation actually changed.
+    /// Applies a batched delta in one merge over the sorted arena (block
+    /// copies of the untouched runs between delta keys), returning the
+    /// tuples whose annotation actually changed.
     ///
     /// Deleting an absent tuple and inserting a zero are no-ops; an
     /// insert hitting an existing tuple `⊕`-accumulates (matching
@@ -240,51 +247,42 @@ impl<S: Semiring> Relation<S> {
         let mut old: Vec<S> = Vec::new();
         let mut new: Vec<S> = Vec::new();
 
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < n || j < dn {
-            let ord = if i >= n {
-                Ordering::Greater
-            } else if j >= dn {
-                Ordering::Less
+        // Delta keys are strictly ascending, so the rows between two
+        // consecutive keys are untouched: one galloping search finds the
+        // end of each such run and one block copy moves it.
+        let mut i = 0usize;
+        for (j, op) in dops.iter().enumerate() {
+            let key = &drows[j * r..j * r + r];
+            let end = kernel::gallop_rows(self.raw_data(), r, i, n, key);
+            out_data.extend_from_slice(&self.raw_data()[i * r..end * r]);
+            out_values.extend_from_slice(&self.raw_values()[i..end]);
+            i = end;
+            if i < n && self.tuple_at(i) == key {
+                let prev = self.value_at(i);
+                let next = op.apply_to(prev);
+                if next != *prev {
+                    rows.extend_from_slice(key);
+                    old.push(prev.clone());
+                    new.push(next.clone());
+                }
+                if !next.is_zero() {
+                    out_data.extend_from_slice(key);
+                    out_values.push(next);
+                }
+                i += 1;
             } else {
-                self.tuple_at(i).cmp(&drows[j * r..j * r + r])
-            };
-            match ord {
-                Ordering::Less => {
-                    out_data.extend_from_slice(self.tuple_at(i));
-                    out_values.push(self.value_at(i).clone());
-                    i += 1;
-                }
-                Ordering::Equal => {
-                    let t = self.tuple_at(i);
-                    let prev = self.value_at(i);
-                    let next = dops[j].apply_to(prev);
-                    if next != *prev {
-                        rows.extend_from_slice(t);
-                        old.push(prev.clone());
-                        new.push(next.clone());
-                    }
-                    if !next.is_zero() {
-                        out_data.extend_from_slice(t);
-                        out_values.push(next);
-                    }
-                    i += 1;
-                    j += 1;
-                }
-                Ordering::Greater => {
-                    let t = &drows[j * r..j * r + r];
-                    let next = dops[j].apply_to(&S::zero());
-                    if !next.is_zero() {
-                        rows.extend_from_slice(t);
-                        old.push(S::zero());
-                        new.push(next.clone());
-                        out_data.extend_from_slice(t);
-                        out_values.push(next);
-                    }
-                    j += 1;
+                let next = op.apply_to(&S::zero());
+                if !next.is_zero() {
+                    rows.extend_from_slice(key);
+                    old.push(S::zero());
+                    new.push(next.clone());
+                    out_data.extend_from_slice(key);
+                    out_values.push(next);
                 }
             }
         }
+        out_data.extend_from_slice(&self.raw_data()[i * r..]);
+        out_values.extend_from_slice(&self.raw_values()[i..]);
         self.set_parts(out_data, out_values);
         AppliedDelta {
             schema: self.schema().to_vec(),

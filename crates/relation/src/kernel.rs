@@ -431,7 +431,13 @@ impl JoinIndex {
 
 /// Galloping (exponential + binary) search over a flat `arity`-strided
 /// sorted arena: the least `i ≥ lo` with `row(i) ≥ target`, or `n`.
-fn gallop_rows(data: &[u32], arity: usize, lo: usize, n: usize, target: &[u32]) -> usize {
+pub(crate) fn gallop_rows(
+    data: &[u32],
+    arity: usize,
+    lo: usize,
+    n: usize,
+    target: &[u32],
+) -> usize {
     if kernel_scalar() {
         gallop_rows_by(data, arity, lo, n, target, |a, b| a.cmp(b))
     } else {

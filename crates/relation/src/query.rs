@@ -85,8 +85,25 @@ impl<S: Semiring> FaqQuery<S> {
         self
     }
 
-    /// Checks all structural invariants.
+    /// Checks every invariant: [`FaqQuery::validate_structure`] plus one
+    /// pass over every factor for values outside `[0, domain)`.
     pub fn validate(&self) -> Result<(), QueryError> {
+        self.validate_structure()?;
+        for (e, _) in self.hypergraph.edges() {
+            let mut tuples = self.factors[e.index()].tuples();
+            if tuples.any(|t| t.iter().any(|x| *x >= self.domain)) {
+                return Err(QueryError::ValueOutOfDomain(e));
+            }
+        }
+        Ok(())
+    }
+
+    /// The `O(k · arity)` half of [`FaqQuery::validate`]: factor count,
+    /// per-edge schemas and free variables — everything but the scan of
+    /// the listings. Enough for a caller that already knows every
+    /// listed value is in the domain (it validated the instance once
+    /// and has only applied in-domain deltas since).
+    pub fn validate_structure(&self) -> Result<(), QueryError> {
         if self.factors.len() != self.hypergraph.num_edges() {
             return Err(QueryError::FactorCountMismatch {
                 edges: self.hypergraph.num_edges(),
@@ -94,14 +111,8 @@ impl<S: Semiring> FaqQuery<S> {
             });
         }
         for (e, vars) in self.hypergraph.edges() {
-            let f = &self.factors[e.index()];
-            if f.schema() != vars {
+            if self.factors[e.index()].schema() != vars {
                 return Err(QueryError::SchemaMismatch(e));
-            }
-            for (t, _) in f.iter() {
-                if t.iter().any(|x| *x >= self.domain) {
-                    return Err(QueryError::ValueOutOfDomain(e));
-                }
             }
         }
         for &v in &self.free_vars {

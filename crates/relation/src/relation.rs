@@ -287,11 +287,50 @@ impl<S: Semiring> Relation<S> {
 
     /// The rows whose value at `var` appears in `values` (which must be
     /// sorted ascending; duplicates are tolerated) — batched point
-    /// selection `σ_{var ∈ values}`. One index build plus one galloping
-    /// sweep ([`JoinIndex::lookup_many`]) serves every selection value
-    /// at once, which is how cross-query batching restricts a shared
-    /// factor to a whole batch of bindings in a single pass.
+    /// selection `σ_{var ∈ values}`, how cross-query batching restricts
+    /// a shared factor to a whole batch of bindings in a single pass.
+    ///
+    /// When `var` is the leading schema column the arena is sorted on
+    /// it: each selection value is two binary searches and its rows are
+    /// one contiguous run, already in canonical order. Any other column
+    /// pays one index build plus one galloping sweep
+    /// ([`JoinIndex::lookup_many`]) for all values at once.
     pub fn restrict_in(&self, var: Var, values: &[u32]) -> Relation<S> {
+        let mut out = Relation::new(self.schema.clone());
+        if self.schema.first() == Some(&var) {
+            debug_assert!(
+                values.windows(2).all(|w| w[0] <= w[1]),
+                "selection values must be sorted ascending"
+            );
+            let r = self.schema.len();
+            // Least row at or after `from` whose leading value is ≥ `x`.
+            let first_at_least = |from: usize, x: u32| {
+                let (mut lo, mut hi) = (from, self.len());
+                while lo < hi {
+                    let mid = lo + (hi - lo) / 2;
+                    if self.data[mid * r] < x {
+                        lo = mid + 1;
+                    } else {
+                        hi = mid;
+                    }
+                }
+                lo
+            };
+            let mut from = 0usize;
+            for (i, &x) in values.iter().enumerate() {
+                if i > 0 && values[i - 1] == x {
+                    continue;
+                }
+                let lo = first_at_least(from, x);
+                let hi = x
+                    .checked_add(1)
+                    .map_or(self.len(), |y| first_at_least(lo, y));
+                out.data.extend_from_slice(&self.data[lo * r..hi * r]);
+                out.values.extend_from_slice(&self.values[lo..hi]);
+                from = hi;
+            }
+            return out;
+        }
         let idx = self.build_index(&[var]);
         let mut keep: Vec<u32> = Vec::new();
         idx.lookup_many(values, |_, rows| keep.extend_from_slice(rows));
@@ -299,7 +338,6 @@ impl<S: Semiring> Relation<S> {
         // re-sort to canonical (ascending row id) order either way.
         keep.sort_unstable();
         keep.dedup();
-        let mut out = Relation::new(self.schema.clone());
         let (out_data, out_values) = out.parts_mut();
         for &i in &keep {
             out_data.extend_from_slice(self.tuple_at(i as usize));

@@ -2,9 +2,12 @@
 //! join, semijoin and projection operators must agree with a naive
 //! nested-loop reference on random relations, across semirings with
 //! different zero/duplicate behaviour (`Count`, `Boolean`, `MinPlus`).
+//! The block-copy delta merge and the sorted-prefix selection are raced
+//! against the row-at-a-time / index-sweep algorithms they replaced,
+//! kept here as references.
 
 use faqs_hypergraph::Var;
-use faqs_relation::Relation;
+use faqs_relation::{DeltaOp, Relation, RelationDelta};
 use faqs_semiring::{Boolean, Count, MinPlus, Semiring};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -143,6 +146,171 @@ fn ref_project<S: Semiring>(a: &Relation<S>, onto: &[Var]) -> Relation<S> {
     )
 }
 
+/// `(tuple, old, new)` per changed tuple, as `AppliedDelta::changes` lists them.
+type Changes<S> = Vec<(Vec<u32>, S, S)>;
+
+/// The delta merge as it was before block copies: canonicalise the ops
+/// (stable sort, same-tuple composition in recording order), then walk
+/// relation and delta one row at a time. Returns the merged relation
+/// and the `(tuple, old, new)` changes.
+fn ref_apply_delta<S: Semiring>(
+    rel: &Relation<S>,
+    delta: &RelationDelta<S>,
+) -> (Relation<S>, Changes<S>) {
+    let apply = |op: &DeltaOp<S>, old: &S| match op {
+        DeltaOp::Add(d) => old.add(d),
+        DeltaOp::Set(v) => v.clone(),
+    };
+    let mut ops: Vec<(Vec<u32>, DeltaOp<S>)> = Vec::new();
+    let mut recorded: Vec<(&[u32], &DeltaOp<S>)> = delta.ops().collect();
+    recorded.sort_by(|a, b| a.0.cmp(b.0));
+    for (t, op) in recorded {
+        match ops.last_mut() {
+            Some((last, composed)) if last.as_slice() == t => {
+                *composed = match (&*composed, op) {
+                    (DeltaOp::Add(a), DeltaOp::Add(b)) => DeltaOp::Add(a.add(b)),
+                    (DeltaOp::Set(a), DeltaOp::Add(b)) => DeltaOp::Set(a.add(b)),
+                    (_, DeltaOp::Set(b)) => DeltaOp::Set(b.clone()),
+                }
+            }
+            _ => ops.push((t.to_vec(), op.clone())),
+        }
+    }
+    let (mut data, mut values, mut changes) = (Vec::new(), Vec::new(), Vec::new());
+    let (n, dn) = (rel.len(), ops.len());
+    let (mut i, mut j) = (0, 0);
+    while i < n || j < dn {
+        let ord = if i >= n {
+            std::cmp::Ordering::Greater
+        } else if j >= dn {
+            std::cmp::Ordering::Less
+        } else {
+            rel.tuple_at(i).cmp(&ops[j].0)
+        };
+        match ord {
+            std::cmp::Ordering::Less => {
+                data.extend_from_slice(rel.tuple_at(i));
+                values.push(rel.value_at(i).clone());
+                i += 1;
+            }
+            std::cmp::Ordering::Equal => {
+                let prev = rel.value_at(i);
+                let next = apply(&ops[j].1, prev);
+                if next != *prev {
+                    changes.push((ops[j].0.clone(), prev.clone(), next.clone()));
+                }
+                if !next.is_zero() {
+                    data.extend_from_slice(&ops[j].0);
+                    values.push(next);
+                }
+                i += 1;
+                j += 1;
+            }
+            std::cmp::Ordering::Greater => {
+                let next = apply(&ops[j].1, &S::zero());
+                if !next.is_zero() {
+                    changes.push((ops[j].0.clone(), S::zero(), next.clone()));
+                    data.extend_from_slice(&ops[j].0);
+                    values.push(next);
+                }
+                j += 1;
+            }
+        }
+    }
+    (
+        Relation::from_columns(rel.schema().to_vec(), data, values),
+        changes,
+    )
+}
+
+/// Selection as it was before the sorted-prefix path: one index on
+/// `var`, one galloping sweep, kept row ids re-sorted and deduplicated.
+fn ref_restrict_in<S: Semiring>(rel: &Relation<S>, var: Var, values: &[u32]) -> Relation<S> {
+    let idx = rel.build_index(&[var]);
+    let mut keep: Vec<u32> = Vec::new();
+    idx.lookup_many(values, |_, rows| keep.extend_from_slice(rows));
+    keep.sort_unstable();
+    keep.dedup();
+    let (mut data, mut vals) = (Vec::new(), Vec::new());
+    for &i in &keep {
+        data.extend_from_slice(rel.tuple_at(i as usize));
+        vals.push(rel.value_at(i as usize).clone());
+    }
+    Relation::from_columns(rel.schema().to_vec(), data, vals)
+}
+
+/// Races `apply_delta` against [`ref_apply_delta`] on one relation and
+/// one delta shape. Relation values sit in `[8, 8 + domain)` so a delta
+/// can land wholly before (`0..8`) or after (`≥ 8 + domain`) every row.
+fn check_apply_delta<S: Semiring>(
+    schema: &[u32],
+    seed: u64,
+    n: usize,
+    dn: usize,
+    domain: u32,
+    shape: usize,
+    mut value_of: impl FnMut(&mut StdRng) -> S + Copy,
+) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let base: Relation<S> = random_rel(schema, n, domain, &mut rng, value_of);
+    let mut rel = Relation::from_pairs(
+        vars(schema),
+        base.iter()
+            .map(|(t, v)| (t.iter().map(|x| x + 8).collect(), v.clone())),
+    );
+    let mut delta = RelationDelta::new(vars(schema));
+    let mut record = |t: Vec<u32>, rng: &mut StdRng| match rng.random_range(0..4) {
+        0 => delta.delete(t),
+        1 => delta.set(t, value_of(rng)),
+        _ => delta.insert(t, value_of(rng)),
+    };
+    match shape {
+        // No ops at all.
+        0 => {}
+        // Every key sorts before / after every row.
+        1 | 2 => {
+            let lo = if shape == 1 { 0 } else { 8 + domain };
+            for _ in 0..dn {
+                let t = schema
+                    .iter()
+                    .map(|_| lo + rng.random_range(0..8u32))
+                    .collect();
+                record(t, &mut rng);
+            }
+        }
+        // One op on every listed row: no untouched run anywhere.
+        3 => {
+            let rows: Vec<Vec<u32>> = rel.tuples().map(<[u32]>::to_vec).collect();
+            for t in rows {
+                record(t, &mut rng);
+            }
+        }
+        // Hits, misses and repeats anywhere in or around the rows.
+        _ => {
+            for _ in 0..dn {
+                let t = schema
+                    .iter()
+                    .map(|_| 6 + rng.random_range(0..domain + 4))
+                    .collect();
+                record(t, &mut rng);
+            }
+        }
+    }
+    let (want, want_changes) = ref_apply_delta(&rel, &delta);
+    let applied = rel.apply_delta(&delta);
+    assert_canonical(&rel, "apply_delta");
+    assert_eq!(rel, want, "apply_delta vs row-at-a-time merge");
+    let got_changes: Changes<S> = applied
+        .changes()
+        .map(|(t, o, v)| (t.to_vec(), o.clone(), v.clone()))
+        .collect();
+    assert_eq!(got_changes, want_changes, "reported changes");
+}
+
+/// Schemas for the single-relation properties: unary, binary, ternary,
+/// and a variable order that is not ascending.
+const SOLO_SCHEMAS: &[&[u32]] = &[&[0], &[0, 1], &[1, 0, 2], &[2, 0]];
+
 /// Runs every operator comparison for one semiring.
 fn check_ops<S: Semiring>(
     combo: usize,
@@ -273,6 +441,61 @@ proptest! {
         assert_canonical(&p, "product_same_schema");
         // Same-schema product is the join restricted to the shared schema.
         prop_assert_eq!(p, ref_join(&a, &b));
+    }
+
+    #[test]
+    fn apply_delta_matches_row_at_a_time_merge(
+        combo in 0usize..4,
+        seed: u64,
+        n in 0usize..60,
+        dn in 0usize..24,
+        domain in 1u32..6,
+        shape in 0usize..8,
+    ) {
+        let schema = SOLO_SCHEMAS[combo];
+        // Count(0) draws make inserts and sets no-ops or deletes.
+        check_apply_delta::<Count>(schema, seed, n, dn, domain, shape, |r| {
+            Count(r.random_range(0..4))
+        });
+        // 1 ⊕ 1 = 0: accumulating inserts that drop the row.
+        check_apply_delta::<Boolean>(schema, seed, n, dn, domain, shape, |r| {
+            Boolean(r.random_bool(0.8))
+        });
+    }
+
+    #[test]
+    fn restrict_in_matches_index_sweep(
+        combo in 0usize..4,
+        seed: u64,
+        n in 0usize..80,
+        picks in 0usize..12,
+        domain in 1u32..8,
+    ) {
+        let schema = SOLO_SCHEMAS[combo];
+        let mut rng = StdRng::seed_from_u64(seed);
+        let a: Relation<Count> =
+            random_rel(schema, n, domain, &mut rng, |r| Count(r.random_range(1..4)));
+        // Drawn unsorted, with repeats, and past the domain so some
+        // values match nothing; sorted — not deduplicated — before the
+        // call, as the contract asks.
+        let mut values: Vec<u32> = (0..picks).map(|_| rng.random_range(0..domain + 3)).collect();
+        values.sort_unstable();
+        // Column 0 takes the sorted-prefix path, every other column the
+        // index path; both must equal the reference bit for bit.
+        for &v in a.schema() {
+            let got = a.restrict_in(v, &values);
+            assert_canonical(&got, "restrict_in");
+            prop_assert_eq!(&got, &ref_restrict_in(&a, v, &values));
+            prop_assert!(got.iter().all(|(t, _)| {
+                let at = a.schema().iter().position(|w| *w == v).unwrap();
+                values.contains(&t[at])
+            }));
+        }
+        // The extremes of the value range, on the leading column.
+        let lead = a.schema()[0];
+        for edge in [vec![], vec![0], vec![u32::MAX], vec![0, u32::MAX]] {
+            prop_assert_eq!(a.restrict_in(lead, &edge), ref_restrict_in(&a, lead, &edge));
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use crate::registry::PricedOn;
 use faqs_core::EngineError;
-use faqs_hypergraph::Var;
+use faqs_hypergraph::{EdgeId, Var};
 
 /// Failures surfaced by the serving front-end.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -17,6 +17,13 @@ pub enum ServeError {
     ParamNotFree(Var),
     /// A delta's schema does not match the targeted factor's schema.
     SchemaMismatch,
+    /// A delta carries a value outside the template's domain
+    /// `[0, domain)`. Nothing was applied: publishing it would leave a
+    /// version every later query fails validation on.
+    ValueOutOfDomain {
+        /// The factor the delta targeted.
+        edge: EdgeId,
+    },
     /// Admission control refused the query: its predicted cost exceeds
     /// the server's budget.
     TooExpensive {
@@ -45,6 +52,9 @@ impl std::fmt::Display for ServeError {
                 write!(f, "batch parameter {v} is not a free variable")
             }
             ServeError::SchemaMismatch => write!(f, "delta schema does not match the factor"),
+            ServeError::ValueOutOfDomain { edge } => {
+                write!(f, "delta for {edge} carries a value outside the domain")
+            }
             ServeError::TooExpensive {
                 quoted,
                 budget,

@@ -10,9 +10,15 @@
 //!   [`faqs_relation::SnapshotCell`]; [`FaqServer::apply_delta`]
 //!   writers publish new versions copy-on-write, so readers are never
 //!   blocked and a pinned [`FaqServer::snapshot`] handle keeps
-//!   observing its epoch no matter how many deltas land after it.
+//!   observing its epoch no matter how many deltas land after it. Each
+//!   version is published together with its exact planner statistics,
+//!   maintained per delta — a write costs one columnar merge plus
+//!   `O(|delta| · arity)` counter updates, and the read after it scans
+//!   nothing.
 //! * **Cost-based admission control**: every submit is priced with
-//!   `faqs-plan`'s [`faqs_plan::cost_quote`] (memoised per epoch).
+//!   `faqs-plan`'s [`faqs_plan::cost_quote_with_stats`] from the
+//!   version's published statistics, under the executor's planner
+//!   configuration (memoised per epoch).
 //!   Cheap point queries bypass the queue and run on the submitting
 //!   thread; quotes above [`ServeConfig::cost_budget`] are rejected
 //!   with [`ServeError::TooExpensive`] before any join work happens.
@@ -51,5 +57,5 @@ mod registry;
 mod server;
 
 pub use error::ServeError;
-pub use registry::{PricedOn, ShapeId};
+pub use registry::{PricedOn, ShapeId, Version};
 pub use server::{Answer, FaqServer, ServeConfig, ServeStats, Ticket};

@@ -2,13 +2,27 @@
 //! snapshot-consistent read handles.
 //!
 //! Each registered query shape lives in a
-//! [`SnapshotCell`]`<`[`FaqQuery`]`>`: readers (the batcher's workers,
+//! [`SnapshotCell`]`<`[`Version`]`>`: readers (the batcher's workers,
 //! the admission controller, external observers) pin an epoch-stamped
-//! [`Snapshot`] with a lock held only for an `Arc` clone, while
-//! [`RelationDelta`] writers prepare the next version copy-on-write
-//! *outside* any lock the readers touch and swap it in. A writer
+//! [`Snapshot`](faqs_relation::Snapshot) with a lock held only for an
+//! `Arc` clone, while [`RelationDelta`] writers prepare the next
+//! version copy-on-write *outside* any lock the readers touch and swap
+//! it in. A writer
 //! therefore never blocks a reader, and every query in a batch is
 //! answered against one consistent epoch.
+//!
+//! A version is the template *and* its planner statistics, published
+//! in one swap: the writer keeps exact
+//! [`MaintainedQueryStats`] under its lock and folds each delta's
+//! [`AppliedDelta`](faqs_relation::AppliedDelta) into them
+//! (`O(|delta| · arity)`), so whoever pins epoch `e` holds epoch `e`'s
+//! statistics and nothing after registration ever scans a factor to
+//! learn them. The same boundary keeps the data valid: the template is
+//! validated when it is registered and every delta is checked against
+//! the template's domain before it is applied, hence
+//! *registered ∧ every applied delta in-domain ⇒ the current version
+//! is valid* — which is why a quote re-checks only the template's
+//! `O(k)` structure.
 //!
 //! The registry also memoises the planner's cost quote per epoch —
 //! admission control runs on every submit, so it must not pay a
@@ -22,11 +36,13 @@
 
 use crate::error::ServeError;
 use faqs_core::EngineError;
+use faqs_exec::Executor;
 use faqs_hypergraph::{EdgeId, Var};
 use faqs_plan::{
-    correction_fresh, cost_quote_calibrated, CalibrationRegistry, PlanCost, QueryStats, StatsDigest,
+    correction_fresh, cost_quote_with_stats, CalibrationRegistry, MaintainedQueryStats, PlanCost,
+    QueryStats, StatsDigest,
 };
-use faqs_relation::{FaqQuery, RelationDelta, Snapshot, SnapshotCell};
+use faqs_relation::{FaqQuery, RelationDelta, SnapshotCell};
 use faqs_semiring::Semiring;
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 
@@ -59,14 +75,30 @@ fn priced_on(calibration: &CalibrationRegistry, digest: &StatsDigest) -> PricedO
     }
 }
 
+/// One published version of a shape: the template and the statistics
+/// that describe exactly that template, swapped in together.
+#[derive(Debug)]
+pub struct Version<S: Semiring> {
+    /// The query template at this epoch.
+    pub template: Arc<FaqQuery<S>>,
+    /// Its per-factor planner statistics — equal to
+    /// [`QueryStats::of`]`(&template)`, maintained delta by delta
+    /// rather than scanned.
+    pub stats: QueryStats,
+}
+
 /// One registered shape: the versioned template, its batching
-/// parameter, the writer serialisation lock and the per-epoch quote.
+/// parameter, the writer's lock and the per-epoch quote.
 pub(crate) struct ShapeEntry<S: Semiring> {
-    pub(crate) cell: SnapshotCell<FaqQuery<S>>,
+    pub(crate) cell: SnapshotCell<Version<S>>,
     pub(crate) param: Var,
-    /// Serialises read-modify-write delta application; readers never
-    /// take this lock.
-    write_lock: Mutex<()>,
+    /// Serialises read-modify-write delta application and guards the
+    /// statistics the writers maintain; readers never take this lock.
+    /// The counters change only after a delta has merged, by updates
+    /// that cannot fail, immediately before the version they describe
+    /// is published — so a holder that panicked earlier left them in
+    /// step with the published template.
+    writer: Mutex<MaintainedQueryStats>,
     /// The most recently priced version, plus the calibration state it
     /// was priced under.
     quote: Mutex<Option<QuoteMemo>>,
@@ -92,10 +124,8 @@ impl<S: Semiring> ShapeEntry<S> {
     /// calibration measurements — read live on every call (one hash
     /// lookup), so the tag flips to [`PricedOn::Measurements`] as soon
     /// as telemetry lands, even while the memoised cost stays valid.
-    pub(crate) fn quote(
-        &self,
-        calibration: &CalibrationRegistry,
-    ) -> Result<(PlanCost, PricedOn), EngineError> {
+    pub(crate) fn quote(&self, executor: &Executor) -> Result<(PlanCost, PricedOn), EngineError> {
+        let calibration = executor.calibration();
         let snap = self.cell.load();
         let mut cached = recover(self.quote.lock());
         if let Some(memo) = cached.as_ref() {
@@ -105,28 +135,38 @@ impl<S: Semiring> ShapeEntry<S> {
                 return Ok((memo.cost, priced_on(calibration, &memo.digest)));
             }
         }
-        *cached = Some(price(snap.value(), snap.epoch(), calibration)?);
+        *cached = Some(price(snap.value(), snap.epoch(), executor)?);
         let memo = cached.as_ref().expect("just stored");
         Ok((memo.cost, priced_on(calibration, &memo.digest)))
     }
 
     /// Applies a delta to one factor copy-on-write and publishes the
-    /// next version; returns its epoch. Readers holding snapshots are
-    /// untouched; concurrent writers serialise on `write_lock` so no
-    /// read-modify-write update is lost.
+    /// next version with its statistics; returns its epoch. A delta for
+    /// an unknown edge, of the wrong schema, or carrying a value outside
+    /// the template's domain is refused before anything changes.
+    /// Readers holding snapshots are untouched; concurrent writers
+    /// serialise on `writer` so no read-modify-write update is lost.
     pub(crate) fn apply(&self, edge: EdgeId, delta: &RelationDelta<S>) -> Result<u64, ServeError> {
-        let _w = recover(self.write_lock.lock());
+        let mut maintained = recover(self.writer.lock());
         let cur = self.cell.load();
-        let mut next: FaqQuery<S> = cur.value().clone();
-        let factor = next
+        let template = &cur.value().template;
+        let factor = template
             .factors
-            .get_mut(edge.index())
+            .get(edge.index())
             .ok_or(ServeError::UnknownEdge(edge.index()))?;
         if factor.schema() != delta.schema() {
             return Err(ServeError::SchemaMismatch);
         }
-        factor.apply_delta(delta);
-        Ok(self.cell.store(next))
+        if !delta.fits_domain(template.domain) {
+            return Err(ServeError::ValueOutOfDomain { edge });
+        }
+        let mut next = FaqQuery::clone(template);
+        let applied = next.factors[edge.index()].apply_delta(delta);
+        maintained.apply(edge, &applied);
+        Ok(self.cell.store(Version {
+            template: Arc::new(next),
+            stats: maintained.snapshot(),
+        }))
     }
 }
 
@@ -144,23 +184,34 @@ impl<S: Semiring> Registry<S> {
     }
 
     /// Registers a template; `param` must be free (slicing the answer
-    /// on a bound variable would change semantics). The template is
-    /// priced once up front, so shapes the planner rejects outright
-    /// fail at registration, not per query.
+    /// on a bound variable would change semantics). This is where the
+    /// data enters: the template is validated here (the one scan for
+    /// out-of-domain values it ever gets), its maintained statistics
+    /// are built in one pass, and it is priced from them once up front,
+    /// so shapes the planner rejects outright fail at registration, not
+    /// per query.
     pub(crate) fn register(
         &self,
         template: FaqQuery<S>,
         param: Var,
-        calibration: &CalibrationRegistry,
+        executor: &Executor,
     ) -> Result<ShapeId, ServeError> {
         if param.index() >= template.hypergraph.num_vars() || !template.is_free(param) {
             return Err(ServeError::ParamNotFree(param));
         }
-        let quote = price(&template, 0, calibration)?;
+        template
+            .validate()
+            .map_err(|e| EngineError::Invalid(e.to_string()))?;
+        let maintained = MaintainedQueryStats::of(&template);
+        let version = Version {
+            stats: maintained.snapshot(),
+            template: Arc::new(template),
+        };
+        let quote = price(&version, 0, executor)?;
         let entry = Arc::new(ShapeEntry {
-            cell: SnapshotCell::new(template),
+            cell: SnapshotCell::new(version),
             param,
-            write_lock: Mutex::new(()),
+            writer: Mutex::new(maintained),
             quote: Mutex::new(Some(quote)),
         });
         let mut shapes = match self.shapes.write() {
@@ -181,32 +232,38 @@ impl<S: Semiring> Registry<S> {
             .cloned()
             .ok_or(ServeError::UnknownShape(id.0))
     }
-
-    /// An epoch-pinned snapshot of the shape's current version.
-    pub(crate) fn snapshot(&self, id: ShapeId) -> Result<Snapshot<FaqQuery<S>>, ServeError> {
-        Ok(self.get(id)?.cell.load())
-    }
 }
 
-/// Prices one template version under the executor's calibration state,
-/// remembering the digest and correction it was priced with so later
-/// freshness checks stay O(1).
+/// Prices one version from its published statistics under the
+/// executor's calibration state and planner configuration — the plan
+/// that executor will run — remembering the digest and correction it
+/// was priced with so later freshness checks stay O(1). No pass over
+/// the factors: see the module docs for why the listings need no
+/// re-validation here.
 fn price<S: Semiring>(
-    q: &FaqQuery<S>,
+    version: &Version<S>,
     epoch: u64,
-    calibration: &CalibrationRegistry,
+    executor: &Executor,
 ) -> Result<QuoteMemo, EngineError> {
-    let digest = QueryStats::of(q).digest();
+    let digest = version.stats.digest();
+    let correction = executor.calibration().correction(&digest);
     Ok(QuoteMemo {
         epoch,
-        correction: calibration.correction(&digest),
-        cost: cost_quote_calibrated(q, false, calibration)?,
+        correction,
+        cost: cost_quote_with_stats(
+            &version.template,
+            false,
+            &executor.planner_config(),
+            &version.stats,
+            correction,
+        )?,
         digest,
     })
 }
 
 /// Unwraps a mutex guard, adopting the state left by a panicked holder
-/// (both guarded values are small and always consistent).
+/// (both guarded values are consistent at every point a holder can
+/// panic).
 fn recover<'a, T>(
     r: Result<MutexGuard<'a, T>, std::sync::PoisonError<MutexGuard<'a, T>>>,
 ) -> MutexGuard<'a, T> {

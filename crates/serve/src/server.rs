@@ -28,9 +28,10 @@
 //! and bug isolation; everything else is unchanged.
 
 use crate::error::ServeError;
-use crate::registry::{PricedOn, Registry, ShapeEntry, ShapeId};
+use crate::registry::{PricedOn, Registry, ShapeEntry, ShapeId, Version};
 use faqs_exec::{CacheStats, Executor};
 use faqs_hypergraph::{EdgeId, Var};
+use faqs_plan::PlanCost;
 use faqs_relation::{FaqQuery, Relation, RelationDelta, Snapshot};
 use faqs_semiring::Semiring;
 use std::collections::VecDeque;
@@ -195,7 +196,7 @@ impl<S: Semiring> FaqServer<S> {
     pub fn register(&self, template: FaqQuery<S>, param: Var) -> Result<ShapeId, ServeError> {
         self.shared
             .registry
-            .register(template, param, self.shared.executor.calibration())
+            .register(template, param, &self.shared.executor)
     }
 
     /// Submits one binding of a registered shape. Admission control
@@ -208,7 +209,7 @@ impl<S: Semiring> FaqServer<S> {
             return Err(ServeError::Shutdown);
         }
         let entry = shared.registry.get(shape)?;
-        let (quote, priced_on) = entry.quote(shared.executor.calibration())?;
+        let (quote, priced_on) = entry.quote(&shared.executor)?;
         if quote.cpu > shared.cfg.cost_budget {
             shared.rejected.fetch_add(1, Ordering::Relaxed);
             return Err(ServeError::TooExpensive {
@@ -258,7 +259,22 @@ impl<S: Semiring> FaqServer<S> {
     /// An epoch-pinned snapshot of the shape's current template (the
     /// handle stays valid and unchanged across later deltas).
     pub fn snapshot(&self, shape: ShapeId) -> Result<Snapshot<FaqQuery<S>>, ServeError> {
-        self.shared.registry.snapshot(shape)
+        Ok(self.version(shape)?.project(|v| &v.template))
+    }
+
+    /// The shape's current published [`Version`], epoch-pinned: the
+    /// template together with the maintained statistics that describe
+    /// exactly that template (what admission prices from).
+    pub fn version(&self, shape: ShapeId) -> Result<Snapshot<Version<S>>, ServeError> {
+        Ok(self.shared.registry.get(shape)?.cell.load())
+    }
+
+    /// The admission quote [`FaqServer::submit`] would route the
+    /// shape's current version on, and what it was priced on — without
+    /// submitting anything.
+    pub fn quote(&self, shape: ShapeId) -> Result<(PlanCost, PricedOn), ServeError> {
+        let entry = self.shared.registry.get(shape)?;
+        Ok(entry.quote(&self.shared.executor)?)
     }
 
     /// Current serving and plan-cache counters.
@@ -315,7 +331,7 @@ fn answer_one<S: Semiring>(
     let snap = entry.cell.load();
     let mut out = shared
         .executor
-        .solve_batch(snap.value(), entry.param, &[binding])?;
+        .solve_batch(&snap.value().template, entry.param, &[binding])?;
     Ok(Answer {
         relation: out.pop().expect("one binding, one slice"),
         epoch: snap.epoch(),
@@ -376,7 +392,7 @@ fn worker_loop<S: Semiring>(shared: &Shared<S>) {
         let bindings: Vec<u32> = batch.iter().map(|r| r.binding).collect();
         match shared
             .executor
-            .solve_batch(snap.value(), entry.param, &bindings)
+            .solve_batch(&snap.value().template, entry.param, &bindings)
         {
             Ok(slices) => {
                 for (req, relation) in batch.into_iter().zip(slices) {

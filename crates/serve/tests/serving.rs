@@ -365,3 +365,296 @@ fn admission_quotes_track_learned_corrections() {
         "learned under-estimation must raise the admission quote: {after} !> {before}"
     );
 }
+
+/// The tentpole's contract, epoch by epoch: over a long random delta
+/// stream on all three factors, the statistics published with each
+/// version are exactly what a fresh scan of that version would gather,
+/// and the quote admission serves is field for field the scanning
+/// `cost_quote_calibrated` of it — though nothing scans any more.
+#[test]
+fn published_stats_and_quotes_track_every_epoch_exactly() {
+    use faqs_plan::{cost_quote_calibrated, CalibrationRegistry, QueryStats};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::sync::Arc;
+
+    const DOMAIN: u32 = 8;
+    let registry = Arc::new(CalibrationRegistry::forced(f64::INFINITY));
+    let server = FaqServer::with_executor(
+        ServeConfig::default(),
+        Executor::default().with_calibration(Arc::clone(&registry)),
+    );
+    let mut shadow = template(17);
+    let shape = server.register(shadow.clone(), Var(0)).unwrap();
+    let mut rng = StdRng::seed_from_u64(0x5ca9);
+
+    for epoch in 1..=600u64 {
+        let edge = EdgeId(rng.random_range(0..3));
+        let factor = shadow.factor(edge);
+        let mut delta = RelationDelta::new(factor.schema().to_vec());
+        let listed = |rng: &mut StdRng| {
+            (!factor.is_empty())
+                .then(|| factor.tuple_at(rng.random_range(0..factor.len())).to_vec())
+        };
+        let anywhere =
+            |rng: &mut StdRng| vec![rng.random_range(0..DOMAIN), rng.random_range(0..DOMAIN)];
+        for _ in 0..rng.random_range(0..6) {
+            match rng.random_range(0..8) {
+                // Fresh insert, or an accumulating one when it hits.
+                0 | 1 => delta.insert(anywhere(&mut rng), Count(rng.random_range(1..4))),
+                // Accumulate onto a row that is certainly listed.
+                2 => {
+                    if let Some(t) = listed(&mut rng) {
+                        delta.insert(t, Count(2));
+                    }
+                }
+                // Delete a listed row …
+                3 => {
+                    if let Some(t) = listed(&mut rng) {
+                        delta.delete(t);
+                    }
+                }
+                // … or every row carrying one leaf value: the last of
+                // them takes a distinct value out of the column.
+                4 => {
+                    let x = rng.random_range(0..DOMAIN);
+                    for t in factor.tuples().filter(|t| t[1] == x) {
+                        delta.delete(t.to_vec());
+                    }
+                }
+                5 => delta.set(anywhere(&mut rng), Count(rng.random_range(0..3))),
+                // No-ops: an absent delete, a zero insert, a same-value set.
+                6 => {
+                    delta.delete(vec![DOMAIN - 1, rng.random_range(0..DOMAIN)]);
+                    delta.insert(anywhere(&mut rng), Count(0));
+                }
+                _ => {
+                    if let Some(t) = listed(&mut rng) {
+                        let same = *factor.get(&t).unwrap();
+                        delta.set(t, same);
+                    }
+                }
+            }
+        }
+        assert_eq!(server.apply_delta(shape, edge, &delta).unwrap(), epoch);
+        shadow.factors[edge.index()].apply_delta(&delta);
+
+        let version = server.version(shape).unwrap();
+        assert_eq!(version.epoch(), epoch);
+        assert_eq!(version.template.factors, shadow.factors, "epoch {epoch}");
+        assert_eq!(
+            version.stats,
+            QueryStats::of(&shadow),
+            "epoch {epoch}: maintained statistics drifted from a rescan"
+        );
+        let (cost, _) = server.quote(shape).unwrap();
+        assert_eq!(
+            cost,
+            cost_quote_calibrated(&shadow, false, &registry).unwrap(),
+            "epoch {epoch}: served quote vs scanning quote"
+        );
+        // Reads keep flowing (and keep teaching the registry, so later
+        // epochs are priced under a moving correction).
+        if epoch % 50 == 0 {
+            let b = rng.random_range(0..DOMAIN);
+            let answer = server.query(shape, b).unwrap();
+            assert_eq!(answer.epoch, epoch);
+            assert_eq!(answer.relation, solo(&shadow, Var(0), b));
+        }
+    }
+}
+
+/// A learned correction that leaves the hysteresis band re-prices the
+/// memoised quote to the calibrated value inside one epoch; one that
+/// stays inside the band only flips the pricing basis.
+#[test]
+fn same_epoch_repricing_lands_on_the_calibrated_quote() {
+    use faqs_plan::{cost_quote_calibrated, CalibrationLog, CalibrationRegistry, QueryStats};
+    use std::sync::Arc;
+
+    let q = template(11);
+    let digest = QueryStats::of(&q).digest();
+    let registry = Arc::new(CalibrationRegistry::forced(f64::INFINITY));
+    let server = FaqServer::with_executor(
+        ServeConfig::default(),
+        Executor::default().with_calibration(Arc::clone(&registry)),
+    );
+    let shape = server.register(q.clone(), Var(0)).unwrap();
+    let raw = cost_quote_calibrated(&q, false, &registry).unwrap();
+    assert_eq!(server.quote(shape).unwrap(), (raw, PricedOn::Estimates));
+
+    // ~1.25× under-estimation: inside the factor-2 band, so the memo
+    // stands although a fresh calibrated quote would already differ.
+    let log = CalibrationLog::new();
+    for _ in 0..4 {
+        log.record(0, 16, 20);
+    }
+    registry.absorb(&digest, &log);
+    assert_ne!(cost_quote_calibrated(&q, false, &registry).unwrap(), raw);
+    assert_eq!(server.quote(shape).unwrap(), (raw, PricedOn::Measurements));
+
+    // ~256×: far outside it. Same epoch, new price.
+    for _ in 0..64 {
+        log.record(0, 16, 1 << 12);
+    }
+    registry.absorb(&digest, &log);
+    let calibrated = cost_quote_calibrated(&q, false, &registry).unwrap();
+    assert!(calibrated.cpu > raw.cpu);
+    assert_eq!(
+        server.quote(shape).unwrap(),
+        (calibrated, PricedOn::Measurements)
+    );
+    assert_eq!(server.version(shape).unwrap().epoch(), 0, "no delta landed");
+}
+
+/// Template and statistics are one published value: with two writers
+/// and three readers racing, every pinned version carries exactly its
+/// own template's statistics and every answer is the one its epoch
+/// names — never version n's template beside version n±1's statistics.
+#[test]
+fn concurrent_writers_publish_template_and_stats_together() {
+    use faqs_plan::QueryStats;
+    use std::sync::Barrier;
+
+    const WRITERS: u64 = 2;
+    const DELTAS_EACH: u64 = 40;
+    let server = FaqServer::new(ServeConfig {
+        workers: 2,
+        max_batch: 4,
+        ..ServeConfig::default()
+    });
+    // 8 × 4 rows; every delta adds one fresh row under binding 2, so
+    // whichever order the writers land in, epoch e lists 32 + e rows,
+    // 4 + e distinct leaf values, and answers 4 + e at binding 2.
+    let shape = server.register(marginal_template(), Var(0)).unwrap();
+    let start = Barrier::new(WRITERS as usize + 3);
+
+    std::thread::scope(|s| {
+        for w in 0..WRITERS {
+            let (server, start) = (&server, &start);
+            s.spawn(move || {
+                start.wait();
+                for k in 0..DELTAS_EACH {
+                    let mut delta = RelationDelta::new([Var(0), Var(1)]);
+                    delta.insert(vec![2, 100 + (w * DELTAS_EACH + k) as u32], Count(1));
+                    server.apply_delta(shape, EdgeId(0), &delta).unwrap();
+                }
+            });
+        }
+        for _ in 0..3 {
+            let (server, start) = (&server, &start);
+            s.spawn(move || {
+                start.wait();
+                let mut last = 0;
+                while last < WRITERS * DELTAS_EACH {
+                    let version = server.version(shape).unwrap();
+                    let e = version.epoch();
+                    assert!(e >= last, "epochs only move forward");
+                    assert_eq!(
+                        version.stats,
+                        QueryStats::of(&version.template),
+                        "epoch {e}"
+                    );
+                    assert_eq!(version.stats.factors[0].rows as u64, 32 + e);
+                    assert_eq!(version.stats.factors[0].distinct[1] as u64, 4 + e);
+                    let answer = server.query(shape, 2).unwrap();
+                    assert!(answer.epoch >= e, "a read never goes back in time");
+                    assert_eq!(
+                        answer.relation.total(),
+                        Count(4 + answer.epoch),
+                        "answer at epoch {}",
+                        answer.epoch
+                    );
+                    last = e;
+                }
+            });
+        }
+    });
+    let end = server.version(shape).unwrap();
+    assert_eq!(end.epoch(), WRITERS * DELTAS_EACH);
+    assert_eq!(end.stats, QueryStats::of(&end.template));
+}
+
+/// Regression: a delta carrying a value outside the template's domain
+/// used to be published, after which every submit for the shape failed
+/// validation until the tuple was deleted. It is refused whole, and the
+/// shape serves on as if it had never arrived.
+#[test]
+fn out_of_domain_deltas_are_refused_and_change_nothing() {
+    let server = FaqServer::new(ServeConfig::default());
+    let q = template(9);
+    let shape = server.register(q.clone(), Var(0)).unwrap();
+    let before = server.quote(shape).unwrap();
+
+    let mut poison = RelationDelta::new(q.factors[1].schema().to_vec());
+    poison.insert(vec![1, 1], Count(1)); // fine on its own
+    poison.insert(vec![3, q.domain], Count(1)); // one past the domain
+    assert_eq!(
+        server.apply_delta(shape, EdgeId(1), &poison),
+        Err(ServeError::ValueOutOfDomain { edge: EdgeId(1) })
+    );
+
+    let version = server.version(shape).unwrap();
+    assert_eq!(version.epoch(), 0, "nothing was published");
+    assert_eq!(version.template.factors, q.factors);
+    assert_eq!(version.stats, faqs_plan::QueryStats::of(&q));
+    assert_eq!(server.quote(shape).unwrap(), before);
+    assert_eq!(
+        server.query(shape, 3).unwrap().relation,
+        solo(&q, Var(0), 3)
+    );
+
+    // The invariant the scan-free quote rests on: registered and only
+    // in-domain deltas applied ⇒ the current version validates.
+    let mut fine = RelationDelta::new(q.factors[1].schema().to_vec());
+    fine.insert(vec![3, q.domain - 1], Count(1));
+    assert_eq!(server.apply_delta(shape, EdgeId(1), &fine).unwrap(), 1);
+    server.snapshot(shape).unwrap().validate().unwrap();
+
+    // The same boundary at registration: bad data never gets in.
+    let mut bad = q.clone();
+    bad.domain = 4;
+    assert!(matches!(
+        server.register(bad, Var(0)),
+        Err(ServeError::Engine(faqs_core::EngineError::Invalid(_)))
+    ));
+}
+
+/// Admission prices under the server's own `PlannerConfig`, handed to
+/// the planner explicitly — not the one the environment would build.
+/// (Today the quote prices the structural default GHD, whose bags hold
+/// one factor each, so the two lowerings agree on every quote's value;
+/// this pins the plumbing, for the day a quoted bag has a choice.)
+#[test]
+fn admission_prices_under_the_servers_own_planner() {
+    use faqs_exec::ExecutorConfig;
+    use faqs_plan::{cost_quote_with_stats, PlannerConfig, QueryStats};
+
+    let q: FaqQuery<Count> = random_instance(
+        &faqs_hypergraph::cycle_query(3),
+        &RandomInstanceConfig {
+            tuples_per_factor: 64,
+            domain: 8,
+            seed: 23,
+        },
+        vec![Var(0)],
+        |_| Count(1),
+    );
+    let stats = QueryStats::of(&q);
+    for use_wcoj in [true, false] {
+        let planner = PlannerConfig {
+            use_stats: true,
+            use_wcoj,
+        };
+        let server = FaqServer::with_executor(
+            ServeConfig::default(),
+            Executor::with_planner(ExecutorConfig::sequential(), planner),
+        );
+        let shape = server.register(q.clone(), Var(0)).unwrap();
+        assert_eq!(
+            server.quote(shape).unwrap().0,
+            cost_quote_with_stats(&q, false, &planner, &stats, 1.0).unwrap(),
+            "use_wcoj = {use_wcoj}"
+        );
+    }
+}
