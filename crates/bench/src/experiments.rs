@@ -1,12 +1,14 @@
-//! The reproduction experiments E1–E12 (DESIGN.md §4). Every function
-//! prints the rows of one paper artifact; `harness all` runs them all.
+//! The reproduction experiments: E1–E12 each print the rows of one
+//! paper artifact, E15/E16 confront the distributed runtime and the
+//! planner with the same bounds. Model quantities only (rounds, bits,
+//! widths, bounds) — wall-clock numbers come from `benchmark/`.
 
 use crate::{banner, header, row};
 use faqs_core::{solve_bcq, solve_faq};
 use faqs_hypergraph::{
     clique_query, exact_internal_node_width, example_h0, example_h1, example_h2,
     internal_node_width, random_degenerate_query, random_uniform_hypergraph, star_query,
-    tree_query, EdgeId, Ghd, Hypergraph, Var,
+    tree_query, EdgeId, Ghd, Hypergraph,
 };
 use faqs_lowerbounds::{
     bcq_lower_bound, embed_core, embed_forest, embed_hypergraph, faq_lower_bound, forest_capacity,
@@ -676,149 +678,6 @@ pub fn e12_hash_split(n: usize) {
     }
 }
 
-/// **E13 — kernel microbenchmark.** The columnar sort-merge kernel vs.
-/// the pre-refactor listing baseline (boxed tuples + per-call `HashMap`
-/// rebuilds) on join / semijoin / projection, with wall-clock speedups.
-/// Not a paper artifact — the perf-trajectory row behind the ROADMAP's
-/// "as fast as the hardware allows" north star.
-pub fn e13_kernel(n: usize) {
-    use crate::naive::NaiveRelation;
-    use faqs_relation::Relation;
-    use std::time::Instant;
-
-    banner("E13 · Columnar kernel vs naive listing baseline");
-    header(&["op", "N", "naive µs", "kernel µs", "speedup"]);
-
-    // Same workload shape as benches/relation.rs, via the shared
-    // generator.
-    let domain = (n / 4).max(2) as u32;
-    let a: Relation<Count> = crate::random_count_rel(&[0, 1], n, domain, 0xE13);
-    let b: Relation<Count> = crate::random_count_rel(&[1, 2], n, domain, 0xE14);
-    let na = NaiveRelation::from_relation(&a);
-    let nb = NaiveRelation::from_relation(&b);
-
-    let time_us = |f: &mut dyn FnMut() -> usize| -> f64 {
-        let reps = 16;
-        let t0 = Instant::now();
-        let mut acc = 0usize;
-        for _ in 0..reps {
-            acc = acc.wrapping_add(std::hint::black_box(f()));
-        }
-        std::hint::black_box(acc);
-        t0.elapsed().as_secs_f64() * 1e6 / reps as f64
-    };
-
-    let emit = |op: &str, naive_us: f64, kernel_us: f64| {
-        row(&[
-            op.to_string(),
-            n.to_string(),
-            format!("{naive_us:.1}"),
-            format!("{kernel_us:.1}"),
-            format!("{:.1}×", naive_us / kernel_us.max(1e-9)),
-        ]);
-    };
-
-    let slow = time_us(&mut || na.join(&nb).len());
-    let fast = time_us(&mut || a.join(&b).len());
-    emit("join", slow, fast);
-
-    let slow = time_us(&mut || na.semijoin(&nb).len());
-    let fast = time_us(&mut || a.semijoin(&b).len());
-    emit("semijoin", slow, fast);
-
-    let idx = b.build_index(&a.shared_vars(&b));
-    let fast = time_us(&mut || a.semijoin_indexed(&b, &idx).len());
-    emit("semijoin (reused index)", slow, fast);
-
-    let onto = [faqs_hypergraph::Var(0)];
-    let slow = time_us(&mut || na.project(&onto).len());
-    let fast = time_us(&mut || a.project(&onto).len());
-    emit("project (prefix)", slow, fast);
-}
-
-/// **E14 — executor.** The plan-cached parallel executor vs. the
-/// sequential reference engine: wall-clock for the upward pass at 1/2/4
-/// threads on a wide acyclic instance, plus the plan-cache hit ledger
-/// proving GHD construction and validation are skipped on repeat
-/// shapes. Not a paper artifact — the serving-path row behind the
-/// ROADMAP's "heavy traffic from millions of users" north star.
-pub fn e14_executor(n: usize) {
-    use faqs_exec::{Executor, ExecutorConfig};
-    use std::time::Instant;
-
-    banner("E14 · Plan-cached parallel executor vs sequential engine");
-    header(&["config", "N/factor", "total µs", "speedup vs engine"]);
-
-    let h = star_query(8);
-    let cfg = RandomInstanceConfig {
-        tuples_per_factor: n,
-        domain: (n / 4).max(4) as u32,
-        seed: 0xE14,
-    };
-    let q: FaqQuery<Count> = random_instance(&h, &cfg, vec![], |r| Count(r.random_range(1..4)));
-
-    let time_us = |f: &mut dyn FnMut() -> Count| -> f64 {
-        let reps = 8;
-        let t0 = Instant::now();
-        let mut acc = 0u64;
-        for _ in 0..reps {
-            acc = acc.wrapping_add(std::hint::black_box(f()).0);
-        }
-        std::hint::black_box(acc);
-        t0.elapsed().as_secs_f64() * 1e6 / reps as f64
-    };
-
-    let engine_us = time_us(&mut || solve_faq(&q).unwrap().total());
-    row(&[
-        "engine (cold plan/call)".to_string(),
-        n.to_string(),
-        format!("{engine_us:.0}"),
-        "1.0×".into(),
-    ]);
-    for threads in [1usize, 2, 4] {
-        let ex = Executor::new(ExecutorConfig {
-            threads,
-            parallel_join_threshold: 8192,
-        });
-        let expected = solve_faq(&q).unwrap().total();
-        assert_eq!(ex.solve(&q).unwrap().total(), expected, "executor agrees");
-        let us = time_us(&mut || ex.solve(&q).unwrap().total());
-        row(&[
-            format!("executor threads={threads} (warm)"),
-            n.to_string(),
-            format!("{us:.0}"),
-            format!("{:.1}×", engine_us / us.max(1e-9)),
-        ]);
-    }
-
-    println!();
-    header(&["cache", "calls", "hits", "misses", "hit rate"]);
-    let ex = Executor::new(ExecutorConfig::with_threads(4));
-    let calls = 32;
-    for seed in 0..calls {
-        let qi: FaqQuery<Count> = random_instance(
-            &h,
-            &RandomInstanceConfig {
-                tuples_per_factor: 64,
-                domain: 16,
-                seed,
-            },
-            vec![],
-            |r| Count(r.random_range(1..4)),
-        );
-        ex.solve(&qi).unwrap();
-    }
-    let stats = ex.cache_stats();
-    assert_eq!(stats.misses, 1, "one shape ⇒ one plan build");
-    row(&[
-        "star8 repeat traffic".to_string(),
-        calls.to_string(),
-        stats.hits.to_string(),
-        stats.misses.to_string(),
-        format!("{:.0}%", 100.0 * stats.hit_rate()),
-    ]);
-}
-
 /// **E15 — distributed runtime.** The topology-general
 /// `DistributedFaqRun` across topology families and placements, every
 /// row confronted with the `BoundReport` bit envelope
@@ -835,8 +694,8 @@ pub fn e15_distributed(n: usize) {
         "conforms",
     ]);
     // The shared hard star instance (same fixture as the conformance
-    // suite and the distributed bench): every message is irreducible, so
-    // the measurement genuinely confronts the bounds.
+    // suite): every message is irreducible, so the measurement
+    // genuinely confronts the bounds.
     let q = faqs_relation::irreducible_star_instance(4, n as u32);
     let expected = solve_bcq(&q);
     for g in [
@@ -873,10 +732,7 @@ pub fn e15_distributed(n: usize) {
 /// `skewed_star_instance` (one `n²`-row leaf — the stats-aware planner
 /// must re-root away from it), print every scored GHD candidate with
 /// its predicted kernel work, predicted shipped bits (for the placed
-/// skewed run), and the chosen plan. Not a paper artifact — the
-/// planner-trajectory row behind the ROADMAP's "fast as the hardware
-/// allows" north star; CI records the companion bench as
-/// `BENCH_plan.json`.
+/// skewed run), and the chosen plan.
 pub fn e16_plan_explain(n: usize) {
     use faqs_plan::{plan_query, plan_query_placed, PlacementContext, PlannerConfig};
 
@@ -945,600 +801,7 @@ pub fn e16_plan_explain(n: usize) {
     print_plan("skewed_star (placement-aware, line4, output P3)", &plan);
 }
 
-/// **E17 — incremental serving.** A live [`faqs_exec::IncrementalFaq`]
-/// session absorbing single-tuple inserts/deletes against re-solving
-/// from scratch per change: per-update latency for the delta path vs
-/// the warm-plan full pass, plus the session's work counters proving
-/// the delta path did no full stats re-scan and no full upward pass.
-/// Not a paper artifact — the update-path row behind the ROADMAP's
-/// serving north star; CI records the companion bench as
-/// `BENCH_incremental.json`.
-pub fn e17_incremental(n: usize) {
-    use faqs_exec::{Executor, ExecutorConfig, IncrementalFaq};
-    use std::time::Instant;
-
-    banner("E17 · Incremental serving — delta maintenance vs full re-solve");
-    header(&["strategy", "N/factor", "µs/update", "speedup"]);
-
-    let h = faqs_hypergraph::path_query(2);
-    let cfg = RandomInstanceConfig {
-        tuples_per_factor: n,
-        domain: (n as u32 / 4).max(16),
-        seed: 0xE17,
-    };
-    let q: FaqQuery<Count> = random_instance(&h, &cfg, vec![], |_| Count(1));
-    // A tuple absent from the fixture, so insert/delete round-trips
-    // restore the exact starting state.
-    let t: Vec<u32> = (0..q.domain)
-        .flat_map(|a| (0..q.domain).map(move |b| vec![a, b]))
-        .find(|t| q.factor(EdgeId(0)).get(t).is_none())
-        .expect("factor is not the full cross product");
-
-    let reps = 32;
-    let mut inc = IncrementalFaq::new(q.clone()).expect("session");
-    let before = inc.counters();
-    let t0 = Instant::now();
-    for _ in 0..reps {
-        inc.insert(EdgeId(0), &t, Count(1)).unwrap();
-        inc.delete(EdgeId(0), &t).unwrap();
-    }
-    let inc_us = t0.elapsed().as_secs_f64() * 1e6 / (2 * reps) as f64;
-    let after = inc.counters();
-    // The acceptance property, live: the whole update storm did zero
-    // full stats re-scans and zero full upward passes. (Skipped under
-    // the FAQS_EXEC_DISABLE_DELTA=1 escape hatch, where every update
-    // deliberately re-solves.)
-    if inc.mode() != faqs_exec::MaintenanceMode::FullResolve {
-        assert_eq!(after.full_stats_scans, before.full_stats_scans);
-        assert_eq!(after.full_upward_passes, before.full_upward_passes);
-    }
-
-    let ex = Executor::new(ExecutorConfig::with_threads(1));
-    let mut base = q.clone();
-    let expected = ex.solve(&base).unwrap().total();
-    assert_eq!(inc.answer().total(), expected, "maintained answer agrees");
-    let t0 = Instant::now();
-    for _ in 0..reps {
-        base.factors[0].insert(t.clone(), Count(1));
-        std::hint::black_box(ex.solve(&base).unwrap().total());
-        base.factors[0].delete(&t);
-        std::hint::black_box(ex.solve(&base).unwrap().total());
-    }
-    let full_us = t0.elapsed().as_secs_f64() * 1e6 / (2 * reps) as f64;
-
-    row(&[
-        "delta-maintained session".to_string(),
-        n.to_string(),
-        format!("{inc_us:.1}"),
-        format!("{:.0}×", full_us / inc_us.max(1e-9)),
-    ]);
-    row(&[
-        "full re-solve (warm plan)".to_string(),
-        n.to_string(),
-        format!("{full_us:.1}"),
-        "1.0×".into(),
-    ]);
-
-    println!();
-    header(&["counter", "value"]);
-    for (name, v) in [
-        ("delta applies", after.delta_applies),
-        ("delta stats merges", after.delta_stats_merges),
-        ("full stats scans", after.full_stats_scans),
-        ("full upward passes", after.full_upward_passes),
-        ("node recomputes", after.node_recomputes),
-        ("plan rebuilds", after.plan_rebuilds),
-        ("cancellation fallbacks", after.cancellation_fallbacks),
-    ] {
-        row(&[name.to_string(), v.to_string()]);
-    }
-}
-
-/// Zipf(s≈1.1) samples over `0..domain`: quantised cumulative weights
-/// plus binary search — a heavy-head binding mix for the serving
-/// experiments (the vendored rand stand-in has no Zipf distribution).
-fn zipf_bindings(domain: u32, count: usize, seed: u64) -> Vec<u32> {
-    let mut cum: Vec<u64> = Vec::with_capacity(domain as usize);
-    let mut total = 0u64;
-    for rank in 1..=domain as u64 {
-        total += (1e9 / (rank as f64).powf(1.1)) as u64 + 1;
-        cum.push(total);
-    }
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..count)
-        .map(|_| {
-            let x = rng.random_range(0..total);
-            cum.partition_point(|&c| c <= x) as u32
-        })
-        .collect()
-}
-
-/// **E18 — concurrent serving.** The batched serving path against
-/// one-at-a-time dispatch: a Zipfian mix of point queries over one
-/// query shape, answered (a) in merged batches of 8 through
-/// [`faqs_exec::Executor::solve_batch`] and (b) as width-1 passes —
-/// exactly what the `FAQS_SERVE_DISABLE_BATCH=1` escape hatch degrades
-/// the server to. Every batched slice is asserted bit-identical to its
-/// one-at-a-time answer. A second section drives the full
-/// [`faqs_serve::FaqServer`] (registry → admission → batcher → pool)
-/// and prints its counters. Not a paper artifact — the serving row
-/// behind the ROADMAP's north star; CI records the companion bench as
-/// `BENCH_serve.json`.
-pub fn e18_serve(n: usize) {
-    use faqs_exec::{Executor, ExecutorConfig};
-    use faqs_serve::{FaqServer, ServeConfig};
-    use std::time::Instant;
-
-    banner("E18 · Concurrent serving — cross-query batching vs one-at-a-time");
-    header(&["strategy", "N/factor", "queries", "µs/query", "speedup"]);
-
-    const WIDTH: usize = 8;
-    let h = star_query(3);
-    let domain = (n as u32 / 4).max(64);
-    let cfg = RandomInstanceConfig {
-        tuples_per_factor: n,
-        domain,
-        seed: 0xE18,
-    };
-    let q: FaqQuery<Count> = random_instance(&h, &cfg, vec![Var(0)], |_| Count(1));
-    let queries = 8 * WIDTH;
-    let bindings = zipf_bindings(domain, queries, 0xE18);
-
-    let ex = Executor::new(ExecutorConfig::sequential());
-    // Warm the plan cache so both strategies measure steady-state serving.
-    std::hint::black_box(ex.solve_batch(&q, Var(0), &bindings[..WIDTH]).unwrap());
-
-    let t0 = Instant::now();
-    let batched: Vec<_> = bindings
-        .chunks(WIDTH)
-        .flat_map(|chunk| ex.solve_batch(&q, Var(0), chunk).unwrap())
-        .collect();
-    let batched_us = t0.elapsed().as_secs_f64() * 1e6 / queries as f64;
-
-    let t0 = Instant::now();
-    let single: Vec<_> = bindings
-        .iter()
-        .map(|&b| {
-            let mut one = ex.solve_batch(&q, Var(0), &[b]).unwrap();
-            one.pop().unwrap()
-        })
-        .collect();
-    let single_us = t0.elapsed().as_secs_f64() * 1e6 / queries as f64;
-
-    // The acceptance property, live: merging a batch changes latency,
-    // never answers.
-    assert_eq!(batched, single, "batched slices are bit-identical");
-
-    row(&[
-        format!("batched (width {WIDTH})"),
-        n.to_string(),
-        queries.to_string(),
-        format!("{batched_us:.1}"),
-        format!("{:.1}×", single_us / batched_us.max(1e-9)),
-    ]);
-    row(&[
-        "one-at-a-time".to_string(),
-        n.to_string(),
-        queries.to_string(),
-        format!("{single_us:.1}"),
-        "1.0×".into(),
-    ]);
-
-    // The full front-end: flood the queue, then read the counters.
-    let server = FaqServer::new(ServeConfig {
-        workers: 2,
-        max_batch: WIDTH,
-        ..ServeConfig::default()
-    });
-    let shape = server.register(q, Var(0)).expect("register");
-    let tickets: Vec<_> = bindings
-        .iter()
-        .map(|&b| server.submit(shape, b).expect("submit"))
-        .collect();
-    for ((b, t), want) in bindings.iter().zip(tickets).zip(&batched) {
-        let answer = t.wait().expect("serve");
-        assert_eq!(&answer.relation, want, "served answer for binding {b}");
-    }
-    let stats = server.stats();
-
-    println!();
-    header(&["server counter", "value"]);
-    for (name, v) in [
-        ("submitted", stats.submitted),
-        ("inline fast-path", stats.inline),
-        ("rejected (budget)", stats.rejected),
-        ("batches", stats.batches),
-        ("batched requests", stats.batched),
-        ("max batch width", stats.max_width),
-    ] {
-        row(&[name.to_string(), v.to_string()]);
-    }
-}
-
-/// E19: cyclic queries end-to-end — the worst-case-optimal generic
-/// join vs the pinned binary cascade on a growing triangle core. Both
-/// lowerings run the *same* merged-core GHD; only the per-bag operator
-/// differs (`FAQS_PLAN_DISABLE_WCOJ=1` semantics for the baseline).
-/// Every pair of totals is asserted equal, so the speedup column is a
-/// measurement of identical answers. CI records the companion bench as
-/// `BENCH_cyclic.json`.
-pub fn e19_cyclic(n: usize) {
-    use faqs_core::solve_faq_with_plan;
-    use faqs_plan::{plan_query, PlannerConfig};
-    use std::time::Instant;
-
-    banner("E19 · Cyclic queries — generic join vs binary cascade on the triangle");
-    header(&[
-        "N/factor",
-        "domain",
-        "triangles",
-        "cascade ms",
-        "genjoin ms",
-        "speedup",
-    ]);
-
-    let wcoj = PlannerConfig {
-        use_stats: true,
-        use_wcoj: true,
-    };
-    let cascade = PlannerConfig {
-        use_stats: true,
-        use_wcoj: false,
-    };
-    let agg = |rel: &faqs_relation::Relation<Count>, v: Var, op| rel.aggregate_out(v, op);
-    for scale in [1usize, 2, 4] {
-        let tuples = n * scale;
-        // Keep the expected output near-linear in N: E[triangles] =
-        // d³·(N/d²)³ = N³/d³, so d ~ N/∛N keeps the core selective.
-        let domain = ((tuples as f64).powf(2.0 / 3.0).ceil() as u32).max(8);
-        let q: FaqQuery<Count> = random_instance(
-            &faqs_hypergraph::cycle_query(3),
-            &RandomInstanceConfig {
-                tuples_per_factor: tuples,
-                domain,
-                seed: 0xE19,
-            },
-            vec![],
-            |_| Count(1),
-        );
-        let gj_plan = plan_query(&q, false, &wcoj).unwrap();
-        let cas_plan = plan_query(&q, false, &cascade).unwrap();
-        assert!(
-            !cas_plan.uses_generic_join(),
-            "baseline must stay a cascade"
-        );
-
-        let t0 = Instant::now();
-        let via_cas = solve_faq_with_plan(&q, &cas_plan, agg).unwrap();
-        let cas_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let t0 = Instant::now();
-        let via_gj = solve_faq_with_plan(&q, &gj_plan, agg).unwrap();
-        let gj_ms = t0.elapsed().as_secs_f64() * 1e3;
-        assert_eq!(via_gj, via_cas, "operator choice never changes the count");
-
-        row(&[
-            tuples.to_string(),
-            domain.to_string(),
-            format!(
-                "{}{}",
-                via_gj.total().0,
-                if gj_plan.uses_generic_join() {
-                    ""
-                } else {
-                    " (cascade both)"
-                }
-            ),
-            format!("{cas_ms:.2}"),
-            format!("{gj_ms:.2}"),
-            format!("{:.1}×", cas_ms / gj_ms.max(1e-9)),
-        ]);
-    }
-}
-
-/// **E20 — Adaptive planning.** Part A: on a hub-skewed star family
-/// (every instance shares one [`faqs_plan::StatsDigest`] shape) the
-/// uniformity assumption makes the cost model under-predict the join,
-/// and the calibration registry's learned per-shape correction pulls
-/// the prediction toward the measured answer: the median
-/// `|log2(predicted/actual)|` error over the family must strictly
-/// drop. Part B: the pinned drifted-stats instance of
-/// [`e20_drift_fixture`] — a plan built from a sparse sibling driven
-/// through [`Executor::solve_on`] against the dense hub instance —
-/// must raise the sticky drift flag, re-order the remaining ⊗-folds
-/// smallest-first, measurably beat the stale static order, and still
-/// return the reference answer bit-for-bit; both runtimes are
-/// reported.
-pub fn e20_adaptive(n: usize) {
-    use faqs_exec::{Executor, ExecutorConfig, QueryPlan};
-    use faqs_plan::{CalibrationRegistry, PlannerConfig, QueryStats};
-    use std::sync::Arc;
-    use std::time::Instant;
-
-    banner("E20 · Adaptive planning — calibration closes the estimator error");
-    header(&[
-        "round",
-        "actual rows",
-        "raw pred",
-        "cal pred",
-        "raw |log₂ err|",
-        "cal |log₂ err|",
-    ]);
-
-    // Part A: value-skewed triangles — each endpoint of every edge is
-    // pinned to vertex 0 with 40% probability, so triangles through the
-    // hot vertex dwarf what the uniformity assumption prices in. All
-    // three variables are free (the merged cyclic core contains them
-    // all), so the root fold's predicted cardinality is checkable
-    // against the answer relation itself.
-    let h = faqs_hypergraph::cycle_query(3);
-    let tuples = n.clamp(64, 256);
-    let domain = 64u32;
-    let skewed = |seed: u64| -> FaqQuery<Count> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut q: FaqQuery<Count> = random_instance(
-            &h,
-            &RandomInstanceConfig {
-                tuples_per_factor: 0,
-                domain,
-                seed,
-            },
-            (0..3u32).map(Var).collect(),
-            |_| Count(1),
-        );
-        for factor in &mut q.factors {
-            while factor.len() < tuples {
-                let mut endpoint = || {
-                    if rng.random_range(0..100) < 40 {
-                        0
-                    } else {
-                        rng.random_range(0..domain)
-                    }
-                };
-                let t = vec![endpoint(), endpoint()];
-                factor.insert(t, Count(1));
-            }
-        }
-        q
-    };
-
-    let planner = PlannerConfig::stats();
-    let registry = Arc::new(CalibrationRegistry::forced(f64::INFINITY));
-    let ex = Executor::with_planner(ExecutorConfig::with_threads(1), planner)
-        .with_calibration(Arc::clone(&registry));
-    let (mut raw_errs, mut cal_errs) = (Vec::new(), Vec::new());
-    for round in 0..8u64 {
-        let q = skewed(0xE20 + round);
-        let stats = QueryStats::of(&q);
-        let digest = stats.digest();
-        let raw =
-            QueryPlan::build_calibrated(&q, false, &planner, None, Some(&stats), 1.0).unwrap();
-        let correction = registry.correction(&digest);
-        let cal = QueryPlan::build_calibrated(&q, false, &planner, None, Some(&stats), correction)
-            .unwrap();
-        // The solve itself feeds the registry (fold-point telemetry),
-        // so the next round's correction reflects this one's misses.
-        let actual = ex.solve(&q).unwrap().len().max(1) as f64;
-        let predicted = |p: &QueryPlan| {
-            p.node_rows()
-                .get(p.root().index())
-                .copied()
-                .unwrap_or(1)
-                .max(1)
-        };
-        let err = |p: &QueryPlan| (predicted(p) as f64 / actual).log2().abs();
-        raw_errs.push(err(&raw));
-        cal_errs.push(err(&cal));
-        row(&[
-            round.to_string(),
-            format!("{actual:.0}"),
-            predicted(&raw).to_string(),
-            predicted(&cal).to_string(),
-            format!("{:.2}", err(&raw)),
-            format!("{:.2}", err(&cal)),
-        ]);
-    }
-    let median = |errs: &[f64]| -> f64 {
-        let mut s = errs.to_vec();
-        s.sort_by(f64::total_cmp);
-        s[s.len() / 2]
-    };
-    let (raw_med, cal_med) = (median(&raw_errs), median(&cal_errs));
-    println!("  median |log₂ error|: raw {raw_med:.2} → calibrated {cal_med:.2}");
-    assert!(
-        cal_med < raw_med,
-        "calibration must reduce the median estimator error: {cal_med} !< {raw_med}"
-    );
-
-    // Part B: forced drift. A plan whose statistics came from a sparse
-    // sibling mis-predicts every fold of the dense instance; the
-    // adaptive executor notices at the 2-hop leg's fold point and
-    // re-orders the hub bag's message fold smallest-actual-first,
-    // which pulls the one-row hub-pinning message in front of the nine
-    // full-range leg messages and skips the nine `domain²`-row
-    // intermediates the stale order pays for.
-    let (dense, sparse) = e20_drift_fixture(64);
-    let stale_plan = QueryPlan::build_with(&sparse, false, &planner, None).unwrap();
-    let timed = |registry: CalibrationRegistry| {
-        let ex = Executor::with_planner(ExecutorConfig::with_threads(1), planner)
-            .with_calibration(Arc::new(registry));
-        // Median of five runs: the win is ~an order of magnitude, but
-        // single timings on shared CI runners are noisy.
-        let mut times = Vec::new();
-        let mut out = None;
-        for _ in 0..5 {
-            let t0 = Instant::now();
-            out = Some(ex.solve_on(&dense, &stale_plan).unwrap());
-            times.push(t0.elapsed().as_secs_f64() * 1e3);
-        }
-        times.sort_by(f64::total_cmp);
-        (out.unwrap(), times[times.len() / 2], ex.calibration_stats())
-    };
-    let (fixed, fixed_ms, _) = timed(CalibrationRegistry::off());
-    let (adaptive, adaptive_ms, stats) = timed(CalibrationRegistry::forced(0.0));
-    assert_eq!(adaptive, fixed, "re-planning never changes the answer");
-    assert!(
-        stats.replans > 0,
-        "the drifted instance must force a re-plan"
-    );
-    assert!(
-        adaptive_ms < fixed_ms,
-        "mid-flight re-planning must beat the stale fold order: {adaptive_ms:.3} !< {fixed_ms:.3} ms"
-    );
-    println!(
-        "  drifted hub (stale plan): fixed {fixed_ms:.2} ms, adaptive {adaptive_ms:.2} ms \
-         ({:.1}×) · {} fold samples · {} re-plans",
-        fixed_ms / adaptive_ms.max(1e-9),
-        stats.samples,
-        stats.replans
-    );
-}
-
-/// The pinned drifted-stats instance behind E20 Part B and
-/// `BENCH_adaptive.json`. The shape is a hub `x0` carrying a dense
-/// `(x0,x1)` cross-product bag, a free-tip path `x1—x2` on top (the
-/// re-rooted bag holding the free variable), eight pendant `(x0,yᵢ)`
-/// permutation legs plus one 2-hop permutation leg whose upward `(x0)`
-/// messages cover every hub value (the 2-hop leg's inner bag is the
-/// fold point whose telemetry flags the drift), and one pendant that
-/// pins the hub to a single value. Pendant messages fold in edge-id
-/// order, so the hub bag's static order runs the nine full-range
-/// messages first — nine `domain²`-row intermediates — before the
-/// one-row pinning message finally collapses the accumulator; a plan
-/// built from the uniformly `sparse` sibling prices every fold at a
-/// handful of rows, so it sees no reason to deviate. The
-/// drift-triggered smallest-actual-first re-plan folds the pinning
-/// message first and every later fold runs at `domain` rows.
-pub fn e20_drift_fixture(domain: u32) -> (FaqQuery<Count>, FaqQuery<Count>) {
-    const PENDANTS: u32 = 8;
-    // Vars: 0 = hub, 1 = mid, 2 = free tip, 3..3+PENDANTS = pendant
-    // tips, then the 2-hop leg's two vars, then the pinning tip.
-    let deep = 3 + PENDANTS;
-    let mut h = Hypergraph::new(6 + PENDANTS as usize);
-    h.add_edge([Var(0), Var(1)]);
-    h.add_edge([Var(1), Var(2)]);
-    for i in 0..PENDANTS {
-        h.add_edge([Var(0), Var(3 + i)]);
-    }
-    h.add_edge([Var(0), Var(deep)]);
-    h.add_edge([Var(deep), Var(deep + 1)]);
-    h.add_edge([Var(0), Var(deep + 2)]);
-
-    let free = vec![Var(2)];
-    let mut dense: FaqQuery<Count> = random_instance(
-        &h,
-        &RandomInstanceConfig {
-            tuples_per_factor: 0,
-            domain,
-            seed: 0xB20,
-        },
-        free.clone(),
-        |_| Count(1),
-    );
-    // e0 = (x0,x1): the dense hub bag.
-    for a in 0..domain {
-        for b in 0..domain {
-            dense.factors[0].insert(vec![a, b], Count(1));
-        }
-    }
-    // e1 = (x1,x2): every free tip value under one mid — root stays cheap.
-    for b in 0..domain {
-        dense.factors[1].insert(vec![0, b], Count(1));
-    }
-    // Pendant and 2-hop permutation legs: every hub value present, so
-    // their messages filter nothing.
-    for (i, e) in (2..2 + PENDANTS as usize + 2).enumerate() {
-        let i = i as u32;
-        for a in 0..domain {
-            dense.factors[e].insert(vec![a, (a * 7 + i) % domain], Count(1));
-        }
-    }
-    // A second inner value per hub value on the 2-hop leg's outer
-    // factor: its bag lands at 2·domain rows while every other fold
-    // point lands at domain, so the per-node log-ratios can never all
-    // sit on one envelope center — the drift flag re-fires on every
-    // pass, not just the first.
-    for a in 0..domain {
-        dense.factors[2 + PENDANTS as usize]
-            .insert(vec![a, (a * 7 + 1 + PENDANTS) % domain], Count(1));
-    }
-    // The pinning pendant (highest edge id, hence the last static
-    // fold): hub value 0 only.
-    dense.factors[4 + PENDANTS as usize].insert(vec![0, 0], Count(1));
-    let sparse = random_instance(
-        &h,
-        &RandomInstanceConfig {
-            tuples_per_factor: 4,
-            domain,
-            seed: 0xB21,
-        },
-        free,
-        |_| Count(1),
-    );
-    (dense, sparse)
-}
-
-/// **E21 — Real transports.** The same plan raced over the causal
-/// simulator, in-process channels, and loopback TCP: one row per
-/// topology × transport with the model-unit ledger (identical by the
-/// shadow-oracle construction — asserted), the real wire traffic, the
-/// `WireConformance` envelope, and the wall-clock of the run. Not a
-/// paper artifact — the live-monitor row behind the ROADMAP's
-/// real-transport item; CI records the companion bench as
-/// `BENCH_transport.json`.
-pub fn e21_transport(n: usize) {
-    use faqs_network::{ChannelTransport, SimTransport, TcpTransport, Transport};
-
-    banner("E21 · Pluggable transports — shadow-oracle accounting on real wires");
-    header(&[
-        "G",
-        "transport",
-        "bits",
-        "rounds",
-        "frames",
-        "wire bits",
-        "wire upper",
-        "within",
-        "ms",
-    ]);
-    let q = faqs_relation::irreducible_star_instance(4, n as u32);
-    let expected = solve_bcq(&q);
-    for g in [Topology::line(4), Topology::star(5), Topology::grid(3, 3)] {
-        let players: Vec<Player> = g.players().collect();
-        let placement = InputPlacement::hash_split(q.k(), &players, *players.last().unwrap());
-        let run = DistributedFaqRun::new(&q, &g, placement, 1).expect("run");
-        let baseline = run
-            .execute_on(&mut SimTransport::new(run.topology()))
-            .expect("sim");
-        let drive = |label: &str, t: &mut dyn Transport| {
-            let start = std::time::Instant::now();
-            let out = run.execute_on(t).expect(label);
-            let elapsed = start.elapsed();
-            assert_eq!(!out.result.total().is_zero(), expected, "answer agrees");
-            assert_eq!(out.stats, baseline.stats, "shadow ledger is carrier-free");
-            let wc = run.wire_conformance(&run.conformance(out.stats), out.wire);
-            row(&[
-                g.name().to_string(),
-                label.to_string(),
-                out.stats.total_bits.to_string(),
-                out.stats.rounds.to_string(),
-                out.wire.frames.to_string(),
-                wc.wire.wire_bits().to_string(),
-                wc.upper_wire_bits.to_string(),
-                wc.within_upper().to_string(),
-                format!("{:.2}", elapsed.as_secs_f64() * 1e3),
-            ]);
-        };
-        drive("sim", &mut SimTransport::new(run.topology()));
-        drive("channel", &mut ChannelTransport::new(run.topology()));
-        drive(
-            "tcp",
-            &mut TcpTransport::new(run.topology()).expect("loopback sockets"),
-        );
-    }
-}
-
-/// Ablation: MD-hoisting and re-rooting vs. the naive construction
-/// (DESIGN.md §5).
+/// Ablation: MD-hoisting and re-rooting vs. the naive construction.
 pub fn ablation_width() {
     banner("Ablation · internal-node-width minimisation");
     header(&[
@@ -1588,13 +851,8 @@ mod tests {
         e10_set_intersection(64);
         e11_faq_general(8);
         e12_hash_split(16);
-        e13_kernel(256);
-        e14_executor(512);
+        e15_distributed(16);
         e16_plan_explain(16);
-        e17_incremental(512);
-        e18_serve(512);
-        e19_cyclic(256);
-        e20_adaptive(64);
         ablation_width();
     }
 

@@ -1,36 +1,11 @@
-//! Experiment implementations behind the `harness` binary and the
-//! Criterion benches: one function per table/figure/worked example of
-//! the paper (see DESIGN.md's experiment index E1–E12 and
-//! EXPERIMENTS.md for recorded outputs).
+//! Experiment implementations behind the `harness` binary: one
+//! function per table, figure or worked example of the paper (E1–E12),
+//! plus the distributed-runtime (E15) and planner (E16) tables and the
+//! width ablation. Wall-clock measurement lives in `benchmark/`.
 
 #![forbid(unsafe_code)]
 
 pub mod experiments;
-pub mod naive;
-
-/// The shared kernel-vs-naive workload: a random `Count`-annotated
-/// relation over `schema` with `n` draws in `[0, domain)` and values in
-/// `1..4`. Both `benches/relation.rs` and the E13 experiment build
-/// their inputs here so the two reports measure the same shape.
-pub fn random_count_rel(
-    schema: &[u32],
-    n: usize,
-    domain: u32,
-    seed: u64,
-) -> faqs_relation::Relation<faqs_semiring::Count> {
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-    let mut rng = StdRng::seed_from_u64(seed);
-    faqs_relation::Relation::from_pairs(
-        schema.iter().map(|&i| faqs_hypergraph::Var(i)).collect(),
-        (0..n)
-            .map(|_| {
-                let t: Vec<u32> = schema.iter().map(|_| rng.random_range(0..domain)).collect();
-                (t, faqs_semiring::Count(rng.random_range(1..4)))
-            })
-            .collect::<Vec<_>>(),
-    )
-}
 
 /// Prints a Markdown table row.
 pub fn row<S: AsRef<str>>(cells: &[S]) {

@@ -6,12 +6,32 @@
 //! cargo run --release -p faqs-bench --bin harness -- table1  # one artifact
 //! ```
 //!
-//! Subcommands: `table1`, `figures`, `examples2`, `lowerbounds`, `mcm`,
-//! `entropy`, `shannon`, `gap`, `mpc`, `setint`, `faq`, `hashsplit`,
-//! `kernel`, `executor`, `distributed`, `plan-explain`, `incremental`,
-//! `serve`, `cyclic`, `adaptive`, `transport`, `ablation`, `all` (default).
+//! Subcommands are the names in [`EXPERIMENTS`] plus `all` (default);
+//! an unknown one prints the list and exits 2.
 
 use faqs_bench::experiments as exp;
+
+/// A subcommand and its run at scale `n`.
+type Experiment = (&'static str, fn(usize));
+
+/// Every experiment, in `all` order.
+const EXPERIMENTS: &[Experiment] = &[
+    ("table1", exp::e1_table1),
+    ("figures", |_| exp::e2_figures()),
+    ("examples2", |_| exp::e3_examples(&[64, 128, 256])),
+    ("lowerbounds", |_| exp::e4_lowerbounds(64, 4)),
+    ("mcm", |_| exp::e5_mcm()),
+    ("entropy", |_| exp::e6_entropy()),
+    ("shannon", |_| exp::e7_shannon()),
+    ("gap", |n| exp::e8_gap_sweep(n.min(128))),
+    ("mpc", exp::e9_mpc),
+    ("setint", |n| exp::e10_set_intersection(4 * n)),
+    ("faq", |n| exp::e11_faq_general(n.min(64))),
+    ("hashsplit", |n| exp::e12_hash_split(n.min(128))),
+    ("distributed", |n| exp::e15_distributed(n.min(128))),
+    ("plan-explain", |n| exp::e16_plan_explain(n.min(64))),
+    ("ablation", |_| exp::ablation_width()),
+];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -20,43 +40,19 @@ fn main() {
     let quick = args.iter().any(|a| a == "--quick");
     let n = if quick { 64 } else { 256 };
 
-    let mut ran = false;
-    let mut run = |name: &str, f: &dyn Fn()| {
-        if which == "all" || which == name {
-            f();
-            ran = true;
-        }
-    };
-
-    run("table1", &|| exp::e1_table1(n));
-    run("figures", &exp::e2_figures);
-    run("examples2", &|| exp::e3_examples(&[64, 128, 256]));
-    run("lowerbounds", &|| exp::e4_lowerbounds(64, 4));
-    run("mcm", &exp::e5_mcm);
-    run("entropy", &exp::e6_entropy);
-    run("shannon", &exp::e7_shannon);
-    run("gap", &|| exp::e8_gap_sweep(n.min(128)));
-    run("mpc", &|| exp::e9_mpc(n));
-    run("setint", &|| exp::e10_set_intersection(4 * n));
-    run("faq", &|| exp::e11_faq_general(n.min(64)));
-    run("hashsplit", &|| exp::e12_hash_split(n.min(128)));
-    run("kernel", &|| exp::e13_kernel(16 * n));
-    run("executor", &|| exp::e14_executor(32 * n));
-    run("distributed", &|| exp::e15_distributed(n.min(128)));
-    run("plan-explain", &|| exp::e16_plan_explain(n.min(64)));
-    run("incremental", &|| exp::e17_incremental(32 * n));
-    run("serve", &|| exp::e18_serve(8 * n));
-    run("cyclic", &|| exp::e19_cyclic(16 * n));
-    run("adaptive", &|| exp::e20_adaptive(n));
-    run("transport", &|| exp::e21_transport(n.min(128)));
-    run("ablation", &exp::ablation_width);
-
-    if !ran {
+    let selected: Vec<_> = EXPERIMENTS
+        .iter()
+        .filter(|(name, _)| which == "all" || which == *name)
+        .collect();
+    if selected.is_empty() {
+        let names: Vec<&str> = EXPERIMENTS.iter().map(|(name, _)| *name).collect();
         eprintln!(
-            "unknown experiment `{which}`; choose one of: table1 figures examples2 \
-             lowerbounds mcm entropy shannon gap mpc setint faq hashsplit kernel executor \
-             distributed plan-explain incremental serve cyclic adaptive transport ablation all"
+            "unknown experiment `{which}`; choose one of: {} all",
+            names.join(" ")
         );
         std::process::exit(2);
+    }
+    for (_, run) in selected {
+        run(n);
     }
 }

@@ -200,8 +200,8 @@ impl Executor {
     /// Runs the upward pass on an explicitly supplied (possibly stale
     /// or deliberately mis-estimated) plan, bypassing the cache but
     /// keeping calibration telemetry and mid-flight re-planning live —
-    /// the entry point the adaptive bench and the forced-drift tests
-    /// drive. The plan must have been built for `q`'s shape.
+    /// the entry point the forced-drift tests drive. The plan must have
+    /// been built for `q`'s shape.
     pub fn solve_on<S: Semiring>(
         &self,
         q: &FaqQuery<S>,

@@ -712,10 +712,15 @@ mod tests {
         mirror.factors[0].insert(vec![5, 59], Count(1));
         assert_eq!(faq.answer(), &solve_faq_reference(&mirror).unwrap());
 
-        // And back out again.
+        // And back out again, still on the delta path.
         faq.delete(EdgeId(0), &[5, 59]).unwrap();
         mirror.factors[0].delete(&[5, 59]);
         assert_eq!(faq.answer(), &solve_faq_reference(&mirror).unwrap());
+        let back = faq.counters();
+        assert_eq!(back.full_stats_scans, base.full_stats_scans);
+        if faq.mode() == MaintenanceMode::Inverse {
+            assert_eq!(back.full_upward_passes, base.full_upward_passes);
+        }
     }
 
     #[test]

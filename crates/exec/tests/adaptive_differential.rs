@@ -13,10 +13,12 @@
 use faqs_core::solve_faq_reference;
 use faqs_exec::{Executor, ExecutorConfig, QueryPlan};
 use faqs_hypergraph::{cycle_query, example_h2, path_query, star_query, Hypergraph, Var};
-use faqs_plan::{CalibrationRegistry, PlannerConfig};
+use faqs_plan::{CalibrationRegistry, PlannerConfig, QueryStats};
 use faqs_relation::{random_boolean_instance, random_instance, FaqQuery, RandomInstanceConfig};
 use faqs_semiring::{Boolean, Count, MinPlus, Semiring};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
 /// The issue's shape matrix: star, path, H2 and the (cyclic) triangle,
@@ -196,4 +198,72 @@ fn forced_drift_is_observable_and_lossless() {
         assert!(s.replans > 0, "t{threads}: drift must trigger a re-plan");
         assert!(s.samples > 0, "t{threads}: fold points must observe");
     }
+}
+
+/// Calibration closes the estimator error: on a family of triangles
+/// whose edge endpoints are pinned to vertex 0 with 40% probability
+/// (one `StatsDigest` shape; triangles through the hot vertex dwarf what
+/// the uniformity assumption prices in), the correction learned from
+/// earlier solves must strictly lower the median `|log2(predicted /
+/// actual)|` of the root fold. All three variables are free, so the
+/// answer relation itself is the actual cardinality.
+#[test]
+fn calibration_reduces_the_median_estimator_error() {
+    const DOMAIN: u32 = 64;
+    let skewed = |seed: u64| -> FaqQuery<Count> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut q: FaqQuery<Count> = random_instance(
+            &cycle_query(3),
+            &RandomInstanceConfig {
+                tuples_per_factor: 0,
+                domain: DOMAIN,
+                seed,
+            },
+            (0..3u32).map(Var).collect(),
+            |_| Count(1),
+        );
+        for factor in &mut q.factors {
+            while factor.len() < 64 {
+                let mut endpoint = || {
+                    if rng.random_range(0..100) < 40 {
+                        0
+                    } else {
+                        rng.random_range(0..DOMAIN)
+                    }
+                };
+                let t = vec![endpoint(), endpoint()];
+                factor.insert(t, Count(1));
+            }
+        }
+        q
+    };
+
+    let planner = PlannerConfig::stats();
+    let registry = Arc::new(CalibrationRegistry::forced(f64::INFINITY));
+    let ex = Executor::with_planner(ExecutorConfig::with_threads(1), planner)
+        .with_calibration(Arc::clone(&registry));
+    let (mut raw_errs, mut cal_errs) = (Vec::new(), Vec::new());
+    for round in 0..8u64 {
+        let q = skewed(0xE20 + round);
+        let stats = QueryStats::of(&q);
+        let correction = registry.correction(&stats.digest());
+        // The solve itself feeds the registry, so the next round's
+        // correction reflects this one's misses.
+        let actual = ex.solve(&q).unwrap().len().max(1) as f64;
+        let err = |correction: f64| {
+            let plan =
+                QueryPlan::build_calibrated(&q, false, &planner, None, Some(&stats), correction)
+                    .unwrap();
+            let predicted = plan.node_rows()[plan.root().index()].max(1);
+            (predicted as f64 / actual).log2().abs()
+        };
+        raw_errs.push(err(1.0));
+        cal_errs.push(err(correction));
+    }
+    let median = |errs: &mut Vec<f64>| {
+        errs.sort_by(f64::total_cmp);
+        errs[errs.len() / 2]
+    };
+    let (raw, cal) = (median(&mut raw_errs), median(&mut cal_errs));
+    assert!(cal < raw, "calibrated median {cal} !< raw median {raw}");
 }

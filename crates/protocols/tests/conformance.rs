@@ -22,8 +22,8 @@ use faqs_semiring::{Boolean, Count, Semiring};
 
 /// A star BCQ whose every message is irreducible: each leaf witnesses
 /// all `n` center values, so projections keep their full `n` entries.
-/// Shared with E15 and the distributed bench so the pinned measurements
-/// below guard the same instance those surfaces run.
+/// Shared with E15 so the pinned measurements below guard the same
+/// instance that table prints.
 fn hard_star(n: u32) -> FaqQuery<Boolean> {
     irreducible_star_instance(4, n)
 }

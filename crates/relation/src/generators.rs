@@ -83,9 +83,9 @@ pub fn random_boolean_instance(
 /// A *hard* star BCQ with `k` leaves over domain `n`: every relation
 /// lists all `n` center values (`(x, x mod 5)` pairs), so no upward
 /// message shrinks below `n` entries under projection or aggregation —
-/// the irreducible instance shared by the bound-conformance fixtures,
-/// the `distributed` harness table (E15), and the distributed bench,
-/// which pin measurements against it.
+/// the irreducible instance shared by the bound-conformance fixtures
+/// and the `distributed` harness table (E15), which pin measurements
+/// against it.
 pub fn irreducible_star_instance(k: usize, n: u32) -> FaqQuery<Boolean> {
     assert!(n >= 5, "need the (x, x mod 5) witness pairs in-domain");
     let h = faqs_hypergraph::star_query(k);
@@ -103,8 +103,8 @@ pub fn irreducible_star_instance(k: usize, n: u32) -> FaqQuery<Boolean> {
 /// planner seeds the upward pass with the `n²`-row factor and probes it
 /// on every message fold — the adversarial instance the stats-aware
 /// planner of `faqs-plan` must re-root away from. Shared by the planner
-/// regression tests, the `plan-explain` harness table (E16), and the
-/// planner bench, which pin the same instance.
+/// regression tests and the `plan-explain` harness table (E16), which
+/// pin the same instance.
 pub fn skewed_star_instance(k: usize, n: u32) -> FaqQuery<Boolean> {
     assert!(k >= 2, "need a thin edge to re-root onto");
     assert!(n >= 5, "need the (x, x mod 5) witness pairs in-domain");

@@ -20,7 +20,7 @@ static KERNEL_MODE: AtomicU8 = AtomicU8::new(0);
 /// Whether the row-comparison hot paths must run their plain scalar
 /// loops (`FAQS_KERNEL_SCALAR=1`) instead of the chunked
 /// autovectorization-friendly ones. Read once per process; both paths
-/// are raced for identity by the CI matrix and the transport bench.
+/// are raced for identity by the CI matrix.
 #[inline]
 pub(crate) fn kernel_scalar() -> bool {
     match KERNEL_MODE.load(AtomicOrdering::Relaxed) {
@@ -32,14 +32,6 @@ pub(crate) fn kernel_scalar() -> bool {
             scalar
         }
     }
-}
-
-/// Pins the kernel comparison mode in-process, overriding the
-/// `FAQS_KERNEL_SCALAR` environment — the hook benches use to race the
-/// scalar and vectorized paths against each other in one process.
-#[doc(hidden)]
-pub fn force_kernel_scalar(scalar: bool) {
-    KERNEL_MODE.store(if scalar { 1 } else { 2 }, AtomicOrdering::Relaxed);
 }
 
 /// One row of a flat `arity`-strided arena.

@@ -5,10 +5,15 @@
 # crates/{core,exec,protocols}/src lowers a bag by BagOp (destructures
 # `BagOp::GenericJoin`) or calls `generic_join(`: the Theorem G.3
 # skeleton in faqs-core is the only place allowed to. Then prints the
-# non-test src/ line total of those three crates — per file, the lines
-# before the first `#[cfg(test)]` — the number a simplifying PR reports.
+# non-test src/ line total of those three crates and of the whole
+# workspace (src/ + crates/*/src) — per file, the lines before the first
+# `#[cfg(test)]` — the numbers a simplifying PR reports.
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
+
+nontest_lines() {
+    awk '/#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' "$1"
+}
 
 crates=(core exec protocols)
 sites=()
@@ -16,7 +21,7 @@ total=0
 for crate in "${crates[@]}"; do
     lines=0
     while IFS= read -r file; do
-        n=$(awk '/#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' "$file")
+        n=$(nontest_lines "$file")
         lines=$((lines + n))
         if head -n "$n" "$file" | grep -Eq 'BagOp::GenericJoin[[:space:]]*\{|(^|[^_[:alnum:]])generic_join\('; then
             sites+=("$file")
@@ -26,6 +31,12 @@ for crate in "${crates[@]}"; do
     total=$((total + lines))
 done
 printf '%-10s %5d non-test src lines\n' total "$total"
+
+workspace=0
+while IFS= read -r file; do
+    workspace=$((workspace + $(nontest_lines "$file")))
+done < <(find src crates/*/src -name '*.rs')
+printf '%-10s %5d non-test src lines (src/ + crates/*/src)\n' workspace "$workspace"
 
 printf 'bag-lowering sites: %d\n' "${#sites[@]}"
 printf '  %s\n' "${sites[@]}"
