@@ -27,14 +27,14 @@ pub use faqs_plan::{
 /// extracts it).
 pub fn solve_faq<S: Semiring>(q: &FaqQuery<S>) -> Result<Relation<S>, EngineError> {
     let plan = faqs_plan::plan_query(q, false, &PlannerConfig::default())?;
-    solve_planned(q, plan, Relation::aggregate_out)
+    solve_planned(q, plan, Relation::aggregate_out_many)
 }
 
 /// [`solve_faq`] for lattice-capable semirings: additionally accepts
 /// `Max`/`Min` aggregates.
 pub fn solve_faq_lattice<S: LatticeOps>(q: &FaqQuery<S>) -> Result<Relation<S>, EngineError> {
     let plan = faqs_plan::plan_query(q, true, &PlannerConfig::default())?;
-    solve_planned(q, plan, Relation::aggregate_out_lattice)
+    solve_planned(q, plan, Relation::aggregate_out_many_lattice)
 }
 
 /// A deterministic full re-solve for differential testing: always
@@ -45,13 +45,14 @@ pub fn solve_faq_lattice<S: LatticeOps>(q: &FaqQuery<S>) -> Result<Relation<S>, 
 /// `FAQS_PLAN_DISABLE_STATS` and to digest drift.
 pub fn solve_faq_reference<S: Semiring>(q: &FaqQuery<S>) -> Result<Relation<S>, EngineError> {
     let plan = faqs_plan::plan_query(q, false, &PlannerConfig::structural())?;
-    solve_planned(q, plan, Relation::aggregate_out)
+    solve_planned(q, plan, Relation::aggregate_out_many)
 }
 
 /// The upward pass on an explicit [`ChosenPlan`] — the entry point for
 /// callers that already planned (tests compare structural and
 /// stats-aware plans for bit-identical results). `agg` performs one
-/// push-down step `⊕_{x_v} rel` (Corollary G.2).
+/// push-down (Corollary G.2): [`Relation::aggregate_out_many`] or its
+/// lattice twin.
 ///
 /// The plan must have been built by `faqs_plan::plan_query` for *this*
 /// query: planning already ran instance validation, free-variable

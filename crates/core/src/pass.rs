@@ -21,9 +21,10 @@ use std::borrow::Cow;
 use std::convert::Infallible;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-/// One push-down step `⊕_{x_v} rel` (Corollary G.2):
-/// [`Relation::aggregate_out`] or its lattice twin.
-pub type AggFn<S> = fn(&Relation<S>, Var, Aggregate) -> Relation<S>;
+/// One push-down (Corollary G.2): a relation with a whole nest of
+/// variables aggregated out, innermost first —
+/// [`Relation::aggregate_out_many`] or its lattice twin.
+pub type AggFn<S> = fn(Relation<S>, &[(Var, Aggregate)]) -> Relation<S>;
 
 /// A relation and the round at whose end it is complete where it is
 /// (always `0` at sites that never touch a network).
@@ -109,7 +110,7 @@ impl<S: Semiring> Pass<'_, S> {
     pub fn run<X: PassSite<S>>(&self, site: &mut X) -> Result<Timed<Relation<S>>, X::Error> {
         let (root, ready) = self.subtree(site, self.plan.root())?;
         let root = root.unwrap_or_else(Relation::unit);
-        let answer = finish_root(self.q, root, self.agg);
+        let answer = finish_root(self.q, self.plan, root, self.agg);
         if let Some(probe) = self.probe {
             probe.flush();
         }
@@ -127,7 +128,7 @@ impl<S: Semiring> Pass<'_, S> {
     ) -> Result<Timed<Relation<S>>, X::Error> {
         let (sub, ready) = self.subtree(site, child)?;
         let sub = sub.expect("non-root GHD nodes carry a factor");
-        let message = push_down_message(self.q, sub, self.plan.ghd.chi(parent), self.agg);
+        let message = push_down_message(self.plan, child, sub, self.agg);
         site.deliver(self, child, parent, message, ready)
     }
 
@@ -142,7 +143,10 @@ impl<S: Semiring> Pass<'_, S> {
     /// step order): one generic-join pass when the planner marked the
     /// bag worst-case-optimal, otherwise the cascade over the plan's
     /// cached key schemas. Both fold annotations in the same
-    /// association order, so the bag is identical either way.
+    /// association order, so the bag holds the same rows with the same
+    /// values either way; its column order differs (the generic join
+    /// emits the planner's layout order, the cascade its concatenation
+    /// schema), which the push-down is indifferent to.
     pub fn combine<X: PassSite<S>>(
         &self,
         site: &mut X,
@@ -209,51 +213,42 @@ impl<S: Semiring> Pass<'_, S> {
     }
 }
 
-/// One message push-down (Corollary G.2): aggregates out of `message`
-/// every variable absent from `keep` (the parent's bag), innermost
-/// (highest index) first — the order Equation (4)'s nesting requires.
+/// One message push-down (Corollary G.2): aggregates out of `node`'s
+/// subtree relation `message` every variable its parent's bag does not
+/// see — the plan's nest for `node`, in one scan.
 pub fn push_down_message<S: Semiring>(
-    q: &FaqQuery<S>,
-    mut message: Relation<S>,
-    keep: &[Var],
-    agg: impl Fn(&Relation<S>, Var, Aggregate) -> Relation<S>,
+    plan: &QueryPlan,
+    node: NodeId,
+    message: Relation<S>,
+    agg: AggFn<S>,
 ) -> Relation<S> {
-    let mut private: Vec<Var> = message
-        .schema()
-        .iter()
-        .copied()
-        .filter(|v| !keep.contains(v))
-        .collect();
-    private.sort_unstable_by(|a, b| b.cmp(a));
-    for v in private {
-        debug_assert!(!q.is_free(v), "free vars never private (RIP + F ⊆ root)");
-        message = agg(&message, v, q.aggregates[v.index()]);
-    }
+    let message = agg(message, plan.nest(node));
+    debug_assert!(
+        plan.ghd.parent(node).is_some_and(|p| {
+            let keep = plan.ghd.chi(p);
+            message.schema().iter().all(|v| keep.contains(v))
+        }),
+        "a message lists only variables of the parent's bag"
+    );
     message
 }
 
-/// The root epilogue: aggregates the remaining bound variables of the
-/// root relation innermost (highest index) first, then presents the
-/// free variables in the query's declared order.
+/// The root epilogue: aggregates the bound variables out of the root
+/// relation in one scan, then presents the free variables in the
+/// query's declared order (where a generic-join root bag already has
+/// them).
 pub fn finish_root<S: Semiring>(
     q: &FaqQuery<S>,
-    mut result: Relation<S>,
-    agg: impl Fn(&Relation<S>, Var, Aggregate) -> Relation<S>,
+    plan: &QueryPlan,
+    result: Relation<S>,
+    agg: AggFn<S>,
 ) -> Relation<S> {
-    let mut bound: Vec<Var> = result
-        .schema()
-        .iter()
-        .copied()
-        .filter(|v| !q.is_free(*v))
-        .collect();
-    bound.sort_unstable_by(|a, b| b.cmp(a));
-    for v in bound {
-        result = agg(&result, v, q.aggregates[v.index()]);
+    let result = agg(result, plan.nest(plan.root()));
+    if result.schema() == q.free_vars.as_slice() {
+        result
+    } else {
+        result.reorder(&q.free_vars)
     }
-    if result.schema() != q.free_vars.as_slice() {
-        result = result.reorder(&q.free_vars);
-    }
-    result
 }
 
 /// The fold observer of one pass: the plan's predicted rows, the
@@ -327,12 +322,18 @@ mod tests {
     use faqs_plan::{plan_query, ChosenPlan, PlannerConfig, QueryStats};
     use faqs_relation::{random_instance, RandomInstanceConfig};
     use faqs_semiring::Count;
+    use std::collections::BTreeMap;
 
     /// The sequential site, counting what the skeleton asks of it.
     #[derive(Default)]
     struct Counting {
         combined: Vec<NodeId>,
         emitted: Vec<NodeId>,
+        /// Rows of the last relation each node combined or folded: its
+        /// bag with every child message joined in, before any push-down.
+        /// (Nodes run one after another here, children first, so every
+        /// `join` belongs to the node whose `bag` was asked for last.)
+        rows: BTreeMap<NodeId, usize>,
     }
 
     impl<S: Semiring> PassSite<S> for Counting {
@@ -344,7 +345,16 @@ mod tests {
             node: NodeId,
         ) -> Result<Timed<Option<Relation<S>>>, Infallible> {
             self.combined.push(node);
-            Ok((pass.local_bag(self, node), 0))
+            let bag = pass.local_bag(self, node);
+            self.rows.extend(bag.as_ref().map(|bag| (node, bag.len())));
+            Ok((bag, 0))
+        }
+
+        fn join(&mut self, cur: &Relation<S>, other: &Relation<S>, idx: &JoinIndex) -> Relation<S> {
+            let out = cur.join_indexed(other, idx);
+            let node = *self.combined.last().expect("a bag was asked for first");
+            self.rows.insert(node, out.len());
+            out
         }
 
         fn deliver(
@@ -370,7 +380,8 @@ mod tests {
     }
 
     /// Pins every multi-factor bag of `chosen` to the generic join, on
-    /// the cascade's concatenation schema.
+    /// the cascade's concatenation schema (not the layout order the
+    /// planner would pick: the push-down regroups).
     fn force_generic_join(q: &FaqQuery<Count>, chosen: &mut ChosenPlan) {
         chosen
             .bag_ops
@@ -411,7 +422,7 @@ mod tests {
             let pass = Pass {
                 q: &q,
                 plan: &plan,
-                agg: Relation::aggregate_out,
+                agg: Relation::aggregate_out_many,
                 probe: Some(&probe),
             };
             let mut site = Counting::default();
@@ -431,15 +442,29 @@ mod tests {
                 .filter(|&n| plan.joins(n).len() + plan.children(n).len() >= 2)
                 .collect();
             assert!(!predicted.is_empty(), "{h:?}: some fold is a prediction");
-            assert_eq!(sorted(site.combined), live, "{h:?}: one combine per node");
             assert_eq!(
-                sorted(site.emitted),
+                sorted(site.combined.clone()),
+                live,
+                "{h:?}: one combine per node"
+            );
+            assert_eq!(
+                sorted(site.emitted.clone()),
                 non_root,
                 "{h:?}: one message per edge"
             );
-            let observed = probe.log.drain().into_iter().map(|s| s.node);
-            let observed = sorted(observed.map(|i| NodeId(i as u32)).collect());
-            assert_eq!(observed, predicted, "{h:?}: ≥2-input folds observe");
+            let samples = probe.log.drain();
+            for s in &samples {
+                let logical = site.rows[&NodeId(s.node as u32)];
+                assert_eq!(s.actual, logical as u64, "{h:?}: actual = the bag's rows");
+            }
+            let observed = samples.iter().map(|s| NodeId(s.node as u32)).collect();
+            assert_eq!(sorted(observed), predicted, "{h:?}: ≥2-input folds observe");
+            if generic {
+                // One bag, and the observer saw all of it — not what
+                // the one-scan push-down leaves of it.
+                let [r, s, t] = &q.factors[..] else { panic!() };
+                assert_eq!(samples[0].actual, r.join(s).join(t).len() as u64);
+            }
 
             // Nothing reached the registry: only a whole successful
             // run flushes.

@@ -14,7 +14,8 @@
 use faqs_hypergraph::{EdgeId, Ghd, NodeId, Var};
 use faqs_plan::{BagOp, ChosenPlan, EngineError, PlacementContext, PlanCost, PlannerConfig};
 use faqs_relation::FaqQuery;
-use faqs_semiring::{LatticeOps, Semiring};
+use faqs_semiring::{Aggregate, LatticeOps, Semiring};
+use std::cmp::Reverse;
 
 /// One step of a node's factor-join pipeline: absorb `edge`'s factor,
 /// probing an index built on exactly `key` (the variables the factor
@@ -50,6 +51,11 @@ pub struct QueryPlan {
     /// Per-node operator choice (dense by `NodeId` index): cascade the
     /// join steps, or materialise the bag in one generic-join pass.
     bag_ops: Vec<BagOp>,
+    /// Push-down nest per node (dense by `NodeId` index): the variables
+    /// of `χ(node)` its parent's bag does not see — at the root, the
+    /// bound ones — each with its aggregate, innermost (highest index)
+    /// first, the order Equation (4)'s nesting requires.
+    nests: Vec<Vec<(Var, Aggregate)>>,
     /// The cost model's predicted row count per node (dense by `NodeId`
     /// index; empty for structural plans) — the `predicted` halves of
     /// the executor's calibration samples.
@@ -98,11 +104,11 @@ impl QueryPlan {
         Ok(Self::lower(q, chosen))
     }
 
-    /// Lowers a [`ChosenPlan`] to execution form: per-node child lists
-    /// and join steps with precomputed index-key schemas, consuming the
-    /// planner's join order verbatim (the executor's old smallest-first
-    /// sort is gone — `faqs_plan::join_order_for_ghd` is the only
-    /// implementation left).
+    /// Lowers a [`ChosenPlan`] to execution form: per-node child lists,
+    /// push-down nests and join steps with precomputed index-key
+    /// schemas, consuming the planner's join order verbatim (the
+    /// executor's old smallest-first sort is gone —
+    /// `faqs_plan::join_order_for_ghd` is the only implementation left).
     pub fn lower<S: Semiring>(q: &FaqQuery<S>, chosen: ChosenPlan) -> QueryPlan {
         let ChosenPlan {
             ghd,
@@ -119,8 +125,18 @@ impl QueryPlan {
         bag_ops.resize(n_nodes, BagOp::Cascade);
         let mut children: Vec<Vec<NodeId>> = vec![Vec::new(); n_nodes];
         let mut joins: Vec<Vec<JoinStep>> = vec![Vec::new(); n_nodes];
+        let mut nests: Vec<Vec<(Var, Aggregate)>> = vec![Vec::new(); n_nodes];
         for node in ghd.node_ids() {
             children[node.index()] = ghd.children(node);
+            let keep = ghd.parent(node).map_or(&q.free_vars[..], |p| ghd.chi(p));
+            let private = ghd.chi(node).iter().filter(|v| !keep.contains(v));
+            let mut nest: Vec<_> = private.map(|&v| (v, q.aggregates[v.index()])).collect();
+            nest.sort_unstable_by_key(|&(v, _)| Reverse(v));
+            debug_assert!(
+                nest.iter().all(|(v, _)| !q.is_free(*v)),
+                "free vars never private (RIP + F ⊆ root)"
+            );
+            nests[node.index()] = nest;
             let factors = &join_order[node.index()];
             debug_assert!(
                 faqs_plan::join_order_covers_lambda(&ghd, node, factors),
@@ -156,6 +172,7 @@ impl QueryPlan {
             children,
             joins,
             bag_ops,
+            nests,
             node_rows,
             correction,
         }
@@ -191,6 +208,13 @@ impl QueryPlan {
         &self.bag_ops[node.index()]
     }
 
+    /// The push-down nest of `node`: what its message (the answer, at
+    /// the root) aggregates out, innermost first.
+    #[inline]
+    pub fn nest(&self, node: NodeId) -> &[(Var, Aggregate)] {
+        &self.nests[node.index()]
+    }
+
     /// Whether any bag lowers to the generic join.
     pub fn uses_generic_join(&self) -> bool {
         self.bag_ops.iter().any(BagOp::is_generic_join)
@@ -224,7 +248,7 @@ impl QueryPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use faqs_hypergraph::{example_h2, path_query, star_query};
+    use faqs_hypergraph::{cycle_query, example_h2, path_query, star_query};
     use faqs_relation::{random_instance, RandomInstanceConfig};
     use faqs_semiring::{Aggregate, Count};
 
@@ -265,6 +289,47 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn nests_are_the_private_variables_innermost_first() {
+        // A path rooted wherever the planner likes: every bound variable
+        // is aggregated at exactly one node, highest index first there,
+        // and a free variable nowhere.
+        let bound = [Var(0), Var(1), Var(3), Var(4)];
+        let q = inst(&path_query(4), vec![Var(2)], 3);
+        let q = bound
+            .iter()
+            .fold(q, |q, &v| q.with_aggregate(v, Aggregate::Max));
+        let plan = QueryPlan::build_with(&q, true, &PlannerConfig::structural(), None).unwrap();
+        let mut seen: Vec<(Var, Aggregate)> = Vec::new();
+        for node in plan.ghd.node_ids() {
+            let nest = plan.nest(node);
+            assert!(nest.windows(2).all(|w| w[0].0 > w[1].0), "{nest:?}");
+            let keep = plan.ghd.parent(node).map(|p| plan.ghd.chi(p));
+            assert!(nest.iter().all(|(v, _)| plan.ghd.chi(node).contains(v)
+                && !keep.is_some_and(|keep| keep.contains(v))));
+            seen.extend(nest);
+        }
+        seen.sort_unstable_by_key(|(v, _)| *v);
+        assert_eq!(seen, bound.map(|v| (v, Aggregate::Max)));
+
+        // A generic-join bag's binding order ends in its nest, outermost
+        // first: the push-down finds it in layout order.
+        let dense = RandomInstanceConfig {
+            tuples_per_factor: 300,
+            domain: 24,
+            seed: 1,
+        };
+        let free = vec![Var(2), Var(0)];
+        let q: FaqQuery<Count> = random_instance(&cycle_query(3), &dense, free, |_| Count(1));
+        let plan = QueryPlan::build_with(&q, false, &PlannerConfig::stats(), None).unwrap();
+        let root = plan.root();
+        let BagOp::GenericJoin { var_order } = plan.bag_op(root) else {
+            panic!("the dense triangle lowers to one generic-join bag");
+        };
+        assert_eq!(var_order, &[Var(2), Var(0), Var(1)]);
+        assert_eq!(plan.nest(root), [(Var(1), Aggregate::Sum)]);
     }
 
     #[test]

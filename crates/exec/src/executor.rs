@@ -185,7 +185,7 @@ impl Executor {
     /// every input (sequential config runs the identical pass; parallel
     /// configs only reorder commutative work).
     pub fn solve<S: Semiring>(&self, q: &FaqQuery<S>) -> Result<Relation<S>, EngineError> {
-        self.solve_impl(q, false, Relation::aggregate_out)
+        self.solve_impl(q, false, Relation::aggregate_out_many)
     }
 
     /// [`Executor::solve`] for lattice-capable semirings: additionally
@@ -194,7 +194,7 @@ impl Executor {
         &self,
         q: &FaqQuery<S>,
     ) -> Result<Relation<S>, EngineError> {
-        self.solve_impl(q, true, Relation::aggregate_out_lattice)
+        self.solve_impl(q, true, Relation::aggregate_out_many_lattice)
     }
 
     /// Runs the upward pass on an explicitly supplied (possibly stale
@@ -213,7 +213,7 @@ impl Executor {
             .calibration
             .is_enabled()
             .then(|| QueryStats::of(q).digest());
-        self.eval(q, plan, digest.as_ref(), Relation::aggregate_out)
+        self.eval(q, plan, digest.as_ref(), Relation::aggregate_out_many)
     }
 
     fn solve_impl<S: Semiring>(

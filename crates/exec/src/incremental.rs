@@ -469,7 +469,7 @@ impl<S: Semiring> IncrementalFaq<S> {
         let pass = Pass {
             q: &self.query,
             plan,
-            agg: Relation::aggregate_out,
+            agg: Relation::aggregate_out_many,
             probe: probe.as_ref(),
         };
         let mut site = Stored {
@@ -547,18 +547,17 @@ impl<S: Semiring> IncrementalFaq<S> {
                 // The delta died in a join: everything above is clean.
                 break None;
             }
+            let agg = Relation::aggregate_out_many;
             if node == plan.root() {
-                let agg = |rel: &Relation<S>, v, op| rel.aggregate_out(v, op);
-                let dp = finish_root(&self.query, plus, agg);
-                let dm = finish_root(&self.query, minus, agg);
+                let dp = finish_root(&self.query, plan, plus, agg);
+                let dm = finish_root(&self.query, plan, minus, agg);
                 break Some(self.answer.signed_apply(&dp, &dm)?);
             }
             let parent = plan.ghd.parent(node).expect("non-root has a parent");
-            let agg = |rel: &Relation<S>, v, op| rel.aggregate_out(v, op);
             // Sum push-down is an ⊕-homomorphism, so the two sides
             // push down independently.
-            let dp = push_down_message(&self.query, plus, plan.ghd.chi(parent), agg);
-            let dm = push_down_message(&self.query, minus, plan.ghd.chi(parent), agg);
+            let dp = push_down_message(plan, node, plus, agg);
+            let dm = push_down_message(plan, node, minus, agg);
             let new_msg = self.msg[node.index()]
                 .as_ref()
                 .expect("non-root message stored")

@@ -348,11 +348,13 @@ impl<'a> CostModel<'a> {
     /// runtime makes. Returns the cost, the per-node operator choices
     /// and the per-node predicted row counts (both dense by `NodeId`);
     /// the row predictions are what the executor's fold points confront
-    /// with `Relation::len` to drive calibration.
+    /// with `Relation::len` to drive calibration. `free_vars` (the
+    /// query's, in declared order) are what the root's push-down keeps.
     pub(crate) fn simulate(
         &self,
         ghd: &Ghd,
         join_order: &[Vec<EdgeId>],
+        free_vars: &[Var],
         placement: Option<&PlacementContext<'_>>,
         wcoj: bool,
     ) -> (PlanCost, Vec<BagOp>, Vec<u64>) {
@@ -459,19 +461,34 @@ impl<'a> CostModel<'a> {
                 let gj_cpu = saturating(prep + out.rows * (k + max_rows.log2() + 1.0));
                 if wcoj && gj_cpu < cascade.cpu {
                     cost.cpu = cost.cpu.saturating_add(gj_cpu);
-                    // The binding order is the cascade's concatenation
-                    // schema (first factor, then each step's fresh
-                    // vars), so both lowerings produce the *identical*
-                    // relation — schema order included — and every
-                    // downstream fold proceeds bit-for-bit the same.
-                    let mut var_order: Vec<Var> = Vec::new();
-                    for &e in order {
-                        for &v in &self.stats.factors[e.index()].schema {
-                            if !var_order.contains(&v) {
-                                var_order.push(v);
-                            }
-                        }
-                    }
+                    // The binding order is the push-down's layout
+                    // order: the variables the parent's bag sees
+                    // (ascending; at the root the free ones in declared
+                    // order, so no closing reorder), then the private
+                    // ones ascending, innermost last — the bag arrives
+                    // with its whole push-down nest a run of trailing
+                    // columns and no regrouping sort runs. Both
+                    // lowerings produce the same rows with the same
+                    // values; only the cascade's column order (its
+                    // concatenation schema) differs.
+                    let schemas = order.iter().map(|&e| &self.stats.factors[e.index()].schema);
+                    let mut bag_vars: Vec<Var> = schemas.flatten().copied().collect();
+                    bag_vars.sort_unstable();
+                    bag_vars.dedup();
+                    let mut var_order: Vec<Var> = match ghd.parent(node) {
+                        Some(p) => bag_vars
+                            .iter()
+                            .copied()
+                            .filter(|v| ghd.chi(p).contains(v))
+                            .collect(),
+                        None => free_vars
+                            .iter()
+                            .copied()
+                            .filter(|v| bag_vars.contains(v))
+                            .collect(),
+                    };
+                    bag_vars.retain(|v| !var_order.contains(v));
+                    var_order.extend(bag_vars);
                     bag_ops[node.index()] = BagOp::GenericJoin { var_order };
                 } else {
                     cost.cpu = cost.cpu.saturating_add(cascade.cpu);

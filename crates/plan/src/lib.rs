@@ -78,7 +78,7 @@ pub use validate::{check_elimination_order, check_product_aggregates, check_push
 #[cfg(test)]
 mod tests {
     use super::*;
-    use faqs_hypergraph::{example_h2, path_query, star_query, EdgeId, Var};
+    use faqs_hypergraph::{example_h2, path_query, star_query, EdgeId, Ghd, GhdNode, NodeId, Var};
     use faqs_network::{Player, Topology};
     use faqs_relation::{random_instance, skewed_star_instance, FaqQuery, RandomInstanceConfig};
     use faqs_semiring::{Boolean, Count};
@@ -550,6 +550,103 @@ mod tests {
         let structural = plan_query(&q, false, &PlannerConfig::structural()).unwrap();
         assert!(!structural.uses_generic_join());
         assert!(structural.ghd.node(structural.ghd.root()).lambda.is_empty());
+    }
+
+    /// What the cost model must bind a generic-join bag in: the kept
+    /// variables — the free ones in declared order at the root, the
+    /// parent's ascending below it — then the private ones ascending.
+    fn layout_order(q: &FaqQuery<Count>, ghd: &Ghd, node: NodeId, bag: &[EdgeId]) -> Vec<Var> {
+        let mut bag_vars: Vec<Var> = bag
+            .iter()
+            .flat_map(|&e| q.hypergraph.edge(e).iter().copied())
+            .collect();
+        bag_vars.sort_unstable();
+        bag_vars.dedup();
+        let kept: Vec<Var> = match ghd.parent(node) {
+            None => q.free_vars.clone(),
+            Some(p) => {
+                let seen = |v: &&Var| ghd.chi(p).contains(v);
+                bag_vars.iter().filter(seen).copied().collect()
+            }
+        };
+        let private = bag_vars.iter().filter(|v| !kept.contains(v));
+        let order: Vec<Var> = kept.iter().chain(private).copied().collect();
+        let mut sorted = order.clone();
+        sorted.sort_unstable();
+        assert_eq!(sorted, bag_vars, "a permutation of the bag's variables");
+        order
+    }
+
+    #[test]
+    fn generic_join_bags_bind_in_push_down_layout_order() {
+        // Sizes at which the merged core lowers to the generic join.
+        let shapes = [
+            (faqs_hypergraph::cycle_query(3), 300, 24),
+            (faqs_hypergraph::cycle_query(4), 700, 79),
+            (faqs_hypergraph::clique_query(4), 300, 24),
+        ];
+        let frees: [&[u32]; 5] = [&[], &[1], &[2, 0], &[1, 0, 2], &[2, 1]];
+        for (h, tuples_per_factor, domain) in &shapes {
+            let (mut closed, mut open) = (0, 0);
+            for (seed, free) in frees.iter().enumerate() {
+                let cfg = RandomInstanceConfig {
+                    tuples_per_factor: *tuples_per_factor,
+                    domain: *domain,
+                    seed: seed as u64,
+                };
+                let free: Vec<Var> = free.iter().map(|&v| Var(v)).collect();
+                let q: FaqQuery<Count> = random_instance(h, &cfg, free, |_| Count(1));
+                let plan = plan_query(&q, false, &PlannerConfig::stats()).unwrap();
+                for node in plan.ghd.node_ids() {
+                    if let BagOp::GenericJoin { var_order } = &plan.bag_ops[node.index()] {
+                        let bag = &plan.join_order[node.index()];
+                        assert_eq!(var_order, &layout_order(&q, &plan.ghd, node, bag));
+                        *(if q.free_vars.is_empty() {
+                            &mut closed
+                        } else {
+                            &mut open
+                        }) += 1;
+                    }
+                }
+            }
+            assert!(closed >= 1 && open >= 3, "{h:?}: {closed} + {open} bags");
+        }
+
+        // Below the root the kept variables are the parent's: a triangle
+        // bag hanging under its pendant edge {2, 3} binds 2 first.
+        let mut h = faqs_hypergraph::Hypergraph::new(4);
+        for (a, b) in [(0, 1), (1, 2), (0, 2)] {
+            h.add_edge([Var(a), Var(b)]);
+        }
+        let pendant = h.add_edge([Var(2), Var(3)]);
+        let cfg = RandomInstanceConfig {
+            tuples_per_factor: 300,
+            domain: 24,
+            seed: 5,
+        };
+        let q: FaqQuery<Count> = random_instance(&h, &cfg, vec![Var(3)], |_| Count(1));
+        let node = |chi: &[u32], lambda: Vec<EdgeId>, parent| GhdNode {
+            chi: chi.iter().map(|&v| Var(v)).collect(),
+            lambda,
+            parent,
+        };
+        let triangle = vec![EdgeId(0), EdgeId(1), EdgeId(2)];
+        let ghd = Ghd::from_nodes(
+            vec![
+                node(&[2, 3], vec![pendant], None),
+                node(&[0, 1, 2], triangle.clone(), Some(NodeId(0))),
+            ],
+            NodeId(0),
+        );
+        ghd.validate(&q.hypergraph).unwrap();
+        let stats = QueryStats::of(&q);
+        let model = cost::CostModel::new(&stats, q.domain, 64, 8, 1.0);
+        let order = join_order_for_ghd(&q, &ghd);
+        let (_, ops, _) = model.simulate(&ghd, &order, &q.free_vars, None, true);
+        let want = layout_order(&q, &ghd, NodeId(1), &triangle);
+        assert_eq!(want, [Var(2), Var(0), Var(1)]);
+        assert_eq!(ops[1], BagOp::GenericJoin { var_order: want });
+        assert_eq!(ops[0], BagOp::Cascade);
     }
 
     #[test]

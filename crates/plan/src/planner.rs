@@ -162,11 +162,13 @@ pub enum BagOp {
     /// absorb the rest one indexed join at a time.
     Cascade,
     /// One worst-case-optimal multiway pass
-    /// ([`faqs_relation::generic_join`]) binding `var_order` — the
-    /// cascade's concatenation schema (first factor, then each step's
-    /// fresh variables), so both lowerings produce the identical
-    /// relation — one variable at a time. Chosen when the AGM/FD-aware
-    /// output bound prices it below the cascade's estimated
+    /// ([`faqs_relation::generic_join`]) binding `var_order` one
+    /// variable at a time — the push-down's layout order: the variables
+    /// the parent's bag sees (ascending; at the root, the free variables
+    /// in declared order), then the private ones ascending, so the whole
+    /// push-down is one scan of trailing columns. Same rows and values
+    /// as the cascade, in a different column order. Chosen when the
+    /// AGM/FD-aware output bound prices it below the cascade's estimated
     /// intermediates.
     GenericJoin {
         /// The variable binding order (also the output schema).
@@ -554,7 +556,9 @@ pub fn cost_quote_with_stats<S: Semiring>(
         S::WIRE_VALUE_BYTES,
         correction,
     );
-    Ok(model.simulate(&ghd, &order, None, cfg.use_wcoj).0)
+    Ok(model
+        .simulate(&ghd, &order, &q.free_vars, None, cfg.use_wcoj)
+        .0)
 }
 
 /// [`plan_query`] against *precomputed* per-factor statistics instead
@@ -640,8 +644,13 @@ fn plan_query_impl<S: Semiring>(
         correction,
     );
     let placed = placement.is_some();
-    let (default_cost, default_ops, default_rows) =
-        model.simulate(&default_ghd, &default_order, placement, cfg.use_wcoj);
+    let (default_cost, default_ops, default_rows) = model.simulate(
+        &default_ghd,
+        &default_order,
+        &q.free_vars,
+        placement,
+        cfg.use_wcoj,
+    );
     let mut candidates = vec![CandidateReport {
         label: "structural default".into(),
         y: default_ghd.internal_count(),
@@ -680,7 +689,7 @@ fn plan_query_impl<S: Semiring>(
             return;
         }
         let order = join_order_for_ghd(q, &ghd);
-        let (cost, ops, rows) = model.simulate(&ghd, &order, placement, cfg.use_wcoj);
+        let (cost, ops, rows) = model.simulate(&ghd, &order, &q.free_vars, placement, cfg.use_wcoj);
         candidates.push(CandidateReport {
             label,
             y: ghd.internal_count(),

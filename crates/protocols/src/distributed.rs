@@ -52,6 +52,7 @@ use faqs_plan::{CalibrationRegistry, PlacementContext, PlannerConfig, QueryStats
 use faqs_relation::{FaqQuery, JoinIndex, Relation};
 use faqs_semiring::{Aggregate, Semiring};
 use std::borrow::Cow;
+use std::cmp::Reverse;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -332,7 +333,7 @@ impl<'a, S: Semiring> DistributedFaqRun<'a, S> {
         let pass = Pass {
             q: self.q,
             plan: &self.plan,
-            agg: Relation::aggregate_out,
+            agg: Relation::aggregate_out_many,
             probe: probe.as_ref(),
         };
         let mut site = Routed {
@@ -431,14 +432,11 @@ impl<'a, S: Semiring> DistributedFaqRun<'a, S> {
                 let e = EdgeId(ei as u32);
                 let holders = self.placement.shard_holders(e);
                 let factor = self.q.factor(e);
-                let mut ship: Vec<Var> = pre_agg[ei]
-                    .iter()
-                    .copied()
-                    .filter(|&v| single_bag(v))
-                    .collect();
+                let ship = pre_agg[ei].iter().filter(|&&v| single_bag(v));
+                let mut ship: Vec<(Var, Aggregate)> = ship.map(|&v| (v, Aggregate::Sum)).collect();
                 // Innermost (highest index) first, like every other
                 // aggregation site.
-                ship.sort_unstable_by(|a, b| b.cmp(a));
+                ship.sort_unstable_by_key(|&(v, _)| Reverse(v));
                 let parts: Vec<Relation<S>> = if holders.len() == 1 {
                     vec![factor.clone()]
                 } else {
@@ -450,12 +448,7 @@ impl<'a, S: Semiring> DistributedFaqRun<'a, S> {
                 holders
                     .iter()
                     .zip(parts)
-                    .map(|(&p, mut part)| {
-                        for &v in &ship {
-                            part = part.aggregate_out(v, Aggregate::Sum);
-                        }
-                        (p, part)
-                    })
+                    .map(|(&p, part)| (p, part.aggregate_out_many(&ship)))
                     .collect()
             })
             .collect()

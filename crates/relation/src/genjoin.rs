@@ -23,8 +23,11 @@
 //! the left-fold `(…(v₀ ⊗ v₁) ⊗ v₂…)` over the factors *in slice
 //! order* — the same association order a binary cascade over the same
 //! factor order produces. Exact semirings are trivially equal; for
-//! float-carried ones (`MinPlus`) equal association order makes the
-//! results bit-identical, which the differential suites assert.
+//! float-carried ones (`MinPlus`) equal association order makes every
+//! tuple's value bit-identical, which the differential suites assert.
+//! Only the values: the columns come out in `var_order`, which the
+//! planner picks for the push-down and which need not be the cascade's
+//! concatenation schema.
 
 use crate::kernel::row;
 use crate::relation::Relation;
@@ -207,7 +210,8 @@ impl<S: Semiring> GenJoin<'_, S> {
 /// The annotation of an output tuple is the in-order `⊗`-fold of the
 /// matching factor annotations — the same association order as the
 /// binary cascade over the same factor order, so the two lowerings
-/// agree bit-for-bit on every semiring in the workspace.
+/// give every tuple the same value, bit for bit, on every semiring in
+/// the workspace.
 ///
 /// ```
 /// use faqs_hypergraph::Var;

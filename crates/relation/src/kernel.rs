@@ -9,7 +9,7 @@
 
 use crate::relation::Relation;
 use faqs_hypergraph::Var;
-use faqs_semiring::Semiring;
+use faqs_semiring::{Aggregate, Semiring};
 use std::cmp::Ordering;
 use std::sync::atomic::{AtomicU8, Ordering as AtomicOrdering};
 
@@ -724,7 +724,9 @@ pub(crate) fn project_with<S: Semiring>(
             let t = rel.tuple_at(i);
             let keyed = &t[..k];
             if let Some(last) = out_values.last_mut() {
-                if &out_data[out_data.len() - k..] == keyed {
+                // `k == 0` first: every row is the one empty key, and
+                // the zero-length slice compare is not free.
+                if k == 0 || &out_data[out_data.len() - k..] == keyed {
                     combine(last, rel.value_at(i));
                     any_zero |= last.is_zero();
                     continue;
@@ -752,6 +754,154 @@ pub(crate) fn project_with<S: Semiring>(
     let (data, values) = sort_merge_rows(k, data, values, combine);
     out.set_parts(data, values);
     out
+}
+
+/// How many trailing columns of `schema` hold `nest`'s variables in
+/// *layout order* — the variables of `nest` (innermost first) that occur
+/// in `schema`, outermost first, so the innermost is the last column —
+/// or `None` when one of them sits elsewhere and the rows must be
+/// regrouped before one scan can fold the nest. The leading (kept)
+/// columns may come in any order; a nest variable absent from the
+/// schema was aggregated out earlier and is skipped.
+pub(crate) fn trailing_nest(schema: &[Var], nest: &[(Var, Aggregate)]) -> Option<usize> {
+    let mut kept = schema.len();
+    for (v, _) in nest {
+        if kept > 0 && schema[kept - 1] == *v {
+            kept -= 1;
+        } else if schema[..kept].contains(v) {
+            return None;
+        }
+    }
+    Some(schema.len() - kept)
+}
+
+/// Aggregates a nest of variables out of rows pushed in layout order
+/// (see [`trailing_nest`]): one open partial per nest level, each level
+/// folding one trailing column under its own operator.
+///
+/// When a pushed row leaves a level's group, the level closes: its
+/// partial folds into the level above under *that* level's operator —
+/// level 0's becomes an output row — unless it is the semiring zero,
+/// which is dropped exactly where the listing representation drops the
+/// row between two single-variable aggregations (so a `Product` or
+/// `Max` level above a cancelling `Sum` sees the same operands). Every
+/// group thus folds in ascending row order, as a chain of sorted-prefix
+/// [`project_with`] scans does. Push-style, so that whatever produces
+/// rows in layout order can drive it: a stored relation's scan today.
+pub(crate) struct NestFold<S: Semiring, F> {
+    /// One row per kept prefix whose nest folded to a non-zero.
+    out: Relation<S>,
+    kept: usize,
+    /// `(operator, open partial)` per trailing column, outermost first:
+    /// level `j` folds column `kept + j`.
+    levels: Vec<(Aggregate, Option<S>)>,
+    apply: F,
+    /// The previous row but for its innermost column; empty before
+    /// the first push.
+    last: Vec<u32>,
+}
+
+impl<S: Semiring, F: Fn(Aggregate, &S, &S) -> S> NestFold<S, F> {
+    /// A fold keeping the leading `kept` columns and aggregating one
+    /// trailing column per entry of `ops` (outermost first) with
+    /// `apply`.
+    pub(crate) fn new(kept: Vec<Var>, ops: Vec<Aggregate>, apply: F) -> Self {
+        NestFold {
+            kept: kept.len(),
+            out: Relation::new(kept),
+            levels: ops.into_iter().map(|op| (op, None)).collect(),
+            apply,
+            last: Vec::new(),
+        }
+    }
+
+    /// Folds one row in; rows must arrive strictly increasing.
+    pub(crate) fn push(&mut self, row: &[u32], value: &S) {
+        // The innermost column only tells rows of one group apart.
+        let head = &row[..row.len() - 1];
+        if self.last.len() < head.len() {
+            self.last.extend_from_slice(head);
+        } else if let Some(same) = head.iter().zip(&self.last).position(|(a, b)| a != b) {
+            debug_assert!(self.last[same] < head[same], "rows arrive in order");
+            // A level's group is keyed by the columns before its own.
+            self.close((same + 1).saturating_sub(self.kept));
+            self.last[same..].copy_from_slice(&head[same..]);
+        }
+        let (op, partial) = self.levels.last_mut().expect("a nest has a level");
+        *partial = Some(match partial.take() {
+            Some(acc) => (self.apply)(*op, &acc, value),
+            None => value.clone(),
+        });
+    }
+
+    /// Closes levels `first..`, innermost first.
+    fn close(&mut self, first: usize) {
+        for j in (first..self.levels.len()).rev() {
+            let Some(partial) = self.levels[j].1.take().filter(|p| !p.is_zero()) else {
+                continue;
+            };
+            if j == 0 {
+                let (data, values) = self.out.parts_mut();
+                data.extend_from_slice(&self.last[..self.kept]);
+                values.push(partial);
+            } else {
+                let (op, above) = &mut self.levels[j - 1];
+                *above = Some(match above.take() {
+                    Some(acc) => (self.apply)(*op, &acc, &partial),
+                    None => partial,
+                });
+            }
+        }
+    }
+
+    /// The relation over the kept columns.
+    pub(crate) fn finish(mut self) -> Relation<S> {
+        self.close(0);
+        self.out
+    }
+}
+
+/// [`Relation::aggregate_out_many`]: drives one [`NestFold`] over
+/// `rel`'s rows — as they stand when [`trailing_nest`] finds them in
+/// layout order, otherwise through one sort of the row ids into it,
+/// however many variables go.
+pub(crate) fn aggregate_nest<S: Semiring>(
+    rel: Relation<S>,
+    nest: &[(Var, Aggregate)],
+    apply: impl Fn(Aggregate, &S, &S) -> S,
+) -> Relation<S> {
+    let in_layout = match trailing_nest(rel.schema(), nest) {
+        Some(0) => return rel,
+        found => found.is_some(),
+    };
+    // Layout order: the kept columns as they stand, then the nest's
+    // variables outermost first.
+    let schema = rel.schema();
+    let column = |(v, op): &(Var, Aggregate)| Some((schema.iter().position(|w| w == v)?, *op));
+    let (trailing, ops): (Vec<usize>, Vec<Aggregate>) =
+        nest.iter().rev().filter_map(column).unzip();
+    let kept = || (0..schema.len()).filter(|c| !trailing.contains(c));
+
+    let mut fold = NestFold::new(kept().map(|c| schema[c]).collect(), ops, apply);
+    if in_layout {
+        for (row, value) in rel.iter() {
+            fold.push(row, value);
+        }
+    } else {
+        let pos: Vec<usize> = kept().chain(trailing.iter().copied()).collect();
+        let mut order: Vec<u32> = (0..rel.len() as u32).collect();
+        let tuple = |i: u32| rel.tuple_at(i as usize);
+        order.sort_unstable_by(|&a, &b| cmp_projected(tuple(a), tuple(b), &pos));
+        let mut row = vec![0u32; pos.len()];
+        for i in order {
+            let t = tuple(i);
+            for (x, &p) in row.iter_mut().zip(&pos) {
+                *x = t[p];
+            }
+            fold.push(&row, rel.value_at(i as usize));
+        }
+    }
+    fold.finish()
 }
 
 /// Galloping (exponential + binary) search: the least `i ≥ lo` with
@@ -1054,6 +1204,56 @@ mod tests {
         let empty = rel(&[0, 1, 2], &[]);
         let idx = JoinIndex::build(&empty, &[v(0), v(1)]);
         idx.lookup_many(&probes, |_, _| panic!("no rows to hit"));
+    }
+
+    #[test]
+    fn layout_order_needs_no_regroup() {
+        use Aggregate::{Product, Sum};
+        // Every `var_order` the planner gives a generic-join bag (its
+        // form is pinned in `faqs-plan`: the kept variables — free ones
+        // in declared order at the root, ascending below it — then the
+        // private ones ascending) over the 3 variables of a triangle and
+        // the 4 of a 4-cycle or `K4`, kept set from empty (no free
+        // variable) to everything, against the nest `QueryPlan::lower`
+        // derives for it: the private variables, highest first.
+        fn kept_lists(n: u32, kept: &mut Vec<Var>, out: &mut Vec<Vec<Var>>) {
+            out.push(kept.clone());
+            for x in (0..n)
+                .map(Var)
+                .filter(|x| !kept.contains(x))
+                .collect::<Vec<_>>()
+            {
+                kept.push(x);
+                kept_lists(n, kept, out);
+                kept.pop();
+            }
+        }
+        for n in [3u32, 4] {
+            let mut lists = Vec::new();
+            kept_lists(n, &mut Vec::new(), &mut lists);
+            for kept in lists {
+                let private: Vec<Var> = (0..n).map(Var).filter(|x| !kept.contains(x)).collect();
+                let nest: Vec<_> = private.iter().rev().map(|&x| (x, Sum)).collect();
+                let var_order = [kept.as_slice(), private.as_slice()].concat();
+                assert_eq!(
+                    trailing_nest(&var_order, &nest),
+                    Some(private.len()),
+                    "{var_order:?} is in layout order for {nest:?}"
+                );
+            }
+        }
+        // A leaf whose one private variable is column 0 regroups; so
+        // does a cascade's concatenation schema that interleaves.
+        assert_eq!(trailing_nest(&[v(0), v(1)], &[(v(0), Sum)]), None);
+        assert_eq!(trailing_nest(&[v(0), v(1)], &[(v(1), Sum)]), Some(1));
+        let all = [(v(2), Sum), (v(1), Product), (v(0), Sum)];
+        assert_eq!(trailing_nest(&[v(1), v(2), v(0)], &all), None);
+        assert_eq!(trailing_nest(&[v(0), v(1), v(2)], &all), Some(3));
+        // Variables the schema does not list are skipped, not missed.
+        assert_eq!(trailing_nest(&[v(0), v(2)], &all), Some(2));
+        assert_eq!(trailing_nest(&[v(5), v(4)], &all), Some(0));
+        assert_eq!(trailing_nest(&[], &all), Some(0));
+        assert_eq!(trailing_nest(&[v(2), v(5)], &all), None);
     }
 
     #[test]

@@ -380,6 +380,43 @@ impl<S: Semiring> Relation<S> {
         kernel::project_with(self, &rest, &pos, |a, b| *a = combine(a, b))
     }
 
+    /// Aggregates out a whole `nest` of variables — each with its own
+    /// operator, innermost (aggregated first) first — in one scan: the
+    /// push-down of Corollary G.2 for every variable a GHD node's
+    /// parent does not see. Equal to [`Relation::aggregate_out`] applied
+    /// once per entry of `nest`, in order; the remaining columns keep
+    /// their schema order.
+    ///
+    /// The scan wants the rows in *layout order*: the nest's variables
+    /// as the trailing columns, outermost first. A relation already
+    /// there (what a generic-join bag is planned to be, and any relation
+    /// whose one private variable is its last column) is folded as it
+    /// stands; any other pays one sort of its row ids first, however
+    /// many variables go. Variables of `nest` that the schema does not
+    /// list are skipped; when none is listed, `self` comes back
+    /// untouched. Each kept row's value folds its group in ascending
+    /// order of the nest columns, outermost first — so on a float
+    /// carrier the result does not depend on the column order the
+    /// relation arrived in.
+    ///
+    /// `Sum`/`Product` work on any semiring; `Max`/`Min` require
+    /// [`LatticeOps`] (see [`Relation::aggregate_out_many_lattice`]).
+    pub fn aggregate_out_many(self, nest: &[(Var, Aggregate)]) -> Relation<S> {
+        kernel::aggregate_nest(self, nest, |op, a, b| {
+            op.apply_semiring(a, b)
+                .expect("Max/Min need aggregate_out_many_lattice")
+        })
+    }
+
+    /// [`Relation::aggregate_out_many`] for lattice-capable semirings,
+    /// accepting all four aggregate operators.
+    pub fn aggregate_out_many_lattice(self, nest: &[(Var, Aggregate)]) -> Relation<S>
+    where
+        S: LatticeOps,
+    {
+        kernel::aggregate_nest(self, nest, |op, a, b| op.apply(a, b))
+    }
+
     /// Natural join `⋈` (Definition 3.4) with `⊗`-multiplied annotations:
     /// the output schema is this schema followed by `other`'s fresh
     /// variables. Builds a [`JoinIndex`] on `other` keyed on the shared

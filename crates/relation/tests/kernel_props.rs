@@ -2,13 +2,14 @@
 //! join, semijoin and projection operators must agree with a naive
 //! nested-loop reference on random relations, across semirings with
 //! different zero/duplicate behaviour (`Count`, `Boolean`, `MinPlus`).
-//! The block-copy delta merge and the sorted-prefix selection are raced
-//! against the row-at-a-time / index-sweep algorithms they replaced,
-//! kept here as references.
+//! The block-copy delta merge, the sorted-prefix selection and the
+//! one-scan nest aggregation are raced against the row-at-a-time /
+//! index-sweep / per-variable algorithms they replaced, kept here as
+//! references.
 
 use faqs_hypergraph::Var;
-use faqs_relation::{DeltaOp, Relation, RelationDelta};
-use faqs_semiring::{Boolean, Count, MinPlus, Semiring};
+use faqs_relation::{Aggregate, DeltaOp, Relation, RelationDelta};
+use faqs_semiring::{Boolean, Count, Gf2, MinPlus, Prob, Semiring};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -307,6 +308,120 @@ fn check_apply_delta<S: Semiring>(
     assert_eq!(got_changes, want_changes, "reported changes");
 }
 
+/// A push-down nest: variables with their operators, innermost first.
+type Nest = Vec<(Var, Aggregate)>;
+/// `Relation::aggregate_out_many` or its lattice twin.
+type Many<S> = fn(Relation<S>, &[(Var, Aggregate)]) -> Relation<S>;
+/// `Relation::aggregate_out` or its lattice twin.
+type One<S> = fn(&Relation<S>, Var, Aggregate) -> Relation<S>;
+
+/// `rel` regrouped into `nest`'s layout order: the kept columns as they
+/// stand, then the nest's variables outermost first.
+fn in_layout_order<S: Semiring>(rel: &Relation<S>, nest: &[(Var, Aggregate)]) -> Relation<S> {
+    let private = |v: &Var| nest.iter().any(|(w, _)| w == v);
+    let mut layout: Vec<Var> = rel
+        .schema()
+        .iter()
+        .copied()
+        .filter(|v| !private(v))
+        .collect();
+    layout.extend(nest.iter().rev().map(|(v, _)| *v));
+    rel.reorder(&layout)
+}
+
+/// The push-down as it was before the one-scan fold: one
+/// single-variable aggregation per nest entry, innermost first — over
+/// the relation in layout order, so that every step is a sorted-prefix
+/// projection and folds its groups in ascending row order.
+fn ref_aggregate_out_many<S: Semiring>(
+    rel: &Relation<S>,
+    nest: &[(Var, Aggregate)],
+    one: One<S>,
+) -> Relation<S> {
+    let laid_out = in_layout_order(rel, nest);
+    nest.iter().fold(laid_out, |out, &(v, op)| one(&out, v, op))
+}
+
+/// Same schema, same rows, and values `same` finds identical (`==`, or
+/// `to_bits` on a float carrier).
+fn assert_same<S: Semiring>(
+    got: &Relation<S>,
+    want: &Relation<S>,
+    same: fn(&S, &S) -> bool,
+    what: &str,
+) {
+    assert_eq!(got.schema(), want.schema(), "{what}: schema");
+    assert_eq!(
+        got.tuples().collect::<Vec<_>>(),
+        want.tuples().collect::<Vec<_>>(),
+        "{what}: rows"
+    );
+    for ((t, g), w) in got.iter().zip(want.iter().map(|(_, w)| w)) {
+        assert!(same(g, w), "{what}: {t:?} ↦ {g:?}, reference {w:?}");
+    }
+}
+
+/// Races `many` (`aggregate_out_many` or its lattice twin) against
+/// [`ref_aggregate_out_many`] on one random relation: arity 1–5,
+/// columns in a random order, up to 60 draws from a domain of 1–3, a
+/// random subset of the variables — none to all — private, each with an
+/// operator drawn from `ops`.
+fn check_nest<S: Semiring>(
+    seed: u64,
+    ops: &[Aggregate],
+    value_of: impl FnMut(&mut StdRng) -> S,
+    many: Many<S>,
+    one: One<S>,
+    same: fn(&S, &S) -> bool,
+) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let arity = rng.random_range(1..6usize);
+    let mut schema: Vec<u32> = (0..arity as u32).collect();
+    for i in (1..arity).rev() {
+        schema.swap(i, rng.random_range(0..=i));
+    }
+    let (n, domain) = (rng.random_range(0..60), rng.random_range(1..4));
+    let rel: Relation<S> = random_rel(&schema, n, domain, &mut rng, value_of);
+    let mut nest: Nest = (0..arity as u32)
+        .rev()
+        .filter_map(|v| {
+            let op = ops[rng.random_range(0..ops.len())];
+            rng.random_bool(0.6).then_some((Var(v), op))
+        })
+        .collect();
+
+    let want = ref_aggregate_out_many(&rel, &nest, one);
+    let got = many(rel.clone(), &nest);
+    assert_canonical(&got, "aggregate_out_many");
+    assert_same(&got, &want, same, "one scan vs per-variable loop");
+
+    // The same relation presented in layout order (no regroup) and with
+    // its columns rotated (another regroup) folds to the same values.
+    let laid_out = many(in_layout_order(&rel, &nest), &nest);
+    assert_same(&laid_out, &want, same, "presented in layout order");
+    let mut rotated = rel.schema().to_vec();
+    rotated.rotate_left(1);
+    let rotated = many(rel.reorder(&rotated), &nest);
+    assert_same(&rotated.reorder(want.schema()), &want, same, "rotated");
+
+    // A nest variable the schema does not list was aggregated out
+    // earlier: skipped, wherever it stands in the nest.
+    nest.insert(rng.random_range(0..=nest.len()), (Var(9), ops[0]));
+    assert_same(&many(rel, &nest), &want, same, "absent variable");
+}
+
+/// [`check_nest`] for the plain entry point: mixed `Sum`/`Product`
+/// nests over any semiring.
+fn check_plain_nest<S: Semiring>(
+    seed: u64,
+    value_of: impl FnMut(&mut StdRng) -> S,
+    same: fn(&S, &S) -> bool,
+) {
+    let ops = [Aggregate::Sum, Aggregate::Product];
+    let (many, one) = (Relation::aggregate_out_many, Relation::aggregate_out);
+    check_nest(seed, &ops, value_of, many, one, same);
+}
+
 /// Schemas for the single-relation properties: unary, binary, ternary,
 /// and a variable order that is not ascending.
 const SOLO_SCHEMAS: &[&[u32]] = &[&[0], &[0, 1], &[1, 0, 2], &[2, 0]];
@@ -346,9 +461,10 @@ fn check_ops<S: Semiring>(
     let own = a.build_index(&shared);
     assert_eq!(a.semijoin_probed(&own, &b), sj, "probed semijoin");
 
-    // Project onto every suffix/prefix/single-var subset of a's schema.
+    // Project onto every suffix/prefix/single-var subset of a's schema,
+    // and (`k = 0`) onto nothing: the nullary total.
     let schema = a.schema().to_vec();
-    for k in 1..=schema.len() {
+    for k in 0..=schema.len() {
         let prefix = &schema[..k];
         let p = a.project(prefix);
         assert_canonical(&p, "project prefix");
@@ -423,6 +539,35 @@ proptest! {
                 a.project(&rest)
             );
         }
+    }
+
+    #[test]
+    fn aggregate_out_many_matches_per_variable_loop(seed: u64) {
+        // Count(0) and false draws: rows that are never listed.
+        check_plain_nest::<Count>(seed, |r| Count(r.random_range(0..3)), |a, b| a == b);
+        check_plain_nest::<Boolean>(seed, |r| Boolean(r.random_bool(0.8)), |a, b| a == b);
+        // 1 ⊕ 1 = 0: a Sum level's partial cancels and is dropped
+        // before the Product level above it can see a zero.
+        check_plain_nest::<Gf2>(seed, |_| Gf2(true), |a, b| a == b);
+        check_plain_nest::<MinPlus>(
+            seed,
+            |r| MinPlus::new(r.random_range(0..16) as f64),
+            |a, b| a == b,
+        );
+        // Non-dyadic weights: every fold order rounds differently.
+        check_plain_nest::<Prob>(
+            seed,
+            |r| Prob(r.random_range(1..1000) as f64 / 1000.3),
+            |a, b| a.0.to_bits() == b.0.to_bits(),
+        );
+        check_nest::<Count>(
+            seed,
+            &[Aggregate::Sum, Aggregate::Product, Aggregate::Max, Aggregate::Min],
+            |r| Count(r.random_range(0..3)),
+            Relation::aggregate_out_many_lattice,
+            Relation::aggregate_out_lattice,
+            |a, b| a == b,
+        );
     }
 
     #[test]
@@ -511,4 +656,52 @@ proptest! {
         let split = a.split(parts);
         prop_assert_eq!(Relation::union_all(&split), a);
     }
+}
+
+#[test]
+fn aggregate_out_many_edge_cases() {
+    let sum = |ids: &[u32]| -> Nest { ids.iter().map(|&i| (Var(i), Aggregate::Sum)).collect() };
+    let rel: Relation<Count> = Relation::from_pairs(
+        vars(&[1, 0, 2]),
+        [
+            (vec![0, 1, 0], Count(2)),
+            (vec![0, 1, 1], Count(3)),
+            (vec![1, 0, 0], Count(5)),
+        ],
+    );
+
+    // No private variable — an empty nest, or one naming only variables
+    // the schema does not list: the input itself, not a copy.
+    let arena = rel.tuple_at(0).as_ptr();
+    let same = rel.clone().aggregate_out_many(&[]);
+    assert_eq!(same, rel);
+    let moved = rel.clone();
+    let moved_arena = moved.tuple_at(0).as_ptr();
+    let moved = moved.aggregate_out_many(&sum(&[7, 5]));
+    assert_eq!(
+        moved.tuple_at(0).as_ptr(),
+        moved_arena,
+        "returned without a copy"
+    );
+    assert_ne!(moved_arena, arena, "the clone has its own arena");
+
+    // All private: the nullary total, whatever the column order.
+    let total = rel.clone().aggregate_out_many(&sum(&[2, 1, 0]));
+    assert!(total.schema().is_empty());
+    assert_eq!(total.total(), Count(10));
+    assert_eq!(total, rel.project(&[]));
+
+    // Empty relation: empty result over the kept columns, in and out of
+    // layout order.
+    let empty: Relation<Count> = Relation::new(vars(&[1, 0, 2]));
+    for nest in [sum(&[2]), sum(&[1]), sum(&[2, 1, 0])] {
+        let out = empty.clone().aggregate_out_many(&nest);
+        assert!(out.is_empty());
+        assert_eq!(out.schema().len(), 3 - nest.len());
+    }
+
+    // Kept columns keep their schema order.
+    let kept = rel.aggregate_out_many(&sum(&[2]));
+    assert_eq!(kept.schema(), vars(&[1, 0]));
+    assert_eq!(kept.get(&[0, 1]), Some(&Count(5)));
 }

@@ -1,13 +1,19 @@
 #!/usr/bin/env bash
-# scripts/check-one-pass.sh — guards "one upward pass" (ROADMAP item 2).
+# scripts/check-one-pass.sh — guards "one upward pass" (ROADMAP item 2)
+# and its one-scan push-down (ROADMAP item 6).
 #
 # Fails when more than one non-test source file under
 # crates/{core,exec,protocols}/src lowers a bag by BagOp (destructures
 # `BagOp::GenericJoin`) or calls `generic_join(`: the Theorem G.3
-# skeleton in faqs-core is the only place allowed to. Then prints the
-# non-test src/ line total of those three crates and of the whole
-# workspace (src/ + crates/*/src) — per file, the lines before the first
-# `#[cfg(test)]` — the numbers a simplifying PR reports.
+# skeleton in faqs-core is the only place allowed to. Fails, too, when a
+# non-test, non-comment line there uses the single-variable
+# `aggregate_out` / `aggregate_out_lattice` outside the independent
+# oracles (core/src/brute.rs, protocols/src/degenerate.rs): the pass
+# pushes a whole nest down with `aggregate_out_many`, and a per-variable
+# loop must not come back beside it. Then prints the non-test src/ line
+# total of those three crates and of the whole workspace (src/ +
+# crates/*/src) — per file, the lines before the first `#[cfg(test)]` —
+# the numbers a simplifying PR reports.
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 
@@ -16,7 +22,9 @@ nontest_lines() {
 }
 
 crates=(core exec protocols)
+oracles=(crates/core/src/brute.rs crates/protocols/src/degenerate.rs)
 sites=()
+per_variable=()
 total=0
 for crate in "${crates[@]}"; do
     lines=0
@@ -25,6 +33,11 @@ for crate in "${crates[@]}"; do
         lines=$((lines + n))
         if head -n "$n" "$file" | grep -Eq 'BagOp::GenericJoin[[:space:]]*\{|(^|[^_[:alnum:]])generic_join\('; then
             sites+=("$file")
+        fi
+        if [[ " ${oracles[*]} " != *" $file "* ]] && head -n "$n" "$file" |
+            grep -Ev '^[[:space:]]*//' |
+            grep -Eq '(\.|::)aggregate_out(_lattice)?([^_[:alnum:]]|$)'; then
+            per_variable+=("$file")
         fi
     done < <(find "crates/$crate/src" -name '*.rs' | sort)
     printf '%-10s %5d\n' "$crate" "$lines"
@@ -42,5 +55,10 @@ printf 'bag-lowering sites: %d\n' "${#sites[@]}"
 printf '  %s\n' "${sites[@]}"
 if [ "${#sites[@]}" -ne 1 ]; then
     echo "expected exactly one file to lower bags by BagOp" >&2
+    exit 1
+fi
+if [ "${#per_variable[@]}" -ne 0 ]; then
+    printf 'single-variable aggregate_out outside the oracles:\n' >&2
+    printf '  %s\n' "${per_variable[@]}" >&2
     exit 1
 fi
