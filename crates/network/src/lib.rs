@@ -18,7 +18,7 @@
 //!   (Definition 3.12) by store-and-forward simulation,
 //! * [`NetRun`], a capacity-respecting transmission scheduler: protocol
 //!   implementations issue `transmit(from, to, bits, ready_at)` calls and
-//!   the scheduler pipelines them FIFO per directed link, yielding exact
+//!   the scheduler fits them first-fit per directed link, yielding exact
 //!   round counts under Model 2.1's constraints,
 //! * [`Assignment`] of input functions to players (`K ⊆ V`),
 //! * pluggable [`Transport`]s — the causal simulator, in-process
@@ -40,7 +40,7 @@ pub use assignment::Assignment;
 pub use cuts::{max_flow, min_cut, min_cut_between, min_cut_partition};
 pub use flow::{route_to_sink, tau_mcf, SourceLoad};
 pub use sim::{NetRun, RunStats, TransmitError};
-pub use steiner::{best_delta, steiner_packing, SteinerTree};
+pub use steiner::{best_delta, steiner_packing, DeltaPackings, SteinerTree};
 pub use topology::{LinkId, Player, Topology};
 pub use transport::{
     ChannelTransport, Delivery, SimTransport, TcpTransport, Transport, TransportKind, WireStats,

@@ -3,12 +3,26 @@
 //!
 //! Protocol implementations issue [`NetRun::transmit`] calls: "starting
 //! no earlier than round `ready_at`, move `bits` from `from` to `to`
-//! across their link". The scheduler queues transmissions FIFO per
-//! directed link, lets every link direction carry up to its capacity per
-//! round (any subset of edges may communicate simultaneously, as the
-//! model allows), and reports the round at which the message has fully
-//! arrived. Pipelined protocols emerge naturally: a relay that receives
-//! a tuple at round `t` forwards it with `ready_at = t + 1`.
+//! across their link". The scheduler is *first-fit* per directed link:
+//! a message takes the free capacity of the earliest rounds `≥ ready_at`
+//! in call order, splitting across partly used rounds — so a later call
+//! with an earlier `ready_at` back-fills capacity an earlier call left
+//! free; it is not a FIFO queue. Every link direction carries up to its
+//! capacity per round (any subset of edges may communicate
+//! simultaneously, as the model allows), and the scheduler reports the
+//! round at which the message has fully arrived. Pipelined protocols
+//! emerge naturally: a relay that receives a tuple at round `t` forwards
+//! it with `ready_at = t + 1`.
+//!
+//! Cost: per directed link the schedule keeps the partly used rounds in
+//! a hash map and the completely full rounds as maximal runs in an
+//! ordered map, so a transmission skips any stretch of full rounds in
+//! one `O(log runs)` lookup. It visits only rounds it takes bits from,
+//! and every visit but its last fills that round for good:
+//! `⌈bits/capacity⌉ + 1` visits at most when the rounds it finds are
+//! empty, `transmissions + full rounds` visits over a whole run in any
+//! case, `O(log runs)` each — independent of how long the link has
+//! been busy and of how late `ready_at` is.
 //!
 //! Causality is the caller's contract: a payload may only be sent with
 //! `ready_at` after the round the sender learned it (the protocols in
@@ -19,7 +33,8 @@
 //! `ready_at` violations ([`TransmitError::CausalityViolation`]).
 
 use crate::topology::{LinkId, Player, Topology};
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashMap};
 
 /// Error from an impossible transmission request.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -28,8 +43,8 @@ pub enum TransmitError {
     NotAdjacent(Player, Player),
     /// The link is administratively down ([`Topology::set_capacity`] to
     /// `0`): it can carry no bits in any round. Before this variant a
-    /// zero-capacity request span forever inside the FIFO fill loop —
-    /// the stall is now an explicit, testable error.
+    /// zero-capacity request span forever inside the fill loop — the
+    /// stall is now an explicit, testable error.
     ZeroCapacity(LinkId),
     /// No positive-capacity route connects the two players (they may
     /// still be connected through down links).
@@ -84,15 +99,75 @@ pub struct RunStats {
     pub transmissions: u64,
 }
 
-/// One directed link's schedule: bits already reserved per round.
+/// One directed link's schedule: which rounds still have free capacity.
 #[derive(Default, Clone)]
 struct LinkSchedule {
-    used: HashMap<u64, u64>,
-    /// Largest round `F` such that every round in `1..=F` is completely
-    /// full — lets sequential FIFO fills skip the saturated prefix, so a
-    /// stream of same-`ready_at` transmissions costs amortised O(1)
-    /// rounds scanned each.
-    full_prefix: u64,
+    /// Bits reserved in each round with `0 < used < capacity`.
+    partial: HashMap<u64, u64>,
+    /// Maximal runs of completely full rounds, `first → last`: no two
+    /// runs overlap or touch.
+    full: BTreeMap<u64, u64>,
+}
+
+impl LinkSchedule {
+    /// The earliest round `≥ round` that is not completely full.
+    fn next_open(&self, round: u64) -> u64 {
+        match self.full.range(..=round).next_back() {
+            Some((_, &last)) if last >= round => last + 1,
+            _ => round,
+        }
+    }
+
+    /// Records that `round` just became full, merging it with the runs
+    /// ending at `round − 1` and starting at `round + 1`.
+    fn close(&mut self, round: u64) {
+        let last = self.full.remove(&(round + 1)).unwrap_or(round);
+        match self.full.range_mut(..round).next_back() {
+            Some((_, before)) if *before + 1 == round => *before = last,
+            _ => {
+                self.full.insert(round, last);
+            }
+        }
+    }
+
+    /// First-fit reservation of `bits > 0` on a link of capacity `cap`:
+    /// takes the free capacity of the earliest rounds `≥ start`.
+    /// Returns the last round used and how many rounds were visited —
+    /// every one of them gave bits, and all but the last are now full.
+    fn reserve(&mut self, cap: u64, start: u64, bits: u64) -> (u64, u64) {
+        let (mut round, mut remaining, mut visited) = (start, bits, 0);
+        loop {
+            round = self.next_open(round);
+            visited += 1;
+            let filled = match self.partial.entry(round) {
+                Entry::Occupied(mut used) => {
+                    let take = (cap - *used.get()).min(remaining);
+                    remaining -= take;
+                    *used.get_mut() += take;
+                    let filled = *used.get() == cap;
+                    if filled {
+                        used.remove();
+                    }
+                    filled
+                }
+                Entry::Vacant(unused) => {
+                    let take = cap.min(remaining);
+                    remaining -= take;
+                    if take < cap {
+                        unused.insert(take);
+                    }
+                    take == cap
+                }
+            };
+            if filled {
+                self.close(round);
+            }
+            if remaining == 0 {
+                return (round, visited);
+            }
+            round += 1;
+        }
+    }
 }
 
 /// A protocol run on a topology: accepts transmissions and accounts
@@ -134,11 +209,16 @@ impl<'a> NetRun<'a> {
     }
 
     /// Schedules `bits` from `from` to its neighbour `to`, starting no
-    /// earlier than `ready_at` (≥ 1), FIFO behind earlier traffic on the
-    /// same directed link. Returns the round at the end of which the
-    /// message has fully arrived (the receiver may use it from the next
-    /// round). Zero-bit messages arrive instantly at
-    /// `ready_at.max(1) − 1`, modelling "nothing to say".
+    /// earlier than `ready_at` (≥ 1), first-fit on the directed link:
+    /// the message takes whatever capacity earlier calls left free in
+    /// the earliest rounds `≥ ready_at`, so it queues behind earlier
+    /// traffic from the same round on but may back-fill an earlier gap.
+    /// Returns the round at the end of which the message has fully
+    /// arrived (the receiver may use it from the next round). Zero-bit
+    /// messages arrive instantly at `ready_at.max(1) − 1`, modelling
+    /// "nothing to say". Visits only the rounds it takes bits from, at
+    /// `O(log runs)` each, however many full rounds lie between
+    /// `ready_at` and the first free one (see the module docs).
     pub fn transmit(
         &mut self,
         from: Player,
@@ -202,28 +282,9 @@ impl<'a> NetRun<'a> {
         self.stats.total_bits += bits;
         self.link_bits[link.index()] += bits;
 
-        let mut round = start.max(sched.full_prefix + 1);
-        let mut remaining = bits;
-        loop {
-            let used = sched.used.entry(round).or_insert(0);
-            let free = cap - *used;
-            if free > 0 {
-                let take = free.min(remaining);
-                *used += take;
-                remaining -= take;
-                if *used == cap && round == sched.full_prefix + 1 {
-                    sched.full_prefix = round;
-                    while sched.used.get(&(sched.full_prefix + 1)) == Some(&cap) {
-                        sched.full_prefix += 1;
-                    }
-                }
-                if remaining == 0 {
-                    self.stats.rounds = self.stats.rounds.max(round);
-                    return Ok(round);
-                }
-            }
-            round += 1;
-        }
+        let (round, _visited) = sched.reserve(cap, start, bits);
+        self.stats.rounds = self.stats.rounds.max(round);
+        Ok(round)
     }
 
     /// Sends `bits` from `from` to an arbitrary (possibly distant)
@@ -452,7 +513,7 @@ mod tests {
     #[test]
     fn zero_capacity_link_is_an_error_not_a_stall() {
         // Regression: a zero-capacity link used to spin forever in the
-        // FIFO fill loop. It must now fail fast, for any bit count —
+        // fill loop. It must now fail fast, for any bit count —
         // a down link carries nothing, not even empty messages.
         let mut g = Topology::line(2).with_uniform_capacity(4);
         g.set_capacity(LinkId(0), 0);
@@ -536,6 +597,49 @@ mod tests {
         let done = run.send_along_path(&nodes, &links, 16, 1).unwrap();
         assert_eq!(done, 4 + 2);
         assert_eq!(run.stats().total_bits, 16 * 3, "every hop is charged");
+    }
+
+    #[test]
+    fn closing_a_round_bridges_the_runs_on_either_side() {
+        let g = Topology::line(2).with_uniform_capacity(4);
+        let mut run = NetRun::new(&g);
+        let mut send = |bits, at| run.transmit(Player(0), Player(1), bits, at).unwrap();
+        assert_eq!(send(4, 1), 1);
+        assert_eq!(send(4, 3), 3);
+        assert_eq!(send(1, 2), 2, "a partial round between two full ones");
+        // Back-fill from round 1: three bits close round 2, two spill
+        // past the bridged run into round 4.
+        assert_eq!(send(5, 1), 4);
+        let sched = &run.schedules[0][0];
+        assert_eq!(sched.full, BTreeMap::from([(1, 3)]), "one run, 1 → 3");
+        assert_eq!(sched.partial, HashMap::from([(4, 2)]));
+        assert_eq!(run.stats().rounds, 4);
+    }
+
+    #[test]
+    fn a_busy_link_costs_one_visit_per_chunk_not_one_per_full_round() {
+        // Four messages of 256 capacity-sized chunks over one link, all
+        // learned at round 300 — `send_along_path`'s chunk loop, chunk
+        // `i` ready at `301 + i`. Every message after the first finds
+        // 256·m full rounds behind each chunk's start; probing them one
+        // by one cost 256, 512, 768 lookups per chunk.
+        let cap = 16;
+        let mut sched = LinkSchedule::default();
+        for message in 0..4 {
+            for chunk in 0..256 {
+                let (done, visited) = sched.reserve(cap, 301 + chunk, cap);
+                assert_eq!(done, 301 + 256 * message + chunk);
+                assert_eq!(visited, 1, "message {message}, chunk {chunk}");
+            }
+        }
+        assert_eq!(sched.full, BTreeMap::from([(301, 300 + 4 * 256)]));
+        assert!(sched.partial.is_empty());
+        // Sub-capacity chunks split across two rounds: still two visits.
+        for chunk in 0..64 {
+            let (_, visited) = sched.reserve(cap, 301 + chunk, cap - 1);
+            assert!(visited <= 2, "chunk {chunk}: {visited} visits");
+        }
+        assert_eq!(sched.full.len(), 1, "still one run");
     }
 
     #[test]

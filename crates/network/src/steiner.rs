@@ -17,6 +17,7 @@
 
 use crate::topology::{LinkId, Player, Topology};
 use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::iter;
 
 /// An edge-disjoint Steiner tree of a packing.
 #[derive(Clone, Debug)]
@@ -169,33 +170,49 @@ pub fn steiner_packing(g: &Topology, k: &[Player], delta: u32) -> Vec<SteinerTre
     packing
 }
 
-/// Evaluates the paper's recurring bound
-/// `min_Δ ( N / ST(G,K,Δ) + Δ )` (Theorem 3.11's shape), returning
-/// `(delta, packing)` for the minimising Δ. `work = N` in tuple units.
+/// The packings behind the paper's recurring bound
+/// `min_Δ ( N / ST(G,K,Δ) + Δ )` (Theorem 3.11's shape) for one
+/// `(G, K)`: every candidate Δ — 1, 2, 3, 4, 8, …, then the unbounded
+/// `|V|` — packed once, so any number of `work` values (one per factor
+/// of a run, plus the conformance oracle's `N`) share the packing work.
+pub struct DeltaPackings {
+    /// `(Δ, packing)` in candidate order, non-empty packings only.
+    candidates: Vec<(u32, Vec<SteinerTree>)>,
+}
+
+impl DeltaPackings {
+    /// Packs every candidate Δ for terminals `k` on `g`.
+    pub fn new(g: &Topology, k: &[Player]) -> Self {
+        let max_delta = (g.num_players() as u32).max(1);
+        let bounded = iter::successors(Some(1), |&d| Some(if d < 4 { d + 1 } else { d * 2 }));
+        let candidates = bounded
+            .take_while(|&delta| delta < max_delta)
+            // Always evaluate the unbounded case too.
+            .chain([max_delta])
+            .map(|delta| (delta, steiner_packing(g, k, delta)))
+            .filter(|(_, packing)| !packing.is_empty())
+            .collect();
+        DeltaPackings { candidates }
+    }
+
+    /// `(delta, packing)` for the first Δ minimising
+    /// `⌈work / ST⌉ + Δ`; `work = N` in tuple units.
+    pub fn best(&self, work: u64) -> (u32, &[SteinerTree]) {
+        let (delta, packing) = self
+            .candidates
+            .iter()
+            .min_by_key(|(delta, packing)| work.div_ceil(packing.len() as u64) + *delta as u64)
+            .expect("connected topology always packs one tree");
+        (*delta, packing)
+    }
+}
+
+/// [`DeltaPackings::best`] for a single `work`: `(delta, packing)` for
+/// the minimising Δ.
 pub fn best_delta(g: &Topology, k: &[Player], work: u64) -> (u32, Vec<SteinerTree>) {
-    let mut best: Option<(u64, u32, Vec<SteinerTree>)> = None;
-    let max_delta = (g.num_players() as u32).max(1);
-    let mut delta = 1;
-    while delta <= max_delta {
-        let packing = steiner_packing(g, k, delta);
-        if !packing.is_empty() {
-            let rounds = work.div_ceil(packing.len() as u64) + delta as u64;
-            if best.as_ref().map(|(r, _, _)| rounds < *r).unwrap_or(true) {
-                best = Some((rounds, delta, packing));
-            }
-        }
-        delta = if delta < 4 { delta + 1 } else { delta * 2 };
-    }
-    // Always evaluate the unbounded case too.
-    let packing = steiner_packing(g, k, max_delta);
-    if !packing.is_empty() {
-        let rounds = work.div_ceil(packing.len() as u64) + max_delta as u64;
-        if best.as_ref().map(|(r, _, _)| rounds < *r).unwrap_or(true) {
-            best = Some((rounds, max_delta, packing));
-        }
-    }
-    let (_, delta, packing) = best.expect("connected topology always packs one tree");
-    (delta, packing)
+    let packings = DeltaPackings::new(g, k);
+    let (delta, packing) = packings.best(work);
+    (delta, packing.to_vec())
 }
 
 /// Candidate: nearest-neighbour path through all terminals over
@@ -418,6 +435,75 @@ mod tests {
         assert!(packing_large.len() >= 2);
         let (delta_small, _) = best_delta(&g, &k, 1);
         assert!(delta_small <= 2);
+    }
+
+    /// `best_delta` as it was before [`DeltaPackings`]: every candidate
+    /// Δ re-packed per call, the unbounded case always packed again.
+    fn repacking_best_delta(g: &Topology, k: &[Player], work: u64) -> (u32, Vec<SteinerTree>) {
+        let mut best: Option<(u64, u32, Vec<SteinerTree>)> = None;
+        let max_delta = (g.num_players() as u32).max(1);
+        let mut consider = |delta: u32| {
+            let packing = steiner_packing(g, k, delta);
+            if !packing.is_empty() {
+                let rounds = work.div_ceil(packing.len() as u64) + delta as u64;
+                if best.as_ref().map(|(r, _, _)| rounds < *r).unwrap_or(true) {
+                    best = Some((rounds, delta, packing));
+                }
+            }
+        };
+        let mut delta = 1;
+        while delta <= max_delta {
+            consider(delta);
+            delta = if delta < 4 { delta + 1 } else { delta * 2 };
+        }
+        consider(max_delta);
+        let (_, delta, packing) = best.expect("connected topology always packs one tree");
+        (delta, packing)
+    }
+
+    #[test]
+    fn delta_packings_answer_every_work_like_a_fresh_best_delta() {
+        let links = |p: &[SteinerTree]| p.iter().map(|t| t.links().to_vec()).collect::<Vec<_>>();
+        for (g, subsets) in [
+            (
+                Topology::line(4),
+                vec![vec![0, 3], vec![0, 1, 2, 3], vec![1, 2]],
+            ),
+            (
+                Topology::ring(6),
+                vec![vec![0, 3], vec![0, 2, 4], vec![0, 1, 2, 3, 4, 5]],
+            ),
+            (
+                Topology::star(5),
+                vec![vec![1, 2], vec![0, 4], vec![0, 1, 2, 3, 4]],
+            ),
+            (
+                Topology::grid(3, 3),
+                vec![vec![0, 8], vec![0, 2, 6, 8], (0..9).collect()],
+            ),
+            (
+                Topology::clique(6),
+                vec![vec![0, 1], vec![0, 2, 4], (0..6).collect()],
+            ),
+        ] {
+            for ids in subsets {
+                let k = players(&ids);
+                let packings = DeltaPackings::new(&g, &k);
+                for work in [1, 8, 64, 1_000_000] {
+                    let (want_delta, want) = repacking_best_delta(&g, &k, work);
+                    let (delta, packing) = packings.best(work);
+                    let what = format!("{} K = {ids:?} work = {work}", g.name());
+                    assert_eq!(delta, want_delta, "{what}");
+                    assert_eq!(links(packing), links(&want), "{what}");
+                    let (delta, packing) = best_delta(&g, &k, work);
+                    assert_eq!(
+                        (delta, links(&packing)),
+                        (want_delta, links(&want)),
+                        "{what}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! `predicted_rounds` companions of measured runs.
 
 use faqs_hypergraph::internal_node_width;
-use faqs_network::{best_delta, min_cut, tau_mcf, Player, Topology};
+use faqs_network::{min_cut, tau_mcf, DeltaPackings, Player, Topology};
 use faqs_relation::FaqQuery;
 use faqs_semiring::Semiring;
 
@@ -49,6 +49,18 @@ impl BoundReport {
     /// Evaluates the bound formulas for computing `q` on `g` with
     /// players `k`.
     pub fn evaluate<S: Semiring>(q: &FaqQuery<S>, g: &Topology, k: &[Player]) -> Self {
+        Self::evaluate_with(q, g, k, None)
+    }
+
+    /// [`BoundReport::evaluate`] reusing Steiner packings the caller
+    /// already holds for this `(g, k)` (a distributed run's own);
+    /// `None` packs afresh.
+    pub(crate) fn evaluate_with<S: Semiring>(
+        q: &FaqQuery<S>,
+        g: &Topology,
+        k: &[Player],
+        packings: Option<&DeltaPackings>,
+    ) -> Self {
         let report = internal_node_width(&q.hypergraph);
         let y = report.y;
         let n2 = report.n2();
@@ -73,8 +85,11 @@ impl BoundReport {
             };
         }
         let mc = min_cut(g, k).max(1);
-        let (delta, packing) = best_delta(g, k, n);
-        let st = packing.len().max(1);
+        let pick = |packings: &DeltaPackings| {
+            let (delta, packing) = packings.best(n);
+            (delta, packing.len().max(1))
+        };
+        let (delta, st) = packings.map_or_else(|| pick(&DeltaPackings::new(g, k)), pick);
         let per_star = n.div_ceil(st as u64) + delta as u64;
         let forest_rounds = (y as u64) * per_star;
         // Acyclic single-tree queries are star-peeled all the way to the

@@ -45,7 +45,7 @@ use crate::outcome::ProtocolError;
 use faqs_core::{CalProbe, Pass, PassSite, QueryPlan, Timed};
 use faqs_hypergraph::{EdgeId, NodeId, Var};
 use faqs_network::{
-    best_delta, Assignment, ChannelTransport, Player, RunStats, SimTransport, TcpTransport,
+    Assignment, ChannelTransport, DeltaPackings, Player, RunStats, SimTransport, TcpTransport,
     Topology, Transport, TransportKind, WireStats,
 };
 use faqs_plan::{CalibrationRegistry, PlacementContext, PlannerConfig, QueryStats, StatsDigest};
@@ -53,7 +53,7 @@ use faqs_relation::{FaqQuery, JoinIndex, Relation};
 use faqs_semiring::{Aggregate, Semiring};
 use std::borrow::Cow;
 use std::cmp::Reverse;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// Which player holds which shard of each input factor (`K ⊆ V`
@@ -302,10 +302,12 @@ impl<'a, S: Semiring> DistributedFaqRun<'a, S> {
     /// `FAQS_NET_TRANSPORT` (default: the causal simulator). The result
     /// relation equals `faqs_core::solve_faq` on every input and every
     /// transport; the stats are the empirical side of
-    /// [`ConformanceReport`]. Real-transport runs additionally assert
-    /// their measured model bits against the simulator's upper envelope
-    /// and their wire bytes against [`WireConformance`] — the shadow
-    /// simulator acting as a live oracle over the real wire.
+    /// [`ConformanceReport`]. Real-transport runs additionally hold
+    /// their measured model bits to the simulator's upper envelope and
+    /// their wire bytes to [`WireConformance`] — the shadow simulator
+    /// acting as a live oracle over the real wire — and fail with
+    /// [`ProtocolError::BoundViolated`] /
+    /// [`ProtocolError::WireBoundViolated`] when either escapes.
     pub fn execute(&self) -> Result<DistributedOutcome<S>, ProtocolError> {
         match TransportKind::from_env() {
             TransportKind::Sim => self.execute_on(&mut SimTransport::new(&self.scaled)),
@@ -336,11 +338,13 @@ impl<'a, S: Semiring> DistributedFaqRun<'a, S> {
             agg: Relation::aggregate_out_many,
             probe: probe.as_ref(),
         };
+        let mut packings = Packings::new();
         let mut site = Routed {
             run: self,
             transport: &mut *transport,
             shards: &shards,
             node_player: &node_player,
+            packings: &mut packings,
         };
         let (result, ready) = pass.run(&mut site)?;
         let stats = transport.stats();
@@ -348,14 +352,28 @@ impl<'a, S: Semiring> DistributedFaqRun<'a, S> {
         if transport.carries_payload() {
             // Live oracle: a real-wire run that escapes the simulator's
             // envelope is a protocol bug, not a measurement to report.
-            let report = self.conformance(stats);
-            assert!(
-                report.within_upper(),
-                "real-transport run escaped the simulator envelope: measured {} > upper {}",
-                stats.total_bits,
-                report.upper_bits,
+            // `K` is usually the member set the gathers already packed.
+            let players = self.placement.players();
+            let report = ConformanceReport::evaluate_with(
+                self.q,
+                &self.scaled,
+                &players,
+                stats,
+                packings.get(&players),
             );
-            self.wire_conformance(&report, wire).assert_within_upper();
+            if !report.within_upper() {
+                return Err(ProtocolError::BoundViolated {
+                    measured_bits: stats.total_bits,
+                    upper_bits: report.upper_bits,
+                });
+            }
+            let wire_report = self.wire_conformance(&report, wire);
+            if !wire_report.within_upper() {
+                return Err(ProtocolError::WireBoundViolated {
+                    measured_bits: wire.wire_bits(),
+                    upper_bits: wire_report.upper_wire_bits,
+                });
+            }
         }
         Ok(DistributedOutcome {
             result,
@@ -483,15 +501,17 @@ impl<'a, S: Semiring> DistributedFaqRun<'a, S> {
     /// `to` — across an edge-disjoint Steiner packing when several
     /// holders converge (shards round-robin over the trees), along a
     /// shortest live path otherwise — and reassembles the factor there.
-    /// On payload transports every remote shard travels as an encoded
-    /// frame and the reassembly unions the *decoded* bytes; local shards
-    /// never touch the wire.
+    /// The packing comes from `packings`, which packs each distinct
+    /// member set once per execution. On payload transports every remote
+    /// shard travels as an encoded frame and the reassembly unions the
+    /// *decoded* bytes; local shards never touch the wire.
     fn gather_factor<T: Transport + ?Sized>(
         &self,
         e: EdgeId,
         to: Player,
         transport: &mut T,
         shards: &[Vec<(Player, Relation<S>)>],
+        packings: &mut Packings,
     ) -> Result<(Relation<S>, u64), ProtocolError> {
         let parts = &shards[e.index()];
         let domain = self.q.domain;
@@ -515,42 +535,39 @@ impl<'a, S: Semiring> DistributedFaqRun<'a, S> {
             }
             Ok(d.arrived_at)
         };
-        let mut routed = false;
         if remote.len() >= 2 && self.all_links_live {
+            // At least one remote holder plus `to`: two or more members.
             let mut members: Vec<Player> = remote.iter().map(|(p, _)| *p).collect();
             members.push(to);
             members.sort_unstable();
             members.dedup();
-            if members.len() >= 2 {
-                let cap_min = self
-                    .scaled
-                    .links()
-                    .map(|l| self.scaled.capacity(l))
-                    .min()
-                    .unwrap_or(1)
-                    .max(1);
-                let total_bits: u64 = remote.iter().map(|(_, r)| r.bits(domain)).sum();
-                let (_delta, packing) =
-                    best_delta(&self.scaled, &members, total_bits.div_ceil(cap_min));
-                if !packing.is_empty() {
-                    for (i, (p, rel)) in remote.iter().enumerate() {
-                        let tree = &packing[i % packing.len()];
-                        let (nodes, links) = tree.path(*p, to).expect("terminals are spanned");
-                        let frame = if transport.carries_payload() {
-                            rel.encode_frame()
-                        } else {
-                            Vec::new()
-                        };
-                        let d = transport
-                            .send_along_path(&nodes, &links, &frame, rel.bits(domain), 1)
-                            .map_err(|e| ProtocolError::Unreachable(e.to_string()))?;
-                        ready = ready.max(deliver(d, &mut received)?);
-                    }
-                    routed = true;
-                }
+            let cap_min = self
+                .scaled
+                .links()
+                .map(|l| self.scaled.capacity(l))
+                .min()
+                .unwrap_or(1)
+                .max(1);
+            let total_bits: u64 = remote.iter().map(|(_, r)| r.bits(domain)).sum();
+            if !packings.contains_key(&members) {
+                let packed = DeltaPackings::new(&self.scaled, &members);
+                packings.insert(members.clone(), packed);
             }
-        }
-        if !routed {
+            let (_delta, packing) = packings[&members].best(total_bits.div_ceil(cap_min));
+            for (i, (p, rel)) in remote.iter().enumerate() {
+                let tree = &packing[i % packing.len()];
+                let (nodes, links) = tree.path(*p, to).expect("terminals are spanned");
+                let frame = if transport.carries_payload() {
+                    rel.encode_frame()
+                } else {
+                    Vec::new()
+                };
+                let d = transport
+                    .send_along_path(&nodes, &links, &frame, rel.bits(domain), 1)
+                    .map_err(|e| ProtocolError::Unreachable(e.to_string()))?;
+                ready = ready.max(deliver(d, &mut received)?);
+            }
+        } else {
             for (p, rel) in &remote {
                 let frame = if transport.carries_payload() {
                     rel.encode_frame()
@@ -583,6 +600,11 @@ impl<'a, S: Semiring> DistributedFaqRun<'a, S> {
     }
 }
 
+/// The Steiner packings one execution has built, by (sorted) member
+/// set. A hash-split placement gathers every factor over one set, and
+/// the live oracle's `K` is usually that set too, so a run packs once.
+type Packings = BTreeMap<Vec<Player>, DeltaPackings>;
+
 /// The routed site of the upward pass: each GHD node is evaluated at
 /// its aggregation player, factors are gathered from their shard
 /// holders, and messages travel the transport with causal ready rounds.
@@ -593,6 +615,7 @@ struct Routed<'r, 'a, S: Semiring, T: Transport + ?Sized> {
     transport: &'r mut T,
     shards: &'r [Vec<(Player, Relation<S>)>],
     node_player: &'r [Player],
+    packings: &'r mut Packings,
 }
 
 impl<S: Semiring, T: Transport + ?Sized> PassSite<S> for Routed<'_, '_, S, T> {
@@ -609,9 +632,13 @@ impl<S: Semiring, T: Transport + ?Sized> PassSite<S> for Routed<'_, '_, S, T> {
         let mut ready = 0u64;
         let mut gathered = Vec::new();
         for step in pass.plan.joins(node) {
-            let (factor, arrived) =
-                self.run
-                    .gather_factor(step.edge, me, self.transport, self.shards)?;
+            let (factor, arrived) = self.run.gather_factor(
+                step.edge,
+                me,
+                self.transport,
+                self.shards,
+                self.packings,
+            )?;
             ready = ready.max(arrived);
             gathered.push(Cow::Owned(factor));
         }
@@ -722,7 +749,19 @@ impl ConformanceReport {
         players: &[Player],
         stats: RunStats,
     ) -> Self {
-        let bound = BoundReport::evaluate(q, g, players);
+        Self::evaluate_with(q, g, players, stats, None)
+    }
+
+    /// [`ConformanceReport::evaluate`] on Steiner packings the run
+    /// already holds for `(g, players)`; `None` packs afresh.
+    fn evaluate_with<S: Semiring>(
+        q: &FaqQuery<S>,
+        g: &Topology,
+        players: &[Player],
+        stats: RunStats,
+        packings: Option<&DeltaPackings>,
+    ) -> Self {
+        let bound = BoundReport::evaluate_with(q, g, players, packings);
         let (lower_bits, upper_bits) = if players.len() < 2 {
             (0, 0)
         } else {
@@ -798,20 +837,6 @@ impl WireConformance {
     /// Whether the measured wire bits stay inside the envelope.
     pub fn within_upper(&self) -> bool {
         self.wire.wire_bits() <= self.upper_wire_bits
-    }
-
-    /// Panics with the full ledger unless [`WireConformance::within_upper`].
-    pub fn assert_within_upper(&self) {
-        assert!(
-            self.within_upper(),
-            "wire conformance violated: measured {} bits > upper {} \
-             (frames {}, blowup {}, header {} bits/frame)",
-            self.wire.wire_bits(),
-            self.upper_wire_bits,
-            self.wire.frames,
-            self.blowup,
-            self.header_bits_per_frame,
-        );
     }
 }
 

@@ -13,6 +13,24 @@ pub enum ProtocolError {
     /// the core (the engine's restriction applies to the distributed
     /// protocols identically).
     Engine(String),
+    /// A real-transport run moved more Model 2.1 bits than the paper's
+    /// upper envelope for its query, topology and player set allows —
+    /// the live conformance oracle's verdict (a protocol bug, not a
+    /// measurement to report).
+    BoundViolated {
+        /// The run's measured `RunStats::total_bits`.
+        measured_bits: u64,
+        /// `ConformanceReport::upper_bits` for the run.
+        upper_bits: u64,
+    },
+    /// The wire twin: the encoded frames outgrew the same envelope
+    /// translated into wire units (`WireConformance`).
+    WireBoundViolated {
+        /// The run's measured `WireStats::wire_bits`.
+        measured_bits: u64,
+        /// `WireConformance::upper_wire_bits` for the run.
+        upper_bits: u64,
+    },
 }
 
 impl std::fmt::Display for ProtocolError {
@@ -21,6 +39,20 @@ impl std::fmt::Display for ProtocolError {
             ProtocolError::Unreachable(s) => write!(f, "unreachable: {s}"),
             ProtocolError::Invalid(s) => write!(f, "invalid: {s}"),
             ProtocolError::Engine(s) => write!(f, "local computation: {s}"),
+            ProtocolError::BoundViolated {
+                measured_bits,
+                upper_bits,
+            } => write!(
+                f,
+                "bound violated: measured {measured_bits} model bits > upper envelope {upper_bits}"
+            ),
+            ProtocolError::WireBoundViolated {
+                measured_bits,
+                upper_bits,
+            } => write!(
+                f,
+                "wire bound violated: measured {measured_bits} wire bits > upper envelope {upper_bits}"
+            ),
         }
     }
 }

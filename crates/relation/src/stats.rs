@@ -7,8 +7,10 @@
 //! fast path). All three are gathered in a single pass over the
 //! canonical sorted arena: prefix counts fall out of comparing each row
 //! with its predecessor (equal prefixes are contiguous in a
-//! lexicographically sorted arena), and per-column distinct counts come
-//! from one small value-set per column filled during the same sweep.
+//! lexicographically sorted arena), and the same sweep records each
+//! non-leading column's value range, which decides how that column's
+//! distinct values are then counted — in a bitmap over the range when
+//! it is dense, by sorting a copy of the column when it is not.
 //!
 //! [`JoinIndex`]: crate::kernel::JoinIndex
 
@@ -16,7 +18,7 @@ use crate::delta::AppliedDelta;
 use crate::relation::Relation;
 use faqs_hypergraph::Var;
 use faqs_semiring::Semiring;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Per-relation statistics in the planner's vocabulary.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -70,12 +72,14 @@ impl RelationStats {
 impl<S: Semiring> Relation<S> {
     /// Gathers [`RelationStats`] in one pass over the sorted arena.
     /// Column 0's distinct count falls out of the prefix counter for
-    /// free (the arena is sorted on it); only columns `1..` pay a
-    /// value-set each.
+    /// free (the arena is sorted on it); columns `1..` are counted
+    /// exactly by [`Relation::distinct_in_column`] from the value range
+    /// the pass recorded.
     pub fn stats(&self) -> RelationStats {
         let arity = self.schema().len();
         let mut prefix_distinct = vec![0usize; arity];
-        let mut seen: Vec<HashSet<u32>> = vec![HashSet::new(); arity.saturating_sub(1)];
+        // (min, max) per column; column 0 needs none.
+        let mut range = vec![(u32::MAX, 0u32); arity];
         let mut prev: Option<&[u32]> = None;
         for t in self.tuples() {
             // First column where this row departs from its predecessor:
@@ -91,21 +95,47 @@ impl<S: Semiring> Relation<S> {
             for counter in prefix_distinct.iter_mut().skip(diverge) {
                 *counter += 1;
             }
-            for (set, &x) in seen.iter_mut().zip(t.iter().skip(1)) {
-                set.insert(x);
+            for ((lo, hi), &x) in range.iter_mut().zip(t).skip(1) {
+                *lo = (*lo).min(x);
+                *hi = (*hi).max(x);
             }
             prev = Some(t);
         }
         let mut distinct = Vec::with_capacity(arity);
         if arity > 0 {
             distinct.push(prefix_distinct[0]);
-            distinct.extend(seen.iter().map(HashSet::len));
+            distinct.extend((1..arity).map(|c| self.distinct_in_column(c, range[c])));
         }
         RelationStats {
             schema: self.schema().to_vec(),
             rows: self.len(),
             distinct,
             prefix_distinct,
+        }
+    }
+
+    /// Exact number of distinct values in column `c`, all of them in
+    /// `lo..=hi`: a bitmap over the range when it holds at most 64
+    /// values per row (at most one word per row), else a sorted copy of
+    /// the column with its runs counted.
+    fn distinct_in_column(&self, c: usize, (lo, hi): (u32, u32)) -> usize {
+        if self.is_empty() {
+            return 0;
+        }
+        let column = self.tuples().map(|t| t[c]);
+        let words = ((hi - lo) / 64) as usize + 1;
+        if words <= self.len() {
+            let mut bits = vec![0u64; words];
+            for x in column {
+                let off = x - lo;
+                bits[(off / 64) as usize] |= 1 << (off % 64);
+            }
+            bits.iter().map(|w| w.count_ones() as usize).sum()
+        } else {
+            let mut sorted: Vec<u32> = column.collect();
+            sorted.sort_unstable();
+            sorted.dedup();
+            sorted.len()
         }
     }
 }

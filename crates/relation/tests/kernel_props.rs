@@ -2,10 +2,11 @@
 //! join, semijoin and projection operators must agree with a naive
 //! nested-loop reference on random relations, across semirings with
 //! different zero/duplicate behaviour (`Count`, `Boolean`, `MinPlus`).
-//! The block-copy delta merge, the sorted-prefix selection and the
-//! one-scan nest aggregation are raced against the row-at-a-time /
-//! index-sweep / per-variable algorithms they replaced, kept here as
-//! references.
+//! The block-copy delta merge, the sorted-prefix selection, the
+//! one-scan nest aggregation and the bitmap / sorted-copy distinct
+//! counts of `Relation::stats` are raced against the row-at-a-time /
+//! index-sweep / per-variable / hash-set algorithms they replaced, kept
+//! here as references.
 
 use faqs_hypergraph::Var;
 use faqs_relation::{Aggregate, DeltaOp, Relation, RelationDelta};
@@ -13,6 +14,7 @@ use faqs_semiring::{Boolean, Count, Gf2, MinPlus, Prob, Semiring};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::HashSet;
 
 /// Schema pairs exercising every key shape: full overlap, partial
 /// overlap at prefix and non-prefix positions, disjoint (cartesian),
@@ -476,8 +478,55 @@ fn check_ops<S: Semiring>(
     }
 }
 
+/// `Relation::stats` as it was: one value set per column and one set of
+/// prefixes per length.
+fn ref_stats<S: Semiring>(rel: &Relation<S>) -> (Vec<usize>, Vec<usize>) {
+    let arity = rel.schema().len();
+    let distinct = |c: usize| rel.tuples().map(|t| t[c]).collect::<HashSet<u32>>().len();
+    let prefixes = |l: usize| rel.tuples().map(|t| &t[..l]).collect::<HashSet<_>>().len();
+    (
+        (0..arity).map(distinct).collect(),
+        (1..=arity).map(prefixes).collect(),
+    )
+}
+
+fn assert_stats_match<S: Semiring>(rel: &Relation<S>, what: &str) {
+    let stats = rel.stats();
+    let (distinct, prefix_distinct) = ref_stats(rel);
+    assert_eq!(stats.rows, rel.len(), "{what}");
+    assert_eq!(stats.distinct, distinct, "{what}: distinct");
+    assert_eq!(stats.prefix_distinct, prefix_distinct, "{what}: prefixes");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn stats_match_hash_set_reference(
+        seed: u64,
+        arity in 1usize..5,
+        n in 0usize..120,
+        // Dense ranges count in a bitmap, sparse ones (more than 64
+        // values per row) in a sorted copy; `spread` reaches both, and
+        // `high` pushes the values against `u32::MAX`.
+        spread in 0u32..4,
+        high: bool,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let domain = [3, 64, 10_000, u32::MAX][spread as usize];
+        let schema: Vec<u32> = (0..arity as u32).collect();
+        let pairs: Vec<(Vec<u32>, Count)> = (0..n)
+            .map(|_| {
+                let t = schema.iter().map(|_| {
+                    let x = rng.random_range(0..domain);
+                    if high { u32::MAX - x } else { x }
+                });
+                (t.collect(), Count(1))
+            })
+            .collect();
+        let rel = Relation::from_pairs(vars(&schema), pairs);
+        assert_stats_match(&rel, &format!("arity {arity}, n {n}, domain {domain}, high {high}"));
+    }
 
     #[test]
     fn counting_kernel_matches_reference(
@@ -656,6 +705,35 @@ proptest! {
         let split = a.split(parts);
         prop_assert_eq!(Relation::union_all(&split), a);
     }
+}
+
+#[test]
+fn stats_edge_cases() {
+    for arity in 1..=4u32 {
+        let schema: Vec<u32> = (0..arity).collect();
+        let empty: Relation<Count> = Relation::new(vars(&schema));
+        assert_stats_match(&empty, "empty");
+        assert_eq!(empty.stats().distinct, vec![0; arity as usize]);
+        for x in [0, 7, u32::MAX] {
+            let row = Relation::from_pairs(vars(&schema), [(vec![x; arity as usize], Count(1))]);
+            assert_stats_match(&row, "single row");
+            assert_eq!(row.stats().distinct, vec![1; arity as usize]);
+        }
+    }
+    // One column spanning the whole of `u32` beside a dense one: the
+    // choice is per column.
+    let mixed = Relation::from_pairs(
+        vars(&[0, 1, 2]),
+        (0..50u32).map(|i| (vec![i % 3, i.wrapping_mul(0x9E37_79B9), i % 7], Count(1))),
+    );
+    assert_stats_match(&mixed, "sparse and dense columns");
+    // A dense column that fills its bitmap's last word exactly.
+    let full = Relation::from_pairs(
+        vars(&[0, 1]),
+        (0..128u32).map(|i| (vec![0, u32::MAX - i], Count(1))),
+    );
+    assert_stats_match(&full, "whole words");
+    assert_eq!(full.stats().distinct, vec![1, 128]);
 }
 
 #[test]

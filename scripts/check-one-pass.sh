@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# scripts/check-one-pass.sh — guards "one upward pass" (ROADMAP item 2)
-# and its one-scan push-down (ROADMAP item 6).
+# scripts/check-one-pass.sh — guards "one upward pass" (ROADMAP item 2),
+# its one-scan push-down (ROADMAP item 6) and one Steiner packing per
+# distributed run and member set (issue 18).
 #
 # Fails when more than one non-test source file under
 # crates/{core,exec,protocols}/src lowers a bag by BagOp (destructures
@@ -10,7 +11,11 @@
 # `aggregate_out` / `aggregate_out_lattice` outside the independent
 # oracles (core/src/brute.rs, protocols/src/degenerate.rs): the pass
 # pushes a whole nest down with `aggregate_out_many`, and a per-variable
-# loop must not come back beside it. Then prints the non-test src/ line
+# loop must not come back beside it. Fails, too, when a non-test,
+# non-comment line of crates/protocols/src/distributed.rs calls
+# `best_delta(`: the run packs each member set once (`DeltaPackings`)
+# and asks it per factor; a per-factor re-packing must not come back.
+# Then prints the non-test src/ line
 # total of those three crates and of the whole workspace (src/ +
 # crates/*/src) — per file, the lines before the first `#[cfg(test)]` —
 # the numbers a simplifying PR reports.
@@ -60,5 +65,12 @@ fi
 if [ "${#per_variable[@]}" -ne 0 ]; then
     printf 'single-variable aggregate_out outside the oracles:\n' >&2
     printf '  %s\n' "${per_variable[@]}" >&2
+    exit 1
+fi
+runtime=crates/protocols/src/distributed.rs
+if head -n "$(nontest_lines "$runtime")" "$runtime" |
+    grep -Ev '^[[:space:]]*//' |
+    grep -En '(^|[^_[:alnum:]])best_delta\(' >&2; then
+    echo "$runtime packs per call: use the run's DeltaPackings" >&2
     exit 1
 fi
