@@ -21,29 +21,22 @@
 
 use faqs_hypergraph::Var;
 use faqs_relation::{FaqQuery, Relation};
-use faqs_semiring::{Aggregate, LatticeOps, Semiring};
-
-/// One push-down aggregation step `⊕_{x_v} rel`.
-type AggFn<'a, S> = &'a dyn Fn(&Relation<S>, Var, Aggregate) -> Relation<S>;
+use faqs_semiring::Semiring;
 
 /// Evaluates the query by exhaustive enumeration: materialise every
 /// satisfying assignment of the join, then aggregate the bound variables
 /// innermost-first with their declared operators.
 ///
 /// Exponential in `|V|` — intended as the oracle for tests and tiny
-/// experiments. `Max`/`Min` aggregates are rejected; use
-/// [`solve_faq_brute_force_lattice`].
+/// experiments. Panics on an invalid query, and on an aggregate the
+/// carrier does not admit: Equation (4) is not defined for it.
 pub fn solve_faq_brute_force<S: Semiring>(q: &FaqQuery<S>) -> Relation<S> {
-    brute(q, &|rel, var, op| rel.aggregate_out(var, op))
-}
-
-/// [`solve_faq_brute_force`] accepting all four aggregate operators.
-pub fn solve_faq_brute_force_lattice<S: LatticeOps>(q: &FaqQuery<S>) -> Relation<S> {
-    brute(q, &|rel, var, op| rel.aggregate_out_lattice(var, op))
-}
-
-fn brute<S: Semiring>(q: &FaqQuery<S>, agg: AggFn<'_, S>) -> Relation<S> {
     q.validate().expect("brute force requires a valid query");
+    let mut bound: Vec<Var> = q.bound_vars();
+    for v in &bound {
+        let op = q.aggregates[v.index()];
+        assert!(S::admits(op), "{op:?} on {v} is not legal over {}", S::NAME);
+    }
     let n = q.hypergraph.num_vars();
     let d = q.domain as u64;
 
@@ -95,11 +88,10 @@ fn brute<S: Semiring>(q: &FaqQuery<S>, agg: AggFn<'_, S>) -> Relation<S> {
     let join = Relation::<S>::from_columns(all_vars, data, values);
 
     // Aggregate bound variables innermost (highest index) first.
-    let mut bound: Vec<Var> = q.bound_vars();
     bound.sort_unstable_by(|a, b| b.cmp(a));
     let mut rel = join;
     for v in bound {
-        rel = agg(&rel, v, q.aggregates[v.index()]);
+        rel = rel.aggregate_out(v, q.aggregates[v.index()]);
     }
     if rel.schema() != q.free_vars.as_slice() {
         rel = rel.reorder(&q.free_vars);

@@ -7,34 +7,28 @@
 //! search, `EngineError` itself) are re-exported below under their old
 //! names.
 
-use crate::pass::{AggFn, Pass, Sequential};
+use crate::pass::{Pass, Sequential};
 use crate::plan::QueryPlan;
 use faqs_plan::{ChosenPlan, PlannerConfig};
 use faqs_relation::{FaqQuery, Relation};
-use faqs_semiring::{Boolean, LatticeOps, Semiring};
+use faqs_semiring::{Boolean, Semiring};
 
 pub use faqs_plan::{
     check_push_down, decomposition_covering_free_vars, decomposition_for_free_vars, ghd_for_query,
     EngineError,
 };
 
-/// Solves a general FAQ with `Sum`/`Product` aggregates (Equation 4) by
-/// the upward pass of Theorem G.3, on the plan chosen by `faqs-plan`
-/// (statistics-driven by default; `FAQS_PLAN_DISABLE_STATS=1` falls
-/// back to the structural width-minimising GHD). Returns the result
-/// relation over the free variables (for `F = ∅`: a nullary relation
-/// whose single annotation is the scalar answer — [`Relation::total`]
-/// extracts it).
+/// Solves a general FAQ (Equation 4) by the upward pass of Theorem
+/// G.3, on the plan chosen by `faqs-plan` (statistics-driven by default;
+/// `FAQS_PLAN_DISABLE_STATS=1` falls back to the structural
+/// width-minimising GHD). Every bound variable's aggregate must be one
+/// the carrier admits ([`Semiring::admits`]); any other is refused with
+/// [`EngineError::RefusedAggregate`]. Returns the result relation over
+/// the free variables (for `F = ∅`: a nullary relation whose single
+/// annotation is the scalar answer — [`Relation::total`] extracts it).
 pub fn solve_faq<S: Semiring>(q: &FaqQuery<S>) -> Result<Relation<S>, EngineError> {
-    let plan = faqs_plan::plan_query(q, false, &PlannerConfig::default())?;
-    solve_planned(q, plan, Relation::aggregate_out_many)
-}
-
-/// [`solve_faq`] for lattice-capable semirings: additionally accepts
-/// `Max`/`Min` aggregates.
-pub fn solve_faq_lattice<S: LatticeOps>(q: &FaqQuery<S>) -> Result<Relation<S>, EngineError> {
-    let plan = faqs_plan::plan_query(q, true, &PlannerConfig::default())?;
-    solve_planned(q, plan, Relation::aggregate_out_many_lattice)
+    let plan = faqs_plan::plan_query_calibrated(q, &PlannerConfig::default(), None, None, 1.0)?;
+    solve_planned(q, plan)
 }
 
 /// A deterministic full re-solve for differential testing: always
@@ -44,15 +38,13 @@ pub fn solve_faq_lattice<S: LatticeOps>(q: &FaqQuery<S>) -> Result<Relation<S>, 
 /// maintained answers are raced against, immune to
 /// `FAQS_PLAN_DISABLE_STATS` and to digest drift.
 pub fn solve_faq_reference<S: Semiring>(q: &FaqQuery<S>) -> Result<Relation<S>, EngineError> {
-    let plan = faqs_plan::plan_query(q, false, &PlannerConfig::structural())?;
-    solve_planned(q, plan, Relation::aggregate_out_many)
+    let plan = faqs_plan::plan_query_calibrated(q, &PlannerConfig::structural(), None, None, 1.0)?;
+    solve_planned(q, plan)
 }
 
 /// The upward pass on an explicit [`ChosenPlan`] — the entry point for
 /// callers that already planned (tests compare structural and
-/// stats-aware plans for bit-identical results). `agg` performs one
-/// push-down (Corollary G.2): [`Relation::aggregate_out_many`] or its
-/// lattice twin.
+/// stats-aware plans for bit-identical results).
 ///
 /// The plan must have been built by `faqs_plan::plan_query` for *this*
 /// query: planning already ran instance validation, free-variable
@@ -61,16 +53,14 @@ pub fn solve_faq_reference<S: Semiring>(q: &FaqQuery<S>) -> Result<Relation<S>, 
 pub fn solve_faq_with_plan<S: Semiring>(
     q: &FaqQuery<S>,
     plan: &ChosenPlan,
-    agg: AggFn<S>,
 ) -> Result<Relation<S>, EngineError> {
-    solve_planned(q, plan.clone(), agg)
+    solve_planned(q, plan.clone())
 }
 
 /// The one upward pass at the sequential site, on an owned plan.
 fn solve_planned<S: Semiring>(
     q: &FaqQuery<S>,
     plan: ChosenPlan,
-    agg: AggFn<S>,
 ) -> Result<Relation<S>, EngineError> {
     let root_chi = plan.ghd.chi(plan.ghd.root());
     if let Some(bad) = q.free_vars.iter().find(|v| !root_chi.contains(v)) {
@@ -80,7 +70,6 @@ fn solve_planned<S: Semiring>(
     let pass = Pass {
         q,
         plan: &plan,
-        agg,
         probe: None,
     };
     let Ok((result, _)) = pass.run(&mut Sequential);
@@ -343,21 +332,21 @@ mod tests {
     }
 
     #[test]
-    fn max_aggregate_requires_lattice_entry_point() {
+    fn aggregate_the_carrier_refuses_is_a_typed_error() {
+        // The carrier decides: ℝ≥0 admits `max`, not `min`.
         let h = star_query(2);
         let cfg = RandomInstanceConfig::default();
-        let q: FaqQuery<Prob> = faqs_relation::random_instance(&h, &cfg, vec![], |_| Prob(0.5))
-            .with_aggregate(Var(1), Aggregate::Max);
-        assert!(matches!(
-            solve_faq(&q),
-            Err(EngineError::NeedsLatticeOps(_))
-        ));
-        assert!(solve_faq_lattice(&q).is_ok());
+        let q: FaqQuery<Prob> = faqs_relation::random_instance(&h, &cfg, vec![], |_| Prob(0.5));
+        let min = q.clone().with_aggregate(Var(1), Aggregate::Min);
+        let err = solve_faq(&min).unwrap_err();
+        assert!(matches!(err, EngineError::RefusedAggregate(Var(1), _)));
+        let message = err.to_string();
+        assert!(message.contains("Min") && message.contains("probability"));
+        assert!(solve_faq(&q.with_aggregate(Var(1), Aggregate::Max)).is_ok());
     }
 
     #[test]
     fn mixed_sum_max_aggregates_match_brute_force() {
-        use crate::brute::solve_faq_brute_force_lattice;
         for seed in 0..20 {
             for h in [path_query(3), star_query(3), example_h2()] {
                 let cfg = RandomInstanceConfig {
@@ -382,9 +371,9 @@ mod tests {
                 // The engine either computes the right answer or cleanly
                 // rejects orders its push-down cannot realise — never
                 // silently wrong.
-                match solve_faq_lattice(&q) {
+                match solve_faq(&q) {
                     Ok(fast) => {
-                        let slow = solve_faq_brute_force_lattice(&q).total();
+                        let slow = solve_faq_brute_force(&q).total();
                         assert_eq!(fast.total(), slow, "seed {seed} h {h:?}");
                     }
                     Err(EngineError::IncompatibleAggregateOrder(_, _)) => {}

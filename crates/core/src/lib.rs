@@ -7,10 +7,10 @@
 //! the workspace, and a [`PassSite`] is what the executor, the
 //! incremental session and the distributed runtime plug into it.
 //!
-//! * [`solve_faq`] — general FAQ (Equation 4) with per-bound-variable
-//!   `Sum`/`Product` aggregates over any commutative semiring;
-//! * [`solve_faq_lattice`] — additionally supports `Max`/`Min` aggregates
-//!   on lattice-capable semirings;
+//! * [`solve_faq`] — general FAQ (Equation 4) over any commutative
+//!   semiring, each bound variable under any aggregate the carrier
+//!   admits (`Sum`/`Product` everywhere; `Max` where the carrier
+//!   declares it, [`faqs_semiring::Semiring::admits`]);
 //! * [`solve_bcq`] — Boolean Conjunctive Queries (`F = ∅`, Boolean
 //!   semiring);
 //! * [`solve_faq_brute_force`] — a direct evaluation of Equation (4) by
@@ -39,13 +39,11 @@ pub mod pgm;
 mod plan;
 mod yannakakis;
 
-pub use brute::{solve_faq_brute_force, solve_faq_brute_force_lattice};
+pub use brute::solve_faq_brute_force;
 pub use engine::{
     check_push_down, decomposition_covering_free_vars, decomposition_for_free_vars, ghd_for_query,
-    solve_bcq, solve_faq, solve_faq_lattice, solve_faq_reference, solve_faq_with_plan, EngineError,
+    solve_bcq, solve_faq, solve_faq_reference, solve_faq_with_plan, EngineError,
 };
-pub use pass::{
-    finish_root, push_down_message, AggFn, CalProbe, Pass, PassSite, Sequential, Timed,
-};
+pub use pass::{finish_root, push_down_message, CalProbe, Pass, PassSite, Sequential, Timed};
 pub use plan::{JoinStep, QueryPlan};
 pub use yannakakis::{natural_join, yannakakis_reduce};

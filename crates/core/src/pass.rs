@@ -13,18 +13,13 @@
 //! per-pass [`CalProbe`].
 
 use crate::plan::QueryPlan;
-use faqs_hypergraph::{NodeId, Var};
+use faqs_hypergraph::NodeId;
 use faqs_plan::{BagOp, CalibrationLog, CalibrationRegistry, Envelope, StatsDigest};
 use faqs_relation::{generic_join, FaqQuery, JoinIndex, Relation};
-use faqs_semiring::{Aggregate, Semiring};
+use faqs_semiring::Semiring;
 use std::borrow::Cow;
 use std::convert::Infallible;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-
-/// One push-down (Corollary G.2): a relation with a whole nest of
-/// variables aggregated out, innermost first —
-/// [`Relation::aggregate_out_many`] or its lattice twin.
-pub type AggFn<S> = fn(Relation<S>, &[(Var, Aggregate)]) -> Relation<S>;
 
 /// A relation and the round at whose end it is complete where it is
 /// (always `0` at sites that never touch a network).
@@ -36,8 +31,6 @@ pub struct Pass<'a, S: Semiring> {
     pub q: &'a FaqQuery<S>,
     /// The plan, built for `q`'s shape.
     pub plan: &'a QueryPlan,
-    /// The push-down step.
-    pub agg: AggFn<S>,
     /// The fold observer; `None` records nothing and never re-orders.
     pub probe: Option<&'a CalProbe<'a>>,
 }
@@ -110,7 +103,7 @@ impl<S: Semiring> Pass<'_, S> {
     pub fn run<X: PassSite<S>>(&self, site: &mut X) -> Result<Timed<Relation<S>>, X::Error> {
         let (root, ready) = self.subtree(site, self.plan.root())?;
         let root = root.unwrap_or_else(Relation::unit);
-        let answer = finish_root(self.q, self.plan, root, self.agg);
+        let answer = finish_root(self.q, self.plan, root);
         if let Some(probe) = self.probe {
             probe.flush();
         }
@@ -128,7 +121,7 @@ impl<S: Semiring> Pass<'_, S> {
     ) -> Result<Timed<Relation<S>>, X::Error> {
         let (sub, ready) = self.subtree(site, child)?;
         let sub = sub.expect("non-root GHD nodes carry a factor");
-        let message = push_down_message(self.plan, child, sub, self.agg);
+        let message = push_down_message(self.plan, child, sub);
         site.deliver(self, child, parent, message, ready)
     }
 
@@ -220,9 +213,8 @@ pub fn push_down_message<S: Semiring>(
     plan: &QueryPlan,
     node: NodeId,
     message: Relation<S>,
-    agg: AggFn<S>,
 ) -> Relation<S> {
-    let message = agg(message, plan.nest(node));
+    let message = message.aggregate_out_many(plan.nest(node));
     debug_assert!(
         plan.ghd.parent(node).is_some_and(|p| {
             let keep = plan.ghd.chi(p);
@@ -241,9 +233,8 @@ pub fn finish_root<S: Semiring>(
     q: &FaqQuery<S>,
     plan: &QueryPlan,
     result: Relation<S>,
-    agg: AggFn<S>,
 ) -> Relation<S> {
-    let result = agg(result, plan.nest(plan.root()));
+    let result = result.aggregate_out_many(plan.nest(plan.root()));
     if result.schema() == q.free_vars.as_slice() {
         result
     } else {
@@ -318,7 +309,7 @@ impl<'a> CalProbe<'a> {
 mod tests {
     use super::*;
     use crate::solve_faq_brute_force;
-    use faqs_hypergraph::{cycle_query, example_h2, path_query, star_query, Hypergraph};
+    use faqs_hypergraph::{cycle_query, example_h2, path_query, star_query, Hypergraph, Var};
     use faqs_plan::{plan_query, ChosenPlan, PlannerConfig, QueryStats};
     use faqs_relation::{random_instance, RandomInstanceConfig};
     use faqs_semiring::Count;
@@ -422,7 +413,6 @@ mod tests {
             let pass = Pass {
                 q: &q,
                 plan: &plan,
-                agg: Relation::aggregate_out_many,
                 probe: Some(&probe),
             };
             let mut site = Counting::default();

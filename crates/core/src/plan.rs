@@ -14,7 +14,7 @@
 use faqs_hypergraph::{EdgeId, Ghd, NodeId, Var};
 use faqs_plan::{BagOp, ChosenPlan, EngineError, PlacementContext, PlanCost, PlannerConfig};
 use faqs_relation::FaqQuery;
-use faqs_semiring::{Aggregate, LatticeOps, Semiring};
+use faqs_semiring::{Aggregate, Semiring};
 use std::cmp::Reverse;
 
 /// One step of a node's factor-join pipeline: absorb `edge`'s factor,
@@ -67,25 +67,16 @@ pub struct QueryPlan {
 }
 
 impl QueryPlan {
-    /// Builds and validates the plan for `q` with the default planner
-    /// configuration. `lattice` selects the entry point: `false`
-    /// mirrors `solve_faq` (rejects `Max`/`Min` on bound variables),
-    /// `true` mirrors `solve_faq_lattice`.
-    pub fn build<S: Semiring>(q: &FaqQuery<S>, lattice: bool) -> Result<QueryPlan, EngineError> {
-        Self::build_with(q, lattice, &PlannerConfig::default(), None)
-    }
-
-    /// [`QueryPlan::build`] with an explicit planner configuration and
-    /// an optional placement context (the distributed runtime scores
-    /// candidates on predicted shipped bits through the latter).
+    /// Builds and validates the plan for `q` under an explicit planner
+    /// configuration and an optional placement context (the distributed
+    /// runtime scores candidates on predicted shipped bits through the
+    /// latter).
     pub fn build_with<S: Semiring>(
         q: &FaqQuery<S>,
-        lattice: bool,
         planner: &PlannerConfig,
         placement: Option<&PlacementContext<'_>>,
     ) -> Result<QueryPlan, EngineError> {
-        let chosen = faqs_plan::plan_query_placed(q, lattice, planner, placement)?;
-        Ok(Self::lower(q, chosen))
+        Self::build_calibrated(q, planner, placement, None, 1.0)
     }
 
     /// [`QueryPlan::build_with`] under a calibration `correction` (and
@@ -93,14 +84,12 @@ impl QueryPlan {
     /// [`faqs_plan::CalibrationRegistry`] has learned this shape.
     pub fn build_calibrated<S: Semiring>(
         q: &FaqQuery<S>,
-        lattice: bool,
         planner: &PlannerConfig,
         placement: Option<&PlacementContext<'_>>,
         stats: Option<&faqs_plan::QueryStats>,
         correction: f64,
     ) -> Result<QueryPlan, EngineError> {
-        let chosen =
-            faqs_plan::plan_query_calibrated(q, lattice, planner, placement, stats, correction)?;
+        let chosen = faqs_plan::plan_query_calibrated(q, planner, placement, stats, correction)?;
         Ok(Self::lower(q, chosen))
     }
 
@@ -178,12 +167,6 @@ impl QueryPlan {
         }
     }
 
-    /// Convenience wrapper: the lattice entry point, typed to require
-    /// [`LatticeOps`] like `solve_faq_lattice` does.
-    pub fn build_lattice<S: LatticeOps>(q: &FaqQuery<S>) -> Result<QueryPlan, EngineError> {
-        Self::build(q, true)
-    }
-
     /// The root node.
     #[inline]
     pub fn root(&self) -> NodeId {
@@ -252,6 +235,10 @@ mod tests {
     use faqs_relation::{random_instance, RandomInstanceConfig};
     use faqs_semiring::{Aggregate, Count};
 
+    fn build<S: Semiring>(q: &FaqQuery<S>) -> Result<QueryPlan, EngineError> {
+        QueryPlan::build_with(q, &PlannerConfig::default(), None)
+    }
+
     fn inst(h: &faqs_hypergraph::Hypergraph, free: Vec<Var>, seed: u64) -> FaqQuery<Count> {
         random_instance(
             h,
@@ -269,7 +256,7 @@ mod tests {
     fn plan_join_keys_cover_shared_vars() {
         for h in [star_query(3), path_query(4), example_h2()] {
             let q = inst(&h, vec![], 7);
-            let plan = QueryPlan::build(&q, false).unwrap();
+            let plan = build(&q).unwrap();
             for node in plan.ghd.node_ids() {
                 let steps = plan.joins(node);
                 let mut acc: Vec<Var> = Vec::new();
@@ -301,7 +288,7 @@ mod tests {
         let q = bound
             .iter()
             .fold(q, |q, &v| q.with_aggregate(v, Aggregate::Max));
-        let plan = QueryPlan::build_with(&q, true, &PlannerConfig::structural(), None).unwrap();
+        let plan = QueryPlan::build_with(&q, &PlannerConfig::structural(), None).unwrap();
         let mut seen: Vec<(Var, Aggregate)> = Vec::new();
         for node in plan.ghd.node_ids() {
             let nest = plan.nest(node);
@@ -323,7 +310,7 @@ mod tests {
         };
         let free = vec![Var(2), Var(0)];
         let q: FaqQuery<Count> = random_instance(&cycle_query(3), &dense, free, |_| Count(1));
-        let plan = QueryPlan::build_with(&q, false, &PlannerConfig::stats(), None).unwrap();
+        let plan = QueryPlan::build_with(&q, &PlannerConfig::stats(), None).unwrap();
         let root = plan.root();
         let BagOp::GenericJoin { var_order } = plan.bag_op(root) else {
             panic!("the dense triangle lowers to one generic-join bag");
@@ -333,20 +320,22 @@ mod tests {
     }
 
     #[test]
-    fn plan_rejects_max_on_plain_entry_point() {
-        let q = inst(&star_query(2), vec![], 1).with_aggregate(Var(1), Aggregate::Max);
+    fn plan_rejects_an_aggregate_the_carrier_refuses() {
+        // The carrier decides: ℕ admits `max`, not `min`.
+        let q = inst(&star_query(2), vec![], 1);
+        let min = q.clone().with_aggregate(Var(1), Aggregate::Min);
         assert!(matches!(
-            QueryPlan::build(&q, false),
-            Err(EngineError::NeedsLatticeOps(_))
+            build(&min),
+            Err(EngineError::RefusedAggregate(Var(1), _))
         ));
-        assert!(QueryPlan::build_lattice(&q).is_ok());
+        assert!(build(&q.with_aggregate(Var(1), Aggregate::Max)).is_ok());
     }
 
     #[test]
     fn plan_rejects_unplaceable_free_vars() {
         let q = inst(&path_query(5), vec![Var(0), Var(5)], 1);
         assert!(matches!(
-            QueryPlan::build(&q, false),
+            build(&q),
             Err(EngineError::FreeVarsOutsideCore(_))
         ));
     }

@@ -36,7 +36,7 @@ use crate::executor::Executor;
 use faqs_core::EngineError;
 use faqs_hypergraph::Var;
 use faqs_relation::{FaqQuery, Relation};
-use faqs_semiring::{LatticeOps, Semiring};
+use faqs_semiring::Semiring;
 
 impl Executor {
     /// Answers one query shape at many bindings of the free variable
@@ -56,94 +56,71 @@ impl Executor {
         param: Var,
         bindings: &[u32],
     ) -> Result<Vec<Relation<S>>, EngineError> {
-        batched(q, param, bindings, |restricted| self.solve(restricted))
+        if param.index() >= q.hypergraph.num_vars() || !q.is_free(param) {
+            return Err(EngineError::Invalid(format!(
+                "batch parameter {param} must be a free variable of the query"
+            )));
+        }
+        if bindings.is_empty() {
+            return Ok(Vec::new());
+        }
+        let mut distinct = bindings.to_vec();
+        distinct.sort_unstable();
+        distinct.dedup();
+
+        // Restrict every param-carrying factor to the merged binding set;
+        // the rest of the instance is shared untouched.
+        let factors = q
+            .hypergraph
+            .edges()
+            .zip(&q.factors)
+            .map(|((_, edge), f)| {
+                if edge.contains(&param) {
+                    f.restrict_in(param, &distinct)
+                } else {
+                    f.clone()
+                }
+            })
+            .collect();
+        let merged = FaqQuery {
+            hypergraph: q.hypergraph.clone(),
+            factors,
+            free_vars: q.free_vars.clone(),
+            aggregates: q.aggregates.clone(),
+            domain: q.domain,
+        };
+
+        // One plan-cached pass for the whole batch (same shape as the
+        // single-binding traffic, so they share the cached plan).
+        let answer = self.solve(&merged)?;
+
+        // Slice the combined answer back per distinct binding in one sorted
+        // sweep, then fan duplicates out as cheap clones.
+        let schema = answer.schema().to_vec();
+        let mut slices: Vec<Relation<S>> = distinct
+            .iter()
+            .map(|_| Relation::new(schema.clone()))
+            .collect();
+        let idx = answer.build_index(&[param]);
+        idx.lookup_many(&distinct, |p, rows| {
+            slices[p] = Relation::from_pairs(
+                schema.clone(),
+                rows.iter().map(|&r| {
+                    (
+                        answer.tuple_at(r as usize).to_vec(),
+                        answer.value_at(r as usize).clone(),
+                    )
+                }),
+            );
+        });
+        Ok(bindings
+            .iter()
+            .map(|b| {
+                let p = distinct.binary_search(b).expect("binding in distinct set");
+                slices[p].clone()
+            })
+            .collect())
     }
-
-    /// [`Executor::solve_batch`] for lattice-capable semirings
-    /// (`Max`/`Min` aggregates), backed by [`Executor::solve_lattice`].
-    pub fn solve_batch_lattice<S: LatticeOps>(
-        &self,
-        q: &FaqQuery<S>,
-        param: Var,
-        bindings: &[u32],
-    ) -> Result<Vec<Relation<S>>, EngineError> {
-        batched(q, param, bindings, |restricted| {
-            self.solve_lattice(restricted)
-        })
-    }
-}
-
-/// The shared restrict → one solve → slice pipeline.
-fn batched<S: Semiring>(
-    q: &FaqQuery<S>,
-    param: Var,
-    bindings: &[u32],
-    solve: impl FnOnce(&FaqQuery<S>) -> Result<Relation<S>, EngineError>,
-) -> Result<Vec<Relation<S>>, EngineError> {
-    if param.index() >= q.hypergraph.num_vars() || !q.is_free(param) {
-        return Err(EngineError::Invalid(format!(
-            "batch parameter {param} must be a free variable of the query"
-        )));
-    }
-    if bindings.is_empty() {
-        return Ok(Vec::new());
-    }
-    let mut distinct = bindings.to_vec();
-    distinct.sort_unstable();
-    distinct.dedup();
-
-    // Restrict every param-carrying factor to the merged binding set;
-    // the rest of the instance is shared untouched.
-    let factors = q
-        .hypergraph
-        .edges()
-        .zip(&q.factors)
-        .map(|((_, edge), f)| {
-            if edge.contains(&param) {
-                f.restrict_in(param, &distinct)
-            } else {
-                f.clone()
-            }
-        })
-        .collect();
-    let merged = FaqQuery {
-        hypergraph: q.hypergraph.clone(),
-        factors,
-        free_vars: q.free_vars.clone(),
-        aggregates: q.aggregates.clone(),
-        domain: q.domain,
-    };
-
-    // One plan-cached pass for the whole batch (same shape as the
-    // single-binding traffic, so they share the cached plan).
-    let answer = solve(&merged)?;
-
-    // Slice the combined answer back per distinct binding in one sorted
-    // sweep, then fan duplicates out as cheap clones.
-    let schema = answer.schema().to_vec();
-    let mut slices: Vec<Relation<S>> = distinct
-        .iter()
-        .map(|_| Relation::new(schema.clone()))
-        .collect();
-    let idx = answer.build_index(&[param]);
-    idx.lookup_many(&distinct, |p, rows| {
-        slices[p] = Relation::from_pairs(
-            schema.clone(),
-            rows.iter().map(|&r| {
-                (
-                    answer.tuple_at(r as usize).to_vec(),
-                    answer.value_at(r as usize).clone(),
-                )
-            }),
-        );
-    });
-    Ok(bindings
-        .iter()
-        .map(|b| {
-            let p = distinct.binary_search(b).expect("binding in distinct set");
-            slices[p].clone()
-        })
-        .collect())
 }
 
 #[cfg(test)]
@@ -238,10 +215,10 @@ mod tests {
             crate::ExecutorConfig::default(),
             faqs_plan::PlannerConfig::structural(),
         );
-        let batch = ex.solve_batch_lattice(&base, param, &[0, 2, 4]).unwrap();
+        let batch = ex.solve_batch(&base, param, &[0, 2, 4]).unwrap();
         for (b, got) in [0u32, 2, 4].iter().zip(&batch) {
             let one = restricted(&base, param, *b);
-            assert_eq!(*got, ex.solve_lattice(&one).unwrap(), "binding {b}");
+            assert_eq!(*got, ex.solve(&one).unwrap(), "binding {b}");
         }
     }
 }

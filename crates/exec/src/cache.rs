@@ -141,7 +141,6 @@ impl PlanCache {
     pub fn get_or_build<S: Semiring>(
         &self,
         q: &FaqQuery<S>,
-        lattice: bool,
         planner: &PlannerConfig,
     ) -> Arc<Result<QueryPlan, EngineError>> {
         let digest = if planner.use_stats {
@@ -149,9 +148,7 @@ impl PlanCache {
         } else {
             None
         };
-        self.get_or_build_with(q, lattice, digest, || {
-            QueryPlan::build_with(q, lattice, planner, None)
-        })
+        self.get_or_build_with(q, digest, || QueryPlan::build_with(q, planner, None))
     }
 
     /// [`PlanCache::get_or_build`] with the digest supplied by the
@@ -175,11 +172,10 @@ impl PlanCache {
     pub fn get_or_build_with<S: Semiring>(
         &self,
         q: &FaqQuery<S>,
-        lattice: bool,
         digest: Option<StatsDigest>,
         build: impl FnOnce() -> Result<QueryPlan, EngineError>,
     ) -> Arc<Result<QueryPlan, EngineError>> {
-        let key = PlanKey::with_digest(q, lattice, digest);
+        let key = PlanKey::with_digest(q, digest);
         {
             let mut map = self.lock();
             let tick = self.tick();
@@ -226,12 +222,11 @@ impl PlanCache {
     pub fn get_or_build_fresh<S: Semiring>(
         &self,
         q: &FaqQuery<S>,
-        lattice: bool,
         digest: Option<StatsDigest>,
         fresh: impl Fn(&QueryPlan) -> bool,
         build: impl FnOnce() -> Result<QueryPlan, EngineError>,
     ) -> Arc<Result<QueryPlan, EngineError>> {
-        let key = PlanKey::with_digest(q, lattice, digest);
+        let key = PlanKey::with_digest(q, digest);
         {
             let mut map = self.lock();
             let tick = self.tick();
@@ -350,9 +345,14 @@ mod tests {
     use super::*;
     use faqs_hypergraph::star_query;
     use faqs_relation::{random_instance, RandomInstanceConfig};
-    use faqs_semiring::Count;
+    use faqs_semiring::{Count, MinPlus};
 
     fn inst(seed: u64) -> FaqQuery<Count> {
+        inst_on(seed, Count(1))
+    }
+
+    /// The 3-star over any carrier, every listed value `one`.
+    fn inst_on<S: Semiring>(seed: u64, one: S) -> FaqQuery<S> {
         random_instance(
             &star_query(3),
             &RandomInstanceConfig {
@@ -361,7 +361,7 @@ mod tests {
                 seed,
             },
             vec![],
-            |_| Count(1),
+            |_| one.clone(),
         )
     }
 
@@ -370,16 +370,17 @@ mod tests {
         let planner = PlannerConfig::stats();
         let cache = PlanCache::new();
         assert_eq!(cache.stats().hits, 0);
-        let a = cache.get_or_build(&inst(1), false, &planner);
+        let a = cache.get_or_build(&inst(1), &planner);
         assert!(a.is_ok());
         assert_eq!(cache.stats().misses, 1);
         assert_eq!(cache.stats().hits, 0);
         // Same shape, same digest bucket, different data: a hit.
-        let _ = cache.get_or_build(&inst(2), false, &planner);
+        let _ = cache.get_or_build(&inst(2), &planner);
         assert_eq!(cache.stats().hits, 1);
         assert_eq!(cache.stats().entries, 1);
-        // Different entry point: a distinct shape.
-        let _ = cache.get_or_build(&inst(1), true, &planner);
+        // Same shape on a carrier that declares other capabilities: a
+        // distinct key.
+        let _ = cache.get_or_build(&inst_on(1, MinPlus::new(1.0)), &planner);
         assert_eq!(cache.stats().misses, 2);
         assert_eq!(cache.stats().entries, 2);
         cache.clear();
@@ -402,8 +403,8 @@ mod tests {
             true,
         );
         let skewed: FaqQuery<Boolean> = faqs_relation::skewed_star_instance(3, 8);
-        assert!(cache.get_or_build(&uniform, false, &planner).is_ok());
-        assert!(cache.get_or_build(&skewed, false, &planner).is_ok());
+        assert!(cache.get_or_build(&uniform, &planner).is_ok());
+        assert!(cache.get_or_build(&skewed, &planner).is_ok());
         assert_eq!(
             cache.stats().misses,
             2,
@@ -417,8 +418,8 @@ mod tests {
         );
         // Structural planning collapses both onto one key.
         let structural = PlannerConfig::structural();
-        let _ = cache.get_or_build(&uniform, false, &structural);
-        let _ = cache.get_or_build(&skewed, false, &structural);
+        let _ = cache.get_or_build(&uniform, &structural);
+        let _ = cache.get_or_build(&skewed, &structural);
         assert_eq!(cache.stats().misses, 3, "one structural-tier build");
         assert_eq!(cache.stats().hits, 1, "second structural call hits");
         let stats = cache.stats();
@@ -441,11 +442,11 @@ mod tests {
         let mut bad = inst(1);
         bad.domain = 1; // every listed tuple is now out of domain
         assert!(matches!(
-            *cache.get_or_build(&bad, false, &planner),
+            *cache.get_or_build(&bad, &planner),
             Err(EngineError::Invalid(_))
         ));
         assert_eq!(cache.stats().entries, 0, "Invalid must not be cached");
-        let good = cache.get_or_build(&inst(1), false, &planner);
+        let good = cache.get_or_build(&inst(1), &planner);
         assert!(good.is_ok(), "a valid same-shape instance must plan");
         assert_eq!(cache.stats().misses, 2, "the bad build was not reused");
     }
@@ -455,10 +456,10 @@ mod tests {
         use faqs_semiring::Aggregate;
         let planner = PlannerConfig::stats();
         let cache = PlanCache::new();
-        // Max on a bound variable fails the plain entry point no matter
+        // Min on a bound variable is refused by the carrier no matter
         // the data.
-        let bad = |seed: u64| inst(seed).with_aggregate(faqs_hypergraph::Var(1), Aggregate::Max);
-        assert!(cache.get_or_build(&bad(1), false, &planner).is_err());
+        let bad = |seed: u64| inst(seed).with_aggregate(faqs_hypergraph::Var(1), Aggregate::Min);
+        assert!(cache.get_or_build(&bad(1), &planner).is_err());
         assert_eq!(cache.stats().misses, 1);
         // A *differently-distributed* bad instance of the same shape
         // replays the structural negative entry instead of rebuilding.
@@ -472,8 +473,8 @@ mod tests {
             vec![],
             |_| Count(1),
         );
-        skewed_bad = skewed_bad.with_aggregate(faqs_hypergraph::Var(1), Aggregate::Max);
-        assert!(cache.get_or_build(&skewed_bad, false, &planner).is_err());
+        skewed_bad = skewed_bad.with_aggregate(faqs_hypergraph::Var(1), Aggregate::Min);
+        assert!(cache.get_or_build(&skewed_bad, &planner).is_err());
         assert_eq!(
             cache.stats().misses,
             1,
@@ -492,7 +493,7 @@ mod tests {
         // wedge the cache for later callers.
         let q = inst(1);
         let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            cache.get_or_build_with(&q, false, None, || panic!("builder exploded"))
+            cache.get_or_build_with(&q, None, || panic!("builder exploded"))
         }));
         assert!(panicked.is_err());
 
@@ -508,11 +509,11 @@ mod tests {
 
         // The next call must recover (clear once, serve fresh) instead
         // of propagating the poison panic to every future query.
-        let plan = cache.get_or_build(&inst(1), false, &planner);
+        let plan = cache.get_or_build(&inst(1), &planner);
         assert!(plan.is_ok());
         assert!(!cache.map.is_poisoned(), "poison cleared");
         assert_eq!(cache.stats().entries, 1);
-        let _ = cache.get_or_build(&inst(2), false, &planner);
+        let _ = cache.get_or_build(&inst(2), &planner);
         assert!(cache.stats().hits >= 1, "cache serves hits again");
     }
 
@@ -523,8 +524,8 @@ mod tests {
         let cache = PlanCache::with_capacity(4);
 
         // Pin one structural negative entry first.
-        let bad = inst(1).with_aggregate(faqs_hypergraph::Var(1), Aggregate::Max);
-        assert!(cache.get_or_build(&bad, false, &planner).is_err());
+        let bad = inst(1).with_aggregate(faqs_hypergraph::Var(1), Aggregate::Min);
+        assert!(cache.get_or_build(&bad, &planner).is_err());
 
         // Churn: many distinct shapes (star arity varies), each a fresh
         // positive entry. The map must stay at capacity + the pin.
@@ -539,7 +540,7 @@ mod tests {
                 vec![],
                 |_| Count(1),
             );
-            assert!(cache.get_or_build(&q, false, &planner).is_ok());
+            assert!(cache.get_or_build(&q, &planner).is_ok());
             assert!(
                 cache.stats().entries <= 4 + 1,
                 "cap exceeded: {} entries",
@@ -549,7 +550,7 @@ mod tests {
 
         // The pinned negative survived all the churn and still replays.
         let misses_before = cache.stats().misses;
-        assert!(cache.get_or_build(&bad, false, &planner).is_err());
+        assert!(cache.get_or_build(&bad, &planner).is_err());
         assert_eq!(
             cache.stats().misses,
             misses_before,
@@ -568,7 +569,7 @@ mod tests {
             |_| Count(1),
         );
         let misses_before = cache.stats().misses;
-        assert!(cache.get_or_build(&hot, false, &planner).is_ok());
+        assert!(cache.get_or_build(&hot, &planner).is_ok());
         assert_eq!(cache.stats().misses, misses_before, "hot entry retained");
     }
 }

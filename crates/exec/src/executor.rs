@@ -19,13 +19,13 @@
 //! output is bit-identical across thread counts.
 
 use crate::cache::{CacheStats, PlanCache};
-use faqs_core::{AggFn, CalProbe, EngineError, Pass, PassSite, QueryPlan, Timed};
+use faqs_core::{CalProbe, EngineError, Pass, PassSite, QueryPlan, Timed};
 use faqs_hypergraph::NodeId;
 use faqs_plan::{
     correction_fresh, CalibrationRegistry, CalibrationStats, PlannerConfig, QueryStats, StatsDigest,
 };
 use faqs_relation::{FaqQuery, JoinIndex, Relation};
-use faqs_semiring::{LatticeOps, Semiring};
+use faqs_semiring::Semiring;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -180,23 +180,6 @@ impl Executor {
         self.cache.stats()
     }
 
-    /// Solves a general FAQ with `Sum`/`Product` aggregates — the
-    /// executor-backed equivalent of [`faqs_core::solve_faq`], equal on
-    /// every input (sequential config runs the identical pass; parallel
-    /// configs only reorder commutative work).
-    pub fn solve<S: Semiring>(&self, q: &FaqQuery<S>) -> Result<Relation<S>, EngineError> {
-        self.solve_impl(q, false, Relation::aggregate_out_many)
-    }
-
-    /// [`Executor::solve`] for lattice-capable semirings: additionally
-    /// accepts `Max`/`Min` aggregates, like `solve_faq_lattice`.
-    pub fn solve_lattice<S: LatticeOps>(
-        &self,
-        q: &FaqQuery<S>,
-    ) -> Result<Relation<S>, EngineError> {
-        self.solve_impl(q, true, Relation::aggregate_out_many_lattice)
-    }
-
     /// Runs the upward pass on an explicitly supplied (possibly stale
     /// or deliberately mis-estimated) plan, bypassing the cache but
     /// keeping calibration telemetry and mid-flight re-planning live —
@@ -213,24 +196,23 @@ impl Executor {
             .calibration
             .is_enabled()
             .then(|| QueryStats::of(q).digest());
-        self.eval(q, plan, digest.as_ref(), Relation::aggregate_out_many)
+        self.eval(q, plan, digest.as_ref())
     }
 
-    fn solve_impl<S: Semiring>(
-        &self,
-        q: &FaqQuery<S>,
-        lattice: bool,
-        agg: AggFn<S>,
-    ) -> Result<Relation<S>, EngineError> {
+    /// Solves a general FAQ — the executor-backed equivalent of
+    /// [`faqs_core::solve_faq`], equal on every input (sequential config
+    /// runs the identical pass; parallel configs only reorder
+    /// commutative work), refusing the same aggregates.
+    pub fn solve<S: Semiring>(&self, q: &FaqQuery<S>) -> Result<Relation<S>, EngineError> {
         q.validate()
             .map_err(|e| EngineError::Invalid(e.to_string()))?;
         // Calibration needs the digest (its shape key), which only
         // stats-driven planning computes; structural mode stays the
         // exact pre-calibration path.
         if !self.calibration.is_enabled() || !self.planner.use_stats {
-            let plan = self.cache.get_or_build(q, lattice, &self.planner);
+            let plan = self.cache.get_or_build(q, &self.planner);
             let plan = plan.as_ref().as_ref().map_err(Clone::clone)?;
-            return self.eval(q, plan, None, agg);
+            return self.eval(q, plan, None);
         }
         let stats = QueryStats::of(q);
         let digest = stats.digest();
@@ -240,22 +222,12 @@ impl Executor {
         // `correction_fresh` hysteresis stops rebuild oscillation).
         let plan = self.cache.get_or_build_fresh(
             q,
-            lattice,
             Some(digest.clone()),
             |p| correction_fresh(p.correction(), correction),
-            || {
-                QueryPlan::build_calibrated(
-                    q,
-                    lattice,
-                    &self.planner,
-                    None,
-                    Some(&stats),
-                    correction,
-                )
-            },
+            || QueryPlan::build_calibrated(q, &self.planner, None, Some(&stats), correction),
         );
         let plan = plan.as_ref().as_ref().map_err(Clone::clone)?;
-        self.eval(q, plan, Some(&digest), agg)
+        self.eval(q, plan, Some(&digest))
     }
 
     /// Runs the one upward pass on a prebuilt plan at the [`Threaded`]
@@ -270,13 +242,11 @@ impl Executor {
         q: &FaqQuery<S>,
         plan: &QueryPlan,
         digest: Option<&StatsDigest>,
-        agg: AggFn<S>,
     ) -> Result<Relation<S>, EngineError> {
         let probe = digest.and_then(|d| CalProbe::new(&self.calibration, d, plan));
         let pass = Pass {
             q,
             plan,
-            agg,
             probe: probe.as_ref(),
         };
         let budget = AtomicUsize::new(self.cfg.threads.saturating_sub(1));
@@ -463,15 +433,19 @@ mod tests {
     #[test]
     fn cached_error_replays_without_rebuilding() {
         let ex = Executor::default();
-        let q = inst(1).with_aggregate(faqs_hypergraph::Var(1), Aggregate::Max);
+        let q = inst(1).with_aggregate(faqs_hypergraph::Var(1), Aggregate::Min);
         for _ in 0..3 {
-            assert!(matches!(ex.solve(&q), Err(EngineError::NeedsLatticeOps(_))));
+            assert!(matches!(
+                ex.solve(&q),
+                Err(EngineError::RefusedAggregate(..))
+            ));
         }
         let stats = ex.cache_stats();
         assert_eq!(stats.misses, 1, "negative entry cached");
         assert_eq!(stats.hits, 2);
-        // The lattice entry point is a different shape and succeeds.
-        assert!(ex.solve_lattice(&q).is_ok());
+        // An aggregate the carrier admits is a different shape and succeeds.
+        let q = inst(1).with_aggregate(faqs_hypergraph::Var(1), Aggregate::Max);
+        assert!(ex.solve(&q).is_ok());
         assert_eq!(ex.cache_stats().entries, 2);
     }
 
@@ -558,8 +532,7 @@ mod tests {
         // zero-width envelope long before the root folds its three
         // messages, so the sticky drift flag re-orders that fold — and
         // the answer must not move.
-        let stale =
-            QueryPlan::build_with(&spider(4), false, &PlannerConfig::stats(), None).unwrap();
+        let stale = QueryPlan::build_with(&spider(4), &PlannerConfig::stats(), None).unwrap();
         let q = spider(48);
         let expected = solve_faq(&q).unwrap();
         for threads in [1usize, 4] {
@@ -623,7 +596,7 @@ mod tests {
         let ex = Executor::with_planner(ExecutorConfig::sequential(), PlannerConfig::stats())
             .with_calibration(Arc::new(CalibrationRegistry::forced(0.0)));
         let q = inst(8);
-        let plan = QueryPlan::build_with(&q, false, &PlannerConfig::stats(), None).unwrap();
+        let plan = QueryPlan::build_with(&q, &PlannerConfig::stats(), None).unwrap();
         assert_eq!(ex.solve_on(&q, &plan).unwrap(), solve_faq(&q).unwrap());
         let stats = ex.calibration_stats();
         assert!(stats.samples > 0, "supplied-plan path still observes");

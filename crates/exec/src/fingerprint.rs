@@ -2,9 +2,9 @@
 //!
 //! Two FAQ instances share a plan exactly when they agree on everything
 //! the planner looks at: the hypergraph shape, the free variables, the
-//! per-bound-variable aggregates, the two semiring capabilities the
+//! per-bound-variable aggregates, the semiring capabilities the
 //! validity checks consult (`⊗`-idempotence gates product aggregates,
-//! and the lattice entry point additionally admits `Max`/`Min`) — and,
+//! and the carrier declares whether it admits `Max` / `Min`) — and,
 //! with statistics-driven planning, the coarse [`StatsDigest`] of the
 //! factor cardinalities. The digest is scale-invariant, so uniform
 //! traffic of one shape keeps colliding onto one plan, while skewed
@@ -35,27 +35,24 @@ pub struct PlanKey {
     aggregates: Vec<Aggregate>,
     /// `S::IDEMPOTENT_MUL` — gates the product-aggregate check.
     idempotent_mul: bool,
-    /// Whether the query entered through the lattice entry point
-    /// (`Max`/`Min` admitted) — plan validity differs between the two.
-    lattice: bool,
+    /// `S::admits(Max)` and `S::admits(Min)` — the aggregate check. A
+    /// cache shared across carriers must serve neither `Count`'s plan
+    /// for a `Max` query to `MinPlus` nor `MinPlus`'s refusal to `Count`.
+    admits_max: bool,
+    admits_min: bool,
     /// The statistics tier: `None` for pure-structural keys (stats
     /// disabled, and the tier negative entries live in).
     digest: Option<StatsDigest>,
 }
 
 impl PlanKey {
-    /// Fingerprints `q` structurally (no statistics tier) for the given
-    /// entry point.
-    pub fn of<S: Semiring>(q: &FaqQuery<S>, lattice: bool) -> PlanKey {
-        Self::with_digest(q, lattice, None)
+    /// Fingerprints `q` structurally (no statistics tier).
+    pub fn of<S: Semiring>(q: &FaqQuery<S>) -> PlanKey {
+        Self::with_digest(q, None)
     }
 
     /// Fingerprints `q` with an optional statistics digest.
-    pub fn with_digest<S: Semiring>(
-        q: &FaqQuery<S>,
-        lattice: bool,
-        digest: Option<StatsDigest>,
-    ) -> PlanKey {
+    pub fn with_digest<S: Semiring>(q: &FaqQuery<S>, digest: Option<StatsDigest>) -> PlanKey {
         PlanKey {
             num_vars: q.hypergraph.num_vars() as u32,
             edges: q
@@ -76,7 +73,8 @@ impl PlanKey {
                 })
                 .collect(),
             idempotent_mul: S::IDEMPOTENT_MUL,
-            lattice,
+            admits_max: S::admits(Aggregate::Max),
+            admits_min: S::admits(Aggregate::Min),
             digest,
         }
     }
@@ -100,9 +98,14 @@ mod tests {
     use super::*;
     use faqs_hypergraph::{star_query, Var};
     use faqs_relation::{random_instance, RandomInstanceConfig};
-    use faqs_semiring::{Boolean, Count};
+    use faqs_semiring::{Boolean, Count, MinPlus};
 
     fn q(seed: u64) -> FaqQuery<Count> {
+        on(seed, Count(1))
+    }
+
+    /// The 3-star over any carrier, every listed value `one`.
+    fn on<S: Semiring>(seed: u64, one: S) -> FaqQuery<S> {
         random_instance(
             &star_query(3),
             &RandomInstanceConfig {
@@ -111,27 +114,25 @@ mod tests {
                 seed,
             },
             vec![],
-            |_| Count(1),
+            |_| one.clone(),
         )
     }
 
     #[test]
     fn same_shape_different_data_collides() {
-        assert_eq!(PlanKey::of(&q(1), false), PlanKey::of(&q(2), false));
+        assert_eq!(PlanKey::of(&q(1)), PlanKey::of(&q(2)));
     }
 
     #[test]
     fn shape_changes_separate_keys() {
-        let base = PlanKey::of(&q(1), false);
+        let base = PlanKey::of(&q(1));
         // Different aggregates.
         let agg = q(1).with_aggregate(Var(1), Aggregate::Product);
-        assert_ne!(base, PlanKey::of(&agg, false));
+        assert_ne!(base, PlanKey::of(&agg));
         // Different free vars.
         let mut fv = q(1);
         fv.free_vars = vec![Var(0)];
-        assert_ne!(base, PlanKey::of(&fv, false));
-        // Different entry point.
-        assert_ne!(base, PlanKey::of(&q(1), true));
+        assert_ne!(base, PlanKey::of(&fv));
         // Different semiring capability (Boolean has idempotent ⊗).
         let qb: FaqQuery<Boolean> = faqs_relation::random_boolean_instance(
             &star_query(3),
@@ -142,22 +143,25 @@ mod tests {
             },
             true,
         );
-        assert_ne!(base, PlanKey::of(&qb, false));
+        assert_ne!(base, PlanKey::of(&qb));
+        // Same shape, same aggregates, same `⊗`-idempotence — but ℕ
+        // admits `max` and the tropical carrier does not.
+        assert_ne!(base, PlanKey::of(&on(1, MinPlus::new(1.0))));
     }
 
     #[test]
     fn digest_tier_separates_skew_but_not_scale() {
         use faqs_plan::QueryStats;
         let digest_of = |q: &FaqQuery<Count>| Some(QueryStats::of(q).digest());
-        let a = PlanKey::with_digest(&q(1), false, digest_of(&q(1)));
-        let b = PlanKey::with_digest(&q(2), false, digest_of(&q(2)));
+        let a = PlanKey::with_digest(&q(1), digest_of(&q(1)));
+        let b = PlanKey::with_digest(&q(2), digest_of(&q(2)));
         assert_eq!(a, b, "seed jitter stays in one digest bucket");
         assert!(a.has_digest());
-        assert_eq!(a.structural(), PlanKey::of(&q(1), false));
+        assert_eq!(a.structural(), PlanKey::of(&q(1)));
 
         // A skewed instance of the same shape lands in its own tier.
         let skewed: FaqQuery<faqs_semiring::Boolean> = faqs_relation::skewed_star_instance(3, 8);
-        let sk = PlanKey::with_digest(&skewed, false, Some(QueryStats::of(&skewed).digest()));
+        let sk = PlanKey::with_digest(&skewed, Some(QueryStats::of(&skewed).digest()));
         let uniform: FaqQuery<faqs_semiring::Boolean> = faqs_relation::random_boolean_instance(
             &star_query(3),
             &RandomInstanceConfig {
@@ -167,7 +171,7 @@ mod tests {
             },
             true,
         );
-        let un = PlanKey::with_digest(&uniform, false, Some(QueryStats::of(&uniform).digest()));
+        let un = PlanKey::with_digest(&uniform, Some(QueryStats::of(&uniform).digest()));
         assert_ne!(sk, un);
         assert_eq!(sk.structural(), un.structural(), "same shape underneath");
     }
@@ -178,6 +182,6 @@ mod tests {
         a.free_vars = vec![Var(1)];
         let mut b = a.clone();
         b = b.with_aggregate(Var(1), Aggregate::Max); // free: engine ignores it
-        assert_eq!(PlanKey::of(&a, false), PlanKey::of(&b, false));
+        assert_eq!(PlanKey::of(&a), PlanKey::of(&b));
     }
 }

@@ -352,13 +352,9 @@ impl<S: Semiring> IncrementalFaq<S> {
         digest: Option<StatsDigest>,
         stats: &MaintainedQueryStats,
     ) -> Arc<Result<QueryPlan, EngineError>> {
-        cache.get_or_build_with(q, false, digest, || {
-            if planner.use_stats {
-                faqs_plan::plan_query_with_stats(q, false, planner, &stats.snapshot())
-                    .map(|chosen| QueryPlan::lower(q, chosen))
-            } else {
-                faqs_plan::plan_query(q, false, planner).map(|chosen| QueryPlan::lower(q, chosen))
-            }
+        cache.get_or_build_with(q, digest, || {
+            let stats = planner.use_stats.then(|| stats.snapshot());
+            QueryPlan::build_calibrated(q, planner, None, stats.as_ref(), 1.0)
         })
     }
 
@@ -416,19 +412,17 @@ impl<S: Semiring> IncrementalFaq<S> {
         self.calibration.record_replans(1);
         let plan = self.cache.get_or_build_fresh(
             &self.query,
-            false,
             Some(digest),
             |p| correction_fresh(p.correction(), correction),
             || {
-                faqs_plan::plan_query_calibrated(
+                let stats = self.stats.snapshot();
+                QueryPlan::build_calibrated(
                     &self.query,
-                    false,
                     &self.planner,
                     None,
-                    Some(&self.stats.snapshot()),
+                    Some(&stats),
                     correction,
                 )
-                .map(|chosen| QueryPlan::lower(&self.query, chosen))
             },
         );
         if let Err(e) = plan.as_ref() {
@@ -469,7 +463,6 @@ impl<S: Semiring> IncrementalFaq<S> {
         let pass = Pass {
             q: &self.query,
             plan,
-            agg: Relation::aggregate_out_many,
             probe: probe.as_ref(),
         };
         let mut site = Stored {
@@ -547,17 +540,16 @@ impl<S: Semiring> IncrementalFaq<S> {
                 // The delta died in a join: everything above is clean.
                 break None;
             }
-            let agg = Relation::aggregate_out_many;
             if node == plan.root() {
-                let dp = finish_root(&self.query, plan, plus, agg);
-                let dm = finish_root(&self.query, plan, minus, agg);
+                let dp = finish_root(&self.query, plan, plus);
+                let dm = finish_root(&self.query, plan, minus);
                 break Some(self.answer.signed_apply(&dp, &dm)?);
             }
             let parent = plan.ghd.parent(node).expect("non-root has a parent");
             // Sum push-down is an ⊕-homomorphism, so the two sides
             // push down independently.
-            let dp = push_down_message(plan, node, plus, agg);
-            let dm = push_down_message(plan, node, minus, agg);
+            let dp = push_down_message(plan, node, plus);
+            let dm = push_down_message(plan, node, minus);
             let new_msg = self.msg[node.index()]
                 .as_ref()
                 .expect("non-root message stored")

@@ -79,7 +79,7 @@ where
     S: Semiring + PartialEq + std::fmt::Debug,
 {
     let want = solve_faq_reference(q).unwrap_or_else(|e| panic!("{label}: reference: {e}"));
-    let stale_plan = QueryPlan::build_with(stale, false, &PlannerConfig::stats(), None)
+    let stale_plan = QueryPlan::build_with(stale, &PlannerConfig::stats(), None)
         .unwrap_or_else(|e| panic!("{label}: stale plan: {e}"));
     for threads in [1usize, 4] {
         let ex = Executor::with_planner(
@@ -186,7 +186,7 @@ fn forced_drift_is_observable_and_lossless() {
     };
     let q = mk(48);
     let want = solve_faq_reference(&q).unwrap();
-    let stale_plan = QueryPlan::build_with(&mk(4), false, &PlannerConfig::stats(), None).unwrap();
+    let stale_plan = QueryPlan::build_with(&mk(4), &PlannerConfig::stats(), None).unwrap();
     for threads in [1usize, 4] {
         let ex = Executor::with_planner(
             ExecutorConfig::with_threads(threads),
@@ -252,8 +252,7 @@ fn calibration_reduces_the_median_estimator_error() {
         let actual = ex.solve(&q).unwrap().len().max(1) as f64;
         let err = |correction: f64| {
             let plan =
-                QueryPlan::build_calibrated(&q, false, &planner, None, Some(&stats), correction)
-                    .unwrap();
+                QueryPlan::build_calibrated(&q, &planner, None, Some(&stats), correction).unwrap();
             let predicted = plan.node_rows()[plan.root().index()].max(1);
             (predicted as f64 / actual).log2().abs()
         };

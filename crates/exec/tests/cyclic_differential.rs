@@ -12,7 +12,7 @@ use faqs_core::{solve_faq_brute_force, solve_faq_with_plan};
 use faqs_exec::{Executor, ExecutorConfig};
 use faqs_hypergraph::{clique_query, cycle_query, Hypergraph, Var};
 use faqs_plan::{plan_query, PlannerConfig};
-use faqs_relation::{random_instance, FaqQuery, RandomInstanceConfig, Relation};
+use faqs_relation::{random_instance, FaqQuery, RandomInstanceConfig};
 use faqs_semiring::{Boolean, Count, MinPlus, Semiring};
 use proptest::prelude::*;
 use rand::Rng;
@@ -84,7 +84,7 @@ fn assert_cyclic_agree<S: Semiring>(q: &FaqQuery<S>, label: &str) {
                 "{label}/{name}: WCOJ disabled but a generic-join bag was chosen"
             );
         }
-        let direct = solve_faq_with_plan(q, &plan, Relation::aggregate_out_many)
+        let direct = solve_faq_with_plan(q, &plan)
             .unwrap_or_else(|e| panic!("{label}/{name}: plan rejected: {e}"));
         assert_eq!(direct, oracle, "{label}/{name}: direct solve vs oracle");
         for threads in [1usize, 4] {
@@ -216,12 +216,11 @@ fn pinned_triangle_picks_generic_join_and_beats_the_cascade() {
         cascade_plan.cost.cpu
     );
 
-    let agg = Relation::aggregate_out_many;
     let t0 = std::time::Instant::now();
-    let via_genjoin = solve_faq_with_plan(&q, &wcoj_plan, agg).expect("genjoin solve");
+    let via_genjoin = solve_faq_with_plan(&q, &wcoj_plan).expect("genjoin solve");
     let genjoin_time = t0.elapsed();
     let t1 = std::time::Instant::now();
-    let via_cascade = solve_faq_with_plan(&q, &cascade_plan, agg).expect("cascade solve");
+    let via_cascade = solve_faq_with_plan(&q, &cascade_plan).expect("cascade solve");
     let cascade_time = t1.elapsed();
 
     assert_eq!(via_genjoin, via_cascade, "both lowerings count triangles");

@@ -141,7 +141,6 @@ fn min_plus_instances_agree_across_strategies() {
 
 #[test]
 fn lattice_entry_point_agrees() {
-    use faqs_core::solve_faq_lattice;
     use faqs_semiring::Aggregate;
     let par = Executor::with_threads(4);
     for seed in 0..6 {
@@ -150,8 +149,8 @@ fn lattice_entry_point_agrees() {
             Count(r.random_range(1..5))
         });
         q = q.with_aggregate(Var(1), Aggregate::Max);
-        let engine = solve_faq_lattice(&q).unwrap();
-        assert_eq!(par.solve_lattice(&q).unwrap(), engine, "seed {seed}");
+        let engine = solve_faq(&q).unwrap();
+        assert_eq!(par.solve(&q).unwrap(), engine, "seed {seed}");
     }
     let stats = par.cache_stats();
     assert_eq!(stats.misses, 1);

@@ -113,9 +113,9 @@ fn assert_plans_agree<S: Semiring>(q: &FaqQuery<S>, label: &str) {
         }
     }
     let oracle = solve_faq_brute_force(q);
-    let via_structural = solve_faq_with_plan(q, &structural, Relation::aggregate_out_many)
+    let via_structural = solve_faq_with_plan(q, &structural)
         .unwrap_or_else(|e| panic!("{label}: structural plan rejected: {e}"));
-    let via_stats = solve_faq_with_plan(q, &stats, Relation::aggregate_out_many)
+    let via_stats = solve_faq_with_plan(q, &stats)
         .unwrap_or_else(|e| panic!("{label}: stats plan rejected: {e}"));
     assert_eq!(via_structural, oracle, "{label}: structural vs oracle");
     assert_eq!(via_stats, via_structural, "{label}: stats vs structural");
@@ -204,10 +204,9 @@ fn pinned_skewed_star_beats_structural_and_agrees() {
         stats.cost.cpu,
         stats.candidates[0].cost.cpu
     );
-    let agg = Relation::aggregate_out_many;
     assert_eq!(
-        solve_faq_with_plan(&q, &stats, agg).unwrap(),
-        solve_faq_with_plan(&q, &structural, agg).unwrap(),
+        solve_faq_with_plan(&q, &stats).unwrap(),
+        solve_faq_with_plan(&q, &structural).unwrap(),
         "re-rooting never changes the answer"
     );
 }

@@ -8,6 +8,7 @@
 //! unchanged.
 
 use faqs_hypergraph::Var;
+use faqs_semiring::AggregateError;
 
 /// Planning / engine failure.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -16,9 +17,11 @@ pub enum EngineError {
     /// decomposition we can construct (the paper's restriction
     /// `F ⊆ V(C(H))`, Appendix G.5).
     FreeVarsOutsideCore(Vec<Var>),
-    /// A `Max`/`Min` aggregate was used with the plain entry point; use
-    /// the lattice one (`solve_faq_lattice`).
-    NeedsLatticeOps(Var),
+    /// The variable's aggregate is not one the query's carrier admits
+    /// (`Semiring::admits`): `(D, ⊕⁽ⁱ⁾, ⊗)` would not be a commutative
+    /// semiring sharing `0`/`1` with the base one, which Equation (4)
+    /// requires.
+    RefusedAggregate(Var, AggregateError),
     /// A product aggregate (`⊕⁽ⁱ⁾ = ⊗`) on a semiring whose `⊗` is not
     /// idempotent: the GHD push-down cannot commute it past other
     /// aggregates (the `f^m ≠ f` multiplicity blow-up); see the
@@ -48,9 +51,7 @@ impl std::fmt::Display for EngineError {
                     "free variables {vs:?} cannot be placed in the core V(C(H))"
                 )
             }
-            EngineError::NeedsLatticeOps(v) => {
-                write!(f, "variable {v} uses Max/Min; call solve_faq_lattice")
-            }
+            EngineError::RefusedAggregate(v, e) => write!(f, "variable {v}: {e}"),
             EngineError::NonIdempotentProduct(v) => {
                 write!(
                     f,

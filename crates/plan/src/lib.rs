@@ -81,7 +81,7 @@ mod tests {
     use faqs_hypergraph::{example_h2, path_query, star_query, EdgeId, Ghd, GhdNode, NodeId, Var};
     use faqs_network::{Player, Topology};
     use faqs_relation::{random_instance, skewed_star_instance, FaqQuery, RandomInstanceConfig};
-    use faqs_semiring::{Boolean, Count};
+    use faqs_semiring::{Aggregate, Boolean, Count};
 
     fn count_instance(h: &faqs_hypergraph::Hypergraph, seed: u64) -> FaqQuery<Count> {
         random_instance(
@@ -286,12 +286,10 @@ mod tests {
     #[test]
     fn corrections_rescale_predicted_rows_and_are_recorded() {
         let q = skewed_star_instance(3, 16);
-        let base =
-            plan_query_calibrated(&q, false, &PlannerConfig::stats(), None, None, 1.0).unwrap();
+        let base = plan_query_calibrated(&q, &PlannerConfig::stats(), None, None, 1.0).unwrap();
         assert_eq!(base.correction, 1.0);
         assert!(!base.node_rows.is_empty(), "stats plans predict rows");
-        let scaled =
-            plan_query_calibrated(&q, false, &PlannerConfig::stats(), None, None, 4.0).unwrap();
+        let scaled = plan_query_calibrated(&q, &PlannerConfig::stats(), None, None, 4.0).unwrap();
         assert_eq!(scaled.correction, 4.0);
         // Multi-input nodes (root folds its children) scale up; leaf
         // bags have exact single-factor stats and must stay put.
@@ -303,8 +301,7 @@ mod tests {
             base.node_rows[root]
         );
         // A poisoned correction is sanitised, not propagated.
-        let nan = plan_query_calibrated(&q, false, &PlannerConfig::stats(), None, None, f64::NAN)
-            .unwrap();
+        let nan = plan_query_calibrated(&q, &PlannerConfig::stats(), None, None, f64::NAN).unwrap();
         assert_eq!(nan.correction, 1.0);
         assert_eq!(nan.cost, base.cost);
     }
@@ -384,7 +381,7 @@ mod tests {
                 .collect(),
         );
         assert_eq!(stats.digest(), QueryStats::of(&q).digest());
-        let pre = plan_query_with_stats(&q, false, &PlannerConfig::stats(), &stats).unwrap();
+        let pre = plan_query_with_stats(&q, &PlannerConfig::stats(), &stats).unwrap();
         assert_eq!(pre.cost.cpu, fresh.cost.cpu);
         assert_eq!(pre.cost.net_bits, fresh.cost.net_bits);
         assert_eq!(pre.candidates.len(), fresh.candidates.len());
@@ -396,19 +393,32 @@ mod tests {
         // The quote is the default candidate's simulated cost — an
         // upper estimate for whatever the full search ends up choosing.
         let q = skewed_star_instance(3, 16);
-        let quote = cost_quote(&q, false).unwrap();
+        let quote = cost_quote(&q).unwrap();
         assert!(quote.cpu > 0, "a non-trivial instance costs something");
         let plan = plan_query(&q, false, &PlannerConfig::stats()).unwrap();
         assert_eq!(quote, plan.candidates[0].cost, "quote = default's cost");
         assert!(plan.cost.cpu <= quote.cpu, "chosen plan never costs more");
-        // Shape-level rejection matches the planner's.
-        let bad =
-            count_instance(&star_query(3), 1).with_aggregate(Var(1), faqs_semiring::Aggregate::Max);
+        // Shape-level rejection matches the planner's: the carrier
+        // decides — ℕ admits `max`, not `min`.
+        let star = count_instance(&star_query(3), 1);
+        let bad = star.clone().with_aggregate(Var(1), Aggregate::Min);
         assert!(matches!(
-            cost_quote(&bad, false),
-            Err(EngineError::NeedsLatticeOps(_))
+            cost_quote(&bad),
+            Err(EngineError::RefusedAggregate(Var(1), _))
         ));
-        assert!(cost_quote(&bad, true).is_ok());
+        let max = star.with_aggregate(Var(1), Aggregate::Max);
+        assert!(cost_quote(&max).is_ok());
+        // The three signatures that keep a `lattice` argument can only
+        // restrict with it.
+        let (cfg, registry) = (PlannerConfig::stats(), CalibrationRegistry::new());
+        assert!(plan_query(&max, true, &cfg).is_ok());
+        assert!(matches!(
+            plan_query(&max, false, &cfg),
+            Err(EngineError::Invalid(_))
+        ));
+        assert!(cost_quote_calibrated(&max, true, &registry).is_ok());
+        assert!(cost_quote_calibrated(&max, false, &registry).is_err());
+        assert!(plan_query(&bad, true, &cfg).is_err());
     }
 
     #[test]
@@ -419,8 +429,8 @@ mod tests {
         let cfg = PlannerConfig::default();
         let scanned = QueryStats::of(&q);
         assert_eq!(
-            cost_quote_with_stats(&q, false, &cfg, &scanned, 1.0).unwrap(),
-            cost_quote(&q, false).unwrap()
+            cost_quote_with_stats(&q, &cfg, &scanned, 1.0).unwrap(),
+            cost_quote(&q).unwrap()
         );
 
         let mut maintained = MaintainedQueryStats::of(&q);
@@ -431,8 +441,8 @@ mod tests {
         }
         let applied = q.factors[2].apply_delta(&delta);
         maintained.apply(EdgeId(2), &applied);
-        let quote = cost_quote_with_stats(&q, false, &cfg, &maintained.snapshot(), 1.0).unwrap();
-        assert_eq!(quote, cost_quote(&q, false).unwrap());
+        let quote = cost_quote_with_stats(&q, &cfg, &maintained.snapshot(), 1.0).unwrap();
+        assert_eq!(quote, cost_quote(&q).unwrap());
 
         let registry = CalibrationRegistry::forced(f64::INFINITY);
         let digest = maintained.snapshot().digest();
@@ -441,8 +451,7 @@ mod tests {
         }
         let learned = registry.correction(&digest);
         assert!(learned > 2.0);
-        let calibrated =
-            cost_quote_with_stats(&q, false, &cfg, &maintained.snapshot(), learned).unwrap();
+        let calibrated = cost_quote_with_stats(&q, &cfg, &maintained.snapshot(), learned).unwrap();
         assert_eq!(
             calibrated,
             cost_quote_calibrated(&q, false, &registry).unwrap()
@@ -458,22 +467,19 @@ mod tests {
         // stats-taking quote leaves it to whoever let the data in.
         let mut narrow = q.clone();
         narrow.domain = 2;
-        assert!(matches!(
-            cost_quote(&narrow, false),
-            Err(EngineError::Invalid(_))
-        ));
-        assert!(cost_quote_with_stats(&narrow, false, &cfg, &stats, 1.0).is_ok());
+        assert!(matches!(cost_quote(&narrow), Err(EngineError::Invalid(_))));
+        assert!(cost_quote_with_stats(&narrow, &cfg, &stats, 1.0).is_ok());
         // The O(k) half still runs: shape defects are rejected.
         let mut unknown_free = q.clone();
         unknown_free.free_vars = vec![Var(99)];
         assert!(matches!(
-            cost_quote_with_stats(&unknown_free, false, &cfg, &stats, 1.0),
+            cost_quote_with_stats(&unknown_free, &cfg, &stats, 1.0),
             Err(EngineError::Invalid(_))
         ));
-        let max = q.with_aggregate(Var(1), faqs_semiring::Aggregate::Max);
+        let min = q.with_aggregate(Var(1), Aggregate::Min);
         assert!(matches!(
-            cost_quote_with_stats(&max, false, &cfg, &stats, 1.0),
-            Err(EngineError::NeedsLatticeOps(_))
+            cost_quote_with_stats(&min, &cfg, &stats, 1.0),
+            Err(EngineError::RefusedAggregate(Var(1), _))
         ));
     }
 

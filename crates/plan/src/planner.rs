@@ -6,13 +6,15 @@ use crate::calibration::CalibrationRegistry;
 use crate::cost::{CostModel, PlanCost};
 use crate::error::EngineError;
 use crate::stats::QueryStats;
-use crate::validate::{check_elimination_order, check_product_aggregates};
+use crate::validate::{
+    check_aggregates_admitted, check_elimination_order, check_product_aggregates,
+};
 use faqs_hypergraph::{
     candidate_decompositions, cyclic_core_candidates, internal_node_width, Decomposition, EdgeId,
     Ghd, Hypergraph, NodeId, Var,
 };
 use faqs_network::{Player, Topology};
-use faqs_relation::FaqQuery;
+use faqs_relation::{FaqQuery, QueryError};
 use faqs_semiring::{Aggregate, Semiring};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -408,11 +410,17 @@ pub fn join_order_for_ghd<S: Semiring>(q: &FaqQuery<S>, ghd: &Ghd) -> Vec<Vec<Ed
     order
 }
 
-/// Plans `q` for local execution: validates the entry point, builds the
-/// structural default, and — with statistics enabled — scores every
-/// re-rooted GYO-GHD candidate, keeping the default unless a candidate
-/// is strictly cheaper. See [`plan_query_placed`] for the
-/// communication-aware variant.
+/// Plans `q` for local execution: validates it, builds the structural
+/// default, and — with statistics enabled — scores every re-rooted
+/// GYO-GHD candidate, keeping the default unless a candidate is strictly
+/// cheaper. See [`plan_query_placed`] for the communication-aware
+/// variant.
+///
+/// `lattice` can only *restrict*: `false` additionally refuses every
+/// `Max`/`Min`, `true` leaves the decision to the carrier
+/// ([`Semiring::admits`]), as [`plan_query_calibrated`] always does. The
+/// parameter survives for callers compiled against this signature and
+/// goes with ROADMAP item 7's entry-point collapse.
 pub fn plan_query<S: Semiring>(
     q: &FaqQuery<S>,
     lattice: bool,
@@ -423,39 +431,34 @@ pub fn plan_query<S: Semiring>(
 
 /// [`plan_query`] with an optional [`PlacementContext`]: when present,
 /// candidates are compared on predicted shipped bits first (kernel work
-/// breaks ties) — the distributed runtime's entry point.
+/// breaks ties) — the distributed runtime's entry point. `lattice` as
+/// in [`plan_query`] (it goes with ROADMAP item 7's entry-point
+/// collapse).
 pub fn plan_query_placed<S: Semiring>(
     q: &FaqQuery<S>,
     lattice: bool,
     cfg: &PlannerConfig,
     placement: Option<&PlacementContext<'_>>,
 ) -> Result<ChosenPlan, EngineError> {
-    plan_query_impl(q, lattice, cfg, placement, None, 1.0)
+    if !lattice {
+        refuse_max_min(q)?;
+    }
+    plan_query_calibrated(q, cfg, placement, None, 1.0)
 }
 
-/// The fully-general planning entry point: optional placement, optional
-/// precomputed statistics, and a per-shape calibration `correction`
-/// (the multiplicative row-estimate fix a [`CalibrationRegistry`]
-/// learned for this instance's [`StatsDigest`](crate::StatsDigest);
-/// pass `1.0` to trust the raw estimates). The executor and the
-/// distributed runtime plan through here so repeated shapes get
-/// progressively better estimates.
-pub fn plan_query_calibrated<S: Semiring>(
-    q: &FaqQuery<S>,
-    lattice: bool,
-    cfg: &PlannerConfig,
-    placement: Option<&PlacementContext<'_>>,
-    stats: Option<&QueryStats>,
-    correction: f64,
-) -> Result<ChosenPlan, EngineError> {
-    if let Some(s) = stats {
-        assert_eq!(
-            s.factors.len(),
-            q.factors.len(),
-            "one stats entry per factor"
-        );
+/// What `lattice = false` still means on the three signatures that keep
+/// the parameter: no `Max`/`Min` at all, whatever the carrier admits.
+fn refuse_max_min<S: Semiring>(q: &FaqQuery<S>) -> Result<(), EngineError> {
+    let bound = q.hypergraph.vars().filter(|v| !q.is_free(*v));
+    for v in bound {
+        let op = q.aggregates[v.index()];
+        if matches!(op, Aggregate::Max | Aggregate::Min) {
+            return Err(EngineError::Invalid(format!(
+                "variable {v} uses {op:?}, which this call rules out (lattice = false)"
+            )));
+        }
     }
-    plan_query_impl(q, lattice, cfg, placement, stats, correction)
+    Ok(())
 }
 
 /// A per-query admission-control quote: the predicted kernel work of
@@ -474,35 +477,38 @@ pub fn plan_query_calibrated<S: Semiring>(
 /// the process-wide default planner ([`PlannerConfig::from_env`]) lowers
 /// them; a caller that holds maintained statistics or its own planner
 /// configuration quotes through [`cost_quote_with_stats`] instead.
-pub fn cost_quote<S: Semiring>(q: &FaqQuery<S>, lattice: bool) -> Result<PlanCost, EngineError> {
-    scanning_quote(q, lattice, |_| 1.0)
+pub fn cost_quote<S: Semiring>(q: &FaqQuery<S>) -> Result<PlanCost, EngineError> {
+    scanning_quote(q, |_| 1.0)
 }
 
 /// [`cost_quote`] corrected by what `calibration` has learned about
 /// this instance's shape: the quote carries the same per-shape
 /// multiplier the executor plans with, so admission control sharpens as
 /// the session observes executions. Identical to [`cost_quote`] for
-/// unseen shapes and disabled registries.
+/// unseen shapes and disabled registries. `lattice` as in
+/// [`plan_query`] (it goes with ROADMAP item 7's entry-point collapse).
 pub fn cost_quote_calibrated<S: Semiring>(
     q: &FaqQuery<S>,
     lattice: bool,
     calibration: &CalibrationRegistry,
 ) -> Result<PlanCost, EngineError> {
-    scanning_quote(q, lattice, |stats| calibration.correction(&stats.digest()))
+    if !lattice {
+        refuse_max_min(q)?;
+    }
+    scanning_quote(q, |stats| calibration.correction(&stats.digest()))
 }
 
 /// The scanning wrappers: validate the listings, gather statistics,
 /// then the one quote implementation.
 fn scanning_quote<S: Semiring>(
     q: &FaqQuery<S>,
-    lattice: bool,
     correction: impl FnOnce(&QueryStats) -> f64,
 ) -> Result<PlanCost, EngineError> {
     q.validate()
         .map_err(|e| EngineError::Invalid(e.to_string()))?;
     let stats = QueryStats::of(q);
     let correction = correction(&stats);
-    cost_quote_with_stats(q, lattice, &PlannerConfig::from_env(), &stats, correction)
+    cost_quote_with_stats(q, &PlannerConfig::from_env(), &stats, correction)
 }
 
 /// The quote of [`cost_quote`] against *precomputed* per-factor
@@ -522,7 +528,6 @@ fn scanning_quote<S: Semiring>(
 /// the quote is for the plan the caller's executor will run.
 pub fn cost_quote_with_stats<S: Semiring>(
     q: &FaqQuery<S>,
-    lattice: bool,
     cfg: &PlannerConfig,
     stats: &QueryStats,
     correction: f64,
@@ -532,23 +537,7 @@ pub fn cost_quote_with_stats<S: Semiring>(
         q.factors.len(),
         "one stats entry per factor"
     );
-    if !lattice {
-        for v in q.hypergraph.vars() {
-            if !q.is_free(v) && matches!(q.aggregates[v.index()], Aggregate::Max | Aggregate::Min) {
-                return Err(EngineError::NeedsLatticeOps(v));
-            }
-        }
-    }
-    check_product_aggregates(q)?;
-    q.validate_structure()
-        .map_err(|e| EngineError::Invalid(e.to_string()))?;
-    let ghd = ghd_for_query(q)?;
-    let root_chi = ghd.chi(ghd.root());
-    if let Some(bad) = q.free_vars.iter().find(|v| !root_chi.contains(v)) {
-        return Err(EngineError::FreeVarsOutsideCore(vec![*bad]));
-    }
-    check_elimination_order(q, &ghd)?;
-    let order = join_order_for_ghd(q, &ghd);
+    let (ghd, order) = validated_default(q, FaqQuery::validate_structure)?;
     let model = CostModel::new(
         stats,
         q.domain,
@@ -567,47 +556,60 @@ pub fn cost_quote_with_stats<S: Semiring>(
 /// on every re-plan pointless. `stats.factors` must be in edge order.
 pub fn plan_query_with_stats<S: Semiring>(
     q: &FaqQuery<S>,
-    lattice: bool,
     cfg: &PlannerConfig,
     stats: &QueryStats,
 ) -> Result<ChosenPlan, EngineError> {
-    assert_eq!(
-        stats.factors.len(),
-        q.factors.len(),
-        "one stats entry per factor"
-    );
-    plan_query_impl(q, lattice, cfg, None, Some(stats), 1.0)
+    plan_query_calibrated(q, cfg, None, Some(stats), 1.0)
 }
 
-fn plan_query_impl<S: Semiring>(
+/// What every planning and quoting door establishes before anything is
+/// priced: the carrier admits each bound variable's aggregate, product
+/// aggregates are push-down-safe, the instance passes `validate` (the
+/// full [`FaqQuery::validate`], or [`FaqQuery::validate_structure`] for
+/// a caller that vouches for its listings), and the structural default
+/// GHD covers `F` at its root and eliminates in a legal order. Returns
+/// that default — candidate 0 of every search — with its join order.
+/// Its failure is the caller's error: the cost model never papers over
+/// an invalid default.
+fn validated_default<S: Semiring>(
     q: &FaqQuery<S>,
-    lattice: bool,
-    cfg: &PlannerConfig,
-    placement: Option<&PlacementContext<'_>>,
-    precomputed: Option<&QueryStats>,
-    correction: f64,
-) -> Result<ChosenPlan, EngineError> {
-    if !lattice {
-        for v in q.hypergraph.vars() {
-            if !q.is_free(v) && matches!(q.aggregates[v.index()], Aggregate::Max | Aggregate::Min) {
-                return Err(EngineError::NeedsLatticeOps(v));
-            }
-        }
-    }
+    validate: impl FnOnce(&FaqQuery<S>) -> Result<(), QueryError>,
+) -> Result<(Ghd, Vec<Vec<EdgeId>>), EngineError> {
+    check_aggregates_admitted(q)?;
     check_product_aggregates(q)?;
-    q.validate()
-        .map_err(|e| EngineError::Invalid(e.to_string()))?;
-
-    // Candidate 0: the structural default, validated exactly as the
-    // pre-planner engine validated it. Its failure is the caller's
-    // error — the cost model never papers over an invalid default.
-    let default_ghd = ghd_for_query(q)?;
-    let root_chi = default_ghd.chi(default_ghd.root());
+    validate(q).map_err(|e| EngineError::Invalid(e.to_string()))?;
+    let ghd = ghd_for_query(q)?;
+    let root_chi = ghd.chi(ghd.root());
     if let Some(bad) = q.free_vars.iter().find(|v| !root_chi.contains(v)) {
         return Err(EngineError::FreeVarsOutsideCore(vec![*bad]));
     }
-    check_elimination_order(q, &default_ghd)?;
-    let default_order = join_order_for_ghd(q, &default_ghd);
+    check_elimination_order(q, &ghd)?;
+    let order = join_order_for_ghd(q, &ghd);
+    Ok((ghd, order))
+}
+
+/// The fully-general planning entry point: optional placement, optional
+/// precomputed statistics, and a per-shape calibration `correction`
+/// (the multiplicative row-estimate fix a [`CalibrationRegistry`]
+/// learned for this instance's [`StatsDigest`](crate::StatsDigest);
+/// pass `1.0` to trust the raw estimates). The executor and the
+/// distributed runtime plan through here so repeated shapes get
+/// progressively better estimates.
+pub fn plan_query_calibrated<S: Semiring>(
+    q: &FaqQuery<S>,
+    cfg: &PlannerConfig,
+    placement: Option<&PlacementContext<'_>>,
+    stats: Option<&QueryStats>,
+    correction: f64,
+) -> Result<ChosenPlan, EngineError> {
+    if let Some(s) = stats {
+        assert_eq!(
+            s.factors.len(),
+            q.factors.len(),
+            "one stats entry per factor"
+        );
+    }
+    let (default_ghd, default_order) = validated_default(q, FaqQuery::validate)?;
 
     if !cfg.use_stats {
         let n_nodes = default_ghd.node_ids().map(|n| n.index()).max().unwrap_or(0) + 1;
@@ -629,7 +631,7 @@ fn plan_query_impl<S: Semiring>(
     }
 
     let gathered;
-    let stats = match precomputed {
+    let stats = match stats {
         Some(s) => s,
         None => {
             gathered = QueryStats::of(q);

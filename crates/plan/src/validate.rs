@@ -1,4 +1,5 @@
-//! Push-down validity checks (moved from `faqs-core`): product
+//! Push-down validity checks (moved from `faqs-core`): every bound
+//! variable's aggregate must be one the carrier admits, product
 //! aggregates need an idempotent `⊗`, and the GHD's planned elimination
 //! order must be a legal reordering of Equation (4)'s nesting. Every
 //! plan candidate is validated with these before it may be chosen.
@@ -7,6 +8,22 @@ use crate::error::EngineError;
 use faqs_hypergraph::{Ghd, Var};
 use faqs_relation::FaqQuery;
 use faqs_semiring::{Aggregate, Semiring};
+
+/// The capability check, asked of the carrier: each bound variable's
+/// `⊕⁽ⁱ⁾` must form a commutative semiring with `⊗` sharing `0`/`1`
+/// ([`Semiring::admits`]). `min` on ℕ fails it — its identity is not the
+/// carrier's `0`, so the listing representation, which drops zeros,
+/// would silently answer a different query.
+pub(crate) fn check_aggregates_admitted<S: Semiring>(q: &FaqQuery<S>) -> Result<(), EngineError> {
+    for v in q.hypergraph.vars() {
+        if !q.is_free(v) {
+            q.aggregates[v.index()]
+                .validate::<S>()
+                .map_err(|e| EngineError::RefusedAggregate(v, e))?;
+        }
+    }
+    Ok(())
+}
 
 /// Product aggregates are only push-down-safe when `⊗` is idempotent
 /// (e.g. the Boolean semiring, where they model universal
@@ -59,9 +76,11 @@ fn planned_elimination_order<S: Semiring>(q: &FaqQuery<S>, ghd: &Ghd) -> Vec<Var
 }
 
 /// Public gate used by the distributed protocols, which eliminate the
-/// same private-variable sets on the same GHD: validates product
-/// aggregates (idempotence) and the push-down order in one call.
+/// same private-variable sets on the same GHD: validates the aggregates
+/// against the carrier, product aggregates (idempotence) and the
+/// push-down order in one call.
 pub fn check_push_down<S: Semiring>(q: &FaqQuery<S>, ghd: &Ghd) -> Result<(), EngineError> {
+    check_aggregates_admitted(q)?;
     check_product_aggregates(q)?;
     check_elimination_order(q, ghd)
 }

@@ -9,15 +9,17 @@ use crate::star::{run_star_phase, LeafInput};
 use faqs_hypergraph::{internal_node_width, Ghd, NodeId, Var};
 use faqs_network::{Assignment, NetRun, Player, Topology};
 use faqs_relation::{FaqQuery, Relation};
-use faqs_semiring::{Aggregate, Boolean, Semiring};
+use faqs_semiring::{Boolean, Semiring};
 
 /// Outcome of a BCQ run: the Boolean answer plus measurements.
 pub type BcqOutcome = ProtocolOutcome<bool>;
 
-/// One push-down aggregation step, failing on unsupported operators.
-type AggFn<'a, S> = &'a dyn Fn(&Relation<S>, Var, Aggregate) -> Result<Relation<S>, ProtocolError>;
-
-/// Runs the distributed FAQ protocol with `Sum`/`Product` aggregates.
+/// Runs the distributed FAQ protocol, each bound variable under any
+/// aggregate the carrier admits (`Semiring::admits`). The elimination
+/// order the GHD realises must be a legal reordering of Equation (4)'s
+/// nesting — the protocol eliminates exactly the same private-variable
+/// sets as the engine on the same GHD, so the engine's gate applies
+/// verbatim, before anything is transmitted.
 ///
 /// `capacity_tuples` scales every link to carry that many tuples
 /// (`r·⌈log₂ D⌉` bits plus annotation) per round — `1` is the paper's
@@ -32,6 +34,56 @@ pub fn run_faq_protocol<S: Semiring>(
     assignment: &Assignment,
     capacity_tuples: u64,
 ) -> Result<ProtocolOutcome<Relation<S>>, ProtocolError> {
+    run_on_ghd(
+        q,
+        g,
+        assignment,
+        capacity_tuples,
+        |answer, run, predicted| ProtocolOutcome::from_stats(answer, run.stats(), predicted),
+    )
+}
+
+/// [`run_bcq_protocol`] instrumented with the two-party view of
+/// Model 2.2: additionally returns the number of bits that crossed the
+/// given vertex cut (`side[v] = true` ⇔ `v` on Alice's side). On a
+/// TRIBES-hard instance assigned across a min cut (Lemma 4.4), this
+/// count is what Theorem 2.3 lower-bounds by `Ω(m·N)`.
+pub fn run_bcq_protocol_with_cut(
+    q: &FaqQuery<Boolean>,
+    g: &Topology,
+    assignment: &Assignment,
+    capacity_tuples: u64,
+    side: &[bool],
+) -> Result<(BcqOutcome, u64), ProtocolError> {
+    if !q.free_vars.is_empty() {
+        return Err(ProtocolError::Invalid("BCQ has no free variables".into()));
+    }
+    run_on_ghd(
+        q,
+        g,
+        assignment,
+        capacity_tuples,
+        |answer, run, predicted| {
+            let satisfiable = !answer.total().is_zero();
+            let outcome = ProtocolOutcome::from_stats(satisfiable, run.stats(), predicted);
+            (outcome, run.bits_across(side))
+        },
+    )
+}
+
+/// What every entry point does: validate the instance and the
+/// assignment, scale the links, pick the decomposition, refuse — before
+/// the first bit moves — a query whose aggregates the carrier or the
+/// push-down order rules out, then run the protocol body. `outcome`
+/// reads the answer, the finished run and the predicted upper bound in
+/// rounds.
+fn run_on_ghd<S: Semiring, T>(
+    q: &FaqQuery<S>,
+    g: &Topology,
+    assignment: &Assignment,
+    capacity_tuples: u64,
+    outcome: impl FnOnce(Relation<S>, &NetRun<'_>, u64) -> T,
+) -> Result<T, ProtocolError> {
     q.validate()
         .map_err(|e| ProtocolError::Invalid(e.to_string()))?;
     if assignment.len() != q.k() {
@@ -56,92 +108,9 @@ pub fn run_faq_protocol<S: Semiring>(
     faqs_core::check_push_down(q, &ghd).map_err(|e| ProtocolError::Engine(e.to_string()))?;
 
     let mut run = NetRun::new(g);
-    let answer = execute_on_ghd(q, ghd, assignment, &mut run, &aggregate_out_semiring)?;
-
+    let answer = execute_on_ghd(q, ghd, assignment, &mut run)?;
     let predicted = BoundReport::evaluate(q, g, &assignment.players()).upper_rounds;
-    Ok(ProtocolOutcome::from_stats(answer, run.stats(), predicted))
-}
-
-/// [`run_bcq_protocol`] instrumented with the two-party view of
-/// Model 2.2: additionally returns the number of bits that crossed the
-/// given vertex cut (`side[v] = true` ⇔ `v` on Alice's side). On a
-/// TRIBES-hard instance assigned across a min cut (Lemma 4.4), this
-/// count is what Theorem 2.3 lower-bounds by `Ω(m·N)`.
-pub fn run_bcq_protocol_with_cut(
-    q: &FaqQuery<Boolean>,
-    g: &Topology,
-    assignment: &Assignment,
-    capacity_tuples: u64,
-    side: &[bool],
-) -> Result<(BcqOutcome, u64), ProtocolError> {
-    if !q.free_vars.is_empty() {
-        return Err(ProtocolError::Invalid("BCQ has no free variables".into()));
-    }
-    q.validate()
-        .map_err(|e| ProtocolError::Invalid(e.to_string()))?;
-    if assignment.len() != q.k() {
-        return Err(ProtocolError::Invalid("holder count mismatch".into()));
-    }
-    let scaled;
-    let g = if capacity_tuples == 0 {
-        g
-    } else {
-        scaled = g
-            .clone()
-            .with_uniform_capacity(capacity_tuples * model_capacity_bits(q));
-        &scaled
-    };
-    let ghd = ghd_for(q)?;
-    faqs_core::check_push_down(q, &ghd).map_err(|e| ProtocolError::Engine(e.to_string()))?;
-    let mut run = NetRun::new(g);
-    let answer = execute_on_ghd(q, ghd, assignment, &mut run, &aggregate_out_semiring)?;
-    let cut_bits = run.bits_across(side);
-    let predicted = BoundReport::evaluate(q, g, &assignment.players()).upper_rounds;
-    let outcome = ProtocolOutcome::from_stats(!answer.total().is_zero(), run.stats(), predicted);
-    Ok((outcome, cut_bits))
-}
-
-/// [`run_faq_protocol`] for lattice-capable semirings: additionally
-/// accepts `Max`/`Min` aggregates on bound variables. Like the engine's
-/// `solve_faq_lattice`, the elimination order the GHD realises must be a
-/// legal reordering of Equation (4)'s nesting; incompatible orders are
-/// rejected by the engine check mirrored here via the star-phase
-/// semantics (the protocol eliminates exactly the same private-variable
-/// sets as the engine on the same GHD).
-pub fn run_faq_protocol_lattice<S: faqs_semiring::LatticeOps>(
-    q: &FaqQuery<S>,
-    g: &Topology,
-    assignment: &Assignment,
-    capacity_tuples: u64,
-) -> Result<ProtocolOutcome<Relation<S>>, ProtocolError> {
-    q.validate()
-        .map_err(|e| ProtocolError::Invalid(e.to_string()))?;
-    if assignment.len() != q.k() {
-        return Err(ProtocolError::Invalid(format!(
-            "{} holders for {} relations",
-            assignment.len(),
-            q.k()
-        )));
-    }
-    let scaled;
-    let g = if capacity_tuples == 0 {
-        g
-    } else {
-        scaled = g
-            .clone()
-            .with_uniform_capacity(capacity_tuples * model_capacity_bits(q));
-        &scaled
-    };
-    let ghd = ghd_for(q)?;
-    // The engine's order-soundness gate applies verbatim: the protocol
-    // eliminates the same private-variable sets on the same GHD.
-    faqs_core::check_push_down(q, &ghd).map_err(|e| ProtocolError::Engine(e.to_string()))?;
-    let mut run = NetRun::new(g);
-    let answer = execute_on_ghd(q, ghd, assignment, &mut run, &|rel, v, op| {
-        Ok(rel.aggregate_out_lattice(v, op))
-    })?;
-    let predicted = BoundReport::evaluate(q, g, &assignment.players()).upper_rounds;
-    Ok(ProtocolOutcome::from_stats(answer, run.stats(), predicted))
+    Ok(outcome(answer, &run, predicted))
 }
 
 /// The decomposition used by both protocol entry points.
@@ -181,7 +150,6 @@ fn execute_on_ghd<S: Semiring>(
     mut ghd: Ghd,
     assignment: &Assignment,
     run: &mut NetRun<'_>,
-    agg: AggFn<'_, S>,
 ) -> Result<Relation<S>, ProtocolError> {
     let root = ghd.root();
 
@@ -231,7 +199,7 @@ fn execute_on_ghd<S: Semiring>(
             private.sort_unstable_by(|a, b| b.cmp(a));
             for v in private {
                 debug_assert!(!q.is_free(v), "free variables are never private");
-                message = agg(&message, v, q.aggregates[v.index()])?;
+                message = message.aggregate_out(v, q.aggregates[v.index()]);
             }
             leaf_inputs.push(LeafInput {
                 message,
@@ -300,7 +268,7 @@ fn execute_on_ghd<S: Semiring>(
             .collect();
         private.sort_unstable_by(|a, b| b.cmp(a));
         for v in private {
-            message = agg(&message, v, q.aggregates[v.index()])?;
+            message = message.aggregate_out(v, q.aggregates[v.index()]);
         }
         combined = Some(match combined {
             Some(acc) => acc.join(&message),
@@ -324,25 +292,12 @@ fn execute_on_ghd<S: Semiring>(
         .collect();
     bound.sort_unstable_by(|a, b| b.cmp(a));
     for v in bound {
-        result = agg(&result, v, q.aggregates[v.index()])?;
+        result = result.aggregate_out(v, q.aggregates[v.index()]);
     }
     if result.schema() != q.free_vars.as_slice() {
         result = result.reorder(&q.free_vars);
     }
     Ok(result)
-}
-
-fn aggregate_out_semiring<S: Semiring>(
-    rel: &Relation<S>,
-    v: Var,
-    op: Aggregate,
-) -> Result<Relation<S>, ProtocolError> {
-    match op {
-        Aggregate::Sum | Aggregate::Product => Ok(rel.aggregate_out(v, op)),
-        Aggregate::Max | Aggregate::Min => Err(ProtocolError::Engine(format!(
-            "aggregate {op:?} on {v}: use run_faq_protocol_lattice"
-        ))),
-    }
 }
 
 #[cfg(test)]
@@ -356,7 +311,7 @@ mod tests {
     use faqs_relation::{
         random_boolean_instance, random_instance, BcqBuilder, RandomInstanceConfig,
     };
-    use faqs_semiring::{Count, Prob};
+    use faqs_semiring::{Aggregate, Count, MinPlus, Prob};
 
     fn all_players(g: &Topology) -> Vec<u32> {
         (0..g.num_players() as u32).collect()
@@ -578,7 +533,6 @@ mod tests {
 
     #[test]
     fn lattice_max_aggregate_distributed_matches_oracle() {
-        use faqs_core::solve_faq_brute_force_lattice;
         for seed in 0..5 {
             let h = star_query(3);
             let cfg = RandomInstanceConfig {
@@ -597,10 +551,10 @@ mod tests {
             }
             let g = Topology::clique(4);
             let a = Assignment::round_robin(&q, &g, &all_players(&g));
-            let out = run_faq_protocol_lattice(&q, &g, &a, 1).unwrap();
+            let out = run_faq_protocol(&q, &g, &a, 1).unwrap();
             assert_eq!(
                 out.answer.total(),
-                solve_faq_brute_force_lattice(&q).total(),
+                solve_faq_brute_force(&q).total(),
                 "seed {seed}"
             );
             assert!(out.rounds > 0, "distributed work happened");
@@ -622,9 +576,44 @@ mod tests {
         let g = Topology::line(4);
         let a = Assignment::round_robin(&q, &g, &[0, 1, 2]);
         assert!(matches!(
-            run_faq_protocol_lattice(&q, &g, &a, 1),
+            run_faq_protocol(&q, &g, &a, 1),
             Err(ProtocolError::Engine(_))
         ));
+    }
+
+    #[test]
+    fn refused_aggregates_fail_before_anything_is_transmitted() {
+        // The private variable x2 is reached in the second star phase
+        // of a path: a refusal discovered there would come after the
+        // first phase shipped its bits. It comes from the gate instead,
+        // naming the carrier and the aggregate.
+        let h = path_query(3);
+        let cfg = RandomInstanceConfig {
+            tuples_per_factor: 6,
+            domain: 3,
+            seed: 3,
+        };
+        let g = Topology::line(3);
+        let refused = |err: ProtocolError, aggregate: &str, carrier: &str| {
+            let ProtocolError::Engine(message) = err else {
+                panic!("expected the engine's gate, got {err}");
+            };
+            assert!(
+                message.contains(aggregate) && message.contains(carrier),
+                "{message}"
+            );
+        };
+
+        let tropical: FaqQuery<MinPlus> = random_instance(&h, &cfg, vec![], |_| MinPlus::new(1.0))
+            .with_aggregate(Var(2), Aggregate::Max);
+        let a = Assignment::round_robin(&tropical, &g, &[0, 1, 2]);
+        let err = run_faq_protocol(&tropical, &g, &a, 1).unwrap_err();
+        refused(err, "Max", "min-plus");
+
+        let counting: FaqQuery<Count> =
+            random_instance(&h, &cfg, vec![], |_| Count(1)).with_aggregate(Var(2), Aggregate::Min);
+        let err = run_faq_protocol(&counting, &g, &a, 1).unwrap_err();
+        refused(err, "Min", "counting");
     }
 
     #[test]

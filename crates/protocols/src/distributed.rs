@@ -252,7 +252,7 @@ impl<'a, S: Semiring> DistributedFaqRun<'a, S> {
         // post-push-down width — the same variables `materialise_shards`
         // actually sums out before routing.
         let ctx = PlacementContext::new(q, &scaled, placement.shards.clone(), placement.output());
-        let plan = QueryPlan::build_with(q, false, planner, Some(&ctx))
+        let plan = QueryPlan::build_with(q, planner, Some(&ctx))
             .map_err(|e| ProtocolError::Engine(e.to_string()))?;
         let all_links_live = scaled.links().all(|l| scaled.capacity(l) > 0);
         Ok(DistributedFaqRun {
@@ -335,7 +335,6 @@ impl<'a, S: Semiring> DistributedFaqRun<'a, S> {
         let pass = Pass {
             q: self.q,
             plan: &self.plan,
-            agg: Relation::aggregate_out_many,
             probe: probe.as_ref(),
         };
         let mut packings = Packings::new();

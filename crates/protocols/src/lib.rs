@@ -42,10 +42,7 @@ pub mod star;
 mod trivial;
 
 pub use bounds::{model_capacity_bits, BoundReport};
-pub use degenerate::{
-    run_bcq_protocol, run_bcq_protocol_with_cut, run_faq_protocol, run_faq_protocol_lattice,
-    BcqOutcome,
-};
+pub use degenerate::{run_bcq_protocol, run_bcq_protocol_with_cut, run_faq_protocol, BcqOutcome};
 pub use distributed::{
     ConformanceReport, DistributedFaqRun, DistributedOutcome, InputPlacement, WireConformance,
     CONFORMANCE_SLACK,

@@ -7,15 +7,19 @@
 //! push-down different column orders, and it folds every group in the
 //! same order regardless.
 
-use faqs_core::{solve_faq, solve_faq_reference, solve_faq_with_plan, QueryPlan};
-use faqs_exec::{Executor, ExecutorConfig, IncrementalFaq};
-use faqs_hypergraph::{star_query, EdgeId, Ghd, GhdNode, Hypergraph, NodeId, Var};
+use faqs_core::{
+    solve_faq, solve_faq_brute_force, solve_faq_reference, solve_faq_with_plan, QueryPlan,
+};
+use faqs_exec::{Executor, ExecutorConfig, IncrementalFaq, MaintenanceMode, PlanCache};
+use faqs_hypergraph::{path_query, star_query, EdgeId, Ghd, GhdNode, Hypergraph, NodeId, Var};
 use faqs_network::{ChannelTransport, Player, SimTransport, Topology};
 use faqs_plan::{join_order_for_ghd, plan_query, BagOp, ChosenPlan, PlannerConfig};
 use faqs_protocols::{DistributedFaqRun, InputPlacement};
 use faqs_relation::{random_instance, FaqQuery, RandomInstanceConfig, Relation};
-use faqs_semiring::Prob;
+use faqs_semiring::{Aggregate, Count, Prob, Semiring};
+use faqs_serve::{FaqServer, ServeConfig};
 use rand::Rng;
+use std::sync::Arc;
 
 /// A `Prob` star with four leaves whose weights are not dyadic: leaf
 /// `i` holds `(j, j) ↦ w[(j + i) mod 4] / (1 + 0.37·i)`, so the answer
@@ -153,7 +157,7 @@ fn every_lowering_of_a_cyclic_bag_returns_the_same_bits() {
             let plan = pendant_triangle_plan(&q, root_op);
             let lowered = QueryPlan::lower(&q, plan.clone());
             let got = [
-                solve_faq_with_plan(&q, &plan, Relation::aggregate_out_many),
+                solve_faq_with_plan(&q, &plan),
                 Executor::new(ExecutorConfig::sequential()).solve_on(&q, &lowered),
                 Executor::with_threads(4).solve_on(&q, &lowered),
             ];
@@ -172,4 +176,140 @@ fn every_lowering_of_a_cyclic_bag_returns_the_same_bits() {
         // And the bits are the right number.
         assert!(want.unwrap().approx_eq(&solve_faq(&q).unwrap()));
     }
+}
+
+/// The per-binding slices of a batching site, stacked back into one
+/// relation (bindings ascend and lead the schema, so the rows arrive
+/// sorted).
+fn stacked<S: Semiring>(slices: impl IntoIterator<Item = Relation<S>>) -> Relation<S> {
+    let rows = |r: Relation<S>| -> Vec<(Vec<u32>, S)> {
+        r.iter().map(|(t, v)| (t.to_vec(), v.clone())).collect()
+    };
+    Relation::from_pairs(vec![Var(0)], slices.into_iter().flat_map(rows))
+}
+
+/// `q` — free over `x0`, one bound variable under `Max` — answered at
+/// every site of the pass. All agree with brute force (`approx_eq` is
+/// `==` on an exact carrier). The sites this file holds to bit-identity
+/// run the structural plan here — a placed or statistics-driven planner
+/// may root the GHD elsewhere, which is another fold order — and agree
+/// with `solve_faq_reference` on `bits` of every value.
+fn assert_max_agrees_at_every_site<S: Semiring>(q: &FaqQuery<S>, bits: fn(&S) -> u64) {
+    assert_eq!(q.free_vars, [Var(0)]);
+    assert!(q.aggregates.contains(&Aggregate::Max));
+    let brute = solve_faq_brute_force(q);
+    let want = solve_faq_reference(q).unwrap();
+    assert!(!want.is_empty());
+    let bindings: Vec<u32> = (0..q.domain).collect();
+    let structural = PlannerConfig::structural();
+    let executor =
+        |threads| Executor::with_planner(ExecutorConfig::with_threads(threads), structural);
+
+    let cache = Arc::new(PlanCache::new());
+    let mut session = IncrementalFaq::with_cache(q.clone(), cache, structural).unwrap();
+    let delta_off = std::env::var("FAQS_EXEC_DISABLE_DELTA").is_ok_and(|v| v == "1");
+    if !delta_off {
+        // `max` has no inverse: the delta path must not be taken.
+        assert_eq!(session.mode(), MaintenanceMode::DirtySubtree);
+    }
+    let server = FaqServer::new(ServeConfig::default());
+    let shape = server.register(q.clone(), Var(0)).unwrap();
+    let served = |b: &u32| server.query(shape, *b).unwrap().relation;
+    let mut got = vec![
+        ("solve_faq".to_string(), solve_faq(q), false),
+        ("Executor, 1 thread".to_string(), executor(1).solve(q), true),
+        (
+            "Executor, 4 threads".to_string(),
+            executor(4).solve(q),
+            true,
+        ),
+        (
+            "Executor::solve_batch".to_string(),
+            executor(1).solve_batch(q, Var(0), &bindings).map(stacked),
+            false,
+        ),
+        (
+            "IncrementalFaq".to_string(),
+            Ok(session.answer().clone()),
+            true,
+        ),
+        (
+            "FaqServer::query".to_string(),
+            Ok(stacked(bindings.iter().map(served))),
+            false,
+        ),
+    ];
+    for g in [Topology::line(4), Topology::star(5)] {
+        let players: Vec<Player> = g.players().collect();
+        let placement = InputPlacement::hash_split(q.k(), &players, Player(0));
+        let run = DistributedFaqRun::new_with(q, &g, placement, 1, &structural).unwrap();
+        let sim = run.execute_on(&mut SimTransport::new(run.topology()));
+        let channel = run.execute_on(&mut ChannelTransport::new(run.topology()));
+        got.push((format!("{} / sim", g.name()), Ok(sim.unwrap().result), true));
+        got.push((
+            format!("{} / channel", g.name()),
+            Ok(channel.unwrap().result),
+            true,
+        ));
+    }
+    let rows = |r: &Relation<S>| -> Vec<(Vec<u32>, u64)> {
+        r.iter().map(|(t, v)| (t.to_vec(), bits(v))).collect()
+    };
+    for (site, answer, bitwise) in got {
+        let answer = answer.unwrap_or_else(|e| panic!("{site}: {e}"));
+        assert!(answer.approx_eq(&brute), "{site} vs brute force");
+        if bitwise {
+            assert_eq!(rows(&answer), rows(&want), "{site} vs solve_faq_reference");
+        }
+    }
+
+    // One insert and one delete on the factor that carries the `Max`
+    // variable, each re-checked against a re-solve.
+    let carries_max = |vars: &[Var]| {
+        let mut ops = vars.iter().map(|v| q.aggregates[v.index()]);
+        ops.any(|op| op == Aggregate::Max)
+    };
+    let mut edges = q.hypergraph.edges();
+    let (edge, _) = edges.find(|(_, vars)| carries_max(vars)).unwrap();
+    let factor = q.factor(edge);
+    let (listed, value) = factor.iter().next().expect("a listed row");
+    let absent = (0..q.domain)
+        .flat_map(|a| (0..q.domain).map(move |b| [a, b]))
+        .find(|t| factor.get(t).is_none())
+        .expect("the factor is not full");
+    session.insert(edge, &absent, value.clone()).unwrap();
+    assert!(session
+        .answer()
+        .approx_eq(&solve_faq_brute_force(session.query())));
+    session.delete(edge, listed).unwrap();
+    assert!(session
+        .answer()
+        .approx_eq(&solve_faq_brute_force(session.query())));
+}
+
+#[test]
+fn max_on_one_bound_variable_agrees_at_every_site() {
+    let cfg = RandomInstanceConfig {
+        tuples_per_factor: 11,
+        domain: 4,
+        seed: 23,
+    };
+    let count = |r: &mut rand::rngs::StdRng| Count(r.random_range(1..9));
+    // Star leaves never share a factor, and the path's `Max` variable is
+    // its innermost: both nests are legal push-down orders.
+    let star: FaqQuery<Count> = random_instance(&star_query(4), &cfg, vec![Var(0)], count);
+    assert_max_agrees_at_every_site(&star.with_aggregate(Var(2), Aggregate::Max), |c| c.0);
+    let path: FaqQuery<Count> = random_instance(&path_query(3), &cfg, vec![Var(0)], count);
+    assert_max_agrees_at_every_site(&path.with_aggregate(Var(3), Aggregate::Max), |c| c.0);
+    // Non-dyadic weights: any change of fold order shows in the last
+    // place. `Max` sits on the root bag's private variable: were that
+    // one under `Sum`, the runtime would add it up shard-locally before
+    // the root's join, the local sites after it — equal sums, rounded
+    // differently — which is no business of this test.
+    let prob: FaqQuery<Prob> = random_instance(&star_query(4), &cfg, vec![Var(0)], |r| {
+        Prob(f64::from(r.random_range(1..1000u32)) / 1000.3)
+    });
+    assert_max_agrees_at_every_site(&prob.with_aggregate(Var(1), Aggregate::Max), |p| {
+        p.0.to_bits()
+    });
 }

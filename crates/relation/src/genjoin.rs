@@ -50,25 +50,23 @@ fn gallop(
     if lo >= hi || pred(data[lo * arity + col]) {
         return lo;
     }
-    if !crate::kernel::kernel_scalar() {
-        // Fixed-width strided prescan: leapfrog runs are short, so the
-        // first match almost always sits within a lane of the cursor.
-        // The lane tests accumulate branch-free (monotone `pred` makes
-        // the miss count the offset of the first match), and only a
-        // fully-missing prescan falls through to the exponential probe.
-        const LANES: usize = 4;
-        if hi - lo > LANES {
-            let mut misses = 0usize;
-            for j in 0..LANES {
-                misses += usize::from(!pred(data[(lo + 1 + j) * arity + col]));
-            }
-            if misses < LANES {
-                return lo + 1 + misses;
-            }
-            // All LANES lanes miss: `pred(lo + LANES)` is false, the
-            // gallop invariant, so restart the exponential probe there.
-            lo += LANES;
+    // Fixed-width strided prescan: leapfrog runs are short, so the
+    // first match almost always sits within a lane of the cursor.
+    // The lane tests accumulate branch-free (monotone `pred` makes
+    // the miss count the offset of the first match), and only a
+    // fully-missing prescan falls through to the exponential probe.
+    const LANES: usize = 4;
+    if hi - lo > LANES {
+        let mut misses = 0usize;
+        for j in 0..LANES {
+            misses += usize::from(!pred(data[(lo + 1 + j) * arity + col]));
         }
+        if misses < LANES {
+            return lo + 1 + misses;
+        }
+        // All LANES lanes miss: `pred(lo + LANES)` is false, the
+        // gallop invariant, so restart the exponential probe there.
+        lo += LANES;
     }
     let mut step = 1usize;
     let mut base = lo;

@@ -11,28 +11,6 @@ use crate::relation::Relation;
 use faqs_hypergraph::Var;
 use faqs_semiring::{Aggregate, Semiring};
 use std::cmp::Ordering;
-use std::sync::atomic::{AtomicU8, Ordering as AtomicOrdering};
-
-/// Kernel comparison mode: `0` = undecided (read `FAQS_KERNEL_SCALAR`
-/// on first use), `1` = scalar, `2` = vectorized chunk loops.
-static KERNEL_MODE: AtomicU8 = AtomicU8::new(0);
-
-/// Whether the row-comparison hot paths must run their plain scalar
-/// loops (`FAQS_KERNEL_SCALAR=1`) instead of the chunked
-/// autovectorization-friendly ones. Read once per process; both paths
-/// are raced for identity by the CI matrix.
-#[inline]
-pub(crate) fn kernel_scalar() -> bool {
-    match KERNEL_MODE.load(AtomicOrdering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => {
-            let scalar = std::env::var("FAQS_KERNEL_SCALAR").is_ok_and(|v| v == "1");
-            KERNEL_MODE.store(if scalar { 1 } else { 2 }, AtomicOrdering::Relaxed);
-            scalar
-        }
-    }
-}
 
 /// One row of a flat `arity`-strided arena.
 #[inline]
@@ -118,25 +96,10 @@ pub(crate) fn binary_search_row(
     n: usize,
     tuple: &[u32],
 ) -> Result<usize, usize> {
-    if kernel_scalar() {
-        binary_search_row_by(data, arity, n, tuple, |a, b| a.cmp(b))
-    } else {
-        binary_search_row_by(data, arity, n, tuple, cmp_rows_chunked)
-    }
-}
-
-#[inline]
-fn binary_search_row_by(
-    data: &[u32],
-    arity: usize,
-    n: usize,
-    tuple: &[u32],
-    cmp: impl Fn(&[u32], &[u32]) -> Ordering,
-) -> Result<usize, usize> {
     let (mut lo, mut hi) = (0usize, n);
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
-        match cmp(row(data, arity, mid), tuple) {
+        match cmp_rows_chunked(row(data, arity, mid), tuple) {
             Ordering::Less => lo = mid + 1,
             Ordering::Greater => hi = mid,
             Ordering::Equal => return Ok(mid),
@@ -387,11 +350,6 @@ impl JoinIndex {
             (1..n_probes).all(|i| probes[(i - 1) * ka..i * ka] <= probes[i * ka..(i + 1) * ka]),
             "probe keys must be sorted ascending"
         );
-        let eq: fn(&[u32], &[u32]) -> bool = if kernel_scalar() {
-            |a, b| a == b
-        } else {
-            rows_eq_chunked
-        };
         let n_groups = self.num_groups();
         let mut g = 0usize;
         let mut hit = false;
@@ -403,7 +361,7 @@ impl JoinIndex {
             // compare runs again — duplicate-heavy batches (Zipfian
             // bindings from cross-query batching) pay one search per
             // *distinct* key.
-            if p > 0 && eq(key, &probes[(p - 1) * ka..p * ka]) {
+            if p > 0 && rows_eq_chunked(key, &probes[(p - 1) * ka..p * ka]) {
                 if hit {
                     on_hit(p, self.group_rows(g));
                 }
@@ -413,7 +371,7 @@ impl JoinIndex {
             if g == n_groups {
                 return;
             }
-            hit = eq(&self.keys[g * ka..(g + 1) * ka], key);
+            hit = rows_eq_chunked(&self.keys[g * ka..(g + 1) * ka], key);
             if hit {
                 on_hit(p, self.group_rows(g));
             }
@@ -426,32 +384,16 @@ impl JoinIndex {
 pub(crate) fn gallop_rows(
     data: &[u32],
     arity: usize,
-    lo: usize,
-    n: usize,
-    target: &[u32],
-) -> usize {
-    if kernel_scalar() {
-        gallop_rows_by(data, arity, lo, n, target, |a, b| a.cmp(b))
-    } else {
-        gallop_rows_by(data, arity, lo, n, target, cmp_rows_chunked)
-    }
-}
-
-#[inline]
-fn gallop_rows_by(
-    data: &[u32],
-    arity: usize,
     mut lo: usize,
     n: usize,
     target: &[u32],
-    cmp: impl Fn(&[u32], &[u32]) -> Ordering,
 ) -> usize {
-    if lo >= n || cmp(row(data, arity, lo), target) != Ordering::Less {
+    if lo >= n || cmp_rows_chunked(row(data, arity, lo), target) != Ordering::Less {
         return lo;
     }
     let mut step = 1usize;
     let mut hi = lo + 1;
-    while hi < n && cmp(row(data, arity, hi), target) == Ordering::Less {
+    while hi < n && cmp_rows_chunked(row(data, arity, hi), target) == Ordering::Less {
         lo = hi;
         step <<= 1;
         hi = (lo + step).min(n);
@@ -459,7 +401,7 @@ fn gallop_rows_by(
     // Invariant: row(lo) < target ≤ row(hi) (or hi == n).
     while hi - lo > 1 {
         let mid = lo + (hi - lo) / 2;
-        if cmp(row(data, arity, mid), target) == Ordering::Less {
+        if cmp_rows_chunked(row(data, arity, mid), target) == Ordering::Less {
             lo = mid;
         } else {
             hi = mid;
@@ -788,29 +730,26 @@ pub(crate) fn trailing_nest(schema: &[Var], nest: &[(Var, Aggregate)]) -> Option
 /// group thus folds in ascending row order, as a chain of sorted-prefix
 /// [`project_with`] scans does. Push-style, so that whatever produces
 /// rows in layout order can drive it: a stored relation's scan today.
-pub(crate) struct NestFold<S: Semiring, F> {
+pub(crate) struct NestFold<S: Semiring> {
     /// One row per kept prefix whose nest folded to a non-zero.
     out: Relation<S>,
     kept: usize,
     /// `(operator, open partial)` per trailing column, outermost first:
     /// level `j` folds column `kept + j`.
     levels: Vec<(Aggregate, Option<S>)>,
-    apply: F,
     /// The previous row but for its innermost column; empty before
     /// the first push.
     last: Vec<u32>,
 }
 
-impl<S: Semiring, F: Fn(Aggregate, &S, &S) -> S> NestFold<S, F> {
+impl<S: Semiring> NestFold<S> {
     /// A fold keeping the leading `kept` columns and aggregating one
-    /// trailing column per entry of `ops` (outermost first) with
-    /// `apply`.
-    pub(crate) fn new(kept: Vec<Var>, ops: Vec<Aggregate>, apply: F) -> Self {
+    /// trailing column per entry of `ops` (outermost first).
+    pub(crate) fn new(kept: Vec<Var>, ops: Vec<Aggregate>) -> Self {
         NestFold {
             kept: kept.len(),
             out: Relation::new(kept),
             levels: ops.into_iter().map(|op| (op, None)).collect(),
-            apply,
             last: Vec::new(),
         }
     }
@@ -829,7 +768,7 @@ impl<S: Semiring, F: Fn(Aggregate, &S, &S) -> S> NestFold<S, F> {
         }
         let (op, partial) = self.levels.last_mut().expect("a nest has a level");
         *partial = Some(match partial.take() {
-            Some(acc) => (self.apply)(*op, &acc, value),
+            Some(acc) => acc.fold(*op, value),
             None => value.clone(),
         });
     }
@@ -847,7 +786,7 @@ impl<S: Semiring, F: Fn(Aggregate, &S, &S) -> S> NestFold<S, F> {
             } else {
                 let (op, above) = &mut self.levels[j - 1];
                 *above = Some(match above.take() {
-                    Some(acc) => (self.apply)(*op, &acc, &partial),
+                    Some(acc) => acc.fold(*op, &partial),
                     None => partial,
                 });
             }
@@ -868,7 +807,6 @@ impl<S: Semiring, F: Fn(Aggregate, &S, &S) -> S> NestFold<S, F> {
 pub(crate) fn aggregate_nest<S: Semiring>(
     rel: Relation<S>,
     nest: &[(Var, Aggregate)],
-    apply: impl Fn(Aggregate, &S, &S) -> S,
 ) -> Relation<S> {
     let in_layout = match trailing_nest(rel.schema(), nest) {
         Some(0) => return rel,
@@ -882,7 +820,7 @@ pub(crate) fn aggregate_nest<S: Semiring>(
         nest.iter().rev().filter_map(column).unzip();
     let kept = || (0..schema.len()).filter(|c| !trailing.contains(c));
 
-    let mut fold = NestFold::new(kept().map(|c| schema[c]).collect(), ops, apply);
+    let mut fold = NestFold::new(kept().map(|c| schema[c]).collect(), ops);
     if in_layout {
         for (row, value) in rel.iter() {
             fold.push(row, value);

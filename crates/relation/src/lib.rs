@@ -45,6 +45,6 @@ pub use generators::{
 pub use genjoin::generic_join;
 pub use kernel::JoinIndex;
 pub use query::{FaqQuery, QueryError};
-pub use relation::{Relation, Tuple};
+pub use relation::Relation;
 pub use snapshot::{Snapshot, SnapshotCell};
 pub use stats::{MaintainedStats, RelationStats};

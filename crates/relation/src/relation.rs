@@ -2,13 +2,8 @@
 
 use crate::kernel::{self, JoinIndex};
 use faqs_hypergraph::Var;
-use faqs_semiring::{Aggregate, LatticeOps, Semiring};
+use faqs_semiring::{Aggregate, Semiring};
 use std::fmt;
-
-/// A boxed tuple of domain values. Survives only as a conversion helper
-/// for call sites that need an owned tuple; [`Relation`] itself stores
-/// tuples inline in a flat arena and hands out `&[u32]` views.
-pub type Tuple = Box<[u32]>;
 
 /// A semiring-annotated relation in listing representation, stored
 /// columnar-style: one flat row-major `Vec<u32>` arena (arity-strided,
@@ -354,30 +349,14 @@ impl<S: Semiring> Relation<S> {
     }
 
     /// Aggregates out a single variable with the given operator — the
-    /// push-down step of Corollary G.2. `Sum`/`Product` work on any
-    /// semiring; `Max`/`Min` require [`LatticeOps`] (see
-    /// [`Relation::aggregate_out_lattice`]).
+    /// push-down step of Corollary G.2. Which operators a carrier folds
+    /// is its own declaration ([`Semiring::fold`]); the engine doors ask
+    /// [`Semiring::admits`] before a query gets here.
     pub fn aggregate_out(&self, var: Var, op: Aggregate) -> Relation<S> {
-        self.aggregate_out_with(var, |a, b| {
-            op.apply_semiring(a, b)
-                .expect("Max/Min need aggregate_out_lattice")
-        })
-    }
-
-    /// [`Relation::aggregate_out`] for lattice-capable semirings,
-    /// accepting all four aggregate operators.
-    pub fn aggregate_out_lattice(&self, var: Var, op: Aggregate) -> Relation<S>
-    where
-        S: LatticeOps,
-    {
-        self.aggregate_out_with(var, |a, b| op.apply(a, b))
-    }
-
-    fn aggregate_out_with(&self, var: Var, combine: impl Fn(&S, &S) -> S) -> Relation<S> {
         let drop = self.positions(&[var])[0];
         let rest: Vec<Var> = self.schema.iter().copied().filter(|v| *v != var).collect();
         let pos: Vec<usize> = (0..self.schema.len()).filter(|&i| i != drop).collect();
-        kernel::project_with(self, &rest, &pos, |a, b| *a = combine(a, b))
+        kernel::project_with(self, &rest, &pos, |a, b| *a = a.fold(op, b))
     }
 
     /// Aggregates out a whole `nest` of variables — each with its own
@@ -398,23 +377,8 @@ impl<S: Semiring> Relation<S> {
     /// order of the nest columns, outermost first — so on a float
     /// carrier the result does not depend on the column order the
     /// relation arrived in.
-    ///
-    /// `Sum`/`Product` work on any semiring; `Max`/`Min` require
-    /// [`LatticeOps`] (see [`Relation::aggregate_out_many_lattice`]).
     pub fn aggregate_out_many(self, nest: &[(Var, Aggregate)]) -> Relation<S> {
-        kernel::aggregate_nest(self, nest, |op, a, b| {
-            op.apply_semiring(a, b)
-                .expect("Max/Min need aggregate_out_many_lattice")
-        })
-    }
-
-    /// [`Relation::aggregate_out_many`] for lattice-capable semirings,
-    /// accepting all four aggregate operators.
-    pub fn aggregate_out_many_lattice(self, nest: &[(Var, Aggregate)]) -> Relation<S>
-    where
-        S: LatticeOps,
-    {
-        kernel::aggregate_nest(self, nest, |op, a, b| op.apply(a, b))
+        kernel::aggregate_nest(self, nest)
     }
 
     /// Natural join `⋈` (Definition 3.4) with `⊗`-multiplied annotations:
@@ -735,7 +699,7 @@ mod tests {
     #[test]
     fn aggregate_out_max() {
         let r = count_rel(&[0, 1], &[(&[1, 1], 2), (&[1, 2], 3)]);
-        let m = r.aggregate_out_lattice(v(1), Aggregate::Max);
+        let m = r.aggregate_out(v(1), Aggregate::Max);
         assert_eq!(m.get(&[1]), Some(&Count(3)));
     }
 

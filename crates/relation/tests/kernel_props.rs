@@ -312,10 +312,6 @@ fn check_apply_delta<S: Semiring>(
 
 /// A push-down nest: variables with their operators, innermost first.
 type Nest = Vec<(Var, Aggregate)>;
-/// `Relation::aggregate_out_many` or its lattice twin.
-type Many<S> = fn(Relation<S>, &[(Var, Aggregate)]) -> Relation<S>;
-/// `Relation::aggregate_out` or its lattice twin.
-type One<S> = fn(&Relation<S>, Var, Aggregate) -> Relation<S>;
 
 /// `rel` regrouped into `nest`'s layout order: the kept columns as they
 /// stand, then the nest's variables outermost first.
@@ -338,10 +334,10 @@ fn in_layout_order<S: Semiring>(rel: &Relation<S>, nest: &[(Var, Aggregate)]) ->
 fn ref_aggregate_out_many<S: Semiring>(
     rel: &Relation<S>,
     nest: &[(Var, Aggregate)],
-    one: One<S>,
 ) -> Relation<S> {
     let laid_out = in_layout_order(rel, nest);
-    nest.iter().fold(laid_out, |out, &(v, op)| one(&out, v, op))
+    nest.iter()
+        .fold(laid_out, |out, &(v, op)| out.aggregate_out(v, op))
 }
 
 /// Same schema, same rows, and values `same` finds identical (`==`, or
@@ -363,7 +359,7 @@ fn assert_same<S: Semiring>(
     }
 }
 
-/// Races `many` (`aggregate_out_many` or its lattice twin) against
+/// Races `aggregate_out_many` against
 /// [`ref_aggregate_out_many`] on one random relation: arity 1–5,
 /// columns in a random order, up to 60 draws from a domain of 1–3, a
 /// random subset of the variables — none to all — private, each with an
@@ -372,8 +368,6 @@ fn check_nest<S: Semiring>(
     seed: u64,
     ops: &[Aggregate],
     value_of: impl FnMut(&mut StdRng) -> S,
-    many: Many<S>,
-    one: One<S>,
     same: fn(&S, &S) -> bool,
 ) {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -392,36 +386,39 @@ fn check_nest<S: Semiring>(
         })
         .collect();
 
-    let want = ref_aggregate_out_many(&rel, &nest, one);
-    let got = many(rel.clone(), &nest);
+    let want = ref_aggregate_out_many(&rel, &nest);
+    let got = rel.clone().aggregate_out_many(&nest);
     assert_canonical(&got, "aggregate_out_many");
     assert_same(&got, &want, same, "one scan vs per-variable loop");
 
     // The same relation presented in layout order (no regroup) and with
     // its columns rotated (another regroup) folds to the same values.
-    let laid_out = many(in_layout_order(&rel, &nest), &nest);
+    let laid_out = in_layout_order(&rel, &nest).aggregate_out_many(&nest);
     assert_same(&laid_out, &want, same, "presented in layout order");
     let mut rotated = rel.schema().to_vec();
     rotated.rotate_left(1);
-    let rotated = many(rel.reorder(&rotated), &nest);
+    let rotated = rel.reorder(&rotated).aggregate_out_many(&nest);
     assert_same(&rotated.reorder(want.schema()), &want, same, "rotated");
 
     // A nest variable the schema does not list was aggregated out
     // earlier: skipped, wherever it stands in the nest.
     nest.insert(rng.random_range(0..=nest.len()), (Var(9), ops[0]));
-    assert_same(&many(rel, &nest), &want, same, "absent variable");
+    assert_same(
+        &rel.aggregate_out_many(&nest),
+        &want,
+        same,
+        "absent variable",
+    );
 }
 
-/// [`check_nest`] for the plain entry point: mixed `Sum`/`Product`
-/// nests over any semiring.
+/// [`check_nest`] on mixed `Sum`/`Product` nests, which every semiring
+/// folds.
 fn check_plain_nest<S: Semiring>(
     seed: u64,
     value_of: impl FnMut(&mut StdRng) -> S,
     same: fn(&S, &S) -> bool,
 ) {
-    let ops = [Aggregate::Sum, Aggregate::Product];
-    let (many, one) = (Relation::aggregate_out_many, Relation::aggregate_out);
-    check_nest(seed, &ops, value_of, many, one, same);
+    check_nest(seed, &[Aggregate::Sum, Aggregate::Product], value_of, same);
 }
 
 /// Schemas for the single-relation properties: unary, binary, ternary,
@@ -613,8 +610,6 @@ proptest! {
             seed,
             &[Aggregate::Sum, Aggregate::Product, Aggregate::Max, Aggregate::Min],
             |r| Count(r.random_range(0..3)),
-            Relation::aggregate_out_many_lattice,
-            Relation::aggregate_out_lattice,
             |a, b| a == b,
         );
     }

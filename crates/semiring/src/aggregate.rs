@@ -5,7 +5,7 @@
 //! a commutative semiring `(D, ⊕⁽ⁱ⁾, ⊗)` sharing identities `0`/`1` with
 //! the base semiring. [`Aggregate`] describes that choice.
 
-use crate::traits::{LatticeOps, Semiring};
+use crate::traits::Semiring;
 
 /// The aggregate operator attached to a bound variable of a general FAQ.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
@@ -16,7 +16,7 @@ pub enum Aggregate {
     /// The product aggregate `⊕⁽ⁱ⁾ = ⊗`.
     Product,
     /// Binary maximum — legal when `(D, max, ⊗)` shares identities with
-    /// the base semiring ([`LatticeOps::max_forms_semiring`]).
+    /// the base semiring ([`Semiring::admits`]).
     Max,
     /// Binary minimum — legal when `(D, min, ⊗)` shares identities.
     Min,
@@ -45,40 +45,12 @@ impl std::fmt::Display for AggregateError {
 impl std::error::Error for AggregateError {}
 
 impl Aggregate {
-    /// Applies the aggregate to two values of a lattice-capable semiring.
-    #[must_use]
-    pub fn apply<S: LatticeOps>(self, a: &S, b: &S) -> S {
-        match self {
-            Aggregate::Sum => a.add(b),
-            Aggregate::Product => a.mul(b),
-            Aggregate::Max => a.join(b),
-            Aggregate::Min => a.meet(b),
-        }
-    }
-
-    /// Applies the aggregate when only plain [`Semiring`] structure is
-    /// available; `Max`/`Min` are rejected at runtime.
-    pub fn apply_semiring<S: Semiring>(self, a: &S, b: &S) -> Result<S, AggregateError> {
-        match self {
-            Aggregate::Sum => Ok(a.add(b)),
-            Aggregate::Product => Ok(a.mul(b)),
-            Aggregate::Max | Aggregate::Min => Err(AggregateError {
-                aggregate: self,
-                semiring: S::NAME,
-            }),
-        }
-    }
-
     /// Validates the aggregate against the carrier per the paper's
     /// requirement that each `⊕⁽ⁱ⁾ ≠ ⊗` form a semiring with shared
-    /// identities.
-    pub fn validate<S: LatticeOps>(self) -> Result<(), AggregateError> {
-        let ok = match self {
-            Aggregate::Sum | Aggregate::Product => true,
-            Aggregate::Max => S::max_forms_semiring(),
-            Aggregate::Min => S::min_forms_semiring(),
-        };
-        if ok {
+    /// identities — the carrier's own declaration, [`Semiring::admits`],
+    /// as a typed error.
+    pub fn validate<S: Semiring>(self) -> Result<(), AggregateError> {
+        if S::admits(self) {
             Ok(())
         } else {
             Err(AggregateError {
@@ -101,16 +73,16 @@ impl Aggregate {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Boolean, Count, Prob};
+    use crate::{Boolean, Count, Gf2, MaxPlus, MaxProd, MinPlus, Prob};
 
     #[test]
     fn apply_dispatches() {
         let a = Count(3);
         let b = Count(5);
-        assert_eq!(Aggregate::Sum.apply(&a, &b), Count(8));
-        assert_eq!(Aggregate::Product.apply(&a, &b), Count(15));
-        assert_eq!(Aggregate::Max.apply(&a, &b), Count(5));
-        assert_eq!(Aggregate::Min.apply(&a, &b), Count(3));
+        assert_eq!(a.fold(Aggregate::Sum, &b), Count(8));
+        assert_eq!(a.fold(Aggregate::Product, &b), Count(15));
+        assert_eq!(a.fold(Aggregate::Max, &b), Count(5));
+        assert_eq!(a.fold(Aggregate::Min, &b), Count(3));
     }
 
     #[test]
@@ -122,12 +94,25 @@ mod tests {
     }
 
     #[test]
-    fn apply_semiring_rejects_lattice_ops() {
-        let err = Aggregate::Max
-            .apply_semiring(&Count(1), &Count(2))
-            .unwrap_err();
+    fn carriers_without_an_order_refuse_max_and_min() {
+        let err = Aggregate::Max.validate::<MinPlus>().unwrap_err();
         assert_eq!(err.aggregate, Aggregate::Max);
-        assert!(err.to_string().contains("counting"));
+        assert!(err.to_string().contains("min-plus"));
+        for op in [Aggregate::Max, Aggregate::Min] {
+            assert!(op.validate::<Gf2>().is_err());
+            assert!(op.validate::<MaxProd>().is_err());
+            assert!(op.validate::<MinPlus>().is_err());
+            assert!(op.validate::<MaxPlus>().is_err());
+        }
+        // No carrier's `0` is the identity of `min`.
+        assert!(Aggregate::Min.validate::<Boolean>().is_err());
+        assert!(Aggregate::Min.validate::<Count>().is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "not an aggregate of the min-plus semiring")]
+    fn folding_a_refused_aggregate_is_a_bug_in_the_caller() {
+        let _ = MinPlus::new(1.0).fold(Aggregate::Max, &MinPlus::new(2.0));
     }
 
     #[test]

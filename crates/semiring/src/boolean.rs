@@ -1,6 +1,7 @@
 //! The Boolean semiring `({0,1}, ∨, ∧)`.
 
-use crate::traits::{LatticeOps, Semiring};
+use crate::aggregate::Aggregate;
+use crate::traits::Semiring;
 
 /// The Boolean semiring `({0,1}, ∨, ∧)`.
 ///
@@ -67,27 +68,23 @@ impl Semiring for Boolean {
 
     // Presence-only on the wire too: every stored annotation is `true`.
     const WIRE_VALUE_BYTES: usize = 0;
-}
 
-impl LatticeOps for Boolean {
-    #[inline]
-    fn join(&self, other: &Self) -> Self {
-        Boolean(self.0 || other.0)
+    fn admits(op: Aggregate) -> bool {
+        match op {
+            Aggregate::Sum | Aggregate::Product => true,
+            Aggregate::Max => true, // max == ∨ == ⊕
+            // (D, ∧, ∧) does not have distinct identities 0/1; `min` is the
+            // product aggregate here, not an alternative semiring aggregate.
+            Aggregate::Min => false,
+        }
     }
 
     #[inline]
-    fn meet(&self, other: &Self) -> Self {
-        Boolean(self.0 && other.0)
-    }
-
-    fn max_forms_semiring() -> bool {
-        true // max == ∨ == ⊕
-    }
-
-    fn min_forms_semiring() -> bool {
-        // (D, ∧, ∧) does not have distinct identities 0/1; `min` is the
-        // product aggregate here, not an alternative semiring aggregate.
-        false
+    fn fold(&self, op: Aggregate, other: &Self) -> Self {
+        match op {
+            Aggregate::Sum | Aggregate::Max => Boolean(self.0 || other.0),
+            Aggregate::Product | Aggregate::Min => Boolean(self.0 && other.0),
+        }
     }
 }
 

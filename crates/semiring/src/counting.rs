@@ -1,6 +1,7 @@
 //! The counting semiring `(ℕ, +, ×)`.
 
-use crate::traits::{LatticeOps, Semiring};
+use crate::aggregate::Aggregate;
+use crate::traits::Semiring;
 
 /// The counting semiring `(ℕ, +, ×)` over `u64` with wrapping-checked
 /// arithmetic (saturating, since FAQ counts can legitimately overflow on
@@ -75,27 +76,25 @@ impl Semiring for Count {
     fn read_wire(bytes: &[u8]) -> Self {
         Count(u64::from_le_bytes(bytes.try_into().expect("8-byte value")))
     }
-}
 
-impl LatticeOps for Count {
-    #[inline]
-    fn join(&self, other: &Self) -> Self {
-        Count(self.0.max(other.0))
+    fn admits(op: Aggregate) -> bool {
+        match op {
+            Aggregate::Sum | Aggregate::Product => true,
+            // (ℕ, max, ×): identity of max is 0, a·max(b,c) = max(ab,ac). ✓
+            Aggregate::Max => true,
+            // min has no identity on ℕ (would need +∞).
+            Aggregate::Min => false,
+        }
     }
 
     #[inline]
-    fn meet(&self, other: &Self) -> Self {
-        Count(self.0.min(other.0))
-    }
-
-    fn max_forms_semiring() -> bool {
-        // (ℕ, max, ×): identity of max is 0, a·max(b,c) = max(ab,ac). ✓
-        true
-    }
-
-    fn min_forms_semiring() -> bool {
-        // min has no identity on ℕ (would need +∞).
-        false
+    fn fold(&self, op: Aggregate, other: &Self) -> Self {
+        match op {
+            Aggregate::Sum => self.add(other),
+            Aggregate::Product => self.mul(other),
+            Aggregate::Max => Count(self.0.max(other.0)),
+            Aggregate::Min => Count(self.0.min(other.0)),
+        }
     }
 }
 
@@ -136,9 +135,9 @@ mod tests {
 
     #[test]
     fn lattice_ops() {
-        assert_eq!(Count(3).join(&Count(4)), Count(4));
-        assert_eq!(Count(3).meet(&Count(4)), Count(3));
-        assert!(Count::max_forms_semiring());
-        assert!(!Count::min_forms_semiring());
+        assert_eq!(Count(3).fold(Aggregate::Max, &Count(4)), Count(4));
+        assert_eq!(Count(3).fold(Aggregate::Min, &Count(4)), Count(3));
+        assert!(Count::admits(Aggregate::Max));
+        assert!(!Count::admits(Aggregate::Min));
     }
 }

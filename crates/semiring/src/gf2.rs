@@ -33,6 +33,8 @@ impl Gf2 {
     }
 }
 
+// Keeps the default `admits`: the field declares no order. On `{0,1}`,
+// `max` would be `∨` — a query that wants it wants the `Boolean` carrier.
 impl Semiring for Gf2 {
     const NAME: &'static str = "gf2";
     const IDEMPOTENT_MUL: bool = true;

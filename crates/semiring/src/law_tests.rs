@@ -86,16 +86,16 @@ proptest! {
         // a ⊗ max(b,c) == max(a⊗b, a⊗c): the condition that makes Max a
         // legal semiring aggregate on ℝ≥0 (Section 5's requirement).
         let (a, b, c) = (Prob(a), Prob(b), Prob(c));
-        let lhs = a.mul(&Aggregate::Max.apply(&b, &c));
-        let rhs = Aggregate::Max.apply(&a.mul(&b), &a.mul(&c));
+        let lhs = a.mul(&b.fold(Aggregate::Max, &c));
+        let rhs = a.mul(&b).fold(Aggregate::Max, &a.mul(&c));
         prop_assert!(lhs.approx_eq(&rhs));
     }
 
     #[test]
     fn max_aggregate_distributes_on_count(a in 0u64..1000, b in 0u64..1000, c in 0u64..1000) {
         let (a, b, c) = (Count(a), Count(b), Count(c));
-        let lhs = a.mul(&Aggregate::Max.apply(&b, &c));
-        let rhs = Aggregate::Max.apply(&a.mul(&b), &a.mul(&c));
+        let lhs = a.mul(&b.fold(Aggregate::Max, &c));
+        let rhs = a.mul(&b).fold(Aggregate::Max, &a.mul(&c));
         prop_assert_eq!(lhs, rhs);
     }
 }

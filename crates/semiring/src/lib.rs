@@ -37,7 +37,7 @@ pub use boolean::Boolean;
 pub use counting::Count;
 pub use gf2::Gf2;
 pub use prob::{MaxProd, Prob};
-pub use traits::{LatticeOps, Ring, Semiring};
+pub use traits::{Ring, Semiring};
 pub use tropical::{MaxPlus, MinPlus};
 
 #[cfg(test)]

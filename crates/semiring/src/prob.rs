@@ -1,7 +1,8 @@
 //! The probability semiring `(ℝ≥0, +, ×)` and the Viterbi / max-product
 //! semiring `(ℝ≥0, max, ×)`.
 
-use crate::traits::{LatticeOps, Semiring};
+use crate::aggregate::Aggregate;
+use crate::traits::Semiring;
 
 const EPS: f64 = 1e-9;
 
@@ -90,27 +91,26 @@ impl Semiring for Prob {
     fn read_wire(bytes: &[u8]) -> Self {
         Prob(f64::from_le_bytes(bytes.try_into().expect("8-byte value")))
     }
-}
 
-impl LatticeOps for Prob {
-    #[inline]
-    fn join(&self, other: &Self) -> Self {
-        Prob(self.0.max(other.0))
+    fn admits(op: Aggregate) -> bool {
+        match op {
+            Aggregate::Sum | Aggregate::Product => true,
+            // (ℝ≥0, max, ×) has identities 0 and 1 and a·max(b,c) = max(ab,ac)
+            // for a ≥ 0: a legal alternative aggregate for bound variables.
+            Aggregate::Max => true,
+            // identity of min on ℝ≥0 would be +∞, outside the carrier.
+            Aggregate::Min => false,
+        }
     }
 
     #[inline]
-    fn meet(&self, other: &Self) -> Self {
-        Prob(self.0.min(other.0))
-    }
-
-    fn max_forms_semiring() -> bool {
-        // (ℝ≥0, max, ×) has identities 0 and 1 and a·max(b,c) = max(ab,ac)
-        // for a ≥ 0: a legal alternative aggregate for bound variables.
-        true
-    }
-
-    fn min_forms_semiring() -> bool {
-        false // identity of min on ℝ≥0 would be +∞, outside the carrier.
+    fn fold(&self, op: Aggregate, other: &Self) -> Self {
+        match op {
+            Aggregate::Sum => self.add(other),
+            Aggregate::Product => self.mul(other),
+            Aggregate::Max => Prob(self.0.max(other.0)),
+            Aggregate::Min => Prob(self.0.min(other.0)),
+        }
     }
 }
 
@@ -139,6 +139,8 @@ impl MaxProd {
     }
 }
 
+// Keeps the default `admits`: `max` is this carrier's `⊕` (ask for `Sum`),
+// and `min` has no identity on ℝ≥0.
 impl Semiring for MaxProd {
     const NAME: &'static str = "max-product";
 

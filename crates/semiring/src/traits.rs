@@ -1,5 +1,6 @@
 //! The core algebraic traits.
 
+use crate::aggregate::Aggregate;
 use std::fmt::Debug;
 
 /// A commutative semiring `(D, ⊕, ⊗)` in the sense of the paper's
@@ -48,6 +49,38 @@ pub trait Semiring: Clone + PartialEq + Debug + Send + Sync + 'static {
     fn checked_sub(&self, other: &Self) -> Option<Self> {
         let _ = other;
         None
+    }
+
+    /// Whether `op` is a legal aggregate for a bound variable of a
+    /// general FAQ over this carrier (Section 5): `⊕` and `⊗` always
+    /// are; `max` / `min` only when `(D, max, ⊗)` / `(D, min, ⊗)` is a
+    /// commutative semiring sharing `0`/`1` with `(D, ⊕, ⊗)`. The
+    /// default admits `Sum` and `Product` only — ordered carriers whose
+    /// `max` qualifies override it together with [`Semiring::fold`].
+    fn admits(op: Aggregate) -> bool {
+        matches!(op, Aggregate::Sum | Aggregate::Product)
+    }
+
+    /// Folds `other` into `self` under `op` — the one step every
+    /// aggregation kernel takes per collapsed tuple.
+    ///
+    /// # Panics
+    ///
+    /// The default panics on `Max`/`Min`: every engine door asks
+    /// [`Semiring::admits`] (through [`Aggregate::validate`]) before a
+    /// query reaches a kernel, so a refused aggregate arriving here is a
+    /// bug in the caller. Ordered carriers may stay mechanically total
+    /// (answer `min` although they do not admit it) so relation-level
+    /// tests can race all four operators.
+    #[must_use]
+    fn fold(&self, op: Aggregate, other: &Self) -> Self {
+        match op {
+            Aggregate::Sum => self.add(other),
+            Aggregate::Product => self.mul(other),
+            Aggregate::Max | Aggregate::Min => {
+                panic!("{op:?} is not an aggregate of the {} semiring", Self::NAME)
+            }
+        }
     }
 
     /// The additive identity `0` (also the absorbing element of `⊗`).
@@ -142,30 +175,6 @@ pub trait Semiring: Clone + PartialEq + Debug + Send + Sync + 'static {
         let _ = bytes;
         unimplemented!("semiring {} has no wire codec", Self::NAME)
     }
-}
-
-/// Extra lattice structure available on ordered semirings.
-///
-/// General FAQ queries (Section 5) allow each bound variable its own
-/// aggregate `⊕⁽ⁱ⁾` as long as `(D, ⊕⁽ⁱ⁾, ⊗)` is a commutative semiring
-/// sharing the identities `0`/`1`. For numeric carriers, `max` (and
-/// sometimes `min`) are such aggregates; this trait exposes them.
-pub trait LatticeOps: Semiring {
-    /// Binary maximum (lattice join); must distribute with `⊗` on the carrier.
-    #[must_use]
-    fn join(&self, other: &Self) -> Self;
-
-    /// Binary minimum (lattice meet).
-    #[must_use]
-    fn meet(&self, other: &Self) -> Self;
-
-    /// Whether `(D, max, ⊗)` is a commutative semiring with the same
-    /// identities as `(D, ⊕, ⊗)` — i.e. whether `max` is a legal semiring
-    /// aggregate for a bound variable in a general FAQ.
-    fn max_forms_semiring() -> bool;
-
-    /// Whether `(D, min, ⊗)` shares identities with `(D, ⊕, ⊗)`.
-    fn min_forms_semiring() -> bool;
 }
 
 /// A commutative ring: a semiring with additive inverses.

@@ -33,6 +33,8 @@ impl Default for MinPlus {
     }
 }
 
+// Keeps the default `admits`: `min` is this carrier's `⊕` (ask for `Sum`),
+// and the identity of `max` would be −∞, not its `0 = +∞`.
 impl Semiring for MinPlus {
     const NAME: &'static str = "min-plus";
 
@@ -111,6 +113,8 @@ impl Default for MaxPlus {
     }
 }
 
+// Keeps the default `admits`: `max` is this carrier's `⊕` (ask for `Sum`),
+// and the identity of `min` would be +∞, not its `0 = −∞`.
 impl Semiring for MaxPlus {
     const NAME: &'static str = "max-plus";
 

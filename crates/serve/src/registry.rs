@@ -252,7 +252,6 @@ fn price<S: Semiring>(
         correction,
         cost: cost_quote_with_stats(
             &version.template,
-            false,
             &executor.planner_config(),
             &version.stats,
             correction,

@@ -93,12 +93,18 @@ fn registration_rejects_bound_params_and_bad_shapes() {
         server.register(q.clone(), Var(1)),
         Err(ServeError::ParamNotFree(_))
     ));
-    // A shape the planner rejects fails at registration, not per query.
-    let bad = q.with_aggregate(Var(2), faqs_semiring::Aggregate::Max);
+    // A shape the planner rejects fails at registration, not per query:
+    // ℕ admits `max` (it registers and serves), not `min`.
+    let bad = q
+        .clone()
+        .with_aggregate(Var(2), faqs_semiring::Aggregate::Min);
     assert!(matches!(
         server.register(bad, Var(0)),
         Err(ServeError::Engine(_))
     ));
+    let max = q.with_aggregate(Var(2), faqs_semiring::Aggregate::Max);
+    let shape = server.register(max, Var(0)).unwrap();
+    assert!(server.query(shape, 0).is_ok());
     // Unknown handles are reported, not panicked on.
     assert!(matches!(
         server.query(faqs_serve::ShapeId(42), 0),
@@ -653,7 +659,7 @@ fn admission_prices_under_the_servers_own_planner() {
         let shape = server.register(q.clone(), Var(0)).unwrap();
         assert_eq!(
             server.quote(shape).unwrap().0,
-            cost_quote_with_stats(&q, false, &planner, &stats, 1.0).unwrap(),
+            cost_quote_with_stats(&q, &planner, &stats, 1.0).unwrap(),
             "use_wcoj = {use_wcoj}"
         );
     }

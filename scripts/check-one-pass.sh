@@ -1,20 +1,27 @@
 #!/usr/bin/env bash
 # scripts/check-one-pass.sh — guards "one upward pass" (ROADMAP item 2),
-# its one-scan push-down (ROADMAP item 6) and one Steiner packing per
-# distributed run and member set (issue 18).
+# its one-scan push-down (ROADMAP item 6), one Steiner packing per
+# distributed run and member set (issue 18) and one aggregate capability
+# (ROADMAP item 3e, issue 19).
 #
 # Fails when more than one non-test source file under
 # crates/{core,exec,protocols}/src lowers a bag by BagOp (destructures
 # `BagOp::GenericJoin`) or calls `generic_join(`: the Theorem G.3
 # skeleton in faqs-core is the only place allowed to. Fails, too, when a
 # non-test, non-comment line there uses the single-variable
-# `aggregate_out` / `aggregate_out_lattice` outside the independent
+# `aggregate_out` outside the independent
 # oracles (core/src/brute.rs, protocols/src/degenerate.rs): the pass
 # pushes a whole nest down with `aggregate_out_many`, and a per-variable
 # loop must not come back beside it. Fails, too, when a non-test,
 # non-comment line of crates/protocols/src/distributed.rs calls
 # `best_delta(`: the run packs each member set once (`DeltaPackings`)
 # and asks it per factor; a per-factor re-packing must not come back.
+# Fails, too, when a non-test, non-comment line under src/ or
+# crates/*/src names a `*_lattice` item, `AggFn` or `LatticeOps`, or
+# takes `lattice:` as a parameter outside the three shim signatures of
+# crates/plan/src/planner.rs that benchmark/ compiles against: which
+# aggregates a query may use is the carrier's declaration
+# (`Semiring::admits`), not the caller's choice of door.
 # Then prints the non-test src/ line
 # total of those three crates and of the whole workspace (src/ +
 # crates/*/src) — per file, the lines before the first `#[cfg(test)]` —
@@ -41,7 +48,7 @@ for crate in "${crates[@]}"; do
         fi
         if [[ " ${oracles[*]} " != *" $file "* ]] && head -n "$n" "$file" |
             grep -Ev '^[[:space:]]*//' |
-            grep -Eq '(\.|::)aggregate_out(_lattice)?([^_[:alnum:]]|$)'; then
+            grep -Eq '(\.|::)aggregate_out([^_[:alnum:]]|$)'; then
             per_variable+=("$file")
         fi
     done < <(find "crates/$crate/src" -name '*.rs' | sort)
@@ -51,8 +58,21 @@ done
 printf '%-10s %5d non-test src lines\n' total "$total"
 
 workspace=0
+twins=()
+flags=0
+shims=crates/plan/src/planner.rs
 while IFS= read -r file; do
-    workspace=$((workspace + $(nontest_lines "$file")))
+    n=$(nontest_lines "$file")
+    workspace=$((workspace + n))
+    code=$(head -n "$n" "$file" | grep -Ev '^[[:space:]]*//' || true)
+    if grep -Eq '_lattice\b|\bAggFn\b|\bLatticeOps\b' <<<"$code"; then
+        twins+=("$file")
+    fi
+    count=$(grep -Ec '\blattice:' <<<"$code" || true)
+    if [ "$file" = "$shims" ]; then
+        count=$((count > 3 ? count - 3 : 0))
+    fi
+    flags=$((flags + count))
 done < <(find src crates/*/src -name '*.rs')
 printf '%-10s %5d non-test src lines (src/ + crates/*/src)\n' workspace "$workspace"
 
@@ -65,6 +85,15 @@ fi
 if [ "${#per_variable[@]}" -ne 0 ]; then
     printf 'single-variable aggregate_out outside the oracles:\n' >&2
     printf '  %s\n' "${per_variable[@]}" >&2
+    exit 1
+fi
+if [ "${#twins[@]}" -ne 0 ]; then
+    printf 'a *_lattice twin, AggFn or LatticeOps is back:\n' >&2
+    printf '  %s\n' "${twins[@]}" >&2
+    exit 1
+fi
+if [ "$flags" -ne 0 ]; then
+    echo "a lattice: parameter outside the three shims of $shims" >&2
     exit 1
 fi
 runtime=crates/protocols/src/distributed.rs

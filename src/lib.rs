@@ -91,8 +91,8 @@ pub mod prelude {
         PlanCost, PlannerConfig, QueryStats,
     };
     pub use faqs_protocols::{
-        run_bcq_protocol, run_faq_protocol, run_faq_protocol_lattice, ConformanceReport,
-        DistributedFaqRun, InputPlacement, WireConformance,
+        run_bcq_protocol, run_faq_protocol, ConformanceReport, DistributedFaqRun, InputPlacement,
+        WireConformance,
     };
     pub use faqs_relation::{
         frame_bits, frame_bytes, BcqBuilder, CodecError, FaqQuery, Relation, RelationDelta,

@@ -328,9 +328,9 @@ fn engine_solves_what_protocols_solve_identically_on_h3() {
 
 #[test]
 fn faq_with_max_aggregate_via_engine() {
-    // Lattice aggregates run through the centralized engine (the
-    // distributed path rejects them explicitly).
-    use faqs::engine::solve_faq_lattice;
+    // `Max` on ℕ runs through the centralized engine and the
+    // distributed path alike; what the carrier refuses (`Min`), the
+    // distributed path rejects explicitly.
     let h = star_query(3);
     let cfg = RandomInstanceConfig {
         tuples_per_factor: 8,
@@ -340,13 +340,92 @@ fn faq_with_max_aggregate_via_engine() {
     let q: FaqQuery<Count> = random_instance(&h, &cfg, vec![], |r| Count(r.random_range(1..9)))
         .with_aggregate(faqs::hypergraph::Var(1), Aggregate::Max)
         .with_aggregate(faqs::hypergraph::Var(3), Aggregate::Max);
-    let fast = solve_faq_lattice(&q).unwrap().total();
-    let slow = faqs::engine::solve_faq_brute_force_lattice(&q).total();
+    let fast = solve_faq(&q).unwrap().total();
+    let slow = solve_faq_brute_force(&q).total();
     assert_eq!(fast, slow);
 
     let g = Topology::line(3);
     let a = Assignment::round_robin(&q, &g, &[0, 1, 2]);
-    assert!(run_faq_protocol(&q, &g, &a, 1).is_err(), "clean rejection");
+    assert_eq!(
+        run_faq_protocol(&q, &g, &a, 1).unwrap().answer.total(),
+        slow
+    );
+    let min = q.with_aggregate(faqs::hypergraph::Var(1), Aggregate::Min);
+    assert!(
+        run_faq_protocol(&min, &g, &a, 1).is_err(),
+        "clean rejection"
+    );
+}
+
+#[test]
+fn illegal_aggregates_are_refused_not_answered() {
+    // One factor over {x0, x1}, domain 2, with f(1,1) = 0 left out of
+    // the listing; F = {x0}, `Min` on x1. Equation (4) gives
+    // min(7, f(1,1)) = 0 at x0 = 1, but `min`'s identity is not ℕ's 0,
+    // so folding the listing answers another query: at the parent commit
+    // `solve_faq_lattice` returned Ok([0]→3, [1]→7) here. Every door
+    // refuses it now, with the carrier and the aggregate named.
+    use faqs::engine::EngineError;
+    use faqs::plan::{cost_quote, cost_quote_with_stats};
+    let x = faqs::hypergraph::Var;
+    let mut h = Hypergraph::new(2);
+    h.add_edge([x(0), x(1)]);
+    let listing = [
+        (vec![0, 0], Count(5)),
+        (vec![0, 1], Count(3)),
+        (vec![1, 0], Count(7)),
+    ];
+    let factor = Relation::from_pairs(vec![x(0), x(1)], listing);
+    let q = FaqQuery::new_ss(h, vec![factor], vec![x(0)], 2).with_aggregate(x(1), Aggregate::Min);
+
+    let typed = solve_faq(&q).unwrap_err();
+    assert!(matches!(typed, EngineError::RefusedAggregate(v, _) if v == x(1)));
+    let executor = Executor::new(ExecutorConfig::sequential());
+    let (cfg, stats) = (PlannerConfig::stats(), QueryStats::of(&q));
+    let server = FaqServer::new(ServeConfig::default());
+    let g = Topology::line(2);
+    let placement = InputPlacement::hash_split(q.k(), &[Player(0), Player(1)], Player(0));
+    let refusals = [
+        typed.to_string(),
+        executor.solve(&q).unwrap_err().to_string(),
+        cost_quote(&q).unwrap_err().to_string(),
+        cost_quote_calibrated(&q, true, &CalibrationRegistry::new())
+            .unwrap_err()
+            .to_string(),
+        cost_quote_with_stats(&q, &cfg, &stats, 1.0)
+            .unwrap_err()
+            .to_string(),
+        server.register(q.clone(), x(0)).unwrap_err().to_string(),
+        DistributedFaqRun::new(&q, &g, placement, 1)
+            .err()
+            .expect("no run of an illegal query")
+            .to_string(),
+    ];
+    for message in refusals {
+        assert!(
+            message.contains("Min") && message.contains("counting"),
+            "{message}"
+        );
+    }
+
+    // `Max` on the same listing is Equation (4)'s answer — absent
+    // entries are `max`'s identity — and every carrier without an order
+    // of its own refuses both.
+    let max = q.with_aggregate(x(1), Aggregate::Max);
+    assert_eq!(solve_faq(&max).unwrap(), solve_faq_brute_force(&max));
+    let tropical = FaqQuery::new_ss(
+        max.hypergraph.clone(),
+        vec![Relation::from_pairs(
+            vec![x(0), x(1)],
+            [(vec![0, 1], faqs::semiring::MinPlus::new(2.0))],
+        )],
+        vec![x(0)],
+        2,
+    );
+    for op in [Aggregate::Max, Aggregate::Min] {
+        let e = solve_faq(&tropical.clone().with_aggregate(x(1), op)).unwrap_err();
+        assert!(matches!(e, EngineError::RefusedAggregate(..)), "{e}");
+    }
 }
 
 #[test]
