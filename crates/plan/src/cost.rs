@@ -449,8 +449,10 @@ impl<'a> CostModel<'a> {
                     .iter()
                     .map(|&e| self.stats.factors[e.index()].rows.max(1) as f64)
                     .fold(1.0f64, f64::max);
-                // Reorder/prep each factor once, then one emit per
-                // output row: k column bindings plus a galloping seek.
+                // Prepare each factor once — reorder it when its
+                // columns disagree with the binding order, then one
+                // sweep into the join's per-call trie — then one emit
+                // per output row: k column bindings plus a seek.
                 let prep: f64 = order
                     .iter()
                     .map(|&e| {

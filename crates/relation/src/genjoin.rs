@@ -1,23 +1,63 @@
-//! The worst-case-optimal **generic join**: a multiway leapfrog
-//! intersection over the sorted columnar arenas.
+//! The worst-case-optimal **generic join**: a leapfrog intersection over
+//! per-call tries of the sorted columnar arenas.
 //!
 //! A binary join cascade over a cyclic bag (triangle, 4-cycle, clique)
 //! can materialise an intermediate quadratically larger than the final
 //! output — exactly the blow-up the AGM bound says is avoidable. The
 //! generic join of Ngo–Porat–Ré–Rudra instead binds one variable at a
-//! time: at each depth it intersects the current-column value runs of
-//! every factor containing that variable, narrowing each factor's live
-//! row range before recursing. Its running time is within a log factor
-//! of the fractional-edge-cover (AGM) output bound, for *any* query.
+//! time: at each depth it intersects, over every factor containing that
+//! variable, the values the variable can still take under the prefix
+//! bound so far. Its running time is within a log factor of the
+//! fractional-edge-cover (AGM) output bound, for *any* query.
 //!
-//! The implementation leans on the crate's arena invariants: rows are
-//! lexicographically sorted and strictly increasing, so once a factor is
-//! reordered to bind its columns in `var_order` order, every per-depth
-//! value run is contiguous and max-driven galloping (`gallop`) finds
-//! intersection candidates in `O(log run)` per step. Output tuples are
-//! discovered in lexicographic `var_order` order, so the final
-//! [`Relation::from_columns`] takes the already-sorted fast path and the
-//! whole operator performs a single bulk canonicalisation sweep.
+//! **Trie levels.** Rows are lexicographically sorted and strictly
+//! increasing, so once a factor's columns are in `var_order` order one
+//! sweep over its arena (`trie`) turns it into CSR levels: level `l`
+//! lists, parent by parent, the distinct values column `l` takes under
+//! each distinct prefix of columns `0..l`, as one contiguous sorted run
+//! per parent, with an offsets array saying where each parent's run
+//! starts. The last level has one entry per row, in row order, so an
+//! index into it *is* the row id the annotation is read from. It is
+//! materialised rather than read in place through the arena's stride
+//! because the innermost intersection — where almost every iteration
+//! happens — then runs over two plain `&[u32]`; a prototype reading the
+//! last column in place through a runtime stride gave back a third of
+//! the gain (640 vs 470 µs on the benchmark suite's triangle). A trie
+//! level lists each value once, so no run-end search exists anywhere.
+//!
+//! **Three loops.** The recursion reads a `Shape` (tries, annotation
+//! columns, which levels meet at which depth) by `&` and writes a
+//! `State` (selected entry per level, bound prefix, output arena) by
+//! `&mut`, so the sibling lists meeting at a depth are slices held
+//! across the recursive call. Per depth it dispatches on how many lists
+//! meet: **one** — iterate; **two** — a two-pointer merge, both cursors
+//! stepping branch-free when the lists are of similar length, the
+//! lagging side `seek`ing (linear, then exponential, then binary) when
+//! they are not; **three or more** — a max-driven leapfrog over the
+//! same `seek`. The last depth folds the annotations and appends the
+//! row inline. Output tuples are discovered in lexicographic
+//! `var_order` order, so the final [`Relation::from_columns`] takes the
+//! already-sorted fast path.
+//!
+//! **Cost.** One sweep per factor (at most `rows × arity` reads and as
+//! many pushed `u32`s — 2.6 ns per row on 200 000-row factors, ≈ 4 on
+//! 3 000-row ones) plus the leapfrog, which pays a small constant per
+//! candidate binding: a merge step per entry of the lists that meet, a
+//! `seek` per entry of the shorter list when they are lopsided. Tries
+//! are transient: built per call, dropped with it, nothing cached on
+//! [`Relation`]. The sweep is what the planner's cost model already
+//! charges a generic-join bag (`prep = Σ r·(log₂ r + 1)` per factor in
+//! `faqs-plan`'s `CostModel::simulate`), and the cascade pays the same
+//! order per factor in `build_index`, so it changes no plan. It is also
+//! the one thing a cursor galloping over the raw arenas skipped:
+//! joining 20 rows against two 200 000-row factors (domain 2 000, 99
+//! rows out) takes 1.0 ms here against 23–29 µs for such a cursor — all
+//! of it the sweep — while bags whose output is not dwarfed by their
+//! inputs run 1.4–2.4× faster than it did (the benchmark suite's
+//! triangle 1 140 → 500 µs, its 4-cycle 1 740 → 720 µs, a 50 000-row
+//! triangle 45 → 25 ms, `K4` on 2 000-row edges 16.5 → 11.3 ms). A bag
+//! that lopsided is one the planner hands to the cascade; there is no
+//! size-switched second kernel for it.
 //!
 //! **Bit-identity with the cascade.** At full depth the annotation is
 //! the left-fold `(…(v₀ ⊗ v₁) ⊗ v₂…)` over the factors *in slice
@@ -29,172 +69,313 @@
 //! planner picks for the push-down and which need not be the cascade's
 //! concatenation schema.
 
-use crate::kernel::row;
 use crate::relation::Relation;
 use faqs_hypergraph::Var;
 use faqs_semiring::Semiring;
+use std::cmp::Ordering;
 
-/// First row index in `[lo, hi)` whose `col`-column satisfies `pred`,
-/// assuming `pred` is monotone (false… then true…) over the range —
-/// which holds for `>= v` / `> v` predicates on a sorted column run.
-/// Gallops from `lo` (runs are short and near), then binary-searches.
+/// Entries `seek` walks before it gallops: a leapfrog target usually
+/// sits a few entries ahead, and eight `u32`s are half a cache line.
+const LINEAR_PROBES: usize = 8;
+
+/// Two lists within this factor of each other's length merge entry by
+/// entry; past it, stepping through the long side costs more than
+/// seeking in it.
+const SIMILAR_LENGTH: usize = 4;
+
+/// One column of one factor's trie.
+struct Level {
+    /// The distinct values of this column under each distinct prefix of
+    /// the columns before it: one strictly increasing run per parent,
+    /// runs in parent order.
+    vals: Vec<u32>,
+    /// `vals[starts[p]..starts[p + 1]]` is the run under entry `p` of
+    /// the level above (`[0, vals.len()]` at a factor's first level).
+    starts: Vec<usize>,
+    /// Where [`State::sel`] holds that `p`; this level's own selected
+    /// entry is written one place after it.
+    up: usize,
+}
+
+/// Sweeps a sorted, strictly increasing `arity`-strided arena into its
+/// trie, one [`Level`] per column, selections living at `base..` of
+/// [`State::sel`]. A row opens a new entry at every level from the first
+/// column in which it differs from the row before it; the last level
+/// gets every row, so its entry index is the row id.
+fn trie(data: &[u32], arity: usize, base: usize) -> Vec<Level> {
+    let last = arity - 1;
+    let mut levels: Vec<Level> = (0..arity)
+        .map(|l| Level {
+            vals: Vec::new(),
+            starts: Vec::new(),
+            up: base + l,
+        })
+        .collect();
+    levels[last].vals.reserve_exact(data.len() / arity);
+    let mut prev: &[u32] = &[];
+    for row in data.chunks_exact(arity) {
+        let key = &row[..last];
+        let fresh = prev.iter().zip(key).position(|(p, k)| p != k);
+        // No row before it: every level is fresh. Equal key: none is.
+        for l in fresh.unwrap_or(prev.len())..last {
+            levels[l].vals.push(key[l]);
+            let below = levels[l + 1].vals.len();
+            levels[l + 1].starts.push(below);
+        }
+        levels[last].vals.push(row[last]);
+        prev = key;
+    }
+    levels[0].starts.push(0);
+    for level in &mut levels {
+        level.starts.push(level.vals.len());
+    }
+    levels
+}
+
+/// First index `i >= lo` with `xs[i] >= target` (`xs.len()` when there
+/// is none) in a sorted list: a few linear probes, then doubling steps,
+/// then a binary search inside the last step.
 #[inline]
-fn gallop(
-    data: &[u32],
-    arity: usize,
-    col: usize,
-    mut lo: usize,
-    hi: usize,
-    pred: impl Fn(u32) -> bool,
-) -> usize {
-    if lo >= hi || pred(data[lo * arity + col]) {
-        return lo;
-    }
-    // Fixed-width strided prescan: leapfrog runs are short, so the
-    // first match almost always sits within a lane of the cursor.
-    // The lane tests accumulate branch-free (monotone `pred` makes
-    // the miss count the offset of the first match), and only a
-    // fully-missing prescan falls through to the exponential probe.
-    const LANES: usize = 4;
-    if hi - lo > LANES {
-        let mut misses = 0usize;
-        for j in 0..LANES {
-            misses += usize::from(!pred(data[(lo + 1 + j) * arity + col]));
+fn seek(xs: &[u32], lo: usize, target: u32) -> usize {
+    let mut lo = lo;
+    let window = xs.len().min(lo + LINEAR_PROBES);
+    while lo < window {
+        if xs[lo] >= target {
+            return lo;
         }
-        if misses < LANES {
-            return lo + 1 + misses;
-        }
-        // All LANES lanes miss: `pred(lo + LANES)` is false, the
-        // gallop invariant, so restart the exponential probe there.
-        lo += LANES;
+        lo += 1;
     }
-    let mut step = 1usize;
-    let mut base = lo;
-    while base + step < hi && !pred(data[(base + step) * arity + col]) {
-        base += step;
+    // Everything before `lo` is below `target`; probe the last entry of
+    // a doubling step until one is not, or the list ends inside it.
+    let mut step = 1;
+    let hi = loop {
+        let probe = lo + step - 1;
+        if probe >= xs.len() {
+            break xs.len();
+        }
+        if xs[probe] >= target {
+            break probe;
+        }
+        lo = probe + 1;
         step <<= 1;
+    };
+    lo + xs[lo..hi].partition_point(|&x| x < target)
+}
+
+/// Calls `hit(i, j)` for every `xs[i] == ys[j]` of two strictly
+/// increasing lists, in increasing order, stepping both cursors entry
+/// by entry without a data-dependent branch on which one lags.
+#[inline]
+fn merge_stepping(xs: &[u32], ys: &[u32], mut hit: impl FnMut(usize, usize)) {
+    let (mut i, mut j) = (0, 0);
+    while i < xs.len() && j < ys.len() {
+        let (x, y) = (xs[i], ys[j]);
+        if x == y {
+            hit(i, j);
+        }
+        i += usize::from(x <= y);
+        j += usize::from(y <= x);
     }
-    let (mut l, mut h) = (base + 1, (base + step).min(hi));
-    while l < h {
-        let m = l + (h - l) / 2;
-        if pred(data[m * arity + col]) {
-            h = m;
-        } else {
-            l = m + 1;
+}
+
+/// [`merge_stepping`]'s matches, the lagging cursor `seek`ing to the
+/// other's head: sublinear in the longer list.
+#[inline]
+fn merge_seeking(xs: &[u32], ys: &[u32], mut hit: impl FnMut(usize, usize)) {
+    let (mut i, mut j) = (0, 0);
+    while i < xs.len() && j < ys.len() {
+        let (x, y) = (xs[i], ys[j]);
+        match x.cmp(&y) {
+            Ordering::Equal => {
+                hit(i, j);
+                i += 1;
+                j += 1;
+            }
+            Ordering::Less => i = seek(xs, i + 1, y),
+            Ordering::Greater => j = seek(ys, j + 1, x),
         }
     }
-    l
 }
 
 /// The annotation sources at emit time, in original factor order, so the
 /// `⊗`-fold associates exactly like the equivalent binary cascade.
-enum EmitSource<S> {
-    /// Proper factor: index into the per-depth range table.
-    Factor(usize),
+enum EmitSource<'a, S> {
+    /// Proper factor: its annotation column, read at the entry
+    /// `sel[at]` selected in its last trie level — the row id.
+    Row { values: &'a [S], at: usize },
     /// Nullary factor: its single annotation, folded in-position.
-    Scalar(S),
+    Scalar(&'a S),
 }
 
-struct GenJoin<'a, S: Semiring> {
-    /// Arena + arity of each proper (arity ≥ 1) factor, reordered so its
-    /// columns bind in `var_order` order.
-    arenas: Vec<(&'a [u32], usize)>,
-    values: Vec<&'a [S]>,
-    /// `active[d]` = the `(factor, col)` pairs binding `var_order[d]`.
-    active: Vec<Vec<(usize, usize)>>,
-    /// `ranges[d][f]` = factor `f`'s live row range entering depth `d`.
-    ranges: Vec<Vec<(usize, usize)>>,
-    emit: Vec<EmitSource<S>>,
+/// What the recursion reads.
+struct Shape<'a, S> {
+    /// Every proper factor's trie, factor after factor.
+    levels: Vec<Level>,
+    /// `active[d]` = the levels (indices into `levels`) whose column is
+    /// `var_order[d]`.
+    active: Vec<Vec<usize>>,
+    emit: Vec<EmitSource<'a, S>>,
+}
+
+impl<S> Shape<'_, S> {
+    /// The list level `level` offers under the entry selected one level
+    /// up, and that list's offset within the level.
+    #[inline]
+    fn list(&self, level: usize, sel: &[usize]) -> (usize, &[u32]) {
+        let level = &self.levels[level];
+        let parent = sel[level.up];
+        let (lo, hi) = (level.starts[parent], level.starts[parent + 1]);
+        (lo, &level.vals[lo..hi])
+    }
+}
+
+/// One list of a leapfrog over three or more.
+struct Cursor<'a> {
+    list: &'a [u32],
+    pos: usize,
+    /// The list's offset within its level, and where the selected entry
+    /// goes in [`State::sel`].
+    offset: usize,
+    at: usize,
+}
+
+/// What the recursion writes.
+struct State<'a, S> {
+    /// The selected entry of every level, each factor's levels preceded
+    /// by a fixed `0` — the one parent of its first level's only run.
+    sel: Vec<usize>,
+    /// The values bound so far, one per depth.
     prefix: Vec<u32>,
+    /// Per depth, the cursors of a leapfrog over three or more lists:
+    /// taken on entry and put back on exit, so a depth allocates once.
+    cursors: Vec<Vec<Cursor<'a>>>,
     out_data: Vec<u32>,
     out_values: Vec<S>,
 }
 
-impl<S: Semiring> GenJoin<'_, S> {
-    fn recurse(&mut self, depth: usize) {
-        if depth == self.active.len() {
-            self.emit_row();
-            return;
+/// Binds `var_order[depth]` to every value all lists meeting there
+/// offer under the current prefix, descending once per value.
+fn recurse<'a, S: Semiring>(shape: &'a Shape<'a, S>, st: &mut State<'a, S>, depth: usize) {
+    match *shape.active[depth].as_slice() {
+        [a] => {
+            let at = shape.levels[a].up + 1;
+            let (offset, xs) = shape.list(a, &st.sel);
+            for (i, &x) in xs.iter().enumerate() {
+                st.sel[at] = offset + i;
+                descend(shape, st, depth, x);
+            }
         }
-        loop {
-            // Max-driven alignment: propose the largest current head
-            // value, gallop every active factor up to it, and repeat
-            // until all heads agree (or some factor is exhausted).
-            let mut v = 0u32;
-            for &(f, c) in &self.active[depth] {
-                let (lo, hi) = self.ranges[depth][f];
-                if lo >= hi {
-                    return;
+        [a, b] => {
+            let (a_at, b_at) = (shape.levels[a].up + 1, shape.levels[b].up + 1);
+            let (a_offset, xs) = shape.list(a, &st.sel);
+            let (b_offset, ys) = shape.list(b, &st.sel);
+            let hit = |i: usize, j: usize| {
+                st.sel[a_at] = a_offset + i;
+                st.sel[b_at] = b_offset + j;
+                descend(shape, st, depth, xs[i]);
+            };
+            if xs.len() <= SIMILAR_LENGTH * ys.len() && ys.len() <= SIMILAR_LENGTH * xs.len() {
+                merge_stepping(xs, ys, hit);
+            } else {
+                merge_seeking(xs, ys, hit);
+            }
+        }
+        _ => {
+            let mut cursors = std::mem::take(&mut st.cursors[depth]);
+            cursors.clear();
+            cursors.extend(shape.active[depth].iter().map(|&level| {
+                let (offset, list) = shape.list(level, &st.sel);
+                Cursor {
+                    list,
+                    pos: 0,
+                    offset,
+                    at: shape.levels[level].up + 1,
                 }
-                let (data, ar) = self.arenas[f];
-                v = v.max(row(data, ar, lo)[c]);
-            }
-            let mut aligned = false;
-            while !aligned {
-                aligned = true;
-                for &(f, c) in &self.active[depth] {
-                    let (lo, hi) = self.ranges[depth][f];
-                    let (data, ar) = self.arenas[f];
-                    let lo2 = gallop(data, ar, c, lo, hi, |x| x >= v);
-                    if lo2 >= hi {
-                        return;
-                    }
-                    self.ranges[depth][f].0 = lo2;
-                    let head = row(data, ar, lo2)[c];
-                    if head > v {
-                        v = head;
-                        aligned = false;
-                    }
-                }
-            }
-            // All active heads sit on `v`: narrow to the value runs and
-            // bind `var_order[depth] = v` one level down.
-            self.prefix[depth] = v;
-            let (cur, rest) = self.ranges.split_at_mut(depth + 1);
-            rest[0].copy_from_slice(&cur[depth]);
-            for &(f, c) in &self.active[depth] {
-                let (lo, hi) = cur[depth][f];
-                let (data, ar) = self.arenas[f];
-                let end = gallop(data, ar, c, lo, hi, |x| x > v);
-                rest[0][f] = (lo, end);
-            }
-            self.recurse(depth + 1);
-            // Advance each active factor past the consumed run.
-            for &(f, _) in &self.active[depth] {
-                let end = self.ranges[depth + 1][f].1;
-                let (_, hi) = self.ranges[depth][f];
-                if end >= hi {
-                    return;
-                }
-                self.ranges[depth][f].0 = end;
-            }
+            }));
+            leapfrog(shape, st, depth, &mut cursors);
+            st.cursors[depth] = cursors;
         }
     }
+}
 
-    fn emit_row(&mut self) {
-        let depth = self.active.len();
-        let mut acc: Option<S> = None;
-        for src in &self.emit {
-            let v = match src {
-                EmitSource::Scalar(s) => s,
-                EmitSource::Factor(f) => {
-                    // Every column of factor `f` is bound and rows are
-                    // strictly increasing, so the live range is 1 row.
-                    let (lo, hi) = self.ranges[depth][*f];
-                    debug_assert_eq!(hi - lo, 1, "fully bound factor run");
-                    &self.values[*f][lo]
-                }
+/// The intersection of three or more lists: cursors take turns seeking
+/// the largest head seen so far; once as many in a row sit on it as
+/// there are lists it is a match, and the cursor whose turn it is steps
+/// past it to propose the next target.
+fn leapfrog<'a, S: Semiring>(
+    shape: &'a Shape<'a, S>,
+    st: &mut State<'a, S>,
+    depth: usize,
+    cursors: &mut [Cursor<'a>],
+) {
+    let (mut target, mut agreeing, mut turn) = (0u32, 0usize, 0usize);
+    loop {
+        let c = &mut cursors[turn];
+        c.pos = seek(c.list, c.pos, target);
+        let Some(&head) = c.list.get(c.pos) else {
+            return;
+        };
+        if head == target {
+            agreeing += 1;
+        } else {
+            (target, agreeing) = (head, 1);
+        }
+        if agreeing >= cursors.len() {
+            for c in cursors.iter() {
+                st.sel[c.at] = c.offset + c.pos;
+            }
+            descend(shape, st, depth, target);
+            let c = &mut cursors[turn];
+            c.pos += 1;
+            let Some(&next) = c.list.get(c.pos) else {
+                return;
             };
-            acc = Some(match acc {
-                None => v.clone(),
-                Some(a) => a.mul(v),
-            });
+            (target, agreeing) = (next, 1);
         }
-        let acc = acc.expect("generic join over no factors");
-        if !acc.is_zero() {
-            self.out_data.extend_from_slice(&self.prefix);
-            self.out_values.push(acc);
-        }
+        turn = if turn + 1 == cursors.len() {
+            0
+        } else {
+            turn + 1
+        };
+    }
+}
+
+/// With `var_order[depth] = value` bound and every level meeting there
+/// selected: one depth down, or — every variable bound — the output row.
+#[inline(always)]
+fn descend<'a, S: Semiring>(
+    shape: &'a Shape<'a, S>,
+    st: &mut State<'a, S>,
+    depth: usize,
+    value: u32,
+) {
+    st.prefix[depth] = value;
+    if depth + 1 < shape.active.len() {
+        recurse(shape, st, depth + 1);
+    } else {
+        emit(shape, st);
+    }
+}
+
+/// Appends the bound prefix with the in-order `⊗`-fold of the selected
+/// rows' annotations, unless that product is zero.
+#[inline]
+fn emit<S: Semiring>(shape: &Shape<'_, S>, st: &mut State<'_, S>) {
+    let mut acc: Option<S> = None;
+    for src in &shape.emit {
+        let v = match src {
+            EmitSource::Scalar(s) => *s,
+            EmitSource::Row { values, at } => &values[st.sel[*at]],
+        };
+        acc = Some(match acc {
+            None => v.clone(),
+            Some(a) => a.mul(v),
+        });
+    }
+    let acc = acc.expect("generic join over no factors");
+    if !acc.is_zero() {
+        st.out_data.extend_from_slice(&st.prefix);
+        st.out_values.push(acc);
     }
 }
 
@@ -240,70 +421,65 @@ pub fn generic_join<S: Semiring>(factors: &[&Relation<S>], var_order: &[Var]) ->
         return Relation::new(var_order.to_vec());
     }
 
-    // Reorder each proper factor so its columns bind in var_order
-    // order; skip the copy when the schema already agrees.
-    let mut reordered: Vec<Option<Relation<S>>> = Vec::with_capacity(factors.len());
-    let mut emit = Vec::with_capacity(factors.len());
-    let mut n_proper = 0usize;
-    for f in factors {
-        if f.schema().is_empty() {
-            emit.push(EmitSource::Scalar(f.value_at(0).clone()));
-            reordered.push(None);
-            continue;
-        }
-        let target: Vec<Var> = var_order
-            .iter()
-            .copied()
-            .filter(|v| f.schema().contains(v))
-            .collect();
-        emit.push(EmitSource::Factor(n_proper));
-        n_proper += 1;
-        reordered.push(if f.schema() == target {
-            None
-        } else {
-            Some(f.reorder(&target))
-        });
-    }
-    // `reordered` owns the copies; borrow originals or copies in one
-    // pass (indices in `emit` were assigned in the same order).
-    let proper: Vec<&Relation<S>> = factors
+    // Reorder each factor so its columns bind in var_order order; skip
+    // the copy when the schema already agrees.
+    let reordered: Vec<Option<Relation<S>>> = factors
         .iter()
-        .zip(&reordered)
-        .filter(|(f, _)| !f.schema().is_empty())
-        .map(|(f, r)| r.as_ref().unwrap_or(f))
+        .map(|f| {
+            let target: Vec<Var> = var_order
+                .iter()
+                .copied()
+                .filter(|v| f.schema().contains(v))
+                .collect();
+            (f.schema() != target).then(|| f.reorder(&target))
+        })
         .collect();
 
-    let k = var_order.len();
-    let mut active: Vec<Vec<(usize, usize)>> = vec![Vec::new(); k];
-    for (fi, f) in proper.iter().enumerate() {
+    let mut shape = Shape {
+        levels: Vec::new(),
+        active: vec![Vec::new(); var_order.len()],
+        emit: Vec::with_capacity(factors.len()),
+    };
+    let mut slots = 0usize;
+    for (f, r) in factors.iter().zip(&reordered) {
+        let f = r.as_ref().unwrap_or(f);
+        let arity = f.schema().len();
+        if arity == 0 {
+            shape.emit.push(EmitSource::Scalar(f.value_at(0)));
+            continue;
+        }
         for (col, v) in f.schema().iter().enumerate() {
             let d = var_order.iter().position(|w| w == v).expect("var in order");
-            active[d].push((fi, col));
+            shape.active[d].push(shape.levels.len() + col);
         }
+        shape.levels.extend(trie(f.raw_data(), arity, slots));
+        slots += arity + 1;
+        shape.emit.push(EmitSource::Row {
+            values: f.raw_values(),
+            at: slots - 1,
+        });
     }
     assert!(
-        active.iter().all(|a| !a.is_empty()),
+        shape.active.iter().all(|a| !a.is_empty()),
         "every var_order variable must be bound by some factor"
     );
 
-    let init: Vec<(usize, usize)> = proper.iter().map(|f| (0, f.len())).collect();
-    let mut gj = GenJoin {
-        arenas: proper
-            .iter()
-            .map(|f| (f.raw_data(), f.schema().len()))
-            .collect(),
-        values: proper.iter().map(|f| f.raw_values()).collect(),
-        active,
-        ranges: vec![init; k + 1],
-        emit,
-        prefix: vec![0; k],
+    let mut st = State {
+        sel: vec![0; slots],
+        prefix: vec![0; var_order.len()],
+        cursors: var_order.iter().map(|_| Vec::new()).collect(),
         out_data: Vec::new(),
         out_values: Vec::new(),
     };
-    gj.recurse(0);
+    if var_order.is_empty() {
+        // Only nullary factors: the one empty tuple, their product.
+        emit(&shape, &mut st);
+    } else {
+        recurse(&shape, &mut st, 0);
+    }
     // Tuples were emitted in lexicographic order, so this is the
     // sorted fast path: no re-sort, one zero sweep at most.
-    Relation::from_columns(var_order.to_vec(), gj.out_data, gj.out_values)
+    Relation::from_columns(var_order.to_vec(), st.out_data, st.out_values)
 }
 
 #[cfg(test)]
@@ -350,6 +526,18 @@ mod tests {
     }
 
     #[test]
+    fn nullary_only_factors_fold_to_one_scalar() {
+        let scalar = |c| Relation::from_pairs(vec![], vec![(vec![], Count(c))]);
+        let (two, three) = (scalar(2), scalar(3));
+        let gj = generic_join(&[&two, &three], &[]);
+        assert_eq!(gj, scalar(6), "one empty tuple annotated 2 ⊗ 3");
+        // `from_pairs` drops the zero entry: an empty factor, so the
+        // join is the empty nullary relation.
+        let gj = generic_join(&[&two, &scalar(0), &three], &[]);
+        assert!(gj.is_empty() && gj.schema().is_empty());
+    }
+
+    #[test]
     fn minplus_is_bit_identical_to_the_cascade() {
         let w = |a: u32, b: u32, rows: &[(u32, u32, f64)]| {
             Relation::from_pairs(
@@ -385,13 +573,133 @@ mod tests {
         assert_eq!(gj, cascade);
     }
 
+    /// ℤ/6ℤ: `2 ⊗ 3 = 0` with neither factor zero, which no workspace
+    /// carrier offers.
+    #[derive(Clone, PartialEq, Debug)]
+    struct Z6(u8);
+
+    impl Semiring for Z6 {
+        const NAME: &'static str = "z6";
+        fn zero() -> Self {
+            Z6(0)
+        }
+        fn one() -> Self {
+            Z6(1)
+        }
+        fn add(&self, other: &Self) -> Self {
+            Z6((self.0 + other.0) % 6)
+        }
+        fn mul(&self, other: &Self) -> Self {
+            Z6((self.0 * other.0) % 6)
+        }
+    }
+
     #[test]
-    fn gallop_finds_first_match() {
-        let data: Vec<u32> = vec![0, 1, 1, 3, 3, 3, 7, 9];
-        for target in 0..11 {
-            let got = gallop(&data, 1, 0, 0, data.len(), |x| x >= target);
-            let want = data.iter().position(|&x| x >= target).unwrap_or(data.len());
-            assert_eq!(got, want, "target {target}");
+    fn zero_products_are_dropped_at_emit() {
+        // `from_columns` would sweep a listed zero away again, so look
+        // at the recursion's own output arena.
+        let (two, three, five) = (Z6(2), Z6(3), Z6(5));
+        let scalars = |a, b| Shape {
+            levels: Vec::new(),
+            active: Vec::new(),
+            emit: vec![EmitSource::Scalar(a), EmitSource::Scalar(b)],
+        };
+        let mut st = State {
+            sel: Vec::new(),
+            prefix: Vec::new(),
+            cursors: Vec::new(),
+            out_data: Vec::new(),
+            out_values: Vec::new(),
+        };
+        emit(&scalars(&two, &three), &mut st);
+        assert!(st.out_values.is_empty(), "2 ⊗ 3 = 0 is not a row");
+        emit(&scalars(&two, &five), &mut st);
+        assert_eq!(st.out_values, [Z6(4)]);
+    }
+
+    #[test]
+    fn trie_levels_of_a_three_column_arena() {
+        #[rustfmt::skip]
+        let data = [
+            1, 1, 4,
+            1, 1, 7,
+            1, 2, 0,
+            3, 0, 0,
+            3, 5, 2,
+            3, 5, 3,
+            3, 5, 9,
+            8, 8, 8,
+        ];
+        let levels = trie(&data, 3, 10);
+        assert_eq!(levels.len(), 3);
+        // Level 0: the distinct first-column values, one run.
+        assert_eq!(levels[0].vals, [1, 3, 8]);
+        assert_eq!(levels[0].starts, [0, 3]);
+        // Level 1: per first-column value its distinct second-column
+        // values; 8 is a parent with one child, 3 closes at the end.
+        assert_eq!(levels[1].vals, [1, 2, 0, 5, 8]);
+        assert_eq!(levels[1].starts, [0, 2, 4, 5]);
+        // Level 2: the last column row for row, so entry = row id; the
+        // closing offset is the row count.
+        assert_eq!(levels[2].vals, [4, 7, 0, 0, 2, 3, 9, 8]);
+        assert_eq!(levels[2].starts, [0, 2, 3, 4, 7, 8]);
+        assert_eq!(
+            levels.iter().map(|l| l.up).collect::<Vec<_>>(),
+            [10, 11, 12]
+        );
+
+        // One column: the arena itself under the single root.
+        let unary = trie(&[2, 5, 6], 1, 0);
+        assert_eq!(unary[0].vals, [2, 5, 6]);
+        assert_eq!(unary[0].starts, [0, 3]);
+    }
+
+    /// Strictly increasing lists of the lengths on both sides of the
+    /// linear window, with gaps so targets fall between entries.
+    fn seek_lists() -> Vec<Vec<u32>> {
+        [0usize, 1, 8, 9, 200]
+            .iter()
+            .map(|&n| (0..n as u32).map(|i| 3 * i + 2 + i % 2).collect())
+            .collect()
+    }
+
+    #[test]
+    fn seek_matches_a_linear_scan() {
+        for xs in seek_lists() {
+            let top = xs.last().map_or(3, |&x| x + 3);
+            for lo in 0..=xs.len() {
+                // Below, inside, between and above the list.
+                for target in 0..=top {
+                    let want = (lo..xs.len()).find(|&i| xs[i] >= target);
+                    assert_eq!(
+                        seek(&xs, lo, target),
+                        want.unwrap_or(xs.len()),
+                        "len {} lo {lo} target {target}",
+                        xs.len()
+                    );
+                }
+            }
+        }
+        assert_eq!(seek(&[0, u32::MAX], 0, u32::MAX), 1);
+    }
+
+    #[test]
+    fn stepping_and_seeking_merges_agree() {
+        let lists = seek_lists();
+        let multiples_of_five: Vec<u32> = (0..130).map(|i| 5 * i).collect();
+        for xs in lists.iter().chain([&multiples_of_five]) {
+            for ys in lists.iter().chain([&multiples_of_five]) {
+                let want: Vec<(usize, usize)> = xs
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(i, x)| Some((i, ys.iter().position(|y| y == x)?)))
+                    .collect();
+                let (mut stepped, mut sought) = (Vec::new(), Vec::new());
+                merge_stepping(xs, ys, |i, j| stepped.push((i, j)));
+                merge_seeking(xs, ys, |i, j| sought.push((i, j)));
+                assert_eq!(stepped, want, "{} vs {}", xs.len(), ys.len());
+                assert_eq!(sought, want, "{} vs {}", xs.len(), ys.len());
+            }
         }
     }
 }

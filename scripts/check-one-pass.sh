@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # scripts/check-one-pass.sh — guards "one upward pass" (ROADMAP item 2),
 # its one-scan push-down (ROADMAP item 6), one Steiner packing per
-# distributed run and member set (issue 18) and one aggregate capability
-# (ROADMAP item 3e, issue 19).
+# distributed run and member set (issue 18), one aggregate capability
+# (ROADMAP item 3e, issue 19), one generic-join kernel (issue 20) and
+# the count of `FAQS_*` hatches.
 #
 # Fails when more than one non-test source file under
 # crates/{core,exec,protocols}/src lowers a bag by BagOp (destructures
@@ -22,6 +23,13 @@
 # crates/plan/src/planner.rs that benchmark/ compiles against: which
 # aggregates a query may use is the carrier's declaration
 # (`Semiring::admits`), not the caller's choice of door.
+# Fails, too, when a non-test, non-comment line of
+# crates/relation/src/genjoin.rs defines `fn gallop` or a field named
+# `ranges`: the generic join intersects trie levels (issue 20), and the
+# strided cursor with its per-depth range table must not come back
+# beside it. Fails, too, when src/ and crates/*/src name more than 7
+# distinct `FAQS_*` variables: a new hatch is a new CI leg and a new
+# configuration nobody measures.
 # Then prints the non-test src/ line
 # total of those three crates and of the whole workspace (src/ +
 # crates/*/src) — per file, the lines before the first `#[cfg(test)]` —
@@ -101,5 +109,19 @@ if head -n "$(nontest_lines "$runtime")" "$runtime" |
     grep -Ev '^[[:space:]]*//' |
     grep -En '(^|[^_[:alnum:]])best_delta\(' >&2; then
     echo "$runtime packs per call: use the run's DeltaPackings" >&2
+    exit 1
+fi
+genjoin=crates/relation/src/genjoin.rs
+if head -n "$(nontest_lines "$genjoin")" "$genjoin" |
+    grep -Ev '^[[:space:]]*//' |
+    grep -En '\bfn gallop\b|\branges[[:space:]]*:' >&2; then
+    echo "$genjoin: the strided cursor (gallop / ranges table) is back beside the trie" >&2
+    exit 1
+fi
+max_hatches=7
+hatches=$(grep -rhoE 'FAQS_[A-Z_]+' src crates/*/src | sort -u)
+if [ "$(wc -l <<<"$hatches")" -gt "$max_hatches" ]; then
+    echo "more than $max_hatches FAQS_* variables under src/ and crates/*/src:" >&2
+    printf '  %s\n' $hatches >&2
     exit 1
 fi
