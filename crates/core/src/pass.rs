@@ -4,13 +4,15 @@
 //! Every evaluator in the workspace — `solve_faq`, the threaded
 //! executor, the storing incremental session, the routed distributed
 //! runtime — runs [`Pass::run`]. Per GHD node: the children's messages
-//! first, then the node's own bag combined by its [`BagOp`], then the
-//! messages folded in [`QueryPlan::children`] order, then the push-down
-//! towards the parent. A [`PassSite`] answers only what differs between
-//! the evaluators: how sibling subtrees are scheduled, where a bag's
-//! factors come from, how a message travels (and the round it is ready
-//! at), and how one `⊗` is scheduled. What observes a fold is the
-//! per-pass [`CalProbe`].
+//! first, then the node's own bag combined by its [`BagOp`], then every
+//! message multiplied into it by one scan of the bag
+//! ([`Relation::fold_keyed`], in [`QueryPlan::children`] order per
+//! row), then the push-down towards the parent. A [`PassSite`] answers
+//! only what differs between the evaluators: how sibling subtrees are
+//! scheduled, where a bag's factors come from, how a message travels
+//! (and the round it is ready at), and how one `⊗` of a multi-factor
+//! bag's cascade is scheduled. What observes a fold is the per-pass
+//! [`CalProbe`].
 
 use crate::plan::QueryPlan;
 use faqs_hypergraph::NodeId;
@@ -79,8 +81,10 @@ pub trait PassSite<S: Semiring>: Sized {
         Ok((message, ready))
     }
 
-    /// How one `⊗` is scheduled: `cur ⋈ other`, with `idx` an index of
-    /// `other` on exactly the shared variables.
+    /// How one `⊗` of a multi-factor bag's cascade is scheduled
+    /// ([`Pass::combine`], its only caller: child messages are folded by
+    /// [`Relation::fold_keyed`], not joined): `cur ⋈ other`, with `idx`
+    /// an index of `other` on exactly the shared variables.
     fn join(&mut self, cur: &Relation<S>, other: &Relation<S>, idx: &JoinIndex) -> Relation<S> {
         cur.join_indexed(other, idx)
     }
@@ -175,24 +179,36 @@ impl<S: Semiring> Pass<'_, S> {
         let mut messages = site.children(self, node)?;
         let (mut acc, mut ready) = site.bag(self, node)?;
 
-        // Messages fold in child order; once the probe flags drift, the
-        // remaining folds of the pass go smallest-actual-first (the
+        // Messages multiply in child order; once the probe flags drift,
+        // the remaining folds of the pass go smallest-actual-first (the
         // sort is stable: ties stay in child order). `⊗`-folds commute,
-        // so only the intermediate sizes — the thing the stale plan
-        // mispriced — change.
+        // so only which message drops a row first — the thing the stale
+        // plan mispriced — changes.
         if let Some(probe) = self.probe.filter(|p| messages.len() >= 2 && p.drifted()) {
             probe.note_replan();
             messages.sort_by_key(|(message, _)| message.len());
         }
-        for (message, arrived) in messages {
-            ready = ready.max(arrived);
-            acc = Some(match acc {
-                Some(cur) => {
-                    let idx = message.build_index(&cur.shared_vars(&message));
-                    site.join(&cur, &message, &idx)
-                }
-                None => message,
-            });
+        ready = messages.iter().fold(ready, |r, (_, at)| r.max(*at));
+        if acc.is_none() && !messages.is_empty() {
+            // A factorless synthetic root has no bag: its first message is it.
+            acc = Some(messages.remove(0).0);
+        }
+        if let Some(mut cur) = acc.take() {
+            let messages: Vec<&Relation<S>> = messages.iter().map(|(m, _)| m).collect();
+            let mut rest = messages.as_slice();
+            while let Some(&next) = rest.first() {
+                // One scan multiplies in every message that lists only
+                // the bag's variables: all of them, except above a
+                // factorless root's seed, where the next one is a join.
+                let listed = |m: &&Relation<S>| m.schema().iter().all(|v| cur.schema().contains(v));
+                let run = rest.iter().take_while(|m| listed(m)).count();
+                cur = match run {
+                    0 => cur.join(next),
+                    _ => cur.fold_keyed(&rest[..run]),
+                };
+                rest = &rest[run.max(1)..];
+            }
+            acc = Some(cur);
         }
 
         // Only a fold point with at least two inputs is a prediction:
@@ -315,48 +331,68 @@ mod tests {
     use faqs_semiring::Count;
     use std::collections::BTreeMap;
 
-    /// The sequential site, counting what the skeleton asks of it.
+    /// The sequential site, recording what the skeleton asks of it.
     #[derive(Default)]
     struct Counting {
         combined: Vec<NodeId>,
         emitted: Vec<NodeId>,
-        /// Rows of the last relation each node combined or folded: its
-        /// bag with every child message joined in, before any push-down.
-        /// (Nodes run one after another here, children first, so every
-        /// `join` belongs to the node whose `bag` was asked for last.)
-        rows: BTreeMap<NodeId, usize>,
+        /// Each node's own bag, and the messages delivered to it in
+        /// arrival (= child) order: what it folds, before any push-down.
+        bags: BTreeMap<NodeId, Relation<Count>>,
+        delivered: BTreeMap<NodeId, Vec<Relation<Count>>>,
+        /// The node whose bag was being combined at each `join` call.
+        joins: Vec<NodeId>,
     }
 
-    impl<S: Semiring> PassSite<S> for Counting {
+    impl Counting {
+        /// Rows of `node`'s bag with every message joined in — by the
+        /// join chain the one-scan fold must equal.
+        fn folded_rows(&self, node: NodeId) -> usize {
+            let messages = self.delivered.get(&node).map_or(&[][..], Vec::as_slice);
+            let mut inputs = self.bags.get(&node).into_iter().chain(messages);
+            let first = inputs
+                .next()
+                .expect("an observed node has an input")
+                .clone();
+            inputs.fold(first, |acc, m| acc.join(m)).len()
+        }
+    }
+
+    impl PassSite<Count> for Counting {
         type Error = Infallible;
 
         fn bag(
             &mut self,
-            pass: &Pass<'_, S>,
+            pass: &Pass<'_, Count>,
             node: NodeId,
-        ) -> Result<Timed<Option<Relation<S>>>, Infallible> {
+        ) -> Result<Timed<Option<Relation<Count>>>, Infallible> {
             self.combined.push(node);
             let bag = pass.local_bag(self, node);
-            self.rows.extend(bag.as_ref().map(|bag| (node, bag.len())));
+            self.bags.extend(bag.clone().map(|bag| (node, bag)));
             Ok((bag, 0))
         }
 
-        fn join(&mut self, cur: &Relation<S>, other: &Relation<S>, idx: &JoinIndex) -> Relation<S> {
-            let out = cur.join_indexed(other, idx);
-            let node = *self.combined.last().expect("a bag was asked for first");
-            self.rows.insert(node, out.len());
-            out
+        fn join(
+            &mut self,
+            cur: &Relation<Count>,
+            other: &Relation<Count>,
+            idx: &JoinIndex,
+        ) -> Relation<Count> {
+            self.joins
+                .push(*self.combined.last().expect("only a bag's cascade joins"));
+            cur.join_indexed(other, idx)
         }
 
         fn deliver(
             &mut self,
-            _pass: &Pass<'_, S>,
+            _pass: &Pass<'_, Count>,
             from: NodeId,
-            _to: NodeId,
-            message: Relation<S>,
+            to: NodeId,
+            message: Relation<Count>,
             ready: u64,
-        ) -> Result<Timed<Relation<S>>, Infallible> {
+        ) -> Result<Timed<Relation<Count>>, Infallible> {
             self.emitted.push(from);
+            self.delivered.entry(to).or_default().push(message.clone());
             Ok((message, ready))
         }
     }
@@ -397,12 +433,15 @@ mod tests {
             (path_query(4), false),
             (example_h2(), false),
             (cycle_query(3), true),
+            (cycle_query(3), false),
         ];
         for (h, generic) in fixtures {
             let q = instance(&h);
             let mut chosen = plan_query(&q, false, &PlannerConfig::stats()).unwrap();
             if generic {
                 force_generic_join(&q, &mut chosen);
+            } else {
+                chosen.bag_ops.clear(); // every bag a cascade
             }
             let plan = QueryPlan::lower(&q, chosen);
             assert_eq!(plan.uses_generic_join(), generic, "{h:?}");
@@ -444,12 +483,26 @@ mod tests {
             );
             let samples = probe.log.drain();
             for s in &samples {
-                let logical = site.rows[&NodeId(s.node as u32)];
+                let logical = site.folded_rows(NodeId(s.node as u32));
                 assert_eq!(s.actual, logical as u64, "{h:?}: actual = the bag's rows");
             }
+            // Messages are folded, not joined: the hook is asked once per
+            // cascade step of a multi-factor bag and never otherwise.
+            let cascade = |n: &NodeId| match plan.bag_op(*n) {
+                BagOp::Cascade => plan.joins(*n).len().saturating_sub(1),
+                BagOp::GenericJoin { .. } => 0,
+            };
+            let steps: Vec<NodeId> = site
+                .combined
+                .iter()
+                .flat_map(|n| std::iter::repeat_n(*n, cascade(n)))
+                .collect();
+            assert_eq!(site.joins, steps, "{h:?}: one join per cascade step");
+            let one_bag = plan.ghd.node_ids().count() == 1;
+            assert_eq!(!steps.is_empty(), one_bag && !generic, "{h:?}");
             let observed = samples.iter().map(|s| NodeId(s.node as u32)).collect();
             assert_eq!(sorted(observed), predicted, "{h:?}: ≥2-input folds observe");
-            if generic {
+            if one_bag {
                 // One bag, and the observer saw all of it — not what
                 // the one-scan push-down leaves of it.
                 let [r, s, t] = &q.factors[..] else { panic!() };

@@ -178,6 +178,81 @@ fn every_lowering_of_a_cyclic_bag_returns_the_same_bits() {
     }
 }
 
+#[test]
+fn a_leaf_regrouped_on_its_first_column_folds_in_layout_order() {
+    // `path(4)` rooted at its middle edge: the leaf `{0, 1}` keeps `x1`
+    // and aggregates `x0`, its *first* column, so its push-down regroups
+    // 300 rows (by counting, the values being dense) before it can fold;
+    // the root multiplies two messages in by one scan, the inner node
+    // `{2, 3}` one. The reference is the same tree spelt out with the
+    // single-variable kernel on relations already in layout order, and
+    // the join chain.
+    let cfg = RandomInstanceConfig {
+        tuples_per_factor: 300,
+        domain: 24,
+        seed: 29,
+    };
+    let weight = |r: &mut rand::rngs::StdRng| Prob(f64::from(r.random_range(1..1000u32)) / 1000.3);
+    for free in [vec![], vec![Var(2)], vec![Var(2), Var(1)]] {
+        let q: FaqQuery<Prob> = random_instance(&path_query(4), &cfg, free, weight);
+        let node = |chi: [u32; 2], edge: u32, parent| GhdNode {
+            chi: chi.iter().map(|&v| Var(v)).collect(),
+            lambda: [EdgeId(edge)].into_iter().collect(),
+            parent,
+        };
+        let bags = vec![
+            node([1, 2], 1, None),
+            node([0, 1], 0, Some(NodeId(0))),
+            node([2, 3], 2, Some(NodeId(0))),
+            node([3, 4], 3, Some(NodeId(2))),
+        ];
+        let mut plan = plan_query(&q, false, &PlannerConfig::structural()).unwrap();
+        plan.ghd = Ghd::from_nodes(bags, NodeId(0));
+        plan.ghd.validate(&q.hypergraph).unwrap();
+        plan.join_order = join_order_for_ghd(&q, &plan.ghd);
+        plan.bag_ops = vec![BagOp::Cascade; 4];
+        let lowered = QueryPlan::lower(&q, plan.clone());
+        assert_eq!(lowered.children(NodeId(0)), [NodeId(1), NodeId(2)]);
+
+        let sum = |r: Relation<Prob>, v: u32| r.aggregate_out(Var(v), Aggregate::Sum);
+        let [r01, r12, r23, r34] = &q.factors[..] else {
+            panic!("four edges")
+        };
+        assert_eq!(r01.schema(), [Var(0), Var(1)], "x0 leads the leaf");
+        let from_01 = sum(r01.reorder(&[Var(1), Var(0)]), 0);
+        let from_23 = sum(r23.join(&sum(r34.clone(), 4)), 3);
+        // The root's private variables last, outermost first: each step
+        // then folds a sorted run in ascending order.
+        let nest = lowered.nest(NodeId(0));
+        let private = nest.iter().rev().map(|&(v, _)| v);
+        let layout: Vec<Var> = q.free_vars.iter().copied().chain(private).collect();
+        let mut want = r12.join(&from_01).join(&from_23).reorder(&layout);
+        for &(v, _) in nest {
+            want = sum(want, v.0);
+        }
+        assert!(!want.is_empty());
+
+        let rows = |r: &Relation<Prob>| -> Vec<(Vec<u32>, u64)> {
+            r.iter().map(|(t, v)| (t.to_vec(), v.0.to_bits())).collect()
+        };
+        let got = [
+            solve_faq_with_plan(&q, &plan),
+            Executor::new(ExecutorConfig::sequential()).solve_on(&q, &lowered),
+            Executor::with_threads(4).solve_on(&q, &lowered),
+        ];
+        for (site, got) in got.into_iter().enumerate() {
+            let got = got.unwrap();
+            assert_eq!(got.schema(), q.free_vars.as_slice());
+            assert_eq!(
+                rows(&got),
+                rows(&want),
+                "site {site}, free {:?}",
+                q.free_vars
+            );
+        }
+    }
+}
+
 /// The per-binding slices of a batching site, stacked back into one
 /// relation (bindings ascend and lead the schema, so the rows arrive
 /// sorted).

@@ -88,14 +88,20 @@ fn cmp_key(t: &[u32], pos: &[usize], key: &[u32]) -> Ordering {
 
 /// Binary search for `tuple` among the `n` sorted rows of an
 /// `arity`-strided arena: `Ok(row)` on a hit, `Err(insertion_row)`
-/// otherwise. Shared by [`Relation::get`]/`insert` and the multi-column
-/// key search of [`JoinIndex::group_of`].
+/// otherwise. Shared by [`Relation::get`]/`insert`, the multi-column
+/// key search of [`JoinIndex::group_of`] and [`fold_keyed`]'s fallback.
+/// A one-column arena is searched as the flat `u32` array it is: the
+/// per-step row slice and chunked compare cost four times the scalar
+/// compare there.
 pub(crate) fn binary_search_row(
     data: &[u32],
     arity: usize,
     n: usize,
     tuple: &[u32],
 ) -> Result<usize, usize> {
+    if arity == 1 {
+        return data[..n].binary_search(&tuple[0]);
+    }
     let (mut lo, mut hi) = (0usize, n);
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
@@ -203,8 +209,8 @@ pub(crate) fn compact_zeros<S: Semiring>(arity: usize, data: &mut Vec<u32>, valu
 /// Built once per factor (O(n log n), or O(n) when the key is a schema
 /// prefix of the already-sorted arena) and reused across every probe:
 /// the Yannakakis passes build one index per factor per pass, and the
-/// engine's upward messages index each factor exactly once per join
-/// instead of rehashing it per operation.
+/// cascade over a multi-factor bag indexes each factor once per join
+/// (child messages are not indexed at all: [`fold_keyed`] scans).
 ///
 /// The index is self-contained (it copies the group keys out of the
 /// relation), so it stays valid even if the indexed relation is later
@@ -574,6 +580,120 @@ fn assert_keyed_on_shared<S: Semiring>(left: &Relation<S>, other: &Relation<S>, 
     );
 }
 
+/// How wide a value range (`max − min`) one column of `rows` rows may
+/// span and still be addressed directly ([`KeyLookup::Table`],
+/// [`counting_order`]): a few words per row plus a page, so filling the
+/// array costs no more than the scan it serves.
+const fn dense_span(rows: usize) -> u64 {
+    4 * rows as u64 + 1024
+}
+
+/// How [`fold_keyed`] finds a bag row's entry in one message: chosen
+/// once from the two schemas, then asked once per bag row.
+enum KeyLookup {
+    /// `(k, at)`: the message's schema is the bag's first `k` columns in
+    /// order, so both arenas are sorted on the key and one cursor that
+    /// only moves forward (galloping when it lags) serves the whole
+    /// scan. `k = 0` is the nullary message that scales every row.
+    Cursor(usize, usize),
+    /// `(col, min, rows)`: one column elsewhere, spanning at most
+    /// [`dense_span`]; `rows[value − min]` is the message row plus one.
+    Table(usize, u32, Vec<u32>),
+    /// `(pos, key)`: any other key — the bag row's projection onto `pos`,
+    /// gathered into `key` and binary-searched in the message's arena.
+    Search(Vec<usize>, Vec<u32>),
+}
+
+/// What [`KeyLookup::find`] found; `Exhausted` when the cursor ran off
+/// its message, so that no later bag row has an entry either.
+enum Hit {
+    Row(usize),
+    Miss,
+    Exhausted,
+}
+
+impl KeyLookup {
+    fn new<S: Semiring>(bag: &[Var], message: &Relation<S>) -> KeyLookup {
+        let vars = message.schema();
+        let at = |v| bag.iter().position(|w| w == v);
+        let pos: Vec<usize> = vars.iter().map_while(at).collect();
+        assert!(
+            pos.len() == vars.len(),
+            "a folded message lists only variables of the bag: {vars:?} into {bag:?}"
+        );
+        if pos.iter().enumerate().all(|(i, &p)| p == i) {
+            return KeyLookup::Cursor(pos.len(), 0);
+        }
+        // A one-column message is its own sorted key column.
+        let keys = message.raw_data();
+        if let (&[col], Some(&min), Some(&max)) = (&pos[..], keys.first(), keys.last()) {
+            if u64::from(max - min) <= dense_span(keys.len()) {
+                let mut rows = vec![0u32; (max - min) as usize + 1];
+                for (j, x) in keys.iter().enumerate() {
+                    rows[(x - min) as usize] = j as u32 + 1;
+                }
+                return KeyLookup::Table(col, min, rows);
+            }
+        }
+        KeyLookup::Search(pos, vec![0; vars.len()])
+    }
+
+    #[inline]
+    fn find<S: Semiring>(&mut self, t: &[u32], message: &Relation<S>) -> Hit {
+        let (data, n) = (message.raw_data(), message.len());
+        let hit = |found: Option<usize>| found.map_or(Hit::Miss, Hit::Row);
+        match self {
+            KeyLookup::Cursor(k, at) => {
+                *at = gallop_rows(data, *k, *at, n, &t[..*k]);
+                if *at == n {
+                    return Hit::Exhausted;
+                }
+                hit(rows_eq_chunked(row(data, *k, *at), &t[..*k]).then_some(*at))
+            }
+            KeyLookup::Table(col, min, rows) => {
+                let off = t[*col].checked_sub(*min).map(|off| off as usize);
+                hit(off.and_then(|off| (*rows.get(off)? as usize).checked_sub(1)))
+            }
+            KeyLookup::Search(pos, key) => {
+                key.iter_mut().zip(pos.iter()).for_each(|(k, &p)| *k = t[p]);
+                hit(binary_search_row(data, key.len(), n, key).ok())
+            }
+        }
+    }
+}
+
+/// [`Relation::fold_keyed`]: one scan over `bag`, survivors compacted in
+/// place in their order — so the result is canonical without a sort.
+pub(crate) fn fold_keyed<S: Semiring>(
+    mut bag: Relation<S>,
+    messages: &[&Relation<S>],
+) -> Relation<S> {
+    let schema = bag.schema();
+    let mut lookups: Vec<_> = messages.iter().map(|m| KeyLookup::new(schema, m)).collect();
+    let arity = schema.len();
+    let (data, values) = bag.parts_mut();
+    let mut kept = 0usize;
+    'rows: for i in 0..values.len() {
+        let mut v = values[i].clone();
+        for (lookup, m) in lookups.iter_mut().zip(messages) {
+            match lookup.find(&data[i * arity..(i + 1) * arity], m) {
+                Hit::Row(j) => v = v.mul(m.value_at(j)),
+                Hit::Miss => continue 'rows,
+                Hit::Exhausted => break 'rows,
+            }
+            if v.is_zero() {
+                continue 'rows;
+            }
+        }
+        values[kept] = v;
+        data.copy_within(i * arity..(i + 1) * arity, kept * arity);
+        kept += 1;
+    }
+    values.truncate(kept);
+    data.truncate(kept * arity);
+    bag
+}
+
 /// Semijoin `left ⋉ other` against a prebuilt index of `other` keyed on
 /// the shared variables: keeps `left`'s rows (annotations untouched)
 /// whose key projection appears in the index. Order-preserving.
@@ -800,10 +920,59 @@ impl<S: Semiring> NestFold<S> {
     }
 }
 
+/// [`layout_order`] without a comparison. When `trailing` ascends as
+/// `kept` does, rows that tie on the kept columns already stand in
+/// layout order in the sorted arena, so one stable counting pass per
+/// kept column, least significant first, yields the permutation. `None`
+/// when it does not, or a kept column spans more than [`dense_span`].
+fn counting_order<S: Semiring>(
+    rel: &Relation<S>,
+    kept: &[usize],
+    trailing: &[usize],
+) -> Option<Vec<u32>> {
+    if !trailing.windows(2).all(|w| w[0] < w[1]) {
+        return None;
+    }
+    let (n, arity, data) = (rel.len(), rel.schema().len(), rel.raw_data());
+    let mut order: Vec<u32> = (0..n as u32).collect();
+    let mut next = vec![0u32; n];
+    for &c in kept.iter().rev() {
+        let column = (0..n).map(|i| data[i * arity + c]);
+        let (lo, hi) = (column.clone().min().unwrap_or(0), column.max().unwrap_or(0));
+        if u64::from(hi - lo) > dense_span(n) {
+            return None;
+        }
+        // `slots[x − lo]`: where the next row valued `x` goes.
+        let slot = |i: u32| (data[i as usize * arity + c] - lo) as usize;
+        let mut slots = vec![0u32; (hi - lo) as usize + 2];
+        order.iter().for_each(|&i| slots[slot(i) + 1] += 1);
+        (1..slots.len()).for_each(|x| slots[x] += slots[x - 1]);
+        for &i in &order {
+            next[slots[slot(i)] as usize] = i;
+            slots[slot(i)] += 1;
+        }
+        std::mem::swap(&mut order, &mut next);
+    }
+    Some(order)
+}
+
+/// `rel`'s row ids sorted on the projection onto `kept` (ascending
+/// positions) then `trailing`: counted, else one comparison sort (no
+/// ties: the columns cover distinct rows).
+fn layout_order<S: Semiring>(rel: &Relation<S>, kept: &[usize], trailing: &[usize]) -> Vec<u32> {
+    counting_order(rel, kept, trailing).unwrap_or_else(|| {
+        let pos = [kept, trailing].concat();
+        let tuple = |i: u32| rel.tuple_at(i as usize);
+        let mut order: Vec<u32> = (0..rel.len() as u32).collect();
+        order.sort_unstable_by(|&a, &b| cmp_projected(tuple(a), tuple(b), &pos));
+        order
+    })
+}
+
 /// [`Relation::aggregate_out_many`]: drives one [`NestFold`] over
 /// `rel`'s rows — as they stand when [`trailing_nest`] finds them in
-/// layout order, otherwise through one sort of the row ids into it,
-/// however many variables go.
+/// layout order, otherwise through [`layout_order`]'s permutation of the
+/// row ids, however many variables go.
 pub(crate) fn aggregate_nest<S: Semiring>(
     rel: Relation<S>,
     nest: &[(Var, Aggregate)],
@@ -818,21 +987,20 @@ pub(crate) fn aggregate_nest<S: Semiring>(
     let column = |(v, op): &(Var, Aggregate)| Some((schema.iter().position(|w| w == v)?, *op));
     let (trailing, ops): (Vec<usize>, Vec<Aggregate>) =
         nest.iter().rev().filter_map(column).unzip();
-    let kept = || (0..schema.len()).filter(|c| !trailing.contains(c));
+    let kept: Vec<usize> = (0..schema.len())
+        .filter(|c| !trailing.contains(c))
+        .collect();
 
-    let mut fold = NestFold::new(kept().map(|c| schema[c]).collect(), ops);
+    let mut fold = NestFold::new(kept.iter().map(|&c| schema[c]).collect(), ops);
     if in_layout {
         for (row, value) in rel.iter() {
             fold.push(row, value);
         }
     } else {
-        let pos: Vec<usize> = kept().chain(trailing.iter().copied()).collect();
-        let mut order: Vec<u32> = (0..rel.len() as u32).collect();
-        let tuple = |i: u32| rel.tuple_at(i as usize);
-        order.sort_unstable_by(|&a, &b| cmp_projected(tuple(a), tuple(b), &pos));
+        let pos = [kept.as_slice(), trailing.as_slice()].concat();
         let mut row = vec![0u32; pos.len()];
-        for i in order {
-            let t = tuple(i);
+        for i in layout_order(&rel, &kept, &trailing) {
+            let t = rel.tuple_at(i as usize);
             for (x, &p) in row.iter_mut().zip(&pos) {
                 *x = t[p];
             }
@@ -955,6 +1123,8 @@ pub(crate) fn merge_signed<S: Semiring>(
 mod tests {
     use super::*;
     use faqs_semiring::Count;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn v(i: u32) -> Var {
         Var(i)
@@ -1192,6 +1362,118 @@ mod tests {
         assert_eq!(trailing_nest(&[v(5), v(4)], &all), Some(0));
         assert_eq!(trailing_nest(&[], &all), Some(0));
         assert_eq!(trailing_nest(&[v(2), v(5)], &all), None);
+    }
+
+    #[test]
+    fn binary_search_row_on_one_column_arenas() {
+        // The flat fast path keeps the strided contract: `Ok(row)` on a
+        // hit, `Err(insertion row)` on a miss — below, between, above.
+        let data = [3u32, 7, 9, u32::MAX];
+        for (key, want) in [
+            (3, Ok(0)),
+            (9, Ok(2)),
+            (u32::MAX, Ok(3)),
+            (0, Err(0)),
+            (8, Err(2)),
+            (u32::MAX - 1, Err(3)),
+        ] {
+            assert_eq!(binary_search_row(&data, 1, 4, &[key]), want, "{key}");
+        }
+        // Only the first `n` rows are searched.
+        assert_eq!(binary_search_row(&data, 1, 3, &[u32::MAX]), Err(3));
+        assert_eq!(binary_search_row(&[], 1, 0, &[5]), Err(0));
+        // And `get` / `insert` / `delete` on a unary relation ride it.
+        let mut r = rel(&[0], &[(&[3], 1), (&[9], 2), (&[u32::MAX], 3)]);
+        assert_eq!(r.get(&[u32::MAX]), Some(&Count(3)));
+        assert_eq!(r.get(&[4]), None);
+        r.insert(vec![4], Count(7));
+        assert_eq!(r.tuples().collect::<Vec<_>>(), [[3], [4], [9], [u32::MAX]]);
+        assert_eq!(r.delete(&[9]), Some(Count(2)));
+        assert_eq!(r.delete(&[9]), None);
+    }
+
+    /// Every ordered non-empty selection of `0..arity`.
+    fn ordered_subsets(arity: usize) -> Vec<Vec<usize>> {
+        let mut out: Vec<Vec<usize>> = vec![Vec::new()];
+        let mut from = 0;
+        while from < out.len() {
+            let shorter = out[from].clone();
+            for c in (0..arity).filter(|c| !shorter.contains(c)) {
+                out.push([shorter.as_slice(), &[c]].concat());
+            }
+            from += 1;
+        }
+        out.split_off(1)
+    }
+
+    #[test]
+    fn counting_regroup_is_the_comparison_sort() {
+        use Aggregate::{Max, Product, Sum};
+        let mut rng = StdRng::seed_from_u64(21);
+        let mut draw = move |below: u32| rng.random_range(0..below);
+        // Values per column (2: duplicate-heavy kept columns), rows
+        // drawn, and whether one column is spread over the whole `u32`
+        // range — a span no row count here brings inside the bound.
+        let classes = [
+            (2, 0, false),
+            (2, 1, true),
+            (2, 40, false),
+            (5, 200, false),
+            (5, 200, true),
+        ];
+        for arity in 2..=4usize {
+            for trailing in ordered_subsets(arity) {
+                for (class, &(domain, draws, spread)) in classes.iter().enumerate() {
+                    let wide = (class + trailing.len()) % arity;
+                    let stretch = |c: usize, x: u32| match spread && c == wide {
+                        true => x * (u32::MAX / (domain - 1)),
+                        false => x,
+                    };
+                    let rows = (0..draws).map(|_| {
+                        let t = (0..arity).map(|c| stretch(c, draw(domain))).collect();
+                        (t, Count(u64::from(draw(3))))
+                    });
+                    let schema: Vec<Var> = (0..arity as u32).map(Var).collect();
+                    let rel = Relation::from_pairs(schema.clone(), rows);
+                    let kept: Vec<usize> = (0..arity).filter(|c| !trailing.contains(c)).collect();
+                    let what = format!("{arity} columns, nest {trailing:?}, class {class}");
+
+                    // The permutation itself, not just what is folded
+                    // through it.
+                    let pos = [kept.as_slice(), trailing.as_slice()].concat();
+                    let mut sorted: Vec<u32> = (0..rel.len() as u32).collect();
+                    sorted.sort_unstable_by(|&a, &b| {
+                        cmp_projected(rel.tuple_at(a as usize), rel.tuple_at(b as usize), &pos)
+                    });
+                    assert_eq!(layout_order(&rel, &kept, &trailing), sorted, "{what}");
+                    // Counted exactly when the nest ascends and every
+                    // kept column is dense; refused past the bound.
+                    let counted = counting_order(&rel, &kept, &trailing);
+                    let descends = trailing.windows(2).any(|w| w[0] > w[1]);
+                    let sparse = spread && kept.contains(&wide) && rel.len() > 1;
+                    assert_eq!(counted.is_none(), descends || sparse, "{what}");
+                    assert_eq!(counted.unwrap_or(sorted.clone()), sorted, "{what}: counted");
+
+                    // And the fold driven through it, operators mixed
+                    // per level.
+                    let ops = [Sum, Max, Product, Sum];
+                    let nest: Vec<(Var, Aggregate)> = trailing
+                        .iter()
+                        .rev()
+                        .map(|&c| (schema[c], ops[c]))
+                        .collect();
+                    let level_ops = trailing.iter().map(|&c| ops[c]).collect();
+                    let mut fold =
+                        NestFold::new(kept.iter().map(|&c| schema[c]).collect(), level_ops);
+                    for &i in &sorted {
+                        let t = rel.tuple_at(i as usize);
+                        let row: Vec<u32> = pos.iter().map(|&p| t[p]).collect();
+                        fold.push(&row, rel.value_at(i as usize));
+                    }
+                    assert_eq!(aggregate_nest(rel, &nest), fold.finish(), "{what}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -370,15 +370,32 @@ impl<S: Semiring> Relation<S> {
     /// as the trailing columns, outermost first. A relation already
     /// there (what a generic-join bag is planned to be, and any relation
     /// whose one private variable is its last column) is folded as it
-    /// stands; any other pays one sort of its row ids first, however
-    /// many variables go. Variables of `nest` that the schema does not
-    /// list are skipped; when none is listed, `self` comes back
-    /// untouched. Each kept row's value folds its group in ascending
-    /// order of the nest columns, outermost first — so on a float
-    /// carrier the result does not depend on the column order the
+    /// stands; any other has its row ids put in that order first,
+    /// however many variables go — by one counting pass per kept column
+    /// when the nest's columns ascend and the kept ones are densely
+    /// valued, else by one comparison sort. Variables of `nest` that
+    /// the schema does not list are skipped; when none is listed, `self`
+    /// comes back untouched. Each kept row's value folds its group in
+    /// ascending order of the nest columns, outermost first — so on a
+    /// float carrier the result does not depend on the column order the
     /// relation arrived in.
     pub fn aggregate_out_many(self, nest: &[(Var, Aggregate)]) -> Relation<S> {
         kernel::aggregate_nest(self, nest)
+    }
+
+    /// `⊗`-multiplies `messages` into this relation, each over a subset
+    /// of this schema (so keyed on its whole schema: at most one entry
+    /// per row) — how a GHD node folds its children's messages into its
+    /// bag (Theorem G.3). Equal to `self.join(m₁).join(m₂)…`, bit for
+    /// bit, in one scan of this arena: per row `v ⊗ m₁[key₁] ⊗ m₂[key₂] …`,
+    /// dropped at the first missing entry or zero product. An entry is
+    /// found by a forward-only cursor when the message's schema is a
+    /// prefix of this one (the scan stops when it runs off the message),
+    /// by a direct-address table for one densely valued column, else by
+    /// binary search. Panics when a message lists a variable this schema
+    /// lacks — that would be a join, not a fold.
+    pub fn fold_keyed(self, messages: &[&Relation<S>]) -> Relation<S> {
+        kernel::fold_keyed(self, messages)
     }
 
     /// Natural join `⋈` (Definition 3.4) with `⊗`-multiplied annotations:

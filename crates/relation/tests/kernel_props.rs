@@ -6,7 +6,8 @@
 //! one-scan nest aggregation and the bitmap / sorted-copy distinct
 //! counts of `Relation::stats` are raced against the row-at-a-time /
 //! index-sweep / per-variable / hash-set algorithms they replaced, kept
-//! here as references.
+//! here as references; the one-scan message fold against the join chain
+//! it replaced in the upward pass.
 
 use faqs_hypergraph::Var;
 use faqs_relation::{Aggregate, DeltaOp, Relation, RelationDelta};
@@ -378,6 +379,18 @@ fn check_nest<S: Semiring>(
     }
     let (n, domain) = (rng.random_range(0..60), rng.random_range(1..4));
     let rel: Relation<S> = random_rel(&schema, n, domain, &mut rng, value_of);
+    // Half the cases spread one column over the whole `u32` range (an
+    // order-preserving relabelling): a regroup that keeps it cannot
+    // count it and falls back to the comparison sort.
+    let wide = rng.random_bool(0.5).then(|| rng.random_range(0..arity));
+    let spread = |(t, v): (&[u32], &S)| {
+        let mut t = t.to_vec();
+        t.iter_mut()
+            .enumerate()
+            .for_each(|(c, x)| *x *= if wide == Some(c) { u32::MAX / 3 } else { 1 });
+        (t, v.clone())
+    };
+    let rel = Relation::from_pairs(vars(&schema), rel.iter().map(spread));
     let mut nest: Nest = (0..arity as u32)
         .rev()
         .filter_map(|v| {
@@ -419,6 +432,129 @@ fn check_plain_nest<S: Semiring>(
     same: fn(&S, &S) -> bool,
 ) {
     check_nest(seed, &[Aggregate::Sum, Aggregate::Product], value_of, same);
+}
+
+/// ℤ/6ℤ: `2 ⊗ 3 = 0` with neither factor zero — a product that dies in
+/// the middle of a chain of messages (as `genjoin_props.rs` has it).
+#[derive(Clone, PartialEq, Debug)]
+struct Z6(u8);
+
+impl Semiring for Z6 {
+    const NAME: &'static str = "z6";
+    fn zero() -> Self {
+        Z6(0)
+    }
+    fn one() -> Self {
+        Z6(1)
+    }
+    fn add(&self, other: &Self) -> Self {
+        Z6((self.0 + other.0) % 6)
+    }
+    fn mul(&self, other: &Self) -> Self {
+        Z6((self.0 * other.0) % 6)
+    }
+}
+
+/// The column lists a message into a bag of `arity` columns may carry,
+/// one per lookup `fold_keyed` chooses between: every prefix in order
+/// (the whole schema last; the empty one scales every row), a prefix out
+/// of order, one inner column, the last column, two non-adjacent
+/// columns, the whole schema reversed.
+fn message_shapes(arity: usize) -> Vec<Vec<usize>> {
+    let mut shapes: Vec<Vec<usize>> = (0..=arity).map(|k| (0..k).collect()).collect();
+    shapes.push(vec![arity - 1]);
+    shapes.push((0..arity).rev().collect());
+    if arity >= 3 {
+        shapes.extend([vec![1, 0], vec![1], vec![0, 2], vec![2, 0]]);
+    }
+    if arity == 4 {
+        shapes.extend([vec![1, 3], vec![2, 1], vec![0, 1, 3]]);
+    }
+    shapes
+}
+
+/// Races `fold_keyed` against the join chain `bag ⋈ m₁ ⋈ m₂ …` on one
+/// random bag (arity 1–4, columns in a random variable order, up to 60
+/// rows) and 0–4 messages of random [`message_shapes`]. Each column
+/// draws from its own palette: `0..d` (a one-column key fits the
+/// direct-address table) or `d` values from `0` to `u32::MAX` (it does
+/// not, and is binary-searched). A message lists random keys (about
+/// half of them missing from the bag), the bag's own projection, only
+/// the projection's lower half (a prefix cursor runs off it before the
+/// bag ends), or nothing. `same` holds the values to the chain's;
+/// `exact` says `⊗` is associative on the carrier, so that folding the
+/// messages in another order must give the same values too.
+fn check_fold<S: Semiring>(
+    seed: u64,
+    mut value_of: impl FnMut(&mut StdRng) -> S,
+    same: fn(&S, &S) -> bool,
+    exact: bool,
+) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let arity = rng.random_range(1..5usize);
+    let mut schema: Vec<u32> = (0..arity as u32).collect();
+    for i in (1..arity).rev() {
+        schema.swap(i, rng.random_range(0..=i));
+    }
+    let palettes: Vec<Vec<u32>> = (0..arity)
+        .map(|_| {
+            let d = rng.random_range(2..5u32);
+            let step = if rng.random_bool(0.5) {
+                1
+            } else {
+                u32::MAX / (d - 1)
+            };
+            (0..d).map(|x| x * step).collect()
+        })
+        .collect();
+    let var_ids = |cols: &[usize]| vars(&cols.iter().map(|&c| schema[c]).collect::<Vec<_>>());
+    let random_rows = |cols: &[usize], n: usize, rng: &mut StdRng| -> Vec<Vec<u32>> {
+        let pick = |rng: &mut StdRng, c: usize| palettes[c][rng.random_range(0..palettes[c].len())];
+        (0..n)
+            .map(|_| cols.iter().map(|&c| pick(rng, c)).collect())
+            .collect()
+    };
+    let mut valued = |cols: &[usize], rows: Vec<Vec<u32>>, rng: &mut StdRng| -> Relation<S> {
+        let pairs: Vec<(Vec<u32>, S)> = rows.into_iter().map(|t| (t, value_of(rng))).collect();
+        Relation::from_pairs(var_ids(cols), pairs)
+    };
+    let all: Vec<usize> = (0..arity).collect();
+    let rows = random_rows(&all, rng.random_range(0..60), &mut rng);
+    let bag = valued(&all, rows, &mut rng);
+
+    let shapes = message_shapes(arity);
+    let messages: Vec<Relation<S>> = (0..rng.random_range(0..5))
+        .map(|_| {
+            let cols = &shapes[rng.random_range(0..shapes.len())];
+            let own = bag.project(&var_ids(cols));
+            let own: Vec<Vec<u32>> = own.tuples().map(<[u32]>::to_vec).collect();
+            let rows = match rng.random_range(0..6) {
+                0 => own,
+                1 => own[..own.len() / 2].to_vec(),
+                2 => Vec::new(),
+                _ => random_rows(cols, rng.random_range(1..30), &mut rng),
+            };
+            valued(cols, rows, &mut rng)
+        })
+        .collect();
+    let mut refs: Vec<&Relation<S>> = messages.iter().collect();
+
+    let want = refs.iter().fold(bag.clone(), |acc, m| acc.join(m));
+    let got = bag.clone().fold_keyed(&refs);
+    assert_canonical(&got, "fold_keyed");
+    assert_same(&got, &want, same, "one scan vs the join chain");
+
+    // Any order of the messages keeps the same rows.
+    refs.reverse();
+    let reversed = bag.fold_keyed(&refs);
+    assert_eq!(
+        reversed.tuples().collect::<Vec<_>>(),
+        want.tuples().collect::<Vec<_>>(),
+        "messages reversed: rows"
+    );
+    if exact {
+        assert_same(&reversed, &want, same, "messages reversed");
+    }
 }
 
 /// Schemas for the single-relation properties: unary, binary, ternary,
@@ -615,6 +751,29 @@ proptest! {
     }
 
     #[test]
+    fn fold_keyed_matches_the_join_chain(seed: u64) {
+        check_fold::<Count>(seed, |r| Count(r.random_range(0..4)), |a, b| a == b, true);
+        check_fold::<Boolean>(seed, |r| Boolean(r.random_bool(0.8)), |a, b| a == b, true);
+        // 2 ⊗ 3 = 0: rows die at the second or third message.
+        check_fold::<Z6>(seed, |r| Z6(r.random_range(1..6)), |a, b| a == b, true);
+        // Whole-number weights: tropical sums are exact in `f64`.
+        check_fold::<MinPlus>(
+            seed,
+            |r| MinPlus::new(r.random_range(0..16) as f64),
+            |a, b| a.0.to_bits() == b.0.to_bits(),
+            true,
+        );
+        // Non-dyadic weights: only the chain's own association order
+        // reproduces its bits.
+        check_fold::<Prob>(
+            seed,
+            |r| Prob(r.random_range(1..1000) as f64 / 1000.3),
+            |a, b| a.0.to_bits() == b.0.to_bits(),
+            false,
+        );
+    }
+
+    #[test]
     fn product_same_schema_matches_reference(
         seed: u64,
         na in 0usize..40,
@@ -777,4 +936,98 @@ fn aggregate_out_many_edge_cases() {
     let kept = rel.aggregate_out_many(&sum(&[2]));
     assert_eq!(kept.schema(), vars(&[1, 0]));
     assert_eq!(kept.get(&[0, 1]), Some(&Count(5)));
+}
+
+#[test]
+fn fold_keyed_edge_cases() {
+    let count = |ids: &[u32], rows: &[(&[u32], u64)]| -> Relation<Count> {
+        let rows = rows.iter().map(|(t, c)| (t.to_vec(), Count(*c)));
+        Relation::from_pairs(vars(ids), rows)
+    };
+    let bag = count(
+        &[1, 0],
+        &[
+            (&[0, 5], 1),
+            (&[0, 9], 2),
+            (&[3, 5], 3),
+            (&[7, 0], 4),
+            (&[7, u32::MAX], 5),
+        ],
+    );
+    let chain = |ms: &[&Relation<Count>]| ms.iter().fold(bag.clone(), |acc, m| acc.join(m));
+
+    // No message: the input itself. One that drops rows: the same
+    // arena, compacted.
+    let owned = bag.clone();
+    let arena = owned.tuple_at(0).as_ptr();
+    let owned = owned.fold_keyed(&[]);
+    assert_eq!(owned, bag);
+    let on_leader = count(&[1], &[(&[3], 10), (&[7], 100)]);
+    let folded = owned.fold_keyed(&[&on_leader]);
+    assert_eq!(folded.tuple_at(0).as_ptr(), arena, "folded in place");
+    assert_eq!(
+        folded,
+        count(
+            &[1, 0],
+            &[(&[3, 5], 30), (&[7, 0], 400), (&[7, u32::MAX], 500)]
+        )
+    );
+
+    // The nullary message scales every row; an empty one leaves none.
+    let scalar = count(&[], &[(&[], 3)]);
+    assert_eq!(bag.clone().fold_keyed(&[&scalar]), chain(&[&scalar]));
+    assert_eq!(bag.clone().fold_keyed(&[&scalar]).total(), Count(45));
+    let nothing: Relation<Count> = Relation::new(vars(&[]));
+    assert!(bag.clone().fold_keyed(&[&scalar, &nothing]).is_empty());
+
+    // A leading-column cursor that runs off its message (key 7 is past
+    // it), one that starts past the bag's first rows, and the whole
+    // schema as the key.
+    for keys in [&[0u32, 3][..], &[3, 7, 8], &[1, 2], &[9]] {
+        let rows: Vec<_> = keys.iter().map(|&k| (vec![k], Count(2))).collect();
+        let m = Relation::from_pairs(vars(&[1]), rows);
+        assert_eq!(
+            bag.clone().fold_keyed(&[&m]),
+            chain(&[&m]),
+            "leader {keys:?}"
+        );
+    }
+    let whole = count(&[1, 0], &[(&[0, 9], 7), (&[5, 5], 1), (&[7, u32::MAX], 2)]);
+    assert_eq!(bag.clone().fold_keyed(&[&whole]), chain(&[&whole]));
+
+    // The second column, densely valued (direct-address table: a bag key
+    // below its least key, between two, equal to its greatest, above it)
+    // and spread from 0 to `u32::MAX` (binary search).
+    for keys in [
+        &[5u32, 6][..],
+        &[1, 9],
+        &[0, 5, 9],
+        &[0, u32::MAX],
+        &[4, u32::MAX],
+    ] {
+        let rows: Vec<_> = keys.iter().map(|&k| (vec![k], Count(2))).collect();
+        let m = Relation::from_pairs(vars(&[0]), rows);
+        assert_eq!(
+            bag.clone().fold_keyed(&[&m]),
+            chain(&[&m]),
+            "second {keys:?}"
+        );
+        // Alongside a cursor, either way round.
+        let both = [&on_leader, &m];
+        assert_eq!(bag.clone().fold_keyed(&both), chain(&both), "{keys:?}");
+        let both = [&m, &on_leader];
+        assert_eq!(bag.clone().fold_keyed(&both), chain(&both), "{keys:?}");
+    }
+
+    // An empty bag stays empty.
+    let empty: Relation<Count> = Relation::new(vars(&[1, 0]));
+    assert!(empty.fold_keyed(&[&on_leader, &scalar]).is_empty());
+}
+
+#[test]
+#[should_panic(expected = "lists only variables of the bag")]
+fn fold_keyed_refuses_a_message_that_adds_a_column() {
+    let bag: Relation<Count> = Relation::from_pairs(vars(&[0, 1]), [(vec![1, 2], Count(1))]);
+    let wider = Relation::from_pairs(vars(&[1, 2]), [(vec![2, 3], Count(1))]);
+    let _ = bag.fold_keyed(&[&wider]);
 }

@@ -303,7 +303,12 @@ impl<S: Semiring> Drop for FaqServer<S> {
     /// senders dropped unanswered surface [`ServeError::Shutdown`] to
     /// their tickets.
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
+        // Under the queue lock: a worker between its `shutdown` check
+        // and its wait would otherwise miss this wake-up and never exit.
+        {
+            let _queue = lock(&self.shared.queue);
+            self.shared.shutdown.store(true, Ordering::Release);
+        }
         self.shared.available.notify_all();
         for h in self.workers.drain(..) {
             let _ = h.join();

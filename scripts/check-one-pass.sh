@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # scripts/check-one-pass.sh — guards "one upward pass" (ROADMAP item 2),
-# its one-scan push-down (ROADMAP item 6), one Steiner packing per
+# its one-scan push-down and one-scan message fold (ROADMAP item 6,
+# issues 17 and 21), one Steiner packing per
 # distributed run and member set (issue 18), one aggregate capability
 # (ROADMAP item 3e, issue 19), one generic-join kernel (issue 20) and
 # the count of `FAQS_*` hatches.
@@ -13,8 +14,12 @@
 # `aggregate_out` outside the independent
 # oracles (core/src/brute.rs, protocols/src/degenerate.rs): the pass
 # pushes a whole nest down with `aggregate_out_many`, and a per-variable
-# loop must not come back beside it. Fails, too, when a non-test,
-# non-comment line of crates/protocols/src/distributed.rs calls
+# loop must not come back beside it. Fails, too, unless the non-test,
+# non-comment part of crates/core/src/pass.rs holds exactly one
+# `build_index(` — the cascade's, over a multi-factor bag: a node
+# multiplies its child messages in with one `fold_keyed` scan, and a
+# per-message index must not come back beside it. Fails, too, when a
+# non-test, non-comment line of crates/protocols/src/distributed.rs calls
 # `best_delta(`: the run packs each member set once (`DeltaPackings`)
 # and asks it per factor; a per-factor re-packing must not come back.
 # Fails, too, when a non-test, non-comment line under src/ or
@@ -102,6 +107,14 @@ if [ "${#twins[@]}" -ne 0 ]; then
 fi
 if [ "$flags" -ne 0 ]; then
     echo "a lattice: parameter outside the three shims of $shims" >&2
+    exit 1
+fi
+pass=crates/core/src/pass.rs
+indexes=$(head -n "$(nontest_lines "$pass")" "$pass" |
+    grep -Ev '^[[:space:]]*//' |
+    grep -o 'build_index(' | wc -l)
+if [ "$indexes" -ne 1 ]; then
+    echo "$pass builds $indexes indexes: one for the cascade, none per message (fold_keyed)" >&2
     exit 1
 fi
 runtime=crates/protocols/src/distributed.rs
