@@ -18,8 +18,6 @@
 //! * [`solve_faq_reference`] — a deterministic structural-plan re-solve,
 //!   the oracle the incremental executor's maintained answers are raced
 //!   against;
-//! * [`yannakakis_reduce`] / [`natural_join`] — the classic semijoin
-//!   full reducer and join materialisation for acyclic queries;
 //! * [`pgm`] — probabilistic-graphical-model conveniences (variable and
 //!   factor marginals, the paper's motivating PGM application).
 //!
@@ -37,7 +35,6 @@ mod engine;
 mod pass;
 pub mod pgm;
 mod plan;
-mod yannakakis;
 
 pub use brute::solve_faq_brute_force;
 pub use engine::{
@@ -46,4 +43,3 @@ pub use engine::{
 };
 pub use pass::{finish_root, push_down_message, CalProbe, Pass, PassSite, Sequential, Timed};
 pub use plan::{JoinStep, QueryPlan};
-pub use yannakakis::{natural_join, yannakakis_reduce};

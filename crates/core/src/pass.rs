@@ -1,7 +1,7 @@
 //! The one upward pass: Theorem G.3's bottom-up GHD reduction with the
 //! Corollary G.2 push-down.
 //!
-//! Every evaluator in the workspace — `solve_faq`, the threaded
+//! Every evaluator in the workspace — `solve_faq`, the plan-cached
 //! executor, the storing incremental session, the routed distributed
 //! runtime — runs [`Pass::run`]. Per GHD node: the children's messages
 //! first, then the node's own bag combined by its [`BagOp`], then every
@@ -9,19 +9,18 @@
 //! ([`Relation::fold_keyed`], in [`QueryPlan::children`] order per
 //! row), then the push-down towards the parent. A [`PassSite`] answers
 //! only what differs between the evaluators: how sibling subtrees are
-//! scheduled, where a bag's factors come from, how a message travels
-//! (and the round it is ready at), and how one `⊗` of a multi-factor
-//! bag's cascade is scheduled. What observes a fold is the per-pass
-//! [`CalProbe`].
+//! scheduled, where a bag's factors come from, and how a message
+//! travels (and the round it is ready at). What observes a fold is the
+//! per-pass [`CalProbe`].
 
 use crate::plan::QueryPlan;
 use faqs_hypergraph::NodeId;
 use faqs_plan::{BagOp, CalibrationLog, CalibrationRegistry, Envelope, StatsDigest};
-use faqs_relation::{generic_join, FaqQuery, JoinIndex, Relation};
+use faqs_relation::{generic_join, FaqQuery, Relation};
 use faqs_semiring::Semiring;
 use std::borrow::Cow;
+use std::cell::Cell;
 use std::convert::Infallible;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// A relation and the round at whose end it is complete where it is
 /// (always `0` at sites that never touch a network).
@@ -40,7 +39,7 @@ pub struct Pass<'a, S: Semiring> {
 /// What differs between the evaluators of the one pass. Every method
 /// has the sequential, in-memory answer as its default.
 pub trait PassSite<S: Semiring>: Sized {
-    /// How this site fails (a dead link, a panicked worker).
+    /// How this site fails (a dead link).
     type Error;
 
     /// How sibling subtrees are scheduled: every child's message as
@@ -65,7 +64,7 @@ pub trait PassSite<S: Semiring>: Sized {
         pass: &Pass<'_, S>,
         node: NodeId,
     ) -> Result<Timed<Option<Relation<S>>>, Self::Error> {
-        Ok((pass.local_bag(self, node), 0))
+        Ok((pass.local_bag(node), 0))
     }
 
     /// How a message travels from `from`'s evaluator to `to`'s: what
@@ -79,14 +78,6 @@ pub trait PassSite<S: Semiring>: Sized {
         ready: u64,
     ) -> Result<Timed<Relation<S>>, Self::Error> {
         Ok((message, ready))
-    }
-
-    /// How one `⊗` of a multi-factor bag's cascade is scheduled
-    /// ([`Pass::combine`], its only caller: child messages are folded by
-    /// [`Relation::fold_keyed`], not joined): `cur ⋈ other`, with `idx`
-    /// an index of `other` on exactly the shared variables.
-    fn join(&mut self, cur: &Relation<S>, other: &Relation<S>, idx: &JoinIndex) -> Relation<S> {
-        cur.join_indexed(other, idx)
     }
 }
 
@@ -130,10 +121,10 @@ impl<S: Semiring> Pass<'_, S> {
     }
 
     /// `node`'s bag from the query's own factors.
-    pub fn local_bag<X: PassSite<S>>(&self, site: &mut X, node: NodeId) -> Option<Relation<S>> {
+    pub fn local_bag(&self, node: NodeId) -> Option<Relation<S>> {
         let factors = self.plan.joins(node).iter();
         let factors = factors.map(|s| Cow::Borrowed(self.q.factor(s.edge)));
-        self.combine(site, node, factors.collect())
+        self.combine(node, factors.collect())
     }
 
     /// The `⊗`-product of `node`'s λ `factors` (one per join step, in
@@ -144,12 +135,7 @@ impl<S: Semiring> Pass<'_, S> {
     /// values either way; its column order differs (the generic join
     /// emits the planner's layout order, the cascade its concatenation
     /// schema), which the push-down is indifferent to.
-    pub fn combine<X: PassSite<S>>(
-        &self,
-        site: &mut X,
-        node: NodeId,
-        factors: Vec<Cow<'_, Relation<S>>>,
-    ) -> Option<Relation<S>> {
+    pub fn combine(&self, node: NodeId, factors: Vec<Cow<'_, Relation<S>>>) -> Option<Relation<S>> {
         let steps = self.plan.joins(node);
         debug_assert_eq!(steps.len(), factors.len(), "one factor per join step");
         if let (true, BagOp::GenericJoin { var_order }) =
@@ -161,7 +147,7 @@ impl<S: Semiring> Pass<'_, S> {
         let mut acc: Option<Relation<S>> = None;
         for (factor, step) in factors.into_iter().zip(steps) {
             acc = Some(match acc {
-                Some(cur) => site.join(&cur, &factor, &factor.build_index(&step.key)),
+                Some(cur) => cur.join_indexed(&factor, &factor.build_index(&step.key)),
                 None => factor.into_owned(),
             });
         }
@@ -260,16 +246,16 @@ pub fn finish_root<S: Semiring>(
 
 /// The fold observer of one pass: the plan's predicted rows, the
 /// shape's envelope, the telemetry log, and the sticky drift flag the
-/// fold points consult. Worker threads share it by reference; nothing
-/// reaches the registry until [`Pass::run`] succeeds.
+/// fold points consult. Nothing reaches the registry until
+/// [`Pass::run`] succeeds.
 pub struct CalProbe<'a> {
     registry: &'a CalibrationRegistry,
     digest: &'a StatsDigest,
     envelope: Envelope,
     node_rows: &'a [u64],
     log: CalibrationLog,
-    replans: AtomicU64,
-    drift: AtomicBool,
+    replans: Cell<u64>,
+    drift: Cell<bool>,
 }
 
 impl<'a> CalProbe<'a> {
@@ -286,8 +272,8 @@ impl<'a> CalProbe<'a> {
             envelope: registry.envelope(digest),
             node_rows: plan.node_rows(),
             log: CalibrationLog::new(),
-            replans: AtomicU64::new(0),
-            drift: AtomicBool::new(false),
+            replans: Cell::new(0),
+            drift: Cell::new(false),
         })
     }
 
@@ -300,24 +286,23 @@ impl<'a> CalProbe<'a> {
         let actual = actual as u64;
         self.log.record(node, predicted, actual);
         if !self.envelope.contains(predicted, actual) {
-            self.drift.store(true, Ordering::Release);
+            self.drift.set(true);
         }
     }
 
     /// Whether any sample so far left the envelope.
     fn drifted(&self) -> bool {
-        self.drift.load(Ordering::Acquire)
+        self.drift.get()
     }
 
     fn note_replan(&self) {
-        self.replans.fetch_add(1, Ordering::Relaxed);
+        self.replans.set(self.replans.get() + 1);
     }
 
     /// Hands the pass's telemetry to the registry.
     fn flush(&self) {
         self.registry.absorb(self.digest, &self.log);
-        self.registry
-            .record_replans(self.replans.load(Ordering::Relaxed));
+        self.registry.record_replans(self.replans.get());
     }
 }
 
@@ -340,8 +325,6 @@ mod tests {
         /// arrival (= child) order: what it folds, before any push-down.
         bags: BTreeMap<NodeId, Relation<Count>>,
         delivered: BTreeMap<NodeId, Vec<Relation<Count>>>,
-        /// The node whose bag was being combined at each `join` call.
-        joins: Vec<NodeId>,
     }
 
     impl Counting {
@@ -367,20 +350,9 @@ mod tests {
             node: NodeId,
         ) -> Result<Timed<Option<Relation<Count>>>, Infallible> {
             self.combined.push(node);
-            let bag = pass.local_bag(self, node);
+            let bag = pass.local_bag(node);
             self.bags.extend(bag.clone().map(|bag| (node, bag)));
             Ok((bag, 0))
-        }
-
-        fn join(
-            &mut self,
-            cur: &Relation<Count>,
-            other: &Relation<Count>,
-            idx: &JoinIndex,
-        ) -> Relation<Count> {
-            self.joins
-                .push(*self.combined.last().expect("only a bag's cascade joins"));
-            cur.join_indexed(other, idx)
         }
 
         fn deliver(
@@ -486,20 +458,7 @@ mod tests {
                 let logical = site.folded_rows(NodeId(s.node as u32));
                 assert_eq!(s.actual, logical as u64, "{h:?}: actual = the bag's rows");
             }
-            // Messages are folded, not joined: the hook is asked once per
-            // cascade step of a multi-factor bag and never otherwise.
-            let cascade = |n: &NodeId| match plan.bag_op(*n) {
-                BagOp::Cascade => plan.joins(*n).len().saturating_sub(1),
-                BagOp::GenericJoin { .. } => 0,
-            };
-            let steps: Vec<NodeId> = site
-                .combined
-                .iter()
-                .flat_map(|n| std::iter::repeat_n(*n, cascade(n)))
-                .collect();
-            assert_eq!(site.joins, steps, "{h:?}: one join per cascade step");
             let one_bag = plan.ghd.node_ids().count() == 1;
-            assert_eq!(!steps.is_empty(), one_bag && !generic, "{h:?}");
             let observed = samples.iter().map(|s| NodeId(s.node as u32)).collect();
             assert_eq!(sorted(observed), predicted, "{h:?}: ≥2-input folds observe");
             if one_bag {

@@ -171,10 +171,7 @@ mod tests {
         // Structural planning pins one shared cache entry for the batch
         // and all the solo oracles (stats digests may differ between a
         // merged restriction and a single-binding one).
-        let ex = Executor::with_planner(
-            crate::ExecutorConfig::default(),
-            faqs_plan::PlannerConfig::structural(),
-        );
+        let ex = Executor::with_planner(faqs_plan::PlannerConfig::structural());
         let param = Var(0);
         let q = inst(vec![param, Var(1)], 7);
         // Duplicates, misses (domain is 6 so 5 may be sparse) and
@@ -211,10 +208,7 @@ mod tests {
     fn lattice_batch_matches_independent_solves() {
         let param = Var(0);
         let base = inst(vec![param], 11).with_aggregate(Var(1), Aggregate::Max);
-        let ex = Executor::with_planner(
-            crate::ExecutorConfig::default(),
-            faqs_plan::PlannerConfig::structural(),
-        );
+        let ex = Executor::with_planner(faqs_plan::PlannerConfig::structural());
         let batch = ex.solve_batch(&base, param, &[0, 2, 4]).unwrap();
         for (b, got) in [0u32, 2, 4].iter().zip(&batch) {
             let one = restricted(&base, param, *b);

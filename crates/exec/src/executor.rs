@@ -1,108 +1,45 @@
-//! The plan-cached, multi-threaded FAQ executor.
+//! The plan-cached FAQ executor.
 //!
-//! Scheduling model: the upward pass of Theorem G.3 is a post-order
-//! reduction over the GHD, and sibling subtrees are independent work
-//! units (the per-subtree star peeling of Lemma 4.1 makes the same
-//! observation for the distributed protocols). The executor is the
-//! threaded site of [`faqs_core::Pass`]: at every node it tries to hand
-//! all but one child subtree to scoped worker threads, drawing on a
-//! global thread budget (`threads - 1` tokens on a `std::sync::atomic`
-//! counter — no channels, no pools, no dependencies). Whatever the
-//! budget cannot absorb runs inline, so the sequential configuration
-//! (`threads = 1`) is the engine's pass. Large single joins
-//! additionally split their probe side by key range across workers
-//! ([`faqs_relation::Relation::join_indexed_par`]).
-//!
-//! Determinism: child messages are folded into their parent in a fixed
-//! (node-order) sequence regardless of which worker finishes first, and
-//! the partitioned join emits ranges in order — so for a given plan the
-//! output is bit-identical across thread counts.
+//! The executor runs the one upward pass ([`faqs_core::Pass`]) at its
+//! sequential site: what it adds to `solve_faq` is the plan cache, the
+//! calibration loop and panic isolation. Parallelism comes from
+//! independent requests (`faqs-serve`), not from threads inside a pass.
 
 use crate::cache::{CacheStats, PlanCache};
-use faqs_core::{CalProbe, EngineError, Pass, PassSite, QueryPlan, Timed};
-use faqs_hypergraph::NodeId;
+use faqs_core::{CalProbe, EngineError, Pass, QueryPlan, Sequential};
 use faqs_plan::{
     correction_fresh, CalibrationRegistry, CalibrationStats, PlannerConfig, QueryStats, StatsDigest,
 };
-use faqs_relation::{FaqQuery, JoinIndex, Relation};
+use faqs_relation::{FaqQuery, Relation};
 use faqs_semiring::Semiring;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// Executor tuning knobs.
-#[derive(Clone, Copy, Debug)]
-pub struct ExecutorConfig {
-    /// Worker threads the upward pass may occupy, *including* the
-    /// calling thread. `1` = fully sequential (the engine's behavior).
-    pub threads: usize,
-    /// Probe-side row count above which a single join is split by key
-    /// range across idle workers.
-    pub parallel_join_threshold: usize,
-}
+/// The executor's configuration: nothing is left to set. The type and
+/// its two constructors survive because `benchmark/` compiles against
+/// them.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct ExecutorConfig;
 
 impl ExecutorConfig {
-    /// A sequential configuration (identical to `solve_faq`'s pass).
+    /// The one configuration (identical to `solve_faq`'s pass).
     pub fn sequential() -> Self {
-        ExecutorConfig {
-            threads: 1,
-            parallel_join_threshold: usize::MAX,
-        }
+        ExecutorConfig
     }
 
-    /// A parallel configuration with the given thread count.
-    pub fn with_threads(threads: usize) -> Self {
-        ExecutorConfig {
-            threads: threads.max(1),
-            parallel_join_threshold: 8192,
-        }
-    }
-
-    /// Resolves a raw `FAQS_EXEC_THREADS` value into a configuration.
-    ///
-    /// `None`, `"0"` and `"1"` select the sequential configuration;
-    /// larger counts select [`ExecutorConfig::with_threads`]. An
-    /// unparseable value *also* pins the sequential fallback, but
-    /// returns the reason so [`ExecutorConfig::default`] can report a
-    /// typo'd override instead of silently ignoring it. Pure (no
-    /// environment reads), so the fallback contract is unit-testable
-    /// without racing on process-global state.
-    pub fn from_env_value(raw: Option<&str>) -> (Self, Option<String>) {
-        let Some(raw) = raw else {
-            return (ExecutorConfig::sequential(), None);
-        };
-        match raw.trim().parse::<usize>() {
-            Ok(t) if t > 1 => (ExecutorConfig::with_threads(t), None),
-            Ok(_) => (ExecutorConfig::sequential(), None),
-            Err(e) => (
-                ExecutorConfig::sequential(),
-                Some(format!(
-                    "FAQS_EXEC_THREADS={raw:?} is not a thread count ({e}); \
-                     falling back to the sequential configuration"
-                )),
-            ),
-        }
-    }
-}
-
-impl Default for ExecutorConfig {
-    /// Reads `FAQS_EXEC_THREADS` (used by CI to run the suite in both
-    /// sequential and parallel configurations); defaults to sequential.
-    /// An invalid override still falls back to sequential, but is
-    /// reported once on stderr rather than silently swallowed.
-    fn default() -> Self {
-        static WARN_ONCE: std::sync::Once = std::sync::Once::new();
-        let raw = std::env::var("FAQS_EXEC_THREADS").ok();
-        let (cfg, warning) = ExecutorConfig::from_env_value(raw.as_deref());
-        if let Some(msg) = warning {
-            WARN_ONCE.call_once(|| eprintln!("faqs-exec: {msg}"));
-        }
-        cfg
+    /// Shim for `benchmark/`, which still asks for two threads: the
+    /// pass is never thread-scheduled, so this is
+    /// [`ExecutorConfig::sequential`]. Like the three `lattice` shims
+    /// of `faqs-plan`, dropped at the next `[benchmark]` revision
+    /// (ROADMAP 8d).
+    #[doc(hidden)]
+    pub fn with_threads(_threads: usize) -> Self {
+        ExecutorConfig
     }
 }
 
 /// The front door for repeated FAQ traffic: caches one validated plan
 /// per query shape (per statistics digest, when stats-driven planning
-/// is on) and runs the upward pass across worker threads.
+/// is on) and runs the upward pass.
 ///
 /// Every execution also *teaches* the planner: fold points record
 /// predicted-vs-actual cardinalities into the executor's
@@ -114,25 +51,24 @@ impl Default for ExecutorConfig {
 /// off.
 #[derive(Default)]
 pub struct Executor {
-    cfg: ExecutorConfig,
     planner: PlannerConfig,
     cache: PlanCache,
     calibration: Arc<CalibrationRegistry>,
 }
 
 impl Executor {
-    /// An executor with the given configuration, the environment's
-    /// planner configuration (`FAQS_PLAN_DISABLE_STATS=1` forces
-    /// structural planning) and an empty cache.
-    pub fn new(cfg: ExecutorConfig) -> Self {
-        Self::with_planner(cfg, PlannerConfig::default())
+    /// An executor with the environment's planner configuration
+    /// (`FAQS_PLAN_DISABLE_STATS=1` forces structural planning) and an
+    /// empty cache; `_cfg` carries nothing (see [`ExecutorConfig`]), so
+    /// this is [`Executor::default`].
+    pub fn new(_cfg: ExecutorConfig) -> Self {
+        Self::with_planner(PlannerConfig::default())
     }
 
     /// An executor with explicit planner knobs (tests and benches pin
     /// structural vs stats-driven planning regardless of environment).
-    pub fn with_planner(cfg: ExecutorConfig, planner: PlannerConfig) -> Self {
+    pub fn with_planner(planner: PlannerConfig) -> Self {
         Executor {
-            cfg,
             planner,
             cache: PlanCache::new(),
             calibration: Arc::new(CalibrationRegistry::new()),
@@ -157,16 +93,6 @@ impl Executor {
     /// mid-flight re-plans triggered).
     pub fn calibration_stats(&self) -> CalibrationStats {
         self.calibration.stats()
-    }
-
-    /// Shorthand for [`Executor::new`] + [`ExecutorConfig::with_threads`].
-    pub fn with_threads(threads: usize) -> Self {
-        Self::new(ExecutorConfig::with_threads(threads))
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> ExecutorConfig {
-        self.cfg
     }
 
     /// The active planner configuration.
@@ -200,9 +126,8 @@ impl Executor {
     }
 
     /// Solves a general FAQ — the executor-backed equivalent of
-    /// [`faqs_core::solve_faq`], equal on every input (sequential config
-    /// runs the identical pass; parallel configs only reorder
-    /// commutative work), refusing the same aggregates.
+    /// [`faqs_core::solve_faq`], equal on every input (it runs the
+    /// identical pass), refusing the same aggregates.
     pub fn solve<S: Semiring>(&self, q: &FaqQuery<S>) -> Result<Relation<S>, EngineError> {
         q.validate()
             .map_err(|e| EngineError::Invalid(e.to_string()))?;
@@ -230,13 +155,13 @@ impl Executor {
         self.eval(q, plan, Some(&digest))
     }
 
-    /// Runs the one upward pass on a prebuilt plan at the [`Threaded`]
+    /// Runs the one upward pass on a prebuilt plan at the [`Sequential`]
     /// site, observed under `digest` when calibration is live. Panics
     /// anywhere in the pass — a semiring operation on a poisoned value,
-    /// an aggregation overflow, whether on the calling thread or a
-    /// scoped worker — surface as [`EngineError::WorkerPanic`] to *this*
-    /// query's caller, so one poisoned query cannot unwind through a
-    /// serving pool's worker thread and take the pool down with it.
+    /// an aggregation overflow — surface as [`EngineError::WorkerPanic`]
+    /// to *this* query's caller, so one poisoned query cannot unwind
+    /// through a serving pool's worker thread and take the pool down
+    /// with it.
     fn eval<S: Semiring>(
         &self,
         q: &FaqQuery<S>,
@@ -249,16 +174,11 @@ impl Executor {
             plan,
             probe: probe.as_ref(),
         };
-        let budget = AtomicUsize::new(self.cfg.threads.saturating_sub(1));
-        let mut site = Threaded {
-            cfg: &self.cfg,
-            budget: &budget,
-        };
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| pass.run(&mut site)))
-            .unwrap_or_else(|payload| {
-                Err(EngineError::WorkerPanic(panic_message(payload.as_ref())))
-            })
-            .map(|(answer, _)| answer)
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let Ok((answer, _)) = pass.run(&mut Sequential);
+            answer
+        }))
+        .map_err(|payload| EngineError::WorkerPanic(panic_message(payload.as_ref())))
     }
 }
 
@@ -271,107 +191,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     } else {
         "non-string panic payload".to_string()
     }
-}
-
-/// Takes one worker token if any is available.
-fn try_acquire(budget: &AtomicUsize) -> bool {
-    budget
-        .fetch_update(Ordering::AcqRel, Ordering::Acquire, |v| v.checked_sub(1))
-        .is_ok()
-}
-
-/// Takes up to `want` tokens, returning how many were taken.
-fn acquire_up_to(budget: &AtomicUsize, want: usize) -> usize {
-    let mut got = 0;
-    while got < want && try_acquire(budget) {
-        got += 1;
-    }
-    got
-}
-
-/// The threaded site: sibling subtrees run on scoped workers while the
-/// budget lasts (whatever it cannot absorb runs inline), and large
-/// joins split their probe side. Each worker carries its own copy.
-#[derive(Clone, Copy)]
-struct Threaded<'e> {
-    cfg: &'e ExecutorConfig,
-    budget: &'e AtomicUsize,
-}
-
-impl<S: Semiring> PassSite<S> for Threaded<'_> {
-    type Error = EngineError;
-
-    fn children(
-        &mut self,
-        pass: &Pass<'_, S>,
-        parent: NodeId,
-    ) -> Result<Vec<Timed<Relation<S>>>, EngineError> {
-        let children = pass.plan.children(parent);
-        if children.len() <= 1 || self.cfg.threads == 1 {
-            return children
-                .iter()
-                .map(|&c| pass.message(self, c, parent))
-                .collect();
-        }
-        let budget = self.budget;
-        std::thread::scope(|s| {
-            // Offer all but the last child to the budget; stragglers run
-            // inline below while the workers make progress.
-            let handles: Vec<_> = children
-                .iter()
-                .enumerate()
-                .map(|(i, &c)| {
-                    (i + 1 < children.len() && try_acquire(budget)).then(|| {
-                        let mut site = *self;
-                        s.spawn(move || {
-                            let m = pass.message(&mut site, c, parent);
-                            budget.fetch_add(1, Ordering::Release);
-                            m
-                        })
-                    })
-                })
-                .collect();
-            // Join *every* handle before surfacing any error: an
-            // unjoined panicked worker would re-raise its panic when
-            // the scope closes, defeating the conversion below.
-            let outcomes: Vec<_> = children
-                .iter()
-                .zip(handles)
-                .map(|(&c, h)| match h {
-                    Some(h) => h
-                        .join()
-                        .unwrap_or_else(|p| Err(EngineError::WorkerPanic(panic_message(&*p)))),
-                    None => pass.message(self, c, parent),
-                })
-                .collect();
-            outcomes.into_iter().collect()
-        })
-    }
-
-    fn join(&mut self, cur: &Relation<S>, other: &Relation<S>, idx: &JoinIndex) -> Relation<S> {
-        join_adaptive(cur, other, idx, self.cfg, self.budget)
-    }
-}
-
-/// Indexed join that splits the probe side across idle workers when it
-/// is large enough to amortise the spawns.
-fn join_adaptive<S: Semiring>(
-    cur: &Relation<S>,
-    other: &Relation<S>,
-    idx: &JoinIndex,
-    cfg: &ExecutorConfig,
-    budget: &AtomicUsize,
-) -> Relation<S> {
-    let extra = if cur.len() >= cfg.parallel_join_threshold {
-        acquire_up_to(budget, cfg.threads.saturating_sub(1))
-    } else {
-        0
-    };
-    let out = cur.join_indexed_par(other, idx, extra + 1);
-    if extra > 0 {
-        budget.fetch_add(extra, Ordering::Release);
-    }
-    out
 }
 
 #[cfg(test)]
@@ -409,18 +228,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_executor_is_deterministic() {
-        let q = inst(3);
-        let expected = Executor::with_threads(1).solve(&q).unwrap();
-        for threads in [2usize, 4, 8] {
-            let ex = Executor::with_threads(threads);
-            for _ in 0..3 {
-                assert_eq!(ex.solve(&q).unwrap(), expected, "threads {threads}");
-            }
-        }
-    }
-
-    #[test]
     fn executor_rejects_invalid_instances() {
         let mut q = inst(1);
         q.factors.pop();
@@ -450,47 +257,8 @@ mod tests {
     }
 
     #[test]
-    fn wide_star_parallelises_correctly() {
-        // A star wide enough that several sibling subtrees really do run
-        // on worker threads.
-        let h = star_query(12);
-        let q: FaqQuery<Count> = random_instance(
-            &h,
-            &RandomInstanceConfig {
-                tuples_per_factor: 64,
-                domain: 16,
-                seed: 5,
-            },
-            vec![],
-            |_| Count(1),
-        );
-        let seq = solve_faq(&q).unwrap();
-        assert_eq!(Executor::with_threads(4).solve(&q).unwrap(), seq);
-    }
-
-    #[test]
-    fn thread_override_parsing_is_pinned() {
-        // Unset and explicit sequential values: no warning.
-        for raw in [None, Some("1"), Some("0")] {
-            let (cfg, warn) = ExecutorConfig::from_env_value(raw);
-            assert_eq!(cfg.threads, 1, "{raw:?} is sequential");
-            assert!(warn.is_none());
-        }
-        let (cfg, warn) = ExecutorConfig::from_env_value(Some(" 8 "));
-        assert_eq!(cfg.threads, 8, "whitespace-tolerant parse");
-        assert!(warn.is_none());
-        // Typos pin the sequential fallback *and say so*.
-        for raw in ["four", "", "-2", "3.5", "2 threads"] {
-            let (cfg, warn) = ExecutorConfig::from_env_value(Some(raw));
-            assert_eq!(cfg.threads, 1, "{raw:?} pins the sequential fallback");
-            let msg = warn.unwrap_or_else(|| panic!("{raw:?} must warn"));
-            assert!(msg.contains("FAQS_EXEC_THREADS"), "names the variable");
-        }
-    }
-
-    #[test]
     fn calibration_absorbs_samples_on_repeated_shapes() {
-        let ex = Executor::with_planner(ExecutorConfig::sequential(), PlannerConfig::stats())
+        let ex = Executor::with_planner(PlannerConfig::stats())
             .with_calibration(Arc::new(CalibrationRegistry::forced(f64::INFINITY)));
         let q = inst(2);
         let expected = solve_faq(&q).unwrap();
@@ -535,28 +303,19 @@ mod tests {
         let stale = QueryPlan::build_with(&spider(4), &PlannerConfig::stats(), None).unwrap();
         let q = spider(48);
         let expected = solve_faq(&q).unwrap();
-        for threads in [1usize, 4] {
-            let ex = Executor::with_planner(
-                ExecutorConfig::with_threads(threads),
-                PlannerConfig::stats(),
-            )
+        let ex = Executor::with_planner(PlannerConfig::stats())
             .with_calibration(Arc::new(CalibrationRegistry::forced(0.0)));
-            assert_eq!(
-                ex.solve_on(&q, &stale).unwrap(),
-                expected,
-                "threads {threads}"
-            );
-            let stats = ex.calibration_stats();
-            assert!(
-                stats.replans > 0,
-                "threads {threads}: out-of-envelope actuals must force a mid-flight re-plan"
-            );
-        }
+        assert_eq!(ex.solve_on(&q, &stale).unwrap(), expected);
+        let stats = ex.calibration_stats();
+        assert!(
+            stats.replans > 0,
+            "out-of-envelope actuals must force a mid-flight re-plan"
+        );
     }
 
     #[test]
     fn disabled_registry_records_nothing_and_matches_engine() {
-        let ex = Executor::with_planner(ExecutorConfig::sequential(), PlannerConfig::stats())
+        let ex = Executor::with_planner(PlannerConfig::stats())
             .with_calibration(Arc::new(CalibrationRegistry::off()));
         let q = inst(4);
         assert_eq!(ex.solve(&q).unwrap(), solve_faq(&q).unwrap());
@@ -572,7 +331,7 @@ mod tests {
         // `correction_fresh` hysteresis stops rebuild churn. An
         // explicit forced() registry keeps the test meaningful under
         // the FAQS_PLAN_DISABLE_CALIBRATION=1 CI configuration.
-        let ex = Executor::with_planner(ExecutorConfig::sequential(), PlannerConfig::stats())
+        let ex = Executor::with_planner(PlannerConfig::stats())
             .with_calibration(Arc::new(CalibrationRegistry::forced(f64::INFINITY)));
         let q = inst(6);
         let expected = solve_faq(&q).unwrap();
@@ -593,7 +352,7 @@ mod tests {
 
     #[test]
     fn solve_on_runs_telemetry_against_a_supplied_plan() {
-        let ex = Executor::with_planner(ExecutorConfig::sequential(), PlannerConfig::stats())
+        let ex = Executor::with_planner(PlannerConfig::stats())
             .with_calibration(Arc::new(CalibrationRegistry::forced(0.0)));
         let q = inst(8);
         let plan = QueryPlan::build_with(&q, &PlannerConfig::stats(), None).unwrap();
@@ -630,8 +389,8 @@ mod tests {
 
     /// A wide star over `Fused`; every leaf carries two rows that the
     /// push-down must `⊕`-merge, and `poisoned` plants the fuse in all
-    /// of them — so the panic fires in whichever child subtrees landed
-    /// on worker threads *and* the ones that ran inline.
+    /// of them — so the panic fires in the first child subtree the pass
+    /// reaches.
     fn fused_star(k: usize, poisoned: bool) -> FaqQuery<Fused> {
         let h = star_query(k);
         let factors = (1..=k)
@@ -648,20 +407,18 @@ mod tests {
 
     #[test]
     fn worker_panic_is_an_error_not_a_crash() {
-        for threads in [1usize, 4] {
-            let ex = Executor::with_threads(threads);
-            match ex.solve(&fused_star(8, true)) {
-                Err(EngineError::WorkerPanic(msg)) => {
-                    assert!(msg.contains("fuse blown"), "payload captured: {msg}")
-                }
-                other => panic!("threads {threads}: expected WorkerPanic, got {other:?}"),
+        let ex = Executor::default();
+        match ex.solve(&fused_star(8, true)) {
+            Err(EngineError::WorkerPanic(msg)) => {
+                assert!(msg.contains("fuse blown"), "payload captured: {msg}")
             }
-            // The executor (and its cached plan) survives the poisoned
-            // query: the same shape with clean data answers normally.
-            let clean = fused_star(8, false);
-            let ok = ex.solve(&clean).unwrap();
-            assert_eq!(ok.total(), solve_faq(&clean).unwrap().total());
-            assert_eq!(ex.cache_stats().hits, 1, "plan reused after the panic");
+            other => panic!("expected WorkerPanic, got {other:?}"),
         }
+        // The executor (and its cached plan) survives the poisoned
+        // query: the same shape with clean data answers normally.
+        let clean = fused_star(8, false);
+        let ok = ex.solve(&clean).unwrap();
+        assert_eq!(ok.total(), solve_faq(&clean).unwrap().total());
+        assert_eq!(ex.cache_stats().hits, 1, "plan reused after the panic");
     }
 }

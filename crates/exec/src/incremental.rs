@@ -627,7 +627,7 @@ impl<S: Semiring> PassSite<S> for Stored<'_, S> {
         node: NodeId,
     ) -> Result<Timed<Option<Relation<S>>>, Infallible> {
         if self.path.is_none_or(|path| path[0] == node) {
-            self.local[node.index()] = pass.local_bag(self, node);
+            self.local[node.index()] = pass.local_bag(node);
         }
         Ok((self.local[node.index()].clone(), 0))
     }

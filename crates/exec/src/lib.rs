@@ -1,11 +1,10 @@
-//! # faqs-exec — the plan-cached, multi-threaded FAQ executor
+//! # faqs-exec — the plan-cached FAQ executor
 //!
 //! `faqs-core` is the *reference* engine: every call re-derives the
 //! GYO-GHD of Construction 2.8, re-validates the elimination order, and
-//! runs the Theorem G.3 upward pass on one thread. That is the right
-//! shape for an oracle, and the wrong shape for serving repeated query
-//! traffic — the ROADMAP's north star. This crate is the front door for
-//! that traffic:
+//! runs the Theorem G.3 upward pass. That is the right shape for an
+//! oracle, and the wrong shape for serving repeated query traffic — the
+//! ROADMAP's north star. This crate is the front door for that traffic:
 //!
 //! * **Plan cache** ([`PlanCache`]): a structural fingerprint of
 //!   `(hypergraph shape, aggregates, free variables, semiring
@@ -17,13 +16,10 @@
 //!   query shape (and digest bucket) instead of once per call;
 //!   [`Executor::cache_stats`] exposes hit/miss counters, and negative
 //!   results replay from the digest-free structural tier.
-//! * **Parallel upward pass** ([`Executor`]): sibling GHD subtrees are
-//!   independent (the paper's per-subtree star peeling), so they
-//!   evaluate concurrently on `std::thread::scope` workers drawn from a
-//!   fixed thread budget; large single joins further split their probe
-//!   side by key range ([`faqs_relation::Relation::join_indexed_par`]).
-//!   The sequential configuration reproduces `solve_faq` exactly, and
-//!   parallel runs are deterministic (fixed fold order).
+//! * **The same upward pass** ([`Executor`]): the executor runs
+//!   `solve_faq`'s pass and reproduces it exactly, with calibration
+//!   telemetry at its fold points and a panicking query surfaced as
+//!   [`faqs_core::EngineError::WorkerPanic`] instead of an unwind.
 //! * **Cross-query batching** ([`Executor::solve_batch`]): many
 //!   bindings of one free parameter variable merge into a single
 //!   upward pass — the parameter-carrying factors are restricted to the
@@ -33,12 +29,12 @@
 //!   under `faqs-serve`'s batcher.
 //!
 //! ```
-//! use faqs_exec::{Executor, ExecutorConfig};
+//! use faqs_exec::Executor;
 //! use faqs_hypergraph::star_query;
 //! use faqs_relation::{random_instance, RandomInstanceConfig};
 //! use faqs_semiring::Count;
 //!
-//! let ex = Executor::new(ExecutorConfig::with_threads(4));
+//! let ex = Executor::default();
 //! let h = star_query(4);
 //! let cfg = RandomInstanceConfig { tuples_per_factor: 32, domain: 8, seed: 1 };
 //! for seed in 0..4 {

@@ -2,8 +2,8 @@
 //! telemetry on, zero-width forced envelope, and a deliberately *stale*
 //! plan driven through [`Executor::solve_on`] so mid-flight re-planning
 //! actually fires — must stay bit-identical to the deterministic
-//! [`solve_faq_reference`] re-solve, across semirings, shapes (acyclic
-//! and cyclic), and thread counts.
+//! [`solve_faq_reference`] re-solve, across semirings and shapes
+//! (acyclic and cyclic).
 //!
 //! Why bit-identity is the right bar even for the float-valued tropical
 //! semiring: the drift path only re-orders commutative `⊗`-folds, and
@@ -11,7 +11,7 @@
 //! tropical `⊗` (f64 addition) is exact in every association order.
 
 use faqs_core::solve_faq_reference;
-use faqs_exec::{Executor, ExecutorConfig, QueryPlan};
+use faqs_exec::{Executor, QueryPlan};
 use faqs_hypergraph::{cycle_query, example_h2, path_query, star_query, Hypergraph, Var};
 use faqs_plan::{CalibrationRegistry, PlannerConfig, QueryStats};
 use faqs_relation::{random_boolean_instance, random_instance, FaqQuery, RandomInstanceConfig};
@@ -73,7 +73,7 @@ fn cfg(seed: u64, tuples: usize) -> RandomInstanceConfig {
 /// * stale-plan path (`solve_on` against a plan built from `stale`, a
 ///   sparse instance of the same shape) — predictions are badly wrong,
 ///   the strongest drift provocation the executor supports;
-/// * both at 1 and 4 threads, plus a calibration-off control.
+/// * plus a calibration-off control.
 fn assert_adaptive_agree<S>(q: &FaqQuery<S>, stale: &FaqQuery<S>, label: &str)
 where
     S: Semiring + PartialEq + std::fmt::Debug,
@@ -81,42 +81,34 @@ where
     let want = solve_faq_reference(q).unwrap_or_else(|e| panic!("{label}: reference: {e}"));
     let stale_plan = QueryPlan::build_with(stale, &PlannerConfig::stats(), None)
         .unwrap_or_else(|e| panic!("{label}: stale plan: {e}"));
-    for threads in [1usize, 4] {
-        let ex = Executor::with_planner(
-            ExecutorConfig::with_threads(threads),
-            PlannerConfig::stats(),
-        )
+    let ex = Executor::with_planner(PlannerConfig::stats())
         .with_calibration(Arc::new(CalibrationRegistry::forced(0.0)));
-        // Twice through the cache path: the second solve replays under
-        // whatever corrections the first taught the registry.
-        for round in 0..2 {
-            let got = ex
-                .solve(q)
-                .unwrap_or_else(|e| panic!("{label}/t{threads}/r{round}: rejected: {e}"));
-            assert_eq!(got, want, "{label}/t{threads}/r{round}: calibrated solve");
-        }
+    // Twice through the cache path: the second solve replays under
+    // whatever corrections the first taught the registry.
+    for round in 0..2 {
         let got = ex
-            .solve_on(q, &stale_plan)
-            .unwrap_or_else(|e| panic!("{label}/t{threads}: stale plan rejected: {e}"));
-        assert_eq!(got, want, "{label}/t{threads}: stale-plan adaptive solve");
-
-        let off = Executor::with_planner(
-            ExecutorConfig::with_threads(threads),
-            PlannerConfig::stats(),
-        )
-        .with_calibration(Arc::new(CalibrationRegistry::off()));
-        assert_eq!(
-            off.solve(q).unwrap(),
-            want,
-            "{label}/t{threads}: calibration-off control"
-        );
-        let s = off.calibration_stats();
-        assert_eq!(
-            (s.samples, s.replans),
-            (0, 0),
-            "{label}: off records nothing"
-        );
+            .solve(q)
+            .unwrap_or_else(|e| panic!("{label}/r{round}: rejected: {e}"));
+        assert_eq!(got, want, "{label}/r{round}: calibrated solve");
     }
+    let got = ex
+        .solve_on(q, &stale_plan)
+        .unwrap_or_else(|e| panic!("{label}: stale plan rejected: {e}"));
+    assert_eq!(got, want, "{label}: stale-plan adaptive solve");
+
+    let off = Executor::with_planner(PlannerConfig::stats())
+        .with_calibration(Arc::new(CalibrationRegistry::off()));
+    assert_eq!(
+        off.solve(q).unwrap(),
+        want,
+        "{label}: calibration-off control"
+    );
+    let s = off.calibration_stats();
+    assert_eq!(
+        (s.samples, s.replans),
+        (0, 0),
+        "{label}: off records nothing"
+    );
 }
 
 proptest! {
@@ -187,17 +179,12 @@ fn forced_drift_is_observable_and_lossless() {
     let q = mk(48);
     let want = solve_faq_reference(&q).unwrap();
     let stale_plan = QueryPlan::build_with(&mk(4), &PlannerConfig::stats(), None).unwrap();
-    for threads in [1usize, 4] {
-        let ex = Executor::with_planner(
-            ExecutorConfig::with_threads(threads),
-            PlannerConfig::stats(),
-        )
+    let ex = Executor::with_planner(PlannerConfig::stats())
         .with_calibration(Arc::new(CalibrationRegistry::forced(0.0)));
-        assert_eq!(ex.solve_on(&q, &stale_plan).unwrap(), want, "t{threads}");
-        let s = ex.calibration_stats();
-        assert!(s.replans > 0, "t{threads}: drift must trigger a re-plan");
-        assert!(s.samples > 0, "t{threads}: fold points must observe");
-    }
+    assert_eq!(ex.solve_on(&q, &stale_plan).unwrap(), want);
+    let s = ex.calibration_stats();
+    assert!(s.replans > 0, "drift must trigger a re-plan");
+    assert!(s.samples > 0, "fold points must observe");
 }
 
 /// Calibration closes the estimator error: on a family of triangles
@@ -240,8 +227,7 @@ fn calibration_reduces_the_median_estimator_error() {
 
     let planner = PlannerConfig::stats();
     let registry = Arc::new(CalibrationRegistry::forced(f64::INFINITY));
-    let ex = Executor::with_planner(ExecutorConfig::with_threads(1), planner)
-        .with_calibration(Arc::clone(&registry));
+    let ex = Executor::with_planner(planner).with_calibration(Arc::clone(&registry));
     let (mut raw_errs, mut cal_errs) = (Vec::new(), Vec::new());
     for round in 0..8u64 {
         let q = skewed(0xE20 + round);

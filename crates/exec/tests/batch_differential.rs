@@ -4,7 +4,7 @@
 //! across semirings, shapes, free-parameter choices, skew, duplicate
 //! and missing bindings, and both planner configurations.
 
-use faqs_exec::{Executor, ExecutorConfig};
+use faqs_exec::Executor;
 use faqs_hypergraph::{example_h2, path_query, star_query, tree_query, Hypergraph, Var};
 use faqs_plan::PlannerConfig;
 use faqs_relation::{FaqQuery, Relation};
@@ -83,28 +83,25 @@ fn restricted<S: Semiring>(q: &FaqQuery<S>, param: Var, b: u32) -> FaqQuery<S> {
     }
 }
 
-/// The core differential assertion, under both planner configurations
-/// and a parallel executor.
+/// The core differential assertion, under both planner configurations.
 fn assert_batch_matches<S: Semiring>(q: &FaqQuery<S>, param: Var, bindings: &[u32], label: &str) {
     for (name, planner) in [
         ("structural", PlannerConfig::structural()),
         ("stats", PlannerConfig::stats()),
     ] {
-        for threads in [1usize, 4] {
-            let ex = Executor::with_planner(ExecutorConfig::with_threads(threads), planner);
-            let batch = ex
-                .solve_batch(q, param, bindings)
-                .unwrap_or_else(|e| panic!("{label}/{name}: batch rejected: {e}"));
-            assert_eq!(batch.len(), bindings.len());
-            for (b, got) in bindings.iter().zip(&batch) {
-                let solo = ex
-                    .solve(&restricted(q, param, *b))
-                    .unwrap_or_else(|e| panic!("{label}/{name}: solo rejected: {e}"));
-                assert_eq!(
-                    *got, solo,
-                    "{label}/{name}/threads={threads}: binding {b} must be bit-identical"
-                );
-            }
+        let ex = Executor::with_planner(planner);
+        let batch = ex
+            .solve_batch(q, param, bindings)
+            .unwrap_or_else(|e| panic!("{label}/{name}: batch rejected: {e}"));
+        assert_eq!(batch.len(), bindings.len());
+        for (b, got) in bindings.iter().zip(&batch) {
+            let solo = ex
+                .solve(&restricted(q, param, *b))
+                .unwrap_or_else(|e| panic!("{label}/{name}: solo rejected: {e}"));
+            assert_eq!(
+                *got, solo,
+                "{label}/{name}: binding {b} must be bit-identical"
+            );
         }
     }
 }

@@ -1,15 +1,15 @@
 //! Cyclic differential suite: on triangle, 4-cycle and `K4` queries the
 //! generic-join lowering, the pinned binary-cascade lowering, and the
 //! structural default must all produce *bit-identical* relations, with
-//! the brute-force oracle as ground truth — across semirings, free-var
-//! choices, and thread counts.
+//! the brute-force oracle as ground truth — across semirings and
+//! free-var choices.
 //!
 //! Plus the issue's pinned regression: on a ≥ 50k-tuple triangle the
 //! stats planner must choose a generic-join bag, price it below the
 //! cascade-only baseline, and agree with it on the same instance.
 
 use faqs_core::{solve_faq_brute_force, solve_faq_with_plan};
-use faqs_exec::{Executor, ExecutorConfig};
+use faqs_exec::Executor;
 use faqs_hypergraph::{clique_query, cycle_query, Hypergraph, Var};
 use faqs_plan::{plan_query, PlannerConfig};
 use faqs_relation::{random_instance, FaqQuery, RandomInstanceConfig};
@@ -68,8 +68,8 @@ fn planner_matrix() -> [(&'static str, PlannerConfig); 3] {
     ]
 }
 
-/// The core differential assertion: every planner config × thread count
-/// agrees with brute force as a full relation.
+/// The core differential assertion: every planner config agrees with
+/// brute force as a full relation.
 fn assert_cyclic_agree<S: Semiring>(q: &FaqQuery<S>, label: &str) {
     let oracle = solve_faq_brute_force(q);
     for (name, cfg) in planner_matrix() {
@@ -87,13 +87,10 @@ fn assert_cyclic_agree<S: Semiring>(q: &FaqQuery<S>, label: &str) {
         let direct = solve_faq_with_plan(q, &plan)
             .unwrap_or_else(|e| panic!("{label}/{name}: plan rejected: {e}"));
         assert_eq!(direct, oracle, "{label}/{name}: direct solve vs oracle");
-        for threads in [1usize, 4] {
-            let ex = Executor::with_planner(ExecutorConfig::with_threads(threads), cfg);
-            let got = ex
-                .solve(q)
-                .unwrap_or_else(|e| panic!("{label}/{name}/t{threads}: rejected: {e}"));
-            assert_eq!(got, oracle, "{label}/{name}/t{threads}: executor vs oracle");
-        }
+        let got = Executor::with_planner(cfg)
+            .solve(q)
+            .unwrap_or_else(|e| panic!("{label}/{name}: rejected: {e}"));
+        assert_eq!(got, oracle, "{label}/{name}: executor vs oracle");
     }
 }
 

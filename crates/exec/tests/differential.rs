@@ -1,22 +1,24 @@
-//! Differential property suite: the executor against the sequential
-//! engine and the brute-force oracle, across semirings, hypergraph
-//! shapes, free-variable choices, thread counts, and cache states.
+//! Differential property suite: the executor against the engine and
+//! the brute-force oracle, across semirings, hypergraph shapes,
+//! free-variable choices, and cache states.
 //!
 //! Invariants checked:
 //!
-//! * parallel (2/4 threads) ≡ sequential executor ≡ `solve_faq` ≡ brute
-//!   force, as full result *relations* (not just totals);
+//! * executor ≡ `solve_faq` ≡ brute force, as full result *relations*
+//!   (not just totals);
 //! * a plan-cache hit produces a result identical to a cold plan;
 //! * hit/miss counters actually move, proving the GHD/validation work is
-//!   skipped on repeat shapes.
+//!   skipped on repeat shapes;
+//! * the `ExecutorConfig::with_threads` shim schedules nothing: every
+//!   semiring operation of a solve runs on the calling thread.
 
 use faqs_core::{solve_faq, solve_faq_brute_force};
 use faqs_exec::{Executor, ExecutorConfig};
 use faqs_hypergraph::{example_h2, path_query, star_query, Hypergraph, Var};
-use faqs_relation::{
-    random_boolean_instance, random_instance, FaqQuery, RandomInstanceConfig, Relation,
-};
+use faqs_relation::{random_boolean_instance, random_instance, FaqQuery, RandomInstanceConfig};
 use faqs_semiring::{Boolean, Count, MinPlus, Semiring};
+use std::sync::Mutex;
+use std::thread::ThreadId;
 
 fn shapes() -> Vec<(&'static str, Hypergraph, Vec<Vec<Var>>)> {
     // Each shape with a handful of free-variable sets that the engine
@@ -50,29 +52,19 @@ fn cfg(seed: u64) -> RandomInstanceConfig {
 
 /// Runs one instance through every execution strategy and asserts the
 /// full output relations agree.
-fn assert_all_agree<S: Semiring>(
-    q: &FaqQuery<S>,
-    executors: &[(&Executor, &str)],
-    label: &str,
-) -> Relation<S> {
+fn assert_all_agree<S: Semiring>(q: &FaqQuery<S>, ex: &Executor, label: &str) {
     let oracle = solve_faq_brute_force(q);
     let engine = solve_faq(q).unwrap_or_else(|e| panic!("{label}: engine rejected: {e}"));
     assert_eq!(engine, oracle, "{label}: engine vs brute force");
-    for (ex, name) in executors {
-        let got = ex
-            .solve(q)
-            .unwrap_or_else(|e| panic!("{label}/{name}: executor rejected: {e}"));
-        assert_eq!(got, engine, "{label}/{name}: executor vs engine");
-    }
-    engine
+    let got = ex
+        .solve(q)
+        .unwrap_or_else(|e| panic!("{label}: executor rejected: {e}"));
+    assert_eq!(got, engine, "{label}: executor vs engine");
 }
 
 #[test]
 fn count_instances_agree_across_strategies() {
-    let seq = Executor::new(ExecutorConfig::sequential());
-    let par2 = Executor::with_threads(2);
-    let par4 = Executor::with_threads(4);
-    let executors = [(&seq, "seq"), (&par2, "par2"), (&par4, "par4")];
+    let ex = Executor::default();
     for (name, h, free_sets) in shapes() {
         for free in free_sets {
             for seed in 0..6 {
@@ -80,34 +72,29 @@ fn count_instances_agree_across_strategies() {
                     use rand::Rng;
                     Count(r.random_range(1..5))
                 });
-                assert_all_agree(&q, &executors, &format!("count/{name}/F={free:?}/s{seed}"));
+                assert_all_agree(&q, &ex, &format!("count/{name}/F={free:?}/s{seed}"));
             }
         }
     }
-    // Every executor saw one shape per (hypergraph, free set) pair and
+    // The executor saw one shape per (hypergraph, free set) pair and
     // replayed it across seeds: hits must dominate misses.
-    for (ex, name) in executors {
-        let stats = ex.cache_stats();
-        assert!(
-            stats.hits > stats.misses,
-            "{name}: expected mostly hits, got {stats:?}"
-        );
-    }
+    let stats = ex.cache_stats();
+    assert!(
+        stats.hits > stats.misses,
+        "expected mostly hits, got {stats:?}"
+    );
 }
 
 #[test]
 fn boolean_instances_agree_across_strategies() {
-    let seq = Executor::new(ExecutorConfig::sequential());
-    let par2 = Executor::with_threads(2);
-    let par4 = Executor::with_threads(4);
-    let executors = [(&seq, "seq"), (&par2, "par2"), (&par4, "par4")];
+    let ex = Executor::default();
     for (name, h, free_sets) in shapes() {
         for free in free_sets {
             for seed in 0..6 {
                 let mut q: FaqQuery<Boolean> =
                     random_boolean_instance(&h, &cfg(seed), seed % 2 == 0);
                 q.free_vars = free.clone();
-                assert_all_agree(&q, &executors, &format!("bool/{name}/F={free:?}/s{seed}"));
+                assert_all_agree(&q, &ex, &format!("bool/{name}/F={free:?}/s{seed}"));
             }
         }
     }
@@ -115,13 +102,10 @@ fn boolean_instances_agree_across_strategies() {
 
 #[test]
 fn min_plus_instances_agree_across_strategies() {
-    // Tropical semiring: min-cost joint assignments. The executor's
-    // deterministic fold order keeps float arithmetic bit-identical
-    // across thread counts, so exact equality is the right assertion.
-    let seq = Executor::new(ExecutorConfig::sequential());
-    let par2 = Executor::with_threads(2);
-    let par4 = Executor::with_threads(4);
-    let executors = [(&seq, "seq"), (&par2, "par2"), (&par4, "par4")];
+    // Tropical semiring: min-cost joint assignments. The executor runs
+    // the engine's pass, fold order included, so float arithmetic is
+    // bit-identical and exact equality is the right assertion.
+    let ex = Executor::default();
     for (name, h, free_sets) in shapes() {
         for free in free_sets {
             for seed in 0..6 {
@@ -129,11 +113,7 @@ fn min_plus_instances_agree_across_strategies() {
                     use rand::Rng;
                     MinPlus::new(r.random_range(0..32) as f64)
                 });
-                assert_all_agree(
-                    &q,
-                    &executors,
-                    &format!("minplus/{name}/F={free:?}/s{seed}"),
-                );
+                assert_all_agree(&q, &ex, &format!("minplus/{name}/F={free:?}/s{seed}"));
             }
         }
     }
@@ -142,7 +122,7 @@ fn min_plus_instances_agree_across_strategies() {
 #[test]
 fn lattice_entry_point_agrees() {
     use faqs_semiring::Aggregate;
-    let par = Executor::with_threads(4);
+    let ex = Executor::default();
     for seed in 0..6 {
         let mut q: FaqQuery<Count> = random_instance(&star_query(3), &cfg(seed), vec![], |r| {
             use rand::Rng;
@@ -150,9 +130,9 @@ fn lattice_entry_point_agrees() {
         });
         q = q.with_aggregate(Var(1), Aggregate::Max);
         let engine = solve_faq(&q).unwrap();
-        assert_eq!(par.solve(&q).unwrap(), engine, "seed {seed}");
+        assert_eq!(ex.solve(&q).unwrap(), engine, "seed {seed}");
     }
-    let stats = par.cache_stats();
+    let stats = ex.cache_stats();
     assert_eq!(stats.misses, 1);
     assert_eq!(stats.hits, 5);
 }
@@ -162,7 +142,7 @@ fn cache_hit_replays_identically_and_counts() {
     // A warm plan must produce results identical to a cold plan on
     // *different* data of the same shape, and the counters must show the
     // second call skipped planning.
-    let warm = Executor::with_threads(4);
+    let warm = Executor::default();
     let q1: FaqQuery<Count> = random_instance(&example_h2(), &cfg(11), vec![], |r| {
         use rand::Rng;
         Count(r.random_range(1..5))
@@ -183,7 +163,7 @@ fn cache_hit_replays_identically_and_counts() {
     assert_eq!(after.hits, before.hits + 1, "hit counter increments");
 
     // Cold executors agree with the warm one on both instances.
-    let cold = Executor::with_threads(4);
+    let cold = Executor::default();
     assert_eq!(cold.solve(&q2).unwrap(), r2_warm, "warm plan ≡ cold plan");
     assert_eq!(cold.solve(&q1).unwrap(), r1);
 
@@ -191,17 +171,63 @@ fn cache_hit_replays_identically_and_counts() {
     assert_eq!(warm.solve(&q1).unwrap(), r1);
 }
 
+/// A counting carrier that records which thread ran each `⊕` / `⊗`.
+#[derive(Clone, Debug, PartialEq)]
+struct Traced(u64);
+
+static TRACED_OPS: Mutex<Vec<ThreadId>> = Mutex::new(Vec::new());
+
+impl Traced {
+    fn record() {
+        TRACED_OPS.lock().unwrap().push(std::thread::current().id());
+    }
+}
+
+impl Semiring for Traced {
+    const NAME: &'static str = "traced";
+    fn zero() -> Self {
+        Traced(0)
+    }
+    fn one() -> Self {
+        Traced(1)
+    }
+    fn add(&self, other: &Self) -> Self {
+        Traced::record();
+        Traced(self.0 + other.0)
+    }
+    fn mul(&self, other: &Self) -> Self {
+        Traced::record();
+        Traced(self.0 * other.0)
+    }
+}
+
 #[test]
-fn default_config_honours_env_contract() {
-    // CI runs the suite under FAQS_EXEC_THREADS ∈ {unset, 4}; both must
-    // produce engine-identical results through Executor::default().
-    let ex = Executor::default();
-    assert!(ex.config().threads >= 1);
-    for seed in 0..4 {
-        let q: FaqQuery<Count> = random_instance(&path_query(3), &cfg(seed), vec![Var(0)], |r| {
-            use rand::Rng;
-            Count(r.random_range(1..5))
-        });
-        assert_eq!(ex.solve(&q).unwrap(), solve_faq(&q).unwrap(), "seed {seed}");
+fn with_threads_shim_schedules_nothing() {
+    // Shapes with sibling subtrees — a 12-leaf star, and a spider (hub
+    // with three 2-hop legs): the ones a thread-scheduled pass would
+    // spread over workers.
+    let mut spider = Hypergraph::new(7);
+    for leg in 0..3u32 {
+        spider.add_edge([Var(0), Var(1 + 2 * leg)]);
+        spider.add_edge([Var(1 + 2 * leg), Var(2 + 2 * leg)]);
+    }
+    let ex = Executor::new(ExecutorConfig::with_threads(2));
+    for (name, h) in [("star12", star_query(12)), ("spider", spider)] {
+        let cfg = RandomInstanceConfig {
+            tuples_per_factor: 64,
+            domain: 16,
+            seed: 5,
+        };
+        let q: FaqQuery<Traced> = random_instance(&h, &cfg, vec![], |_| Traced(1));
+        let expected = solve_faq(&q).unwrap();
+        TRACED_OPS.lock().unwrap().clear();
+        assert_eq!(ex.solve(&q).unwrap(), expected, "{name}");
+        let ops = std::mem::take(&mut *TRACED_OPS.lock().unwrap());
+        assert!(!ops.is_empty(), "{name}: the solve folded something");
+        let me = std::thread::current().id();
+        assert!(
+            ops.iter().all(|&t| t == me),
+            "{name}: every ⊕ / ⊗ ran on the calling thread"
+        );
     }
 }

@@ -13,7 +13,7 @@
 //!   and the chosen GHD validates.
 
 use faqs_core::{solve_faq_brute_force, solve_faq_with_plan};
-use faqs_exec::{Executor, ExecutorConfig};
+use faqs_exec::Executor;
 use faqs_hypergraph::{example_h2, path_query, star_query, tree_query, Hypergraph, Var};
 use faqs_plan::{plan_query, ChosenPlan, PlannerConfig};
 use faqs_relation::{FaqQuery, Relation};
@@ -125,7 +125,7 @@ fn assert_plans_agree<S: Semiring>(q: &FaqQuery<S>, label: &str) {
         ("exec-structural", PlannerConfig::structural()),
         ("exec-stats", PlannerConfig::stats()),
     ] {
-        let ex = Executor::with_planner(ExecutorConfig::sequential(), planner);
+        let ex = Executor::with_planner(planner);
         let got = ex
             .solve(q)
             .unwrap_or_else(|e| panic!("{label}/{name}: rejected: {e}"));

@@ -82,8 +82,8 @@ pub struct CalibrationSample {
 
 /// The cheap per-plan telemetry sink: fold points push samples, the
 /// owner drains them into a [`CalibrationRegistry`] once the pass
-/// completes. Interior mutability (a mutex around a `Vec` push) keeps
-/// recording possible from the executor's scoped worker threads.
+/// completes. Interior mutability (a mutex around a `Vec` push) lets
+/// fold points record through the shared reference the pass holds.
 #[derive(Debug, Default)]
 pub struct CalibrationLog {
     samples: Mutex<Vec<CalibrationSample>>,

@@ -35,7 +35,7 @@ pub enum EngineError {
     IncompatibleAggregateOrder(Var, Var),
     /// The query failed validation.
     Invalid(String),
-    /// A worker thread panicked mid-evaluation. The panic payload is
+    /// The upward pass panicked mid-evaluation. The panic payload is
     /// captured so the *caller* of that one query sees an error instead
     /// of the panic unwinding through whatever pool thread happened to
     /// run the pass — one poisoned query must not take down a server.

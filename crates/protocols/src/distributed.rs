@@ -49,7 +49,7 @@ use faqs_network::{
     Topology, Transport, TransportKind, WireStats,
 };
 use faqs_plan::{CalibrationRegistry, PlacementContext, PlannerConfig, QueryStats, StatsDigest};
-use faqs_relation::{FaqQuery, JoinIndex, Relation};
+use faqs_relation::{FaqQuery, Relation};
 use faqs_semiring::{Aggregate, Semiring};
 use std::borrow::Cow;
 use std::cmp::Reverse;
@@ -203,7 +203,6 @@ pub struct DistributedFaqRun<'a, S: Semiring> {
     /// The capacity-scaled topology the run executes on.
     scaled: Topology,
     all_links_live: bool,
-    threads: usize,
     /// Attached calibration registry + this query's shape digest: every
     /// successful run then reports predicted-vs-actual pairs at its
     /// multi-input folds, so distributed runs teach the planner exactly
@@ -261,10 +260,6 @@ impl<'a, S: Semiring> DistributedFaqRun<'a, S> {
             plan,
             scaled,
             all_links_live,
-            // Inherit the executor's CI matrix (`FAQS_EXEC_THREADS`):
-            // local join work is bit-identical at any thread count, so
-            // the matrix only widens coverage, never the results.
-            threads: faqs_exec::ExecutorConfig::default().threads,
             calibration: None,
         })
     }
@@ -277,14 +272,6 @@ impl<'a, S: Semiring> DistributedFaqRun<'a, S> {
         self.calibration = calibration
             .is_enabled()
             .then(|| (calibration, QueryStats::of(self.q).digest()));
-        self
-    }
-
-    /// Sets the worker-thread count for the *local* join work at the
-    /// aggregation players (bit-identical output and identical
-    /// [`RunStats`] at any count — the schedule is data-independent).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
         self
     }
 
@@ -641,7 +628,7 @@ impl<S: Semiring, T: Transport + ?Sized> PassSite<S> for Routed<'_, '_, S, T> {
             ready = ready.max(arrived);
             gathered.push(Cow::Owned(factor));
         }
-        Ok((pass.combine(self, node, gathered), ready))
+        Ok((pass.combine(node, gathered), ready))
     }
 
     fn deliver(
@@ -674,10 +661,6 @@ impl<S: Semiring, T: Transport + ?Sized> PassSite<S> for Routed<'_, '_, S, T> {
                 .map_err(|e| ProtocolError::Engine(format!("message frame: {e}")))?;
         }
         Ok((message, d.arrived_at))
-    }
-
-    fn join(&mut self, cur: &Relation<S>, other: &Relation<S>, idx: &JoinIndex) -> Relation<S> {
-        cur.join_indexed_par(other, idx, self.run.threads)
     }
 }
 

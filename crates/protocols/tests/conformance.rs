@@ -159,28 +159,24 @@ fn runs_are_deterministic_across_repeats_and_thread_counts() {
 
     let baseline = DistributedFaqRun::new(&q, &g, placement.clone(), 1)
         .unwrap()
-        .with_threads(1)
         .execute()
         .unwrap();
     assert_eq!(baseline.result, solve_faq(&q).unwrap());
 
-    for threads in [1usize, 2, 4, 8] {
-        for repeat in 0..2 {
-            let out = DistributedFaqRun::new(&q, &g, placement.clone(), 1)
-                .unwrap()
-                .with_threads(threads)
-                .execute()
-                .unwrap();
-            assert_eq!(
-                out.stats, baseline.stats,
-                "RunStats must be identical (threads {threads}, repeat {repeat})"
-            );
-            assert_eq!(
-                out.result, baseline.result,
-                "results must be bit-identical (threads {threads}, repeat {repeat})"
-            );
-            assert_eq!(out.completed_at, baseline.completed_at);
-            assert_eq!(out.node_player, baseline.node_player);
-        }
+    for repeat in 0..2 {
+        let out = DistributedFaqRun::new(&q, &g, placement.clone(), 1)
+            .unwrap()
+            .execute()
+            .unwrap();
+        assert_eq!(
+            out.stats, baseline.stats,
+            "RunStats must be identical (repeat {repeat})"
+        );
+        assert_eq!(
+            out.result, baseline.result,
+            "results must be bit-identical (repeat {repeat})"
+        );
+        assert_eq!(out.completed_at, baseline.completed_at);
+        assert_eq!(out.node_player, baseline.node_player);
     }
 }

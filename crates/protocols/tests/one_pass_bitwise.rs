@@ -10,7 +10,7 @@
 use faqs_core::{
     solve_faq, solve_faq_brute_force, solve_faq_reference, solve_faq_with_plan, QueryPlan,
 };
-use faqs_exec::{Executor, ExecutorConfig, IncrementalFaq, MaintenanceMode, PlanCache};
+use faqs_exec::{Executor, IncrementalFaq, MaintenanceMode, PlanCache};
 use faqs_hypergraph::{path_query, star_query, EdgeId, Ghd, GhdNode, Hypergraph, NodeId, Var};
 use faqs_network::{ChannelTransport, Player, SimTransport, Topology};
 use faqs_plan::{join_order_for_ghd, plan_query, BagOp, ChosenPlan, PlannerConfig};
@@ -53,14 +53,9 @@ fn every_site_returns_the_same_bits() {
     let sim = run.execute_on(&mut SimTransport::new(run.topology()));
     let channel = run.execute_on(&mut ChannelTransport::new(run.topology()));
 
-    let sequential = Executor::new(ExecutorConfig::sequential());
     let got = [
         ("solve_faq_reference", solve_faq_reference(&q).unwrap()),
-        ("Executor, 1 thread", sequential.solve(&q).unwrap()),
-        (
-            "Executor, 4 threads",
-            Executor::with_threads(4).solve(&q).unwrap(),
-        ),
+        ("Executor", Executor::default().solve(&q).unwrap()),
         (
             "IncrementalFaq",
             IncrementalFaq::new(q.clone()).unwrap().answer().clone(),
@@ -158,8 +153,7 @@ fn every_lowering_of_a_cyclic_bag_returns_the_same_bits() {
             let lowered = QueryPlan::lower(&q, plan.clone());
             let got = [
                 solve_faq_with_plan(&q, &plan),
-                Executor::new(ExecutorConfig::sequential()).solve_on(&q, &lowered),
-                Executor::with_threads(4).solve_on(&q, &lowered),
+                Executor::default().solve_on(&q, &lowered),
             ];
             for (site, got) in got.into_iter().enumerate() {
                 let got = got.unwrap();
@@ -237,8 +231,7 @@ fn a_leaf_regrouped_on_its_first_column_folds_in_layout_order() {
         };
         let got = [
             solve_faq_with_plan(&q, &plan),
-            Executor::new(ExecutorConfig::sequential()).solve_on(&q, &lowered),
-            Executor::with_threads(4).solve_on(&q, &lowered),
+            Executor::default().solve_on(&q, &lowered),
         ];
         for (site, got) in got.into_iter().enumerate() {
             let got = got.unwrap();
@@ -277,8 +270,7 @@ fn assert_max_agrees_at_every_site<S: Semiring>(q: &FaqQuery<S>, bits: fn(&S) ->
     assert!(!want.is_empty());
     let bindings: Vec<u32> = (0..q.domain).collect();
     let structural = PlannerConfig::structural();
-    let executor =
-        |threads| Executor::with_planner(ExecutorConfig::with_threads(threads), structural);
+    let executor = Executor::with_planner(structural);
 
     let cache = Arc::new(PlanCache::new());
     let mut session = IncrementalFaq::with_cache(q.clone(), cache, structural).unwrap();
@@ -292,15 +284,10 @@ fn assert_max_agrees_at_every_site<S: Semiring>(q: &FaqQuery<S>, bits: fn(&S) ->
     let served = |b: &u32| server.query(shape, *b).unwrap().relation;
     let mut got = vec![
         ("solve_faq".to_string(), solve_faq(q), false),
-        ("Executor, 1 thread".to_string(), executor(1).solve(q), true),
-        (
-            "Executor, 4 threads".to_string(),
-            executor(4).solve(q),
-            true,
-        ),
+        ("Executor".to_string(), executor.solve(q), true),
         (
             "Executor::solve_batch".to_string(),
-            executor(1).solve_batch(q, Var(0), &bindings).map(stacked),
+            executor.solve_batch(q, Var(0), &bindings).map(stacked),
             false,
         ),
         (

@@ -425,22 +425,6 @@ pub(crate) fn join_via<S: Semiring>(
     other: &Relation<S>,
     idx: &JoinIndex,
 ) -> Relation<S> {
-    join_via_partitioned(left, other, idx, 1)
-}
-
-/// [`join_via`] with the probe side partitioned across `threads`
-/// `std::thread::scope` workers. `left` is canonically sorted, so a
-/// contiguous row range is a key range: each worker runs the identical
-/// probe loop over its range into a private arena, and the arenas
-/// concatenate back in range order — bit-for-bit the sequential output,
-/// no re-sort, no locks. Degenerate cases (one thread, small inputs)
-/// stay on the single-threaded path.
-pub(crate) fn join_via_partitioned<S: Semiring>(
-    left: &Relation<S>,
-    other: &Relation<S>,
-    idx: &JoinIndex,
-    threads: usize,
-) -> Relation<S> {
     assert_keyed_on_shared(left, other, idx);
     let my_pos = left.positions(idx.key_vars());
     let fresh: Vec<Var> = other
@@ -454,99 +438,11 @@ pub(crate) fn join_via_partitioned<S: Semiring>(
     let mut schema: Vec<Var> = left.schema().to_vec();
     schema.extend(fresh.iter().copied());
     let mut out = Relation::new(schema);
-
-    let threads = threads.clamp(1, left.len().max(1));
-    if threads == 1 {
-        let (out_data, out_values) = out.parts_mut();
-        join_range(
-            left,
-            other,
-            idx,
-            &my_pos,
-            &fresh_pos,
-            0..left.len(),
-            out_data,
-            out_values,
-        );
-        return out;
-    }
-
-    let chunk = left.len().div_ceil(threads);
-    let ranges: Vec<std::ops::Range<usize>> = (0..threads)
-        .map(|t| (t * chunk).min(left.len())..((t + 1) * chunk).min(left.len()))
-        .filter(|r| !r.is_empty())
-        .collect();
-    let parts: Vec<(Vec<u32>, Vec<S>)> = std::thread::scope(|s| {
-        // Spawn all but the last range; the calling thread works the
-        // last one instead of idling in the joins.
-        let (spawned, inline) = ranges.split_at(ranges.len() - 1);
-        let handles: Vec<_> = spawned
-            .iter()
-            .cloned()
-            .map(|range| {
-                let (my_pos, fresh_pos) = (&my_pos, &fresh_pos);
-                s.spawn(move || {
-                    let mut data = Vec::new();
-                    let mut values = Vec::new();
-                    join_range(
-                        left,
-                        other,
-                        idx,
-                        my_pos,
-                        fresh_pos,
-                        range,
-                        &mut data,
-                        &mut values,
-                    );
-                    (data, values)
-                })
-            })
-            .collect();
-        let mut last = (Vec::new(), Vec::new());
-        join_range(
-            left,
-            other,
-            idx,
-            &my_pos,
-            &fresh_pos,
-            inline[0].clone(),
-            &mut last.0,
-            &mut last.1,
-        );
-        let mut parts: Vec<(Vec<u32>, Vec<S>)> = handles
-            .into_iter()
-            .map(|h| h.join().expect("join worker"))
-            .collect();
-        parts.push(last);
-        parts
-    });
     let (out_data, out_values) = out.parts_mut();
-    out_data.reserve(parts.iter().map(|(d, _)| d.len()).sum());
-    out_values.reserve(parts.iter().map(|(_, v)| v.len()).sum());
-    for (d, v) in parts {
-        out_data.extend_from_slice(&d);
-        out_values.extend(v);
-    }
-    out
-}
-
-/// The probe loop of the indexed join over one contiguous row range of
-/// `left`, appending to the caller's arena.
-#[allow(clippy::too_many_arguments)]
-fn join_range<S: Semiring>(
-    left: &Relation<S>,
-    other: &Relation<S>,
-    idx: &JoinIndex,
-    my_pos: &[usize],
-    fresh_pos: &[usize],
-    range: std::ops::Range<usize>,
-    out_data: &mut Vec<u32>,
-    out_values: &mut Vec<S>,
-) {
     let mut key = vec![0u32; my_pos.len()];
-    for i in range {
+    for i in 0..left.len() {
         let t = left.tuple_at(i);
-        for (k, &p) in key.iter_mut().zip(my_pos) {
+        for (k, &p) in key.iter_mut().zip(&my_pos) {
             *k = t[p];
         }
         let Some(rows) = idx.lookup(&key) else {
@@ -564,6 +460,7 @@ fn join_range<S: Semiring>(
             out_values.push(prod);
         }
     }
+    out
 }
 
 /// A prebuilt index fed to a join/semijoin must key on *exactly* the
@@ -716,52 +613,6 @@ pub(crate) fn semijoin_via<S: Semiring>(
             out_data.extend_from_slice(t);
             out_values.push(left.value_at(i).clone());
         }
-    }
-    out
-}
-
-/// Semijoin in the *probed* direction: given `own_idx` (an index of
-/// `this` itself), keeps the rows of `this` whose key group is hit by
-/// at least one row of `other`. Semantically `this ⋉ other`, but the
-/// index lives on the filtered side — so a relation filtered against
-/// several others (the Yannakakis downward pass) is indexed once.
-pub(crate) fn semijoin_probe<S: Semiring>(
-    this: &Relation<S>,
-    own_idx: &JoinIndex,
-    other: &Relation<S>,
-) -> Relation<S> {
-    assert_keyed_on_shared(this, other, own_idx);
-    let other_pos = other.positions(own_idx.key_vars());
-    let mut hit = vec![false; own_idx.num_groups()];
-    let mut remaining = own_idx.num_groups();
-    let mut key = vec![0u32; other_pos.len()];
-    for j in 0..other.len() {
-        let u = other.tuple_at(j);
-        for (k, &p) in key.iter_mut().zip(&other_pos) {
-            *k = u[p];
-        }
-        if let Some(g) = own_idx.group_of(&key) {
-            if !hit[g] {
-                hit[g] = true;
-                remaining -= 1;
-                if remaining == 0 {
-                    break;
-                }
-            }
-        }
-    }
-    // Gather surviving row ids; groups are key-sorted, not row-sorted,
-    // so re-sort the ids to restore canonical order.
-    let mut keep: Vec<u32> = (0..own_idx.num_groups())
-        .filter(|&g| hit[g])
-        .flat_map(|g| own_idx.group_rows(g).iter().copied())
-        .collect();
-    keep.sort_unstable();
-    let mut out = Relation::new(this.schema().to_vec());
-    let (out_data, out_values) = out.parts_mut();
-    for &i in &keep {
-        out_data.extend_from_slice(this.tuple_at(i as usize));
-        out_values.push(this.value_at(i as usize).clone());
     }
     out
 }

@@ -425,22 +425,6 @@ impl<S: Semiring> Relation<S> {
         kernel::join_via(self, other, idx)
     }
 
-    /// [`Relation::join_indexed`] with the probe side partitioned by
-    /// contiguous (hence key-contiguous — the arena is sorted) row
-    /// ranges across `threads` scoped workers. Produces exactly the
-    /// sequential output: each range's rows land in range order, so the
-    /// per-worker arenas concatenate canonically. `threads <= 1` is the
-    /// sequential path; the parallel FAQ executor routes large single
-    /// joins here.
-    pub fn join_indexed_par(
-        &self,
-        other: &Relation<S>,
-        idx: &JoinIndex,
-        threads: usize,
-    ) -> Relation<S> {
-        kernel::join_via_partitioned(self, other, idx, threads)
-    }
-
     /// Semijoin `⋉` (Definition 3.5): keeps this relation's entries whose
     /// projection onto the shared variables appears in `other`
     /// (annotations unchanged — the filtering semantics the BCQ protocols
@@ -449,22 +433,6 @@ impl<S: Semiring> Relation<S> {
         let shared = self.shared_vars(other);
         let idx = JoinIndex::build(other, &shared);
         kernel::semijoin_via(self, other, &idx)
-    }
-
-    /// [`Relation::semijoin`] against a prebuilt index of `other` (the
-    /// filtering relation), which must be keyed on exactly the shared
-    /// variables — asserted, since a partial key would silently
-    /// under-filter.
-    pub fn semijoin_indexed(&self, other: &Relation<S>, idx: &JoinIndex) -> Relation<S> {
-        kernel::semijoin_via(self, other, idx)
-    }
-
-    /// Semijoin in the probed direction: `own_idx` indexes `self`, and
-    /// rows survive when their key group is hit by some row of `other`.
-    /// Lets one index of `self` serve several filters (the Yannakakis
-    /// downward pass) instead of indexing each filter relation.
-    pub fn semijoin_probed(&self, own_idx: &JoinIndex, other: &Relation<S>) -> Relation<S> {
-        kernel::semijoin_probe(self, own_idx, other)
     }
 
     /// Pointwise `⊗`-product of two relations over the *same* schema
@@ -758,48 +726,6 @@ mod tests {
     }
 
     #[test]
-    fn partitioned_join_matches_sequential() {
-        // A skewed many-to-many join: partitioning by row ranges must
-        // reproduce the sequential output exactly (same rows, same
-        // order, same annotations), for thread counts below, equal to,
-        // and above the row count.
-        let r = count_rel(
-            &[0, 1],
-            &(0..97u32)
-                .map(|i| ([i % 13, i], 1 + (i as u64 % 3)))
-                .collect::<Vec<_>>()
-                .iter()
-                .map(|(t, c)| (&t[..], *c))
-                .collect::<Vec<_>>(),
-        );
-        let s = count_rel(
-            &[0, 2],
-            &(0..41u32)
-                .map(|i| ([i % 13, i + 100], 2 + (i as u64 % 2)))
-                .collect::<Vec<_>>()
-                .iter()
-                .map(|(t, c)| (&t[..], *c))
-                .collect::<Vec<_>>(),
-        );
-        let idx = s.build_index(&r.shared_vars(&s));
-        let seq = r.join_indexed(&s, &idx);
-        for threads in [1usize, 2, 3, 4, 200] {
-            assert_eq!(
-                r.join_indexed_par(&s, &idx, threads),
-                seq,
-                "threads={threads}"
-            );
-        }
-        // Degenerate inputs survive partitioning too.
-        let empty = count_rel(&[0, 1], &[]);
-        let idx2 = s.build_index(&empty.shared_vars(&s));
-        assert_eq!(
-            empty.join_indexed_par(&s, &idx2, 4),
-            empty.join_indexed(&s, &idx2)
-        );
-    }
-
-    #[test]
     fn cartesian_join_when_disjoint() {
         let r = count_rel(&[0], &[(&[1], 1), (&[2], 1)]);
         let s = count_rel(&[1], &[(&[5], 1), (&[6], 1)]);
@@ -813,15 +739,6 @@ mod tests {
         let sj = r.semijoin(&s);
         assert_eq!(sj.len(), 1);
         assert_eq!(sj.get(&[1, 2]), Some(&Count(2)));
-    }
-
-    #[test]
-    fn semijoin_probed_matches_semijoin() {
-        let r = count_rel(&[0, 1], &[(&[1, 2], 2), (&[3, 4], 7), (&[5, 2], 1)]);
-        let s = count_rel(&[1, 2], &[(&[2, 9], 1), (&[8, 8], 1)]);
-        let shared = r.shared_vars(&s);
-        let own = r.build_index(&shared);
-        assert_eq!(r.semijoin_probed(&own, &s), r.semijoin(&s));
     }
 
     #[test]

@@ -588,13 +588,6 @@ fn check_ops<S: Semiring>(
     let sj = a.semijoin(&b);
     assert_canonical(&sj, "semijoin");
     assert_eq!(sj, ref_semijoin(&a, &b), "semijoin vs nested loop");
-    assert_eq!(
-        a.semijoin_indexed(&b, &idx),
-        sj,
-        "semijoin with prebuilt index"
-    );
-    let own = a.build_index(&shared);
-    assert_eq!(a.semijoin_probed(&own, &b), sj, "probed semijoin");
 
     // Project onto every suffix/prefix/single-var subset of a's schema,
     // and (`k = 0`) onto nothing: the nullary total.

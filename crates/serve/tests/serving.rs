@@ -633,7 +633,6 @@ fn out_of_domain_deltas_are_refused_and_change_nothing() {
 /// this pins the plumbing, for the day a quoted bag has a choice.)
 #[test]
 fn admission_prices_under_the_servers_own_planner() {
-    use faqs_exec::ExecutorConfig;
     use faqs_plan::{cost_quote_with_stats, PlannerConfig, QueryStats};
 
     let q: FaqQuery<Count> = random_instance(
@@ -652,10 +651,8 @@ fn admission_prices_under_the_servers_own_planner() {
             use_stats: true,
             use_wcoj,
         };
-        let server = FaqServer::with_executor(
-            ServeConfig::default(),
-            Executor::with_planner(ExecutorConfig::sequential(), planner),
-        );
+        let server =
+            FaqServer::with_executor(ServeConfig::default(), Executor::with_planner(planner));
         let shape = server.register(q.clone(), Var(0)).unwrap();
         assert_eq!(
             server.quote(shape).unwrap().0,

@@ -3,8 +3,9 @@
 # its one-scan push-down and one-scan message fold (ROADMAP item 6,
 # issues 17 and 21), one Steiner packing per
 # distributed run and member set (issue 18), one aggregate capability
-# (ROADMAP item 3e, issue 19), one generic-join kernel (issue 20) and
-# the count of `FAQS_*` hatches.
+# (ROADMAP item 3e, issue 19), one generic-join kernel (issue 20), one
+# schedule for the pass (ROADMAP item 3b, issue 22) and the count of
+# `FAQS_*` hatches.
 #
 # Fails when more than one non-test source file under
 # crates/{core,exec,protocols}/src lowers a bag by BagOp (destructures
@@ -32,13 +33,20 @@
 # crates/relation/src/genjoin.rs defines `fn gallop` or a field named
 # `ranges`: the generic join intersects trie levels (issue 20), and the
 # strided cursor with its per-depth range table must not come back
-# beside it. Fails, too, when src/ and crates/*/src name more than 7
+# beside it. Fails, too, when a non-test, non-comment line under
+# crates/{relation,core,exec,protocols}/src calls `thread::scope` or
+# `thread::spawn`, or names `join_indexed_par`: the pass is never
+# thread-scheduled (issue 22 — `exec.parallel_speedup_t2` never read
+# above 0.98), parallelism comes from independent requests in
+# faqs-serve. Fails, too, when src/ and crates/*/src name more than 6
 # distinct `FAQS_*` variables: a new hatch is a new CI leg and a new
 # configuration nobody measures.
 # Then prints the non-test src/ line
 # total of those three crates and of the whole workspace (src/ +
 # crates/*/src) — per file, the lines before the first `#[cfg(test)]` —
-# the numbers a simplifying PR reports.
+# the numbers a simplifying PR reports, and how many of the workspace's
+# non-test, non-comment lines call `unwrap` / `expect` (ROADMAP item 5f:
+# printed so it can only fall).
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 
@@ -72,12 +80,19 @@ printf '%-10s %5d non-test src lines\n' total "$total"
 
 workspace=0
 twins=()
+threaded=()
 flags=0
+unwraps=0
 shims=crates/plan/src/planner.rs
 while IFS= read -r file; do
     n=$(nontest_lines "$file")
     workspace=$((workspace + n))
     code=$(head -n "$n" "$file" | grep -Ev '^[[:space:]]*//' || true)
+    unwraps=$((unwraps + $(grep -Ec '\.(unwrap\(\)|expect\()' <<<"$code" || true)))
+    if [[ "$file" =~ ^crates/(relation|core|exec|protocols)/src/ ]] &&
+        grep -Eq 'thread::(scope|spawn)|join_indexed_par' <<<"$code"; then
+        threaded+=("$file")
+    fi
     if grep -Eq '_lattice\b|\bAggFn\b|\bLatticeOps\b' <<<"$code"; then
         twins+=("$file")
     fi
@@ -88,6 +103,7 @@ while IFS= read -r file; do
     flags=$((flags + count))
 done < <(find src crates/*/src -name '*.rs')
 printf '%-10s %5d non-test src lines (src/ + crates/*/src)\n' workspace "$workspace"
+printf '%-10s %5d non-test, non-comment src lines with an unwrap/expect\n' workspace "$unwraps"
 
 printf 'bag-lowering sites: %d\n' "${#sites[@]}"
 printf '  %s\n' "${sites[@]}"
@@ -103,6 +119,11 @@ fi
 if [ "${#twins[@]}" -ne 0 ]; then
     printf 'a *_lattice twin, AggFn or LatticeOps is back:\n' >&2
     printf '  %s\n' "${twins[@]}" >&2
+    exit 1
+fi
+if [ "${#threaded[@]}" -ne 0 ]; then
+    printf 'a thread-scheduled pass (thread::scope / thread::spawn / join_indexed_par) is back:\n' >&2
+    printf '  %s\n' "${threaded[@]}" >&2
     exit 1
 fi
 if [ "$flags" -ne 0 ]; then
@@ -131,7 +152,7 @@ if head -n "$(nontest_lines "$genjoin")" "$genjoin" |
     echo "$genjoin: the strided cursor (gallop / ranges table) is back beside the trie" >&2
     exit 1
 fi
-max_hatches=7
+max_hatches=6
 hatches=$(grep -rhoE 'FAQS_[A-Z_]+' src crates/*/src | sort -u)
 if [ "$(wc -l <<<"$hatches")" -gt "$max_hatches" ]; then
     echo "more than $max_hatches FAQS_* variables under src/ and crates/*/src:" >&2

@@ -23,9 +23,9 @@
 //!   stats, GHD candidate enumeration, join orders, placement-aware
 //!   communication costs; one `ChosenPlan` feeds every consumer below.
 //! * [`engine`] — the centralized FAQ engine (ground truth).
-//! * [`exec`] — the plan-cached, multi-threaded executor: the front
-//!   door for repeated query traffic (`Executor::solve` with a
-//!   sequential config reproduces `engine::solve_faq` exactly), plus
+//! * [`exec`] — the plan-cached executor: the front door for repeated
+//!   query traffic (`Executor::solve` reproduces `engine::solve_faq`
+//!   exactly), plus
 //!   `IncrementalFaq` sessions that absorb relation deltas and keep
 //!   the answer maintained without re-solving.
 //! * [`serve`] — the concurrent serving front-end over [`exec`]:
