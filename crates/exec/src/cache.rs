@@ -135,9 +135,10 @@ impl PlanCache {
     /// one plan without copying the GHD.
     ///
     /// With `planner.use_stats`, the lookup key includes the instance's
-    /// statistics digest (one `O(data)` gathering pass); callers that
-    /// already maintain statistics incrementally should use
-    /// [`PlanCache::get_or_build_with`] instead.
+    /// statistics digest, read from each factor's profile (`O(data)` for
+    /// a factor nothing has profiled since its rows last changed, a memo
+    /// read otherwise); callers that already maintain statistics
+    /// incrementally should use [`PlanCache::get_or_build_with`] instead.
     pub fn get_or_build<S: Semiring>(
         &self,
         q: &FaqQuery<S>,

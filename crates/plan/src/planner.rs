@@ -465,11 +465,13 @@ fn refuse_max_min<S: Semiring>(q: &FaqQuery<S>) -> Result<(), EngineError> {
 /// serving `q` with the *structural default* plan, without the full
 /// candidate search of [`plan_query`].
 ///
-/// One validation pass, one statistics gathering pass plus one
-/// cost-model dry run — cheap enough to price a request at a serving
-/// front door, and an upper estimate for the plan the executor will
-/// actually run (cost-based selection only ever picks a candidate
-/// predicted strictly cheaper than this default). Unlike `plan_query`,
+/// Validation and statistics both read each factor's profile (one scan
+/// of a factor nothing has profiled since its rows last changed, a memo
+/// read otherwise), then one cost-model dry run — cheap enough to price
+/// a request at a serving front door, and an upper estimate for the
+/// plan the executor will actually run (cost-based selection only ever
+/// picks a candidate predicted strictly cheaper than this default).
+/// Unlike `plan_query`,
 /// the quote simulates regardless of [`PlannerConfig::use_stats`]:
 /// admission control needs a number even under
 /// `FAQS_PLAN_DISABLE_STATS=1` — the escape hatch changes which plan
@@ -563,21 +565,23 @@ pub fn plan_query_with_stats<S: Semiring>(
 }
 
 /// What every planning and quoting door establishes before anything is
-/// priced: the carrier admits each bound variable's aggregate, product
-/// aggregates are push-down-safe, the instance passes `validate` (the
-/// full [`FaqQuery::validate`], or [`FaqQuery::validate_structure`] for
-/// a caller that vouches for its listings), and the structural default
-/// GHD covers `F` at its root and eliminates in a legal order. Returns
-/// that default — candidate 0 of every search — with its join order.
+/// priced: the instance passes `validate` (the full
+/// [`FaqQuery::validate`], or [`FaqQuery::validate_structure`] for a
+/// caller that vouches for its listings) — first, because the checks
+/// after it index `aggregates` by variable — the carrier admits each
+/// bound variable's aggregate, product aggregates are push-down-safe,
+/// and the structural default GHD covers `F` at its root and
+/// eliminates in a legal order. Returns that default — candidate 0 of
+/// every search — with its join order.
 /// Its failure is the caller's error: the cost model never papers over
 /// an invalid default.
 fn validated_default<S: Semiring>(
     q: &FaqQuery<S>,
     validate: impl FnOnce(&FaqQuery<S>) -> Result<(), QueryError>,
 ) -> Result<(Ghd, Vec<Vec<EdgeId>>), EngineError> {
+    validate(q).map_err(|e| EngineError::Invalid(e.to_string()))?;
     check_aggregates_admitted(q)?;
     check_product_aggregates(q)?;
-    validate(q).map_err(|e| EngineError::Invalid(e.to_string()))?;
     let ghd = ghd_for_query(q)?;
     let root_chi = ghd.chi(ghd.root());
     if let Some(bad) = q.free_vars.iter().find(|v| !root_chi.contains(v)) {

@@ -1,7 +1,8 @@
 //! Query-level statistics and the cache digest.
 //!
 //! [`QueryStats`] bundles one [`RelationStats`] per factor (gathered by
-//! the columnar kernel in one pass each); [`StatsDigest`] compresses
+//! the columnar kernel in one pass each, once per state of the factor —
+//! [`Relation::stats`] memoises); [`StatsDigest`] compresses
 //! them into the coarse, *scale-invariant* fingerprint the plan cache
 //! keys on. The digest deliberately buckets aggressively: repeated
 //! traffic of the same shape at the same rough scale must collide (one
@@ -21,8 +22,9 @@ pub struct QueryStats {
 }
 
 impl QueryStats {
-    /// Gathers statistics for every factor of `q` (one kernel pass per
-    /// factor).
+    /// The statistics of every factor of `q`, read from each factor's
+    /// profile: one kernel pass over a factor nothing has profiled since
+    /// its rows last changed, a copy of the memo otherwise.
     pub fn of<S: Semiring>(q: &FaqQuery<S>) -> QueryStats {
         QueryStats {
             factors: q.factors.iter().map(Relation::stats).collect(),

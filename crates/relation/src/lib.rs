@@ -21,6 +21,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod arena;
 mod builder;
 mod codec;
 mod delta;

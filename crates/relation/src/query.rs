@@ -20,6 +20,13 @@ pub enum QueryError {
     ValueOutOfDomain(EdgeId),
     /// A free variable does not exist in the hypergraph.
     UnknownFreeVar(Var),
+    /// `aggregates` does not hold one operator per variable.
+    AggregateCountMismatch {
+        /// Number of variables of the hypergraph.
+        vars: usize,
+        /// Number of supplied aggregates.
+        aggregates: usize,
+    },
 }
 
 impl std::fmt::Display for QueryError {
@@ -31,6 +38,9 @@ impl std::fmt::Display for QueryError {
             QueryError::SchemaMismatch(e) => write!(f, "factor schema mismatch on {e}"),
             QueryError::ValueOutOfDomain(e) => write!(f, "value out of domain in {e}"),
             QueryError::UnknownFreeVar(v) => write!(f, "unknown free variable {v}"),
+            QueryError::AggregateCountMismatch { vars, aggregates } => {
+                write!(f, "{aggregates} aggregates for {vars} variables")
+            }
         }
     }
 }
@@ -85,24 +95,29 @@ impl<S: Semiring> FaqQuery<S> {
         self
     }
 
-    /// Checks every invariant: [`FaqQuery::validate_structure`] plus one
-    /// pass over every factor for values outside `[0, domain)`.
+    /// Checks every invariant: [`FaqQuery::validate_structure`] plus
+    /// every factor's largest value ([`Relation::max_value`]) against
+    /// `[0, domain)`. A factor is scanned for it only if nothing has
+    /// profiled it since its rows last changed, so validating an
+    /// unchanged instance again reads `k` memos.
     pub fn validate(&self) -> Result<(), QueryError> {
         self.validate_structure()?;
-        for (e, _) in self.hypergraph.edges() {
-            let mut tuples = self.factors[e.index()].tuples();
-            if tuples.any(|t| t.iter().any(|x| *x >= self.domain)) {
-                return Err(QueryError::ValueOutOfDomain(e));
-            }
+        let outside = |e: &EdgeId| {
+            let max = self.factor(*e).max_value();
+            max.is_some_and(|x| x >= self.domain)
+        };
+        match self.hypergraph.edges().map(|(e, _)| e).find(outside) {
+            Some(e) => Err(QueryError::ValueOutOfDomain(e)),
+            None => Ok(()),
         }
-        Ok(())
     }
 
     /// The `O(k · arity)` half of [`FaqQuery::validate`]: factor count,
-    /// per-edge schemas and free variables — everything but the scan of
-    /// the listings. Enough for a caller that already knows every
-    /// listed value is in the domain (it validated the instance once
-    /// and has only applied in-domain deltas since).
+    /// per-edge schemas, free variables and the aggregate count —
+    /// everything that never looks at a listing. Enough for a caller
+    /// that already knows every listed value is in the domain (it
+    /// validated the instance once and has only applied in-domain
+    /// deltas since).
     pub fn validate_structure(&self) -> Result<(), QueryError> {
         if self.factors.len() != self.hypergraph.num_edges() {
             return Err(QueryError::FactorCountMismatch {
@@ -119,6 +134,12 @@ impl<S: Semiring> FaqQuery<S> {
             if v.index() >= self.hypergraph.num_vars() {
                 return Err(QueryError::UnknownFreeVar(v));
             }
+        }
+        if self.aggregates.len() != self.hypergraph.num_vars() {
+            return Err(QueryError::AggregateCountMismatch {
+                vars: self.hypergraph.num_vars(),
+                aggregates: self.aggregates.len(),
+            });
         }
         Ok(())
     }
@@ -217,6 +238,18 @@ mod tests {
         let mut q = tiny_query();
         q.free_vars = vec![Var(99)];
         assert_eq!(q.validate(), Err(QueryError::UnknownFreeVar(Var(99))));
+    }
+
+    #[test]
+    fn detects_aggregate_count_mismatch() {
+        let mut q = tiny_query();
+        q.aggregates.pop();
+        let want = QueryError::AggregateCountMismatch {
+            vars: 3,
+            aggregates: 2,
+        };
+        assert_eq!(q.validate_structure(), Err(want.clone()));
+        assert_eq!(q.validate(), Err(want));
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! The annotated relation type over a flat columnar arena.
 
+use crate::arena::Arena;
 use crate::kernel::{self, JoinIndex};
+use crate::stats::Profile;
 use faqs_hypergraph::Var;
 use faqs_semiring::{Aggregate, Semiring};
 use std::fmt;
@@ -11,20 +13,21 @@ use std::fmt;
 ///
 /// Invariants maintained by every operation:
 ///
-/// * the schema lists distinct variables; row `i` occupies
-///   `data[i·r .. (i+1)·r]` for arity `r = schema.len()`;
+/// * the schema lists distinct variables and never changes; row `i`
+///   occupies `data[i·r .. (i+1)·r]` for arity `r = schema.len()`;
 /// * no row is annotated with the semiring zero (the listing
 ///   representation stores non-zero entries only);
 /// * rows are lexicographically sorted and duplicate-free (duplicate
 ///   inserts `⊕`-accumulate), so equal relations compare equal
-///   structurally and every operator can merge instead of hash.
+///   structurally and every operator can merge instead of hash;
+/// * the profile memo ([`Relation::stats`], [`Relation::max_value`]) is
+///   dropped by every mutation: the rows live in a private arena type
+///   whose `&mut` doors forget it, so a profile that is read describes
+///   the rows as they are. A clone keeps the memo; equality ignores it.
 #[derive(Clone, PartialEq)]
 pub struct Relation<S: Semiring> {
     schema: Vec<Var>,
-    /// Row-major tuple arena, `len() * schema.len()` entries.
-    data: Vec<u32>,
-    /// Annotation column, parallel to the rows.
-    values: Vec<S>,
+    arena: Arena<S>,
 }
 
 /// How many leading entries [`Relation`]'s `Debug` impl prints before
@@ -59,8 +62,7 @@ impl<S: Semiring> Relation<S> {
         );
         Relation {
             schema,
-            data: Vec::new(),
-            values: Vec::new(),
+            arena: Arena::new(Vec::new(), Vec::new()),
         }
     }
 
@@ -69,8 +71,7 @@ impl<S: Semiring> Relation<S> {
     pub fn unit() -> Self {
         Relation {
             schema: Vec::new(),
-            data: Vec::new(),
-            values: vec![S::one()],
+            arena: Arena::new(Vec::new(), vec![S::one()]),
         }
     }
 
@@ -91,8 +92,7 @@ impl<S: Semiring> Relation<S> {
             values.push(v);
         }
         let (data, values) = kernel::sort_merge_rows(arity, data, values, |a, b| a.add_assign(b));
-        r.data = data;
-        r.values = values;
+        r.set_parts(data, values);
         r
     }
 
@@ -107,8 +107,7 @@ impl<S: Semiring> Relation<S> {
         let arity = r.schema.len();
         assert_eq!(data.len(), values.len() * arity, "arena shape mismatch");
         let (data, values) = kernel::sort_merge_rows(arity, data, values, |a, b| a.add_assign(b));
-        r.data = data;
-        r.values = values;
+        r.set_parts(data, values);
         r
     }
 
@@ -122,17 +121,18 @@ impl<S: Semiring> Relation<S> {
         let total = (domain as u64).pow(r as u32);
         assert!(total <= 1 << 24, "full relation too large: {total}");
         let mut rel = Relation::new(schema);
-        rel.data.reserve(total as usize * r);
-        rel.values.reserve(total as usize);
+        let (data, values) = rel.parts_mut();
+        data.reserve(total as usize * r);
+        values.reserve(total as usize);
         for idx in 0..total {
             let mut rem = idx;
-            let start = rel.data.len();
-            rel.data.resize(start + r, 0);
-            for slot in rel.data[start..].iter_mut().rev() {
+            let start = data.len();
+            data.resize(start + r, 0);
+            for slot in data[start..].iter_mut().rev() {
                 *slot = (rem % domain as u64) as u32;
                 rem /= domain as u64;
             }
-            rel.values.push(S::one());
+            values.push(S::one());
         }
         rel
     }
@@ -146,27 +146,27 @@ impl<S: Semiring> Relation<S> {
     /// Number of listed (non-zero) tuples — the paper's `|R_e| ≤ N`.
     #[inline]
     pub fn len(&self) -> usize {
-        self.values.len()
+        self.raw_values().len()
     }
 
     /// Whether the relation lists no tuples (the function is identically
     /// zero).
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
+        self.raw_values().is_empty()
     }
 
     /// The `i`-th tuple as a view into the arena.
     #[inline]
     pub fn tuple_at(&self, i: usize) -> &[u32] {
         let r = self.schema.len();
-        &self.data[i * r..i * r + r]
+        &self.raw_data()[i * r..i * r + r]
     }
 
     /// The `i`-th annotation.
     #[inline]
     pub fn value_at(&self, i: usize) -> &S {
-        &self.values[i]
+        &self.raw_values()[i]
     }
 
     /// Iterates over tuple views in canonical order.
@@ -176,7 +176,7 @@ impl<S: Semiring> Relation<S> {
 
     /// Iterates over `(tuple, value)` entries in canonical order.
     pub fn iter(&self) -> impl Iterator<Item = (&[u32], &S)> + '_ {
-        (0..self.len()).map(move |i| (self.tuple_at(i), &self.values[i]))
+        (0..self.len()).map(move |i| (self.tuple_at(i), self.value_at(i)))
     }
 
     /// Inserts (⊕-accumulates) one entry.
@@ -186,17 +186,19 @@ impl<S: Semiring> Relation<S> {
         if value.is_zero() {
             return;
         }
-        match self.row_search(&tuple) {
+        let at = self.row_search(&tuple);
+        let (data, values) = self.parts_mut();
+        match at {
             Ok(i) => {
-                self.values[i].add_assign(&value);
-                if self.values[i].is_zero() {
-                    self.values.remove(i);
-                    self.data.drain(i * r..(i + 1) * r);
+                values[i].add_assign(&value);
+                if values[i].is_zero() {
+                    values.remove(i);
+                    data.drain(i * r..(i + 1) * r);
                 }
             }
             Err(i) => {
-                self.values.insert(i, value);
-                self.data.splice(i * r..i * r, tuple);
+                values.insert(i, value);
+                data.splice(i * r..i * r, tuple);
             }
         }
     }
@@ -210,23 +212,20 @@ impl<S: Semiring> Relation<S> {
     pub fn delete(&mut self, tuple: &[u32]) -> Option<S> {
         let r = self.schema.len();
         assert_eq!(tuple.len(), r, "tuple arity mismatch");
-        match self.row_search(tuple) {
-            Ok(i) => {
-                self.data.drain(i * r..(i + 1) * r);
-                Some(self.values.remove(i))
-            }
-            Err(_) => None,
-        }
+        let i = self.row_search(tuple).ok()?;
+        let (data, values) = self.parts_mut();
+        data.drain(i * r..(i + 1) * r);
+        Some(values.remove(i))
     }
 
     /// The annotation of an exact tuple, if listed.
     pub fn get(&self, tuple: &[u32]) -> Option<&S> {
-        self.row_search(tuple).ok().map(|i| &self.values[i])
+        self.row_search(tuple).ok().map(|i| self.value_at(i))
     }
 
     /// Binary search for a row in the sorted arena.
     fn row_search(&self, tuple: &[u32]) -> Result<usize, usize> {
-        kernel::binary_search_row(&self.data, self.schema.len(), self.len(), tuple)
+        kernel::binary_search_row(self.raw_data(), self.schema.len(), self.len(), tuple)
     }
 
     /// Positions of `vars` inside this schema; panics when absent.
@@ -241,26 +240,35 @@ impl<S: Semiring> Relation<S> {
             .collect()
     }
 
-    /// Mutable access to the raw arena for kernel builders (same crate).
+    /// Mutable access to the raw arena for kernel builders (same
+    /// crate); drops the profile memo.
     pub(crate) fn parts_mut(&mut self) -> (&mut Vec<u32>, &mut Vec<S>) {
-        (&mut self.data, &mut self.values)
+        self.arena.parts_mut()
     }
 
-    /// Replaces the raw arena (kernel builders; rows must be canonical).
+    /// Replaces the raw arena (kernel builders; rows must be
+    /// canonical); drops the profile memo.
     pub(crate) fn set_parts(&mut self, data: Vec<u32>, values: Vec<S>) {
         debug_assert_eq!(data.len(), values.len() * self.schema.len());
-        self.data = data;
-        self.values = values;
+        self.arena.set_parts(data, values);
     }
 
     /// The raw row-major tuple arena (generic-join range scans).
+    #[inline]
     pub(crate) fn raw_data(&self) -> &[u32] {
-        &self.data
+        self.arena.data()
     }
 
     /// The raw annotation column, parallel to the rows.
+    #[inline]
     pub(crate) fn raw_values(&self) -> &[S] {
-        &self.values
+        self.arena.values()
+    }
+
+    /// What the one scan of these rows learned, scanned now if nothing
+    /// has asked since they last changed.
+    pub(crate) fn profile(&self) -> &Profile {
+        self.arena.profile(&self.schema)
     }
 
     /// The variables shared with `other`, in this schema's order.
@@ -292,18 +300,20 @@ impl<S: Semiring> Relation<S> {
     /// ([`JoinIndex::lookup_many`]) for all values at once.
     pub fn restrict_in(&self, var: Var, values: &[u32]) -> Relation<S> {
         let mut out = Relation::new(self.schema.clone());
+        let (out_data, out_values) = out.parts_mut();
         if self.schema.first() == Some(&var) {
             debug_assert!(
                 values.windows(2).all(|w| w[0] <= w[1]),
                 "selection values must be sorted ascending"
             );
             let r = self.schema.len();
+            let data = self.raw_data();
             // Least row at or after `from` whose leading value is ≥ `x`.
             let first_at_least = |from: usize, x: u32| {
                 let (mut lo, mut hi) = (from, self.len());
                 while lo < hi {
                     let mid = lo + (hi - lo) / 2;
-                    if self.data[mid * r] < x {
+                    if data[mid * r] < x {
                         lo = mid + 1;
                     } else {
                         hi = mid;
@@ -320,8 +330,8 @@ impl<S: Semiring> Relation<S> {
                 let hi = x
                     .checked_add(1)
                     .map_or(self.len(), |y| first_at_least(lo, y));
-                out.data.extend_from_slice(&self.data[lo * r..hi * r]);
-                out.values.extend_from_slice(&self.values[lo..hi]);
+                out_data.extend_from_slice(&data[lo * r..hi * r]);
+                out_values.extend_from_slice(&self.raw_values()[lo..hi]);
                 from = hi;
             }
             return out;
@@ -333,7 +343,6 @@ impl<S: Semiring> Relation<S> {
         // re-sort to canonical (ascending row id) order either way.
         keep.sort_unstable();
         keep.dedup();
-        let (out_data, out_values) = out.parts_mut();
         for &i in &keep {
             out_data.extend_from_slice(self.tuple_at(i as usize));
             out_values.push(self.value_at(i as usize).clone());
@@ -447,15 +456,15 @@ impl<S: Semiring> Relation<S> {
     /// Maps every annotation through `f`, dropping entries that map to
     /// zero. Order-preserving — only the annotation column is rebuilt.
     pub fn map_values(&self, mut f: impl FnMut(&S) -> S) -> Relation<S> {
-        let mut out = Relation {
-            schema: self.schema.clone(),
-            data: self.data.clone(),
-            values: self.values.iter().map(&mut f).collect(),
-        };
-        if out.values.iter().any(S::is_zero) {
-            kernel::compact_zeros(self.schema.len(), &mut out.data, &mut out.values);
+        let mut data = self.raw_data().to_vec();
+        let mut values: Vec<S> = self.raw_values().iter().map(&mut f).collect();
+        if values.iter().any(S::is_zero) {
+            kernel::compact_zeros(self.schema.len(), &mut data, &mut values);
         }
-        out
+        Relation {
+            schema: self.schema.clone(),
+            arena: Arena::new(data, values),
+        }
     }
 
     /// Replaces every annotation with `1` — the "identity map" trick of
@@ -468,7 +477,7 @@ impl<S: Semiring> Relation<S> {
     /// `⊕`-total of all annotations: with `F = ∅` this is the FAQ answer
     /// scalar (for BCQ, non-zero ⇔ `true`).
     pub fn total(&self) -> S {
-        S::sum(self.values.iter().cloned())
+        S::sum(self.raw_values().iter().cloned())
     }
 
     /// Reorders the schema (and all tuples) to the given permutation of
@@ -476,17 +485,16 @@ impl<S: Semiring> Relation<S> {
     pub fn reorder(&self, schema: &[Var]) -> Relation<S> {
         let pos = self.positions(schema);
         assert_eq!(schema.len(), self.schema.len(), "must be a permutation");
-        let mut data: Vec<u32> = Vec::with_capacity(self.data.len());
+        let mut data: Vec<u32> = Vec::with_capacity(self.raw_data().len());
         for t in self.tuples() {
             data.extend(pos.iter().map(|&p| t[p]));
         }
         let (data, values) =
-            kernel::sort_merge_rows(schema.len(), data, self.values.clone(), |a, b| {
+            kernel::sort_merge_rows(schema.len(), data, self.raw_values().to_vec(), |a, b| {
                 a.add_assign(b)
             });
         let mut out = Relation::new(schema.to_vec());
-        out.data = data;
-        out.values = values;
+        out.set_parts(data, values);
         out
     }
 
@@ -502,12 +510,12 @@ impl<S: Semiring> Relation<S> {
     /// `approx_eq` values) — for float-carrying semirings in tests.
     pub fn approx_eq(&self, other: &Relation<S>) -> bool {
         self.schema == other.schema
-            && self.data == other.data
+            && self.raw_data() == other.raw_data()
             && self.len() == other.len()
             && self
-                .values
+                .raw_values()
                 .iter()
-                .zip(other.values.iter())
+                .zip(other.raw_values())
                 .all(|(v, w)| v.approx_eq(w))
     }
 
@@ -520,9 +528,9 @@ impl<S: Semiring> Relation<S> {
             .map(|_| Relation::new(self.schema.clone()))
             .collect();
         for (i, (t, v)) in self.iter().enumerate() {
-            let part = &mut out[i % parts];
-            part.data.extend_from_slice(t);
-            part.values.push(v.clone());
+            let (data, values) = out[i % parts].parts_mut();
+            data.extend_from_slice(t);
+            values.push(v.clone());
         }
         out
     }
@@ -542,9 +550,9 @@ impl<S: Semiring> Relation<S> {
             .map(|_| Relation::new(self.schema.clone()))
             .collect();
         for (t, v) in self.iter() {
-            let part = &mut out[owner_of(t) % parts];
-            part.data.extend_from_slice(t);
-            part.values.push(v.clone());
+            let (data, values) = out[owner_of(t) % parts].parts_mut();
+            data.extend_from_slice(t);
+            values.push(v.clone());
         }
         out
     }
@@ -555,12 +563,12 @@ impl<S: Semiring> Relation<S> {
     pub fn union_all(parts: &[Relation<S>]) -> Relation<S> {
         assert!(!parts.is_empty());
         let schema = parts[0].schema.clone();
-        let mut data: Vec<u32> = Vec::with_capacity(parts.iter().map(|p| p.data.len()).sum());
+        let mut data: Vec<u32> = Vec::with_capacity(parts.iter().map(|p| p.raw_data().len()).sum());
         let mut values: Vec<S> = Vec::with_capacity(parts.iter().map(Relation::len).sum());
         for p in parts {
             assert_eq!(p.schema, schema, "schemas must match");
-            data.extend_from_slice(&p.data);
-            values.extend(p.values.iter().cloned());
+            data.extend_from_slice(p.raw_data());
+            values.extend_from_slice(p.raw_values());
         }
         Relation::from_columns(schema, data, values)
     }

@@ -1,16 +1,26 @@
-//! One-pass relation statistics for the cost-based planner.
+//! Relation statistics for the cost-based planner, profiled once per
+//! relation state.
 //!
 //! The planner (`faqs-plan`) estimates join and message cardinalities
 //! from three per-relation quantities: the listing size, the number of
 //! distinct values per column, and the number of distinct *key
 //! prefixes* (the selectivity of the prefix-keyed [`JoinIndex`]
 //! fast path). All three are gathered in a single pass over the
-//! canonical sorted arena: prefix counts fall out of comparing each row
-//! with its predecessor (equal prefixes are contiguous in a
-//! lexicographically sorted arena), and the same sweep records each
-//! non-leading column's value range, which decides how that column's
-//! distinct values are then counted — in a bitmap over the range when
-//! it is dense, by sorting a copy of the column when it is not.
+//! canonical sorted arena ([`Profile::scan`]): prefix counts fall out of
+//! comparing each row with its predecessor (equal prefixes are
+//! contiguous in a lexicographically sorted arena), and the same sweep
+//! records each non-leading column's value range, which decides how
+//! that column's distinct values are then counted — in a bitmap over
+//! the range when it is dense, by sorting a copy of the column when it
+//! is not — and whose maxima are the relation's largest value, the
+//! number instance validation compares with the domain.
+//!
+//! A relation pays that pass at most once per state: the arena keeps
+//! the [`Profile`] until its rows next change, so [`Relation::stats`],
+//! [`Relation::max_value`] and every door built on them
+//! (`FaqQuery::validate`, `QueryStats::of`) read a memo on an unchanged
+//! relation. A store that mutates by deltas keeps [`MaintainedStats`]
+//! instead and never comes back here.
 //!
 //! [`JoinIndex`]: crate::kernel::JoinIndex
 
@@ -70,18 +80,46 @@ impl RelationStats {
 }
 
 impl<S: Semiring> Relation<S> {
-    /// Gathers [`RelationStats`] in one pass over the sorted arena.
-    /// Column 0's distinct count falls out of the prefix counter for
-    /// free (the arena is sorted on it); columns `1..` are counted
-    /// exactly by [`Relation::distinct_in_column`] from the value range
-    /// the pass recorded.
+    /// The relation's [`RelationStats`]: one pass over the sorted arena
+    /// the first time anything asks about this state of the relation, a
+    /// copy of the memoised answer until its rows next change.
     pub fn stats(&self) -> RelationStats {
-        let arity = self.schema().len();
+        self.profile().stats.clone()
+    }
+
+    /// The largest value any listed tuple mentions — `None` for an
+    /// empty or nullary relation. Memoised with [`Relation::stats`].
+    pub fn max_value(&self) -> Option<u32> {
+        self.profile().max_value
+    }
+}
+
+/// What one scan of a relation's arena learns: the planner's
+/// statistics and the largest value any listed tuple mentions (`None`
+/// when there is no row or no column) — what
+/// [`FaqQuery::validate`](crate::FaqQuery::validate) holds against the
+/// domain. Memoised by the arena ([`crate::arena`]), which drops it on
+/// every mutation.
+pub(crate) struct Profile {
+    pub(crate) stats: RelationStats,
+    pub(crate) max_value: Option<u32>,
+}
+
+impl Profile {
+    /// The one scan of `rows` canonical rows under `schema`. Column 0's
+    /// distinct count falls out of the prefix counter for free (the
+    /// arena is sorted on it) and its maximum is the last row's; columns
+    /// `1..` are counted exactly by [`distinct_in_column`] from the
+    /// value range the sweep recorded.
+    pub(crate) fn scan(schema: &[Var], data: &[u32], rows: usize) -> Profile {
+        let arity = schema.len();
         let mut prefix_distinct = vec![0usize; arity];
         // (min, max) per column; column 0 needs none.
         let mut range = vec![(u32::MAX, 0u32); arity];
         let mut prev: Option<&[u32]> = None;
-        for t in self.tuples() {
+        // A nullary relation has no data to chunk (and nothing to learn
+        // but `rows`).
+        for t in data.chunks_exact(arity.max(1)) {
             // First column where this row departs from its predecessor:
             // every prefix from there on starts a new group.
             let diverge = match prev {
@@ -104,39 +142,45 @@ impl<S: Semiring> Relation<S> {
         let mut distinct = Vec::with_capacity(arity);
         if arity > 0 {
             distinct.push(prefix_distinct[0]);
-            distinct.extend((1..arity).map(|c| self.distinct_in_column(c, range[c])));
+            distinct.extend((1..arity).map(|c| distinct_in_column(data, arity, c, range[c])));
         }
-        RelationStats {
-            schema: self.schema().to_vec(),
-            rows: self.len(),
-            distinct,
-            prefix_distinct,
+        // Column 0 ascends, so the last row holds its maximum.
+        let max_value = prev.map(|last| range[1..].iter().fold(last[0], |m, &(_, hi)| m.max(hi)));
+        Profile {
+            stats: RelationStats {
+                schema: schema.to_vec(),
+                rows,
+                distinct,
+                prefix_distinct,
+            },
+            max_value,
         }
     }
+}
 
-    /// Exact number of distinct values in column `c`, all of them in
-    /// `lo..=hi`: a bitmap over the range when it holds at most 64
-    /// values per row (at most one word per row), else a sorted copy of
-    /// the column with its runs counted.
-    fn distinct_in_column(&self, c: usize, (lo, hi): (u32, u32)) -> usize {
-        if self.is_empty() {
-            return 0;
+/// Exact number of distinct values in column `c` of a row-major arena
+/// of the given `arity`, all of them in `lo..=hi`: a bitmap over the
+/// range when it holds at most 64 values per row (at most one word per
+/// row), else a sorted copy of the column with its runs counted.
+fn distinct_in_column(data: &[u32], arity: usize, c: usize, (lo, hi): (u32, u32)) -> usize {
+    let rows = data.len() / arity;
+    if rows == 0 {
+        return 0;
+    }
+    let column = data.iter().skip(c).step_by(arity).copied();
+    let words = ((hi - lo) / 64) as usize + 1;
+    if words <= rows {
+        let mut bits = vec![0u64; words];
+        for x in column {
+            let off = x - lo;
+            bits[(off / 64) as usize] |= 1 << (off % 64);
         }
-        let column = self.tuples().map(|t| t[c]);
-        let words = ((hi - lo) / 64) as usize + 1;
-        if words <= self.len() {
-            let mut bits = vec![0u64; words];
-            for x in column {
-                let off = x - lo;
-                bits[(off / 64) as usize] |= 1 << (off % 64);
-            }
-            bits.iter().map(|w| w.count_ones() as usize).sum()
-        } else {
-            let mut sorted: Vec<u32> = column.collect();
-            sorted.sort_unstable();
-            sorted.dedup();
-            sorted.len()
-        }
+        bits.iter().map(|w| w.count_ones() as usize).sum()
+    } else {
+        let mut sorted: Vec<u32> = column.collect();
+        sorted.sort_unstable();
+        sorted.dedup();
+        sorted.len()
     }
 }
 

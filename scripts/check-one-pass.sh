@@ -4,8 +4,9 @@
 # issues 17 and 21), one Steiner packing per
 # distributed run and member set (issue 18), one aggregate capability
 # (ROADMAP item 3e, issue 19), one generic-join kernel (issue 20), one
-# schedule for the pass (ROADMAP item 3b, issue 22) and the count of
-# `FAQS_*` hatches.
+# schedule for the pass (ROADMAP item 3b, issue 22), one profile scan
+# per relation state (ROADMAP items 6(i) / 7(c), issue 24), the count of
+# `FAQS_*` hatches and the `unwrap` / `expect` ratchet (ROADMAP item 5f).
 #
 # Fails when more than one non-test source file under
 # crates/{core,exec,protocols}/src lowers a bag by BagOp (destructures
@@ -38,15 +39,24 @@
 # `thread::spawn`, or names `join_indexed_par`: the pass is never
 # thread-scheduled (issue 22 — `exec.parallel_speedup_t2` never read
 # above 0.98), parallelism comes from independent requests in
-# faqs-serve. Fails, too, when src/ and crates/*/src name more than 6
-# distinct `FAQS_*` variables: a new hatch is a new CI leg and a new
-# configuration nobody measures.
-# Then prints the non-test src/ line
+# faqs-serve. Fails, too, when a non-test, non-comment line of
+# crates/relation/src/query.rs walks a factor's rows (`.tuples()`,
+# `.tuple_at(`, or an `.iter()` on anything but `factors` /
+# `free_vars`): `FaqQuery::validate` reads each factor's profile
+# (`Relation::max_value`), and a scan loop must not come back beside
+# the memo. Fails, too, unless the non-test, non-comment sources hold
+# exactly one `Profile::scan(` call and it is
+# the memo's initialiser in arena.rs: `stats()`, `max_value()` and every
+# door built on them read what that one scan learned (issue 24). Fails,
+# too, when src/ and crates/*/src name more than 6 distinct `FAQS_*`
+# variables: a new hatch is a new CI leg and a new configuration nobody
+# measures. Fails, too, when more than `max_unwraps` of the workspace's
+# non-test, non-comment lines call `unwrap` / `expect` (ROADMAP item 5f:
+# the count can only fall — lower the ratchet with it).
+# Also prints the non-test src/ line
 # total of those three crates and of the whole workspace (src/ +
 # crates/*/src) — per file, the lines before the first `#[cfg(test)]` —
-# the numbers a simplifying PR reports, and how many of the workspace's
-# non-test, non-comment lines call `unwrap` / `expect` (ROADMAP item 5f:
-# printed so it can only fall).
+# the numbers a simplifying PR reports, and the unwrap/expect count.
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 
@@ -81,6 +91,7 @@ printf '%-10s %5d non-test src lines\n' total "$total"
 workspace=0
 twins=()
 threaded=()
+scans=()
 flags=0
 unwraps=0
 shims=crates/plan/src/planner.rs
@@ -92,6 +103,10 @@ while IFS= read -r file; do
     if [[ "$file" =~ ^crates/(relation|core|exec|protocols)/src/ ]] &&
         grep -Eq 'thread::(scope|spawn)|join_indexed_par' <<<"$code"; then
         threaded+=("$file")
+    fi
+    calls=$(grep -o 'Profile::scan(' <<<"$code" | wc -l || true)
+    if [ "$calls" -gt 0 ]; then
+        scans+=("$file x$calls")
     fi
     if grep -Eq '_lattice\b|\bAggFn\b|\bLatticeOps\b' <<<"$code"; then
         twins+=("$file")
@@ -150,6 +165,23 @@ if head -n "$(nontest_lines "$genjoin")" "$genjoin" |
     grep -Ev '^[[:space:]]*//' |
     grep -En '\bfn gallop\b|\branges[[:space:]]*:' >&2; then
     echo "$genjoin: the strided cursor (gallop / ranges table) is back beside the trie" >&2
+    exit 1
+fi
+query=crates/relation/src/query.rs
+if head -n "$(nontest_lines "$query")" "$query" |
+    grep -Ev '^[[:space:]]*//' |
+    sed -E 's/(factors|free_vars)\.iter\(\)//g' |
+    grep -En '\.tuples\(\)|\.tuple_at\(|\.iter\(\)' >&2; then
+    echo "$query walks a factor's rows: validate reads the profile (Relation::max_value)" >&2
+    exit 1
+fi
+if [ "${scans[*]}" != "crates/relation/src/arena.rs x1" ]; then
+    echo "expected one Profile::scan( call, the memo's initialiser in arena.rs; found: ${scans[*]:-none}" >&2
+    exit 1
+fi
+max_unwraps=110
+if [ "$unwraps" -gt "$max_unwraps" ]; then
+    echo "$unwraps unwrap/expect lines, ratchet is $max_unwraps: return a typed error or document the invariant elsewhere" >&2
     exit 1
 fi
 max_hatches=6
