@@ -19,9 +19,8 @@ pub use faqs_plan::{
 };
 
 /// Solves a general FAQ (Equation 4) by the upward pass of Theorem
-/// G.3, on the plan chosen by `faqs-plan` (statistics-driven by default;
-/// `FAQS_PLAN_DISABLE_STATS=1` falls back to the structural
-/// width-minimising GHD). Every bound variable's aggregate must be one
+/// G.3, on the plan `faqs-plan`'s statistics-driven default chooses.
+/// Every bound variable's aggregate must be one
 /// the carrier admits ([`Semiring::admits`]); any other is refused with
 /// [`EngineError::RefusedAggregate`]. Returns the result relation over
 /// the free variables (for `F = ∅`: a nullary relation whose single
@@ -32,11 +31,10 @@ pub fn solve_faq<S: Semiring>(q: &FaqQuery<S>) -> Result<Relation<S>, EngineErro
 }
 
 /// A deterministic full re-solve for differential testing: always
-/// re-plans *structurally* (no statistics, no environment sensitivity),
-/// so equal data always takes the identical plan and produces the
-/// bit-identical answer — the oracle the incremental engine's
-/// maintained answers are raced against, immune to
-/// `FAQS_PLAN_DISABLE_STATS` and to digest drift.
+/// re-plans *structurally* (no statistics), so equal data always takes
+/// the identical plan and produces the bit-identical answer — the
+/// oracle the incremental engine's maintained answers are raced
+/// against, immune to digest drift.
 pub fn solve_faq_reference<S: Semiring>(q: &FaqQuery<S>) -> Result<Relation<S>, EngineError> {
     let plan = faqs_plan::plan_query_calibrated(q, &PlannerConfig::structural(), None, None, 1.0)?;
     solve_planned(q, plan)

@@ -47,8 +47,7 @@ impl ExecutorConfig {
 /// per-shape correction, and an in-flight pass whose actuals leave the
 /// shape's error envelope re-orders its remaining message folds
 /// smallest-actual-first (the folds are commutative, so any order is a
-/// safe swap point). `FAQS_PLAN_DISABLE_CALIBRATION=1` pins all of it
-/// off.
+/// safe swap point). [`CalibrationRegistry::off`] pins all of it off.
 #[derive(Default)]
 pub struct Executor {
     planner: PlannerConfig,
@@ -57,8 +56,7 @@ pub struct Executor {
 }
 
 impl Executor {
-    /// An executor with the environment's planner configuration
-    /// (`FAQS_PLAN_DISABLE_STATS=1` forces structural planning) and an
+    /// An executor with the default (statistics-driven) planner and an
     /// empty cache; `_cfg` carries nothing (see [`ExecutorConfig`]), so
     /// this is [`Executor::default`].
     pub fn new(_cfg: ExecutorConfig) -> Self {
@@ -66,7 +64,7 @@ impl Executor {
     }
 
     /// An executor with explicit planner knobs (tests and benches pin
-    /// structural vs stats-driven planning regardless of environment).
+    /// structural vs stats-driven planning).
     pub fn with_planner(planner: PlannerConfig) -> Self {
         Executor {
             planner,
@@ -78,7 +76,7 @@ impl Executor {
     /// Replaces the calibration registry — shares one learning session
     /// across executors (a serving pool, an incremental maintainer), or
     /// injects [`CalibrationRegistry::forced`]/`off` in tests and
-    /// benches regardless of the environment hatch.
+    /// benches.
     pub fn with_calibration(mut self, calibration: Arc<CalibrationRegistry>) -> Self {
         self.calibration = calibration;
         self
@@ -328,9 +326,9 @@ mod tests {
         // Seed the registry with a large correction for the shape, then
         // solve twice: the first call rebuilds the (previously cached)
         // plan under the learned correction, the second hits it — the
-        // `correction_fresh` hysteresis stops rebuild churn. An
-        // explicit forced() registry keeps the test meaningful under
-        // the FAQS_PLAN_DISABLE_CALIBRATION=1 CI configuration.
+        // `correction_fresh` hysteresis stops rebuild churn. The
+        // infinite-envelope registry learns corrections but never
+        // triggers a mid-flight re-plan.
         let ex = Executor::with_planner(PlannerConfig::stats())
             .with_calibration(Arc::new(CalibrationRegistry::forced(f64::INFINITY)));
         let q = inst(6);

@@ -21,9 +21,6 @@
 //!   Boolean, Max-Prod) or non-`Sum` bound aggregates recompute from
 //!   the lowest GHD node whose factor changed, walking only the path to
 //!   the root and reusing every clean sibling's stored message.
-//! * **Full-resolve mode** — the `FAQS_EXEC_DISABLE_DELTA=1` escape
-//!   hatch (mirroring `FAQS_PLAN_DISABLE_STATS`) re-runs the whole
-//!   upward pass per update; CI runs the test matrix once this way.
 //!
 //! Factor statistics are maintained incrementally too
 //! ([`faqs_relation::MaintainedStats`] — no full re-scan per update),
@@ -44,14 +41,8 @@ use faqs_plan::{
 use faqs_relation::{AppliedDelta, FaqQuery, Relation, RelationDelta};
 use faqs_semiring::{Aggregate, Semiring};
 use std::convert::Infallible;
-use std::sync::{Arc, OnceLock};
-
-/// Whether `FAQS_EXEC_DISABLE_DELTA=1` forces full re-solves. Read once
-/// per process, like the planner's stats hatch.
-fn delta_disabled() -> bool {
-    static DISABLED: OnceLock<bool> = OnceLock::new();
-    *DISABLED.get_or_init(|| matches!(std::env::var("FAQS_EXEC_DISABLE_DELTA"), Ok(v) if v == "1"))
-}
+use std::ops::Deref;
+use std::sync::Arc;
 
 /// How an [`IncrementalFaq`] session maintains its answer under factor
 /// mutations.
@@ -63,9 +54,31 @@ pub enum MaintenanceMode {
     /// Recompute from the lowest dirty node along the root path,
     /// reusing clean siblings' stored messages.
     DirtySubtree,
-    /// Re-run the full upward pass per update
-    /// (`FAQS_EXEC_DISABLE_DELTA=1`).
-    FullResolve,
+}
+
+/// A plan-cache entry known to be `Ok`: [`SessionPlan::new`] is the only
+/// way to build one, so a session reads its plan without re-checking.
+#[derive(Clone)]
+struct SessionPlan(Arc<Result<QueryPlan, EngineError>>);
+
+impl SessionPlan {
+    fn new(plan: Arc<Result<QueryPlan, EngineError>>) -> Result<Self, EngineError> {
+        match plan.as_ref() {
+            Ok(_) => Ok(SessionPlan(plan)),
+            Err(e) => Err(e.clone()),
+        }
+    }
+}
+
+impl Deref for SessionPlan {
+    type Target = QueryPlan;
+
+    fn deref(&self) -> &QueryPlan {
+        match self.0.as_ref() {
+            Ok(plan) => plan,
+            Err(_) => unreachable!("SessionPlan::new admits only Ok plans"),
+        }
+    }
 }
 
 /// Work counters of one [`IncrementalFaq`] session — the observable
@@ -82,8 +95,7 @@ pub struct IncrementalStats {
     /// GHD nodes recombined from stored parts by the dirty-subtree
     /// path (never incremented by pure inverse propagation).
     pub node_recomputes: u64,
-    /// Full upward passes (construction, plan rebuilds, and every
-    /// update in full-resolve mode).
+    /// Full upward passes (construction and plan rebuilds).
     pub full_upward_passes: u64,
     /// Re-plans triggered by a statistics-digest bucket crossing.
     pub plan_rebuilds: u64,
@@ -128,8 +140,7 @@ pub struct IncrementalFaq<S: Semiring> {
     query: FaqQuery<S>,
     planner: PlannerConfig,
     cache: Arc<PlanCache>,
-    /// Invariant: `Ok` — construction and re-planning fail fast.
-    plan: Arc<Result<QueryPlan, EngineError>>,
+    plan: SessionPlan,
     digest: Option<StatsDigest>,
     /// Incrementally maintained per-factor statistics, digest drift's
     /// input (no full factor re-scan per update).
@@ -154,7 +165,7 @@ pub struct IncrementalFaq<S: Semiring> {
 }
 
 impl<S: Semiring> IncrementalFaq<S> {
-    /// Starts a session with a private plan cache and the environment's
+    /// Starts a session with a private plan cache and the default
     /// planner configuration.
     pub fn new(query: FaqQuery<S>) -> Result<Self, EngineError> {
         Self::with_cache(query, Arc::new(PlanCache::new()), PlannerConfig::default())
@@ -181,10 +192,7 @@ impl<S: Semiring> IncrementalFaq<S> {
         } else {
             None
         };
-        let plan = Self::build_plan(&query, &cache, &planner, digest.clone(), &stats);
-        if let Err(e) = plan.as_ref() {
-            return Err(e.clone());
-        }
+        let plan = Self::build_plan(&query, &cache, &planner, digest.clone(), &stats)?;
         let mode = Self::choose_mode(&query);
         let answer = Relation::new(query.free_vars.clone());
         let mut session = IncrementalFaq {
@@ -280,7 +288,6 @@ impl<S: Semiring> IncrementalFaq<S> {
             return Ok(());
         }
         match self.mode {
-            MaintenanceMode::FullResolve => self.full_recompute(),
             MaintenanceMode::DirtySubtree => {
                 let origin = self.edge_node[edge.index()];
                 self.recompute_path(origin);
@@ -329,9 +336,6 @@ impl<S: Semiring> IncrementalFaq<S> {
     /// every factor). A `Product` aggregate anywhere breaks linearity,
     /// so such queries take the dirty-subtree path.
     fn choose_mode(q: &FaqQuery<S>) -> MaintenanceMode {
-        if delta_disabled() {
-            return MaintenanceMode::FullResolve;
-        }
         let all_sum = q
             .hypergraph
             .vars()
@@ -351,11 +355,11 @@ impl<S: Semiring> IncrementalFaq<S> {
         planner: &PlannerConfig,
         digest: Option<StatsDigest>,
         stats: &MaintainedQueryStats,
-    ) -> Arc<Result<QueryPlan, EngineError>> {
-        cache.get_or_build_with(q, digest, || {
+    ) -> Result<SessionPlan, EngineError> {
+        SessionPlan::new(cache.get_or_build_with(q, digest, || {
             let stats = planner.use_stats.then(|| stats.snapshot());
             QueryPlan::build_calibrated(q, planner, None, stats.as_ref(), 1.0)
-        })
+        }))
     }
 
     /// Re-plans and fully recomputes iff the maintained statistics
@@ -369,17 +373,13 @@ impl<S: Semiring> IncrementalFaq<S> {
             return Ok(false);
         }
         self.counters.plan_rebuilds += 1;
-        let plan = Self::build_plan(
+        self.plan = Self::build_plan(
             &self.query,
             &self.cache,
             &self.planner,
             Some(fresh.clone()),
             &self.stats,
-        );
-        if let Err(e) = plan.as_ref() {
-            return Err(e.clone());
-        }
-        self.plan = plan;
+        )?;
         self.digest = Some(fresh);
         self.index_edges();
         self.full_recompute();
@@ -400,12 +400,8 @@ impl<S: Semiring> IncrementalFaq<S> {
             return Ok(false);
         };
         let correction = self.calibration.correction(&digest);
-        {
-            let plan = self.plan_arc();
-            let plan = plan.as_ref().as_ref().expect("session plan is Ok");
-            if correction_fresh(plan.correction(), correction) {
-                return Ok(false);
-            }
+        if correction_fresh(self.plan.correction(), correction) {
+            return Ok(false);
         }
         self.counters.plan_rebuilds += 1;
         self.counters.calibration_replans += 1;
@@ -425,22 +421,14 @@ impl<S: Semiring> IncrementalFaq<S> {
                 )
             },
         );
-        if let Err(e) = plan.as_ref() {
-            return Err(e.clone());
-        }
-        self.plan = plan;
+        self.plan = SessionPlan::new(plan)?;
         self.index_edges();
         self.full_recompute();
         Ok(true)
     }
 
-    fn plan_arc(&self) -> Arc<Result<QueryPlan, EngineError>> {
-        Arc::clone(&self.plan)
-    }
-
     fn index_edges(&mut self) {
-        let plan = self.plan_arc();
-        let plan = plan.as_ref().as_ref().expect("session plan is Ok");
+        let plan = &self.plan;
         self.edge_node = vec![plan.root(); self.query.factors.len()];
         for node in plan.ghd.node_ids() {
             for step in plan.joins(node) {
@@ -456,8 +444,7 @@ impl<S: Semiring> IncrementalFaq<S> {
     /// incremental maintainer teaches the planner exactly like a
     /// one-shot execution does.
     fn run_pass(&mut self, path: Option<&[NodeId]>) {
-        let plan = self.plan_arc();
-        let plan = plan.as_ref().as_ref().expect("session plan is Ok");
+        let plan = &self.plan;
         let probe = self.digest.as_ref();
         let probe = probe.and_then(|d| CalProbe::new(&self.calibration, d, plan));
         let pass = Pass {
@@ -477,7 +464,7 @@ impl<S: Semiring> IncrementalFaq<S> {
     /// The full upward pass, storing every local and message.
     fn full_recompute(&mut self) {
         self.counters.full_upward_passes += 1;
-        let slots = self.plan.as_ref().as_ref().map_or(0, QueryPlan::slots);
+        let slots = self.plan.slots();
         self.local = vec![None; slots];
         self.msg = vec![None; slots];
         self.run_pass(None);
@@ -486,8 +473,7 @@ impl<S: Semiring> IncrementalFaq<S> {
     /// Dirty-subtree maintenance: recompute `origin`'s local, then
     /// re-emit along the root path only.
     fn recompute_path(&mut self, origin: NodeId) {
-        let plan = self.plan_arc();
-        let plan = plan.as_ref().as_ref().expect("session plan is Ok");
+        let plan = &self.plan;
         let path: Vec<NodeId> =
             std::iter::successors(Some(origin), |&n| plan.ghd.parent(n)).collect();
         self.counters.node_recomputes += path.len() as u64;
@@ -502,8 +488,7 @@ impl<S: Semiring> IncrementalFaq<S> {
     /// cancellation) leaves the session untouched for the caller's
     /// fallback.
     fn propagate_inverse(&mut self, edge: EdgeId, applied: &AppliedDelta<S>) -> Option<()> {
-        let plan = self.plan_arc();
-        let plan = plan.as_ref().as_ref().expect("session plan is Ok");
+        let plan = &self.plan;
         let origin = self.edge_node[edge.index()];
         let mut plus = applied.inserted();
         let mut minus = applied.removed();
@@ -691,14 +676,13 @@ mod tests {
         );
         assert_eq!(after.delta_stats_merges, base.delta_stats_merges + 1);
         assert_eq!(after.plan_rebuilds, 0, "one tuple cannot cross a bucket");
-        if faq.mode() == MaintenanceMode::Inverse {
-            assert_eq!(
-                after.full_upward_passes, base.full_upward_passes,
-                "no full upward pass for a single-tuple insert"
-            );
-            assert_eq!(after.node_recomputes, 0, "clean subtrees untouched");
-            assert_eq!(after.cancellation_fallbacks, 0);
-        }
+        assert_eq!(faq.mode(), MaintenanceMode::Inverse);
+        assert_eq!(
+            after.full_upward_passes, base.full_upward_passes,
+            "no full upward pass for a single-tuple insert"
+        );
+        assert_eq!(after.node_recomputes, 0, "clean subtrees untouched");
+        assert_eq!(after.cancellation_fallbacks, 0);
         let mut mirror = q;
         mirror.factors[0].insert(vec![5, 59], Count(1));
         assert_eq!(faq.answer(), &solve_faq_reference(&mirror).unwrap());
@@ -709,9 +693,7 @@ mod tests {
         assert_eq!(faq.answer(), &solve_faq_reference(&mirror).unwrap());
         let back = faq.counters();
         assert_eq!(back.full_stats_scans, base.full_stats_scans);
-        if faq.mode() == MaintenanceMode::Inverse {
-            assert_eq!(back.full_upward_passes, base.full_upward_passes);
-        }
+        assert_eq!(back.full_upward_passes, base.full_upward_passes);
     }
 
     #[test]
@@ -728,9 +710,7 @@ mod tests {
             |_| Gf2(true),
         );
         let mut faq = IncrementalFaq::new(q.clone()).unwrap();
-        if !delta_disabled() {
-            assert_eq!(faq.mode(), MaintenanceMode::Inverse);
-        }
+        assert_eq!(faq.mode(), MaintenanceMode::Inverse);
         let mut mirror = q;
         // Insert a duplicate of an existing tuple: xor cancels the row
         // out of the factor entirely; then re-insert to resurrect it.
@@ -764,26 +744,22 @@ mod tests {
             PlannerConfig::structural(),
         )
         .unwrap();
-        if !delta_disabled() {
-            assert_eq!(faq.mode(), MaintenanceMode::DirtySubtree, "no inverse");
-        }
+        assert_eq!(faq.mode(), MaintenanceMode::DirtySubtree, "no inverse");
         let base = faq.counters();
         let mut mirror = q;
         faq.insert(EdgeId(2), &[3, 3], MinPlus(0.5)).unwrap();
         mirror.factors[2].insert(vec![3, 3], MinPlus(0.5));
         assert_eq!(faq.answer(), &solve_faq_reference(&mirror).unwrap());
         let after = faq.counters();
-        if faq.mode() == MaintenanceMode::DirtySubtree {
-            assert_eq!(
-                after.full_upward_passes, base.full_upward_passes,
-                "dirty-subtree maintenance never re-runs the full pass"
-            );
-            let touched = after.node_recomputes - base.node_recomputes;
-            assert!(
-                (1..=3).contains(&touched),
-                "a 3-node path query touches at most its root path, got {touched}"
-            );
-        }
+        assert_eq!(
+            after.full_upward_passes, base.full_upward_passes,
+            "dirty-subtree maintenance never re-runs the full pass"
+        );
+        let touched = after.node_recomputes - base.node_recomputes;
+        assert!(
+            (1..=3).contains(&touched),
+            "a 3-node path query touches at most its root path, got {touched}"
+        );
     }
 
     #[test]
@@ -828,18 +804,13 @@ mod tests {
         // Follow-up small updates stay incremental under the new plan.
         faq.delete(EdgeId(0), &[0, 0]).unwrap();
         mirror.factors[0].delete(&[0, 0]);
-        if faq.mode() == MaintenanceMode::Inverse {
-            assert_eq!(faq.counters().full_upward_passes, 2);
-        }
+        assert_eq!(faq.mode(), MaintenanceMode::Inverse);
+        assert_eq!(faq.counters().full_upward_passes, 2);
         assert_eq!(faq.answer(), &solve_faq_reference(&mirror).unwrap());
     }
 
     #[test]
     fn mode_selection_follows_semiring_and_aggregates() {
-        if delta_disabled() {
-            // The hatch wins over everything; covered by the CI matrix.
-            return;
-        }
         let h = path_query(2);
         let mk = |v: bool| {
             random_instance(

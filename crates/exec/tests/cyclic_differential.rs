@@ -45,9 +45,8 @@ fn shape(which: usize, free_sel: usize) -> (Hypergraph, Vec<Var>) {
     }
 }
 
-/// Both stats-planner legs (WCOJ on / pinned cascade) plus the
-/// structural default — the full planner matrix the CI escape hatch
-/// `FAQS_PLAN_DISABLE_WCOJ=1` toggles between.
+/// Both stats-planner legs (WCOJ on / the cascade reference) plus the
+/// structural reference — the full planner matrix, built in-process.
 fn planner_matrix() -> [(&'static str, PlannerConfig); 3] {
     [
         (
@@ -198,7 +197,7 @@ fn pinned_triangle_picks_generic_join_and_agrees_with_the_cascade() {
     .expect("cascade plan");
 
     // Pin the plan shape: the WCOJ leg must lower a generic-join bag,
-    // the escape-hatch leg must not, and the model must predict the
+    // the cascade reference must not, and the model must predict the
     // WCOJ plan strictly cheaper.
     assert!(
         wcoj_plan.uses_generic_join(),
@@ -206,7 +205,7 @@ fn pinned_triangle_picks_generic_join_and_agrees_with_the_cascade() {
     );
     assert!(
         !cascade_plan.uses_generic_join(),
-        "FAQS_PLAN_DISABLE_WCOJ semantics: no generic-join bags"
+        "the cascade reference lowers no generic-join bags"
     );
     assert!(
         wcoj_plan.cost.cpu < cascade_plan.cost.cpu,

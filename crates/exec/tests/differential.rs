@@ -5,7 +5,8 @@
 //! Invariants checked:
 //!
 //! * executor ≡ `solve_faq` ≡ brute force, as full result *relations*
-//!   (not just totals);
+//!   (not just totals), under the default planner and the structural
+//!   reference;
 //! * a plan-cache hit produces a result identical to a cold plan;
 //! * hit/miss counters actually move, proving the GHD/validation work is
 //!   skipped on repeat shapes;
@@ -15,6 +16,7 @@
 use faqs_core::{solve_faq, solve_faq_brute_force};
 use faqs_exec::{Executor, ExecutorConfig};
 use faqs_hypergraph::{example_h2, path_query, star_query, Hypergraph, Var};
+use faqs_plan::PlannerConfig;
 use faqs_relation::{random_boolean_instance, random_instance, FaqQuery, RandomInstanceConfig};
 use faqs_semiring::{Boolean, Count, MinPlus, Semiring};
 use std::sync::Mutex;
@@ -50,21 +52,32 @@ fn cfg(seed: u64) -> RandomInstanceConfig {
     }
 }
 
+/// The executors raced against the engine: the default
+/// (statistics-driven) planner and the structural reference.
+fn executors() -> [Executor; 2] {
+    [
+        Executor::default(),
+        Executor::with_planner(PlannerConfig::structural()),
+    ]
+}
+
 /// Runs one instance through every execution strategy and asserts the
 /// full output relations agree.
-fn assert_all_agree<S: Semiring>(q: &FaqQuery<S>, ex: &Executor, label: &str) {
+fn assert_all_agree<S: Semiring>(q: &FaqQuery<S>, exs: &[Executor], label: &str) {
     let oracle = solve_faq_brute_force(q);
     let engine = solve_faq(q).unwrap_or_else(|e| panic!("{label}: engine rejected: {e}"));
     assert_eq!(engine, oracle, "{label}: engine vs brute force");
-    let got = ex
-        .solve(q)
-        .unwrap_or_else(|e| panic!("{label}: executor rejected: {e}"));
-    assert_eq!(got, engine, "{label}: executor vs engine");
+    for (i, ex) in exs.iter().enumerate() {
+        let got = ex
+            .solve(q)
+            .unwrap_or_else(|e| panic!("{label}: executor {i} rejected: {e}"));
+        assert_eq!(got, engine, "{label}: executor {i} vs engine");
+    }
 }
 
 #[test]
 fn count_instances_agree_across_strategies() {
-    let ex = Executor::default();
+    let exs = executors();
     for (name, h, free_sets) in shapes() {
         for free in free_sets {
             for seed in 0..6 {
@@ -72,29 +85,31 @@ fn count_instances_agree_across_strategies() {
                     use rand::Rng;
                     Count(r.random_range(1..5))
                 });
-                assert_all_agree(&q, &ex, &format!("count/{name}/F={free:?}/s{seed}"));
+                assert_all_agree(&q, &exs, &format!("count/{name}/F={free:?}/s{seed}"));
             }
         }
     }
     // The executor saw one shape per (hypergraph, free set) pair and
     // replayed it across seeds: hits must dominate misses.
-    let stats = ex.cache_stats();
-    assert!(
-        stats.hits > stats.misses,
-        "expected mostly hits, got {stats:?}"
-    );
+    for ex in &exs {
+        let stats = ex.cache_stats();
+        assert!(
+            stats.hits > stats.misses,
+            "expected mostly hits, got {stats:?}"
+        );
+    }
 }
 
 #[test]
 fn boolean_instances_agree_across_strategies() {
-    let ex = Executor::default();
+    let exs = executors();
     for (name, h, free_sets) in shapes() {
         for free in free_sets {
             for seed in 0..6 {
                 let mut q: FaqQuery<Boolean> =
                     random_boolean_instance(&h, &cfg(seed), seed % 2 == 0);
                 q.free_vars = free.clone();
-                assert_all_agree(&q, &ex, &format!("bool/{name}/F={free:?}/s{seed}"));
+                assert_all_agree(&q, &exs, &format!("bool/{name}/F={free:?}/s{seed}"));
             }
         }
     }
@@ -102,10 +117,11 @@ fn boolean_instances_agree_across_strategies() {
 
 #[test]
 fn min_plus_instances_agree_across_strategies() {
-    // Tropical semiring: min-cost joint assignments. The executor runs
-    // the engine's pass, fold order included, so float arithmetic is
-    // bit-identical and exact equality is the right assertion.
-    let ex = Executor::default();
+    // Tropical semiring: min-cost joint assignments. The default
+    // executor runs the engine's pass, fold order included; the
+    // structural one folds in another order, but small integer costs
+    // sum exactly, so exact equality is the right assertion for both.
+    let exs = executors();
     for (name, h, free_sets) in shapes() {
         for free in free_sets {
             for seed in 0..6 {
@@ -113,7 +129,7 @@ fn min_plus_instances_agree_across_strategies() {
                     use rand::Rng;
                     MinPlus::new(r.random_range(0..32) as f64)
                 });
-                assert_all_agree(&q, &ex, &format!("minplus/{name}/F={free:?}/s{seed}"));
+                assert_all_agree(&q, &exs, &format!("minplus/{name}/F={free:?}/s{seed}"));
             }
         }
     }

@@ -30,25 +30,15 @@
 //! Everything here is scoped: a registry belongs to one
 //! [`Executor`](../faqs_exec/struct.Executor.html) / session /
 //! distributed run, never to the process, so tests and co-resident
-//! servers cannot pollute each other's corrections. The
-//! `FAQS_PLAN_DISABLE_CALIBRATION=1` escape hatch (read once per
-//! process, like the other engine hatches) pins every
-//! environment-constructed registry to the disabled state: corrections
-//! stay at `1.0`, no telemetry is kept, and no mid-flight re-plan ever
-//! triggers — bit-for-bit the pre-calibration engine.
+//! servers cannot pollute each other's corrections. A caller that wants
+//! the pre-calibration engine bit for bit builds
+//! [`CalibrationRegistry::off`]: corrections stay at `1.0`, no telemetry
+//! is kept, and no mid-flight re-plan ever triggers.
 
 use crate::stats::StatsDigest;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
-
-/// Whether `FAQS_PLAN_DISABLE_CALIBRATION=1` pinned calibration off
-/// (read once per process, like the other engine escape hatches).
-pub fn calibration_disabled() -> bool {
-    static FLAG: OnceLock<bool> = OnceLock::new();
-    *FLAG
-        .get_or_init(|| matches!(std::env::var("FAQS_PLAN_DISABLE_CALIBRATION"), Ok(v) if v == "1"))
-}
+use std::sync::{Mutex, MutexGuard};
 
 /// Log-ratios are clamped here before entering the Welford
 /// accumulator: one `predicted = 0` vs `actual = 10⁶` outlier must not
@@ -231,23 +221,22 @@ impl Default for CalibrationRegistry {
 }
 
 impl CalibrationRegistry {
-    /// A fresh registry, enabled unless the
-    /// `FAQS_PLAN_DISABLE_CALIBRATION=1` escape hatch is set.
+    /// A fresh, enabled registry.
     pub fn new() -> Self {
-        Self::build(!calibration_disabled(), DEFAULT_HALF_WIDTH_LOG2)
+        Self::build(true, DEFAULT_HALF_WIDTH_LOG2)
     }
 
     /// A registry that never learns, never corrects and never flags
-    /// drift — the programmatic equivalent of the escape hatch.
+    /// drift — the pre-calibration engine.
     pub fn off() -> Self {
         Self::build(false, DEFAULT_HALF_WIDTH_LOG2)
     }
 
-    /// A registry with a forced default envelope half-width, enabled
-    /// *regardless of the environment hatch* — for tests and benches
-    /// that must drive the calibrated paths deterministically (`0.0`
-    /// puts every sample on an unseen shape out of envelope, forcing a
-    /// mid-flight re-plan at the first fold point).
+    /// A registry enabled with this default envelope half-width — for
+    /// tests and benches that must drive the calibrated paths
+    /// deterministically (`0.0` puts every sample on an unseen shape out
+    /// of envelope, forcing a mid-flight re-plan at the first fold
+    /// point).
     pub fn forced(default_half_width_log2: f64) -> Self {
         Self::build(true, default_half_width_log2.max(0.0))
     }

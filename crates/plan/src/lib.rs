@@ -34,8 +34,8 @@
 //!   each re-rooted further for free-variable coverage) and cost-based
 //!   selection. The default wins all ties, so uniform instances plan
 //!   exactly as the structural planner did — and
-//!   [`PlannerConfig::structural`] (or `FAQS_PLAN_DISABLE_STATS=1`)
-//!   short-circuits to it without reading any data.
+//!   [`PlannerConfig::structural`] short-circuits to it without reading
+//!   any data.
 //! * [`ChosenPlan`] — the validated GHD plus the per-node factor join
 //!   order consumed by `faqs-core::solve_faq`, the `faqs-exec`
 //!   executor and `DistributedFaqRun`; no consumer derives its own GHD
@@ -60,8 +60,8 @@ mod stats;
 mod validate;
 
 pub use calibration::{
-    calibration_disabled, correction_fresh, CalibrationLog, CalibrationRegistry, CalibrationSample,
-    CalibrationStats, Envelope,
+    correction_fresh, CalibrationLog, CalibrationRegistry, CalibrationSample, CalibrationStats,
+    Envelope,
 };
 pub use cost::PlanCost;
 pub use error::EngineError;
@@ -537,7 +537,7 @@ mod tests {
             BagOp::Cascade => panic!("root bag must be generic join"),
         }
 
-        // The escape hatch pins the cascade lowering but keeps the
+        // The cascade reference pins the cascade lowering but keeps the
         // merged-core decomposition search alive.
         let pinned = PlannerConfig {
             use_stats: true,

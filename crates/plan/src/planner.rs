@@ -29,15 +29,15 @@ pub struct PlannerConfig {
     pub use_stats: bool,
     /// Whether multi-factor bags may lower to the worst-case-optimal
     /// generic join when the cost model prices it below the binary
-    /// cascade. `false` pins every bag to the cascade — the
-    /// `FAQS_PLAN_DISABLE_WCOJ=1` escape hatch. Irrelevant in
-    /// structural mode, which never produces multi-factor bags.
+    /// cascade. `false` pins every bag to the cascade (the cascade
+    /// reference). Irrelevant in structural mode, which never produces
+    /// multi-factor bags.
     pub use_wcoj: bool,
 }
 
 impl PlannerConfig {
-    /// Statistics-driven planning (the default unless the environment
-    /// disables it), generic join enabled.
+    /// Statistics-driven planning with the generic join enabled — the
+    /// default.
     pub fn stats() -> Self {
         PlannerConfig {
             use_stats: true,
@@ -45,41 +45,20 @@ impl PlannerConfig {
         }
     }
 
-    /// Pure-structural planning — the escape hatch the
-    /// `FAQS_PLAN_DISABLE_STATS=1` environment variable selects.
+    /// Pure-structural planning: the width-minimising GYO-GHD, no data
+    /// inspection — the structural reference the differential suites
+    /// race the default against.
     pub fn structural() -> Self {
         PlannerConfig {
             use_stats: false,
             use_wcoj: false,
         }
     }
-
-    /// Reads `FAQS_PLAN_DISABLE_STATS` (set to `1` to force structural
-    /// planning) and `FAQS_PLAN_DISABLE_WCOJ` (set to `1` to pin the
-    /// binary-cascade lowering); CI runs the whole matrix once under
-    /// each. The variables are read once per process — `solve_faq`
-    /// constructs a default config per call, and an env lookup (a lock
-    /// plus an allocation on most platforms) has no place on that path.
-    pub fn from_env() -> Self {
-        static STATS_OFF: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-        static WCOJ_OFF: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-        let stats_off = *STATS_OFF
-            .get_or_init(|| matches!(std::env::var("FAQS_PLAN_DISABLE_STATS"), Ok(v) if v == "1"));
-        if stats_off {
-            return Self::structural();
-        }
-        let wcoj_off = *WCOJ_OFF
-            .get_or_init(|| matches!(std::env::var("FAQS_PLAN_DISABLE_WCOJ"), Ok(v) if v == "1"));
-        PlannerConfig {
-            use_stats: true,
-            use_wcoj: !wcoj_off,
-        }
-    }
 }
 
 impl Default for PlannerConfig {
     fn default() -> Self {
-        Self::from_env()
+        Self::stats()
     }
 }
 
@@ -215,7 +194,7 @@ pub struct ChosenPlan {
     pub join_order: Vec<Vec<EdgeId>>,
     /// Per-node operator choice (dense by `NodeId` index): how each
     /// bag's λ factors materialise. All-[`BagOp::Cascade`] in
-    /// structural mode and under `FAQS_PLAN_DISABLE_WCOJ=1`.
+    /// structural mode and when [`PlannerConfig::use_wcoj`] is off.
     pub bag_ops: Vec<BagOp>,
     /// Predicted cost of the chosen candidate (zero in structural mode,
     /// which predicts nothing).
@@ -471,14 +450,13 @@ fn refuse_max_min<S: Semiring>(q: &FaqQuery<S>) -> Result<(), EngineError> {
 /// a request at a serving front door, and an upper estimate for the
 /// plan the executor will actually run (cost-based selection only ever
 /// picks a candidate predicted strictly cheaper than this default).
-/// Unlike `plan_query`,
-/// the quote simulates regardless of [`PlannerConfig::use_stats`]:
-/// admission control needs a number even under
-/// `FAQS_PLAN_DISABLE_STATS=1` — the escape hatch changes which plan
-/// runs, not what the front door knows. Operators are priced the way
-/// the process-wide default planner ([`PlannerConfig::from_env`]) lowers
-/// them; a caller that holds maintained statistics or its own planner
-/// configuration quotes through [`cost_quote_with_stats`] instead.
+/// Unlike `plan_query`, the quote simulates regardless of
+/// [`PlannerConfig::use_stats`]: admission control needs a number even
+/// in front of a structural planner. Operators are priced the way the
+/// default planner
+/// ([`PlannerConfig::stats`]) lowers them; a caller that holds
+/// maintained statistics or its own planner configuration quotes
+/// through [`cost_quote_with_stats`] instead.
 pub fn cost_quote<S: Semiring>(q: &FaqQuery<S>) -> Result<PlanCost, EngineError> {
     scanning_quote(q, |_| 1.0)
 }
@@ -510,7 +488,7 @@ fn scanning_quote<S: Semiring>(
         .map_err(|e| EngineError::Invalid(e.to_string()))?;
     let stats = QueryStats::of(q);
     let correction = correction(&stats);
-    cost_quote_with_stats(q, &PlannerConfig::from_env(), &stats, correction)
+    cost_quote_with_stats(q, &PlannerConfig::stats(), &stats, correction)
 }
 
 /// The quote of [`cost_quote`] against *precomputed* per-factor

@@ -12,11 +12,11 @@
 //! (`route_causal` semantics), so pipelining and causality hold by
 //! construction.
 //!
-//! The transport (`FAQS_NET_TRANSPORT`) decides what happens to the
-//! bytes: the causal simulator drops them, the channel and loopback-TCP
-//! transports physically move every shard and message as a codec frame
-//! ([`Relation::encode_frame`]) and the run computes on the *decoded*
-//! bytes. All transports shadow-account Model 2.1 bits identically on
+//! The transport ([`DistributedFaqRun::execute_on`]; `execute` is the
+//! simulator) decides what happens to the bytes: the causal simulator
+//! drops them, the channel and loopback-TCP transports physically move
+//! every shard and message as a codec frame ([`Relation::encode_frame`])
+//! and the run computes on the *decoded* bytes. All transports shadow-account Model 2.1 bits identically on
 //! the embedded [`faqs_network::NetRun`], so [`RunStats`] is
 //! byte-identical across them — and real-transport runs assert
 //! themselves against the simulator's envelope on the fly.
@@ -45,8 +45,8 @@ use crate::outcome::ProtocolError;
 use faqs_core::{CalProbe, Pass, PassSite, QueryPlan, Timed};
 use faqs_hypergraph::{EdgeId, NodeId, Var};
 use faqs_network::{
-    Assignment, ChannelTransport, DeltaPackings, Player, RunStats, SimTransport, TcpTransport,
-    Topology, Transport, TransportKind, WireStats,
+    Assignment, DeltaPackings, Player, RunStats, SimTransport, Topology, Transport, TransportKind,
+    WireStats,
 };
 use faqs_plan::{CalibrationRegistry, PlacementContext, PlannerConfig, QueryStats, StatsDigest};
 use faqs_relation::{FaqQuery, Relation};
@@ -228,8 +228,7 @@ impl<'a, S: Semiring> DistributedFaqRun<'a, S> {
     }
 
     /// [`DistributedFaqRun::new`] with explicit planner knobs — the
-    /// planner regressions pin structural vs stats-aware runs with it,
-    /// independent of the `FAQS_PLAN_DISABLE_STATS` environment.
+    /// planner regressions pin structural vs stats-aware runs with it.
     pub fn new_with(
         q: &'a FaqQuery<S>,
         g: &Topology,
@@ -285,31 +284,25 @@ impl<'a, S: Semiring> DistributedFaqRun<'a, S> {
         &self.placement
     }
 
-    /// Executes the full FAQ on the transport selected by
-    /// `FAQS_NET_TRANSPORT` (default: the causal simulator). The result
-    /// relation equals `faqs_core::solve_faq` on every input and every
-    /// transport; the stats are the empirical side of
-    /// [`ConformanceReport`]. Real-transport runs additionally hold
-    /// their measured model bits to the simulator's upper envelope and
-    /// their wire bytes to [`WireConformance`] — the shadow simulator
-    /// acting as a live oracle over the real wire — and fail with
-    /// [`ProtocolError::BoundViolated`] /
-    /// [`ProtocolError::WireBoundViolated`] when either escapes.
+    /// Executes the full FAQ on the causal simulator
+    /// ([`SimTransport`]). The result relation equals
+    /// `faqs_core::solve_faq` on every input; the stats are the
+    /// empirical side of [`ConformanceReport`]. A caller that wants real
+    /// bytes on a wire picks the transport with
+    /// [`DistributedFaqRun::execute_on`].
     pub fn execute(&self) -> Result<DistributedOutcome<S>, ProtocolError> {
-        match TransportKind::from_env() {
-            TransportKind::Sim => self.execute_on(&mut SimTransport::new(&self.scaled)),
-            TransportKind::Channel => self.execute_on(&mut ChannelTransport::new(&self.scaled)),
-            TransportKind::Tcp => {
-                let mut t = TcpTransport::new(&self.scaled)
-                    .map_err(|e| ProtocolError::Engine(format!("tcp transport: {e}")))?;
-                self.execute_on(&mut t)
-            }
-        }
+        self.execute_on(&mut SimTransport::new(&self.scaled))
     }
 
-    /// [`DistributedFaqRun::execute`] on an explicit [`Transport`] — the
-    /// differential tests race all three implementations on the same
-    /// plan through this entry point.
+    /// [`DistributedFaqRun::execute`] on an explicit [`Transport`]
+    /// ([`faqs_network::ChannelTransport`], [`faqs_network::TcpTransport`]
+    /// or the simulator) — the result and [`RunStats`] are identical on
+    /// all three. Real-transport runs additionally hold their measured
+    /// model bits to the simulator's upper envelope and their wire bytes
+    /// to [`WireConformance`] — the shadow simulator acting as a live
+    /// oracle over the real wire — and fail with
+    /// [`ProtocolError::BoundViolated`] /
+    /// [`ProtocolError::WireBoundViolated`] when either escapes.
     pub fn execute_on<T: Transport + ?Sized>(
         &self,
         transport: &mut T,

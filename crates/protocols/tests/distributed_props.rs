@@ -1,8 +1,10 @@
 //! Differential property suite for the topology-general distributed
 //! runtime: [`DistributedFaqRun`] against the centralized engine and the
 //! brute-force oracle over random connected topologies (path / cycle /
-//! tree / Erdős–Rényi via seeded `StdRng`), random shard placements, and
-//! three semirings with different zero/duplicate behaviour.
+//! tree / Erdős–Rényi via seeded `StdRng`), random shard placements,
+//! both planners (statistics-driven / structural), all three transports
+//! (simulator / in-process channels / loopback TCP), and three semirings
+//! with different zero/duplicate behaviour.
 //!
 //! Invariants checked per case:
 //!
@@ -14,7 +16,8 @@
 
 use faqs_core::{solve_faq, solve_faq_brute_force};
 use faqs_hypergraph::{example_h2, path_query, star_query, Hypergraph, Var};
-use faqs_network::Topology;
+use faqs_network::{ChannelTransport, SimTransport, TcpTransport, Topology, Transport};
+use faqs_plan::PlannerConfig;
 use faqs_protocols::{DistributedFaqRun, InputPlacement};
 use faqs_relation::{
     random_boolean_instance, random_instance, FaqQuery, RandomInstanceConfig, Relation,
@@ -62,15 +65,26 @@ fn cfg(seed: u64) -> RandomInstanceConfig {
     }
 }
 
-/// Runs one instance distributed and asserts the full relation agrees
-/// with the engine and the oracle, and the envelope holds.
+/// Runs one instance distributed — planner and transport drawn from
+/// `seed` — and asserts the full relation agrees with the engine and
+/// the oracle, and the envelope holds.
 fn check<S: Semiring>(q: &FaqQuery<S>, family: usize, n_players: usize, seed: u64, label: &str) {
     let g = topology(family, n_players, seed);
     let placement = InputPlacement::random(q.k(), &g, seed ^ 0xD157);
-    let run = DistributedFaqRun::new(q, &g, placement, 1)
+    let planner = match seed % 2 {
+        0 => PlannerConfig::stats(),
+        _ => PlannerConfig::structural(),
+    };
+    let run = DistributedFaqRun::new_with(q, &g, placement, 1, &planner)
         .unwrap_or_else(|e| panic!("{label}: runtime rejected: {e}"));
+    let mut transport: Box<dyn Transport + '_> = match seed % 3 {
+        0 => Box::new(SimTransport::new(run.topology())),
+        1 => Box::new(ChannelTransport::new(run.topology())),
+        _ => Box::new(TcpTransport::new(run.topology()).expect("loopback sockets")),
+    };
+    let label = format!("{label}/{planner:?}/{:?}", transport.kind());
     let out = run
-        .execute()
+        .execute_on(transport.as_mut())
         .unwrap_or_else(|e| panic!("{label}: run failed: {e}"));
 
     let engine = solve_faq(q).unwrap_or_else(|e| panic!("{label}: engine rejected: {e}"));
@@ -129,8 +143,8 @@ proptest! {
         free_sel in 0usize..2,
         seed in 0u64..1_000_000,
     ) {
-        // Tropical semiring: the runtime's deterministic fold order keeps
-        // float arithmetic bit-identical to the engine, so exact
+        // Tropical semiring: small integer costs sum exactly in any
+        // fold order (the structural plan's included), so exact
         // equality is the right assertion.
         let (h, free) = shape(which, free_sel);
         let q: FaqQuery<MinPlus> = random_instance(&h, &cfg(seed), free, |r| {

@@ -274,11 +274,8 @@ fn assert_max_agrees_at_every_site<S: Semiring>(q: &FaqQuery<S>, bits: fn(&S) ->
 
     let cache = Arc::new(PlanCache::new());
     let mut session = IncrementalFaq::with_cache(q.clone(), cache, structural).unwrap();
-    let delta_off = std::env::var("FAQS_EXEC_DISABLE_DELTA").is_ok_and(|v| v == "1");
-    if !delta_off {
-        // `max` has no inverse: the delta path must not be taken.
-        assert_eq!(session.mode(), MaintenanceMode::DirtySubtree);
-    }
+    // `max` has no inverse: the delta path must not be taken.
+    assert_eq!(session.mode(), MaintenanceMode::DirtySubtree);
     let server = FaqServer::new(ServeConfig::default());
     let shape = server.register(q.clone(), Var(0)).unwrap();
     let served = |b: &u32| server.query(shape, *b).unwrap().relation;

@@ -29,7 +29,7 @@
 //!   lowered once, the parameter-carrying factors restrict to the
 //!   merged binding set in one galloping sweep, and each requester
 //!   receives its slice, bit-identical (on exact semirings) to a solo
-//!   pass. `FAQS_SERVE_DISABLE_BATCH=1` degrades to per-query dispatch.
+//!   pass. `ServeConfig { max_batch: 1, .. }` is per-query dispatch.
 //!
 //! ```
 //! use faqs_serve::{FaqServer, ServeConfig};

@@ -23,9 +23,8 @@
 //! one [`Executor::solve_batch`] pass: the shared plan is looked up
 //! once, the parameter-carrying factors are restricted to the merged
 //! binding set, and each requester receives its slice — bit-identical
-//! to a solo pass on exact semirings. `FAQS_SERVE_DISABLE_BATCH=1`
-//! degrades the batcher to per-query dispatch (width 1) for A/B runs
-//! and bug isolation; everything else is unchanged.
+//! to a solo pass on exact semirings. `max_batch: 1` is per-query
+//! dispatch; everything else is unchanged.
 
 use crate::error::ServeError;
 use crate::registry::{PricedOn, Registry, ShapeEntry, ShapeId, Version};
@@ -36,14 +35,7 @@ use faqs_relation::{FaqQuery, Relation, RelationDelta, Snapshot};
 use faqs_semiring::Semiring;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock};
-
-/// Whether `FAQS_SERVE_DISABLE_BATCH=1` pinned the batcher to width 1
-/// (read once per process, like the other engine escape hatches).
-fn batching_disabled() -> bool {
-    static FLAG: OnceLock<bool> = OnceLock::new();
-    *FLAG.get_or_init(|| std::env::var("FAQS_SERVE_DISABLE_BATCH").is_ok_and(|v| v == "1"))
-}
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 
 /// Serving-layer tuning knobs.
 #[derive(Clone, Copy, Debug)]
@@ -157,15 +149,14 @@ pub struct FaqServer<S: Semiring> {
 }
 
 impl<S: Semiring> FaqServer<S> {
-    /// A server with the given configuration and a default
-    /// (environment-configured) executor.
+    /// A server with the given configuration and a default executor.
     pub fn new(cfg: ServeConfig) -> Self {
         Self::with_executor(cfg, Executor::default())
     }
 
-    /// A server over an explicitly configured executor (thread budget,
-    /// planner mode); the plan cache is shared by all workers and the
-    /// inline fast path.
+    /// A server over an explicitly configured executor (planner mode,
+    /// calibration registry); the plan cache is shared by all workers
+    /// and the inline fast path.
     pub fn with_executor(cfg: ServeConfig, executor: Executor) -> Self {
         let shared = Arc::new(Shared {
             registry: Registry::new(),
@@ -291,10 +282,9 @@ impl<S: Semiring> FaqServer<S> {
         }
     }
 
-    /// The effective batch width: [`ServeConfig::max_batch`], or 1 when
-    /// `FAQS_SERVE_DISABLE_BATCH=1` pins per-query dispatch.
+    /// The batch width: [`ServeConfig::max_batch`], at least 1.
     pub fn batch_width(&self) -> usize {
-        effective_width(&self.shared.cfg)
+        self.shared.cfg.max_batch.max(1)
     }
 }
 
@@ -313,14 +303,6 @@ impl<S: Semiring> Drop for FaqServer<S> {
         for h in self.workers.drain(..) {
             let _ = h.join();
         }
-    }
-}
-
-fn effective_width(cfg: &ServeConfig) -> usize {
-    if batching_disabled() {
-        1
-    } else {
-        cfg.max_batch.max(1)
     }
 }
 
@@ -345,7 +327,7 @@ fn answer_one<S: Semiring>(
 }
 
 fn worker_loop<S: Semiring>(shared: &Shared<S>) {
-    let width = effective_width(&shared.cfg);
+    let width = shared.cfg.max_batch.max(1);
     loop {
         // Take the oldest request plus every queued same-shape request
         // (up to the batch width), preserving arrival order.

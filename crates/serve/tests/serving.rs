@@ -48,40 +48,49 @@ fn solo(q: &FaqQuery<Count>, param: Var, b: u32) -> Relation<Count> {
 
 #[test]
 fn served_answers_match_the_executor_oracle() {
-    let server = FaqServer::new(ServeConfig {
-        workers: 2,
-        max_batch: 8,
-        ..ServeConfig::default()
-    });
-    let q = template(3);
-    let shape = server.register(q.clone(), Var(0)).unwrap();
+    // The batching server and per-query dispatch (width 1).
+    for max_batch in [8, 1] {
+        let server = FaqServer::new(ServeConfig {
+            workers: 2,
+            max_batch,
+            ..ServeConfig::default()
+        });
+        let q = template(3);
+        let shape = server.register(q.clone(), Var(0)).unwrap();
 
-    // Flood the queue so the batcher has merging opportunities, then
-    // check every slice against the solo oracle.
-    let bindings: Vec<u32> = (0..32).map(|i| i % 8).collect();
-    let tickets: Vec<_> = bindings
-        .iter()
-        .map(|&b| server.submit(shape, b).unwrap())
-        .collect();
-    for (i, (b, t)) in bindings.iter().zip(tickets).enumerate() {
-        let answer = t.wait().unwrap();
-        assert_eq!(answer.epoch, 0, "no writers, initial version");
-        assert_eq!(answer.relation, solo(&q, Var(0), *b), "binding {b}");
-        // The first quote precedes any execution of this shape, so it
-        // can only rest on raw estimates; later answers may already be
-        // measurement-priced — executions race telemetry absorption.
-        if i == 0 {
-            assert_eq!(
-                answer.priced_on,
-                PricedOn::Estimates,
-                "nothing has executed when the first quote is taken"
-            );
+        // Flood the queue so the batcher has merging opportunities, then
+        // check every slice against the solo oracle.
+        let bindings: Vec<u32> = (0..32).map(|i| i % 8).collect();
+        let tickets: Vec<_> = bindings
+            .iter()
+            .map(|&b| server.submit(shape, b).unwrap())
+            .collect();
+        for (i, (b, t)) in bindings.iter().zip(tickets).enumerate() {
+            let answer = t.wait().unwrap();
+            assert_eq!(answer.epoch, 0, "no writers, initial version");
+            assert_eq!(answer.relation, solo(&q, Var(0), *b), "binding {b}");
+            // The first quote precedes any execution of this shape, so
+            // it can only rest on raw estimates; later answers may
+            // already be measurement-priced — executions race telemetry
+            // absorption.
+            if i == 0 {
+                assert_eq!(
+                    answer.priced_on,
+                    PricedOn::Estimates,
+                    "nothing has executed when the first quote is taken"
+                );
+            }
+        }
+        let stats = server.stats();
+        assert_eq!(server.batch_width(), max_batch);
+        assert_eq!(stats.submitted, 32);
+        assert_eq!(stats.inline + stats.batched, 32, "every request answered");
+        assert!(stats.max_width as usize <= max_batch);
+        if max_batch == 1 {
+            assert_eq!(stats.max_width, 1, "width 1 merges nothing");
+            assert_eq!(stats.batches, stats.batched, "one pass per request");
         }
     }
-    let stats = server.stats();
-    assert_eq!(stats.submitted, 32);
-    assert_eq!(stats.inline + stats.batched, 32, "every request answered");
-    assert!(stats.max_width as usize <= server.batch_width());
 }
 
 #[test]
@@ -627,7 +636,8 @@ fn out_of_domain_deltas_are_refused_and_change_nothing() {
 }
 
 /// Admission prices under the server's own `PlannerConfig`, handed to
-/// the planner explicitly — not the one the environment would build.
+/// the planner explicitly — the default planner and the cascade
+/// reference both.
 /// (Today the quote prices the structural default GHD, whose bags hold
 /// one factor each, so the two lowerings agree on every quote's value;
 /// this pins the plumbing, for the day a quoted bag has a choice.)
