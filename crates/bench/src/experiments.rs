@@ -734,7 +734,7 @@ pub fn e15_distributed(n: usize) {
 /// its predicted kernel work, predicted shipped bits (for the placed
 /// skewed run), and the chosen plan.
 pub fn e16_plan_explain(n: usize) {
-    use faqs_plan::{plan_query, plan_query_placed, PlacementContext, PlannerConfig};
+    use faqs_plan::{plan_query_calibrated, PlacementContext, PlannerConfig};
 
     banner("E16 · Cost-based planner — candidate tables (plan-explain)");
 
@@ -771,14 +771,16 @@ pub fn e16_plan_explain(n: usize) {
     // Uniform hard instance: every candidate ties, the default wins —
     // the determinism the pinned distributed schedules rely on.
     let uniform = faqs_relation::irreducible_star_instance(4, n as u32);
-    let plan = plan_query(&uniform, false, &PlannerConfig::stats()).expect("plan");
+    let plan =
+        plan_query_calibrated(&uniform, &PlannerConfig::stats(), None, None, 1.0).expect("plan");
     assert!(plan.chose_default(), "uniform star must keep the default");
     print_plan("irreducible_star (uniform)", &plan);
 
     // Skewed instance, local cost: the planner must re-root away from
     // the n²-row leaf.
     let skewed = faqs_relation::skewed_star_instance(4, (n as u32).clamp(8, 32));
-    let plan = plan_query(&skewed, false, &PlannerConfig::stats()).expect("plan");
+    let plan =
+        plan_query_calibrated(&skewed, &PlannerConfig::stats(), None, None, 1.0).expect("plan");
     assert!(
         !plan.chose_default(),
         "skew must beat the structural default"
@@ -796,8 +798,8 @@ pub fn e16_plan_explain(n: usize) {
             .collect(),
         Player(3),
     );
-    let plan =
-        plan_query_placed(&skewed, false, &PlannerConfig::stats(), Some(&ctx)).expect("plan");
+    let plan = plan_query_calibrated(&skewed, &PlannerConfig::stats(), Some(&ctx), None, 1.0)
+        .expect("plan");
     print_plan("skewed_star (placement-aware, line4, output P3)", &plan);
 }
 

@@ -311,7 +311,7 @@ mod tests {
     use super::*;
     use crate::solve_faq_brute_force;
     use faqs_hypergraph::{cycle_query, example_h2, path_query, star_query, Hypergraph, Var};
-    use faqs_plan::{plan_query, ChosenPlan, PlannerConfig, QueryStats};
+    use faqs_plan::{plan_query_calibrated, ChosenPlan, PlannerConfig, QueryStats};
     use faqs_relation::{random_instance, RandomInstanceConfig};
     use faqs_semiring::Count;
     use std::collections::BTreeMap;
@@ -409,7 +409,8 @@ mod tests {
         ];
         for (h, generic) in fixtures {
             let q = instance(&h);
-            let mut chosen = plan_query(&q, false, &PlannerConfig::stats()).unwrap();
+            let mut chosen =
+                plan_query_calibrated(&q, &PlannerConfig::stats(), None, None, 1.0).unwrap();
             if generic {
                 force_generic_join(&q, &mut chosen);
             } else {

@@ -1,18 +1,20 @@
 //! Cached query plans: everything `solve_faq` derives from the query
 //! shape and statistics, computed once and replayed across calls.
 //!
-//! A [`QueryPlan`] packages the planner's [`ChosenPlan`] — the
-//! validated GHD (GYO run, MD-hoisting, re-rooting for free variables,
-//! cost-based candidate selection in `faqs-plan`) and the per-node
-//! factor join order — lowered to execution form: each join step
-//! carries the index-key schema the probe will use, and the per-node
-//! child lists drive the upward pass of Theorem G.3. Building one costs
-//! the same as a cold `solve_faq` prologue; replaying one costs a hash
-//! lookup — plus, under stats-driven planning, the one-pass statistics
-//! scan that computes the digest being looked up.
+//! A [`QueryPlan`] is the planner's [`ChosenPlan`] — the validated GHD
+//! (GYO run, MD-hoisting, re-rooting for free variables, cost-based
+//! candidate selection in `faqs-plan`) and the per-node factor join
+//! order — lowered to execution form by [`QueryPlan::lower`], the one
+//! lowering door: each join step carries the index-key schema the probe
+//! will use, and the per-node child lists drive the upward pass of
+//! Theorem G.3. `faqs_plan::plan_query_calibrated` chooses, this module
+//! lowers, and `faqs-exec`'s `PlanCache::plan` caches the pair, so a
+//! repeated shape costs a hash lookup — plus, under stats-driven
+//! planning, the statistics read that computes the digest being looked
+//! up.
 
 use faqs_hypergraph::{EdgeId, Ghd, NodeId, Var};
-use faqs_plan::{BagOp, ChosenPlan, EngineError, PlacementContext, PlanCost, PlannerConfig};
+use faqs_plan::{BagOp, ChosenPlan, PlanCost};
 use faqs_relation::FaqQuery;
 use faqs_semiring::{Aggregate, Semiring};
 use std::cmp::Reverse;
@@ -67,32 +69,6 @@ pub struct QueryPlan {
 }
 
 impl QueryPlan {
-    /// Builds and validates the plan for `q` under an explicit planner
-    /// configuration and an optional placement context (the distributed
-    /// runtime scores candidates on predicted shipped bits through the
-    /// latter).
-    pub fn build_with<S: Semiring>(
-        q: &FaqQuery<S>,
-        planner: &PlannerConfig,
-        placement: Option<&PlacementContext<'_>>,
-    ) -> Result<QueryPlan, EngineError> {
-        Self::build_calibrated(q, planner, placement, None, 1.0)
-    }
-
-    /// [`QueryPlan::build_with`] under a calibration `correction` (and
-    /// optional precomputed stats): the executor's planning path once a
-    /// [`faqs_plan::CalibrationRegistry`] has learned this shape.
-    pub fn build_calibrated<S: Semiring>(
-        q: &FaqQuery<S>,
-        planner: &PlannerConfig,
-        placement: Option<&PlacementContext<'_>>,
-        stats: Option<&faqs_plan::QueryStats>,
-        correction: f64,
-    ) -> Result<QueryPlan, EngineError> {
-        let chosen = faqs_plan::plan_query_calibrated(q, planner, placement, stats, correction)?;
-        Ok(Self::lower(q, chosen))
-    }
-
     /// Lowers a [`ChosenPlan`] to execution form: per-node child lists,
     /// push-down nests and join steps with precomputed index-key
     /// schemas, consuming the planner's join order verbatim (the
@@ -232,11 +208,19 @@ impl QueryPlan {
 mod tests {
     use super::*;
     use faqs_hypergraph::{cycle_query, example_h2, path_query, star_query};
+    use faqs_plan::{plan_query_calibrated, EngineError, PlannerConfig};
     use faqs_relation::{random_instance, RandomInstanceConfig};
     use faqs_semiring::{Aggregate, Count};
 
+    fn build_on<S: Semiring>(
+        q: &FaqQuery<S>,
+        cfg: &PlannerConfig,
+    ) -> Result<QueryPlan, EngineError> {
+        plan_query_calibrated(q, cfg, None, None, 1.0).map(|c| QueryPlan::lower(q, c))
+    }
+
     fn build<S: Semiring>(q: &FaqQuery<S>) -> Result<QueryPlan, EngineError> {
-        QueryPlan::build_with(q, &PlannerConfig::default(), None)
+        build_on(q, &PlannerConfig::default())
     }
 
     fn inst(h: &faqs_hypergraph::Hypergraph, free: Vec<Var>, seed: u64) -> FaqQuery<Count> {
@@ -288,7 +272,7 @@ mod tests {
         let q = bound
             .iter()
             .fold(q, |q, &v| q.with_aggregate(v, Aggregate::Max));
-        let plan = QueryPlan::build_with(&q, &PlannerConfig::structural(), None).unwrap();
+        let plan = build_on(&q, &PlannerConfig::structural()).unwrap();
         let mut seen: Vec<(Var, Aggregate)> = Vec::new();
         for node in plan.ghd.node_ids() {
             let nest = plan.nest(node);
@@ -310,7 +294,7 @@ mod tests {
         };
         let free = vec![Var(2), Var(0)];
         let q: FaqQuery<Count> = random_instance(&cycle_query(3), &dense, free, |_| Count(1));
-        let plan = QueryPlan::build_with(&q, &PlannerConfig::stats(), None).unwrap();
+        let plan = build_on(&q, &PlannerConfig::stats()).unwrap();
         let root = plan.root();
         let BagOp::GenericJoin { var_order } = plan.bag_op(root) else {
             panic!("the dense triangle lowers to one generic-join bag");

@@ -1,6 +1,12 @@
 //! The plan cache: fingerprint → validated plan, with hit/miss
 //! statistics.
 //!
+//! One lookup, [`PlanCache::plan`], owns the whole cached planning
+//! decision — key, calibration correction, freshness, negative replay
+//! and the build (`faqs_plan::plan_query_calibrated`, then
+//! [`QueryPlan::lower`]) — so the executor and incremental sessions ask
+//! it instead of re-deriving that chain.
+//!
 //! Two key tiers share one map. With statistics-driven planning, the
 //! lookup key carries the instance's coarse [`StatsDigest`] — skewed
 //! and uniform instances of one shape get distinct, separately-costed
@@ -22,7 +28,9 @@
 
 use crate::fingerprint::PlanKey;
 use faqs_core::{EngineError, QueryPlan};
-use faqs_plan::{PlannerConfig, QueryStats, StatsDigest};
+use faqs_plan::{
+    correction_fresh, plan_query_calibrated, CalibrationRegistry, PlannerConfig, QueryStats,
+};
 use faqs_relation::FaqQuery;
 use faqs_semiring::Semiring;
 use std::collections::HashMap;
@@ -130,170 +138,87 @@ impl PlanCache {
         self.clock.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// The cached plan for `q`, building (and validating) it on first
-    /// sight. Returns a shared handle so concurrent executions replay
-    /// one plan without copying the GHD.
+    /// The plan for `q` — the one cached, calibrated planning door.
+    /// Returns a shared handle so concurrent executions replay one plan
+    /// without copying the GHD.
     ///
-    /// With `planner.use_stats`, the lookup key includes the instance's
-    /// statistics digest, read from each factor's profile (`O(data)` for
-    /// a factor nothing has profiled since its rows last changed, a memo
-    /// read otherwise); callers that already maintain statistics
-    /// incrementally should use [`PlanCache::get_or_build_with`] instead.
-    pub fn get_or_build<S: Semiring>(
-        &self,
-        q: &FaqQuery<S>,
-        planner: &PlannerConfig,
-    ) -> Arc<Result<QueryPlan, EngineError>> {
-        let digest = if planner.use_stats {
-            Some(QueryStats::of(q).digest())
-        } else {
-            None
-        };
-        self.get_or_build_with(q, digest, || QueryPlan::build_with(q, planner, None))
-    }
-
-    /// [`PlanCache::get_or_build`] with the digest supplied by the
-    /// caller (e.g. recomputed in `O(factors)` from maintained stats)
-    /// and the plan construction abstracted into `build` — no hidden
-    /// full scan of the data on either the hit or the miss path.
-    ///
-    /// On a digest miss the structural tier is probed for a cached
-    /// *negative* result before building. Plans that fail to build with
-    /// a *shape-level* error (illegal aggregate exchange, unplaceable
-    /// free variables, …) are inserted under the structural key so every
-    /// digest shares the one negative entry; [`EngineError::Invalid`]
-    /// wraps instance validation (out-of-domain values, mismatched
-    /// factor schemas) and is data-dependent, so it is never cached —
-    /// the next instance of the shape may be valid.
+    /// `stats` (ignored under structural planning) keys the digest
+    /// tier; `None` keys the structural one. Under an enabled
+    /// `calibration` a cached plan is usable only while it was scored
+    /// under (close to) the registry's current correction for that
+    /// digest: a shape whose learned correction moved past the
+    /// [`correction_fresh`] hysteresis re-plans once (counted as a
+    /// miss), then settles. On a digest miss the structural tier is
+    /// probed for a cached *negative* result before building. Plans
+    /// that fail with a *shape-level* error (illegal aggregate exchange,
+    /// unplaceable free variables, …) are cached under the structural
+    /// key, so every digest shares the one negative entry;
+    /// [`EngineError::Invalid`] wraps instance validation (out-of-domain
+    /// values, mismatched factor schemas) and is data-dependent, so it
+    /// is never cached — the next instance of the shape may be valid.
     ///
     /// The build runs *outside* the lock: a cold, expensive shape must
     /// not stall concurrent hits on hot shapes. Two threads racing the
-    /// same cold shape may both build; the first insert wins and the
-    /// loser adopts it, so all callers still share one plan.
-    pub fn get_or_build_with<S: Semiring>(
+    /// same cold shape may both build; the insert adopts a usable entry
+    /// already there and replaces a stale one, so all callers still
+    /// share one plan.
+    pub fn plan<S: Semiring>(
         &self,
         q: &FaqQuery<S>,
-        digest: Option<StatsDigest>,
-        build: impl FnOnce() -> Result<QueryPlan, EngineError>,
+        planner: &PlannerConfig,
+        stats: Option<&QueryStats>,
+        calibration: &CalibrationRegistry,
     ) -> Arc<Result<QueryPlan, EngineError>> {
+        let stats = stats.filter(|_| planner.use_stats);
+        let digest = stats.map(QueryStats::digest);
+        let correction = digest.as_ref().map_or(1.0, |d| calibration.correction(d));
+        let usable = |plan: &Result<QueryPlan, EngineError>| match plan {
+            Ok(plan) => {
+                !calibration.is_enabled() || correction_fresh(plan.correction(), correction)
+            }
+            Err(_) => true, // negative entries have no staleness
+        };
         let key = PlanKey::with_digest(q, digest);
         {
             let mut map = self.lock();
             let tick = self.tick();
-            if let Some(entry) = map.get_mut(&key) {
+            let hit = |entry: &mut Entry| {
                 entry.tick = tick;
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                return Arc::clone(&entry.plan);
-            }
-            if key.has_digest() {
-                if let Some(entry) = map.get_mut(&key.structural()) {
-                    if entry.plan.is_err() {
-                        // Structural-tier negative entry: the shape is
-                        // invalid for any data, digest notwithstanding.
-                        entry.tick = tick;
-                        self.hits.fetch_add(1, Ordering::Relaxed);
-                        return Arc::clone(&entry.plan);
-                    }
-                }
-            }
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let plan = Arc::new(build());
-        match plan.as_ref() {
-            // Instance-dependent failure: do not cache (a later, valid
-            // instance of this shape must not inherit the error).
-            Err(EngineError::Invalid(_)) => plan,
-            // Shape-level failure: one negative entry serves all
-            // digests.
-            Err(_) => self.insert(key.structural(), plan),
-            Ok(_) => self.insert(key, plan),
-        }
-    }
-
-    /// [`PlanCache::get_or_build_with`] with a *freshness* predicate: a
-    /// cached positive entry that fails `fresh` is rebuilt (counted as
-    /// a miss) and the rebuild *replaces* the stale entry. The
-    /// calibrated executor passes "was this plan scored under (close
-    /// to) the registry's current correction?" — so a shape whose
-    /// learned correction has moved by more than the
-    /// [`faqs_plan::correction_fresh`] hysteresis re-plans once, then
-    /// settles (corrections converge as samples accumulate). Negative
-    /// entries replay as in [`PlanCache::get_or_build_with`]; staleness
-    /// is a positive-plan concept.
-    pub fn get_or_build_fresh<S: Semiring>(
-        &self,
-        q: &FaqQuery<S>,
-        digest: Option<StatsDigest>,
-        fresh: impl Fn(&QueryPlan) -> bool,
-        build: impl FnOnce() -> Result<QueryPlan, EngineError>,
-    ) -> Arc<Result<QueryPlan, EngineError>> {
-        let key = PlanKey::with_digest(q, digest);
-        {
-            let mut map = self.lock();
-            let tick = self.tick();
+                Arc::clone(&entry.plan)
+            };
             if let Some(entry) = map.get_mut(&key) {
-                let usable = match entry.plan.as_ref() {
-                    Ok(plan) => fresh(plan),
-                    Err(_) => true, // negative entries have no staleness
-                };
-                if usable {
-                    entry.tick = tick;
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    return Arc::clone(&entry.plan);
+                if usable(&entry.plan) {
+                    return hit(entry);
                 }
             } else if key.has_digest() {
                 if let Some(entry) = map.get_mut(&key.structural()) {
                     if entry.plan.is_err() {
-                        entry.tick = tick;
-                        self.hits.fetch_add(1, Ordering::Relaxed);
-                        return Arc::clone(&entry.plan);
+                        // The shape is invalid for any data.
+                        return hit(entry);
                     }
                 }
             }
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let plan = Arc::new(build());
-        match plan.as_ref() {
-            Err(EngineError::Invalid(_)) => plan,
-            Err(_) => self.insert(key.structural(), plan),
-            // Replace, not first-writer-wins: the whole point of the
-            // rebuild was to supersede the stale plan under this key.
-            Ok(_) => self.insert_replace(key, plan),
-        }
-    }
-
-    /// Inserts (first writer wins), touches, and evicts past capacity.
-    fn insert(
-        &self,
-        key: PlanKey,
-        plan: Arc<Result<QueryPlan, EngineError>>,
-    ) -> Arc<Result<QueryPlan, EngineError>> {
-        let mut map = self.lock();
-        let tick = self.tick();
-        let shared = match map.entry(key) {
-            std::collections::hash_map::Entry::Occupied(mut o) => {
-                o.get_mut().tick = tick;
-                Arc::clone(&o.get().plan)
-            }
-            std::collections::hash_map::Entry::Vacant(v) => {
-                Arc::clone(&v.insert(Entry { plan, tick }).plan)
-            }
+        let plan = plan_query_calibrated(q, planner, None, stats, correction);
+        let plan = Arc::new(plan.map(|chosen| QueryPlan::lower(q, chosen)));
+        let key = match plan.as_ref() {
+            Err(EngineError::Invalid(_)) => return plan,
+            Err(_) => key.structural(),
+            Ok(_) => key,
         };
-        self.evict_over_capacity(&mut map);
-        shared
-    }
-
-    /// Inserts, overwriting any existing entry under `key` (the
-    /// stale-plan replacement path of [`PlanCache::get_or_build_fresh`]).
-    fn insert_replace(
-        &self,
-        key: PlanKey,
-        plan: Arc<Result<QueryPlan, EngineError>>,
-    ) -> Arc<Result<QueryPlan, EngineError>> {
         let mut map = self.lock();
         let tick = self.tick();
-        let shared = Arc::clone(&plan);
-        map.insert(key, Entry { plan, tick });
+        let entry = map.entry(key).or_insert_with(|| Entry {
+            plan: Arc::clone(&plan),
+            tick,
+        });
+        if !usable(&entry.plan) {
+            entry.plan = plan;
+        }
+        entry.tick = tick;
+        let shared = Arc::clone(&entry.plan);
         self.evict_over_capacity(&mut map);
         shared
     }
@@ -348,6 +273,16 @@ mod tests {
     use faqs_relation::{random_instance, RandomInstanceConfig};
     use faqs_semiring::{Count, MinPlus};
 
+    /// An uncalibrated lookup keyed on `q`'s scanned statistics.
+    fn get<S: Semiring>(
+        cache: &PlanCache,
+        q: &FaqQuery<S>,
+        planner: &PlannerConfig,
+    ) -> Arc<Result<QueryPlan, EngineError>> {
+        let stats = QueryStats::of(q);
+        cache.plan(q, planner, Some(&stats), &CalibrationRegistry::off())
+    }
+
     fn inst(seed: u64) -> FaqQuery<Count> {
         inst_on(seed, Count(1))
     }
@@ -371,17 +306,17 @@ mod tests {
         let planner = PlannerConfig::stats();
         let cache = PlanCache::new();
         assert_eq!(cache.stats().hits, 0);
-        let a = cache.get_or_build(&inst(1), &planner);
+        let a = get(&cache, &inst(1), &planner);
         assert!(a.is_ok());
         assert_eq!(cache.stats().misses, 1);
         assert_eq!(cache.stats().hits, 0);
         // Same shape, same digest bucket, different data: a hit.
-        let _ = cache.get_or_build(&inst(2), &planner);
+        let _ = get(&cache, &inst(2), &planner);
         assert_eq!(cache.stats().hits, 1);
         assert_eq!(cache.stats().entries, 1);
         // Same shape on a carrier that declares other capabilities: a
         // distinct key.
-        let _ = cache.get_or_build(&inst_on(1, MinPlus::new(1.0)), &planner);
+        let _ = get(&cache, &inst_on(1, MinPlus::new(1.0)), &planner);
         assert_eq!(cache.stats().misses, 2);
         assert_eq!(cache.stats().entries, 2);
         cache.clear();
@@ -404,8 +339,8 @@ mod tests {
             true,
         );
         let skewed: FaqQuery<Boolean> = faqs_relation::skewed_star_instance(3, 8);
-        assert!(cache.get_or_build(&uniform, &planner).is_ok());
-        assert!(cache.get_or_build(&skewed, &planner).is_ok());
+        assert!(get(&cache, &uniform, &planner).is_ok());
+        assert!(get(&cache, &skewed, &planner).is_ok());
         assert_eq!(
             cache.stats().misses,
             2,
@@ -419,8 +354,8 @@ mod tests {
         );
         // Structural planning collapses both onto one key.
         let structural = PlannerConfig::structural();
-        let _ = cache.get_or_build(&uniform, &structural);
-        let _ = cache.get_or_build(&skewed, &structural);
+        let _ = get(&cache, &uniform, &structural);
+        let _ = get(&cache, &skewed, &structural);
         assert_eq!(cache.stats().misses, 3, "one structural-tier build");
         assert_eq!(cache.stats().hits, 1, "second structural call hits");
         let stats = cache.stats();
@@ -443,11 +378,11 @@ mod tests {
         let mut bad = inst(1);
         bad.domain = 1; // every listed tuple is now out of domain
         assert!(matches!(
-            *cache.get_or_build(&bad, &planner),
+            *get(&cache, &bad, &planner),
             Err(EngineError::Invalid(_))
         ));
         assert_eq!(cache.stats().entries, 0, "Invalid must not be cached");
-        let good = cache.get_or_build(&inst(1), &planner);
+        let good = get(&cache, &inst(1), &planner);
         assert!(good.is_ok(), "a valid same-shape instance must plan");
         assert_eq!(cache.stats().misses, 2, "the bad build was not reused");
     }
@@ -460,7 +395,7 @@ mod tests {
         // Min on a bound variable is refused by the carrier no matter
         // the data.
         let bad = |seed: u64| inst(seed).with_aggregate(faqs_hypergraph::Var(1), Aggregate::Min);
-        assert!(cache.get_or_build(&bad(1), &planner).is_err());
+        assert!(get(&cache, &bad(1), &planner).is_err());
         assert_eq!(cache.stats().misses, 1);
         // A *differently-distributed* bad instance of the same shape
         // replays the structural negative entry instead of rebuilding.
@@ -475,7 +410,7 @@ mod tests {
             |_| Count(1),
         );
         skewed_bad = skewed_bad.with_aggregate(faqs_hypergraph::Var(1), Aggregate::Min);
-        assert!(cache.get_or_build(&skewed_bad, &planner).is_err());
+        assert!(get(&cache, &skewed_bad, &planner).is_err());
         assert_eq!(
             cache.stats().misses,
             1,
@@ -486,17 +421,9 @@ mod tests {
     }
 
     #[test]
-    fn survives_a_panicking_builder_and_a_poisoned_lock() {
+    fn survives_a_poisoned_lock() {
         let planner = PlannerConfig::stats();
         let cache = Arc::new(PlanCache::new());
-
-        // A builder that panics mid-build (outside the lock) must not
-        // wedge the cache for later callers.
-        let q = inst(1);
-        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            cache.get_or_build_with(&q, None, || panic!("builder exploded"))
-        }));
-        assert!(panicked.is_err());
 
         // Poison the mutex itself: a thread dies while holding the
         // guard (as a panicking in-lock mutation would).
@@ -510,11 +437,11 @@ mod tests {
 
         // The next call must recover (clear once, serve fresh) instead
         // of propagating the poison panic to every future query.
-        let plan = cache.get_or_build(&inst(1), &planner);
+        let plan = get(&cache, &inst(1), &planner);
         assert!(plan.is_ok());
         assert!(!cache.map.is_poisoned(), "poison cleared");
         assert_eq!(cache.stats().entries, 1);
-        let _ = cache.get_or_build(&inst(2), &planner);
+        let _ = get(&cache, &inst(2), &planner);
         assert!(cache.stats().hits >= 1, "cache serves hits again");
     }
 
@@ -526,7 +453,7 @@ mod tests {
 
         // Pin one structural negative entry first.
         let bad = inst(1).with_aggregate(faqs_hypergraph::Var(1), Aggregate::Min);
-        assert!(cache.get_or_build(&bad, &planner).is_err());
+        assert!(get(&cache, &bad, &planner).is_err());
 
         // Churn: many distinct shapes (star arity varies), each a fresh
         // positive entry. The map must stay at capacity + the pin.
@@ -541,7 +468,7 @@ mod tests {
                 vec![],
                 |_| Count(1),
             );
-            assert!(cache.get_or_build(&q, &planner).is_ok());
+            assert!(get(&cache, &q, &planner).is_ok());
             assert!(
                 cache.stats().entries <= 4 + 1,
                 "cap exceeded: {} entries",
@@ -551,7 +478,7 @@ mod tests {
 
         // The pinned negative survived all the churn and still replays.
         let misses_before = cache.stats().misses;
-        assert!(cache.get_or_build(&bad, &planner).is_err());
+        assert!(get(&cache, &bad, &planner).is_err());
         assert_eq!(
             cache.stats().misses,
             misses_before,
@@ -570,7 +497,7 @@ mod tests {
             |_| Count(1),
         );
         let misses_before = cache.stats().misses;
-        assert!(cache.get_or_build(&hot, &planner).is_ok());
+        assert!(get(&cache, &hot, &planner).is_ok());
         assert_eq!(cache.stats().misses, misses_before, "hot entry retained");
     }
 }

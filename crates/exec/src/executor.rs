@@ -7,9 +7,7 @@
 
 use crate::cache::{CacheStats, PlanCache};
 use faqs_core::{CalProbe, EngineError, Pass, QueryPlan, Sequential};
-use faqs_plan::{
-    correction_fresh, CalibrationRegistry, CalibrationStats, PlannerConfig, QueryStats, StatsDigest,
-};
+use faqs_plan::{CalibrationRegistry, CalibrationStats, PlannerConfig, QueryStats, StatsDigest};
 use faqs_relation::{FaqQuery, Relation};
 use faqs_semiring::Semiring;
 use std::sync::Arc;
@@ -129,28 +127,14 @@ impl Executor {
     pub fn solve<S: Semiring>(&self, q: &FaqQuery<S>) -> Result<Relation<S>, EngineError> {
         q.validate()
             .map_err(|e| EngineError::Invalid(e.to_string()))?;
-        // Calibration needs the digest (its shape key), which only
-        // stats-driven planning computes; structural mode stays the
-        // exact pre-calibration path.
-        if !self.calibration.is_enabled() || !self.planner.use_stats {
-            let plan = self.cache.get_or_build(q, &self.planner);
-            let plan = plan.as_ref().as_ref().map_err(Clone::clone)?;
-            return self.eval(q, plan, None);
-        }
-        let stats = QueryStats::of(q);
-        let digest = stats.digest();
-        let correction = self.calibration.correction(&digest);
-        // A cached plan scored under a materially different correction
-        // is stale: rebuild once under the current one (the
-        // `correction_fresh` hysteresis stops rebuild oscillation).
-        let plan = self.cache.get_or_build_fresh(
-            q,
-            Some(digest.clone()),
-            |p| correction_fresh(p.correction(), correction),
-            || QueryPlan::build_calibrated(q, &self.planner, None, Some(&stats), correction),
-        );
+        let stats = self.planner.use_stats.then(|| QueryStats::of(q));
+        let plan = self
+            .cache
+            .plan(q, &self.planner, stats.as_ref(), &self.calibration);
         let plan = plan.as_ref().as_ref().map_err(Clone::clone)?;
-        self.eval(q, plan, Some(&digest))
+        // Calibration observes under the digest (its shape key), which
+        // only stats-driven planning computes.
+        self.eval(q, plan, stats.map(|s| s.digest()).as_ref())
     }
 
     /// Runs the one upward pass on a prebuilt plan at the [`Sequential`]
@@ -196,9 +180,15 @@ mod tests {
     use super::*;
     use faqs_core::solve_faq;
     use faqs_hypergraph::{example_h2, star_query, Var};
-    use faqs_plan::CalibrationLog;
+    use faqs_plan::{plan_query_calibrated, CalibrationLog};
     use faqs_relation::{random_instance, RandomInstanceConfig};
     use faqs_semiring::{Aggregate, Count};
+
+    /// The stats planner's plan for `q`, lowered, bypassing the cache.
+    fn stats_plan<S: Semiring>(q: &FaqQuery<S>) -> QueryPlan {
+        let chosen = plan_query_calibrated(q, &PlannerConfig::stats(), None, None, 1.0);
+        QueryPlan::lower(q, chosen.unwrap())
+    }
 
     fn inst(seed: u64) -> FaqQuery<Count> {
         random_instance(
@@ -298,7 +288,7 @@ mod tests {
         // zero-width envelope long before the root folds its three
         // messages, so the sticky drift flag re-orders that fold — and
         // the answer must not move.
-        let stale = QueryPlan::build_with(&spider(4), &PlannerConfig::stats(), None).unwrap();
+        let stale = stats_plan(&spider(4));
         let q = spider(48);
         let expected = solve_faq(&q).unwrap();
         let ex = Executor::with_planner(PlannerConfig::stats())
@@ -353,7 +343,7 @@ mod tests {
         let ex = Executor::with_planner(PlannerConfig::stats())
             .with_calibration(Arc::new(CalibrationRegistry::forced(0.0)));
         let q = inst(8);
-        let plan = QueryPlan::build_with(&q, &PlannerConfig::stats(), None).unwrap();
+        let plan = stats_plan(&q);
         assert_eq!(ex.solve_on(&q, &plan).unwrap(), solve_faq(&q).unwrap());
         let stats = ex.calibration_stats();
         assert!(stats.samples > 0, "supplied-plan path still observes");

@@ -25,7 +25,9 @@
 //! Factor statistics are maintained incrementally too
 //! ([`faqs_relation::MaintainedStats`] — no full re-scan per update),
 //! and the session re-plans through the shared [`PlanCache`] only when
-//! the maintained statistics cross a [`StatsDigest`] bucket boundary.
+//! the maintained statistics cross a [`StatsDigest`] bucket boundary or
+//! an attached registry's learned correction leaves the plan's
+//! hysteresis band.
 //! [`IncrementalStats`] counts exactly which of these events happened;
 //! the tests pin the serving invariants (one single-tuple insert on a
 //! 100k-tuple instance: no stats re-scan, no full upward pass).
@@ -36,7 +38,8 @@ use faqs_core::{
 };
 use faqs_hypergraph::{EdgeId, NodeId};
 use faqs_plan::{
-    correction_fresh, CalibrationRegistry, MaintainedQueryStats, PlannerConfig, StatsDigest,
+    correction_fresh, CalibrationRegistry, MaintainedQueryStats, PlannerConfig, QueryStats,
+    StatsDigest,
 };
 use faqs_relation::{AppliedDelta, FaqQuery, Relation, RelationDelta};
 use faqs_semiring::{Aggregate, Semiring};
@@ -97,7 +100,8 @@ pub struct IncrementalStats {
     pub node_recomputes: u64,
     /// Full upward passes (construction and plan rebuilds).
     pub full_upward_passes: u64,
-    /// Re-plans triggered by a statistics-digest bucket crossing.
+    /// Re-plans: statistics-digest bucket crossings plus
+    /// `calibration_replans`.
     pub plan_rebuilds: u64,
     /// Re-plans triggered by a learned-correction shift (a subset of
     /// `plan_rebuilds`): the shared [`CalibrationRegistry`] moved this
@@ -187,12 +191,11 @@ impl<S: Semiring> IncrementalFaq<S> {
             full_stats_scans: query.factors.len() as u64,
             ..IncrementalStats::default()
         };
-        let digest = if planner.use_stats {
-            Some(stats.snapshot().digest())
-        } else {
-            None
-        };
-        let plan = Self::build_plan(&query, &cache, &planner, digest.clone(), &stats)?;
+        let calibration = Arc::new(CalibrationRegistry::off());
+        let snapshot = planner.use_stats.then(|| stats.snapshot());
+        let plan = cache.plan(&query, &planner, snapshot.as_ref(), &calibration);
+        let plan = SessionPlan::new(plan)?;
+        let digest = snapshot.map(|s| s.digest());
         let mode = Self::choose_mode(&query);
         let answer = Relation::new(query.free_vars.clone());
         let mut session = IncrementalFaq {
@@ -208,7 +211,7 @@ impl<S: Semiring> IncrementalFaq<S> {
             answer,
             mode,
             counters,
-            calibration: Arc::new(CalibrationRegistry::off()),
+            calibration,
         };
         session.index_edges();
         session.full_recompute();
@@ -281,10 +284,7 @@ impl<S: Semiring> IncrementalFaq<S> {
         }
         self.stats.apply(edge, &applied);
         self.counters.delta_stats_merges += 1;
-        if self.replan_if_drifted()? {
-            return Ok(());
-        }
-        if self.replan_if_recalibrated()? {
+        if self.replan_if_stale()? {
             return Ok(());
         }
         match self.mode {
@@ -347,81 +347,39 @@ impl<S: Semiring> IncrementalFaq<S> {
         }
     }
 
-    /// Plans through the cache from *maintained* statistics — no
-    /// `QueryStats::of` factor scan on this path.
-    fn build_plan(
-        q: &FaqQuery<S>,
-        cache: &PlanCache,
-        planner: &PlannerConfig,
-        digest: Option<StatsDigest>,
-        stats: &MaintainedQueryStats,
-    ) -> Result<SessionPlan, EngineError> {
-        SessionPlan::new(cache.get_or_build_with(q, digest, || {
-            let stats = planner.use_stats.then(|| stats.snapshot());
-            QueryPlan::build_calibrated(q, planner, None, stats.as_ref(), 1.0)
-        }))
-    }
-
-    /// Re-plans and fully recomputes iff the maintained statistics
-    /// digest left its bucket; returns whether that happened.
-    fn replan_if_drifted(&mut self) -> Result<bool, EngineError> {
-        if !self.planner.use_stats {
-            return Ok(false);
-        }
-        let fresh = self.stats.snapshot().digest();
-        if self.digest.as_ref() == Some(&fresh) {
-            return Ok(false);
-        }
-        self.counters.plan_rebuilds += 1;
-        self.plan = Self::build_plan(
-            &self.query,
-            &self.cache,
-            &self.planner,
-            Some(fresh.clone()),
-            &self.stats,
-        )?;
-        self.digest = Some(fresh);
-        self.index_edges();
-        self.full_recompute();
-        Ok(true)
-    }
-
-    /// Re-plans and fully recomputes iff an attached calibration
+    /// Re-plans through the cache (from *maintained* statistics — no
+    /// `QueryStats::of` factor scan) and fully recomputes iff the plan
+    /// went stale: the digest left its bucket (a drift), or an attached
     /// registry's learned correction for this shape moved past the
-    /// [`correction_fresh`] hysteresis since the current plan was
-    /// scored; returns whether that happened. The rebuilt plan goes
-    /// through the cache's freshness path, so sibling sessions on the
-    /// same digest share it.
-    fn replan_if_recalibrated(&mut self) -> Result<bool, EngineError> {
-        if !self.calibration.is_enabled() {
-            return Ok(false);
-        }
-        let Some(digest) = self.digest.clone() else {
-            return Ok(false);
-        };
-        let correction = self.calibration.correction(&digest);
-        if correction_fresh(self.plan.correction(), correction) {
+    /// [`correction_fresh`] hysteresis since the plan was scored (a
+    /// calibration re-plan). Either way the cache plans under the
+    /// registry's current correction, so sibling sessions on the same
+    /// digest share the plan. Returns whether that happened.
+    fn replan_if_stale(&mut self) -> Result<bool, EngineError> {
+        let stats = self.planner.use_stats.then(|| self.stats.snapshot());
+        let digest = stats.as_ref().map(QueryStats::digest);
+        let drifted = digest != self.digest;
+        let calibration = &self.calibration;
+        let stale = drifted
+            || match &digest {
+                Some(d) if calibration.is_enabled() => {
+                    !correction_fresh(self.plan.correction(), calibration.correction(d))
+                }
+                _ => false,
+            };
+        if !stale {
             return Ok(false);
         }
         self.counters.plan_rebuilds += 1;
-        self.counters.calibration_replans += 1;
-        self.calibration.record_replans(1);
-        let plan = self.cache.get_or_build_fresh(
-            &self.query,
-            Some(digest),
-            |p| correction_fresh(p.correction(), correction),
-            || {
-                let stats = self.stats.snapshot();
-                QueryPlan::build_calibrated(
-                    &self.query,
-                    &self.planner,
-                    None,
-                    Some(&stats),
-                    correction,
-                )
-            },
-        );
+        if !drifted {
+            self.counters.calibration_replans += 1;
+            calibration.record_replans(1);
+        }
+        let plan = self
+            .cache
+            .plan(&self.query, &self.planner, stats.as_ref(), calibration);
         self.plan = SessionPlan::new(plan)?;
+        self.digest = digest;
         self.index_edges();
         self.full_recompute();
         Ok(true)
@@ -806,6 +764,62 @@ mod tests {
         mirror.factors[0].delete(&[0, 0]);
         assert_eq!(faq.mode(), MaintenanceMode::Inverse);
         assert_eq!(faq.counters().full_upward_passes, 2);
+        assert_eq!(faq.answer(), &solve_faq_reference(&mirror).unwrap());
+    }
+
+    #[test]
+    fn digest_drift_replans_under_the_learned_correction() {
+        // The drift re-plan used to build at correction 1.0 even when
+        // the attached registry had learned one for the new digest, so
+        // the next delta paid a second re-plan and full recompute.
+        let q: FaqQuery<Count> = random_instance(
+            &star_query(3),
+            &RandomInstanceConfig {
+                tuples_per_factor: 8,
+                domain: 16,
+                seed: 2,
+            },
+            vec![],
+            |_| Count(1),
+        );
+        let registry = Arc::new(CalibrationRegistry::forced(f64::INFINITY));
+        let mut faq = IncrementalFaq::with_cache(
+            q.clone(),
+            Arc::new(PlanCache::new()),
+            PlannerConfig::stats(),
+        )
+        .unwrap()
+        .with_calibration(Arc::clone(&registry));
+        let mut mirror = q;
+        let mut d = RelationDelta::new(mirror.factor(EdgeId(0)).schema().to_vec());
+        for a in 0..16u32 {
+            for b in 0..16u32 {
+                d.insert(vec![a, b], Count(1));
+                mirror.factors[0].insert(vec![a, b], Count(1));
+            }
+        }
+        // The registry has learned a 1024× under-estimate for the digest
+        // the bulk load lands in.
+        let landed = faqs_plan::QueryStats::of(&mirror).digest();
+        let log = faqs_plan::CalibrationLog::new();
+        for _ in 0..32 {
+            log.record(0, 16, 1 << 14);
+        }
+        registry.absorb(&landed, &log);
+        assert!(registry.correction(&landed) > 2.0);
+
+        let before = faq.counters();
+        faq.apply(EdgeId(0), &d).unwrap();
+        faq.delete(EdgeId(0), &[0, 0]).unwrap();
+        mirror.factors[0].delete(&[0, 0]);
+        let after = faq.counters();
+        assert_eq!(after.plan_rebuilds, before.plan_rebuilds + 1, "one re-plan");
+        assert_eq!(
+            after.full_upward_passes,
+            before.full_upward_passes + 1,
+            "one recompute"
+        );
+        assert_eq!(after.calibration_replans, before.calibration_replans);
         assert_eq!(faq.answer(), &solve_faq_reference(&mirror).unwrap());
     }
 

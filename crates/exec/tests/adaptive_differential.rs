@@ -13,13 +13,22 @@
 use faqs_core::solve_faq_reference;
 use faqs_exec::{Executor, QueryPlan};
 use faqs_hypergraph::{cycle_query, example_h2, path_query, star_query, Hypergraph, Var};
-use faqs_plan::{CalibrationRegistry, PlannerConfig, QueryStats};
+use faqs_plan::{
+    plan_query_calibrated, CalibrationRegistry, EngineError, PlannerConfig, QueryStats,
+};
 use faqs_relation::{random_boolean_instance, random_instance, FaqQuery, RandomInstanceConfig};
 use faqs_semiring::{Boolean, Count, MinPlus, Semiring};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
+
+/// The stats planner's plan for `q`, lowered — the stale plan the
+/// drift tests hand to [`Executor::solve_on`].
+fn stats_plan<S: Semiring>(q: &FaqQuery<S>) -> Result<QueryPlan, EngineError> {
+    plan_query_calibrated(q, &PlannerConfig::stats(), None, None, 1.0)
+        .map(|chosen| QueryPlan::lower(q, chosen))
+}
 
 /// The issue's shape matrix: star, path, H2 and the (cyclic) triangle,
 /// each with a free-variable choice the engine can place.
@@ -79,8 +88,7 @@ where
     S: Semiring + PartialEq + std::fmt::Debug,
 {
     let want = solve_faq_reference(q).unwrap_or_else(|e| panic!("{label}: reference: {e}"));
-    let stale_plan = QueryPlan::build_with(stale, &PlannerConfig::stats(), None)
-        .unwrap_or_else(|e| panic!("{label}: stale plan: {e}"));
+    let stale_plan = stats_plan(stale).unwrap_or_else(|e| panic!("{label}: stale plan: {e}"));
     let ex = Executor::with_planner(PlannerConfig::stats())
         .with_calibration(Arc::new(CalibrationRegistry::forced(0.0)));
     // Twice through the cache path: the second solve replays under
@@ -178,7 +186,7 @@ fn forced_drift_is_observable_and_lossless() {
     };
     let q = mk(48);
     let want = solve_faq_reference(&q).unwrap();
-    let stale_plan = QueryPlan::build_with(&mk(4), &PlannerConfig::stats(), None).unwrap();
+    let stale_plan = stats_plan(&mk(4)).unwrap();
     let ex = Executor::with_planner(PlannerConfig::stats())
         .with_calibration(Arc::new(CalibrationRegistry::forced(0.0)));
     assert_eq!(ex.solve_on(&q, &stale_plan).unwrap(), want);
@@ -237,9 +245,8 @@ fn calibration_reduces_the_median_estimator_error() {
         // correction reflects this one's misses.
         let actual = ex.solve(&q).unwrap().len().max(1) as f64;
         let err = |correction: f64| {
-            let plan =
-                QueryPlan::build_calibrated(&q, &planner, None, Some(&stats), correction).unwrap();
-            let predicted = plan.node_rows()[plan.root().index()].max(1);
+            let plan = plan_query_calibrated(&q, &planner, None, Some(&stats), correction).unwrap();
+            let predicted = plan.node_rows[plan.ghd.root().index()].max(1);
             (predicted as f64 / actual).log2().abs()
         };
         raw_errs.push(err(1.0));

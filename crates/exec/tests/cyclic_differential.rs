@@ -11,7 +11,7 @@
 use faqs_core::{solve_faq_brute_force, solve_faq_with_plan};
 use faqs_exec::Executor;
 use faqs_hypergraph::{clique_query, cycle_query, Hypergraph, Var};
-use faqs_plan::{plan_query, PlannerConfig};
+use faqs_plan::{plan_query_calibrated, PlannerConfig};
 use faqs_relation::{random_instance, FaqQuery, RandomInstanceConfig};
 use faqs_semiring::{Boolean, Count, MinPlus, Semiring};
 use proptest::prelude::*;
@@ -72,7 +72,7 @@ fn planner_matrix() -> [(&'static str, PlannerConfig); 3] {
 fn assert_cyclic_agree<S: Semiring>(q: &FaqQuery<S>, label: &str) {
     let oracle = solve_faq_brute_force(q);
     for (name, cfg) in planner_matrix() {
-        let plan = plan_query(q, false, &cfg)
+        let plan = plan_query_calibrated(q, &cfg, None, None, 1.0)
             .unwrap_or_else(|e| panic!("{label}/{name}: planner rejected cyclic query: {e}"));
         plan.ghd
             .validate(&q.hypergraph)
@@ -177,22 +177,26 @@ fn pinned_triangle_picks_generic_join_and_agrees_with_the_cascade() {
         |_| Count(1),
     );
 
-    let wcoj_plan = plan_query(
+    let wcoj_plan = plan_query_calibrated(
         &q,
-        false,
         &PlannerConfig {
             use_stats: true,
             use_wcoj: true,
         },
+        None,
+        None,
+        1.0,
     )
     .expect("wcoj plan");
-    let cascade_plan = plan_query(
+    let cascade_plan = plan_query_calibrated(
         &q,
-        false,
         &PlannerConfig {
             use_stats: true,
             use_wcoj: false,
         },
+        None,
+        None,
+        1.0,
     )
     .expect("cascade plan");
 

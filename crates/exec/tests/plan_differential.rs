@@ -15,7 +15,7 @@
 use faqs_core::{solve_faq_brute_force, solve_faq_with_plan};
 use faqs_exec::Executor;
 use faqs_hypergraph::{example_h2, path_query, star_query, tree_query, Hypergraph, Var};
-use faqs_plan::{plan_query, ChosenPlan, PlannerConfig};
+use faqs_plan::{plan_query_calibrated, ChosenPlan, PlannerConfig};
 use faqs_relation::{FaqQuery, Relation};
 use faqs_semiring::{Boolean, Count, MinPlus, Semiring};
 use proptest::prelude::*;
@@ -92,8 +92,10 @@ fn instance<S: Semiring>(
 }
 
 fn plans<S: Semiring>(q: &FaqQuery<S>) -> (ChosenPlan, ChosenPlan) {
-    let structural = plan_query(q, false, &PlannerConfig::structural()).expect("structural plan");
-    let stats = plan_query(q, false, &PlannerConfig::stats()).expect("stats plan");
+    let structural = plan_query_calibrated(q, &PlannerConfig::structural(), None, None, 1.0)
+        .expect("structural plan");
+    let stats =
+        plan_query_calibrated(q, &PlannerConfig::stats(), None, None, 1.0).expect("stats plan");
     (structural, stats)
 }
 

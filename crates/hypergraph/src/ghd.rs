@@ -67,7 +67,7 @@ impl std::error::Error for GhdValidationError {}
 /// **GYO-GHDs** in the paper's sense: outputs of Construction 2.8, with
 /// the core `C(H)` at the root. The paper's width `y(T)` is
 /// [`Ghd::internal_count`]; minimizing it over GYO-GHDs gives `y(H)`
-/// (Definition 2.9), computed in [`crate::width`].
+/// (Definition 2.9), computed by [`crate::internal_node_width`].
 #[derive(Clone, Debug)]
 pub struct Ghd {
     nodes: Vec<GhdNode>,

@@ -29,7 +29,7 @@
 
 use crate::sim::{NetRun, RunStats, TransmitError};
 use crate::topology::{LinkId, Player, Topology};
-use std::collections::HashMap;
+use std::collections::{hash_map::Entry, HashMap};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -323,12 +323,14 @@ impl<'a> TcpTransport<'a> {
     fn ship(&mut self, from: Player, to: Player, frame: &[u8]) -> std::io::Result<Vec<u8>> {
         self.wire.record(frame);
         let key = (from.index() as u32, to.index() as u32);
-        if !self.conns.contains_key(&key) {
-            let out = TcpStream::connect(self.addrs[to.index()])?;
-            let (inbound, _) = self.listeners[to.index()].accept()?;
-            self.conns.insert(key, (out, inbound));
-        }
-        let (out, inbound) = self.conns.get_mut(&key).expect("just inserted");
+        let (out, inbound) = match self.conns.entry(key) {
+            Entry::Occupied(conn) => conn.into_mut(),
+            Entry::Vacant(slot) => {
+                let out = TcpStream::connect(self.addrs[to.index()])?;
+                let (inbound, _) = self.listeners[to.index()].accept()?;
+                slot.insert((out, inbound))
+            }
+        };
         let len = (frame.len() as u32).to_le_bytes();
         let payload = std::thread::scope(|s| -> std::io::Result<Vec<u8>> {
             // Writer on its own scoped thread: loopback buffers are

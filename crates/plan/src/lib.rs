@@ -28,14 +28,16 @@
 //!   counts and prefix selectivity, gathered in one kernel pass
 //!   ([`faqs_relation::Relation::stats`]), plus the coarse
 //!   scale-invariant digest the `faqs-exec` plan cache keys on.
-//! * [`plan_query`] / [`plan_query_placed`] — candidate enumeration
-//!   (the structural default first, then every reroot of the canonical
-//!   join forest via [`faqs_hypergraph::candidate_decompositions`],
-//!   each re-rooted further for free-variable coverage) and cost-based
-//!   selection. The default wins all ties, so uniform instances plan
-//!   exactly as the structural planner did — and
-//!   [`PlannerConfig::structural`] short-circuits to it without reading
-//!   any data.
+//! * [`plan_query_calibrated`] — the one planning door: candidate
+//!   enumeration (the structural default first, then every reroot of
+//!   the canonical join forest via
+//!   [`faqs_hypergraph::candidate_decompositions`], each re-rooted
+//!   further for free-variable coverage) and cost-based selection under
+//!   optional placement, statistics and calibration correction. The
+//!   default wins all ties, so uniform instances plan exactly as the
+//!   structural planner did — and [`PlannerConfig::structural`]
+//!   short-circuits to it without reading any data.
+//!   [`cost_quote_with_stats`] is the one quote: the default's cost.
 //! * [`ChosenPlan`] — the validated GHD plus the per-node factor join
 //!   order consumed by `faqs-core::solve_faq`, the `faqs-exec`
 //!   executor and `DistributedFaqRun`; no consumer derives its own GHD
@@ -66,11 +68,11 @@ pub use calibration::{
 pub use cost::PlanCost;
 pub use error::EngineError;
 pub use planner::{
-    choose_aggregation_players, cost_quote, cost_quote_calibrated, cost_quote_with_stats,
+    choose_aggregation_players, cost_quote_calibrated, cost_quote_with_stats,
     decomposition_covering_free_vars, decomposition_for_free_vars, ghd_for_query,
     join_order_covers_lambda, join_order_for_ghd, plan_query, plan_query_calibrated,
-    plan_query_placed, plan_query_with_stats, pre_agg_candidates, BagOp, CandidateReport,
-    ChosenPlan, PlacementContext, PlannerConfig,
+    plan_query_placed, pre_agg_candidates, BagOp, CandidateReport, ChosenPlan, PlacementContext,
+    PlannerConfig,
 };
 pub use stats::{MaintainedQueryStats, QueryStats, StatsDigest};
 pub use validate::{check_elimination_order, check_product_aggregates, check_push_down};
@@ -100,7 +102,8 @@ mod tests {
     fn structural_mode_reproduces_ghd_for_query() {
         for h in [star_query(3), path_query(4), example_h2()] {
             let q = count_instance(&h, 7);
-            let plan = plan_query(&q, false, &PlannerConfig::structural()).unwrap();
+            let plan =
+                plan_query_calibrated(&q, &PlannerConfig::structural(), None, None, 1.0).unwrap();
             assert!(!plan.stats_aware);
             assert_eq!(plan.candidates.len(), 1);
             let reference = ghd_for_query(&q).unwrap();
@@ -132,7 +135,7 @@ mod tests {
         // default must win (cache keys, pinned distributed schedules
         // and ablation tables all rely on this determinism).
         let q = faqs_relation::irreducible_star_instance(4, 16);
-        let plan = plan_query(&q, false, &PlannerConfig::stats()).unwrap();
+        let plan = plan_query_calibrated(&q, &PlannerConfig::stats(), None, None, 1.0).unwrap();
         assert!(plan.stats_aware);
         assert!(plan.chose_default(), "ties keep candidate 0");
         assert!(plan.candidates.len() > 1, "reroots were actually scored");
@@ -146,13 +149,14 @@ mod tests {
         // probes it on every fold. The cost model must pick a thin
         // root and predict strictly less kernel work.
         let q = skewed_star_instance(3, 16);
-        let structural = plan_query(&q, false, &PlannerConfig::structural()).unwrap();
+        let structural =
+            plan_query_calibrated(&q, &PlannerConfig::structural(), None, None, 1.0).unwrap();
         assert!(
             structural.ghd.node(structural.ghd.root()).lambda == vec![EdgeId(0)],
             "precondition: the structural default roots at the huge edge 0"
         );
 
-        let plan = plan_query(&q, false, &PlannerConfig::stats()).unwrap();
+        let plan = plan_query_calibrated(&q, &PlannerConfig::stats(), None, None, 1.0).unwrap();
         assert!(!plan.chose_default(), "stats must beat the default here");
         assert!(
             !plan.ghd.node(plan.ghd.root()).lambda.contains(&EdgeId(0)),
@@ -186,7 +190,8 @@ mod tests {
             vec![vec![Player(0)], vec![Player(1)], vec![Player(2)]],
             Player(3),
         );
-        let plan = plan_query_placed(&q, false, &PlannerConfig::stats(), Some(&ctx)).unwrap();
+        let plan =
+            plan_query_calibrated(&q, &PlannerConfig::stats(), Some(&ctx), None, 1.0).unwrap();
         assert!(!plan.chose_default());
         let default_bits = plan.candidates[0].cost.net_bits;
         assert!(
@@ -200,7 +205,8 @@ mod tests {
     #[test]
     fn aggregation_players_pin_root_and_minimise_mass() {
         let q: FaqQuery<Boolean> = skewed_star_instance(3, 8);
-        let plan = plan_query(&q, false, &PlannerConfig::structural()).unwrap();
+        let plan =
+            plan_query_calibrated(&q, &PlannerConfig::structural(), None, None, 1.0).unwrap();
         let g = Topology::line(4);
         let n_nodes = plan.ghd.node_ids().map(|n| n.index()).max().unwrap() + 1;
         // Give every non-root node one shard at player 0 with heavy
@@ -228,7 +234,8 @@ mod tests {
         // `NoRoute` at runtime. With the viability filter the marooned
         // holder is excluded and a reachable candidate wins.
         let q: FaqQuery<Boolean> = skewed_star_instance(3, 8);
-        let plan = plan_query(&q, false, &PlannerConfig::structural()).unwrap();
+        let plan =
+            plan_query_calibrated(&q, &PlannerConfig::structural(), None, None, 1.0).unwrap();
         let mut g = Topology::line(4);
         g.set_capacity(faqs_network::LinkId(0), 0); // maroon Player(0)
         let n_nodes = plan.ghd.node_ids().map(|n| n.index()).max().unwrap() + 1;
@@ -267,7 +274,7 @@ mod tests {
             vec![vec![Player(0)], vec![Player(1)], vec![Player(2)]],
             Player(3),
         );
-        let err = plan_query_placed(&q, false, &PlannerConfig::stats(), Some(&ctx));
+        let err = plan_query_calibrated(&q, &PlannerConfig::stats(), Some(&ctx), None, 1.0);
         assert!(
             matches!(err, Err(EngineError::Invalid(ref m)) if m.contains("unreachable")),
             "partitioned placement must be a planner error, got {err:?}"
@@ -280,7 +287,7 @@ mod tests {
             vec![vec![Player(0)], vec![Player(1)], vec![Player(2)]],
             Player(3),
         );
-        assert!(plan_query_placed(&q, false, &PlannerConfig::stats(), Some(&ctx2)).is_ok());
+        assert!(plan_query_calibrated(&q, &PlannerConfig::stats(), Some(&ctx2), None, 1.0).is_ok());
     }
 
     #[test]
@@ -357,8 +364,10 @@ mod tests {
             output: Player(3),
             pre_agg: vec![Vec::new(); q.factors.len()],
         };
-        let fixed = plan_query_placed(&q, false, &PlannerConfig::stats(), Some(&ctx)).unwrap();
-        let raw = plan_query_placed(&q, false, &PlannerConfig::stats(), Some(&raw_ctx)).unwrap();
+        let fixed =
+            plan_query_calibrated(&q, &PlannerConfig::stats(), Some(&ctx), None, 1.0).unwrap();
+        let raw =
+            plan_query_calibrated(&q, &PlannerConfig::stats(), Some(&raw_ctx), None, 1.0).unwrap();
         assert!(
             fixed.cost.net_bits < raw.cost.net_bits,
             "aggregated shards must ship fewer predicted bits: {} !< {}",
@@ -373,7 +382,8 @@ mod tests {
         // the outcome must be indistinguishable from a fresh O(data)
         // gathering pass, including the cache digest.
         let q = skewed_star_instance(3, 16);
-        let fresh = plan_query(&q, false, &PlannerConfig::stats()).unwrap();
+        let cfg = PlannerConfig::stats();
+        let fresh = plan_query_calibrated(&q, &cfg, None, None, 1.0).unwrap();
         let stats = QueryStats::from_factors(
             q.factors
                 .iter()
@@ -381,7 +391,7 @@ mod tests {
                 .collect(),
         );
         assert_eq!(stats.digest(), QueryStats::of(&q).digest());
-        let pre = plan_query_with_stats(&q, &PlannerConfig::stats(), &stats).unwrap();
+        let pre = plan_query_calibrated(&q, &cfg, None, Some(&stats), 1.0).unwrap();
         assert_eq!(pre.cost.cpu, fresh.cost.cpu);
         assert_eq!(pre.cost.net_bits, fresh.cost.net_bits);
         assert_eq!(pre.candidates.len(), fresh.candidates.len());
@@ -393,24 +403,27 @@ mod tests {
         // The quote is the default candidate's simulated cost — an
         // upper estimate for whatever the full search ends up choosing.
         let q = skewed_star_instance(3, 16);
-        let quote = cost_quote(&q).unwrap();
+        let cfg = PlannerConfig::stats();
+        let quote = cost_quote_with_stats(&q, &cfg, &QueryStats::of(&q), 1.0).unwrap();
         assert!(quote.cpu > 0, "a non-trivial instance costs something");
-        let plan = plan_query(&q, false, &PlannerConfig::stats()).unwrap();
+        let plan = plan_query_calibrated(&q, &cfg, None, None, 1.0).unwrap();
         assert_eq!(quote, plan.candidates[0].cost, "quote = default's cost");
         assert!(plan.cost.cpu <= quote.cpu, "chosen plan never costs more");
         // Shape-level rejection matches the planner's: the carrier
         // decides — ℕ admits `max`, not `min`.
         let star = count_instance(&star_query(3), 1);
+        let stats = QueryStats::of(&star);
         let bad = star.clone().with_aggregate(Var(1), Aggregate::Min);
         assert!(matches!(
-            cost_quote(&bad),
+            cost_quote_with_stats(&bad, &cfg, &stats, 1.0),
             Err(EngineError::RefusedAggregate(Var(1), _))
         ));
         let max = star.with_aggregate(Var(1), Aggregate::Max);
-        assert!(cost_quote(&max).is_ok());
-        // The three signatures that keep a `lattice` argument can only
-        // restrict with it.
-        let (cfg, registry) = (PlannerConfig::stats(), CalibrationRegistry::new());
+        assert!(cost_quote_with_stats(&max, &cfg, &stats, 1.0).is_ok());
+        // The three shims `benchmark/` compiles against: a `lattice`
+        // argument can only restrict, and the scanning quote validates
+        // the listings before it quotes what a fresh scan gathers.
+        let registry = CalibrationRegistry::new();
         assert!(plan_query(&max, true, &cfg).is_ok());
         assert!(matches!(
             plan_query(&max, false, &cfg),
@@ -419,6 +432,13 @@ mod tests {
         assert!(cost_quote_calibrated(&max, true, &registry).is_ok());
         assert!(cost_quote_calibrated(&max, false, &registry).is_err());
         assert!(plan_query(&bad, true, &cfg).is_err());
+        assert_eq!(cost_quote_calibrated(&q, false, &registry).unwrap(), quote);
+        let mut narrow = q;
+        narrow.domain = 2;
+        assert!(matches!(
+            cost_quote_calibrated(&narrow, false, &registry),
+            Err(EngineError::Invalid(_))
+        ));
     }
 
     #[test]
@@ -427,11 +447,9 @@ mod tests {
         // statistics after a delta, and under a learned correction.
         let mut q = count_instance(&star_query(3), 5);
         let cfg = PlannerConfig::default();
-        let scanned = QueryStats::of(&q);
-        assert_eq!(
-            cost_quote_with_stats(&q, &cfg, &scanned, 1.0).unwrap(),
-            cost_quote(&q).unwrap()
-        );
+        let scanned = |q: &FaqQuery<Count>, correction| {
+            cost_quote_with_stats(q, &cfg, &QueryStats::of(q), correction).unwrap()
+        };
 
         let mut maintained = MaintainedQueryStats::of(&q);
         let mut delta = faqs_relation::RelationDelta::new(q.factors[2].schema().to_vec());
@@ -442,7 +460,7 @@ mod tests {
         let applied = q.factors[2].apply_delta(&delta);
         maintained.apply(EdgeId(2), &applied);
         let quote = cost_quote_with_stats(&q, &cfg, &maintained.snapshot(), 1.0).unwrap();
-        assert_eq!(quote, cost_quote(&q).unwrap());
+        assert_eq!(quote, scanned(&q, 1.0));
 
         let registry = CalibrationRegistry::forced(f64::INFINITY);
         let digest = maintained.snapshot().digest();
@@ -452,10 +470,7 @@ mod tests {
         let learned = registry.correction(&digest);
         assert!(learned > 2.0);
         let calibrated = cost_quote_with_stats(&q, &cfg, &maintained.snapshot(), learned).unwrap();
-        assert_eq!(
-            calibrated,
-            cost_quote_calibrated(&q, false, &registry).unwrap()
-        );
+        assert_eq!(calibrated, scanned(&q, learned));
         assert!(calibrated.cpu > quote.cpu);
     }
 
@@ -463,11 +478,11 @@ mod tests {
     fn stats_taking_quote_checks_structure_but_never_reads_listings() {
         let q = count_instance(&star_query(3), 2);
         let (cfg, stats) = (PlannerConfig::stats(), QueryStats::of(&q));
-        // A value past the domain: the scanning wrapper finds it, the
+        // A value past the domain: full validation finds it, the
         // stats-taking quote leaves it to whoever let the data in.
         let mut narrow = q.clone();
         narrow.domain = 2;
-        assert!(matches!(cost_quote(&narrow), Err(EngineError::Invalid(_))));
+        assert!(narrow.validate().is_err());
         assert!(cost_quote_with_stats(&narrow, &cfg, &stats, 1.0).is_ok());
         // The O(k) half still runs: shape defects are rejected.
         let mut unknown_free = q.clone();
@@ -498,7 +513,7 @@ mod tests {
         );
         for cfg in [PlannerConfig::stats(), PlannerConfig::structural()] {
             assert!(matches!(
-                plan_query(&q, false, &cfg),
+                plan_query_calibrated(&q, &cfg, None, None, 1.0),
                 Err(EngineError::FreeVarsOutsideCore(_))
             ));
         }
@@ -522,7 +537,7 @@ mod tests {
             vec![],
             |_| Count(1),
         );
-        let plan = plan_query(&q, false, &PlannerConfig::stats()).unwrap();
+        let plan = plan_query_calibrated(&q, &PlannerConfig::stats(), None, None, 1.0).unwrap();
         assert!(!plan.chose_default(), "merged core must beat the default");
         assert!(plan.uses_generic_join(), "the merged bag lowers to WCOJ");
         assert!(
@@ -543,7 +558,7 @@ mod tests {
             use_stats: true,
             use_wcoj: false,
         };
-        let plan2 = plan_query(&q, false, &pinned).unwrap();
+        let plan2 = plan_query_calibrated(&q, &pinned, None, None, 1.0).unwrap();
         assert!(!plan2.uses_generic_join(), "WCOJ disabled ⇒ all cascade");
         assert!(
             plan.cost.cpu < plan2.cost.cpu,
@@ -553,7 +568,8 @@ mod tests {
         );
 
         // Structural mode is untouched: legacy shape, all-cascade ops.
-        let structural = plan_query(&q, false, &PlannerConfig::structural()).unwrap();
+        let structural =
+            plan_query_calibrated(&q, &PlannerConfig::structural(), None, None, 1.0).unwrap();
         assert!(!structural.uses_generic_join());
         assert!(structural.ghd.node(structural.ghd.root()).lambda.is_empty());
     }
@@ -602,7 +618,8 @@ mod tests {
                 };
                 let free: Vec<Var> = free.iter().map(|&v| Var(v)).collect();
                 let q: FaqQuery<Count> = random_instance(h, &cfg, free, |_| Count(1));
-                let plan = plan_query(&q, false, &PlannerConfig::stats()).unwrap();
+                let plan =
+                    plan_query_calibrated(&q, &PlannerConfig::stats(), None, None, 1.0).unwrap();
                 for node in plan.ghd.node_ids() {
                     if let BagOp::GenericJoin { var_order } = &plan.bag_ops[node.index()] {
                         let bag = &plan.join_order[node.index()];
@@ -661,7 +678,7 @@ mod tests {
         // the fingerprint dedup must keep exactly one copy of each
         // distinct shape in the explain table.
         let q = skewed_star_instance(3, 16);
-        let plan = plan_query(&q, false, &PlannerConfig::stats()).unwrap();
+        let plan = plan_query_calibrated(&q, &PlannerConfig::stats(), None, None, 1.0).unwrap();
         let mut labels: Vec<&str> = plan.candidates.iter().map(|c| c.label.as_str()).collect();
         labels.sort_unstable();
         let n = labels.len();
@@ -675,7 +692,7 @@ mod tests {
     #[test]
     fn candidate_table_is_explainable() {
         let q = skewed_star_instance(4, 8);
-        let plan = plan_query(&q, false, &PlannerConfig::stats()).unwrap();
+        let plan = plan_query_calibrated(&q, &PlannerConfig::stats(), None, None, 1.0).unwrap();
         assert_eq!(plan.candidates[0].label, "structural default");
         assert_eq!(
             plan.candidates.iter().filter(|c| c.chosen).count(),

@@ -389,17 +389,15 @@ pub fn join_order_for_ghd<S: Semiring>(q: &FaqQuery<S>, ghd: &Ghd) -> Vec<Vec<Ed
     order
 }
 
-/// Plans `q` for local execution: validates it, builds the structural
-/// default, and — with statistics enabled — scores every re-rooted
-/// GYO-GHD candidate, keeping the default unless a candidate is strictly
-/// cheaper. See [`plan_query_placed`] for the communication-aware
-/// variant.
+/// Shim for `benchmark/`: [`plan_query_calibrated`] without placement,
+/// precomputed statistics or correction.
 ///
 /// `lattice` can only *restrict*: `false` additionally refuses every
 /// `Max`/`Min`, `true` leaves the decision to the carrier
-/// ([`Semiring::admits`]), as [`plan_query_calibrated`] always does. The
-/// parameter survives for callers compiled against this signature and
-/// goes with ROADMAP item 7's entry-point collapse.
+/// ([`Semiring::admits`]), as [`plan_query_calibrated`] always does.
+/// This and the other two `lattice` shims go at the next `[benchmark]`
+/// revision (ROADMAP 3(h)).
+#[doc(hidden)]
 pub fn plan_query<S: Semiring>(
     q: &FaqQuery<S>,
     lattice: bool,
@@ -408,11 +406,9 @@ pub fn plan_query<S: Semiring>(
     plan_query_placed(q, lattice, cfg, None)
 }
 
-/// [`plan_query`] with an optional [`PlacementContext`]: when present,
-/// candidates are compared on predicted shipped bits first (kernel work
-/// breaks ties) — the distributed runtime's entry point. `lattice` as
-/// in [`plan_query`] (it goes with ROADMAP item 7's entry-point
-/// collapse).
+/// Shim for `benchmark/`: [`plan_query_calibrated`] with a placement
+/// and nothing else; `lattice` as in [`plan_query`].
+#[doc(hidden)]
 pub fn plan_query_placed<S: Semiring>(
     q: &FaqQuery<S>,
     lattice: bool,
@@ -440,33 +436,10 @@ fn refuse_max_min<S: Semiring>(q: &FaqQuery<S>) -> Result<(), EngineError> {
     Ok(())
 }
 
-/// A per-query admission-control quote: the predicted kernel work of
-/// serving `q` with the *structural default* plan, without the full
-/// candidate search of [`plan_query`].
-///
-/// Validation and statistics both read each factor's profile (one scan
-/// of a factor nothing has profiled since its rows last changed, a memo
-/// read otherwise), then one cost-model dry run — cheap enough to price
-/// a request at a serving front door, and an upper estimate for the
-/// plan the executor will actually run (cost-based selection only ever
-/// picks a candidate predicted strictly cheaper than this default).
-/// Unlike `plan_query`, the quote simulates regardless of
-/// [`PlannerConfig::use_stats`]: admission control needs a number even
-/// in front of a structural planner. Operators are priced the way the
-/// default planner
-/// ([`PlannerConfig::stats`]) lowers them; a caller that holds
-/// maintained statistics or its own planner configuration quotes
-/// through [`cost_quote_with_stats`] instead.
-pub fn cost_quote<S: Semiring>(q: &FaqQuery<S>) -> Result<PlanCost, EngineError> {
-    scanning_quote(q, |_| 1.0)
-}
-
-/// [`cost_quote`] corrected by what `calibration` has learned about
-/// this instance's shape: the quote carries the same per-shape
-/// multiplier the executor plans with, so admission control sharpens as
-/// the session observes executions. Identical to [`cost_quote`] for
-/// unseen shapes and disabled registries. `lattice` as in
-/// [`plan_query`] (it goes with ROADMAP item 7's entry-point collapse).
+/// Shim for `benchmark/`: validates the listings, gathers statistics
+/// and quotes them under `calibration`'s correction with the default
+/// planner's operators; `lattice` as in [`plan_query`].
+#[doc(hidden)]
 pub fn cost_quote_calibrated<S: Semiring>(
     q: &FaqQuery<S>,
     lattice: bool,
@@ -475,37 +448,33 @@ pub fn cost_quote_calibrated<S: Semiring>(
     if !lattice {
         refuse_max_min(q)?;
     }
-    scanning_quote(q, |stats| calibration.correction(&stats.digest()))
-}
-
-/// The scanning wrappers: validate the listings, gather statistics,
-/// then the one quote implementation.
-fn scanning_quote<S: Semiring>(
-    q: &FaqQuery<S>,
-    correction: impl FnOnce(&QueryStats) -> f64,
-) -> Result<PlanCost, EngineError> {
     q.validate()
         .map_err(|e| EngineError::Invalid(e.to_string()))?;
     let stats = QueryStats::of(q);
-    let correction = correction(&stats);
+    let correction = calibration.correction(&stats.digest());
     cost_quote_with_stats(q, &PlannerConfig::stats(), &stats, correction)
 }
 
-/// The quote of [`cost_quote`] against *precomputed* per-factor
-/// statistics (in edge order), an explicit planner configuration and an
-/// explicit calibration `correction` (`1.0` to trust the raw estimates)
-/// — the quote counterpart of [`plan_query_with_stats`] /
-/// [`plan_query_calibrated`], for a store that maintains its statistics
-/// across deltas and must not pay `O(data)` per quote.
+/// The one admission-control quote: the predicted kernel work of
+/// serving `q` with the *structural default* plan, without the full
+/// candidate search of [`plan_query_calibrated`] — one cost-model dry
+/// run against *precomputed* per-factor statistics (in edge order)
+/// under a calibration `correction` (`1.0` to trust the raw
+/// estimates), cheap enough to price a request at a serving front door
+/// and an upper estimate for the plan the executor will actually run
+/// (cost-based selection only ever picks a candidate predicted strictly
+/// cheaper than this default).
 ///
 /// Nothing here reads the listings: only the `O(k)` structural half of
 /// validation runs ([`FaqQuery::validate_structure`]). The caller
 /// vouches that every listed value is inside `q.domain` — it validated
 /// the instance when it entered and has applied only in-domain deltas
 /// since — and that `stats` describes `q`. Of `cfg` only
-/// [`PlannerConfig::use_wcoj`] matters (see [`cost_quote`] on
-/// `use_stats`): bags are priced the way *that* planner lowers them, so
-/// the quote is for the plan the caller's executor will run.
+/// [`PlannerConfig::use_wcoj`] matters: the quote simulates regardless
+/// of [`PlannerConfig::use_stats`] (admission control needs a number
+/// even in front of a structural planner), and bags are priced the way
+/// *that* planner lowers them, so the quote is for the plan the
+/// caller's executor will run.
 pub fn cost_quote_with_stats<S: Semiring>(
     q: &FaqQuery<S>,
     cfg: &PlannerConfig,
@@ -528,18 +497,6 @@ pub fn cost_quote_with_stats<S: Semiring>(
     Ok(model
         .simulate(&ghd, &order, &q.free_vars, None, cfg.use_wcoj)
         .0)
-}
-
-/// [`plan_query`] against *precomputed* per-factor statistics instead
-/// of a fresh `O(data)` gathering pass — the entry point for the
-/// incremental engine, whose maintained stats make re-scanning factors
-/// on every re-plan pointless. `stats.factors` must be in edge order.
-pub fn plan_query_with_stats<S: Semiring>(
-    q: &FaqQuery<S>,
-    cfg: &PlannerConfig,
-    stats: &QueryStats,
-) -> Result<ChosenPlan, EngineError> {
-    plan_query_calibrated(q, cfg, None, Some(stats), 1.0)
 }
 
 /// What every planning and quoting door establishes before anything is
@@ -570,13 +527,18 @@ fn validated_default<S: Semiring>(
     Ok((ghd, order))
 }
 
-/// The fully-general planning entry point: optional placement, optional
-/// precomputed statistics, and a per-shape calibration `correction`
-/// (the multiplicative row-estimate fix a [`CalibrationRegistry`]
-/// learned for this instance's [`StatsDigest`](crate::StatsDigest);
-/// pass `1.0` to trust the raw estimates). The executor and the
-/// distributed runtime plan through here so repeated shapes get
-/// progressively better estimates.
+/// The one planning door: validates `q`, builds the structural default
+/// and — with [`PlannerConfig::use_stats`] — scores every re-rooted and
+/// core-merged candidate against it, keeping the default unless a
+/// candidate is strictly cheaper. The inputs are optional placement
+/// (when present, candidates are compared on predicted shipped bits
+/// first, kernel work breaking ties), optional precomputed statistics
+/// (in edge order; `None` reads each factor's profile), and a per-shape
+/// calibration `correction` (the multiplicative row-estimate fix a
+/// [`CalibrationRegistry`] learned for this instance's
+/// [`StatsDigest`](crate::StatsDigest); pass `1.0` to trust the raw
+/// estimates). `faqs-exec`'s plan cache, `solve_faq` and the
+/// distributed runtime all plan through here.
 pub fn plan_query_calibrated<S: Semiring>(
     q: &FaqQuery<S>,
     cfg: &PlannerConfig,

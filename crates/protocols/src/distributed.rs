@@ -250,7 +250,8 @@ impl<'a, S: Semiring> DistributedFaqRun<'a, S> {
         // post-push-down width — the same variables `materialise_shards`
         // actually sums out before routing.
         let ctx = PlacementContext::new(q, &scaled, placement.shards.clone(), placement.output());
-        let plan = QueryPlan::build_with(q, planner, Some(&ctx))
+        let plan = faqs_plan::plan_query_calibrated(q, planner, Some(&ctx), None, 1.0)
+            .map(|chosen| QueryPlan::lower(q, chosen))
             .map_err(|e| ProtocolError::Engine(e.to_string()))?;
         let all_links_live = scaled.links().all(|l| scaled.capacity(l) > 0);
         Ok(DistributedFaqRun {

@@ -13,7 +13,7 @@ use faqs_core::{
 use faqs_exec::{Executor, IncrementalFaq, MaintenanceMode, PlanCache};
 use faqs_hypergraph::{path_query, star_query, EdgeId, Ghd, GhdNode, Hypergraph, NodeId, Var};
 use faqs_network::{ChannelTransport, Player, SimTransport, Topology};
-use faqs_plan::{join_order_for_ghd, plan_query, BagOp, ChosenPlan, PlannerConfig};
+use faqs_plan::{join_order_for_ghd, plan_query_calibrated, BagOp, ChosenPlan, PlannerConfig};
 use faqs_protocols::{DistributedFaqRun, InputPlacement};
 use faqs_relation::{random_instance, FaqQuery, RandomInstanceConfig, Relation};
 use faqs_semiring::{Aggregate, Count, Prob, Semiring};
@@ -104,7 +104,7 @@ fn pendant_triangle_plan(q: &FaqQuery<Prob>, root_op: BagOp) -> ChosenPlan {
         node(&[0, 1, 2], &[0, 1, 2], None),
         node(&[2, 3], &[3], Some(NodeId(0))),
     ];
-    let mut plan = plan_query(q, false, &PlannerConfig::structural()).unwrap();
+    let mut plan = plan_query_calibrated(q, &PlannerConfig::structural(), None, None, 1.0).unwrap();
     plan.ghd = Ghd::from_nodes(bags, NodeId(0));
     plan.ghd.validate(&q.hypergraph).unwrap();
     plan.join_order = join_order_for_ghd(q, &plan.ghd);
@@ -200,7 +200,8 @@ fn a_leaf_regrouped_on_its_first_column_folds_in_layout_order() {
             node([2, 3], 2, Some(NodeId(0))),
             node([3, 4], 3, Some(NodeId(2))),
         ];
-        let mut plan = plan_query(&q, false, &PlannerConfig::structural()).unwrap();
+        let mut plan =
+            plan_query_calibrated(&q, &PlannerConfig::structural(), None, None, 1.0).unwrap();
         plan.ghd = Ghd::from_nodes(bags, NodeId(0));
         plan.ghd.validate(&q.hypergraph).unwrap();
         plan.join_order = join_order_for_ghd(&q, &plan.ghd);

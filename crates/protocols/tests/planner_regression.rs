@@ -7,7 +7,7 @@
 //! *predicted* bits must themselves respect the paper's envelope.
 
 use faqs_network::{Player, RunStats, Topology};
-use faqs_plan::{plan_query_placed, PlacementContext, PlannerConfig};
+use faqs_plan::{plan_query_calibrated, PlacementContext, PlannerConfig};
 use faqs_protocols::{model_capacity_bits, ConformanceReport, DistributedFaqRun, InputPlacement};
 use faqs_relation::skewed_star_instance;
 
@@ -80,7 +80,7 @@ fn predicted_bits_respect_the_paper_envelope() {
         })
         .collect();
     let ctx = PlacementContext::new(&q, &scaled, holders, placement.output());
-    let plan = plan_query_placed(&q, false, &PlannerConfig::stats(), Some(&ctx)).unwrap();
+    let plan = plan_query_calibrated(&q, &PlannerConfig::stats(), Some(&ctx), None, 1.0).unwrap();
     let envelope =
         ConformanceReport::evaluate(&q, &scaled, &placement.players(), RunStats::default());
     assert!(plan.cost.net_bits > 0, "remote shards must cost something");
@@ -135,7 +135,7 @@ fn pre_aggregation_closes_the_predicted_vs_measured_gap() {
         ..PlacementContext::new(&q, &scaled, holders, placement.output())
     };
     let predict = |ctx: &PlacementContext<'_>| {
-        plan_query_placed(&q, false, &PlannerConfig::stats(), Some(ctx))
+        plan_query_calibrated(&q, &PlannerConfig::stats(), Some(ctx), None, 1.0)
             .unwrap()
             .cost
             .net_bits

@@ -1,6 +1,6 @@
 //! The columnar relational-algebra kernel: flat-arena row utilities,
 //! the reusable [`JoinIndex`], and the sort-merge / galloping operator
-//! implementations behind [`Relation`](crate::Relation)'s public API.
+//! implementations behind [`Relation`]'s public API.
 //!
 //! Everything here works on *tuple views* — `&[u32]` slices into a
 //! relation's row-major arena — so the steady-state join/semijoin path
@@ -210,7 +210,7 @@ pub(crate) fn compact_zeros<S: Semiring>(arity: usize, data: &mut Vec<u32>, valu
 /// prefix of the already-sorted arena) and reused across every probe:
 /// the Yannakakis passes build one index per factor per pass, and the
 /// cascade over a multi-factor bag indexes each factor once per join
-/// (child messages are not indexed at all: [`fold_keyed`] scans).
+/// (child messages are never indexed: [`Relation::fold_keyed`] scans).
 ///
 /// The index is self-contained (it copies the group keys out of the
 /// relation), so it stays valid even if the indexed relation is later

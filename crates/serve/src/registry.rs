@@ -135,8 +135,7 @@ impl<S: Semiring> ShapeEntry<S> {
                 return Ok((memo.cost, priced_on(calibration, &memo.digest)));
             }
         }
-        *cached = Some(price(snap.value(), snap.epoch(), executor)?);
-        let memo = cached.as_ref().expect("just stored");
+        let memo = cached.insert(price(snap.value(), snap.epoch(), executor)?);
         Ok((memo.cost, priced_on(calibration, &memo.digest)))
     }
 

@@ -46,6 +46,18 @@ fn solo(q: &FaqQuery<Count>, param: Var, b: u32) -> Relation<Count> {
     Executor::default().solve(&one).unwrap()
 }
 
+/// The quote of a fresh statistics scan under `registry`'s current
+/// correction, with the default executor's operators — what the served
+/// (maintained, memoised) quote must equal.
+fn scanned_quote(
+    q: &FaqQuery<Count>,
+    registry: &faqs_plan::CalibrationRegistry,
+) -> faqs_plan::PlanCost {
+    let stats = faqs_plan::QueryStats::of(q);
+    let correction = registry.correction(&stats.digest());
+    faqs_plan::cost_quote_with_stats(q, &Default::default(), &stats, correction).unwrap()
+}
+
 #[test]
 fn served_answers_match_the_executor_oracle() {
     // The batching server and per-query dispatch (width 1).
@@ -283,7 +295,7 @@ fn concurrent_writers_never_tear_reader_batches() {
 }
 
 /// Cyclic shapes are first-class at the serving layer: a triangle
-/// template registers (admission's `cost_quote` prices the merged-core
+/// template registers (admission's quote prices the merged-core
 /// candidate), batched answers match the solo oracle, and the cost
 /// budget still gates submission.
 #[test]
@@ -384,11 +396,11 @@ fn admission_quotes_track_learned_corrections() {
 /// The tentpole's contract, epoch by epoch: over a long random delta
 /// stream on all three factors, the statistics published with each
 /// version are exactly what a fresh scan of that version would gather,
-/// and the quote admission serves is field for field the scanning
-/// `cost_quote_calibrated` of it — though nothing scans any more.
+/// and the quote admission serves is field for field the quote of a
+/// fresh scan — though nothing scans any more.
 #[test]
 fn published_stats_and_quotes_track_every_epoch_exactly() {
-    use faqs_plan::{cost_quote_calibrated, CalibrationRegistry, QueryStats};
+    use faqs_plan::{CalibrationRegistry, QueryStats};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use std::sync::Arc;
@@ -465,7 +477,7 @@ fn published_stats_and_quotes_track_every_epoch_exactly() {
         let (cost, _) = server.quote(shape).unwrap();
         assert_eq!(
             cost,
-            cost_quote_calibrated(&shadow, false, &registry).unwrap(),
+            scanned_quote(&shadow, &registry),
             "epoch {epoch}: served quote vs scanning quote"
         );
         // Reads keep flowing (and keep teaching the registry, so later
@@ -484,7 +496,7 @@ fn published_stats_and_quotes_track_every_epoch_exactly() {
 /// stays inside the band only flips the pricing basis.
 #[test]
 fn same_epoch_repricing_lands_on_the_calibrated_quote() {
-    use faqs_plan::{cost_quote_calibrated, CalibrationLog, CalibrationRegistry, QueryStats};
+    use faqs_plan::{CalibrationLog, CalibrationRegistry, QueryStats};
     use std::sync::Arc;
 
     let q = template(11);
@@ -495,7 +507,7 @@ fn same_epoch_repricing_lands_on_the_calibrated_quote() {
         Executor::default().with_calibration(Arc::clone(&registry)),
     );
     let shape = server.register(q.clone(), Var(0)).unwrap();
-    let raw = cost_quote_calibrated(&q, false, &registry).unwrap();
+    let raw = scanned_quote(&q, &registry);
     assert_eq!(server.quote(shape).unwrap(), (raw, PricedOn::Estimates));
 
     // ~1.25× under-estimation: inside the factor-2 band, so the memo
@@ -505,7 +517,7 @@ fn same_epoch_repricing_lands_on_the_calibrated_quote() {
         log.record(0, 16, 20);
     }
     registry.absorb(&digest, &log);
-    assert_ne!(cost_quote_calibrated(&q, false, &registry).unwrap(), raw);
+    assert_ne!(scanned_quote(&q, &registry), raw);
     assert_eq!(server.quote(shape).unwrap(), (raw, PricedOn::Measurements));
 
     // ~256×: far outside it. Same epoch, new price.
@@ -513,7 +525,7 @@ fn same_epoch_repricing_lands_on_the_calibrated_quote() {
         log.record(0, 16, 1 << 12);
     }
     registry.absorb(&digest, &log);
-    let calibrated = cost_quote_calibrated(&q, false, &registry).unwrap();
+    let calibrated = scanned_quote(&q, &registry);
     assert!(calibrated.cpu > raw.cpu);
     assert_eq!(
         server.quote(shape).unwrap(),

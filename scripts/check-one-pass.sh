@@ -187,7 +187,7 @@ if [ "${scans[*]}" != "crates/relation/src/arena.rs x1" ]; then
     echo "expected one Profile::scan( call, the memo's initialiser in arena.rs; found: ${scans[*]:-none}" >&2
     exit 1
 fi
-max_unwraps=105
+max_unwraps=103
 if [ "$unwraps" -gt "$max_unwraps" ]; then
     echo "$unwraps unwrap/expect lines, ratchet is $max_unwraps: return a typed error or document the invariant elsewhere" >&2
     exit 1

@@ -87,8 +87,8 @@ pub mod prelude {
     pub use faqs_lowerbounds::{bcq_lower_bound, Tribes};
     pub use faqs_network::{Assignment, Topology, Transport, TransportKind, WireStats};
     pub use faqs_plan::{
-        cost_quote_calibrated, plan_query, CalibrationRegistry, CalibrationStats, ChosenPlan,
-        PlanCost, PlannerConfig, QueryStats,
+        cost_quote_with_stats, plan_query_calibrated, CalibrationRegistry, CalibrationStats,
+        ChosenPlan, PlanCost, PlannerConfig, QueryStats,
     };
     pub use faqs_protocols::{
         run_bcq_protocol, run_faq_protocol, ConformanceReport, DistributedFaqRun, InputPlacement,

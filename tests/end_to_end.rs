@@ -366,7 +366,6 @@ fn illegal_aggregates_are_refused_not_answered() {
     // `solve_faq_lattice` returned Ok([0]→3, [1]→7) here. Every door
     // refuses it now, with the carrier and the aggregate named.
     use faqs::engine::EngineError;
-    use faqs::plan::{cost_quote, cost_quote_with_stats};
     let x = faqs::hypergraph::Var;
     let mut h = Hypergraph::new(2);
     h.add_edge([x(0), x(1)]);
@@ -388,8 +387,7 @@ fn illegal_aggregates_are_refused_not_answered() {
     let refusals = [
         typed.to_string(),
         executor.solve(&q).unwrap_err().to_string(),
-        cost_quote(&q).unwrap_err().to_string(),
-        cost_quote_calibrated(&q, true, &CalibrationRegistry::new())
+        plan_query_calibrated(&q, &cfg, None, None, 1.0)
             .unwrap_err()
             .to_string(),
         cost_quote_with_stats(&q, &cfg, &stats, 1.0)
