@@ -20,7 +20,7 @@ const EXPERIMENTS: &[Experiment] = &[
     ("figures", |_| exp::e2_figures()),
     ("examples2", |_| exp::e3_examples(&[64, 128, 256])),
     ("lowerbounds", |_| exp::e4_lowerbounds(64, 4)),
-    ("mcm", |_| exp::e5_mcm()),
+    ("mcm", exp::e5_mcm),
     ("entropy", |_| exp::e6_entropy()),
     ("shannon", |_| exp::e7_shannon()),
     ("gap", |n| exp::e8_gap_sweep(n.min(128))),
@@ -36,7 +36,8 @@ const EXPERIMENTS: &[Experiment] = &[
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let which = args.first().map(String::as_str).unwrap_or("all");
-    // Experiment scale: --quick shrinks N for CI-speed runs.
+    // Experiment scale: --quick shrinks N (and E5's longest chain) for
+    // CI-speed runs; crates/bench/quick.txt pins its transcript.
     let quick = args.iter().any(|a| a == "--quick");
     let n = if quick { 64 } else { 256 };
 
