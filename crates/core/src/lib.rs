@@ -42,4 +42,4 @@ pub use engine::{
     solve_bcq, solve_faq, solve_faq_reference, solve_faq_with_plan, EngineError,
 };
 pub use pass::{finish_root, push_down_message, CalProbe, Pass, PassSite, Sequential, Timed};
-pub use plan::{JoinStep, QueryPlan};
+pub use plan::QueryPlan;

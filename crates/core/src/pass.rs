@@ -4,8 +4,9 @@
 //! Every evaluator in the workspace — `solve_faq`, the plan-cached
 //! executor, the storing incremental session, the routed distributed
 //! runtime — runs [`Pass::run`]. Per GHD node: the children's messages
-//! first, then the node's own bag combined by its [`BagOp`], then every
-//! message multiplied into it by one scan of the bag
+//! first, then the node's own bag (one [`generic_join`] pass over two or
+//! more factors), then every message multiplied into it by one scan of
+//! the bag
 //! ([`Relation::fold_keyed`], in [`QueryPlan::children`] order per
 //! row), then the push-down towards the parent. A [`PassSite`] answers
 //! only what differs between the evaluators: how sibling subtrees are
@@ -15,7 +16,7 @@
 
 use crate::plan::QueryPlan;
 use faqs_hypergraph::NodeId;
-use faqs_plan::{BagOp, CalibrationLog, CalibrationRegistry, Envelope, StatsDigest};
+use faqs_plan::{CalibrationLog, CalibrationRegistry, Envelope, StatsDigest};
 use faqs_relation::{generic_join, FaqQuery, Relation};
 use faqs_semiring::Semiring;
 use std::borrow::Cow;
@@ -123,35 +124,25 @@ impl<S: Semiring> Pass<'_, S> {
     /// `node`'s bag from the query's own factors.
     pub fn local_bag(&self, node: NodeId) -> Option<Relation<S>> {
         let factors = self.plan.joins(node).iter();
-        let factors = factors.map(|s| Cow::Borrowed(self.q.factor(s.edge)));
+        let factors = factors.map(|&e| Cow::Borrowed(self.q.factor(e)));
         self.combine(node, factors.collect())
     }
 
-    /// The `⊗`-product of `node`'s λ `factors` (one per join step, in
-    /// step order): one generic-join pass when the planner marked the
-    /// bag worst-case-optimal, otherwise the cascade over the plan's
-    /// cached key schemas. Both fold annotations in the same
-    /// association order, so the bag holds the same rows with the same
-    /// values either way; its column order differs (the generic join
-    /// emits the planner's layout order, the cascade its concatenation
-    /// schema), which the push-down is indifferent to.
+    /// The `⊗`-product of `node`'s λ `factors` (in the plan's join
+    /// order): the one factor itself, or one generic-join pass over two
+    /// or more, bound in the plan's layout order and folding annotations
+    /// in join order.
     pub fn combine(&self, node: NodeId, factors: Vec<Cow<'_, Relation<S>>>) -> Option<Relation<S>> {
-        let steps = self.plan.joins(node);
-        debug_assert_eq!(steps.len(), factors.len(), "one factor per join step");
-        if let (true, BagOp::GenericJoin { var_order }) =
-            (factors.len() >= 2, self.plan.bag_op(node))
-        {
-            let refs: Vec<&Relation<S>> = factors.iter().map(AsRef::as_ref).collect();
-            return Some(generic_join(&refs, var_order));
+        debug_assert_eq!(
+            self.plan.joins(node).len(),
+            factors.len(),
+            "one factor per λ edge"
+        );
+        if factors.len() < 2 {
+            return factors.into_iter().next().map(Cow::into_owned);
         }
-        let mut acc: Option<Relation<S>> = None;
-        for (factor, step) in factors.into_iter().zip(steps) {
-            acc = Some(match acc {
-                Some(cur) => cur.join_indexed(&factor, &factor.build_index(&step.key)),
-                None => factor.into_owned(),
-            });
-        }
-        acc
+        let refs: Vec<&Relation<S>> = factors.iter().map(AsRef::as_ref).collect();
+        Some(generic_join(&refs, self.plan.var_order(node)))
     }
 
     /// The full (un-aggregated) relation of `node`'s subtree. `None`
@@ -310,7 +301,7 @@ impl<'a> CalProbe<'a> {
 mod tests {
     use super::*;
     use crate::solve_faq_brute_force;
-    use faqs_hypergraph::{cycle_query, example_h2, path_query, star_query, Hypergraph, Var};
+    use faqs_hypergraph::{cycle_query, example_h2, path_query, star_query, Hypergraph};
     use faqs_plan::{plan_query_calibrated, ChosenPlan, PlannerConfig, QueryStats};
     use faqs_relation::{random_instance, RandomInstanceConfig};
     use faqs_semiring::Count;
@@ -369,37 +360,35 @@ mod tests {
         }
     }
 
-    fn instance(h: &Hypergraph) -> FaqQuery<Count> {
+    fn instance(h: &Hypergraph, tuples_per_factor: usize, domain: u32) -> FaqQuery<Count> {
         let cfg = RandomInstanceConfig {
-            tuples_per_factor: 12,
-            domain: 4,
+            tuples_per_factor,
+            domain,
             seed: 7,
         };
         random_instance(h, &cfg, vec![], |_| Count(1))
     }
 
-    /// Pins every multi-factor bag of `chosen` to the generic join, on
-    /// the cascade's concatenation schema (not the layout order the
-    /// planner would pick: the push-down regroups).
-    fn force_generic_join(q: &FaqQuery<Count>, chosen: &mut ChosenPlan) {
-        chosen
-            .bag_ops
-            .resize(chosen.join_order.len(), BagOp::Cascade);
-        for (order, op) in chosen.join_order.iter().zip(&mut chosen.bag_ops) {
+    /// Binds every multi-factor bag of `chosen` in its factors'
+    /// concatenation order (not the layout order the planner picks:
+    /// the push-down regroups).
+    fn bind_in_concatenation_order(q: &FaqQuery<Count>, chosen: &mut ChosenPlan) {
+        for (order, var_order) in chosen.join_order.iter().zip(&mut chosen.var_orders) {
             if order.len() >= 2 {
-                let mut var_order: Vec<Var> = Vec::new();
+                var_order.clear();
                 for v in order.iter().flat_map(|&e| q.factor(e).schema()) {
                     if !var_order.contains(v) {
                         var_order.push(*v);
                     }
                 }
-                *op = BagOp::GenericJoin { var_order };
             }
         }
     }
 
     #[test]
     fn skeleton_visits_each_node_once_and_observes_only_predictions() {
+        // The sparse triangle keeps the structural default, three edges
+        // under a factorless root; the dense one plans a single bag.
         let fixtures = [
             (star_query(4), false),
             (path_query(4), false),
@@ -408,14 +397,14 @@ mod tests {
             (cycle_query(3), false),
         ];
         for (h, generic) in fixtures {
-            let q = instance(&h);
+            let q = if generic {
+                instance(&h, 300, 24)
+            } else {
+                instance(&h, 12, 4)
+            };
             let mut chosen =
                 plan_query_calibrated(&q, &PlannerConfig::stats(), None, None, 1.0).unwrap();
-            if generic {
-                force_generic_join(&q, &mut chosen);
-            } else {
-                chosen.bag_ops.clear(); // every bag a cascade
-            }
+            bind_in_concatenation_order(&q, &mut chosen);
             let plan = QueryPlan::lower(&q, chosen);
             assert_eq!(plan.uses_generic_join(), generic, "{h:?}");
 

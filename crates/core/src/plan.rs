@@ -3,10 +3,10 @@
 //!
 //! A [`QueryPlan`] is the planner's [`ChosenPlan`] — the validated GHD
 //! (GYO run, MD-hoisting, re-rooting for free variables, cost-based
-//! candidate selection in `faqs-plan`) and the per-node factor join
-//! order — lowered to execution form by [`QueryPlan::lower`], the one
-//! lowering door: each join step carries the index-key schema the probe
-//! will use, and the per-node child lists drive the upward pass of
+//! candidate selection in `faqs-plan`), the per-node factor join order
+//! and each multi-factor bag's generic-join binding order — lowered to
+//! execution form by [`QueryPlan::lower`], the one lowering door: the
+//! per-node child lists and push-down nests drive the upward pass of
 //! Theorem G.3. `faqs_plan::plan_query_calibrated` chooses, this module
 //! lowers, and `faqs-exec`'s `PlanCache::plan` caches the pair, so a
 //! repeated shape costs a hash lookup — plus, under stats-driven
@@ -14,22 +14,10 @@
 //! up.
 
 use faqs_hypergraph::{EdgeId, Ghd, NodeId, Var};
-use faqs_plan::{BagOp, ChosenPlan, PlanCost};
+use faqs_plan::{ChosenPlan, PlanCost};
 use faqs_relation::FaqQuery;
 use faqs_semiring::{Aggregate, Semiring};
 use std::cmp::Reverse;
-
-/// One step of a node's factor-join pipeline: absorb `edge`'s factor,
-/// probing an index built on exactly `key` (the variables the factor
-/// shares with the accumulated schema so far). The first step of every
-/// node has an empty `key` — its factor seeds the accumulator.
-#[derive(Clone, Debug)]
-pub struct JoinStep {
-    /// The hyperedge whose factor this step absorbs.
-    pub edge: EdgeId,
-    /// Index-key schema for the probe (empty for the seeding step).
-    pub key: Vec<Var>,
-}
 
 /// A validated, cached execution plan for one FAQ query shape (and,
 /// with statistics enabled, one statistics digest).
@@ -46,13 +34,14 @@ pub struct QueryPlan {
     /// Live children of each node (dense by `NodeId` index), in
     /// ascending node order — the deterministic message-fold order.
     children: Vec<Vec<NodeId>>,
-    /// Factor-join pipeline per node (dense by `NodeId` index), in the
-    /// planner's join order; on a cache hit with different data the
-    /// order is merely a heuristic, never a correctness concern.
-    joins: Vec<Vec<JoinStep>>,
-    /// Per-node operator choice (dense by `NodeId` index): cascade the
-    /// join steps, or materialise the bag in one generic-join pass.
-    bag_ops: Vec<BagOp>,
+    /// λ factors per node (dense by `NodeId` index), in the planner's
+    /// join order — the generic join's annotation fold order; on a
+    /// cache hit with different data the order is merely a heuristic,
+    /// never a correctness concern.
+    joins: Vec<Vec<EdgeId>>,
+    /// Generic-join binding order per node (dense by `NodeId` index;
+    /// empty for a bag of at most one factor).
+    var_orders: Vec<Vec<Var>>,
     /// Push-down nest per node (dense by `NodeId` index): the variables
     /// of `χ(node)` its parent's bag does not see — at the root, the
     /// bound ones — each with its aggregate, innermost (highest index)
@@ -69,16 +58,15 @@ pub struct QueryPlan {
 }
 
 impl QueryPlan {
-    /// Lowers a [`ChosenPlan`] to execution form: per-node child lists,
-    /// push-down nests and join steps with precomputed index-key
-    /// schemas, consuming the planner's join order verbatim (the
-    /// executor's old smallest-first sort is gone —
-    /// `faqs_plan::join_order_for_ghd` is the only implementation left).
+    /// Lowers a [`ChosenPlan`] to execution form: per-node child lists
+    /// and push-down nests, consuming the planner's join and binding
+    /// orders verbatim (`faqs_plan::join_order_for_ghd` is the only
+    /// implementation of the join order).
     pub fn lower<S: Semiring>(q: &FaqQuery<S>, chosen: ChosenPlan) -> QueryPlan {
         let ChosenPlan {
             ghd,
             join_order,
-            bag_ops,
+            var_orders,
             cost,
             stats_aware,
             node_rows,
@@ -86,10 +74,7 @@ impl QueryPlan {
             ..
         } = chosen;
         let n_nodes = ghd.node_ids().map(|n| n.index()).max().unwrap_or(0) + 1;
-        let mut bag_ops = bag_ops;
-        bag_ops.resize(n_nodes, BagOp::Cascade);
         let mut children: Vec<Vec<NodeId>> = vec![Vec::new(); n_nodes];
-        let mut joins: Vec<Vec<JoinStep>> = vec![Vec::new(); n_nodes];
         let mut nests: Vec<Vec<(Var, Aggregate)>> = vec![Vec::new(); n_nodes];
         for node in ghd.node_ids() {
             children[node.index()] = ghd.children(node);
@@ -102,41 +87,24 @@ impl QueryPlan {
                 "free vars never private (RIP + F ⊆ root)"
             );
             nests[node.index()] = nest;
-            let factors = &join_order[node.index()];
             debug_assert!(
-                faqs_plan::join_order_covers_lambda(&ghd, node, factors),
+                faqs_plan::join_order_covers_lambda(&ghd, node, &join_order[node.index()]),
                 "join order must be the planner's permutation of λ(node)"
             );
-            let mut steps: Vec<JoinStep> = Vec::with_capacity(factors.len());
-            let mut acc_schema: Vec<Var> = Vec::new();
-            for &e in factors {
-                let vars = q.hypergraph.edge(e);
-                let key: Vec<Var> = if steps.is_empty() {
-                    Vec::new()
-                } else {
-                    acc_schema
-                        .iter()
-                        .copied()
-                        .filter(|v| vars.contains(v))
-                        .collect()
-                };
-                let fresh: Vec<Var> = vars
-                    .iter()
-                    .copied()
-                    .filter(|v| !acc_schema.contains(v))
-                    .collect();
-                acc_schema.extend(fresh);
-                steps.push(JoinStep { edge: e, key });
-            }
-            joins[node.index()] = steps;
+            debug_assert!(
+                var_orders
+                    .get(node.index())
+                    .is_some_and(|o| o.is_empty() == (join_order[node.index()].len() < 2)),
+                "a binding order for exactly the bags of two or more factors"
+            );
         }
         QueryPlan {
             ghd,
             cost,
             stats_aware,
             children,
-            joins,
-            bag_ops,
+            joins: join_order,
+            var_orders,
             nests,
             node_rows,
             correction,
@@ -155,16 +123,17 @@ impl QueryPlan {
         &self.children[node.index()]
     }
 
-    /// The factor-join pipeline of `node`.
+    /// The λ factors of `node`, in the planner's join order.
     #[inline]
-    pub fn joins(&self, node: NodeId) -> &[JoinStep] {
+    pub fn joins(&self, node: NodeId) -> &[EdgeId] {
         &self.joins[node.index()]
     }
 
-    /// How `node`'s bag materialises from its λ factors.
+    /// The generic-join binding order of `node`'s bag (empty for a bag
+    /// of at most one factor).
     #[inline]
-    pub fn bag_op(&self, node: NodeId) -> &BagOp {
-        &self.bag_ops[node.index()]
+    pub fn var_order(&self, node: NodeId) -> &[Var] {
+        &self.var_orders[node.index()]
     }
 
     /// The push-down nest of `node`: what its message (the answer, at
@@ -176,7 +145,7 @@ impl QueryPlan {
 
     /// Whether any bag lowers to the generic join.
     pub fn uses_generic_join(&self) -> bool {
-        self.bag_ops.iter().any(BagOp::is_generic_join)
+        self.var_orders.iter().any(|o| !o.is_empty())
     }
 
     /// The cost model's predicted rows per node (dense by `NodeId`;
@@ -190,11 +159,6 @@ impl QueryPlan {
     #[inline]
     pub fn correction(&self) -> f64 {
         self.correction
-    }
-
-    /// Total number of live GHD nodes (sizing hint for schedulers).
-    pub fn num_nodes(&self) -> usize {
-        self.ghd.len()
     }
 
     /// Length of a table dense by `NodeId` index (one past the highest
@@ -237,27 +201,17 @@ mod tests {
     }
 
     #[test]
-    fn plan_join_keys_cover_shared_vars() {
-        for h in [star_query(3), path_query(4), example_h2()] {
+    fn lowering_keeps_the_planner_orders() {
+        for h in [star_query(3), path_query(4), example_h2(), cycle_query(3)] {
             let q = inst(&h, vec![], 7);
-            let plan = build(&q).unwrap();
+            let chosen =
+                plan_query_calibrated(&q, &PlannerConfig::stats(), None, None, 1.0).unwrap();
+            let plan = QueryPlan::lower(&q, chosen.clone());
             for node in plan.ghd.node_ids() {
-                let steps = plan.joins(node);
-                let mut acc: Vec<Var> = Vec::new();
-                for (i, s) in steps.iter().enumerate() {
-                    let vars = q.hypergraph.edge(s.edge);
-                    if i == 0 {
-                        assert!(s.key.is_empty());
-                        acc.extend(vars.iter().copied());
-                    } else {
-                        let expect: Vec<Var> =
-                            acc.iter().copied().filter(|v| vars.contains(v)).collect();
-                        assert_eq!(s.key, expect, "key = shared(acc, factor)");
-                        let fresh: Vec<Var> =
-                            vars.iter().copied().filter(|v| !acc.contains(v)).collect();
-                        acc.extend(fresh);
-                    }
-                }
+                assert_eq!(plan.joins(node), chosen.join_order[node.index()]);
+                assert_eq!(plan.var_order(node), chosen.var_orders[node.index()]);
+                // Only a bag of two or more factors binds variables.
+                assert_eq!(plan.var_order(node).is_empty(), plan.joins(node).len() < 2);
             }
         }
     }
@@ -296,10 +250,8 @@ mod tests {
         let q: FaqQuery<Count> = random_instance(&cycle_query(3), &dense, free, |_| Count(1));
         let plan = build_on(&q, &PlannerConfig::stats()).unwrap();
         let root = plan.root();
-        let BagOp::GenericJoin { var_order } = plan.bag_op(root) else {
-            panic!("the dense triangle lowers to one generic-join bag");
-        };
-        assert_eq!(var_order, &[Var(2), Var(0), Var(1)]);
+        assert_eq!(plan.joins(root).len(), 3, "one generic-join bag");
+        assert_eq!(plan.var_order(root), [Var(2), Var(0), Var(1)]);
         assert_eq!(plan.nest(root), [(Var(1), Aggregate::Sum)]);
     }
 

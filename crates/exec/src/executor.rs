@@ -91,11 +91,6 @@ impl Executor {
         self.calibration.stats()
     }
 
-    /// The active planner configuration.
-    pub fn planner_config(&self) -> PlannerConfig {
-        self.planner
-    }
-
     /// Plan-cache counters (hits prove the GHD/validation work was
     /// skipped on repeat shapes).
     pub fn cache_stats(&self) -> CacheStats {

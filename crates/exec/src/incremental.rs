@@ -389,8 +389,8 @@ impl<S: Semiring> IncrementalFaq<S> {
         let plan = &self.plan;
         self.edge_node = vec![plan.root(); self.query.factors.len()];
         for node in plan.ghd.node_ids() {
-            for step in plan.joins(node) {
-                self.edge_node[step.edge.index()] = node;
+            for &e in plan.joins(node) {
+                self.edge_node[e.index()] = node;
             }
         }
     }
@@ -453,11 +453,11 @@ impl<S: Semiring> IncrementalFaq<S> {
 
         // Δ to the origin's local: the same pipeline with the mutated
         // factor replaced by its delta.
-        for step in plan.joins(origin) {
-            if step.edge == edge {
+        for &e in plan.joins(origin) {
+            if e == edge {
                 continue;
             }
-            let f = self.query.factor(step.edge);
+            let f = self.query.factor(e);
             let idx = f.build_index(&plus.shared_vars(f));
             plus = plus.join_indexed(f, &idx);
             minus = minus.join_indexed(f, &idx);

@@ -58,6 +58,6 @@ mod incremental;
 
 pub use cache::{CacheStats, PlanCache};
 pub use executor::{Executor, ExecutorConfig};
-pub use faqs_core::{JoinStep, QueryPlan};
+pub use faqs_core::QueryPlan;
 pub use fingerprint::PlanKey;
 pub use incremental::{IncrementalFaq, IncrementalStats, MaintenanceMode};

@@ -1,12 +1,13 @@
 //! Cyclic differential suite: on triangle, 4-cycle and `K4` queries the
-//! generic-join lowering, the pinned binary-cascade lowering, and the
-//! structural default must all produce *bit-identical* relations, with
+//! stats planner (whose merged cores lower to the generic join) and the
+//! structural default must both produce *bit-identical* relations, with
 //! the brute-force oracle as ground truth — across semirings and
 //! free-var choices.
 //!
-//! Plus the issue's pinned regression: on a ≥ 50k-tuple triangle the
-//! stats planner must choose a generic-join bag, price it below the
-//! cascade-only baseline, and agree with it on the same instance.
+//! Plus the pinned regression: on a ≥ 50k-tuple triangle the stats
+//! planner must choose a generic-join bag, price it below the
+//! structural default, and agree with the binary join cascade on the
+//! same instance.
 
 use faqs_core::{solve_faq_brute_force, solve_faq_with_plan};
 use faqs_exec::Executor;
@@ -45,24 +46,11 @@ fn shape(which: usize, free_sel: usize) -> (Hypergraph, Vec<Var>) {
     }
 }
 
-/// Both stats-planner legs (WCOJ on / the cascade reference) plus the
-/// structural reference — the full planner matrix, built in-process.
-fn planner_matrix() -> [(&'static str, PlannerConfig); 3] {
+/// The stats planner and the structural reference — the full planner
+/// matrix, built in-process.
+fn planner_matrix() -> [(&'static str, PlannerConfig); 2] {
     [
-        (
-            "stats+wcoj",
-            PlannerConfig {
-                use_stats: true,
-                use_wcoj: true,
-            },
-        ),
-        (
-            "stats-cascade",
-            PlannerConfig {
-                use_stats: true,
-                use_wcoj: false,
-            },
-        ),
+        ("stats", PlannerConfig::stats()),
         ("structural", PlannerConfig::structural()),
     ]
 }
@@ -77,12 +65,6 @@ fn assert_cyclic_agree<S: Semiring>(q: &FaqQuery<S>, label: &str) {
         plan.ghd
             .validate(&q.hypergraph)
             .unwrap_or_else(|e| panic!("{label}/{name}: invalid GHD: {e}"));
-        if !cfg.use_wcoj {
-            assert!(
-                !plan.uses_generic_join(),
-                "{label}/{name}: WCOJ disabled but a generic-join bag was chosen"
-            );
-        }
         let direct = solve_faq_with_plan(q, &plan)
             .unwrap_or_else(|e| panic!("{label}/{name}: plan rejected: {e}"));
         assert_eq!(direct, oracle, "{label}/{name}: direct solve vs oracle");
@@ -148,8 +130,8 @@ proptest! {
         tuples in 4usize..24,
     ) {
         // Integer-valued tropical weights: ⊗ = f64 addition is exact,
-        // and the generic join folds annotations in the cascade's
-        // association order, so equality here is bit-for-bit.
+        // and the generic join folds annotations in join order, so
+        // equality here is bit-for-bit.
         let q = cyclic_instance::<MinPlus>(which, free_sel, seed, tuples, |r| {
             MinPlus::new(r.random_range(0..32) as f64)
         });
@@ -157,13 +139,14 @@ proptest! {
     }
 }
 
-/// The issue's acceptance regression: on a ≥ 50k-tuple triangle the
-/// stats planner picks a generic-join bag, the model prices it below the
-/// pinned binary-cascade baseline (whose intermediate `R ⋈ S` holds
-/// ~2.5M rows against ~125k surviving triangles), and both lowerings
-/// agree bit-for-bit. The measured statement lives in the ledger, not
-/// here: `relation.generic_join_us` against `relation.join_us` in
-/// `benchmark/`, the one place wall-clock numbers come from.
+/// The acceptance regression: on a ≥ 50k-tuple triangle the stats
+/// planner picks a generic-join bag, the model prices it below the
+/// structural default, and it agrees with the binary join cascade
+/// `R ⋈ S ⋈ T` (whose intermediate `R ⋈ S` holds ~2.5M rows against
+/// ~125k surviving triangles). The measured statement lives in the
+/// ledger, not here: `relation.generic_join_us` against
+/// `relation.join_us` in `benchmark/`, the one place wall-clock numbers
+/// come from.
 #[test]
 fn pinned_triangle_picks_generic_join_and_agrees_with_the_cascade() {
     let q: FaqQuery<Count> = random_instance(
@@ -177,48 +160,24 @@ fn pinned_triangle_picks_generic_join_and_agrees_with_the_cascade() {
         |_| Count(1),
     );
 
-    let wcoj_plan = plan_query_calibrated(
-        &q,
-        &PlannerConfig {
-            use_stats: true,
-            use_wcoj: true,
-        },
-        None,
-        None,
-        1.0,
-    )
-    .expect("wcoj plan");
-    let cascade_plan = plan_query_calibrated(
-        &q,
-        &PlannerConfig {
-            use_stats: true,
-            use_wcoj: false,
-        },
-        None,
-        None,
-        1.0,
-    )
-    .expect("cascade plan");
-
-    // Pin the plan shape: the WCOJ leg must lower a generic-join bag,
-    // the cascade reference must not, and the model must predict the
-    // WCOJ plan strictly cheaper.
+    let plan = plan_query_calibrated(&q, &PlannerConfig::stats(), None, None, 1.0).expect("plan");
     assert!(
-        wcoj_plan.uses_generic_join(),
+        plan.uses_generic_join(),
         "the 50k triangle must lower to a generic-join bag"
     );
+    let default = plan.candidates[0].cost;
     assert!(
-        !cascade_plan.uses_generic_join(),
-        "the cascade reference lowers no generic-join bags"
-    );
-    assert!(
-        wcoj_plan.cost.cpu < cascade_plan.cost.cpu,
-        "model must price generic join below the cascade: {} vs {}",
-        wcoj_plan.cost.cpu,
-        cascade_plan.cost.cpu
+        plan.cost.cpu < default.cpu,
+        "model must price the generic join below the structural default: {} vs {}",
+        plan.cost.cpu,
+        default.cpu
     );
 
-    let via_genjoin = solve_faq_with_plan(&q, &wcoj_plan).expect("genjoin solve");
-    let via_cascade = solve_faq_with_plan(&q, &cascade_plan).expect("cascade solve");
-    assert_eq!(via_genjoin, via_cascade, "both lowerings count triangles");
+    let via_genjoin = solve_faq_with_plan(&q, &plan).expect("genjoin solve");
+    let [r, s, t] = &q.factors[..] else {
+        panic!("three edges")
+    };
+    let cascade = r.join(s).join(t);
+    assert!(!cascade.is_empty());
+    assert_eq!(via_genjoin.total(), cascade.total(), "both count triangles");
 }

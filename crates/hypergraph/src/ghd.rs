@@ -98,12 +98,6 @@ impl Ghd {
         self.len() == 0
     }
 
-    /// Whether node `n` is still live (not peeled away).
-    #[inline]
-    pub fn is_alive(&self, n: NodeId) -> bool {
-        self.alive[n.index()]
-    }
-
     /// Immutable access to a node.
     #[inline]
     pub fn node(&self, n: NodeId) -> &GhdNode {
@@ -133,12 +127,6 @@ impl Ghd {
     /// Live parent of `n`.
     pub fn parent(&self, n: NodeId) -> Option<NodeId> {
         self.nodes[n.index()].parent
-    }
-
-    /// Whether `n` is an internal (non-leaf) live node.
-    pub fn is_internal(&self, n: NodeId) -> bool {
-        self.node_ids()
-            .any(|c| self.nodes[c.index()].parent == Some(n))
     }
 
     /// The number of internal nodes `y(T)` (Definition 2.9).

@@ -38,12 +38,6 @@ impl SimpleGraph {
         Some(SimpleGraph { n, adj, loops })
     }
 
-    /// Number of vertices.
-    #[inline]
-    pub fn num_vertices(&self) -> usize {
-        self.n
-    }
-
     /// Neighbours of `v` with the connecting edge ids.
     pub fn neighbors(&self, v: Var) -> &[(Var, EdgeId)] {
         &self.adj[v.index()]

@@ -124,19 +124,6 @@ impl Hypergraph {
         self.edges.len()
     }
 
-    /// The variable name (used in Debug output and the harness tables).
-    pub fn var_name(&self, v: Var) -> &str {
-        &self.names[v.index()]
-    }
-
-    /// Looks a variable up by name.
-    pub fn var_by_name(&self, name: &str) -> Option<Var> {
-        self.names
-            .iter()
-            .position(|n| n == name)
-            .map(|i| Var(i as u32))
-    }
-
     /// The sorted vertex set of edge `e`.
     #[inline]
     pub fn edge(&self, e: EdgeId) -> &[Var] {
@@ -205,33 +192,9 @@ impl Hypergraph {
         best
     }
 
-    /// Whether every edge has arity at most 2 and there are no duplicate
-    /// two-vertex edges — i.e. `H` can be viewed as a simple graph with
-    /// optional self-loops (the setting of Section 4).
-    pub fn is_simple_graph(&self) -> bool {
-        if self.arity() > 2 {
-            return false;
-        }
-        let mut seen = BTreeSet::new();
-        for e in &self.edges {
-            if e.len() == 2 && !seen.insert((e[0], e[1])) {
-                return false;
-            }
-        }
-        true
-    }
-
     /// The set of variables covered by at least one edge.
     pub fn covered_vars(&self) -> BTreeSet<Var> {
         self.edges.iter().flatten().copied().collect()
-    }
-
-    /// The edges containing variable `v`.
-    pub fn incident_edges(&self, v: Var) -> Vec<EdgeId> {
-        self.edges()
-            .filter(|(_, e)| contains(e, v))
-            .map(|(id, _)| id)
-            .collect()
     }
 
     /// Renders the query in Datalog-ish form, e.g.
@@ -311,6 +274,7 @@ mod tests {
         let mut h = Hypergraph::new(4);
         let e = h.add_edge([Var(3), Var(1), Var(3), Var(0)]);
         assert_eq!(h.edge(e), &[Var(0), Var(1), Var(3)]);
+        assert_eq!(h.arity(), 3);
     }
 
     #[test]
@@ -357,24 +321,6 @@ mod tests {
     }
 
     #[test]
-    fn arity_and_simple_graph_detection() {
-        let mut h = Hypergraph::new(4);
-        h.add_edge([Var(0), Var(1)]);
-        assert!(h.is_simple_graph());
-        h.add_edge([Var(0), Var(1), Var(2)]);
-        assert_eq!(h.arity(), 3);
-        assert!(!h.is_simple_graph());
-    }
-
-    #[test]
-    fn duplicate_two_edges_not_simple() {
-        let mut h = Hypergraph::new(2);
-        h.add_edge([Var(0), Var(1)]);
-        h.add_edge([Var(0), Var(1)]);
-        assert!(!h.is_simple_graph());
-    }
-
-    #[test]
     fn subset_and_intersection_helpers() {
         let a = vec![Var(0), Var(2), Var(5)];
         let b = vec![Var(0), Var(1), Var(2), Var(5)];
@@ -390,12 +336,5 @@ mod tests {
         h.add_edge([Var(0), Var(1)]);
         h.add_edge([Var(1), Var(2)]);
         assert_eq!(h.to_datalog(), "q() :- e0(A,B), e1(B,C)");
-    }
-
-    #[test]
-    fn var_lookup_by_name() {
-        let h = Hypergraph::with_names(["A", "B"]);
-        assert_eq!(h.var_by_name("B"), Some(Var(1)));
-        assert_eq!(h.var_by_name("Z"), None);
     }
 }

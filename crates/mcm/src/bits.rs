@@ -185,12 +185,6 @@ impl BitMatrix {
         }
     }
 
-    /// Dimension `N`.
-    #[inline]
-    pub fn dim(&self) -> usize {
-        self.n
-    }
-
     /// Entry `(row, col)`.
     pub fn get(&self, row: usize, col: usize) -> bool {
         self.rows[row].get(col)

@@ -2,23 +2,23 @@
 //! estimated cardinalities.
 //!
 //! Every candidate GHD is scored by simulating exactly the work the
-//! executor will do — seed each node with its λ factors joined in the
-//! planned order, push each child message down onto the parent's bag,
-//! fold messages in node order — but over [`RelationStats`] instead of
-//! data. Join sizes follow the classic independence estimate of the
+//! executor will do — materialise each node's bag from its λ factors
+//! in one generic-join pass, push each child message down onto the
+//! parent's bag, fold messages in node order — but over
+//! [`RelationStats`](faqs_relation::RelationStats) instead of data.
+//! Join sizes follow the classic independence estimate of the
 //! Gottlob–Lee–Valiant cardinality-bound tradition
-//! (`|A ⋈ B| ≈ |A|·|B| / ∏_{v shared} max(dᴬ(v), dᴮ(v))`), probe costs
-//! follow the kernel's actual operator shapes (binary-search probes
-//! into a [`JoinIndex`](faqs_relation::JoinIndex), one index build per
-//! absorbed factor), and — when an [`PlacementContext`] is supplied —
-//! shipped bits follow Model 2.1's accounting (`r·⌈log₂ D⌉` plus the
-//! annotation per tuple, charged once per hop), the same arithmetic
-//! `Relation::bits` and `BoundReport` use, so a predicted cost can be
-//! confronted with the paper's envelope like a measured one.
+//! (`|A ⋈ B| ≈ |A|·|B| / ∏_{v shared} max(dᴬ(v), dᴮ(v))`), a bag's
+//! output is capped by the AGM/FD-aware bound over its factors, and —
+//! when an [`PlacementContext`] is supplied — shipped bits follow Model
+//! 2.1's accounting (`r·⌈log₂ D⌉` plus the annotation per tuple,
+//! charged once per hop), the same arithmetic `Relation::bits` and
+//! `BoundReport` use, so a predicted cost can be confronted with the
+//! paper's envelope like a measured one.
 //!
 //! [`PlacementContext`]: crate::PlacementContext
 
-use crate::planner::{choose_aggregation_players, BagOp, PlacementContext};
+use crate::planner::{choose_aggregation_players, PlacementContext};
 use crate::stats::QueryStats;
 use faqs_hypergraph::{weighted_cover, EdgeId, Ghd, Var};
 use faqs_network::Player;
@@ -42,18 +42,11 @@ pub(crate) const UNREACHABLE_BITS: u64 = u64::MAX;
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PlanCost {
     /// Predicted kernel work of the upward pass, in comparisons plus
-    /// emitted rows (index builds, binary-search probes, output).
+    /// emitted rows (factor preparation, probes, output).
     pub cpu: u64,
     /// Predicted bits shipped across the topology (Model 2.1
     /// accounting, charged per hop); `0` when no placement was scored.
     pub net_bits: u64,
-    /// Predicted codec frame bits a payload transport would move for
-    /// the same legs, via the exact [`faqs_relation::frame_bits`]
-    /// closed form (charged once per leg — real frames ship end-to-end,
-    /// they are not relayed hop by hop). Reported alongside the model
-    /// price; never part of the comparison key, so plan selection stays
-    /// in Model 2.1 units.
-    pub wire_bits: u64,
 }
 
 impl PlanCost {
@@ -99,10 +92,6 @@ pub(crate) struct CostModel<'a> {
     log_d: u64,
     /// Bits per semiring annotation (`S::value_bits()`).
     value_bits: u64,
-    /// Bytes per annotation on the real wire
-    /// (`S::WIRE_VALUE_BYTES`) — the codec's unit, distinct from the
-    /// Model 2.1 `value_bits`.
-    wire_value_bytes: usize,
     /// Learned per-shape multiplicative row correction (calibration).
     /// `1.0` = trust the raw independence estimates.
     correction: f64,
@@ -119,7 +108,6 @@ impl<'a> CostModel<'a> {
         stats: &'a QueryStats,
         domain: u32,
         value_bits: u64,
-        wire_value_bytes: usize,
         correction: f64,
     ) -> CostModel<'a> {
         let log_d = (32 - domain.saturating_sub(1).leading_zeros()).max(1) as u64;
@@ -127,7 +115,6 @@ impl<'a> CostModel<'a> {
             stats,
             log_d,
             value_bits,
-            wire_value_bytes,
             // A poisoned multiplier must never reach the estimates: the
             // registry clamps to 2^±8, but the model re-sanitises so no
             // caller can reintroduce the NaN-cost bug class.
@@ -151,7 +138,8 @@ impl<'a> CostModel<'a> {
     /// each variable at `log₂` of its minimum per-factor distinct count
     /// — the Valiant & Valiant functional-dependency refinement of the
     /// plain AGM bound. Only `edges` participate: a bound involving an
-    /// unabsorbed factor would undercount a cascade's intermediates.
+    /// unabsorbed factor would undercount a bag estimate's
+    /// intermediates.
     fn vv_log2_bound(&self, vars: &[Var], edges: &[EdgeId]) -> f64 {
         let mut key_vars = vars.to_vec();
         key_vars.sort_unstable();
@@ -214,20 +202,13 @@ impl<'a> CostModel<'a> {
         saturating(est.rows) * per_tuple.max(1)
     }
 
-    /// Codec frame bits of an estimated relation — what a payload
-    /// transport would actually move for one end-to-end ship of it.
-    fn est_wire_bits(&self, est: &Est) -> u64 {
-        faqs_relation::frame_bits(est.arity(), saturating(est.rows), self.wire_value_bytes)
-    }
-
-    /// The shipped shape of one shard of factor `e` split across
-    /// `parts` holders, after the shard-local Sum push-down of
-    /// Corollary G.2 collapsed the `pre_agg` columns away (the runtime
-    /// aggregates each shard locally *before* shipping it —
-    /// `materialise_shards` — so the wire carries only the kept columns,
-    /// and at most one tuple per distinct kept-column combination).
-    /// Returns `(kept arity, shard rows)`.
-    fn shard_shape(&self, e: EdgeId, parts: usize, pre_agg: &[Var]) -> (usize, u64) {
+    /// Model 2.1 bits of one shard of factor `e` split across `parts`
+    /// holders, after the shard-local Sum push-down of Corollary G.2
+    /// collapsed the `pre_agg` columns away (the runtime aggregates each
+    /// shard locally *before* shipping it — `materialise_shards` — so
+    /// the wire carries only the kept columns, and at most one tuple per
+    /// distinct kept-column combination).
+    fn shard_bits(&self, e: EdgeId, parts: usize, pre_agg: &[Var]) -> u64 {
         let s = &self.stats.factors[e.index()];
         let mut shard_rows = (s.rows as u64).div_ceil(parts.max(1) as u64);
         let kept: Vec<usize> = (0..s.schema.len())
@@ -242,30 +223,16 @@ impl<'a> CostModel<'a> {
             }
             shard_rows = shard_rows.min(saturating(capacity));
         }
-        (kept.len(), shard_rows)
-    }
-
-    /// Model 2.1 bits of one shipped shard (see
-    /// [`CostModel::shard_shape`]).
-    fn shard_bits(&self, e: EdgeId, parts: usize, pre_agg: &[Var]) -> u64 {
-        let (kept, shard_rows) = self.shard_shape(e, parts, pre_agg);
-        let per_tuple = kept as u64 * self.log_d + self.value_bits;
+        let per_tuple = kept.len() as u64 * self.log_d + self.value_bits;
         shard_rows * per_tuple.max(1)
     }
 
-    /// Codec frame bits of one shipped shard (see
-    /// [`CostModel::shard_shape`]).
-    fn shard_wire_bits(&self, e: EdgeId, parts: usize, pre_agg: &[Var]) -> u64 {
-        let (kept, shard_rows) = self.shard_shape(e, parts, pre_agg);
-        faqs_relation::frame_bits(kept, shard_rows, self.wire_value_bytes)
-    }
-
-    /// One indexed join: `cur` probes an index of `next` (built here),
-    /// matches multiply out. `cap_log2` bounds the output rows by
-    /// `2^cap_log2` — the VV/AGM bound over the factors actually
-    /// absorbed (pass `f64::INFINITY` when no sound bound applies,
-    /// e.g. child-message folds whose inputs are already capped).
-    fn join(&self, cur: Est, next: Est, cap_log2: f64, cost: &mut PlanCost) -> Est {
+    /// The estimated join of `cur` and `next`: matches multiply out.
+    /// `cap_log2` bounds the output rows by `2^cap_log2` — the VV/AGM
+    /// bound over the factors actually absorbed (pass `f64::INFINITY`
+    /// when no sound bound applies, e.g. child-message folds whose
+    /// inputs are already capped).
+    fn join(&self, cur: Est, next: Est, cap_log2: f64) -> Est {
         let mut denom = 1.0f64;
         for (v, da) in &cur.distinct {
             if let Some(db) = next.distinct.get(v) {
@@ -278,13 +245,6 @@ impl<'a> CostModel<'a> {
             EST_CAP
         };
         let out_rows = (cur.rows * next.rows / denom.max(1.0)).min(cap);
-        // Index build on `next`, one binary-search probe per `cur` row,
-        // one emitted row per estimated match.
-        cost.cpu = cost
-            .cpu
-            .saturating_add(saturating(next.rows))
-            .saturating_add(saturating(cur.rows * (next.rows.max(1.0).log2() + 1.0)))
-            .saturating_add(saturating(out_rows));
         let mut distinct = cur.distinct;
         for (v, db) in next.distinct {
             let d = distinct.entry(v).or_insert(db);
@@ -319,9 +279,10 @@ impl<'a> CostModel<'a> {
         Est { rows, distinct }
     }
 
-    /// Prices one multi-factor bag as a binary cascade on `scratch`,
-    /// returning the folded estimate and the absorbed-so-far VV caps.
-    fn price_cascade(&self, order: &[EdgeId], scratch: &mut PlanCost) -> Est {
+    /// A multi-factor bag's output estimate: its factors folded in
+    /// `order`, each step capped by the VV/AGM bound over the factors
+    /// absorbed so far.
+    fn bag_est(&self, order: &[EdgeId]) -> Est {
         let mut absorbed: Vec<EdgeId> = vec![order[0]];
         let mut cur = self.factor_est(order[0]);
         for &e in &order[1..] {
@@ -334,30 +295,25 @@ impl<'a> CostModel<'a> {
                 }
             }
             let cap = self.vv_log2_bound(&vars, &absorbed);
-            cur = self.join(cur, next, cap, scratch);
+            cur = self.join(cur, next, cap);
         }
         cur
     }
 
     /// Scores one candidate: simulates the full upward pass over the
-    /// estimates — pricing each multi-factor bag both as a binary
-    /// cascade and as one generic-join pass and keeping the cheaper
-    /// operator (when `wcoj` allows it) — and, when a placement is
-    /// given, predicts the bits each GHD node's gather and each upward
-    /// message will ship, using the same aggregation-player choice the
-    /// runtime makes. Returns the cost, the per-node operator choices
-    /// and the per-node predicted row counts (both dense by `NodeId`);
-    /// the row predictions are what the executor's fold points confront
-    /// with `Relation::len` to drive calibration. `free_vars` (the
-    /// query's, in declared order) are what the root's push-down keeps.
+    /// estimates — each multi-factor bag materialised by one
+    /// generic-join pass — and, when a placement is given, predicts the
+    /// bits each GHD node's gather and each upward message will ship,
+    /// using the same aggregation-player choice the runtime makes.
+    /// Returns the cost and the per-node predicted row counts (dense by
+    /// `NodeId`); the row predictions are what the executor's fold
+    /// points confront with `Relation::len` to drive calibration.
     pub(crate) fn simulate(
         &self,
         ghd: &Ghd,
         join_order: &[Vec<EdgeId>],
-        free_vars: &[Var],
         placement: Option<&PlacementContext<'_>>,
-        wcoj: bool,
-    ) -> (PlanCost, Vec<BagOp>, Vec<u64>) {
+    ) -> (PlanCost, Vec<u64>) {
         let n_nodes = ghd.node_ids().map(|n| n.index()).max().unwrap_or(0) + 1;
         let mut children: Vec<Vec<_>> = vec![Vec::new(); n_nodes];
         for n in ghd.node_ids() {
@@ -372,7 +328,6 @@ impl<'a> CostModel<'a> {
         // argmin-bit·distance aggregation players the runtime picks.
         let placed = placement.map(|ctx| {
             let mut node_shards: Vec<Vec<(Player, u64)>> = vec![Vec::new(); n_nodes];
-            let mut node_wire: Vec<Vec<u64>> = vec![Vec::new(); n_nodes];
             for node in ghd.node_ids() {
                 for &e in &join_order[node.index()] {
                     let holders = &ctx.holders[e.index()];
@@ -393,10 +348,8 @@ impl<'a> CostModel<'a> {
                         })
                         .unwrap_or_default();
                     let bits = self.shard_bits(e, holders.len(), &agged);
-                    let wire = self.shard_wire_bits(e, holders.len(), &agged);
                     for &p in holders {
                         node_shards[node.index()].push((p, bits));
-                        node_wire[node.index()].push(wire);
                     }
                 }
             }
@@ -408,10 +361,7 @@ impl<'a> CostModel<'a> {
                 let dist = dists
                     .entry(to)
                     .or_insert_with(|| ctx.topology.live_distances(to));
-                for (&(p, bits), &wire) in node_shards[node.index()]
-                    .iter()
-                    .zip(&node_wire[node.index()])
-                {
+                for &(p, bits) in &node_shards[node.index()] {
                     if p != to {
                         if dist[p.index()] == u32::MAX {
                             // The runtime routes every shard, even an
@@ -422,8 +372,6 @@ impl<'a> CostModel<'a> {
                             cost.net_bits = cost
                                 .net_bits
                                 .saturating_add(bits.saturating_mul(dist[p.index()] as u64));
-                            // The frame ships end-to-end exactly once.
-                            cost.wire_bits = cost.wire_bits.saturating_add(wire);
                         }
                     }
                 }
@@ -431,7 +379,6 @@ impl<'a> CostModel<'a> {
             (ctx, agg, dists)
         });
 
-        let mut bag_ops = vec![BagOp::Cascade; n_nodes];
         let mut node_rows = vec![0u64; n_nodes];
         let mut est: Vec<Option<Est>> = vec![None; n_nodes];
         for node in ghd.post_order() {
@@ -439,20 +386,17 @@ impl<'a> CostModel<'a> {
             let mut acc: Option<Est> = if order.len() < 2 {
                 order.first().map(|&e| self.factor_est(e))
             } else {
-                // Multi-factor bag: price the cascade's intermediates
-                // and one worst-case-optimal pass over the same output
-                // estimate, keep the cheaper operator.
-                let mut cascade = PlanCost::default();
-                let out = self.price_cascade(order, &mut cascade);
+                // Multi-factor bag: one worst-case-optimal pass. Prepare
+                // each factor once — reorder it when its columns
+                // disagree with the binding order, then one sweep into
+                // the join's per-call trie — then one emit per output
+                // row: k column bindings plus a seek.
+                let out = self.bag_est(order);
                 let k = out.arity() as f64;
                 let max_rows = order
                     .iter()
                     .map(|&e| self.stats.factors[e.index()].rows.max(1) as f64)
                     .fold(1.0f64, f64::max);
-                // Prepare each factor once — reorder it when its
-                // columns disagree with the binding order, then one
-                // sweep into the join's per-call trie — then one emit
-                // per output row: k column bindings plus a seek.
                 let prep: f64 = order
                     .iter()
                     .map(|&e| {
@@ -461,41 +405,7 @@ impl<'a> CostModel<'a> {
                     })
                     .sum();
                 let gj_cpu = saturating(prep + out.rows * (k + max_rows.log2() + 1.0));
-                if wcoj && gj_cpu < cascade.cpu {
-                    cost.cpu = cost.cpu.saturating_add(gj_cpu);
-                    // The binding order is the push-down's layout
-                    // order: the variables the parent's bag sees
-                    // (ascending; at the root the free ones in declared
-                    // order, so no closing reorder), then the private
-                    // ones ascending, innermost last — the bag arrives
-                    // with its whole push-down nest a run of trailing
-                    // columns and no regrouping sort runs. Both
-                    // lowerings produce the same rows with the same
-                    // values; only the cascade's column order (its
-                    // concatenation schema) differs.
-                    let schemas = order.iter().map(|&e| &self.stats.factors[e.index()].schema);
-                    let mut bag_vars: Vec<Var> = schemas.flatten().copied().collect();
-                    bag_vars.sort_unstable();
-                    bag_vars.dedup();
-                    let mut var_order: Vec<Var> = match ghd.parent(node) {
-                        Some(p) => bag_vars
-                            .iter()
-                            .copied()
-                            .filter(|v| ghd.chi(p).contains(v))
-                            .collect(),
-                        None => free_vars
-                            .iter()
-                            .copied()
-                            .filter(|v| bag_vars.contains(v))
-                            .collect(),
-                    };
-                    bag_vars.retain(|v| !var_order.contains(v));
-                    var_order.extend(bag_vars);
-                    bag_ops[node.index()] = BagOp::GenericJoin { var_order };
-                } else {
-                    cost.cpu = cost.cpu.saturating_add(cascade.cpu);
-                }
-                cost.net_bits = cost.net_bits.saturating_add(cascade.net_bits);
+                cost.cpu = cost.cpu.saturating_add(gj_cpu);
                 Some(out)
             };
             for &child in &children[node.index()] {
@@ -516,15 +426,26 @@ impl<'a> CostModel<'a> {
                             cost.net_bits = cost
                                 .net_bits
                                 .saturating_add(self.est_bits(&msg).saturating_mul(dist as u64));
-                            cost.wire_bits =
-                                cost.wire_bits.saturating_add(self.est_wire_bits(&msg));
                         }
                     }
                 }
                 acc = Some(match acc {
-                    // Child messages are already capped at their node;
-                    // no sound factor-set bound applies to the fold.
-                    Some(cur) => self.join(cur, msg, f64::INFINITY, &mut cost),
+                    Some(cur) => {
+                        // An index build on the message, one
+                        // binary-search probe per bag row, one emitted
+                        // row per estimated match. Child messages are
+                        // already capped at their node; no sound
+                        // factor-set bound applies to the fold.
+                        let probe = saturating(msg.rows).saturating_add(saturating(
+                            cur.rows * (msg.rows.max(1.0).log2() + 1.0),
+                        ));
+                        let out = self.join(cur, msg, f64::INFINITY);
+                        cost.cpu = cost
+                            .cpu
+                            .saturating_add(probe)
+                            .saturating_add(saturating(out.rows));
+                        out
+                    }
                     None => msg,
                 });
             }
@@ -549,7 +470,7 @@ impl<'a> CostModel<'a> {
             }
             est[node.index()] = Some(node_est);
         }
-        (cost, bag_ops, node_rows)
+        (cost, node_rows)
     }
 }
 
@@ -581,7 +502,7 @@ mod tests {
 
     /// `k` chained binary factors `R_i(x_i, x_{i+1})`, each `rows` rows
     /// with `rows` distinct values per column — dense enough that a
-    /// long cascade's row product overflows every float milestone.
+    /// long bag's row product overflows every float milestone.
     fn chain_stats(k: usize, rows: usize) -> QueryStats {
         QueryStats::from_factors(
             (0..k)
@@ -589,7 +510,6 @@ mod tests {
                     schema: vec![Var(2 * i as u32), Var(2 * i as u32 + 1)],
                     rows,
                     distinct: vec![rows, rows],
-                    prefix_distinct: vec![rows, rows],
                 })
                 .collect(),
         )
@@ -603,33 +523,29 @@ mod tests {
         // never trims it. Every intermediate must stay capped and the
         // final cost finite-by-saturation, not NaN/inf-poisoned.
         let stats = chain_stats(40, 1_000_000);
-        let model = CostModel::new(&stats, 1 << 20, 64, 8, 1.0);
+        let model = CostModel::new(&stats, 1 << 20, 64, 1.0);
         let order: Vec<EdgeId> = (0..40).map(EdgeId).collect();
-        let mut cost = PlanCost::default();
-        let est = model.price_cascade(&order, &mut cost);
+        let est = model.bag_est(&order);
         assert!(est.rows.is_finite(), "estimate must never go non-finite");
         assert!(est.rows <= EST_CAP, "estimate capped: {}", est.rows);
         assert_eq!(saturating(est.rows), EST_CAP as u64);
-        assert!(cost.cpu > 0);
     }
 
     #[test]
     fn non_finite_join_caps_fall_back_to_est_cap() {
         let stats = chain_stats(2, 1000);
-        let model = CostModel::new(&stats, 16, 64, 8, 1.0);
+        let model = CostModel::new(&stats, 16, 64, 1.0);
         let a = model.factor_est(EdgeId(0));
         let b = model.factor_est(EdgeId(1));
         for cap in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
-            let mut cost = PlanCost::default();
-            let out = model.join(a.clone(), b.clone(), cap, &mut cost);
+            let out = model.join(a.clone(), b.clone(), cap);
             assert!(out.rows.is_finite(), "cap {cap}: rows {}", out.rows);
             assert!(out.rows <= EST_CAP);
             assert!(out.distinct.values().all(|d| d.is_finite()));
         }
         // NaN cap: `exp2(NaN) = NaN`, `min(NaN, EST_CAP) = EST_CAP` via
         // f64::min's non-NaN preference — pin that it cannot poison.
-        let mut cost = PlanCost::default();
-        let out = model.join(a.clone(), b.clone(), f64::NAN.exp2(), &mut cost);
+        let out = model.join(a.clone(), b.clone(), f64::NAN.exp2());
         assert!(out.rows.is_finite());
     }
 
@@ -642,21 +558,18 @@ mod tests {
                 schema: vec![Var(0), Var(1)],
                 rows: 0,
                 distinct: vec![0, 0],
-                prefix_distinct: vec![0, 0],
             },
             RelationStats {
                 schema: vec![Var(1), Var(2)],
                 rows: 0,
                 distinct: vec![0, 0],
-                prefix_distinct: vec![0, 0],
             },
         ]);
-        let model = CostModel::new(&stats, 2, 1, 0, 1.0);
-        let mut cost = PlanCost::default();
-        let est = model.price_cascade(&[EdgeId(0), EdgeId(1)], &mut cost);
+        let model = CostModel::new(&stats, 2, 1, 1.0);
+        let est = model.bag_est(&[EdgeId(0), EdgeId(1)]);
         assert!(est.rows.is_finite());
         assert_eq!(saturating(est.rows), 0);
-        let proj = model.project(est, &[Var(0)], &mut cost);
+        let proj = model.project(est, &[Var(0)], &mut PlanCost::default());
         assert!(proj.rows.is_finite());
         assert_eq!(model.est_bits(&proj), 0);
     }
@@ -665,16 +578,15 @@ mod tests {
     fn poisoned_corrections_are_sanitised_to_identity() {
         let stats = chain_stats(2, 1000);
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -2.0] {
-            let model = CostModel::new(&stats, 16, 64, 8, bad);
+            let model = CostModel::new(&stats, 16, 64, bad);
             assert_eq!(model.correction, 1.0, "correction {bad} must be dropped");
         }
         // A sane correction is kept and applied multiplicatively at
         // multi-input nodes without escaping the cap.
-        let model = CostModel::new(&stats, 16, 64, 8, 8.0);
+        let model = CostModel::new(&stats, 16, 64, 8.0);
         assert_eq!(model.correction, 8.0);
-        let huge = CostModel::new(&stats, 16, 64, 8, 1e300);
-        let mut cost = PlanCost::default();
-        let est = huge.price_cascade(&[EdgeId(0), EdgeId(1)], &mut cost);
+        let huge = CostModel::new(&stats, 16, 64, 1e300);
+        let est = huge.bag_est(&[EdgeId(0), EdgeId(1)]);
         assert!((est.rows * huge.correction).clamp(0.0, EST_CAP) <= EST_CAP);
     }
 
@@ -686,9 +598,8 @@ mod tests {
             schema: vec![Var(0), Var(1)],
             rows: 1024,
             distinct: vec![4, 1024],
-            prefix_distinct: vec![4, 1024],
         }]);
-        let model = CostModel::new(&stats, 1 << 10, 64, 8, 1.0);
+        let model = CostModel::new(&stats, 1 << 10, 64, 1.0);
         let raw = model.shard_bits(EdgeId(0), 1, &[]);
         let agged = model.shard_bits(EdgeId(0), 1, &[Var(1)]);
         assert_eq!(raw, 1024 * (2 * 10 + 64));

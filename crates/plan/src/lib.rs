@@ -18,14 +18,15 @@
 //!   InputPlacement ───────────────▶│
 //!                                  ▼
 //!                    CostModel::simulate (upward-pass dry run:
-//!                    join probes, push-down sizes, shipped bits)
+//!                    generic-join bags, message folds, push-down
+//!                    sizes, shipped bits)
 //!                                  │  strict-improvement argmin
 //!                                  ▼
-//!                    ChosenPlan { ghd, join_order, cost, candidates }
+//!                    ChosenPlan { ghd, join_order, var_orders, cost, … }
 //! ```
 //!
-//! * [`QueryStats`] / [`StatsDigest`] — per-factor cardinality, distinct
-//!   counts and prefix selectivity, gathered in one kernel pass
+//! * [`QueryStats`] / [`StatsDigest`] — per-factor cardinality and
+//!   distinct counts, gathered in one kernel pass
 //!   ([`faqs_relation::Relation::stats`]), plus the coarse
 //!   scale-invariant digest the `faqs-exec` plan cache keys on.
 //! * [`plan_query_calibrated`] — the one planning door: candidate
@@ -39,9 +40,10 @@
 //!   short-circuits to it without reading any data.
 //!   [`cost_quote_with_stats`] is the one quote: the default's cost.
 //! * [`ChosenPlan`] — the validated GHD plus the per-node factor join
-//!   order consumed by `faqs-core::solve_faq`, the `faqs-exec`
-//!   executor and `DistributedFaqRun`; no consumer derives its own GHD
-//!   or join order any more.
+//!   order and, for every bag of two or more factors, the generic
+//!   join's binding order, consumed by `faqs-core::solve_faq`, the
+//!   `faqs-exec` executor and `DistributedFaqRun`; no consumer derives
+//!   its own GHD, join order or binding order.
 //! * [`choose_aggregation_players`] — the placement-aware
 //!   `argmin Σ bits·distance` choice of per-GHD-node aggregation
 //!   players, shared verbatim by the cost model's predictions and the
@@ -71,7 +73,7 @@ pub use planner::{
     choose_aggregation_players, cost_quote_calibrated, cost_quote_with_stats,
     decomposition_covering_free_vars, decomposition_for_free_vars, ghd_for_query,
     join_order_covers_lambda, join_order_for_ghd, plan_query, plan_query_calibrated,
-    plan_query_placed, pre_agg_candidates, BagOp, CandidateReport, ChosenPlan, PlacementContext,
+    plan_query_placed, pre_agg_candidates, CandidateReport, ChosenPlan, PlacementContext,
     PlannerConfig,
 };
 pub use stats::{MaintainedQueryStats, QueryStats, StatsDigest};
@@ -404,7 +406,7 @@ mod tests {
         // upper estimate for whatever the full search ends up choosing.
         let q = skewed_star_instance(3, 16);
         let cfg = PlannerConfig::stats();
-        let quote = cost_quote_with_stats(&q, &cfg, &QueryStats::of(&q), 1.0).unwrap();
+        let quote = cost_quote_with_stats(&q, &QueryStats::of(&q), 1.0).unwrap();
         assert!(quote.cpu > 0, "a non-trivial instance costs something");
         let plan = plan_query_calibrated(&q, &cfg, None, None, 1.0).unwrap();
         assert_eq!(quote, plan.candidates[0].cost, "quote = default's cost");
@@ -415,11 +417,11 @@ mod tests {
         let stats = QueryStats::of(&star);
         let bad = star.clone().with_aggregate(Var(1), Aggregate::Min);
         assert!(matches!(
-            cost_quote_with_stats(&bad, &cfg, &stats, 1.0),
+            cost_quote_with_stats(&bad, &stats, 1.0),
             Err(EngineError::RefusedAggregate(Var(1), _))
         ));
         let max = star.with_aggregate(Var(1), Aggregate::Max);
-        assert!(cost_quote_with_stats(&max, &cfg, &stats, 1.0).is_ok());
+        assert!(cost_quote_with_stats(&max, &stats, 1.0).is_ok());
         // The three shims `benchmark/` compiles against: a `lattice`
         // argument can only restrict, and the scanning quote validates
         // the listings before it quotes what a fresh scan gathers.
@@ -446,9 +448,8 @@ mod tests {
         // Same core, so same number: from a fresh scan, from maintained
         // statistics after a delta, and under a learned correction.
         let mut q = count_instance(&star_query(3), 5);
-        let cfg = PlannerConfig::default();
         let scanned = |q: &FaqQuery<Count>, correction| {
-            cost_quote_with_stats(q, &cfg, &QueryStats::of(q), correction).unwrap()
+            cost_quote_with_stats(q, &QueryStats::of(q), correction).unwrap()
         };
 
         let mut maintained = MaintainedQueryStats::of(&q);
@@ -459,7 +460,7 @@ mod tests {
         }
         let applied = q.factors[2].apply_delta(&delta);
         maintained.apply(EdgeId(2), &applied);
-        let quote = cost_quote_with_stats(&q, &cfg, &maintained.snapshot(), 1.0).unwrap();
+        let quote = cost_quote_with_stats(&q, &maintained.snapshot(), 1.0).unwrap();
         assert_eq!(quote, scanned(&q, 1.0));
 
         let registry = CalibrationRegistry::forced(f64::INFINITY);
@@ -469,7 +470,7 @@ mod tests {
         }
         let learned = registry.correction(&digest);
         assert!(learned > 2.0);
-        let calibrated = cost_quote_with_stats(&q, &cfg, &maintained.snapshot(), learned).unwrap();
+        let calibrated = cost_quote_with_stats(&q, &maintained.snapshot(), learned).unwrap();
         assert_eq!(calibrated, scanned(&q, learned));
         assert!(calibrated.cpu > quote.cpu);
     }
@@ -477,23 +478,23 @@ mod tests {
     #[test]
     fn stats_taking_quote_checks_structure_but_never_reads_listings() {
         let q = count_instance(&star_query(3), 2);
-        let (cfg, stats) = (PlannerConfig::stats(), QueryStats::of(&q));
+        let stats = QueryStats::of(&q);
         // A value past the domain: full validation finds it, the
         // stats-taking quote leaves it to whoever let the data in.
         let mut narrow = q.clone();
         narrow.domain = 2;
         assert!(narrow.validate().is_err());
-        assert!(cost_quote_with_stats(&narrow, &cfg, &stats, 1.0).is_ok());
+        assert!(cost_quote_with_stats(&narrow, &stats, 1.0).is_ok());
         // The O(k) half still runs: shape defects are rejected.
         let mut unknown_free = q.clone();
         unknown_free.free_vars = vec![Var(99)];
         assert!(matches!(
-            cost_quote_with_stats(&unknown_free, &cfg, &stats, 1.0),
+            cost_quote_with_stats(&unknown_free, &stats, 1.0),
             Err(EngineError::Invalid(_))
         ));
         let min = q.with_aggregate(Var(1), Aggregate::Min);
         assert!(matches!(
-            cost_quote_with_stats(&min, &cfg, &stats, 1.0),
+            cost_quote_with_stats(&min, &stats, 1.0),
             Err(EngineError::RefusedAggregate(Var(1), _))
         ));
     }
@@ -544,34 +545,56 @@ mod tests {
             plan.candidates.iter().any(|c| c.label == "merged core"),
             "the flat-core candidate is in the explain table"
         );
-        let root_op = &plan.bag_ops[plan.ghd.root().index()];
-        match root_op {
-            BagOp::GenericJoin { var_order } => {
-                assert_eq!(var_order, &[Var(0), Var(1), Var(2)]);
-            }
-            BagOp::Cascade => panic!("root bag must be generic join"),
-        }
-
-        // The cascade reference pins the cascade lowering but keeps the
-        // merged-core decomposition search alive.
-        let pinned = PlannerConfig {
-            use_stats: true,
-            use_wcoj: false,
-        };
-        let plan2 = plan_query_calibrated(&q, &pinned, None, None, 1.0).unwrap();
-        assert!(!plan2.uses_generic_join(), "WCOJ disabled ⇒ all cascade");
+        let root = plan.ghd.root().index();
+        assert_eq!(plan.var_orders[root], [Var(0), Var(1), Var(2)]);
         assert!(
-            plan.cost.cpu < plan2.cost.cpu,
-            "generic join predicted cheaper: {} !< {}",
+            plan.cost.cpu < plan.candidates[0].cost.cpu,
+            "generic join predicted cheaper than the default: {} !< {}",
             plan.cost.cpu,
-            plan2.cost.cpu
+            plan.candidates[0].cost.cpu
         );
 
-        // Structural mode is untouched: legacy shape, all-cascade ops.
+        // Structural mode is untouched: legacy shape, one-factor bags.
         let structural =
             plan_query_calibrated(&q, &PlannerConfig::structural(), None, None, 1.0).unwrap();
         assert!(!structural.uses_generic_join());
         assert!(structural.ghd.node(structural.ghd.root()).lambda.is_empty());
+    }
+
+    #[test]
+    fn benchmark_cyclic_fixtures_keep_their_plans() {
+        // The two cyclic instances `exec_scan_suite` solves (before its
+        // relabelling, which keeps their statistics): each plans one
+        // merged generic-join bag, and its predicted cpu and rows are
+        // pinned, so the benchmark's plans cannot move unnoticed.
+        let fixtures = [
+            (
+                faqs_hypergraph::cycle_query(3),
+                3000,
+                209,
+                20,
+                151_852,
+                2640,
+            ),
+            (faqs_hypergraph::cycle_query(4), 700, 79, 21, 102_766, 4900),
+        ];
+        for (h, tuples_per_factor, domain, seed, cpu, rows) in fixtures {
+            let cfg = RandomInstanceConfig {
+                tuples_per_factor,
+                domain,
+                seed,
+            };
+            let q: FaqQuery<Count> = random_instance(&h, &cfg, vec![], |_| Count(1));
+            let plan = plan_query_calibrated(&q, &PlannerConfig::stats(), None, None, 1.0).unwrap();
+            let chosen = plan.candidates.iter().find(|c| c.chosen).unwrap();
+            assert_eq!(chosen.label, "merged core", "{h:?}");
+            let root = plan.ghd.root();
+            assert_eq!(plan.ghd.len(), 1, "{h:?}: one bag");
+            assert_eq!(plan.join_order[root.index()].len(), q.k(), "{h:?}");
+            assert_eq!(plan.var_orders[root.index()].len(), h.num_vars(), "{h:?}");
+            assert_eq!(plan.cost.cpu, cpu, "{h:?}");
+            assert_eq!(plan.node_rows, [rows], "{h:?}");
+        }
     }
 
     /// What the cost model must bind a generic-join bag in: the kept
@@ -621,7 +644,8 @@ mod tests {
                 let plan =
                     plan_query_calibrated(&q, &PlannerConfig::stats(), None, None, 1.0).unwrap();
                 for node in plan.ghd.node_ids() {
-                    if let BagOp::GenericJoin { var_order } = &plan.bag_ops[node.index()] {
+                    let var_order = &plan.var_orders[node.index()];
+                    if !var_order.is_empty() {
                         let bag = &plan.join_order[node.index()];
                         assert_eq!(var_order, &layout_order(&q, &plan.ghd, node, bag));
                         *(if q.free_vars.is_empty() {
@@ -662,14 +686,11 @@ mod tests {
             NodeId(0),
         );
         ghd.validate(&q.hypergraph).unwrap();
-        let stats = QueryStats::of(&q);
-        let model = cost::CostModel::new(&stats, q.domain, 64, 8, 1.0);
-        let order = join_order_for_ghd(&q, &ghd);
-        let (_, ops, _) = model.simulate(&ghd, &order, &q.free_vars, None, true);
+        let orders = planner::binding_orders(&q, &ghd);
         let want = layout_order(&q, &ghd, NodeId(1), &triangle);
         assert_eq!(want, [Var(2), Var(0), Var(1)]);
-        assert_eq!(ops[1], BagOp::GenericJoin { var_order: want });
-        assert_eq!(ops[0], BagOp::Cascade);
+        assert_eq!(orders[1], want);
+        assert!(orders[0].is_empty(), "a one-factor bag binds nothing");
     }
 
     #[test]

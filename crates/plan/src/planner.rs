@@ -27,32 +27,19 @@ pub struct PlannerConfig {
     /// and smallest-first join orders, no data inspection beyond factor
     /// listing sizes.
     pub use_stats: bool,
-    /// Whether multi-factor bags may lower to the worst-case-optimal
-    /// generic join when the cost model prices it below the binary
-    /// cascade. `false` pins every bag to the cascade (the cascade
-    /// reference). Irrelevant in structural mode, which never produces
-    /// multi-factor bags.
-    pub use_wcoj: bool,
 }
 
 impl PlannerConfig {
-    /// Statistics-driven planning with the generic join enabled — the
-    /// default.
+    /// Statistics-driven planning — the default.
     pub fn stats() -> Self {
-        PlannerConfig {
-            use_stats: true,
-            use_wcoj: true,
-        }
+        PlannerConfig { use_stats: true }
     }
 
     /// Pure-structural planning: the width-minimising GYO-GHD, no data
     /// inspection — the structural reference the differential suites
     /// race the default against.
     pub fn structural() -> Self {
-        PlannerConfig {
-            use_stats: false,
-            use_wcoj: false,
-        }
+        PlannerConfig { use_stats: false }
     }
 }
 
@@ -133,37 +120,6 @@ pub fn pre_agg_candidates<S: Semiring>(q: &FaqQuery<S>) -> Vec<Vec<Var>> {
         .collect()
 }
 
-/// How one GHD node materialises its bag from its λ factors — the
-/// per-bag operator choice the cost model makes and every consumer
-/// (engine, executor, incremental maintenance, distributed runtime)
-/// replays verbatim.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum BagOp {
-    /// Binary join cascade in `join_order`: seed with the first factor,
-    /// absorb the rest one indexed join at a time.
-    Cascade,
-    /// One worst-case-optimal multiway pass
-    /// ([`faqs_relation::generic_join`]) binding `var_order` one
-    /// variable at a time — the push-down's layout order: the variables
-    /// the parent's bag sees (ascending; at the root, the free variables
-    /// in declared order), then the private ones ascending, so the whole
-    /// push-down is one scan of trailing columns. Same rows and values
-    /// as the cascade, in a different column order. Chosen when the
-    /// AGM/FD-aware output bound prices it below the cascade's estimated
-    /// intermediates.
-    GenericJoin {
-        /// The variable binding order (also the output schema).
-        var_order: Vec<Var>,
-    },
-}
-
-impl BagOp {
-    /// Whether this is the generic-join lowering.
-    pub fn is_generic_join(&self) -> bool {
-        matches!(self, BagOp::GenericJoin { .. })
-    }
-}
-
 /// One scored candidate — the row of the `plan-explain` table.
 #[derive(Clone, Debug)]
 pub struct CandidateReport {
@@ -192,10 +148,15 @@ pub struct ChosenPlan {
     /// implementation of this ordering — here — and every consumer
     /// (engine, executor, distributed runtime) replays it.
     pub join_order: Vec<Vec<EdgeId>>,
-    /// Per-node operator choice (dense by `NodeId` index): how each
-    /// bag's λ factors materialise. All-[`BagOp::Cascade`] in
-    /// structural mode and when [`PlannerConfig::use_wcoj`] is off.
-    pub bag_ops: Vec<BagOp>,
+    /// Per-node binding order of the one worst-case-optimal pass
+    /// ([`faqs_relation::generic_join`]) that materialises a bag of two
+    /// or more λ factors (dense by `NodeId` index; empty for a bag of
+    /// at most one factor, which is every bag of a structural plan).
+    /// It is also the bag's output schema, in the push-down's layout
+    /// order: the variables the parent's bag sees (ascending; at the
+    /// root, the free variables in declared order), then the private
+    /// ones ascending.
+    pub var_orders: Vec<Vec<Var>>,
     /// Predicted cost of the chosen candidate (zero in structural mode,
     /// which predicts nothing).
     pub cost: PlanCost,
@@ -223,7 +184,7 @@ impl ChosenPlan {
 
     /// Whether any bag lowers to the generic join.
     pub fn uses_generic_join(&self) -> bool {
-        self.bag_ops.iter().any(BagOp::is_generic_join)
+        self.var_orders.iter().any(|o| !o.is_empty())
     }
 }
 
@@ -389,6 +350,46 @@ pub fn join_order_for_ghd<S: Semiring>(q: &FaqQuery<S>, ghd: &Ghd) -> Vec<Vec<Ed
     order
 }
 
+/// [`ChosenPlan::var_orders`] for `ghd`. Binding the kept variables
+/// first (at the root the free ones in declared order, so no closing
+/// reorder) and the private ones last, innermost last, makes a bag
+/// arrive with its whole push-down nest a run of trailing columns, so
+/// no regrouping sort runs.
+pub(crate) fn binding_orders<S: Semiring>(q: &FaqQuery<S>, ghd: &Ghd) -> Vec<Vec<Var>> {
+    let n_nodes = ghd.node_ids().map(|n| n.index()).max().unwrap_or(0) + 1;
+    let mut orders: Vec<Vec<Var>> = vec![Vec::new(); n_nodes];
+    for node in ghd.node_ids() {
+        let lambda = &ghd.node(node).lambda;
+        if lambda.len() < 2 {
+            continue;
+        }
+        let mut bag_vars: Vec<Var> = lambda
+            .iter()
+            .flat_map(|&e| q.hypergraph.edge(e))
+            .copied()
+            .collect();
+        bag_vars.sort_unstable();
+        bag_vars.dedup();
+        let mut var_order: Vec<Var> = match ghd.parent(node) {
+            Some(p) => bag_vars
+                .iter()
+                .copied()
+                .filter(|v| ghd.chi(p).contains(v))
+                .collect(),
+            None => q
+                .free_vars
+                .iter()
+                .copied()
+                .filter(|v| bag_vars.contains(v))
+                .collect(),
+        };
+        bag_vars.retain(|v| !var_order.contains(v));
+        var_order.extend(bag_vars);
+        orders[node.index()] = var_order;
+    }
+    orders
+}
+
 /// Shim for `benchmark/`: [`plan_query_calibrated`] without placement,
 /// precomputed statistics or correction.
 ///
@@ -437,8 +438,8 @@ fn refuse_max_min<S: Semiring>(q: &FaqQuery<S>) -> Result<(), EngineError> {
 }
 
 /// Shim for `benchmark/`: validates the listings, gathers statistics
-/// and quotes them under `calibration`'s correction with the default
-/// planner's operators; `lattice` as in [`plan_query`].
+/// and quotes them under `calibration`'s correction; `lattice` as in
+/// [`plan_query`].
 #[doc(hidden)]
 pub fn cost_quote_calibrated<S: Semiring>(
     q: &FaqQuery<S>,
@@ -452,7 +453,7 @@ pub fn cost_quote_calibrated<S: Semiring>(
         .map_err(|e| EngineError::Invalid(e.to_string()))?;
     let stats = QueryStats::of(q);
     let correction = calibration.correction(&stats.digest());
-    cost_quote_with_stats(q, &PlannerConfig::stats(), &stats, correction)
+    cost_quote_with_stats(q, &stats, correction)
 }
 
 /// The one admission-control quote: the predicted kernel work of
@@ -469,15 +470,11 @@ pub fn cost_quote_calibrated<S: Semiring>(
 /// validation runs ([`FaqQuery::validate_structure`]). The caller
 /// vouches that every listed value is inside `q.domain` — it validated
 /// the instance when it entered and has applied only in-domain deltas
-/// since — and that `stats` describes `q`. Of `cfg` only
-/// [`PlannerConfig::use_wcoj`] matters: the quote simulates regardless
-/// of [`PlannerConfig::use_stats`] (admission control needs a number
-/// even in front of a structural planner), and bags are priced the way
-/// *that* planner lowers them, so the quote is for the plan the
-/// caller's executor will run.
+/// since — and that `stats` describes `q`. The quote is the same under
+/// every [`PlannerConfig`]: admission control needs a number even in
+/// front of a structural planner.
 pub fn cost_quote_with_stats<S: Semiring>(
     q: &FaqQuery<S>,
-    cfg: &PlannerConfig,
     stats: &QueryStats,
     correction: f64,
 ) -> Result<PlanCost, EngineError> {
@@ -487,16 +484,8 @@ pub fn cost_quote_with_stats<S: Semiring>(
         "one stats entry per factor"
     );
     let (ghd, order) = validated_default(q, FaqQuery::validate_structure)?;
-    let model = CostModel::new(
-        stats,
-        q.domain,
-        S::value_bits(),
-        S::WIRE_VALUE_BYTES,
-        correction,
-    );
-    Ok(model
-        .simulate(&ghd, &order, &q.free_vars, None, cfg.use_wcoj)
-        .0)
+    let model = CostModel::new(stats, q.domain, S::value_bits(), correction);
+    Ok(model.simulate(&ghd, &order, None).0)
 }
 
 /// What every planning and quoting door establishes before anything is
@@ -556,7 +545,6 @@ pub fn plan_query_calibrated<S: Semiring>(
     let (default_ghd, default_order) = validated_default(q, FaqQuery::validate)?;
 
     if !cfg.use_stats {
-        let n_nodes = default_ghd.node_ids().map(|n| n.index()).max().unwrap_or(0) + 1;
         return Ok(ChosenPlan {
             candidates: vec![CandidateReport {
                 label: "structural default".into(),
@@ -565,7 +553,7 @@ pub fn plan_query_calibrated<S: Semiring>(
                 chosen: true,
             }],
             join_order: default_order,
-            bag_ops: vec![BagOp::Cascade; n_nodes],
+            var_orders: binding_orders(q, &default_ghd),
             cost: PlanCost::default(),
             stats_aware: false,
             node_rows: Vec::new(),
@@ -582,21 +570,9 @@ pub fn plan_query_calibrated<S: Semiring>(
             &gathered
         }
     };
-    let model = CostModel::new(
-        stats,
-        q.domain,
-        S::value_bits(),
-        S::WIRE_VALUE_BYTES,
-        correction,
-    );
+    let model = CostModel::new(stats, q.domain, S::value_bits(), correction);
     let placed = placement.is_some();
-    let (default_cost, default_ops, default_rows) = model.simulate(
-        &default_ghd,
-        &default_order,
-        &q.free_vars,
-        placement,
-        cfg.use_wcoj,
-    );
+    let (default_cost, default_rows) = model.simulate(&default_ghd, &default_order, placement);
     let mut candidates = vec![CandidateReport {
         label: "structural default".into(),
         y: default_ghd.internal_count(),
@@ -612,11 +588,10 @@ pub fn plan_query_calibrated<S: Semiring>(
         default_order,
         default_cost,
         0usize,
-        default_ops,
         default_rows,
     );
 
-    type Best = (Ghd, Vec<Vec<EdgeId>>, PlanCost, usize, Vec<BagOp>, Vec<u64>);
+    type Best = (Ghd, Vec<Vec<EdgeId>>, PlanCost, usize, Vec<u64>);
     let consider = |ghd: Ghd,
                     label: String,
                     candidates: &mut Vec<CandidateReport>,
@@ -635,7 +610,7 @@ pub fn plan_query_calibrated<S: Semiring>(
             return;
         }
         let order = join_order_for_ghd(q, &ghd);
-        let (cost, ops, rows) = model.simulate(&ghd, &order, &q.free_vars, placement, cfg.use_wcoj);
+        let (cost, rows) = model.simulate(&ghd, &order, placement);
         candidates.push(CandidateReport {
             label,
             y: ghd.internal_count(),
@@ -645,7 +620,7 @@ pub fn plan_query_calibrated<S: Semiring>(
         // Strict improvement only: ties keep the default, so uniform
         // instances plan exactly as the structural planner did.
         if cost.key(placed) < best.2.key(placed) {
-            *best = (ghd, order, cost, candidates.len() - 1, ops, rows);
+            *best = (ghd, order, cost, candidates.len() - 1, rows);
         }
     };
 
@@ -706,12 +681,12 @@ pub fn plan_query_calibrated<S: Semiring>(
         c.chosen = i == chosen_idx;
     }
     Ok(ChosenPlan {
+        var_orders: binding_orders(q, &best.0),
         ghd: best.0,
         join_order: best.1,
-        bag_ops: best.4,
         cost: best.2,
         stats_aware: true,
-        node_rows: best.5,
+        node_rows: best.4,
         correction: model.correction(),
         candidates,
     })

@@ -378,8 +378,8 @@ impl<'a, S: Semiring> DistributedFaqRun<'a, S> {
     /// row) to Model 2.1 bits (`r·⌈log₂D⌉ + value_bits`) over the
     /// arities this query can ship, and `header` covers each frame's
     /// fixed-plus-schema prefix. Exact closed forms from
-    /// [`faqs_relation::frame_bytes`] — the same function the codec and
-    /// the planner price with.
+    /// [`faqs_relation::frame_bytes`] — the same function the codec
+    /// sizes its frames with.
     pub fn wire_conformance(&self, report: &ConformanceReport, wire: WireStats) -> WireConformance {
         let log_d = (32 - self.q.domain.saturating_sub(1).leading_zeros()).max(1) as u64;
         let vb = S::value_bits();
@@ -463,8 +463,8 @@ impl<'a, S: Semiring> DistributedFaqRun<'a, S> {
     fn node_players(&self, shards: &[Vec<(Player, Relation<S>)>]) -> Vec<Player> {
         let mut node_shards: Vec<Vec<(Player, u64)>> = vec![Vec::new(); self.plan.slots()];
         for node in self.plan.ghd.node_ids() {
-            for step in self.plan.joins(node) {
-                for (p, rel) in &shards[step.edge.index()] {
+            for &e in self.plan.joins(node) {
+                for (p, rel) in &shards[e.index()] {
                     node_shards[node.index()].push((*p, rel.bits(self.q.domain)));
                 }
             }
@@ -611,14 +611,10 @@ impl<S: Semiring, T: Transport + ?Sized> PassSite<S> for Routed<'_, '_, S, T> {
         let me = self.node_player[node.index()];
         let mut ready = 0u64;
         let mut gathered = Vec::new();
-        for step in pass.plan.joins(node) {
-            let (factor, arrived) = self.run.gather_factor(
-                step.edge,
-                me,
-                self.transport,
-                self.shards,
-                self.packings,
-            )?;
+        for &e in pass.plan.joins(node) {
+            let (factor, arrived) =
+                self.run
+                    .gather_factor(e, me, self.transport, self.shards, self.packings)?;
             ready = ready.max(arrived);
             gathered.push(Cow::Owned(factor));
         }

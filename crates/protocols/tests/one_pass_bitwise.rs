@@ -3,9 +3,9 @@
 //! different orders disagree in the last place. Every evaluator is a
 //! site of `faqs_core::Pass`, which folds in `QueryPlan::children`
 //! order; this pins that they all return the identical `f64`. So do the
-//! lowerings of one bag: the generic join and the cascade hand the
-//! push-down different column orders, and it folds every group in the
-//! same order regardless.
+//! binding orders of one generic-join bag: they hand the push-down
+//! different column orders, and it folds every group in the same order
+//! regardless.
 
 use faqs_core::{
     solve_faq, solve_faq_brute_force, solve_faq_reference, solve_faq_with_plan, QueryPlan,
@@ -13,7 +13,7 @@ use faqs_core::{
 use faqs_exec::{Executor, IncrementalFaq, MaintenanceMode, PlanCache};
 use faqs_hypergraph::{path_query, star_query, EdgeId, Ghd, GhdNode, Hypergraph, NodeId, Var};
 use faqs_network::{ChannelTransport, Player, SimTransport, Topology};
-use faqs_plan::{join_order_for_ghd, plan_query_calibrated, BagOp, ChosenPlan, PlannerConfig};
+use faqs_plan::{join_order_for_ghd, plan_query_calibrated, ChosenPlan, PlannerConfig};
 use faqs_protocols::{DistributedFaqRun, InputPlacement};
 use faqs_relation::{random_instance, FaqQuery, RandomInstanceConfig, Relation};
 use faqs_semiring::{Aggregate, Count, Prob, Semiring};
@@ -91,10 +91,10 @@ fn non_dyadic_pendant_triangle(free: Vec<Var>) -> FaqQuery<Prob> {
     })
 }
 
-/// One plan for it: the triangle merged into the root bag, lowered by
-/// `root_op`, with the pendant edge as its child — so a message folds
+/// One plan for it: the triangle merged into the root bag, bound in
+/// `var_order`, with the pendant edge as its child — so a message folds
 /// into the cyclic bag before the push-down.
-fn pendant_triangle_plan(q: &FaqQuery<Prob>, root_op: BagOp) -> ChosenPlan {
+fn pendant_triangle_plan(q: &FaqQuery<Prob>, var_order: Vec<Var>) -> ChosenPlan {
     let node = |chi: &[u32], lambda: &[u32], parent| GhdNode {
         chi: chi.iter().map(|&v| Var(v)).collect(),
         lambda: lambda.iter().map(|&e| EdgeId(e)).collect(),
@@ -108,7 +108,7 @@ fn pendant_triangle_plan(q: &FaqQuery<Prob>, root_op: BagOp) -> ChosenPlan {
     plan.ghd = Ghd::from_nodes(bags, NodeId(0));
     plan.ghd.validate(&q.hypergraph).unwrap();
     plan.join_order = join_order_for_ghd(q, &plan.ghd);
-    plan.bag_ops = vec![root_op, BagOp::Cascade];
+    plan.var_orders = vec![var_order, Vec::new()];
     plan
 }
 
@@ -117,39 +117,26 @@ fn every_lowering_of_a_cyclic_bag_returns_the_same_bits() {
     for free in [vec![], vec![Var(1)], vec![Var(2), Var(0)]] {
         let q = non_dyadic_pendant_triangle(free);
         // The planner's binding order (kept, then private ascending:
-        // pinned in `faqs-plan`), the cascade, and a generic join bound
-        // in the cascade's concatenation order, which the push-down
-        // must regroup.
+        // pinned in `faqs-plan`), and the factors' concatenation order,
+        // which the push-down must regroup.
         let bound = |v: &Var| !q.is_free(*v);
         let private = [Var(0), Var(1), Var(2)].into_iter().filter(bound);
         let layout: Vec<Var> = q.free_vars.iter().copied().chain(private).collect();
-        let cascade = pendant_triangle_plan(&q, BagOp::Cascade);
+        let join_order = pendant_triangle_plan(&q, Vec::new()).join_order;
         let mut concatenation: Vec<Var> = Vec::new();
-        for v in cascade.join_order[0]
-            .iter()
-            .flat_map(|&e| q.factor(e).schema())
-        {
+        for v in join_order[0].iter().flat_map(|&e| q.factor(e).schema()) {
             if !concatenation.contains(v) {
                 concatenation.push(*v);
             }
         }
-        let lowerings = [
-            ("generic join", BagOp::GenericJoin { var_order: layout }),
-            ("cascade", BagOp::Cascade),
-            (
-                "regrouped",
-                BagOp::GenericJoin {
-                    var_order: concatenation,
-                },
-            ),
-        ];
+        let lowerings = [("layout", layout), ("regrouped", concatenation)];
 
         let rows = |r: &Relation<Prob>| -> Vec<(Vec<u32>, u64)> {
             r.iter().map(|(t, v)| (t.to_vec(), v.0.to_bits())).collect()
         };
         let mut want: Option<Relation<Prob>> = None;
-        for (lowering, root_op) in lowerings {
-            let plan = pendant_triangle_plan(&q, root_op);
+        for (lowering, var_order) in lowerings {
+            let plan = pendant_triangle_plan(&q, var_order);
             let lowered = QueryPlan::lower(&q, plan.clone());
             let got = [
                 solve_faq_with_plan(&q, &plan),
@@ -205,7 +192,7 @@ fn a_leaf_regrouped_on_its_first_column_folds_in_layout_order() {
         plan.ghd = Ghd::from_nodes(bags, NodeId(0));
         plan.ghd.validate(&q.hypergraph).unwrap();
         plan.join_order = join_order_for_ghd(&q, &plan.ghd);
-        plan.bag_ops = vec![BagOp::Cascade; 4];
+        plan.var_orders = vec![Vec::new(); 4];
         let lowered = QueryPlan::lower(&q, plan.clone());
         assert_eq!(lowered.children(NodeId(0)), [NodeId(1), NodeId(2)]);
 

@@ -71,15 +71,6 @@ impl BcqBuilder {
         self.relation_from_tuples(e, values.into_iter().map(|a| vec![a]))
     }
 
-    /// Fills edge `e` with the complete relation `[0, domain)^r` (the
-    /// `[N] × {1}`-style paddings of the lower-bound constructions use a
-    /// restricted variant of this).
-    pub fn relation_full(&mut self, e: usize) -> &mut Self {
-        let schema = self.hypergraph.edge(EdgeId(e as u32)).to_vec();
-        self.factors[e] = Relation::full(schema, self.domain);
-        self
-    }
-
     /// Finalises the BCQ instance (`F = ∅`).
     pub fn finish(&mut self) -> FaqQuery<Boolean> {
         let q = FaqQuery::new_ss(
@@ -127,15 +118,5 @@ mod tests {
     fn pairs_require_binary_edges() {
         let h = example_h0();
         BcqBuilder::new(&h, 4).relation_from_pairs(0, [(0, 0)]);
-    }
-
-    #[test]
-    fn full_relation_builder() {
-        let h = star_query(2);
-        let q = BcqBuilder::new(&h, 3)
-            .relation_full(0)
-            .relation_full(1)
-            .finish();
-        assert_eq!(q.factor(faqs_hypergraph::EdgeId(0)).len(), 9);
     }
 }

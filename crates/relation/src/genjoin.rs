@@ -45,19 +45,18 @@
 //! candidate binding: a merge step per entry of the lists that meet, a
 //! `seek` per entry of the shorter list when they are lopsided. Tries
 //! are transient: built per call, dropped with it, nothing cached on
-//! [`Relation`]. The sweep is what the planner's cost model already
-//! charges a generic-join bag (`prep = Σ r·(log₂ r + 1)` per factor in
-//! `faqs-plan`'s `CostModel::simulate`), and the cascade pays the same
-//! order per factor in `build_index`, so it changes no plan. It is also
+//! [`Relation`]. The sweep is what the planner's cost model charges a
+//! generic-join bag (`prep = Σ r·(log₂ r + 1)` per factor in
+//! `faqs-plan`'s `CostModel::simulate`). It is also
 //! the one thing a cursor galloping over the raw arenas skipped:
 //! joining 20 rows against two 200 000-row factors (domain 2 000, 99
 //! rows out) takes 1.0 ms here against 23–29 µs for such a cursor — all
 //! of it the sweep — while bags whose output is not dwarfed by their
 //! inputs run 1.4–2.4× faster than it did (the benchmark suite's
 //! triangle 1 140 → 500 µs, its 4-cycle 1 740 → 720 µs, a 50 000-row
-//! triangle 45 → 25 ms, `K4` on 2 000-row edges 16.5 → 11.3 ms). A bag
-//! that lopsided is one the planner hands to the cascade; there is no
-//! size-switched second kernel for it.
+//! triangle 45 → 25 ms, `K4` on 2 000-row edges 16.5 → 11.3 ms). This
+//! is the one bag kernel: there is no size-switched second kernel, and
+//! no second lowering, for a lopsided bag.
 //!
 //! **Bit-identity with the cascade.** At full depth the annotation is
 //! the left-fold `(…(v₀ ⊗ v₁) ⊗ v₂…)` over the factors *in slice

@@ -208,9 +208,10 @@ pub(crate) fn compact_zeros<S: Semiring>(arity: usize, data: &mut Vec<u32>, valu
 ///
 /// Built once per factor (O(n log n), or O(n) when the key is a schema
 /// prefix of the already-sorted arena) and reused across every probe:
-/// the Yannakakis passes build one index per factor per pass, and the
-/// cascade over a multi-factor bag indexes each factor once per join
-/// (child messages are never indexed: [`Relation::fold_keyed`] scans).
+/// the incremental inverse path indexes each stored relation it joins a
+/// delta with, batching each factor it restricts. The upward pass never
+/// indexes: a multi-factor bag is one generic join over per-call tries,
+/// and child messages fold by [`Relation::fold_keyed`]'s scan.
 ///
 /// The index is self-contained (it copies the group keys out of the
 /// relation), so it stays valid even if the indexed relation is later
@@ -861,56 +862,6 @@ pub(crate) fn aggregate_nest<S: Semiring>(
     fold.finish()
 }
 
-/// Galloping (exponential + binary) search: the least `i ≥ lo` with
-/// `row(i) ≥ target`, over a sorted arena.
-fn gallop<S: Semiring>(rel: &Relation<S>, mut lo: usize, target: &[u32]) -> usize {
-    let n = rel.len();
-    if lo >= n || rel.tuple_at(lo) >= target {
-        return lo;
-    }
-    let mut step = 1usize;
-    let mut hi = lo + 1;
-    while hi < n && rel.tuple_at(hi) < target {
-        lo = hi;
-        step <<= 1;
-        hi = (lo + step).min(n);
-    }
-    // Invariant: row(lo) < target ≤ row(hi) (or hi == n).
-    while hi - lo > 1 {
-        let mid = lo + (hi - lo) / 2;
-        if rel.tuple_at(mid) < target {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    hi
-}
-
-/// Pointwise `⊗`-product of two same-schema relations by a galloping
-/// merge over the two sorted arenas (tuple intersection).
-pub(crate) fn merge_product<S: Semiring>(a: &Relation<S>, b: &Relation<S>) -> Relation<S> {
-    let mut out = Relation::new(a.schema().to_vec());
-    let (out_data, out_values) = out.parts_mut();
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        match a.tuple_at(i).cmp(b.tuple_at(j)) {
-            Ordering::Less => i = gallop(a, i, b.tuple_at(j)),
-            Ordering::Greater => j = gallop(b, j, a.tuple_at(i)),
-            Ordering::Equal => {
-                let prod = a.value_at(i).mul(b.value_at(j));
-                if !prod.is_zero() {
-                    out_data.extend_from_slice(a.tuple_at(i));
-                    out_values.push(prod);
-                }
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out
-}
-
 /// Signed three-way merge `base ⊕ plus ⊖ minus` over three same-schema
 /// sorted arenas, in one linear pass. Absent tuples count as zero on
 /// every side (a `minus` hit on an absent tuple asks the semiring to
@@ -1325,14 +1276,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn gallop_finds_first_geq() {
-        let r = rel(&[0], &[(&[1], 1), (&[3], 1), (&[5], 1), (&[9], 1)]);
-        assert_eq!(gallop(&r, 0, &[0]), 0);
-        assert_eq!(gallop(&r, 0, &[3]), 1);
-        assert_eq!(gallop(&r, 0, &[4]), 2);
-        assert_eq!(gallop(&r, 0, &[10]), 4);
     }
 }

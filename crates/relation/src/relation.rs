@@ -444,15 +444,6 @@ impl<S: Semiring> Relation<S> {
         kernel::semijoin_via(self, other, &idx)
     }
 
-    /// Pointwise `⊗`-product of two relations over the *same* schema
-    /// (tuple intersection): the combine step of the distributed star
-    /// protocol (Algorithm 1 step 5 / Algorithm 3 step 10). A galloping
-    /// merge over the two sorted arenas.
-    pub fn product_same_schema(&self, other: &Relation<S>) -> Relation<S> {
-        assert_eq!(self.schema, other.schema, "schemas must match");
-        kernel::merge_product(self, other)
-    }
-
     /// Maps every annotation through `f`, dropping entries that map to
     /// zero. Order-preserving — only the annotation column is rebuilt.
     pub fn map_values(&self, mut f: impl FnMut(&S) -> S) -> Relation<S> {
@@ -766,15 +757,6 @@ mod tests {
         let result = r.semijoin(&s).semijoin(&t).semijoin(&u);
         assert_eq!(result.len(), 1);
         assert!(result.get(&[3]).is_some());
-    }
-
-    #[test]
-    fn product_same_schema_intersects() {
-        let r = count_rel(&[0, 1], &[(&[1, 1], 2), (&[2, 2], 3)]);
-        let s = count_rel(&[0, 1], &[(&[1, 1], 10), (&[3, 3], 1)]);
-        let p = r.product_same_schema(&s);
-        assert_eq!(p.len(), 1);
-        assert_eq!(p.get(&[1, 1]), Some(&Count(20)));
     }
 
     #[test]

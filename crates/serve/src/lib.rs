@@ -17,8 +17,8 @@
 //!   nothing.
 //! * **Cost-based admission control**: every submit is priced with
 //!   `faqs-plan`'s [`faqs_plan::cost_quote_with_stats`] from the
-//!   version's published statistics, under the executor's planner
-//!   configuration (memoised per epoch).
+//!   version's published statistics, under the executor's learned
+//!   correction (memoised per epoch).
 //!   Cheap point queries bypass the queue and run on the submitting
 //!   thread; quotes above [`ServeConfig::cost_budget`] are rejected
 //!   with [`ServeError::TooExpensive`] before any join work happens.

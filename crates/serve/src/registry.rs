@@ -234,8 +234,7 @@ impl<S: Semiring> Registry<S> {
 }
 
 /// Prices one version from its published statistics under the
-/// executor's calibration state and planner configuration — the plan
-/// that executor will run — remembering the digest and correction it
+/// executor's calibration state, remembering the digest and correction it
 /// was priced with so later freshness checks stay O(1). No pass over
 /// the factors: see the module docs for why the listings need no
 /// re-validation here.
@@ -249,12 +248,7 @@ fn price<S: Semiring>(
     Ok(QuoteMemo {
         epoch,
         correction,
-        cost: cost_quote_with_stats(
-            &version.template,
-            &executor.planner_config(),
-            &version.stats,
-            correction,
-        )?,
+        cost: cost_quote_with_stats(&version.template, &version.stats, correction)?,
         digest,
     })
 }

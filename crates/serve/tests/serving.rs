@@ -55,7 +55,7 @@ fn scanned_quote(
 ) -> faqs_plan::PlanCost {
     let stats = faqs_plan::QueryStats::of(q);
     let correction = registry.correction(&stats.digest());
-    faqs_plan::cost_quote_with_stats(q, &Default::default(), &stats, correction).unwrap()
+    faqs_plan::cost_quote_with_stats(q, &stats, correction).unwrap()
 }
 
 #[test]
@@ -647,12 +647,10 @@ fn out_of_domain_deltas_are_refused_and_change_nothing() {
     ));
 }
 
-/// Admission prices under the server's own `PlannerConfig`, handed to
-/// the planner explicitly — the default planner and the cascade
-/// reference both.
-/// (Today the quote prices the structural default GHD, whose bags hold
-/// one factor each, so the two lowerings agree on every quote's value;
-/// this pins the plumbing, for the day a quoted bag has a choice.)
+/// Admission prices the same quote whatever the server's executor
+/// plans with: the quote simulates the structural default GHD, whose
+/// bags hold one factor each, under the stats-driven and the
+/// structural planner alike.
 #[test]
 fn admission_prices_under_the_servers_own_planner() {
     use faqs_plan::{cost_quote_with_stats, PlannerConfig, QueryStats};
@@ -668,18 +666,14 @@ fn admission_prices_under_the_servers_own_planner() {
         |_| Count(1),
     );
     let stats = QueryStats::of(&q);
-    for use_wcoj in [true, false] {
-        let planner = PlannerConfig {
-            use_stats: true,
-            use_wcoj,
-        };
+    for planner in [PlannerConfig::stats(), PlannerConfig::structural()] {
         let server =
             FaqServer::with_executor(ServeConfig::default(), Executor::with_planner(planner));
         let shape = server.register(q.clone(), Var(0)).unwrap();
         assert_eq!(
             server.quote(shape).unwrap().0,
-            cost_quote_with_stats(&q, &planner, &stats, 1.0).unwrap(),
-            "use_wcoj = {use_wcoj}"
+            cost_quote_with_stats(&q, &stats, 1.0).unwrap(),
+            "{planner:?}"
         );
     }
 }

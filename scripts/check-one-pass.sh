@@ -7,21 +7,26 @@
 # schedule for the pass (ROADMAP item 3b, issue 22), one profile scan
 # per relation state (ROADMAP items 6(i) / 7(c), issue 24), a library
 # that reads no environment (ROADMAP item 3d, issue 25) and the
-# `unwrap` / `expect` ratchet (ROADMAP item 5f).
+# `unwrap` / `expect` ratchet (ROADMAP item 5f), plus one operator per
+# GHD bag.
 #
 # Fails when more than one non-test source file under
-# crates/{core,exec,protocols}/src lowers a bag by BagOp (destructures
-# `BagOp::GenericJoin`) or calls `generic_join(`: the Theorem G.3
-# skeleton in faqs-core is the only place allowed to. Fails, too, when a
+# crates/{core,exec,protocols}/src calls `generic_join(`: the Theorem
+# G.3 skeleton in faqs-core is the only place that materialises a bag.
+# Fails, too, when a
 # non-test, non-comment line there uses the single-variable
 # `aggregate_out` outside the independent
 # oracles (core/src/brute.rs, protocols/src/degenerate.rs): the pass
 # pushes a whole nest down with `aggregate_out_many`, and a per-variable
-# loop must not come back beside it. Fails, too, unless the non-test,
-# non-comment part of crates/core/src/pass.rs holds exactly one
-# `build_index(` — the cascade's, over a multi-factor bag: a node
-# multiplies its child messages in with one `fold_keyed` scan, and a
-# per-message index must not come back beside it. Fails, too, when a
+# loop must not come back beside it. Fails, too, when the non-test,
+# non-comment part of crates/core/src/pass.rs calls `build_index(` or
+# `join_indexed(`: every bag of two or more factors is one generic-join
+# pass, a node multiplies its child messages in with one `fold_keyed`
+# scan, and neither an index-join cascade nor a per-message index may
+# come back beside them. Fails, too, when a non-test, non-comment line
+# under src/ or crates/*/src names `use_wcoj`, `BagOp` or `JoinStep`:
+# the second bag lowering, its operator enum and its planner knob are
+# gone. Fails, too, when a
 # non-test, non-comment line of crates/protocols/src/distributed.rs calls
 # `best_delta(`: the run packs each member set once (`DeltaPackings`)
 # and asks it per factor; a per-factor re-packing must not come back.
@@ -78,7 +83,7 @@ for crate in "${crates[@]}"; do
     while IFS= read -r file; do
         n=$(nontest_lines "$file")
         lines=$((lines + n))
-        if head -n "$n" "$file" | grep -Eq 'BagOp::GenericJoin[[:space:]]*\{|(^|[^_[:alnum:]])generic_join\('; then
+        if head -n "$n" "$file" | grep -Eq '(^|[^_[:alnum:]])generic_join\('; then
             sites+=("$file")
         fi
         if [[ " ${oracles[*]} " != *" $file "* ]] && head -n "$n" "$file" |
@@ -94,6 +99,7 @@ printf '%-10s %5d non-test src lines\n' total "$total"
 
 workspace=0
 twins=()
+lowerings=()
 threaded=()
 scans=()
 readers=()
@@ -119,6 +125,9 @@ while IFS= read -r file; do
     if grep -Eq '_lattice\b|\bAggFn\b|\bLatticeOps\b' <<<"$code"; then
         twins+=("$file")
     fi
+    if grep -Eq '\b(use_wcoj|BagOp|JoinStep)\b' <<<"$code"; then
+        lowerings+=("$file")
+    fi
     count=$(grep -Ec '\blattice:' <<<"$code" || true)
     if [ "$file" = "$shims" ]; then
         count=$((count > 3 ? count - 3 : 0))
@@ -131,7 +140,12 @@ printf '%-10s %5d non-test, non-comment src lines with an unwrap/expect\n' works
 printf 'bag-lowering sites: %d\n' "${#sites[@]}"
 printf '  %s\n' "${sites[@]}"
 if [ "${#sites[@]}" -ne 1 ]; then
-    echo "expected exactly one file to lower bags by BagOp" >&2
+    echo "expected exactly one file to call generic_join(" >&2
+    exit 1
+fi
+if [ "${#lowerings[@]}" -ne 0 ]; then
+    printf 'a second bag lowering (use_wcoj / BagOp / JoinStep) is back:\n' >&2
+    printf '  %s\n' "${lowerings[@]}" >&2
     exit 1
 fi
 if [ "${#per_variable[@]}" -ne 0 ]; then
@@ -154,11 +168,10 @@ if [ "$flags" -ne 0 ]; then
     exit 1
 fi
 pass=crates/core/src/pass.rs
-indexes=$(head -n "$(nontest_lines "$pass")" "$pass" |
+if head -n "$(nontest_lines "$pass")" "$pass" |
     grep -Ev '^[[:space:]]*//' |
-    grep -o 'build_index(' | wc -l)
-if [ "$indexes" -ne 1 ]; then
-    echo "$pass builds $indexes indexes: one for the cascade, none per message (fold_keyed)" >&2
+    grep -En 'build_index\(|join_indexed\(' >&2; then
+    echo "$pass joins through an index: bags are one generic_join, messages fold in one fold_keyed scan" >&2
     exit 1
 fi
 runtime=crates/protocols/src/distributed.rs

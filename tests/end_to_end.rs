@@ -390,7 +390,7 @@ fn illegal_aggregates_are_refused_not_answered() {
         plan_query_calibrated(&q, &cfg, None, None, 1.0)
             .unwrap_err()
             .to_string(),
-        cost_quote_with_stats(&q, &cfg, &stats, 1.0)
+        cost_quote_with_stats(&q, &stats, 1.0)
             .unwrap_err()
             .to_string(),
         server.register(q.clone(), x(0)).unwrap_err().to_string(),
