@@ -836,3 +836,33 @@ pub fn ablation_width() {
         ]);
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    // Smoke-test every experiment at tiny sizes: they must run without
+    // panicking (their assertions double as correctness checks).
+    #[test]
+    fn experiments_run() {
+        e1_table1(16);
+        e2_figures();
+        e3_examples(&[16]);
+        e4_lowerbounds(10, 2);
+        e5_mcm(usize::MAX);
+        e7_shannon();
+        e8_gap_sweep(16);
+        e9_mpc(32);
+        e10_set_intersection(64);
+        e11_faq_general(8);
+        e12_hash_split(16);
+        e15_distributed(16);
+        e16_plan_explain(16);
+        ablation_width();
+    }
+
+    #[test]
+    fn entropy_experiment_runs() {
+        e6_entropy();
+    }
+}
