@@ -297,6 +297,7 @@ pub fn e4_lowerbounds(n_universe: u32, trials: u64) {
                 "✗ MISMATCH".to_string()
             },
         ]);
+        assert_eq!(ok, 2 * trials as usize, "{label}: BCQ ⇔ TRIBES mismatch");
     };
 
     let star = example_h1();
@@ -493,6 +494,7 @@ pub fn e7_shannon() {
                 "NO ✗".to_string()
             },
         ]);
+        assert!(c.induction_fails(), "N = {n}, α = {alpha}: induction holds");
     }
 }
 
@@ -628,6 +630,7 @@ pub fn e11_faq_general(n: usize) {
             out.predicted_rounds.to_string(),
             agree.to_string(),
         ]);
+        assert!(agree, "Count on {}: protocol ≠ engine", g.name());
         // Probability semiring, factor marginal (F = e0).
         let free = h2.edge(EdgeId(0)).to_vec();
         let qp: FaqQuery<Prob> =
@@ -643,6 +646,7 @@ pub fn e11_faq_general(n: usize) {
             out.predicted_rounds.to_string(),
             agree.to_string(),
         ]);
+        assert!(agree, "Prob on {}: protocol ≠ engine", g.name());
     }
 }
 
@@ -678,6 +682,7 @@ pub fn e12_hash_split(n: usize) {
             whole.rounds.to_string(),
             (split.answer == whole.answer).to_string(),
         ]);
+        assert_eq!(split.answer, whole.answer, "|K| = {k}: split ≠ whole");
     }
 }
 
@@ -725,6 +730,7 @@ pub fn e15_distributed(n: usize) {
                 rep.upper_bits.to_string(),
                 rep.conforms().to_string(),
             ]);
+            assert!(rep.conforms(), "{} / {label}: outside the bounds", g.name());
         }
     }
 }

@@ -16,11 +16,10 @@
 
 use crate::plan::QueryPlan;
 use faqs_hypergraph::NodeId;
-use faqs_plan::{CalibrationLog, CalibrationRegistry, Envelope, StatsDigest};
+use faqs_plan::{CalibrationLog, CalibrationRegistry, StatsDigest};
 use faqs_relation::{generic_join, FaqQuery, Relation};
 use faqs_semiring::Semiring;
 use std::borrow::Cow;
-use std::cell::Cell;
 use std::convert::Infallible;
 
 /// A relation and the round at whose end it is complete where it is
@@ -33,7 +32,7 @@ pub struct Pass<'a, S: Semiring> {
     pub q: &'a FaqQuery<S>,
     /// The plan, built for `q`'s shape.
     pub plan: &'a QueryPlan,
-    /// The fold observer; `None` records nothing and never re-orders.
+    /// The fold observer; `None` records nothing.
     pub probe: Option<&'a CalProbe<'a>>,
 }
 
@@ -156,15 +155,7 @@ impl<S: Semiring> Pass<'_, S> {
         let mut messages = site.children(self, node)?;
         let (mut acc, mut ready) = site.bag(self, node)?;
 
-        // Messages multiply in child order; once the probe flags drift,
-        // the remaining folds of the pass go smallest-actual-first (the
-        // sort is stable: ties stay in child order). `⊗`-folds commute,
-        // so only which message drops a row first — the thing the stale
-        // plan mispriced — changes.
-        if let Some(probe) = self.probe.filter(|p| messages.len() >= 2 && p.drifted()) {
-            probe.note_replan();
-            messages.sort_by_key(|(message, _)| message.len());
-        }
+        // Messages multiply in child order.
         ready = messages.iter().fold(ready, |r, (_, at)| r.max(*at));
         if acc.is_none() && !messages.is_empty() {
             // A factorless synthetic root has no bag: its first message is it.
@@ -235,18 +226,15 @@ pub fn finish_root<S: Semiring>(
     }
 }
 
-/// The fold observer of one pass: the plan's predicted rows, the
-/// shape's envelope, the telemetry log, and the sticky drift flag the
-/// fold points consult. Nothing reaches the registry until
-/// [`Pass::run`] succeeds.
+/// The fold observer of one pass: the plan's predicted rows and the
+/// telemetry log the fold points record into. It only records: the
+/// pass folds in plan order whatever it sees, and nothing reaches the
+/// registry until [`Pass::run`] succeeds.
 pub struct CalProbe<'a> {
     registry: &'a CalibrationRegistry,
     digest: &'a StatsDigest,
-    envelope: Envelope,
     node_rows: &'a [u64],
     log: CalibrationLog,
-    replans: Cell<u64>,
-    drift: Cell<bool>,
 }
 
 impl<'a> CalProbe<'a> {
@@ -260,40 +248,22 @@ impl<'a> CalProbe<'a> {
         registry.is_enabled().then(|| CalProbe {
             registry,
             digest,
-            envelope: registry.envelope(digest),
             node_rows: plan.node_rows(),
             log: CalibrationLog::new(),
-            replans: Cell::new(0),
-            drift: Cell::new(false),
         })
     }
 
-    /// Records one fold point's predicted-vs-actual pair and raises the
-    /// sticky drift flag when the sample leaves the shape's envelope.
+    /// Records one fold point's predicted-vs-actual pair.
     fn observe(&self, node: usize, actual: usize) {
         let Some(&predicted) = self.node_rows.get(node) else {
             return; // structural plan: nothing was predicted
         };
-        let actual = actual as u64;
-        self.log.record(node, predicted, actual);
-        if !self.envelope.contains(predicted, actual) {
-            self.drift.set(true);
-        }
-    }
-
-    /// Whether any sample so far left the envelope.
-    fn drifted(&self) -> bool {
-        self.drift.get()
-    }
-
-    fn note_replan(&self) {
-        self.replans.set(self.replans.get() + 1);
+        self.log.record(node, predicted, actual as u64);
     }
 
     /// Hands the pass's telemetry to the registry.
     fn flush(&self) {
         self.registry.absorb(self.digest, &self.log);
-        self.registry.record_replans(self.replans.get());
     }
 }
 
@@ -408,7 +378,7 @@ mod tests {
             let plan = QueryPlan::lower(&q, chosen);
             assert_eq!(plan.uses_generic_join(), generic, "{h:?}");
 
-            let registry = CalibrationRegistry::forced(f64::INFINITY);
+            let registry = CalibrationRegistry::new();
             let digest = QueryStats::of(&q).digest();
             let probe = CalProbe::new(&registry, &digest, &plan).unwrap();
             let pass = Pass {

@@ -41,11 +41,10 @@ impl ExecutorConfig {
 ///
 /// Every execution also *teaches* the planner: fold points record
 /// predicted-vs-actual cardinalities into the executor's
-/// [`CalibrationRegistry`], repeated shapes re-plan under the learned
-/// per-shape correction, and an in-flight pass whose actuals leave the
-/// shape's error envelope re-orders its remaining message folds
-/// smallest-actual-first (the folds are commutative, so any order is a
-/// safe swap point). [`CalibrationRegistry::off`] pins all of it off.
+/// [`CalibrationRegistry`], and repeated shapes re-plan under the
+/// learned per-shape correction. A running pass folds in plan order;
+/// only the next plan of the shape reads what it taught.
+/// [`CalibrationRegistry::off`] pins all of it off.
 #[derive(Default)]
 pub struct Executor {
     planner: PlannerConfig,
@@ -73,8 +72,7 @@ impl Executor {
 
     /// Replaces the calibration registry — shares one learning session
     /// across executors (a serving pool, an incremental maintainer), or
-    /// injects [`CalibrationRegistry::forced`]/`off` in tests and
-    /// benches.
+    /// injects [`CalibrationRegistry::off`] in tests and benches.
     pub fn with_calibration(mut self, calibration: Arc<CalibrationRegistry>) -> Self {
         self.calibration = calibration;
         self
@@ -85,8 +83,7 @@ impl Executor {
         &self.calibration
     }
 
-    /// Calibration counters (shapes learned, samples absorbed,
-    /// mid-flight re-plans triggered).
+    /// Calibration counters (shapes learned, samples absorbed).
     pub fn calibration_stats(&self) -> CalibrationStats {
         self.calibration.stats()
     }
@@ -99,9 +96,9 @@ impl Executor {
 
     /// Runs the upward pass on an explicitly supplied (possibly stale
     /// or deliberately mis-estimated) plan, bypassing the cache but
-    /// keeping calibration telemetry and mid-flight re-planning live —
-    /// the entry point the forced-drift tests drive. The plan must have
-    /// been built for `q`'s shape.
+    /// keeping calibration telemetry live — the entry point the
+    /// stale-plan and cross-site tests drive. The plan must have been
+    /// built for `q`'s shape.
     pub fn solve_on<S: Semiring>(
         &self,
         q: &FaqQuery<S>,
@@ -174,7 +171,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 mod tests {
     use super::*;
     use faqs_core::solve_faq;
-    use faqs_hypergraph::{example_h2, star_query, Var};
+    use faqs_hypergraph::{example_h2, star_query};
     use faqs_plan::{plan_query_calibrated, CalibrationLog};
     use faqs_relation::{random_instance, RandomInstanceConfig};
     use faqs_semiring::{Aggregate, Count};
@@ -242,7 +239,7 @@ mod tests {
     #[test]
     fn calibration_absorbs_samples_on_repeated_shapes() {
         let ex = Executor::with_planner(PlannerConfig::stats())
-            .with_calibration(Arc::new(CalibrationRegistry::forced(f64::INFINITY)));
+            .with_calibration(Arc::new(CalibrationRegistry::new()));
         let q = inst(2);
         let expected = solve_faq(&q).unwrap();
         for _ in 0..4 {
@@ -251,49 +248,6 @@ mod tests {
         let stats = ex.calibration_stats();
         assert_eq!(stats.shapes, 1, "one digest, one learned shape");
         assert!(stats.samples > 0, "fold points recorded telemetry");
-        assert_eq!(stats.replans, 0, "an infinite envelope never drifts");
-    }
-
-    /// A spider: hub variable with three 2-hop legs. Each leg's hub bag
-    /// folds its own factor plus the tip's message (≥2 inputs → it
-    /// *observes*), and the root folds three leg messages — the shape
-    /// where drift raised mid-pass can still re-order remaining work.
-    fn spider(tuples: usize) -> FaqQuery<Count> {
-        let mut h = faqs_hypergraph::Hypergraph::new(7);
-        for leg in 0..3u32 {
-            h.add_edge([Var(0), Var(1 + 2 * leg)]); // hub—mid
-            h.add_edge([Var(1 + 2 * leg), Var(2 + 2 * leg)]); // mid—tip
-        }
-        random_instance(
-            &h,
-            &RandomInstanceConfig {
-                tuples_per_factor: tuples,
-                domain: 8,
-                seed: 11,
-            },
-            vec![],
-            |_| Count(1),
-        )
-    }
-
-    #[test]
-    fn forced_drift_replans_without_changing_the_answer() {
-        // A stale plan: built from a sparse instance of the shape, run
-        // against a dense one. The leg bags' actuals leave the
-        // zero-width envelope long before the root folds its three
-        // messages, so the sticky drift flag re-orders that fold — and
-        // the answer must not move.
-        let stale = stats_plan(&spider(4));
-        let q = spider(48);
-        let expected = solve_faq(&q).unwrap();
-        let ex = Executor::with_planner(PlannerConfig::stats())
-            .with_calibration(Arc::new(CalibrationRegistry::forced(0.0)));
-        assert_eq!(ex.solve_on(&q, &stale).unwrap(), expected);
-        let stats = ex.calibration_stats();
-        assert!(
-            stats.replans > 0,
-            "out-of-envelope actuals must force a mid-flight re-plan"
-        );
     }
 
     #[test]
@@ -303,7 +257,7 @@ mod tests {
         let q = inst(4);
         assert_eq!(ex.solve(&q).unwrap(), solve_faq(&q).unwrap());
         let stats = ex.calibration_stats();
-        assert_eq!((stats.shapes, stats.samples, stats.replans), (0, 0, 0));
+        assert_eq!((stats.shapes, stats.samples), (0, 0));
     }
 
     #[test]
@@ -311,11 +265,9 @@ mod tests {
         // Seed the registry with a large correction for the shape, then
         // solve twice: the first call rebuilds the (previously cached)
         // plan under the learned correction, the second hits it — the
-        // `correction_fresh` hysteresis stops rebuild churn. The
-        // infinite-envelope registry learns corrections but never
-        // triggers a mid-flight re-plan.
+        // `correction_fresh` hysteresis stops rebuild churn.
         let ex = Executor::with_planner(PlannerConfig::stats())
-            .with_calibration(Arc::new(CalibrationRegistry::forced(f64::INFINITY)));
+            .with_calibration(Arc::new(CalibrationRegistry::new()));
         let q = inst(6);
         let expected = solve_faq(&q).unwrap();
         assert_eq!(ex.solve(&q).unwrap(), expected);
@@ -336,7 +288,7 @@ mod tests {
     #[test]
     fn solve_on_runs_telemetry_against_a_supplied_plan() {
         let ex = Executor::with_planner(PlannerConfig::stats())
-            .with_calibration(Arc::new(CalibrationRegistry::forced(0.0)));
+            .with_calibration(Arc::new(CalibrationRegistry::new()));
         let q = inst(8);
         let plan = stats_plan(&q);
         assert_eq!(ex.solve_on(&q, &plan).unwrap(), solve_faq(&q).unwrap());

@@ -373,7 +373,6 @@ impl<S: Semiring> IncrementalFaq<S> {
         self.counters.plan_rebuilds += 1;
         if !drifted {
             self.counters.calibration_replans += 1;
-            calibration.record_replans(1);
         }
         let plan = self
             .cache
@@ -782,7 +781,7 @@ mod tests {
             vec![],
             |_| Count(1),
         );
-        let registry = Arc::new(CalibrationRegistry::forced(f64::INFINITY));
+        let registry = Arc::new(CalibrationRegistry::new());
         let mut faq = IncrementalFaq::with_cache(
             q.clone(),
             Arc::new(PlanCache::new()),
@@ -915,7 +914,7 @@ mod tests {
             vec![],
             |_| Count(1),
         );
-        let registry = Arc::new(CalibrationRegistry::forced(f64::INFINITY));
+        let registry = Arc::new(CalibrationRegistry::new());
         let mut faq = IncrementalFaq::with_cache(
             q.clone(),
             Arc::new(PlanCache::new()),
@@ -977,7 +976,7 @@ mod tests {
         let mut faq = IncrementalFaq::new(q).unwrap();
         faq.insert(EdgeId(0), &[3, 3], Count(1)).unwrap();
         let s = faq.calibration().stats();
-        assert_eq!((s.shapes, s.samples, s.replans), (0, 0, 0));
+        assert_eq!((s.shapes, s.samples), (0, 0));
         assert_eq!(faq.counters().calibration_replans, 0);
     }
 

@@ -1,5 +1,5 @@
-//! Self-calibration: predicted-vs-actual telemetry, per-shape
-//! correction factors, and the statistical error envelope.
+//! Self-calibration: predicted-vs-actual telemetry and per-shape
+//! correction factors.
 //!
 //! The cost model's GLV-style independence estimates are systematically
 //! biased on real data — correlated columns make joins denser than the
@@ -12,37 +12,26 @@
 //! multiplicative correction (`exp2` of the mean `log₂(actual /
 //! predicted)` ratio) back into `CostModel::simulate` the next time the
 //! shape is planned. Repeated shapes therefore get progressively better
-//! estimates without any change to the estimator itself.
-//!
-//! The registry also fits an **error envelope** per shape: a sample
-//! whose log-ratio lands outside `mean ± half_width` is evidence the
-//! running plan was built on estimates that are wrong *for this
-//! instance*, and the executor re-plans the remaining message folds
-//! mid-flight (a safe swap point — the `⊗`-fold over child messages is
-//! order-independent). The half-width follows the concentration-bound
-//! recipe of the graph-dependence literature (Zhang, *When Janson meets
-//! McDiarmid*): a floor of 2 (estimates within 4× are noise, not
-//! drift), plus `3σ` of the observed log-ratio spread, plus a `4/√n`
-//! small-sample widening so a barely-seen shape does not trigger
-//! re-plans off two lucky samples. Unseen shapes get a wide default
-//! (`2^±6` = 64×).
+//! estimates without any change to the estimator itself. Telemetry
+//! never steers a running pass: it folds its messages in plan order and
+//! only the next plan of the shape reads what it taught.
 //!
 //! Everything here is scoped: a registry belongs to one
 //! [`Executor`](../faqs_exec/struct.Executor.html) / session /
 //! distributed run, never to the process, so tests and co-resident
 //! servers cannot pollute each other's corrections. A caller that wants
 //! the pre-calibration engine bit for bit builds
-//! [`CalibrationRegistry::off`]: corrections stay at `1.0`, no telemetry
-//! is kept, and no mid-flight re-plan ever triggers.
+//! [`CalibrationRegistry::off`]: corrections stay at `1.0` and no
+//! telemetry is kept.
 
 use crate::stats::StatsDigest;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
-/// Log-ratios are clamped here before entering the Welford
-/// accumulator: one `predicted = 0` vs `actual = 10⁶` outlier must not
-/// drag a shape's mean beyond any future sample's reach.
+/// Log-ratios are clamped here before entering the running mean: one
+/// `predicted = 0` vs `actual = 10⁶` outlier must not drag a shape's
+/// mean beyond any future sample's reach.
 const LOG_RATIO_CLAMP: f64 = 32.0;
 
 /// Corrections are clamped to `2^±8` (256×): the estimator is never
@@ -50,13 +39,6 @@ const LOG_RATIO_CLAMP: f64 = 32.0;
 /// could otherwise re-saturate estimates the cost model carefully caps
 /// (the PR 6 NaN-cost bug class).
 const CORRECTION_CLAMP_LOG2: f64 = 8.0;
-
-/// The envelope floor: estimates within `4×` of reality are estimator
-/// noise, not drift worth re-planning over.
-const ENVELOPE_FLOOR_LOG2: f64 = 2.0;
-
-/// Envelope half-width for shapes with no samples yet: `2^±6` (64×).
-const DEFAULT_HALF_WIDTH_LOG2: f64 = 6.0;
 
 /// One predicted-vs-actual cardinality pair from an executor fold
 /// point.
@@ -129,28 +111,17 @@ pub fn correction_fresh(built: f64, current: f64) -> bool {
         < 1.0
 }
 
-/// Welford running mean/variance over one shape's log-ratios.
+/// The running mean of one shape's log-ratios.
 #[derive(Clone, Copy, Debug, Default)]
 struct ShapeCalibration {
     n: u64,
     mean: f64,
-    m2: f64,
 }
 
 impl ShapeCalibration {
     fn push(&mut self, log_ratio: f64) {
         self.n += 1;
-        let d = log_ratio - self.mean;
-        self.mean += d / self.n as f64;
-        self.m2 += d * (log_ratio - self.mean);
-    }
-
-    fn std(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            (self.m2 / (self.n - 1) as f64).max(0.0).sqrt()
-        }
+        self.mean += (log_ratio - self.mean) / self.n as f64;
     }
 
     fn correction(&self) -> f64 {
@@ -162,33 +133,6 @@ impl ShapeCalibration {
                 .exp2()
         }
     }
-
-    fn half_width(&self) -> f64 {
-        if self.n == 0 {
-            DEFAULT_HALF_WIDTH_LOG2
-        } else {
-            ENVELOPE_FLOOR_LOG2.max(3.0 * self.std() + 4.0 / (self.n as f64).sqrt())
-        }
-    }
-}
-
-/// A shape's error envelope in `log₂(actual / predicted)` space: a
-/// sample is *in envelope* iff its log-ratio lies within
-/// `center ± half_width`. Samples outside it are drift — evidence the
-/// running plan's estimates are wrong for this instance.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Envelope {
-    /// The shape's mean log-ratio (`0` when unseen).
-    pub center_log2: f64,
-    /// Half-width around the center (see the module docs for the fit).
-    pub half_width_log2: f64,
-}
-
-impl Envelope {
-    /// Whether `(predicted, actual)` lies inside this envelope.
-    pub fn contains(&self, predicted: u64, actual: u64) -> bool {
-        (log2_ratio(predicted, actual) - self.center_log2).abs() <= self.half_width_log2
-    }
 }
 
 /// Point-in-time calibration counters.
@@ -198,20 +142,16 @@ pub struct CalibrationStats {
     pub shapes: usize,
     /// Total predicted-vs-actual samples absorbed.
     pub samples: u64,
-    /// Mid-flight re-plans triggered by out-of-envelope samples.
-    pub replans: u64,
 }
 
-/// The per-session calibration state: per-shape correction factors and
-/// envelopes, learned from absorbed telemetry. One registry per
-/// executor / serving session / distributed run — never process-global.
+/// The per-session calibration state: per-shape correction factors,
+/// learned from absorbed telemetry. One registry per executor / serving
+/// session / distributed run — never process-global.
 #[derive(Debug)]
 pub struct CalibrationRegistry {
     shapes: Mutex<HashMap<StatsDigest, ShapeCalibration>>,
     samples: AtomicU64,
-    replans: AtomicU64,
     enabled: bool,
-    default_half_width: f64,
 }
 
 impl Default for CalibrationRegistry {
@@ -223,31 +163,20 @@ impl Default for CalibrationRegistry {
 impl CalibrationRegistry {
     /// A fresh, enabled registry.
     pub fn new() -> Self {
-        Self::build(true, DEFAULT_HALF_WIDTH_LOG2)
+        Self::build(true)
     }
 
-    /// A registry that never learns, never corrects and never flags
-    /// drift — the pre-calibration engine.
+    /// A registry that never learns and never corrects — the
+    /// pre-calibration engine.
     pub fn off() -> Self {
-        Self::build(false, DEFAULT_HALF_WIDTH_LOG2)
+        Self::build(false)
     }
 
-    /// A registry enabled with this default envelope half-width — for
-    /// tests and benches that must drive the calibrated paths
-    /// deterministically (`0.0` puts every sample on an unseen shape out
-    /// of envelope, forcing a mid-flight re-plan at the first fold
-    /// point).
-    pub fn forced(default_half_width_log2: f64) -> Self {
-        Self::build(true, default_half_width_log2.max(0.0))
-    }
-
-    fn build(enabled: bool, default_half_width: f64) -> Self {
+    fn build(enabled: bool) -> Self {
         CalibrationRegistry {
             shapes: Mutex::new(HashMap::new()),
             samples: AtomicU64::new(0),
-            replans: AtomicU64::new(0),
             enabled,
-            default_half_width,
         }
     }
 
@@ -280,40 +209,6 @@ impl CalibrationRegistry {
         lock(&self.shapes).get(digest).map_or(0, |s| s.n)
     }
 
-    /// The error envelope for `digest` (the wide default for unseen
-    /// shapes).
-    pub fn envelope(&self, digest: &StatsDigest) -> Envelope {
-        let map = lock(&self.shapes);
-        match map.get(digest) {
-            Some(s) if s.n > 0 => Envelope {
-                center_log2: s.mean,
-                half_width_log2: s.half_width().min(self.default_half_width.max(
-                    // A forced-narrow default also narrows seen shapes;
-                    // the fitted width never widens past the default's
-                    // own regime unless the data demands it.
-                    ENVELOPE_FLOOR_LOG2.min(self.default_half_width),
-                )),
-            },
-            _ => Envelope {
-                center_log2: 0.0,
-                half_width_log2: self.default_half_width,
-            },
-        }
-    }
-
-    /// Absorbs one predicted-vs-actual pair for `digest`. No-op when
-    /// disabled.
-    pub fn observe(&self, digest: &StatsDigest, predicted: u64, actual: u64) {
-        if !self.enabled {
-            return;
-        }
-        lock(&self.shapes)
-            .entry(digest.clone())
-            .or_default()
-            .push(log2_ratio(predicted, actual));
-        self.samples.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Drains a per-plan log into `digest`'s shape. No-op when
     /// disabled.
     pub fn absorb(&self, digest: &StatsDigest, log: &CalibrationLog) {
@@ -333,20 +228,11 @@ impl CalibrationRegistry {
         self.samples.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Counts mid-flight re-plan events (the executor calls this once
-    /// per reordered fold).
-    pub fn record_replans(&self, n: u64) {
-        if n > 0 {
-            self.replans.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
     /// Current counters.
     pub fn stats(&self) -> CalibrationStats {
         CalibrationStats {
             shapes: lock(&self.shapes).len(),
             samples: self.samples.load(Ordering::Relaxed),
-            replans: self.replans.load(Ordering::Relaxed),
         }
     }
 }
@@ -375,26 +261,30 @@ mod tests {
         QueryStats::of(&skewed_star_instance(4, 8)).digest()
     }
 
+    /// Absorbs `n` copies of one predicted-vs-actual pair the way a
+    /// pass does: through a [`CalibrationLog`].
+    fn absorb(reg: &CalibrationRegistry, d: &StatsDigest, n: usize, predicted: u64, actual: u64) {
+        let log = CalibrationLog::new();
+        for _ in 0..n {
+            log.record(0, predicted, actual);
+        }
+        reg.absorb(d, &log);
+    }
+
     #[test]
-    fn unseen_shapes_are_uncorrected_and_wide() {
-        let reg = CalibrationRegistry::forced(DEFAULT_HALF_WIDTH_LOG2);
+    fn unseen_shapes_are_uncorrected() {
+        let reg = CalibrationRegistry::new();
         let d = digest();
         assert_eq!(reg.correction(&d), 1.0);
-        let env = reg.envelope(&d);
-        assert_eq!(env.center_log2, 0.0);
-        assert!(env.contains(100, 100));
-        assert!(env.contains(100, 6_000), "63× off is inside the default");
-        assert!(!env.contains(100, 10_000), "100× off is out of envelope");
+        assert_eq!(reg.samples_for(&d), 0);
     }
 
     #[test]
     fn corrections_track_the_mean_log_ratio() {
-        let reg = CalibrationRegistry::forced(DEFAULT_HALF_WIDTH_LOG2);
+        let reg = CalibrationRegistry::new();
         let d = digest();
         // The model consistently over-estimates 4×: actual = predicted/4.
-        for _ in 0..8 {
-            reg.observe(&d, 4096, 1024);
-        }
+        absorb(&reg, &d, 8, 4096, 1024);
         let c = reg.correction(&d);
         assert!((c - 0.25).abs() < 1e-9, "correction must be ~0.25, got {c}");
         // A different shape is untouched.
@@ -406,58 +296,27 @@ mod tests {
 
     #[test]
     fn corrections_are_clamped_and_finite() {
-        let reg = CalibrationRegistry::forced(DEFAULT_HALF_WIDTH_LOG2);
+        let reg = CalibrationRegistry::new();
         let d = digest();
         // Absurd outliers, including zero predictions.
-        reg.observe(&d, 0, u64::MAX);
-        reg.observe(&d, 0, u64::MAX);
+        absorb(&reg, &d, 2, 0, u64::MAX);
         let c = reg.correction(&d);
         assert!(c.is_finite() && c > 0.0);
         assert!(c <= CORRECTION_CLAMP_LOG2.exp2(), "clamped at 2^8, got {c}");
-        let env = reg.envelope(&d);
-        assert!(env.center_log2.is_finite() && env.half_width_log2.is_finite());
-    }
-
-    #[test]
-    fn envelope_narrows_with_consistent_samples_and_floors_at_4x() {
-        let reg = CalibrationRegistry::forced(DEFAULT_HALF_WIDTH_LOG2);
-        let d = digest();
-        for _ in 0..100 {
-            reg.observe(&d, 1000, 1000); // perfectly calibrated shape
-        }
-        let env = reg.envelope(&d);
-        assert!(
-            (env.half_width_log2 - ENVELOPE_FLOOR_LOG2).abs() < 0.5,
-            "zero-variance shape sits at the floor, got {}",
-            env.half_width_log2
-        );
-        assert!(env.contains(1000, 3900), "within 4×: noise");
-        assert!(!env.contains(1000, 5000), "beyond 4×: drift");
-    }
-
-    #[test]
-    fn forced_zero_envelope_flags_everything() {
-        let reg = CalibrationRegistry::forced(0.0);
-        let env = reg.envelope(&digest());
-        assert!(!env.contains(100, 101), "forced drift for the tests");
-        assert!(env.contains(100, 100), "exact match still in envelope");
     }
 
     #[test]
     fn off_registry_is_inert() {
         let reg = CalibrationRegistry::off();
         let d = digest();
-        reg.observe(&d, 1, 1_000_000);
-        let log = CalibrationLog::new();
-        log.record(0, 1, 1_000_000);
-        reg.absorb(&d, &log);
+        absorb(&reg, &d, 1, 1, 1_000_000);
         assert_eq!(reg.correction(&d), 1.0);
         assert_eq!(reg.stats(), CalibrationStats::default());
     }
 
     #[test]
     fn absorb_drains_the_log() {
-        let reg = CalibrationRegistry::forced(DEFAULT_HALF_WIDTH_LOG2);
+        let reg = CalibrationRegistry::new();
         let log = CalibrationLog::new();
         log.record(0, 100, 200);
         log.record(1, 100, 200);
@@ -478,6 +337,7 @@ mod tests {
         assert!(!correction_fresh(1.0, 0.5));
         assert!(!correction_fresh(0.25, 1.0));
         // Degenerate inputs stay total.
-        assert!(!correction_fresh(0.0, 1.0) || correction_fresh(0.0, 1.0));
+        assert!(!correction_fresh(0.0, 1.0));
+        assert!(correction_fresh(0.0, 0.0));
     }
 }

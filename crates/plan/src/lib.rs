@@ -65,7 +65,6 @@ mod validate;
 
 pub use calibration::{
     correction_fresh, CalibrationLog, CalibrationRegistry, CalibrationSample, CalibrationStats,
-    Envelope,
 };
 pub use cost::PlanCost;
 pub use error::EngineError;
@@ -463,11 +462,13 @@ mod tests {
         let quote = cost_quote_with_stats(&q, &maintained.snapshot(), 1.0).unwrap();
         assert_eq!(quote, scanned(&q, 1.0));
 
-        let registry = CalibrationRegistry::forced(f64::INFINITY);
+        let registry = CalibrationRegistry::new();
         let digest = maintained.snapshot().digest();
+        let log = CalibrationLog::new();
         for _ in 0..8 {
-            registry.observe(&digest, 4, 64);
+            log.record(0, 4, 64);
         }
+        registry.absorb(&digest, &log);
         let learned = registry.correction(&digest);
         assert!(learned > 2.0);
         let calibrated = cost_quote_with_stats(&q, &maintained.snapshot(), learned).unwrap();

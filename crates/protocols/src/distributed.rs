@@ -939,7 +939,7 @@ mod tests {
         let g = Topology::ring(4);
         let players: Vec<Player> = (0..4).map(Player).collect();
         let placement = InputPlacement::hash_split(q.k(), &players, Player(0));
-        let registry = Arc::new(CalibrationRegistry::forced(f64::INFINITY));
+        let registry = Arc::new(CalibrationRegistry::new());
         let run = DistributedFaqRun::new_with(&q, &g, placement, 1, &PlannerConfig::stats())
             .unwrap()
             .with_calibration(Arc::clone(&registry));

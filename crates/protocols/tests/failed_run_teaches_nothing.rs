@@ -84,7 +84,7 @@ fn a_run_that_dies_on_the_wire_feeds_no_samples() {
     let holders = (0..4).map(|p| vec![Player(p)]).collect();
     let placement = InputPlacement::new(holders, Player(3));
     let run = |fail_at: usize| {
-        let registry = Arc::new(CalibrationRegistry::forced(f64::INFINITY));
+        let registry = Arc::new(CalibrationRegistry::new());
         let run =
             DistributedFaqRun::new_with(&q, &g, placement.clone(), 1, &PlannerConfig::stats())
                 .unwrap()

@@ -352,7 +352,7 @@ fn admission_quotes_track_learned_corrections() {
 
     let q = template(11);
     let digest = QueryStats::of(&q).digest();
-    let registry = Arc::new(CalibrationRegistry::forced(f64::INFINITY));
+    let registry = Arc::new(CalibrationRegistry::new());
     let server = FaqServer::with_executor(
         ServeConfig {
             cost_budget: 0,
@@ -406,7 +406,7 @@ fn published_stats_and_quotes_track_every_epoch_exactly() {
     use std::sync::Arc;
 
     const DOMAIN: u32 = 8;
-    let registry = Arc::new(CalibrationRegistry::forced(f64::INFINITY));
+    let registry = Arc::new(CalibrationRegistry::new());
     let server = FaqServer::with_executor(
         ServeConfig::default(),
         Executor::default().with_calibration(Arc::clone(&registry)),
@@ -501,7 +501,7 @@ fn same_epoch_repricing_lands_on_the_calibrated_quote() {
 
     let q = template(11);
     let digest = QueryStats::of(&q).digest();
-    let registry = Arc::new(CalibrationRegistry::forced(f64::INFINITY));
+    let registry = Arc::new(CalibrationRegistry::new());
     let server = FaqServer::with_executor(
         ServeConfig::default(),
         Executor::default().with_calibration(Arc::clone(&registry)),

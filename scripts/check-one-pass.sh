@@ -8,7 +8,7 @@
 # per relation state (ROADMAP items 6(i) / 7(c), issue 24), a library
 # that reads no environment (ROADMAP item 3d, issue 25) and the
 # `unwrap` / `expect` ratchet (ROADMAP item 5f), plus one operator per
-# GHD bag.
+# GHD bag and one fold order per plan (ROADMAP item 5d).
 #
 # Fails when more than one non-test source file under
 # crates/{core,exec,protocols}/src calls `generic_join(`: the Theorem
@@ -62,6 +62,10 @@
 # (issue 25). Fails, too, when more than `max_unwraps` of the workspace's
 # non-test, non-comment lines call `unwrap` / `expect` (ROADMAP item 5f:
 # the count can only fall — lower the ratchet with it).
+# Fails, too, when a non-test, non-comment line under src/ or
+# crates/*/src names `Envelope`, `record_replans` or `note_replan`, or
+# defines `fn forced`: a node folds its messages in plan order, and the
+# calibration envelope with its mid-flight re-order must not come back.
 # Also prints the non-test src/ line
 # total of those three crates and of the whole workspace (src/ +
 # crates/*/src) — per file, the lines before the first `#[cfg(test)]` —
@@ -103,6 +107,7 @@ lowerings=()
 threaded=()
 scans=()
 readers=()
+reorders=()
 flags=0
 unwraps=0
 shims=crates/plan/src/planner.rs
@@ -121,6 +126,9 @@ while IFS= read -r file; do
     fi
     if grep -Eq 'env::vars?(_os)?\b|FAQS_' <<<"$code"; then
         readers+=("$file")
+    fi
+    if grep -Eq '\b(Envelope|record_replans|note_replan|fn forced)\b' <<<"$code"; then
+        reorders+=("$file")
     fi
     if grep -Eq '_lattice\b|\bAggFn\b|\bLatticeOps\b' <<<"$code"; then
         twins+=("$file")
@@ -208,5 +216,10 @@ fi
 if [ "${#readers[@]}" -ne 0 ]; then
     printf 'the library reads the environment (env::var / env::vars / FAQS_*):\n' >&2
     printf '  %s\n' "${readers[@]}" >&2
+    exit 1
+fi
+if [ "${#reorders[@]}" -ne 0 ]; then
+    printf 'the calibration envelope or its mid-flight re-order is back (Envelope / record_replans / note_replan / fn forced):\n' >&2
+    printf '  %s\n' "${reorders[@]}" >&2
     exit 1
 fi
