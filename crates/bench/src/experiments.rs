@@ -273,7 +273,7 @@ pub fn e4_lowerbounds(n_universe: u32, trials: u64) {
     banner("E4 · TRIBES ⇒ BCQ reductions (Lemma 4.3, Thm 4.4, Thm F.8)");
     header(&["embedding", "H", "pairs m", "equivalence checks", "status"]);
     let check = |label: &str,
-                 h: &Hypergraph,
+                 name: &str,
                  embed: &dyn Fn(&Tribes) -> Option<faqs_lowerbounds::Embedding>,
                  m: usize| {
         let mut ok = 0;
@@ -288,7 +288,7 @@ pub fn e4_lowerbounds(n_universe: u32, trials: u64) {
         }
         row(&[
             label.to_string(),
-            format!("{h:?}").chars().take(28).collect(),
+            name.to_string(),
             m.to_string(),
             format!("{ok}/{}", 2 * trials),
             if ok == 2 * trials as usize {
@@ -303,25 +303,25 @@ pub fn e4_lowerbounds(n_universe: u32, trials: u64) {
     let star = example_h1();
     check(
         "forest (4.3)",
-        &star,
+        "example_h1",
         &|t| embed_forest(&star, t),
         forest_capacity(&star),
     );
     let tree = tree_query(2, 3);
     check(
         "forest (4.3)",
-        &tree,
+        "tree(2,3)",
         &|t| embed_forest(&tree, t),
         forest_capacity(&tree),
     );
     let cyc = faqs_hypergraph::cycle_query(5);
-    check("core/cycles (4.4)", &cyc, &|t| embed_core(&cyc, t), 1);
+    check("core/cycles (4.4)", "cycle(5)", &|t| embed_core(&cyc, t), 1);
     let grid = faqs_hypergraph::grid_query(3, 3);
-    check("core/IS (4.4)", &grid, &|t| embed_core(&grid, t), 2);
+    check("core/IS (4.4)", "grid(3,3)", &|t| embed_core(&grid, t), 2);
     let h2 = example_h2();
     check(
         "hypergraph (F.8)",
-        &h2,
+        "example_h2",
         &|t| embed_hypergraph(&h2, t),
         hypergraph_capacity(&h2),
     );
@@ -335,10 +335,10 @@ pub fn e4_lowerbounds(n_universe: u32, trials: u64) {
         "measured/LB",
         "cut bits (≥ m·N·log N)",
     ]);
-    for (h, g) in [
-        (example_h1(), Topology::line(4)),
-        (tree_query(2, 2), Topology::line(6)),
-        (tree_query(2, 2), Topology::barbell(3, 1)),
+    for (name, h, g) in [
+        ("example_h1", example_h1(), Topology::line(4)),
+        ("tree(2,2)", tree_query(2, 2), Topology::line(6)),
+        ("tree(2,2)", tree_query(2, 2), Topology::barbell(3, 1)),
     ] {
         let cap = forest_capacity(&h);
         // Dense sets: the Ω(m·N) hardness is against the universe size,
@@ -353,7 +353,7 @@ pub fn e4_lowerbounds(n_universe: u32, trials: u64) {
         assert_eq!(out.answer, t.eval());
         let lb = bcq_lower_bound(&e.query.hypergraph, &g, &k, e.query.n_max() as u64);
         row(&[
-            format!("{h:?}").chars().take(24).collect::<String>(),
+            name.to_string(),
             g.name().to_string(),
             out.rounds.to_string(),
             lb.rounds.to_string(),
@@ -743,15 +743,14 @@ pub fn e15_distributed(n: usize) {
 /// its predicted kernel work, predicted shipped bits (for the placed
 /// skewed run), and the chosen plan.
 pub fn e16_plan_explain(n: usize) {
-    use faqs_plan::{plan_query_calibrated, PlacementContext, PlannerConfig};
+    use faqs_plan::{plan_query_calibrated, PlacementContext};
 
     banner("E16 · Cost-based planner — candidate tables (plan-explain)");
 
     let print_plan = |label: &str, plan: &faqs_plan::ChosenPlan| {
         println!(
-            "{label}: {} candidate(s), stats_aware = {}, kept default = {}",
+            "{label}: {} candidate(s), kept default = {}",
             plan.candidates.len(),
-            plan.stats_aware,
             plan.chose_default()
         );
         header(&[
@@ -780,16 +779,14 @@ pub fn e16_plan_explain(n: usize) {
     // Uniform hard instance: every candidate ties, the default wins —
     // the determinism the pinned distributed schedules rely on.
     let uniform = faqs_relation::irreducible_star_instance(4, n as u32);
-    let plan =
-        plan_query_calibrated(&uniform, &PlannerConfig::stats(), None, None, 1.0).expect("plan");
+    let plan = plan_query_calibrated(&uniform, None, None, 1.0).expect("plan");
     assert!(plan.chose_default(), "uniform star must keep the default");
     print_plan("irreducible_star (uniform)", &plan);
 
     // Skewed instance, local cost: the planner must re-root away from
     // the n²-row leaf.
     let skewed = faqs_relation::skewed_star_instance(4, (n as u32).clamp(8, 32));
-    let plan =
-        plan_query_calibrated(&skewed, &PlannerConfig::stats(), None, None, 1.0).expect("plan");
+    let plan = plan_query_calibrated(&skewed, None, None, 1.0).expect("plan");
     assert!(
         !plan.chose_default(),
         "skew must beat the structural default"
@@ -807,8 +804,7 @@ pub fn e16_plan_explain(n: usize) {
             .collect(),
         Player(3),
     );
-    let plan = plan_query_calibrated(&skewed, &PlannerConfig::stats(), Some(&ctx), None, 1.0)
-        .expect("plan");
+    let plan = plan_query_calibrated(&skewed, Some(&ctx), None, 1.0).expect("plan");
     print_plan("skewed_star (placement-aware, line4, output P3)", &plan);
 }
 

@@ -2,49 +2,45 @@
 //! upward pass ([`crate::pass`]) at the sequential in-memory site.
 //!
 //! Plan *choice* — which GHD, which per-node factor join order — lives
-//! in `faqs-plan`; the planner's historical entry points
-//! (`ghd_for_query`, `check_push_down`, the free-variable re-rooting
-//! search, `EngineError` itself) are re-exported below under their old
-//! names.
+//! in `faqs-plan`, and so do its validation and re-rooting helpers;
+//! only [`EngineError`] is re-exported here.
 
 use crate::pass::{Pass, Sequential};
 use crate::plan::QueryPlan;
-use faqs_plan::{ChosenPlan, PlannerConfig};
+use faqs_plan::ChosenPlan;
 use faqs_relation::{FaqQuery, Relation};
 use faqs_semiring::{Boolean, Semiring};
 
-pub use faqs_plan::{
-    check_push_down, decomposition_covering_free_vars, decomposition_for_free_vars, ghd_for_query,
-    EngineError,
-};
+pub use faqs_plan::EngineError;
 
 /// Solves a general FAQ (Equation 4) by the upward pass of Theorem
-/// G.3, on the plan `faqs-plan`'s statistics-driven default chooses.
+/// G.3, on the plan `faqs-plan`'s statistics-driven planner chooses
+/// (unplaced, uncalibrated — the plan the executor and an incremental
+/// session run on a cold cache).
 /// Every bound variable's aggregate must be one
 /// the carrier admits ([`Semiring::admits`]); any other is refused with
 /// [`EngineError::RefusedAggregate`]. Returns the result relation over
 /// the free variables (for `F = ∅`: a nullary relation whose single
 /// annotation is the scalar answer — [`Relation::total`] extracts it).
 pub fn solve_faq<S: Semiring>(q: &FaqQuery<S>) -> Result<Relation<S>, EngineError> {
-    let plan = faqs_plan::plan_query_calibrated(q, &PlannerConfig::default(), None, None, 1.0)?;
+    let plan = faqs_plan::plan_query_calibrated(q, None, None, 1.0)?;
     solve_planned(q, plan)
 }
 
-/// A deterministic full re-solve for differential testing: always
-/// re-plans *structurally* (no statistics), so equal data always takes
-/// the identical plan and produces the bit-identical answer — the
+/// A deterministic full re-solve for differential testing: always runs
+/// `faqs_plan::structural_plan` (no statistics), so equal data always
+/// takes the identical plan and produces the bit-identical answer — the
 /// oracle the incremental engine's maintained answers are raced
 /// against, immune to digest drift.
 pub fn solve_faq_reference<S: Semiring>(q: &FaqQuery<S>) -> Result<Relation<S>, EngineError> {
-    let plan = faqs_plan::plan_query_calibrated(q, &PlannerConfig::structural(), None, None, 1.0)?;
-    solve_planned(q, plan)
+    solve_planned(q, faqs_plan::structural_plan(q)?)
 }
 
 /// The upward pass on an explicit [`ChosenPlan`] — the entry point for
 /// callers that already planned (tests compare structural and
 /// stats-aware plans for bit-identical results).
 ///
-/// The plan must have been built by `faqs_plan::plan_query` for *this*
+/// The plan must have been built by `faqs_plan` for *this*
 /// query: planning already ran instance validation, free-variable
 /// coverage and elimination-order legality, so only the cheap
 /// root-coverage guard is repeated here.
@@ -91,6 +87,7 @@ mod tests {
     use faqs_hypergraph::{
         cycle_query, example_h0, example_h1, example_h2, path_query, star_query, Hypergraph, Var,
     };
+    use faqs_plan::{check_push_down, decomposition_covering_free_vars, ghd_for_query};
     use faqs_relation::{random_boolean_instance, BcqBuilder, RandomInstanceConfig};
     use faqs_semiring::{Aggregate, Count, Prob};
 
@@ -293,7 +290,7 @@ mod tests {
                 q = q.with_aggregate(Var(v), Aggregate::Max);
             }
         }
-        let ghd = crate::engine::ghd_for_query(&q).unwrap();
+        let ghd = ghd_for_query(&q).unwrap();
         check_push_down(&q, &ghd).expect("star leaves never co-occur");
 
         // And a genuine conflict is still caught: two differently
@@ -304,7 +301,7 @@ mod tests {
                 Count(1)
             })
             .with_aggregate(Var(1), Aggregate::Max);
-        let ghd2 = crate::engine::ghd_for_query(&q2).unwrap();
+        let ghd2 = ghd_for_query(&q2).unwrap();
         assert!(matches!(
             check_push_down(&q2, &ghd2),
             Err(EngineError::IncompatibleAggregateOrder(_, _))

@@ -15,7 +15,8 @@
 //!   semiring);
 //! * [`solve_faq_brute_force`] — a direct evaluation of Equation (4) by
 //!   nested-loop aggregation, used as the oracle in tests;
-//! * [`solve_faq_reference`] — a deterministic structural-plan re-solve,
+//! * [`solve_faq_reference`] — a deterministic re-solve on
+//!   `faqs_plan::structural_plan`,
 //!   the oracle the incremental executor's maintained answers are raced
 //!   against;
 //! * [`pgm`] — probabilistic-graphical-model conveniences (variable and
@@ -37,9 +38,6 @@ pub mod pgm;
 mod plan;
 
 pub use brute::solve_faq_brute_force;
-pub use engine::{
-    check_push_down, decomposition_covering_free_vars, decomposition_for_free_vars, ghd_for_query,
-    solve_bcq, solve_faq, solve_faq_reference, solve_faq_with_plan, EngineError,
-};
+pub use engine::{solve_bcq, solve_faq, solve_faq_reference, solve_faq_with_plan, EngineError};
 pub use pass::{finish_root, push_down_message, CalProbe, Pass, PassSite, Sequential, Timed};
 pub use plan::QueryPlan;

@@ -272,7 +272,7 @@ mod tests {
     use super::*;
     use crate::solve_faq_brute_force;
     use faqs_hypergraph::{cycle_query, example_h2, path_query, star_query, Hypergraph};
-    use faqs_plan::{plan_query_calibrated, ChosenPlan, PlannerConfig, QueryStats};
+    use faqs_plan::{plan_query_calibrated, ChosenPlan, QueryStats};
     use faqs_relation::{random_instance, RandomInstanceConfig};
     use faqs_semiring::Count;
     use std::collections::BTreeMap;
@@ -372,8 +372,7 @@ mod tests {
             } else {
                 instance(&h, 12, 4)
             };
-            let mut chosen =
-                plan_query_calibrated(&q, &PlannerConfig::stats(), None, None, 1.0).unwrap();
+            let mut chosen = plan_query_calibrated(&q, None, None, 1.0).unwrap();
             bind_in_concatenation_order(&q, &mut chosen);
             let plan = QueryPlan::lower(&q, chosen);
             assert_eq!(plan.uses_generic_join(), generic, "{h:?}");

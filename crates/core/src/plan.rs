@@ -9,9 +9,8 @@
 //! per-node child lists and push-down nests drive the upward pass of
 //! Theorem G.3. `faqs_plan::plan_query_calibrated` chooses, this module
 //! lowers, and `faqs-exec`'s `PlanCache::plan` caches the pair, so a
-//! repeated shape costs a hash lookup — plus, under stats-driven
-//! planning, the statistics read that computes the digest being looked
-//! up.
+//! repeated shape costs a hash lookup plus the statistics read that
+//! computes the digest being looked up.
 
 use faqs_hypergraph::{EdgeId, Ghd, NodeId, Var};
 use faqs_plan::{ChosenPlan, PlanCost};
@@ -19,18 +18,16 @@ use faqs_relation::FaqQuery;
 use faqs_semiring::{Aggregate, Semiring};
 use std::cmp::Reverse;
 
-/// A validated, cached execution plan for one FAQ query shape (and,
-/// with statistics enabled, one statistics digest).
+/// A validated, cached execution plan for one FAQ query shape and one
+/// statistics digest.
 #[derive(Clone, Debug)]
 pub struct QueryPlan {
     /// The GHD the upward pass runs on (hoisted, re-rooted so that
     /// `F ⊆ χ(root)`, cost-selected by `faqs-plan`).
     pub ghd: Ghd,
-    /// The planner's predicted cost of this plan (zeros when planned
-    /// structurally).
+    /// The planner's predicted cost of this plan (zeros for
+    /// `faqs_plan::structural_plan`).
     pub cost: PlanCost,
-    /// Whether statistics informed the choice.
-    pub stats_aware: bool,
     /// Live children of each node (dense by `NodeId` index), in
     /// ascending node order — the deterministic message-fold order.
     children: Vec<Vec<NodeId>>,
@@ -68,7 +65,6 @@ impl QueryPlan {
             join_order,
             var_orders,
             cost,
-            stats_aware,
             node_rows,
             correction,
             ..
@@ -101,7 +97,6 @@ impl QueryPlan {
         QueryPlan {
             ghd,
             cost,
-            stats_aware,
             children,
             joins: join_order,
             var_orders,
@@ -172,19 +167,12 @@ impl QueryPlan {
 mod tests {
     use super::*;
     use faqs_hypergraph::{cycle_query, example_h2, path_query, star_query};
-    use faqs_plan::{plan_query_calibrated, EngineError, PlannerConfig};
+    use faqs_plan::{plan_query_calibrated, structural_plan, EngineError};
     use faqs_relation::{random_instance, RandomInstanceConfig};
     use faqs_semiring::{Aggregate, Count};
 
-    fn build_on<S: Semiring>(
-        q: &FaqQuery<S>,
-        cfg: &PlannerConfig,
-    ) -> Result<QueryPlan, EngineError> {
-        plan_query_calibrated(q, cfg, None, None, 1.0).map(|c| QueryPlan::lower(q, c))
-    }
-
     fn build<S: Semiring>(q: &FaqQuery<S>) -> Result<QueryPlan, EngineError> {
-        build_on(q, &PlannerConfig::default())
+        plan_query_calibrated(q, None, None, 1.0).map(|c| QueryPlan::lower(q, c))
     }
 
     fn inst(h: &faqs_hypergraph::Hypergraph, free: Vec<Var>, seed: u64) -> FaqQuery<Count> {
@@ -204,8 +192,7 @@ mod tests {
     fn lowering_keeps_the_planner_orders() {
         for h in [star_query(3), path_query(4), example_h2(), cycle_query(3)] {
             let q = inst(&h, vec![], 7);
-            let chosen =
-                plan_query_calibrated(&q, &PlannerConfig::stats(), None, None, 1.0).unwrap();
+            let chosen = plan_query_calibrated(&q, None, None, 1.0).unwrap();
             let plan = QueryPlan::lower(&q, chosen.clone());
             for node in plan.ghd.node_ids() {
                 assert_eq!(plan.joins(node), chosen.join_order[node.index()]);
@@ -226,7 +213,7 @@ mod tests {
         let q = bound
             .iter()
             .fold(q, |q, &v| q.with_aggregate(v, Aggregate::Max));
-        let plan = build_on(&q, &PlannerConfig::structural()).unwrap();
+        let plan = QueryPlan::lower(&q, structural_plan(&q).unwrap());
         let mut seen: Vec<(Var, Aggregate)> = Vec::new();
         for node in plan.ghd.node_ids() {
             let nest = plan.nest(node);
@@ -248,7 +235,7 @@ mod tests {
         };
         let free = vec![Var(2), Var(0)];
         let q: FaqQuery<Count> = random_instance(&cycle_query(3), &dense, free, |_| Count(1));
-        let plan = build_on(&q, &PlannerConfig::stats()).unwrap();
+        let plan = build(&q).unwrap();
         let root = plan.root();
         assert_eq!(plan.joins(root).len(), 3, "one generic-join bag");
         assert_eq!(plan.var_order(root), [Var(2), Var(0), Var(1)]);

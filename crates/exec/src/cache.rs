@@ -7,14 +7,14 @@
 //! [`QueryPlan::lower`]) — so the executor and incremental sessions ask
 //! it instead of re-deriving that chain.
 //!
-//! Two key tiers share one map. With statistics-driven planning, the
-//! lookup key carries the instance's coarse [`StatsDigest`] — skewed
-//! and uniform instances of one shape get distinct, separately-costed
-//! plans. The *structural* key (digest stripped) is the fallback tier:
-//! negative results — a shape that fails validation (say, an illegal
-//! aggregate exchange) fails for every possible data — are cached there
-//! once and replayed for any digest, so repeated traffic on a bad shape
-//! costs one hash lookup instead of one GHD construction.
+//! Two key tiers share one map. Every plan is keyed by its shape and
+//! the instance's coarse [`StatsDigest`] — skewed and uniform instances
+//! of one shape get distinct, separately-costed plans. The *structural*
+//! key (digest stripped) holds only negative results: a shape that
+//! fails validation (say, an illegal aggregate exchange) fails for
+//! every possible data, so its error is cached there once and replayed
+//! for any digest, and repeated traffic on a bad shape costs one hash
+//! lookup instead of one GHD construction.
 //!
 //! The digest tier is *bounded*: digest-diverse traffic (one entry per
 //! [`StatsDigest`] per shape, e.g. a long-lived service whose maintained
@@ -24,13 +24,15 @@
 //! per-digest), and losing one turns a cheap replayed error back into a
 //! full failed plan construction.
 //!
+//! The lookup is also the one staleness rule: an `IncrementalFaq`
+//! session asks it after every effective delta and re-plans exactly
+//! when it hands back a different plan than the one the session holds.
+//!
 //! [`StatsDigest`]: faqs_plan::StatsDigest
 
 use crate::fingerprint::PlanKey;
 use faqs_core::{EngineError, QueryPlan};
-use faqs_plan::{
-    correction_fresh, plan_query_calibrated, CalibrationRegistry, PlannerConfig, QueryStats,
-};
+use faqs_plan::{correction_fresh, plan_query_calibrated, CalibrationRegistry, QueryStats};
 use faqs_relation::FaqQuery;
 use faqs_semiring::Semiring;
 use std::collections::HashMap;
@@ -48,8 +50,7 @@ pub struct CacheStats {
     pub entries: usize,
     /// The subset of `entries` keyed in the digest tier — one plan per
     /// `(shape, StatsDigest)` bucket. `entries - digest_entries` is the
-    /// structural-tier occupancy (digest-free plans plus pinned
-    /// negative results).
+    /// structural-tier occupancy: pinned negative results.
     pub digest_entries: usize,
 }
 
@@ -74,13 +75,6 @@ struct Entry {
     tick: u64,
 }
 
-impl Entry {
-    /// Structural negative entries are pinned: never evicted.
-    fn pinned(key: &PlanKey, plan: &Result<QueryPlan, EngineError>) -> bool {
-        !key.has_digest() && plan.is_err()
-    }
-}
-
 /// A thread-safe map from query shape to validated plan.
 pub struct PlanCache {
     map: Mutex<HashMap<PlanKey, Entry>>,
@@ -102,10 +96,9 @@ impl PlanCache {
         Self::default()
     }
 
-    /// An empty cache holding at most `capacity` evictable entries
-    /// (digest-keyed plans and structural positives). Pinned structural
-    /// *negative* entries do not count against the bound. `capacity`
-    /// must be at least 1.
+    /// An empty cache holding at most `capacity` evictable (digest-keyed)
+    /// plans. Pinned structural *negative* entries do not count against
+    /// the bound. `capacity` must be at least 1.
     pub fn with_capacity(capacity: usize) -> Self {
         assert!(capacity >= 1, "plan cache capacity must be >= 1");
         PlanCache {
@@ -142,8 +135,8 @@ impl PlanCache {
     /// Returns a shared handle so concurrent executions replay one plan
     /// without copying the GHD.
     ///
-    /// `stats` (ignored under structural planning) keys the digest
-    /// tier; `None` keys the structural one. Under an enabled
+    /// `stats` describes `q` (a fresh `QueryStats::of` or a maintained
+    /// snapshot); its digest keys the lookup. Under an enabled
     /// `calibration` a cached plan is usable only while it was scored
     /// under (close to) the registry's current correction for that
     /// digest: a shape whose learned correction moved past the
@@ -161,17 +154,16 @@ impl PlanCache {
     /// not stall concurrent hits on hot shapes. Two threads racing the
     /// same cold shape may both build; the insert adopts a usable entry
     /// already there and replaces a stale one, so all callers still
-    /// share one plan.
+    /// share one plan — the same `Arc` until the entry is replaced or
+    /// evicted.
     pub fn plan<S: Semiring>(
         &self,
         q: &FaqQuery<S>,
-        planner: &PlannerConfig,
-        stats: Option<&QueryStats>,
+        stats: &QueryStats,
         calibration: &CalibrationRegistry,
     ) -> Arc<Result<QueryPlan, EngineError>> {
-        let stats = stats.filter(|_| planner.use_stats);
-        let digest = stats.map(QueryStats::digest);
-        let correction = digest.as_ref().map_or(1.0, |d| calibration.correction(d));
+        let digest = stats.digest();
+        let correction = calibration.correction(&digest);
         let usable = |plan: &Result<QueryPlan, EngineError>| match plan {
             Ok(plan) => {
                 !calibration.is_enabled() || correction_fresh(plan.correction(), correction)
@@ -191,17 +183,14 @@ impl PlanCache {
                 if usable(&entry.plan) {
                     return hit(entry);
                 }
-            } else if key.has_digest() {
-                if let Some(entry) = map.get_mut(&key.structural()) {
-                    if entry.plan.is_err() {
-                        // The shape is invalid for any data.
-                        return hit(entry);
-                    }
-                }
+            } else if let Some(entry) = map.get_mut(&key.structural()) {
+                // Only negatives live there: the shape is invalid for
+                // any data.
+                return hit(entry);
             }
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let plan = plan_query_calibrated(q, planner, None, stats, correction);
+        let plan = plan_query_calibrated(q, None, Some(stats), correction);
         let plan = Arc::new(plan.map(|chosen| QueryPlan::lower(q, chosen)));
         let key = match plan.as_ref() {
             Err(EngineError::Invalid(_)) => return plan,
@@ -223,20 +212,17 @@ impl PlanCache {
         shared
     }
 
-    /// Evicts least-recently-used evictable entries until at most
+    /// Evicts least-recently-used digest-tier entries until at most
     /// `capacity` remain. Pinned structural negatives are skipped.
     fn evict_over_capacity(&self, map: &mut HashMap<PlanKey, Entry>) {
         loop {
-            let evictable = map
-                .iter()
-                .filter(|(k, e)| !Entry::pinned(k, &e.plan))
-                .count();
+            let evictable = map.keys().filter(|k| k.has_digest()).count();
             if evictable <= self.capacity {
                 return;
             }
             let victim = map
                 .iter()
-                .filter(|(k, e)| !Entry::pinned(k, &e.plan))
+                .filter(|(k, _)| k.has_digest())
                 .min_by_key(|(_, e)| e.tick)
                 .map(|(k, _)| k.clone());
             match victim {
@@ -274,13 +260,8 @@ mod tests {
     use faqs_semiring::{Count, MinPlus};
 
     /// An uncalibrated lookup keyed on `q`'s scanned statistics.
-    fn get<S: Semiring>(
-        cache: &PlanCache,
-        q: &FaqQuery<S>,
-        planner: &PlannerConfig,
-    ) -> Arc<Result<QueryPlan, EngineError>> {
-        let stats = QueryStats::of(q);
-        cache.plan(q, planner, Some(&stats), &CalibrationRegistry::off())
+    fn get<S: Semiring>(cache: &PlanCache, q: &FaqQuery<S>) -> Arc<Result<QueryPlan, EngineError>> {
+        cache.plan(q, &QueryStats::of(q), &CalibrationRegistry::off())
     }
 
     fn inst(seed: u64) -> FaqQuery<Count> {
@@ -303,20 +284,19 @@ mod tests {
 
     #[test]
     fn hits_and_misses_count() {
-        let planner = PlannerConfig::stats();
         let cache = PlanCache::new();
         assert_eq!(cache.stats().hits, 0);
-        let a = get(&cache, &inst(1), &planner);
+        let a = get(&cache, &inst(1));
         assert!(a.is_ok());
         assert_eq!(cache.stats().misses, 1);
         assert_eq!(cache.stats().hits, 0);
         // Same shape, same digest bucket, different data: a hit.
-        let _ = get(&cache, &inst(2), &planner);
+        let _ = get(&cache, &inst(2));
         assert_eq!(cache.stats().hits, 1);
         assert_eq!(cache.stats().entries, 1);
         // Same shape on a carrier that declares other capabilities: a
         // distinct key.
-        let _ = get(&cache, &inst_on(1, MinPlus::new(1.0)), &planner);
+        let _ = get(&cache, &inst_on(1, MinPlus::new(1.0)));
         assert_eq!(cache.stats().misses, 2);
         assert_eq!(cache.stats().entries, 2);
         cache.clear();
@@ -327,7 +307,6 @@ mod tests {
     #[test]
     fn skewed_digest_gets_its_own_plan_entry() {
         use faqs_semiring::Boolean;
-        let planner = PlannerConfig::stats();
         let cache = PlanCache::new();
         let uniform: FaqQuery<Boolean> = faqs_relation::random_boolean_instance(
             &star_query(3),
@@ -339,8 +318,8 @@ mod tests {
             true,
         );
         let skewed: FaqQuery<Boolean> = faqs_relation::skewed_star_instance(3, 8);
-        assert!(get(&cache, &uniform, &planner).is_ok());
-        assert!(get(&cache, &skewed, &planner).is_ok());
+        assert!(get(&cache, &uniform).is_ok());
+        assert!(get(&cache, &skewed).is_ok());
         assert_eq!(
             cache.stats().misses,
             2,
@@ -352,19 +331,12 @@ mod tests {
             2,
             "both live in the digest tier"
         );
-        // Structural planning collapses both onto one key.
-        let structural = PlannerConfig::structural();
-        let _ = get(&cache, &uniform, &structural);
-        let _ = get(&cache, &skewed, &structural);
-        assert_eq!(cache.stats().misses, 3, "one structural-tier build");
-        assert_eq!(cache.stats().hits, 1, "second structural call hits");
+        // Each digest replays its own plan, the same shared handle.
+        let (a, b) = (get(&cache, &skewed), get(&cache, &skewed));
+        assert!(Arc::ptr_eq(&a, &b));
         let stats = cache.stats();
-        assert_eq!(stats.entries, 3);
-        assert_eq!(
-            stats.digest_entries, 2,
-            "the structural plan is digest-free"
-        );
-        assert!((stats.hit_rate() - 0.25).abs() < 1e-12);
+        assert_eq!((stats.misses, stats.hits, stats.entries), (2, 2, 2));
+        assert!((stats.hit_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -373,16 +345,12 @@ mod tests {
         // inside planning with EngineError::Invalid — a *data* problem.
         // Caching it (under any tier) would poison every later valid
         // instance of the same shape through the public cache API.
-        let planner = PlannerConfig::stats();
         let cache = PlanCache::new();
         let mut bad = inst(1);
         bad.domain = 1; // every listed tuple is now out of domain
-        assert!(matches!(
-            *get(&cache, &bad, &planner),
-            Err(EngineError::Invalid(_))
-        ));
+        assert!(matches!(*get(&cache, &bad), Err(EngineError::Invalid(_))));
         assert_eq!(cache.stats().entries, 0, "Invalid must not be cached");
-        let good = get(&cache, &inst(1), &planner);
+        let good = get(&cache, &inst(1));
         assert!(good.is_ok(), "a valid same-shape instance must plan");
         assert_eq!(cache.stats().misses, 2, "the bad build was not reused");
     }
@@ -390,12 +358,11 @@ mod tests {
     #[test]
     fn negative_entries_live_in_the_structural_tier() {
         use faqs_semiring::Aggregate;
-        let planner = PlannerConfig::stats();
         let cache = PlanCache::new();
         // Min on a bound variable is refused by the carrier no matter
         // the data.
         let bad = |seed: u64| inst(seed).with_aggregate(faqs_hypergraph::Var(1), Aggregate::Min);
-        assert!(get(&cache, &bad(1), &planner).is_err());
+        assert!(get(&cache, &bad(1)).is_err());
         assert_eq!(cache.stats().misses, 1);
         // A *differently-distributed* bad instance of the same shape
         // replays the structural negative entry instead of rebuilding.
@@ -410,7 +377,7 @@ mod tests {
             |_| Count(1),
         );
         skewed_bad = skewed_bad.with_aggregate(faqs_hypergraph::Var(1), Aggregate::Min);
-        assert!(get(&cache, &skewed_bad, &planner).is_err());
+        assert!(get(&cache, &skewed_bad).is_err());
         assert_eq!(
             cache.stats().misses,
             1,
@@ -422,7 +389,6 @@ mod tests {
 
     #[test]
     fn survives_a_poisoned_lock() {
-        let planner = PlannerConfig::stats();
         let cache = Arc::new(PlanCache::new());
 
         // Poison the mutex itself: a thread dies while holding the
@@ -437,23 +403,22 @@ mod tests {
 
         // The next call must recover (clear once, serve fresh) instead
         // of propagating the poison panic to every future query.
-        let plan = get(&cache, &inst(1), &planner);
+        let plan = get(&cache, &inst(1));
         assert!(plan.is_ok());
         assert!(!cache.map.is_poisoned(), "poison cleared");
         assert_eq!(cache.stats().entries, 1);
-        let _ = get(&cache, &inst(2), &planner);
+        let _ = get(&cache, &inst(2));
         assert!(cache.stats().hits >= 1, "cache serves hits again");
     }
 
     #[test]
     fn capacity_holds_under_digest_churn_without_losing_pinned_negatives() {
         use faqs_semiring::Aggregate;
-        let planner = PlannerConfig::stats();
         let cache = PlanCache::with_capacity(4);
 
         // Pin one structural negative entry first.
         let bad = inst(1).with_aggregate(faqs_hypergraph::Var(1), Aggregate::Min);
-        assert!(get(&cache, &bad, &planner).is_err());
+        assert!(get(&cache, &bad).is_err());
 
         // Churn: many distinct shapes (star arity varies), each a fresh
         // positive entry. The map must stay at capacity + the pin.
@@ -468,7 +433,7 @@ mod tests {
                 vec![],
                 |_| Count(1),
             );
-            assert!(get(&cache, &q, &planner).is_ok());
+            assert!(get(&cache, &q).is_ok());
             assert!(
                 cache.stats().entries <= 4 + 1,
                 "cap exceeded: {} entries",
@@ -478,7 +443,7 @@ mod tests {
 
         // The pinned negative survived all the churn and still replays.
         let misses_before = cache.stats().misses;
-        assert!(get(&cache, &bad, &planner).is_err());
+        assert!(get(&cache, &bad).is_err());
         assert_eq!(
             cache.stats().misses,
             misses_before,
@@ -497,7 +462,7 @@ mod tests {
             |_| Count(1),
         );
         let misses_before = cache.stats().misses;
-        assert!(get(&cache, &hot, &planner).is_ok());
+        assert!(get(&cache, &hot).is_ok());
         assert_eq!(cache.stats().misses, misses_before, "hot entry retained");
     }
 }

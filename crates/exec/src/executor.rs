@@ -7,7 +7,7 @@
 
 use crate::cache::{CacheStats, PlanCache};
 use faqs_core::{CalProbe, EngineError, Pass, QueryPlan, Sequential};
-use faqs_plan::{CalibrationRegistry, CalibrationStats, PlannerConfig, QueryStats, StatsDigest};
+use faqs_plan::{CalibrationRegistry, CalibrationStats, QueryStats, StatsDigest};
 use faqs_relation::{FaqQuery, Relation};
 use faqs_semiring::Semiring;
 use std::sync::Arc;
@@ -36,8 +36,7 @@ impl ExecutorConfig {
 }
 
 /// The front door for repeated FAQ traffic: caches one validated plan
-/// per query shape (per statistics digest, when stats-driven planning
-/// is on) and runs the upward pass.
+/// per query shape and statistics digest and runs the upward pass.
 ///
 /// Every execution also *teaches* the planner: fold points record
 /// predicted-vs-actual cardinalities into the executor's
@@ -47,27 +46,16 @@ impl ExecutorConfig {
 /// [`CalibrationRegistry::off`] pins all of it off.
 #[derive(Default)]
 pub struct Executor {
-    planner: PlannerConfig,
     cache: PlanCache,
     calibration: Arc<CalibrationRegistry>,
 }
 
 impl Executor {
-    /// An executor with the default (statistics-driven) planner and an
-    /// empty cache; `_cfg` carries nothing (see [`ExecutorConfig`]), so
+    /// An executor with an empty cache and an enabled calibration
+    /// registry; `_cfg` carries nothing (see [`ExecutorConfig`]), so
     /// this is [`Executor::default`].
     pub fn new(_cfg: ExecutorConfig) -> Self {
-        Self::with_planner(PlannerConfig::default())
-    }
-
-    /// An executor with explicit planner knobs (tests and benches pin
-    /// structural vs stats-driven planning).
-    pub fn with_planner(planner: PlannerConfig) -> Self {
-        Executor {
-            planner,
-            cache: PlanCache::new(),
-            calibration: Arc::new(CalibrationRegistry::new()),
-        }
+        Self::default()
     }
 
     /// Replaces the calibration registry — shares one learning session
@@ -119,14 +107,11 @@ impl Executor {
     pub fn solve<S: Semiring>(&self, q: &FaqQuery<S>) -> Result<Relation<S>, EngineError> {
         q.validate()
             .map_err(|e| EngineError::Invalid(e.to_string()))?;
-        let stats = self.planner.use_stats.then(|| QueryStats::of(q));
-        let plan = self
-            .cache
-            .plan(q, &self.planner, stats.as_ref(), &self.calibration);
+        let stats = QueryStats::of(q);
+        let plan = self.cache.plan(q, &stats, &self.calibration);
         let plan = plan.as_ref().as_ref().map_err(Clone::clone)?;
-        // Calibration observes under the digest (its shape key), which
-        // only stats-driven planning computes.
-        self.eval(q, plan, stats.map(|s| s.digest()).as_ref())
+        // Calibration observes under the digest, its shape key.
+        self.eval(q, plan, Some(&stats.digest()))
     }
 
     /// Runs the one upward pass on a prebuilt plan at the [`Sequential`]
@@ -176,9 +161,9 @@ mod tests {
     use faqs_relation::{random_instance, RandomInstanceConfig};
     use faqs_semiring::{Aggregate, Count};
 
-    /// The stats planner's plan for `q`, lowered, bypassing the cache.
+    /// The planner's plan for `q`, lowered, bypassing the cache.
     fn stats_plan<S: Semiring>(q: &FaqQuery<S>) -> QueryPlan {
-        let chosen = plan_query_calibrated(q, &PlannerConfig::stats(), None, None, 1.0);
+        let chosen = plan_query_calibrated(q, None, None, 1.0);
         QueryPlan::lower(q, chosen.unwrap())
     }
 
@@ -238,8 +223,7 @@ mod tests {
 
     #[test]
     fn calibration_absorbs_samples_on_repeated_shapes() {
-        let ex = Executor::with_planner(PlannerConfig::stats())
-            .with_calibration(Arc::new(CalibrationRegistry::new()));
+        let ex = Executor::default().with_calibration(Arc::new(CalibrationRegistry::new()));
         let q = inst(2);
         let expected = solve_faq(&q).unwrap();
         for _ in 0..4 {
@@ -252,8 +236,7 @@ mod tests {
 
     #[test]
     fn disabled_registry_records_nothing_and_matches_engine() {
-        let ex = Executor::with_planner(PlannerConfig::stats())
-            .with_calibration(Arc::new(CalibrationRegistry::off()));
+        let ex = Executor::default().with_calibration(Arc::new(CalibrationRegistry::off()));
         let q = inst(4);
         assert_eq!(ex.solve(&q).unwrap(), solve_faq(&q).unwrap());
         let stats = ex.calibration_stats();
@@ -266,8 +249,7 @@ mod tests {
         // solve twice: the first call rebuilds the (previously cached)
         // plan under the learned correction, the second hits it — the
         // `correction_fresh` hysteresis stops rebuild churn.
-        let ex = Executor::with_planner(PlannerConfig::stats())
-            .with_calibration(Arc::new(CalibrationRegistry::new()));
+        let ex = Executor::default().with_calibration(Arc::new(CalibrationRegistry::new()));
         let q = inst(6);
         let expected = solve_faq(&q).unwrap();
         assert_eq!(ex.solve(&q).unwrap(), expected);
@@ -287,8 +269,7 @@ mod tests {
 
     #[test]
     fn solve_on_runs_telemetry_against_a_supplied_plan() {
-        let ex = Executor::with_planner(PlannerConfig::stats())
-            .with_calibration(Arc::new(CalibrationRegistry::new()));
+        let ex = Executor::default().with_calibration(Arc::new(CalibrationRegistry::new()));
         let q = inst(8);
         let plan = stats_plan(&q);
         assert_eq!(ex.solve_on(&q, &plan).unwrap(), solve_faq(&q).unwrap());

@@ -4,15 +4,14 @@
 //! the planner looks at: the hypergraph shape, the free variables, the
 //! per-bound-variable aggregates, the semiring capabilities the
 //! validity checks consult (`⊗`-idempotence gates product aggregates,
-//! and the carrier declares whether it admits `Max` / `Min`) — and,
-//! with statistics-driven planning, the coarse [`StatsDigest`] of the
-//! factor cardinalities. The digest is scale-invariant, so uniform
-//! traffic of one shape keeps colliding onto one plan, while skewed
-//! instances (one huge factor, one concentrated column) get plans of
-//! their own. The *structural* key (digest stripped) remains the
-//! fallback tier: negative results — shapes that fail validation no
-//! matter the data — are cached there once and replayed for every
-//! digest.
+//! and the carrier declares whether it admits `Max` / `Min`) — and the
+//! coarse [`StatsDigest`] of the factor cardinalities. The digest is
+//! scale-invariant, so uniform traffic of one shape keeps colliding onto
+//! one plan, while skewed instances (one huge factor, one concentrated
+//! column) get plans of their own. The *structural* key (digest
+//! stripped) is the tier of negative results only — shapes that fail
+//! validation no matter the data are cached there once and replayed for
+//! every digest.
 
 use faqs_plan::StatsDigest;
 use faqs_relation::FaqQuery;
@@ -20,7 +19,7 @@ use faqs_semiring::{Aggregate, Semiring};
 
 /// The fingerprint of an FAQ instance: fully structural shape equality
 /// (no lossy digesting, so a hit can never alias two different shapes)
-/// plus the optional statistics digest tier.
+/// plus the statistics digest.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct PlanKey {
     num_vars: u32,
@@ -40,19 +39,23 @@ pub struct PlanKey {
     /// for a `Max` query to `MinPlus` nor `MinPlus`'s refusal to `Count`.
     admits_max: bool,
     admits_min: bool,
-    /// The statistics tier: `None` for pure-structural keys (stats
-    /// disabled, and the tier negative entries live in).
+    /// The statistics tier: `None` for structural keys, the tier
+    /// negative entries live in.
     digest: Option<StatsDigest>,
 }
 
 impl PlanKey {
-    /// Fingerprints `q` structurally (no statistics tier).
-    pub fn of<S: Semiring>(q: &FaqQuery<S>) -> PlanKey {
-        Self::with_digest(q, None)
+    /// Fingerprints `q` with its statistics digest — the key every plan
+    /// is cached under.
+    pub fn with_digest<S: Semiring>(q: &FaqQuery<S>, digest: StatsDigest) -> PlanKey {
+        PlanKey {
+            digest: Some(digest),
+            ..Self::of(q)
+        }
     }
 
-    /// Fingerprints `q` with an optional statistics digest.
-    pub fn with_digest<S: Semiring>(q: &FaqQuery<S>, digest: Option<StatsDigest>) -> PlanKey {
+    /// Fingerprints `q` structurally (no statistics tier).
+    pub fn of<S: Semiring>(q: &FaqQuery<S>) -> PlanKey {
         PlanKey {
             num_vars: q.hypergraph.num_vars() as u32,
             edges: q
@@ -75,7 +78,7 @@ impl PlanKey {
             idempotent_mul: S::IDEMPOTENT_MUL,
             admits_max: S::admits(Aggregate::Max),
             admits_min: S::admits(Aggregate::Min),
-            digest,
+            digest: None,
         }
     }
 
@@ -84,7 +87,8 @@ impl PlanKey {
         self.digest.is_some()
     }
 
-    /// The structural fallback key: this key with the digest stripped.
+    /// The structural key negative results live under: this key with
+    /// the digest stripped.
     pub fn structural(&self) -> PlanKey {
         PlanKey {
             digest: None,
@@ -152,7 +156,7 @@ mod tests {
     #[test]
     fn digest_tier_separates_skew_but_not_scale() {
         use faqs_plan::QueryStats;
-        let digest_of = |q: &FaqQuery<Count>| Some(QueryStats::of(q).digest());
+        let digest_of = |q: &FaqQuery<Count>| QueryStats::of(q).digest();
         let a = PlanKey::with_digest(&q(1), digest_of(&q(1)));
         let b = PlanKey::with_digest(&q(2), digest_of(&q(2)));
         assert_eq!(a, b, "seed jitter stays in one digest bucket");
@@ -161,7 +165,7 @@ mod tests {
 
         // A skewed instance of the same shape lands in its own tier.
         let skewed: FaqQuery<faqs_semiring::Boolean> = faqs_relation::skewed_star_instance(3, 8);
-        let sk = PlanKey::with_digest(&skewed, Some(QueryStats::of(&skewed).digest()));
+        let sk = PlanKey::with_digest(&skewed, QueryStats::of(&skewed).digest());
         let uniform: FaqQuery<faqs_semiring::Boolean> = faqs_relation::random_boolean_instance(
             &star_query(3),
             &RandomInstanceConfig {
@@ -171,7 +175,7 @@ mod tests {
             },
             true,
         );
-        let un = PlanKey::with_digest(&uniform, Some(QueryStats::of(&uniform).digest()));
+        let un = PlanKey::with_digest(&uniform, QueryStats::of(&uniform).digest());
         assert_ne!(sk, un);
         assert_eq!(sk.structural(), un.structural(), "same shape underneath");
     }

@@ -23,11 +23,14 @@
 //!   the root and reusing every clean sibling's stored message.
 //!
 //! Factor statistics are maintained incrementally too
-//! ([`faqs_relation::MaintainedStats`] — no full re-scan per update),
-//! and the session re-plans through the shared [`PlanCache`] only when
-//! the maintained statistics cross a [`StatsDigest`] bucket boundary or
-//! an attached registry's learned correction leaves the plan's
-//! hysteresis band.
+//! ([`faqs_relation::MaintainedStats`] — no full re-scan per update).
+//! After every effective delta the session asks the shared [`PlanCache`]
+//! for the current statistics' plan, and re-plans exactly when the
+//! cache hands back a different plan than the one it holds: the
+//! statistics crossed a [`StatsDigest`] bucket boundary, an attached
+//! registry's learned correction left the plan's hysteresis band, or a
+//! sibling session on the same cache already re-planned. The cache's
+//! rule is the only staleness rule.
 //! [`IncrementalStats`] counts exactly which of these events happened;
 //! the tests pin the serving invariants (one single-tuple insert on a
 //! 100k-tuple instance: no stats re-scan, no full upward pass).
@@ -37,10 +40,7 @@ use faqs_core::{
     finish_root, push_down_message, CalProbe, EngineError, Pass, PassSite, QueryPlan, Timed,
 };
 use faqs_hypergraph::{EdgeId, NodeId};
-use faqs_plan::{
-    correction_fresh, CalibrationRegistry, MaintainedQueryStats, PlannerConfig, QueryStats,
-    StatsDigest,
-};
+use faqs_plan::{CalibrationRegistry, MaintainedQueryStats, StatsDigest};
 use faqs_relation::{AppliedDelta, FaqQuery, Relation, RelationDelta};
 use faqs_semiring::{Aggregate, Semiring};
 use std::convert::Infallible;
@@ -100,12 +100,13 @@ pub struct IncrementalStats {
     pub node_recomputes: u64,
     /// Full upward passes (construction and plan rebuilds).
     pub full_upward_passes: u64,
-    /// Re-plans: statistics-digest bucket crossings plus
-    /// `calibration_replans`.
+    /// Re-plans: each time the plan cache handed back a plan other than
+    /// the session's own.
     pub plan_rebuilds: u64,
-    /// Re-plans triggered by a learned-correction shift (a subset of
+    /// The re-plans at an unchanged statistics digest (a subset of
     /// `plan_rebuilds`): the shared [`CalibrationRegistry`] moved this
-    /// shape's correction past the `correction_fresh` hysteresis.
+    /// shape's correction past the `correction_fresh` hysteresis, here
+    /// or in a sibling session that already re-planned.
     pub calibration_replans: u64,
     /// Inverse propagations that hit an unrepresentable cancellation
     /// and fell back to the dirty-subtree path. Defensive: the shipped
@@ -142,10 +143,9 @@ pub struct IncrementalStats {
 /// ```
 pub struct IncrementalFaq<S: Semiring> {
     query: FaqQuery<S>,
-    planner: PlannerConfig,
     cache: Arc<PlanCache>,
     plan: SessionPlan,
-    digest: Option<StatsDigest>,
+    digest: StatsDigest,
     /// Incrementally maintained per-factor statistics, digest drift's
     /// input (no full factor re-scan per update).
     stats: MaintainedQueryStats,
@@ -169,20 +169,14 @@ pub struct IncrementalFaq<S: Semiring> {
 }
 
 impl<S: Semiring> IncrementalFaq<S> {
-    /// Starts a session with a private plan cache and the default
-    /// planner configuration.
+    /// Starts a session with a private plan cache.
     pub fn new(query: FaqQuery<S>) -> Result<Self, EngineError> {
-        Self::with_cache(query, Arc::new(PlanCache::new()), PlannerConfig::default())
+        Self::with_cache(query, Arc::new(PlanCache::new()))
     }
 
-    /// Starts a session on a shared plan cache with explicit planner
-    /// knobs (drift re-plans go through the same cache, so repeated
-    /// digest traffic across sessions shares plans).
-    pub fn with_cache(
-        query: FaqQuery<S>,
-        cache: Arc<PlanCache>,
-        planner: PlannerConfig,
-    ) -> Result<Self, EngineError> {
+    /// Starts a session on a shared plan cache (re-plans go through the
+    /// same cache, so sessions on one digest share plans).
+    pub fn with_cache(query: FaqQuery<S>, cache: Arc<PlanCache>) -> Result<Self, EngineError> {
         query
             .validate()
             .map_err(|e| EngineError::Invalid(e.to_string()))?;
@@ -192,15 +186,13 @@ impl<S: Semiring> IncrementalFaq<S> {
             ..IncrementalStats::default()
         };
         let calibration = Arc::new(CalibrationRegistry::off());
-        let snapshot = planner.use_stats.then(|| stats.snapshot());
-        let plan = cache.plan(&query, &planner, snapshot.as_ref(), &calibration);
-        let plan = SessionPlan::new(plan)?;
-        let digest = snapshot.map(|s| s.digest());
+        let snapshot = stats.snapshot();
+        let plan = SessionPlan::new(cache.plan(&query, &snapshot, &calibration))?;
+        let digest = snapshot.digest();
         let mode = Self::choose_mode(&query);
         let answer = Relation::new(query.free_vars.clone());
         let mut session = IncrementalFaq {
             query,
-            planner,
             cache,
             plan,
             digest,
@@ -347,36 +339,23 @@ impl<S: Semiring> IncrementalFaq<S> {
         }
     }
 
-    /// Re-plans through the cache (from *maintained* statistics — no
-    /// `QueryStats::of` factor scan) and fully recomputes iff the plan
-    /// went stale: the digest left its bucket (a drift), or an attached
-    /// registry's learned correction for this shape moved past the
-    /// [`correction_fresh`] hysteresis since the plan was scored (a
-    /// calibration re-plan). Either way the cache plans under the
-    /// registry's current correction, so sibling sessions on the same
-    /// digest share the plan. Returns whether that happened.
+    /// Asks the cache for the plan of the *maintained* statistics (no
+    /// `QueryStats::of` factor scan) under the attached registry, and
+    /// adopts it with a full recompute iff it is not the session's own
+    /// plan — [`PlanCache::plan`] alone decides staleness. A re-plan at
+    /// an unchanged digest is a calibration re-plan. Returns whether
+    /// that happened.
     fn replan_if_stale(&mut self) -> Result<bool, EngineError> {
-        let stats = self.planner.use_stats.then(|| self.stats.snapshot());
-        let digest = stats.as_ref().map(QueryStats::digest);
-        let drifted = digest != self.digest;
-        let calibration = &self.calibration;
-        let stale = drifted
-            || match &digest {
-                Some(d) if calibration.is_enabled() => {
-                    !correction_fresh(self.plan.correction(), calibration.correction(d))
-                }
-                _ => false,
-            };
-        if !stale {
+        let stats = self.stats.snapshot();
+        let plan = self.cache.plan(&self.query, &stats, &self.calibration);
+        if Arc::ptr_eq(&plan, &self.plan.0) {
             return Ok(false);
         }
+        let digest = stats.digest();
         self.counters.plan_rebuilds += 1;
-        if !drifted {
+        if digest == self.digest {
             self.counters.calibration_replans += 1;
         }
-        let plan = self
-            .cache
-            .plan(&self.query, &self.planner, stats.as_ref(), calibration);
         self.plan = SessionPlan::new(plan)?;
         self.digest = digest;
         self.index_edges();
@@ -402,8 +381,7 @@ impl<S: Semiring> IncrementalFaq<S> {
     /// one-shot execution does.
     fn run_pass(&mut self, path: Option<&[NodeId]>) {
         let plan = &self.plan;
-        let probe = self.digest.as_ref();
-        let probe = probe.and_then(|d| CalProbe::new(&self.calibration, d, plan));
+        let probe = CalProbe::new(&self.calibration, &self.digest, plan);
         let pass = Pass {
             q: &self.query,
             plan,
@@ -590,7 +568,7 @@ impl<S: Semiring> PassSite<S> for Stored<'_, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use faqs_core::solve_faq_reference;
+    use faqs_core::{solve_faq, solve_faq_reference};
     use faqs_hypergraph::{path_query, star_query, Var};
     use faqs_relation::{random_instance, RandomInstanceConfig};
     use faqs_semiring::{Boolean, Count, Gf2, MinPlus, Prob};
@@ -693,20 +671,15 @@ mod tests {
             vec![],
             |_| MinPlus(0.1),
         );
-        // Structural planning on both sides: the reference and the
-        // session share one plan, so float results are bit-identical.
-        let mut faq = IncrementalFaq::with_cache(
-            q.clone(),
-            Arc::new(PlanCache::new()),
-            PlannerConfig::structural(),
-        )
-        .unwrap();
+        // `solve_faq` plans as the session does (unplaced, uncalibrated,
+        // same digest), so float results are bit-identical.
+        let mut faq = IncrementalFaq::new(q.clone()).unwrap();
         assert_eq!(faq.mode(), MaintenanceMode::DirtySubtree, "no inverse");
         let base = faq.counters();
         let mut mirror = q;
         faq.insert(EdgeId(2), &[3, 3], MinPlus(0.5)).unwrap();
         mirror.factors[2].insert(vec![3, 3], MinPlus(0.5));
-        assert_eq!(faq.answer(), &solve_faq_reference(&mirror).unwrap());
+        assert_eq!(faq.answer(), &solve_faq(&mirror).unwrap());
         let after = faq.counters();
         assert_eq!(
             after.full_upward_passes, base.full_upward_passes,
@@ -732,12 +705,7 @@ mod tests {
             vec![],
             |_| Count(1),
         );
-        let mut faq = IncrementalFaq::with_cache(
-            q.clone(),
-            Arc::new(PlanCache::new()),
-            PlannerConfig::stats(),
-        )
-        .unwrap();
+        let mut faq = IncrementalFaq::new(q.clone()).unwrap();
         let mut mirror = q;
         // Bulk-load one leaf to ~32× its size — comfortably inside the
         // next relative-size bucket, so the single delete below cannot
@@ -782,13 +750,9 @@ mod tests {
             |_| Count(1),
         );
         let registry = Arc::new(CalibrationRegistry::new());
-        let mut faq = IncrementalFaq::with_cache(
-            q.clone(),
-            Arc::new(PlanCache::new()),
-            PlannerConfig::stats(),
-        )
-        .unwrap()
-        .with_calibration(Arc::clone(&registry));
+        let mut faq = IncrementalFaq::new(q.clone())
+            .unwrap()
+            .with_calibration(Arc::clone(&registry));
         let mut mirror = q;
         let mut d = RelationDelta::new(mirror.factor(EdgeId(0)).schema().to_vec());
         for a in 0..16u32 {
@@ -915,18 +879,14 @@ mod tests {
             |_| Count(1),
         );
         let registry = Arc::new(CalibrationRegistry::new());
-        let mut faq = IncrementalFaq::with_cache(
-            q.clone(),
-            Arc::new(PlanCache::new()),
-            PlannerConfig::stats(),
-        )
-        .unwrap()
-        .with_calibration(Arc::clone(&registry));
+        let mut faq = IncrementalFaq::new(q.clone())
+            .unwrap()
+            .with_calibration(Arc::clone(&registry));
         // The construction recompute predates the attachment, so seed
         // the registry by hand: a doctored log claiming the model
         // under-predicts this shape by 1024× shifts its correction far
         // past the freshness hysteresis.
-        let digest = faq.digest.clone().unwrap();
+        let digest = faq.digest.clone();
         let log = CalibrationLog::new();
         for _ in 0..32 {
             log.record(0, 16, 1 << 14);
@@ -958,6 +918,56 @@ mod tests {
             after.calibration_replans
         );
         assert_eq!(faq.answer(), &solve_faq_reference(&mirror).unwrap());
+    }
+
+    #[test]
+    fn sibling_session_adopts_a_calibration_replan_from_the_shared_cache() {
+        use faqs_plan::CalibrationLog;
+
+        let q: FaqQuery<Count> = random_instance(
+            &star_query(3),
+            &RandomInstanceConfig {
+                tuples_per_factor: 8,
+                domain: 16,
+                seed: 2,
+            },
+            vec![],
+            |_| Count(1),
+        );
+        let cache = Arc::new(PlanCache::new());
+        let registry = Arc::new(CalibrationRegistry::new());
+        let session = || {
+            IncrementalFaq::with_cache(q.clone(), Arc::clone(&cache))
+                .unwrap()
+                .with_calibration(Arc::clone(&registry))
+        };
+        let (mut a, mut b) = (session(), session());
+        assert_eq!(cache.stats().misses, 1, "one digest, one plan");
+        let log = CalibrationLog::new();
+        for _ in 0..32 {
+            log.record(0, 16, 1 << 14);
+        }
+        registry.absorb(&a.digest, &log);
+        assert!(registry.correction(&a.digest) > 2.0);
+
+        // A's delta finds the cached plan stale and re-plans once.
+        a.insert(EdgeId(0), &[9, 9], Count(1)).unwrap();
+        assert_eq!(a.counters().calibration_replans, 1);
+        assert_eq!(cache.stats().misses, 2, "A built the calibrated plan");
+
+        // B's next delta adopts A's plan from the cache, building nothing.
+        let before = b.counters();
+        b.insert(EdgeId(0), &[9, 9], Count(1)).unwrap();
+        let after = b.counters();
+        assert_eq!(after.plan_rebuilds, before.plan_rebuilds + 1);
+        assert_eq!(after.calibration_replans, before.calibration_replans + 1);
+        assert_eq!(after.full_upward_passes, before.full_upward_passes + 1);
+        assert_eq!(cache.stats().misses, 2, "B built nothing");
+        assert!(Arc::ptr_eq(&a.plan.0, &b.plan.0), "one shared plan");
+        let mut mirror = q.clone();
+        mirror.factors[0].insert(vec![9, 9], Count(1));
+        assert_eq!(b.answer(), &solve_faq_reference(&mirror).unwrap());
+        assert_eq!(a.answer(), b.answer());
     }
 
     #[test]

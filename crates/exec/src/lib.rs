@@ -10,10 +10,10 @@
 //!   `(hypergraph shape, aggregates, free variables, semiring
 //!   capabilities)` plus the planner's coarse statistics digest
 //!   ([`PlanKey`]) maps to a cached, validated [`QueryPlan`] — the
-//!   `faqs-plan`-chosen GHD, per-node join order, per-step index-key
-//!   schemas. GHD construction, MD-hoisting, re-rooting, cost-based
+//!   `faqs-plan`-chosen GHD, per-node join order, per-bag binding
+//!   order. GHD construction, MD-hoisting, re-rooting, cost-based
 //!   candidate selection and elimination-order validation run once per
-//!   query shape (and digest bucket) instead of once per call;
+//!   query shape and digest bucket instead of once per call;
 //!   [`Executor::cache_stats`] exposes hit/miss counters, and negative
 //!   results replay from the digest-free structural tier.
 //! * **The same upward pass** ([`Executor`]): the executor runs

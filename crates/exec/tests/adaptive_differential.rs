@@ -13,9 +13,7 @@
 use faqs_core::solve_faq_reference;
 use faqs_exec::{Executor, QueryPlan};
 use faqs_hypergraph::{cycle_query, example_h2, path_query, star_query, Hypergraph, Var};
-use faqs_plan::{
-    plan_query_calibrated, CalibrationRegistry, EngineError, PlannerConfig, QueryStats,
-};
+use faqs_plan::{plan_query_calibrated, CalibrationRegistry, EngineError, QueryStats};
 use faqs_relation::{random_boolean_instance, random_instance, FaqQuery, RandomInstanceConfig};
 use faqs_semiring::{Boolean, Count, MinPlus, Semiring};
 use proptest::prelude::*;
@@ -26,8 +24,7 @@ use std::sync::Arc;
 /// The stats planner's plan for `q`, lowered — the stale plan the
 /// suite hands to [`Executor::solve_on`].
 fn stats_plan<S: Semiring>(q: &FaqQuery<S>) -> Result<QueryPlan, EngineError> {
-    plan_query_calibrated(q, &PlannerConfig::stats(), None, None, 1.0)
-        .map(|chosen| QueryPlan::lower(q, chosen))
+    plan_query_calibrated(q, None, None, 1.0).map(|chosen| QueryPlan::lower(q, chosen))
 }
 
 /// The issue's shape matrix: star, path, H2 and the (cyclic) triangle,
@@ -87,8 +84,7 @@ where
 {
     let want = solve_faq_reference(q).unwrap_or_else(|e| panic!("{label}: reference: {e}"));
     let stale_plan = stats_plan(stale).unwrap_or_else(|e| panic!("{label}: stale plan: {e}"));
-    let ex = Executor::with_planner(PlannerConfig::stats())
-        .with_calibration(Arc::new(CalibrationRegistry::new()));
+    let ex = Executor::default().with_calibration(Arc::new(CalibrationRegistry::new()));
     // Twice through the cache path: the second solve replays under
     // whatever corrections the first taught the registry.
     for round in 0..2 {
@@ -102,8 +98,7 @@ where
         .unwrap_or_else(|e| panic!("{label}: stale plan rejected: {e}"));
     assert_eq!(got, want, "{label}: stale-plan adaptive solve");
 
-    let off = Executor::with_planner(PlannerConfig::stats())
-        .with_calibration(Arc::new(CalibrationRegistry::off()));
+    let off = Executor::default().with_calibration(Arc::new(CalibrationRegistry::off()));
     assert_eq!(
         off.solve(q).unwrap(),
         want,
@@ -201,9 +196,8 @@ fn calibration_reduces_the_median_estimator_error() {
         q
     };
 
-    let planner = PlannerConfig::stats();
     let registry = Arc::new(CalibrationRegistry::new());
-    let ex = Executor::with_planner(planner).with_calibration(Arc::clone(&registry));
+    let ex = Executor::default().with_calibration(Arc::clone(&registry));
     let (mut raw_errs, mut cal_errs) = (Vec::new(), Vec::new());
     for round in 0..8u64 {
         let q = skewed(0xE20 + round);
@@ -213,7 +207,7 @@ fn calibration_reduces_the_median_estimator_error() {
         // correction reflects this one's misses.
         let actual = ex.solve(&q).unwrap().len().max(1) as f64;
         let err = |correction: f64| {
-            let plan = plan_query_calibrated(&q, &planner, None, Some(&stats), correction).unwrap();
+            let plan = plan_query_calibrated(&q, None, Some(&stats), correction).unwrap();
             let predicted = plan.node_rows[plan.ghd.root().index()].max(1);
             (predicted as f64 / actual).log2().abs()
         };

@@ -2,11 +2,12 @@
 //! must be *bit-identical*, per binding, to N independent
 //! `Executor::solve` calls on the per-binding restricted queries —
 //! across semirings, shapes, free-parameter choices, skew, duplicate
-//! and missing bindings, and both planner configurations.
+//! and missing bindings — and to the structural reference plan
+//! (`solve_faq_reference`) on the same restricted queries.
 
+use faqs_core::solve_faq_reference;
 use faqs_exec::Executor;
 use faqs_hypergraph::{example_h2, path_query, star_query, tree_query, Hypergraph, Var};
-use faqs_plan::PlannerConfig;
 use faqs_relation::{FaqQuery, Relation};
 use faqs_semiring::{Boolean, Count, MinPlus, Semiring};
 use proptest::prelude::*;
@@ -83,26 +84,22 @@ fn restricted<S: Semiring>(q: &FaqQuery<S>, param: Var, b: u32) -> FaqQuery<S> {
     }
 }
 
-/// The core differential assertion, under both planner configurations.
+/// The core differential assertion: each batched slice equals the solo
+/// executor answer and the structural reference plan's answer.
 fn assert_batch_matches<S: Semiring>(q: &FaqQuery<S>, param: Var, bindings: &[u32], label: &str) {
-    for (name, planner) in [
-        ("structural", PlannerConfig::structural()),
-        ("stats", PlannerConfig::stats()),
-    ] {
-        let ex = Executor::with_planner(planner);
-        let batch = ex
-            .solve_batch(q, param, bindings)
-            .unwrap_or_else(|e| panic!("{label}/{name}: batch rejected: {e}"));
-        assert_eq!(batch.len(), bindings.len());
-        for (b, got) in bindings.iter().zip(&batch) {
-            let solo = ex
-                .solve(&restricted(q, param, *b))
-                .unwrap_or_else(|e| panic!("{label}/{name}: solo rejected: {e}"));
-            assert_eq!(
-                *got, solo,
-                "{label}/{name}: binding {b} must be bit-identical"
-            );
-        }
+    let ex = Executor::default();
+    let batch = ex
+        .solve_batch(q, param, bindings)
+        .unwrap_or_else(|e| panic!("{label}: batch rejected: {e}"));
+    assert_eq!(batch.len(), bindings.len());
+    for (b, got) in bindings.iter().zip(&batch) {
+        let one = restricted(q, param, *b);
+        let solo = ex
+            .solve(&one)
+            .unwrap_or_else(|e| panic!("{label}: solo rejected: {e}"));
+        assert_eq!(*got, solo, "{label}: binding {b} must be bit-identical");
+        let reference = solve_faq_reference(&one).unwrap();
+        assert_eq!(*got, reference, "{label}: binding {b} vs structural plan");
     }
 }
 

@@ -10,9 +10,9 @@
 //! same instance.
 
 use faqs_core::{solve_faq_brute_force, solve_faq_with_plan};
-use faqs_exec::Executor;
+use faqs_exec::{Executor, QueryPlan};
 use faqs_hypergraph::{clique_query, cycle_query, Hypergraph, Var};
-use faqs_plan::{plan_query_calibrated, PlannerConfig};
+use faqs_plan::{plan_query_calibrated, structural_plan};
 use faqs_relation::{random_instance, FaqQuery, RandomInstanceConfig};
 use faqs_semiring::{Boolean, Count, MinPlus, Semiring};
 use proptest::prelude::*;
@@ -46,32 +46,34 @@ fn shape(which: usize, free_sel: usize) -> (Hypergraph, Vec<Var>) {
     }
 }
 
-/// The stats planner and the structural reference — the full planner
-/// matrix, built in-process.
-fn planner_matrix() -> [(&'static str, PlannerConfig); 2] {
-    [
-        ("stats", PlannerConfig::stats()),
-        ("structural", PlannerConfig::structural()),
-    ]
-}
-
-/// The core differential assertion: every planner config agrees with
-/// brute force as a full relation.
+/// The core differential assertion: the stats planner's plan and the
+/// structural reference plan each agree with brute force as a full
+/// relation — solved directly and on the executor (the stats plan
+/// through its cache, the structural one through `solve_on`).
 fn assert_cyclic_agree<S: Semiring>(q: &FaqQuery<S>, label: &str) {
     let oracle = solve_faq_brute_force(q);
-    for (name, cfg) in planner_matrix() {
-        let plan = plan_query_calibrated(q, &cfg, None, None, 1.0)
-            .unwrap_or_else(|e| panic!("{label}/{name}: planner rejected cyclic query: {e}"));
+    let ex = Executor::default();
+    let got = ex
+        .solve(q)
+        .unwrap_or_else(|e| panic!("{label}: executor rejected: {e}"));
+    assert_eq!(got, oracle, "{label}: executor vs oracle");
+    let plans = [
+        ("stats", plan_query_calibrated(q, None, None, 1.0)),
+        ("structural", structural_plan(q)),
+    ];
+    for (name, plan) in plans {
+        let plan =
+            plan.unwrap_or_else(|e| panic!("{label}/{name}: planner rejected cyclic query: {e}"));
         plan.ghd
             .validate(&q.hypergraph)
             .unwrap_or_else(|e| panic!("{label}/{name}: invalid GHD: {e}"));
         let direct = solve_faq_with_plan(q, &plan)
             .unwrap_or_else(|e| panic!("{label}/{name}: plan rejected: {e}"));
         assert_eq!(direct, oracle, "{label}/{name}: direct solve vs oracle");
-        let got = Executor::with_planner(cfg)
-            .solve(q)
+        let on = ex
+            .solve_on(q, &QueryPlan::lower(q, plan))
             .unwrap_or_else(|e| panic!("{label}/{name}: rejected: {e}"));
-        assert_eq!(got, oracle, "{label}/{name}: executor vs oracle");
+        assert_eq!(on, oracle, "{label}/{name}: executor vs oracle");
     }
 }
 
@@ -160,7 +162,7 @@ fn pinned_triangle_picks_generic_join_and_agrees_with_the_cascade() {
         |_| Count(1),
     );
 
-    let plan = plan_query_calibrated(&q, &PlannerConfig::stats(), None, None, 1.0).expect("plan");
+    let plan = plan_query_calibrated(&q, None, None, 1.0).expect("plan");
     assert!(
         plan.uses_generic_join(),
         "the 50k triangle must lower to a generic-join bag"

@@ -4,19 +4,17 @@
 //!
 //! Invariants checked:
 //!
-//! * executor ≡ `solve_faq` ≡ brute force, as full result *relations*
-//!   (not just totals), under the default planner and the structural
-//!   reference;
+//! * executor ≡ `solve_faq` ≡ `solve_faq_reference` (the structural
+//!   plan) ≡ brute force, as full result *relations* (not just totals);
 //! * a plan-cache hit produces a result identical to a cold plan;
 //! * hit/miss counters actually move, proving the GHD/validation work is
 //!   skipped on repeat shapes;
 //! * the `ExecutorConfig::with_threads` shim schedules nothing: every
 //!   semiring operation of a solve runs on the calling thread.
 
-use faqs_core::{solve_faq, solve_faq_brute_force};
+use faqs_core::{solve_faq, solve_faq_brute_force, solve_faq_reference};
 use faqs_exec::{Executor, ExecutorConfig};
 use faqs_hypergraph::{example_h2, path_query, star_query, Hypergraph, Var};
-use faqs_plan::PlannerConfig;
 use faqs_relation::{random_boolean_instance, random_instance, FaqQuery, RandomInstanceConfig};
 use faqs_semiring::{Boolean, Count, MinPlus, Semiring};
 use std::sync::Mutex;
@@ -52,32 +50,24 @@ fn cfg(seed: u64) -> RandomInstanceConfig {
     }
 }
 
-/// The executors raced against the engine: the default
-/// (statistics-driven) planner and the structural reference.
-fn executors() -> [Executor; 2] {
-    [
-        Executor::default(),
-        Executor::with_planner(PlannerConfig::structural()),
-    ]
-}
-
-/// Runs one instance through every execution strategy and asserts the
-/// full output relations agree.
-fn assert_all_agree<S: Semiring>(q: &FaqQuery<S>, exs: &[Executor], label: &str) {
+/// Runs one instance through every execution strategy — the executor,
+/// `solve_faq` and the structural reference — and asserts the full
+/// output relations agree with brute force.
+fn assert_all_agree<S: Semiring>(q: &FaqQuery<S>, ex: &Executor, label: &str) {
     let oracle = solve_faq_brute_force(q);
     let engine = solve_faq(q).unwrap_or_else(|e| panic!("{label}: engine rejected: {e}"));
     assert_eq!(engine, oracle, "{label}: engine vs brute force");
-    for (i, ex) in exs.iter().enumerate() {
-        let got = ex
-            .solve(q)
-            .unwrap_or_else(|e| panic!("{label}: executor {i} rejected: {e}"));
-        assert_eq!(got, engine, "{label}: executor {i} vs engine");
-    }
+    let reference = solve_faq_reference(q).unwrap();
+    assert_eq!(reference, oracle, "{label}: structural plan vs brute force");
+    let got = ex
+        .solve(q)
+        .unwrap_or_else(|e| panic!("{label}: executor rejected: {e}"));
+    assert_eq!(got, engine, "{label}: executor vs engine");
 }
 
 #[test]
 fn count_instances_agree_across_strategies() {
-    let exs = executors();
+    let ex = Executor::default();
     for (name, h, free_sets) in shapes() {
         for free in free_sets {
             for seed in 0..6 {
@@ -85,31 +75,29 @@ fn count_instances_agree_across_strategies() {
                     use rand::Rng;
                     Count(r.random_range(1..5))
                 });
-                assert_all_agree(&q, &exs, &format!("count/{name}/F={free:?}/s{seed}"));
+                assert_all_agree(&q, &ex, &format!("count/{name}/F={free:?}/s{seed}"));
             }
         }
     }
     // The executor saw one shape per (hypergraph, free set) pair and
     // replayed it across seeds: hits must dominate misses.
-    for ex in &exs {
-        let stats = ex.cache_stats();
-        assert!(
-            stats.hits > stats.misses,
-            "expected mostly hits, got {stats:?}"
-        );
-    }
+    let stats = ex.cache_stats();
+    assert!(
+        stats.hits > stats.misses,
+        "expected mostly hits, got {stats:?}"
+    );
 }
 
 #[test]
 fn boolean_instances_agree_across_strategies() {
-    let exs = executors();
+    let ex = Executor::default();
     for (name, h, free_sets) in shapes() {
         for free in free_sets {
             for seed in 0..6 {
                 let mut q: FaqQuery<Boolean> =
                     random_boolean_instance(&h, &cfg(seed), seed % 2 == 0);
                 q.free_vars = free.clone();
-                assert_all_agree(&q, &exs, &format!("bool/{name}/F={free:?}/s{seed}"));
+                assert_all_agree(&q, &ex, &format!("bool/{name}/F={free:?}/s{seed}"));
             }
         }
     }
@@ -117,11 +105,11 @@ fn boolean_instances_agree_across_strategies() {
 
 #[test]
 fn min_plus_instances_agree_across_strategies() {
-    // Tropical semiring: min-cost joint assignments. The default
-    // executor runs the engine's pass, fold order included; the
-    // structural one folds in another order, but small integer costs
-    // sum exactly, so exact equality is the right assertion for both.
-    let exs = executors();
+    // Tropical semiring: min-cost joint assignments. The executor runs
+    // the engine's pass, fold order included; the structural plan folds
+    // in another order, but small integer costs sum exactly, so exact
+    // equality is the right assertion for both.
+    let ex = Executor::default();
     for (name, h, free_sets) in shapes() {
         for free in free_sets {
             for seed in 0..6 {
@@ -129,7 +117,7 @@ fn min_plus_instances_agree_across_strategies() {
                     use rand::Rng;
                     MinPlus::new(r.random_range(0..32) as f64)
                 });
-                assert_all_agree(&q, &exs, &format!("minplus/{name}/F={free:?}/s{seed}"));
+                assert_all_agree(&q, &ex, &format!("minplus/{name}/F={free:?}/s{seed}"));
             }
         }
     }

@@ -8,14 +8,15 @@
 //!
 //! * `solve_faq_with_plan(stats plan)` ≡ `solve_faq_with_plan(structural
 //!   plan)` ≡ brute force, as full result *relations*;
-//! * the cached executor path agrees under both planner configurations;
+//! * the executor agrees on both plans: the stats plan through its
+//!   cache, the structural one through `solve_on`;
 //! * plan invariants: every node's join order is a permutation of its λ
 //!   and the chosen GHD validates.
 
 use faqs_core::{solve_faq_brute_force, solve_faq_with_plan};
-use faqs_exec::Executor;
+use faqs_exec::{Executor, QueryPlan};
 use faqs_hypergraph::{example_h2, path_query, star_query, tree_query, Hypergraph, Var};
-use faqs_plan::{plan_query_calibrated, ChosenPlan, PlannerConfig};
+use faqs_plan::{plan_query_calibrated, structural_plan, ChosenPlan};
 use faqs_relation::{FaqQuery, Relation};
 use faqs_semiring::{Boolean, Count, MinPlus, Semiring};
 use proptest::prelude::*;
@@ -92,10 +93,8 @@ fn instance<S: Semiring>(
 }
 
 fn plans<S: Semiring>(q: &FaqQuery<S>) -> (ChosenPlan, ChosenPlan) {
-    let structural = plan_query_calibrated(q, &PlannerConfig::structural(), None, None, 1.0)
-        .expect("structural plan");
-    let stats =
-        plan_query_calibrated(q, &PlannerConfig::stats(), None, None, 1.0).expect("stats plan");
+    let structural = structural_plan(q).expect("structural plan");
+    let stats = plan_query_calibrated(q, None, None, 1.0).expect("stats plan");
     (structural, stats)
 }
 
@@ -122,17 +121,20 @@ fn assert_plans_agree<S: Semiring>(q: &FaqQuery<S>, label: &str) {
     assert_eq!(via_structural, oracle, "{label}: structural vs oracle");
     assert_eq!(via_stats, via_structural, "{label}: stats vs structural");
 
-    // The cached executor path under both planner configurations.
-    for (name, planner) in [
-        ("exec-structural", PlannerConfig::structural()),
-        ("exec-stats", PlannerConfig::stats()),
-    ] {
-        let ex = Executor::with_planner(planner);
-        let got = ex
-            .solve(q)
-            .unwrap_or_else(|e| panic!("{label}/{name}: rejected: {e}"));
-        assert_eq!(got, oracle, "{label}/{name}: executor vs oracle");
-    }
+    // The executor on both plans: the stats one through its cache, the
+    // structural one supplied.
+    let ex = Executor::default();
+    let cached = ex
+        .solve(q)
+        .unwrap_or_else(|e| panic!("{label}/exec-stats: rejected: {e}"));
+    assert_eq!(cached, oracle, "{label}/exec-stats: executor vs oracle");
+    let supplied = ex
+        .solve_on(q, &QueryPlan::lower(q, structural))
+        .unwrap_or_else(|e| panic!("{label}/exec-structural: rejected: {e}"));
+    assert_eq!(
+        supplied, oracle,
+        "{label}/exec-structural: executor vs oracle"
+    );
 }
 
 proptest! {
@@ -197,7 +199,7 @@ fn pinned_skewed_star_beats_structural_and_agrees() {
     let q = faqs_relation::skewed_star_instance(4, 16);
     let (structural, stats) = plans(&q);
     assert!(
-        structural.chose_default() && stats.stats_aware && !stats.chose_default(),
+        structural.chose_default() && !stats.chose_default(),
         "the huge-leaf star must trigger a re-root"
     );
     assert!(

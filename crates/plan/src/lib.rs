@@ -36,8 +36,8 @@
 //!   further for free-variable coverage) and cost-based selection under
 //!   optional placement, statistics and calibration correction. The
 //!   default wins all ties, so uniform instances plan exactly as the
-//!   structural planner did — and [`PlannerConfig::structural`]
-//!   short-circuits to it without reading any data.
+//!   structural planner did; [`structural_plan`] is that default on its
+//!   own, read from no data — the reference plan.
 //!   [`cost_quote_with_stats`] is the one quote: the default's cost.
 //! * [`ChosenPlan`] — the validated GHD plus the per-node factor join
 //!   order and, for every bag of two or more factors, the generic
@@ -50,8 +50,8 @@
 //!   distributed runtime's actual routing.
 //!
 //! Validation (`check_push_down`, free-variable coverage) and the
-//! free-variable re-rooting search moved here from `faqs-core`, which
-//! re-exports them under their old names.
+//! free-variable re-rooting search live here too; callers import them
+//! from this crate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -72,8 +72,8 @@ pub use planner::{
     choose_aggregation_players, cost_quote_calibrated, cost_quote_with_stats,
     decomposition_covering_free_vars, decomposition_for_free_vars, ghd_for_query,
     join_order_covers_lambda, join_order_for_ghd, plan_query, plan_query_calibrated,
-    plan_query_placed, pre_agg_candidates, CandidateReport, ChosenPlan, PlacementContext,
-    PlannerConfig,
+    plan_query_placed, pre_agg_candidates, structural_plan, CandidateReport, ChosenPlan,
+    PlacementContext, PlannerConfig,
 };
 pub use stats::{MaintainedQueryStats, QueryStats, StatsDigest};
 pub use validate::{check_elimination_order, check_product_aggregates, check_push_down};
@@ -101,11 +101,11 @@ mod tests {
 
     #[test]
     fn structural_mode_reproduces_ghd_for_query() {
+        // `structural_plan` — the reference plan — is exactly the
+        // default GHD with smallest-first join orders.
         for h in [star_query(3), path_query(4), example_h2()] {
             let q = count_instance(&h, 7);
-            let plan =
-                plan_query_calibrated(&q, &PlannerConfig::structural(), None, None, 1.0).unwrap();
-            assert!(!plan.stats_aware);
+            let plan = structural_plan(&q).unwrap();
             assert_eq!(plan.candidates.len(), 1);
             let reference = ghd_for_query(&q).unwrap();
             assert_eq!(plan.ghd.root(), reference.root());
@@ -136,8 +136,7 @@ mod tests {
         // default must win (cache keys, pinned distributed schedules
         // and ablation tables all rely on this determinism).
         let q = faqs_relation::irreducible_star_instance(4, 16);
-        let plan = plan_query_calibrated(&q, &PlannerConfig::stats(), None, None, 1.0).unwrap();
-        assert!(plan.stats_aware);
+        let plan = plan_query_calibrated(&q, None, None, 1.0).unwrap();
         assert!(plan.chose_default(), "ties keep candidate 0");
         assert!(plan.candidates.len() > 1, "reroots were actually scored");
     }
@@ -150,14 +149,13 @@ mod tests {
         // probes it on every fold. The cost model must pick a thin
         // root and predict strictly less kernel work.
         let q = skewed_star_instance(3, 16);
-        let structural =
-            plan_query_calibrated(&q, &PlannerConfig::structural(), None, None, 1.0).unwrap();
+        let structural = structural_plan(&q).unwrap();
         assert!(
             structural.ghd.node(structural.ghd.root()).lambda == vec![EdgeId(0)],
             "precondition: the structural default roots at the huge edge 0"
         );
 
-        let plan = plan_query_calibrated(&q, &PlannerConfig::stats(), None, None, 1.0).unwrap();
+        let plan = plan_query_calibrated(&q, None, None, 1.0).unwrap();
         assert!(!plan.chose_default(), "stats must beat the default here");
         assert!(
             !plan.ghd.node(plan.ghd.root()).lambda.contains(&EdgeId(0)),
@@ -191,8 +189,7 @@ mod tests {
             vec![vec![Player(0)], vec![Player(1)], vec![Player(2)]],
             Player(3),
         );
-        let plan =
-            plan_query_calibrated(&q, &PlannerConfig::stats(), Some(&ctx), None, 1.0).unwrap();
+        let plan = plan_query_calibrated(&q, Some(&ctx), None, 1.0).unwrap();
         assert!(!plan.chose_default());
         let default_bits = plan.candidates[0].cost.net_bits;
         assert!(
@@ -206,8 +203,7 @@ mod tests {
     #[test]
     fn aggregation_players_pin_root_and_minimise_mass() {
         let q: FaqQuery<Boolean> = skewed_star_instance(3, 8);
-        let plan =
-            plan_query_calibrated(&q, &PlannerConfig::structural(), None, None, 1.0).unwrap();
+        let plan = structural_plan(&q).unwrap();
         let g = Topology::line(4);
         let n_nodes = plan.ghd.node_ids().map(|n| n.index()).max().unwrap() + 1;
         // Give every non-root node one shard at player 0 with heavy
@@ -235,8 +231,7 @@ mod tests {
         // `NoRoute` at runtime. With the viability filter the marooned
         // holder is excluded and a reachable candidate wins.
         let q: FaqQuery<Boolean> = skewed_star_instance(3, 8);
-        let plan =
-            plan_query_calibrated(&q, &PlannerConfig::structural(), None, None, 1.0).unwrap();
+        let plan = structural_plan(&q).unwrap();
         let mut g = Topology::line(4);
         g.set_capacity(faqs_network::LinkId(0), 0); // maroon Player(0)
         let n_nodes = plan.ghd.node_ids().map(|n| n.index()).max().unwrap() + 1;
@@ -275,7 +270,7 @@ mod tests {
             vec![vec![Player(0)], vec![Player(1)], vec![Player(2)]],
             Player(3),
         );
-        let err = plan_query_calibrated(&q, &PlannerConfig::stats(), Some(&ctx), None, 1.0);
+        let err = plan_query_calibrated(&q, Some(&ctx), None, 1.0);
         assert!(
             matches!(err, Err(EngineError::Invalid(ref m)) if m.contains("unreachable")),
             "partitioned placement must be a planner error, got {err:?}"
@@ -288,16 +283,16 @@ mod tests {
             vec![vec![Player(0)], vec![Player(1)], vec![Player(2)]],
             Player(3),
         );
-        assert!(plan_query_calibrated(&q, &PlannerConfig::stats(), Some(&ctx2), None, 1.0).is_ok());
+        assert!(plan_query_calibrated(&q, Some(&ctx2), None, 1.0).is_ok());
     }
 
     #[test]
     fn corrections_rescale_predicted_rows_and_are_recorded() {
         let q = skewed_star_instance(3, 16);
-        let base = plan_query_calibrated(&q, &PlannerConfig::stats(), None, None, 1.0).unwrap();
+        let base = plan_query_calibrated(&q, None, None, 1.0).unwrap();
         assert_eq!(base.correction, 1.0);
         assert!(!base.node_rows.is_empty(), "stats plans predict rows");
-        let scaled = plan_query_calibrated(&q, &PlannerConfig::stats(), None, None, 4.0).unwrap();
+        let scaled = plan_query_calibrated(&q, None, None, 4.0).unwrap();
         assert_eq!(scaled.correction, 4.0);
         // Multi-input nodes (root folds its children) scale up; leaf
         // bags have exact single-factor stats and must stay put.
@@ -309,7 +304,7 @@ mod tests {
             base.node_rows[root]
         );
         // A poisoned correction is sanitised, not propagated.
-        let nan = plan_query_calibrated(&q, &PlannerConfig::stats(), None, None, f64::NAN).unwrap();
+        let nan = plan_query_calibrated(&q, None, None, f64::NAN).unwrap();
         assert_eq!(nan.correction, 1.0);
         assert_eq!(nan.cost, base.cost);
     }
@@ -365,10 +360,8 @@ mod tests {
             output: Player(3),
             pre_agg: vec![Vec::new(); q.factors.len()],
         };
-        let fixed =
-            plan_query_calibrated(&q, &PlannerConfig::stats(), Some(&ctx), None, 1.0).unwrap();
-        let raw =
-            plan_query_calibrated(&q, &PlannerConfig::stats(), Some(&raw_ctx), None, 1.0).unwrap();
+        let fixed = plan_query_calibrated(&q, Some(&ctx), None, 1.0).unwrap();
+        let raw = plan_query_calibrated(&q, Some(&raw_ctx), None, 1.0).unwrap();
         assert!(
             fixed.cost.net_bits < raw.cost.net_bits,
             "aggregated shards must ship fewer predicted bits: {} !< {}",
@@ -383,8 +376,7 @@ mod tests {
         // the outcome must be indistinguishable from a fresh O(data)
         // gathering pass, including the cache digest.
         let q = skewed_star_instance(3, 16);
-        let cfg = PlannerConfig::stats();
-        let fresh = plan_query_calibrated(&q, &cfg, None, None, 1.0).unwrap();
+        let fresh = plan_query_calibrated(&q, None, None, 1.0).unwrap();
         let stats = QueryStats::from_factors(
             q.factors
                 .iter()
@@ -392,7 +384,7 @@ mod tests {
                 .collect(),
         );
         assert_eq!(stats.digest(), QueryStats::of(&q).digest());
-        let pre = plan_query_calibrated(&q, &cfg, None, Some(&stats), 1.0).unwrap();
+        let pre = plan_query_calibrated(&q, None, Some(&stats), 1.0).unwrap();
         assert_eq!(pre.cost.cpu, fresh.cost.cpu);
         assert_eq!(pre.cost.net_bits, fresh.cost.net_bits);
         assert_eq!(pre.candidates.len(), fresh.candidates.len());
@@ -404,10 +396,9 @@ mod tests {
         // The quote is the default candidate's simulated cost — an
         // upper estimate for whatever the full search ends up choosing.
         let q = skewed_star_instance(3, 16);
-        let cfg = PlannerConfig::stats();
         let quote = cost_quote_with_stats(&q, &QueryStats::of(&q), 1.0).unwrap();
         assert!(quote.cpu > 0, "a non-trivial instance costs something");
-        let plan = plan_query_calibrated(&q, &cfg, None, None, 1.0).unwrap();
+        let plan = plan_query_calibrated(&q, None, None, 1.0).unwrap();
         assert_eq!(quote, plan.candidates[0].cost, "quote = default's cost");
         assert!(plan.cost.cpu <= quote.cpu, "chosen plan never costs more");
         // Shape-level rejection matches the planner's: the carrier
@@ -422,8 +413,10 @@ mod tests {
         let max = star.with_aggregate(Var(1), Aggregate::Max);
         assert!(cost_quote_with_stats(&max, &stats, 1.0).is_ok());
         // The three shims `benchmark/` compiles against: a `lattice`
-        // argument can only restrict, and the scanning quote validates
-        // the listings before it quotes what a fresh scan gathers.
+        // argument can only restrict, the fieldless `PlannerConfig`
+        // changes nothing, and the scanning quote validates the listings
+        // before it quotes what a fresh scan gathers.
+        let cfg = PlannerConfig;
         let registry = CalibrationRegistry::new();
         assert!(plan_query(&max, true, &cfg).is_ok());
         assert!(matches!(
@@ -513,12 +506,14 @@ mod tests {
             vec![Var(0), Var(5)],
             |_| Count(1),
         );
-        for cfg in [PlannerConfig::stats(), PlannerConfig::structural()] {
-            assert!(matches!(
-                plan_query_calibrated(&q, &cfg, None, None, 1.0),
-                Err(EngineError::FreeVarsOutsideCore(_))
-            ));
-        }
+        assert!(matches!(
+            plan_query_calibrated(&q, None, None, 1.0),
+            Err(EngineError::FreeVarsOutsideCore(_))
+        ));
+        assert!(matches!(
+            structural_plan(&q),
+            Err(EngineError::FreeVarsOutsideCore(_))
+        ));
     }
 
     #[test]
@@ -539,7 +534,7 @@ mod tests {
             vec![],
             |_| Count(1),
         );
-        let plan = plan_query_calibrated(&q, &PlannerConfig::stats(), None, None, 1.0).unwrap();
+        let plan = plan_query_calibrated(&q, None, None, 1.0).unwrap();
         assert!(!plan.chose_default(), "merged core must beat the default");
         assert!(plan.uses_generic_join(), "the merged bag lowers to WCOJ");
         assert!(
@@ -555,9 +550,8 @@ mod tests {
             plan.candidates[0].cost.cpu
         );
 
-        // Structural mode is untouched: legacy shape, one-factor bags.
-        let structural =
-            plan_query_calibrated(&q, &PlannerConfig::structural(), None, None, 1.0).unwrap();
+        // The structural plan is untouched: legacy shape, one-factor bags.
+        let structural = structural_plan(&q).unwrap();
         assert!(!structural.uses_generic_join());
         assert!(structural.ghd.node(structural.ghd.root()).lambda.is_empty());
     }
@@ -586,7 +580,7 @@ mod tests {
                 seed,
             };
             let q: FaqQuery<Count> = random_instance(&h, &cfg, vec![], |_| Count(1));
-            let plan = plan_query_calibrated(&q, &PlannerConfig::stats(), None, None, 1.0).unwrap();
+            let plan = plan_query_calibrated(&q, None, None, 1.0).unwrap();
             let chosen = plan.candidates.iter().find(|c| c.chosen).unwrap();
             assert_eq!(chosen.label, "merged core", "{h:?}");
             let root = plan.ghd.root();
@@ -642,8 +636,7 @@ mod tests {
                 };
                 let free: Vec<Var> = free.iter().map(|&v| Var(v)).collect();
                 let q: FaqQuery<Count> = random_instance(h, &cfg, free, |_| Count(1));
-                let plan =
-                    plan_query_calibrated(&q, &PlannerConfig::stats(), None, None, 1.0).unwrap();
+                let plan = plan_query_calibrated(&q, None, None, 1.0).unwrap();
                 for node in plan.ghd.node_ids() {
                     let var_order = &plan.var_orders[node.index()];
                     if !var_order.is_empty() {
@@ -700,7 +693,7 @@ mod tests {
         // the fingerprint dedup must keep exactly one copy of each
         // distinct shape in the explain table.
         let q = skewed_star_instance(3, 16);
-        let plan = plan_query_calibrated(&q, &PlannerConfig::stats(), None, None, 1.0).unwrap();
+        let plan = plan_query_calibrated(&q, None, None, 1.0).unwrap();
         let mut labels: Vec<&str> = plan.candidates.iter().map(|c| c.label.as_str()).collect();
         labels.sort_unstable();
         let n = labels.len();
@@ -714,7 +707,7 @@ mod tests {
     #[test]
     fn candidate_table_is_explainable() {
         let q = skewed_star_instance(4, 8);
-        let plan = plan_query_calibrated(&q, &PlannerConfig::stats(), None, None, 1.0).unwrap();
+        let plan = plan_query_calibrated(&q, None, None, 1.0).unwrap();
         assert_eq!(plan.candidates[0].label, "structural default");
         assert_eq!(
             plan.candidates.iter().filter(|c| c.chosen).count(),

@@ -18,36 +18,13 @@ use faqs_relation::{FaqQuery, QueryError};
 use faqs_semiring::{Aggregate, Semiring};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Planner knobs.
-#[derive(Clone, Copy, Debug)]
-pub struct PlannerConfig {
-    /// Whether to gather per-factor statistics and score re-rooted GHD
-    /// candidates against the structural default. `false` reproduces
-    /// the pre-planner behaviour exactly: the width-minimising GYO-GHD
-    /// and smallest-first join orders, no data inspection beyond factor
-    /// listing sizes.
-    pub use_stats: bool,
-}
-
-impl PlannerConfig {
-    /// Statistics-driven planning — the default.
-    pub fn stats() -> Self {
-        PlannerConfig { use_stats: true }
-    }
-
-    /// Pure-structural planning: the width-minimising GYO-GHD, no data
-    /// inspection — the structural reference the differential suites
-    /// race the default against.
-    pub fn structural() -> Self {
-        PlannerConfig { use_stats: false }
-    }
-}
-
-impl Default for PlannerConfig {
-    fn default() -> Self {
-        Self::stats()
-    }
-}
+/// Shim for `benchmark/`, which builds `PlannerConfig::default()` and
+/// hands it to [`plan_query`] / [`plan_query_placed`]: planning has one
+/// mode, so there is nothing left to configure. Goes at the next
+/// `[benchmark]` revision (ROADMAP 3(h)).
+#[doc(hidden)]
+#[derive(Clone, Copy, Debug, Default)]
+pub struct PlannerConfig;
 
 /// Where the input shards live — everything the planner needs to
 /// predict shipped bits without depending on the protocol layer's
@@ -157,22 +134,20 @@ pub struct ChosenPlan {
     /// root, the free variables in declared order), then the private
     /// ones ascending.
     pub var_orders: Vec<Vec<Var>>,
-    /// Predicted cost of the chosen candidate (zero in structural mode,
-    /// which predicts nothing).
+    /// Predicted cost of the chosen candidate (zero for the
+    /// [`structural_plan`], which predicts nothing).
     pub cost: PlanCost,
-    /// Whether statistics were consulted.
-    pub stats_aware: bool,
     /// The cost model's predicted row count per GHD node (dense by
-    /// `NodeId`; empty in structural mode, which predicts nothing).
-    /// These are the `predicted` halves of the executor's
-    /// predicted-vs-actual calibration samples.
+    /// `NodeId`; empty for the [`structural_plan`]). These are the
+    /// `predicted` halves of the executor's predicted-vs-actual
+    /// calibration samples.
     pub node_rows: Vec<u64>,
     /// The calibration correction the winning candidate was scored
     /// under (`1.0` = uncalibrated). Plan caches compare this against
     /// the registry's current correction to decide staleness.
     pub correction: f64,
-    /// The full scored candidate table (one entry, the default, in
-    /// structural mode).
+    /// The full scored candidate table (one entry, the default, for the
+    /// [`structural_plan`]).
     pub candidates: Vec<CandidateReport>,
 }
 
@@ -299,9 +274,8 @@ pub fn decomposition_covering_free_vars(
 
 /// The *structural default* GHD: the width-minimising one when its core
 /// already contains `F`, otherwise a re-rooted decomposition. This is
-/// the plan used whenever statistics are disabled, and candidate 0 of
-/// every cost-based search — the cost model must beat it strictly to
-/// deviate.
+/// the GHD of the [`structural_plan`] and candidate 0 of every
+/// cost-based search — the cost model must beat it strictly to deviate.
 pub fn ghd_for_query<S: Semiring>(q: &FaqQuery<S>) -> Result<Ghd, EngineError> {
     let report = internal_node_width(&q.hypergraph);
     let covers = q
@@ -391,7 +365,8 @@ pub(crate) fn binding_orders<S: Semiring>(q: &FaqQuery<S>, ghd: &Ghd) -> Vec<Vec
 }
 
 /// Shim for `benchmark/`: [`plan_query_calibrated`] without placement,
-/// precomputed statistics or correction.
+/// precomputed statistics or correction; the [`PlannerConfig`] is
+/// ignored.
 ///
 /// `lattice` can only *restrict*: `false` additionally refuses every
 /// `Max`/`Min`, `true` leaves the decision to the carrier
@@ -408,18 +383,19 @@ pub fn plan_query<S: Semiring>(
 }
 
 /// Shim for `benchmark/`: [`plan_query_calibrated`] with a placement
-/// and nothing else; `lattice` as in [`plan_query`].
+/// and nothing else; `lattice` and the [`PlannerConfig`] as in
+/// [`plan_query`].
 #[doc(hidden)]
 pub fn plan_query_placed<S: Semiring>(
     q: &FaqQuery<S>,
     lattice: bool,
-    cfg: &PlannerConfig,
+    _cfg: &PlannerConfig,
     placement: Option<&PlacementContext<'_>>,
 ) -> Result<ChosenPlan, EngineError> {
     if !lattice {
         refuse_max_min(q)?;
     }
-    plan_query_calibrated(q, cfg, placement, None, 1.0)
+    plan_query_calibrated(q, placement, None, 1.0)
 }
 
 /// What `lattice = false` still means on the three signatures that keep
@@ -470,9 +446,7 @@ pub fn cost_quote_calibrated<S: Semiring>(
 /// validation runs ([`FaqQuery::validate_structure`]). The caller
 /// vouches that every listed value is inside `q.domain` — it validated
 /// the instance when it entered and has applied only in-domain deltas
-/// since — and that `stats` describes `q`. The quote is the same under
-/// every [`PlannerConfig`]: admission control needs a number even in
-/// front of a structural planner.
+/// since — and that `stats` describes `q`.
 pub fn cost_quote_with_stats<S: Semiring>(
     q: &FaqQuery<S>,
     stats: &QueryStats,
@@ -516,10 +490,34 @@ fn validated_default<S: Semiring>(
     Ok((ghd, order))
 }
 
+/// The structural default as a plan, without reading any data: the
+/// width-minimising GYO-GHD ([`ghd_for_query`]) with smallest-first join
+/// orders, no predicted cost or rows, correction `1.0`. It is candidate
+/// 0 of every [`plan_query_calibrated`] search; on its own it is the
+/// reference plan (`faqs_core::solve_faq_reference`), identical for
+/// equal data whatever the statistics say.
+pub fn structural_plan<S: Semiring>(q: &FaqQuery<S>) -> Result<ChosenPlan, EngineError> {
+    let (default_ghd, default_order) = validated_default(q, FaqQuery::validate)?;
+    Ok(ChosenPlan {
+        candidates: vec![CandidateReport {
+            label: "structural default".into(),
+            y: default_ghd.internal_count(),
+            cost: PlanCost::default(),
+            chosen: true,
+        }],
+        join_order: default_order,
+        var_orders: binding_orders(q, &default_ghd),
+        cost: PlanCost::default(),
+        node_rows: Vec::new(),
+        correction: 1.0,
+        ghd: default_ghd,
+    })
+}
+
 /// The one planning door: validates `q`, builds the structural default
-/// and — with [`PlannerConfig::use_stats`] — scores every re-rooted and
-/// core-merged candidate against it, keeping the default unless a
-/// candidate is strictly cheaper. The inputs are optional placement
+/// and scores every re-rooted and core-merged candidate against it,
+/// keeping the default unless a candidate is strictly cheaper. The
+/// inputs are optional placement
 /// (when present, candidates are compared on predicted shipped bits
 /// first, kernel work breaking ties), optional precomputed statistics
 /// (in edge order; `None` reads each factor's profile), and a per-shape
@@ -530,7 +528,6 @@ fn validated_default<S: Semiring>(
 /// distributed runtime all plan through here.
 pub fn plan_query_calibrated<S: Semiring>(
     q: &FaqQuery<S>,
-    cfg: &PlannerConfig,
     placement: Option<&PlacementContext<'_>>,
     stats: Option<&QueryStats>,
     correction: f64,
@@ -543,24 +540,6 @@ pub fn plan_query_calibrated<S: Semiring>(
         );
     }
     let (default_ghd, default_order) = validated_default(q, FaqQuery::validate)?;
-
-    if !cfg.use_stats {
-        return Ok(ChosenPlan {
-            candidates: vec![CandidateReport {
-                label: "structural default".into(),
-                y: default_ghd.internal_count(),
-                cost: PlanCost::default(),
-                chosen: true,
-            }],
-            join_order: default_order,
-            var_orders: binding_orders(q, &default_ghd),
-            cost: PlanCost::default(),
-            stats_aware: false,
-            node_rows: Vec::new(),
-            correction: 1.0,
-            ghd: default_ghd,
-        });
-    }
 
     let gathered;
     let stats = match stats {
@@ -685,7 +664,6 @@ pub fn plan_query_calibrated<S: Semiring>(
         ghd: best.0,
         join_order: best.1,
         cost: best.2,
-        stats_aware: true,
         node_rows: best.4,
         correction: model.correction(),
         candidates,

@@ -105,7 +105,7 @@ fn run_on_ghd<S: Semiring, T>(
 
     // Decomposition: width-minimising, or re-rooted to cover F.
     let ghd = ghd_for(q)?;
-    faqs_core::check_push_down(q, &ghd).map_err(|e| ProtocolError::Engine(e.to_string()))?;
+    faqs_plan::check_push_down(q, &ghd).map_err(|e| ProtocolError::Engine(e.to_string()))?;
 
     let mut run = NetRun::new(g);
     let answer = execute_on_ghd(q, ghd, assignment, &mut run)?;
@@ -122,7 +122,7 @@ fn ghd_for<S: Semiring>(q: &FaqQuery<S>) -> Result<Ghd, ProtocolError> {
     {
         return Ok(report.ghd);
     }
-    let d = faqs_core::decomposition_for_free_vars(&q.hypergraph, &q.free_vars)
+    let d = faqs_plan::decomposition_for_free_vars(&q.hypergraph, &q.free_vars)
         .map_err(|e| ProtocolError::Engine(e.to_string()))?;
     let mut ghd = Ghd::from_decomposition(&q.hypergraph, &d);
     ghd.hoist_md();

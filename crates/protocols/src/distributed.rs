@@ -48,7 +48,7 @@ use faqs_network::{
     Assignment, DeltaPackings, Player, RunStats, SimTransport, Topology, Transport, TransportKind,
     WireStats,
 };
-use faqs_plan::{CalibrationRegistry, PlacementContext, PlannerConfig, QueryStats, StatsDigest};
+use faqs_plan::{CalibrationRegistry, ChosenPlan, PlacementContext, QueryStats, StatsDigest};
 use faqs_relation::{FaqQuery, Relation};
 use faqs_semiring::{Aggregate, Semiring};
 use std::borrow::Cow;
@@ -224,18 +224,6 @@ impl<'a, S: Semiring> DistributedFaqRun<'a, S> {
         placement: InputPlacement,
         capacity_tuples: u64,
     ) -> Result<Self, ProtocolError> {
-        Self::new_with(q, g, placement, capacity_tuples, &PlannerConfig::default())
-    }
-
-    /// [`DistributedFaqRun::new`] with explicit planner knobs — the
-    /// planner regressions pin structural vs stats-aware runs with it.
-    pub fn new_with(
-        q: &'a FaqQuery<S>,
-        g: &Topology,
-        placement: InputPlacement,
-        capacity_tuples: u64,
-        planner: &PlannerConfig,
-    ) -> Result<Self, ProtocolError> {
         q.validate()
             .map_err(|e| ProtocolError::Invalid(e.to_string()))?;
         placement.validate(q, g)?;
@@ -250,7 +238,7 @@ impl<'a, S: Semiring> DistributedFaqRun<'a, S> {
         // post-push-down width — the same variables `materialise_shards`
         // actually sums out before routing.
         let ctx = PlacementContext::new(q, &scaled, placement.shards.clone(), placement.output());
-        let plan = faqs_plan::plan_query_calibrated(q, planner, Some(&ctx), None, 1.0)
+        let plan = faqs_plan::plan_query_calibrated(q, Some(&ctx), None, 1.0)
             .map(|chosen| QueryPlan::lower(q, chosen))
             .map_err(|e| ProtocolError::Engine(e.to_string()))?;
         let all_links_live = scaled.links().all(|l| scaled.capacity(l) > 0);
@@ -262,6 +250,14 @@ impl<'a, S: Semiring> DistributedFaqRun<'a, S> {
             all_links_live,
             calibration: None,
         })
+    }
+
+    /// Runs `chosen` instead of the plan [`DistributedFaqRun::new`]
+    /// picked — the distributed twin of the executor's `solve_on`. The
+    /// plan must have been built for this query's shape.
+    pub fn with_plan(mut self, chosen: ChosenPlan) -> Self {
+        self.plan = QueryPlan::lower(self.q, chosen);
+        self
     }
 
     /// Attaches a shared [`CalibrationRegistry`]: every execution that
@@ -940,7 +936,7 @@ mod tests {
         let players: Vec<Player> = (0..4).map(Player).collect();
         let placement = InputPlacement::hash_split(q.k(), &players, Player(0));
         let registry = Arc::new(CalibrationRegistry::new());
-        let run = DistributedFaqRun::new_with(&q, &g, placement, 1, &PlannerConfig::stats())
+        let run = DistributedFaqRun::new(&q, &g, placement, 1)
             .unwrap()
             .with_calibration(Arc::clone(&registry));
         let out = run.execute().unwrap();
@@ -954,7 +950,7 @@ mod tests {
         let q2 = count_instance(&star_query(3), 3);
         let placement =
             InputPlacement::hash_split(q2.k(), &(0..4).map(Player).collect::<Vec<_>>(), Player(0));
-        let run = DistributedFaqRun::new_with(&q2, &g, placement, 1, &PlannerConfig::stats())
+        let run = DistributedFaqRun::new(&q2, &g, placement, 1)
             .unwrap()
             .with_calibration(Arc::clone(&off));
         run.execute().unwrap();

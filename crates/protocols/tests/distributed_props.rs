@@ -2,7 +2,8 @@
 //! runtime: [`DistributedFaqRun`] against the centralized engine and the
 //! brute-force oracle over random connected topologies (path / cycle /
 //! tree / Erdős–Rényi via seeded `StdRng`), random shard placements,
-//! both planners (statistics-driven / structural), all three transports
+//! both plans (the statistics-driven planner's, or `structural_plan`
+//! handed over with `with_plan`), all three transports
 //! (simulator / in-process channels / loopback TCP), and three semirings
 //! with different zero/duplicate behaviour.
 //!
@@ -17,7 +18,7 @@
 use faqs_core::{solve_faq, solve_faq_brute_force};
 use faqs_hypergraph::{example_h2, path_query, star_query, Hypergraph, Var};
 use faqs_network::{ChannelTransport, SimTransport, TcpTransport, Topology, Transport};
-use faqs_plan::PlannerConfig;
+use faqs_plan::structural_plan;
 use faqs_protocols::{DistributedFaqRun, InputPlacement};
 use faqs_relation::{
     random_boolean_instance, random_instance, FaqQuery, RandomInstanceConfig, Relation,
@@ -71,18 +72,21 @@ fn cfg(seed: u64) -> RandomInstanceConfig {
 fn check<S: Semiring>(q: &FaqQuery<S>, family: usize, n_players: usize, seed: u64, label: &str) {
     let g = topology(family, n_players, seed);
     let placement = InputPlacement::random(q.k(), &g, seed ^ 0xD157);
-    let planner = match seed % 2 {
-        0 => PlannerConfig::stats(),
-        _ => PlannerConfig::structural(),
-    };
-    let run = DistributedFaqRun::new_with(q, &g, placement, 1, &planner)
+    let mut run = DistributedFaqRun::new(q, &g, placement, 1)
         .unwrap_or_else(|e| panic!("{label}: runtime rejected: {e}"));
+    let planner = match seed % 2 {
+        0 => "stats",
+        _ => {
+            run = run.with_plan(structural_plan(q).expect("structural plan"));
+            "structural"
+        }
+    };
     let mut transport: Box<dyn Transport + '_> = match seed % 3 {
         0 => Box::new(SimTransport::new(run.topology())),
         1 => Box::new(ChannelTransport::new(run.topology())),
         _ => Box::new(TcpTransport::new(run.topology()).expect("loopback sockets")),
     };
-    let label = format!("{label}/{planner:?}/{:?}", transport.kind());
+    let label = format!("{label}/{planner}/{:?}", transport.kind());
     let out = run
         .execute_on(transport.as_mut())
         .unwrap_or_else(|e| panic!("{label}: run failed: {e}"));

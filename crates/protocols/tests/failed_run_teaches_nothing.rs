@@ -10,7 +10,7 @@ use faqs_network::{
     Delivery, LinkId, Player, RunStats, SimTransport, Topology, TransmitError, Transport,
     TransportKind, WireStats,
 };
-use faqs_plan::{CalibrationRegistry, PlannerConfig};
+use faqs_plan::CalibrationRegistry;
 use faqs_protocols::{DistributedFaqRun, InputPlacement, ProtocolError};
 use faqs_relation::{random_instance, RandomInstanceConfig};
 use faqs_semiring::Count;
@@ -85,10 +85,9 @@ fn a_run_that_dies_on_the_wire_feeds_no_samples() {
     let placement = InputPlacement::new(holders, Player(3));
     let run = |fail_at: usize| {
         let registry = Arc::new(CalibrationRegistry::new());
-        let run =
-            DistributedFaqRun::new_with(&q, &g, placement.clone(), 1, &PlannerConfig::stats())
-                .unwrap()
-                .with_calibration(Arc::clone(&registry));
+        let run = DistributedFaqRun::new(&q, &g, placement.clone(), 1)
+            .unwrap()
+            .with_calibration(Arc::clone(&registry));
         let mut transport = FlakyRoutes {
             inner: SimTransport::new(run.topology()),
             routes: 0,

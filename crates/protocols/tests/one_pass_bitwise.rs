@@ -10,16 +10,15 @@
 use faqs_core::{
     solve_faq, solve_faq_brute_force, solve_faq_reference, solve_faq_with_plan, QueryPlan,
 };
-use faqs_exec::{Executor, IncrementalFaq, MaintenanceMode, PlanCache};
+use faqs_exec::{Executor, IncrementalFaq, MaintenanceMode};
 use faqs_hypergraph::{path_query, star_query, EdgeId, Ghd, GhdNode, Hypergraph, NodeId, Var};
 use faqs_network::{ChannelTransport, Player, SimTransport, Topology};
-use faqs_plan::{join_order_for_ghd, plan_query_calibrated, ChosenPlan, PlannerConfig};
+use faqs_plan::{join_order_for_ghd, structural_plan, ChosenPlan};
 use faqs_protocols::{DistributedFaqRun, InputPlacement};
 use faqs_relation::{random_instance, FaqQuery, RandomInstanceConfig, Relation};
 use faqs_semiring::{Aggregate, Count, Prob, Semiring};
 use faqs_serve::{FaqServer, ServeConfig};
 use rand::Rng;
-use std::sync::Arc;
 
 /// A `Prob` star with four leaves whose weights are not dyadic: leaf
 /// `i` holds `(j, j) ↦ w[(j + i) mod 4] / (1 + 0.37·i)`, so the answer
@@ -104,7 +103,7 @@ fn pendant_triangle_plan(q: &FaqQuery<Prob>, var_order: Vec<Var>) -> ChosenPlan 
         node(&[0, 1, 2], &[0, 1, 2], None),
         node(&[2, 3], &[3], Some(NodeId(0))),
     ];
-    let mut plan = plan_query_calibrated(q, &PlannerConfig::structural(), None, None, 1.0).unwrap();
+    let mut plan = structural_plan(q).unwrap();
     plan.ghd = Ghd::from_nodes(bags, NodeId(0));
     plan.ghd.validate(&q.hypergraph).unwrap();
     plan.join_order = join_order_for_ghd(q, &plan.ghd);
@@ -187,8 +186,7 @@ fn a_leaf_regrouped_on_its_first_column_folds_in_layout_order() {
             node([2, 3], 2, Some(NodeId(0))),
             node([3, 4], 3, Some(NodeId(2))),
         ];
-        let mut plan =
-            plan_query_calibrated(&q, &PlannerConfig::structural(), None, None, 1.0).unwrap();
+        let mut plan = structural_plan(&q).unwrap();
         plan.ghd = Ghd::from_nodes(bags, NodeId(0));
         plan.ghd.validate(&q.hypergraph).unwrap();
         plan.join_order = join_order_for_ghd(&q, &plan.ghd);
@@ -247,66 +245,81 @@ fn stacked<S: Semiring>(slices: impl IntoIterator<Item = Relation<S>>) -> Relati
 /// `q` — free over `x0`, one bound variable under `Max` — answered at
 /// every site of the pass. All agree with brute force (`approx_eq` is
 /// `==` on an exact carrier). The sites this file holds to bit-identity
-/// run the structural plan here — a placed or statistics-driven planner
-/// may root the GHD elsewhere, which is another fold order — and agree
-/// with `solve_faq_reference` on `bits` of every value.
+/// agree on `bits` of every value with the solve that runs their plan:
+/// `solve_faq` for the executor's cache and the session (the same
+/// unplaced statistics-driven plan), `solve_faq_reference` for the sites
+/// handed `structural_plan` — a placed planner may root the GHD
+/// elsewhere, which is another fold order.
 fn assert_max_agrees_at_every_site<S: Semiring>(q: &FaqQuery<S>, bits: fn(&S) -> u64) {
     assert_eq!(q.free_vars, [Var(0)]);
     assert!(q.aggregates.contains(&Aggregate::Max));
     let brute = solve_faq_brute_force(q);
-    let want = solve_faq_reference(q).unwrap();
-    assert!(!want.is_empty());
+    let planned = solve_faq(q).unwrap();
+    let reference = solve_faq_reference(q).unwrap();
+    assert!(!reference.is_empty());
     let bindings: Vec<u32> = (0..q.domain).collect();
-    let structural = PlannerConfig::structural();
-    let executor = Executor::with_planner(structural);
+    let structural = structural_plan(q).unwrap();
+    let executor = Executor::default();
 
-    let cache = Arc::new(PlanCache::new());
-    let mut session = IncrementalFaq::with_cache(q.clone(), cache, structural).unwrap();
+    let mut session = IncrementalFaq::new(q.clone()).unwrap();
     // `max` has no inverse: the delta path must not be taken.
     assert_eq!(session.mode(), MaintenanceMode::DirtySubtree);
     let server = FaqServer::new(ServeConfig::default());
     let shape = server.register(q.clone(), Var(0)).unwrap();
     let served = |b: &u32| server.query(shape, *b).unwrap().relation;
+    let lowered = QueryPlan::lower(q, structural.clone());
     let mut got = vec![
-        ("solve_faq".to_string(), solve_faq(q), false),
-        ("Executor".to_string(), executor.solve(q), true),
+        ("solve_faq".to_string(), Ok(planned.clone()), None),
+        ("Executor".to_string(), executor.solve(q), Some(&planned)),
+        (
+            "Executor::solve_on".to_string(),
+            executor.solve_on(q, &lowered),
+            Some(&reference),
+        ),
         (
             "Executor::solve_batch".to_string(),
             executor.solve_batch(q, Var(0), &bindings).map(stacked),
-            false,
+            None,
         ),
         (
             "IncrementalFaq".to_string(),
             Ok(session.answer().clone()),
-            true,
+            Some(&planned),
         ),
         (
             "FaqServer::query".to_string(),
             Ok(stacked(bindings.iter().map(served))),
-            false,
+            None,
         ),
     ];
     for g in [Topology::line(4), Topology::star(5)] {
         let players: Vec<Player> = g.players().collect();
         let placement = InputPlacement::hash_split(q.k(), &players, Player(0));
-        let run = DistributedFaqRun::new_with(q, &g, placement, 1, &structural).unwrap();
+        let run = DistributedFaqRun::new(q, &g, placement, 1)
+            .unwrap()
+            .with_plan(structural.clone());
         let sim = run.execute_on(&mut SimTransport::new(run.topology()));
         let channel = run.execute_on(&mut ChannelTransport::new(run.topology()));
-        got.push((format!("{} / sim", g.name()), Ok(sim.unwrap().result), true));
+        let name = g.name();
         got.push((
-            format!("{} / channel", g.name()),
+            format!("{name} / sim"),
+            Ok(sim.unwrap().result),
+            Some(&reference),
+        ));
+        got.push((
+            format!("{name} / channel"),
             Ok(channel.unwrap().result),
-            true,
+            Some(&reference),
         ));
     }
     let rows = |r: &Relation<S>| -> Vec<(Vec<u32>, u64)> {
         r.iter().map(|(t, v)| (t.to_vec(), bits(v))).collect()
     };
-    for (site, answer, bitwise) in got {
+    for (site, answer, same_plan) in got {
         let answer = answer.unwrap_or_else(|e| panic!("{site}: {e}"));
         assert!(answer.approx_eq(&brute), "{site} vs brute force");
-        if bitwise {
-            assert_eq!(rows(&answer), rows(&want), "{site} vs solve_faq_reference");
+        if let Some(want) = same_plan {
+            assert_eq!(rows(&answer), rows(want), "{site} vs its plan's solve");
         }
     }
 

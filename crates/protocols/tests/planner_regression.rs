@@ -7,7 +7,7 @@
 //! *predicted* bits must themselves respect the paper's envelope.
 
 use faqs_network::{Player, RunStats, Topology};
-use faqs_plan::{plan_query_calibrated, PlacementContext, PlannerConfig};
+use faqs_plan::{plan_query_calibrated, structural_plan, PlacementContext};
 use faqs_protocols::{model_capacity_bits, ConformanceReport, DistributedFaqRun, InputPlacement};
 use faqs_relation::skewed_star_instance;
 
@@ -40,15 +40,18 @@ fn fixture() -> (
 #[test]
 fn stats_aware_plan_ships_strictly_fewer_bits() {
     let (q, g, placement) = fixture();
-    let run_with = |planner: &PlannerConfig| {
-        let run = DistributedFaqRun::new_with(&q, &g, placement.clone(), 1, planner).unwrap();
+    let run_with = |structural: bool| {
+        let mut run = DistributedFaqRun::new(&q, &g, placement.clone(), 1).unwrap();
+        if structural {
+            run = run.with_plan(structural_plan(&q).unwrap());
+        }
         let out = run.execute().unwrap();
         let report = run.conformance(out.stats);
         (out, report)
     };
 
-    let (structural_out, structural_report) = run_with(&PlannerConfig::structural());
-    let (stats_out, stats_report) = run_with(&PlannerConfig::stats());
+    let (structural_out, structural_report) = run_with(true);
+    let (stats_out, stats_report) = run_with(false);
 
     assert_eq!(
         stats_out.result, structural_out.result,
@@ -80,7 +83,7 @@ fn predicted_bits_respect_the_paper_envelope() {
         })
         .collect();
     let ctx = PlacementContext::new(&q, &scaled, holders, placement.output());
-    let plan = plan_query_calibrated(&q, &PlannerConfig::stats(), Some(&ctx), None, 1.0).unwrap();
+    let plan = plan_query_calibrated(&q, Some(&ctx), None, 1.0).unwrap();
     let envelope =
         ConformanceReport::evaluate(&q, &scaled, &placement.players(), RunStats::default());
     assert!(plan.cost.net_bits > 0, "remote shards must cost something");
@@ -114,8 +117,7 @@ fn pre_aggregation_closes_the_predicted_vs_measured_gap() {
         Player(3),
     );
 
-    let run =
-        DistributedFaqRun::new_with(&q, &g, placement.clone(), 1, &PlannerConfig::stats()).unwrap();
+    let run = DistributedFaqRun::new(&q, &g, placement.clone(), 1).unwrap();
     let measured = run.execute().unwrap().stats.total_bits;
     assert!(measured > 0, "remote shards must communicate");
 
@@ -135,7 +137,7 @@ fn pre_aggregation_closes_the_predicted_vs_measured_gap() {
         ..PlacementContext::new(&q, &scaled, holders, placement.output())
     };
     let predict = |ctx: &PlacementContext<'_>| {
-        plan_query_calibrated(&q, &PlannerConfig::stats(), Some(ctx), None, 1.0)
+        plan_query_calibrated(&q, Some(ctx), None, 1.0)
             .unwrap()
             .cost
             .net_bits
@@ -166,7 +168,7 @@ fn marooned_holder_fails_at_plan_time_not_run_time() {
         Player(3),
     );
     // capacity_tuples = 0 keeps the partitioned capacities.
-    match DistributedFaqRun::new_with(&q, &g, placement, 0, &PlannerConfig::stats()) {
+    match DistributedFaqRun::new(&q, &g, placement, 0) {
         Err(faqs_protocols::ProtocolError::Engine(msg)) => {
             assert!(
                 msg.contains("unreachable"),
@@ -187,7 +189,7 @@ fn marooned_holder_fails_at_plan_time_not_run_time() {
         vec![vec![Player(0)], vec![Player(1)], vec![Player(2)]],
         Player(3),
     );
-    let run = DistributedFaqRun::new_with(&q, &g, placement, 1, &PlannerConfig::stats()).unwrap();
+    let run = DistributedFaqRun::new(&q, &g, placement, 1).unwrap();
     run.execute().unwrap();
 }
 
@@ -201,16 +203,12 @@ fn uniform_star_keeps_the_pinned_structural_schedule() {
     let g = Topology::line(4);
     let players: Vec<Player> = g.players().collect();
     let placement = InputPlacement::hash_split(q.k(), &players, Player(3));
-    let run_bits = |planner: &PlannerConfig| {
-        DistributedFaqRun::new_with(&q, &g, placement.clone(), 1, planner)
-            .unwrap()
-            .execute()
-            .unwrap()
-            .stats
-    };
+    let run = DistributedFaqRun::new(&q, &g, placement, 1).unwrap();
+    let stats_bits = run.execute().unwrap().stats;
+    let structural = run.with_plan(structural_plan(&q).unwrap());
     assert_eq!(
-        run_bits(&PlannerConfig::stats()),
-        run_bits(&PlannerConfig::structural()),
-        "symmetric instances must plan identically under both modes"
+        stats_bits,
+        structural.execute().unwrap().stats,
+        "symmetric instances must plan identically under both plans"
     );
 }

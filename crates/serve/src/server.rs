@@ -154,9 +154,9 @@ impl<S: Semiring> FaqServer<S> {
         Self::with_executor(cfg, Executor::default())
     }
 
-    /// A server over an explicitly configured executor (planner mode,
-    /// calibration registry); the plan cache is shared by all workers
-    /// and the inline fast path.
+    /// A server over an explicitly configured executor (its calibration
+    /// registry); the plan cache is shared by all workers and the inline
+    /// fast path.
     pub fn with_executor(cfg: ServeConfig, executor: Executor) -> Self {
         let shared = Arc::new(Shared {
             registry: Registry::new(),
@@ -211,21 +211,21 @@ impl<S: Semiring> FaqServer<S> {
         }
         shared.submitted.fetch_add(1, Ordering::Relaxed);
         let (tx, rx) = mpsc::channel();
+        let request = Request {
+            shape,
+            binding,
+            priced_on,
+            reply: tx,
+        };
         if quote.cpu <= shared.cfg.cheap_cpu {
-            // Cheap point query: bypass the queue entirely.
+            // Cheap point query: bypass the queue entirely — the
+            // batched path at width 1, so inline answers are identical
+            // to pooled ones.
             shared.inline.fetch_add(1, Ordering::Relaxed);
-            let _ = tx.send(answer_one(shared, &entry, binding, priced_on));
+            answer(shared, &entry, vec![request]);
             return Ok(Ticket { rx });
         }
-        {
-            let mut queue = lock(&shared.queue);
-            queue.push_back(Request {
-                shape,
-                binding,
-                priced_on,
-                reply: tx,
-            });
-        }
+        lock(&shared.queue).push_back(request);
         shared.available.notify_one();
         Ok(Ticket { rx })
     }
@@ -306,42 +306,56 @@ impl<S: Semiring> Drop for FaqServer<S> {
     }
 }
 
-/// Answers a single binding inline (the cheap fast path) — the same
-/// batched code path at width 1, so fast-path answers are identical to
-/// pooled ones.
-fn answer_one<S: Semiring>(
-    shared: &Shared<S>,
-    entry: &ShapeEntry<S>,
-    binding: u32,
-    priced_on: PricedOn,
-) -> Result<Answer<S>, ServeError> {
+/// Answers same-shape `batch` in one [`Executor::solve_batch`] pass
+/// against one snapshot — every merged request sees the same epoch —
+/// and replies to each requester: the worker pool's path and, at width
+/// 1, the inline fast path.
+fn answer<S: Semiring>(shared: &Shared<S>, entry: &ShapeEntry<S>, batch: Vec<Request<S>>) {
     let snap = entry.cell.load();
-    let mut out = shared
+    let bindings: Vec<u32> = batch.iter().map(|r| r.binding).collect();
+    match shared
         .executor
-        .solve_batch(&snap.value().template, entry.param, &[binding])?;
-    Ok(Answer {
-        relation: out.pop().expect("one binding, one slice"),
-        epoch: snap.epoch(),
-        priced_on,
-    })
+        .solve_batch(&snap.value().template, entry.param, &bindings)
+    {
+        Ok(slices) => {
+            for (req, relation) in batch.into_iter().zip(slices) {
+                let _ = req.reply.send(Ok(Answer {
+                    relation,
+                    epoch: snap.epoch(),
+                    priced_on: req.priced_on,
+                }));
+            }
+        }
+        Err(e) => {
+            // One failed pass fails every merged request — exactly
+            // what each solo pass would have hit (same shape, same
+            // snapshot); WorkerPanic included, so a poisoned query
+            // cannot unwind through (and kill) this pool thread.
+            for req in batch {
+                let _ = req.reply.send(Err(ServeError::Engine(e.clone())));
+            }
+        }
+    }
 }
 
 fn worker_loop<S: Semiring>(shared: &Shared<S>) {
     let width = shared.cfg.max_batch.max(1);
     loop {
         // Take the oldest request plus every queued same-shape request
-        // (up to the batch width), preserving arrival order.
+        // (up to the batch width), preserving arrival order: one
+        // rotation pops each queued request once and either batches it
+        // or puts it back behind the ones already put back.
         let batch: Vec<Request<S>> = {
             let mut queue = lock(&shared.queue);
             loop {
                 if let Some(first) = queue.pop_front() {
                     let mut batch = vec![first];
-                    let mut i = 0;
-                    while batch.len() < width && i < queue.len() {
-                        if queue[i].shape == batch[0].shape {
-                            batch.push(queue.remove(i).expect("index in bounds"));
+                    for _ in 0..queue.len() {
+                        let Some(req) = queue.pop_front() else { break };
+                        if batch.len() < width && req.shape == batch[0].shape {
+                            batch.push(req);
                         } else {
-                            i += 1;
+                            queue.push_back(req);
                         }
                     }
                     break batch;
@@ -373,33 +387,7 @@ fn worker_loop<S: Semiring>(shared: &Shared<S>) {
                 continue;
             }
         };
-        // One snapshot for the whole batch: every merged request is
-        // answered against the same epoch.
-        let snap = entry.cell.load();
-        let bindings: Vec<u32> = batch.iter().map(|r| r.binding).collect();
-        match shared
-            .executor
-            .solve_batch(&snap.value().template, entry.param, &bindings)
-        {
-            Ok(slices) => {
-                for (req, relation) in batch.into_iter().zip(slices) {
-                    let _ = req.reply.send(Ok(Answer {
-                        relation,
-                        epoch: snap.epoch(),
-                        priced_on: req.priced_on,
-                    }));
-                }
-            }
-            Err(e) => {
-                // One failed pass fails every merged request — exactly
-                // what each solo pass would have hit (same shape, same
-                // snapshot); WorkerPanic included, so a poisoned query
-                // cannot unwind through (and kill) this pool thread.
-                for req in batch {
-                    let _ = req.reply.send(Err(ServeError::Engine(e.clone())));
-                }
-            }
-        }
+        answer(shared, &entry, batch);
     }
 }
 

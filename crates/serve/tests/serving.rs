@@ -647,13 +647,12 @@ fn out_of_domain_deltas_are_refused_and_change_nothing() {
     ));
 }
 
-/// Admission prices the same quote whatever the server's executor
-/// plans with: the quote simulates the structural default GHD, whose
-/// bags hold one factor each, under the stats-driven and the
-/// structural planner alike.
+/// Admission prices the structural default GHD, whose bags hold one
+/// factor each: candidate 0 of the plan the server's executor chooses,
+/// whichever candidate wins.
 #[test]
 fn admission_prices_under_the_servers_own_planner() {
-    use faqs_plan::{cost_quote_with_stats, PlannerConfig, QueryStats};
+    use faqs_plan::{cost_quote_with_stats, plan_query_calibrated, QueryStats};
 
     let q: FaqQuery<Count> = random_instance(
         &faqs_hypergraph::cycle_query(3),
@@ -666,14 +665,10 @@ fn admission_prices_under_the_servers_own_planner() {
         |_| Count(1),
     );
     let stats = QueryStats::of(&q);
-    for planner in [PlannerConfig::stats(), PlannerConfig::structural()] {
-        let server =
-            FaqServer::with_executor(ServeConfig::default(), Executor::with_planner(planner));
-        let shape = server.register(q.clone(), Var(0)).unwrap();
-        assert_eq!(
-            server.quote(shape).unwrap().0,
-            cost_quote_with_stats(&q, &stats, 1.0).unwrap(),
-            "{planner:?}"
-        );
-    }
+    let server = FaqServer::new(ServeConfig::default());
+    let shape = server.register(q.clone(), Var(0)).unwrap();
+    let quote = server.quote(shape).unwrap().0;
+    assert_eq!(quote, cost_quote_with_stats(&q, &stats, 1.0).unwrap());
+    let plan = plan_query_calibrated(&q, None, Some(&stats), 1.0).unwrap();
+    assert_eq!(quote, plan.candidates[0].cost, "the default's cost");
 }

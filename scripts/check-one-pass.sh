@@ -8,7 +8,8 @@
 # per relation state (ROADMAP items 6(i) / 7(c), issue 24), a library
 # that reads no environment (ROADMAP item 3d, issue 25) and the
 # `unwrap` / `expect` ratchet (ROADMAP item 5f), plus one operator per
-# GHD bag and one fold order per plan (ROADMAP item 5d).
+# GHD bag, one fold order per plan (ROADMAP item 5d) and one planning
+# mode (ROADMAP aim 2).
 #
 # Fails when more than one non-test source file under
 # crates/{core,exec,protocols}/src calls `generic_join(`: the Theorem
@@ -57,8 +58,8 @@
 # too, when a non-test, non-comment line under src/ or crates/*/src
 # calls `env::var` / `env::vars` (or their `_os` forms) or names a
 # `FAQS_*` variable: the library reads no environment — a configuration
-# is a value a caller builds (`PlannerConfig`, `ServeConfig`,
-# `CalibrationRegistry`, a `Transport`), not a process-wide switch
+# is a value a caller builds (`ServeConfig`, `CalibrationRegistry`,
+# a `Transport`), not a process-wide switch
 # (issue 25). Fails, too, when more than `max_unwraps` of the workspace's
 # non-test, non-comment lines call `unwrap` / `expect` (ROADMAP item 5f:
 # the count can only fall — lower the ratchet with it).
@@ -66,6 +67,12 @@
 # crates/*/src names `Envelope`, `record_replans` or `note_replan`, or
 # defines `fn forced`: a node folds its messages in plan order, and the
 # calibration envelope with its mid-flight re-order must not come back.
+# Fails, too, when a non-test, non-comment line under src/ or
+# crates/*/src names `use_stats`, `stats_aware`,
+# `PlannerConfig::structural` or `PlannerConfig::stats`, or defines
+# `fn with_planner` or `fn new_with`: every door plans one way, and the
+# structural default lives on only as candidate 0 and as
+# `structural_plan`, the reference plan.
 # Also prints the non-test src/ line
 # total of those three crates and of the whole workspace (src/ +
 # crates/*/src) — per file, the lines before the first `#[cfg(test)]` —
@@ -108,6 +115,7 @@ threaded=()
 scans=()
 readers=()
 reorders=()
+modes=()
 flags=0
 unwraps=0
 shims=crates/plan/src/planner.rs
@@ -129,6 +137,9 @@ while IFS= read -r file; do
     fi
     if grep -Eq '\b(Envelope|record_replans|note_replan|fn forced)\b' <<<"$code"; then
         reorders+=("$file")
+    fi
+    if grep -Eq '\b(use_stats|stats_aware)\b|\bPlannerConfig::(structural|stats)\b|\bfn (with_planner|new_with)\b' <<<"$code"; then
+        modes+=("$file")
     fi
     if grep -Eq '_lattice\b|\bAggFn\b|\bLatticeOps\b' <<<"$code"; then
         twins+=("$file")
@@ -208,7 +219,7 @@ if [ "${scans[*]}" != "crates/relation/src/arena.rs x1" ]; then
     echo "expected one Profile::scan( call, the memo's initialiser in arena.rs; found: ${scans[*]:-none}" >&2
     exit 1
 fi
-max_unwraps=103
+max_unwraps=100
 if [ "$unwraps" -gt "$max_unwraps" ]; then
     echo "$unwraps unwrap/expect lines, ratchet is $max_unwraps: return a typed error or document the invariant elsewhere" >&2
     exit 1
@@ -221,5 +232,10 @@ fi
 if [ "${#reorders[@]}" -ne 0 ]; then
     printf 'the calibration envelope or its mid-flight re-order is back (Envelope / record_replans / note_replan / fn forced):\n' >&2
     printf '  %s\n' "${reorders[@]}" >&2
+    exit 1
+fi
+if [ "${#modes[@]}" -ne 0 ]; then
+    printf 'a second planning mode is back (use_stats / stats_aware / PlannerConfig::{structural,stats} / fn with_planner / fn new_with):\n' >&2
+    printf '  %s\n' "${modes[@]}" >&2
     exit 1
 fi

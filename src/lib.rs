@@ -88,7 +88,7 @@ pub mod prelude {
     pub use faqs_network::{Assignment, Topology, Transport, TransportKind, WireStats};
     pub use faqs_plan::{
         cost_quote_with_stats, plan_query_calibrated, CalibrationRegistry, CalibrationStats,
-        ChosenPlan, PlanCost, PlannerConfig, QueryStats,
+        ChosenPlan, PlanCost, QueryStats,
     };
     pub use faqs_protocols::{
         run_bcq_protocol, run_faq_protocol, ConformanceReport, DistributedFaqRun, InputPlacement,

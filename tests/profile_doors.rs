@@ -88,7 +88,7 @@ fn a_mutation_after_validation_reaches_every_door() {
 #[test]
 fn the_plan_cache_key_follows_the_data() {
     let mut q = star();
-    let ex = Executor::with_planner(PlannerConfig::stats());
+    let ex = Executor::default();
     let before = QueryStats::of(&q);
     assert_eq!(ex.solve(&q).unwrap(), solve_faq(&q).unwrap());
     assert_eq!(ex.solve(&q).unwrap(), solve_faq(&q).unwrap());
