@@ -61,7 +61,7 @@ pub fn e1_table1(n: usize) {
         "UB/LB",
     ]);
 
-    let run_row = |label: &str, h: &Hypergraph, g: &Topology, counting: bool| {
+    let run_row = |label: &str, name: &str, h: &Hypergraph, g: &Topology, counting: bool| {
         let cfg = RandomInstanceConfig {
             tuples_per_factor: n,
             domain: (4 * n) as u32,
@@ -88,7 +88,7 @@ pub fn e1_table1(n: usize) {
         };
         row(&[
             label.to_string(),
-            format!("{h:?}").chars().take(24).collect(),
+            name.to_string(),
             g.name().to_string(),
             h.degeneracy().to_string(),
             h.arity().to_string(),
@@ -100,10 +100,17 @@ pub fn e1_table1(n: usize) {
     };
 
     // Row 1: FAQ, line, O(1) d and r.
-    run_row("FAQ/L", &tree_query(2, 2), &Topology::line(6), true);
+    run_row(
+        "FAQ/L",
+        "tree(2,2)",
+        &tree_query(2, 2),
+        &Topology::line(6),
+        true,
+    );
     // Row 2: FAQ, arbitrary G.
     run_row(
         "FAQ/A",
+        "tree(2,2)",
         &tree_query(2, 2),
         &Topology::random_connected(6, 0.5, 3),
         true,
@@ -111,11 +118,23 @@ pub fn e1_table1(n: usize) {
     // Row 3: BCQ, arbitrary G, (d, 2).
     for d in [1usize, 2, 3] {
         let h = random_degenerate_query(8, d, 17 + d as u64);
-        run_row(&format!("BCQ/A d={d}"), &h, &Topology::clique(6), false);
+        run_row(
+            &format!("BCQ/A d={d}"),
+            &format!("degenerate(8,{d})"),
+            &h,
+            &Topology::clique(6),
+            false,
+        );
     }
     // Row 4: FAQ, arbitrary G, (d, r = 3).
     let h3 = random_uniform_hypergraph(8, 3, 1, 23);
-    run_row("FAQ/A r=3", &h3, &Topology::grid(2, 3), true);
+    run_row(
+        "FAQ/A r=3",
+        "uniform(8,3,1)",
+        &h3,
+        &Topology::grid(2, 3),
+        true,
+    );
 
     // Row 5: MCM on the line.
     let (mn, mk) = (n.min(64), 8);

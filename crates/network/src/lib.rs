@@ -21,9 +21,10 @@
 //!   the scheduler fits them first-fit per directed link, yielding exact
 //!   round counts under Model 2.1's constraints,
 //! * [`Assignment`] of input functions to players (`K ⊆ V`),
-//! * pluggable [`Transport`]s — the causal simulator, in-process
-//!   channels, and loopback TCP — all shadow-accounted by [`NetRun`] so
-//!   real wire runs report byte-identical [`RunStats`].
+//! * pluggable [`Transport`]s — in memory ([`SimTransport`]) and
+//!   loopback TCP — that both deliver the frame's bytes and both
+//!   shadow-account it on [`NetRun`], so a run reports byte-identical
+//!   [`RunStats`] and [`WireStats`] on either.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -42,6 +43,6 @@ pub use flow::{route_to_sink, tau_mcf, SourceLoad};
 pub use sim::{NetRun, RunStats, TransmitError};
 pub use steiner::{best_delta, steiner_packing, DeltaPackings, SteinerTree};
 pub use topology::{LinkId, Player, Topology};
-pub use transport::{
-    ChannelTransport, Delivery, SimTransport, TcpTransport, Transport, TransportKind, WireStats,
-};
+#[doc(hidden)]
+pub use transport::ChannelTransport;
+pub use transport::{Delivery, SimTransport, TcpTransport, Transport, TransportKind, WireStats};

@@ -61,6 +61,16 @@ pub enum TransmitError {
         /// The requested (too early) start round.
         ready_at: u64,
     },
+    /// The physical medium failed while carrying a frame the shadow
+    /// simulator had already scheduled (e.g. a refused or reset socket).
+    Io {
+        /// The sending player.
+        from: Player,
+        /// The receiving player.
+        to: Player,
+        /// What the operating system reported.
+        kind: std::io::ErrorKind,
+    },
 }
 
 impl std::fmt::Display for TransmitError {
@@ -81,6 +91,9 @@ impl std::fmt::Display for TransmitError {
                 f,
                 "{at} cannot send at round {ready_at} data it learns at the end of round {learned_at}"
             ),
+            TransmitError::Io { from, to, kind } => {
+                write!(f, "I/O failure shipping from {from} to {to}: {kind}")
+            }
         }
     }
 }

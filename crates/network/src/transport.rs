@@ -1,16 +1,14 @@
 //! Pluggable byte transports under the distributed runtime, each
 //! shadowed by the causal [`NetRun`] simulator.
 //!
-//! The paper's Model 2.1 accounting lives in [`NetRun`]; a [`Transport`]
-//! decides what *physically* happens to a frame of bytes when the
-//! runtime routes it:
+//! Model 2.1 has one kind of link: a private point-to-point channel that
+//! carries a bounded number of bits per round. Its accounting lives in
+//! [`NetRun`]; a [`Transport`] decides how the frame of bytes the runtime
+//! routes physically reaches its destination, and always hands back the
+//! bytes that arrived:
 //!
-//! * [`SimTransport`] — nothing: the frame is dropped and the caller
-//!   keeps using its local copy. Pure simulation, the historical
-//!   behaviour.
-//! * [`ChannelTransport`] — the frame travels through a real in-process
-//!   mpsc channel into the destination player's inbox and the *received*
-//!   bytes are handed back to the caller.
+//! * [`SimTransport`] — in memory: the frame is copied to the
+//!   destination.
 //! * [`TcpTransport`] — the frame crosses the kernel's TCP stack over
 //!   localhost: one listening socket per player, one lazily-connected
 //!   stream per directed pair, length-prefixed frames. The bytes the
@@ -18,43 +16,39 @@
 //!   the same path a cross-machine deployment would take, minus the
 //!   physical cable.
 //!
-//! Every implementation embeds a shadow [`NetRun`] and performs the
-//! *identical* model-bit accounting on every call, so a run over any
-//! transport reports byte-identical [`RunStats`] and can be held to the
-//! same conformance envelope — the simulator becomes a live oracle
-//! monitoring the real wire. Real wire traffic is tallied separately in
-//! [`WireStats`] (frames and exact payload bytes, excluding
-//! transport-private length prefixes, so the channel and TCP transports
-//! report identical wire numbers for the same run).
+//! The Model 2.1 bookkeeping is written once, in [`SimTransport`], and
+//! [`TcpTransport`] reuses it: every frame is scheduled on a shadow
+//! [`NetRun`] and, once it has arrived, tallied in [`WireStats`] (frames
+//! and exact payload bytes, excluding transport-private length
+//! prefixes). So a run over either transport reports byte-identical
+//! [`RunStats`] and [`WireStats`] and is held to the same conformance
+//! envelope.
 
 use crate::sim::{NetRun, RunStats, TransmitError};
 use crate::topology::{LinkId, Player, Topology};
 use std::collections::{hash_map::Entry, HashMap};
-use std::io::{Read, Write};
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::mpsc::{channel, Receiver, Sender};
 
 /// Which transport a distributed run executed on (reported by
 /// [`Transport::kind`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TransportKind {
-    /// Causal simulator only — frames are never materialised.
+    /// In memory: every frame is copied to its destination.
     Sim,
-    /// In-process mpsc channels moving real encoded frames.
-    Channel,
     /// Loopback TCP sockets moving length-prefixed frames.
     Tcp,
 }
 
-/// Real bytes moved by a transport, tallied per shipped frame.
+/// Bytes moved by a transport, tallied per delivered frame.
 ///
 /// Separate from [`RunStats`] on purpose: the shadow simulator accounts
 /// *model* bits (per hop, Model 2.1 prices), while this counts the exact
-/// encoded frame bytes that crossed the real medium (once per logical
-/// ship — channels and sockets don't relay hop by hop).
+/// encoded frame bytes that crossed the medium (once per logical ship —
+/// memory and sockets don't relay hop by hop).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WireStats {
-    /// Frames shipped.
+    /// Frames delivered.
     pub frames: u64,
     /// Exact encoded payload bytes across all frames.
     pub payload_bytes: u64,
@@ -73,16 +67,14 @@ impl WireStats {
 }
 
 /// One delivered frame: when it arrived (shadow-simulator round) and
-/// what physically arrived (`None` on the pure simulator).
+/// the bytes that arrived.
 #[derive(Clone, Debug)]
 pub struct Delivery {
     /// Round at whose end the message is fully at the destination,
     /// exactly as the shadow [`NetRun`] schedules it.
     pub arrived_at: u64,
-    /// The bytes read back out of the real medium; `None` when the
-    /// transport carries no payload and the caller must keep its local
-    /// copy.
-    pub payload: Option<Vec<u8>>,
+    /// The bytes read back out of the medium.
+    pub payload: Vec<u8>,
 }
 
 /// A byte transport with Model 2.1 shadow accounting.
@@ -116,32 +108,54 @@ pub trait Transport {
         ready_at: u64,
     ) -> Result<Delivery, TransmitError>;
 
-    /// Whether deliveries carry real bytes (`false` only on the pure
-    /// simulator — callers then skip encoding entirely).
-    fn carries_payload(&self) -> bool;
-
     /// The shadow simulator's measurements — byte-identical across all
     /// transports for the same sequence of calls.
     fn stats(&self) -> RunStats;
 
-    /// Real bytes moved (all-zero on the pure simulator).
+    /// Bytes delivered — identical across all transports for the same
+    /// sequence of calls.
     fn wire(&self) -> WireStats;
 
     /// Which implementation this is.
     fn kind(&self) -> TransportKind;
 }
 
-/// The pure causal simulator: shadow accounting only, no payload.
+/// The in-memory transport: each frame is scheduled on the shadow
+/// simulator, copied to its destination and tallied.
 pub struct SimTransport<'a> {
     shadow: NetRun<'a>,
+    wire: WireStats,
 }
 
+/// The in-memory transport under its former name (frames once went
+/// through per-player channel inboxes, which amounted to a copy).
+#[doc(hidden)]
+pub type ChannelTransport<'a> = SimTransport<'a>;
+
 impl<'a> SimTransport<'a> {
-    /// A simulator-only transport on `g`.
+    /// An in-memory transport on `g`.
     pub fn new(g: &'a Topology) -> Self {
         SimTransport {
             shadow: NetRun::new(g),
+            wire: WireStats::default(),
         }
+    }
+
+    /// Finishes a ship the shadow has scheduled (`arrived`): `carry`
+    /// moves the frame, and the bytes that arrived are tallied. A
+    /// shadow or medium error returns before anything is tallied.
+    fn land(
+        &mut self,
+        arrived: Result<u64, TransmitError>,
+        carry: impl FnOnce() -> Result<Vec<u8>, TransmitError>,
+    ) -> Result<Delivery, TransmitError> {
+        let arrived_at = arrived?;
+        let payload = carry()?;
+        self.wire.record(&payload);
+        Ok(Delivery {
+            arrived_at,
+            payload,
+        })
     }
 }
 
@@ -150,102 +164,12 @@ impl Transport for SimTransport<'_> {
         &mut self,
         from: Player,
         to: Player,
-        _frame: &[u8],
-        model_bits: u64,
-        learned_at: u64,
-    ) -> Result<Delivery, TransmitError> {
-        let arrived_at = self.shadow.route_causal(from, to, model_bits, learned_at)?;
-        Ok(Delivery {
-            arrived_at,
-            payload: None,
-        })
-    }
-
-    fn send_along_path(
-        &mut self,
-        nodes: &[Player],
-        links: &[LinkId],
-        _frame: &[u8],
-        model_bits: u64,
-        ready_at: u64,
-    ) -> Result<Delivery, TransmitError> {
-        let arrived_at = self
-            .shadow
-            .send_along_path(nodes, links, model_bits, ready_at)?;
-        Ok(Delivery {
-            arrived_at,
-            payload: None,
-        })
-    }
-
-    fn carries_payload(&self) -> bool {
-        false
-    }
-
-    fn stats(&self) -> RunStats {
-        self.shadow.stats()
-    }
-
-    fn wire(&self) -> WireStats {
-        WireStats::default()
-    }
-
-    fn kind(&self) -> TransportKind {
-        TransportKind::Sim
-    }
-}
-
-/// One player's frame inbox: the sending and receiving half of its
-/// mpsc queue.
-type Inbox = (Sender<Vec<u8>>, Receiver<Vec<u8>>);
-
-/// In-process channel transport: every frame is moved through the
-/// destination player's mpsc inbox and read back out, so the caller's
-/// copy of the data really did a store-and-forward round trip.
-pub struct ChannelTransport<'a> {
-    shadow: NetRun<'a>,
-    inboxes: Vec<Inbox>,
-    wire: WireStats,
-}
-
-impl<'a> ChannelTransport<'a> {
-    /// A channel transport with one inbox per player of `g`.
-    pub fn new(g: &'a Topology) -> Self {
-        ChannelTransport {
-            shadow: NetRun::new(g),
-            inboxes: (0..g.num_players()).map(|_| channel()).collect(),
-            wire: WireStats::default(),
-        }
-    }
-
-    fn ship(&mut self, to: Player, frame: &[u8]) -> Vec<u8> {
-        self.wire.record(frame);
-        self.inboxes[to.index()]
-            .0
-            .send(frame.to_vec())
-            .expect("inbox receiver lives as long as the transport");
-        self.inboxes[to.index()]
-            .1
-            .recv()
-            .expect("frame was just enqueued")
-    }
-}
-
-impl Transport for ChannelTransport<'_> {
-    fn route(
-        &mut self,
-        from: Player,
-        to: Player,
         frame: &[u8],
         model_bits: u64,
         learned_at: u64,
     ) -> Result<Delivery, TransmitError> {
-        let arrived_at = self.shadow.route_causal(from, to, model_bits, learned_at)?;
-        let payload = self.ship(to, frame);
-        Ok(Delivery {
-            arrived_at,
-            payload: Some(payload),
-        })
+        let arrived = self.shadow.route_causal(from, to, model_bits, learned_at);
+        self.land(arrived, || Ok(frame.to_vec()))
     }
 
     fn send_along_path(
@@ -256,19 +180,10 @@ impl Transport for ChannelTransport<'_> {
         model_bits: u64,
         ready_at: u64,
     ) -> Result<Delivery, TransmitError> {
-        let arrived_at = self
+        let arrived = self
             .shadow
-            .send_along_path(nodes, links, model_bits, ready_at)?;
-        let to = *nodes.last().expect("paths have at least one node");
-        let payload = self.ship(to, frame);
-        Ok(Delivery {
-            arrived_at,
-            payload: Some(payload),
-        })
-    }
-
-    fn carries_payload(&self) -> bool {
-        true
+            .send_along_path(nodes, links, model_bits, ready_at);
+        self.land(arrived, || Ok(frame.to_vec()))
     }
 
     fn stats(&self) -> RunStats {
@@ -280,7 +195,7 @@ impl Transport for ChannelTransport<'_> {
     }
 
     fn kind(&self) -> TransportKind {
-        TransportKind::Channel
+        TransportKind::Sim
     }
 }
 
@@ -289,39 +204,55 @@ impl Transport for ChannelTransport<'_> {
 /// length-prefixed frames. Every frame physically crosses the kernel's
 /// TCP stack; the caller receives the bytes read off the destination
 /// socket. Deliveries are synchronous (the runtime ships one frame at a
-/// time), so no reader threads or reordering concerns arise; large
-/// frames are written from a scoped helper thread so a full socket
-/// buffer can never deadlock the single-process read side.
+/// time), so no reader threads or reordering concerns arise; frames are
+/// written from a scoped helper thread so a full socket buffer can never
+/// deadlock the single-process read side.
 pub struct TcpTransport<'a> {
-    shadow: NetRun<'a>,
+    /// The shadow schedule and wire tally, exactly as in memory.
+    memory: SimTransport<'a>,
+    sockets: Sockets,
+}
+
+struct Sockets {
     listeners: Vec<TcpListener>,
     addrs: Vec<SocketAddr>,
     /// `(from, to) → (write end at `from`, read end at `to`)`.
     conns: HashMap<(u32, u32), (TcpStream, TcpStream)>,
-    wire: WireStats,
 }
 
 impl<'a> TcpTransport<'a> {
     /// Binds one localhost listener per player of `g`.
-    pub fn new(g: &'a Topology) -> std::io::Result<Self> {
+    pub fn new(g: &'a Topology) -> io::Result<Self> {
         let listeners: Vec<TcpListener> = (0..g.num_players())
             .map(|_| TcpListener::bind("127.0.0.1:0"))
-            .collect::<std::io::Result<_>>()?;
+            .collect::<io::Result<_>>()?;
         let addrs = listeners
             .iter()
             .map(|l| l.local_addr())
-            .collect::<std::io::Result<_>>()?;
+            .collect::<io::Result<_>>()?;
         Ok(TcpTransport {
-            shadow: NetRun::new(g),
-            listeners,
-            addrs,
-            conns: HashMap::new(),
-            wire: WireStats::default(),
+            memory: SimTransport::new(g),
+            sockets: Sockets {
+                listeners,
+                addrs,
+                conns: HashMap::new(),
+            },
+        })
+    }
+}
+
+impl Sockets {
+    /// Writes `frame` into the `from → to` stream and reads it back off
+    /// the destination's end; an I/O failure is reported as one.
+    fn ship(&mut self, from: Player, to: Player, frame: &[u8]) -> Result<Vec<u8>, TransmitError> {
+        self.carry(from, to, frame).map_err(|e| TransmitError::Io {
+            from,
+            to,
+            kind: e.kind(),
         })
     }
 
-    fn ship(&mut self, from: Player, to: Player, frame: &[u8]) -> std::io::Result<Vec<u8>> {
-        self.wire.record(frame);
+    fn carry(&mut self, from: Player, to: Player, frame: &[u8]) -> io::Result<Vec<u8>> {
         let key = (from.index() as u32, to.index() as u32);
         let (out, inbound) = match self.conns.entry(key) {
             Entry::Occupied(conn) => conn.into_mut(),
@@ -332,10 +263,10 @@ impl<'a> TcpTransport<'a> {
             }
         };
         let len = (frame.len() as u32).to_le_bytes();
-        let payload = std::thread::scope(|s| -> std::io::Result<Vec<u8>> {
+        std::thread::scope(|s| {
             // Writer on its own scoped thread: loopback buffers are
             // finite, and the reader below is this same process.
-            let writer = s.spawn(|| -> std::io::Result<()> {
+            let writer = s.spawn(|| -> io::Result<()> {
                 let mut w: &TcpStream = out;
                 w.write_all(&len)?;
                 w.write_all(frame)?;
@@ -346,23 +277,11 @@ impl<'a> TcpTransport<'a> {
             r.read_exact(&mut len_buf)?;
             let mut payload = vec![0u8; u32::from_le_bytes(len_buf) as usize];
             r.read_exact(&mut payload)?;
-            writer.join().expect("writer thread never panics")?;
+            writer
+                .join()
+                .map_err(|_| io::Error::other("frame writer panicked"))??;
             Ok(payload)
-        })?;
-        Ok(payload)
-    }
-
-    fn ship_or_io_err(
-        &mut self,
-        from: Player,
-        to: Player,
-        frame: &[u8],
-    ) -> Result<Vec<u8>, TransmitError> {
-        // An I/O failure means the localhost medium itself broke; map it
-        // onto the closest scheduler error so callers have one error
-        // surface. (The shadow call has already vetted routability.)
-        self.ship(from, to, frame)
-            .map_err(|_| TransmitError::NoRoute(from, to))
+        })
     }
 }
 
@@ -375,12 +294,12 @@ impl Transport for TcpTransport<'_> {
         model_bits: u64,
         learned_at: u64,
     ) -> Result<Delivery, TransmitError> {
-        let arrived_at = self.shadow.route_causal(from, to, model_bits, learned_at)?;
-        let payload = self.ship_or_io_err(from, to, frame)?;
-        Ok(Delivery {
-            arrived_at,
-            payload: Some(payload),
-        })
+        let arrived = self
+            .memory
+            .shadow
+            .route_causal(from, to, model_bits, learned_at);
+        self.memory
+            .land(arrived, || self.sockets.ship(from, to, frame))
     }
 
     fn send_along_path(
@@ -391,28 +310,23 @@ impl Transport for TcpTransport<'_> {
         model_bits: u64,
         ready_at: u64,
     ) -> Result<Delivery, TransmitError> {
-        let arrived_at = self
+        let arrived = self
+            .memory
             .shadow
-            .send_along_path(nodes, links, model_bits, ready_at)?;
-        let from = *nodes.first().expect("paths have at least one node");
-        let to = *nodes.last().expect("paths have at least one node");
-        let payload = self.ship_or_io_err(from, to, frame)?;
-        Ok(Delivery {
-            arrived_at,
-            payload: Some(payload),
-        })
-    }
-
-    fn carries_payload(&self) -> bool {
-        true
+            .send_along_path(nodes, links, model_bits, ready_at);
+        // The shadow asserted `nodes.len() == links.len() + 1`, so the
+        // path has both ends.
+        let (from, to) = (nodes[0], nodes[nodes.len() - 1]);
+        self.memory
+            .land(arrived, || self.sockets.ship(from, to, frame))
     }
 
     fn stats(&self) -> RunStats {
-        self.shadow.stats()
+        self.memory.stats()
     }
 
     fn wire(&self) -> WireStats {
-        self.wire
+        self.memory.wire()
     }
 
     fn kind(&self) -> TransportKind {
@@ -432,28 +346,22 @@ mod tests {
     fn shadow_accounting_is_transport_independent() {
         let g = Topology::line(4).with_uniform_capacity(8);
         let mut sim = SimTransport::new(&g);
-        let mut chan = ChannelTransport::new(&g);
         let mut tcp = TcpTransport::new(&g).unwrap();
         let f = frame();
-        let runs: [&mut dyn Transport; 3] = [&mut sim, &mut chan, &mut tcp];
-        let mut stats = Vec::new();
+        let runs: [&mut dyn Transport; 2] = [&mut sim, &mut tcp];
+        let mut ledgers = Vec::new();
         for t in runs {
             let d1 = t.route(Player(0), Player(3), &f, 40, 0).unwrap();
             let d2 = t
                 .route(Player(3), Player(0), &f, 12, d1.arrived_at)
                 .unwrap();
-            assert_eq!(t.carries_payload(), d2.payload.is_some());
-            if let Some(p) = d2.payload {
-                assert_eq!(p, f, "delivered bytes are the sent bytes");
-            }
-            stats.push((t.stats(), d1.arrived_at, d2.arrived_at));
+            assert_eq!(d1.payload, f, "delivered bytes are the sent bytes");
+            assert_eq!(d2.payload, f, "delivered bytes are the sent bytes");
+            ledgers.push((t.stats(), t.wire(), d1.arrived_at, d2.arrived_at));
         }
-        assert_eq!(stats[0], stats[1]);
-        assert_eq!(stats[0], stats[2]);
-        assert_eq!(sim.wire(), WireStats::default());
-        assert_eq!(chan.wire(), tcp.wire(), "identical wire tally");
-        assert_eq!(chan.wire().frames, 2);
-        assert_eq!(chan.wire().payload_bytes, 200);
+        assert_eq!(ledgers[0], ledgers[1], "identical model and wire tally");
+        assert_eq!(sim.wire().frames, 2);
+        assert_eq!(sim.wire().payload_bytes, 200);
     }
 
     #[test]
@@ -467,17 +375,36 @@ mod tests {
             let d = tcp
                 .route(Player(0), Player(1), &big, 8, round * 10)
                 .unwrap();
-            assert_eq!(d.payload.as_deref(), Some(&big[..]));
+            assert_eq!(d.payload, big);
         }
-        assert_eq!(tcp.conns.len(), 1, "one stream per directed pair");
+        assert_eq!(tcp.sockets.conns.len(), 1, "one stream per directed pair");
     }
 
     #[test]
     fn shadow_errors_abort_before_bytes_move() {
         let mut g = Topology::line(2).with_uniform_capacity(4);
         g.set_capacity(LinkId(0), 0);
-        let mut chan = ChannelTransport::new(&g);
-        assert!(chan.route(Player(0), Player(1), &frame(), 8, 0).is_err());
-        assert_eq!(chan.wire(), WireStats::default(), "nothing shipped");
+        let mut sim = SimTransport::new(&g);
+        assert!(sim.route(Player(0), Player(1), &frame(), 8, 0).is_err());
+        assert_eq!(sim.wire(), WireStats::default(), "nothing shipped");
+    }
+
+    #[test]
+    fn socket_failures_are_io_errors_and_tally_nothing() {
+        let g = Topology::line(2).with_uniform_capacity(64);
+        let mut tcp = TcpTransport::new(&g).unwrap();
+        // A port that was bound and then released: nothing listens there.
+        let gone = TcpListener::bind("127.0.0.1:0").unwrap();
+        tcp.sockets.addrs[1] = gone.local_addr().unwrap();
+        drop(gone);
+        assert_eq!(
+            tcp.route(Player(0), Player(1), &frame(), 8, 0).unwrap_err(),
+            TransmitError::Io {
+                from: Player(0),
+                to: Player(1),
+                kind: io::ErrorKind::ConnectionRefused,
+            }
+        );
+        assert_eq!(tcp.wire(), WireStats::default(), "nothing arrived");
     }
 }

@@ -6,7 +6,7 @@
 use crate::bounds::{model_capacity_bits, BoundReport};
 use crate::outcome::{ProtocolError, ProtocolOutcome};
 use crate::star::{run_star_phase, LeafInput};
-use faqs_hypergraph::{internal_node_width, Ghd, NodeId, Var};
+use faqs_hypergraph::{Ghd, NodeId, Var};
 use faqs_network::{Assignment, NetRun, Player, Topology};
 use faqs_relation::{FaqQuery, Relation};
 use faqs_semiring::{Boolean, Semiring};
@@ -104,29 +104,13 @@ fn run_on_ghd<S: Semiring, T>(
     };
 
     // Decomposition: width-minimising, or re-rooted to cover F.
-    let ghd = ghd_for(q)?;
+    let ghd = faqs_plan::ghd_for_query(q).map_err(|e| ProtocolError::Engine(e.to_string()))?;
     faqs_plan::check_push_down(q, &ghd).map_err(|e| ProtocolError::Engine(e.to_string()))?;
 
     let mut run = NetRun::new(g);
     let answer = execute_on_ghd(q, ghd, assignment, &mut run)?;
     let predicted = BoundReport::evaluate(q, g, &assignment.players()).upper_rounds;
     Ok(outcome(answer, &run, predicted))
-}
-
-/// The decomposition used by both protocol entry points.
-fn ghd_for<S: Semiring>(q: &FaqQuery<S>) -> Result<Ghd, ProtocolError> {
-    let report = internal_node_width(&q.hypergraph);
-    if q.free_vars
-        .iter()
-        .all(|v| report.decomposition.core_vars.contains(v))
-    {
-        return Ok(report.ghd);
-    }
-    let d = faqs_plan::decomposition_for_free_vars(&q.hypergraph, &q.free_vars)
-        .map_err(|e| ProtocolError::Engine(e.to_string()))?;
-    let mut ghd = Ghd::from_decomposition(&q.hypergraph, &d);
-    ghd.hoist_md();
-    Ok(ghd)
 }
 
 /// Runs the BCQ protocol (Boolean semiring, `F = ∅`): `true` iff the

@@ -12,21 +12,20 @@
 //! (`route_causal` semantics), so pipelining and causality hold by
 //! construction.
 //!
-//! The transport ([`DistributedFaqRun::execute_on`]; `execute` is the
-//! simulator) decides what happens to the bytes: the causal simulator
-//! drops them, the channel and loopback-TCP transports physically move
-//! every shard and message as a codec frame ([`Relation::encode_frame`])
-//! and the run computes on the *decoded* bytes. All transports shadow-account Model 2.1 bits identically on
-//! the embedded [`faqs_network::NetRun`], so [`RunStats`] is
-//! byte-identical across them — and real-transport runs assert
-//! themselves against the simulator's envelope on the fly.
+//! Every remote shard and every message travels as a codec frame
+//! ([`Relation::encode_frame`]) over the transport
+//! ([`DistributedFaqRun::execute_on`]; `execute` copies frames in
+//! memory), and the run computes on the *decoded* bytes. Every
+//! transport shadow-accounts Model 2.1 bits identically on the embedded
+//! [`faqs_network::NetRun`], so [`RunStats`] and [`WireStats`] are
+//! byte-identical across them — and every run asserts itself against
+//! the simulator's envelope on the fly.
 //!
 //! Every run returns the semiring result **and** the measured
-//! [`RunStats`] (plus [`WireStats`] for real transports);
-//! [`ConformanceReport`] then confronts the measurement with the
-//! closed-form [`BoundReport`] — the paper's inequalities as executable
-//! checks — and [`WireConformance`] does the same for the bytes on the
-//! real wire.
+//! [`RunStats`] and [`WireStats`]; [`ConformanceReport`] confronts the
+//! measurement with the closed-form [`BoundReport`] — the paper's
+//! inequalities as executable checks — and [`WireConformance`] does the
+//! same for the bytes on the wire.
 //!
 //! Push-down before shipping (Corollary G.2 at the shard level): a bound
 //! `Sum` variable occurring in exactly one hyperedge (and one GHD bag) is
@@ -164,7 +163,7 @@ pub struct DistributedOutcome<S: Semiring> {
     pub completed_at: u64,
     /// Which transport carried the run.
     pub transport: TransportKind,
-    /// Real bytes moved (all-zero on the pure simulator).
+    /// Frame bytes delivered — identical across transports.
     pub wire: WireStats,
 }
 
@@ -281,25 +280,24 @@ impl<'a, S: Semiring> DistributedFaqRun<'a, S> {
         &self.placement
     }
 
-    /// Executes the full FAQ on the causal simulator
-    /// ([`SimTransport`]). The result relation equals
-    /// `faqs_core::solve_faq` on every input; the stats are the
-    /// empirical side of [`ConformanceReport`]. A caller that wants real
-    /// bytes on a wire picks the transport with
+    /// Executes the full FAQ in memory ([`SimTransport`]). The result
+    /// relation equals `faqs_core::solve_faq` on every input; the stats
+    /// are the empirical side of [`ConformanceReport`]. A caller that
+    /// wants the frames on a socket picks the transport with
     /// [`DistributedFaqRun::execute_on`].
     pub fn execute(&self) -> Result<DistributedOutcome<S>, ProtocolError> {
         self.execute_on(&mut SimTransport::new(&self.scaled))
     }
 
     /// [`DistributedFaqRun::execute`] on an explicit [`Transport`]
-    /// ([`faqs_network::ChannelTransport`], [`faqs_network::TcpTransport`]
-    /// or the simulator) — the result and [`RunStats`] are identical on
-    /// all three. Real-transport runs additionally hold their measured
-    /// model bits to the simulator's upper envelope and their wire bytes
-    /// to [`WireConformance`] — the shadow simulator acting as a live
-    /// oracle over the real wire — and fail with
+    /// ([`SimTransport`] or [`faqs_network::TcpTransport`]) — the
+    /// result, [`RunStats`] and [`WireStats`] are identical on both.
+    /// Every run holds its measured model bits to the simulator's upper
+    /// envelope and its wire bytes to [`WireConformance`] — the shadow
+    /// simulator acting as a live oracle over the wire — and fails with
     /// [`ProtocolError::BoundViolated`] /
-    /// [`ProtocolError::WireBoundViolated`] when either escapes.
+    /// [`ProtocolError::WireBoundViolated`] when either escapes, or with
+    /// [`ProtocolError::Frame`] when a delivered frame does not decode.
     pub fn execute_on<T: Transport + ?Sized>(
         &self,
         transport: &mut T,
@@ -325,31 +323,29 @@ impl<'a, S: Semiring> DistributedFaqRun<'a, S> {
         let (result, ready) = pass.run(&mut site)?;
         let stats = transport.stats();
         let wire = transport.wire();
-        if transport.carries_payload() {
-            // Live oracle: a real-wire run that escapes the simulator's
-            // envelope is a protocol bug, not a measurement to report.
-            // `K` is usually the member set the gathers already packed.
-            let players = self.placement.players();
-            let report = ConformanceReport::evaluate_with(
-                self.q,
-                &self.scaled,
-                &players,
-                stats,
-                packings.get(&players),
-            );
-            if !report.within_upper() {
-                return Err(ProtocolError::BoundViolated {
-                    measured_bits: stats.total_bits,
-                    upper_bits: report.upper_bits,
-                });
-            }
-            let wire_report = self.wire_conformance(&report, wire);
-            if !wire_report.within_upper() {
-                return Err(ProtocolError::WireBoundViolated {
-                    measured_bits: wire.wire_bits(),
-                    upper_bits: wire_report.upper_wire_bits,
-                });
-            }
+        // Live oracle: a run that escapes the simulator's envelope is a
+        // protocol bug, not a measurement to report. `K` is usually the
+        // member set the gathers already packed.
+        let players = self.placement.players();
+        let report = ConformanceReport::evaluate_with(
+            self.q,
+            &self.scaled,
+            &players,
+            stats,
+            packings.get(&players),
+        );
+        if !report.within_upper() {
+            return Err(ProtocolError::BoundViolated {
+                measured_bits: stats.total_bits,
+                upper_bits: report.upper_bits,
+            });
+        }
+        let wire_report = self.wire_conformance(&report, wire);
+        if !wire_report.within_upper() {
+            return Err(ProtocolError::WireBoundViolated {
+                measured_bits: wire.wire_bits(),
+                upper_bits: wire_report.upper_wire_bits,
+            });
         }
         Ok(DistributedOutcome {
             result,
@@ -367,7 +363,7 @@ impl<'a, S: Semiring> DistributedFaqRun<'a, S> {
         ConformanceReport::evaluate(self.q, &self.scaled, &self.placement.players(), stats)
     }
 
-    /// Confronts a real transport's [`WireStats`] with the model
+    /// Confronts a run's [`WireStats`] with the model
     /// envelope of `report`, translated into wire units for this query:
     /// `upper = blowup·upper_bits + header·frames`, where `blowup` is
     /// the worst per-tuple ratio of codec frame bits (`32r + 8W` per
@@ -383,9 +379,7 @@ impl<'a, S: Semiring> DistributedFaqRun<'a, S> {
         let max_arity = self.q.hypergraph.num_vars().max(1);
         let blowup = (1..=max_arity as u64)
             .map(|r| (32 * r + wire_value_bits).div_ceil(r * log_d + vb))
-            .max()
-            .expect("at least one arity")
-            .max(1);
+            .fold(1, u64::max);
         let header_bits_per_frame = faqs_relation::frame_bits(max_arity, 0, S::WIRE_VALUE_BYTES);
         WireConformance {
             wire,
@@ -478,9 +472,10 @@ impl<'a, S: Semiring> DistributedFaqRun<'a, S> {
     /// holders converge (shards round-robin over the trees), along a
     /// shortest live path otherwise — and reassembles the factor there.
     /// The packing comes from `packings`, which packs each distinct
-    /// member set once per execution. On payload transports every remote
-    /// shard travels as an encoded frame and the reassembly unions the
-    /// *decoded* bytes; local shards never touch the wire.
+    /// member set once per execution. Every remote shard travels as an
+    /// encoded frame; the reassembly unions the parts in shard order,
+    /// local ones from memory and remote ones *decoded* from the bytes
+    /// that arrived.
     fn gather_factor<T: Transport + ?Sized>(
         &self,
         e: EdgeId,
@@ -491,29 +486,11 @@ impl<'a, S: Semiring> DistributedFaqRun<'a, S> {
     ) -> Result<(Relation<S>, u64), ProtocolError> {
         let parts = &shards[e.index()];
         let domain = self.q.domain;
-        let remote: Vec<(Player, &Relation<S>)> = parts
-            .iter()
-            .filter(|(p, _)| *p != to)
-            .map(|(p, r)| (*p, r))
-            .collect();
-        let mut ready = 0u64;
-        // Decoded deliveries, aligned with `remote`'s order (empty on
-        // the pure simulator).
-        let mut received: Vec<Relation<S>> = Vec::new();
-        let deliver = |d: faqs_network::Delivery,
-                       received: &mut Vec<Relation<S>>|
-         -> Result<u64, ProtocolError> {
-            if let Some(bytes) = d.payload {
-                received.push(
-                    Relation::decode_frame(&bytes)
-                        .map_err(|e| ProtocolError::Engine(format!("shard frame: {e}")))?,
-                );
-            }
-            Ok(d.arrived_at)
-        };
-        if remote.len() >= 2 && self.all_links_live {
+        let remote = || parts.iter().filter(|(p, _)| *p != to);
+        let mut packing = None;
+        if remote().count() >= 2 && self.all_links_live {
             // At least one remote holder plus `to`: two or more members.
-            let mut members: Vec<Player> = remote.iter().map(|(p, _)| *p).collect();
+            let mut members: Vec<Player> = remote().map(|(p, _)| *p).collect();
             members.push(to);
             members.sort_unstable();
             members.dedup();
@@ -524,54 +501,38 @@ impl<'a, S: Semiring> DistributedFaqRun<'a, S> {
                 .min()
                 .unwrap_or(1)
                 .max(1);
-            let total_bits: u64 = remote.iter().map(|(_, r)| r.bits(domain)).sum();
-            if !packings.contains_key(&members) {
-                let packed = DeltaPackings::new(&self.scaled, &members);
-                packings.insert(members.clone(), packed);
+            let total_bits: u64 = remote().map(|(_, r)| r.bits(domain)).sum();
+            let packed = packings
+                .entry(members)
+                .or_insert_with_key(|members| DeltaPackings::new(&self.scaled, members));
+            packing = Some(packed.best(total_bits.div_ceil(cap_min)).1);
+        }
+        let mut ready = 0u64;
+        let mut shipped = 0usize;
+        let mut rels = Vec::with_capacity(parts.len());
+        for (p, rel) in parts {
+            if *p == to {
+                rels.push(rel.clone());
+                continue;
             }
-            let (_delta, packing) = packings[&members].best(total_bits.div_ceil(cap_min));
-            for (i, (p, rel)) in remote.iter().enumerate() {
-                let tree = &packing[i % packing.len()];
-                let (nodes, links) = tree.path(*p, to).expect("terminals are spanned");
-                let frame = if transport.carries_payload() {
-                    rel.encode_frame()
-                } else {
-                    Vec::new()
-                };
-                let d = transport
-                    .send_along_path(&nodes, &links, &frame, rel.bits(domain), 1)
-                    .map_err(|e| ProtocolError::Unreachable(e.to_string()))?;
-                ready = ready.max(deliver(d, &mut received)?);
-            }
-        } else {
-            for (p, rel) in &remote {
-                let frame = if transport.carries_payload() {
-                    rel.encode_frame()
-                } else {
-                    Vec::new()
-                };
+            let frame = rel.encode_frame();
+            let d = match packing {
+                // Shards round-robin over the packing's trees.
+                Some(trees) => {
+                    let tree = &trees[shipped % trees.len()];
+                    let (nodes, links) = tree.path(*p, to).expect("terminals are spanned");
+                    transport.send_along_path(&nodes, &links, &frame, rel.bits(domain), 1)
+                }
                 // `route(.., learned_at = 0)` departs at round 1 —
                 // identical scheduling to the historical
                 // `send_via_shortest_path(.., ready_at = 1)`.
-                let d = transport
-                    .route(*p, to, &frame, rel.bits(domain), 0)
-                    .map_err(|e| ProtocolError::Unreachable(e.to_string()))?;
-                ready = ready.max(deliver(d, &mut received)?);
+                None => transport.route(*p, to, &frame, rel.bits(domain), 0),
             }
+            .map_err(|e| ProtocolError::Unreachable(e.to_string()))?;
+            shipped += 1;
+            ready = ready.max(d.arrived_at);
+            rels.push(Relation::decode_frame(&d.payload).map_err(ProtocolError::Frame)?);
         }
-        // Reassemble: local parts from memory, remote parts from the
-        // wire when the transport carried them.
-        let mut received = received.into_iter();
-        let rels: Vec<Relation<S>> = parts
-            .iter()
-            .map(|(p, r)| {
-                if *p != to && transport.carries_payload() {
-                    received.next().expect("one delivery per remote shard")
-                } else {
-                    r.clone()
-                }
-            })
-            .collect();
         Ok((Relation::union_all(&rels), ready))
     }
 }
@@ -622,7 +583,7 @@ impl<S: Semiring, T: Transport + ?Sized> PassSite<S> for Routed<'_, '_, S, T> {
         pass: &Pass<'_, S>,
         from: NodeId,
         to: NodeId,
-        mut message: Relation<S>,
+        message: Relation<S>,
         ready: u64,
     ) -> Result<Timed<Relation<S>>, ProtocolError> {
         let (from, to) = (self.node_player[from.index()], self.node_player[to.index()]);
@@ -630,22 +591,19 @@ impl<S: Semiring, T: Transport + ?Sized> PassSite<S> for Routed<'_, '_, S, T> {
             return Ok((message, ready));
         }
         // The message is learned at the end of `ready`, so it departs
-        // at `ready + 1` — causal by construction. On payload transports
-        // the frame physically travels and the *received* bytes become
-        // the message the parent folds.
-        let frame = if self.transport.carries_payload() {
-            message.encode_frame()
-        } else {
-            Vec::new()
-        };
+        // at `ready + 1` — causal by construction. The frame travels and
+        // the *received* bytes become the message the parent folds.
         let d = self
             .transport
-            .route(from, to, &frame, message.bits(pass.q.domain), ready)
+            .route(
+                from,
+                to,
+                &message.encode_frame(),
+                message.bits(pass.q.domain),
+                ready,
+            )
             .map_err(|e| ProtocolError::Unreachable(e.to_string()))?;
-        if let Some(bytes) = d.payload {
-            message = Relation::decode_frame(&bytes)
-                .map_err(|e| ProtocolError::Engine(format!("message frame: {e}")))?;
-        }
+        let message = Relation::decode_frame(&d.payload).map_err(ProtocolError::Frame)?;
         Ok((message, d.arrived_at))
     }
 }
@@ -783,8 +741,8 @@ impl ConformanceReport {
     }
 }
 
-/// The model envelope translated into real-wire units: a payload
-/// transport's measured [`WireStats`] confronted with
+/// The model envelope translated into wire units: a run's measured
+/// [`WireStats`] confronted with
 /// `blowup · upper_bits + header · frames` (see
 /// [`DistributedFaqRun::wire_conformance`] for the closed forms). A
 /// co-located run gets a zero envelope here too — no frame may ship.

@@ -1,6 +1,7 @@
 //! Protocol run results.
 
 use faqs_network::RunStats;
+use faqs_relation::CodecError;
 
 /// Failure modes of a protocol run.
 #[derive(Clone, Debug, PartialEq)]
@@ -13,7 +14,10 @@ pub enum ProtocolError {
     /// the core (the engine's restriction applies to the distributed
     /// protocols identically).
     Engine(String),
-    /// A real-transport run moved more Model 2.1 bits than the paper's
+    /// A delivered shard or message frame did not decode: the medium
+    /// corrupted or cut the bytes in flight.
+    Frame(CodecError),
+    /// A distributed run moved more Model 2.1 bits than the paper's
     /// upper envelope for its query, topology and player set allows —
     /// the live conformance oracle's verdict (a protocol bug, not a
     /// measurement to report).
@@ -39,6 +43,7 @@ impl std::fmt::Display for ProtocolError {
             ProtocolError::Unreachable(s) => write!(f, "unreachable: {s}"),
             ProtocolError::Invalid(s) => write!(f, "invalid: {s}"),
             ProtocolError::Engine(s) => write!(f, "local computation: {s}"),
+            ProtocolError::Frame(e) => write!(f, "frame: {e}"),
             ProtocolError::BoundViolated {
                 measured_bits,
                 upper_bits,

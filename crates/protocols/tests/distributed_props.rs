@@ -3,9 +3,8 @@
 //! brute-force oracle over random connected topologies (path / cycle /
 //! tree / Erdős–Rényi via seeded `StdRng`), random shard placements,
 //! both plans (the statistics-driven planner's, or `structural_plan`
-//! handed over with `with_plan`), all three transports
-//! (simulator / in-process channels / loopback TCP), and three semirings
-//! with different zero/duplicate behaviour.
+//! handed over with `with_plan`), both transports (in memory / loopback
+//! TCP), and three semirings with different zero/duplicate behaviour.
 //!
 //! Invariants checked per case:
 //!
@@ -17,7 +16,7 @@
 
 use faqs_core::{solve_faq, solve_faq_brute_force};
 use faqs_hypergraph::{example_h2, path_query, star_query, Hypergraph, Var};
-use faqs_network::{ChannelTransport, SimTransport, TcpTransport, Topology, Transport};
+use faqs_network::{SimTransport, TcpTransport, Topology, Transport};
 use faqs_plan::structural_plan;
 use faqs_protocols::{DistributedFaqRun, InputPlacement};
 use faqs_relation::{
@@ -82,8 +81,7 @@ fn check<S: Semiring>(q: &FaqQuery<S>, family: usize, n_players: usize, seed: u6
         }
     };
     let mut transport: Box<dyn Transport + '_> = match seed % 3 {
-        0 => Box::new(SimTransport::new(run.topology())),
-        1 => Box::new(ChannelTransport::new(run.topology())),
+        0 | 1 => Box::new(SimTransport::new(run.topology())),
         _ => Box::new(TcpTransport::new(run.topology()).expect("loopback sockets")),
     };
     let label = format!("{label}/{planner}/{:?}", transport.kind());

@@ -1,4 +1,4 @@
-//! The live conformance oracle of a real-transport run answers with a
+//! The live conformance oracle of every distributed run answers with a
 //! typed error, not a panic: a run whose measured model bits (or wire
 //! bytes) escape the paper's upper envelope returns
 //! `ProtocolError::BoundViolated` (`WireBoundViolated`) to its caller.
@@ -7,16 +7,17 @@
 
 use faqs_hypergraph::star_query;
 use faqs_network::{
-    ChannelTransport, Delivery, LinkId, Player, RunStats, Topology, TransmitError, Transport,
+    Delivery, LinkId, Player, RunStats, SimTransport, Topology, TransmitError, Transport,
     TransportKind, WireStats,
 };
 use faqs_protocols::{DistributedFaqRun, InputPlacement, ProtocolError};
 use faqs_relation::{random_instance, RandomInstanceConfig};
 use faqs_semiring::Count;
 
-/// Real channels underneath; the reported measurements are padded.
+/// The in-memory transport underneath; the reported measurements are
+/// padded.
 struct Inflated<'a> {
-    inner: ChannelTransport<'a>,
+    inner: SimTransport<'a>,
     extra_model_bits: u64,
     extra_wire_bytes: u64,
 }
@@ -45,10 +46,6 @@ impl Transport for Inflated<'_> {
             .send_along_path(nodes, links, frame, model_bits, ready_at)
     }
 
-    fn carries_payload(&self) -> bool {
-        true
-    }
-
     fn stats(&self) -> RunStats {
         let mut stats = self.inner.stats();
         stats.total_bits += self.extra_model_bits;
@@ -62,7 +59,7 @@ impl Transport for Inflated<'_> {
     }
 
     fn kind(&self) -> TransportKind {
-        TransportKind::Channel
+        self.inner.kind()
     }
 }
 
@@ -80,7 +77,7 @@ fn a_run_outside_its_envelope_is_a_typed_error() {
         let run = DistributedFaqRun::new(&q, &g, placement, 1).unwrap();
         let execute = |extra_model_bits: u64, extra_wire_bytes: u64| {
             run.execute_on(&mut Inflated {
-                inner: ChannelTransport::new(run.topology()),
+                inner: SimTransport::new(run.topology()),
                 extra_model_bits,
                 extra_wire_bytes,
             })

@@ -12,7 +12,7 @@ use faqs_core::{
 };
 use faqs_exec::{Executor, IncrementalFaq, MaintenanceMode};
 use faqs_hypergraph::{path_query, star_query, EdgeId, Ghd, GhdNode, Hypergraph, NodeId, Var};
-use faqs_network::{ChannelTransport, Player, SimTransport, Topology};
+use faqs_network::{Player, SimTransport, TcpTransport, Topology};
 use faqs_plan::{join_order_for_ghd, structural_plan, ChosenPlan};
 use faqs_protocols::{DistributedFaqRun, InputPlacement};
 use faqs_relation::{random_instance, FaqQuery, RandomInstanceConfig, Relation};
@@ -50,7 +50,7 @@ fn every_site_returns_the_same_bits() {
     let placement = InputPlacement::hash_split(q.k(), &players, Player(0));
     let run = DistributedFaqRun::new(&q, &g, placement, 1).unwrap();
     let sim = run.execute_on(&mut SimTransport::new(run.topology()));
-    let channel = run.execute_on(&mut ChannelTransport::new(run.topology()));
+    let tcp = run.execute_on(&mut TcpTransport::new(run.topology()).expect("loopback sockets"));
 
     let got = [
         ("solve_faq_reference", solve_faq_reference(&q).unwrap()),
@@ -60,7 +60,7 @@ fn every_site_returns_the_same_bits() {
             IncrementalFaq::new(q.clone()).unwrap().answer().clone(),
         ),
         ("DistributedFaqRun / sim", sim.unwrap().result),
-        ("DistributedFaqRun / channel", channel.unwrap().result),
+        ("DistributedFaqRun / tcp", tcp.unwrap().result),
     ];
     for (site, answer) in got {
         let got = answer.total().0;
@@ -299,7 +299,7 @@ fn assert_max_agrees_at_every_site<S: Semiring>(q: &FaqQuery<S>, bits: fn(&S) ->
             .unwrap()
             .with_plan(structural.clone());
         let sim = run.execute_on(&mut SimTransport::new(run.topology()));
-        let channel = run.execute_on(&mut ChannelTransport::new(run.topology()));
+        let tcp = run.execute_on(&mut TcpTransport::new(run.topology()).expect("loopback sockets"));
         let name = g.name();
         got.push((
             format!("{name} / sim"),
@@ -307,8 +307,8 @@ fn assert_max_agrees_at_every_site<S: Semiring>(q: &FaqQuery<S>, bits: fn(&S) ->
             Some(&reference),
         ));
         got.push((
-            format!("{name} / channel"),
-            Ok(channel.unwrap().result),
+            format!("{name} / tcp"),
+            Ok(tcp.unwrap().result),
             Some(&reference),
         ));
     }

@@ -1,16 +1,15 @@
-//! Differential suite for the transport layer: the same plan raced over
-//! the causal simulator, in-process channels, and loopback TCP must
-//! produce bit-identical answers and byte-identical `RunStats` (every
-//! transport drives the same shadow oracle), the two real transports
-//! must agree on wire traffic to the byte, and the measured wire bits
-//! must sit inside the [`WireConformance`] envelope derived from the
-//! Model 2.1 upper bound. The Theorem 3.1 fixture is pinned under TCP so
-//! the real-wire path guards the exact measurement the conformance
-//! suite pins for the simulator.
+//! Differential suite for the transport layer: the same plan raced in
+//! memory and over loopback TCP must produce bit-identical answers,
+//! byte-identical `RunStats` (both transports drive the same shadow
+//! oracle) and the same wire traffic to the byte, and the measured wire
+//! bits must sit inside the [`WireConformance`] envelope derived from
+//! the Model 2.1 upper bound. The Theorem 3.1 fixture is pinned under
+//! TCP so the socket path guards the exact measurement the conformance
+//! suite pins in memory.
 
 use faqs_core::{solve_bcq, solve_faq};
 use faqs_hypergraph::{path_query, star_query};
-use faqs_network::{ChannelTransport, Player, SimTransport, TcpTransport, Topology, TransportKind};
+use faqs_network::{Player, SimTransport, TcpTransport, Topology, TransportKind};
 use faqs_protocols::{DistributedFaqRun, DistributedOutcome, InputPlacement};
 use faqs_relation::{
     irreducible_star_instance, random_instance, BcqBuilder, FaqQuery, RandomInstanceConfig,
@@ -21,7 +20,7 @@ fn all_players(g: &Topology) -> Vec<Player> {
     g.players().collect()
 }
 
-/// Races one plan over all three transports and checks every
+/// Races one plan in memory and over TCP and checks every
 /// cross-transport invariant; returns the TCP outcome for pinning.
 fn race_transports<S: Semiring>(
     q: &FaqQuery<S>,
@@ -34,32 +33,24 @@ fn race_transports<S: Semiring>(
     let sim = run
         .execute_on(&mut SimTransport::new(run.topology()))
         .unwrap();
-    let chan = run
-        .execute_on(&mut ChannelTransport::new(run.topology()))
-        .unwrap();
     let mut tcp_t = TcpTransport::new(run.topology()).expect("loopback sockets");
     let tcp = run.execute_on(&mut tcp_t).unwrap();
 
     assert_eq!(sim.transport, TransportKind::Sim);
-    assert_eq!(chan.transport, TransportKind::Channel);
     assert_eq!(tcp.transport, TransportKind::Tcp);
 
     // The decoded relations, not just their totals, must agree.
-    assert_eq!(sim.result, chan.result, "sim vs channel on {}", g.name());
     assert_eq!(sim.result, tcp.result, "sim vs tcp on {}", g.name());
 
     // Identical shadow accounting: the model-unit ledger may not depend
     // on which transport carried the bytes.
-    assert_eq!(sim.stats, chan.stats, "stats sim vs channel");
     assert_eq!(sim.stats, tcp.stats, "stats sim vs tcp");
     assert_eq!(sim.completed_at, tcp.completed_at);
     assert_eq!(sim.node_player, tcp.node_player);
 
-    // The simulator moves no bytes; the real transports move the same
-    // frames (length prefixes are transport-private and excluded).
-    assert_eq!(sim.wire.frames, 0);
-    assert_eq!(sim.wire.payload_bytes, 0);
-    assert_eq!(chan.wire, tcp.wire, "wire ledger channel vs tcp");
+    // Both move the same frames (length prefixes are transport-private
+    // and excluded).
+    assert_eq!(sim.wire, tcp.wire, "wire ledger sim vs tcp");
 
     // Measured wire bits inside the envelope (execute_on asserts this
     // live; re-derive here so the test fails with the full ledger).
@@ -125,16 +116,18 @@ fn colocated_runs_ship_no_frames_on_any_transport() {
     let placement = InputPlacement::new(vec![vec![Player(0)]; q.k()], Player(0));
     let run = DistributedFaqRun::new(&q, &g, placement, 1).unwrap();
     let mut tcp = TcpTransport::new(run.topology()).expect("loopback sockets");
-    let out = run.execute_on(&mut tcp).unwrap();
-    assert_eq!(out.stats, faqs_network::RunStats::default());
-    assert_eq!(out.wire.frames, 0);
-    assert_eq!(out.wire.payload_bytes, 0);
+    for out in [run.execute(), run.execute_on(&mut tcp)] {
+        let out = out.unwrap();
+        assert_eq!(out.stats, faqs_network::RunStats::default());
+        assert_eq!(out.wire.frames, 0);
+        assert_eq!(out.wire.payload_bytes, 0);
+    }
 }
 
 #[test]
 fn theorem_3_1_fixture_is_pinned_under_tcp() {
     // Same instance, topology, and pinned measurement as the simulator
-    // conformance suite — a real-wire run may not drift from it.
+    // conformance suite — a socket run may not drift from it.
     let q = irreducible_star_instance(4, 64);
     let g = Topology::line(4);
     let placement = InputPlacement::hash_split(q.k(), &all_players(&g), Player(3));

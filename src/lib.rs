@@ -17,8 +17,8 @@
 //! * [`network`] — communication topologies, min-cuts, Steiner-tree
 //!   packings, multicommodity-flow routing, the synchronous round
 //!   simulator of Model 2.1, and the pluggable `Transport` layer
-//!   (simulator / in-process channels / loopback TCP) every
-//!   distributed run ships its frames through.
+//!   (in memory / loopback TCP) every distributed run ships its frames
+//!   through.
 //! * [`plan`] — the statistics-driven cost-based planner: per-factor
 //!   stats, GHD candidate enumeration, join orders, placement-aware
 //!   communication costs; one `ChosenPlan` feeds every consumer below.
