@@ -4,20 +4,24 @@
 //! Every evaluator in the workspace — `solve_faq`, the plan-cached
 //! executor, the storing incremental session, the routed distributed
 //! runtime — runs [`Pass::run`]. Per GHD node: the children's messages
-//! first, then the node's own bag (one [`generic_join`] pass over two or
-//! more factors), then every message multiplied into it by one scan of
-//! the bag
-//! ([`Relation::fold_keyed`], in [`QueryPlan::children`] order per
-//! row), then the push-down towards the parent. A [`PassSite`] answers
-//! only what differs between the evaluators: how sibling subtrees are
-//! scheduled, where a bag's factors come from, and how a message
-//! travels (and the round it is ready at). What observes a fold is the
-//! per-pass [`CalProbe`].
+//! first, then the node's factors, then the node's own output — its
+//! bag with every message multiplied in (in [`QueryPlan::children`]
+//! order per row) and its nest aggregated out, which is the message
+//! towards the parent, or the answer at the root. A bag of two or more
+//! factors is one [`generic_join_aggregated`] pass over its factors and
+//! messages, which folds the nest as it binds and never lists the bag;
+//! a single factor folds its messages by one scan
+//! ([`Relation::fold_keyed`]) and pushes down by another. A
+//! [`PassSite`] answers only what differs between the evaluators: how
+//! sibling subtrees are scheduled, where a node's factors come from,
+//! and how a message travels (and the round it is ready at). What
+//! observes a fold is the per-pass [`CalProbe`]; it sees the rows of
+//! the un-aggregated bag, whether or not they were listed.
 
 use crate::plan::QueryPlan;
 use faqs_hypergraph::NodeId;
 use faqs_plan::{CalibrationLog, CalibrationRegistry, StatsDigest};
-use faqs_relation::{generic_join, FaqQuery, Relation};
+use faqs_relation::{generic_join, generic_join_aggregated, FaqQuery, Relation};
 use faqs_semiring::Semiring;
 use std::borrow::Cow;
 use std::convert::Infallible;
@@ -25,6 +29,10 @@ use std::convert::Infallible;
 /// A relation and the round at whose end it is complete where it is
 /// (always `0` at sites that never touch a network).
 pub type Timed<R> = (R, u64);
+
+/// A node's factors as a site hands them to the pass: borrowed where
+/// they already live, owned where the site had to build them.
+pub type Factors<'r, S> = Vec<Cow<'r, Relation<S>>>;
 
 /// The fixed inputs of one upward pass.
 pub struct Pass<'a, S: Semiring> {
@@ -56,15 +64,20 @@ pub trait PassSite<S: Semiring>: Sized {
             .collect()
     }
 
-    /// Where a bag's factors come from: `node`'s own relation (`None`
-    /// for a factorless synthetic root) and the round its inputs are
-    /// all present at.
-    fn bag(
-        &mut self,
-        pass: &Pass<'_, S>,
+    /// Where a node's factors come from: `node`'s λ factors in the
+    /// plan's join order (none for a factorless synthetic root), or any
+    /// relation whose product they are, and the round they are all
+    /// present at.
+    fn bag<'r>(
+        &'r mut self,
+        pass: &'r Pass<'_, S>,
         node: NodeId,
-    ) -> Result<Timed<Option<Relation<S>>>, Self::Error> {
-        Ok((pass.local_bag(node), 0))
+    ) -> Result<Timed<Factors<'r, S>>, Self::Error> {
+        let factors = pass.plan.joins(node).iter();
+        Ok((
+            factors.map(|&e| Cow::Borrowed(pass.q.factor(e))).collect(),
+            0,
+        ))
     }
 
     /// How a message travels from `from`'s evaluator to `to`'s: what
@@ -97,8 +110,7 @@ impl<S: Semiring> Pass<'_, S> {
     /// nowhere else.
     pub fn run<X: PassSite<S>>(&self, site: &mut X) -> Result<Timed<Relation<S>>, X::Error> {
         let (root, ready) = self.subtree(site, self.plan.root())?;
-        let root = root.unwrap_or_else(Relation::unit);
-        let answer = finish_root(self.q, self.plan, root);
+        let answer = in_declared_order(self.q, root);
         if let Some(probe) = self.probe {
             probe.flush();
         }
@@ -114,85 +126,101 @@ impl<S: Semiring> Pass<'_, S> {
         child: NodeId,
         parent: NodeId,
     ) -> Result<Timed<Relation<S>>, X::Error> {
-        let (sub, ready) = self.subtree(site, child)?;
-        let sub = sub.expect("non-root GHD nodes carry a factor");
-        let message = push_down_message(self.plan, child, sub);
+        let (message, ready) = self.subtree(site, child)?;
+        debug_assert!(
+            message
+                .schema()
+                .iter()
+                .all(|v| self.plan.ghd.chi(parent).contains(v)),
+            "a message lists only variables of the parent's bag"
+        );
         site.deliver(self, child, parent, message, ready)
     }
 
-    /// `node`'s bag from the query's own factors.
+    /// `node`'s bag from the query's own factors, listed: the one factor
+    /// itself, or one generic-join pass over two or more, bound in the
+    /// plan's layout order and folding annotations in join order. `None`
+    /// for a factorless synthetic root. The pass never lists a bag; a
+    /// site that keeps bags (the incremental session) does.
     pub fn local_bag(&self, node: NodeId) -> Option<Relation<S>> {
-        let factors = self.plan.joins(node).iter();
-        let factors = factors.map(|&e| Cow::Borrowed(self.q.factor(e)));
-        self.combine(node, factors.collect())
-    }
-
-    /// The `⊗`-product of `node`'s λ `factors` (in the plan's join
-    /// order): the one factor itself, or one generic-join pass over two
-    /// or more, bound in the plan's layout order and folding annotations
-    /// in join order.
-    pub fn combine(&self, node: NodeId, factors: Vec<Cow<'_, Relation<S>>>) -> Option<Relation<S>> {
-        debug_assert_eq!(
-            self.plan.joins(node).len(),
-            factors.len(),
-            "one factor per λ edge"
-        );
-        if factors.len() < 2 {
-            return factors.into_iter().next().map(Cow::into_owned);
+        let factors: Vec<&Relation<S>> = self
+            .plan
+            .joins(node)
+            .iter()
+            .map(|&e| self.q.factor(e))
+            .collect();
+        match factors[..] {
+            [] => None,
+            [one] => Some(one.clone()),
+            _ => Some(generic_join(&factors, self.plan.var_order(node))),
         }
-        let refs: Vec<&Relation<S>> = factors.iter().map(AsRef::as_ref).collect();
-        Some(generic_join(&refs, self.plan.var_order(node)))
     }
 
-    /// The full (un-aggregated) relation of `node`'s subtree. `None`
-    /// only for a factorless, childless synthetic root (the
-    /// `⊗`-identity).
+    /// `node`'s output: its subtree's relation with the node's nest
+    /// aggregated out — the message towards its parent, or at the root
+    /// the answer in layout order.
     fn subtree<X: PassSite<S>>(
         &self,
         site: &mut X,
         node: NodeId,
-    ) -> Result<Timed<Option<Relation<S>>>, X::Error> {
-        let mut messages = site.children(self, node)?;
-        let (mut acc, mut ready) = site.bag(self, node)?;
-
-        // Messages multiply in child order.
-        ready = messages.iter().fold(ready, |r, (_, at)| r.max(*at));
-        if acc.is_none() && !messages.is_empty() {
-            // A factorless synthetic root has no bag: its first message is it.
-            acc = Some(messages.remove(0).0);
-        }
-        if let Some(mut cur) = acc.take() {
-            let messages: Vec<&Relation<S>> = messages.iter().map(|(m, _)| m).collect();
-            let mut rest = messages.as_slice();
-            while let Some(&next) = rest.first() {
-                // One scan multiplies in every message that lists only
-                // the bag's variables: all of them, except above a
-                // factorless root's seed, where the next one is a join.
-                let listed = |m: &&Relation<S>| m.schema().iter().all(|v| cur.schema().contains(v));
-                let run = rest.iter().take_while(|m| listed(m)).count();
-                cur = match run {
-                    0 => cur.join(next),
-                    _ => cur.fold_keyed(&rest[..run]),
-                };
-                rest = &rest[run.max(1)..];
-            }
-            acc = Some(cur);
-        }
+    ) -> Result<Timed<Relation<S>>, X::Error> {
+        let messages = site.children(self, node)?;
+        let (mut factors, ready) = site.bag(self, node)?;
+        let ready = messages.iter().fold(ready, |r, (_, at)| r.max(*at));
+        let messages: Vec<&Relation<S>> = messages.iter().map(|(m, _)| m).collect();
+        let nest = self.plan.nest(node);
+        let (output, rows) = if factors.len() >= 2 {
+            // The messages join after the bag's factors: they list only
+            // bag variables.
+            let inputs = factors.iter().map(AsRef::as_ref).chain(messages);
+            let inputs: Vec<&Relation<S>> = inputs.collect();
+            generic_join_aggregated(&inputs, self.plan.var_order(node), nest)
+        } else {
+            let bag = match factors.pop() {
+                Some(one) => one.into_owned().fold_keyed(&messages),
+                None => seed(&messages),
+            };
+            let rows = bag.len();
+            (bag.aggregate_out_many(nest), rows)
+        };
 
         // Only a fold point with at least two inputs is a prediction:
         // a single-factor leaf restates exact statistics.
         if self.plan.joins(node).len() + self.plan.children(node).len() >= 2 {
-            if let (Some(probe), Some(rel)) = (self.probe, acc.as_ref()) {
-                probe.observe(node.index(), rel.len());
+            if let Some(probe) = self.probe {
+                probe.observe(node.index(), rows);
             }
         }
-        Ok((acc, ready))
+        Ok((output, ready))
     }
+}
+
+/// A factorless synthetic root's relation: the `⊗`-identity, or its
+/// first message with the others multiplied in, in child order — by one
+/// scan per run of messages listing only variables already there, by a
+/// join otherwise.
+fn seed<S: Semiring>(messages: &[&Relation<S>]) -> Relation<S> {
+    let Some((&first, mut rest)) = messages.split_first() else {
+        return Relation::unit();
+    };
+    let mut cur = first.clone();
+    while let Some(&next) = rest.first() {
+        let listed = |m: &&Relation<S>| m.schema().iter().all(|v| cur.schema().contains(v));
+        let run = rest.iter().take_while(|m| listed(m)).count();
+        cur = match run {
+            0 => cur.join(next),
+            _ => cur.fold_keyed(&rest[..run]),
+        };
+        rest = &rest[run.max(1)..];
+    }
+    cur
 }
 
 /// One message push-down (Corollary G.2): aggregates out of `node`'s
 /// subtree relation `message` every variable its parent's bag does not
-/// see — the plan's nest for `node`, in one scan.
+/// see — the plan's nest for `node`, in one scan. The pass folds the
+/// nest as it joins; the incremental session pushes its deltas down
+/// through this.
 pub fn push_down_message<S: Semiring>(
     plan: &QueryPlan,
     node: NodeId,
@@ -209,20 +237,26 @@ pub fn push_down_message<S: Semiring>(
     message
 }
 
-/// The root epilogue: aggregates the bound variables out of the root
-/// relation in one scan, then presents the free variables in the
-/// query's declared order (where a generic-join root bag already has
-/// them).
+/// The root epilogue of a listed root relation: aggregates the bound
+/// variables out in one scan, then presents the free variables in the
+/// query's declared order. The pass aggregates as it joins and only
+/// presents; the incremental session finishes its root deltas through
+/// this.
 pub fn finish_root<S: Semiring>(
     q: &FaqQuery<S>,
     plan: &QueryPlan,
     result: Relation<S>,
 ) -> Relation<S> {
-    let result = result.aggregate_out_many(plan.nest(plan.root()));
-    if result.schema() == q.free_vars.as_slice() {
-        result
+    in_declared_order(q, result.aggregate_out_many(plan.nest(plan.root())))
+}
+
+/// `answer` over the free variables in the query's declared order
+/// (where a generic-join root bag already has them).
+fn in_declared_order<S: Semiring>(q: &FaqQuery<S>, answer: Relation<S>) -> Relation<S> {
+    if answer.schema() == q.free_vars.as_slice() {
+        answer
     } else {
-        result.reorder(&q.free_vars)
+        answer.reorder(&q.free_vars)
     }
 }
 
@@ -305,15 +339,19 @@ mod tests {
     impl PassSite<Count> for Counting {
         type Error = Infallible;
 
-        fn bag(
-            &mut self,
-            pass: &Pass<'_, Count>,
+        fn bag<'r>(
+            &'r mut self,
+            pass: &'r Pass<'_, Count>,
             node: NodeId,
-        ) -> Result<Timed<Option<Relation<Count>>>, Infallible> {
+        ) -> Result<Timed<Factors<'r, Count>>, Infallible> {
             self.combined.push(node);
-            let bag = pass.local_bag(node);
-            self.bags.extend(bag.clone().map(|bag| (node, bag)));
-            Ok((bag, 0))
+            self.bags
+                .extend(pass.local_bag(node).map(|bag| (node, bag)));
+            let factors = pass.plan.joins(node).iter();
+            Ok((
+                factors.map(|&e| Cow::Borrowed(pass.q.factor(e))).collect(),
+                0,
+            ))
         }
 
         fn deliver(

@@ -37,12 +37,14 @@
 
 use crate::cache::PlanCache;
 use faqs_core::{
-    finish_root, push_down_message, CalProbe, EngineError, Pass, PassSite, QueryPlan, Timed,
+    finish_root, push_down_message, CalProbe, EngineError, Factors, Pass, PassSite, QueryPlan,
+    Timed,
 };
 use faqs_hypergraph::{EdgeId, NodeId};
 use faqs_plan::{CalibrationRegistry, MaintainedQueryStats, StatsDigest};
 use faqs_relation::{AppliedDelta, FaqQuery, Relation, RelationDelta};
 use faqs_semiring::{Aggregate, Semiring};
+use std::borrow::Cow;
 use std::convert::Infallible;
 use std::ops::Deref;
 use std::sync::Arc;
@@ -541,15 +543,20 @@ impl<S: Semiring> PassSite<S> for Stored<'_, S> {
             .collect()
     }
 
-    fn bag(
-        &mut self,
-        pass: &Pass<'_, S>,
+    /// The stored local, listed for [`IncrementalFaq::propagate_inverse`]
+    /// and handed back as the node's one factor.
+    fn bag<'r>(
+        &'r mut self,
+        pass: &'r Pass<'_, S>,
         node: NodeId,
-    ) -> Result<Timed<Option<Relation<S>>>, Infallible> {
+    ) -> Result<Timed<Factors<'r, S>>, Infallible> {
         if self.path.is_none_or(|path| path[0] == node) {
             self.local[node.index()] = pass.local_bag(node);
         }
-        Ok((self.local[node.index()].clone(), 0))
+        Ok((
+            self.local[node.index()].iter().map(Cow::Borrowed).collect(),
+            0,
+        ))
     }
 
     fn deliver(

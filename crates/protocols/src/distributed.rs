@@ -41,7 +41,7 @@
 use crate::bounds::{model_capacity_bits, BoundReport};
 use crate::hash_split::ConsistentHashSplit;
 use crate::outcome::ProtocolError;
-use faqs_core::{CalProbe, Pass, PassSite, QueryPlan, Timed};
+use faqs_core::{CalProbe, Factors, Pass, PassSite, QueryPlan, Timed};
 use faqs_hypergraph::{EdgeId, NodeId, Var};
 use faqs_network::{
     Assignment, DeltaPackings, Player, RunStats, SimTransport, Topology, Transport, TransportKind,
@@ -558,13 +558,13 @@ struct Routed<'r, 'a, S: Semiring, T: Transport + ?Sized> {
 impl<S: Semiring, T: Transport + ?Sized> PassSite<S> for Routed<'_, '_, S, T> {
     type Error = ProtocolError;
 
-    fn bag(
-        &mut self,
-        pass: &Pass<'_, S>,
+    fn bag<'r>(
+        &'r mut self,
+        pass: &'r Pass<'_, S>,
         node: NodeId,
-    ) -> Result<Timed<Option<Relation<S>>>, ProtocolError> {
-        // Gather every factor before combining: gathering order — and
-        // hence round accounting — is operator-independent.
+    ) -> Result<Timed<Factors<'r, S>>, ProtocolError> {
+        // Every factor is gathered before the pass joins any: gathering
+        // order — and hence round accounting — is operator-independent.
         let me = self.node_player[node.index()];
         let mut ready = 0u64;
         let mut gathered = Vec::new();
@@ -575,7 +575,7 @@ impl<S: Semiring, T: Transport + ?Sized> PassSite<S> for Routed<'_, '_, S, T> {
             ready = ready.max(arrived);
             gathered.push(Cow::Owned(factor));
         }
-        Ok((pass.combine(node, gathered), ready))
+        Ok((gathered, ready))
     }
 
     fn deliver(

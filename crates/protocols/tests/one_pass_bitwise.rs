@@ -133,13 +133,23 @@ fn every_lowering_of_a_cyclic_bag_returns_the_same_bits() {
         let rows = |r: &Relation<Prob>| -> Vec<(Vec<u32>, u64)> {
             r.iter().map(|(t, v)| (t.to_vec(), v.0.to_bits())).collect()
         };
+        let g = Topology::line(3);
+        let players: Vec<Player> = g.players().collect();
         let mut want: Option<Relation<Prob>> = None;
         for (lowering, var_order) in lowerings {
             let plan = pendant_triangle_plan(&q, var_order);
             let lowered = QueryPlan::lower(&q, plan.clone());
+            // The routed site joins the factors it gathered from their
+            // shards, and the child's message after it crossed the wire.
+            let placement = InputPlacement::hash_split(q.k(), &players, Player(0));
+            let run = DistributedFaqRun::new(&q, &g, placement, 1)
+                .unwrap()
+                .with_plan(plan.clone());
+            let routed = run.execute_on(&mut SimTransport::new(run.topology()));
             let got = [
                 solve_faq_with_plan(&q, &plan),
                 Executor::default().solve_on(&q, &lowered),
+                Ok(routed.unwrap().result),
             ];
             for (site, got) in got.into_iter().enumerate() {
                 let got = got.unwrap();

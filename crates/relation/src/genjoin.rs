@@ -27,23 +27,45 @@
 //!
 //! **Three loops.** The recursion reads a `Shape` (tries, annotation
 //! columns, which levels meet at which depth) by `&` and writes a
-//! `State` (selected entry per level, bound prefix, output arena) by
+//! `State` (selected entry per level, bound prefix, output fold) by
 //! `&mut`, so the sibling lists meeting at a depth are slices held
 //! across the recursive call. Per depth it dispatches on how many lists
 //! meet: **one** — iterate; **two** — a two-pointer merge, both cursors
 //! stepping branch-free when the lists are of similar length, the
 //! lagging side `seek`ing (linear, then exponential, then binary) when
 //! they are not; **three or more** — a max-driven leapfrog over the
-//! same `seek`. The last depth folds the annotations and appends the
-//! row inline. Output tuples are discovered in lexicographic
-//! `var_order` order, so the final [`Relation::from_columns`] takes the
-//! already-sorted fast path.
+//! same `seek`. The last depth folds the annotations of the selected
+//! rows. Bindings are discovered in lexicographic `var_order` order, so
+//! a plain join appends each non-zero product as a row and the output
+//! is canonical as it stands: no sort, no zero sweep.
+//!
+//! **Aggregate as you join.** A GHD node's bag is never wanted for
+//! itself: the pass needs its push-down message, the bag with the
+//! node's nest aggregated out (Corollary G.2). The planner binds the
+//! nest on the trailing depths of `var_order`, outermost first, so
+//! [`generic_join_aggregated`] drives the push-down's own `NestFold`
+//! with one level per trailing depth: a non-zero product folds into the
+//! innermost level's open partial, and when the loop at a trailing
+//! depth ends, its level closes — a zero partial is dropped, any other
+//! folds into the level above under that level's operator, and the
+//! outermost lists a row over the kept depths. Every group thus folds
+//! in the ascending order the listed bag's one-scan push-down would
+//! fold it in, bit for bit, and the listed bag is never built. Child
+//! messages list only bag variables, so they join as further factors,
+//! folded after the bag's own — `fold_keyed`'s per-row association —
+//! and the leapfrog prunes on them too. An order whose nest does not
+//! trail (a hand-built one) lists the bag and regroups it instead.
 //!
 //! **Cost.** One sweep per factor (at most `rows × arity` reads and as
 //! many pushed `u32`s — 2.6 ns per row on 200 000-row factors, ≈ 4 on
 //! 3 000-row ones) plus the leapfrog, which pays a small constant per
 //! candidate binding: a merge step per entry of the lists that meet, a
-//! `seek` per entry of the shorter list when they are lopsided. Tries
+//! `seek` per entry of the shorter list when they are lopsided. The
+//! output costs one fold per non-zero binding and one row per kept
+//! prefix: a BCQ count over the benchmark suite's triangle folds its
+//! 3 013 bindings into one row, where listing them cost a
+//! `from_columns` of 16–23 µs and a push-down scan of 43–53 µs of a
+//! ≈ 500 µs solve (≈ 450 µs without them). Tries
 //! are transient: built per call, dropped with it, nothing cached on
 //! [`Relation`]. The sweep is what the planner's cost model charges a
 //! generic-join bag (`prep = Σ r·(log₂ r + 1)` per factor in
@@ -68,9 +90,11 @@
 //! planner picks for the push-down and which need not be the cascade's
 //! concatenation schema.
 
+use crate::kernel::{aggregate_nest, trailing_nest, NestFold};
 use crate::relation::Relation;
 use faqs_hypergraph::Var;
-use faqs_semiring::Semiring;
+use faqs_semiring::{Aggregate, Semiring};
+use std::borrow::Cow;
 use std::cmp::Ordering;
 
 /// Entries `seek` walks before it gallops: a leapfrog target usually
@@ -206,6 +230,17 @@ enum EmitSource<'a, S> {
     Scalar(&'a S),
 }
 
+impl<'a, S> EmitSource<'a, S> {
+    /// The annotation under the current selection.
+    #[inline]
+    fn value(&self, sel: &[usize]) -> &'a S {
+        match *self {
+            EmitSource::Row { values, at } => &values[sel[at]],
+            EmitSource::Scalar(s) => s,
+        }
+    }
+}
+
 /// What the recursion reads.
 struct Shape<'a, S> {
     /// Every proper factor's trie, factor after factor.
@@ -213,7 +248,13 @@ struct Shape<'a, S> {
     /// `active[d]` = the levels (indices into `levels`) whose column is
     /// `var_order[d]`.
     active: Vec<Vec<usize>>,
-    emit: Vec<EmitSource<'a, S>>,
+    /// The first factor's annotation, which seeds the `⊗`-fold, and the
+    /// others', folded into it in slice order.
+    first: EmitSource<'a, S>,
+    rest: Vec<EmitSource<'a, S>>,
+    /// Depths `kept..` bind the nest: when the loop at one of them ends,
+    /// its level closes.
+    kept: usize,
 }
 
 impl<S> Shape<'_, S> {
@@ -239,7 +280,7 @@ struct Cursor<'a> {
 }
 
 /// What the recursion writes.
-struct State<'a, S> {
+struct State<'a, S: Semiring> {
     /// The selected entry of every level, each factor's levels preceded
     /// by a fixed `0` — the one parent of its first level's only run.
     sel: Vec<usize>,
@@ -248,8 +289,11 @@ struct State<'a, S> {
     /// Per depth, the cursors of a leapfrog over three or more lists:
     /// taken on entry and put back on exit, so a depth allocates once.
     cursors: Vec<Vec<Cursor<'a>>>,
-    out_data: Vec<u32>,
-    out_values: Vec<S>,
+    /// Non-zero products so far: the rows of the un-aggregated join.
+    rows: usize,
+    /// The output: one level per nest depth — level `j` folds depth
+    /// `kept + j` — and the rows over the kept depths.
+    nest: NestFold<S>,
 }
 
 /// Binds `var_order[depth]` to every value all lists meeting there
@@ -294,6 +338,11 @@ fn recurse<'a, S: Semiring>(shape: &'a Shape<'a, S>, st: &mut State<'a, S>, dept
             leapfrog(shape, st, depth, &mut cursors);
             st.cursors[depth] = cursors;
         }
+    }
+    // Every binding under the current prefix has been seen: at a nest
+    // depth, that is the whole group its level folds.
+    if let Some(level) = depth.checked_sub(shape.kept) {
+        st.nest.close(level, &st.prefix);
     }
 }
 
@@ -356,25 +405,18 @@ fn descend<'a, S: Semiring>(
     }
 }
 
-/// Appends the bound prefix with the in-order `⊗`-fold of the selected
-/// rows' annotations, unless that product is zero.
+/// The in-order `⊗`-fold of the selected rows' annotations, unless it is
+/// zero: folded into the innermost nest level, or — no nest — listed
+/// under the bound prefix.
 #[inline]
 fn emit<S: Semiring>(shape: &Shape<'_, S>, st: &mut State<'_, S>) {
-    let mut acc: Option<S> = None;
-    for src in &shape.emit {
-        let v = match src {
-            EmitSource::Scalar(s) => *s,
-            EmitSource::Row { values, at } => &values[st.sel[*at]],
-        };
-        acc = Some(match acc {
-            None => v.clone(),
-            Some(a) => a.mul(v),
-        });
+    let mut acc = shape.first.value(&st.sel).clone();
+    for src in &shape.rest {
+        acc = acc.mul(src.value(&st.sel));
     }
-    let acc = acc.expect("generic join over no factors");
     if !acc.is_zero() {
-        st.out_data.extend_from_slice(&st.prefix);
-        st.out_values.push(acc);
+        st.rows += 1;
+        st.nest.fold(&st.prefix, acc);
     }
 }
 
@@ -409,6 +451,72 @@ fn emit<S: Semiring>(shape: &Shape<'_, S>, st: &mut State<'_, S>) {
 /// assert_eq!(t.len(), 1, "exactly the triangle (0,1,2) survives");
 /// ```
 pub fn generic_join<S: Semiring>(factors: &[&Relation<S>], var_order: &[Var]) -> Relation<S> {
+    fold_join(factors, var_order, Vec::new()).0
+}
+
+/// [`generic_join`] with `nest` — variables each with its operator,
+/// innermost (aggregated first) first — aggregated out as the join runs:
+/// equal, bit for bit, to `generic_join(factors, var_order)
+/// .aggregate_out_many(nest)`, and the number of rows that listed join
+/// would have (its non-zero products).
+///
+/// When `var_order` binds the nest's variables last, outermost first —
+/// the layout order the planner gives every generic-join bag — the bag
+/// is never listed: each trailing depth keeps one open partial and
+/// folds its group as the loop over it ends, so the output is one row
+/// per kept prefix over `var_order` without its nest, in order. Any
+/// other order lists the join and regroups it. Variables of `nest`
+/// outside `var_order` are skipped.
+///
+/// A GHD node passes its child messages as further factors, after its
+/// own: they list only bag variables, so the per-row fold
+/// `((f₁ ⊗ f₂) ⊗ …) ⊗ m₁ ⊗ m₂` is [`Relation::fold_keyed`]'s, and the
+/// result is the node's pushed-down message.
+///
+/// ```
+/// use faqs_hypergraph::Var;
+/// use faqs_relation::{generic_join, generic_join_aggregated, Aggregate, Relation};
+/// use faqs_semiring::Count;
+/// let e = |a, b, rows: &[(u32, u32)]| {
+///     Relation::from_pairs(
+///         vec![Var(a), Var(b)],
+///         rows.iter().map(|&(x, y)| (vec![x, y], Count(1))),
+///     )
+/// };
+/// let r = e(0, 1, &[(0, 1), (0, 2), (1, 2)]);
+/// let s = e(1, 2, &[(1, 2), (2, 0), (2, 2)]);
+/// let t = e(0, 2, &[(0, 2), (1, 0), (0, 0)]);
+/// let order = [Var(0), Var(1), Var(2)];
+/// // Per x0, the triangles through it: x1 and x2 summed out as they bind.
+/// let nest = [(Var(2), Aggregate::Sum), (Var(1), Aggregate::Sum)];
+/// let (per_x0, rows) = generic_join_aggregated(&[&r, &s, &t], &order, &nest);
+/// let listed = generic_join(&[&r, &s, &t], &order);
+/// assert_eq!(rows, listed.len());
+/// assert_eq!(per_x0, listed.aggregate_out_many(&nest));
+/// assert_eq!(per_x0.schema(), [Var(0)]);
+/// ```
+pub fn generic_join_aggregated<S: Semiring>(
+    factors: &[&Relation<S>],
+    var_order: &[Var],
+    nest: &[(Var, Aggregate)],
+) -> (Relation<S>, usize) {
+    if trailing_nest(var_order, nest).is_none() {
+        let (bag, rows) = fold_join(factors, var_order, Vec::new());
+        return (aggregate_nest(bag, nest), rows);
+    }
+    // In layout order: the nest's listed variables, outermost first.
+    let listed = nest.iter().rev().filter(|(v, _)| var_order.contains(v));
+    fold_join(factors, var_order, listed.map(|&(_, op)| op).collect())
+}
+
+/// The join with its last `ops.len()` depths folded, one operator per
+/// depth, as their loops close; the output is over the depths before
+/// them. Also the count of non-zero products.
+fn fold_join<S: Semiring>(
+    factors: &[&Relation<S>],
+    var_order: &[Var],
+    ops: Vec<Aggregate>,
+) -> (Relation<S>, usize) {
     assert!(!factors.is_empty(), "generic join over no factors");
     debug_assert!(
         factors
@@ -416,59 +524,68 @@ pub fn generic_join<S: Semiring>(factors: &[&Relation<S>], var_order: &[Var]) ->
             .all(|f| f.schema().iter().all(|v| var_order.contains(v))),
         "factor schema outside var_order"
     );
+    let kept = var_order.len() - ops.len();
     if factors.iter().any(|f| f.is_empty()) {
-        return Relation::new(var_order.to_vec());
+        return (Relation::new(var_order[..kept].to_vec()), 0);
     }
 
-    // Reorder each factor so its columns bind in var_order order; skip
-    // the copy when the schema already agrees.
-    let reordered: Vec<Option<Relation<S>>> = factors
+    // Each factor with its columns bound in var_order order — reordered
+    // once, unless its schema already agrees — and each column's depth.
+    let prepared: Vec<(Cow<'_, Relation<S>>, Vec<usize>)> = factors
         .iter()
-        .map(|f| {
-            let target: Vec<Var> = var_order
+        .map(|&f| {
+            let (depths, target): (Vec<usize>, Vec<Var>) = var_order
                 .iter()
-                .copied()
-                .filter(|v| f.schema().contains(v))
-                .collect();
-            (f.schema() != target).then(|| f.reorder(&target))
+                .enumerate()
+                .filter(|(_, v)| f.schema().contains(v))
+                .unzip();
+            let f = match f.schema() == target {
+                true => Cow::Borrowed(f),
+                false => Cow::Owned(f.reorder(&target)),
+            };
+            (f, depths)
         })
         .collect();
 
-    let mut shape = Shape {
-        levels: Vec::new(),
-        active: vec![Vec::new(); var_order.len()],
-        emit: Vec::with_capacity(factors.len()),
-    };
+    let mut levels = Vec::new();
+    let mut active = vec![Vec::new(); var_order.len()];
     let mut slots = 0usize;
-    for (f, r) in factors.iter().zip(&reordered) {
-        let f = r.as_ref().unwrap_or(f);
-        let arity = f.schema().len();
-        if arity == 0 {
-            shape.emit.push(EmitSource::Scalar(f.value_at(0)));
-            continue;
-        }
-        for (col, v) in f.schema().iter().enumerate() {
-            let d = var_order.iter().position(|w| w == v).expect("var in order");
-            shape.active[d].push(shape.levels.len() + col);
-        }
-        shape.levels.extend(trie(f.raw_data(), arity, slots));
-        slots += arity + 1;
-        shape.emit.push(EmitSource::Row {
-            values: f.raw_values(),
-            at: slots - 1,
-        });
-    }
+    let mut emit_sources: Vec<EmitSource<'_, S>> = prepared
+        .iter()
+        .map(|(f, depths)| {
+            let arity = depths.len();
+            if arity == 0 {
+                return EmitSource::Scalar(f.value_at(0));
+            }
+            for (col, &d) in depths.iter().enumerate() {
+                active[d].push(levels.len() + col);
+            }
+            levels.extend(trie(f.raw_data(), arity, slots));
+            slots += arity + 1;
+            EmitSource::Row {
+                values: f.raw_values(),
+                at: slots - 1,
+            }
+        })
+        .collect();
     assert!(
-        shape.active.iter().all(|a| !a.is_empty()),
+        active.iter().all(|a| !a.is_empty()),
         "every var_order variable must be bound by some factor"
     );
+    let shape = Shape {
+        levels,
+        active,
+        first: emit_sources.remove(0),
+        rest: emit_sources,
+        kept,
+    };
 
     let mut st = State {
         sel: vec![0; slots],
         prefix: vec![0; var_order.len()],
         cursors: var_order.iter().map(|_| Vec::new()).collect(),
-        out_data: Vec::new(),
-        out_values: Vec::new(),
+        rows: 0,
+        nest: NestFold::new(var_order[..kept].to_vec(), ops),
     };
     if var_order.is_empty() {
         // Only nullary factors: the one empty tuple, their product.
@@ -476,9 +593,9 @@ pub fn generic_join<S: Semiring>(factors: &[&Relation<S>], var_order: &[Var]) ->
     } else {
         recurse(&shape, &mut st, 0);
     }
-    // Tuples were emitted in lexicographic order, so this is the
-    // sorted fast path: no re-sort, one zero sweep at most.
-    Relation::from_columns(var_order.to_vec(), st.out_data, st.out_values)
+    // Bindings come in lexicographic order and every level has closed,
+    // so the listed rows are canonical as they stand.
+    (st.nest.finish(), st.rows)
 }
 
 #[cfg(test)]
@@ -595,25 +712,79 @@ mod tests {
 
     #[test]
     fn zero_products_are_dropped_at_emit() {
-        // `from_columns` would sweep a listed zero away again, so look
-        // at the recursion's own output arena.
+        // The fold's output keeps whatever is listed, zero or not.
         let (two, three, five) = (Z6(2), Z6(3), Z6(5));
         let scalars = |a, b| Shape {
             levels: Vec::new(),
             active: Vec::new(),
-            emit: vec![EmitSource::Scalar(a), EmitSource::Scalar(b)],
+            first: EmitSource::Scalar(a),
+            rest: vec![EmitSource::Scalar(b)],
+            kept: 0,
         };
         let mut st = State {
             sel: Vec::new(),
             prefix: Vec::new(),
             cursors: Vec::new(),
-            out_data: Vec::new(),
-            out_values: Vec::new(),
+            rows: 0,
+            nest: NestFold::new(Vec::new(), Vec::new()),
         };
         emit(&scalars(&two, &three), &mut st);
-        assert!(st.out_values.is_empty(), "2 ⊗ 3 = 0 is not a row");
         emit(&scalars(&two, &five), &mut st);
-        assert_eq!(st.out_values, [Z6(4)]);
+        assert_eq!(st.rows, 1, "only the non-zero product counts");
+        let listed = st.nest.finish();
+        let values: Vec<Z6> = listed.iter().map(|(_, v)| v.clone()).collect();
+        assert_eq!(values, [Z6(4)], "2 ⊗ 3 = 0 is not a row");
+    }
+
+    #[test]
+    fn a_cancelled_sum_under_a_product_is_dropped() {
+        use Aggregate::{Product, Sum};
+        // x0 kept; x1 under `Product`, outer; x2 under `Sum`, inner. Under
+        // x0 = 0 the x1 = 0 group sums 2 + 4 = 0 (mod 6) and is dropped,
+        // as the listing drops it between two single-variable steps, so
+        // the product sees only x1 = 1's 5 — were it kept, 0 ⊗ 5 would
+        // drop the row. Under x0 = 1 the groups are 2 and 5 + 3.
+        let z6 = |schema: [u32; 2], rows: &[([u32; 2], u8)]| {
+            Relation::from_pairs(
+                schema.iter().map(|&v| Var(v)).collect(),
+                rows.iter().map(|&(t, z)| (t.to_vec(), Z6(z))),
+            )
+        };
+        let r = z6(
+            [0, 1],
+            &[([0, 0], 1), ([0, 1], 1), ([1, 0], 1), ([1, 1], 1)],
+        );
+        let s = z6(
+            [1, 2],
+            &[([0, 0], 2), ([0, 1], 4), ([1, 0], 5), ([1, 3], 3)],
+        );
+        let t = z6(
+            [0, 2],
+            &[([0, 0], 1), ([0, 1], 1), ([1, 0], 1), ([1, 3], 1)],
+        );
+        let (order, nest) = ([Var(0), Var(1), Var(2)], [(Var(2), Sum), (Var(1), Product)]);
+        let (got, rows) = generic_join_aggregated(&[&r, &s, &t], &order, &nest);
+        let listed = generic_join(&[&r, &s, &t], &order);
+        assert_eq!((rows, listed.len()), (6, 6));
+        assert_eq!(got, listed.aggregate_out_many(&nest));
+        let want = [(vec![0], Z6(5)), (vec![1], Z6(4))];
+        assert_eq!(
+            got.iter()
+                .map(|(t, v)| (t.to_vec(), v.clone()))
+                .collect::<Vec<_>>(),
+            want
+        );
+    }
+
+    #[test]
+    fn an_empty_factor_leaves_the_kept_schema() {
+        let r = edge(0, 1, &[(0, 1)]);
+        let s: Relation<Count> = Relation::new(vec![Var(1), Var(2)]);
+        let nest = [(Var(2), Aggregate::Sum)];
+        let (got, rows) = generic_join_aggregated(&[&r, &s], &[Var(0), Var(1), Var(2)], &nest);
+        assert!(got.is_empty());
+        assert_eq!(rows, 0);
+        assert_eq!(got.schema(), &[Var(0), Var(1)]);
     }
 
     #[test]

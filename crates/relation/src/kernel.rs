@@ -566,6 +566,11 @@ pub(crate) fn fold_keyed<S: Semiring>(
     mut bag: Relation<S>,
     messages: &[&Relation<S>],
 ) -> Relation<S> {
+    if messages.is_empty() {
+        // A leaf: nothing to multiply in, so no scan (and the arena's
+        // memo survives).
+        return bag;
+    }
     let schema = bag.schema();
     let mut lookups: Vec<_> = messages.iter().map(|m| KeyLookup::new(schema, m)).collect();
     let arity = schema.len();
@@ -701,7 +706,12 @@ pub(crate) fn trailing_nest(schema: &[Var], nest: &[(Var, Aggregate)]) -> Option
 /// `Max` level above a cancelling `Sum` sees the same operands). Every
 /// group thus folds in ascending row order, as a chain of sorted-prefix
 /// [`project_with`] scans does. Push-style, so that whatever produces
-/// rows in layout order can drive it: a stored relation's scan today.
+/// rows in layout order can drive it. It has two drivers: a stored
+/// relation's scan ([`NestFold::push`], which finds where a group ends
+/// by comparing each row with the one before), and the generic join
+/// (`generic_join_aggregated`, which folds each binding in with
+/// [`NestFold::fold`] and knows where a group ends — with the loop that
+/// binds its level's variable — so it calls [`NestFold::close`] itself).
 pub(crate) struct NestFold<S: Semiring> {
     /// One row per kept prefix whose nest folded to a non-zero.
     out: Relation<S>,
@@ -709,8 +719,9 @@ pub(crate) struct NestFold<S: Semiring> {
     /// `(operator, open partial)` per trailing column, outermost first:
     /// level `j` folds column `kept + j`.
     levels: Vec<(Aggregate, Option<S>)>,
-    /// The previous row but for its innermost column; empty before
-    /// the first push.
+    /// The previous pushed row but for its innermost column; empty
+    /// before the first push, and for a driver that closes levels
+    /// itself.
     last: Vec<u32>,
 }
 
@@ -735,41 +746,66 @@ impl<S: Semiring> NestFold<S> {
         } else if let Some(same) = head.iter().zip(&self.last).position(|(a, b)| a != b) {
             debug_assert!(self.last[same] < head[same], "rows arrive in order");
             // A level's group is keyed by the columns before its own.
-            self.close((same + 1).saturating_sub(self.kept));
+            let last = std::mem::take(&mut self.last);
+            self.close((same + 1).saturating_sub(self.kept), &last);
+            self.last = last;
             self.last[same..].copy_from_slice(&head[same..]);
         }
-        let (op, partial) = self.levels.last_mut().expect("a nest has a level");
-        *partial = Some(match partial.take() {
-            Some(acc) => acc.fold(*op, value),
-            None => value.clone(),
-        });
+        self.fold(row, value.clone());
     }
 
-    /// Closes levels `first..`, innermost first.
-    fn close(&mut self, first: usize) {
+    /// Folds `value` into the innermost level's open partial; with no
+    /// level, lists it under `prefix`'s kept columns.
+    #[inline]
+    pub(crate) fn fold(&mut self, prefix: &[u32], value: S) {
+        match self.levels.last_mut() {
+            Some((op, partial)) => fold_into(partial, *op, value),
+            None => self.list(prefix, value),
+        }
+    }
+
+    /// Closes levels `first..`, innermost first, once their groups are
+    /// complete: a zero partial is dropped, any other folds into the
+    /// level above under that level's operator, and level 0's lists
+    /// under `prefix`'s kept columns.
+    pub(crate) fn close(&mut self, first: usize, prefix: &[u32]) {
         for j in (first..self.levels.len()).rev() {
             let Some(partial) = self.levels[j].1.take().filter(|p| !p.is_zero()) else {
                 continue;
             };
-            if j == 0 {
-                let (data, values) = self.out.parts_mut();
-                data.extend_from_slice(&self.last[..self.kept]);
-                values.push(partial);
-            } else {
-                let (op, above) = &mut self.levels[j - 1];
-                *above = Some(match above.take() {
-                    Some(acc) => acc.fold(*op, &partial),
-                    None => partial,
-                });
+            match j.checked_sub(1) {
+                Some(above) => {
+                    let (op, acc) = &mut self.levels[above];
+                    fold_into(acc, *op, partial);
+                }
+                None => self.list(prefix, partial),
             }
         }
     }
 
+    /// Appends one output row; rows come in order, so `out` stays
+    /// canonical.
+    fn list(&mut self, prefix: &[u32], value: S) {
+        let (data, values) = self.out.parts_mut();
+        data.extend_from_slice(&prefix[..self.kept]);
+        values.push(value);
+    }
+
     /// The relation over the kept columns.
     pub(crate) fn finish(mut self) -> Relation<S> {
-        self.close(0);
+        let last = std::mem::take(&mut self.last);
+        self.close(0, &last);
         self.out
     }
+}
+
+/// `acc ← acc op value`, or `value` when nothing folded in yet.
+#[inline]
+fn fold_into<S: Semiring>(acc: &mut Option<S>, op: Aggregate, value: S) {
+    *acc = Some(match acc.take() {
+        Some(a) => a.fold(op, &value),
+        None => value,
+    });
 }
 
 /// [`layout_order`] without a comparison. When `trailing` ascends as

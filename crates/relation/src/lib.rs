@@ -43,7 +43,7 @@ pub use generators::{
     irreducible_star_instance, random_boolean_instance, random_instance, skewed_star_instance,
     RandomInstanceConfig,
 };
-pub use genjoin::generic_join;
+pub use genjoin::{generic_join, generic_join_aggregated};
 pub use kernel::JoinIndex;
 pub use query::{FaqQuery, QueryError};
 pub use relation::Relation;

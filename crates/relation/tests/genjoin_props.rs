@@ -2,11 +2,15 @@
 //! cyclic factor sets it must agree *exactly* — bit-for-bit on float
 //! semirings — with the binary join cascade folded in the same factor
 //! order, across `Count`, `Boolean`, `MinPlus` and a carrier with zero
-//! divisors, under a random binding order, in two size classes.
+//! divisors, under a random binding order, in two size classes. And its
+//! aggregating form — a GHD node's bag with its child messages joined
+//! in and its nest folded as the join binds — must agree, bit for bit,
+//! with listing the bag, folding the messages into it and pushing the
+//! nest down, whether the nest trails the binding order or not.
 
 use faqs_hypergraph::Var;
-use faqs_relation::{generic_join, Relation};
-use faqs_semiring::{Boolean, Count, MinPlus, Semiring};
+use faqs_relation::{generic_join, generic_join_aggregated, Aggregate, Relation};
+use faqs_semiring::{Boolean, Count, MinPlus, Prob, Semiring};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -154,6 +158,80 @@ fn check_shape<S: Semiring>(
     assert!(gj.iter().all(|(_, v)| !v.is_zero()), "zero listed");
 }
 
+/// Every aggregate `S` declares it folds.
+fn admitted<S: Semiring>() -> Vec<Aggregate> {
+    use Aggregate::{Max, Min, Product, Sum};
+    [Sum, Product, Max, Min]
+        .into_iter()
+        .filter(|&op| S::admits(op))
+        .collect()
+}
+
+/// Each row with its annotation's `Debug` form: the shortest decimal
+/// that round-trips, so equal strings are equal bits on a float carrier.
+fn bits<S: Semiring>(r: &Relation<S>) -> Vec<(Vec<u32>, String)> {
+    r.iter()
+        .map(|(t, v)| (t.to_vec(), format!("{v:?}")))
+        .collect()
+}
+
+/// A random bag of `SHAPES[shape]` with zero to two child messages —
+/// each over at most two of its variables, columns in any order — and a
+/// nest of mixed admitted operators: a random suffix of the binding
+/// order (`trailing`, so the join folds as it binds) or any subset in
+/// any order (so it lists the bag and regroups).
+fn check_aggregated<S: Semiring>(
+    shape: usize,
+    seed: u64,
+    wide: bool,
+    trailing: bool,
+    value_of: impl FnMut(&mut StdRng) -> S + Copy,
+) {
+    let schemas = SHAPES[shape];
+    let mut rng = StdRng::seed_from_u64(seed);
+    let (domain, max_rows) = size_class(wide, &mut rng);
+    let rel = |schema: &[u32], rng: &mut StdRng| {
+        let cap = rng.random_range(0..=max_rows);
+        let n = rng.random_range(0..=cap);
+        random_rel(schema, n, domain, rng, value_of)
+    };
+    let factors: Vec<Relation<S>> = schemas.iter().map(|s| rel(s, &mut rng)).collect();
+    let order = binding_order(schemas, wide, &mut rng);
+    let messages: Vec<Relation<S>> = (0..rng.random_range(0..=2))
+        .map(|_| {
+            let mut listed = order.clone();
+            listed.shuffle(&mut rng);
+            listed.truncate(rng.random_range(0..=2));
+            rel(&listed, &mut rng)
+        })
+        .collect();
+    let nested: Vec<u32> = if trailing {
+        let kept = rng.random_range(0..=order.len());
+        order[kept..].iter().rev().copied().collect()
+    } else {
+        let mut any = order.clone();
+        any.shuffle(&mut rng);
+        any.truncate(rng.random_range(0..=order.len()));
+        any
+    };
+    let ops = admitted::<S>();
+    let nest: Vec<(Var, Aggregate)> = nested
+        .iter()
+        .map(|&v| (Var(v), ops[rng.random_range(0..ops.len())]))
+        .collect();
+    let var_order = vars(&order);
+
+    let inputs: Vec<&Relation<S>> = factors.iter().chain(&messages).collect();
+    let (got, rows) = generic_join_aggregated(&inputs, &var_order, &nest);
+    let own: Vec<&Relation<S>> = factors.iter().collect();
+    let folded: Vec<&Relation<S>> = messages.iter().collect();
+    let listed = generic_join(&own, &var_order).fold_keyed(&folded);
+    assert_eq!(rows, listed.len(), "shape {shape}: rows of the listed bag");
+    let want = listed.aggregate_out_many(&nest);
+    assert_eq!(got.schema(), want.schema(), "shape {shape}, nest {nest:?}");
+    assert_eq!(bits(&got), bits(&want), "shape {shape}, nest {nest:?}");
+}
+
 /// ℤ/6ℤ: `2 ⊗ 3 = 0` although neither is zero. No workspace carrier
 /// has zero divisors, so only this one reaches an output tuple whose
 /// factors all match and whose product is still dropped.
@@ -203,5 +281,51 @@ proptest! {
     #[test]
     fn zero_divisor_products_drop_like_the_cascade(shape in 0..SHAPES.len(), seed: u64, wide: bool) {
         check_shape(shape, seed, wide, |r: &mut StdRng| Z6(r.random_range(1..6)));
+    }
+
+    #[test]
+    fn counting_bag_aggregates_as_it_joins(
+        shape in 0..SHAPES.len(), seed: u64, wide: bool, trailing: bool,
+    ) {
+        check_aggregated(shape, seed, wide, trailing, |r: &mut StdRng| {
+            Count(r.random_range(0..4))
+        });
+    }
+
+    #[test]
+    fn boolean_bag_aggregates_as_it_joins(
+        shape in 0..SHAPES.len(), seed: u64, wide: bool, trailing: bool,
+    ) {
+        check_aggregated(shape, seed, wide, trailing, |r: &mut StdRng| {
+            Boolean(r.random_range(0..4) > 0)
+        });
+    }
+
+    #[test]
+    fn minplus_bag_aggregates_as_it_joins_to_the_bit(
+        shape in 0..SHAPES.len(), seed: u64, wide: bool, trailing: bool,
+    ) {
+        // Not dyadic: any change of association shows in the last place.
+        check_aggregated(shape, seed, wide, trailing, |r: &mut StdRng| {
+            MinPlus(f64::from(r.random_range(0..1000u32)) / 7.3)
+        });
+    }
+
+    #[test]
+    fn prob_bag_aggregates_as_it_joins_to_the_bit(
+        shape in 0..SHAPES.len(), seed: u64, wide: bool, trailing: bool,
+    ) {
+        check_aggregated(shape, seed, wide, trailing, |r: &mut StdRng| {
+            Prob(f64::from(r.random_range(1..1000u32)) / 1000.3)
+        });
+    }
+
+    #[test]
+    fn zero_divisor_bag_drops_cancelled_groups_as_it_joins(
+        shape in 0..SHAPES.len(), seed: u64, wide: bool, trailing: bool,
+    ) {
+        check_aggregated(shape, seed, wide, trailing, |r: &mut StdRng| {
+            Z6(r.random_range(1..6))
+        });
     }
 }
