@@ -39,7 +39,5 @@ mod plan;
 
 pub use brute::solve_faq_brute_force;
 pub use engine::{solve_bcq, solve_faq, solve_faq_reference, solve_faq_with_plan, EngineError};
-pub use pass::{
-    finish_root, push_down_message, CalProbe, Factors, Pass, PassSite, Sequential, Timed,
-};
+pub use pass::{CalProbe, Factors, Pass, PassSite, Sequential, Timed};
 pub use plan::QueryPlan;

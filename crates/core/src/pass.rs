@@ -2,14 +2,15 @@
 //! Corollary G.2 push-down.
 //!
 //! Every evaluator in the workspace — `solve_faq`, the plan-cached
-//! executor, the storing incremental session, the routed distributed
-//! runtime — runs [`Pass::run`]. Per GHD node: the children's messages
-//! first, then the node's factors, then the node's own output — its
+//! executor, the incremental session (whose deltas are passes too), the
+//! routed distributed runtime — runs [`Pass::run`]. Per GHD node: the
+//! children's messages first, then the node's factors, then the node's
+//! own output — its
 //! bag with every message multiplied in (in [`QueryPlan::children`]
 //! order per row) and its nest aggregated out, which is the message
 //! towards the parent, or the answer at the root. A bag of two or more
 //! factors is one [`generic_join_aggregated`] pass over its factors and
-//! messages, which folds the nest as it binds and never lists the bag;
+//! messages, which folds the nest as it binds: no bag is ever listed;
 //! a single factor folds its messages by one scan
 //! ([`Relation::fold_keyed`]) and pushes down by another. A
 //! [`PassSite`] answers only what differs between the evaluators: how
@@ -21,7 +22,7 @@
 use crate::plan::QueryPlan;
 use faqs_hypergraph::NodeId;
 use faqs_plan::{CalibrationLog, CalibrationRegistry, StatsDigest};
-use faqs_relation::{generic_join, generic_join_aggregated, FaqQuery, Relation};
+use faqs_relation::{generic_join_aggregated, FaqQuery, Relation};
 use faqs_semiring::Semiring;
 use std::borrow::Cow;
 use std::convert::Infallible;
@@ -137,25 +138,6 @@ impl<S: Semiring> Pass<'_, S> {
         site.deliver(self, child, parent, message, ready)
     }
 
-    /// `node`'s bag from the query's own factors, listed: the one factor
-    /// itself, or one generic-join pass over two or more, bound in the
-    /// plan's layout order and folding annotations in join order. `None`
-    /// for a factorless synthetic root. The pass never lists a bag; a
-    /// site that keeps bags (the incremental session) does.
-    pub fn local_bag(&self, node: NodeId) -> Option<Relation<S>> {
-        let factors: Vec<&Relation<S>> = self
-            .plan
-            .joins(node)
-            .iter()
-            .map(|&e| self.q.factor(e))
-            .collect();
-        match factors[..] {
-            [] => None,
-            [one] => Some(one.clone()),
-            _ => Some(generic_join(&factors, self.plan.var_order(node))),
-        }
-    }
-
     /// `node`'s output: its subtree's relation with the node's nest
     /// aggregated out — the message towards its parent, or at the root
     /// the answer in layout order.
@@ -216,40 +198,6 @@ fn seed<S: Semiring>(messages: &[&Relation<S>]) -> Relation<S> {
     cur
 }
 
-/// One message push-down (Corollary G.2): aggregates out of `node`'s
-/// subtree relation `message` every variable its parent's bag does not
-/// see — the plan's nest for `node`, in one scan. The pass folds the
-/// nest as it joins; the incremental session pushes its deltas down
-/// through this.
-pub fn push_down_message<S: Semiring>(
-    plan: &QueryPlan,
-    node: NodeId,
-    message: Relation<S>,
-) -> Relation<S> {
-    let message = message.aggregate_out_many(plan.nest(node));
-    debug_assert!(
-        plan.ghd.parent(node).is_some_and(|p| {
-            let keep = plan.ghd.chi(p);
-            message.schema().iter().all(|v| keep.contains(v))
-        }),
-        "a message lists only variables of the parent's bag"
-    );
-    message
-}
-
-/// The root epilogue of a listed root relation: aggregates the bound
-/// variables out in one scan, then presents the free variables in the
-/// query's declared order. The pass aggregates as it joins and only
-/// presents; the incremental session finishes its root deltas through
-/// this.
-pub fn finish_root<S: Semiring>(
-    q: &FaqQuery<S>,
-    plan: &QueryPlan,
-    result: Relation<S>,
-) -> Relation<S> {
-    in_declared_order(q, result.aggregate_out_many(plan.nest(plan.root())))
-}
-
 /// `answer` over the free variables in the query's declared order
 /// (where a generic-join root bag already has them).
 fn in_declared_order<S: Semiring>(q: &FaqQuery<S>, answer: Relation<S>) -> Relation<S> {
@@ -307,7 +255,7 @@ mod tests {
     use crate::solve_faq_brute_force;
     use faqs_hypergraph::{cycle_query, example_h2, path_query, star_query, Hypergraph};
     use faqs_plan::{plan_query_calibrated, ChosenPlan, QueryStats};
-    use faqs_relation::{random_instance, RandomInstanceConfig};
+    use faqs_relation::{generic_join, random_instance, RandomInstanceConfig};
     use faqs_semiring::Count;
     use std::collections::BTreeMap;
 
@@ -345,13 +293,19 @@ mod tests {
             node: NodeId,
         ) -> Result<Timed<Factors<'r, Count>>, Infallible> {
             self.combined.push(node);
-            self.bags
-                .extend(pass.local_bag(node).map(|bag| (node, bag)));
-            let factors = pass.plan.joins(node).iter();
-            Ok((
-                factors.map(|&e| Cow::Borrowed(pass.q.factor(e))).collect(),
-                0,
-            ))
+            let factors: Vec<&Relation<Count>> = pass
+                .plan
+                .joins(node)
+                .iter()
+                .map(|&e| pass.q.factor(e))
+                .collect();
+            let bag = match factors[..] {
+                [] => None,
+                [one] => Some(one.clone()),
+                _ => Some(generic_join(&factors, pass.plan.var_order(node))),
+            };
+            self.bags.extend(bag.map(|bag| (node, bag)));
+            Ok((factors.into_iter().map(Cow::Borrowed).collect(), 0))
         }
 
         fn deliver(

@@ -2,25 +2,26 @@
 //! answers.
 //!
 //! [`IncrementalFaq`] owns one FAQ instance and keeps its answer (plus
-//! every intermediate GHD relation of the upward pass) up to date under
-//! batched factor mutations ([`faqs_relation::RelationDelta`]), instead
-//! of re-running `solve_faq` from scratch per update:
+//! every upward message of the pass) up to date under batched factor
+//! mutations ([`faqs_relation::RelationDelta`]), instead of re-running
+//! `solve_faq` from scratch per update. Every evaluation is the one
+//! upward pass ([`Pass::run`]) at the `Stored` site; after a mutation
+//! it runs along the mutated factor's root path only, and every clean
+//! sibling answers with its stored message.
 //!
 //! * **Inverse mode** — when the semiring has (partial) additive
 //!   inverses (`Semiring::HAS_ADDITIVE_INVERSE`: Count, GF(2), Prob)
-//!   and every bound variable is `Sum`-aggregated, the answer is
-//!   multilinear in each factor, so a factor delta propagates directly:
-//!   `Δ(f ⋈ rest) = Δf ⋈ rest`. The touched tuples' new and old
-//!   annotations become two small delta relations `Δ⁺`/`Δ⁻` that join
-//!   with the *stored* sibling factors and child messages, push down
-//!   through each ancestor bag, and land on every stored relation via
-//!   the signed merge `base ⊕ Δ⁺ ⊖ Δ⁻`
-//!   ([`faqs_relation::Relation::signed_apply`]). Clean subtrees are
-//!   never revisited.
+//!   and every bound variable is `Sum`-aggregated, the pass is
+//!   multilinear in each factor: run with the mutated factor replaced
+//!   by a delta, it delivers the delta of every message on the path and
+//!   of the answer. The touched tuples' new and old annotations make
+//!   two small relations `Δ⁺`/`Δ⁻`, one pass for each that has tuples,
+//!   and every stored message on the path and the answer take the
+//!   signed merge `base ⊕ Δ⁺ ⊖ Δ⁻`
+//!   ([`faqs_relation::Relation::signed_apply`]), all or nothing.
 //! * **Dirty-subtree mode** — semirings without inverses (Min-Plus,
-//!   Boolean, Max-Prod) or non-`Sum` bound aggregates recompute from
-//!   the lowest GHD node whose factor changed, walking only the path to
-//!   the root and reusing every clean sibling's stored message.
+//!   Boolean, Max-Prod) or non-`Sum` bound aggregates re-run the pass
+//!   on the mutated factor itself and store what it delivers.
 //!
 //! Factor statistics are maintained incrementally too
 //! ([`faqs_relation::MaintainedStats`] — no full re-scan per update).
@@ -36,10 +37,7 @@
 //! 100k-tuple instance: no stats re-scan, no full upward pass).
 
 use crate::cache::PlanCache;
-use faqs_core::{
-    finish_root, push_down_message, CalProbe, EngineError, Factors, Pass, PassSite, QueryPlan,
-    Timed,
-};
+use faqs_core::{CalProbe, EngineError, Factors, Pass, PassSite, QueryPlan, Timed};
 use faqs_hypergraph::{EdgeId, NodeId};
 use faqs_plan::{CalibrationRegistry, MaintainedQueryStats, StatsDigest};
 use faqs_relation::{AppliedDelta, FaqQuery, Relation, RelationDelta};
@@ -53,11 +51,11 @@ use std::sync::Arc;
 /// mutations.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum MaintenanceMode {
-    /// Semiring deltas propagate up the GHD via signed merges; clean
-    /// subtrees are untouched.
+    /// Passes along the root path, the mutated factor swapped for its
+    /// delta, land by signed merges; clean subtrees are untouched.
     Inverse,
-    /// Recompute from the lowest dirty node along the root path,
-    /// reusing clean siblings' stored messages.
+    /// Re-run the pass along the mutated factor's root path, reusing
+    /// clean siblings' stored messages.
     DirtySubtree,
 }
 
@@ -111,10 +109,9 @@ pub struct IncrementalStats {
     /// or in a sibling session that already re-planned.
     pub calibration_replans: u64,
     /// Inverse propagations that hit an unrepresentable cancellation
-    /// and fell back to the dirty-subtree path. Defensive: the shipped
-    /// inverse-capable semirings never refuse (Count's listing values
-    /// dominate any removable contribution even under saturation; GF(2)
-    /// and Prob always answer), but a future partial inverse may not.
+    /// and fell back to the dirty-subtree path: a `Count` saturated at
+    /// `u64::MAX` may stand for any larger count, so nothing cancels
+    /// from it (GF(2) and Prob always answer).
     pub cancellation_fallbacks: u64,
 }
 
@@ -151,13 +148,11 @@ pub struct IncrementalFaq<S: Semiring> {
     /// Incrementally maintained per-factor statistics, digest drift's
     /// input (no full factor re-scan per update).
     stats: MaintainedQueryStats,
-    /// The GHD node whose join pipeline absorbs each edge's factor.
+    /// The GHD node whose bag holds each edge's factor.
     edge_node: Vec<NodeId>,
-    /// Per node (dense by `NodeId` index): the ⊗-product of its λ
-    /// factors; `None` for factorless synthetic nodes.
-    local: Vec<Option<Relation<S>>>,
-    /// Per non-root node: the stored upward message to its parent.
-    msg: Vec<Option<Relation<S>>>,
+    /// Per node (dense by `NodeId` index): the upward message to its
+    /// parent as the pass last delivered it (empty at the root).
+    msg: Vec<Relation<S>>,
     answer: Relation<S>,
     mode: MaintenanceMode,
     counters: IncrementalStats,
@@ -200,7 +195,6 @@ impl<S: Semiring> IncrementalFaq<S> {
             digest,
             stats,
             edge_node: Vec::new(),
-            local: Vec::new(),
             msg: Vec::new(),
             answer,
             mode,
@@ -282,15 +276,11 @@ impl<S: Semiring> IncrementalFaq<S> {
             return Ok(());
         }
         match self.mode {
-            MaintenanceMode::DirtySubtree => {
-                let origin = self.edge_node[edge.index()];
-                self.recompute_path(origin);
-            }
+            MaintenanceMode::DirtySubtree => self.recompute_path(edge),
             MaintenanceMode::Inverse => {
                 if self.propagate_inverse(edge, &applied).is_none() {
                     self.counters.cancellation_fallbacks += 1;
-                    let origin = self.edge_node[edge.index()];
-                    self.recompute_path(origin);
+                    self.recompute_path(edge);
                 }
             }
         }
@@ -375,151 +365,118 @@ impl<S: Semiring> IncrementalFaq<S> {
         }
     }
 
-    /// Runs the one upward pass at the [`Stored`] site: over every node
-    /// (`path = None`), or along the dirty root `path` only, reusing
-    /// every clean sibling's stored message. Multi-input fold points
+    /// The nodes from `edge`'s bag up to the root: what a change to
+    /// `edge`'s factor dirties.
+    fn root_path(&self, edge: EdgeId) -> Vec<NodeId> {
+        let origin = self.edge_node[edge.index()];
+        std::iter::successors(Some(origin), |&n| self.plan.ghd.parent(n)).collect()
+    }
+
+    /// Runs the one upward pass at the [`Stored`] site — over every node
+    /// (`path = None`), or along the dirty root `path` only — with
+    /// `swap` standing in for its factor: the answer, and every message
+    /// delivered on the way.
+    fn pass(
+        &self,
+        path: Option<&[NodeId]>,
+        swap: Option<(EdgeId, &Relation<S>)>,
+        probe: Option<&CalProbe<'_>>,
+    ) -> (Relation<S>, Vec<(NodeId, Relation<S>)>) {
+        let pass = Pass {
+            q: &self.query,
+            plan: &self.plan,
+            probe,
+        };
+        let mut site = Stored {
+            msg: &self.msg,
+            path,
+            swap,
+            delivered: Vec::new(),
+        };
+        let Ok((answer, _)) = pass.run(&mut site);
+        (answer, site.delivered)
+    }
+
+    /// The pass along `path` (`None`: everywhere) on the factors
+    /// themselves, storing what it delivers. Multi-input fold points
     /// report predicted-vs-actual to the attached registry — an
     /// incremental maintainer teaches the planner exactly like a
     /// one-shot execution does.
-    fn run_pass(&mut self, path: Option<&[NodeId]>) {
-        let plan = &self.plan;
-        let probe = CalProbe::new(&self.calibration, &self.digest, plan);
-        let pass = Pass {
-            q: &self.query,
-            plan,
-            probe: probe.as_ref(),
-        };
-        let mut site = Stored {
-            local: &mut self.local,
-            msg: &mut self.msg,
-            path,
-        };
-        let Ok((answer, _)) = pass.run(&mut site);
+    fn recompute(&mut self, path: Option<&[NodeId]>) {
+        let probe = CalProbe::new(&self.calibration, &self.digest, &self.plan);
+        let (answer, delivered) = self.pass(path, None, probe.as_ref());
+        for (node, message) in delivered {
+            self.msg[node.index()] = message;
+        }
         self.answer = answer;
     }
 
-    /// The full upward pass, storing every local and message.
+    /// The full upward pass, storing every message.
     fn full_recompute(&mut self) {
         self.counters.full_upward_passes += 1;
-        let slots = self.plan.slots();
-        self.local = vec![None; slots];
-        self.msg = vec![None; slots];
-        self.run_pass(None);
+        self.msg = vec![Relation::new([]); self.plan.slots()];
+        self.recompute(None);
     }
 
-    /// Dirty-subtree maintenance: recompute `origin`'s local, then
-    /// re-emit along the root path only.
-    fn recompute_path(&mut self, origin: NodeId) {
-        let plan = &self.plan;
-        let path: Vec<NodeId> =
-            std::iter::successors(Some(origin), |&n| plan.ghd.parent(n)).collect();
+    /// Dirty-subtree maintenance: the pass along `edge`'s root path.
+    fn recompute_path(&mut self, edge: EdgeId) {
+        let path = self.root_path(edge);
         self.counters.node_recomputes += path.len() as u64;
-        self.run_pass(Some(&path));
+        self.recompute(Some(&path));
     }
 
-    /// Inverse-mode maintenance. Builds `Δ⁺`/`Δ⁻` from the applied
-    /// factor delta, joins them with the stored siblings at each level,
-    /// pushes them down through each ancestor bag, and lands them on
-    /// every stored relation with a signed merge. All updates are
-    /// staged and committed atomically, so a `None` (unrepresentable
-    /// cancellation) leaves the session untouched for the caller's
-    /// fallback.
+    /// Inverse-mode maintenance: the pass along `edge`'s root path, once
+    /// with the factor swapped for `Δ⁺` and once for `Δ⁻`, delivers the
+    /// delta of every message on the path and of the answer; each lands
+    /// by a signed merge. The merges are staged and committed together,
+    /// so a `None` (an unrepresentable cancellation) leaves the session
+    /// untouched for the caller's fallback.
     fn propagate_inverse(&mut self, edge: EdgeId, applied: &AppliedDelta<S>) -> Option<()> {
-        let plan = &self.plan;
-        let origin = self.edge_node[edge.index()];
-        let mut plus = applied.inserted();
-        let mut minus = applied.removed();
-
-        // Δ to the origin's local: the same pipeline with the mutated
-        // factor replaced by its delta.
-        for &e in plan.joins(origin) {
-            if e == edge {
-                continue;
-            }
-            let f = self.query.factor(e);
-            let idx = f.build_index(&plus.shared_vars(f));
-            plus = plus.join_indexed(f, &idx);
-            minus = minus.join_indexed(f, &idx);
-        }
-        let new_local = self.local[origin.index()]
-            .as_ref()
-            .expect("origin absorbs the mutated factor")
-            .signed_apply(&plus, &minus)?;
-
-        // Δ to the origin's subtree: fold in the (unchanged) child
-        // messages.
-        for &c in plan.children(origin) {
-            let m = self.msg[c.index()].as_ref().expect("child message stored");
-            let idx = m.build_index(&plus.shared_vars(m));
-            plus = plus.join_indexed(m, &idx);
-            minus = minus.join_indexed(m, &idx);
-        }
-
-        let mut staged_msgs: Vec<(usize, Relation<S>)> = Vec::new();
-        let mut node = origin;
-        let new_answer = loop {
-            if plus.is_empty() && minus.is_empty() {
-                // The delta died in a join: everything above is clean.
-                break None;
-            }
-            if node == plan.root() {
-                let dp = finish_root(&self.query, plan, plus);
-                let dm = finish_root(&self.query, plan, minus);
-                break Some(self.answer.signed_apply(&dp, &dm)?);
-            }
-            let parent = plan.ghd.parent(node).expect("non-root has a parent");
-            // Sum push-down is an ⊕-homomorphism, so the two sides
-            // push down independently.
-            let dp = push_down_message(plan, node, plus);
-            let dm = push_down_message(plan, node, minus);
-            let new_msg = self.msg[node.index()]
-                .as_ref()
-                .expect("non-root message stored")
-                .signed_apply(&dp, &dm)?;
-            staged_msgs.push((node.index(), new_msg));
-            // Lift the message delta into the parent's subtree: ⊗ with
-            // the parent's local and its other children's messages.
-            plus = dp;
-            minus = dm;
-            if let Some(l) = self.local[parent.index()].as_ref() {
-                let idx = l.build_index(&plus.shared_vars(l));
-                plus = plus.join_indexed(l, &idx);
-                minus = minus.join_indexed(l, &idx);
-            }
-            for &c in plan.children(parent) {
-                if c == node {
-                    continue;
-                }
-                let m = self.msg[c.index()]
-                    .as_ref()
-                    .expect("sibling message stored");
-                let idx = m.build_index(&plus.shared_vars(m));
-                plus = plus.join_indexed(m, &idx);
-                minus = minus.join_indexed(m, &idx);
-            }
-            node = parent;
+        let path = self.root_path(edge);
+        let (inserted, removed) = (applied.inserted(), applied.removed());
+        let pass = |delta: &Relation<S>| self.pass(Some(&path), Some((edge, delta)), None);
+        // An empty side delivers only empty relations, so it runs no pass:
+        // a single-tuple insert or delete has one side only.
+        let nothing = |(answer, delivered): &(Relation<S>, Vec<(NodeId, Relation<S>)>)| {
+            let empty = |r: &Relation<S>| Relation::new(r.schema().to_vec());
+            let delivered = delivered.iter().map(|(n, m)| (*n, empty(m))).collect();
+            (empty(answer), delivered)
         };
-
-        // Commit: every signed merge succeeded.
-        self.local[origin.index()] = Some(new_local);
-        for (i, m) in staged_msgs {
-            self.msg[i] = Some(m);
+        let ((answer_plus, plus), (answer_minus, minus)) =
+            match (inserted.is_empty(), removed.is_empty()) {
+                (false, false) => (pass(&inserted), pass(&removed)),
+                (false, true) => {
+                    let plus = pass(&inserted);
+                    let minus = nothing(&plus);
+                    (plus, minus)
+                }
+                (true, _) => {
+                    let minus = pass(&removed);
+                    (nothing(&minus), minus)
+                }
+            };
+        let staged = plus.into_iter().zip(minus).map(|((node, dp), (_, dm))| {
+            Some((node, self.msg[node.index()].signed_apply(&dp, &dm)?))
+        });
+        let staged: Vec<(NodeId, Relation<S>)> = staged.collect::<Option<_>>()?;
+        let answer = self.answer.signed_apply(&answer_plus, &answer_minus)?;
+        for (node, message) in staged {
+            self.msg[node.index()] = message;
         }
-        if let Some(a) = new_answer {
-            self.answer = a;
-        }
+        self.answer = answer;
         Some(())
     }
 }
 
-/// The storing site of the upward pass: every bag and message it
-/// computes is kept for [`IncrementalFaq::propagate_inverse`] and later
-/// passes, and whatever lies off the dirty `path` (origin first; `None`
-/// = everything is dirty) is answered from the store.
+/// The storing site of the upward pass: whatever lies off the dirty
+/// `path` (`None` = everything is dirty) answers with its stored
+/// message, `swap` stands in for its factor, and every message the pass
+/// delivers is collected for the session to store or merge.
 struct Stored<'s, S: Semiring> {
-    local: &'s mut [Option<Relation<S>>],
-    msg: &'s mut [Option<Relation<S>>],
+    msg: &'s [Relation<S>],
     path: Option<&'s [NodeId]>,
+    swap: Option<(EdgeId, &'s Relation<S>)>,
+    delivered: Vec<(NodeId, Relation<S>)>,
 }
 
 impl<S: Semiring> PassSite<S> for Stored<'_, S> {
@@ -534,8 +491,7 @@ impl<S: Semiring> PassSite<S> for Stored<'_, S> {
         children
             .map(|&c| {
                 if self.path.is_some_and(|path| !path.contains(&c)) {
-                    let stored = self.msg[c.index()].clone();
-                    Ok((stored.expect("clean child's message is stored"), 0))
+                    Ok((self.msg[c.index()].clone(), 0))
                 } else {
                     pass.message(self, c, parent)
                 }
@@ -543,20 +499,17 @@ impl<S: Semiring> PassSite<S> for Stored<'_, S> {
             .collect()
     }
 
-    /// The stored local, listed for [`IncrementalFaq::propagate_inverse`]
-    /// and handed back as the node's one factor.
+    /// The node's factors, borrowed, with `swap` in its factor's place.
     fn bag<'r>(
         &'r mut self,
         pass: &'r Pass<'_, S>,
         node: NodeId,
     ) -> Result<Timed<Factors<'r, S>>, Infallible> {
-        if self.path.is_none_or(|path| path[0] == node) {
-            self.local[node.index()] = pass.local_bag(node);
-        }
-        Ok((
-            self.local[node.index()].iter().map(Cow::Borrowed).collect(),
-            0,
-        ))
+        let factors = pass.plan.joins(node).iter().map(|&e| match self.swap {
+            Some((swapped, delta)) if swapped == e => delta,
+            _ => pass.q.factor(e),
+        });
+        Ok((factors.map(Cow::Borrowed).collect(), 0))
     }
 
     fn deliver(
@@ -567,7 +520,7 @@ impl<S: Semiring> PassSite<S> for Stored<'_, S> {
         message: Relation<S>,
         ready: u64,
     ) -> Result<Timed<Relation<S>>, Infallible> {
-        self.msg[from.index()] = Some(message.clone());
+        self.delivered.push((from, message.clone()));
         Ok((message, ready))
     }
 }
@@ -576,7 +529,7 @@ impl<S: Semiring> PassSite<S> for Stored<'_, S> {
 mod tests {
     use super::*;
     use faqs_core::{solve_faq, solve_faq_reference};
-    use faqs_hypergraph::{path_query, star_query, Var};
+    use faqs_hypergraph::{cycle_query, path_query, star_query, Var};
     use faqs_relation::{random_instance, RandomInstanceConfig};
     use faqs_semiring::{Boolean, Count, Gf2, MinPlus, Prob};
 
@@ -1028,5 +981,124 @@ mod tests {
             Err(EngineError::Invalid(_))
         ));
         assert_eq!(faq.answer(), &before, "rejected deltas change nothing");
+    }
+
+    #[test]
+    fn saturated_count_falls_back_instead_of_cancelling() {
+        // 2⁴⁰ · 2⁴⁰ saturates: the answer is `u64::MAX`, which stands for
+        // 2⁸¹, and deleting one of its two 2⁸⁰ terms must not cancel it
+        // to zero.
+        let big = Count(1 << 40);
+        let q = FaqQuery::new_ss(
+            path_query(2),
+            vec![
+                Relation::from_pairs(vec![Var(0), Var(1)], [(vec![0, 0], big), (vec![1, 0], big)]),
+                Relation::from_pairs(vec![Var(1), Var(2)], [(vec![0, 0], big)]),
+            ],
+            vec![],
+            2,
+        );
+        let mut faq = IncrementalFaq::new(q.clone()).unwrap();
+        assert_eq!(faq.mode(), MaintenanceMode::Inverse);
+        assert_eq!(faq.answer().total(), Count(u64::MAX));
+        faq.delete(EdgeId(0), &[1, 0]).unwrap();
+        let mut mirror = q;
+        mirror.factors[0].delete(&[1, 0]);
+        let want = solve_faq_reference(&mirror).unwrap();
+        assert_eq!(want.total(), Count(u64::MAX), "2⁸⁰ saturates too");
+        assert_eq!(faq.answer(), &want);
+        assert_eq!(faq.counters().cancellation_fallbacks, 1);
+        assert_eq!(faq.counters().plan_rebuilds, 0);
+    }
+
+    /// The triangle (`k = 3`) or the 4-cycle at a density where the
+    /// planner merges the whole cycle into one generic-join bag (a
+    /// denser 4-cycle splits into two bags of two factors).
+    fn one_bag_cycle<S: Semiring>(k: usize, value: S) -> FaqQuery<S> {
+        let (tuples_per_factor, domain) = if k == 3 { (300, 24) } else { (200, 40) };
+        let cfg = RandomInstanceConfig {
+            tuples_per_factor,
+            domain,
+            seed: 7,
+        };
+        random_instance(&cycle_query(k), &cfg, vec![], move |_| value.clone())
+    }
+
+    #[test]
+    fn cycles_plan_one_generic_join_bag() {
+        fn whole_cycle_bag<S: Semiring>(faq: &IncrementalFaq<S>, k: usize) -> bool {
+            let plan = &faq.plan;
+            plan.uses_generic_join() && plan.ghd.node_ids().any(|n| plan.joins(n).len() == k)
+        }
+        for k in [3, 4] {
+            let count = IncrementalFaq::new(one_bag_cycle(k, Count(1))).unwrap();
+            assert!(whole_cycle_bag(&count, k), "cycle_query({k}), Count");
+            let minplus = IncrementalFaq::new(one_bag_cycle(k, MinPlus(1.0))).unwrap();
+            assert!(whole_cycle_bag(&minplus, k), "cycle_query({k}), MinPlus");
+        }
+    }
+
+    /// Every stored message and the answer equal what a fresh full pass
+    /// at the session's own plan delivers.
+    fn assert_store_is_fresh<S>(faq: &IncrementalFaq<S>, what: &str)
+    where
+        S: Semiring + PartialEq + std::fmt::Debug,
+    {
+        let (answer, delivered) = faq.pass(None, None, None);
+        assert_eq!(faq.answer(), &answer, "{what}: answer");
+        assert_eq!(delivered.len() + 1, faq.plan.ghd.node_ids().count());
+        for (node, message) in delivered {
+            let stored = &faq.msg[node.index()];
+            assert_eq!(stored, &message, "{what}: message of n{}", node.index());
+        }
+    }
+
+    /// Random insert / delete / set ops on `q`, holding the whole store
+    /// to a fresh pass after every one.
+    fn churn<S>(q: FaqQuery<S>, value: impl Fn(u64) -> S)
+    where
+        S: Semiring + PartialEq + std::fmt::Debug,
+    {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut faq = IncrementalFaq::new(q).unwrap();
+        assert_store_is_fresh(&faq, "build");
+        let mut rng = StdRng::seed_from_u64(11);
+        for step in 0..48 {
+            let e = EdgeId(rng.random_range(0..faq.query.factors.len() as u32));
+            let schema = faq.query.factor(e).schema().to_vec();
+            let domain = faq.query.domain;
+            let tuple: Vec<u32> = schema.iter().map(|_| rng.random_range(0..domain)).collect();
+            let mut delta = RelationDelta::new(schema);
+            match rng.random_range(0..3u8) {
+                0 => delta.insert(tuple, value(rng.random_range(1..5))),
+                1 => delta.delete(tuple),
+                _ => delta.set(tuple, value(rng.random_range(1..5))),
+            }
+            faq.apply(e, &delta).unwrap();
+            assert_store_is_fresh(&faq, &format!("step {step} on e{}", e.index()));
+        }
+    }
+
+    #[test]
+    fn stored_messages_match_a_fresh_pass_after_every_op() {
+        let cfg = RandomInstanceConfig {
+            tuples_per_factor: 10,
+            domain: 4,
+            seed: 3,
+        };
+        let minplus = |v: u64| MinPlus(v as f64 * 0.3);
+        for h in [star_query(3), path_query(4)] {
+            churn(random_instance(&h, &cfg, vec![], |_| Count(1)), Count);
+            churn(
+                random_instance(&h, &cfg, vec![Var(0)], |_| Gf2(true)),
+                |_| Gf2(true),
+            );
+            churn(random_instance(&h, &cfg, vec![], |_| MinPlus(1.0)), minplus);
+        }
+        churn(one_bag_cycle(3, Count(1)), Count);
+        churn(one_bag_cycle(3, Gf2(true)), |_| Gf2(true));
+        churn(one_bag_cycle(3, MinPlus(1.0)), minplus);
+        churn(one_bag_cycle(4, Count(1)), Count);
     }
 }

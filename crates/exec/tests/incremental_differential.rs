@@ -16,10 +16,14 @@
 //! * `MinPlus` (no additive inverse, float-valued: the session's plan
 //!   was chosen on older statistics than `solve_faq`'s may be, so the
 //!   two can fold sums in different orders — equal up to `approx_eq`).
+//!
+//! `Count` and `MinPlus` also run on the triangle and the 4-cycle at a
+//! density where the planner merges the cycle into one generic-join
+//! bag, so deltas pass through a bag of several factors.
 
 use faqs_core::{solve_faq, solve_faq_reference, EngineError};
 use faqs_exec::IncrementalFaq;
-use faqs_hypergraph::{example_h2, path_query, star_query, EdgeId, Hypergraph, Var};
+use faqs_hypergraph::{cycle_query, example_h2, path_query, star_query, EdgeId, Hypergraph, Var};
 use faqs_relation::{random_instance, FaqQuery, RandomInstanceConfig, Relation, RelationDelta};
 use faqs_semiring::{Boolean, Count, Gf2, MinPlus, Semiring};
 use proptest::prelude::*;
@@ -202,6 +206,59 @@ proptest! {
         // 0.3 is non-dyadic, so f64 sums round: the session and
         // `solve_faq` agree up to `approx_eq` whichever plans they run,
         // and a grouping or ordering bug would still be far outside it.
+        run_ops(
+            q,
+            solve_faq,
+            |v| MinPlus::new(v as f64 * 0.3),
+            &decode_ops(n_ops, ops_seed),
+        );
+    }
+}
+
+/// The triangle and the 4-cycle at a density where the planner merges
+/// the whole cycle into one generic-join bag (the session's unit tests
+/// pin the merge at seed 7), so every delta runs through a bag of
+/// several factors.
+fn one_bag_cycle(k: usize, seed: u64) -> (Hypergraph, RandomInstanceConfig) {
+    let (tuples_per_factor, domain) = if k == 3 { (300, 24) } else { (200, 40) };
+    let cfg = RandomInstanceConfig {
+        tuples_per_factor,
+        domain,
+        seed,
+    };
+    (cycle_query(k), cfg)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    #[test]
+    fn count_cycle_sequences_match_reference(
+        k in 3usize..5,
+        seed in 0u64..1_000_000,
+        n_ops in 1usize..12,
+        ops_seed in 0u64..1_000_000,
+    ) {
+        let (h, cfg) = one_bag_cycle(k, seed);
+        let q: FaqQuery<Count> = random_instance(&h, &cfg, vec![], |r| {
+            use rand::Rng;
+            Count(r.random_range(1..5))
+        });
+        run_ops(q, solve_faq_reference, |v| Count(v as u64), &decode_ops(n_ops, ops_seed));
+    }
+
+    #[test]
+    fn minplus_cycle_sequences_match_reference(
+        k in 3usize..5,
+        seed in 0u64..1_000_000,
+        n_ops in 1usize..12,
+        ops_seed in 0u64..1_000_000,
+    ) {
+        let (h, cfg) = one_bag_cycle(k, seed);
+        let q: FaqQuery<MinPlus> = random_instance(&h, &cfg, vec![], |r| {
+            use rand::Rng;
+            MinPlus::new(r.random_range(0..32) as f64)
+        });
         run_ops(
             q,
             solve_faq,

@@ -410,8 +410,7 @@ impl<S: Semiring> Relation<S> {
     /// Natural join `⋈` (Definition 3.4) with `⊗`-multiplied annotations:
     /// the output schema is this schema followed by `other`'s fresh
     /// variables. Builds a [`JoinIndex`] on `other` keyed on the shared
-    /// variables and probes it once per row; see
-    /// [`Relation::join_indexed`] to reuse a prebuilt index.
+    /// variables and probes it once per row.
     ///
     /// ```
     /// use faqs_relation::Relation;
@@ -426,12 +425,6 @@ impl<S: Semiring> Relation<S> {
         let shared = self.shared_vars(other);
         let idx = JoinIndex::build(other, &shared);
         kernel::join_via(self, other, &idx)
-    }
-
-    /// [`Relation::join`] against a prebuilt index of `other`, which
-    /// must be keyed on exactly the variables shared with `self`.
-    pub fn join_indexed(&self, other: &Relation<S>, idx: &JoinIndex) -> Relation<S> {
-        kernel::join_via(self, other, idx)
     }
 
     /// Semijoin `⋉` (Definition 3.5): keeps this relation's entries whose
@@ -714,14 +707,6 @@ mod tests {
         assert_eq!(j.schema(), &[v(0), v(1)]);
         let tuples: Vec<&[u32]> = j.tuples().collect();
         assert_eq!(tuples, vec![&[1, 5][..], &[1, 9][..], &[2, 7][..]]);
-    }
-
-    #[test]
-    fn join_with_prebuilt_index_reuses_it() {
-        let r = count_rel(&[0, 1], &[(&[1, 2], 2), (&[3, 4], 7)]);
-        let s = count_rel(&[1, 2], &[(&[2, 7], 3), (&[4, 1], 5)]);
-        let idx = s.build_index(&r.shared_vars(&s));
-        assert_eq!(r.join_indexed(&s, &idx), r.join(&s));
     }
 
     #[test]

@@ -581,10 +581,6 @@ fn check_ops<S: Semiring>(
     assert_canonical(&j, "join");
     assert_eq!(j, ref_join(&a, &b), "join vs nested loop");
 
-    let shared = a.shared_vars(&b);
-    let idx = b.build_index(&shared);
-    assert_eq!(a.join_indexed(&b, &idx), j, "join with prebuilt index");
-
     let sj = a.semijoin(&b);
     assert_canonical(&sj, "semijoin");
     assert_eq!(sj, ref_semijoin(&a, &b), "semijoin vs nested loop");

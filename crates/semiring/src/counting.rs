@@ -30,13 +30,18 @@ impl From<u64> for Count {
 impl Semiring for Count {
     const NAME: &'static str = "counting";
     // ℕ is not a group, but cancellation `a + b - b = a` is exact whenever
-    // no intermediate addition saturated; `checked_sub` refuses to go
-    // negative, so delta maintenance falls back to recompute instead of
-    // producing a wrapped count.
+    // no intermediate sum or product saturated. Both saturate upwards, so
+    // a value below `u64::MAX` is exact while `u64::MAX` may stand for any
+    // larger count: `checked_sub` refuses to cancel from it, as it refuses
+    // to go negative, and delta maintenance falls back to recompute
+    // instead of producing a wrong or wrapped count.
     const HAS_ADDITIVE_INVERSE: bool = true;
 
     #[inline]
     fn checked_sub(&self, other: &Self) -> Option<Self> {
+        if self.0 == u64::MAX {
+            return None;
+        }
         self.0.checked_sub(other.0).map(Count)
     }
 
@@ -130,6 +135,14 @@ mod tests {
         assert_eq!(Count(7).checked_sub(&Count(4)), Some(Count(3)));
         assert_eq!(Count(4).checked_sub(&Count(4)), Some(Count::zero()));
         assert_eq!(Count(3).checked_sub(&Count(4)), None);
+        // A saturated count is a lower bound, not a value: nothing
+        // cancels from it, not even itself.
+        assert_eq!(Count(u64::MAX).checked_sub(&Count(1)), None);
+        assert_eq!(Count(u64::MAX).checked_sub(&Count(u64::MAX)), None);
+        assert_eq!(
+            Count(u64::MAX - 1).checked_sub(&Count(1)),
+            Some(Count(u64::MAX - 2))
+        );
         const { assert!(Count::HAS_ADDITIVE_INVERSE) };
     }
 
