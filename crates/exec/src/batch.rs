@@ -10,13 +10,13 @@
 //!
 //! 1. the distinct bindings are sorted and deduplicated;
 //! 2. every factor whose schema contains the parameter is restricted to
-//!    the binding set in one galloping sweep
-//!    ([`Relation::restrict_in`] over [`JoinIndex::lookup_many`]);
+//!    the binding set in one pass ([`Relation::restrict_in`]: a binary
+//!    search per binding on a leading column, else one filtering scan);
 //! 3. the restricted query runs through the ordinary plan-cached
 //!    executor *once* — same shape, so the plan is shared with
 //!    single-binding traffic;
-//! 4. the combined answer is sliced back per binding through one index
-//!    on the parameter column, again in a single sorted sweep.
+//! 4. the combined answer is sliced back per binding in one scan, each
+//!    row going to the binding its parameter value binary-searches to.
 //!
 //! Correctness: the parameter must be a **free** variable. Then the
 //! FAQ semantics (Equation (4) of the paper) fix the parameter in every
@@ -29,7 +29,6 @@
 //! property); inexact carriers such as `Prob` agree up to the usual
 //! floating-point reassociation.
 //!
-//! [`JoinIndex::lookup_many`]: faqs_relation::JoinIndex::lookup_many
 //! [`Relation::restrict_in`]: faqs_relation::Relation::restrict_in
 
 use crate::executor::Executor;
@@ -56,11 +55,14 @@ impl Executor {
         param: Var,
         bindings: &[u32],
     ) -> Result<Vec<Relation<S>>, EngineError> {
-        if param.index() >= q.hypergraph.num_vars() || !q.is_free(param) {
+        // The answer lists the free variables in declared order, so the
+        // parameter's column there is its place among them.
+        let col = q.free_vars.iter().position(|v| *v == param);
+        let Some(col) = col.filter(|_| param.index() < q.hypergraph.num_vars()) else {
             return Err(EngineError::Invalid(format!(
                 "batch parameter {param} must be a free variable of the query"
             )));
-        }
+        };
         if bindings.is_empty() {
             return Ok(Vec::new());
         }
@@ -94,25 +96,21 @@ impl Executor {
         // single-binding traffic, so they share the cached plan).
         let answer = self.solve(&merged)?;
 
-        // Slice the combined answer back per distinct binding in one sorted
-        // sweep, then fan duplicates out as cheap clones.
+        // Slice the combined answer back per distinct binding in one scan
+        // (each slice gathers its rows in canonical order), then fan
+        // duplicates out as cheap clones.
         let schema = answer.schema().to_vec();
-        let mut slices: Vec<Relation<S>> = distinct
-            .iter()
-            .map(|_| Relation::new(schema.clone()))
+        let mut rows: Vec<(Vec<u32>, Vec<S>)> = vec![(Vec::new(), Vec::new()); distinct.len()];
+        for (t, v) in answer.iter() {
+            if let Ok(p) = distinct.binary_search(&t[col]) {
+                rows[p].0.extend_from_slice(t);
+                rows[p].1.push(v.clone());
+            }
+        }
+        let slices: Vec<Relation<S>> = rows
+            .into_iter()
+            .map(|(data, values)| Relation::from_columns(schema.clone(), data, values))
             .collect();
-        let idx = answer.build_index(&[param]);
-        idx.lookup_many(&distinct, |p, rows| {
-            slices[p] = Relation::from_pairs(
-                schema.clone(),
-                rows.iter().map(|&r| {
-                    (
-                        answer.tuple_at(r as usize).to_vec(),
-                        answer.value_at(r as usize).clone(),
-                    )
-                }),
-            );
-        });
         // `distinct` is sorted and holds every binding, so its partition
         // point is the binding's position.
         Ok(bindings

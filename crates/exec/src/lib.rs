@@ -23,7 +23,7 @@
 //! * **Cross-query batching** ([`Executor::solve_batch`]): many
 //!   bindings of one free parameter variable merge into a single
 //!   upward pass — the parameter-carrying factors are restricted to the
-//!   merged binding set in one galloping sweep, the pass runs once, and
+//!   merged binding set in one pass each, the pass runs once, and
 //!   the combined answer is sliced back per binding; bit-identical to
 //!   independent `solve` calls on exact semirings. This is the engine
 //!   under `faqs-serve`'s batcher.

@@ -18,7 +18,7 @@ use crate::star::{broadcast_over_packing, convergecast_over_packing};
 use faqs_core::solve_bcq;
 use faqs_hypergraph::Var;
 use faqs_network::{best_delta, NetRun, Player, Topology};
-use faqs_relation::FaqQuery;
+use faqs_relation::{FaqQuery, Relation};
 use faqs_semiring::{Boolean, Semiring};
 use std::collections::HashMap;
 
@@ -132,14 +132,15 @@ pub fn run_hash_split_protocol(
 
     // 2. Ownership verdicts: player p's vector entry j is the AND over
     //    leaf relations of "does my shard witness center value a_j", for
-    //    owned values; `true` elsewhere. Each leaf relation is indexed
-    //    on the center variable once up front; every witness check is
-    //    then a single galloping lookup instead of a full leaf scan.
-    let leaf_indexes: Vec<faqs_relation::JoinIndex> = q
+    //    owned values; `true` elsewhere. Each leaf is projected onto the
+    //    center variable once up front — its sorted, distinct center
+    //    values — so every witness check is one binary search instead
+    //    of a full leaf scan.
+    let leaf_values: Vec<Relation<Boolean>> = q
         .hypergraph
         .edge_ids()
         .skip(1)
-        .map(|e| q.factor(e).build_index(&[center_var]))
+        .map(|e| q.factor(e).project(&[center_var]))
         .collect();
     let mut vectors: HashMap<Player, Vec<Boolean>> = HashMap::new();
     for (shard_idx, &holder) in players.iter().enumerate() {
@@ -150,7 +151,7 @@ pub fn run_hash_split_protocol(
                 if split.owner(a) != shard_idx {
                     return Boolean::TRUE;
                 }
-                Boolean(leaf_indexes.iter().all(|idx| idx.contains(&[a])))
+                Boolean(leaf_values.iter().all(|vs| vs.get(&[a]).is_some()))
             })
             .collect();
         vectors

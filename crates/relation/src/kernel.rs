@@ -1,5 +1,6 @@
-//! The columnar relational-algebra kernel: flat-arena row utilities,
-//! the reusable [`JoinIndex`], and the sort-merge / galloping operator
+//! The columnar relational-algebra kernel: flat-arena row utilities, the
+//! binary searches over a sorted arena (one row, or the run of rows
+//! sharing a key prefix) and the sort-merge / galloping operator
 //! implementations behind [`Relation`]'s public API.
 //!
 //! Everything here works on *tuple views* — `&[u32]` slices into a
@@ -11,6 +12,7 @@ use crate::relation::Relation;
 use faqs_hypergraph::Var;
 use faqs_semiring::{Aggregate, Semiring};
 use std::cmp::Ordering;
+use std::ops::Range;
 
 /// One row of a flat `arity`-strided arena.
 #[inline]
@@ -74,22 +76,10 @@ fn cmp_projected(a: &[u32], b: &[u32], pos: &[usize]) -> Ordering {
     Ordering::Equal
 }
 
-/// Compares the projection of `t` onto `pos` against a materialised key.
-#[inline]
-fn cmp_key(t: &[u32], pos: &[usize], key: &[u32]) -> Ordering {
-    for (&p, &k) in pos.iter().zip(key) {
-        match t[p].cmp(&k) {
-            Ordering::Equal => {}
-            o => return o,
-        }
-    }
-    Ordering::Equal
-}
-
 /// Binary search for `tuple` among the `n` sorted rows of an
 /// `arity`-strided arena: `Ok(row)` on a hit, `Err(insertion_row)`
-/// otherwise. Shared by [`Relation::get`]/`insert`, the multi-column
-/// key search of [`JoinIndex::group_of`] and [`fold_keyed`]'s fallback.
+/// otherwise. Shared by [`Relation::get`]/`insert`/`delete` and
+/// [`fold_keyed`]'s fallback.
 /// A one-column arena is searched as the flat `u32` array it is: the
 /// per-step row slice and chunked compare cost four times the scalar
 /// compare there.
@@ -203,189 +193,6 @@ pub(crate) fn compact_zeros<S: Semiring>(arity: usize, data: &mut Vec<u32>, valu
     data.truncate(kept * arity);
 }
 
-/// A sorted index of one relation's rows grouped by a key — the join
-/// key's answer to "which rows carry this key value?".
-///
-/// Built once per factor (O(n log n), or O(n) when the key is a schema
-/// prefix of the already-sorted arena) and reused across every probe:
-/// the incremental inverse path indexes each stored relation it joins a
-/// delta with, batching each factor it restricts. The upward pass never
-/// indexes: a multi-factor bag is one generic join over per-call tries,
-/// and child messages fold by [`Relation::fold_keyed`]'s scan.
-///
-/// The index is self-contained (it copies the group keys out of the
-/// relation), so it stays valid even if the indexed relation is later
-/// replaced — but it describes the relation *as it was at build time*.
-#[derive(Clone, Debug)]
-pub struct JoinIndex {
-    key_vars: Vec<Var>,
-    key_arity: usize,
-    /// Flattened group keys, `num_groups × key_arity`, sorted.
-    keys: Vec<u32>,
-    /// Row ids grouped by key; within a group, ascending (= canonical
-    /// order of the indexed relation, which sorts each group by its
-    /// non-key columns — exactly the order a join must emit them in).
-    row_ids: Vec<u32>,
-    /// Group boundaries into `row_ids`, `num_groups + 1` entries.
-    offsets: Vec<u32>,
-}
-
-impl JoinIndex {
-    /// Indexes `rel` by the projection onto `key_vars` (a subset of the
-    /// schema, in any order).
-    pub fn build<S: Semiring>(rel: &Relation<S>, key_vars: &[Var]) -> JoinIndex {
-        let pos = rel.positions(key_vars);
-        let key_arity = pos.len();
-        let n = rel.len();
-
-        let mut row_ids: Vec<u32> = (0..n as u32).collect();
-        // When the key is a prefix of the schema the canonical sort
-        // already groups equal keys contiguously; skip the sort.
-        let is_prefix = pos.iter().enumerate().all(|(i, &p)| p == i);
-        if !is_prefix {
-            row_ids.sort_unstable_by(|&a, &b| {
-                let ta = rel.tuple_at(a as usize);
-                let tb = rel.tuple_at(b as usize);
-                cmp_projected(ta, tb, &pos).then(a.cmp(&b))
-            });
-        }
-
-        // An empty relation has zero groups (offsets stays `[0]`); a
-        // zero-arity key over a non-empty relation has exactly one.
-        let mut keys: Vec<u32> = Vec::new();
-        let mut offsets: Vec<u32> = vec![0];
-        if n > 0 {
-            if key_arity > 0 {
-                for (slot, &i) in row_ids.iter().enumerate() {
-                    let t = rel.tuple_at(i as usize);
-                    let new_group = keys.is_empty()
-                        || cmp_key(t, &pos, &keys[keys.len() - key_arity..]) != Ordering::Equal;
-                    if new_group {
-                        if !keys.is_empty() {
-                            offsets.push(slot as u32);
-                        }
-                        keys.extend(pos.iter().map(|&p| t[p]));
-                    }
-                }
-            }
-            offsets.push(n as u32);
-        }
-        JoinIndex {
-            key_vars: key_vars.to_vec(),
-            key_arity,
-            keys,
-            row_ids,
-            offsets,
-        }
-    }
-
-    /// The key variables this index groups by, in key order.
-    #[inline]
-    pub fn key_vars(&self) -> &[Var] {
-        &self.key_vars
-    }
-
-    /// Number of distinct key values.
-    #[inline]
-    pub fn num_groups(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
-    /// Total indexed rows.
-    #[inline]
-    pub fn num_rows(&self) -> usize {
-        self.row_ids.len()
-    }
-
-    #[inline]
-    fn group_rows(&self, g: usize) -> &[u32] {
-        &self.row_ids[self.offsets[g] as usize..self.offsets[g + 1] as usize]
-    }
-
-    /// The group holding `key`, by binary search over the sorted keys.
-    /// Single-column keys (the overwhelmingly common join key) search
-    /// the flat `u32` key array directly, skipping per-probe slice
-    /// chunking.
-    pub fn group_of(&self, key: &[u32]) -> Option<usize> {
-        assert_eq!(key.len(), self.key_arity, "key arity mismatch");
-        if self.num_rows() == 0 {
-            return None;
-        }
-        if self.key_arity == 0 {
-            return Some(0);
-        }
-        if self.key_arity == 1 {
-            return self.keys.binary_search(&key[0]).ok();
-        }
-        binary_search_row(&self.keys, self.key_arity, self.num_groups(), key).ok()
-    }
-
-    /// The row ids carrying `key` (ascending), or `None`.
-    #[inline]
-    pub fn lookup(&self, key: &[u32]) -> Option<&[u32]> {
-        self.group_of(key).map(|g| self.group_rows(g))
-    }
-
-    /// Whether any row carries `key`.
-    #[inline]
-    pub fn contains(&self, key: &[u32]) -> bool {
-        self.group_of(key).is_some()
-    }
-
-    /// Probes the index with *many* keys in one galloping sweep.
-    ///
-    /// `probes` is a flat `key_arity`-strided arena of probe keys that
-    /// must be sorted ascending (duplicates allowed). Because both the
-    /// probe run and the group keys are sorted, a single merge with
-    /// exponential (galloping) advance visits each side once:
-    /// `O(k·log(g/k))` comparisons for `k` probes against `g` groups,
-    /// instead of `k` independent `O(log g)` binary searches — the batch
-    /// analogue of [`JoinIndex::lookup`] that cross-query batching uses
-    /// to probe one factor for every binding of a batch at once.
-    ///
-    /// Calls `on_hit(probe_index, rows)` for every probe key present in
-    /// the index, in ascending probe order; `rows` are the matching row
-    /// ids, ascending (canonical relation order within the group).
-    pub fn lookup_many(&self, probes: &[u32], mut on_hit: impl FnMut(usize, &[u32])) {
-        let ka = self.key_arity;
-        assert!(
-            ka > 0 && probes.len().is_multiple_of(ka),
-            "probe arena must be non-empty-keyed and {ka}-strided"
-        );
-        let n_probes = probes.len() / ka;
-        debug_assert!(
-            (1..n_probes).all(|i| probes[(i - 1) * ka..i * ka] <= probes[i * ka..(i + 1) * ka]),
-            "probe keys must be sorted ascending"
-        );
-        let n_groups = self.num_groups();
-        let mut g = 0usize;
-        let mut hit = false;
-        for p in 0..n_probes {
-            let key = &probes[p * ka..(p + 1) * ka];
-            // A probe equal to its predecessor reuses the previous
-            // verdict outright: the previous hit position is the gallop
-            // floor *and* ceiling, so neither the gallop nor the key
-            // compare runs again — duplicate-heavy batches (Zipfian
-            // bindings from cross-query batching) pay one search per
-            // *distinct* key.
-            if p > 0 && rows_eq_chunked(key, &probes[(p - 1) * ka..p * ka]) {
-                if hit {
-                    on_hit(p, self.group_rows(g));
-                }
-                continue;
-            }
-            g = gallop_rows(&self.keys, ka, g, n_groups, key);
-            if g == n_groups {
-                return;
-            }
-            hit = rows_eq_chunked(&self.keys[g * ka..(g + 1) * ka], key);
-            if hit {
-                on_hit(p, self.group_rows(g));
-            }
-        }
-    }
-}
-
 /// Galloping (exponential + binary) search over a flat `arity`-strided
 /// sorted arena: the least `i ≥ lo` with `row(i) ≥ target`, or `n`.
 pub(crate) fn gallop_rows(
@@ -417,65 +224,30 @@ pub(crate) fn gallop_rows(
     hi
 }
 
-/// Natural join against a prebuilt index of `other` (keyed on exactly
-/// the shared variables). Output rows are emitted left-row-major with
-/// each group's matches in ascending row-id order, which keeps the
-/// result in canonical sorted order without a re-sort.
-pub(crate) fn join_via<S: Semiring>(
-    left: &Relation<S>,
-    other: &Relation<S>,
-    idx: &JoinIndex,
-) -> Relation<S> {
-    assert_keyed_on_shared(left, other, idx);
-    let my_pos = left.positions(idx.key_vars());
-    let fresh: Vec<Var> = other
-        .schema()
-        .iter()
-        .copied()
-        .filter(|v| !left.schema().contains(v))
-        .collect();
-    let fresh_pos = other.positions(&fresh);
-
-    let mut schema: Vec<Var> = left.schema().to_vec();
-    schema.extend(fresh.iter().copied());
-    let mut out = Relation::new(schema);
-    let (out_data, out_values) = out.parts_mut();
-    let mut key = vec![0u32; my_pos.len()];
-    for i in 0..left.len() {
-        let t = left.tuple_at(i);
-        for (k, &p) in key.iter_mut().zip(&my_pos) {
-            *k = t[p];
-        }
-        let Some(rows) = idx.lookup(&key) else {
-            continue;
-        };
-        let v = left.value_at(i);
-        for &j in rows {
-            let u = other.tuple_at(j as usize);
-            let prod = v.mul(other.value_at(j as usize));
-            if prod.is_zero() {
-                continue;
+/// The run of rows, within `rows` of a sorted `arity`-strided arena,
+/// whose first `key.len()` columns equal `key`: two binary searches,
+/// since the arena is sorted on every prefix of its columns. An empty
+/// key's run is all of `rows`. A missed key's run is empty and starts
+/// where the key would go, so a caller probing keys in ascending order
+/// can search each one onward from the end of the last.
+pub(crate) fn key_run(data: &[u32], arity: usize, rows: Range<usize>, key: &[u32]) -> Range<usize> {
+    let prefix = |i: usize| &data[i * arity..i * arity + key.len()];
+    // The least row from `lo` on whose prefix is at or above `key`, or
+    // with `past`, above it.
+    let first = |mut lo: usize, past: bool| {
+        let mut hi = rows.end;
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            match prefix(mid).cmp(key) {
+                Ordering::Less => lo = mid + 1,
+                Ordering::Equal if past => lo = mid + 1,
+                _ => hi = mid,
             }
-            out_data.extend_from_slice(t);
-            out_data.extend(fresh_pos.iter().map(|&p| u[p]));
-            out_values.push(prod);
         }
-    }
-    out
-}
-
-/// A prebuilt index fed to a join/semijoin must key on *exactly* the
-/// variables the two relations share — a partial key would silently
-/// under-filter (semijoin) or emit rows disagreeing on the unchecked
-/// shared variable (join). Cheap (O(r²) on arities ≤ a handful), so it
-/// runs in release builds too.
-fn assert_keyed_on_shared<S: Semiring>(left: &Relation<S>, other: &Relation<S>, idx: &JoinIndex) {
-    let shared = left.shared_vars(other);
-    assert!(
-        idx.key_vars().len() == shared.len() && shared.iter().all(|v| idx.key_vars().contains(v)),
-        "index keyed on {:?}, but the relations share {shared:?}",
-        idx.key_vars()
-    );
+        lo
+    };
+    let start = first(rows.start, false);
+    start..first(start, true)
 }
 
 /// How wide a value range (`max − min`) one column of `rows` rows may
@@ -595,32 +367,6 @@ pub(crate) fn fold_keyed<S: Semiring>(
     values.truncate(kept);
     data.truncate(kept * arity);
     bag
-}
-
-/// Semijoin `left ⋉ other` against a prebuilt index of `other` keyed on
-/// the shared variables: keeps `left`'s rows (annotations untouched)
-/// whose key projection appears in the index. Order-preserving.
-pub(crate) fn semijoin_via<S: Semiring>(
-    left: &Relation<S>,
-    other: &Relation<S>,
-    idx: &JoinIndex,
-) -> Relation<S> {
-    assert_keyed_on_shared(left, other, idx);
-    let my_pos = left.positions(idx.key_vars());
-    let mut out = Relation::new(left.schema().to_vec());
-    let (out_data, out_values) = out.parts_mut();
-    let mut key = vec![0u32; my_pos.len()];
-    for i in 0..left.len() {
-        let t = left.tuple_at(i);
-        for (k, &p) in key.iter_mut().zip(&my_pos) {
-            *k = t[p];
-        }
-        if idx.contains(&key) {
-            out_data.extend_from_slice(t);
-            out_values.push(left.value_at(i).clone());
-        }
-    }
-    out
 }
 
 /// Projection with `combine`-aggregation of collapsed rows. When `pos`
@@ -976,40 +722,42 @@ mod tests {
     }
 
     #[test]
-    fn index_groups_and_lookup() {
+    fn key_run_finds_each_prefix() {
         let r = rel(
-            &[0, 1],
-            &[(&[1, 5], 1), (&[2, 3], 1), (&[2, 7], 1), (&[4, 0], 1)],
+            &[0, 1, 2],
+            &[
+                (&[1, 5, 0], 1),
+                (&[2, 3, 1], 1),
+                (&[2, 3, 4], 1),
+                (&[2, 7, 0], 1),
+                (&[4, 0, 0], 1),
+            ],
         );
-        let idx = JoinIndex::build(&r, &[v(0)]);
-        assert_eq!(idx.num_groups(), 3);
-        assert_eq!(idx.lookup(&[2]), Some(&[1u32, 2][..]));
-        assert_eq!(idx.lookup(&[3]), None);
-        assert!(idx.contains(&[4]));
-    }
-
-    #[test]
-    fn index_on_non_prefix_key() {
-        let r = rel(&[0, 1], &[(&[1, 5], 1), (&[2, 5], 1), (&[3, 4], 1)]);
-        let idx = JoinIndex::build(&r, &[v(1)]);
-        assert_eq!(idx.num_groups(), 2);
-        assert_eq!(idx.lookup(&[5]), Some(&[0u32, 1][..]));
-        assert_eq!(idx.lookup(&[4]), Some(&[2u32][..]));
+        let run = |key: &[u32]| key_run(r.raw_data(), 3, 0..r.len(), key);
+        assert_eq!(run(&[2]), 1..4);
+        assert_eq!(run(&[2, 3]), 1..3);
+        assert_eq!(run(&[2, 3, 4]), 2..3);
+        assert_eq!(run(&[4, 0]), 4..5);
+        // A miss is empty and sits where the key would go: below,
+        // between and above the rows.
+        assert_eq!(run(&[0]), 0..0);
+        assert_eq!(run(&[2, 5]), 3..3);
+        assert_eq!(run(&[u32::MAX, 0, 0]), 5..5);
+        // Only `rows` is searched.
+        assert_eq!(key_run(r.raw_data(), 3, 2..5, &[2]), 2..4);
+        assert_eq!(key_run(r.raw_data(), 3, 4..5, &[2]), 4..4);
     }
 
     #[test]
     fn nullary_key_groups_everything() {
         let r = rel(&[0], &[(&[1], 1), (&[2], 1)]);
-        let idx = JoinIndex::build(&r, &[]);
-        assert_eq!(idx.num_groups(), 1);
-        assert_eq!(idx.lookup(&[]), Some(&[0u32, 1][..]));
+        assert_eq!(key_run(r.raw_data(), 1, 0..r.len(), &[]), 0..2);
         let empty = rel(&[0], &[]);
-        let idx = JoinIndex::build(&empty, &[]);
-        assert_eq!(idx.num_groups(), 0, "empty relation has no key groups");
-        assert_eq!(idx.lookup(&[]), None);
-        let idx = JoinIndex::build(&empty, &[v(0)]);
-        assert_eq!(idx.num_groups(), 0);
-        assert_eq!(idx.lookup(&[3]), None);
+        assert_eq!(key_run(empty.raw_data(), 1, 0..0, &[]), 0..0);
+        assert_eq!(key_run(empty.raw_data(), 1, 0..0, &[3]), 0..0);
+        // A nullary arena holds no data, only its one row's value.
+        let unit: Relation<Count> = Relation::unit();
+        assert_eq!(key_run(unit.raw_data(), 0, 0..unit.len(), &[]), 0..1);
     }
 
     #[test]
@@ -1044,77 +792,6 @@ mod tests {
     }
 
     #[test]
-    fn lookup_many_matches_per_key_lookup() {
-        let r = rel(
-            &[0, 1],
-            &[
-                (&[1, 5], 1),
-                (&[2, 3], 1),
-                (&[2, 7], 1),
-                (&[4, 0], 1),
-                (&[9, 9], 1),
-            ],
-        );
-        let idx = JoinIndex::build(&r, &[v(0)]);
-        // Sorted probes with a duplicate, a miss below, between, above.
-        let probes = [0u32, 2, 2, 3, 4, 11];
-        let mut hits: Vec<(usize, Vec<u32>)> = Vec::new();
-        idx.lookup_many(&probes, |p, rows| hits.push((p, rows.to_vec())));
-        let mut expect: Vec<(usize, Vec<u32>)> = Vec::new();
-        for (p, key) in probes.iter().enumerate() {
-            if let Some(rows) = idx.lookup(&[*key]) {
-                expect.push((p, rows.to_vec()));
-            }
-        }
-        assert_eq!(hits, expect);
-    }
-
-    #[test]
-    fn lookup_many_reuses_verdicts_across_duplicate_keys() {
-        // Zipf-shaped probe batches: long runs of consecutive duplicate
-        // keys — duplicate hits, duplicate misses (below, between and
-        // above the key range), and a duplicate run on the final key.
-        // Pins the duplicate fast path (one gallop + one compare per
-        // *distinct* key) to the per-key oracle.
-        let r = rel(
-            &[0, 1],
-            &[
-                (&[2, 0], 1),
-                (&[2, 9], 1),
-                (&[5, 1], 1),
-                (&[8, 3], 1),
-                (&[8, 4], 1),
-            ],
-        );
-        let idx = JoinIndex::build(&r, &[v(0)]);
-        let probes = [0u32, 0, 0, 2, 2, 2, 2, 3, 3, 5, 5, 5, 7, 7, 8, 8, 8, 9, 9];
-        let mut hits: Vec<(usize, Vec<u32>)> = Vec::new();
-        idx.lookup_many(&probes, |p, rows| hits.push((p, rows.to_vec())));
-        let expect: Vec<(usize, Vec<u32>)> = probes
-            .iter()
-            .enumerate()
-            .filter_map(|(p, key)| idx.lookup(&[*key]).map(|rows| (p, rows.to_vec())))
-            .collect();
-        assert_eq!(hits, expect);
-
-        // Multi-column duplicates exercise the chunked equality too.
-        let r = rel(
-            &[0, 1, 2],
-            &[(&[1, 1, 0], 1), (&[1, 2, 5], 1), (&[2, 1, 3], 1)],
-        );
-        let idx = JoinIndex::build(&r, &[v(0), v(1)]);
-        let probes = [1u32, 1, 1, 1, 1, 1, 1, 2, 1, 2, 2, 1, 2, 1, 2, 9, 2, 9];
-        let mut hits: Vec<(usize, Vec<u32>)> = Vec::new();
-        idx.lookup_many(&probes, |p, rows| hits.push((p, rows.to_vec())));
-        let expect: Vec<(usize, Vec<u32>)> = probes
-            .chunks(2)
-            .enumerate()
-            .filter_map(|(p, key)| idx.lookup(key).map(|rows| (p, rows.to_vec())))
-            .collect();
-        assert_eq!(hits, expect);
-    }
-
-    #[test]
     fn chunked_row_comparison_matches_scalar() {
         // Wide rows hit the 4-lane chunks; equal prefixes force the
         // prescan through multiple chunks before the difference.
@@ -1133,23 +810,6 @@ mod tests {
             assert_eq!(cmp_rows_chunked(b, a), b.cmp(a), "{b:?} vs {a:?}");
             assert_eq!(rows_eq_chunked(a, b), a == b);
         }
-    }
-
-    #[test]
-    fn lookup_many_on_multi_column_keys() {
-        let r = rel(
-            &[0, 1, 2],
-            &[(&[1, 1, 0], 1), (&[1, 2, 5], 1), (&[2, 1, 3], 1)],
-        );
-        let idx = JoinIndex::build(&r, &[v(0), v(1)]);
-        let probes = [1u32, 1, 1, 2, 2, 1, 3, 3];
-        let mut hits = Vec::new();
-        idx.lookup_many(&probes, |p, rows| hits.push((p, rows.to_vec())));
-        assert_eq!(hits, vec![(0, vec![0]), (1, vec![1]), (2, vec![2])]);
-        // Empty index: no hits, no panic.
-        let empty = rel(&[0, 1, 2], &[]);
-        let idx = JoinIndex::build(&empty, &[v(0), v(1)]);
-        idx.lookup_many(&probes, |_, _| panic!("no rows to hit"));
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //! share — natural join (Definition 3.4), semijoin (Definition 3.5),
 //! projection and per-variable `⊕`-aggregation, and the FAQ "push-down"
 //! aggregation of Corollary G.2 — as sort-merge / galloping passes over
-//! tuple views (`&[u32]` slices), with an explicit reusable [`JoinIndex`]
-//! so a factor probed many times is indexed once.
+//! tuple views (`&[u32]` slices). No operator builds an index: a sorted
+//! arena is its own, and a key's rows are one run found by binary search.
 //!
 //! [`FaqQuery`] bundles a hypergraph with one relation per hyperedge, the
 //! set of free variables `F`, and a per-bound-variable [`Aggregate`]
@@ -44,7 +44,6 @@ pub use generators::{
     RandomInstanceConfig,
 };
 pub use genjoin::{generic_join, generic_join_aggregated};
-pub use kernel::JoinIndex;
 pub use query::{FaqQuery, QueryError};
 pub use relation::Relation;
 pub use snapshot::{Snapshot, SnapshotCell};

@@ -1,7 +1,7 @@
 //! The annotated relation type over a flat columnar arena.
 
 use crate::arena::Arena;
-use crate::kernel::{self, JoinIndex};
+use crate::kernel;
 use crate::stats::Profile;
 use faqs_hypergraph::Var;
 use faqs_semiring::{Aggregate, Semiring};
@@ -280,72 +280,45 @@ impl<S: Semiring> Relation<S> {
             .collect()
     }
 
-    /// Builds a reusable [`JoinIndex`] of this relation keyed on `vars`
-    /// (a subset of the schema). The engine and the Yannakakis reducer
-    /// build one per factor and probe it across calls instead of
-    /// re-hashing the factor per operation.
-    pub fn build_index(&self, vars: &[Var]) -> JoinIndex {
-        JoinIndex::build(self, vars)
-    }
-
-    /// The rows whose value at `var` appears in `values` (which must be
-    /// sorted ascending; duplicates are tolerated) — batched point
-    /// selection `σ_{var ∈ values}`, how cross-query batching restricts
-    /// a shared factor to a whole batch of bindings in a single pass.
+    /// The rows whose value at `var` appears in `values` (in any order,
+    /// repeats allowed) — batched point selection `σ_{var ∈ values}`,
+    /// how cross-query batching restricts a shared factor to a whole
+    /// batch of bindings in a single pass.
     ///
     /// When `var` is the leading schema column the arena is sorted on
-    /// it: each selection value is two binary searches and its rows are
-    /// one contiguous run, already in canonical order. Any other column
-    /// pays one index build plus one galloping sweep
-    /// ([`JoinIndex::lookup_many`]) for all values at once.
+    /// it: each selection value's rows are one contiguous run, already
+    /// in canonical order, found by binary search onward from the last.
+    /// Any other column is one scan that keeps the rows whose value the
+    /// selection lists.
     pub fn restrict_in(&self, var: Var, values: &[u32]) -> Relation<S> {
+        let mut ascending;
+        let values = if values.windows(2).all(|w| w[0] < w[1]) {
+            values
+        } else {
+            ascending = values.to_vec();
+            ascending.sort_unstable();
+            ascending.dedup();
+            &ascending
+        };
+        let (r, data) = (self.schema.len(), self.raw_data());
         let mut out = Relation::new(self.schema.clone());
         let (out_data, out_values) = out.parts_mut();
         if self.schema.first() == Some(&var) {
-            debug_assert!(
-                values.windows(2).all(|w| w[0] <= w[1]),
-                "selection values must be sorted ascending"
-            );
-            let r = self.schema.len();
-            let data = self.raw_data();
-            // Least row at or after `from` whose leading value is ≥ `x`.
-            let first_at_least = |from: usize, x: u32| {
-                let (mut lo, mut hi) = (from, self.len());
-                while lo < hi {
-                    let mid = lo + (hi - lo) / 2;
-                    if data[mid * r] < x {
-                        lo = mid + 1;
-                    } else {
-                        hi = mid;
-                    }
-                }
-                lo
-            };
-            let mut from = 0usize;
-            for (i, &x) in values.iter().enumerate() {
-                if i > 0 && values[i - 1] == x {
-                    continue;
-                }
-                let lo = first_at_least(from, x);
-                let hi = x
-                    .checked_add(1)
-                    .map_or(self.len(), |y| first_at_least(lo, y));
-                out_data.extend_from_slice(&data[lo * r..hi * r]);
-                out_values.extend_from_slice(&self.raw_values()[lo..hi]);
-                from = hi;
+            let mut from = 0;
+            for &x in values {
+                let run = kernel::key_run(data, r, from..self.len(), &[x]);
+                out_data.extend_from_slice(&data[run.start * r..run.end * r]);
+                out_values.extend_from_slice(&self.raw_values()[run.clone()]);
+                from = run.end;
             }
             return out;
         }
-        let idx = self.build_index(&[var]);
-        let mut keep: Vec<u32> = Vec::new();
-        idx.lookup_many(values, |_, rows| keep.extend_from_slice(rows));
-        // Duplicate selection values hit their group once each; rows
-        // re-sort to canonical (ascending row id) order either way.
-        keep.sort_unstable();
-        keep.dedup();
-        for &i in &keep {
-            out_data.extend_from_slice(self.tuple_at(i as usize));
-            out_values.push(self.value_at(i as usize).clone());
+        let col = self.positions(&[var])[0];
+        for (t, v) in self.iter() {
+            if values.binary_search(&t[col]).is_ok() {
+                out_data.extend_from_slice(t);
+                out_values.push(v.clone());
+            }
         }
         out
     }
@@ -409,8 +382,10 @@ impl<S: Semiring> Relation<S> {
 
     /// Natural join `⋈` (Definition 3.4) with `⊗`-multiplied annotations:
     /// the output schema is this schema followed by `other`'s fresh
-    /// variables. Builds a [`JoinIndex`] on `other` keyed on the shared
-    /// variables and probes it once per row.
+    /// variables. One scan of this relation: each row meets the run of
+    /// rows carrying its key in `other` laid out on the shared variables
+    /// (leading, in this schema's order), so the output comes out
+    /// canonical without a sort.
     ///
     /// ```
     /// use faqs_relation::Relation;
@@ -422,19 +397,58 @@ impl<S: Semiring> Relation<S> {
     /// assert_eq!(j.get(&[1, 2, 7]), Some(&Count(6)));
     /// ```
     pub fn join(&self, other: &Relation<S>) -> Relation<S> {
-        let shared = self.shared_vars(other);
-        let idx = JoinIndex::build(other, &shared);
-        kernel::join_via(self, other, &idx)
+        let (pos, other) = self.keyed_for(other);
+        let k = pos.len();
+        let mut out = Relation::new([&self.schema[..], &other.schema[k..]].concat());
+        let (out_data, out_values) = out.parts_mut();
+        let mut key = vec![0; k];
+        for (t, v) in self.iter() {
+            key.iter_mut().zip(&pos).for_each(|(x, &p)| *x = t[p]);
+            let run = kernel::key_run(other.raw_data(), other.schema.len(), 0..other.len(), &key);
+            for j in run {
+                let prod = v.mul(other.value_at(j));
+                if !prod.is_zero() {
+                    out_data.extend_from_slice(t);
+                    out_data.extend_from_slice(&other.tuple_at(j)[k..]);
+                    out_values.push(prod);
+                }
+            }
+        }
+        out
     }
 
     /// Semijoin `⋉` (Definition 3.5): keeps this relation's entries whose
     /// projection onto the shared variables appears in `other`
     /// (annotations unchanged — the filtering semantics the BCQ protocols
-    /// use, cf. Example 2.1's `((R ⋉ S) ⋉ T) ⋉ U`).
+    /// use, cf. Example 2.1's `((R ⋉ S) ⋉ T) ⋉ U`): the rows whose key
+    /// finds a non-empty run in `other` laid out as for
+    /// [`Relation::join`]. Order-preserving.
     pub fn semijoin(&self, other: &Relation<S>) -> Relation<S> {
-        let shared = self.shared_vars(other);
-        let idx = JoinIndex::build(other, &shared);
-        kernel::semijoin_via(self, other, &idx)
+        let (pos, other) = self.keyed_for(other);
+        let mut out = Relation::new(self.schema.clone());
+        let (out_data, out_values) = out.parts_mut();
+        let mut key = vec![0; pos.len()];
+        for (t, v) in self.iter() {
+            key.iter_mut().zip(&pos).for_each(|(x, &p)| *x = t[p]);
+            let run = kernel::key_run(other.raw_data(), other.schema.len(), 0..other.len(), &key);
+            if !run.is_empty() {
+                out_data.extend_from_slice(t);
+                out_values.push(v.clone());
+            }
+        }
+        out
+    }
+
+    /// The positions in this schema of the variables it shares with
+    /// `other`, and `other` reordered onto them (in this schema's order)
+    /// followed by its fresh variables (in its own): sorted on the join
+    /// key, so the rows matching one key are one run. The reorder sorts
+    /// nothing when `other` is laid out so already.
+    fn keyed_for(&self, other: &Relation<S>) -> (Vec<usize>, Relation<S>) {
+        let mut layout = self.shared_vars(other);
+        let pos = self.positions(&layout);
+        layout.extend(other.schema.iter().filter(|v| !self.schema.contains(v)));
+        (pos, other.reorder(&layout))
     }
 
     /// Maps every annotation through `f`, dropping entries that map to
@@ -586,7 +600,8 @@ mod tests {
             got,
             count_rel(&[0, 1], &[(&[2, 3], 2), (&[2, 7], 3), (&[4, 0], 4)])
         );
-        // Select on a non-leading column: row order re-canonicalises.
+        // Select on a non-leading column: one filtering scan, rows kept
+        // in order.
         let got = r.restrict_in(v(1), &[0, 5]);
         assert_eq!(got, count_rel(&[0, 1], &[(&[1, 5], 1), (&[4, 0], 4)]));
         // Empty selection, empty relation.

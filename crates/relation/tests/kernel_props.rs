@@ -2,12 +2,12 @@
 //! join, semijoin and projection operators must agree with a naive
 //! nested-loop reference on random relations, across semirings with
 //! different zero/duplicate behaviour (`Count`, `Boolean`, `MinPlus`).
-//! The block-copy delta merge, the sorted-prefix selection, the
-//! one-scan nest aggregation and the bitmap / sorted-copy distinct
-//! counts of `Relation::stats` are raced against the row-at-a-time /
-//! index-sweep / per-variable / hash-set algorithms they replaced, kept
-//! here as references; the one-scan message fold against the join chain
-//! it replaced in the upward pass.
+//! The block-copy delta merge, the one-scan nest aggregation and the
+//! bitmap / sorted-copy distinct counts of `Relation::stats` are raced
+//! against the row-at-a-time / per-variable / hash-set algorithms they
+//! replaced, kept here as references; the sorted-run selection against a
+//! plain filter; the one-scan message fold against the join chain it
+//! replaced in the upward pass.
 
 use faqs_hypergraph::Var;
 use faqs_relation::{Aggregate, DeltaOp, Relation, RelationDelta};
@@ -19,7 +19,9 @@ use std::collections::HashSet;
 
 /// Schema pairs exercising every key shape: full overlap, partial
 /// overlap at prefix and non-prefix positions, disjoint (cartesian),
-/// unary ⊆ binary containment, and unsorted schema orders.
+/// unary ⊆ binary containment, unsorted schema orders, and a nullary
+/// relation on either side (a zero-arity key, so every row matches
+/// every row — or none, when one side is empty).
 const SCHEMAS: &[(&[u32], &[u32])] = &[
     (&[0, 1], &[1, 2]),
     (&[0, 1], &[0, 1]),
@@ -28,6 +30,8 @@ const SCHEMAS: &[(&[u32], &[u32])] = &[
     (&[0, 1], &[2, 3]),
     (&[2, 0], &[1, 0]),
     (&[1, 0, 2], &[2, 1]),
+    (&[], &[0, 1]),
+    (&[0, 1], &[]),
 ];
 
 fn vars(ids: &[u32]) -> Vec<Var> {
@@ -227,20 +231,15 @@ fn ref_apply_delta<S: Semiring>(
     )
 }
 
-/// Selection as it was before the sorted-prefix path: one index on
-/// `var`, one galloping sweep, kept row ids re-sorted and deduplicated.
+/// Selection by a plain filter: every row whose value at `var` the
+/// selection lists, in any order and with any repeats.
 fn ref_restrict_in<S: Semiring>(rel: &Relation<S>, var: Var, values: &[u32]) -> Relation<S> {
-    let idx = rel.build_index(&[var]);
-    let mut keep: Vec<u32> = Vec::new();
-    idx.lookup_many(values, |_, rows| keep.extend_from_slice(rows));
-    keep.sort_unstable();
-    keep.dedup();
-    let (mut data, mut vals) = (Vec::new(), Vec::new());
-    for &i in &keep {
-        data.extend_from_slice(rel.tuple_at(i as usize));
-        vals.push(rel.value_at(i as usize).clone());
-    }
-    Relation::from_columns(rel.schema().to_vec(), data, vals)
+    let at = rel.schema().iter().position(|w| *w == var).unwrap();
+    let kept = rel.iter().filter(|(t, _)| values.contains(&t[at]));
+    Relation::from_pairs(
+        rel.schema().to_vec(),
+        kept.map(|(t, v)| (t.to_vec(), v.clone())),
+    )
 }
 
 /// Races `apply_delta` against [`ref_apply_delta`] on one relation and
@@ -644,7 +643,7 @@ proptest! {
 
     #[test]
     fn counting_kernel_matches_reference(
-        combo in 0usize..7,
+        combo in 0usize..SCHEMAS.len(),
         seed: u64,
         na in 0usize..40,
         nb in 0usize..40,
@@ -656,7 +655,7 @@ proptest! {
 
     #[test]
     fn boolean_kernel_matches_reference(
-        combo in 0usize..7,
+        combo in 0usize..SCHEMAS.len(),
         seed: u64,
         na in 0usize..40,
         nb in 0usize..40,
@@ -667,7 +666,7 @@ proptest! {
 
     #[test]
     fn tropical_kernel_matches_reference(
-        combo in 0usize..7,
+        combo in 0usize..SCHEMAS.len(),
         seed: u64,
         na in 0usize..40,
         nb in 0usize..40,
@@ -686,7 +685,7 @@ proptest! {
 
     #[test]
     fn aggregate_out_sum_equals_project(
-        combo in 0usize..7,
+        combo in 0usize..SCHEMAS.len(),
         seed: u64,
         n in 0usize..40,
         domain in 1u32..5,
@@ -775,7 +774,7 @@ proptest! {
     }
 
     #[test]
-    fn restrict_in_matches_index_sweep(
+    fn restrict_in_matches_a_plain_filter(
         combo in 0usize..4,
         seed: u64,
         n in 0usize..80,
@@ -787,24 +786,18 @@ proptest! {
         let a: Relation<Count> =
             random_rel(schema, n, domain, &mut rng, |r| Count(r.random_range(1..4)));
         // Drawn unsorted, with repeats, and past the domain so some
-        // values match nothing; sorted — not deduplicated — before the
-        // call, as the contract asks.
-        let mut values: Vec<u32> = (0..picks).map(|_| rng.random_range(0..domain + 3)).collect();
-        values.sort_unstable();
-        // Column 0 takes the sorted-prefix path, every other column the
-        // index path; both must equal the reference bit for bit.
+        // values match nothing.
+        let values: Vec<u32> = (0..picks).map(|_| rng.random_range(0..domain + 3)).collect();
+        // Column 0 takes the sorted-run path, every other column the
+        // filtering scan; both must equal the reference bit for bit.
         for &v in a.schema() {
             let got = a.restrict_in(v, &values);
             assert_canonical(&got, "restrict_in");
             prop_assert_eq!(&got, &ref_restrict_in(&a, v, &values));
-            prop_assert!(got.iter().all(|(t, _)| {
-                let at = a.schema().iter().position(|w| *w == v).unwrap();
-                values.contains(&t[at])
-            }));
         }
         // The extremes of the value range, on the leading column.
         let lead = a.schema()[0];
-        for edge in [vec![], vec![0], vec![u32::MAX], vec![0, u32::MAX]] {
+        for edge in [vec![], vec![0], vec![u32::MAX], vec![u32::MAX, 0]] {
             prop_assert_eq!(a.restrict_in(lead, &edge), ref_restrict_in(&a, lead, &edge));
         }
     }
@@ -851,6 +844,30 @@ fn stats_edge_cases() {
     );
     assert_stats_match(&full, "whole words");
     assert_eq!(full.stats().distinct, vec![1, 128]);
+}
+
+#[test]
+fn restrict_in_takes_unsorted_selections() {
+    let rel: Relation<Count> = Relation::from_pairs(
+        vars(&[0, 1]),
+        [
+            (vec![2, 5], Count(1)),
+            (vec![2, 9], Count(2)),
+            (vec![5, 2], Count(3)),
+            (vec![7, 5], Count(4)),
+        ],
+    );
+    // Descending, repeated, and a repeat after a larger value: the
+    // leading column and the other one alike keep every listed row.
+    for values in [&[5u32, 2][..], &[5, 2, 5], &[2, 7, 2, 5], &[9, 9, 5]] {
+        for v in vars(&[0, 1]) {
+            let got = rel.restrict_in(v, values);
+            assert_canonical(&got, "restrict_in");
+            assert_eq!(got, ref_restrict_in(&rel, v, values), "{v:?} ∈ {values:?}");
+        }
+    }
+    assert_eq!(rel.restrict_in(Var(0), &[5, 2]).len(), 3);
+    assert_eq!(rel.restrict_in(Var(1), &[9, 5, 9]).len(), 3);
 }
 
 #[test]

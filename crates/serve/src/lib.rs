@@ -27,7 +27,7 @@
 //!   designated free parameter — merge into one
 //!   [`faqs_exec::Executor::solve_batch`] pass: the shared plan is
 //!   lowered once, the parameter-carrying factors restrict to the
-//!   merged binding set in one galloping sweep, and each requester
+//!   merged binding set in one pass, and each requester
 //!   receives its slice, bit-identical (on exact semirings) to a solo
 //!   pass. `ServeConfig { max_batch: 1, .. }` is per-query dispatch.
 //!

@@ -9,7 +9,8 @@
 # that reads no environment (ROADMAP item 3d, issue 25) and the
 # `unwrap` / `expect` ratchet (ROADMAP item 5f), plus one operator per
 # GHD bag, one fold order per plan (ROADMAP item 5d), one planning
-# mode (ROADMAP aim 2) and one delivery path for every transport.
+# mode (ROADMAP aim 2), one delivery path for every transport and one
+# sorted scan per relational job (no reusable index).
 #
 # Fails unless exactly one non-test source file under
 # crates/{core,exec,protocols}/src calls the generic join
@@ -19,10 +20,9 @@
 # plain `generic_join(` call: the pass aggregates as it joins
 # (`generic_join_aggregated`) and no site lists a bag. Fails, too, when
 # the non-test, non-comment part of crates/exec/src/incremental.rs
-# calls `build_index(`, `join_indexed(` or `aggregate_out_many(`: the
-# incremental session evaluates only through `Pass::run` (a delta is a
-# pass with the mutated factor swapped for it), and neither its own
-# join chain nor its own push-down may come back. Fails, too, when a
+# calls `aggregate_out_many(`: the incremental session evaluates only
+# through `Pass::run` (a delta is a pass with the mutated factor swapped
+# for it), and its own push-down may not come back. Fails, too, when a
 # non-test, non-comment line under src/ or crates/*/src names
 # `push_down_message`, `finish_root` or `local_bag`: the pass's
 # push-down, root epilogue and bag have no second caller to serve.
@@ -31,12 +31,16 @@
 # `aggregate_out` outside the independent
 # oracles (core/src/brute.rs, protocols/src/degenerate.rs): the pass
 # pushes a whole nest down with `aggregate_out_many`, and a per-variable
-# loop must not come back beside it. Fails, too, when the non-test,
-# non-comment part of crates/core/src/pass.rs calls `build_index(` or
-# `join_indexed(`: every bag of two or more factors is one generic-join
-# pass, a node multiplies its child messages in with one `fold_keyed`
-# scan, and neither an index-join cascade nor a per-message index may
-# come back beside them. Fails, too, when a non-test, non-comment line
+# loop must not come back beside it. Fails, too, when a non-test,
+# non-comment line under src/ or crates/*/src names `JoinIndex`,
+# `build_index`, `lookup_many` or `join_indexed`: a sorted arena is its
+# own index, so join, semijoin, selection, batch slicing and the
+# hash-split witness check are each one sorted scan or binary search
+# (a key's rows are one run), every bag of two or more factors is one
+# generic-join pass and a node multiplies its child messages in with
+# one `fold_keyed` scan; neither a reusable index nor an index-join
+# cascade or per-message index built on one may come back beside
+# them. Fails, too, when a non-test, non-comment line
 # under src/ or crates/*/src names `use_wcoj`, `BagOp` or `JoinStep`:
 # the second bag lowering, its operator enum and its planner knob are
 # gone. Fails, too, when a
@@ -138,6 +142,7 @@ reorders=()
 modes=()
 paths=()
 epilogues=()
+indexes=()
 flags=0
 unwraps=0
 shims=crates/plan/src/planner.rs
@@ -169,6 +174,9 @@ while IFS= read -r file; do
     fi
     if grep -Eq '\b(push_down_message|finish_root|local_bag)\b' <<<"$code"; then
         epilogues+=("$file")
+    fi
+    if grep -Eq '\b(JoinIndex|build_index|lookup_many|join_indexed)\b' <<<"$code"; then
+        indexes+=("$file")
     fi
     if grep -Eq '_lattice\b|\bAggFn\b|\bLatticeOps\b' <<<"$code"; then
         twins+=("$file")
@@ -202,7 +210,7 @@ fi
 session=crates/exec/src/incremental.rs
 if head -n "$(nontest_lines "$session")" "$session" |
     grep -Ev '^[[:space:]]*//' |
-    grep -En 'build_index\(|join_indexed\(|aggregate_out_many\(' >&2; then
+    grep -En 'aggregate_out_many\(' >&2; then
     echo "$session evaluates beside the pass: a delta is a Pass::run with the mutated factor swapped for it" >&2
     exit 1
 fi
@@ -235,10 +243,9 @@ if [ "$flags" -ne 0 ]; then
     echo "a lattice: parameter outside the three shims of $shims" >&2
     exit 1
 fi
-if head -n "$(nontest_lines "$pass")" "$pass" |
-    grep -Ev '^[[:space:]]*//' |
-    grep -En 'build_index\(|join_indexed\(' >&2; then
-    echo "$pass joins through an index: bags are one generic_join, messages fold in one fold_keyed scan" >&2
+if [ "${#indexes[@]}" -ne 0 ]; then
+    printf "a reusable join index is back (JoinIndex / build_index / lookup_many / join_indexed): a key's rows are one run of the sorted arena, and bags are one generic_join:\n" >&2
+    printf '  %s\n' "${indexes[@]}" >&2
     exit 1
 fi
 runtime=crates/protocols/src/distributed.rs
