@@ -766,7 +766,7 @@ pub fn e16_plan_explain(n: usize) {
 
     banner("E16 · Cost-based planner — candidate tables (plan-explain)");
 
-    let print_plan = |label: &str, plan: &faqs_plan::ChosenPlan| {
+    let print_plan = |label: &str, plan: &faqs_plan::QueryPlan| {
         println!(
             "{label}: {} candidate(s), kept default = {}",
             plan.candidates.len(),

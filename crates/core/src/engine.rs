@@ -1,13 +1,13 @@
 //! The engine's entry points: plan with `faqs-plan`, then run the one
 //! upward pass ([`crate::pass`]) at the sequential in-memory site.
 //!
-//! Plan *choice* — which GHD, which per-node factor join order — lives
-//! in `faqs-plan`, and so do its validation and re-rooting helpers;
-//! only [`EngineError`] is re-exported here.
+//! Plan *choice* — which GHD, which per-node factor join order — and the
+//! plan value itself ([`QueryPlan`]) live in `faqs-plan`, and so do its
+//! validation and re-rooting helpers; only [`EngineError`] is
+//! re-exported here.
 
 use crate::pass::{Pass, Sequential};
-use crate::plan::QueryPlan;
-use faqs_plan::ChosenPlan;
+use faqs_plan::QueryPlan;
 use faqs_relation::{FaqQuery, Relation};
 use faqs_semiring::{Boolean, Semiring};
 
@@ -24,7 +24,7 @@ pub use faqs_plan::EngineError;
 /// annotation is the scalar answer — [`Relation::total`] extracts it).
 pub fn solve_faq<S: Semiring>(q: &FaqQuery<S>) -> Result<Relation<S>, EngineError> {
     let plan = faqs_plan::plan_query_calibrated(q, None, None, 1.0)?;
-    solve_planned(q, plan)
+    Ok(run(q, &plan))
 }
 
 /// A deterministic full re-solve for differential testing: always runs
@@ -33,41 +33,34 @@ pub fn solve_faq<S: Semiring>(q: &FaqQuery<S>) -> Result<Relation<S>, EngineErro
 /// oracle the incremental engine's maintained answers are raced
 /// against, immune to digest drift.
 pub fn solve_faq_reference<S: Semiring>(q: &FaqQuery<S>) -> Result<Relation<S>, EngineError> {
-    solve_planned(q, faqs_plan::structural_plan(q)?)
+    Ok(run(q, &faqs_plan::structural_plan(q)?))
 }
 
-/// The upward pass on an explicit [`ChosenPlan`] — the entry point for
+/// The upward pass on an explicit [`QueryPlan`] — the entry point for
 /// callers that already planned (tests compare structural and
 /// stats-aware plans for bit-identical results).
 ///
-/// The plan must have been built by `faqs_plan` for *this*
-/// query: planning already ran instance validation, free-variable
-/// coverage and elimination-order legality, so only the cheap
-/// root-coverage guard is repeated here.
+/// Planning already ran instance validation, free-variable coverage and
+/// elimination-order legality for the query the plan was built for; a
+/// query of another hypergraph, free-variable list or aggregate set is
+/// refused with [`EngineError::Invalid`] ([`QueryPlan::check_query`]).
 pub fn solve_faq_with_plan<S: Semiring>(
     q: &FaqQuery<S>,
-    plan: &ChosenPlan,
+    plan: &QueryPlan,
 ) -> Result<Relation<S>, EngineError> {
-    solve_planned(q, plan.clone())
+    plan.check_query(q)?;
+    Ok(run(q, plan))
 }
 
-/// The one upward pass at the sequential site, on an owned plan.
-fn solve_planned<S: Semiring>(
-    q: &FaqQuery<S>,
-    plan: ChosenPlan,
-) -> Result<Relation<S>, EngineError> {
-    let root_chi = plan.ghd.chi(plan.ghd.root());
-    if let Some(bad) = q.free_vars.iter().find(|v| !root_chi.contains(v)) {
-        return Err(EngineError::FreeVarsOutsideCore(vec![*bad]));
-    }
-    let plan = QueryPlan::lower(q, plan);
+/// The one upward pass at the sequential site.
+fn run<S: Semiring>(q: &FaqQuery<S>, plan: &QueryPlan) -> Relation<S> {
     let pass = Pass {
         q,
-        plan: &plan,
+        plan,
         probe: None,
     };
     let Ok((result, _)) = pass.run(&mut Sequential);
-    Ok(result)
+    result
 }
 
 /// Evaluates a Boolean Conjunctive Query: `true` iff some assignment

@@ -5,7 +5,10 @@
 //! (a variable-elimination / "InsideOut"-style algorithm) on the GYO-GHDs
 //! of Construction 2.8 — once: [`Pass::run`] is the only upward pass in
 //! the workspace, and a [`PassSite`] is what the executor, the
-//! incremental session and the distributed runtime plug into it.
+//! incremental session and the distributed runtime plug into it. Every
+//! site runs the [`QueryPlan`] `faqs-plan` emits (re-exported here), as
+//! emitted: its join orders, child fold order, nests and binding
+//! orders are read, never derived again.
 //!
 //! * [`solve_faq`] — general FAQ (Equation 4) over any commutative
 //!   semiring, each bound variable under any aggregate the carrier
@@ -35,9 +38,8 @@ mod brute;
 mod engine;
 mod pass;
 pub mod pgm;
-mod plan;
 
 pub use brute::solve_faq_brute_force;
 pub use engine::{solve_bcq, solve_faq, solve_faq_reference, solve_faq_with_plan, EngineError};
+pub use faqs_plan::QueryPlan;
 pub use pass::{CalProbe, Factors, Pass, PassSite, Sequential, Timed};
-pub use plan::QueryPlan;

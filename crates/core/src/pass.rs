@@ -3,7 +3,8 @@
 //!
 //! Every evaluator in the workspace — `solve_faq`, the plan-cached
 //! executor, the incremental session (whose deltas are passes too), the
-//! routed distributed runtime — runs [`Pass::run`]. Per GHD node: the
+//! routed distributed runtime — runs [`Pass::run`] on the [`QueryPlan`]
+//! the planner emitted. Per GHD node: the
 //! children's messages first, then the node's factors, then the node's
 //! own output — its
 //! bag with every message multiplied in (in [`QueryPlan::children`]
@@ -19,9 +20,8 @@
 //! observes a fold is the per-pass [`CalProbe`]; it sees the rows of
 //! the un-aggregated bag, whether or not they were listed.
 
-use crate::plan::QueryPlan;
 use faqs_hypergraph::NodeId;
-use faqs_plan::{CalibrationLog, CalibrationRegistry, StatsDigest};
+use faqs_plan::{CalibrationLog, CalibrationRegistry, QueryPlan, StatsDigest};
 use faqs_relation::{generic_join_aggregated, FaqQuery, Relation};
 use faqs_semiring::Semiring;
 use std::borrow::Cow;
@@ -230,7 +230,7 @@ impl<'a> CalProbe<'a> {
         registry.is_enabled().then(|| CalProbe {
             registry,
             digest,
-            node_rows: plan.node_rows(),
+            node_rows: &plan.node_rows,
             log: CalibrationLog::new(),
         })
     }
@@ -254,7 +254,7 @@ mod tests {
     use super::*;
     use crate::solve_faq_brute_force;
     use faqs_hypergraph::{cycle_query, example_h2, path_query, star_query, Hypergraph};
-    use faqs_plan::{plan_query_calibrated, ChosenPlan, QueryStats};
+    use faqs_plan::{plan_query_calibrated, QueryStats};
     use faqs_relation::{generic_join, random_instance, RandomInstanceConfig};
     use faqs_semiring::Count;
     use std::collections::BTreeMap;
@@ -331,12 +331,14 @@ mod tests {
         random_instance(h, &cfg, vec![], |_| Count(1))
     }
 
-    /// Binds every multi-factor bag of `chosen` in its factors'
+    /// Binds every multi-factor bag of `plan` in its factors'
     /// concatenation order (not the layout order the planner picks:
     /// the push-down regroups).
-    fn bind_in_concatenation_order(q: &FaqQuery<Count>, chosen: &mut ChosenPlan) {
-        for (order, var_order) in chosen.join_order.iter().zip(&mut chosen.var_orders) {
+    fn bind_in_concatenation_order(q: &FaqQuery<Count>, plan: &mut QueryPlan) {
+        for node in plan.ghd.node_ids() {
+            let order = plan.joins(node).to_vec();
             if order.len() >= 2 {
+                let var_order = &mut plan.var_orders[node.index()];
                 var_order.clear();
                 for v in order.iter().flat_map(|&e| q.factor(e).schema()) {
                     if !var_order.contains(v) {
@@ -364,9 +366,8 @@ mod tests {
             } else {
                 instance(&h, 12, 4)
             };
-            let mut chosen = plan_query_calibrated(&q, None, None, 1.0).unwrap();
-            bind_in_concatenation_order(&q, &mut chosen);
-            let plan = QueryPlan::lower(&q, chosen);
+            let mut plan = plan_query_calibrated(&q, None, None, 1.0).unwrap();
+            bind_in_concatenation_order(&q, &mut plan);
             assert_eq!(plan.uses_generic_join(), generic, "{h:?}");
 
             let registry = CalibrationRegistry::new();

@@ -3,9 +3,9 @@
 //!
 //! One lookup, [`PlanCache::plan`], owns the whole cached planning
 //! decision — key, calibration correction, freshness, negative replay
-//! and the build (`faqs_plan::plan_query_calibrated`, then
-//! [`QueryPlan::lower`]) — so the executor and incremental sessions ask
-//! it instead of re-deriving that chain.
+//! and the build (`faqs_plan::plan_query_calibrated`, which emits the
+//! [`QueryPlan`] every site runs) — so the executor and incremental
+//! sessions ask it instead of re-deriving that chain.
 //!
 //! Two key tiers share one map. Every plan is keyed by its shape and
 //! the instance's coarse [`StatsDigest`] — skewed and uniform instances
@@ -30,9 +30,10 @@
 //!
 //! [`StatsDigest`]: faqs_plan::StatsDigest
 
-use crate::fingerprint::PlanKey;
-use faqs_core::{EngineError, QueryPlan};
-use faqs_plan::{correction_fresh, plan_query_calibrated, CalibrationRegistry, QueryStats};
+use faqs_plan::{
+    correction_fresh, plan_query_calibrated, CalibrationRegistry, EngineError, PlanKey, QueryPlan,
+    QueryStats,
+};
 use faqs_relation::FaqQuery;
 use faqs_semiring::Semiring;
 use std::collections::HashMap;
@@ -165,9 +166,7 @@ impl PlanCache {
         let digest = stats.digest();
         let correction = calibration.correction(&digest);
         let usable = |plan: &Result<QueryPlan, EngineError>| match plan {
-            Ok(plan) => {
-                !calibration.is_enabled() || correction_fresh(plan.correction(), correction)
-            }
+            Ok(plan) => !calibration.is_enabled() || correction_fresh(plan.correction, correction),
             Err(_) => true, // negative entries have no staleness
         };
         let key = PlanKey::with_digest(q, digest);
@@ -190,8 +189,7 @@ impl PlanCache {
             }
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let plan = plan_query_calibrated(q, None, Some(stats), correction);
-        let plan = Arc::new(plan.map(|chosen| QueryPlan::lower(q, chosen)));
+        let plan = Arc::new(plan_query_calibrated(q, None, Some(stats), correction));
         let key = match plan.as_ref() {
             Err(EngineError::Invalid(_)) => return plan,
             Err(_) => key.structural(),

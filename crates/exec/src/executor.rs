@@ -85,8 +85,9 @@ impl Executor {
     /// Runs the upward pass on an explicitly supplied (possibly stale
     /// or deliberately mis-estimated) plan, bypassing the cache but
     /// keeping calibration telemetry live — the entry point the
-    /// stale-plan and cross-site tests drive. The plan must have been
-    /// built for `q`'s shape.
+    /// stale-plan and cross-site tests drive. A plan built for another
+    /// hypergraph, free-variable list or aggregate set is refused with
+    /// [`EngineError::Invalid`] ([`QueryPlan::check_query`]).
     pub fn solve_on<S: Semiring>(
         &self,
         q: &FaqQuery<S>,
@@ -94,6 +95,7 @@ impl Executor {
     ) -> Result<Relation<S>, EngineError> {
         q.validate()
             .map_err(|e| EngineError::Invalid(e.to_string()))?;
+        plan.check_query(q)?;
         let digest = self
             .calibration
             .is_enabled()
@@ -161,10 +163,9 @@ mod tests {
     use faqs_relation::{random_instance, RandomInstanceConfig};
     use faqs_semiring::{Aggregate, Count};
 
-    /// The planner's plan for `q`, lowered, bypassing the cache.
+    /// The planner's plan for `q`, bypassing the cache.
     fn stats_plan<S: Semiring>(q: &FaqQuery<S>) -> QueryPlan {
-        let chosen = plan_query_calibrated(q, None, None, 1.0);
-        QueryPlan::lower(q, chosen.unwrap())
+        plan_query_calibrated(q, None, None, 1.0).unwrap()
     }
 
     fn inst(seed: u64) -> FaqQuery<Count> {

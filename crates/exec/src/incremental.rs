@@ -148,8 +148,6 @@ pub struct IncrementalFaq<S: Semiring> {
     /// Incrementally maintained per-factor statistics, digest drift's
     /// input (no full factor re-scan per update).
     stats: MaintainedQueryStats,
-    /// The GHD node whose bag holds each edge's factor.
-    edge_node: Vec<NodeId>,
     /// Per node (dense by `NodeId` index): the upward message to its
     /// parent as the pass last delivered it (empty at the root).
     msg: Vec<Relation<S>>,
@@ -194,14 +192,12 @@ impl<S: Semiring> IncrementalFaq<S> {
             plan,
             digest,
             stats,
-            edge_node: Vec::new(),
             msg: Vec::new(),
             answer,
             mode,
             counters,
             calibration,
         };
-        session.index_edges();
         session.full_recompute();
         Ok(session)
     }
@@ -350,26 +346,16 @@ impl<S: Semiring> IncrementalFaq<S> {
         }
         self.plan = SessionPlan::new(plan)?;
         self.digest = digest;
-        self.index_edges();
         self.full_recompute();
         Ok(true)
-    }
-
-    fn index_edges(&mut self) {
-        let plan = &self.plan;
-        self.edge_node = vec![plan.root(); self.query.factors.len()];
-        for node in plan.ghd.node_ids() {
-            for &e in plan.joins(node) {
-                self.edge_node[e.index()] = node;
-            }
-        }
     }
 
     /// The nodes from `edge`'s bag up to the root: what a change to
     /// `edge`'s factor dirties.
     fn root_path(&self, edge: EdgeId) -> Vec<NodeId> {
-        let origin = self.edge_node[edge.index()];
-        std::iter::successors(Some(origin), |&n| self.plan.ghd.parent(n)).collect()
+        let ghd = &self.plan.ghd;
+        let origin = ghd.edge_node(edge).unwrap_or(ghd.root());
+        std::iter::successors(Some(origin), |&n| ghd.parent(n)).collect()
     }
 
     /// Runs the one upward pass at the [`Stored`] site — over every node

@@ -53,11 +53,9 @@
 mod batch;
 mod cache;
 mod executor;
-mod fingerprint;
 mod incremental;
 
 pub use cache::{CacheStats, PlanCache};
 pub use executor::{Executor, ExecutorConfig};
-pub use faqs_core::QueryPlan;
-pub use fingerprint::PlanKey;
+pub use faqs_plan::{PlanKey, QueryPlan};
 pub use incremental::{IncrementalFaq, IncrementalStats, MaintenanceMode};

@@ -10,7 +10,7 @@
 //! same instance.
 
 use faqs_core::{solve_faq_brute_force, solve_faq_with_plan};
-use faqs_exec::{Executor, QueryPlan};
+use faqs_exec::Executor;
 use faqs_hypergraph::{clique_query, cycle_query, Hypergraph, Var};
 use faqs_plan::{plan_query_calibrated, structural_plan};
 use faqs_relation::{random_instance, FaqQuery, RandomInstanceConfig};
@@ -71,7 +71,7 @@ fn assert_cyclic_agree<S: Semiring>(q: &FaqQuery<S>, label: &str) {
             .unwrap_or_else(|e| panic!("{label}/{name}: plan rejected: {e}"));
         assert_eq!(direct, oracle, "{label}/{name}: direct solve vs oracle");
         let on = ex
-            .solve_on(q, &QueryPlan::lower(q, plan))
+            .solve_on(q, &plan)
             .unwrap_or_else(|e| panic!("{label}/{name}: rejected: {e}"));
         assert_eq!(on, oracle, "{label}/{name}: executor vs oracle");
     }

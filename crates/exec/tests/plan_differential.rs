@@ -16,7 +16,7 @@
 use faqs_core::{solve_faq_brute_force, solve_faq_with_plan};
 use faqs_exec::{Executor, QueryPlan};
 use faqs_hypergraph::{example_h2, path_query, star_query, tree_query, Hypergraph, Var};
-use faqs_plan::{plan_query_calibrated, structural_plan, ChosenPlan};
+use faqs_plan::{plan_query_calibrated, structural_plan};
 use faqs_relation::{FaqQuery, Relation};
 use faqs_semiring::{Boolean, Count, MinPlus, Semiring};
 use proptest::prelude::*;
@@ -92,7 +92,7 @@ fn instance<S: Semiring>(
     FaqQuery::new_ss(h.clone(), factors, free, domain)
 }
 
-fn plans<S: Semiring>(q: &FaqQuery<S>) -> (ChosenPlan, ChosenPlan) {
+fn plans<S: Semiring>(q: &FaqQuery<S>) -> (QueryPlan, QueryPlan) {
     let structural = structural_plan(q).expect("structural plan");
     let stats = plan_query_calibrated(q, None, None, 1.0).expect("stats plan");
     (structural, stats)
@@ -106,7 +106,7 @@ fn assert_plans_agree<S: Semiring>(q: &FaqQuery<S>, label: &str) {
             .validate(&q.hypergraph)
             .unwrap_or_else(|e| panic!("{label}/{name}: invalid GHD: {e}"));
         for n in plan.ghd.node_ids() {
-            let mut order = plan.join_order[n.index()].clone();
+            let mut order = plan.joins(n).to_vec();
             let mut lambda = plan.ghd.node(n).lambda.clone();
             order.sort();
             lambda.sort();
@@ -129,7 +129,7 @@ fn assert_plans_agree<S: Semiring>(q: &FaqQuery<S>, label: &str) {
         .unwrap_or_else(|e| panic!("{label}/exec-stats: rejected: {e}"));
     assert_eq!(cached, oracle, "{label}/exec-stats: executor vs oracle");
     let supplied = ex
-        .solve_on(q, &QueryPlan::lower(q, structural))
+        .solve_on(q, &structural)
         .unwrap_or_else(|e| panic!("{label}/exec-structural: rejected: {e}"));
     assert_eq!(
         supplied, oracle,

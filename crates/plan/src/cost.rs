@@ -18,10 +18,12 @@
 //!
 //! [`PlacementContext`]: crate::PlacementContext
 
+use crate::plan::QueryPlan;
 use crate::planner::{choose_aggregation_players, PlacementContext};
 use crate::stats::QueryStats;
-use faqs_hypergraph::{weighted_cover, EdgeId, Ghd, Var};
+use faqs_hypergraph::{weighted_cover, EdgeId, NodeId, Var};
 use faqs_network::Player;
+use faqs_semiring::Aggregate;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 
@@ -203,16 +205,16 @@ impl<'a> CostModel<'a> {
     }
 
     /// Model 2.1 bits of one shard of factor `e` split across `parts`
-    /// holders, after the shard-local Sum push-down of Corollary G.2
-    /// collapsed the `pre_agg` columns away (the runtime aggregates each
-    /// shard locally *before* shipping it — `materialise_shards` — so
-    /// the wire carries only the kept columns, and at most one tuple per
-    /// distinct kept-column combination).
-    fn shard_bits(&self, e: EdgeId, parts: usize, pre_agg: &[Var]) -> u64 {
+    /// holders, after the shard-local push-down of Corollary G.2
+    /// aggregated its `nest` away (the runtime aggregates each shard
+    /// locally *before* shipping it, so the wire carries only the kept
+    /// columns, and at most one tuple per distinct kept-column
+    /// combination).
+    fn shard_bits(&self, e: EdgeId, parts: usize, nest: &[(Var, Aggregate)]) -> u64 {
         let s = &self.stats.factors[e.index()];
         let mut shard_rows = (s.rows as u64).div_ceil(parts.max(1) as u64);
         let kept: Vec<usize> = (0..s.schema.len())
-            .filter(|&i| !pre_agg.contains(&s.schema[i]))
+            .filter(|&i| nest.iter().all(|&(v, _)| v != s.schema[i]))
             .collect();
         if kept.len() < s.schema.len() {
             // Aggregating down to the kept columns caps the shard at
@@ -300,60 +302,37 @@ impl<'a> CostModel<'a> {
         cur
     }
 
-    /// Scores one candidate: simulates the full upward pass over the
-    /// estimates — each multi-factor bag materialised by one
+    /// Scores one candidate plan: simulates the full upward pass over
+    /// the estimates — each multi-factor bag evaluated by one
     /// generic-join pass — and, when a placement is given, predicts the
     /// bits each GHD node's gather and each upward message will ship,
-    /// using the same aggregation-player choice the runtime makes.
+    /// using the same aggregation-player choice the runtime makes and
+    /// each shard at the width its [`QueryPlan::shard_nest`] leaves.
     /// Returns the cost and the per-node predicted row counts (dense by
     /// `NodeId`); the row predictions are what the executor's fold
     /// points confront with `Relation::len` to drive calibration.
     pub(crate) fn simulate(
         &self,
-        ghd: &Ghd,
-        join_order: &[Vec<EdgeId>],
+        plan: &QueryPlan,
         placement: Option<&PlacementContext<'_>>,
     ) -> (PlanCost, Vec<u64>) {
-        let n_nodes = ghd.node_ids().map(|n| n.index()).max().unwrap_or(0) + 1;
-        let mut children: Vec<Vec<_>> = vec![Vec::new(); n_nodes];
-        for n in ghd.node_ids() {
-            if let Some(p) = ghd.parent(n) {
-                children[p.index()].push(n); // node order = the fold order
-            }
-        }
-
+        let ghd = &plan.ghd;
         let mut cost = PlanCost::default();
 
         // Placement: estimated shard masses per node, then the same
         // argmin-bit·distance aggregation players the runtime picks.
         let placed = placement.map(|ctx| {
-            let mut node_shards: Vec<Vec<(Player, u64)>> = vec![Vec::new(); n_nodes];
+            let mut node_shards: Vec<Vec<(Player, u64)>> = vec![Vec::new(); plan.slots()];
             for node in ghd.node_ids() {
-                for &e in &join_order[node.index()] {
+                for &e in plan.joins(node) {
                     let holders = &ctx.holders[e.index()];
-                    // Only variables confined to a single χ bag are
-                    // pre-aggregated by the runtime (the Corollary G.2
-                    // guard's one GHD-dependent condition); the rest of
-                    // the guard is baked into `ctx.pre_agg`.
-                    let agged: Vec<Var> = ctx
-                        .pre_agg
-                        .get(e.index())
-                        .map(|vs| {
-                            vs.iter()
-                                .copied()
-                                .filter(|&v| {
-                                    ghd.node_ids().filter(|&n| ghd.chi(n).contains(&v)).count() == 1
-                                })
-                                .collect()
-                        })
-                        .unwrap_or_default();
-                    let bits = self.shard_bits(e, holders.len(), &agged);
+                    let bits = self.shard_bits(e, holders.len(), plan.shard_nest(e));
                     for &p in holders {
                         node_shards[node.index()].push((p, bits));
                     }
                 }
             }
-            let agg = choose_aggregation_players(ctx.topology, ghd, ctx.output, &node_shards);
+            let agg = choose_aggregation_players(ctx.topology, plan, ctx.output, &node_shards);
             // Gather cost: every remote shard travels holder → player.
             let mut dists: BTreeMap<Player, Vec<u32>> = BTreeMap::new();
             for node in ghd.node_ids() {
@@ -376,101 +355,122 @@ impl<'a> CostModel<'a> {
                     }
                 }
             }
-            (ctx, agg, dists)
+            Placed { ctx, agg, dists }
         });
 
-        let mut node_rows = vec![0u64; n_nodes];
-        let mut est: Vec<Option<Est>> = vec![None; n_nodes];
-        for node in ghd.post_order() {
-            let order = &join_order[node.index()];
-            let mut acc: Option<Est> = if order.len() < 2 {
-                order.first().map(|&e| self.factor_est(e))
-            } else {
-                // Multi-factor bag: one worst-case-optimal pass. Prepare
-                // each factor once — reorder it when its columns
-                // disagree with the binding order, then one sweep into
-                // the join's per-call trie — then one emit per output
-                // row: k column bindings plus a seek.
-                let out = self.bag_est(order);
-                let k = out.arity() as f64;
-                let max_rows = order
-                    .iter()
-                    .map(|&e| self.stats.factors[e.index()].rows.max(1) as f64)
-                    .fold(1.0f64, f64::max);
-                let prep: f64 = order
-                    .iter()
-                    .map(|&e| {
-                        let r = self.stats.factors[e.index()].rows.max(1) as f64;
-                        r * (r.log2() + 1.0)
-                    })
-                    .sum();
-                let gj_cpu = saturating(prep + out.rows * (k + max_rows.log2() + 1.0));
-                cost.cpu = cost.cpu.saturating_add(gj_cpu);
-                Some(out)
-            };
-            for &child in &children[node.index()] {
-                let sub = est[child.index()].take().expect("post-order: child first");
-                let msg = self.project(sub, ghd.chi(node), &mut cost);
-                if let Some((ctx, agg, dists)) = placed.as_ref() {
-                    let (from, to) = (agg[child.index()], agg[node.index()]);
-                    if from != to {
-                        let dist = dists
-                            .get(&to)
-                            .map(|d| d[from.index()])
-                            .unwrap_or_else(|| ctx.topology.live_distances(to)[from.index()]);
-                        if dist == u32::MAX {
-                            // Unroutable message leg ⇒ inexecutable
-                            // plan (see the gather loop above).
-                            cost.net_bits = cost.net_bits.saturating_add(UNREACHABLE_BITS);
-                        } else {
-                            cost.net_bits = cost
-                                .net_bits
-                                .saturating_add(self.est_bits(&msg).saturating_mul(dist as u64));
-                        }
-                    }
-                }
-                acc = Some(match acc {
-                    Some(cur) => {
-                        // An index build on the message, one
-                        // binary-search probe per bag row, one emitted
-                        // row per estimated match. Child messages are
-                        // already capped at their node; no sound
-                        // factor-set bound applies to the fold.
-                        let probe = saturating(msg.rows).saturating_add(saturating(
-                            cur.rows * (msg.rows.max(1.0).log2() + 1.0),
-                        ));
-                        let out = self.join(cur, msg, f64::INFINITY);
-                        cost.cpu = cost
-                            .cpu
-                            .saturating_add(probe)
-                            .saturating_add(saturating(out.rows));
-                        out
-                    }
-                    None => msg,
-                });
-            }
-            let mut node_est = acc.unwrap_or_else(Est::unit);
-            // Calibration: multi-input nodes are where the independence
-            // estimate actually estimates (single-factor bags have
-            // exact stats), so the learned per-shape correction applies
-            // exactly there — mirroring where the executor records
-            // predicted-vs-actual pairs.
-            if join_order[node.index()].len() + children[node.index()].len() >= 2
-                && self.correction != 1.0
-            {
-                node_est.rows = (node_est.rows * self.correction).clamp(0.0, EST_CAP);
-                for d in node_est.distinct.values_mut() {
-                    *d = d.min(node_est.rows.max(1.0));
-                }
-            }
-            node_rows[node.index()] = saturating(node_est.rows);
-            // Root epilogue: one aggregation sweep over the remainder.
-            if node == ghd.root() {
-                cost.cpu = cost.cpu.saturating_add(saturating(node_est.rows));
-            }
-            est[node.index()] = Some(node_est);
-        }
+        let mut node_rows = vec![0u64; plan.slots()];
+        let mut dry = DryRun {
+            model: self,
+            plan,
+            placed: placed.as_ref(),
+            cost,
+            node_rows: &mut node_rows,
+        };
+        let root = dry.subtree(plan.root());
+        // Root epilogue: one aggregation sweep over the remainder.
+        let cost = PlanCost {
+            cpu: dry.cost.cpu.saturating_add(saturating(root.rows)),
+            ..dry.cost
+        };
         (cost, node_rows)
+    }
+}
+
+/// A placement as one candidate's dry run sees it: the context, each
+/// node's aggregation player and the live distances from each of them.
+struct Placed<'c, 'g> {
+    ctx: &'c PlacementContext<'g>,
+    agg: Vec<Player>,
+    dists: BTreeMap<Player, Vec<u32>>,
+}
+
+/// One dry run of the upward pass over a candidate plan: what it has
+/// charged so far and the rows it predicts per node.
+struct DryRun<'m, 'p> {
+    model: &'m CostModel<'m>,
+    plan: &'p QueryPlan,
+    placed: Option<&'p Placed<'p, 'p>>,
+    cost: PlanCost,
+    node_rows: &'p mut [u64],
+}
+
+impl DryRun<'_, '_> {
+    /// `node`'s estimated relation before its push-down: its bag with
+    /// every child's message folded in, in the plan's fold order.
+    fn subtree(&mut self, node: NodeId) -> Est {
+        let (model, plan) = (self.model, self.plan);
+        let order = plan.joins(node);
+        let mut acc: Option<Est> = if order.len() < 2 {
+            order.first().map(|&e| model.factor_est(e))
+        } else {
+            // Multi-factor bag: one worst-case-optimal pass. Prepare
+            // each factor once — reorder it when its columns disagree
+            // with the binding order, then one sweep into the join's
+            // per-call trie — then one emit per output row: k column
+            // bindings plus a seek.
+            let out = model.bag_est(order);
+            let k = out.arity() as f64;
+            let rows = |e: &EdgeId| model.stats.factors[e.index()].rows.max(1) as f64;
+            let max_rows = order.iter().map(rows).fold(1.0f64, f64::max);
+            let prep: f64 = order.iter().map(|e| rows(e) * (rows(e).log2() + 1.0)).sum();
+            let gj_cpu = saturating(prep + out.rows * (k + max_rows.log2() + 1.0));
+            self.cost.cpu = self.cost.cpu.saturating_add(gj_cpu);
+            Some(out)
+        };
+        for &child in plan.children(node) {
+            let sub = self.subtree(child);
+            let msg = model.project(sub, plan.ghd.chi(node), &mut self.cost);
+            if let Some(Placed { ctx, agg, dists }) = self.placed {
+                let (from, to) = (agg[child.index()], agg[node.index()]);
+                if from != to {
+                    let dist = dists
+                        .get(&to)
+                        .map(|d| d[from.index()])
+                        .unwrap_or_else(|| ctx.topology.live_distances(to)[from.index()]);
+                    let bits = if dist == u32::MAX {
+                        // Unroutable message leg ⇒ inexecutable plan
+                        // (see the gather loop of `simulate`).
+                        UNREACHABLE_BITS
+                    } else {
+                        model.est_bits(&msg).saturating_mul(dist as u64)
+                    };
+                    self.cost.net_bits = self.cost.net_bits.saturating_add(bits);
+                }
+            }
+            acc = Some(match acc {
+                Some(cur) => {
+                    // An index build on the message, one
+                    // binary-search probe per bag row, one emitted
+                    // row per estimated match. Child messages are
+                    // already capped at their node; no sound
+                    // factor-set bound applies to the fold.
+                    let probe = saturating(msg.rows)
+                        .saturating_add(saturating(cur.rows * (msg.rows.max(1.0).log2() + 1.0)));
+                    let out = model.join(cur, msg, f64::INFINITY);
+                    self.cost.cpu = self
+                        .cost
+                        .cpu
+                        .saturating_add(probe)
+                        .saturating_add(saturating(out.rows));
+                    out
+                }
+                None => msg,
+            });
+        }
+        let mut est = acc.unwrap_or_else(Est::unit);
+        // Calibration: multi-input nodes are where the independence
+        // estimate actually estimates (single-factor bags have exact
+        // stats), so the learned per-shape correction applies exactly
+        // there — mirroring where the executor records
+        // predicted-vs-actual pairs.
+        if order.len() + plan.children(node).len() >= 2 && model.correction != 1.0 {
+            est.rows = (est.rows * model.correction).clamp(0.0, EST_CAP);
+            for d in est.distinct.values_mut() {
+                *d = d.min(est.rows.max(1.0));
+            }
+        }
+        self.node_rows[node.index()] = saturating(est.rows);
+        est
     }
 }
 
@@ -601,11 +601,15 @@ mod tests {
         }]);
         let model = CostModel::new(&stats, 1 << 10, 64, 1.0);
         let raw = model.shard_bits(EdgeId(0), 1, &[]);
-        let agged = model.shard_bits(EdgeId(0), 1, &[Var(1)]);
+        let agged = model.shard_bits(EdgeId(0), 1, &[(Var(1), Aggregate::Sum)]);
         assert_eq!(raw, 1024 * (2 * 10 + 64));
         assert_eq!(agged, 4 * (10 + 64));
         // Aggregating everything away leaves one annotation-only tuple.
-        let all = model.shard_bits(EdgeId(0), 1, &[Var(0), Var(1)]);
+        let all = model.shard_bits(
+            EdgeId(0),
+            1,
+            &[(Var(1), Aggregate::Sum), (Var(0), Aggregate::Sum)],
+        );
         assert_eq!(all, 64);
     }
 }

@@ -1,4 +1,5 @@
-//! Query fingerprints: the plan-cache key.
+//! Query fingerprints: the plan-cache key, and the shape every
+//! [`QueryPlan`](crate::QueryPlan) records.
 //!
 //! Two FAQ instances share a plan exactly when they agree on everything
 //! the planner looks at: the hypergraph shape, the free variables, the
@@ -11,9 +12,11 @@
 //! column) get plans of their own. The *structural* key (digest
 //! stripped) is the tier of negative results only — shapes that fail
 //! validation no matter the data are cached there once and replayed for
-//! every digest.
+//! every digest. A plan records the structural key of the query it was
+//! built for, and every door that takes a caller's plan refuses a query
+//! whose key differs ([`QueryPlan::check_query`](crate::QueryPlan::check_query)).
 
-use faqs_plan::StatsDigest;
+use crate::StatsDigest;
 use faqs_relation::FaqQuery;
 use faqs_semiring::{Aggregate, Semiring};
 
@@ -155,7 +158,7 @@ mod tests {
 
     #[test]
     fn digest_tier_separates_skew_but_not_scale() {
-        use faqs_plan::QueryStats;
+        use crate::QueryStats;
         let digest_of = |q: &FaqQuery<Count>| QueryStats::of(q).digest();
         let a = PlanKey::with_digest(&q(1), digest_of(&q(1)));
         let b = PlanKey::with_digest(&q(2), digest_of(&q(2)));

@@ -17,12 +17,14 @@
 //!                                  │ (free-var coverage re-rooting)
 //!   InputPlacement ───────────────▶│
 //!                                  ▼
-//!                    CostModel::simulate (upward-pass dry run:
-//!                    generic-join bags, message folds, push-down
-//!                    sizes, shipped bits)
+//!                    QueryPlan::build per candidate, then
+//!                    CostModel::simulate (upward-pass dry run of that
+//!                    plan: generic-join bags, message folds, push-down
+//!                    sizes, shard nests, shipped bits)
 //!                                  │  strict-improvement argmin
 //!                                  ▼
-//!                    ChosenPlan { ghd, join_order, var_orders, cost, … }
+//!       QueryPlan { ghd, joins, var_orders, nests, children,
+//!                   shard nests, cost, node_rows, correction, … }
 //! ```
 //!
 //! * [`QueryStats`] / [`StatsDigest`] — per-factor cardinality and
@@ -39,11 +41,16 @@
 //!   structural planner did; [`structural_plan`] is that default on its
 //!   own, read from no data — the reference plan.
 //!   [`cost_quote_with_stats`] is the one quote: the default's cost.
-//! * [`ChosenPlan`] — the validated GHD plus the per-node factor join
-//!   order and, for every bag of two or more factors, the generic
-//!   join's binding order, consumed by `faqs-core::solve_faq`, the
-//!   `faqs-exec` executor and `DistributedFaqRun`; no consumer derives
-//!   its own GHD, join order or binding order.
+//! * [`QueryPlan`] — the one plan value: the validated GHD plus, per
+//!   node, the factor join order, child fold order, push-down nest and
+//!   (for a bag of two or more factors) the generic join's binding
+//!   order, and per edge the shard nest the runtime sums out before
+//!   shipping. The cost model dry-runs exactly this value, and
+//!   `faqs-core::solve_faq`, the `faqs-exec` executor, the incremental
+//!   session and `DistributedFaqRun` run it; no consumer derives any of
+//!   it again. It records its query's structural [`PlanKey`] — the
+//!   plan cache's key — and every door that takes a caller's plan
+//!   refuses a query of another shape ([`QueryPlan::check_query`]).
 //! * [`choose_aggregation_players`] — the placement-aware
 //!   `argmin Σ bits·distance` choice of per-GHD-node aggregation
 //!   players, shared verbatim by the cost model's predictions and the
@@ -59,6 +66,8 @@
 mod calibration;
 mod cost;
 mod error;
+mod fingerprint;
+mod plan;
 mod planner;
 mod stats;
 mod validate;
@@ -68,12 +77,13 @@ pub use calibration::{
 };
 pub use cost::PlanCost;
 pub use error::EngineError;
+pub use fingerprint::PlanKey;
+pub use plan::QueryPlan;
 pub use planner::{
     choose_aggregation_players, cost_quote_calibrated, cost_quote_with_stats,
-    decomposition_covering_free_vars, decomposition_for_free_vars, ghd_for_query,
-    join_order_covers_lambda, join_order_for_ghd, plan_query, plan_query_calibrated,
-    plan_query_placed, pre_agg_candidates, structural_plan, CandidateReport, ChosenPlan,
-    PlacementContext, PlannerConfig,
+    decomposition_covering_free_vars, decomposition_for_free_vars, ghd_for_query, plan_query,
+    plan_query_calibrated, plan_query_placed, structural_plan, CandidateReport, PlacementContext,
+    PlannerConfig,
 };
 pub use stats::{MaintainedQueryStats, QueryStats, StatsDigest};
 pub use validate::{check_elimination_order, check_product_aggregates, check_push_down};
@@ -117,9 +127,9 @@ mod tests {
             // The join order is a permutation of each node's λ,
             // smallest-first.
             for n in plan.ghd.node_ids() {
-                let order = &plan.join_order[n.index()];
+                let order = plan.joins(n);
                 let mut lambda = plan.ghd.node(n).lambda.clone();
-                let mut sorted = order.clone();
+                let mut sorted = order.to_vec();
                 sorted.sort();
                 lambda.sort();
                 assert_eq!(sorted, lambda);
@@ -205,7 +215,7 @@ mod tests {
         let q: FaqQuery<Boolean> = skewed_star_instance(3, 8);
         let plan = structural_plan(&q).unwrap();
         let g = Topology::line(4);
-        let n_nodes = plan.ghd.node_ids().map(|n| n.index()).max().unwrap() + 1;
+        let n_nodes = plan.slots();
         // Give every non-root node one shard at player 0 with heavy
         // mass: the chooser must go to the holder, not the output.
         let mut shards = vec![Vec::new(); n_nodes];
@@ -214,7 +224,7 @@ mod tests {
                 shards[n.index()].push((Player(0), 1_000u64));
             }
         }
-        let agg = choose_aggregation_players(&g, &plan.ghd, Player(3), &shards);
+        let agg = choose_aggregation_players(&g, &plan, Player(3), &shards);
         assert_eq!(agg[plan.ghd.root().index()], Player(3), "root at output");
         for n in plan.ghd.node_ids() {
             if n != plan.ghd.root() {
@@ -234,7 +244,7 @@ mod tests {
         let plan = structural_plan(&q).unwrap();
         let mut g = Topology::line(4);
         g.set_capacity(faqs_network::LinkId(0), 0); // maroon Player(0)
-        let n_nodes = plan.ghd.node_ids().map(|n| n.index()).max().unwrap() + 1;
+        let n_nodes = plan.slots();
         let mut shards = vec![Vec::new(); n_nodes];
         for n in plan.ghd.node_ids() {
             if n != plan.ghd.root() {
@@ -243,7 +253,7 @@ mod tests {
                 shards[n.index()].push((Player(1), 0u64));
             }
         }
-        let agg = choose_aggregation_players(&g, &plan.ghd, Player(3), &shards);
+        let agg = choose_aggregation_players(&g, &plan, Player(3), &shards);
         for n in plan.ghd.node_ids() {
             if n != plan.ghd.root() {
                 assert_ne!(
@@ -315,7 +325,7 @@ mod tests {
         // pre-aggregable; the shared core variable is not (it lives in
         // every edge).
         let q = skewed_star_instance(3, 8);
-        let pre = pre_agg_candidates(&q);
+        let pre = plan::pre_agg_candidates(&q);
         assert_eq!(pre.len(), q.factors.len());
         for (e, vars) in pre.iter().enumerate() {
             for v in vars {
@@ -332,7 +342,7 @@ mod tests {
         let blocked = q
             .clone()
             .with_aggregate(Var(1), faqs_semiring::Aggregate::Product);
-        let pre_blocked = pre_agg_candidates(&blocked);
+        let pre_blocked = plan::pre_agg_candidates(&blocked);
         assert!(
             pre_blocked.iter().all(|vs| !vs.contains(&Var(1))),
             "Product variables are never pre-aggregated"
@@ -341,33 +351,50 @@ mod tests {
 
     #[test]
     fn pre_aggregation_shrinks_predicted_shipped_bits() {
-        // The modelling-gap regression at plan level: with the guard
-        // threaded through the placement context, predicted shipped
-        // bits on the skewed star drop strictly below the raw-shard
-        // model's prediction (the runtime Sum-aggregates each shard
-        // before shipping; the model must charge what actually ships).
+        // The modelling-gap regression at plan level: on the plain-Sum
+        // skewed star every leaf's private variable is in its edge's
+        // shard nest, so predicted shipped bits drop strictly below
+        // those of the same instance with the leaves under `Max`, which
+        // the guard never pre-aggregates (the runtime Sum-aggregates
+        // each shard before shipping; the model must charge what
+        // actually ships).
         let q = skewed_star_instance(3, 16);
+        let leaves = [Var(1), Var(2), Var(3)];
+        let raw_q = leaves
+            .iter()
+            .fold(q.clone(), |q, &v| q.with_aggregate(v, Aggregate::Max));
         let g = Topology::line(4);
         let holders = vec![vec![Player(0)], vec![Player(1)], vec![Player(2)]];
-        let ctx = PlacementContext::new(&q, &g, holders.clone(), Player(3));
+        let ctx = PlacementContext::new(&q, &g, holders, Player(3));
+        let fixed = plan_query_calibrated(&q, Some(&ctx), None, 1.0).unwrap();
+        let raw = plan_query_calibrated(&raw_q, Some(&ctx), None, 1.0).unwrap();
+        let edges = || (0..q.k()).map(|e| EdgeId(e as u32));
         assert!(
-            ctx.pre_agg.iter().any(|vs| !vs.is_empty()),
+            edges().any(|e| !fixed.shard_nest(e).is_empty()),
             "precondition: the star has pre-aggregable variables"
         );
-        let raw_ctx = PlacementContext {
-            topology: &g,
-            holders,
-            output: Player(3),
-            pre_agg: vec![Vec::new(); q.factors.len()],
-        };
-        let fixed = plan_query_calibrated(&q, Some(&ctx), None, 1.0).unwrap();
-        let raw = plan_query_calibrated(&q, Some(&raw_ctx), None, 1.0).unwrap();
+        assert!(edges().all(|e| raw.shard_nest(e).is_empty()));
         assert!(
             fixed.cost.net_bits < raw.cost.net_bits,
             "aggregated shards must ship fewer predicted bits: {} !< {}",
             fixed.cost.net_bits,
             raw.cost.net_bits
         );
+    }
+
+    #[test]
+    fn statistics_of_another_length_are_a_typed_error() {
+        let q = count_instance(&star_query(3), 1);
+        let mut stats = QueryStats::of(&q);
+        stats.factors.pop();
+        assert!(matches!(
+            plan_query_calibrated(&q, None, Some(&stats), 1.0),
+            Err(EngineError::Invalid(_))
+        ));
+        assert!(matches!(
+            cost_quote_with_stats(&q, &stats, 1.0),
+            Err(EngineError::Invalid(_))
+        ));
     }
 
     #[test]
@@ -585,7 +612,7 @@ mod tests {
             assert_eq!(chosen.label, "merged core", "{h:?}");
             let root = plan.ghd.root();
             assert_eq!(plan.ghd.len(), 1, "{h:?}: one bag");
-            assert_eq!(plan.join_order[root.index()].len(), q.k(), "{h:?}");
+            assert_eq!(plan.joins(root).len(), q.k(), "{h:?}");
             assert_eq!(plan.var_orders[root.index()].len(), h.num_vars(), "{h:?}");
             assert_eq!(plan.cost.cpu, cpu, "{h:?}");
             assert_eq!(plan.node_rows, [rows], "{h:?}");
@@ -640,7 +667,7 @@ mod tests {
                 for node in plan.ghd.node_ids() {
                     let var_order = &plan.var_orders[node.index()];
                     if !var_order.is_empty() {
-                        let bag = &plan.join_order[node.index()];
+                        let bag = plan.joins(node);
                         assert_eq!(var_order, &layout_order(&q, &plan.ghd, node, bag));
                         *(if q.free_vars.is_empty() {
                             &mut closed
@@ -679,8 +706,7 @@ mod tests {
             ],
             NodeId(0),
         );
-        ghd.validate(&q.hypergraph).unwrap();
-        let orders = planner::binding_orders(&q, &ghd);
+        let orders = QueryPlan::for_ghd(&q, ghd.clone()).unwrap().var_orders;
         let want = layout_order(&q, &ghd, NodeId(1), &triangle);
         assert_eq!(want, [Var(2), Var(0), Var(1)]);
         assert_eq!(orders[1], want);

@@ -5,13 +5,14 @@
 use crate::calibration::CalibrationRegistry;
 use crate::cost::{CostModel, PlanCost};
 use crate::error::EngineError;
+use crate::plan::QueryPlan;
 use crate::stats::QueryStats;
 use crate::validate::{
     check_aggregates_admitted, check_elimination_order, check_product_aggregates,
 };
 use faqs_hypergraph::{
-    candidate_decompositions, cyclic_core_candidates, internal_node_width, Decomposition, EdgeId,
-    Ghd, Hypergraph, NodeId, Var,
+    candidate_decompositions, cyclic_core_candidates, internal_node_width, Decomposition, Ghd,
+    Hypergraph, NodeId, Var,
 };
 use faqs_network::{Player, Topology};
 use faqs_relation::{FaqQuery, QueryError};
@@ -39,21 +40,16 @@ pub struct PlacementContext<'a> {
     /// The player that must learn the answer (the root's aggregation
     /// player is pinned here).
     pub output: Player,
-    /// `pre_agg[e]` = factor `e`'s variables passing the GHD-independent
-    /// part of the runtime's shard-local Sum push-down guard
-    /// ([`pre_agg_candidates`]). The cost model intersects each list
-    /// with the candidate GHD's χ-singleton condition and charges the
-    /// aggregated shard size the runtime actually ships — not the raw
-    /// factor size. Leave empty (`vec![]`) to model runtimes that ship
-    /// shards verbatim.
-    pub pre_agg: Vec<Vec<Var>>,
 }
 
 impl<'a> PlacementContext<'a> {
-    /// Builds the context for `q`, deriving [`pre_agg_candidates`] so
-    /// predicted shard sizes match what `materialise_shards` ships.
+    /// The context of `holders` and `output` on `topology`. What each
+    /// shard sums out before it ships is the candidate plan's
+    /// [`QueryPlan::shard_nest`], so `_q` is read by nothing; it stays
+    /// in the signature for `benchmark/` until the next `[benchmark]`
+    /// revision (ROADMAP 3(h)).
     pub fn new<S: Semiring>(
-        q: &FaqQuery<S>,
+        _q: &FaqQuery<S>,
         topology: &'a Topology,
         holders: Vec<Vec<Player>>,
         output: Player,
@@ -62,39 +58,8 @@ impl<'a> PlacementContext<'a> {
             topology,
             holders,
             output,
-            pre_agg: pre_agg_candidates(q),
         }
     }
-}
-
-/// The GHD-independent part of the runtime's shard-local Sum push-down
-/// guard (`materialise_shards`): per factor, the bound `Sum` variables
-/// private to that single hyperedge whose exchange respects Equation
-/// (4)'s nesting (every higher-indexed bound variable of the same edge
-/// is itself `Sum`). A variable in this list is actually pre-aggregated
-/// by the runtime iff it additionally sits in exactly one χ bag of the
-/// *chosen* GHD — a per-candidate condition the cost model applies
-/// itself. One source of truth: the distributed runtime filters this
-/// same list instead of re-deriving the guard.
-pub fn pre_agg_candidates<S: Semiring>(q: &FaqQuery<S>) -> Vec<Vec<Var>> {
-    let h = &q.hypergraph;
-    (0..q.k())
-        .map(|ei| {
-            let edge_vars = h.edge(EdgeId(ei as u32));
-            edge_vars
-                .iter()
-                .copied()
-                .filter(|&v| {
-                    !q.is_free(v)
-                        && q.aggregates[v.index()] == Aggregate::Sum
-                        && h.edges().filter(|(_, vars)| vars.contains(&v)).count() == 1
-                        && edge_vars.iter().all(|&w| {
-                            w <= v || q.is_free(w) || q.aggregates[w.index()] == Aggregate::Sum
-                        })
-                })
-                .collect()
-        })
-        .collect()
 }
 
 /// One scored candidate — the row of the `plan-explain` table.
@@ -109,58 +74,6 @@ pub struct CandidateReport {
     pub cost: PlanCost,
     /// Whether this candidate won.
     pub chosen: bool,
-}
-
-/// The planner's output: one validated GHD plus the per-node factor
-/// join order, consumed by `faqs-core`'s upward pass, the `faqs-exec`
-/// executor, and the distributed runtime — the single place plan shape
-/// is decided.
-#[derive(Clone, Debug)]
-pub struct ChosenPlan {
-    /// The GHD the upward pass runs on (hoisted, re-rooted so that
-    /// `F ⊆ χ(root)`, validated for push-down legality).
-    pub ghd: Ghd,
-    /// Factor join order per node (dense by `NodeId` index): the order
-    /// the node's λ factors are absorbed. There is exactly one
-    /// implementation of this ordering — here — and every consumer
-    /// (engine, executor, distributed runtime) replays it.
-    pub join_order: Vec<Vec<EdgeId>>,
-    /// Per-node binding order of the one worst-case-optimal pass
-    /// ([`faqs_relation::generic_join`]) that materialises a bag of two
-    /// or more λ factors (dense by `NodeId` index; empty for a bag of
-    /// at most one factor, which is every bag of a structural plan).
-    /// It is also the bag's output schema, in the push-down's layout
-    /// order: the variables the parent's bag sees (ascending; at the
-    /// root, the free variables in declared order), then the private
-    /// ones ascending.
-    pub var_orders: Vec<Vec<Var>>,
-    /// Predicted cost of the chosen candidate (zero for the
-    /// [`structural_plan`], which predicts nothing).
-    pub cost: PlanCost,
-    /// The cost model's predicted row count per GHD node (dense by
-    /// `NodeId`; empty for the [`structural_plan`]). These are the
-    /// `predicted` halves of the executor's predicted-vs-actual
-    /// calibration samples.
-    pub node_rows: Vec<u64>,
-    /// The calibration correction the winning candidate was scored
-    /// under (`1.0` = uncalibrated). Plan caches compare this against
-    /// the registry's current correction to decide staleness.
-    pub correction: f64,
-    /// The full scored candidate table (one entry, the default, for the
-    /// [`structural_plan`]).
-    pub candidates: Vec<CandidateReport>,
-}
-
-impl ChosenPlan {
-    /// Whether the cost model kept the structural default.
-    pub fn chose_default(&self) -> bool {
-        self.candidates.first().map(|c| c.chosen).unwrap_or(true)
-    }
-
-    /// Whether any bag lowers to the generic join.
-    pub fn uses_generic_join(&self) -> bool {
-        self.var_orders.iter().any(|o| !o.is_empty())
-    }
 }
 
 /// A canonical serialisation of a rooted GHD, invariant under child
@@ -291,79 +204,6 @@ pub fn ghd_for_query<S: Semiring>(q: &FaqQuery<S>) -> Result<Ghd, EngineError> {
     Ok(ghd)
 }
 
-/// Whether `order` is a permutation of `λ(node)` — the contract every
-/// consumer of a [`ChosenPlan`] `debug_assert`s before absorbing a
-/// node's factors. Owned here, next to the order's single producer, so
-/// the engine's and the executor's checks cannot drift apart.
-pub fn join_order_covers_lambda(
-    ghd: &Ghd,
-    node: faqs_hypergraph::NodeId,
-    order: &[EdgeId],
-) -> bool {
-    let mut a = order.to_vec();
-    let mut b = ghd.node(node).lambda.clone();
-    a.sort_unstable();
-    b.sort_unstable();
-    a == b
-}
-
-/// The per-node factor join order: each node's λ factors smallest-first
-/// by the instance's listing sizes (stable on the λ declaration order).
-/// This is the ONE implementation of the ordering heuristic the engine
-/// and the executor used to derive independently; both now consume the
-/// planner's copy (and `debug_assert` that what they execute is a
-/// permutation of the node's λ).
-pub fn join_order_for_ghd<S: Semiring>(q: &FaqQuery<S>, ghd: &Ghd) -> Vec<Vec<EdgeId>> {
-    let n_nodes = ghd.node_ids().map(|n| n.index()).max().unwrap_or(0) + 1;
-    let mut order: Vec<Vec<EdgeId>> = vec![Vec::new(); n_nodes];
-    for node in ghd.node_ids() {
-        let mut factors: Vec<EdgeId> = ghd.node(node).lambda.clone();
-        factors.sort_by_key(|&e| q.factor(e).len());
-        order[node.index()] = factors;
-    }
-    order
-}
-
-/// [`ChosenPlan::var_orders`] for `ghd`. Binding the kept variables
-/// first (at the root the free ones in declared order, so no closing
-/// reorder) and the private ones last, innermost last, makes a bag
-/// arrive with its whole push-down nest a run of trailing columns, so
-/// no regrouping sort runs.
-pub(crate) fn binding_orders<S: Semiring>(q: &FaqQuery<S>, ghd: &Ghd) -> Vec<Vec<Var>> {
-    let n_nodes = ghd.node_ids().map(|n| n.index()).max().unwrap_or(0) + 1;
-    let mut orders: Vec<Vec<Var>> = vec![Vec::new(); n_nodes];
-    for node in ghd.node_ids() {
-        let lambda = &ghd.node(node).lambda;
-        if lambda.len() < 2 {
-            continue;
-        }
-        let mut bag_vars: Vec<Var> = lambda
-            .iter()
-            .flat_map(|&e| q.hypergraph.edge(e))
-            .copied()
-            .collect();
-        bag_vars.sort_unstable();
-        bag_vars.dedup();
-        let mut var_order: Vec<Var> = match ghd.parent(node) {
-            Some(p) => bag_vars
-                .iter()
-                .copied()
-                .filter(|v| ghd.chi(p).contains(v))
-                .collect(),
-            None => q
-                .free_vars
-                .iter()
-                .copied()
-                .filter(|v| bag_vars.contains(v))
-                .collect(),
-        };
-        bag_vars.retain(|v| !var_order.contains(v));
-        var_order.extend(bag_vars);
-        orders[node.index()] = var_order;
-    }
-    orders
-}
-
 /// Shim for `benchmark/`: [`plan_query_calibrated`] without placement,
 /// precomputed statistics or correction; the [`PlannerConfig`] is
 /// ignored.
@@ -378,7 +218,7 @@ pub fn plan_query<S: Semiring>(
     q: &FaqQuery<S>,
     lattice: bool,
     cfg: &PlannerConfig,
-) -> Result<ChosenPlan, EngineError> {
+) -> Result<QueryPlan, EngineError> {
     plan_query_placed(q, lattice, cfg, None)
 }
 
@@ -391,7 +231,7 @@ pub fn plan_query_placed<S: Semiring>(
     lattice: bool,
     _cfg: &PlannerConfig,
     placement: Option<&PlacementContext<'_>>,
-) -> Result<ChosenPlan, EngineError> {
+) -> Result<QueryPlan, EngineError> {
     if !lattice {
         refuse_max_min(q)?;
     }
@@ -452,14 +292,22 @@ pub fn cost_quote_with_stats<S: Semiring>(
     stats: &QueryStats,
     correction: f64,
 ) -> Result<PlanCost, EngineError> {
-    assert_eq!(
-        stats.factors.len(),
-        q.factors.len(),
-        "one stats entry per factor"
-    );
-    let (ghd, order) = validated_default(q, FaqQuery::validate_structure)?;
+    check_stats_len(q, stats)?;
+    let plan = default_plan(q, FaqQuery::validate_structure)?;
     let model = CostModel::new(stats, q.domain, S::value_bits(), correction);
-    Ok(model.simulate(&ghd, &order, None).0)
+    Ok(model.simulate(&plan, None).0)
+}
+
+/// Refuses statistics that do not describe one entry per factor of `q`.
+fn check_stats_len<S: Semiring>(q: &FaqQuery<S>, stats: &QueryStats) -> Result<(), EngineError> {
+    if stats.factors.len() == q.k() {
+        return Ok(());
+    }
+    Err(EngineError::Invalid(format!(
+        "{} statistics entries for {} factors",
+        stats.factors.len(),
+        q.k()
+    )))
 }
 
 /// What every planning and quoting door establishes before anything is
@@ -467,27 +315,39 @@ pub fn cost_quote_with_stats<S: Semiring>(
 /// [`FaqQuery::validate`], or [`FaqQuery::validate_structure`] for a
 /// caller that vouches for its listings) — first, because the checks
 /// after it index `aggregates` by variable — the carrier admits each
-/// bound variable's aggregate, product aggregates are push-down-safe,
-/// and the structural default GHD covers `F` at its root and
-/// eliminates in a legal order. Returns that default — candidate 0 of
-/// every search — with its join order.
-/// Its failure is the caller's error: the cost model never papers over
-/// an invalid default.
-fn validated_default<S: Semiring>(
+/// bound variable's aggregate and product aggregates are
+/// push-down-safe.
+pub(crate) fn validate_query<S: Semiring>(
     q: &FaqQuery<S>,
     validate: impl FnOnce(&FaqQuery<S>) -> Result<(), QueryError>,
-) -> Result<(Ghd, Vec<Vec<EdgeId>>), EngineError> {
+) -> Result<(), EngineError> {
     validate(q).map_err(|e| EngineError::Invalid(e.to_string()))?;
     check_aggregates_admitted(q)?;
-    check_product_aggregates(q)?;
-    let ghd = ghd_for_query(q)?;
+    check_product_aggregates(q)
+}
+
+/// What a GHD of a validated `q` must satisfy to be planned: its root
+/// covers `F`, and it eliminates in an order Equation (4) licenses.
+pub(crate) fn check_runnable<S: Semiring>(q: &FaqQuery<S>, ghd: &Ghd) -> Result<(), EngineError> {
     let root_chi = ghd.chi(ghd.root());
     if let Some(bad) = q.free_vars.iter().find(|v| !root_chi.contains(v)) {
         return Err(EngineError::FreeVarsOutsideCore(vec![*bad]));
     }
-    check_elimination_order(q, &ghd)?;
-    let order = join_order_for_ghd(q, &ghd);
-    Ok((ghd, order))
+    check_elimination_order(q, ghd)
+}
+
+/// [`validate_query`], then the structural default — candidate 0 of
+/// every search — as an unscored plan, once [`check_runnable`] passes.
+/// Its failure is the caller's error: the cost model never papers over
+/// an invalid default.
+fn default_plan<S: Semiring>(
+    q: &FaqQuery<S>,
+    validate: impl FnOnce(&FaqQuery<S>) -> Result<(), QueryError>,
+) -> Result<QueryPlan, EngineError> {
+    validate_query(q, validate)?;
+    let ghd = ghd_for_query(q)?;
+    check_runnable(q, &ghd)?;
+    Ok(QueryPlan::build(q, ghd))
 }
 
 /// The structural default as a plan, without reading any data: the
@@ -496,22 +356,15 @@ fn validated_default<S: Semiring>(
 /// 0 of every [`plan_query_calibrated`] search; on its own it is the
 /// reference plan (`faqs_core::solve_faq_reference`), identical for
 /// equal data whatever the statistics say.
-pub fn structural_plan<S: Semiring>(q: &FaqQuery<S>) -> Result<ChosenPlan, EngineError> {
-    let (default_ghd, default_order) = validated_default(q, FaqQuery::validate)?;
-    Ok(ChosenPlan {
-        candidates: vec![CandidateReport {
-            label: "structural default".into(),
-            y: default_ghd.internal_count(),
-            cost: PlanCost::default(),
-            chosen: true,
-        }],
-        join_order: default_order,
-        var_orders: binding_orders(q, &default_ghd),
+pub fn structural_plan<S: Semiring>(q: &FaqQuery<S>) -> Result<QueryPlan, EngineError> {
+    let mut plan = default_plan(q, FaqQuery::validate)?;
+    plan.candidates = vec![CandidateReport {
+        label: "structural default".into(),
+        y: plan.ghd.internal_count(),
         cost: PlanCost::default(),
-        node_rows: Vec::new(),
-        correction: 1.0,
-        ghd: default_ghd,
-    })
+        chosen: true,
+    }];
+    Ok(plan)
 }
 
 /// The one planning door: validates `q`, builds the structural default
@@ -531,15 +384,11 @@ pub fn plan_query_calibrated<S: Semiring>(
     placement: Option<&PlacementContext<'_>>,
     stats: Option<&QueryStats>,
     correction: f64,
-) -> Result<ChosenPlan, EngineError> {
+) -> Result<QueryPlan, EngineError> {
     if let Some(s) = stats {
-        assert_eq!(
-            s.factors.len(),
-            q.factors.len(),
-            "one stats entry per factor"
-        );
+        check_stats_len(q, s)?;
     }
-    let (default_ghd, default_order) = validated_default(q, FaqQuery::validate)?;
+    let mut default = default_plan(q, FaqQuery::validate)?;
 
     let gathered;
     let stats = match stats {
@@ -551,55 +400,43 @@ pub fn plan_query_calibrated<S: Semiring>(
     };
     let model = CostModel::new(stats, q.domain, S::value_bits(), correction);
     let placed = placement.is_some();
-    let (default_cost, default_rows) = model.simulate(&default_ghd, &default_order, placement);
+    (default.cost, default.node_rows) = model.simulate(&default, placement);
     let mut candidates = vec![CandidateReport {
         label: "structural default".into(),
-        y: default_ghd.internal_count(),
-        cost: default_cost,
+        y: default.ghd.internal_count(),
+        cost: default.cost,
         chosen: true,
     }];
     // Structurally identical candidates (reroot + bag-merge enumeration
     // both re-derive the canonical shape) are deduplicated on their
     // rooted-tree fingerprint before any cost simulation runs.
-    let mut seen: BTreeSet<String> = BTreeSet::from([ghd_fingerprint(&default_ghd)]);
-    let mut best = (
-        default_ghd,
-        default_order,
-        default_cost,
-        0usize,
-        default_rows,
-    );
+    let mut seen: BTreeSet<String> = BTreeSet::from([ghd_fingerprint(&default.ghd)]);
+    // The winner so far, scored, and its row in the candidate table.
+    let mut best = (default, 0usize);
 
-    type Best = (Ghd, Vec<Vec<EdgeId>>, PlanCost, usize, Vec<u64>);
     let consider = |ghd: Ghd,
                     label: String,
                     candidates: &mut Vec<CandidateReport>,
                     seen: &mut BTreeSet<String>,
-                    best: &mut Best| {
-        let root_chi = ghd.chi(ghd.root());
-        if q.free_vars.iter().any(|v| !root_chi.contains(v)) {
+                    best: &mut (QueryPlan, usize)| {
+        // A candidate may miss a free variable at its root or be
+        // push-down-illegal where the default is legal (different
+        // elimination order); skip, never error.
+        if check_runnable(q, &ghd).is_err() || !seen.insert(ghd_fingerprint(&ghd)) {
             return;
         }
-        // A candidate may be push-down-illegal where the default is
-        // legal (different elimination order); skip, never error.
-        if check_elimination_order(q, &ghd).is_err() {
-            return;
-        }
-        if !seen.insert(ghd_fingerprint(&ghd)) {
-            return;
-        }
-        let order = join_order_for_ghd(q, &ghd);
-        let (cost, rows) = model.simulate(&ghd, &order, placement);
+        let mut plan = QueryPlan::build(q, ghd);
+        (plan.cost, plan.node_rows) = model.simulate(&plan, placement);
         candidates.push(CandidateReport {
             label,
-            y: ghd.internal_count(),
-            cost,
+            y: plan.ghd.internal_count(),
+            cost: plan.cost,
             chosen: false,
         });
         // Strict improvement only: ties keep the default, so uniform
         // instances plan exactly as the structural planner did.
-        if cost.key(placed) < best.2.key(placed) {
-            *best = (ghd, order, cost, candidates.len() - 1, rows);
+        if plan.cost.key(placed) < best.0.cost.key(placed) {
+            *best = (plan, candidates.len() - 1);
         }
     };
 
@@ -647,7 +484,7 @@ pub fn plan_query_calibrated<S: Semiring>(
     // route at all. Erroring here is the contract the runtime relies
     // on — it never has to discover `NoRoute` mid-execution on a plan
     // the planner silently mispriced.
-    if placed && best.2.net_bits == crate::cost::UNREACHABLE_BITS {
+    if placed && best.0.cost.net_bits == crate::cost::UNREACHABLE_BITS {
         return Err(EngineError::Invalid(
             "placement unreachable: no candidate plan can route every shard and message \
              on the live topology"
@@ -655,19 +492,13 @@ pub fn plan_query_calibrated<S: Semiring>(
         ));
     }
 
-    let chosen_idx = best.3;
+    let (mut plan, chosen) = best;
     for (i, c) in candidates.iter_mut().enumerate() {
-        c.chosen = i == chosen_idx;
+        c.chosen = i == chosen;
     }
-    Ok(ChosenPlan {
-        var_orders: binding_orders(q, &best.0),
-        ghd: best.0,
-        join_order: best.1,
-        cost: best.2,
-        node_rows: best.4,
-        correction: model.correction(),
-        candidates,
-    })
+    plan.correction = model.correction();
+    plan.candidates = candidates;
+    Ok(plan)
 }
 
 /// Chooses each GHD node's aggregation player given the shard masses of
@@ -689,12 +520,12 @@ pub fn plan_query_calibrated<S: Semiring>(
 /// planner rejects the placement loudly.
 pub fn choose_aggregation_players(
     g: &Topology,
-    ghd: &Ghd,
+    plan: &QueryPlan,
     output: Player,
     node_shards: &[Vec<(Player, u64)>],
 ) -> Vec<Player> {
-    let n_nodes = ghd.node_ids().map(|n| n.index()).max().unwrap_or(0) + 1;
-    let mut agg = vec![output; n_nodes];
+    let ghd = &plan.ghd;
+    let mut agg = vec![output; plan.slots()];
     // One BFS per distinct candidate across all nodes (the output is a
     // candidate for every node; shard holders repeat too).
     let mut dist_cache: BTreeMap<Player, Vec<u32>> = BTreeMap::new();

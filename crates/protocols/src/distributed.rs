@@ -42,16 +42,15 @@ use crate::bounds::{model_capacity_bits, BoundReport};
 use crate::hash_split::ConsistentHashSplit;
 use crate::outcome::ProtocolError;
 use faqs_core::{CalProbe, Factors, Pass, PassSite, QueryPlan, Timed};
-use faqs_hypergraph::{EdgeId, NodeId, Var};
+use faqs_hypergraph::{EdgeId, NodeId};
 use faqs_network::{
     Assignment, DeltaPackings, Player, RunStats, SimTransport, Topology, Transport, TransportKind,
     WireStats,
 };
-use faqs_plan::{CalibrationRegistry, ChosenPlan, PlacementContext, QueryStats, StatsDigest};
+use faqs_plan::{CalibrationRegistry, PlacementContext, QueryStats, StatsDigest};
 use faqs_relation::{FaqQuery, Relation};
-use faqs_semiring::{Aggregate, Semiring};
+use faqs_semiring::Semiring;
 use std::borrow::Cow;
-use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -68,12 +67,10 @@ pub struct InputPlacement {
 
 impl InputPlacement {
     /// An explicit placement: `shards[e]` lists the holders of factor
-    /// `e`'s shards; `output` must learn the answer.
+    /// `e`'s shards (at least one each, which
+    /// [`DistributedFaqRun::new`] checks); `output` must learn the
+    /// answer.
     pub fn new(shards: Vec<Vec<Player>>, output: Player) -> Self {
-        assert!(
-            shards.iter().all(|s| !s.is_empty()),
-            "every factor needs at least one shard holder"
-        );
         InputPlacement { shards, output }
     }
 
@@ -90,7 +87,6 @@ impl InputPlacement {
     /// is sharded across all of `players` by the consistent hash of its
     /// first variable's value.
     pub fn hash_split(k: usize, players: &[Player], output: Player) -> Self {
-        assert!(!players.is_empty());
         InputPlacement::new(vec![players.to_vec(); k], output)
     }
 
@@ -135,6 +131,11 @@ impl InputPlacement {
                 "{} shard lists for {} relations",
                 self.shards.len(),
                 q.k()
+            )));
+        }
+        if let Some(e) = self.shards.iter().position(Vec::is_empty) {
+            return Err(ProtocolError::Invalid(format!(
+                "factor {e} has no shard holder"
             )));
         }
         for p in self.players() {
@@ -232,13 +233,11 @@ impl<'a, S: Semiring> DistributedFaqRun<'a, S> {
             g.clone()
                 .with_uniform_capacity(capacity_tuples * model_capacity_bits(q))
         };
-        // `PlacementContext::new` fills the per-edge pre-aggregation
-        // candidates, so the cost model prices shards at their
-        // post-push-down width — the same variables `materialise_shards`
-        // actually sums out before routing.
+        // The cost model prices each shard at the width its plan's shard
+        // nest leaves — the nest `materialise_shards` sums out before
+        // routing.
         let ctx = PlacementContext::new(q, &scaled, placement.shards.clone(), placement.output());
         let plan = faqs_plan::plan_query_calibrated(q, Some(&ctx), None, 1.0)
-            .map(|chosen| QueryPlan::lower(q, chosen))
             .map_err(|e| ProtocolError::Engine(e.to_string()))?;
         let all_links_live = scaled.links().all(|l| scaled.capacity(l) > 0);
         Ok(DistributedFaqRun {
@@ -251,12 +250,16 @@ impl<'a, S: Semiring> DistributedFaqRun<'a, S> {
         })
     }
 
-    /// Runs `chosen` instead of the plan [`DistributedFaqRun::new`]
-    /// picked — the distributed twin of the executor's `solve_on`. The
-    /// plan must have been built for this query's shape.
-    pub fn with_plan(mut self, chosen: ChosenPlan) -> Self {
-        self.plan = QueryPlan::lower(self.q, chosen);
-        self
+    /// Runs `plan` instead of the plan [`DistributedFaqRun::new`]
+    /// picked — the distributed twin of the executor's `solve_on`. A
+    /// plan built for another hypergraph, free-variable list or
+    /// aggregate set is refused with [`ProtocolError::Invalid`]
+    /// ([`QueryPlan::check_query`]).
+    pub fn with_plan(mut self, plan: QueryPlan) -> Result<Self, ProtocolError> {
+        plan.check_query(self.q)
+            .map_err(|e| ProtocolError::Invalid(e.to_string()))?;
+        self.plan = plan;
+        Ok(self)
     }
 
     /// Attaches a shared [`CalibrationRegistry`]: every execution that
@@ -391,40 +394,16 @@ impl<'a, S: Semiring> DistributedFaqRun<'a, S> {
         }
     }
 
-    /// Per-edge shard relations, pre-aggregated at their holders: every
-    /// bound `Sum` variable private to its single hyperedge (and single
-    /// GHD bag) is summed out shard-locally before any routing —
-    /// provided the exchange respects Equation (4)'s nesting: every
-    /// higher-indexed (i.e. *inner*) bound variable of the same
-    /// hyperedge must itself be `Sum`-aggregated, since `Σ_v Π_w f(v,w)
-    /// ≠ Π_w Σ_v f(v,w)` when `v` and `w` share a factor (non-`Sum`
-    /// aggregates in *other* factors are fine: `Product` is
-    /// idempotence-gated, so `(⊕_v f)^m = ⊕_v f^m`).
+    /// Per-edge shard relations, pre-aggregated at their holders: each
+    /// shard of factor `e` has the plan's [`QueryPlan::shard_nest`]
+    /// aggregated out locally before any routing — the nest the cost
+    /// model priced.
     fn materialise_shards(&self) -> Vec<Vec<(Player, Relation<S>)>> {
-        // The GHD-independent half of the guard is the planner's
-        // [`faqs_plan::pre_agg_candidates`] — one shared implementation,
-        // so the cost model prices exactly what the runtime ships. The
-        // GHD-dependent half (the variable must live in a single bag of
-        // *this* plan's decomposition) is filtered here.
-        let pre_agg = faqs_plan::pre_agg_candidates(self.q);
-        let single_bag = |v: Var| {
-            self.plan
-                .ghd
-                .node_ids()
-                .filter(|&n| self.plan.ghd.chi(n).contains(&v))
-                .count()
-                == 1
-        };
         (0..self.q.k())
             .map(|ei| {
                 let e = EdgeId(ei as u32);
                 let holders = self.placement.shard_holders(e);
                 let factor = self.q.factor(e);
-                let ship = pre_agg[ei].iter().filter(|&&v| single_bag(v));
-                let mut ship: Vec<(Var, Aggregate)> = ship.map(|&v| (v, Aggregate::Sum)).collect();
-                // Innermost (highest index) first, like every other
-                // aggregation site.
-                ship.sort_unstable_by_key(|&(v, _)| Reverse(v));
                 let parts: Vec<Relation<S>> = if holders.len() == 1 {
                     vec![factor.clone()]
                 } else {
@@ -433,10 +412,11 @@ impl<'a, S: Semiring> DistributedFaqRun<'a, S> {
                         split.owner(t.first().copied().unwrap_or(0))
                     })
                 };
+                let nest = self.plan.shard_nest(e);
                 holders
                     .iter()
                     .zip(parts)
-                    .map(|(&p, part)| (p, part.aggregate_out_many(&ship)))
+                    .map(|(&p, part)| (p, part.aggregate_out_many(nest)))
                     .collect()
             })
             .collect()
@@ -461,7 +441,7 @@ impl<'a, S: Semiring> DistributedFaqRun<'a, S> {
         }
         faqs_plan::choose_aggregation_players(
             &self.scaled,
-            &self.plan.ghd,
+            &self.plan,
             self.placement.output(),
             &node_shards,
         )
@@ -770,9 +750,9 @@ impl WireConformance {
 mod tests {
     use super::*;
     use faqs_core::{solve_faq, solve_faq_brute_force};
-    use faqs_hypergraph::{path_query, star_query};
+    use faqs_hypergraph::{path_query, star_query, Var};
     use faqs_relation::{random_instance, RandomInstanceConfig};
-    use faqs_semiring::Count;
+    use faqs_semiring::{Aggregate, Count};
 
     fn count_instance(h: &faqs_hypergraph::Hypergraph, seed: u64) -> FaqQuery<Count> {
         random_instance(
@@ -921,5 +901,22 @@ mod tests {
         let g = Topology::line(2);
         let placement = InputPlacement::new(vec![vec![Player(0)]], Player(0)); // too few
         assert!(DistributedFaqRun::new(&q, &g, placement, 1).is_err());
+    }
+
+    #[test]
+    fn a_factor_without_a_shard_holder_is_a_typed_error() {
+        let q = count_instance(&star_query(3), 1);
+        let g = Topology::line(2);
+        let mut shards = vec![vec![Player(0)]; q.k()];
+        shards[1].clear();
+        for placement in [
+            InputPlacement::new(shards, Player(0)),
+            InputPlacement::hash_split(q.k(), &[], Player(0)),
+        ] {
+            assert!(matches!(
+                DistributedFaqRun::new(&q, &g, placement, 1),
+                Err(ProtocolError::Invalid(_))
+            ));
+        }
     }
 }

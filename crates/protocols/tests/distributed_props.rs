@@ -76,7 +76,9 @@ fn check<S: Semiring>(q: &FaqQuery<S>, family: usize, n_players: usize, seed: u6
     let planner = match seed % 2 {
         0 => "stats",
         _ => {
-            run = run.with_plan(structural_plan(q).expect("structural plan"));
+            run = run
+                .with_plan(structural_plan(q).expect("structural plan"))
+                .unwrap_or_else(|e| panic!("{label}: structural plan refused: {e}"));
             "structural"
         }
     };

@@ -13,7 +13,7 @@ use faqs_core::{
 use faqs_exec::{Executor, IncrementalFaq, MaintenanceMode};
 use faqs_hypergraph::{path_query, star_query, EdgeId, Ghd, GhdNode, Hypergraph, NodeId, Var};
 use faqs_network::{Player, SimTransport, TcpTransport, Topology};
-use faqs_plan::{join_order_for_ghd, structural_plan, ChosenPlan};
+use faqs_plan::structural_plan;
 use faqs_protocols::{DistributedFaqRun, InputPlacement};
 use faqs_relation::{random_instance, FaqQuery, RandomInstanceConfig, Relation};
 use faqs_semiring::{Aggregate, Count, Prob, Semiring};
@@ -93,7 +93,7 @@ fn non_dyadic_pendant_triangle(free: Vec<Var>) -> FaqQuery<Prob> {
 /// One plan for it: the triangle merged into the root bag, bound in
 /// `var_order`, with the pendant edge as its child — so a message folds
 /// into the cyclic bag before the push-down.
-fn pendant_triangle_plan(q: &FaqQuery<Prob>, var_order: Vec<Var>) -> ChosenPlan {
+fn pendant_triangle_plan(q: &FaqQuery<Prob>, var_order: Vec<Var>) -> QueryPlan {
     let node = |chi: &[u32], lambda: &[u32], parent| GhdNode {
         chi: chi.iter().map(|&v| Var(v)).collect(),
         lambda: lambda.iter().map(|&e| EdgeId(e)).collect(),
@@ -103,10 +103,7 @@ fn pendant_triangle_plan(q: &FaqQuery<Prob>, var_order: Vec<Var>) -> ChosenPlan 
         node(&[0, 1, 2], &[0, 1, 2], None),
         node(&[2, 3], &[3], Some(NodeId(0))),
     ];
-    let mut plan = structural_plan(q).unwrap();
-    plan.ghd = Ghd::from_nodes(bags, NodeId(0));
-    plan.ghd.validate(&q.hypergraph).unwrap();
-    plan.join_order = join_order_for_ghd(q, &plan.ghd);
+    let mut plan = QueryPlan::for_ghd(q, Ghd::from_nodes(bags, NodeId(0))).unwrap();
     plan.var_orders = vec![var_order, Vec::new()];
     plan
 }
@@ -121,9 +118,13 @@ fn every_lowering_of_a_cyclic_bag_returns_the_same_bits() {
         let bound = |v: &Var| !q.is_free(*v);
         let private = [Var(0), Var(1), Var(2)].into_iter().filter(bound);
         let layout: Vec<Var> = q.free_vars.iter().copied().chain(private).collect();
-        let join_order = pendant_triangle_plan(&q, Vec::new()).join_order;
+        let plan = pendant_triangle_plan(&q, Vec::new());
         let mut concatenation: Vec<Var> = Vec::new();
-        for v in join_order[0].iter().flat_map(|&e| q.factor(e).schema()) {
+        for v in plan
+            .joins(NodeId(0))
+            .iter()
+            .flat_map(|&e| q.factor(e).schema())
+        {
             if !concatenation.contains(v) {
                 concatenation.push(*v);
             }
@@ -138,17 +139,17 @@ fn every_lowering_of_a_cyclic_bag_returns_the_same_bits() {
         let mut want: Option<Relation<Prob>> = None;
         for (lowering, var_order) in lowerings {
             let plan = pendant_triangle_plan(&q, var_order);
-            let lowered = QueryPlan::lower(&q, plan.clone());
             // The routed site joins the factors it gathered from their
             // shards, and the child's message after it crossed the wire.
             let placement = InputPlacement::hash_split(q.k(), &players, Player(0));
             let run = DistributedFaqRun::new(&q, &g, placement, 1)
                 .unwrap()
-                .with_plan(plan.clone());
+                .with_plan(plan.clone())
+                .unwrap();
             let routed = run.execute_on(&mut SimTransport::new(run.topology()));
             let got = [
                 solve_faq_with_plan(&q, &plan),
-                Executor::default().solve_on(&q, &lowered),
+                Executor::default().solve_on(&q, &plan),
                 Ok(routed.unwrap().result),
             ];
             for (site, got) in got.into_iter().enumerate() {
@@ -196,13 +197,9 @@ fn a_leaf_regrouped_on_its_first_column_folds_in_layout_order() {
             node([2, 3], 2, Some(NodeId(0))),
             node([3, 4], 3, Some(NodeId(2))),
         ];
-        let mut plan = structural_plan(&q).unwrap();
-        plan.ghd = Ghd::from_nodes(bags, NodeId(0));
-        plan.ghd.validate(&q.hypergraph).unwrap();
-        plan.join_order = join_order_for_ghd(&q, &plan.ghd);
+        let mut plan = QueryPlan::for_ghd(&q, Ghd::from_nodes(bags, NodeId(0))).unwrap();
         plan.var_orders = vec![Vec::new(); 4];
-        let lowered = QueryPlan::lower(&q, plan.clone());
-        assert_eq!(lowered.children(NodeId(0)), [NodeId(1), NodeId(2)]);
+        assert_eq!(plan.children(NodeId(0)), [NodeId(1), NodeId(2)]);
 
         let sum = |r: Relation<Prob>, v: u32| r.aggregate_out(Var(v), Aggregate::Sum);
         let [r01, r12, r23, r34] = &q.factors[..] else {
@@ -213,7 +210,7 @@ fn a_leaf_regrouped_on_its_first_column_folds_in_layout_order() {
         let from_23 = sum(r23.join(&sum(r34.clone(), 4)), 3);
         // The root's private variables last, outermost first: each step
         // then folds a sorted run in ascending order.
-        let nest = lowered.nest(NodeId(0));
+        let nest = plan.nest(NodeId(0));
         let private = nest.iter().rev().map(|&(v, _)| v);
         let layout: Vec<Var> = q.free_vars.iter().copied().chain(private).collect();
         let mut want = r12.join(&from_01).join(&from_23).reorder(&layout);
@@ -227,7 +224,7 @@ fn a_leaf_regrouped_on_its_first_column_folds_in_layout_order() {
         };
         let got = [
             solve_faq_with_plan(&q, &plan),
-            Executor::default().solve_on(&q, &lowered),
+            Executor::default().solve_on(&q, &plan),
         ];
         for (site, got) in got.into_iter().enumerate() {
             let got = got.unwrap();
@@ -277,13 +274,12 @@ fn assert_max_agrees_at_every_site<S: Semiring>(q: &FaqQuery<S>, bits: fn(&S) ->
     let server = FaqServer::new(ServeConfig::default());
     let shape = server.register(q.clone(), Var(0)).unwrap();
     let served = |b: &u32| server.query(shape, *b).unwrap().relation;
-    let lowered = QueryPlan::lower(q, structural.clone());
     let mut got = vec![
         ("solve_faq".to_string(), Ok(planned.clone()), None),
         ("Executor".to_string(), executor.solve(q), Some(&planned)),
         (
             "Executor::solve_on".to_string(),
-            executor.solve_on(q, &lowered),
+            executor.solve_on(q, &structural),
             Some(&reference),
         ),
         (
@@ -307,7 +303,8 @@ fn assert_max_agrees_at_every_site<S: Semiring>(q: &FaqQuery<S>, bits: fn(&S) ->
         let placement = InputPlacement::hash_split(q.k(), &players, Player(0));
         let run = DistributedFaqRun::new(q, &g, placement, 1)
             .unwrap()
-            .with_plan(structural.clone());
+            .with_plan(structural.clone())
+            .unwrap();
         let sim = run.execute_on(&mut SimTransport::new(run.topology()));
         let tcp = run.execute_on(&mut TcpTransport::new(run.topology()).expect("loopback sockets"));
         let name = g.name();

@@ -43,7 +43,7 @@ fn stats_aware_plan_ships_strictly_fewer_bits() {
     let run_with = |structural: bool| {
         let mut run = DistributedFaqRun::new(&q, &g, placement.clone(), 1).unwrap();
         if structural {
-            run = run.with_plan(structural_plan(&q).unwrap());
+            run = run.with_plan(structural_plan(&q).unwrap()).unwrap();
         }
         let out = run.execute().unwrap();
         let report = run.conformance(out.stats);
@@ -106,11 +106,15 @@ fn pre_aggregation_closes_the_predicted_vs_measured_gap() {
     // The modelling-bug regression: on the *plain-Sum* skewed star the
     // runtime pre-aggregates the huge leaf's 256-row shard down to 16
     // rows at its holder before anything ships (Corollary G.2 at the
-    // shard level). A cost model priced with empty pre-aggregation
-    // candidates ships the raw factor on paper and lands far from the
-    // measured bits; the fixed model (shards priced at post-push-down
-    // width) must land strictly closer.
+    // shard level). A cost model that prices every shard at its raw
+    // width lands far from the measured bits; the plan's shard nests
+    // must land strictly closer. The raw prediction is the same
+    // instance's with its leaves under `Max`, which the guard never
+    // pre-aggregates: the same statistics, every shard shipped whole.
     let q = skewed_star_instance(3, 16); // default aggregates: all Sum
+    let raw_q = (1..=3).fold(q.clone(), |q, v| {
+        q.with_aggregate(faqs_hypergraph::Var(v), faqs_semiring::Aggregate::Max)
+    });
     let g = Topology::line(4);
     let placement = InputPlacement::new(
         vec![vec![Player(0)], vec![Player(1)], vec![Player(2)]],
@@ -129,21 +133,15 @@ fn pre_aggregation_closes_the_predicted_vs_measured_gap() {
                 .to_vec()
         })
         .collect();
-    let fixed_ctx = PlacementContext::new(&q, &scaled, holders.clone(), placement.output());
-    // The pre-fix model: identical context, pre-aggregation candidates
-    // blanked out — every shard is priced at its raw width.
-    let raw_ctx = PlacementContext {
-        pre_agg: vec![Vec::new(); q.k()],
-        ..PlacementContext::new(&q, &scaled, holders, placement.output())
-    };
-    let predict = |ctx: &PlacementContext<'_>| {
-        plan_query_calibrated(&q, Some(ctx), None, 1.0)
+    let ctx = PlacementContext::new(&q, &scaled, holders, placement.output());
+    let predict = |q| {
+        plan_query_calibrated(q, Some(&ctx), None, 1.0)
             .unwrap()
             .cost
             .net_bits
     };
-    let fixed = predict(&fixed_ctx);
-    let raw = predict(&raw_ctx);
+    let fixed = predict(&q);
+    let raw = predict(&raw_q);
 
     let gap = |predicted: u64| predicted.abs_diff(measured);
     assert!(
@@ -205,7 +203,7 @@ fn uniform_star_keeps_the_pinned_structural_schedule() {
     let placement = InputPlacement::hash_split(q.k(), &players, Player(3));
     let run = DistributedFaqRun::new(&q, &g, placement, 1).unwrap();
     let stats_bits = run.execute().unwrap().stats;
-    let structural = run.with_plan(structural_plan(&q).unwrap());
+    let structural = run.with_plan(structural_plan(&q).unwrap()).unwrap();
     assert_eq!(
         stats_bits,
         structural.execute().unwrap().stats,

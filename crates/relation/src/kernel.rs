@@ -20,50 +20,6 @@ pub(crate) fn row(data: &[u32], arity: usize, i: usize) -> &[u32] {
     &data[i * arity..i * arity + arity]
 }
 
-/// Chunked lexicographic row comparison: a first-lane early exit (on
-/// sorted random data most comparisons are decided by column 0, and
-/// that case must cost exactly what the scalar loop pays — one compare,
-/// one branch), then a 4-lane XOR/OR equality prescan per chunk (one
-/// wide, branch-free test the compiler lowers to SIMD) with the
-/// lane-wise resolve paid only by the first differing chunk, and a
-/// scalar tail for the remainder. Equivalent to `a.cmp(b)` on
-/// equal-length rows.
-#[inline]
-fn cmp_rows_chunked(a: &[u32], b: &[u32]) -> Ordering {
-    debug_assert_eq!(a.len(), b.len());
-    match (a.first(), b.first()) {
-        (Some(x), Some(y)) if x != y => return x.cmp(y),
-        (None, None) => return Ordering::Equal,
-        _ => {}
-    }
-    let mut i = 1usize;
-    while i + 4 <= a.len() {
-        let (ca, cb) = (&a[i..i + 4], &b[i..i + 4]);
-        let diff = (ca[0] ^ cb[0]) | (ca[1] ^ cb[1]) | (ca[2] ^ cb[2]) | (ca[3] ^ cb[3]);
-        if diff != 0 {
-            return ca.cmp(cb);
-        }
-        i += 4;
-    }
-    a[i..].cmp(&b[i..])
-}
-
-/// Row equality: the same first-lane early exit as
-/// [`cmp_rows_chunked`], then one branch-free XOR/OR reduction over the
-/// remaining lanes — rows sharing a first column are compared with one
-/// wide pass, and mismatching rows (the probe-miss fast path) cost a
-/// single compare.
-#[inline]
-fn rows_eq_chunked(a: &[u32], b: &[u32]) -> bool {
-    debug_assert_eq!(a.len(), b.len());
-    if let (Some(x), Some(y)) = (a.first(), b.first()) {
-        if x != y {
-            return false;
-        }
-    }
-    a.iter().zip(b).fold(0u32, |acc, (x, y)| acc | (x ^ y)) == 0
-}
-
 /// Lexicographic comparison of the projections of two rows onto `pos`.
 #[inline]
 fn cmp_projected(a: &[u32], b: &[u32], pos: &[usize]) -> Ordering {
@@ -81,8 +37,7 @@ fn cmp_projected(a: &[u32], b: &[u32], pos: &[usize]) -> Ordering {
 /// otherwise. Shared by [`Relation::get`]/`insert`/`delete` and
 /// [`fold_keyed`]'s fallback.
 /// A one-column arena is searched as the flat `u32` array it is: the
-/// per-step row slice and chunked compare cost four times the scalar
-/// compare there.
+/// per-step row slice costs more than the scalar compare there.
 pub(crate) fn binary_search_row(
     data: &[u32],
     arity: usize,
@@ -95,7 +50,7 @@ pub(crate) fn binary_search_row(
     let (mut lo, mut hi) = (0usize, n);
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
-        match cmp_rows_chunked(row(data, arity, mid), tuple) {
+        match row(data, arity, mid).cmp(tuple) {
             Ordering::Less => lo = mid + 1,
             Ordering::Greater => hi = mid,
             Ordering::Equal => return Ok(mid),
@@ -202,12 +157,12 @@ pub(crate) fn gallop_rows(
     n: usize,
     target: &[u32],
 ) -> usize {
-    if lo >= n || cmp_rows_chunked(row(data, arity, lo), target) != Ordering::Less {
+    if lo >= n || row(data, arity, lo).cmp(target) != Ordering::Less {
         return lo;
     }
     let mut step = 1usize;
     let mut hi = lo + 1;
-    while hi < n && cmp_rows_chunked(row(data, arity, hi), target) == Ordering::Less {
+    while hi < n && row(data, arity, hi).cmp(target) == Ordering::Less {
         lo = hi;
         step <<= 1;
         hi = (lo + step).min(n);
@@ -215,7 +170,7 @@ pub(crate) fn gallop_rows(
     // Invariant: row(lo) < target ≤ row(hi) (or hi == n).
     while hi - lo > 1 {
         let mid = lo + (hi - lo) / 2;
-        if cmp_rows_chunked(row(data, arity, mid), target) == Ordering::Less {
+        if row(data, arity, mid).cmp(target) == Ordering::Less {
             lo = mid;
         } else {
             hi = mid;
@@ -318,7 +273,7 @@ impl KeyLookup {
                 if *at == n {
                     return Hit::Exhausted;
                 }
-                hit(rows_eq_chunked(row(data, *k, *at), &t[..*k]).then_some(*at))
+                hit((row(data, *k, *at) == &t[..*k]).then_some(*at))
             }
             KeyLookup::Table(col, min, rows) => {
                 let off = t[*col].checked_sub(*min).map(|off| off as usize);
@@ -792,27 +747,6 @@ mod tests {
     }
 
     #[test]
-    fn chunked_row_comparison_matches_scalar() {
-        // Wide rows hit the 4-lane chunks; equal prefixes force the
-        // prescan through multiple chunks before the difference.
-        let cases: &[(&[u32], &[u32])] = &[
-            (&[], &[]),
-            (&[1], &[2]),
-            (&[3, 4, 5], &[3, 4, 5]),
-            (&[1, 2, 3, 4, 5], &[1, 2, 3, 4, 5]),
-            (&[1, 2, 3, 4, 5], &[1, 2, 3, 4, 6]),
-            (&[1, 2, 3, 4, 0, 0, 0, 9], &[1, 2, 3, 4, 0, 0, 0, 8]),
-            (&[9, 2, 3, 4], &[1, 2, 3, 4]),
-            (&[1, 2, 3, 4, 5, 6, 7, 8, 9], &[1, 2, 3, 4, 5, 6, 7, 8, 9]),
-        ];
-        for (a, b) in cases {
-            assert_eq!(cmp_rows_chunked(a, b), a.cmp(b), "{a:?} vs {b:?}");
-            assert_eq!(cmp_rows_chunked(b, a), b.cmp(a), "{b:?} vs {a:?}");
-            assert_eq!(rows_eq_chunked(a, b), a == b);
-        }
-    }
-
-    #[test]
     fn layout_order_needs_no_regroup() {
         use Aggregate::{Product, Sum};
         // Every `var_order` the planner gives a generic-join bag (its
@@ -820,8 +754,8 @@ mod tests {
         // in declared order at the root, ascending below it — then the
         // private ones ascending) over the 3 variables of a triangle and
         // the 4 of a 4-cycle or `K4`, kept set from empty (no free
-        // variable) to everything, against the nest `QueryPlan::lower`
-        // derives for it: the private variables, highest first.
+        // variable) to everything, against the nest the `QueryPlan`
+        // records for it: the private variables, highest first.
         fn kept_lists(n: u32, kept: &mut Vec<Var>, out: &mut Vec<Vec<Var>>) {
             out.push(kept.clone());
             for x in (0..n)

@@ -9,8 +9,8 @@
 # that reads no environment (ROADMAP item 3d, issue 25) and the
 # `unwrap` / `expect` ratchet (ROADMAP item 5f), plus one operator per
 # GHD bag, one fold order per plan (ROADMAP item 5d), one planning
-# mode (ROADMAP aim 2), one delivery path for every transport and one
-# sorted scan per relational job (no reusable index).
+# mode (ROADMAP aim 2), one delivery path for every transport, one
+# sorted scan per relational job (no reusable index) and one plan value.
 #
 # Fails unless exactly one non-test source file under
 # crates/{core,exec,protocols}/src calls the generic join
@@ -95,6 +95,13 @@
 # delivers the frame's bytes, so every distributed run computes on
 # decoded frames under the live oracle, and neither a no-payload path
 # nor a channel-inbox transport may come back beside the in-memory one.
+# Fails, too, when a non-test, non-comment line under src/ or
+# crates/*/src names `ChosenPlan`, `QueryPlan::lower` or
+# `join_order_covers_lambda`, or a file outside crates/plan/src calls
+# `pre_agg_candidates(`: the planner emits the `QueryPlan` every site
+# runs — children, nests, binding orders and shard nests included — so
+# neither a second plan type, a lowering step, a cross-crate contract
+# check on it nor a second shard push-down guard may come back.
 # Also prints the non-test src/ line
 # total of those three crates and of the whole workspace (src/ +
 # crates/*/src) — per file, the lines before the first `#[cfg(test)]` —
@@ -143,6 +150,7 @@ modes=()
 paths=()
 epilogues=()
 indexes=()
+plans=()
 flags=0
 unwraps=0
 shims=crates/plan/src/planner.rs
@@ -177,6 +185,10 @@ while IFS= read -r file; do
     fi
     if grep -Eq '\b(JoinIndex|build_index|lookup_many|join_indexed)\b' <<<"$code"; then
         indexes+=("$file")
+    fi
+    if grep -Eq '\b(ChosenPlan|join_order_covers_lambda)\b|\bQueryPlan::lower\b' <<<"$code" ||
+        { [[ ! "$file" =~ ^crates/plan/src/ ]] && grep -Eq '(^|[^_[:alnum:]])pre_agg_candidates\(' <<<"$code"; }; then
+        plans+=("$file")
     fi
     if grep -Eq '_lattice\b|\bAggFn\b|\bLatticeOps\b' <<<"$code"; then
         twins+=("$file")
@@ -274,7 +286,7 @@ if [ "${scans[*]}" != "crates/relation/src/arena.rs x1" ]; then
     echo "expected one Profile::scan( call, the memo's initialiser in arena.rs; found: ${scans[*]:-none}" >&2
     exit 1
 fi
-max_unwraps=82
+max_unwraps=81
 if [ "$unwraps" -gt "$max_unwraps" ]; then
     echo "$unwraps unwrap/expect lines, ratchet is $max_unwraps: return a typed error or document the invariant elsewhere" >&2
     exit 1
@@ -297,5 +309,10 @@ fi
 if [ "${#paths[@]}" -ne 0 ]; then
     printf 'a second delivery path is back (carries_payload / TransportKind::Channel / mpsc in network or protocols):\n' >&2
     printf '  %s\n' "${paths[@]}" >&2
+    exit 1
+fi
+if [ "${#plans[@]}" -ne 0 ]; then
+    printf 'a second plan value or shard guard is back (ChosenPlan / QueryPlan::lower / join_order_covers_lambda, or pre_agg_candidates( outside crates/plan/src):\n' >&2
+    printf '  %s\n' "${plans[@]}" >&2
     exit 1
 fi

@@ -21,7 +21,8 @@
 //!   through.
 //! * [`plan`] — the statistics-driven cost-based planner: per-factor
 //!   stats, GHD candidate enumeration, join orders, placement-aware
-//!   communication costs; one `ChosenPlan` feeds every consumer below.
+//!   communication costs; the one `QueryPlan` it emits is what every
+//!   consumer below runs.
 //! * [`engine`] — the centralized FAQ engine (ground truth).
 //! * [`exec`] — the plan-cached executor: the front door for repeated
 //!   query traffic (`Executor::solve` reproduces `engine::solve_faq`
@@ -88,7 +89,7 @@ pub mod prelude {
     pub use faqs_network::{Assignment, Topology, Transport, TransportKind, WireStats};
     pub use faqs_plan::{
         cost_quote_with_stats, plan_query_calibrated, CalibrationRegistry, CalibrationStats,
-        ChosenPlan, PlanCost, QueryStats,
+        PlanCost, QueryPlan, QueryStats,
     };
     pub use faqs_protocols::{
         run_bcq_protocol, run_faq_protocol, ConformanceReport, DistributedFaqRun, InputPlacement,
