@@ -199,16 +199,6 @@ impl CalibrationRegistry {
             .map_or(1.0, ShapeCalibration::correction)
     }
 
-    /// Predicted-vs-actual samples absorbed for `digest` so far — `0`
-    /// for unseen shapes and disabled registries. Callers use this to
-    /// tell an estimate-priced quote from a measurement-backed one.
-    pub fn samples_for(&self, digest: &StatsDigest) -> u64 {
-        if !self.enabled {
-            return 0;
-        }
-        lock(&self.shapes).get(digest).map_or(0, |s| s.n)
-    }
-
     /// Drains a per-plan log into `digest`'s shape. No-op when
     /// disabled.
     pub fn absorb(&self, digest: &StatsDigest, log: &CalibrationLog) {
@@ -276,7 +266,7 @@ mod tests {
         let reg = CalibrationRegistry::new();
         let d = digest();
         assert_eq!(reg.correction(&d), 1.0);
-        assert_eq!(reg.samples_for(&d), 0);
+        assert_eq!(reg.stats(), CalibrationStats::default());
     }
 
     #[test]

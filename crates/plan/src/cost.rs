@@ -439,11 +439,14 @@ impl DryRun<'_, '_> {
             }
             acc = Some(match acc {
                 Some(cur) => {
-                    // An index build on the message, one
-                    // binary-search probe per bag row, one emitted
-                    // row per estimated match. Child messages are
-                    // already capped at their node; no sound
-                    // factor-set bound applies to the fold.
+                    // One `fold_keyed` scan, priced at its
+                    // binary-search worst case: the message read once
+                    // plus one probe per bag row, then one emitted row
+                    // per estimated match. The scan often walks a
+                    // cursor instead, so this over-prices (ROADMAP
+                    // 7(a)). Child messages are already capped at
+                    // their node; no sound factor-set bound applies to
+                    // the fold.
                     let probe = saturating(msg.rows)
                         .saturating_add(saturating(cur.rows * (msg.rows.max(1.0).log2() + 1.0)));
                     let out = model.join(cur, msg, f64::INFINITY);

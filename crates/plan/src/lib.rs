@@ -40,7 +40,6 @@
 //!   default wins all ties, so uniform instances plan exactly as the
 //!   structural planner did; [`structural_plan`] is that default on its
 //!   own, read from no data — the reference plan.
-//!   [`cost_quote_with_stats`] is the one quote: the default's cost.
 //! * [`QueryPlan`] — the one plan value: the validated GHD plus, per
 //!   node, the factor join order, child fold order, push-down nest and
 //!   (for a bag of two or more factors) the generic join's binding
@@ -80,10 +79,9 @@ pub use error::EngineError;
 pub use fingerprint::PlanKey;
 pub use plan::QueryPlan;
 pub use planner::{
-    choose_aggregation_players, cost_quote_calibrated, cost_quote_with_stats,
-    decomposition_covering_free_vars, decomposition_for_free_vars, ghd_for_query, plan_query,
-    plan_query_calibrated, plan_query_placed, structural_plan, CandidateReport, PlacementContext,
-    PlannerConfig,
+    choose_aggregation_players, cost_quote_calibrated, decomposition_covering_free_vars,
+    decomposition_for_free_vars, ghd_for_query, plan_query, plan_query_calibrated,
+    plan_query_placed, structural_plan, CandidateReport, PlacementContext, PlannerConfig,
 };
 pub use stats::{MaintainedQueryStats, QueryStats, StatsDigest};
 pub use validate::{check_elimination_order, check_product_aggregates, check_push_down};
@@ -391,10 +389,6 @@ mod tests {
             plan_query_calibrated(&q, None, Some(&stats), 1.0),
             Err(EngineError::Invalid(_))
         ));
-        assert!(matches!(
-            cost_quote_with_stats(&q, &stats, 1.0),
-            Err(EngineError::Invalid(_))
-        ));
     }
 
     #[test]
@@ -422,8 +416,9 @@ mod tests {
     fn cost_quote_prices_the_structural_default() {
         // The quote is the default candidate's simulated cost — an
         // upper estimate for whatever the full search ends up choosing.
+        let registry = CalibrationRegistry::new();
         let q = skewed_star_instance(3, 16);
-        let quote = cost_quote_with_stats(&q, &QueryStats::of(&q), 1.0).unwrap();
+        let quote = cost_quote_calibrated(&q, false, &registry).unwrap();
         assert!(quote.cpu > 0, "a non-trivial instance costs something");
         let plan = plan_query_calibrated(&q, None, None, 1.0).unwrap();
         assert_eq!(quote, plan.candidates[0].cost, "quote = default's cost");
@@ -431,20 +426,17 @@ mod tests {
         // Shape-level rejection matches the planner's: the carrier
         // decides — ℕ admits `max`, not `min`.
         let star = count_instance(&star_query(3), 1);
-        let stats = QueryStats::of(&star);
         let bad = star.clone().with_aggregate(Var(1), Aggregate::Min);
         assert!(matches!(
-            cost_quote_with_stats(&bad, &stats, 1.0),
+            cost_quote_calibrated(&bad, true, &registry),
             Err(EngineError::RefusedAggregate(Var(1), _))
         ));
         let max = star.with_aggregate(Var(1), Aggregate::Max);
-        assert!(cost_quote_with_stats(&max, &stats, 1.0).is_ok());
         // The three shims `benchmark/` compiles against: a `lattice`
         // argument can only restrict, the fieldless `PlannerConfig`
-        // changes nothing, and the scanning quote validates the listings
-        // before it quotes what a fresh scan gathers.
+        // changes nothing, and the quote validates the listings before
+        // it prices what a fresh scan gathers.
         let cfg = PlannerConfig;
-        let registry = CalibrationRegistry::new();
         assert!(plan_query(&max, true, &cfg).is_ok());
         assert!(matches!(
             plan_query(&max, false, &cfg),
@@ -453,70 +445,11 @@ mod tests {
         assert!(cost_quote_calibrated(&max, true, &registry).is_ok());
         assert!(cost_quote_calibrated(&max, false, &registry).is_err());
         assert!(plan_query(&bad, true, &cfg).is_err());
-        assert_eq!(cost_quote_calibrated(&q, false, &registry).unwrap(), quote);
         let mut narrow = q;
         narrow.domain = 2;
         assert!(matches!(
             cost_quote_calibrated(&narrow, false, &registry),
             Err(EngineError::Invalid(_))
-        ));
-    }
-
-    #[test]
-    fn stats_taking_quote_is_the_scanning_quote_without_the_scans() {
-        // Same core, so same number: from a fresh scan, from maintained
-        // statistics after a delta, and under a learned correction.
-        let mut q = count_instance(&star_query(3), 5);
-        let scanned = |q: &FaqQuery<Count>, correction| {
-            cost_quote_with_stats(q, &QueryStats::of(q), correction).unwrap()
-        };
-
-        let mut maintained = MaintainedQueryStats::of(&q);
-        let mut delta = faqs_relation::RelationDelta::new(q.factors[2].schema().to_vec());
-        for x in 0..4 {
-            delta.insert(vec![x, 3 - x], Count(2));
-            delta.delete(vec![x, x]);
-        }
-        let applied = q.factors[2].apply_delta(&delta);
-        maintained.apply(EdgeId(2), &applied);
-        let quote = cost_quote_with_stats(&q, &maintained.snapshot(), 1.0).unwrap();
-        assert_eq!(quote, scanned(&q, 1.0));
-
-        let registry = CalibrationRegistry::new();
-        let digest = maintained.snapshot().digest();
-        let log = CalibrationLog::new();
-        for _ in 0..8 {
-            log.record(0, 4, 64);
-        }
-        registry.absorb(&digest, &log);
-        let learned = registry.correction(&digest);
-        assert!(learned > 2.0);
-        let calibrated = cost_quote_with_stats(&q, &maintained.snapshot(), learned).unwrap();
-        assert_eq!(calibrated, scanned(&q, learned));
-        assert!(calibrated.cpu > quote.cpu);
-    }
-
-    #[test]
-    fn stats_taking_quote_checks_structure_but_never_reads_listings() {
-        let q = count_instance(&star_query(3), 2);
-        let stats = QueryStats::of(&q);
-        // A value past the domain: full validation finds it, the
-        // stats-taking quote leaves it to whoever let the data in.
-        let mut narrow = q.clone();
-        narrow.domain = 2;
-        assert!(narrow.validate().is_err());
-        assert!(cost_quote_with_stats(&narrow, &stats, 1.0).is_ok());
-        // The O(k) half still runs: shape defects are rejected.
-        let mut unknown_free = q.clone();
-        unknown_free.free_vars = vec![Var(99)];
-        assert!(matches!(
-            cost_quote_with_stats(&unknown_free, &stats, 1.0),
-            Err(EngineError::Invalid(_))
-        ));
-        let min = q.with_aggregate(Var(1), Aggregate::Min);
-        assert!(matches!(
-            cost_quote_with_stats(&min, &stats, 1.0),
-            Err(EngineError::RefusedAggregate(Var(1), _))
         ));
     }
 

@@ -110,7 +110,7 @@ impl QueryPlan {
     /// an invalid GHD of `q`'s hypergraph, a root missing a free
     /// variable and an elimination order Equation (4) does not license.
     pub fn for_ghd<S: Semiring>(q: &FaqQuery<S>, ghd: Ghd) -> Result<QueryPlan, EngineError> {
-        validate_query(q, FaqQuery::validate)?;
+        validate_query(q)?;
         ghd.validate(&q.hypergraph)
             .map_err(|e| EngineError::Invalid(e.to_string()))?;
         check_runnable(q, &ghd)?;

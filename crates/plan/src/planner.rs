@@ -15,7 +15,7 @@ use faqs_hypergraph::{
     Hypergraph, NodeId, Var,
 };
 use faqs_network::{Player, Topology};
-use faqs_relation::{FaqQuery, QueryError};
+use faqs_relation::FaqQuery;
 use faqs_semiring::{Aggregate, Semiring};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -253,9 +253,11 @@ fn refuse_max_min<S: Semiring>(q: &FaqQuery<S>) -> Result<(), EngineError> {
     Ok(())
 }
 
-/// Shim for `benchmark/`: validates the listings, gathers statistics
-/// and quotes them under `calibration`'s correction; `lattice` as in
-/// [`plan_query`].
+/// Shim for `benchmark/`: the structural default's predicted cost —
+/// [`structural_plan`] dry-run once against a fresh statistics scan
+/// under `calibration`'s correction for it; `lattice` as in
+/// [`plan_query`]. Nothing else quotes a plan; the shim goes at the next
+/// `[benchmark]` revision (ROADMAP 3(h)).
 #[doc(hidden)]
 pub fn cost_quote_calibrated<S: Semiring>(
     q: &FaqQuery<S>,
@@ -265,36 +267,10 @@ pub fn cost_quote_calibrated<S: Semiring>(
     if !lattice {
         refuse_max_min(q)?;
     }
-    q.validate()
-        .map_err(|e| EngineError::Invalid(e.to_string()))?;
+    let plan = structural_plan(q)?;
     let stats = QueryStats::of(q);
     let correction = calibration.correction(&stats.digest());
-    cost_quote_with_stats(q, &stats, correction)
-}
-
-/// The one admission-control quote: the predicted kernel work of
-/// serving `q` with the *structural default* plan, without the full
-/// candidate search of [`plan_query_calibrated`] — one cost-model dry
-/// run against *precomputed* per-factor statistics (in edge order)
-/// under a calibration `correction` (`1.0` to trust the raw
-/// estimates), cheap enough to price a request at a serving front door
-/// and an upper estimate for the plan the executor will actually run
-/// (cost-based selection only ever picks a candidate predicted strictly
-/// cheaper than this default).
-///
-/// Nothing here reads the listings: only the `O(k)` structural half of
-/// validation runs ([`FaqQuery::validate_structure`]). The caller
-/// vouches that every listed value is inside `q.domain` — it validated
-/// the instance when it entered and has applied only in-domain deltas
-/// since — and that `stats` describes `q`.
-pub fn cost_quote_with_stats<S: Semiring>(
-    q: &FaqQuery<S>,
-    stats: &QueryStats,
-    correction: f64,
-) -> Result<PlanCost, EngineError> {
-    check_stats_len(q, stats)?;
-    let plan = default_plan(q, FaqQuery::validate_structure)?;
-    let model = CostModel::new(stats, q.domain, S::value_bits(), correction);
+    let model = CostModel::new(&stats, q.domain, S::value_bits(), correction);
     Ok(model.simulate(&plan, None).0)
 }
 
@@ -310,18 +286,14 @@ fn check_stats_len<S: Semiring>(q: &FaqQuery<S>, stats: &QueryStats) -> Result<(
     )))
 }
 
-/// What every planning and quoting door establishes before anything is
-/// priced: the instance passes `validate` (the full
-/// [`FaqQuery::validate`], or [`FaqQuery::validate_structure`] for a
-/// caller that vouches for its listings) — first, because the checks
+/// What every planning door establishes before anything is priced: the
+/// instance passes [`FaqQuery::validate`] — first, because the checks
 /// after it index `aggregates` by variable — the carrier admits each
 /// bound variable's aggregate and product aggregates are
 /// push-down-safe.
-pub(crate) fn validate_query<S: Semiring>(
-    q: &FaqQuery<S>,
-    validate: impl FnOnce(&FaqQuery<S>) -> Result<(), QueryError>,
-) -> Result<(), EngineError> {
-    validate(q).map_err(|e| EngineError::Invalid(e.to_string()))?;
+pub(crate) fn validate_query<S: Semiring>(q: &FaqQuery<S>) -> Result<(), EngineError> {
+    q.validate()
+        .map_err(|e| EngineError::Invalid(e.to_string()))?;
     check_aggregates_admitted(q)?;
     check_product_aggregates(q)
 }
@@ -340,11 +312,8 @@ pub(crate) fn check_runnable<S: Semiring>(q: &FaqQuery<S>, ghd: &Ghd) -> Result<
 /// every search — as an unscored plan, once [`check_runnable`] passes.
 /// Its failure is the caller's error: the cost model never papers over
 /// an invalid default.
-fn default_plan<S: Semiring>(
-    q: &FaqQuery<S>,
-    validate: impl FnOnce(&FaqQuery<S>) -> Result<(), QueryError>,
-) -> Result<QueryPlan, EngineError> {
-    validate_query(q, validate)?;
+fn default_plan<S: Semiring>(q: &FaqQuery<S>) -> Result<QueryPlan, EngineError> {
+    validate_query(q)?;
     let ghd = ghd_for_query(q)?;
     check_runnable(q, &ghd)?;
     Ok(QueryPlan::build(q, ghd))
@@ -357,7 +326,7 @@ fn default_plan<S: Semiring>(
 /// reference plan (`faqs_core::solve_faq_reference`), identical for
 /// equal data whatever the statistics say.
 pub fn structural_plan<S: Semiring>(q: &FaqQuery<S>) -> Result<QueryPlan, EngineError> {
-    let mut plan = default_plan(q, FaqQuery::validate)?;
+    let mut plan = default_plan(q)?;
     plan.candidates = vec![CandidateReport {
         label: "structural default".into(),
         y: plan.ghd.internal_count(),
@@ -388,7 +357,7 @@ pub fn plan_query_calibrated<S: Semiring>(
     if let Some(s) = stats {
         check_stats_len(q, s)?;
     }
-    let mut default = default_plan(q, FaqQuery::validate)?;
+    let mut default = default_plan(q)?;
 
     let gathered;
     let stats = match stats {

@@ -80,9 +80,9 @@ impl QueryStats {
 /// Exact, incrementally maintained [`QueryStats`]: one
 /// [`MaintainedStats`] per factor, built in one pass and then updated
 /// in `O(arity)` per changed tuple, so a store that mutates its factors
-/// by deltas (the serve registry, `IncrementalFaq`) keeps the planner's
-/// statistics — and therefore the digest and every cost quote — current
-/// without ever re-scanning a factor.
+/// by deltas (`IncrementalFaq`) keeps the planner's statistics — and
+/// therefore the digest and its plan — current without ever
+/// re-scanning a factor.
 #[derive(Clone, Debug)]
 pub struct MaintainedQueryStats {
     factors: Vec<MaintainedStats>,

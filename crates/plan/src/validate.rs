@@ -44,23 +44,17 @@ pub fn check_product_aggregates<S: Semiring>(q: &FaqQuery<S>) -> Result<(), Engi
 /// post-order, the variables private to that node in decreasing index;
 /// finally the root's bound variables in decreasing index.
 fn planned_elimination_order<S: Semiring>(q: &FaqQuery<S>, ghd: &Ghd) -> Vec<Var> {
-    let root = ghd.root();
     let mut order = Vec::new();
     let mut eliminated = vec![false; q.hypergraph.num_vars()];
     for node in ghd.post_order() {
-        let scope: Vec<Var> = if node == root {
-            ghd.chi(root)
-                .iter()
-                .copied()
-                .filter(|v| !q.is_free(*v))
-                .collect()
-        } else {
-            let parent_chi = ghd.chi(ghd.parent(node).expect("non-root"));
-            ghd.chi(node)
-                .iter()
-                .copied()
-                .filter(|v| !parent_chi.contains(v))
-                .collect()
+        let chi = ghd.chi(node).iter().copied();
+        let scope: Vec<Var> = match ghd.parent(node) {
+            // The root, the one node without a parent.
+            None => chi.filter(|v| !q.is_free(*v)).collect(),
+            Some(parent) => {
+                let parent_chi = ghd.chi(parent);
+                chi.filter(|v| !parent_chi.contains(v)).collect()
+            }
         };
         let mut scope: Vec<Var> = scope
             .into_iter()

@@ -114,10 +114,9 @@ impl<S: Semiring> FaqQuery<S> {
 
     /// The `O(k · arity)` half of [`FaqQuery::validate`]: factor count,
     /// per-edge schemas, free variables and the aggregate count —
-    /// everything that never looks at a listing. Enough for a caller
-    /// that already knows every listed value is in the domain (it
-    /// validated the instance once and has only applied in-domain
-    /// deltas since).
+    /// everything that never looks at a listing. Every planning and
+    /// serving door runs the whole of [`FaqQuery::validate`]; this half
+    /// on its own names the first shape defect without touching data.
     pub fn validate_structure(&self) -> Result<(), QueryError> {
         if self.factors.len() != self.hypergraph.num_edges() {
             return Err(QueryError::FactorCountMismatch {

@@ -50,23 +50,6 @@ impl<T> Snapshot<T> {
     pub fn value(&self) -> &T {
         &self.value
     }
-
-    /// The pinned value as a shared handle (e.g. to move into a worker
-    /// thread without cloning the data).
-    pub fn shared(&self) -> Arc<T> {
-        Arc::clone(&self.value)
-    }
-
-    /// A handle to one shared part of the pinned value, at the same
-    /// epoch — how a cell that publishes several things together (a
-    /// template *and* its statistics) hands out a view of just one of
-    /// them without copying it.
-    pub fn project<U>(&self, part: impl FnOnce(&T) -> &Arc<U>) -> Snapshot<U> {
-        Snapshot {
-            epoch: self.epoch,
-            value: Arc::clone(part(&self.value)),
-        }
-    }
 }
 
 impl<T> std::ops::Deref for Snapshot<T> {
@@ -153,16 +136,6 @@ mod tests {
         assert_eq!(now.epoch(), 2);
         assert_eq!(*now.value(), vec![5]);
         assert_eq!(cell.epoch(), 2);
-    }
-
-    #[test]
-    fn projection_keeps_the_epoch_and_shares_the_part() {
-        let cell = SnapshotCell::new((Arc::new(vec![1, 2]), "meta"));
-        cell.store((Arc::new(vec![3]), "meta2"));
-        let whole = cell.load();
-        let part = whole.project(|v| &v.0);
-        assert_eq!(part.epoch(), 1);
-        assert!(Arc::ptr_eq(&part.shared(), &whole.value().0), "no copy");
     }
 
     #[test]

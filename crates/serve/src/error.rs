@@ -1,6 +1,5 @@
 //! The serving-layer error type.
 
-use crate::registry::PricedOn;
 use faqs_core::EngineError;
 use faqs_hypergraph::{EdgeId, Var};
 
@@ -24,18 +23,6 @@ pub enum ServeError {
         /// The factor the delta targeted.
         edge: EdgeId,
     },
-    /// Admission control refused the query: its predicted cost exceeds
-    /// the server's budget.
-    TooExpensive {
-        /// The planner's cost quote for the current snapshot.
-        quoted: u64,
-        /// The configured admission budget.
-        budget: u64,
-        /// Whether the rejecting quote rested on raw estimates or on
-        /// calibration measurements — an estimate-priced rejection is
-        /// worth retrying once telemetry for the shape lands.
-        priced_on: PricedOn,
-    },
     /// Planning or execution failed (including a worker panic captured
     /// as [`EngineError::WorkerPanic`]).
     Engine(EngineError),
@@ -54,20 +41,6 @@ impl std::fmt::Display for ServeError {
             ServeError::SchemaMismatch => write!(f, "delta schema does not match the factor"),
             ServeError::ValueOutOfDomain { edge } => {
                 write!(f, "delta for {edge} carries a value outside the domain")
-            }
-            ServeError::TooExpensive {
-                quoted,
-                budget,
-                priced_on,
-            } => {
-                let basis = match priced_on {
-                    PricedOn::Estimates => "estimates",
-                    PricedOn::Measurements => "measurements",
-                };
-                write!(
-                    f,
-                    "query quoted at {quoted} cpu (priced on {basis}) exceeds budget {budget}"
-                )
             }
             ServeError::Engine(e) => write!(f, "engine error: {e}"),
             ServeError::Shutdown => write!(f, "server shut down before answering"),

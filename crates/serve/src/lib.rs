@@ -3,30 +3,21 @@
 //! `faqs-exec` answers one query per call; a *service* answers a
 //! stream of them while the underlying relations mutate. This crate is
 //! the thread-pool front-end the ROADMAP's north star asks for, built
-//! from three pieces:
+//! from two pieces:
 //!
 //! * **Snapshot-consistent reads over mutable relations**: every
 //!   registered query shape lives in an epoch-stamped
 //!   [`faqs_relation::SnapshotCell`]; [`FaqServer::apply_delta`]
-//!   writers publish new versions copy-on-write, so readers are never
+//!   writers publish new templates copy-on-write, so readers are never
 //!   blocked and a pinned [`FaqServer::snapshot`] handle keeps
-//!   observing its epoch no matter how many deltas land after it. Each
-//!   version is published together with its exact planner statistics,
-//!   maintained per delta — a write costs one columnar merge plus
-//!   `O(|delta| · arity)` counter updates, and the read after it scans
-//!   nothing.
-//! * **Cost-based admission control**: every submit is priced with
-//!   `faqs-plan`'s [`faqs_plan::cost_quote_with_stats`] from the
-//!   version's published statistics, under the executor's learned
-//!   correction (memoised per epoch).
-//!   Cheap point queries bypass the queue and run on the submitting
-//!   thread; quotes above [`ServeConfig::cost_budget`] are rejected
-//!   with [`ServeError::TooExpensive`] before any join work happens.
-//! * **Cross-query batching**: queued requests for the *same shape* —
-//!   same structural `PlanKey` fingerprint, different bindings of the
-//!   designated free parameter — merge into one
-//!   [`faqs_exec::Executor::solve_batch`] pass: the shared plan is
-//!   lowered once, the parameter-carrying factors restrict to the
+//!   observing its epoch no matter how many deltas land after it. A
+//!   write costs one template clone plus one columnar merge into the
+//!   targeted factor.
+//! * **Cross-query batching**: every submit queues, and queued requests
+//!   for the *same shape* — same structural `PlanKey` fingerprint,
+//!   different bindings of the designated free parameter — merge into
+//!   one [`faqs_exec::Executor::solve_batch`] pass: the shared plan is
+//!   looked up once, the parameter-carrying factors restrict to the
 //!   merged binding set in one pass, and each requester
 //!   receives its slice, bit-identical (on exact semirings) to a solo
 //!   pass. `ServeConfig { max_batch: 1, .. }` is per-query dispatch.
@@ -57,5 +48,5 @@ mod registry;
 mod server;
 
 pub use error::ServeError;
-pub use registry::{PricedOn, ShapeId, Version};
+pub use registry::ShapeId;
 pub use server::{Answer, FaqServer, ServeConfig, ServeStats, Ticket};

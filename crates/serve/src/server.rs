@@ -1,15 +1,9 @@
-//! The thread-pool front-end: admission control and the cross-query
-//! batcher over the shared [`Executor`].
+//! The thread-pool front-end: the cross-query batcher over the shared
+//! [`Executor`].
 //!
 //! ```text
 //!   submit(shape, binding)
 //!        │
-//!        ▼
-//!   ┌──────────────────┐ quote ≤ cheap_cpu   ┌─────────────────┐
-//!   │ admission (cost  │────────────────────▶│ inline fast path │
-//!   │ quote per epoch) │                     │ (caller thread)  │
-//!   └──────────────────┘                     └─────────────────┘
-//!        │ quote > cost_budget → rejected
 //!        ▼
 //!   ┌──────────────────┐  same-shape merge   ┌─────────────────┐
 //!   │  request queue   │────────────────────▶│ worker pool:    │
@@ -18,19 +12,19 @@
 //!                                            └─────────────────┘
 //! ```
 //!
-//! Workers drain the queue in arrival order, but pull every queued
-//! request for the *same shape* (up to [`ServeConfig::max_batch`]) into
-//! one [`Executor::solve_batch`] pass: the shared plan is looked up
-//! once, the parameter-carrying factors are restricted to the merged
-//! binding set, and each requester receives its slice — bit-identical
-//! to a solo pass on exact semirings. `max_batch: 1` is per-query
+//! Every submit queues. Workers drain the queue in arrival order, but
+//! pull every queued request for the *same shape* (up to
+//! [`ServeConfig::max_batch`]) into one [`Executor::solve_batch`] pass:
+//! the shared plan is looked up once, the parameter-carrying factors
+//! are restricted to the merged binding set, and each requester
+//! receives its slice — bit-identical to a solo pass on exact
+//! semirings. `max_batch: 1` is per-query
 //! dispatch; everything else is unchanged.
 
 use crate::error::ServeError;
-use crate::registry::{PricedOn, Registry, ShapeEntry, ShapeId, Version};
+use crate::registry::{Registry, ShapeEntry, ShapeId};
 use faqs_exec::{CacheStats, Executor};
 use faqs_hypergraph::{EdgeId, Var};
-use faqs_plan::PlanCost;
 use faqs_relation::{FaqQuery, Relation, RelationDelta, Snapshot};
 use faqs_semiring::Semiring;
 use std::collections::VecDeque;
@@ -44,12 +38,13 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Most bindings merged into one batched pass.
     pub max_batch: usize,
-    /// Admission: quotes at or below this predicted cpu cost bypass the
-    /// queue and run inline on the submitting thread (cheap point
-    /// queries must not wait behind expensive scans).
+    /// Read by nothing: kept so that callers building the config by
+    /// struct literal still compile.
+    #[doc(hidden)]
     pub cheap_cpu: u64,
-    /// Admission: quotes above this predicted cpu cost are rejected
-    /// with [`ServeError::TooExpensive`].
+    /// Read by nothing: kept so that callers building the config by
+    /// struct literal still compile.
+    #[doc(hidden)]
     pub cost_budget: u64,
 }
 
@@ -74,10 +69,6 @@ pub struct Answer<S: Semiring> {
     /// The registry epoch the pass ran against — all requests merged
     /// into one batch share it (snapshot consistency).
     pub epoch: u64,
-    /// Whether the admission quote that routed this request rested on
-    /// raw planner estimates or on calibration measurements for the
-    /// shape (as of this request's submit).
-    pub priced_on: PricedOn,
 }
 
 /// A pending reply handle.
@@ -102,19 +93,14 @@ impl<S: Semiring> Ticket<S> {
 struct Request<S: Semiring> {
     shape: ShapeId,
     binding: u32,
-    priced_on: PricedOn,
     reply: mpsc::Sender<Result<Answer<S>, ServeError>>,
 }
 
 /// Point-in-time serving counters.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ServeStats {
-    /// Requests accepted (inline or queued).
+    /// Requests accepted into the queue.
     pub submitted: u64,
-    /// Requests answered on the submitting thread (cheap fast path).
-    pub inline: u64,
-    /// Requests refused by admission control.
-    pub rejected: u64,
     /// Batched passes executed by the worker pool.
     pub batches: u64,
     /// Requests answered through batched passes.
@@ -133,16 +119,14 @@ struct Shared<S: Semiring> {
     available: Condvar,
     shutdown: AtomicBool,
     submitted: AtomicU64,
-    inline: AtomicU64,
-    rejected: AtomicU64,
     batches: AtomicU64,
     batched: AtomicU64,
     max_width: AtomicU64,
 }
 
-/// The serving front-end: a registry of mutable query shapes, a
-/// cost-quoting admission controller, and a worker pool that merges
-/// same-shape requests into single batched passes.
+/// The serving front-end: a registry of mutable query shapes and a
+/// worker pool that merges same-shape requests into single batched
+/// passes.
 pub struct FaqServer<S: Semiring> {
     shared: Arc<Shared<S>>,
     workers: Vec<std::thread::JoinHandle<()>>,
@@ -155,8 +139,7 @@ impl<S: Semiring> FaqServer<S> {
     }
 
     /// A server over an explicitly configured executor (its calibration
-    /// registry); the plan cache is shared by all workers and the inline
-    /// fast path.
+    /// registry); the plan cache is shared by all workers.
     pub fn with_executor(cfg: ServeConfig, executor: Executor) -> Self {
         let shared = Arc::new(Shared {
             registry: Registry::new(),
@@ -166,8 +149,6 @@ impl<S: Semiring> FaqServer<S> {
             available: Condvar::new(),
             shutdown: AtomicBool::new(false),
             submitted: AtomicU64::new(0),
-            inline: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
             batches: AtomicU64::new(0),
             batched: AtomicU64::new(0),
             max_width: AtomicU64::new(0),
@@ -182,49 +163,27 @@ impl<S: Semiring> FaqServer<S> {
     }
 
     /// Registers a query template whose free variable `param` is the
-    /// per-request binding site. The template is validated and priced
+    /// per-request binding site. The template is validated and planned
     /// up front; shapes the planner rejects fail here, not per query.
     pub fn register(&self, template: FaqQuery<S>, param: Var) -> Result<ShapeId, ServeError> {
-        self.shared
-            .registry
-            .register(template, param, &self.shared.executor)
+        self.shared.registry.register(template, param)
     }
 
-    /// Submits one binding of a registered shape. Admission control
-    /// quotes the current snapshot: cheap queries run inline, queries
-    /// over the cost budget are rejected, everything else queues for
-    /// the batching worker pool.
+    /// Submits one binding of a registered shape to the batching
+    /// worker pool.
     pub fn submit(&self, shape: ShapeId, binding: u32) -> Result<Ticket<S>, ServeError> {
         let shared = &self.shared;
         if shared.shutdown.load(Ordering::Acquire) {
             return Err(ServeError::Shutdown);
         }
-        let entry = shared.registry.get(shape)?;
-        let (quote, priced_on) = entry.quote(&shared.executor)?;
-        if quote.cpu > shared.cfg.cost_budget {
-            shared.rejected.fetch_add(1, Ordering::Relaxed);
-            return Err(ServeError::TooExpensive {
-                quoted: quote.cpu,
-                budget: shared.cfg.cost_budget,
-                priced_on,
-            });
-        }
+        shared.registry.get(shape)?;
         shared.submitted.fetch_add(1, Ordering::Relaxed);
         let (tx, rx) = mpsc::channel();
         let request = Request {
             shape,
             binding,
-            priced_on,
             reply: tx,
         };
-        if quote.cpu <= shared.cfg.cheap_cpu {
-            // Cheap point query: bypass the queue entirely — the
-            // batched path at width 1, so inline answers are identical
-            // to pooled ones.
-            shared.inline.fetch_add(1, Ordering::Relaxed);
-            answer(shared, &entry, vec![request]);
-            return Ok(Ticket { rx });
-        }
         lock(&shared.queue).push_back(request);
         shared.available.notify_one();
         Ok(Ticket { rx })
@@ -250,22 +209,7 @@ impl<S: Semiring> FaqServer<S> {
     /// An epoch-pinned snapshot of the shape's current template (the
     /// handle stays valid and unchanged across later deltas).
     pub fn snapshot(&self, shape: ShapeId) -> Result<Snapshot<FaqQuery<S>>, ServeError> {
-        Ok(self.version(shape)?.project(|v| &v.template))
-    }
-
-    /// The shape's current published [`Version`], epoch-pinned: the
-    /// template together with the maintained statistics that describe
-    /// exactly that template (what admission prices from).
-    pub fn version(&self, shape: ShapeId) -> Result<Snapshot<Version<S>>, ServeError> {
         Ok(self.shared.registry.get(shape)?.cell.load())
-    }
-
-    /// The admission quote [`FaqServer::submit`] would route the
-    /// shape's current version on, and what it was priced on — without
-    /// submitting anything.
-    pub fn quote(&self, shape: ShapeId) -> Result<(PlanCost, PricedOn), ServeError> {
-        let entry = self.shared.registry.get(shape)?;
-        Ok(entry.quote(&self.shared.executor)?)
     }
 
     /// Current serving and plan-cache counters.
@@ -273,8 +217,6 @@ impl<S: Semiring> FaqServer<S> {
         let s = &self.shared;
         ServeStats {
             submitted: s.submitted.load(Ordering::Relaxed),
-            inline: s.inline.load(Ordering::Relaxed),
-            rejected: s.rejected.load(Ordering::Relaxed),
             batches: s.batches.load(Ordering::Relaxed),
             batched: s.batched.load(Ordering::Relaxed),
             max_width: s.max_width.load(Ordering::Relaxed),
@@ -308,21 +250,19 @@ impl<S: Semiring> Drop for FaqServer<S> {
 
 /// Answers same-shape `batch` in one [`Executor::solve_batch`] pass
 /// against one snapshot — every merged request sees the same epoch —
-/// and replies to each requester: the worker pool's path and, at width
-/// 1, the inline fast path.
+/// and replies to each requester.
 fn answer<S: Semiring>(shared: &Shared<S>, entry: &ShapeEntry<S>, batch: Vec<Request<S>>) {
     let snap = entry.cell.load();
     let bindings: Vec<u32> = batch.iter().map(|r| r.binding).collect();
     match shared
         .executor
-        .solve_batch(&snap.value().template, entry.param, &bindings)
+        .solve_batch(snap.value(), entry.param, &bindings)
     {
         Ok(slices) => {
             for (req, relation) in batch.into_iter().zip(slices) {
                 let _ = req.reply.send(Ok(Answer {
                     relation,
                     epoch: snap.epoch(),
-                    priced_on: req.priced_on,
                 }));
             }
         }

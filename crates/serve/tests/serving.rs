@@ -1,12 +1,13 @@
 //! End-to-end serving-layer tests: batched answers vs the executor
-//! oracle, cost-based admission, and snapshot isolation under
-//! concurrent writers.
+//! oracle, registration and delta refusals, and snapshot isolation
+//! under concurrent writers.
 
+use faqs_core::EngineError;
 use faqs_exec::Executor;
-use faqs_hypergraph::{star_query, EdgeId, Var};
+use faqs_hypergraph::{path_query, star_query, EdgeId, Var};
 use faqs_relation::{random_instance, FaqQuery, RandomInstanceConfig, Relation, RelationDelta};
 use faqs_semiring::Count;
-use faqs_serve::{FaqServer, PricedOn, ServeConfig, ServeError};
+use faqs_serve::{FaqServer, ServeConfig, ServeError};
 
 fn template(seed: u64) -> FaqQuery<Count> {
     random_instance(
@@ -46,18 +47,6 @@ fn solo(q: &FaqQuery<Count>, param: Var, b: u32) -> Relation<Count> {
     Executor::default().solve(&one).unwrap()
 }
 
-/// The quote of a fresh statistics scan under `registry`'s current
-/// correction, with the default executor's operators — what the served
-/// (maintained, memoised) quote must equal.
-fn scanned_quote(
-    q: &FaqQuery<Count>,
-    registry: &faqs_plan::CalibrationRegistry,
-) -> faqs_plan::PlanCost {
-    let stats = faqs_plan::QueryStats::of(q);
-    let correction = registry.correction(&stats.digest());
-    faqs_plan::cost_quote_with_stats(q, &stats, correction).unwrap()
-}
-
 #[test]
 fn served_answers_match_the_executor_oracle() {
     // The batching server and per-query dispatch (width 1).
@@ -77,26 +66,15 @@ fn served_answers_match_the_executor_oracle() {
             .iter()
             .map(|&b| server.submit(shape, b).unwrap())
             .collect();
-        for (i, (b, t)) in bindings.iter().zip(tickets).enumerate() {
+        for (b, t) in bindings.iter().zip(tickets) {
             let answer = t.wait().unwrap();
             assert_eq!(answer.epoch, 0, "no writers, initial version");
             assert_eq!(answer.relation, solo(&q, Var(0), *b), "binding {b}");
-            // The first quote precedes any execution of this shape, so
-            // it can only rest on raw estimates; later answers may
-            // already be measurement-priced — executions race telemetry
-            // absorption.
-            if i == 0 {
-                assert_eq!(
-                    answer.priced_on,
-                    PricedOn::Estimates,
-                    "nothing has executed when the first quote is taken"
-                );
-            }
         }
         let stats = server.stats();
         assert_eq!(server.batch_width(), max_batch);
         assert_eq!(stats.submitted, 32);
-        assert_eq!(stats.inline + stats.batched, 32, "every request answered");
+        assert_eq!(stats.batched, 32, "every request answered by the pool");
         assert!(stats.max_width as usize <= max_batch);
         if max_batch == 1 {
             assert_eq!(stats.max_width, 1, "width 1 merges nothing");
@@ -126,51 +104,27 @@ fn registration_rejects_bound_params_and_bad_shapes() {
     let max = q.with_aggregate(Var(2), faqs_semiring::Aggregate::Max);
     let shape = server.register(max, Var(0)).unwrap();
     assert!(server.query(shape, 0).is_ok());
+    // Free ends of a path no bag holds together: no GHD of the path
+    // roots at both, so the structural plan refuses the shape.
+    let ends: FaqQuery<Count> = random_instance(
+        &path_query(5),
+        &RandomInstanceConfig {
+            tuples_per_factor: 2,
+            domain: 2,
+            seed: 1,
+        },
+        vec![Var(0), Var(5)],
+        |_| Count(1),
+    );
+    assert!(matches!(
+        server.register(ends, Var(0)),
+        Err(ServeError::Engine(EngineError::FreeVarsOutsideCore(_)))
+    ));
     // Unknown handles are reported, not panicked on.
     assert!(matches!(
         server.query(faqs_serve::ShapeId(42), 0),
         Err(ServeError::UnknownShape(42))
     ));
-}
-
-#[test]
-fn admission_fast_path_and_budget() {
-    // Everything is cheap: the queue is never touched.
-    let inline = FaqServer::new(ServeConfig {
-        cheap_cpu: u64::MAX,
-        ..ServeConfig::default()
-    });
-    let q = template(5);
-    let shape = inline.register(q.clone(), Var(0)).unwrap();
-    for b in 0..4 {
-        assert_eq!(
-            inline.query(shape, b).unwrap().relation,
-            solo(&q, Var(0), b)
-        );
-    }
-    let stats = inline.stats();
-    assert_eq!(stats.inline, 4, "all served on the submitting thread");
-    assert_eq!(stats.batches, 0, "the pool never woke up");
-
-    // Nothing fits the budget: admission rejects before any join work.
-    let strict = FaqServer::new(ServeConfig {
-        cost_budget: 0,
-        ..ServeConfig::default()
-    });
-    let shape = strict.register(q, Var(0)).unwrap();
-    match strict.submit(shape, 1) {
-        Err(ServeError::TooExpensive {
-            quoted,
-            budget,
-            priced_on,
-        }) => {
-            assert!(quoted > budget);
-            assert_eq!(priced_on, PricedOn::Estimates, "unseen shape");
-        }
-        other => panic!("expected TooExpensive, got {other:?}"),
-    }
-    assert_eq!(strict.stats().rejected, 1);
-    assert_eq!(strict.stats().submitted, 0);
 }
 
 /// A tiny one-edge marginal shape whose per-version answers are easy to
@@ -295,9 +249,7 @@ fn concurrent_writers_never_tear_reader_batches() {
 }
 
 /// Cyclic shapes are first-class at the serving layer: a triangle
-/// template registers (admission's quote prices the merged-core
-/// candidate), batched answers match the solo oracle, and the cost
-/// budget still gates submission.
+/// template registers and its batched answers match the solo oracle.
 #[test]
 fn cyclic_templates_serve_and_admit() {
     let q: FaqQuery<Count> = faqs_relation::random_instance(
@@ -327,90 +279,18 @@ fn cyclic_templates_serve_and_admit() {
             "triangle slice at binding {b}"
         );
     }
-
-    // The quote is real work (a triangle join), so a zero budget must
-    // reject the same shape before any join runs.
-    let strict = FaqServer::new(ServeConfig {
-        cost_budget: 0,
-        ..ServeConfig::default()
-    });
-    let shape = strict.register(q, Var(0)).unwrap();
-    assert!(matches!(
-        strict.submit(shape, 1),
-        Err(ServeError::TooExpensive { .. })
-    ));
 }
 
-/// Admission control prices with the executor's learned corrections: a
-/// quote memoised before the registry learns this shape runs far larger
-/// than modelled must be re-priced upward on the next submit, without a
-/// delta landing.
+/// Epoch by epoch over a long random delta stream on all three
+/// factors: each published template is exactly the shadow copy the
+/// same deltas built, and the sampled answers are the shadow's.
 #[test]
-fn admission_quotes_track_learned_corrections() {
-    use faqs_plan::{CalibrationLog, CalibrationRegistry, QueryStats};
-    use std::sync::Arc;
-
-    let q = template(11);
-    let digest = QueryStats::of(&q).digest();
-    let registry = Arc::new(CalibrationRegistry::new());
-    let server = FaqServer::with_executor(
-        ServeConfig {
-            cost_budget: 0,
-            ..ServeConfig::default()
-        },
-        Executor::default().with_calibration(Arc::clone(&registry)),
-    );
-    let shape = server.register(q, Var(0)).unwrap();
-    let quoted = |server: &FaqServer<Count>| match server.submit(shape, 1) {
-        Err(ServeError::TooExpensive {
-            quoted, priced_on, ..
-        }) => (quoted, priced_on),
-        other => panic!("zero budget must reject, got {other:?}"),
-    };
-
-    let (before, basis_before) = quoted(&server);
-    assert_eq!(
-        basis_before,
-        PricedOn::Estimates,
-        "no samples yet: the rejection is estimate-priced"
-    );
-    // Teach the registry that this shape's cardinalities come out ~256x
-    // over the model's estimate; the memoised quote is now stale.
-    let log = CalibrationLog::new();
-    for _ in 0..32 {
-        log.record(0, 16, 1 << 12);
-    }
-    registry.absorb(&digest, &log);
-    let (after, basis_after) = quoted(&server);
-    assert_eq!(
-        basis_after,
-        PricedOn::Measurements,
-        "absorbed telemetry flips the pricing basis"
-    );
-    assert!(
-        after > before,
-        "learned under-estimation must raise the admission quote: {after} !> {before}"
-    );
-}
-
-/// The tentpole's contract, epoch by epoch: over a long random delta
-/// stream on all three factors, the statistics published with each
-/// version are exactly what a fresh scan of that version would gather,
-/// and the quote admission serves is field for field the quote of a
-/// fresh scan — though nothing scans any more.
-#[test]
-fn published_stats_and_quotes_track_every_epoch_exactly() {
-    use faqs_plan::{CalibrationRegistry, QueryStats};
+fn published_templates_track_every_epoch_exactly() {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use std::sync::Arc;
 
     const DOMAIN: u32 = 8;
-    let registry = Arc::new(CalibrationRegistry::new());
-    let server = FaqServer::with_executor(
-        ServeConfig::default(),
-        Executor::default().with_calibration(Arc::clone(&registry)),
-    );
+    let server = FaqServer::new(ServeConfig::default());
     let mut shadow = template(17);
     let shape = server.register(shadow.clone(), Var(0)).unwrap();
     let mut rng = StdRng::seed_from_u64(0x5ca9);
@@ -466,22 +346,9 @@ fn published_stats_and_quotes_track_every_epoch_exactly() {
         assert_eq!(server.apply_delta(shape, edge, &delta).unwrap(), epoch);
         shadow.factors[edge.index()].apply_delta(&delta);
 
-        let version = server.version(shape).unwrap();
-        assert_eq!(version.epoch(), epoch);
-        assert_eq!(version.template.factors, shadow.factors, "epoch {epoch}");
-        assert_eq!(
-            version.stats,
-            QueryStats::of(&shadow),
-            "epoch {epoch}: maintained statistics drifted from a rescan"
-        );
-        let (cost, _) = server.quote(shape).unwrap();
-        assert_eq!(
-            cost,
-            scanned_quote(&shadow, &registry),
-            "epoch {epoch}: served quote vs scanning quote"
-        );
-        // Reads keep flowing (and keep teaching the registry, so later
-        // epochs are priced under a moving correction).
+        let published = server.snapshot(shape).unwrap();
+        assert_eq!(published.epoch(), epoch);
+        assert_eq!(published.factors, shadow.factors, "epoch {epoch}");
         if epoch % 50 == 0 {
             let b = rng.random_range(0..DOMAIN);
             let answer = server.query(shape, b).unwrap();
@@ -491,56 +358,11 @@ fn published_stats_and_quotes_track_every_epoch_exactly() {
     }
 }
 
-/// A learned correction that leaves the hysteresis band re-prices the
-/// memoised quote to the calibrated value inside one epoch; one that
-/// stays inside the band only flips the pricing basis.
+/// With two writers and three readers racing, epochs only move
+/// forward, every pinned template is the one its epoch names, and every
+/// answer is the one its epoch names.
 #[test]
-fn same_epoch_repricing_lands_on_the_calibrated_quote() {
-    use faqs_plan::{CalibrationLog, CalibrationRegistry, QueryStats};
-    use std::sync::Arc;
-
-    let q = template(11);
-    let digest = QueryStats::of(&q).digest();
-    let registry = Arc::new(CalibrationRegistry::new());
-    let server = FaqServer::with_executor(
-        ServeConfig::default(),
-        Executor::default().with_calibration(Arc::clone(&registry)),
-    );
-    let shape = server.register(q.clone(), Var(0)).unwrap();
-    let raw = scanned_quote(&q, &registry);
-    assert_eq!(server.quote(shape).unwrap(), (raw, PricedOn::Estimates));
-
-    // ~1.25× under-estimation: inside the factor-2 band, so the memo
-    // stands although a fresh calibrated quote would already differ.
-    let log = CalibrationLog::new();
-    for _ in 0..4 {
-        log.record(0, 16, 20);
-    }
-    registry.absorb(&digest, &log);
-    assert_ne!(scanned_quote(&q, &registry), raw);
-    assert_eq!(server.quote(shape).unwrap(), (raw, PricedOn::Measurements));
-
-    // ~256×: far outside it. Same epoch, new price.
-    for _ in 0..64 {
-        log.record(0, 16, 1 << 12);
-    }
-    registry.absorb(&digest, &log);
-    let calibrated = scanned_quote(&q, &registry);
-    assert!(calibrated.cpu > raw.cpu);
-    assert_eq!(
-        server.quote(shape).unwrap(),
-        (calibrated, PricedOn::Measurements)
-    );
-    assert_eq!(server.version(shape).unwrap().epoch(), 0, "no delta landed");
-}
-
-/// Template and statistics are one published value: with two writers
-/// and three readers racing, every pinned version carries exactly its
-/// own template's statistics and every answer is the one its epoch
-/// names — never version n's template beside version n±1's statistics.
-#[test]
-fn concurrent_writers_publish_template_and_stats_together() {
-    use faqs_plan::QueryStats;
+fn concurrent_writers_publish_epochs_in_order() {
     use std::sync::Barrier;
 
     const WRITERS: u64 = 2;
@@ -551,8 +373,8 @@ fn concurrent_writers_publish_template_and_stats_together() {
         ..ServeConfig::default()
     });
     // 8 × 4 rows; every delta adds one fresh row under binding 2, so
-    // whichever order the writers land in, epoch e lists 32 + e rows,
-    // 4 + e distinct leaf values, and answers 4 + e at binding 2.
+    // whichever order the writers land in, epoch e lists 32 + e rows
+    // and answers 4 + e at binding 2.
     let shape = server.register(marginal_template(), Var(0)).unwrap();
     let start = Barrier::new(WRITERS as usize + 3);
 
@@ -574,16 +396,10 @@ fn concurrent_writers_publish_template_and_stats_together() {
                 start.wait();
                 let mut last = 0;
                 while last < WRITERS * DELTAS_EACH {
-                    let version = server.version(shape).unwrap();
-                    let e = version.epoch();
+                    let published = server.snapshot(shape).unwrap();
+                    let e = published.epoch();
                     assert!(e >= last, "epochs only move forward");
-                    assert_eq!(
-                        version.stats,
-                        QueryStats::of(&version.template),
-                        "epoch {e}"
-                    );
-                    assert_eq!(version.stats.factors[0].rows as u64, 32 + e);
-                    assert_eq!(version.stats.factors[0].distinct[1] as u64, 4 + e);
+                    assert_eq!(published.factors[0].len() as u64, 32 + e, "epoch {e}");
                     let answer = server.query(shape, 2).unwrap();
                     assert!(answer.epoch >= e, "a read never goes back in time");
                     assert_eq!(
@@ -597,9 +413,9 @@ fn concurrent_writers_publish_template_and_stats_together() {
             });
         }
     });
-    let end = server.version(shape).unwrap();
+    let end = server.snapshot(shape).unwrap();
     assert_eq!(end.epoch(), WRITERS * DELTAS_EACH);
-    assert_eq!(end.stats, QueryStats::of(&end.template));
+    assert_eq!(end.factors[0].len() as u64, 32 + end.epoch());
 }
 
 /// Regression: a delta carrying a value outside the template's domain
@@ -611,7 +427,6 @@ fn out_of_domain_deltas_are_refused_and_change_nothing() {
     let server = FaqServer::new(ServeConfig::default());
     let q = template(9);
     let shape = server.register(q.clone(), Var(0)).unwrap();
-    let before = server.quote(shape).unwrap();
 
     let mut poison = RelationDelta::new(q.factors[1].schema().to_vec());
     poison.insert(vec![1, 1], Count(1)); // fine on its own
@@ -621,18 +436,16 @@ fn out_of_domain_deltas_are_refused_and_change_nothing() {
         Err(ServeError::ValueOutOfDomain { edge: EdgeId(1) })
     );
 
-    let version = server.version(shape).unwrap();
-    assert_eq!(version.epoch(), 0, "nothing was published");
-    assert_eq!(version.template.factors, q.factors);
-    assert_eq!(version.stats, faqs_plan::QueryStats::of(&q));
-    assert_eq!(server.quote(shape).unwrap(), before);
+    let published = server.snapshot(shape).unwrap();
+    assert_eq!(published.epoch(), 0, "nothing was published");
+    assert_eq!(published.factors, q.factors);
     assert_eq!(
         server.query(shape, 3).unwrap().relation,
         solo(&q, Var(0), 3)
     );
 
-    // The invariant the scan-free quote rests on: registered and only
-    // in-domain deltas applied ⇒ the current version validates.
+    // Registered and only in-domain deltas applied ⇒ the current
+    // version validates.
     let mut fine = RelationDelta::new(q.factors[1].schema().to_vec());
     fine.insert(vec![3, q.domain - 1], Count(1));
     assert_eq!(server.apply_delta(shape, EdgeId(1), &fine).unwrap(), 1);
@@ -643,32 +456,6 @@ fn out_of_domain_deltas_are_refused_and_change_nothing() {
     bad.domain = 4;
     assert!(matches!(
         server.register(bad, Var(0)),
-        Err(ServeError::Engine(faqs_core::EngineError::Invalid(_)))
+        Err(ServeError::Engine(EngineError::Invalid(_)))
     ));
-}
-
-/// Admission prices the structural default GHD, whose bags hold one
-/// factor each: candidate 0 of the plan the server's executor chooses,
-/// whichever candidate wins.
-#[test]
-fn admission_prices_under_the_servers_own_planner() {
-    use faqs_plan::{cost_quote_with_stats, plan_query_calibrated, QueryStats};
-
-    let q: FaqQuery<Count> = random_instance(
-        &faqs_hypergraph::cycle_query(3),
-        &RandomInstanceConfig {
-            tuples_per_factor: 64,
-            domain: 8,
-            seed: 23,
-        },
-        vec![Var(0)],
-        |_| Count(1),
-    );
-    let stats = QueryStats::of(&q);
-    let server = FaqServer::new(ServeConfig::default());
-    let shape = server.register(q.clone(), Var(0)).unwrap();
-    let quote = server.quote(shape).unwrap().0;
-    assert_eq!(quote, cost_quote_with_stats(&q, &stats, 1.0).unwrap());
-    let plan = plan_query_calibrated(&q, None, Some(&stats), 1.0).unwrap();
-    assert_eq!(quote, plan.candidates[0].cost, "the default's cost");
 }

@@ -10,7 +10,8 @@
 # `unwrap` / `expect` ratchet (ROADMAP item 5f), plus one operator per
 # GHD bag, one fold order per plan (ROADMAP item 5d), one planning
 # mode (ROADMAP aim 2), one delivery path for every transport, one
-# sorted scan per relational job (no reusable index) and one plan value.
+# sorted scan per relational job (no reusable index), one plan value
+# and a serving front-end without admission control.
 #
 # Fails unless exactly one non-test source file under
 # crates/{core,exec,protocols}/src calls the generic join
@@ -102,6 +103,12 @@
 # runs — children, nests, binding orders and shard nests included — so
 # neither a second plan type, a lowering step, a cross-crate contract
 # check on it nor a second shard push-down guard may come back.
+# Fails, too, when a non-test, non-comment line under src/ or
+# crates/*/src names `PricedOn`, `TooExpensive`, `QuoteMemo`,
+# `cost_quote_with_stats` or `samples_for`, or one under
+# crates/serve/src names `MaintainedQueryStats`: every submit queues,
+# so neither an admission quote, its per-epoch memo, its pricing basis
+# nor the statistics the server maintained only for it may come back.
 # Also prints the non-test src/ line
 # total of those three crates and of the whole workspace (src/ +
 # crates/*/src) — per file, the lines before the first `#[cfg(test)]` —
@@ -151,6 +158,7 @@ paths=()
 epilogues=()
 indexes=()
 plans=()
+admissions=()
 flags=0
 unwraps=0
 shims=crates/plan/src/planner.rs
@@ -189,6 +197,10 @@ while IFS= read -r file; do
     if grep -Eq '\b(ChosenPlan|join_order_covers_lambda)\b|\bQueryPlan::lower\b' <<<"$code" ||
         { [[ ! "$file" =~ ^crates/plan/src/ ]] && grep -Eq '(^|[^_[:alnum:]])pre_agg_candidates\(' <<<"$code"; }; then
         plans+=("$file")
+    fi
+    if grep -Eq '\b(PricedOn|TooExpensive|QuoteMemo|cost_quote_with_stats|samples_for)\b' <<<"$code" ||
+        { [[ "$file" =~ ^crates/serve/src/ ]] && grep -Eq '\bMaintainedQueryStats\b' <<<"$code"; }; then
+        admissions+=("$file")
     fi
     if grep -Eq '_lattice\b|\bAggFn\b|\bLatticeOps\b' <<<"$code"; then
         twins+=("$file")
@@ -286,7 +298,7 @@ if [ "${scans[*]}" != "crates/relation/src/arena.rs x1" ]; then
     echo "expected one Profile::scan( call, the memo's initialiser in arena.rs; found: ${scans[*]:-none}" >&2
     exit 1
 fi
-max_unwraps=81
+max_unwraps=80
 if [ "$unwraps" -gt "$max_unwraps" ]; then
     echo "$unwraps unwrap/expect lines, ratchet is $max_unwraps: return a typed error or document the invariant elsewhere" >&2
     exit 1
@@ -314,5 +326,10 @@ fi
 if [ "${#plans[@]}" -ne 0 ]; then
     printf 'a second plan value or shard guard is back (ChosenPlan / QueryPlan::lower / join_order_covers_lambda, or pre_agg_candidates( outside crates/plan/src):\n' >&2
     printf '  %s\n' "${plans[@]}" >&2
+    exit 1
+fi
+if [ "${#admissions[@]}" -ne 0 ]; then
+    printf 'admission control is back (PricedOn / TooExpensive / QuoteMemo / cost_quote_with_stats / samples_for, or MaintainedQueryStats in crates/serve/src):\n' >&2
+    printf '  %s\n' "${admissions[@]}" >&2
     exit 1
 fi

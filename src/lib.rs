@@ -31,8 +31,8 @@
 //!   the answer maintained without re-solving.
 //! * [`serve`] — the concurrent serving front-end over [`exec`]:
 //!   snapshot-consistent reads over mutable relations (epoch/arc-swap
-//!   registry), cost-quoted admission control, and cross-query
-//!   batching of same-shape requests into single upward passes.
+//!   registry) and cross-query batching of same-shape requests into
+//!   single upward passes.
 //! * [`protocols`] — the paper's distributed protocols (trivial, star,
 //!   forest, d-degenerate, general-FAQ, hash-split).
 //! * [`mcm`] — matrix-chain multiplication over `F₂` on a line, plus the
@@ -88,8 +88,8 @@ pub mod prelude {
     pub use faqs_lowerbounds::{bcq_lower_bound, Tribes};
     pub use faqs_network::{Assignment, Topology, Transport, TransportKind, WireStats};
     pub use faqs_plan::{
-        cost_quote_with_stats, plan_query_calibrated, CalibrationRegistry, CalibrationStats,
-        PlanCost, QueryPlan, QueryStats,
+        plan_query_calibrated, CalibrationRegistry, CalibrationStats, PlanCost, QueryPlan,
+        QueryStats,
     };
     pub use faqs_protocols::{
         run_bcq_protocol, run_faq_protocol, ConformanceReport, DistributedFaqRun, InputPlacement,
@@ -100,5 +100,5 @@ pub mod prelude {
         Snapshot, SnapshotCell,
     };
     pub use faqs_semiring::{Aggregate, Boolean, Count, Gf2, Prob, Semiring};
-    pub use faqs_serve::{FaqServer, PricedOn, ServeConfig, ServeError, ShapeId};
+    pub use faqs_serve::{FaqServer, ServeConfig, ServeError, ShapeId};
 }

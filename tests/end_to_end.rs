@@ -380,7 +380,6 @@ fn illegal_aggregates_are_refused_not_answered() {
     let typed = solve_faq(&q).unwrap_err();
     assert!(matches!(typed, EngineError::RefusedAggregate(v, _) if v == x(1)));
     let executor = Executor::new(ExecutorConfig::sequential());
-    let stats = QueryStats::of(&q);
     let server = FaqServer::new(ServeConfig::default());
     let g = Topology::line(2);
     let placement = InputPlacement::hash_split(q.k(), &[Player(0), Player(1)], Player(0));
@@ -388,9 +387,6 @@ fn illegal_aggregates_are_refused_not_answered() {
         typed.to_string(),
         executor.solve(&q).unwrap_err().to_string(),
         plan_query_calibrated(&q, None, None, 1.0)
-            .unwrap_err()
-            .to_string(),
-        cost_quote_with_stats(&q, &stats, 1.0)
             .unwrap_err()
             .to_string(),
         server.register(q.clone(), x(0)).unwrap_err().to_string(),
