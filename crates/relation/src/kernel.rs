@@ -263,9 +263,9 @@ impl KeyLookup {
         KeyLookup::Search(pos, vec![0; vars.len()])
     }
 
+    /// The entry for bag row `t` in the message's `n` rows `data`.
     #[inline]
-    fn find<S: Semiring>(&mut self, t: &[u32], message: &Relation<S>) -> Hit {
-        let (data, n) = (message.raw_data(), message.len());
+    fn find(&mut self, t: &[u32], data: &[u32], n: usize) -> Hit {
         let hit = |found: Option<usize>| found.map_or(Hit::Miss, Hit::Row);
         match self {
             KeyLookup::Cursor(k, at) => {
@@ -299,15 +299,18 @@ pub(crate) fn fold_keyed<S: Semiring>(
         return bag;
     }
     let schema = bag.schema();
-    let mut lookups: Vec<_> = messages.iter().map(|m| KeyLookup::new(schema, m)).collect();
+    let mut lookups: Vec<_> = messages
+        .iter()
+        .map(|m| (KeyLookup::new(schema, m), m.raw_data(), m.raw_values()))
+        .collect();
     let arity = schema.len();
     let (data, values) = bag.parts_mut();
     let mut kept = 0usize;
     'rows: for i in 0..values.len() {
         let mut v = values[i].clone();
-        for (lookup, m) in lookups.iter_mut().zip(messages) {
-            match lookup.find(&data[i * arity..(i + 1) * arity], m) {
-                Hit::Row(j) => v = v.mul(m.value_at(j)),
+        for (lookup, m_data, m_values) in lookups.iter_mut() {
+            match lookup.find(&data[i * arity..(i + 1) * arity], m_data, m_values.len()) {
+                Hit::Row(j) => v = v.mul(&m_values[j]),
                 Hit::Miss => continue 'rows,
                 Hit::Exhausted => break 'rows,
             }
@@ -340,20 +343,19 @@ pub(crate) fn project_with<S: Semiring>(
     if is_prefix {
         let (out_data, out_values) = out.parts_mut();
         let mut any_zero = false;
-        for i in 0..rel.len() {
-            let t = rel.tuple_at(i);
+        for (t, v) in rel.iter() {
             let keyed = &t[..k];
             if let Some(last) = out_values.last_mut() {
                 // `k == 0` first: every row is the one empty key, and
                 // the zero-length slice compare is not free.
                 if k == 0 || &out_data[out_data.len() - k..] == keyed {
-                    combine(last, rel.value_at(i));
+                    combine(last, v);
                     any_zero |= last.is_zero();
                     continue;
                 }
             }
             out_data.extend_from_slice(keyed);
-            let v = rel.value_at(i).clone();
+            let v = v.clone();
             any_zero |= v.is_zero();
             out_values.push(v);
         }
@@ -366,10 +368,9 @@ pub(crate) fn project_with<S: Semiring>(
 
     let mut data: Vec<u32> = Vec::with_capacity(rel.len() * k);
     let mut values: Vec<S> = Vec::with_capacity(rel.len());
-    for i in 0..rel.len() {
-        let t = rel.tuple_at(i);
+    for (t, v) in rel.iter() {
         data.extend(pos.iter().map(|&p| t[p]));
-        values.push(rel.value_at(i).clone());
+        values.push(v.clone());
     }
     let (data, values) = sort_merge_rows(k, data, values, combine);
     out.set_parts(data, values);
@@ -414,9 +415,12 @@ pub(crate) fn trailing_nest(schema: &[Var], nest: &[(Var, Aggregate)]) -> Option
 /// [`NestFold::fold`] and knows where a group ends — with the loop that
 /// binds its level's variable — so it calls [`NestFold::close`] itself).
 pub(crate) struct NestFold<S: Semiring> {
-    /// One row per kept prefix whose nest folded to a non-zero.
-    out: Relation<S>,
-    kept: usize,
+    /// The kept columns' variables.
+    schema: Vec<Var>,
+    /// One row per kept prefix whose nest folded to a non-zero, listed
+    /// here and published as a relation once, by [`NestFold::finish`].
+    data: Vec<u32>,
+    values: Vec<S>,
     /// `(operator, open partial)` per trailing column, outermost first:
     /// level `j` folds column `kept + j`.
     levels: Vec<(Aggregate, Option<S>)>,
@@ -431,8 +435,9 @@ impl<S: Semiring> NestFold<S> {
     /// trailing column per entry of `ops` (outermost first).
     pub(crate) fn new(kept: Vec<Var>, ops: Vec<Aggregate>) -> Self {
         NestFold {
-            kept: kept.len(),
-            out: Relation::new(kept),
+            schema: kept,
+            data: Vec::new(),
+            values: Vec::new(),
             levels: ops.into_iter().map(|op| (op, None)).collect(),
             last: Vec::new(),
         }
@@ -448,7 +453,7 @@ impl<S: Semiring> NestFold<S> {
             debug_assert!(self.last[same] < head[same], "rows arrive in order");
             // A level's group is keyed by the columns before its own.
             let last = std::mem::take(&mut self.last);
-            self.close((same + 1).saturating_sub(self.kept), &last);
+            self.close((same + 1).saturating_sub(self.schema.len()), &last);
             self.last = last;
             self.last[same..].copy_from_slice(&head[same..]);
         }
@@ -484,19 +489,20 @@ impl<S: Semiring> NestFold<S> {
         }
     }
 
-    /// Appends one output row; rows come in order, so `out` stays
+    /// Appends one output row; rows come in order, so the listing stays
     /// canonical.
     fn list(&mut self, prefix: &[u32], value: S) {
-        let (data, values) = self.out.parts_mut();
-        data.extend_from_slice(&prefix[..self.kept]);
-        values.push(value);
+        self.data.extend_from_slice(&prefix[..self.schema.len()]);
+        self.values.push(value);
     }
 
     /// The relation over the kept columns.
     pub(crate) fn finish(mut self) -> Relation<S> {
         let last = std::mem::take(&mut self.last);
         self.close(0, &last);
-        self.out
+        let mut out = Relation::new(self.schema);
+        out.set_parts(self.data, self.values);
+        out
     }
 }
 
@@ -587,13 +593,14 @@ pub(crate) fn aggregate_nest<S: Semiring>(
         }
     } else {
         let pos = [kept.as_slice(), trailing.as_slice()].concat();
-        let mut row = vec![0u32; pos.len()];
+        let mut out = vec![0u32; pos.len()];
+        let (arity, data, values) = (schema.len(), rel.raw_data(), rel.raw_values());
         for i in layout_order(&rel, &kept, &trailing) {
-            let t = rel.tuple_at(i as usize);
-            for (x, &p) in row.iter_mut().zip(&pos) {
+            let t = row(data, arity, i as usize);
+            for (x, &p) in out.iter_mut().zip(&pos) {
                 *x = t[p];
             }
-            fold.push(&row, rel.value_at(i as usize));
+            fold.push(&out, &values[i as usize]);
         }
     }
     fold.finish()

@@ -23,7 +23,8 @@ use std::fmt;
 /// * the profile memo ([`Relation::stats`], [`Relation::max_value`]) is
 ///   dropped by every mutation: the rows live in a private arena type
 ///   whose `&mut` doors forget it, so a profile that is read describes
-///   the rows as they are. A clone keeps the memo; equality ignores it.
+///   the rows as they are. A clone shares the rows and the memo until
+///   either side writes (copy-on-write); equality ignores the memo.
 #[derive(Clone, PartialEq)]
 pub struct Relation<S: Semiring> {
     schema: Vec<Var>,
@@ -171,12 +172,15 @@ impl<S: Semiring> Relation<S> {
 
     /// Iterates over tuple views in canonical order.
     pub fn tuples(&self) -> impl Iterator<Item = &[u32]> + '_ {
-        (0..self.len()).map(move |i| self.tuple_at(i))
+        let (r, data) = (self.schema.len(), self.raw_data());
+        (0..self.len()).map(move |i| kernel::row(data, r, i))
     }
 
     /// Iterates over `(tuple, value)` entries in canonical order.
     pub fn iter(&self) -> impl Iterator<Item = (&[u32], &S)> + '_ {
-        (0..self.len()).map(move |i| (self.tuple_at(i), self.value_at(i)))
+        let (r, data) = (self.schema.len(), self.raw_data());
+        let rows = self.raw_values().iter().enumerate();
+        rows.map(move |(i, v)| (kernel::row(data, r, i), v))
     }
 
     /// Inserts (⊕-accumulates) one entry.
@@ -517,22 +521,6 @@ impl<S: Semiring> Relation<S> {
                 .all(|(v, w)| v.approx_eq(w))
     }
 
-    /// Splits the relation into `parts` chunks of near-equal size
-    /// (round-robin over the canonical order) — used by the Steiner-tree
-    /// pipelining and the hash-split experiments.
-    pub fn split(&self, parts: usize) -> Vec<Relation<S>> {
-        assert!(parts >= 1);
-        let mut out: Vec<Relation<S>> = (0..parts)
-            .map(|_| Relation::new(self.schema.clone()))
-            .collect();
-        for (i, (t, v)) in self.iter().enumerate() {
-            let (data, values) = out[i % parts].parts_mut();
-            data.extend_from_slice(t);
-            values.push(v.clone());
-        }
-        out
-    }
-
     /// Partitions the listing by an owner function (e.g. a consistent
     /// hash of the join-key value): tuple `t` lands in part
     /// `owner_of(t) % parts`. Canonical order is preserved inside every
@@ -544,19 +532,22 @@ impl<S: Semiring> Relation<S> {
         mut owner_of: impl FnMut(&[u32]) -> usize,
     ) -> Vec<Relation<S>> {
         assert!(parts >= 1);
-        let mut out: Vec<Relation<S>> = (0..parts)
-            .map(|_| Relation::new(self.schema.clone()))
-            .collect();
+        let mut out: Vec<(Vec<u32>, Vec<S>)> = vec![(Vec::new(), Vec::new()); parts];
         for (t, v) in self.iter() {
-            let (data, values) = out[owner_of(t) % parts].parts_mut();
+            let (data, values) = &mut out[owner_of(t) % parts];
             data.extend_from_slice(t);
             values.push(v.clone());
         }
-        out
+        out.into_iter()
+            .map(|(data, values)| Relation {
+                schema: self.schema.clone(),
+                arena: Arena::new(data, values),
+            })
+            .collect()
     }
 
     /// Union of same-schema relations with `⊕`-accumulation of duplicate
-    /// tuples (inverse of [`Relation::split`]): concatenate the arenas,
+    /// tuples (inverse of [`Relation::split_by`]): concatenate the arenas,
     /// then one sort-merge.
     pub fn union_all(parts: &[Relation<S>]) -> Relation<S> {
         assert!(!parts.is_empty());
@@ -793,8 +784,13 @@ mod tests {
     #[test]
     fn split_and_union_roundtrip() {
         let r = count_rel(&[0], &[(&[1], 1), (&[2], 2), (&[3], 3), (&[4], 4)]);
-        let parts = r.split(3);
-        assert_eq!(parts.iter().map(Relation::len).sum::<usize>(), 4);
+        let mut next = 0;
+        let parts = r.split_by(3, |_| {
+            next += 1;
+            next
+        });
+        let sizes: Vec<usize> = parts.iter().map(Relation::len).collect();
+        assert_eq!(sizes, [1, 2, 1], "round robin");
         assert_eq!(Relation::union_all(&parts), r);
     }
 

@@ -9,7 +9,10 @@
 //! readers for longer than that, and a reader's pinned snapshot stays
 //! valid and unchanged no matter how many versions land after it.
 //! Writers prepare the next value *outside* the lock (copy-on-write)
-//! and [`SnapshotCell::store`] swaps it in.
+//! and [`SnapshotCell::store`] swaps it in. For a whole
+//! [`FaqQuery`](crate::FaqQuery) that preparation costs `k` refcount
+//! bumps plus one columnar merge: a clone shares every factor's rows,
+//! and a write copies or rebuilds only the rows it touches.
 //!
 //! This is the hand-rolled std-only equivalent of the `arc-swap` crate
 //! pattern: no external dependency, and the brief mutex keeps the

@@ -57,6 +57,12 @@ fn random_rel<S: Semiring>(
     Relation::from_pairs(vars(schema), pairs)
 }
 
+/// A deep copy of the listing, tuple by tuple: holds nothing a clone
+/// could share with `r`.
+fn rows_of<S: Semiring>(r: &Relation<S>) -> Vec<(Vec<u32>, S)> {
+    r.iter().map(|(t, v)| (t.to_vec(), v.clone())).collect()
+}
+
 /// Checks the canonical invariants: strictly sorted rows, no zero
 /// annotations, arena shape consistent with the schema.
 fn assert_canonical<S: Semiring>(r: &Relation<S>, what: &str) {
@@ -812,7 +818,12 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let a: Relation<Count> =
             random_rel(&[0, 1], n, domain, &mut rng, |r| Count(r.random_range(1..4)));
-        let split = a.split(parts);
+        let mut next = 0;
+        let split = a.split_by(parts, |_| {
+            next += 1;
+            next
+        });
+        prop_assert_eq!(split.len(), parts);
         prop_assert_eq!(Relation::union_all(&split), a);
     }
 }
@@ -889,13 +900,21 @@ fn aggregate_out_many_edge_cases() {
     assert_eq!(same, rel);
     let moved = rel.clone();
     let moved_arena = moved.tuple_at(0).as_ptr();
-    let moved = moved.aggregate_out_many(&sum(&[7, 5]));
+    let mut moved = moved.aggregate_out_many(&sum(&[7, 5]));
     assert_eq!(
         moved.tuple_at(0).as_ptr(),
         moved_arena,
         "returned without a copy"
     );
-    assert_ne!(moved_arena, arena, "the clone has its own arena");
+    // A clone shares the arena until one side writes; the write copies
+    // for the writer and leaves the other side's rows as they were.
+    assert_eq!(moved_arena, arena, "the clone shares the arena");
+    let before = rows_of(&rel);
+    moved.insert(vec![0, 1, 0], Count(1));
+    assert_ne!(moved.tuple_at(0).as_ptr(), arena, "the writer copied");
+    assert_eq!(rel.tuple_at(0).as_ptr(), arena);
+    assert_eq!(rows_of(&rel), before);
+    assert_eq!(moved.get(&[0, 1, 0]), Some(&Count(3)));
 
     // All private: the nullary total, whatever the column order.
     let total = rel.clone().aggregate_out_many(&sum(&[2, 1, 0]));
@@ -936,22 +955,34 @@ fn fold_keyed_edge_cases() {
     );
     let chain = |ms: &[&Relation<Count>]| ms.iter().fold(bag.clone(), |acc, m| acc.join(m));
 
-    // No message: the input itself. One that drops rows: the same
-    // arena, compacted.
-    let owned = bag.clone();
+    // No message: the input itself. One that drops rows: a uniquely
+    // owned bag's own arena, compacted.
+    let owned = Relation::from_pairs(bag.schema().to_vec(), rows_of(&bag));
     let arena = owned.tuple_at(0).as_ptr();
     let owned = owned.fold_keyed(&[]);
     assert_eq!(owned, bag);
     let on_leader = count(&[1], &[(&[3], 10), (&[7], 100)]);
+    let expected = count(
+        &[1, 0],
+        &[(&[3, 5], 30), (&[7, 0], 400), (&[7, u32::MAX], 500)],
+    );
     let folded = owned.fold_keyed(&[&on_leader]);
     assert_eq!(folded.tuple_at(0).as_ptr(), arena, "folded in place");
-    assert_eq!(
-        folded,
-        count(
-            &[1, 0],
-            &[(&[3, 5], 30), (&[7, 0], 400), (&[7, u32::MAX], 500)]
-        )
+    assert_eq!(folded, expected);
+    // A shared bag is copied once, for the fold; its other holder keeps
+    // its rows and its arena.
+    let (arena, before) = (bag.tuple_at(0).as_ptr(), rows_of(&bag));
+    let shared = bag.clone();
+    assert_eq!(shared.tuple_at(0).as_ptr(), arena);
+    let folded = shared.fold_keyed(&[&on_leader]);
+    assert_ne!(
+        folded.tuple_at(0).as_ptr(),
+        arena,
+        "copied, not folded in place"
     );
+    assert_eq!(folded, expected);
+    assert_eq!(bag.tuple_at(0).as_ptr(), arena);
+    assert_eq!(rows_of(&bag), before);
 
     // The nullary message scales every row; an empty one leaves none.
     let scalar = count(&[], &[(&[], 3)]);
@@ -1002,6 +1033,61 @@ fn fold_keyed_edge_cases() {
     // An empty bag stays empty.
     let empty: Relation<Count> = Relation::new(vars(&[1, 0]));
     assert!(empty.fold_keyed(&[&on_leader, &scalar]).is_empty());
+}
+
+#[test]
+fn writes_to_a_clone_leave_the_original_bit_identical() {
+    let bits = |r: &Relation<Prob>| -> Vec<(Vec<u32>, u64)> {
+        r.iter().map(|(t, v)| (t.to_vec(), v.0.to_bits())).collect()
+    };
+    let mut rng = StdRng::seed_from_u64(36);
+    for round in 0..40 {
+        let domain = 2 + round % 5;
+        let original: Relation<Prob> =
+            random_rel(&[0, 1], 1 + round as usize, domain, &mut rng, |r| {
+                Prob(r.random_range(1..9) as f64 / 7.0)
+            });
+        let (arena, before) = (original.tuple_at(0).as_ptr(), bits(&original));
+        let fresh = || Relation::from_pairs(vars(&[0, 1]), rows_of(&original));
+        let row = |rng: &mut StdRng| vec![rng.random_range(0..domain), rng.random_range(0..domain)];
+
+        // Each write on a clone, and the same write on a deep copy.
+        let (mut clone, mut copy) = (original.clone(), fresh());
+        let t = row(&mut rng);
+        clone.insert(t.clone(), Prob(0.5));
+        copy.insert(t, Prob(0.5));
+        assert_eq!(bits(&clone), bits(&copy), "insert");
+
+        let (mut clone, mut copy) = (original.clone(), fresh());
+        let t = row(&mut rng);
+        assert_eq!(clone.delete(&t), copy.delete(&t), "delete");
+        assert_eq!(bits(&clone), bits(&copy), "delete");
+
+        let mut delta = RelationDelta::new(vars(&[0, 1]));
+        for _ in 0..4 {
+            match rng.random_range(0..3) {
+                0 => delta.delete(row(&mut rng)),
+                1 => delta.set(row(&mut rng), Prob(0.25)),
+                _ => delta.insert(row(&mut rng), Prob(0.75)),
+            }
+        }
+        let (mut clone, mut copy) = (original.clone(), fresh());
+        clone.apply_delta(&delta);
+        copy.apply_delta(&delta);
+        assert_eq!(bits(&clone), bits(&copy), "apply_delta");
+
+        let rows = (0..domain).filter(|_| rng.random_range(0..2) == 0);
+        let m = Relation::from_pairs(vars(&[0]), rows.map(|x| (vec![x], Prob(0.5))));
+        let folded = original.clone().fold_keyed(&[&m]);
+        assert_eq!(
+            bits(&folded),
+            bits(&fresh().fold_keyed(&[&m])),
+            "fold_keyed"
+        );
+
+        assert_eq!(original.tuple_at(0).as_ptr(), arena, "round {round}");
+        assert_eq!(bits(&original), before, "round {round}");
+    }
 }
 
 #[test]

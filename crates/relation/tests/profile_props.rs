@@ -143,13 +143,17 @@ fn step(r: &mut Relation<Count>, domain: u32, rng: &mut StdRng) -> &'static str 
             "reorder"
         }
         10 => {
-            let mut parts = r.split(rng.random_range(1..4));
+            let mut next = 0;
+            let mut parts = r.split_by(rng.random_range(1..4), |_| {
+                next += 1;
+                next
+            });
             *r = if rng.random_range(0..2) == 0 {
                 parts.swap_remove(0)
             } else {
                 Relation::union_all(&parts)
             };
-            "split / union_all"
+            "split_by / union_all"
         }
         11 => {
             *r = Relation::decode_frame(&r.encode_frame()).expect("own frame decodes");

@@ -11,8 +11,10 @@
 //!   writers publish new templates copy-on-write, so readers are never
 //!   blocked and a pinned [`FaqServer::snapshot`] handle keeps
 //!   observing its epoch no matter how many deltas land after it. A
-//!   write costs one template clone plus one columnar merge into the
-//!   targeted factor.
+//!   write costs `k` refcount bumps plus one columnar merge: the next
+//!   template shares the rows of every factor the delta leaves alone
+//!   (relations are copy-on-write), and the merge builds the targeted
+//!   factor's new rows.
 //! * **Cross-query batching**: every submit queues, and queued requests
 //!   for the *same shape* — same structural `PlanKey` fingerprint,
 //!   different bindings of the designated free parameter — merge into

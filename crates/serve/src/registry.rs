@@ -7,8 +7,12 @@
 //! [`Snapshot`](faqs_relation::Snapshot) with a lock held only for an
 //! `Arc` clone, while [`RelationDelta`] writers prepare the next
 //! template copy-on-write *outside* any lock the readers touch and swap
-//! it in. A writer therefore never blocks a reader, and every query in
-//! a batch is answered against one consistent epoch.
+//! it in. A write costs `k` refcount bumps plus one columnar merge:
+//! cloning the template shares every factor's rows, and
+//! [`Relation::apply_delta`](faqs_relation::Relation::apply_delta)
+//! builds new rows for the one factor it touches. A writer therefore
+//! never blocks a reader, and every query in a batch is answered
+//! against one consistent epoch.
 //!
 //! The same boundary keeps the data valid: the template is validated
 //! and planned once when it is registered, and every delta is checked
@@ -39,7 +43,8 @@ pub(crate) struct ShapeEntry<S: Semiring> {
 
 impl<S: Semiring> ShapeEntry<S> {
     /// Applies a delta to one factor copy-on-write and publishes the
-    /// next version; returns its epoch. A delta for an unknown edge, of
+    /// next version, which shares the other factors' rows with this
+    /// one; returns its epoch. A delta for an unknown edge, of
     /// the wrong schema, or carrying a value outside the template's
     /// domain is refused before anything changes. Readers holding
     /// snapshots are untouched; concurrent writers serialise on

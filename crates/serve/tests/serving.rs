@@ -180,6 +180,53 @@ fn snapshot_isolation_pins_the_readers_epoch() {
     ));
 }
 
+/// A deep copy of every factor's listing: holds nothing a published
+/// template could share.
+fn listings(q: &FaqQuery<Count>) -> Vec<Vec<(Vec<u32>, u64)>> {
+    let rows = |f: &Relation<Count>| f.iter().map(|(t, v)| (t.to_vec(), v.0)).collect();
+    q.factors.iter().map(rows).collect()
+}
+
+/// Where each factor's rows live.
+fn arenas(q: &FaqQuery<Count>) -> Vec<*const u32> {
+    q.factors.iter().map(|f| f.tuple_at(0).as_ptr()).collect()
+}
+
+/// Every epoch shares the factors its delta left alone with the epoch
+/// before, and a snapshot pinned at any epoch keeps every factor, bit
+/// for bit and in place, however many deltas land on each factor after.
+#[test]
+fn pinned_snapshots_keep_every_factor_across_writes_to_each() {
+    let server = FaqServer::new(ServeConfig::default());
+    let shape = server.register(template(29), Var(0)).unwrap();
+    let pin = || {
+        let p = server.snapshot(shape).unwrap();
+        let (copy, at) = (listings(&p), arenas(&p));
+        (p, copy, at)
+    };
+    let mut pinned = vec![pin()];
+    for epoch in 1..=9u64 {
+        let edge = EdgeId((epoch % 3) as u32);
+        let (prev, _, prev_at) = pinned.last().unwrap();
+        let factor = prev.factor(edge);
+        let mut delta = RelationDelta::new(factor.schema().to_vec());
+        delta.delete(factor.tuple_at(0).to_vec());
+        delta.insert(vec![epoch as u32 % 8, 7], Count(epoch));
+        assert_eq!(server.apply_delta(shape, edge, &delta).unwrap(), epoch);
+
+        let next = pin();
+        for (e, (a, b)) in prev_at.iter().zip(&next.2).enumerate() {
+            assert_eq!(a == b, e != edge.index(), "epoch {epoch}, factor {e}");
+        }
+        pinned.push(next);
+    }
+    for (e, (p, copy, at)) in pinned.iter().enumerate() {
+        assert_eq!(p.epoch(), e as u64);
+        assert_eq!(&listings(p), copy, "epoch {e}'s factors");
+        assert_eq!(&arenas(p), at, "epoch {e}'s arenas");
+    }
+}
+
 #[test]
 fn concurrent_writers_never_tear_reader_batches() {
     // A writer lands 16 deltas while readers hammer the server; every
