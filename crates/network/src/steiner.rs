@@ -138,36 +138,74 @@ impl SteinerTree {
 }
 
 /// Greedily packs edge-disjoint Steiner trees for `K` with terminal
-/// diameter at most `delta`.
+/// diameter at most `delta`: while some candidate (path, hub, BFS tree,
+/// in that order) on the still available links is a valid tree within
+/// the bound, take the first one with the fewest links. The single-Δ
+/// entry point of the loop [`DeltaPackings::new`] runs for every
+/// candidate Δ.
 pub fn steiner_packing(g: &Topology, k: &[Player], delta: u32) -> Vec<SteinerTree> {
-    assert!(k.len() >= 2, "need at least two terminals");
-    let mut avail: BTreeSet<LinkId> = g.links().collect();
-    let mut packing = Vec::new();
-    loop {
-        let candidates = [
-            candidate_path(g, k, &avail),
-            candidate_hub(g, k, &avail),
-            candidate_bfs(g, k, &avail),
-        ];
+    Candidates::new(g, k).pack(delta)
+}
+
+/// The valid candidate trees of one `(G, K)` per available-link set,
+/// each with its terminal diameter. Neither depends on Δ, so every Δ
+/// packed through one `Candidates` generates and checks a link set's
+/// candidates once; the memo lives as long as that one packing call.
+struct Candidates<'g> {
+    g: &'g Topology,
+    k: &'g [Player],
+    by_avail: HashMap<BTreeSet<LinkId>, Vec<(u32, SteinerTree)>>,
+}
+
+impl<'g> Candidates<'g> {
+    fn new(g: &'g Topology, k: &'g [Player]) -> Self {
+        assert!(k.len() >= 2, "need at least two terminals");
+        Candidates {
+            g,
+            k,
+            by_avail: HashMap::new(),
+        }
+    }
+
+    /// The greedy packing at diameter bound `delta`.
+    fn pack(&mut self, delta: u32) -> Vec<SteinerTree> {
+        let mut avail: BTreeSet<LinkId> = self.g.links().collect();
+        let mut packing = Vec::new();
         // Among valid candidates within the diameter bound, prefer the
         // one using the fewest links (leaving more for later trees).
-        let best = candidates
+        while let Some(tree) = self
+            .on(&avail)
+            .iter()
+            .filter(|(diameter, _)| *diameter <= delta)
+            .map(|(_, tree)| tree)
+            .min_by_key(|t| t.links().len())
+        {
+            for l in tree.links() {
+                avail.remove(l);
+            }
+            packing.push(tree.clone());
+        }
+        packing
+    }
+
+    /// The valid candidates on `avail` with their terminal diameters, in
+    /// generator order.
+    fn on(&mut self, avail: &BTreeSet<LinkId>) -> &[(u32, SteinerTree)] {
+        let (g, k) = (self.g, self.k);
+        self.by_avail.entry(avail.clone()).or_insert_with(|| {
+            [
+                candidate_path(g, k, avail),
+                candidate_hub(g, k, avail),
+                candidate_bfs(g, k, avail),
+            ]
             .into_iter()
             .flatten()
             .map(|links| SteinerTree::new(g, links))
-            .filter(|t| t.is_valid_for(g, k) && t.terminal_diameter(k) <= delta)
-            .min_by_key(|t| t.links().len());
-        match best {
-            Some(tree) => {
-                for l in tree.links() {
-                    avail.remove(l);
-                }
-                packing.push(tree);
-            }
-            None => break,
-        }
+            .filter(|t| t.is_valid_for(g, k))
+            .map(|t| (t.terminal_diameter(k), t))
+            .collect()
+        })
     }
-    packing
 }
 
 /// The packings behind the paper's recurring bound
@@ -175,6 +213,11 @@ pub fn steiner_packing(g: &Topology, k: &[Player], delta: u32) -> Vec<SteinerTre
 /// `(G, K)`: every candidate Δ — 1, 2, 3, 4, 8, …, then the unbounded
 /// `|V|` — packed once, so any number of `work` values (one per factor
 /// of a run, plus the conformance oracle's `N`) share the packing work.
+/// The Δ values share the candidate generation too: one `new` call
+/// generates and validates each distinct available-link set's
+/// candidates once, so a Δ's greedy step is a filter on the diameter —
+/// every packing link for link what [`steiner_packing`] returns at that
+/// Δ.
 pub struct DeltaPackings {
     /// `(Δ, packing)` in candidate order, non-empty packings only.
     candidates: Vec<(u32, Vec<SteinerTree>)>,
@@ -185,34 +228,34 @@ impl DeltaPackings {
     pub fn new(g: &Topology, k: &[Player]) -> Self {
         let max_delta = (g.num_players() as u32).max(1);
         let bounded = iter::successors(Some(1), |&d| Some(if d < 4 { d + 1 } else { d * 2 }));
+        let mut generated = Candidates::new(g, k);
         let candidates = bounded
             .take_while(|&delta| delta < max_delta)
             // Always evaluate the unbounded case too.
             .chain([max_delta])
-            .map(|delta| (delta, steiner_packing(g, k, delta)))
+            .map(|delta| (delta, generated.pack(delta)))
             .filter(|(_, packing)| !packing.is_empty())
             .collect();
         DeltaPackings { candidates }
     }
 
     /// `(delta, packing)` for the first Δ minimising
-    /// `⌈work / ST⌉ + Δ`; `work = N` in tuple units.
-    pub fn best(&self, work: u64) -> (u32, &[SteinerTree]) {
-        let (delta, packing) = self
-            .candidates
+    /// `⌈work / ST⌉ + Δ`; `work = N` in tuple units. `None` when no Δ
+    /// packs a tree: `g` does not connect the terminals.
+    pub fn best(&self, work: u64) -> Option<(u32, &[SteinerTree])> {
+        self.candidates
             .iter()
             .min_by_key(|(delta, packing)| work.div_ceil(packing.len() as u64) + *delta as u64)
-            .expect("connected topology always packs one tree");
-        (*delta, packing)
+            .map(|(delta, packing)| (*delta, packing.as_slice()))
     }
 }
 
 /// [`DeltaPackings::best`] for a single `work`: `(delta, packing)` for
-/// the minimising Δ.
-pub fn best_delta(g: &Topology, k: &[Player], work: u64) -> (u32, Vec<SteinerTree>) {
+/// the minimising Δ, `None` when `g` does not connect `k`.
+pub fn best_delta(g: &Topology, k: &[Player], work: u64) -> Option<(u32, Vec<SteinerTree>)> {
     let packings = DeltaPackings::new(g, k);
-    let (delta, packing) = packings.best(work);
-    (delta, packing.to_vec())
+    let (delta, packing) = packings.best(work)?;
+    Some((delta, packing.to_vec()))
 }
 
 /// Candidate: nearest-neighbour path through all terminals over
@@ -431,19 +474,125 @@ mod tests {
         // prefer small Δ.
         let g = Topology::clique(6);
         let k: Vec<Player> = (0..6u32).map(Player).collect();
-        let (_, packing_large) = best_delta(&g, &k, 10_000);
+        let (_, packing_large) = best_delta(&g, &k, 10_000).unwrap();
         assert!(packing_large.len() >= 2);
-        let (delta_small, _) = best_delta(&g, &k, 1);
+        let (delta_small, _) = best_delta(&g, &k, 1).unwrap();
         assert!(delta_small <= 2);
     }
 
+    /// The greedy packer as it stood before candidates were shared
+    /// across Δ, kept verbatim: all three generators and both checks
+    /// re-run at every step of every Δ. The oracle the shared generation
+    /// must match link for link.
+    fn frozen_steiner_packing(g: &Topology, k: &[Player], delta: u32) -> Vec<SteinerTree> {
+        assert!(k.len() >= 2, "need at least two terminals");
+        let mut avail: BTreeSet<LinkId> = g.links().collect();
+        let mut packing = Vec::new();
+        loop {
+            let candidates = [
+                candidate_path(g, k, &avail),
+                candidate_hub(g, k, &avail),
+                candidate_bfs(g, k, &avail),
+            ];
+            // Among valid candidates within the diameter bound, prefer the
+            // one using the fewest links (leaving more for later trees).
+            let best = candidates
+                .into_iter()
+                .flatten()
+                .map(|links| SteinerTree::new(g, links))
+                .filter(|t| t.is_valid_for(g, k) && t.terminal_diameter(k) <= delta)
+                .min_by_key(|t| t.links().len());
+            match best {
+                Some(tree) => {
+                    for l in tree.links() {
+                        avail.remove(l);
+                    }
+                    packing.push(tree);
+                }
+                None => break,
+            }
+        }
+        packing
+    }
+
+    fn tree_links(p: &[SteinerTree]) -> Vec<Vec<LinkId>> {
+        p.iter().map(|t| t.links().to_vec()).collect()
+    }
+
+    #[test]
+    fn shared_candidates_pack_like_the_frozen_greedy_at_every_delta() {
+        let mut fixtures = vec![
+            Topology::line(6),
+            Topology::ring(7),
+            Topology::star(6),
+            Topology::grid(3, 3),
+            Topology::clique(6),
+            Topology::mpc(4, 3),
+            Topology::barbell(3, 2),
+            Topology::binary_tree(7),
+        ];
+        fixtures.extend([1, 2, 3].map(|seed| Topology::random_connected(9, 0.35, seed)));
+        for g in fixtures {
+            let n = g.num_players() as u32;
+            let subsets: Vec<Vec<u32>> = vec![
+                (0..n).collect(),
+                vec![0, n - 1],
+                (0..n).step_by(2).collect(),
+                vec![1, n / 2, n - 2],
+            ];
+            for ids in subsets {
+                let k = players(&ids);
+                let what = format!("{} K = {ids:?}", g.name());
+                // `new` keeps every Δ of its sequence whose packing is
+                // non-empty; the frozen greedy decides both.
+                let packings = DeltaPackings::new(&g, &k);
+                let got: Vec<(u32, Vec<Vec<LinkId>>)> = packings
+                    .candidates
+                    .iter()
+                    .map(|(delta, p)| (*delta, tree_links(p)))
+                    .collect();
+                let sequence =
+                    iter::successors(Some(1), |&d| Some(if d < 4 { d + 1 } else { d * 2 }))
+                        .take_while(|&delta| delta < n)
+                        .chain([n]);
+                let want: Vec<(u32, Vec<Vec<LinkId>>)> = sequence
+                    .map(|delta| (delta, tree_links(&frozen_steiner_packing(&g, &k, delta))))
+                    .filter(|(_, p)| !p.is_empty())
+                    .collect();
+                assert_eq!(got, want, "{what}");
+                assert!(!got.is_empty(), "{what}: a connected K packs a tree");
+                // The single-Δ door runs the same loop, at any Δ.
+                for delta in 1..=n + 1 {
+                    assert_eq!(
+                        tree_links(&steiner_packing(&g, &k, delta)),
+                        tree_links(&frozen_steiner_packing(&g, &k, delta)),
+                        "{what} Δ = {delta}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_disconnected_terminal_set_packs_nothing() {
+        let mut g = Topology::empty("split", 4);
+        g.add_link(Player(0), Player(1), 1);
+        g.add_link(Player(2), Player(3), 1);
+        let k = players(&[0, 1, 2, 3]);
+        assert!(DeltaPackings::new(&g, &k).best(8).is_none());
+        assert!(best_delta(&g, &k, 8).is_none());
+        // Each half alone is connected.
+        assert_eq!(best_delta(&g, &players(&[2, 3]), 8).unwrap().1.len(), 1);
+    }
+
     /// `best_delta` as it was before [`DeltaPackings`]: every candidate
-    /// Δ re-packed per call, the unbounded case always packed again.
+    /// Δ re-packed (by the frozen greedy) per call, the unbounded case
+    /// always packed again.
     fn repacking_best_delta(g: &Topology, k: &[Player], work: u64) -> (u32, Vec<SteinerTree>) {
         let mut best: Option<(u64, u32, Vec<SteinerTree>)> = None;
         let max_delta = (g.num_players() as u32).max(1);
         let mut consider = |delta: u32| {
-            let packing = steiner_packing(g, k, delta);
+            let packing = frozen_steiner_packing(g, k, delta);
             if !packing.is_empty() {
                 let rounds = work.div_ceil(packing.len() as u64) + delta as u64;
                 if best.as_ref().map(|(r, _, _)| rounds < *r).unwrap_or(true) {
@@ -463,7 +612,6 @@ mod tests {
 
     #[test]
     fn delta_packings_answer_every_work_like_a_fresh_best_delta() {
-        let links = |p: &[SteinerTree]| p.iter().map(|t| t.links().to_vec()).collect::<Vec<_>>();
         for (g, subsets) in [
             (
                 Topology::line(4),
@@ -491,14 +639,14 @@ mod tests {
                 let packings = DeltaPackings::new(&g, &k);
                 for work in [1, 8, 64, 1_000_000] {
                     let (want_delta, want) = repacking_best_delta(&g, &k, work);
-                    let (delta, packing) = packings.best(work);
+                    let (delta, packing) = packings.best(work).unwrap();
                     let what = format!("{} K = {ids:?} work = {work}", g.name());
                     assert_eq!(delta, want_delta, "{what}");
-                    assert_eq!(links(packing), links(&want), "{what}");
-                    let (delta, packing) = best_delta(&g, &k, work);
+                    assert_eq!(tree_links(packing), tree_links(&want), "{what}");
+                    let (delta, packing) = best_delta(&g, &k, work).unwrap();
                     assert_eq!(
-                        (delta, links(&packing)),
-                        (want_delta, links(&want)),
+                        (delta, tree_links(&packing)),
+                        (want_delta, tree_links(&want)),
                         "{what}"
                     );
                 }

@@ -48,19 +48,26 @@ pub struct BoundReport {
 impl BoundReport {
     /// Evaluates the bound formulas for computing `q` on `g` with
     /// players `k`.
+    ///
+    /// # Panics
+    ///
+    /// When `k` has two or more players and `g` does not connect them:
+    /// no Steiner tree spans `k`, so `ST(G, K, Δ)` is zero at every Δ
+    /// and the bound is undefined. Every protocol entry point refuses
+    /// such a player set with `ProtocolError::Unreachable` first.
     pub fn evaluate<S: Semiring>(q: &FaqQuery<S>, g: &Topology, k: &[Player]) -> Self {
-        Self::evaluate_with(q, g, k, None)
+        Self::evaluate_with(q, g, k, None).expect("the topology connects the players")
     }
 
     /// [`BoundReport::evaluate`] reusing Steiner packings the caller
     /// already holds for this `(g, k)` (a distributed run's own);
-    /// `None` packs afresh.
+    /// `None` packs afresh. `None` when `g` does not connect `k`.
     pub(crate) fn evaluate_with<S: Semiring>(
         q: &FaqQuery<S>,
         g: &Topology,
         k: &[Player],
         packings: Option<&DeltaPackings>,
-    ) -> Self {
+    ) -> Option<Self> {
         let report = internal_node_width(&q.hypergraph);
         let y = report.y;
         let n2 = report.n2();
@@ -70,7 +77,7 @@ impl BoundReport {
 
         if k.len() < 2 {
             // Everything co-located: zero communication.
-            return BoundReport {
+            return Some(BoundReport {
                 y,
                 n2,
                 degeneracy: d,
@@ -82,14 +89,14 @@ impl BoundReport {
                 core_rounds: 0,
                 upper_rounds: 0,
                 lower_rounds: 0,
-            };
+            });
         }
         let mc = min_cut(g, k).max(1);
         let pick = |packings: &DeltaPackings| {
-            let (delta, packing) = packings.best(n);
-            (delta, packing.len().max(1))
+            let (delta, packing) = packings.best(n)?;
+            Some((delta, packing.len()))
         };
-        let (delta, st) = packings.map_or_else(|| pick(&DeltaPackings::new(g, k)), pick);
+        let (delta, st) = packings.map_or_else(|| pick(&DeltaPackings::new(g, k)), pick)?;
         let per_star = n.div_ceil(st as u64) + delta as u64;
         let forest_rounds = (y as u64) * per_star;
         // Acyclic single-tree queries are star-peeled all the way to the
@@ -104,7 +111,7 @@ impl BoundReport {
         };
         let lower_rounds = ((y as u64 + n2 as u64) * n) / mc as u64;
 
-        BoundReport {
+        Some(BoundReport {
             y,
             n2,
             degeneracy: d,
@@ -116,7 +123,7 @@ impl BoundReport {
             core_rounds,
             upper_rounds: forest_rounds + core_rounds,
             lower_rounds,
-        }
+        })
     }
 }
 

@@ -74,9 +74,10 @@ pub fn run_bcq_protocol_with_cut(
 /// What every entry point does: validate the instance and the
 /// assignment, scale the links, pick the decomposition, refuse — before
 /// the first bit moves — a query whose aggregates the carrier or the
-/// push-down order rules out, then run the protocol body. `outcome`
-/// reads the answer, the finished run and the predicted upper bound in
-/// rounds.
+/// push-down order rules out and a player set the topology does not
+/// connect ([`ProtocolError::Unreachable`]), then run the protocol body.
+/// `outcome` reads the answer, the finished run and the predicted upper
+/// bound in rounds.
 fn run_on_ghd<S: Semiring, T>(
     q: &FaqQuery<S>,
     g: &Topology,
@@ -107,9 +108,13 @@ fn run_on_ghd<S: Semiring, T>(
     let ghd = faqs_plan::ghd_for_query(q).map_err(|e| ProtocolError::Engine(e.to_string()))?;
     faqs_plan::check_push_down(q, &ghd).map_err(|e| ProtocolError::Engine(e.to_string()))?;
 
+    // The bound needs a Steiner tree spanning the players; without one
+    // the players cannot all reach each other either.
+    let predicted = BoundReport::evaluate_with(q, g, &assignment.players(), None)
+        .ok_or_else(|| ProtocolError::Unreachable("the players are not connected".into()))?
+        .upper_rounds;
     let mut run = NetRun::new(g);
     let answer = execute_on_ghd(q, ghd, assignment, &mut run)?;
-    let predicted = BoundReport::evaluate(q, g, &assignment.players()).upper_rounds;
     Ok(outcome(answer, &run, predicted))
 }
 

@@ -42,14 +42,14 @@ use crate::bounds::{model_capacity_bits, BoundReport};
 use crate::hash_split::ConsistentHashSplit;
 use crate::outcome::ProtocolError;
 use faqs_core::{CalProbe, Factors, Pass, PassSite, QueryPlan, Timed};
-use faqs_hypergraph::{EdgeId, NodeId};
+use faqs_hypergraph::{EdgeId, NodeId, Var};
 use faqs_network::{
     Assignment, DeltaPackings, Player, RunStats, SimTransport, Topology, Transport, TransportKind,
     WireStats,
 };
 use faqs_plan::{CalibrationRegistry, PlacementContext, QueryStats, StatsDigest};
 use faqs_relation::{FaqQuery, Relation};
-use faqs_semiring::Semiring;
+use faqs_semiring::{Aggregate, Semiring};
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -217,7 +217,9 @@ impl<'a, S: Semiring> DistributedFaqRun<'a, S> {
     /// scaled topology — and scales every link to carry
     /// `capacity_tuples` tuples (`r·⌈log₂ D⌉` bits plus annotation) per
     /// round — `1` is the paper's Model 2.1 allowance; pass `0` to keep
-    /// `g`'s own (possibly heterogeneous or down) capacities.
+    /// `g`'s own (possibly heterogeneous or down) capacities. A player
+    /// the output cannot reach over live links is refused with
+    /// [`ProtocolError::Unreachable`] before anything is planned.
     pub fn new(
         q: &'a FaqQuery<S>,
         g: &Topology,
@@ -233,6 +235,19 @@ impl<'a, S: Semiring> DistributedFaqRun<'a, S> {
             g.clone()
                 .with_uniform_capacity(capacity_tuples * model_capacity_bits(q))
         };
+        // Every shard and message ends at the output player, so a player
+        // its live links cannot reach leaves no executable plan.
+        let reach = scaled.live_distances(placement.output());
+        if let Some(p) = placement
+            .players()
+            .into_iter()
+            .find(|p| reach[p.index()] == u32::MAX)
+        {
+            return Err(ProtocolError::Unreachable(format!(
+                "placement unreachable: {p} has no live route to the output player {}",
+                placement.output()
+            )));
+        }
         // The cost model prices each shard at the width its plan's shard
         // nest leaves — the nest `materialise_shards` sums out before
         // routing.
@@ -330,13 +345,12 @@ impl<'a, S: Semiring> DistributedFaqRun<'a, S> {
         // protocol bug, not a measurement to report. `K` is usually the
         // member set the gathers already packed.
         let players = self.placement.players();
-        let report = ConformanceReport::evaluate_with(
-            self.q,
-            &self.scaled,
-            &players,
-            stats,
-            packings.get(&players),
-        );
+        let bound =
+            BoundReport::evaluate_with(self.q, &self.scaled, &players, packings.get(&players))
+                .ok_or_else(|| {
+                    ProtocolError::Unreachable("the players are not connected".into())
+                })?;
+        let report = ConformanceReport::with_bound(self.q, &self.scaled, &players, stats, bound);
         if !report.within_upper() {
             return Err(ProtocolError::BoundViolated {
                 measured_bits: stats.total_bits,
@@ -398,26 +412,32 @@ impl<'a, S: Semiring> DistributedFaqRun<'a, S> {
     /// shard of factor `e` has the plan's [`QueryPlan::shard_nest`]
     /// aggregated out locally before any routing — the nest the cost
     /// model priced.
+    ///
+    /// [`ConsistentHashSplit`] owns a row by its first column. While the
+    /// nest keeps that column, every group the nest folds lies inside
+    /// one shard, so the factor is aggregated once and its (smaller)
+    /// result split: the same shards, bit for bit — the same rows, each
+    /// group folded in the same order, the same zeros dropped. A nest
+    /// that sums the key out (a path query's end edge) splits first.
     fn materialise_shards(&self) -> Vec<Vec<(Player, Relation<S>)>> {
         (0..self.q.k())
             .map(|ei| {
                 let e = EdgeId(ei as u32);
                 let holders = self.placement.shard_holders(e);
                 let factor = self.q.factor(e);
-                let parts: Vec<Relation<S>> = if holders.len() == 1 {
-                    vec![factor.clone()]
-                } else {
-                    let split = ConsistentHashSplit::new(holders.len());
-                    factor.split_by(holders.len(), |t| {
-                        split.owner(t.first().copied().unwrap_or(0))
-                    })
-                };
                 let nest = self.plan.shard_nest(e);
-                holders
-                    .iter()
-                    .zip(parts)
-                    .map(|(&p, part)| (p, part.aggregate_out_many(nest)))
-                    .collect()
+                let split = ConsistentHashSplit::new(holders.len());
+                let owner = |t: &[u32]| split.owner(t.first().copied().unwrap_or(0));
+                let parts: Vec<Relation<S>> = if holders.len() == 1 {
+                    vec![factor.clone().aggregate_out_many(nest)]
+                } else if shard_key_kept(factor, nest) {
+                    let whole = factor.clone().aggregate_out_many(nest);
+                    whole.split_by(holders.len(), owner)
+                } else {
+                    let parts = factor.split_by(holders.len(), owner).into_iter();
+                    parts.map(|part| part.aggregate_out_many(nest)).collect()
+                };
+                holders.iter().copied().zip(parts).collect()
             })
             .collect()
     }
@@ -485,7 +505,10 @@ impl<'a, S: Semiring> DistributedFaqRun<'a, S> {
             let packed = packings
                 .entry(members)
                 .or_insert_with_key(|members| DeltaPackings::new(&self.scaled, members));
-            packing = Some(packed.best(total_bits.div_ceil(cap_min)).1);
+            // `new` checked that the live links connect every player.
+            packing = packed
+                .best(total_bits.div_ceil(cap_min))
+                .map(|(_, trees)| trees);
         }
         let mut ready = 0u64;
         let mut shipped = 0usize;
@@ -515,6 +538,16 @@ impl<'a, S: Semiring> DistributedFaqRun<'a, S> {
         }
         Ok((Relation::union_all(&rels), ready))
     }
+}
+
+/// Whether aggregating `nest` out of `factor` keeps its first column —
+/// the column [`ConsistentHashSplit`] owns a row by. A nullary factor
+/// has no key and every row goes to one shard.
+fn shard_key_kept<S: Semiring>(factor: &Relation<S>, nest: &[(Var, Aggregate)]) -> bool {
+    factor
+        .schema()
+        .first()
+        .is_none_or(|key| nest.iter().all(|(v, _)| v != key))
 }
 
 /// The Steiner packings one execution has built, by (sorted) member
@@ -649,25 +682,30 @@ pub struct ConformanceReport {
 impl ConformanceReport {
     /// Evaluates the envelope for computing `q` on `g` (capacities as
     /// the run saw them) with player set `players`, against `stats`.
+    ///
+    /// # Panics
+    ///
+    /// As [`BoundReport::evaluate`]: when `g` does not connect
+    /// `players`. A [`DistributedFaqRun`] refuses such a placement at
+    /// [`DistributedFaqRun::new`].
     pub fn evaluate<S: Semiring>(
         q: &FaqQuery<S>,
         g: &Topology,
         players: &[Player],
         stats: RunStats,
     ) -> Self {
-        Self::evaluate_with(q, g, players, stats, None)
+        Self::with_bound(q, g, players, stats, BoundReport::evaluate(q, g, players))
     }
 
-    /// [`ConformanceReport::evaluate`] on Steiner packings the run
-    /// already holds for `(g, players)`; `None` packs afresh.
-    fn evaluate_with<S: Semiring>(
+    /// [`ConformanceReport::evaluate`] on a bound already evaluated for
+    /// `(q, g, players)`.
+    fn with_bound<S: Semiring>(
         q: &FaqQuery<S>,
         g: &Topology,
         players: &[Player],
         stats: RunStats,
-        packings: Option<&DeltaPackings>,
+        bound: BoundReport,
     ) -> Self {
-        let bound = BoundReport::evaluate_with(q, g, players, packings);
         let (lower_bits, upper_bits) = if players.len() < 2 {
             (0, 0)
         } else {
@@ -750,9 +788,9 @@ impl WireConformance {
 mod tests {
     use super::*;
     use faqs_core::{solve_faq, solve_faq_brute_force};
-    use faqs_hypergraph::{path_query, star_query, Var};
+    use faqs_hypergraph::{path_query, star_query};
     use faqs_relation::{random_instance, RandomInstanceConfig};
-    use faqs_semiring::{Aggregate, Count};
+    use faqs_semiring::Count;
 
     fn count_instance(h: &faqs_hypergraph::Hypergraph, seed: u64) -> FaqQuery<Count> {
         random_instance(
@@ -893,6 +931,89 @@ mod tests {
             .with_calibration(Arc::clone(&off));
         run.execute().unwrap();
         assert_eq!(off.stats().samples, 0);
+    }
+
+    /// Each shard as `(holder, schema, rows with their values' bits)`.
+    type ShardBits = Vec<(Player, Vec<Var>, Vec<(Vec<u32>, u64)>)>;
+
+    fn shard_bits<S: Semiring>(shards: &[(Player, Relation<S>)], bits: fn(&S) -> u64) -> ShardBits {
+        shards
+            .iter()
+            .map(|(p, rel)| {
+                let rows = rel.iter().map(|(t, v)| (t.to_vec(), bits(v))).collect();
+                (*p, rel.schema().to_vec(), rows)
+            })
+            .collect()
+    }
+
+    /// Holds `materialise_shards` to the split-then-aggregate it replaced
+    /// on every factor of one run, and counts the multi-holder factors
+    /// by branch: `[key summed out, key kept]`.
+    fn check_materialisation<S: Semiring>(
+        q: &FaqQuery<S>,
+        g: &Topology,
+        placement: InputPlacement,
+        bits: fn(&S) -> u64,
+        branches: &mut [usize; 2],
+    ) {
+        let run = DistributedFaqRun::new(q, g, placement, 1).unwrap();
+        for (ei, got) in run.materialise_shards().iter().enumerate() {
+            let e = EdgeId(ei as u32);
+            let holders = run.placement.shard_holders(e);
+            let nest = run.plan.shard_nest(e);
+            let split = ConsistentHashSplit::new(holders.len());
+            let parts = q.factor(e).split_by(holders.len(), |t| {
+                split.owner(t.first().copied().unwrap_or(0))
+            });
+            let want: Vec<(Player, Relation<S>)> = holders
+                .iter()
+                .copied()
+                .zip(parts.into_iter().map(|part| part.aggregate_out_many(nest)))
+                .collect();
+            assert_eq!(
+                shard_bits(got, bits),
+                shard_bits(&want, bits),
+                "factor {ei}, holders {holders:?}, nest {nest:?}"
+            );
+            if holders.len() > 1 {
+                branches[usize::from(shard_key_kept(q.factor(e), nest))] += 1;
+            }
+        }
+    }
+
+    #[test]
+    fn shards_aggregate_before_splitting_bit_for_bit() {
+        let prob_instance = |h: &faqs_hypergraph::Hypergraph, seed: u64| {
+            let config = RandomInstanceConfig {
+                tuples_per_factor: 24,
+                domain: 6,
+                seed,
+            };
+            random_instance(h, &config, vec![], |r| {
+                use rand::Rng;
+                faqs_semiring::Prob(f64::from(r.random_range(1..1000u32)) / 1000.3)
+            })
+        };
+        let g = Topology::grid(2, 3);
+        let players: Vec<Player> = g.players().collect();
+        let mut branches = [0; 2];
+        for h in [star_query(3), path_query(3), faqs_hypergraph::example_h1()] {
+            for seed in 0..32 {
+                let (qc, qp) = (count_instance(&h, seed), prob_instance(&h, seed));
+                for placement in [
+                    InputPlacement::random(h.num_edges(), &g, seed),
+                    InputPlacement::hash_split(h.num_edges(), &players, Player(seed as u32 % 6)),
+                ] {
+                    check_materialisation(&qc, &g, placement.clone(), |c| c.0, &mut branches);
+                    check_materialisation(&qp, &g, placement, |p| p.0.to_bits(), &mut branches);
+                }
+            }
+        }
+        let [summed, kept] = branches;
+        assert!(
+            summed > 0 && kept > 0,
+            "both branches reached: {branches:?}"
+        );
     }
 
     #[test]

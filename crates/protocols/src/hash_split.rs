@@ -109,10 +109,9 @@ pub fn run_hash_split_protocol(
         .min()
         .unwrap_or(1);
     let center_bits = center.bits(q.domain);
-    let (delta, packing) = best_delta(&scaled, &k, center_bits.div_ceil(cap_min));
-    if packing.is_empty() {
+    let Some((delta, packing)) = best_delta(&scaled, &k, center_bits.div_ceil(cap_min)) else {
         return Err(ProtocolError::Unreachable("players not connected".into()));
-    }
+    };
 
     // 1. Every center shard is broadcast from its owner; all players
     //    reassemble the full center listing.

@@ -45,12 +45,11 @@ pub fn run_set_intersection(
         predicted = 0;
     } else {
         let cap_min = g.links().map(|l| g.capacity(l)).min().unwrap_or(1);
-        let (delta, packing) = best_delta(g, &k, (n as u64).div_ceil(cap_min));
-        if packing.is_empty() {
+        let Some((delta, packing)) = best_delta(g, &k, (n as u64).div_ceil(cap_min)) else {
             return Err(ProtocolError::Unreachable(
                 "participants are not connected".into(),
             ));
-        }
+        };
         predicted = (n as u64).div_ceil(packing.len() as u64 * cap_min) + delta as u64;
 
         let vectors: HashMap<Player, Vec<Boolean>> = inputs

@@ -271,12 +271,12 @@ pub fn run_star_phase<S: Semiring>(
         .min()
         .unwrap_or(1);
     let center_bits = center.bits(domain);
-    let (_delta, packing) = best_delta(run.topology(), &k, center_bits.div_ceil(cap_min));
-    if packing.is_empty() {
+    let Some((_delta, packing)) = best_delta(run.topology(), &k, center_bits.div_ceil(cap_min))
+    else {
         return Err(ProtocolError::Unreachable(
             "no Steiner tree connects the participants".into(),
         ));
-    }
+    };
 
     // 1. Broadcast the center relation.
     let arrival =
@@ -463,7 +463,7 @@ mod tests {
         let g = Topology::clique(4).with_uniform_capacity(8);
         let mut run = NetRun::new(&g);
         let k: Vec<Player> = (0..4u32).map(Player).collect();
-        let (_, packing) = best_delta(&g, &k, n);
+        let (_, packing) = best_delta(&g, &k, n).unwrap();
         assert!(packing.len() >= 2);
         let arrival = broadcast_over_packing(&mut run, &packing, Player(0), &k, n * 8, 1).unwrap();
         let worst = arrival.values().max().unwrap();
@@ -478,7 +478,7 @@ mod tests {
         let g = Topology::star(4).with_uniform_capacity(4);
         let mut run = NetRun::new(&g);
         let k: Vec<Player> = (1..4u32).map(Player).collect();
-        let (_, packing) = best_delta(&g, &k, 8);
+        let (_, packing) = best_delta(&g, &k, 8).unwrap();
         let vectors: HashMap<Player, Vec<Count>> = [
             (Player(1), vec![Count(2), Count(3)]),
             (Player(2), vec![Count(5), Count(1)]),

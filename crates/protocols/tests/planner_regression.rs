@@ -155,9 +155,9 @@ fn pre_aggregation_closes_the_predicted_vs_measured_gap() {
 fn marooned_holder_fails_at_plan_time_not_run_time() {
     // The unreachable-player pricing regression: partition a line by
     // downing its first link, strand a shard holder on the wrong side,
-    // and the planner itself must refuse with an `Engine` error naming
-    // the unreachable placement — never emit a plan whose execution
-    // dies later with a NoRoute.
+    // and `new` must refuse with an `Unreachable` error naming the
+    // unreachable placement — never emit a plan whose execution dies
+    // later with a NoRoute.
     let q = skewed_star_instance(3, 16);
     let mut g = Topology::line(4).with_uniform_capacity(64);
     g.set_capacity(faqs_network::LinkId(0), 0); // maroons Player(0)
@@ -167,13 +167,13 @@ fn marooned_holder_fails_at_plan_time_not_run_time() {
     );
     // capacity_tuples = 0 keeps the partitioned capacities.
     match DistributedFaqRun::new(&q, &g, placement, 0) {
-        Err(faqs_protocols::ProtocolError::Engine(msg)) => {
+        Err(faqs_protocols::ProtocolError::Unreachable(msg)) => {
             assert!(
                 msg.contains("unreachable"),
                 "the refusal must name the routing failure, got: {msg}"
             );
         }
-        Err(e) => panic!("expected a plan-time Engine error, got {e:?}"),
+        Err(e) => panic!("expected a plan-time Unreachable error, got {e:?}"),
         Ok(run) => {
             let out = run.execute();
             panic!("planner accepted a partitioned placement; execute() = {out:?}");

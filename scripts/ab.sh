@@ -7,11 +7,15 @@
 # Extracts <base-rev> (`git archive`) and copies the working tree into
 # $AB_DIR (default benchmark/out/ab), builds each copy's benchmark into
 # its own target directory there, then runs pair i = 1..pairs (default
-# 10) as base, then working tree, each `faqs-benchmark run --seed i
-# --seconds <seconds> --trace 0` (default 25 s). Prints each pair's
-# ops_per_s, latency_p50_ms, cpu_ms_per_op and peak_rss_mb, base → working
-# tree, then each metric's median ratio (working tree / base). Writes
-# nothing outside $AB_DIR; exits non-zero when a run fails or is wrong.
+# 10), each `faqs-benchmark run --seed i --seconds <seconds> --trace 0`
+# (default 25 s): odd pairs run the base first, even pairs the working
+# tree first, so neither side always runs on the warmer machine. Prints
+# each pair's five end-to-end metrics (setup_s, ops_per_s,
+# latency_p50_ms, cpu_ms_per_op, peak_rss_mb), base → working tree; then
+# per metric each side's median and quartiles, the median ratio (working
+# tree / base) and the pairs the working tree wins (higher ops_per_s,
+# lower everything else). Writes nothing outside $AB_DIR; exits non-zero
+# when a run fails or is wrong.
 set -euo pipefail
 if [[ $# -lt 2 || $# -gt 4 ]]; then
     echo "usage: scripts/ab.sh <base-rev> <workload> [pairs] [seconds]" >&2
@@ -49,9 +53,11 @@ run() {
 }
 
 for seed in $(seq 1 "$pairs"); do
-    echo "pair $seed/$pairs" >&2
-    echo "$seed base $(run base "$seed")"
-    echo "$seed head $(run head "$seed")"
+    if ((seed % 2)); then order="base head"; else order="head base"; fi
+    echo "pair $seed/$pairs ($order)" >&2
+    for side in $order; do
+        echo "$seed $side $(run "$side" "$seed")"
+    done
 done | awk -v workload="$workload" '
     function metric(line, name,   at) {
         if (!match(line, "\"" name "\": \\{\"value\": [-+0-9.eE]+")) return "nan"
@@ -59,16 +65,25 @@ done | awk -v workload="$workload" '
         sub(/.*: /, "", at)
         return at + 0
     }
-    function median(xs, n,   i, j, t) {
+    function sort(xs, n,   i, j, t) {
         for (i = 2; i <= n; i++)
             for (j = i; j > 1 && xs[j - 1] > xs[j]; j--) { t = xs[j]; xs[j] = xs[j - 1]; xs[j - 1] = t }
-        return n % 2 ? xs[(n + 1) / 2] : (xs[n / 2] + xs[n / 2 + 1]) / 2
+    }
+    # Quantile p of sorted xs[1..n], linear between order statistics.
+    function quantile(xs, n, p,   at, lo) {
+        at = 1 + (n - 1) * p
+        lo = int(at)
+        return lo >= n ? xs[n] : xs[lo] + (at - lo) * (xs[lo + 1] - xs[lo])
+    }
+    # "median (q1–q3)" of side s for metric k.
+    function spread(s, k,   i, xs) {
+        for (i = 1; i <= n; i++) xs[i] = v[s, k, i]
+        sort(xs, n)
+        return sprintf("%.4g (%.4g-%.4g)", quantile(xs, n, 0.5), quantile(xs, n, 0.25), quantile(xs, n, 0.75))
     }
     BEGIN {
-        m = split("ops_per_s latency_p50_ms cpu_ms_per_op peak_rss_mb", names, " ")
-        printf "%s: base -> working tree\n%-5s", workload, "seed"
-        for (k = 1; k <= m; k++) printf "  %-26s", names[k]
-        printf "\n"
+        m = split("setup_s ops_per_s latency_p50_ms cpu_ms_per_op peak_rss_mb", names, " ")
+        higher["ops_per_s"] = 1
     }
     {
         line = $0
@@ -76,22 +91,27 @@ done | awk -v workload="$workload" '
             printf "seed %s %s: failed or wrong run: %s\n", $1, $2, line > "/dev/stderr"
             bad = 1
         }
-        for (k = 1; k <= m; k++) v[$2, k] = metric(line, names[k])
-        if ($2 != "head") next
-        n++
-        printf "%-5s", $1
-        for (k = 1; k <= m; k++) {
-            printf "  %11.4g -> %-11.4g", v["base", k], v["head", k]
-            ratio[k, n] = v["head", k] / v["base", k]
-        }
-        printf "\n"
+        if (!($1 in pair)) { pair[$1] = ++n; seed[n] = $1 }
+        for (k = 1; k <= m; k++) v[$2, k, pair[$1]] = metric(line, names[k])
     }
     END {
-        printf "%-5s", "ratio"
-        for (k = 1; k <= m; k++) {
-            for (i = 1; i <= n; i++) xs[i] = ratio[k, i]
-            printf "  %-26s", sprintf("%.3f (median)", median(xs, n))
-        }
+        printf "%s: base -> working tree\n%-5s", workload, "seed"
+        for (k = 1; k <= m; k++) printf "  %-26s", names[k]
         printf "\n"
+        for (i = 1; i <= n; i++) {
+            printf "%-5s", seed[i]
+            for (k = 1; k <= m; k++) printf "  %11.4g -> %-11.4g", v["base", k, i], v["head", k, i]
+            printf "\n"
+        }
+        printf "\n%-15s  %-28s  %-28s  %-7s  %s\n", "metric", "base median (q1-q3)", "head median (q1-q3)", "ratio", "head wins"
+        for (k = 1; k <= m; k++) {
+            wins = 0
+            for (i = 1; i <= n; i++) {
+                r[i] = v["head", k, i] / v["base", k, i]
+                if (higher[names[k]] ? v["head", k, i] > v["base", k, i] : v["head", k, i] < v["base", k, i]) wins++
+            }
+            sort(r, n)
+            printf "%-15s  %-28s  %-28s  %-7.3f  %d/%d\n", names[k], spread("base", k), spread("head", k), quantile(r, n, 0.5), wins, n
+        }
         exit bad
     }'
