@@ -762,7 +762,7 @@ pub fn e15_distributed(n: usize) {
 /// its predicted kernel work, predicted shipped bits (for the placed
 /// skewed run), and the chosen plan.
 pub fn e16_plan_explain(n: usize) {
-    use faqs_plan::{plan_query_calibrated, PlacementContext};
+    use faqs_plan::{plan_query_with, PlacementContext};
 
     banner("E16 · Cost-based planner — candidate tables (plan-explain)");
 
@@ -798,14 +798,14 @@ pub fn e16_plan_explain(n: usize) {
     // Uniform hard instance: every candidate ties, the default wins —
     // the determinism the pinned distributed schedules rely on.
     let uniform = faqs_relation::irreducible_star_instance(4, n as u32);
-    let plan = plan_query_calibrated(&uniform, None, None, 1.0).expect("plan");
+    let plan = plan_query_with(&uniform, None, None).expect("plan");
     assert!(plan.chose_default(), "uniform star must keep the default");
     print_plan("irreducible_star (uniform)", &plan);
 
     // Skewed instance, local cost: the planner must re-root away from
     // the n²-row leaf.
     let skewed = faqs_relation::skewed_star_instance(4, (n as u32).clamp(8, 32));
-    let plan = plan_query_calibrated(&skewed, None, None, 1.0).expect("plan");
+    let plan = plan_query_with(&skewed, None, None).expect("plan");
     assert!(
         !plan.chose_default(),
         "skew must beat the structural default"
@@ -823,7 +823,7 @@ pub fn e16_plan_explain(n: usize) {
             .collect(),
         Player(3),
     );
-    let plan = plan_query_calibrated(&skewed, Some(&ctx), None, 1.0).expect("plan");
+    let plan = plan_query_with(&skewed, Some(&ctx), None).expect("plan");
     print_plan("skewed_star (placement-aware, line4, output P3)", &plan);
 }
 

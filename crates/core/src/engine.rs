@@ -15,15 +15,15 @@ pub use faqs_plan::EngineError;
 
 /// Solves a general FAQ (Equation 4) by the upward pass of Theorem
 /// G.3, on the plan `faqs-plan`'s statistics-driven planner chooses
-/// (unplaced, uncalibrated — the plan the executor and an incremental
-/// session run on a cold cache).
+/// (unplaced — the plan the executor and an incremental session run on
+/// a cold cache).
 /// Every bound variable's aggregate must be one
 /// the carrier admits ([`Semiring::admits`]); any other is refused with
 /// [`EngineError::RefusedAggregate`]. Returns the result relation over
 /// the free variables (for `F = ∅`: a nullary relation whose single
 /// annotation is the scalar answer — [`Relation::total`] extracts it).
 pub fn solve_faq<S: Semiring>(q: &FaqQuery<S>) -> Result<Relation<S>, EngineError> {
-    let plan = faqs_plan::plan_query_calibrated(q, None, None, 1.0)?;
+    let plan = faqs_plan::plan_query_with(q, None, None)?;
     Ok(run(q, &plan))
 }
 

@@ -220,19 +220,18 @@ pub struct CalProbe<'a> {
 }
 
 impl<'a> CalProbe<'a> {
-    /// A probe for one pass of `plan` on the shape `digest`, or `None`
-    /// when `registry` is disabled.
+    /// A probe for one pass of `plan` on the shape `digest`.
     pub fn new(
         registry: &'a CalibrationRegistry,
         digest: &'a StatsDigest,
         plan: &'a QueryPlan,
-    ) -> Option<Self> {
-        registry.is_enabled().then(|| CalProbe {
+    ) -> Self {
+        CalProbe {
             registry,
             digest,
             node_rows: &plan.node_rows,
             log: CalibrationLog::new(),
-        })
+        }
     }
 
     /// Records one fold point's predicted-vs-actual pair.
@@ -254,7 +253,7 @@ mod tests {
     use super::*;
     use crate::solve_faq_brute_force;
     use faqs_hypergraph::{cycle_query, example_h2, path_query, star_query, Hypergraph};
-    use faqs_plan::{plan_query_calibrated, QueryStats};
+    use faqs_plan::{plan_query_with, QueryStats};
     use faqs_relation::{generic_join, random_instance, RandomInstanceConfig};
     use faqs_semiring::Count;
     use std::collections::BTreeMap;
@@ -366,13 +365,13 @@ mod tests {
             } else {
                 instance(&h, 12, 4)
             };
-            let mut plan = plan_query_calibrated(&q, None, None, 1.0).unwrap();
+            let mut plan = plan_query_with(&q, None, None).unwrap();
             bind_in_concatenation_order(&q, &mut plan);
             assert_eq!(plan.uses_generic_join(), generic, "{h:?}");
 
             let registry = CalibrationRegistry::new();
             let digest = QueryStats::of(&q).digest();
-            let probe = CalProbe::new(&registry, &digest, &plan).unwrap();
+            let probe = CalProbe::new(&registry, &digest, &plan);
             let pass = Pass {
                 q: &q,
                 plan: &plan,

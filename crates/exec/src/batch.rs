@@ -168,10 +168,7 @@ mod tests {
 
     #[test]
     fn batch_matches_independent_solves() {
-        // Calibration off: no learned correction re-plans a digest, so
-        // the miss count below is exact.
-        let off = std::sync::Arc::new(faqs_plan::CalibrationRegistry::off());
-        let ex = Executor::default().with_calibration(off);
+        let ex = Executor::default();
         let param = Var(0);
         let q = inst(vec![param, Var(1)], 7);
         // Duplicates, misses (domain is 6 so 5 may be sparse) and

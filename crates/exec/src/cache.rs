@@ -2,10 +2,10 @@
 //! statistics.
 //!
 //! One lookup, [`PlanCache::plan`], owns the whole cached planning
-//! decision — key, calibration correction, freshness, negative replay
-//! and the build (`faqs_plan::plan_query_calibrated`, which emits the
-//! [`QueryPlan`] every site runs) — so the executor and incremental
-//! sessions ask it instead of re-deriving that chain.
+//! decision — key, negative replay and the build
+//! (`faqs_plan::plan_query_with`, which emits the [`QueryPlan`] every
+//! site runs) — so the executor and incremental sessions ask it instead
+//! of re-deriving that chain.
 //!
 //! Two key tiers share one map. Every plan is keyed by its shape and
 //! the instance's coarse [`StatsDigest`] — skewed and uniform instances
@@ -24,16 +24,13 @@
 //! per-digest), and losing one turns a cheap replayed error back into a
 //! full failed plan construction.
 //!
-//! The lookup is also the one staleness rule: an `IncrementalFaq`
-//! session asks it after every effective delta and re-plans exactly
-//! when it hands back a different plan than the one the session holds.
+//! The digest is the one staleness rule: a cached plan is current for
+//! as long as its key matches, and an `IncrementalFaq` session asks the
+//! cache again only when its maintained digest moves.
 //!
 //! [`StatsDigest`]: faqs_plan::StatsDigest
 
-use faqs_plan::{
-    correction_fresh, plan_query_calibrated, CalibrationRegistry, EngineError, PlanKey, QueryPlan,
-    QueryStats,
-};
+use faqs_plan::{plan_query_with, EngineError, PlanKey, QueryPlan, QueryStats};
 use faqs_relation::FaqQuery;
 use faqs_semiring::Semiring;
 use std::collections::HashMap;
@@ -132,44 +129,33 @@ impl PlanCache {
         self.clock.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// The plan for `q` — the one cached, calibrated planning door.
-    /// Returns a shared handle so concurrent executions replay one plan
-    /// without copying the GHD.
+    /// The plan for `q` — the one cached planning door. Returns a
+    /// shared handle so concurrent executions replay one plan without
+    /// copying the GHD.
     ///
     /// `stats` describes `q` (a fresh `QueryStats::of` or a maintained
-    /// snapshot); its digest keys the lookup. Under an enabled
-    /// `calibration` a cached plan is usable only while it was scored
-    /// under (close to) the registry's current correction for that
-    /// digest: a shape whose learned correction moved past the
-    /// [`correction_fresh`] hysteresis re-plans once (counted as a
-    /// miss), then settles. On a digest miss the structural tier is
-    /// probed for a cached *negative* result before building. Plans
-    /// that fail with a *shape-level* error (illegal aggregate exchange,
-    /// unplaceable free variables, …) are cached under the structural
-    /// key, so every digest shares the one negative entry;
-    /// [`EngineError::Invalid`] wraps instance validation (out-of-domain
-    /// values, mismatched factor schemas) and is data-dependent, so it
-    /// is never cached — the next instance of the shape may be valid.
+    /// snapshot); its digest keys the lookup, and a cached plan is
+    /// current for as long as that key matches. On a digest miss the
+    /// structural tier is probed for a cached *negative* result before
+    /// building. Plans that fail with a *shape-level* error (illegal
+    /// aggregate exchange, unplaceable free variables, …) are cached
+    /// under the structural key, so every digest shares the one
+    /// negative entry; [`EngineError::Invalid`] wraps instance
+    /// validation (out-of-domain values, mismatched factor schemas) and
+    /// is data-dependent, so it is never cached — the next instance of
+    /// the shape may be valid.
     ///
     /// The build runs *outside* the lock: a cold, expensive shape must
     /// not stall concurrent hits on hot shapes. Two threads racing the
-    /// same cold shape may both build; the insert adopts a usable entry
-    /// already there and replaces a stale one, so all callers still
-    /// share one plan — the same `Arc` until the entry is replaced or
-    /// evicted.
+    /// same cold shape may both build; the insert adopts the entry
+    /// already there, so all callers still share one plan — the same
+    /// `Arc` until the entry is evicted.
     pub fn plan<S: Semiring>(
         &self,
         q: &FaqQuery<S>,
         stats: &QueryStats,
-        calibration: &CalibrationRegistry,
     ) -> Arc<Result<QueryPlan, EngineError>> {
-        let digest = stats.digest();
-        let correction = calibration.correction(&digest);
-        let usable = |plan: &Result<QueryPlan, EngineError>| match plan {
-            Ok(plan) => !calibration.is_enabled() || correction_fresh(plan.correction, correction),
-            Err(_) => true, // negative entries have no staleness
-        };
-        let key = PlanKey::with_digest(q, digest);
+        let key = PlanKey::with_digest(q, stats.digest());
         {
             let mut map = self.lock();
             let tick = self.tick();
@@ -179,17 +165,16 @@ impl PlanCache {
                 Arc::clone(&entry.plan)
             };
             if let Some(entry) = map.get_mut(&key) {
-                if usable(&entry.plan) {
-                    return hit(entry);
-                }
-            } else if let Some(entry) = map.get_mut(&key.structural()) {
-                // Only negatives live there: the shape is invalid for
-                // any data.
+                return hit(entry);
+            }
+            // Only negatives live there: the shape is invalid for any
+            // data.
+            if let Some(entry) = map.get_mut(&key.structural()) {
                 return hit(entry);
             }
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let plan = Arc::new(plan_query_calibrated(q, None, Some(stats), correction));
+        let plan = Arc::new(plan_query_with(q, None, Some(stats)));
         let key = match plan.as_ref() {
             Err(EngineError::Invalid(_)) => return plan,
             Err(_) => key.structural(),
@@ -197,13 +182,7 @@ impl PlanCache {
         };
         let mut map = self.lock();
         let tick = self.tick();
-        let entry = map.entry(key).or_insert_with(|| Entry {
-            plan: Arc::clone(&plan),
-            tick,
-        });
-        if !usable(&entry.plan) {
-            entry.plan = plan;
-        }
+        let entry = map.entry(key).or_insert(Entry { plan, tick });
         entry.tick = tick;
         let shared = Arc::clone(&entry.plan);
         self.evict_over_capacity(&mut map);
@@ -257,9 +236,9 @@ mod tests {
     use faqs_relation::{random_instance, RandomInstanceConfig};
     use faqs_semiring::{Count, MinPlus};
 
-    /// An uncalibrated lookup keyed on `q`'s scanned statistics.
+    /// A lookup keyed on `q`'s scanned statistics.
     fn get<S: Semiring>(cache: &PlanCache, q: &FaqQuery<S>) -> Arc<Result<QueryPlan, EngineError>> {
-        cache.plan(q, &QueryStats::of(q), &CalibrationRegistry::off())
+        cache.plan(q, &QueryStats::of(q))
     }
 
     fn inst(seed: u64) -> FaqQuery<Count> {

@@ -1,8 +1,8 @@
 //! The plan-cached FAQ executor.
 //!
 //! The executor runs the one upward pass ([`faqs_core::Pass`]) at its
-//! sequential site: what it adds to `solve_faq` is the plan cache, the
-//! calibration loop and panic isolation. Parallelism comes from
+//! sequential site: what it adds to `solve_faq` is the plan cache,
+//! calibration telemetry and panic isolation. Parallelism comes from
 //! independent requests (`faqs-serve`), not from threads inside a pass.
 
 use crate::cache::{CacheStats, PlanCache};
@@ -10,7 +10,6 @@ use faqs_core::{CalProbe, EngineError, Pass, QueryPlan, Sequential};
 use faqs_plan::{CalibrationRegistry, CalibrationStats, QueryStats, StatsDigest};
 use faqs_relation::{FaqQuery, Relation};
 use faqs_semiring::Semiring;
-use std::sync::Arc;
 
 /// The executor's configuration: nothing is left to set. The type and
 /// its two constructors survive because `benchmark/` compiles against
@@ -38,36 +37,26 @@ impl ExecutorConfig {
 /// The front door for repeated FAQ traffic: caches one validated plan
 /// per query shape and statistics digest and runs the upward pass.
 ///
-/// Every execution also *teaches* the planner: fold points record
-/// predicted-vs-actual cardinalities into the executor's
-/// [`CalibrationRegistry`], and repeated shapes re-plan under the
-/// learned per-shape correction. A running pass folds in plan order;
-/// only the next plan of the shape reads what it taught.
-/// [`CalibrationRegistry::off`] pins all of it off.
+/// Every successful execution is also *observed*: its multi-input fold
+/// points record predicted-vs-actual cardinalities into the executor's
+/// [`CalibrationRegistry`]. The registry only observes — no plan reads
+/// it back, so what the executor runs depends on the query alone.
 #[derive(Default)]
 pub struct Executor {
     cache: PlanCache,
-    calibration: Arc<CalibrationRegistry>,
+    calibration: CalibrationRegistry,
 }
 
 impl Executor {
-    /// An executor with an empty cache and an enabled calibration
+    /// An executor with an empty cache and an empty calibration
     /// registry; `_cfg` carries nothing (see [`ExecutorConfig`]), so
     /// this is [`Executor::default`].
     pub fn new(_cfg: ExecutorConfig) -> Self {
         Self::default()
     }
 
-    /// Replaces the calibration registry — shares one learning session
-    /// across executors (a serving pool, an incremental maintainer), or
-    /// injects [`CalibrationRegistry::off`] in tests and benches.
-    pub fn with_calibration(mut self, calibration: Arc<CalibrationRegistry>) -> Self {
-        self.calibration = calibration;
-        self
-    }
-
     /// This executor's calibration registry.
-    pub fn calibration(&self) -> &Arc<CalibrationRegistry> {
+    pub fn calibration(&self) -> &CalibrationRegistry {
         &self.calibration
     }
 
@@ -96,11 +85,7 @@ impl Executor {
         q.validate()
             .map_err(|e| EngineError::Invalid(e.to_string()))?;
         plan.check_query(q)?;
-        let digest = self
-            .calibration
-            .is_enabled()
-            .then(|| QueryStats::of(q).digest());
-        self.eval(q, plan, digest.as_ref())
+        self.eval(q, plan, &QueryStats::of(q).digest())
     }
 
     /// Solves a general FAQ — the executor-backed equivalent of
@@ -110,14 +95,13 @@ impl Executor {
         q.validate()
             .map_err(|e| EngineError::Invalid(e.to_string()))?;
         let stats = QueryStats::of(q);
-        let plan = self.cache.plan(q, &stats, &self.calibration);
+        let plan = self.cache.plan(q, &stats);
         let plan = plan.as_ref().as_ref().map_err(Clone::clone)?;
-        // Calibration observes under the digest, its shape key.
-        self.eval(q, plan, Some(&stats.digest()))
+        self.eval(q, plan, &stats.digest())
     }
 
     /// Runs the one upward pass on a prebuilt plan at the [`Sequential`]
-    /// site, observed under `digest` when calibration is live. Panics
+    /// site, observed under `digest`, the shape's key. Panics
     /// anywhere in the pass — a semiring operation on a poisoned value,
     /// an aggregation overflow — surface as [`EngineError::WorkerPanic`]
     /// to *this* query's caller, so one poisoned query cannot unwind
@@ -127,13 +111,13 @@ impl Executor {
         &self,
         q: &FaqQuery<S>,
         plan: &QueryPlan,
-        digest: Option<&StatsDigest>,
+        digest: &StatsDigest,
     ) -> Result<Relation<S>, EngineError> {
-        let probe = digest.and_then(|d| CalProbe::new(&self.calibration, d, plan));
+        let probe = CalProbe::new(&self.calibration, digest, plan);
         let pass = Pass {
             q,
             plan,
-            probe: probe.as_ref(),
+            probe: Some(&probe),
         };
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let Ok((answer, _)) = pass.run(&mut Sequential);
@@ -159,13 +143,13 @@ mod tests {
     use super::*;
     use faqs_core::solve_faq;
     use faqs_hypergraph::{example_h2, star_query};
-    use faqs_plan::{plan_query_calibrated, CalibrationLog};
+    use faqs_plan::{plan_query_with, CalibrationLog};
     use faqs_relation::{random_instance, RandomInstanceConfig};
     use faqs_semiring::{Aggregate, Count};
 
     /// The planner's plan for `q`, bypassing the cache.
     fn stats_plan<S: Semiring>(q: &FaqQuery<S>) -> QueryPlan {
-        plan_query_calibrated(q, None, None, 1.0).unwrap()
+        plan_query_with(q, None, None).unwrap()
     }
 
     fn inst(seed: u64) -> FaqQuery<Count> {
@@ -224,7 +208,7 @@ mod tests {
 
     #[test]
     fn calibration_absorbs_samples_on_repeated_shapes() {
-        let ex = Executor::default().with_calibration(Arc::new(CalibrationRegistry::new()));
+        let ex = Executor::default();
         let q = inst(2);
         let expected = solve_faq(&q).unwrap();
         for _ in 0..4 {
@@ -236,21 +220,12 @@ mod tests {
     }
 
     #[test]
-    fn disabled_registry_records_nothing_and_matches_engine() {
-        let ex = Executor::default().with_calibration(Arc::new(CalibrationRegistry::off()));
-        let q = inst(4);
-        assert_eq!(ex.solve(&q).unwrap(), solve_faq(&q).unwrap());
-        let stats = ex.calibration_stats();
-        assert_eq!((stats.shapes, stats.samples), (0, 0));
-    }
-
-    #[test]
-    fn learned_corrections_trigger_one_fresh_rebuild() {
+    fn a_learned_correction_replans_nothing() {
         // Seed the registry with a large correction for the shape, then
-        // solve twice: the first call rebuilds the (previously cached)
-        // plan under the learned correction, the second hits it — the
-        // `correction_fresh` hysteresis stops rebuild churn.
-        let ex = Executor::default().with_calibration(Arc::new(CalibrationRegistry::new()));
+        // solve twice more: the registry reports the correction, and
+        // the cached plan keeps serving — the digest is the only
+        // staleness rule.
+        let ex = Executor::default();
         let q = inst(6);
         let expected = solve_faq(&q).unwrap();
         assert_eq!(ex.solve(&q).unwrap(), expected);
@@ -262,15 +237,15 @@ mod tests {
         }
         ex.calibration().absorb(&digest, &log);
         assert!(ex.calibration().correction(&digest) > 2.0);
-        assert_eq!(ex.solve(&q).unwrap(), expected);
-        assert_eq!(ex.cache_stats().misses, 2, "stale plan rebuilt once");
-        assert_eq!(ex.solve(&q).unwrap(), expected);
-        assert_eq!(ex.cache_stats().misses, 2, "fresh plan replays");
+        for _ in 0..2 {
+            assert_eq!(ex.solve(&q).unwrap(), expected);
+            assert_eq!(ex.cache_stats().misses, 1, "the cached plan replays");
+        }
     }
 
     #[test]
     fn solve_on_runs_telemetry_against_a_supplied_plan() {
-        let ex = Executor::default().with_calibration(Arc::new(CalibrationRegistry::new()));
+        let ex = Executor::default();
         let q = inst(8);
         let plan = stats_plan(&q);
         assert_eq!(ex.solve_on(&q, &plan).unwrap(), solve_faq(&q).unwrap());

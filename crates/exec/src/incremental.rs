@@ -25,21 +25,20 @@
 //!
 //! Factor statistics are maintained incrementally too
 //! ([`faqs_relation::MaintainedStats`] — no full re-scan per update).
-//! After every effective delta the session asks the shared [`PlanCache`]
-//! for the current statistics' plan, and re-plans exactly when the
-//! cache hands back a different plan than the one it holds: the
-//! statistics crossed a [`StatsDigest`] bucket boundary, an attached
-//! registry's learned correction left the plan's hysteresis band, or a
-//! sibling session on the same cache already re-planned. The cache's
-//! rule is the only staleness rule.
-//! [`IncrementalStats`] counts exactly which of these events happened;
-//! the tests pin the serving invariants (one single-tuple insert on a
-//! 100k-tuple instance: no stats re-scan, no full upward pass).
+//! The plan cache's key is the one staleness rule: after every
+//! effective delta the session compares the maintained statistics'
+//! [`StatsDigest`] with the one its plan was built for, and only when
+//! the digest moved asks the shared [`PlanCache`] for the new digest's
+//! plan and re-runs the full pass on it. A sibling session evicting
+//! this session's entry from a shared cache re-plans nothing.
+//! [`IncrementalStats`] counts these events; the tests pin the serving
+//! invariants (one single-tuple insert on a 100k-tuple instance: no
+//! stats re-scan, no full upward pass).
 
 use crate::cache::PlanCache;
-use faqs_core::{CalProbe, EngineError, Factors, Pass, PassSite, QueryPlan, Timed};
+use faqs_core::{EngineError, Factors, Pass, PassSite, QueryPlan, Timed};
 use faqs_hypergraph::{EdgeId, NodeId};
-use faqs_plan::{CalibrationRegistry, MaintainedQueryStats, StatsDigest};
+use faqs_plan::{MaintainedQueryStats, StatsDigest};
 use faqs_relation::{AppliedDelta, FaqQuery, Relation, RelationDelta};
 use faqs_semiring::{Aggregate, Semiring};
 use std::borrow::Cow;
@@ -100,14 +99,9 @@ pub struct IncrementalStats {
     pub node_recomputes: u64,
     /// Full upward passes (construction and plan rebuilds).
     pub full_upward_passes: u64,
-    /// Re-plans: each time the plan cache handed back a plan other than
-    /// the session's own.
+    /// Re-plans: each time the maintained statistics digest moved and
+    /// the session adopted the new digest's plan.
     pub plan_rebuilds: u64,
-    /// The re-plans at an unchanged statistics digest (a subset of
-    /// `plan_rebuilds`): the shared [`CalibrationRegistry`] moved this
-    /// shape's correction past the `correction_fresh` hysteresis, here
-    /// or in a sibling session that already re-planned.
-    pub calibration_replans: u64,
     /// Inverse propagations that hit an unrepresentable cancellation
     /// and fell back to the dirty-subtree path: a `Count` saturated at
     /// `u64::MAX` may stand for any larger count, so nothing cancels
@@ -154,13 +148,6 @@ pub struct IncrementalFaq<S: Semiring> {
     answer: Relation<S>,
     mode: MaintenanceMode,
     counters: IncrementalStats,
-    /// Calibration telemetry sink and correction source. Defaults to
-    /// [`CalibrationRegistry::off`]: a session replays one instance, so
-    /// self-calibration would chase its own digest-drift re-plans;
-    /// serving stacks opt in via [`IncrementalFaq::with_calibration`]
-    /// to share an executor's registry, and every recompute then feeds
-    /// predicted-vs-actual samples back into it.
-    calibration: Arc<CalibrationRegistry>,
 }
 
 impl<S: Semiring> IncrementalFaq<S> {
@@ -180,9 +167,8 @@ impl<S: Semiring> IncrementalFaq<S> {
             full_stats_scans: query.factors.len() as u64,
             ..IncrementalStats::default()
         };
-        let calibration = Arc::new(CalibrationRegistry::off());
         let snapshot = stats.snapshot();
-        let plan = SessionPlan::new(cache.plan(&query, &snapshot, &calibration))?;
+        let plan = SessionPlan::new(cache.plan(&query, &snapshot))?;
         let digest = snapshot.digest();
         let mode = Self::choose_mode(&query);
         let answer = Relation::new(query.free_vars.clone());
@@ -196,24 +182,9 @@ impl<S: Semiring> IncrementalFaq<S> {
             answer,
             mode,
             counters,
-            calibration,
         };
         session.full_recompute();
         Ok(session)
-    }
-
-    /// Attaches a shared [`CalibrationRegistry`]: recomputes feed their
-    /// predicted-vs-actual pairs into it, and [`IncrementalFaq::apply`]
-    /// re-plans (once per hysteresis-sized correction shift) when the
-    /// registry's learned correction for this shape moves materially.
-    pub fn with_calibration(mut self, calibration: Arc<CalibrationRegistry>) -> Self {
-        self.calibration = calibration;
-        self
-    }
-
-    /// This session's calibration registry.
-    pub fn calibration(&self) -> &Arc<CalibrationRegistry> {
-        &self.calibration
     }
 
     /// The maintained answer relation over the free variables.
@@ -327,23 +298,19 @@ impl<S: Semiring> IncrementalFaq<S> {
         }
     }
 
-    /// Asks the cache for the plan of the *maintained* statistics (no
-    /// `QueryStats::of` factor scan) under the attached registry, and
-    /// adopts it with a full recompute iff it is not the session's own
-    /// plan — [`PlanCache::plan`] alone decides staleness. A re-plan at
-    /// an unchanged digest is a calibration re-plan. Returns whether
-    /// that happened.
+    /// Re-plans iff the digest of the *maintained* statistics (no
+    /// `QueryStats::of` factor scan) moved off the one the session's
+    /// plan was built for — the cache's key is the only staleness rule —
+    /// by asking the cache for the new digest's plan and adopting it
+    /// with a full recompute. Returns whether that happened.
     fn replan_if_stale(&mut self) -> Result<bool, EngineError> {
         let stats = self.stats.snapshot();
-        let plan = self.cache.plan(&self.query, &stats, &self.calibration);
-        if Arc::ptr_eq(&plan, &self.plan.0) {
+        let digest = stats.digest();
+        if digest == self.digest {
             return Ok(false);
         }
-        let digest = stats.digest();
+        let plan = self.cache.plan(&self.query, &stats);
         self.counters.plan_rebuilds += 1;
-        if digest == self.digest {
-            self.counters.calibration_replans += 1;
-        }
         self.plan = SessionPlan::new(plan)?;
         self.digest = digest;
         self.full_recompute();
@@ -366,12 +333,11 @@ impl<S: Semiring> IncrementalFaq<S> {
         &self,
         path: Option<&[NodeId]>,
         swap: Option<(EdgeId, &Relation<S>)>,
-        probe: Option<&CalProbe<'_>>,
     ) -> (Relation<S>, Vec<(NodeId, Relation<S>)>) {
         let pass = Pass {
             q: &self.query,
             plan: &self.plan,
-            probe,
+            probe: None,
         };
         let mut site = Stored {
             msg: &self.msg,
@@ -384,13 +350,9 @@ impl<S: Semiring> IncrementalFaq<S> {
     }
 
     /// The pass along `path` (`None`: everywhere) on the factors
-    /// themselves, storing what it delivers. Multi-input fold points
-    /// report predicted-vs-actual to the attached registry — an
-    /// incremental maintainer teaches the planner exactly like a
-    /// one-shot execution does.
+    /// themselves, storing what it delivers.
     fn recompute(&mut self, path: Option<&[NodeId]>) {
-        let probe = CalProbe::new(&self.calibration, &self.digest, &self.plan);
-        let (answer, delivered) = self.pass(path, None, probe.as_ref());
+        let (answer, delivered) = self.pass(path, None);
         for (node, message) in delivered {
             self.msg[node.index()] = message;
         }
@@ -420,7 +382,7 @@ impl<S: Semiring> IncrementalFaq<S> {
     fn propagate_inverse(&mut self, edge: EdgeId, applied: &AppliedDelta<S>) -> Option<()> {
         let path = self.root_path(edge);
         let (inserted, removed) = (applied.inserted(), applied.removed());
-        let pass = |delta: &Relation<S>| self.pass(Some(&path), Some((edge, delta)), None);
+        let pass = |delta: &Relation<S>| self.pass(Some(&path), Some((edge, delta)));
         // An empty side delivers only empty relations, so it runs no pass:
         // a single-tuple insert or delete has one side only.
         let nothing = |(answer, delivered): &(Relation<S>, Vec<(NodeId, Relation<S>)>)| {
@@ -617,8 +579,8 @@ mod tests {
             vec![],
             |_| MinPlus(0.1),
         );
-        // `solve_faq` plans as the session does (unplaced, uncalibrated,
-        // same digest), so float results are bit-identical.
+        // `solve_faq` plans as the session does (unplaced, same
+        // digest), so float results are bit-identical.
         let mut faq = IncrementalFaq::new(q.clone()).unwrap();
         assert_eq!(faq.mode(), MaintenanceMode::DirtySubtree, "no inverse");
         let base = faq.counters();
@@ -681,55 +643,38 @@ mod tests {
     }
 
     #[test]
-    fn digest_drift_replans_under_the_learned_correction() {
-        // The drift re-plan used to build at correction 1.0 even when
-        // the attached registry had learned one for the new digest, so
-        // the next delta paid a second re-plan and full recompute.
-        let q: FaqQuery<Count> = random_instance(
-            &star_query(3),
-            &RandomInstanceConfig {
-                tuples_per_factor: 8,
-                domain: 16,
-                seed: 2,
-            },
-            vec![],
-            |_| Count(1),
-        );
-        let registry = Arc::new(CalibrationRegistry::new());
-        let mut faq = IncrementalFaq::new(q.clone())
-            .unwrap()
-            .with_calibration(Arc::clone(&registry));
-        let mut mirror = q;
-        let mut d = RelationDelta::new(mirror.factor(EdgeId(0)).schema().to_vec());
-        for a in 0..16u32 {
-            for b in 0..16u32 {
-                d.insert(vec![a, b], Count(1));
-                mirror.factors[0].insert(vec![a, b], Count(1));
+    fn eviction_from_a_shared_cache_replans_nothing() {
+        // Two sessions share a one-plan cache, so every lookup by one
+        // evicts the other's entry. Re-inserting an existing tuple moves
+        // an annotation but not the digest: neither session may re-plan
+        // or re-run its full pass because its entry is gone.
+        let cache = Arc::new(PlanCache::with_capacity(1));
+        let cfg = |seed| RandomInstanceConfig {
+            tuples_per_factor: 8,
+            domain: 16,
+            seed,
+        };
+        let star: FaqQuery<Count> = random_instance(&star_query(3), &cfg(2), vec![], |_| Count(1));
+        let path: FaqQuery<Count> = random_instance(&path_query(3), &cfg(3), vec![], |_| Count(1));
+        let mut sessions = [star, path].map(|q| {
+            let faq = IncrementalFaq::with_cache(q.clone(), Arc::clone(&cache)).unwrap();
+            (faq, q)
+        });
+        for step in 0..5 {
+            for (faq, mirror) in &mut sessions {
+                let t: Vec<u32> = mirror.factors[0].iter().next().unwrap().0.to_vec();
+                faq.insert(EdgeId(0), &t, Count(1)).unwrap();
+                mirror.factors[0].insert(t, Count(1));
+                let want = solve_faq_reference(mirror).unwrap();
+                assert_eq!(faq.answer(), &want, "step {step}");
             }
         }
-        // The registry has learned a 1024× under-estimate for the digest
-        // the bulk load lands in.
-        let landed = faqs_plan::QueryStats::of(&mirror).digest();
-        let log = faqs_plan::CalibrationLog::new();
-        for _ in 0..32 {
-            log.record(0, 16, 1 << 14);
+        for (faq, _) in &sessions {
+            let c = faq.counters();
+            assert_eq!(c.plan_rebuilds, 0, "an evicted entry is not stale");
+            assert_eq!(c.full_upward_passes, 1, "the initial pass only");
         }
-        registry.absorb(&landed, &log);
-        assert!(registry.correction(&landed) > 2.0);
-
-        let before = faq.counters();
-        faq.apply(EdgeId(0), &d).unwrap();
-        faq.delete(EdgeId(0), &[0, 0]).unwrap();
-        mirror.factors[0].delete(&[0, 0]);
-        let after = faq.counters();
-        assert_eq!(after.plan_rebuilds, before.plan_rebuilds + 1, "one re-plan");
-        assert_eq!(
-            after.full_upward_passes,
-            before.full_upward_passes + 1,
-            "one recompute"
-        );
-        assert_eq!(after.calibration_replans, before.calibration_replans);
-        assert_eq!(faq.answer(), &solve_faq_reference(&mirror).unwrap());
+        assert_eq!(cache.stats().misses, 2, "one build per session");
     }
 
     #[test]
@@ -807,133 +752,6 @@ mod tests {
                 faq.answer()
             );
         }
-    }
-
-    #[test]
-    fn calibrated_session_observes_and_replans_on_correction_shift() {
-        use faqs_plan::CalibrationLog;
-
-        let h = star_query(3);
-        let q: FaqQuery<Count> = random_instance(
-            &h,
-            &RandomInstanceConfig {
-                tuples_per_factor: 8,
-                domain: 16,
-                seed: 2,
-            },
-            vec![],
-            |_| Count(1),
-        );
-        let registry = Arc::new(CalibrationRegistry::new());
-        let mut faq = IncrementalFaq::new(q.clone())
-            .unwrap()
-            .with_calibration(Arc::clone(&registry));
-        // The construction recompute predates the attachment, so seed
-        // the registry by hand: a doctored log claiming the model
-        // under-predicts this shape by 1024× shifts its correction far
-        // past the freshness hysteresis.
-        let digest = faq.digest.clone();
-        let log = CalibrationLog::new();
-        for _ in 0..32 {
-            log.record(0, 16, 1 << 14);
-        }
-        registry.absorb(&digest, &log);
-        assert!(registry.correction(&digest) > 2.0);
-
-        let before = faq.counters();
-        let mut mirror = q;
-        faq.insert(EdgeId(0), &[9, 9], Count(1)).unwrap();
-        mirror.factors[0].insert(vec![9, 9], Count(1));
-        let after = faq.counters();
-        assert_eq!(
-            after.calibration_replans,
-            before.calibration_replans + 1,
-            "the correction shift forces exactly one re-plan"
-        );
-        assert_eq!(after.plan_rebuilds, before.plan_rebuilds + 1);
-        assert_eq!(faq.answer(), &solve_faq_reference(&mirror).unwrap());
-        // The post-re-plan recompute reported fresh telemetry.
-        assert!(registry.stats().samples > 32, "recompute observed");
-
-        // A second small update: the plan is now scored under the
-        // learned correction, so no further calibration re-plan fires.
-        faq.delete(EdgeId(0), &[9, 9]).unwrap();
-        mirror.factors[0].delete(&[9, 9]);
-        assert_eq!(
-            faq.counters().calibration_replans,
-            after.calibration_replans
-        );
-        assert_eq!(faq.answer(), &solve_faq_reference(&mirror).unwrap());
-    }
-
-    #[test]
-    fn sibling_session_adopts_a_calibration_replan_from_the_shared_cache() {
-        use faqs_plan::CalibrationLog;
-
-        let q: FaqQuery<Count> = random_instance(
-            &star_query(3),
-            &RandomInstanceConfig {
-                tuples_per_factor: 8,
-                domain: 16,
-                seed: 2,
-            },
-            vec![],
-            |_| Count(1),
-        );
-        let cache = Arc::new(PlanCache::new());
-        let registry = Arc::new(CalibrationRegistry::new());
-        let session = || {
-            IncrementalFaq::with_cache(q.clone(), Arc::clone(&cache))
-                .unwrap()
-                .with_calibration(Arc::clone(&registry))
-        };
-        let (mut a, mut b) = (session(), session());
-        assert_eq!(cache.stats().misses, 1, "one digest, one plan");
-        let log = CalibrationLog::new();
-        for _ in 0..32 {
-            log.record(0, 16, 1 << 14);
-        }
-        registry.absorb(&a.digest, &log);
-        assert!(registry.correction(&a.digest) > 2.0);
-
-        // A's delta finds the cached plan stale and re-plans once.
-        a.insert(EdgeId(0), &[9, 9], Count(1)).unwrap();
-        assert_eq!(a.counters().calibration_replans, 1);
-        assert_eq!(cache.stats().misses, 2, "A built the calibrated plan");
-
-        // B's next delta adopts A's plan from the cache, building nothing.
-        let before = b.counters();
-        b.insert(EdgeId(0), &[9, 9], Count(1)).unwrap();
-        let after = b.counters();
-        assert_eq!(after.plan_rebuilds, before.plan_rebuilds + 1);
-        assert_eq!(after.calibration_replans, before.calibration_replans + 1);
-        assert_eq!(after.full_upward_passes, before.full_upward_passes + 1);
-        assert_eq!(cache.stats().misses, 2, "B built nothing");
-        assert!(Arc::ptr_eq(&a.plan.0, &b.plan.0), "one shared plan");
-        let mut mirror = q.clone();
-        mirror.factors[0].insert(vec![9, 9], Count(1));
-        assert_eq!(b.answer(), &solve_faq_reference(&mirror).unwrap());
-        assert_eq!(a.answer(), b.answer());
-    }
-
-    #[test]
-    fn uncalibrated_sessions_record_nothing() {
-        let h = path_query(2);
-        let q: FaqQuery<Count> = random_instance(
-            &h,
-            &RandomInstanceConfig {
-                tuples_per_factor: 8,
-                domain: 4,
-                seed: 6,
-            },
-            vec![],
-            |_| Count(1),
-        );
-        let mut faq = IncrementalFaq::new(q).unwrap();
-        faq.insert(EdgeId(0), &[3, 3], Count(1)).unwrap();
-        let s = faq.calibration().stats();
-        assert_eq!((s.shapes, s.samples), (0, 0));
-        assert_eq!(faq.counters().calibration_replans, 0);
     }
 
     #[test]
@@ -1030,7 +848,7 @@ mod tests {
     where
         S: Semiring + PartialEq + std::fmt::Debug,
     {
-        let (answer, delivered) = faq.pass(None, None, None);
+        let (answer, delivered) = faq.pass(None, None);
         assert_eq!(faq.answer(), &answer, "{what}: answer");
         assert_eq!(delivered.len() + 1, faq.plan.ghd.node_ids().count());
         for (node, message) in delivered {

@@ -12,7 +12,7 @@
 use faqs_core::{solve_faq_brute_force, solve_faq_with_plan};
 use faqs_exec::Executor;
 use faqs_hypergraph::{clique_query, cycle_query, Hypergraph, Var};
-use faqs_plan::{plan_query_calibrated, structural_plan};
+use faqs_plan::{plan_query_with, structural_plan};
 use faqs_relation::{random_instance, FaqQuery, RandomInstanceConfig};
 use faqs_semiring::{Boolean, Count, MinPlus, Semiring};
 use proptest::prelude::*;
@@ -58,7 +58,7 @@ fn assert_cyclic_agree<S: Semiring>(q: &FaqQuery<S>, label: &str) {
         .unwrap_or_else(|e| panic!("{label}: executor rejected: {e}"));
     assert_eq!(got, oracle, "{label}: executor vs oracle");
     let plans = [
-        ("stats", plan_query_calibrated(q, None, None, 1.0)),
+        ("stats", plan_query_with(q, None, None)),
         ("structural", structural_plan(q)),
     ];
     for (name, plan) in plans {
@@ -162,7 +162,7 @@ fn pinned_triangle_picks_generic_join_and_agrees_with_the_cascade() {
         |_| Count(1),
     );
 
-    let plan = plan_query_calibrated(&q, None, None, 1.0).expect("plan");
+    let plan = plan_query_with(&q, None, None).expect("plan");
     assert!(
         plan.uses_generic_join(),
         "the 50k triangle must lower to a generic-join bag"

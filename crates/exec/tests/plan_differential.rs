@@ -16,7 +16,7 @@
 use faqs_core::{solve_faq_brute_force, solve_faq_with_plan};
 use faqs_exec::{Executor, QueryPlan};
 use faqs_hypergraph::{example_h2, path_query, star_query, tree_query, Hypergraph, Var};
-use faqs_plan::{plan_query_calibrated, structural_plan};
+use faqs_plan::{plan_query_with, structural_plan};
 use faqs_relation::{FaqQuery, Relation};
 use faqs_semiring::{Boolean, Count, MinPlus, Semiring};
 use proptest::prelude::*;
@@ -94,7 +94,7 @@ fn instance<S: Semiring>(
 
 fn plans<S: Semiring>(q: &FaqQuery<S>) -> (QueryPlan, QueryPlan) {
     let structural = structural_plan(q).expect("structural plan");
-    let stats = plan_query_calibrated(q, None, None, 1.0).expect("stats plan");
+    let stats = plan_query_with(q, None, None).expect("stats plan");
     (structural, stats)
 }
 

@@ -1,28 +1,20 @@
-//! Self-calibration: predicted-vs-actual telemetry and per-shape
-//! correction factors.
+//! Calibration telemetry: predicted-vs-actual row counts per shape.
 //!
-//! The cost model's GLV-style independence estimates are systematically
-//! biased on real data — correlated columns make joins denser than the
+//! The cost model's GLV-style independence estimates are biased on
+//! real data — correlated columns make joins denser than the
 //! independence assumption predicts, sparse overlaps make them thinner.
-//! The bias is a property of the *shape* of the instance (which is
-//! exactly what [`StatsDigest`] buckets), so it can be learned: every
-//! executor fold point records one `(predicted, actual)` cardinality
-//! pair into a cheap per-plan [`CalibrationLog`], logs are aggregated
-//! per digest into a [`CalibrationRegistry`], and the registry feeds a
-//! multiplicative correction (`exp2` of the mean `log₂(actual /
-//! predicted)` ratio) back into `CostModel::simulate` the next time the
-//! shape is planned. Repeated shapes therefore get progressively better
-//! estimates without any change to the estimator itself. Telemetry
-//! never steers a running pass: it folds its messages in plan order and
-//! only the next plan of the shape reads what it taught.
+//! Every multi-input fold point of a pass records one `(predicted,
+//! actual)` cardinality pair into a per-pass [`CalibrationLog`], and a
+//! successful pass drains it into a [`CalibrationRegistry`] under the
+//! instance's [`StatsDigest`]. The registry only observes:
+//! [`CalibrationRegistry::correction`] reports a shape's mean estimator
+//! error, and no planner, cache or session reads it back (ROADMAP
+//! Measurement B: a learned correction changed no plan on any fixture).
 //!
-//! Everything here is scoped: a registry belongs to one
-//! [`Executor`](../faqs_exec/struct.Executor.html) / session /
-//! distributed run, never to the process, so tests and co-resident
-//! servers cannot pollute each other's corrections. A caller that wants
-//! the pre-calibration engine bit for bit builds
-//! [`CalibrationRegistry::off`]: corrections stay at `1.0` and no
-//! telemetry is kept.
+//! A registry belongs to one
+//! [`Executor`](../faqs_exec/struct.Executor.html), never to the
+//! process, so co-resident executors cannot pollute each other's
+//! statistics.
 
 use crate::stats::StatsDigest;
 use std::collections::HashMap;
@@ -34,10 +26,8 @@ use std::sync::{Mutex, MutexGuard};
 /// mean beyond any future sample's reach.
 const LOG_RATIO_CLAMP: f64 = 32.0;
 
-/// Corrections are clamped to `2^±8` (256×): the estimator is never
-/// trusted to be wrong by more than that, and a runaway correction
-/// could otherwise re-saturate estimates the cost model carefully caps
-/// (the PR 6 NaN-cost bug class).
+/// Reported corrections are clamped to `2^±8` (256×), so the statistic
+/// stays finite and strictly positive whatever the samples were.
 const CORRECTION_CLAMP_LOG2: f64 = 8.0;
 
 /// One predicted-vs-actual cardinality pair from an executor fold
@@ -99,18 +89,6 @@ fn log2_ratio(predicted: u64, actual: u64) -> f64 {
     r.clamp(-LOG_RATIO_CLAMP, LOG_RATIO_CLAMP)
 }
 
-/// Whether a plan built with correction `built` is still current under
-/// `current`: rebuild only once the learned correction moved by a full
-/// factor of 2 (`|log₂(current / built)| ≥ 1`). Corrections converge as
-/// samples accumulate, so this hysteresis terminates — it cannot
-/// oscillate a hot shape between two plans forever.
-pub fn correction_fresh(built: f64, current: f64) -> bool {
-    (current.max(f64::MIN_POSITIVE) / built.max(f64::MIN_POSITIVE))
-        .log2()
-        .abs()
-        < 1.0
-}
-
 /// The running mean of one shape's log-ratios.
 #[derive(Clone, Copy, Debug, Default)]
 struct ShapeCalibration {
@@ -144,67 +122,32 @@ pub struct CalibrationStats {
     pub samples: u64,
 }
 
-/// The per-session calibration state: per-shape correction factors,
-/// learned from absorbed telemetry. One registry per executor / serving
-/// session / distributed run — never process-global.
-#[derive(Debug)]
+/// Per-shape estimator-error statistics, learned from absorbed
+/// telemetry. One registry per executor — never process-global.
+#[derive(Debug, Default)]
 pub struct CalibrationRegistry {
     shapes: Mutex<HashMap<StatsDigest, ShapeCalibration>>,
     samples: AtomicU64,
-    enabled: bool,
-}
-
-impl Default for CalibrationRegistry {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl CalibrationRegistry {
-    /// A fresh, enabled registry.
+    /// A fresh registry.
     pub fn new() -> Self {
-        Self::build(true)
+        Self::default()
     }
 
-    /// A registry that never learns and never corrects — the
-    /// pre-calibration engine.
-    pub fn off() -> Self {
-        Self::build(false)
-    }
-
-    fn build(enabled: bool) -> Self {
-        CalibrationRegistry {
-            shapes: Mutex::new(HashMap::new()),
-            samples: AtomicU64::new(0),
-            enabled,
-        }
-    }
-
-    /// Whether this registry learns and corrects at all.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// The multiplicative row-estimate correction for `digest`: `exp2`
-    /// of the shape's mean log-ratio, clamped to `2^±8`; `1.0` for
-    /// unseen shapes and disabled registries. Always finite and
-    /// strictly positive, so it can never poison the cost model's
-    /// saturation arithmetic.
+    /// The shape's mean estimator error as a ratio: `exp2` of the mean
+    /// `log₂(actual / predicted)` over every sample absorbed under
+    /// `digest`, clamped to `2^±8`; `1.0` for unseen shapes. A
+    /// read-only statistic: nothing plans with it.
     pub fn correction(&self, digest: &StatsDigest) -> f64 {
-        if !self.enabled {
-            return 1.0;
-        }
         lock(&self.shapes)
             .get(digest)
             .map_or(1.0, ShapeCalibration::correction)
     }
 
-    /// Drains a per-plan log into `digest`'s shape. No-op when
-    /// disabled.
+    /// Drains a per-pass log into `digest`'s shape.
     pub fn absorb(&self, digest: &StatsDigest, log: &CalibrationLog) {
-        if !self.enabled {
-            return;
-        }
         let samples = log.drain();
         if samples.is_empty() {
             return;
@@ -296,15 +239,6 @@ mod tests {
     }
 
     #[test]
-    fn off_registry_is_inert() {
-        let reg = CalibrationRegistry::off();
-        let d = digest();
-        absorb(&reg, &d, 1, 1, 1_000_000);
-        assert_eq!(reg.correction(&d), 1.0);
-        assert_eq!(reg.stats(), CalibrationStats::default());
-    }
-
-    #[test]
     fn absorb_drains_the_log() {
         let reg = CalibrationRegistry::new();
         let log = CalibrationLog::new();
@@ -316,18 +250,5 @@ mod tests {
         assert_eq!(reg.stats().samples, 2);
         let c = reg.correction(&digest());
         assert!((c - 2.0).abs() < 1e-9, "under-estimates push up, got {c}");
-    }
-
-    #[test]
-    fn correction_freshness_has_a_factor_two_hysteresis() {
-        assert!(correction_fresh(1.0, 1.0));
-        assert!(correction_fresh(1.0, 1.9));
-        assert!(correction_fresh(1.0, 0.55));
-        assert!(!correction_fresh(1.0, 2.0));
-        assert!(!correction_fresh(1.0, 0.5));
-        assert!(!correction_fresh(0.25, 1.0));
-        // Degenerate inputs stay total.
-        assert!(!correction_fresh(0.0, 1.0));
-        assert!(correction_fresh(0.0, 0.0));
     }
 }

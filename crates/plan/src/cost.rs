@@ -94,9 +94,6 @@ pub(crate) struct CostModel<'a> {
     log_d: u64,
     /// Bits per semiring annotation (`S::value_bits()`).
     value_bits: u64,
-    /// Learned per-shape multiplicative row correction (calibration).
-    /// `1.0` = trust the raw independence estimates.
-    correction: f64,
     /// Memoised `log₂` size bounds: one fractional-cover LP per distinct
     /// `(vars, factor set)` pair across all simulated candidates.
     vv_cache: RefCell<VvCache>,
@@ -106,32 +103,14 @@ pub(crate) struct CostModel<'a> {
 type VvCache = BTreeMap<(Vec<Var>, Vec<EdgeId>), f64>;
 
 impl<'a> CostModel<'a> {
-    pub(crate) fn new(
-        stats: &'a QueryStats,
-        domain: u32,
-        value_bits: u64,
-        correction: f64,
-    ) -> CostModel<'a> {
+    pub(crate) fn new(stats: &'a QueryStats, domain: u32, value_bits: u64) -> CostModel<'a> {
         let log_d = (32 - domain.saturating_sub(1).leading_zeros()).max(1) as u64;
         CostModel {
             stats,
             log_d,
             value_bits,
-            // A poisoned multiplier must never reach the estimates: the
-            // registry clamps to 2^±8, but the model re-sanitises so no
-            // caller can reintroduce the NaN-cost bug class.
-            correction: if correction.is_finite() && correction > 0.0 {
-                correction
-            } else {
-                1.0
-            },
             vv_cache: RefCell::new(BTreeMap::new()),
         }
-    }
-
-    /// The (sanitised) correction this model scores with.
-    pub(crate) fn correction(&self) -> f64 {
-        self.correction
     }
 
     /// `log₂` of the AGM/FD-aware bound on `|⋈_{e ∈ edges} R_e|`
@@ -310,7 +289,7 @@ impl<'a> CostModel<'a> {
     /// each shard at the width its [`QueryPlan::shard_nest`] leaves.
     /// Returns the cost and the per-node predicted row counts (dense by
     /// `NodeId`); the row predictions are what the executor's fold
-    /// points confront with `Relation::len` to drive calibration.
+    /// points confront with `Relation::len` as calibration telemetry.
     pub(crate) fn simulate(
         &self,
         plan: &QueryPlan,
@@ -460,18 +439,7 @@ impl DryRun<'_, '_> {
                 None => msg,
             });
         }
-        let mut est = acc.unwrap_or_else(Est::unit);
-        // Calibration: multi-input nodes are where the independence
-        // estimate actually estimates (single-factor bags have exact
-        // stats), so the learned per-shape correction applies exactly
-        // there — mirroring where the executor records
-        // predicted-vs-actual pairs.
-        if order.len() + plan.children(node).len() >= 2 && model.correction != 1.0 {
-            est.rows = (est.rows * model.correction).clamp(0.0, EST_CAP);
-            for d in est.distinct.values_mut() {
-                *d = d.min(est.rows.max(1.0));
-            }
-        }
+        let est = acc.unwrap_or_else(Est::unit);
         self.node_rows[node.index()] = saturating(est.rows);
         est
     }
@@ -526,7 +494,7 @@ mod tests {
         // never trims it. Every intermediate must stay capped and the
         // final cost finite-by-saturation, not NaN/inf-poisoned.
         let stats = chain_stats(40, 1_000_000);
-        let model = CostModel::new(&stats, 1 << 20, 64, 1.0);
+        let model = CostModel::new(&stats, 1 << 20, 64);
         let order: Vec<EdgeId> = (0..40).map(EdgeId).collect();
         let est = model.bag_est(&order);
         assert!(est.rows.is_finite(), "estimate must never go non-finite");
@@ -537,7 +505,7 @@ mod tests {
     #[test]
     fn non_finite_join_caps_fall_back_to_est_cap() {
         let stats = chain_stats(2, 1000);
-        let model = CostModel::new(&stats, 16, 64, 1.0);
+        let model = CostModel::new(&stats, 16, 64);
         let a = model.factor_est(EdgeId(0));
         let b = model.factor_est(EdgeId(1));
         for cap in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
@@ -568,29 +536,13 @@ mod tests {
                 distinct: vec![0, 0],
             },
         ]);
-        let model = CostModel::new(&stats, 2, 1, 1.0);
+        let model = CostModel::new(&stats, 2, 1);
         let est = model.bag_est(&[EdgeId(0), EdgeId(1)]);
         assert!(est.rows.is_finite());
         assert_eq!(saturating(est.rows), 0);
         let proj = model.project(est, &[Var(0)], &mut PlanCost::default());
         assert!(proj.rows.is_finite());
         assert_eq!(model.est_bits(&proj), 0);
-    }
-
-    #[test]
-    fn poisoned_corrections_are_sanitised_to_identity() {
-        let stats = chain_stats(2, 1000);
-        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -2.0] {
-            let model = CostModel::new(&stats, 16, 64, bad);
-            assert_eq!(model.correction, 1.0, "correction {bad} must be dropped");
-        }
-        // A sane correction is kept and applied multiplicatively at
-        // multi-input nodes without escaping the cap.
-        let model = CostModel::new(&stats, 16, 64, 8.0);
-        assert_eq!(model.correction, 8.0);
-        let huge = CostModel::new(&stats, 16, 64, 1e300);
-        let est = huge.bag_est(&[EdgeId(0), EdgeId(1)]);
-        assert!((est.rows * huge.correction).clamp(0.0, EST_CAP) <= EST_CAP);
     }
 
     #[test]
@@ -602,7 +554,7 @@ mod tests {
             rows: 1024,
             distinct: vec![4, 1024],
         }]);
-        let model = CostModel::new(&stats, 1 << 10, 64, 1.0);
+        let model = CostModel::new(&stats, 1 << 10, 64);
         let raw = model.shard_bits(EdgeId(0), 1, &[]);
         let agged = model.shard_bits(EdgeId(0), 1, &[(Var(1), Aggregate::Sum)]);
         assert_eq!(raw, 1024 * (2 * 10 + 64));

@@ -24,19 +24,19 @@
 //!                                  │  strict-improvement argmin
 //!                                  ▼
 //!       QueryPlan { ghd, joins, var_orders, nests, children,
-//!                   shard nests, cost, node_rows, correction, … }
+//!                   shard nests, cost, node_rows, … }
 //! ```
 //!
 //! * [`QueryStats`] / [`StatsDigest`] — per-factor cardinality and
 //!   distinct counts, gathered in one kernel pass
 //!   ([`faqs_relation::Relation::stats`]), plus the coarse
 //!   scale-invariant digest the `faqs-exec` plan cache keys on.
-//! * [`plan_query_calibrated`] — the one planning door: candidate
+//! * [`plan_query_with`] — the one planning door: candidate
 //!   enumeration (the structural default first, then every reroot of
 //!   the canonical join forest via
 //!   [`faqs_hypergraph::candidate_decompositions`], each re-rooted
 //!   further for free-variable coverage) and cost-based selection under
-//!   optional placement, statistics and calibration correction. The
+//!   optional placement and statistics. The
 //!   default wins all ties, so uniform instances plan exactly as the
 //!   structural planner did; [`structural_plan`] is that default on its
 //!   own, read from no data — the reference plan.
@@ -71,17 +71,15 @@ mod planner;
 mod stats;
 mod validate;
 
-pub use calibration::{
-    correction_fresh, CalibrationLog, CalibrationRegistry, CalibrationSample, CalibrationStats,
-};
+pub use calibration::{CalibrationLog, CalibrationRegistry, CalibrationSample, CalibrationStats};
 pub use cost::PlanCost;
 pub use error::EngineError;
 pub use fingerprint::PlanKey;
 pub use plan::QueryPlan;
 pub use planner::{
     choose_aggregation_players, cost_quote_calibrated, decomposition_covering_free_vars,
-    decomposition_for_free_vars, ghd_for_query, plan_query, plan_query_calibrated,
-    plan_query_placed, structural_plan, CandidateReport, PlacementContext, PlannerConfig,
+    decomposition_for_free_vars, ghd_for_query, plan_query, plan_query_placed, plan_query_with,
+    structural_plan, CandidateReport, PlacementContext, PlannerConfig,
 };
 pub use stats::{MaintainedQueryStats, QueryStats, StatsDigest};
 pub use validate::{check_elimination_order, check_product_aggregates, check_push_down};
@@ -144,7 +142,7 @@ mod tests {
         // default must win (cache keys, pinned distributed schedules
         // and ablation tables all rely on this determinism).
         let q = faqs_relation::irreducible_star_instance(4, 16);
-        let plan = plan_query_calibrated(&q, None, None, 1.0).unwrap();
+        let plan = plan_query_with(&q, None, None).unwrap();
         assert!(plan.chose_default(), "ties keep candidate 0");
         assert!(plan.candidates.len() > 1, "reroots were actually scored");
     }
@@ -163,7 +161,7 @@ mod tests {
             "precondition: the structural default roots at the huge edge 0"
         );
 
-        let plan = plan_query_calibrated(&q, None, None, 1.0).unwrap();
+        let plan = plan_query_with(&q, None, None).unwrap();
         assert!(!plan.chose_default(), "stats must beat the default here");
         assert!(
             !plan.ghd.node(plan.ghd.root()).lambda.contains(&EdgeId(0)),
@@ -197,7 +195,7 @@ mod tests {
             vec![vec![Player(0)], vec![Player(1)], vec![Player(2)]],
             Player(3),
         );
-        let plan = plan_query_calibrated(&q, Some(&ctx), None, 1.0).unwrap();
+        let plan = plan_query_with(&q, Some(&ctx), None).unwrap();
         assert!(!plan.chose_default());
         let default_bits = plan.candidates[0].cost.net_bits;
         assert!(
@@ -278,7 +276,7 @@ mod tests {
             vec![vec![Player(0)], vec![Player(1)], vec![Player(2)]],
             Player(3),
         );
-        let err = plan_query_calibrated(&q, Some(&ctx), None, 1.0);
+        let err = plan_query_with(&q, Some(&ctx), None);
         assert!(
             matches!(err, Err(EngineError::Invalid(ref m)) if m.contains("unreachable")),
             "partitioned placement must be a planner error, got {err:?}"
@@ -291,30 +289,7 @@ mod tests {
             vec![vec![Player(0)], vec![Player(1)], vec![Player(2)]],
             Player(3),
         );
-        assert!(plan_query_calibrated(&q, Some(&ctx2), None, 1.0).is_ok());
-    }
-
-    #[test]
-    fn corrections_rescale_predicted_rows_and_are_recorded() {
-        let q = skewed_star_instance(3, 16);
-        let base = plan_query_calibrated(&q, None, None, 1.0).unwrap();
-        assert_eq!(base.correction, 1.0);
-        assert!(!base.node_rows.is_empty(), "stats plans predict rows");
-        let scaled = plan_query_calibrated(&q, None, None, 4.0).unwrap();
-        assert_eq!(scaled.correction, 4.0);
-        // Multi-input nodes (root folds its children) scale up; leaf
-        // bags have exact single-factor stats and must stay put.
-        let root = scaled.ghd.root().index();
-        assert!(
-            scaled.node_rows[root] > base.node_rows[root],
-            "root prediction must grow under a 4× correction: {} !> {}",
-            scaled.node_rows[root],
-            base.node_rows[root]
-        );
-        // A poisoned correction is sanitised, not propagated.
-        let nan = plan_query_calibrated(&q, None, None, f64::NAN).unwrap();
-        assert_eq!(nan.correction, 1.0);
-        assert_eq!(nan.cost, base.cost);
+        assert!(plan_query_with(&q, Some(&ctx2), None).is_ok());
     }
 
     #[test]
@@ -364,8 +339,8 @@ mod tests {
         let g = Topology::line(4);
         let holders = vec![vec![Player(0)], vec![Player(1)], vec![Player(2)]];
         let ctx = PlacementContext::new(&q, &g, holders, Player(3));
-        let fixed = plan_query_calibrated(&q, Some(&ctx), None, 1.0).unwrap();
-        let raw = plan_query_calibrated(&raw_q, Some(&ctx), None, 1.0).unwrap();
+        let fixed = plan_query_with(&q, Some(&ctx), None).unwrap();
+        let raw = plan_query_with(&raw_q, Some(&ctx), None).unwrap();
         let edges = || (0..q.k()).map(|e| EdgeId(e as u32));
         assert!(
             edges().any(|e| !fixed.shard_nest(e).is_empty()),
@@ -386,7 +361,7 @@ mod tests {
         let mut stats = QueryStats::of(&q);
         stats.factors.pop();
         assert!(matches!(
-            plan_query_calibrated(&q, None, Some(&stats), 1.0),
+            plan_query_with(&q, None, Some(&stats)),
             Err(EngineError::Invalid(_))
         ));
     }
@@ -397,7 +372,7 @@ mod tests {
         // the outcome must be indistinguishable from a fresh O(data)
         // gathering pass, including the cache digest.
         let q = skewed_star_instance(3, 16);
-        let fresh = plan_query_calibrated(&q, None, None, 1.0).unwrap();
+        let fresh = plan_query_with(&q, None, None).unwrap();
         let stats = QueryStats::from_factors(
             q.factors
                 .iter()
@@ -405,7 +380,7 @@ mod tests {
                 .collect(),
         );
         assert_eq!(stats.digest(), QueryStats::of(&q).digest());
-        let pre = plan_query_calibrated(&q, None, Some(&stats), 1.0).unwrap();
+        let pre = plan_query_with(&q, None, Some(&stats)).unwrap();
         assert_eq!(pre.cost.cpu, fresh.cost.cpu);
         assert_eq!(pre.cost.net_bits, fresh.cost.net_bits);
         assert_eq!(pre.candidates.len(), fresh.candidates.len());
@@ -420,7 +395,7 @@ mod tests {
         let q = skewed_star_instance(3, 16);
         let quote = cost_quote_calibrated(&q, false, &registry).unwrap();
         assert!(quote.cpu > 0, "a non-trivial instance costs something");
-        let plan = plan_query_calibrated(&q, None, None, 1.0).unwrap();
+        let plan = plan_query_with(&q, None, None).unwrap();
         assert_eq!(quote, plan.candidates[0].cost, "quote = default's cost");
         assert!(plan.cost.cpu <= quote.cpu, "chosen plan never costs more");
         // Shape-level rejection matches the planner's: the carrier
@@ -467,7 +442,7 @@ mod tests {
             |_| Count(1),
         );
         assert!(matches!(
-            plan_query_calibrated(&q, None, None, 1.0),
+            plan_query_with(&q, None, None),
             Err(EngineError::FreeVarsOutsideCore(_))
         ));
         assert!(matches!(
@@ -494,7 +469,7 @@ mod tests {
             vec![],
             |_| Count(1),
         );
-        let plan = plan_query_calibrated(&q, None, None, 1.0).unwrap();
+        let plan = plan_query_with(&q, None, None).unwrap();
         assert!(!plan.chose_default(), "merged core must beat the default");
         assert!(plan.uses_generic_join(), "the merged bag lowers to WCOJ");
         assert!(
@@ -540,7 +515,7 @@ mod tests {
                 seed,
             };
             let q: FaqQuery<Count> = random_instance(&h, &cfg, vec![], |_| Count(1));
-            let plan = plan_query_calibrated(&q, None, None, 1.0).unwrap();
+            let plan = plan_query_with(&q, None, None).unwrap();
             let chosen = plan.candidates.iter().find(|c| c.chosen).unwrap();
             assert_eq!(chosen.label, "merged core", "{h:?}");
             let root = plan.ghd.root();
@@ -596,7 +571,7 @@ mod tests {
                 };
                 let free: Vec<Var> = free.iter().map(|&v| Var(v)).collect();
                 let q: FaqQuery<Count> = random_instance(h, &cfg, free, |_| Count(1));
-                let plan = plan_query_calibrated(&q, None, None, 1.0).unwrap();
+                let plan = plan_query_with(&q, None, None).unwrap();
                 for node in plan.ghd.node_ids() {
                     let var_order = &plan.var_orders[node.index()];
                     if !var_order.is_empty() {
@@ -652,7 +627,7 @@ mod tests {
         // the fingerprint dedup must keep exactly one copy of each
         // distinct shape in the explain table.
         let q = skewed_star_instance(3, 16);
-        let plan = plan_query_calibrated(&q, None, None, 1.0).unwrap();
+        let plan = plan_query_with(&q, None, None).unwrap();
         let mut labels: Vec<&str> = plan.candidates.iter().map(|c| c.label.as_str()).collect();
         labels.sort_unstable();
         let n = labels.len();
@@ -666,7 +641,7 @@ mod tests {
     #[test]
     fn candidate_table_is_explainable() {
         let q = skewed_star_instance(4, 8);
-        let plan = plan_query_calibrated(&q, None, None, 1.0).unwrap();
+        let plan = plan_query_with(&q, None, None).unwrap();
         assert_eq!(plan.candidates[0].label, "structural default");
         assert_eq!(
             plan.candidates.iter().filter(|c| c.chosen).count(),

@@ -43,10 +43,6 @@ pub struct QueryPlan {
     /// `NodeId`; empty for the structural plan): the `predicted` halves
     /// of the executor's predicted-vs-actual calibration samples.
     pub node_rows: Vec<u64>,
-    /// The calibration correction this plan was scored under (`1.0` =
-    /// uncalibrated). Plan caches compare it against the registry's
-    /// current correction to decide staleness.
-    pub correction: f64,
     /// The full scored candidate table (one entry, the default, for the
     /// structural plan).
     pub candidates: Vec<CandidateReport>,
@@ -69,8 +65,8 @@ pub struct QueryPlan {
 
 impl QueryPlan {
     /// The plan of `ghd` for `q`, unscored: every per-node and per-edge
-    /// table, no cost, no predicted rows, correction `1.0` and no
-    /// candidate table. The caller has validated `ghd` for `q`.
+    /// table, no cost, no predicted rows and no candidate table. The
+    /// caller has validated `ghd` for `q`.
     pub(crate) fn build<S: Semiring>(q: &FaqQuery<S>, ghd: Ghd) -> QueryPlan {
         let slots = ghd.node_ids().map(|n| n.index() + 1).max().unwrap_or(1);
         let mut joins = vec![Vec::new(); slots];
@@ -96,7 +92,6 @@ impl QueryPlan {
             var_orders,
             cost: PlanCost::default(),
             node_rows: Vec::new(),
-            correction: 1.0,
             candidates: Vec::new(),
             joins,
             children,
@@ -286,13 +281,13 @@ fn shard_nests<S: Semiring>(q: &FaqQuery<S>, ghd: &Ghd) -> Vec<Vec<(Var, Aggrega
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{plan_query_calibrated, structural_plan};
+    use crate::{plan_query_with, structural_plan};
     use faqs_hypergraph::{cycle_query, path_query, star_query};
     use faqs_relation::{random_instance, RandomInstanceConfig};
     use faqs_semiring::Count;
 
     fn build<S: Semiring>(q: &FaqQuery<S>) -> Result<QueryPlan, EngineError> {
-        plan_query_calibrated(q, None, None, 1.0)
+        plan_query_with(q, None, None)
     }
 
     fn inst(h: &faqs_hypergraph::Hypergraph, free: Vec<Var>, seed: u64) -> FaqQuery<Count> {

@@ -204,13 +204,12 @@ pub fn ghd_for_query<S: Semiring>(q: &FaqQuery<S>) -> Result<Ghd, EngineError> {
     Ok(ghd)
 }
 
-/// Shim for `benchmark/`: [`plan_query_calibrated`] without placement,
-/// precomputed statistics or correction; the [`PlannerConfig`] is
-/// ignored.
+/// Shim for `benchmark/`: [`plan_query_with`] without placement or
+/// precomputed statistics; the [`PlannerConfig`] is ignored.
 ///
 /// `lattice` can only *restrict*: `false` additionally refuses every
 /// `Max`/`Min`, `true` leaves the decision to the carrier
-/// ([`Semiring::admits`]), as [`plan_query_calibrated`] always does.
+/// ([`Semiring::admits`]), as [`plan_query_with`] always does.
 /// This and the other two `lattice` shims go at the next `[benchmark]`
 /// revision (ROADMAP 3(h)).
 #[doc(hidden)]
@@ -222,7 +221,7 @@ pub fn plan_query<S: Semiring>(
     plan_query_placed(q, lattice, cfg, None)
 }
 
-/// Shim for `benchmark/`: [`plan_query_calibrated`] with a placement
+/// Shim for `benchmark/`: [`plan_query_with`] with a placement
 /// and nothing else; `lattice` and the [`PlannerConfig`] as in
 /// [`plan_query`].
 #[doc(hidden)]
@@ -235,7 +234,7 @@ pub fn plan_query_placed<S: Semiring>(
     if !lattice {
         refuse_max_min(q)?;
     }
-    plan_query_calibrated(q, placement, None, 1.0)
+    plan_query_with(q, placement, None)
 }
 
 /// What `lattice = false` still means on the three signatures that keep
@@ -254,23 +253,22 @@ fn refuse_max_min<S: Semiring>(q: &FaqQuery<S>) -> Result<(), EngineError> {
 }
 
 /// Shim for `benchmark/`: the structural default's predicted cost —
-/// [`structural_plan`] dry-run once against a fresh statistics scan
-/// under `calibration`'s correction for it; `lattice` as in
-/// [`plan_query`]. Nothing else quotes a plan; the shim goes at the next
-/// `[benchmark]` revision (ROADMAP 3(h)).
+/// [`structural_plan`] dry-run once against a fresh statistics scan;
+/// `lattice` as in [`plan_query`]. The registry goes unread: the cost
+/// model scores raw estimates. Nothing else quotes a plan; the shim
+/// goes at the next `[benchmark]` revision (ROADMAP 3(h)).
 #[doc(hidden)]
 pub fn cost_quote_calibrated<S: Semiring>(
     q: &FaqQuery<S>,
     lattice: bool,
-    calibration: &CalibrationRegistry,
+    _calibration: &CalibrationRegistry,
 ) -> Result<PlanCost, EngineError> {
     if !lattice {
         refuse_max_min(q)?;
     }
     let plan = structural_plan(q)?;
     let stats = QueryStats::of(q);
-    let correction = calibration.correction(&stats.digest());
-    let model = CostModel::new(&stats, q.domain, S::value_bits(), correction);
+    let model = CostModel::new(&stats, q.domain, S::value_bits());
     Ok(model.simulate(&plan, None).0)
 }
 
@@ -321,8 +319,8 @@ fn default_plan<S: Semiring>(q: &FaqQuery<S>) -> Result<QueryPlan, EngineError> 
 
 /// The structural default as a plan, without reading any data: the
 /// width-minimising GYO-GHD ([`ghd_for_query`]) with smallest-first join
-/// orders, no predicted cost or rows, correction `1.0`. It is candidate
-/// 0 of every [`plan_query_calibrated`] search; on its own it is the
+/// orders, no predicted cost or rows. It is candidate 0 of every
+/// [`plan_query_with`] search; on its own it is the
 /// reference plan (`faqs_core::solve_faq_reference`), identical for
 /// equal data whatever the statistics say.
 pub fn structural_plan<S: Semiring>(q: &FaqQuery<S>) -> Result<QueryPlan, EngineError> {
@@ -339,20 +337,15 @@ pub fn structural_plan<S: Semiring>(q: &FaqQuery<S>) -> Result<QueryPlan, Engine
 /// The one planning door: validates `q`, builds the structural default
 /// and scores every re-rooted and core-merged candidate against it,
 /// keeping the default unless a candidate is strictly cheaper. The
-/// inputs are optional placement
-/// (when present, candidates are compared on predicted shipped bits
-/// first, kernel work breaking ties), optional precomputed statistics
-/// (in edge order; `None` reads each factor's profile), and a per-shape
-/// calibration `correction` (the multiplicative row-estimate fix a
-/// [`CalibrationRegistry`] learned for this instance's
-/// [`StatsDigest`](crate::StatsDigest); pass `1.0` to trust the raw
-/// estimates). `faqs-exec`'s plan cache, `solve_faq` and the
-/// distributed runtime all plan through here.
-pub fn plan_query_calibrated<S: Semiring>(
+/// inputs are an optional placement (when present, candidates are
+/// compared on predicted shipped bits first, kernel work breaking ties)
+/// and optional precomputed statistics (in edge order; `None` reads
+/// each factor's profile). `faqs-exec`'s plan cache, `solve_faq` and
+/// the distributed runtime all plan through here.
+pub fn plan_query_with<S: Semiring>(
     q: &FaqQuery<S>,
     placement: Option<&PlacementContext<'_>>,
     stats: Option<&QueryStats>,
-    correction: f64,
 ) -> Result<QueryPlan, EngineError> {
     if let Some(s) = stats {
         check_stats_len(q, s)?;
@@ -367,7 +360,7 @@ pub fn plan_query_calibrated<S: Semiring>(
             &gathered
         }
     };
-    let model = CostModel::new(stats, q.domain, S::value_bits(), correction);
+    let model = CostModel::new(stats, q.domain, S::value_bits());
     let placed = placement.is_some();
     (default.cost, default.node_rows) = model.simulate(&default, placement);
     let mut candidates = vec![CandidateReport {
@@ -465,7 +458,6 @@ pub fn plan_query_calibrated<S: Semiring>(
     for (i, c) in candidates.iter_mut().enumerate() {
         c.chosen = i == chosen;
     }
-    plan.correction = model.correction();
     plan.candidates = candidates;
     Ok(plan)
 }

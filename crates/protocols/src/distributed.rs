@@ -25,7 +25,9 @@
 //! [`RunStats`] and [`WireStats`]; [`ConformanceReport`] confronts the
 //! measurement with the closed-form [`BoundReport`] — the paper's
 //! inequalities as executable checks — and [`WireConformance`] does the
-//! same for the bytes on the wire.
+//! same for the bytes on the wire. The pass carries no fold observer:
+//! calibration telemetry is the executor's (`faqs_exec::Executor`), and
+//! the placed planner scores raw estimates.
 //!
 //! Push-down before shipping (Corollary G.2 at the shard level): a bound
 //! `Sum` variable occurring in exactly one hyperedge (and one GHD bag) is
@@ -41,18 +43,17 @@
 use crate::bounds::{model_capacity_bits, BoundReport};
 use crate::hash_split::ConsistentHashSplit;
 use crate::outcome::ProtocolError;
-use faqs_core::{CalProbe, Factors, Pass, PassSite, QueryPlan, Timed};
+use faqs_core::{Factors, Pass, PassSite, QueryPlan, Timed};
 use faqs_hypergraph::{EdgeId, NodeId, Var};
 use faqs_network::{
     Assignment, DeltaPackings, Player, RunStats, SimTransport, Topology, Transport, TransportKind,
     WireStats,
 };
-use faqs_plan::{CalibrationRegistry, PlacementContext, QueryStats, StatsDigest};
+use faqs_plan::PlacementContext;
 use faqs_relation::{FaqQuery, Relation};
 use faqs_semiring::{Aggregate, Semiring};
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
 
 /// Which player holds which shard of each input factor (`K ⊆ V`
 /// generalised to sharded inputs, Definition G.7 / Appendix G.6).
@@ -203,11 +204,6 @@ pub struct DistributedFaqRun<'a, S: Semiring> {
     /// The capacity-scaled topology the run executes on.
     scaled: Topology,
     all_links_live: bool,
-    /// Attached calibration registry + this query's shape digest: every
-    /// successful run then reports predicted-vs-actual pairs at its
-    /// multi-input folds, so distributed runs teach the planner exactly
-    /// like local executions do. `None` = no telemetry.
-    calibration: Option<(Arc<CalibrationRegistry>, StatsDigest)>,
 }
 
 impl<'a, S: Semiring> DistributedFaqRun<'a, S> {
@@ -252,7 +248,7 @@ impl<'a, S: Semiring> DistributedFaqRun<'a, S> {
         // nest leaves — the nest `materialise_shards` sums out before
         // routing.
         let ctx = PlacementContext::new(q, &scaled, placement.shards.clone(), placement.output());
-        let plan = faqs_plan::plan_query_calibrated(q, Some(&ctx), None, 1.0)
+        let plan = faqs_plan::plan_query_with(q, Some(&ctx), None)
             .map_err(|e| ProtocolError::Engine(e.to_string()))?;
         let all_links_live = scaled.links().all(|l| scaled.capacity(l) > 0);
         Ok(DistributedFaqRun {
@@ -261,7 +257,6 @@ impl<'a, S: Semiring> DistributedFaqRun<'a, S> {
             plan,
             scaled,
             all_links_live,
-            calibration: None,
         })
     }
 
@@ -275,17 +270,6 @@ impl<'a, S: Semiring> DistributedFaqRun<'a, S> {
             .map_err(|e| ProtocolError::Invalid(e.to_string()))?;
         self.plan = plan;
         Ok(self)
-    }
-
-    /// Attaches a shared [`CalibrationRegistry`]: every execution that
-    /// completes then feeds predicted-vs-actual fold-point cardinalities
-    /// into it under this query's statistics digest (a run that dies on
-    /// the wire teaches nothing). No-op for disabled registries.
-    pub fn with_calibration(mut self, calibration: Arc<CalibrationRegistry>) -> Self {
-        self.calibration = calibration
-            .is_enabled()
-            .then(|| (calibration, QueryStats::of(self.q).digest()));
-        self
     }
 
     /// The capacity-scaled topology the run executes on.
@@ -322,13 +306,10 @@ impl<'a, S: Semiring> DistributedFaqRun<'a, S> {
     ) -> Result<DistributedOutcome<S>, ProtocolError> {
         let shards = self.materialise_shards();
         let node_player = self.node_players(&shards);
-        let probe = self.calibration.as_ref();
-        let probe =
-            probe.and_then(|(registry, digest)| CalProbe::new(registry, digest, &self.plan));
         let pass = Pass {
             q: self.q,
             plan: &self.plan,
-            probe: probe.as_ref(),
+            probe: None,
         };
         let mut packings = Packings::new();
         let mut site = Routed {
@@ -903,34 +884,6 @@ mod tests {
             let run = DistributedFaqRun::new(&q, &g, placement, 1).unwrap();
             assert_eq!(run.execute().unwrap().result, engine);
         }
-    }
-
-    #[test]
-    fn calibrated_run_reports_fold_telemetry() {
-        let q = count_instance(&star_query(3), 2);
-        let g = Topology::ring(4);
-        let players: Vec<Player> = (0..4).map(Player).collect();
-        let placement = InputPlacement::hash_split(q.k(), &players, Player(0));
-        let registry = Arc::new(CalibrationRegistry::new());
-        let run = DistributedFaqRun::new(&q, &g, placement, 1)
-            .unwrap()
-            .with_calibration(Arc::clone(&registry));
-        let out = run.execute().unwrap();
-        assert_eq!(out.result, solve_faq(&q).unwrap());
-        let s = registry.stats();
-        assert_eq!(s.shapes, 1, "the run's digest is one learned shape");
-        assert!(s.samples > 0, "multi-input folds must observe");
-
-        // A disabled registry attaches to nothing and records nothing.
-        let off = Arc::new(CalibrationRegistry::off());
-        let q2 = count_instance(&star_query(3), 3);
-        let placement =
-            InputPlacement::hash_split(q2.k(), &(0..4).map(Player).collect::<Vec<_>>(), Player(0));
-        let run = DistributedFaqRun::new(&q2, &g, placement, 1)
-            .unwrap()
-            .with_calibration(Arc::clone(&off));
-        run.execute().unwrap();
-        assert_eq!(off.stats().samples, 0);
     }
 
     /// Each shard as `(holder, schema, rows with their values' bits)`.

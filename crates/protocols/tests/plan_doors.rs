@@ -10,7 +10,7 @@ use faqs_core::{solve_faq, solve_faq_with_plan, EngineError};
 use faqs_exec::Executor;
 use faqs_hypergraph::{star_query, Var};
 use faqs_network::{Player, Topology};
-use faqs_plan::plan_query_calibrated;
+use faqs_plan::plan_query_with;
 use faqs_protocols::{DistributedFaqRun, InputPlacement, ProtocolError};
 use faqs_relation::{random_instance, FaqQuery, RandomInstanceConfig};
 use faqs_semiring::{Aggregate, Count};
@@ -32,7 +32,7 @@ fn a_plan_built_under_sum_is_refused_under_max_at_every_door() {
         solve_faq(&max).unwrap(),
         "precondition: the aggregate changes the answer"
     );
-    let plan = plan_query_calibrated(&sum, None, None, 1.0).unwrap();
+    let plan = plan_query_with(&sum, None, None).unwrap();
     let g = Topology::line(3);
     let players: Vec<Player> = g.players().collect();
     let run = |q| {

@@ -7,7 +7,7 @@
 //! *predicted* bits must themselves respect the paper's envelope.
 
 use faqs_network::{Player, RunStats, Topology};
-use faqs_plan::{plan_query_calibrated, structural_plan, PlacementContext};
+use faqs_plan::{plan_query_with, structural_plan, PlacementContext};
 use faqs_protocols::{model_capacity_bits, ConformanceReport, DistributedFaqRun, InputPlacement};
 use faqs_relation::skewed_star_instance;
 
@@ -83,7 +83,7 @@ fn predicted_bits_respect_the_paper_envelope() {
         })
         .collect();
     let ctx = PlacementContext::new(&q, &scaled, holders, placement.output());
-    let plan = plan_query_calibrated(&q, Some(&ctx), None, 1.0).unwrap();
+    let plan = plan_query_with(&q, Some(&ctx), None).unwrap();
     let envelope =
         ConformanceReport::evaluate(&q, &scaled, &placement.players(), RunStats::default());
     assert!(plan.cost.net_bits > 0, "remote shards must cost something");
@@ -134,12 +134,7 @@ fn pre_aggregation_closes_the_predicted_vs_measured_gap() {
         })
         .collect();
     let ctx = PlacementContext::new(&q, &scaled, holders, placement.output());
-    let predict = |q| {
-        plan_query_calibrated(q, Some(&ctx), None, 1.0)
-            .unwrap()
-            .cost
-            .net_bits
-    };
+    let predict = |q| plan_query_with(q, Some(&ctx), None).unwrap().cost.net_bits;
     let fixed = predict(&q);
     let raw = predict(&raw_q);
 

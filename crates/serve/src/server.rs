@@ -138,8 +138,8 @@ impl<S: Semiring> FaqServer<S> {
         Self::with_executor(cfg, Executor::default())
     }
 
-    /// A server over an explicitly configured executor (its calibration
-    /// registry); the plan cache is shared by all workers.
+    /// A server over the given executor: its plan cache and calibration
+    /// registry are shared by all workers.
     pub fn with_executor(cfg: ServeConfig, executor: Executor) -> Self {
         let shared = Arc::new(Shared {
             registry: Registry::new(),

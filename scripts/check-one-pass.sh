@@ -10,8 +10,9 @@
 # `unwrap` / `expect` ratchet (ROADMAP item 5f), plus one operator per
 # GHD bag, one fold order per plan (ROADMAP item 5d), one planning
 # mode (ROADMAP aim 2), one delivery path for every transport, one
-# sorted scan per relational job (no reusable index), one plan value
-# and a serving front-end without admission control.
+# sorted scan per relational job (no reusable index), one plan value,
+# a serving front-end without admission control and calibration as a
+# pure observer.
 #
 # Fails unless exactly one non-test source file under
 # crates/{core,exec,protocols}/src calls the generic join
@@ -109,6 +110,13 @@
 # crates/serve/src names `MaintainedQueryStats`: every submit queues,
 # so neither an admission quote, its per-epoch memo, its pricing basis
 # nor the statistics the server maintained only for it may come back.
+# Fails, too, when a non-test, non-comment line under src/ or
+# crates/*/src names `correction_fresh`, `calibration_replans`,
+# `with_calibration`, `plan_query_calibrated` or
+# `CalibrationRegistry::off`: calibration observes and never steers —
+# the planner scores raw estimates, the digest is the plan cache's only
+# staleness rule, and the registry has no on/off state (ROADMAP item
+# 20, Measurement B).
 # Also prints the non-test src/ line
 # total of those three crates and of the whole workspace (src/ +
 # crates/*/src) — per file, the lines before the first `#[cfg(test)]` —
@@ -159,6 +167,7 @@ epilogues=()
 indexes=()
 plans=()
 admissions=()
+steering=()
 flags=0
 unwraps=0
 shims=crates/plan/src/planner.rs
@@ -201,6 +210,9 @@ while IFS= read -r file; do
     if grep -Eq '\b(PricedOn|TooExpensive|QuoteMemo|cost_quote_with_stats|samples_for)\b' <<<"$code" ||
         { [[ "$file" =~ ^crates/serve/src/ ]] && grep -Eq '\bMaintainedQueryStats\b' <<<"$code"; }; then
         admissions+=("$file")
+    fi
+    if grep -Eq '\b(correction_fresh|calibration_replans|with_calibration|plan_query_calibrated)\b|\bCalibrationRegistry::off\b' <<<"$code"; then
+        steering+=("$file")
     fi
     if grep -Eq '_lattice\b|\bAggFn\b|\bLatticeOps\b' <<<"$code"; then
         twins+=("$file")
@@ -331,5 +343,10 @@ fi
 if [ "${#admissions[@]}" -ne 0 ]; then
     printf 'admission control is back (PricedOn / TooExpensive / QuoteMemo / cost_quote_with_stats / samples_for, or MaintainedQueryStats in crates/serve/src):\n' >&2
     printf '  %s\n' "${admissions[@]}" >&2
+    exit 1
+fi
+if [ "${#steering[@]}" -ne 0 ]; then
+    printf 'calibration steers again (correction_fresh / calibration_replans / with_calibration / plan_query_calibrated / CalibrationRegistry::off):\n' >&2
+    printf '  %s\n' "${steering[@]}" >&2
     exit 1
 fi

@@ -88,8 +88,7 @@ pub mod prelude {
     pub use faqs_lowerbounds::{bcq_lower_bound, Tribes};
     pub use faqs_network::{Assignment, Topology, Transport, TransportKind, WireStats};
     pub use faqs_plan::{
-        plan_query_calibrated, CalibrationRegistry, CalibrationStats, PlanCost, QueryPlan,
-        QueryStats,
+        plan_query_with, CalibrationRegistry, CalibrationStats, PlanCost, QueryPlan, QueryStats,
     };
     pub use faqs_protocols::{
         run_bcq_protocol, run_faq_protocol, ConformanceReport, DistributedFaqRun, InputPlacement,

@@ -386,9 +386,7 @@ fn illegal_aggregates_are_refused_not_answered() {
     let refusals = [
         typed.to_string(),
         executor.solve(&q).unwrap_err().to_string(),
-        plan_query_calibrated(&q, None, None, 1.0)
-            .unwrap_err()
-            .to_string(),
+        plan_query_with(&q, None, None).unwrap_err().to_string(),
         server.register(q.clone(), x(0)).unwrap_err().to_string(),
         DistributedFaqRun::new(&q, &g, placement, 1)
             .err()
