@@ -42,4 +42,4 @@ pub mod pgm;
 pub use brute::solve_faq_brute_force;
 pub use engine::{solve_bcq, solve_faq, solve_faq_reference, solve_faq_with_plan, EngineError};
 pub use faqs_plan::QueryPlan;
-pub use pass::{CalProbe, Factors, Pass, PassSite, Sequential, Timed};
+pub use pass::{CalProbe, Pass, PassSite, Sequential, Timed};

@@ -24,16 +24,11 @@ use faqs_hypergraph::NodeId;
 use faqs_plan::{CalibrationLog, CalibrationRegistry, QueryPlan, StatsDigest};
 use faqs_relation::{generic_join_aggregated, FaqQuery, Relation};
 use faqs_semiring::Semiring;
-use std::borrow::Cow;
 use std::convert::Infallible;
 
 /// A relation and the round at whose end it is complete where it is
 /// (always `0` at sites that never touch a network).
 pub type Timed<R> = (R, u64);
-
-/// A node's factors as a site hands them to the pass: borrowed where
-/// they already live, owned where the site had to build them.
-pub type Factors<'r, S> = Vec<Cow<'r, Relation<S>>>;
 
 /// The fixed inputs of one upward pass.
 pub struct Pass<'a, S: Semiring> {
@@ -68,17 +63,14 @@ pub trait PassSite<S: Semiring>: Sized {
     /// Where a node's factors come from: `node`'s λ factors in the
     /// plan's join order (none for a factorless synthetic root), or any
     /// relation whose product they are, and the round they are all
-    /// present at.
-    fn bag<'r>(
-        &'r mut self,
-        pass: &'r Pass<'_, S>,
+    /// present at. A factor clone shares its rows (copy-on-write).
+    fn bag(
+        &mut self,
+        pass: &Pass<'_, S>,
         node: NodeId,
-    ) -> Result<Timed<Factors<'r, S>>, Self::Error> {
+    ) -> Result<Timed<Vec<Relation<S>>>, Self::Error> {
         let factors = pass.plan.joins(node).iter();
-        Ok((
-            factors.map(|&e| Cow::Borrowed(pass.q.factor(e))).collect(),
-            0,
-        ))
+        Ok((factors.map(|&e| pass.q.factor(e).clone()).collect(), 0))
     }
 
     /// How a message travels from `from`'s evaluator to `to`'s: what
@@ -154,12 +146,12 @@ impl<S: Semiring> Pass<'_, S> {
         let (output, rows) = if factors.len() >= 2 {
             // The messages join after the bag's factors: they list only
             // bag variables.
-            let inputs = factors.iter().map(AsRef::as_ref).chain(messages);
+            let inputs = factors.iter().chain(messages);
             let inputs: Vec<&Relation<S>> = inputs.collect();
             generic_join_aggregated(&inputs, self.plan.var_order(node), nest)
         } else {
             let bag = match factors.pop() {
-                Some(one) => one.into_owned().fold_keyed(&messages),
+                Some(one) => one.fold_keyed(&messages),
                 None => seed(&messages),
             };
             let rows = bag.len();
@@ -286,11 +278,11 @@ mod tests {
     impl PassSite<Count> for Counting {
         type Error = Infallible;
 
-        fn bag<'r>(
-            &'r mut self,
-            pass: &'r Pass<'_, Count>,
+        fn bag(
+            &mut self,
+            pass: &Pass<'_, Count>,
             node: NodeId,
-        ) -> Result<Timed<Factors<'r, Count>>, Infallible> {
+        ) -> Result<Timed<Vec<Relation<Count>>>, Infallible> {
             self.combined.push(node);
             let factors: Vec<&Relation<Count>> = pass
                 .plan
@@ -304,7 +296,7 @@ mod tests {
                 _ => Some(generic_join(&factors, pass.plan.var_order(node))),
             };
             self.bags.extend(bag.map(|bag| (node, bag)));
-            Ok((factors.into_iter().map(Cow::Borrowed).collect(), 0))
+            Ok((factors.into_iter().cloned().collect(), 0))
         }
 
         fn deliver(

@@ -11,7 +11,9 @@ use faqs_hypergraph::{EdgeId, Var};
 use faqs_relation::{FaqQuery, Relation};
 use faqs_semiring::Prob;
 
-/// The unnormalised marginal of a single variable: `ϕ({v})`.
+/// The unnormalised marginal of a single variable: `ϕ({v})` — the
+/// paper's PGM variable-marginal problem (Section 1, `F = {v}`), kept
+/// public as that problem's entry point.
 pub fn variable_marginal(q: &FaqQuery<Prob>, v: Var) -> Result<Relation<Prob>, EngineError> {
     let mut qv = q.clone();
     qv.free_vars = vec![v];

@@ -7,7 +7,7 @@
 
 use crate::cache::{CacheStats, PlanCache};
 use faqs_core::{CalProbe, EngineError, Pass, QueryPlan, Sequential};
-use faqs_plan::{CalibrationRegistry, CalibrationStats, QueryStats, StatsDigest};
+use faqs_plan::{CalibrationRegistry, QueryStats, StatsDigest};
 use faqs_relation::{FaqQuery, Relation};
 use faqs_semiring::Semiring;
 
@@ -58,11 +58,6 @@ impl Executor {
     /// This executor's calibration registry.
     pub fn calibration(&self) -> &CalibrationRegistry {
         &self.calibration
-    }
-
-    /// Calibration counters (shapes learned, samples absorbed).
-    pub fn calibration_stats(&self) -> CalibrationStats {
-        self.calibration.stats()
     }
 
     /// Plan-cache counters (hits prove the GHD/validation work was
@@ -214,7 +209,7 @@ mod tests {
         for _ in 0..4 {
             assert_eq!(ex.solve(&q).unwrap(), expected);
         }
-        let stats = ex.calibration_stats();
+        let stats = ex.calibration().stats();
         assert_eq!(stats.shapes, 1, "one digest, one learned shape");
         assert!(stats.samples > 0, "fold points recorded telemetry");
     }
@@ -249,7 +244,7 @@ mod tests {
         let q = inst(8);
         let plan = stats_plan(&q);
         assert_eq!(ex.solve_on(&q, &plan).unwrap(), solve_faq(&q).unwrap());
-        let stats = ex.calibration_stats();
+        let stats = ex.calibration().stats();
         assert!(stats.samples > 0, "supplied-plan path still observes");
         assert_eq!(ex.cache_stats().misses, 0, "cache bypassed");
     }

@@ -36,12 +36,11 @@
 //! stats re-scan, no full upward pass).
 
 use crate::cache::PlanCache;
-use faqs_core::{EngineError, Factors, Pass, PassSite, QueryPlan, Timed};
+use faqs_core::{EngineError, Pass, PassSite, QueryPlan, Timed};
 use faqs_hypergraph::{EdgeId, NodeId};
 use faqs_plan::{MaintainedQueryStats, StatsDigest};
 use faqs_relation::{AppliedDelta, FaqQuery, Relation, RelationDelta};
 use faqs_semiring::{Aggregate, Semiring};
-use std::borrow::Cow;
 use std::convert::Infallible;
 use std::ops::Deref;
 use std::sync::Arc;
@@ -447,17 +446,17 @@ impl<S: Semiring> PassSite<S> for Stored<'_, S> {
             .collect()
     }
 
-    /// The node's factors, borrowed, with `swap` in its factor's place.
-    fn bag<'r>(
-        &'r mut self,
-        pass: &'r Pass<'_, S>,
+    /// The node's factors with `swap` in its factor's place.
+    fn bag(
+        &mut self,
+        pass: &Pass<'_, S>,
         node: NodeId,
-    ) -> Result<Timed<Factors<'r, S>>, Infallible> {
+    ) -> Result<Timed<Vec<Relation<S>>>, Infallible> {
         let factors = pass.plan.joins(node).iter().map(|&e| match self.swap {
             Some((swapped, delta)) if swapped == e => delta,
             _ => pass.q.factor(e),
         });
-        Ok((factors.map(Cow::Borrowed).collect(), 0))
+        Ok((factors.cloned().collect(), 0))
     }
 
     fn deliver(

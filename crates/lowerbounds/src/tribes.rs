@@ -97,7 +97,9 @@ impl Tribes {
 
     /// The paper's hard-distribution shape (Remark G.5): every pair
     /// intersects in at most one element. `intersecting[i]` controls
-    /// whether pair `i` gets its single common element.
+    /// whether pair `i` gets its single common element. Public as the
+    /// paper's hard input distribution, the one lower-bound instances
+    /// are drawn from.
     pub fn single_intersection(n: u32, intersecting: &[bool], seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
         let pairs = intersecting

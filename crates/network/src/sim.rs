@@ -27,10 +27,9 @@
 //! Causality is the caller's contract: a payload may only be sent with
 //! `ready_at` after the round the sender learned it (the protocols in
 //! `faqs-protocols` thread arrival rounds through their dataflow, so the
-//! discipline is enforced by construction and asserted in tests). The
-//! [`NetRun::transmit_causal`] / [`NetRun::route_causal`] entry points
-//! make the declaration explicit and let the scheduler *reject*
-//! `ready_at` violations ([`TransmitError::CausalityViolation`]).
+//! discipline is enforced by construction and asserted in tests).
+//! [`NetRun::route_causal`] makes the declaration explicit: the first
+//! hop departs the round after the payload was learned.
 
 use crate::topology::{LinkId, Player, Topology};
 use std::collections::hash_map::Entry;
@@ -49,18 +48,6 @@ pub enum TransmitError {
     /// No positive-capacity route connects the two players (they may
     /// still be connected through down links).
     NoRoute(Player, Player),
-    /// A causal send declared a payload learned at the end of round
-    /// `learned_at` but asked to start transmitting at `ready_at` ≤
-    /// `learned_at` — the sender cannot transmit data before the round
-    /// after it learned it.
-    CausalityViolation {
-        /// The offending sender.
-        at: Player,
-        /// Round at whose end the payload became known to the sender.
-        learned_at: u64,
-        /// The requested (too early) start round.
-        ready_at: u64,
-    },
     /// The physical medium failed while carrying a frame the shadow
     /// simulator had already scheduled (e.g. a refused or reset socket).
     Io {
@@ -83,14 +70,6 @@ impl std::fmt::Display for TransmitError {
             TransmitError::NoRoute(a, b) => {
                 write!(f, "no positive-capacity route from {a} to {b}")
             }
-            TransmitError::CausalityViolation {
-                at,
-                learned_at,
-                ready_at,
-            } => write!(
-                f,
-                "{at} cannot send at round {ready_at} data it learns at the end of round {learned_at}"
-            ),
             TransmitError::Io { from, to, kind } => {
                 write!(f, "I/O failure shipping from {from} to {to}: {kind}")
             }
@@ -243,32 +222,6 @@ impl<'a> NetRun<'a> {
         self.transmit_on(link, from, bits, ready_at)
     }
 
-    /// [`NetRun::transmit`] with an explicit causality declaration: the
-    /// payload became known to `from` at the end of round `learned_at`
-    /// (`0` for the player's initial input), so the transmission may
-    /// start no earlier than `learned_at + 1`. Requests that would send
-    /// data before the sender can know it are rejected with
-    /// [`TransmitError::CausalityViolation`] — protocols that thread
-    /// arrival rounds through this entry point are causal by
-    /// construction *and* checked by the scheduler.
-    pub fn transmit_causal(
-        &mut self,
-        from: Player,
-        to: Player,
-        bits: u64,
-        learned_at: u64,
-        ready_at: u64,
-    ) -> Result<u64, TransmitError> {
-        if ready_at <= learned_at {
-            return Err(TransmitError::CausalityViolation {
-                at: from,
-                learned_at,
-                ready_at,
-            });
-        }
-        self.transmit(from, to, bits, ready_at)
-    }
-
     /// [`NetRun::transmit`] on an explicit link (used when routing along
     /// a Steiner tree whose links are known). Zero-capacity (down) links
     /// carry nothing — not even zero-bit "nothing to say" messages.
@@ -345,8 +298,7 @@ impl<'a> NetRun<'a> {
     /// [`NetRun::send_via_shortest_path`] with a causality declaration:
     /// the payload is known to `from` at the end of round `learned_at`,
     /// so the first hop departs at `learned_at + 1` and every relay hop
-    /// forwards each chunk the round after it arrives — the multi-hop
-    /// analogue of [`NetRun::transmit_causal`].
+    /// forwards each chunk the round after it arrives.
     pub fn route_causal(
         &mut self,
         from: Player,
@@ -576,27 +528,6 @@ mod tests {
             Ok(6),
             "zero bits over a live route still cost nothing"
         );
-    }
-
-    #[test]
-    fn causal_transmit_rejects_time_travel() {
-        let g = Topology::line(2).with_uniform_capacity(4);
-        let mut run = NetRun::new(&g);
-        // Payload learned at the end of round 5 cannot depart at round 3
-        // (nor at round 5 itself).
-        for ready_at in [3u64, 5] {
-            assert_eq!(
-                run.transmit_causal(Player(0), Player(1), 4, 5, ready_at),
-                Err(TransmitError::CausalityViolation {
-                    at: Player(0),
-                    learned_at: 5,
-                    ready_at,
-                })
-            );
-        }
-        assert_eq!(run.stats().transmissions, 0, "rejected sends cost nothing");
-        // The first legal round is learned_at + 1.
-        assert_eq!(run.transmit_causal(Player(0), Player(1), 4, 5, 6), Ok(6));
     }
 
     #[test]

@@ -43,7 +43,7 @@
 use crate::bounds::{model_capacity_bits, BoundReport};
 use crate::hash_split::ConsistentHashSplit;
 use crate::outcome::ProtocolError;
-use faqs_core::{Factors, Pass, PassSite, QueryPlan, Timed};
+use faqs_core::{Pass, PassSite, QueryPlan, Timed};
 use faqs_hypergraph::{EdgeId, NodeId, Var};
 use faqs_network::{
     Assignment, DeltaPackings, Player, RunStats, SimTransport, Topology, Transport, TransportKind,
@@ -52,7 +52,6 @@ use faqs_network::{
 use faqs_plan::PlacementContext;
 use faqs_relation::{FaqQuery, Relation};
 use faqs_semiring::{Aggregate, Semiring};
-use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Which player holds which shard of each input factor (`K ⊆ V`
@@ -552,11 +551,11 @@ struct Routed<'r, 'a, S: Semiring, T: Transport + ?Sized> {
 impl<S: Semiring, T: Transport + ?Sized> PassSite<S> for Routed<'_, '_, S, T> {
     type Error = ProtocolError;
 
-    fn bag<'r>(
-        &'r mut self,
-        pass: &'r Pass<'_, S>,
+    fn bag(
+        &mut self,
+        pass: &Pass<'_, S>,
         node: NodeId,
-    ) -> Result<Timed<Factors<'r, S>>, ProtocolError> {
+    ) -> Result<Timed<Vec<Relation<S>>>, ProtocolError> {
         // Every factor is gathered before the pass joins any: gathering
         // order — and hence round accounting — is operator-independent.
         let me = self.node_player[node.index()];
@@ -567,7 +566,7 @@ impl<S: Semiring, T: Transport + ?Sized> PassSite<S> for Routed<'_, '_, S, T> {
                 self.run
                     .gather_factor(e, me, self.transport, self.shards, self.packings)?;
             ready = ready.max(arrived);
-            gathered.push(Cow::Owned(factor));
+            gathered.push(factor);
         }
         Ok((gathered, ready))
     }
@@ -723,21 +722,6 @@ impl ConformanceReport {
     pub fn conforms(&self) -> bool {
         self.within_upper() && self.meets_lower()
     }
-
-    /// Panics with the full ledger unless [`ConformanceReport::conforms`].
-    pub fn assert_conforms(&self) {
-        assert!(
-            self.conforms(),
-            "bound conformance violated: lower {} ≤ measured {} ≤ upper {} \
-             (rounds {}, transmissions {}, bound {:?})",
-            self.lower_bits,
-            self.stats.total_bits,
-            self.upper_bits,
-            self.stats.rounds,
-            self.stats.transmissions,
-            self.bound,
-        );
-    }
 }
 
 /// The model envelope translated into wire units: a run's measured
@@ -828,7 +812,7 @@ mod tests {
         assert_eq!(out.stats, RunStats::default());
         let report = run.conformance(out.stats);
         assert_eq!(report.upper_bits, 0, "co-located envelope is zero");
-        report.assert_conforms();
+        assert!(report.conforms(), "{report:?}");
     }
 
     #[test]

@@ -13,7 +13,7 @@
 
 use faqs_core::{solve_bcq, solve_faq};
 use faqs_hypergraph::{path_query, star_query};
-use faqs_network::{NetRun, Player, Topology, TransmitError};
+use faqs_network::{Player, Topology};
 use faqs_protocols::{DistributedFaqRun, InputPlacement};
 use faqs_relation::{
     irreducible_star_instance, random_instance, BcqBuilder, FaqQuery, RandomInstanceConfig,
@@ -57,7 +57,7 @@ fn assert_conformance(q: &FaqQuery<Boolean>, g: &Topology, output: Player) {
     );
     let report = run.conformance(out.stats);
     assert!(report.lower_bits > 0, "{}: spread placement", g.name());
-    report.assert_conforms();
+    assert!(report.conforms(), "{report:?}");
 }
 
 #[test]
@@ -93,7 +93,7 @@ fn theorem_3_1_star_regression() {
     assert_eq!(!out.result.total().is_zero(), solve_bcq(&q));
 
     let report = run.conformance(out.stats);
-    report.assert_conforms();
+    assert!(report.conforms(), "{report:?}");
     // Theorem 3.1 shape: Ω(N/MinCut) = Ω(N) rounds on the line's unit
     // cut; our point-to-point runtime stays within a small multiple.
     assert!(out.stats.rounds as u32 >= n / 4, "{}", out.stats.rounds);
@@ -115,28 +115,6 @@ fn theorem_3_1_star_regression() {
 /// N = 64 — the `N/MinCut` shape with the runtime's point-to-point
 /// constant.
 const PINNED_THEOREM_3_1_STATS: (u64, u64, u64) = (122, 4056, 342);
-
-#[test]
-fn scheduler_rejects_ready_at_violations() {
-    // The causal entry point refuses to send data earlier than the
-    // round after the sender learned it.
-    let g = Topology::line(3).with_uniform_capacity(8);
-    let mut run = NetRun::new(&g);
-    let arrived = run.transmit_causal(Player(0), Player(1), 8, 0, 1).unwrap();
-    // Relaying at or before the arrival round is a violation …
-    assert_eq!(
-        run.transmit_causal(Player(1), Player(2), 8, arrived, arrived),
-        Err(TransmitError::CausalityViolation {
-            at: Player(1),
-            learned_at: arrived,
-            ready_at: arrived,
-        })
-    );
-    // … the round after is legal.
-    assert!(run
-        .transmit_causal(Player(1), Player(2), 8, arrived, arrived + 1)
-        .is_ok());
-}
 
 #[test]
 fn runs_are_deterministic_across_repeats_and_thread_counts() {

@@ -55,7 +55,7 @@ fn race_transports<S: Semiring>(
     // Measured wire bits inside the envelope (execute_on asserts this
     // live; re-derive here so the test fails with the full ledger).
     let report = run.conformance(tcp.stats);
-    report.assert_conforms();
+    assert!(report.conforms(), "{report:?}");
     let wc = run.wire_conformance(&report, tcp.wire);
     assert!(
         wc.within_upper(),
