@@ -22,7 +22,10 @@
 //!   looked up once, the parameter-carrying factors restrict to the
 //!   merged binding set in one pass, and each requester
 //!   receives its slice, bit-identical (on exact semirings) to a solo
-//!   pass. `ServeConfig { max_batch: 1, .. }` is per-query dispatch.
+//!   pass. A pool worker runs the oldest request's batch; a
+//!   [`Ticket::wait`] whose request is still queued runs that request's
+//!   batch on the calling thread instead of waking a worker and parking.
+//!   `ServeConfig { max_batch: 1, .. }` is per-query dispatch.
 //!
 //! ```
 //! use faqs_serve::{FaqServer, ServeConfig};

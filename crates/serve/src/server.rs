@@ -5,31 +5,41 @@
 //!   submit(shape, binding)
 //!        │
 //!        ▼
-//!   ┌──────────────────┐  same-shape merge   ┌─────────────────┐
-//!   │  request queue   │────────────────────▶│ worker pool:    │
-//!   │ (Mutex+Condvar)  │  up to `max_batch`  │ one snapshot,   │
-//!   └──────────────────┘                     │ one batched pass│
-//!                                            └─────────────────┘
+//!   ┌──────────────────┐
+//!   │  request queue   │  ids in arrival order
+//!   │ (Mutex+Condvar)  │
+//!   └──────────────────┘
+//!      │ take_batch:         │ take_batch: its own request
+//!      │ the oldest request  │ and the later same-shape ones
+//!      ▼                     ▼
+//!   ┌──────────────┐    ┌──────────────────────────┐
+//!   │ worker pool  │    │ Ticket::wait, still      │
+//!   │              │    │ queued: the caller runs  │
+//!   └──────────────┘    └──────────────────────────┘
+//!        run_batch: one snapshot, one batched pass
 //! ```
 //!
-//! Every submit queues. Workers drain the queue in arrival order, but
-//! pull every queued request for the *same shape* (up to
-//! [`ServeConfig::max_batch`]) into one [`Executor::solve_batch`] pass:
-//! the shared plan is looked up once, the parameter-carrying factors
-//! are restricted to the merged binding set, and each requester
-//! receives its slice — bit-identical to a solo pass on exact
-//! semirings. `max_batch: 1` is per-query
-//! dispatch; everything else is unchanged.
+//! Every submit queues and wakes a worker. A batch is one queued
+//! request plus every later queued request for the *same shape* (up to
+//! [`ServeConfig::max_batch`]), answered by one
+//! [`Executor::solve_batch`] pass: the shared plan is looked up once,
+//! the parameter-carrying factors are restricted to the merged binding
+//! set, and each requester receives its slice — bit-identical to a solo
+//! pass on exact semirings. Workers take the oldest request's batch. A
+//! [`Ticket::wait`] whose request no worker has taken yet takes that
+//! request's batch and runs it on the calling thread, so a caller that
+//! reads right after it submits is not handed to a worker and back.
+//! `max_batch: 1` is per-query dispatch; everything else is unchanged.
 
 use crate::error::ServeError;
-use crate::registry::{Registry, ShapeEntry, ShapeId};
+use crate::registry::{Registry, ShapeId};
 use faqs_exec::{CacheStats, Executor};
 use faqs_hypergraph::{EdgeId, Var};
 use faqs_relation::{FaqQuery, Relation, RelationDelta, Snapshot};
 use faqs_semiring::Semiring;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex, Weak};
 
 /// Serving-layer tuning knobs.
 #[derive(Clone, Copy, Debug)]
@@ -71,8 +81,11 @@ pub struct Answer<S: Semiring> {
     pub epoch: u64,
 }
 
-/// A pending reply handle.
+/// A pending reply handle. It holds the server weakly, so an
+/// outstanding ticket never keeps the server's workers or data alive.
 pub struct Ticket<S: Semiring> {
+    id: u64,
+    shared: Weak<Shared<S>>,
     rx: mpsc::Receiver<Result<Answer<S>, ServeError>>,
 }
 
@@ -83,14 +96,37 @@ impl<S: Semiring> std::fmt::Debug for Ticket<S> {
 }
 
 impl<S: Semiring> Ticket<S> {
-    /// Blocks until the answer (or failure) arrives. A server dropped
-    /// with the request still queued yields [`ServeError::Shutdown`].
+    /// Blocks until the answer (or failure) arrives. If no worker has
+    /// taken the request yet, the calling thread runs its batch: the
+    /// request plus the later queued ones of its shape. A server gone
+    /// with the request unanswered yields [`ServeError::Shutdown`].
     pub fn wait(self) -> Result<Answer<S>, ServeError> {
+        match self.rx.try_recv() {
+            Ok(reply) => return reply,
+            Err(mpsc::TryRecvError::Disconnected) => return Err(ServeError::Shutdown),
+            Err(mpsc::TryRecvError::Empty) => {}
+        }
+        if let Some(shared) = self.shared.upgrade() {
+            let batch = {
+                let mut queue = lock(&shared.queue);
+                match queue.binary_search_by_key(&self.id, |r| r.id) {
+                    Ok(at) => take_batch(&mut queue, at, shared.width()),
+                    Err(_) => Vec::new(),
+                }
+            };
+            if !batch.is_empty() {
+                shared.caller_batches.fetch_add(1, Ordering::Relaxed);
+                run_batch(&shared, batch);
+            }
+        }
         self.rx.recv().unwrap_or(Err(ServeError::Shutdown))
     }
 }
 
 struct Request<S: Semiring> {
+    /// The `submitted` count when the request was queued: ids rise
+    /// along the queue.
+    id: u64,
     shape: ShapeId,
     binding: u32,
     reply: mpsc::Sender<Result<Answer<S>, ServeError>>,
@@ -101,12 +137,15 @@ struct Request<S: Semiring> {
 pub struct ServeStats {
     /// Requests accepted into the queue.
     pub submitted: u64,
-    /// Batched passes executed by the worker pool.
+    /// Batched passes run, by the worker pool or a waiting caller.
     pub batches: u64,
     /// Requests answered through batched passes.
     pub batched: u64,
     /// Widest batch merged so far.
     pub max_width: u64,
+    /// Batches a waiting caller ran on its own thread (counted in
+    /// `batches` and `batched` too).
+    pub caller_batches: u64,
     /// The shared executor's plan-cache counters.
     pub cache: CacheStats,
 }
@@ -122,6 +161,13 @@ struct Shared<S: Semiring> {
     batches: AtomicU64,
     batched: AtomicU64,
     max_width: AtomicU64,
+    caller_batches: AtomicU64,
+}
+
+impl<S: Semiring> Shared<S> {
+    fn width(&self) -> usize {
+        self.cfg.max_batch.max(1)
+    }
 }
 
 /// The serving front-end: a registry of mutable query shapes and a
@@ -152,6 +198,7 @@ impl<S: Semiring> FaqServer<S> {
             batches: AtomicU64::new(0),
             batched: AtomicU64::new(0),
             max_width: AtomicU64::new(0),
+            caller_batches: AtomicU64::new(0),
         });
         let workers = (0..cfg.workers.max(1))
             .map(|_| {
@@ -170,23 +217,33 @@ impl<S: Semiring> FaqServer<S> {
     }
 
     /// Submits one binding of a registered shape to the batching
-    /// worker pool.
+    /// queue; never blocks on a pass.
     pub fn submit(&self, shape: ShapeId, binding: u32) -> Result<Ticket<S>, ServeError> {
         let shared = &self.shared;
         if shared.shutdown.load(Ordering::Acquire) {
             return Err(ServeError::Shutdown);
         }
         shared.registry.get(shape)?;
-        shared.submitted.fetch_add(1, Ordering::Relaxed);
         let (tx, rx) = mpsc::channel();
-        let request = Request {
-            shape,
-            binding,
-            reply: tx,
+        // The id is taken under the queue lock, so the queue stays
+        // sorted by id and a waiter finds its request by binary search.
+        let id = {
+            let mut queue = lock(&shared.queue);
+            let id = shared.submitted.fetch_add(1, Ordering::Relaxed);
+            queue.push_back(Request {
+                id,
+                shape,
+                binding,
+                reply: tx,
+            });
+            id
         };
-        lock(&shared.queue).push_back(request);
         shared.available.notify_one();
-        Ok(Ticket { rx })
+        Ok(Ticket {
+            id,
+            shared: Arc::downgrade(shared),
+            rx,
+        })
     }
 
     /// [`FaqServer::submit`] + [`Ticket::wait`]: the blocking call.
@@ -220,20 +277,22 @@ impl<S: Semiring> FaqServer<S> {
             batches: s.batches.load(Ordering::Relaxed),
             batched: s.batched.load(Ordering::Relaxed),
             max_width: s.max_width.load(Ordering::Relaxed),
+            caller_batches: s.caller_batches.load(Ordering::Relaxed),
             cache: s.executor.cache_stats(),
         }
     }
 
     /// The batch width: [`ServeConfig::max_batch`], at least 1.
     pub fn batch_width(&self) -> usize {
-        self.shared.cfg.max_batch.max(1)
+        self.shared.width()
     }
 }
 
 impl<S: Semiring> Drop for FaqServer<S> {
     /// Graceful shutdown: workers drain the queue, then exit; queued
     /// senders dropped unanswered surface [`ServeError::Shutdown`] to
-    /// their tickets.
+    /// their tickets. Outstanding tickets hold the server weakly and
+    /// delay nothing.
     fn drop(&mut self) {
         // Under the queue lock: a worker between its `shutdown` check
         // and its wait would otherwise miss this wake-up and never exit.
@@ -248,56 +307,81 @@ impl<S: Semiring> Drop for FaqServer<S> {
     }
 }
 
-/// Answers same-shape `batch` in one [`Executor::solve_batch`] pass
-/// against one snapshot — every merged request sees the same epoch —
-/// and replies to each requester.
-fn answer<S: Semiring>(shared: &Shared<S>, entry: &ShapeEntry<S>, batch: Vec<Request<S>>) {
-    let snap = entry.cell.load();
-    let bindings: Vec<u32> = batch.iter().map(|r| r.binding).collect();
-    match shared
-        .executor
-        .solve_batch(snap.value(), entry.param, &bindings)
-    {
-        Ok(slices) => {
+/// Removes from `queue` the batch that starts at `at`: that request
+/// plus the later requests of its shape, up to `width` in all. The
+/// requests left behind keep their order; `at` past the end takes
+/// nothing.
+fn take_batch<S: Semiring>(
+    queue: &mut VecDeque<Request<S>>,
+    at: usize,
+    width: usize,
+) -> Vec<Request<S>> {
+    let Some(rest) = queue.len().checked_sub(at) else {
+        return Vec::new();
+    };
+    // One rotation: the requests before `at` move to the back, then
+    // each later request is popped once and either batched or put back
+    // behind them.
+    queue.rotate_left(at);
+    let mut batch: Vec<Request<S>> = Vec::new();
+    for _ in 0..rest {
+        let Some(req) = queue.pop_front() else { break };
+        match batch.first() {
+            Some(first) if batch.len() >= width || req.shape != first.shape => {
+                queue.push_back(req);
+            }
+            _ => batch.push(req),
+        }
+    }
+    batch
+}
+
+/// Runs one same-shape batch taken from the queue — by a worker or by
+/// a waiting caller — in one [`Executor::solve_batch`] pass against one
+/// snapshot, so every merged request sees the same epoch, and replies
+/// to each requester.
+fn run_batch<S: Semiring>(shared: &Shared<S>, batch: Vec<Request<S>>) {
+    let Some(first) = batch.first() else { return };
+    shared.batches.fetch_add(1, Ordering::Relaxed);
+    shared
+        .batched
+        .fetch_add(batch.len() as u64, Ordering::Relaxed);
+    shared
+        .max_width
+        .fetch_max(batch.len() as u64, Ordering::Relaxed);
+    // One failed pass fails every merged request — exactly what each
+    // solo pass would have hit (same shape, same snapshot); WorkerPanic
+    // included, so a poisoned query cannot unwind through (and kill) the
+    // worker or the caller running it.
+    let answered = shared.registry.get(first.shape).and_then(|entry| {
+        let snap = entry.cell.load();
+        let bindings: Vec<u32> = batch.iter().map(|r| r.binding).collect();
+        let slices = shared
+            .executor
+            .solve_batch(snap.value(), entry.param, &bindings)?;
+        Ok((slices, snap.epoch()))
+    });
+    match answered {
+        Ok((slices, epoch)) => {
             for (req, relation) in batch.into_iter().zip(slices) {
-                let _ = req.reply.send(Ok(Answer {
-                    relation,
-                    epoch: snap.epoch(),
-                }));
+                let _ = req.reply.send(Ok(Answer { relation, epoch }));
             }
         }
         Err(e) => {
-            // One failed pass fails every merged request — exactly
-            // what each solo pass would have hit (same shape, same
-            // snapshot); WorkerPanic included, so a poisoned query
-            // cannot unwind through (and kill) this pool thread.
             for req in batch {
-                let _ = req.reply.send(Err(ServeError::Engine(e.clone())));
+                let _ = req.reply.send(Err(e.clone()));
             }
         }
     }
 }
 
 fn worker_loop<S: Semiring>(shared: &Shared<S>) {
-    let width = shared.cfg.max_batch.max(1);
     loop {
-        // Take the oldest request plus every queued same-shape request
-        // (up to the batch width), preserving arrival order: one
-        // rotation pops each queued request once and either batches it
-        // or puts it back behind the ones already put back.
-        let batch: Vec<Request<S>> = {
+        let batch = {
             let mut queue = lock(&shared.queue);
             loop {
-                if let Some(first) = queue.pop_front() {
-                    let mut batch = vec![first];
-                    for _ in 0..queue.len() {
-                        let Some(req) = queue.pop_front() else { break };
-                        if batch.len() < width && req.shape == batch[0].shape {
-                            batch.push(req);
-                        } else {
-                            queue.push_back(req);
-                        }
-                    }
+                let batch = take_batch(&mut queue, 0, shared.width());
+                if !batch.is_empty() {
                     break batch;
                 }
                 if shared.shutdown.load(Ordering::Acquire) {
@@ -309,25 +393,7 @@ fn worker_loop<S: Semiring>(shared: &Shared<S>) {
                     .unwrap_or_else(std::sync::PoisonError::into_inner);
             }
         };
-
-        shared.batches.fetch_add(1, Ordering::Relaxed);
-        shared
-            .batched
-            .fetch_add(batch.len() as u64, Ordering::Relaxed);
-        shared
-            .max_width
-            .fetch_max(batch.len() as u64, Ordering::Relaxed);
-
-        let entry = match shared.registry.get(batch[0].shape) {
-            Ok(e) => e,
-            Err(e) => {
-                for req in batch {
-                    let _ = req.reply.send(Err(e.clone()));
-                }
-                continue;
-            }
-        };
-        answer(shared, &entry, batch);
+        run_batch(shared, batch);
     }
 }
 
@@ -337,4 +403,77 @@ fn lock<'a, S: Semiring>(
     m: &'a Mutex<VecDeque<Request<S>>>,
 ) -> std::sync::MutexGuard<'a, VecDeque<Request<S>>> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use faqs_semiring::Count;
+
+    /// A queue of requests for the given shapes, ids 0, 1, … in order.
+    fn queue(shapes: &[usize]) -> VecDeque<Request<Count>> {
+        shapes
+            .iter()
+            .zip(0..)
+            .map(|(&shape, id)| Request {
+                id,
+                shape: ShapeId(shape),
+                binding: 0,
+                reply: mpsc::channel().0,
+            })
+            .collect()
+    }
+
+    fn ids<'a>(requests: impl IntoIterator<Item = &'a Request<Count>>) -> Vec<u64> {
+        requests.into_iter().map(|r| r.id).collect()
+    }
+
+    #[test]
+    fn take_batch_starts_at_its_request_and_gathers_later_same_shape_ones() {
+        let mut q = queue(&[0, 1, 0, 1, 1, 0, 1, 1]);
+        let batch = take_batch(&mut q, 1, 3);
+        assert_eq!(ids(&batch), [1, 3, 4], "shape 1 from index 1, up to 3");
+        assert_eq!(ids(&q), [0, 2, 5, 6, 7], "the rest keep arrival order");
+
+        // The worker's call: the oldest request and its shape's later ones.
+        let mut q = queue(&[2, 0, 2, 1, 2]);
+        assert_eq!(ids(&take_batch(&mut q, 0, 16)), [0, 2, 4]);
+        assert_eq!(ids(&q), [1, 3]);
+    }
+
+    #[test]
+    fn take_batch_of_width_one_takes_exactly_its_request() {
+        let mut q = queue(&[0, 0, 0, 0]);
+        assert_eq!(ids(&take_batch(&mut q, 2, 1)), [2]);
+        assert_eq!(ids(&q), [0, 1, 3]);
+    }
+
+    #[test]
+    fn take_batch_past_the_end_takes_nothing() {
+        for at in [3, 4, 9] {
+            let mut q = queue(&[0, 1, 0]);
+            assert!(take_batch(&mut q, at, 4).is_empty(), "at {at}");
+            assert_eq!(ids(&q), [0, 1, 2], "at {at}: the queue is untouched");
+        }
+        assert!(take_batch(&mut queue(&[]), 0, 4).is_empty());
+    }
+
+    #[test]
+    fn a_ticket_holds_the_server_weakly() {
+        let server = FaqServer::<Count>::new(ServeConfig::default());
+        let r = Relation::from_pairs(vec![Var(0), Var(1)], [(vec![0, 1], Count(1))]);
+        let q = FaqQuery::new_ss(faqs_hypergraph::star_query(1), vec![r], vec![Var(0)], 2);
+        let shape = server.register(q, Var(0)).unwrap();
+        let ticket = server.submit(shape, 0).unwrap();
+        drop(server);
+        assert!(
+            ticket.shared.upgrade().is_none(),
+            "nothing of the server is left"
+        );
+        assert_eq!(
+            ticket.wait().map(|a| a.relation.total()),
+            Ok(Count(1)),
+            "the draining workers answered it"
+        );
+    }
 }

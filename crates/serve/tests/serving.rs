@@ -1,6 +1,7 @@
 //! End-to-end serving-layer tests: batched answers vs the executor
-//! oracle, registration and delta refusals, and snapshot isolation
-//! under concurrent writers.
+//! oracle (batches run by workers and by waiting callers), shutdown with
+//! outstanding tickets, registration and delta refusals, and snapshot
+//! isolation under concurrent writers.
 
 use faqs_core::EngineError;
 use faqs_exec::Executor;
@@ -49,8 +50,10 @@ fn solo(q: &FaqQuery<Count>, param: Var, b: u32) -> Relation<Count> {
 
 #[test]
 fn served_answers_match_the_executor_oracle() {
-    // The batching server and per-query dispatch (width 1).
-    for max_batch in [8, 1] {
+    // The batching server and per-query dispatch (width 1), each waited
+    // in submission order and in reverse: a reverse waiter finds its
+    // request mid-queue and runs its batch itself.
+    for (max_batch, reverse) in [(8, false), (8, true), (1, false), (1, true)] {
         let server = FaqServer::new(ServeConfig {
             workers: 2,
             max_batch,
@@ -62,25 +65,113 @@ fn served_answers_match_the_executor_oracle() {
         // Flood the queue so the batcher has merging opportunities, then
         // check every slice against the solo oracle.
         let bindings: Vec<u32> = (0..32).map(|i| i % 8).collect();
-        let tickets: Vec<_> = bindings
+        let mut tickets: Vec<_> = bindings
             .iter()
-            .map(|&b| server.submit(shape, b).unwrap())
+            .map(|&b| (b, server.submit(shape, b).unwrap()))
             .collect();
-        for (b, t) in bindings.iter().zip(tickets) {
+        if reverse {
+            tickets.reverse();
+        }
+        for (b, t) in tickets {
             let answer = t.wait().unwrap();
             assert_eq!(answer.epoch, 0, "no writers, initial version");
-            assert_eq!(answer.relation, solo(&q, Var(0), *b), "binding {b}");
+            assert_eq!(answer.relation, solo(&q, Var(0), b), "binding {b}");
         }
         let stats = server.stats();
         assert_eq!(server.batch_width(), max_batch);
         assert_eq!(stats.submitted, 32);
-        assert_eq!(stats.batched, 32, "every request answered by the pool");
+        assert_eq!(
+            stats.batched, 32,
+            "every request answered once, by a worker or a waiting caller"
+        );
+        assert!(stats.caller_batches <= stats.batches);
         assert!(stats.max_width as usize <= max_batch);
         if max_batch == 1 {
             assert_eq!(stats.max_width, 1, "width 1 merges nothing");
             assert_eq!(stats.batches, stats.batched, "one pass per request");
         }
     }
+}
+
+/// A waiter whose request no worker has taken runs its batch on its own
+/// thread. The one worker is busy with a large shape's passes (bound at
+/// a leaf, so each pass scans two whole 60 000-row factors), so a small
+/// shape's read queued behind them is still queued when its ticket is
+/// waited on. It reads its own write, and is the solo oracle's answer.
+#[test]
+fn a_waiting_caller_runs_its_still_queued_batch() {
+    let server = FaqServer::new(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    });
+    let large = random_instance(
+        &star_query(3),
+        &RandomInstanceConfig {
+            tuples_per_factor: 60_000,
+            domain: 4096,
+            seed: 5,
+        },
+        vec![Var(1)],
+        |_| Count(1),
+    );
+    let large = server.register(large, Var(1)).unwrap();
+    let mut q = template(7);
+    let small = server.register(q.clone(), Var(0)).unwrap();
+    let busy: Vec<_> = (0..4).map(|b| server.submit(large, b).unwrap()).collect();
+
+    let mut delta = RelationDelta::new(q.factors[0].schema().to_vec());
+    delta.insert(vec![3, 5], Count(2));
+    let epoch = server.apply_delta(small, EdgeId(0), &delta).unwrap();
+    q.factors[0].apply_delta(&delta);
+    let answer = server.submit(small, 3).unwrap().wait().unwrap();
+    assert!(
+        server.stats().caller_batches >= 1,
+        "the waiter ran its own batch"
+    );
+    assert!(answer.epoch >= epoch, "a read sees the write before it");
+    assert_eq!(answer.relation, solo(&q, Var(0), 3));
+
+    for t in busy {
+        t.wait().unwrap();
+    }
+    let stats = server.stats();
+    assert_eq!(stats.batched, stats.submitted);
+}
+
+/// Dropping the server while it holds unwaited tickets hangs neither the
+/// drop nor a later wait: each ticket gets its answer or `Shutdown`, and
+/// a ticket dropped unwaited leaves the others answered.
+#[test]
+fn tickets_outstanding_at_shutdown_never_hang() {
+    let q = template(11);
+    let (done, finished) = std::sync::mpsc::channel();
+    let waits = std::thread::spawn(move || {
+        let server = FaqServer::new(ServeConfig {
+            workers: 1,
+            max_batch: 4,
+            ..ServeConfig::default()
+        });
+        let shape = server.register(q.clone(), Var(0)).unwrap();
+        let mut tickets: Vec<_> = (0..24u32)
+            .map(|i| (i % 8, server.submit(shape, i % 8).unwrap()))
+            .collect();
+        drop(tickets.remove(5));
+        drop(server);
+        for (b, t) in tickets {
+            match t.wait() {
+                Ok(answer) => assert_eq!(answer.relation, solo(&q, Var(0), b), "binding {b}"),
+                Err(e) => assert_eq!(e, ServeError::Shutdown),
+            }
+        }
+        let _ = done.send(());
+    });
+    let outcome = finished.recv_timeout(std::time::Duration::from_secs(120));
+    assert_ne!(
+        outcome,
+        Err(std::sync::mpsc::RecvTimeoutError::Timeout),
+        "the drop and every wait return"
+    );
+    waits.join().unwrap();
 }
 
 #[test]

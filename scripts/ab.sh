@@ -2,7 +2,7 @@
 # Paired A/B of one benchmark workload: the benchmark as built at a base
 # revision against the benchmark as built from the working tree.
 #
-#   scripts/ab.sh <base-rev> <workload> [pairs] [seconds]
+#   scripts/ab.sh <base-rev> <workload> [pairs] [seconds] [claimed-metric]
 #
 # Extracts <base-rev> (`git archive`) and copies the working tree into
 # $AB_DIR (default benchmark/out/ab), builds each copy's benchmark into
@@ -13,17 +13,32 @@
 # each pair's five end-to-end metrics (setup_s, ops_per_s,
 # latency_p50_ms, cpu_ms_per_op, peak_rss_mb), base → working tree; then
 # per metric each side's median and quartiles, the median ratio (working
-# tree / base) and the pairs the working tree wins (higher ops_per_s,
-# lower everything else). Writes nothing outside $AB_DIR; exits non-zero
-# when a run fails or is wrong.
+# tree / base), the pairs the working tree wins (higher ops_per_s,
+# lower everything else) and a verdict by the rules a claim is judged by,
+# each metric's bound read from BENCHMARK.json's `end_to_end`:
+#   unresolved  the base's own q3 - q1 is wider than the bound (as a
+#               share of the base median): the runs cannot tell;
+#   gain        (claimed metric only) the working tree wins >= 9/10 of
+#               the pairs and its median beats the base's by more than
+#               the base's q3 - q1; "no gain" otherwise;
+#   regression  the median is worse than the base's by more than the
+#               bound; "ok" otherwise.
+# Writes nothing outside $AB_DIR; exits non-zero when a run fails or is
+# wrong.
 set -euo pipefail
-if [[ $# -lt 2 || $# -gt 4 ]]; then
-    echo "usage: scripts/ab.sh <base-rev> <workload> [pairs] [seconds]" >&2
+if [[ $# -lt 2 || $# -gt 5 ]]; then
+    echo "usage: scripts/ab.sh <base-rev> <workload> [pairs] [seconds] [claimed-metric]" >&2
     exit 2
 fi
 root=$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)
 rev=$(git -C "$root" rev-parse --verify "$1^{commit}")
-workload=$2 pairs=${3:-10} seconds=${4:-25}
+workload=$2 pairs=${3:-10} seconds=${4:-25} claim=${5:-}
+# "name=bound ..." of every end-to-end metric (one JSON key per line).
+bounds=$(awk '
+    /"end_to_end"/ { on = 1 }
+    on && /"name"/ { split($0, q, "\""); name = q[4] }
+    on && /"bound"/ { sub(/.*: */, ""); sub(/,.*/, ""); printf "%s=%s ", name, $0 }
+    on && /^ *\]/ { on = 0 }' "$root/BENCHMARK.json")
 work=${AB_DIR:-$root/benchmark/out/ab}
 base=$work/base-${rev:0:12} head=$work/head
 mkdir -p "$work"
@@ -58,7 +73,7 @@ for seed in $(seq 1 "$pairs"); do
     for side in $order; do
         echo "$seed $side $(run "$side" "$seed")"
     done
-done | awk -v workload="$workload" '
+done | awk -v workload="$workload" -v claim="$claim" -v bounds="$bounds" '
     function metric(line, name,   at) {
         if (!match(line, "\"" name "\": \\{\"value\": [-+0-9.eE]+")) return "nan"
         at = substr(line, RSTART, RLENGTH)
@@ -75,15 +90,22 @@ done | awk -v workload="$workload" '
         lo = int(at)
         return lo >= n ? xs[n] : xs[lo] + (at - lo) * (xs[lo + 1] - xs[lo])
     }
-    # "median (q1–q3)" of side s for metric k.
+    # Sets med, q1 and q3 of side s for metric k; returns "median (q1–q3)".
     function spread(s, k,   i, xs) {
         for (i = 1; i <= n; i++) xs[i] = v[s, k, i]
         sort(xs, n)
-        return sprintf("%.4g (%.4g-%.4g)", quantile(xs, n, 0.5), quantile(xs, n, 0.25), quantile(xs, n, 0.75))
+        med = quantile(xs, n, 0.5); q1 = quantile(xs, n, 0.25); q3 = quantile(xs, n, 0.75)
+        return sprintf("%.4g (%.4g-%.4g)", med, q1, q3)
     }
     BEGIN {
         m = split("setup_s ops_per_s latency_p50_ms cpu_ms_per_op peak_rss_mb", names, " ")
         higher["ops_per_s"] = 1
+        nb = split(bounds, kv, " ")
+        for (i = 1; i <= nb; i++) { split(kv[i], p, "="); bound[p[1]] = p[2] + 0 }
+        if (claim != "" && !(claim in bound)) {
+            printf "claimed metric %s is not an end-to-end metric of BENCHMARK.json\n", claim > "/dev/stderr"
+            bad = 1
+        }
     }
     {
         line = $0
@@ -103,15 +125,24 @@ done | awk -v workload="$workload" '
             for (k = 1; k <= m; k++) printf "  %11.4g -> %-11.4g", v["base", k, i], v["head", k, i]
             printf "\n"
         }
-        printf "\n%-15s  %-28s  %-28s  %-7s  %s\n", "metric", "base median (q1-q3)", "head median (q1-q3)", "ratio", "head wins"
+        printf "\n%-15s  %-28s  %-28s  %-7s  %-9s  %s\n", "metric", "base median (q1-q3)", "head median (q1-q3)", "ratio", "head wins", "verdict"
         for (k = 1; k <= m; k++) {
+            name = names[k]
             wins = 0
             for (i = 1; i <= n; i++) {
                 r[i] = v["head", k, i] / v["base", k, i]
-                if (higher[names[k]] ? v["head", k, i] > v["base", k, i] : v["head", k, i] < v["base", k, i]) wins++
+                if (higher[name] ? v["head", k, i] > v["base", k, i] : v["head", k, i] < v["base", k, i]) wins++
             }
             sort(r, n)
-            printf "%-15s  %-28s  %-28s  %-7.3f  %d/%d\n", names[k], spread("base", k), spread("head", k), quantile(r, n, 0.5), wins, n
+            base_spread = spread("base", k); base_med = med; iqr = q3 - q1
+            head_spread = spread("head", k)
+            # How far the head median is better than the base median (< 0: worse).
+            better = higher[name] ? med - base_med : base_med - med
+            if (iqr > bound[name] * base_med) verdict = "unresolved"
+            else if (-better > bound[name] * base_med) verdict = "regression"
+            else if (name == claim) verdict = (10 * wins >= 9 * n && better > iqr) ? "gain" : "no gain"
+            else verdict = "ok"
+            printf "%-15s  %-28s  %-28s  %-7.3f  %-9s  %s\n", name, base_spread, head_spread, quantile(r, n, 0.5), wins "/" n, verdict
         }
         exit bad
     }'
