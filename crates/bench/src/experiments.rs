@@ -535,7 +535,7 @@ pub fn e8_gap_sweep(n: usize) {
             let a = Assignment::round_robin(&q, &g, &ids);
             let out = run_bcq_protocol(&q, &g, &a, 1).expect("run");
             let k = a.players();
-            let b = BoundReport::evaluate(&q, &g, &k);
+            let b = BoundReport::evaluate(&q, &g, &k).expect("the run connected K");
             let lb = bcq_lower_bound(&h, &g, &k, n as u64);
             row(&[
                 d.to_string(),
@@ -707,19 +707,11 @@ pub fn e12_hash_split(n: usize) {
 
 /// **E15 — distributed runtime.** The topology-general
 /// `DistributedFaqRun` across topology families and placements, every
-/// row confronted with the `BoundReport` bit envelope
-/// (`ConformanceReport`): the paper's inequalities as a live table.
+/// row confronted with the `BoundReport` bit envelope of the run's own
+/// `RunReport`: the paper's inequalities as a live table.
 pub fn e15_distributed(n: usize) {
     banner("E15 · Topology-general distributed runtime vs bounds");
-    header(&[
-        "G",
-        "placement",
-        "rounds",
-        "bits",
-        "lower",
-        "upper",
-        "conforms",
-    ]);
+    header(&["G", "placement", "rounds", "bits", "upper", "conforms"]);
     // The shared hard star instance (same fixture as the conformance
     // suite): every message is irreducible, so the measurement
     // genuinely confronts the bounds.
@@ -739,17 +731,17 @@ pub fn e15_distributed(n: usize) {
             let run = DistributedFaqRun::new(&q, &g, placement, 1).expect("run");
             let out = run.execute().expect("execute");
             assert_eq!(!out.result.total().is_zero(), expected, "answer agrees");
-            let rep = run.conformance(out.stats);
+            let rep = &out.report;
             row(&[
                 g.name().to_string(),
                 label.to_string(),
                 out.stats.rounds.to_string(),
                 out.stats.total_bits.to_string(),
-                rep.lower_bits.to_string(),
                 rep.upper_bits.to_string(),
                 rep.conforms().to_string(),
             ]);
-            assert!(rep.conforms(), "{} / {label}: outside the bounds", g.name());
+            let inside = rep.conforms() && out.stats.total_bits >= rep.bound.lower_rounds;
+            assert!(inside, "{} / {label}: outside the bounds", g.name());
         }
     }
 }

@@ -7,8 +7,15 @@ use std::collections::VecDeque;
 /// link as a pair of unit-capacity arcs — i.e. the number of pairwise
 /// edge-disjoint `s`–`t` paths (edge connectivity).
 pub fn max_flow(g: &Topology, s: Player, t: Player) -> usize {
+    residual_cut(g, s, t).0
+}
+
+/// The one Edmonds–Karp loop: `(max-flow, side)` between `s` and `t`,
+/// where `side[v]` ⇔ `v` is reachable from `s` in the final residual
+/// graph — the source side of a minimum `s`–`t` cut.
+fn residual_cut(g: &Topology, s: Player, t: Player) -> (usize, Vec<bool>) {
     assert!(s != t);
-    let n = g.num_players();
+    let (n, s, t) = (g.num_players(), s.index(), t.index());
     // Residual adjacency matrix of arc capacities (unit per direction).
     let mut cap = vec![vec![0u32; n]; n];
     for l in g.links() {
@@ -18,40 +25,34 @@ pub fn max_flow(g: &Topology, s: Player, t: Player) -> usize {
     }
     let mut flow = 0usize;
     loop {
-        // BFS for an augmenting path.
+        // BFS for an augmenting path; the source is its own parent.
         let mut parent: Vec<Option<usize>> = vec![None; n];
-        parent[s.index()] = Some(s.index());
-        let mut q = VecDeque::from([s.index()]);
+        parent[s] = Some(s);
+        let mut q = VecDeque::from([s]);
         'bfs: while let Some(u) = q.pop_front() {
             for v in 0..n {
                 if parent[v].is_none() && cap[u][v] > 0 {
                     parent[v] = Some(u);
-                    if v == t.index() {
+                    if v == t {
                         break 'bfs;
                     }
                     q.push_back(v);
                 }
             }
         }
-        if parent[t.index()].is_none() {
-            return flow;
+        if parent[t].is_none() {
+            // The search ran to exhaustion: `parent` marks the source side.
+            return (flow, parent.iter().map(Option::is_some).collect());
         }
         // Augment by 1 (unit capacities).
-        let mut v = t.index();
-        while v != s.index() {
-            let u = parent[v].unwrap();
+        let mut v = t;
+        while let Some(u) = parent[v].filter(|_| v != s) {
             cap[u][v] -= 1;
             cap[v][u] += 1;
             v = u;
         }
         flow += 1;
     }
-}
-
-/// `MinCut(G, {a, b})`: the minimum number of edges whose removal
-/// separates `a` from `b`.
-pub fn min_cut_between(g: &Topology, a: Player, b: Player) -> usize {
-    max_flow(g, a, b)
 }
 
 /// `MinCut(G, K)` (Definition 3.6): the minimum number of edges whose
@@ -66,70 +67,24 @@ pub fn min_cut_between(g: &Topology, a: Player, b: Player) -> usize {
 /// assert_eq!(min_cut(&g, &k), 3);
 /// ```
 pub fn min_cut(g: &Topology, k: &[Player]) -> usize {
-    assert!(k.len() >= 2, "need at least two terminals");
-    let k0 = k[0];
-    k[1..]
-        .iter()
-        .map(|&t| max_flow(g, k0, t))
-        .min()
-        .expect("non-empty terminal set")
+    min_cut_partition(g, k).0
 }
 
 /// A witnessing minimum cut `(A, B)` of `G` separating `K`
 /// (Lemma 4.4 needs the cut *sides* to place the `S`/`T` relations):
 /// returns `(cut size, side)` where `side[v] = true` ⇔ `v ∈ A` (the
-/// source side, containing `k[0]`).
+/// source side, containing `k[0]`) — the residual side of the first
+/// terminal whose flow from `k[0]` is minimal.
 pub fn min_cut_partition(g: &Topology, k: &[Player]) -> (usize, Vec<bool>) {
     assert!(k.len() >= 2, "need at least two terminals");
-    let n = g.num_players();
-    let k0 = k[0];
-    let mut best: Option<(usize, Player)> = None;
-    for &t in &k[1..] {
-        let f = max_flow(g, k0, t);
-        if best.map(|(bf, _)| f < bf).unwrap_or(true) {
-            best = Some((f, t));
+    let mut best = residual_cut(g, k[0], k[1]);
+    for &t in &k[2..] {
+        let cut = residual_cut(g, k[0], t);
+        if cut.0 < best.0 {
+            best = cut;
         }
     }
-    let (cut, t) = best.expect("non-empty terminal set");
-
-    // Re-run the flow to its residual graph, then take the source side.
-    let mut cap = vec![vec![0u32; n]; n];
-    for l in g.links() {
-        let (a, b) = g.link(l);
-        cap[a.index()][b.index()] += 1;
-        cap[b.index()][a.index()] += 1;
-    }
-    loop {
-        let mut parent: Vec<Option<usize>> = vec![None; n];
-        parent[k0.index()] = Some(k0.index());
-        let mut q = VecDeque::from([k0.index()]);
-        'bfs: while let Some(u) = q.pop_front() {
-            for v in 0..n {
-                if parent[v].is_none() && cap[u][v] > 0 {
-                    parent[v] = Some(u);
-                    if v == t.index() {
-                        break 'bfs;
-                    }
-                    q.push_back(v);
-                }
-            }
-        }
-        if parent[t.index()].is_none() {
-            // Residual reachability from k0 = the A side.
-            let mut side = vec![false; n];
-            for (v, p) in parent.iter().enumerate() {
-                side[v] = p.is_some();
-            }
-            return (cut, side);
-        }
-        let mut v = t.index();
-        while v != k0.index() {
-            let u = parent[v].unwrap();
-            cap[u][v] -= 1;
-            cap[v][u] += 1;
-            v = u;
-        }
-    }
+    best
 }
 
 #[cfg(test)]
@@ -177,7 +132,7 @@ mod tests {
     fn clique_min_cut() {
         let g = Topology::clique(5);
         assert_eq!(min_cut(&g, &players(&[0, 1, 2, 3, 4])), 4);
-        assert_eq!(min_cut_between(&g, Player(0), Player(1)), 4);
+        assert_eq!(max_flow(&g, Player(0), Player(1)), 4);
     }
 
     #[test]

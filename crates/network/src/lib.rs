@@ -38,7 +38,7 @@ mod topology;
 mod transport;
 
 pub use assignment::Assignment;
-pub use cuts::{max_flow, min_cut, min_cut_between, min_cut_partition};
+pub use cuts::{max_flow, min_cut, min_cut_partition};
 pub use flow::{route_to_sink, tau_mcf, SourceLoad};
 pub use sim::{NetRun, RunStats, TransmitError};
 pub use steiner::{best_delta, steiner_packing, DeltaPackings, SteinerTree};

@@ -47,21 +47,16 @@ pub struct BoundReport {
 
 impl BoundReport {
     /// Evaluates the bound formulas for computing `q` on `g` with
-    /// players `k`.
-    ///
-    /// # Panics
-    ///
-    /// When `k` has two or more players and `g` does not connect them:
-    /// no Steiner tree spans `k`, so `ST(G, K, Δ)` is zero at every Δ
-    /// and the bound is undefined. Every protocol entry point refuses
-    /// such a player set with `ProtocolError::Unreachable` first.
-    pub fn evaluate<S: Semiring>(q: &FaqQuery<S>, g: &Topology, k: &[Player]) -> Self {
-        Self::evaluate_with(q, g, k, None).expect("the topology connects the players")
+    /// players `k`. `None` when `k` has two or more players and `g` does
+    /// not connect them: no Steiner tree spans `k`, so `ST(G, K, Δ)` is
+    /// zero at every Δ and the bound is undefined.
+    pub fn evaluate<S: Semiring>(q: &FaqQuery<S>, g: &Topology, k: &[Player]) -> Option<Self> {
+        Self::evaluate_with(q, g, k, None)
     }
 
     /// [`BoundReport::evaluate`] reusing Steiner packings the caller
     /// already holds for this `(g, k)` (a distributed run's own);
-    /// `None` packs afresh. `None` when `g` does not connect `k`.
+    /// `None` packs afresh.
     pub(crate) fn evaluate_with<S: Semiring>(
         q: &FaqQuery<S>,
         g: &Topology,
@@ -161,7 +156,7 @@ mod tests {
         );
         let g = Topology::line(4);
         let k: Vec<Player> = (0..4u32).map(Player).collect();
-        let b = BoundReport::evaluate(&q, &g, &k);
+        let b = BoundReport::evaluate(&q, &g, &k).unwrap();
         assert_eq!(b.y, 1);
         assert_eq!(b.min_cut, 1);
         assert_eq!(b.st, 1);
@@ -184,7 +179,7 @@ mod tests {
         );
         let g = Topology::clique(6);
         let k: Vec<Player> = (0..6u32).map(Player).collect();
-        let b = BoundReport::evaluate(&q, &g, &k);
+        let b = BoundReport::evaluate(&q, &g, &k).unwrap();
         assert_eq!(b.y, 1, "flat GHD: the core root plus leaves");
         assert_eq!(b.n2, 4);
         assert!(b.core_rounds > 0);

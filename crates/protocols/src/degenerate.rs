@@ -110,7 +110,7 @@ fn run_on_ghd<S: Semiring, T>(
 
     // The bound needs a Steiner tree spanning the players; without one
     // the players cannot all reach each other either.
-    let predicted = BoundReport::evaluate_with(q, g, &assignment.players(), None)
+    let predicted = BoundReport::evaluate(q, g, &assignment.players())
         .ok_or_else(|| ProtocolError::Unreachable("the players are not connected".into()))?
         .upper_rounds;
     let mut run = NetRun::new(g);

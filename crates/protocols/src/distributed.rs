@@ -21,11 +21,11 @@
 //! byte-identical across them — and every run asserts itself against
 //! the simulator's envelope on the fly.
 //!
-//! Every run returns the semiring result **and** the measured
-//! [`RunStats`] and [`WireStats`]; [`ConformanceReport`] confronts the
-//! measurement with the closed-form [`BoundReport`] — the paper's
-//! inequalities as executable checks — and [`WireConformance`] does the
-//! same for the bytes on the wire. The pass carries no fold observer:
+//! Every run returns the semiring result **and** its [`RunReport`]: the
+//! measured [`RunStats`] and [`WireStats`] confronted with the
+//! closed-form [`BoundReport`] — the paper's inequalities as executable
+//! checks, on the model bits and on the bytes on the wire — built once,
+//! by the run that checked it. The pass carries no fold observer:
 //! calibration telemetry is the executor's (`faqs_exec::Executor`), and
 //! the placed planner scores raw estimates.
 //!
@@ -148,7 +148,8 @@ impl InputPlacement {
 }
 
 /// Result of one distributed run: the semiring answer (materialised at
-/// the output player) plus the scheduler's measurements.
+/// the output player) plus the scheduler's measurements and the report
+/// that judged them.
 #[derive(Clone, Debug)]
 pub struct DistributedOutcome<S: Semiring> {
     /// The result relation over the free variables, identical to
@@ -166,6 +167,9 @@ pub struct DistributedOutcome<S: Semiring> {
     pub transport: TransportKind,
     /// Frame bytes delivered — identical across transports.
     pub wire: WireStats,
+    /// The run's measurement against the paper's bounds, as the live
+    /// oracle checked it.
+    pub report: RunReport,
 }
 
 /// A distributed FAQ execution over an arbitrary topology: shards are
@@ -194,7 +198,7 @@ pub struct DistributedOutcome<S: Semiring> {
 /// assert_eq!(!out.result.total().is_zero(), faqs_core::solve_bcq(&q));
 ///
 /// // The measurement conforms to the paper's bit envelope.
-/// assert!(run.conformance(out.stats).within_upper());
+/// assert!(out.report.conforms());
 /// ```
 pub struct DistributedFaqRun<'a, S: Semiring> {
     q: &'a FaqQuery<S>,
@@ -283,7 +287,7 @@ impl<'a, S: Semiring> DistributedFaqRun<'a, S> {
 
     /// Executes the full FAQ in memory ([`SimTransport`]). The result
     /// relation equals `faqs_core::solve_faq` on every input; the stats
-    /// are the empirical side of [`ConformanceReport`]. A caller that
+    /// are the empirical side of its [`RunReport`]. A caller that
     /// wants the frames on a socket picks the transport with
     /// [`DistributedFaqRun::execute_on`].
     pub fn execute(&self) -> Result<DistributedOutcome<S>, ProtocolError> {
@@ -293,12 +297,13 @@ impl<'a, S: Semiring> DistributedFaqRun<'a, S> {
     /// [`DistributedFaqRun::execute`] on an explicit [`Transport`]
     /// ([`SimTransport`] or [`faqs_network::TcpTransport`]) — the
     /// result, [`RunStats`] and [`WireStats`] are identical on both.
-    /// Every run holds its measured model bits to the simulator's upper
-    /// envelope and its wire bytes to [`WireConformance`] — the shadow
-    /// simulator acting as a live oracle over the wire — and fails with
+    /// Every run builds its [`RunReport`] once and holds itself to it
+    /// ([`RunReport::check`]) — the shadow simulator acting as a live
+    /// oracle over the wire — failing with
     /// [`ProtocolError::BoundViolated`] /
-    /// [`ProtocolError::WireBoundViolated`] when either escapes, or with
-    /// [`ProtocolError::Frame`] when a delivered frame does not decode.
+    /// [`ProtocolError::WireBoundViolated`] when its model bits or wire
+    /// bytes escape, or with [`ProtocolError::Frame`] when a delivered
+    /// frame does not decode.
     pub fn execute_on<T: Transport + ?Sized>(
         &self,
         transport: &mut T,
@@ -319,8 +324,6 @@ impl<'a, S: Semiring> DistributedFaqRun<'a, S> {
             packings: &mut packings,
         };
         let (result, ready) = pass.run(&mut site)?;
-        let stats = transport.stats();
-        let wire = transport.wire();
         // Live oracle: a run that escapes the simulator's envelope is a
         // protocol bug, not a measurement to report. `K` is usually the
         // member set the gathers already packed.
@@ -330,46 +333,34 @@ impl<'a, S: Semiring> DistributedFaqRun<'a, S> {
                 .ok_or_else(|| {
                     ProtocolError::Unreachable("the players are not connected".into())
                 })?;
-        let report = ConformanceReport::with_bound(self.q, &self.scaled, &players, stats, bound);
-        if !report.within_upper() {
-            return Err(ProtocolError::BoundViolated {
-                measured_bits: stats.total_bits,
-                upper_bits: report.upper_bits,
-            });
-        }
-        let wire_report = self.wire_conformance(&report, wire);
-        if !wire_report.within_upper() {
-            return Err(ProtocolError::WireBoundViolated {
-                measured_bits: wire.wire_bits(),
-                upper_bits: wire_report.upper_wire_bits,
-            });
-        }
+        let report = self.report(bound, transport.stats(), transport.wire());
+        report.check()?;
         Ok(DistributedOutcome {
             result,
-            stats,
+            stats: report.stats,
             node_player,
             completed_at: ready,
             transport: transport.kind(),
-            wire,
+            wire: report.wire,
+            report,
         })
     }
 
-    /// Confronts a run's measurement with the paper's bounds evaluated
-    /// on this query / (scaled) topology / player set.
-    pub fn conformance(&self, stats: RunStats) -> ConformanceReport {
-        ConformanceReport::evaluate(self.q, &self.scaled, &self.placement.players(), stats)
-    }
-
-    /// Confronts a run's [`WireStats`] with the model
-    /// envelope of `report`, translated into wire units for this query:
-    /// `upper = blowup·upper_bits + header·frames`, where `blowup` is
-    /// the worst per-tuple ratio of codec frame bits (`32r + 8W` per
-    /// row) to Model 2.1 bits (`r·⌈log₂D⌉ + value_bits`) over the
-    /// arities this query can ship, and `header` covers each frame's
-    /// fixed-plus-schema prefix. Exact closed forms from
-    /// [`faqs_relation::frame_bytes`] — the same function the codec
-    /// sizes its frames with.
-    pub fn wire_conformance(&self, report: &ConformanceReport, wire: WireStats) -> WireConformance {
+    /// The one [`RunReport`] constructor: `bound`, evaluated for this
+    /// query, scaled topology and player set, turned into the envelopes
+    /// `stats` and `wire` are judged against.
+    fn report(&self, bound: BoundReport, stats: RunStats, wire: WireStats) -> RunReport {
+        let g = &self.scaled;
+        let upper_bits = if self.placement.players().len() < 2 {
+            0
+        } else {
+            let per_round: u64 = g.links().map(|l| 2 * g.capacity(l)).sum();
+            let additive = per_round.saturating_mul(g.diameter() as u64 + self.q.k() as u64 + 1);
+            CONFORMANCE_SLACK
+                .saturating_mul(bound.upper_rounds)
+                .saturating_mul(per_round)
+                .saturating_add(additive)
+        };
         let log_d = (32 - self.q.domain.saturating_sub(1).leading_zeros()).max(1) as u64;
         let vb = S::value_bits();
         let wire_value_bits = 8 * S::WIRE_VALUE_BYTES as u64;
@@ -378,14 +369,34 @@ impl<'a, S: Semiring> DistributedFaqRun<'a, S> {
             .map(|r| (32 * r + wire_value_bits).div_ceil(r * log_d + vb))
             .fold(1, u64::max);
         let header_bits_per_frame = faqs_relation::frame_bits(max_arity, 0, S::WIRE_VALUE_BYTES);
-        WireConformance {
+        RunReport {
+            bound,
+            stats,
             wire,
+            upper_bits,
             blowup,
             header_bits_per_frame,
             upper_wire_bits: blowup
-                .saturating_mul(report.upper_bits)
+                .saturating_mul(upper_bits)
                 .saturating_add(header_bits_per_frame.saturating_mul(wire.frames)),
         }
+    }
+
+    /// The report of a run that measured `stats`, its bound evaluated
+    /// afresh and no wire traffic counted. Kept for frozen `benchmark/`;
+    /// read [`DistributedOutcome::report`] instead.
+    #[doc(hidden)]
+    pub fn conformance(&self, stats: RunStats) -> RunReport {
+        let bound = BoundReport::evaluate(self.q, &self.scaled, &self.placement.players())
+            .expect("`new` refused a player set the live links do not connect");
+        self.report(bound, stats, WireStats::default())
+    }
+
+    /// `report` with `wire` counted. Kept for frozen `benchmark/`; read
+    /// [`DistributedOutcome::report`] instead.
+    #[doc(hidden)]
+    pub fn wire_conformance(&self, report: &RunReport, wire: WireStats) -> RunReport {
+        self.report(report.bound.clone(), report.stats, wire)
     }
 
     /// Per-edge shard relations, pre-aggregated at their holders: each
@@ -607,28 +618,33 @@ impl<S: Semiring, T: Transport + ?Sized> PassSite<S> for Routed<'_, '_, S, T> {
 /// factor (plus a latency additive) before declaring a violation.
 pub const CONFORMANCE_SLACK: u64 = 4;
 
-/// The paper's inequalities as executable checks: a measured
-/// [`RunStats`] confronted with [`BoundReport::evaluate`] translated
-/// into a bit envelope.
+/// One run's verdict, built once by [`DistributedFaqRun::execute_on`]:
+/// its measured [`RunStats`] and [`WireStats`] confronted with
+/// [`BoundReport::evaluate`] translated into two envelopes.
 ///
 /// * `upper_bits` — the paper's round upper bound times the network's
 ///   per-round throughput (every link, both directions), with the
 ///   [`CONFORMANCE_SLACK`] constants: a protocol meeting the paper's
-///   round bound can never move more. Co-located placements (`|K| < 2`)
-///   get a zero envelope — the run must be communication-free.
-/// * `lower_bits` — the nominal `Ω̃((y + n2)·N / MinCut)` in bit units
-///   (each required round pushes at least one bit through the
-///   bottleneck). Valid for adversarially *spread* placements on hard
-///   instances, which is what the conformance fixtures construct; use
-///   [`ConformanceReport::within_upper`] alone for arbitrary
-///   placements/instances.
+///   round bound can never move more.
+/// * `upper_wire_bits = blowup · upper_bits + header_bits_per_frame ·
+///   frames`, where `blowup` is the worst per-tuple ratio of codec frame
+///   bits (`32r + 8W` per row) to Model 2.1 bits
+///   (`r·⌈log₂D⌉ + value_bits`) over the arities the query can ship, and
+///   the header covers each frame's fixed-plus-schema prefix — exact
+///   closed forms from [`faqs_relation::frame_bytes`], the function the
+///   codec sizes its frames with.
+///
+/// A co-located placement (`|K| < 2`) gets zero envelopes: the run must
+/// be communication-free. The nominal lower bound
+/// [`BoundReport::lower_rounds`] holds only for adversarially spread
+/// placements on hard instances, so no verdict reads it.
 ///
 /// # Example
 ///
 /// ```
 /// use faqs_hypergraph::star_query;
 /// use faqs_network::{Player, Topology};
-/// use faqs_protocols::{ConformanceReport, DistributedFaqRun, InputPlacement};
+/// use faqs_protocols::{DistributedFaqRun, InputPlacement, RunReport};
 /// use faqs_relation::{random_boolean_instance, RandomInstanceConfig};
 ///
 /// let q = random_boolean_instance(&star_query(3), &RandomInstanceConfig::default(), true);
@@ -643,96 +659,21 @@ pub const CONFORMANCE_SLACK: u64 = 4;
 /// .unwrap();
 /// let out = run.execute().unwrap();
 ///
-/// let report: ConformanceReport = run.conformance(out.stats);
-/// assert!(report.within_upper(), "measured bits inside the paper's envelope");
-/// assert!(report.upper_bits >= report.lower_bits);
+/// let report: &RunReport = &out.report;
+/// assert!(report.conforms(), "measured bits inside the paper's envelope");
+/// assert!(out.stats.total_bits <= report.upper_bits);
+/// assert!(out.wire.wire_bits() <= report.upper_wire_bits);
 /// ```
 #[derive(Clone, Debug)]
-pub struct ConformanceReport {
+pub struct RunReport {
     /// The closed-form bound quantities this run is checked against.
     pub bound: BoundReport,
-    /// The measured run.
+    /// The measured model cost.
     pub stats: RunStats,
-    /// Lower bit envelope (see type-level docs for its validity domain).
-    pub lower_bits: u64,
-    /// Upper bit envelope.
-    pub upper_bits: u64,
-}
-
-impl ConformanceReport {
-    /// Evaluates the envelope for computing `q` on `g` (capacities as
-    /// the run saw them) with player set `players`, against `stats`.
-    ///
-    /// # Panics
-    ///
-    /// As [`BoundReport::evaluate`]: when `g` does not connect
-    /// `players`. A [`DistributedFaqRun`] refuses such a placement at
-    /// [`DistributedFaqRun::new`].
-    pub fn evaluate<S: Semiring>(
-        q: &FaqQuery<S>,
-        g: &Topology,
-        players: &[Player],
-        stats: RunStats,
-    ) -> Self {
-        Self::with_bound(q, g, players, stats, BoundReport::evaluate(q, g, players))
-    }
-
-    /// [`ConformanceReport::evaluate`] on a bound already evaluated for
-    /// `(q, g, players)`.
-    fn with_bound<S: Semiring>(
-        q: &FaqQuery<S>,
-        g: &Topology,
-        players: &[Player],
-        stats: RunStats,
-        bound: BoundReport,
-    ) -> Self {
-        let (lower_bits, upper_bits) = if players.len() < 2 {
-            (0, 0)
-        } else {
-            let per_round: u64 = g.links().map(|l| 2 * g.capacity(l)).sum();
-            let additive = per_round.saturating_mul(g.diameter() as u64 + q.k() as u64 + 1);
-            (
-                bound.lower_rounds,
-                CONFORMANCE_SLACK
-                    .saturating_mul(bound.upper_rounds)
-                    .saturating_mul(per_round)
-                    .saturating_add(additive),
-            )
-        };
-        ConformanceReport {
-            bound,
-            stats,
-            lower_bits,
-            upper_bits,
-        }
-    }
-
-    /// Whether the measured bits stay inside the upper envelope (for a
-    /// co-located placement: whether the run was communication-free).
-    pub fn within_upper(&self) -> bool {
-        self.stats.total_bits <= self.upper_bits
-    }
-
-    /// Whether the measured bits meet the lower envelope.
-    pub fn meets_lower(&self) -> bool {
-        self.stats.total_bits >= self.lower_bits
-    }
-
-    /// `lower_bits ≤ total_bits ≤ upper_bits`.
-    pub fn conforms(&self) -> bool {
-        self.within_upper() && self.meets_lower()
-    }
-}
-
-/// The model envelope translated into wire units: a run's measured
-/// [`WireStats`] confronted with
-/// `blowup · upper_bits + header · frames` (see
-/// [`DistributedFaqRun::wire_conformance`] for the closed forms). A
-/// co-located run gets a zero envelope here too — no frame may ship.
-#[derive(Clone, Copy, Debug)]
-pub struct WireConformance {
     /// The measured wire traffic.
     pub wire: WireStats,
+    /// Upper bit envelope.
+    pub upper_bits: u64,
     /// Worst per-tuple ratio of codec frame bits to Model 2.1 bits for
     /// this query's semiring/domain/arities.
     pub blowup: u64,
@@ -742,10 +683,32 @@ pub struct WireConformance {
     pub upper_wire_bits: u64,
 }
 
-impl WireConformance {
-    /// Whether the measured wire bits stay inside the envelope.
-    pub fn within_upper(&self) -> bool {
-        self.wire.wire_bits() <= self.upper_wire_bits
+impl RunReport {
+    /// Both live-oracle verdicts: [`ProtocolError::BoundViolated`] when
+    /// the measured model bits escape `upper_bits` (for a co-located
+    /// placement: when the run communicated at all), then
+    /// [`ProtocolError::WireBoundViolated`] when the wire bits escape
+    /// `upper_wire_bits`.
+    pub fn check(&self) -> Result<(), ProtocolError> {
+        if self.stats.total_bits > self.upper_bits {
+            return Err(ProtocolError::BoundViolated {
+                measured_bits: self.stats.total_bits,
+                upper_bits: self.upper_bits,
+            });
+        }
+        let measured_bits = self.wire.wire_bits();
+        if measured_bits > self.upper_wire_bits {
+            return Err(ProtocolError::WireBoundViolated {
+                measured_bits,
+                upper_bits: self.upper_wire_bits,
+            });
+        }
+        Ok(())
+    }
+
+    /// Whether [`RunReport::check`] passes.
+    pub fn conforms(&self) -> bool {
+        self.check().is_ok()
     }
 }
 
@@ -810,8 +773,10 @@ mod tests {
         let out = run.execute().unwrap();
         assert_eq!(out.result, solve_faq(&q).unwrap());
         assert_eq!(out.stats, RunStats::default());
-        let report = run.conformance(out.stats);
+        let report = &out.report;
         assert_eq!(report.upper_bits, 0, "co-located envelope is zero");
+        assert_eq!(report.upper_wire_bits, 0, "no frame may ship");
+        assert!(out.stats.total_bits >= report.bound.lower_rounds);
         assert!(report.conforms(), "{report:?}");
     }
 

@@ -20,9 +20,11 @@
 //!   [`faqs_network::Topology`], any [`InputPlacement`] of factor shards,
 //!   one `faqs_plan::QueryPlan`; shards travel Steiner-tree /
 //!   shortest-path schedules and the one GHD upward pass
-//!   (`faqs_core::Pass`) runs at per-node aggregation players. [`ConformanceReport`] then confronts the
-//!   measured [`faqs_network::RunStats`] with [`BoundReport`] — the
-//!   paper's inequalities as executable checks.
+//!   (`faqs_core::Pass`) runs at per-node aggregation players. Every
+//!   run returns its [`RunReport`]: the measured
+//!   [`faqs_network::RunStats`] and [`faqs_network::WireStats`]
+//!   confronted with [`BoundReport`] — the paper's inequalities as
+//!   executable checks, built once and checked live.
 //!
 //! Every run returns a [`ProtocolOutcome`]: the actual answer (validated
 //! against the centralized engine in tests), the measured rounds and
@@ -44,8 +46,7 @@ mod trivial;
 pub use bounds::{model_capacity_bits, BoundReport};
 pub use degenerate::{run_bcq_protocol, run_bcq_protocol_with_cut, run_faq_protocol, BcqOutcome};
 pub use distributed::{
-    ConformanceReport, DistributedFaqRun, DistributedOutcome, InputPlacement, WireConformance,
-    CONFORMANCE_SLACK,
+    DistributedFaqRun, DistributedOutcome, InputPlacement, RunReport, CONFORMANCE_SLACK,
 };
 pub use hash_split::{run_hash_split_protocol, ConsistentHashSplit};
 pub use outcome::{ProtocolError, ProtocolOutcome};

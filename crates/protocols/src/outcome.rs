@@ -19,20 +19,20 @@ pub enum ProtocolError {
     Frame(CodecError),
     /// A distributed run moved more Model 2.1 bits than the paper's
     /// upper envelope for its query, topology and player set allows —
-    /// the live conformance oracle's verdict (a protocol bug, not a
-    /// measurement to report).
+    /// the live conformance oracle's verdict (`RunReport::check`; a
+    /// protocol bug, not a measurement to report).
     BoundViolated {
         /// The run's measured `RunStats::total_bits`.
         measured_bits: u64,
-        /// `ConformanceReport::upper_bits` for the run.
+        /// `RunReport::upper_bits` for the run.
         upper_bits: u64,
     },
     /// The wire twin: the encoded frames outgrew the same envelope
-    /// translated into wire units (`WireConformance`).
+    /// translated into wire units (`RunReport::upper_wire_bits`).
     WireBoundViolated {
         /// The run's measured `WireStats::wire_bits`.
         measured_bits: u64,
-        /// `WireConformance::upper_wire_bits` for the run.
+        /// `RunReport::upper_wire_bits` for the run.
         upper_bits: u64,
     },
 }

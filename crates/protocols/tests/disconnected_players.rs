@@ -119,9 +119,8 @@ fn distributed_run_refuses_a_disconnected_player_set() {
 }
 
 #[test]
-#[should_panic(expected = "the topology connects the players")]
 fn bound_report_documents_its_connectivity_precondition() {
-    BoundReport::evaluate(&star_bcq(), &split_topology(), &everyone());
+    assert!(BoundReport::evaluate(&star_bcq(), &split_topology(), &everyone()).is_none());
 }
 
 #[test]

@@ -10,9 +10,11 @@
 //!
 //! * `DistributedFaqRun` ≡ `solve_faq` ≡ brute force, as full result
 //!   *relations* (not just totals);
-//! * the measured bits stay inside the paper's upper envelope
-//!   ([`ConformanceReport::within_upper`]) for every placement, including
-//!   the co-located ones where the envelope is zero.
+//! * the measured bits stay inside the paper's upper envelope (the
+//!   run's own `RunReport`) for every placement, including the
+//!   co-located ones where the envelope is zero;
+//! * the frozen doors `conformance` / `wire_conformance`, evaluating the
+//!   bound afresh, compute the report's envelopes exactly.
 
 use faqs_core::{solve_faq, solve_faq_brute_force};
 use faqs_hypergraph::{example_h2, path_query, star_query, Hypergraph, Var};
@@ -96,13 +98,14 @@ fn check<S: Semiring>(q: &FaqQuery<S>, family: usize, n_players: usize, seed: u6
     assert_eq!(engine, oracle, "{label}: engine vs brute force");
     assert_eq!(out.result, engine, "{label}: distributed vs engine");
 
-    let report = run.conformance(out.stats);
-    assert!(
-        report.within_upper(),
-        "{label}: {} bits exceed the {}-bit envelope on {}",
-        out.stats.total_bits,
-        report.upper_bits,
-        g.name(),
+    let report = &out.report;
+    assert!(report.conforms(), "{label}: {report:?} on {}", g.name());
+    let fresh = run.conformance(out.stats);
+    let fresh_wire = run.wire_conformance(&fresh, out.wire);
+    assert_eq!(
+        (fresh.upper_bits, fresh_wire.upper_wire_bits),
+        (report.upper_bits, report.upper_wire_bits),
+        "{label}: the frozen doors disagree with the run's report"
     );
 }
 

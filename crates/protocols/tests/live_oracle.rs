@@ -84,9 +84,8 @@ fn a_run_outside_its_envelope_is_a_typed_error() {
         };
 
         let clean = execute(0, 0).expect("an honest run conforms");
-        let report = run.conformance(clean.stats);
-        let wire_report = run.wire_conformance(&report, clean.wire);
-        assert!(report.within_upper() && wire_report.within_upper());
+        let report = &clean.report;
+        assert!(report.conforms(), "{report:?}");
 
         // One bit past the model envelope.
         let excess = report.upper_bits - clean.stats.total_bits + 1;
@@ -103,12 +102,12 @@ fn a_run_outside_its_envelope_is_a_typed_error() {
         assert!(execute(excess - 1, 0).is_ok(), "{}", g.name());
 
         // One byte past the wire envelope, model bits honest.
-        let spare = (wire_report.upper_wire_bits - clean.wire.wire_bits()) / 8;
+        let spare = (report.upper_wire_bits - clean.wire.wire_bits()) / 8;
         assert_eq!(
             execute(0, spare + 1).unwrap_err(),
             ProtocolError::WireBoundViolated {
                 measured_bits: clean.wire.wire_bits() + 8 * (spare + 1),
-                upper_bits: wire_report.upper_wire_bits,
+                upper_bits: report.upper_wire_bits,
             },
             "{}",
             g.name()

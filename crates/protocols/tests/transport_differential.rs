@@ -2,10 +2,10 @@
 //! memory and over loopback TCP must produce bit-identical answers,
 //! byte-identical `RunStats` (both transports drive the same shadow
 //! oracle) and the same wire traffic to the byte, and the measured wire
-//! bits must sit inside the [`WireConformance`] envelope derived from
-//! the Model 2.1 upper bound. The Theorem 3.1 fixture is pinned under
-//! TCP so the socket path guards the exact measurement the conformance
-//! suite pins in memory.
+//! bits must sit inside the run's `RunReport` wire envelope derived
+//! from the Model 2.1 upper bound. The Theorem 3.1 fixture is pinned
+//! under TCP so the socket path guards the exact measurement the
+//! conformance suite pins in memory.
 
 use faqs_core::{solve_bcq, solve_faq};
 use faqs_hypergraph::{path_query, star_query};
@@ -49,20 +49,20 @@ fn race_transports<S: Semiring>(
     assert_eq!(sim.node_player, tcp.node_player);
 
     // Both move the same frames (length prefixes are transport-private
-    // and excluded).
+    // and excluded), so both judge them against the same envelopes.
     assert_eq!(sim.wire, tcp.wire, "wire ledger sim vs tcp");
+    let envelopes =
+        |out: &DistributedOutcome<S>| (out.report.upper_bits, out.report.upper_wire_bits);
+    assert_eq!(envelopes(&sim), envelopes(&tcp), "envelopes sim vs tcp");
 
-    // Measured wire bits inside the envelope (execute_on asserts this
-    // live; re-derive here so the test fails with the full ledger).
-    let report = run.conformance(tcp.stats);
-    assert!(report.conforms(), "{report:?}");
-    let wc = run.wire_conformance(&report, tcp.wire);
+    // The measurement inside both envelopes (execute_on checks the upper
+    // sides live; re-read here so the test fails with the full ledger)
+    // and above the nominal lower bound of this spread placement.
+    let report = &tcp.report;
+    assert!(report.conforms(), "{report:?} on {}", g.name());
     assert!(
-        wc.within_upper(),
-        "wire bits {} escaped the envelope {} on {}",
-        wc.wire.wire_bits(),
-        wc.upper_wire_bits,
-        g.name()
+        tcp.stats.total_bits >= report.bound.lower_rounds,
+        "{report:?}"
     );
     tcp
 }

@@ -40,7 +40,7 @@ fn main() {
         let assignment = Assignment::round_robin(&q, &g, &players);
         let out = run_bcq_protocol(&q, &g, &assignment, 1).expect("connected");
         assert_eq!(out.answer, expected, "{}", g.name());
-        let bounds = BoundReport::evaluate(&q, &g, &assignment.players());
+        let bounds = BoundReport::evaluate(&q, &g, &assignment.players()).expect("connected");
         let lb = bcq_lower_bound(&q.hypergraph, &g, &assignment.players(), n as u64);
         println!(
             "{:<12} {:>8} {:>10} {:>10} {:>8} {:>6} {:>6}",

@@ -91,8 +91,7 @@ pub mod prelude {
         plan_query_with, CalibrationRegistry, CalibrationStats, PlanCost, QueryPlan, QueryStats,
     };
     pub use faqs_protocols::{
-        run_bcq_protocol, run_faq_protocol, ConformanceReport, DistributedFaqRun, InputPlacement,
-        WireConformance,
+        run_bcq_protocol, run_faq_protocol, DistributedFaqRun, InputPlacement, RunReport,
     };
     pub use faqs_relation::{
         frame_bits, frame_bytes, BcqBuilder, CodecError, FaqQuery, Relation, RelationDelta,
