@@ -23,7 +23,8 @@ use faqs_mcm::{
 use faqs_network::{min_cut, steiner_packing, Assignment, Player, Topology};
 use faqs_protocols::{
     model_capacity_bits, run_bcq_protocol, run_faq_protocol, run_hash_split_protocol,
-    run_set_intersection, run_trivial, BoundReport, DistributedFaqRun, InputPlacement,
+    run_set_intersection, run_trivial, DistributedFaqRun, InputPlacement, ProtocolError,
+    ProtocolOutcome,
 };
 use faqs_relation::{
     random_boolean_instance, random_instance, BcqBuilder, FaqQuery, RandomInstanceConfig,
@@ -34,6 +35,11 @@ use rand::{Rng, SeedableRng};
 
 fn players_of(g: &Topology) -> Vec<u32> {
     (0..g.num_players() as u32).collect()
+}
+
+/// The measured rounds of a paper protocol's run.
+fn rounds<T>(out: Result<ProtocolOutcome<T>, ProtocolError>) -> u64 {
+    out.expect("run").report.stats.rounds
 }
 
 fn ratio(a: u64, b: u64) -> String {
@@ -72,13 +78,13 @@ pub fn e1_table1(n: usize) {
             let q: FaqQuery<Count> =
                 random_instance(h, &cfg, vec![], |r| Count(r.random_range(1..4)));
             let a = Assignment::round_robin(&q, g, &ids);
-            let out = run_faq_protocol(&q, g, &a, 1).expect("run");
-            (out.rounds, out.predicted_rounds)
+            let report = run_faq_protocol(&q, g, &a, 1).expect("run").report;
+            (report.stats.rounds, report.upper_rounds)
         } else {
             let q = random_boolean_instance(h, &cfg, true);
             let a = Assignment::round_robin(&q, g, &ids);
-            let out = run_bcq_protocol(&q, g, &a, 1).expect("run");
-            (out.rounds, out.predicted_rounds)
+            let report = run_bcq_protocol(&q, g, &a, 1).expect("run").report;
+            (report.stats.rounds, report.upper_rounds)
         };
         let k: Vec<Player> = ids.iter().map(|&i| Player(i)).collect();
         let lb = if counting {
@@ -253,7 +259,7 @@ pub fn e3_examples(ns: &[u32]) {
         let q0 = b.finish();
         let g1 = Topology::line(4);
         let a0 = Assignment::round_robin(&q0, &g1, &[0, 1, 2, 3]).with_output(Player(3));
-        let r_h0 = run_bcq_protocol(&q0, &g1, &a0, 1).unwrap().rounds;
+        let r_h0 = rounds(run_bcq_protocol(&q0, &g1, &a0, 1));
 
         // Examples 2.2 / 2.3.
         let h1 = example_h1();
@@ -264,16 +270,11 @@ pub fn e3_examples(ns: &[u32]) {
         let q1 = b1.finish();
         let mk =
             |g: &Topology| Assignment::round_robin(&q1, g, &[0, 1, 2, 3]).with_output(Player(1));
-        let r_line = run_bcq_protocol(&q1, &g1, &mk(&g1), 1).unwrap().rounds;
+        let r_line = rounds(run_bcq_protocol(&q1, &g1, &mk(&g1), 1));
         let g2 = Topology::clique(4);
-        let r_clique = run_bcq_protocol(&q1, &g2, &mk(&g2), 1).unwrap().rounds;
-        let r_trivial = run_trivial(
-            &q1,
-            &g1.clone().with_uniform_capacity(model_capacity_bits(&q1)),
-            &mk(&g1),
-        )
-        .unwrap()
-        .rounds;
+        let r_clique = rounds(run_bcq_protocol(&q1, &g2, &mk(&g2), 1));
+        let g1_scaled = g1.clone().with_uniform_capacity(model_capacity_bits(&q1));
+        let r_trivial = rounds(run_trivial(&q1, &g1_scaled, &mk(&g1)));
 
         row(&[
             n.to_string(),
@@ -367,17 +368,18 @@ pub fn e4_lowerbounds(n_universe: u32, trials: u64) {
         let k: Vec<Player> = players_of(&g).iter().map(|&i| Player(i)).collect();
         let a = hard_assignment(&e, &g, &k);
         let (_, side) = faqs_network::min_cut_partition(&g, &k);
-        let (out, cut_bits) =
-            faqs_protocols::run_bcq_protocol_with_cut(&e.query, &g, &a, 1, &side).unwrap();
+        let out = run_bcq_protocol(&e.query, &g, &a, 1).unwrap();
         assert_eq!(out.answer, t.eval());
+        let report = &out.report;
+        let cut_bits = report.bits_across(&g, &side);
         let lb = bcq_lower_bound(&e.query.hypergraph, &g, &k, e.query.n_max() as u64);
         row(&[
             name.to_string(),
             g.name().to_string(),
-            out.rounds.to_string(),
+            report.stats.rounds.to_string(),
             lb.rounds.to_string(),
-            ratio(out.rounds, lb.rounds),
-            cut_bits.to_string(),
+            ratio(report.stats.rounds, lb.rounds),
+            cut_bits.map_or_else(|| "n/a".into(), |bits| bits.to_string()),
         ]);
     }
 }
@@ -533,17 +535,15 @@ pub fn e8_gap_sweep(n: usize) {
         for g in [Topology::line(5), Topology::clique(5)] {
             let ids = players_of(&g);
             let a = Assignment::round_robin(&q, &g, &ids);
-            let out = run_bcq_protocol(&q, &g, &a, 1).expect("run");
-            let k = a.players();
-            let b = BoundReport::evaluate(&q, &g, &k).expect("the run connected K");
-            let lb = bcq_lower_bound(&h, &g, &k, n as u64);
+            let report = run_bcq_protocol(&q, &g, &a, 1).expect("run").report;
+            let lb = bcq_lower_bound(&h, &g, &a.players(), n as u64);
             row(&[
                 d.to_string(),
                 g.name().to_string(),
-                out.rounds.to_string(),
-                b.upper_rounds.to_string(),
+                report.stats.rounds.to_string(),
+                report.upper_rounds.to_string(),
                 lb.rounds.to_string(),
-                ratio(b.upper_rounds, lb.rounds),
+                ratio(report.upper_rounds, lb.rounds),
             ]);
         }
     }
@@ -578,13 +578,13 @@ pub fn e9_mpc(n: usize) {
         let q = random_boolean_instance(&h, &cfg, true);
         let ids: Vec<u32> = (0..k_sources as u32).collect();
         let a = Assignment::round_robin(&q, &g, &ids);
-        let out = run_bcq_protocol(&q, &g, &a, 0).expect("run");
+        let measured = rounds(run_bcq_protocol(&q, &g, &a, 0));
         let kp: Vec<Player> = ids.iter().map(|&i| Player(i)).collect();
         let st = steiner_packing(&g, &kp, 2).len();
         row(&[
             p.to_string(),
             cap.to_string(),
-            out.rounds.to_string(),
+            measured.to_string(),
             st.to_string(),
         ]);
     }
@@ -610,13 +610,15 @@ pub fn e10_set_intersection(n: usize) {
         let inputs: Vec<(Player, Vec<bool>)> = (0..6u32)
             .map(|p| (Player(p), (0..n).map(|_| rng.random_bool(0.9)).collect()))
             .collect();
-        let out = run_set_intersection(&g, &inputs, Player(0)).expect("run");
+        let report = run_set_intersection(&g, &inputs, Player(0))
+            .expect("run")
+            .report;
         row(&[
             g.name().to_string(),
             n.to_string(),
-            out.rounds.to_string(),
-            out.predicted_rounds.to_string(),
-            ratio(out.rounds, out.predicted_rounds),
+            report.stats.rounds.to_string(),
+            report.upper_rounds.to_string(),
+            ratio(report.stats.rounds, report.upper_rounds),
         ]);
     }
 }
@@ -645,8 +647,8 @@ pub fn e11_faq_general(n: usize) {
             Count::NAME.to_string(),
             "H2".into(),
             g.name().to_string(),
-            out.rounds.to_string(),
-            out.predicted_rounds.to_string(),
+            out.report.stats.rounds.to_string(),
+            out.report.upper_rounds.to_string(),
             agree.to_string(),
         ]);
         assert!(agree, "Count on {}: protocol ≠ engine", g.name());
@@ -661,8 +663,8 @@ pub fn e11_faq_general(n: usize) {
             Prob::NAME.to_string(),
             "H2 (F=e0)".into(),
             g.name().to_string(),
-            out.rounds.to_string(),
-            out.predicted_rounds.to_string(),
+            out.report.stats.rounds.to_string(),
+            out.report.upper_rounds.to_string(),
             agree.to_string(),
         ]);
         assert!(agree, "Prob on {}: protocol ≠ engine", g.name());
@@ -697,8 +699,8 @@ pub fn e12_hash_split(n: usize) {
         row(&[
             k.to_string(),
             g.name().to_string(),
-            split.rounds.to_string(),
-            whole.rounds.to_string(),
+            split.report.stats.rounds.to_string(),
+            whole.report.stats.rounds.to_string(),
             (split.answer == whole.answer).to_string(),
         ]);
         assert_eq!(split.answer, whole.answer, "|K| = {k}: split ≠ whole");
@@ -735,12 +737,13 @@ pub fn e15_distributed(n: usize) {
             row(&[
                 g.name().to_string(),
                 label.to_string(),
-                out.stats.rounds.to_string(),
-                out.stats.total_bits.to_string(),
+                rep.stats.rounds.to_string(),
+                rep.stats.total_bits.to_string(),
                 rep.upper_bits.to_string(),
                 rep.conforms().to_string(),
             ]);
-            let inside = rep.conforms() && out.stats.total_bits >= rep.bound.lower_rounds;
+            let floor = rep.bound.as_ref().map_or(0, |b| b.lower_rounds);
+            let inside = rep.conforms() && rep.stats.total_bits >= floor;
             assert!(inside, "{} / {label}: outside the bounds", g.name());
         }
     }

@@ -356,26 +356,10 @@ impl<'a> NetRun<'a> {
         self.stats
     }
 
-    /// Total bits ever sent over one link (both directions).
-    pub fn link_total_bits(&self, l: LinkId) -> u64 {
-        self.link_bits[l.index()]
-    }
-
-    /// Bits that crossed a vertex cut: the information exchanged between
-    /// the two sides. This is exactly what the paper's two-party
-    /// simulation (Model 2.2 / Lemma 4.4) charges a protocol — on a
-    /// TRIBES-hard instance it must be `Ω(m·N)` bits regardless of the
-    /// topology.
-    pub fn bits_across(&self, side: &[bool]) -> u64 {
-        assert_eq!(side.len(), self.g.num_players());
-        self.g
-            .links()
-            .filter(|&l| {
-                let (a, b) = self.g.link(l);
-                side[a.index()] != side[b.index()]
-            })
-            .map(|l| self.link_bits[l.index()])
-            .sum()
+    /// Total bits ever sent over each link (both directions), indexed
+    /// by [`LinkId`]; they sum to [`RunStats::total_bits`].
+    pub fn link_bits(&self) -> &[u64] {
+        &self.link_bits
     }
 }
 
@@ -505,7 +489,7 @@ mod tests {
             .send_via_shortest_path(Player(0), Player(1), 4, 1)
             .unwrap();
         assert_eq!(done, 3, "three live hops: 0—3—2—1");
-        assert_eq!(run.link_total_bits(LinkId(0)), 0, "dead link untouched");
+        assert_eq!(run.link_bits()[0], 0, "dead link untouched");
     }
 
     #[test]

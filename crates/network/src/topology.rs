@@ -129,6 +129,14 @@ impl Topology {
         self.capacity[l.index()] = bits;
     }
 
+    /// The smallest capacity among live links — the unit a packing's
+    /// work is counted in. `1` when no link is live: nothing can be
+    /// sent, and the quotient stays defined.
+    pub fn min_live_capacity(&self) -> u64 {
+        let live = self.capacity.iter().filter(|&&c| c > 0);
+        live.min().map_or(1, |&c| c)
+    }
+
     /// Returns a copy with every link capacity set to `bits`.
     pub fn with_uniform_capacity(mut self, bits: u64) -> Self {
         assert!(bits > 0);

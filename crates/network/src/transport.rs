@@ -116,6 +116,11 @@ pub trait Transport {
     /// sequence of calls.
     fn wire(&self) -> WireStats;
 
+    /// The shadow simulator's per-link bit tallies
+    /// ([`NetRun::link_bits`]) — identical across all transports for the
+    /// same sequence of calls.
+    fn link_bits(&self) -> &[u64];
+
     /// Which implementation this is.
     fn kind(&self) -> TransportKind;
 }
@@ -192,6 +197,10 @@ impl Transport for SimTransport<'_> {
 
     fn wire(&self) -> WireStats {
         self.wire
+    }
+
+    fn link_bits(&self) -> &[u64] {
+        self.shadow.link_bits()
     }
 
     fn kind(&self) -> TransportKind {
@@ -327,6 +336,10 @@ impl Transport for TcpTransport<'_> {
 
     fn wire(&self) -> WireStats {
         self.memory.wire()
+    }
+
+    fn link_bits(&self) -> &[u64] {
+        self.memory.link_bits()
     }
 
     fn kind(&self) -> TransportKind {

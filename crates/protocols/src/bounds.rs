@@ -1,6 +1,7 @@
-//! Closed-form bound evaluation: the paper's upper-bound formulas
-//! instantiated on a concrete topology/query pair, used as the
-//! `predicted_rounds` companions of measured runs.
+//! Closed-form bound evaluation: Theorem 4.1's formulas instantiated on
+//! a concrete topology/query pair. The d-degenerate protocol and the
+//! runtime carry the result in their `RunReport` (`bound`), and its
+//! `upper_rounds` is the round bound each run is checked against.
 
 use faqs_hypergraph::internal_node_width;
 use faqs_network::{min_cut, tau_mcf, DeltaPackings, Player, Topology};
@@ -16,7 +17,7 @@ pub fn model_capacity_bits<S: Semiring>(q: &FaqQuery<S>) -> u64 {
 
 /// The paper's bound quantities for one query/topology/player-set
 /// triple (Theorem 4.1 / F.1 shape).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct BoundReport {
     /// `y(H)` — internal-node-width achieved by the witness GHD.
     pub y: usize,
@@ -77,13 +78,7 @@ impl BoundReport {
                 n2,
                 degeneracy: d,
                 arity: r,
-                min_cut: 0,
-                delta: 0,
-                st: 0,
-                forest_rounds: 0,
-                core_rounds: 0,
-                upper_rounds: 0,
-                lower_rounds: 0,
+                ..BoundReport::default()
             });
         }
         let mc = min_cut(g, k).max(1);

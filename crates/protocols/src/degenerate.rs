@@ -4,96 +4,36 @@
 //! whole query is acyclic and the root carries a relation.
 
 use crate::bounds::{model_capacity_bits, BoundReport};
-use crate::outcome::{ProtocolError, ProtocolOutcome};
+use crate::outcome::{Inputs, ProtocolError, ProtocolOutcome};
 use crate::star::{run_star_phase, LeafInput};
 use faqs_hypergraph::{Ghd, NodeId, Var};
 use faqs_network::{Assignment, NetRun, Player, Topology};
 use faqs_relation::{FaqQuery, Relation};
 use faqs_semiring::{Boolean, Semiring};
 
-/// Outcome of a BCQ run: the Boolean answer plus measurements.
-pub type BcqOutcome = ProtocolOutcome<bool>;
-
 /// Runs the distributed FAQ protocol, each bound variable under any
 /// aggregate the carrier admits (`Semiring::admits`). The elimination
 /// order the GHD realises must be a legal reordering of Equation (4)'s
 /// nesting — the protocol eliminates exactly the same private-variable
 /// sets as the engine on the same GHD, so the engine's gate applies
-/// verbatim, before anything is transmitted.
+/// verbatim, before anything is transmitted, and so does the refusal of
+/// a player set the topology does not connect
+/// ([`ProtocolError::Unreachable`]).
 ///
 /// `capacity_tuples` scales every link to carry that many tuples
 /// (`r·⌈log₂ D⌉` bits plus annotation) per round — `1` is the paper's
 /// Model 2.1 allowance; pass `0` to keep `g`'s own capacities.
 ///
 /// The answer relation (over the free variables) ends at
-/// `assignment.output()`; it is returned together with the measured
-/// round count and the paper's predicted upper bound.
+/// `assignment.output()`; it is returned with the run's report, checked
+/// against Theorem 4.1's bound ([`BoundReport::upper_rounds`]).
 pub fn run_faq_protocol<S: Semiring>(
     q: &FaqQuery<S>,
     g: &Topology,
     assignment: &Assignment,
     capacity_tuples: u64,
 ) -> Result<ProtocolOutcome<Relation<S>>, ProtocolError> {
-    run_on_ghd(
-        q,
-        g,
-        assignment,
-        capacity_tuples,
-        |answer, run, predicted| ProtocolOutcome::from_stats(answer, run.stats(), predicted),
-    )
-}
-
-/// [`run_bcq_protocol`] instrumented with the two-party view of
-/// Model 2.2: additionally returns the number of bits that crossed the
-/// given vertex cut (`side[v] = true` ⇔ `v` on Alice's side). On a
-/// TRIBES-hard instance assigned across a min cut (Lemma 4.4), this
-/// count is what Theorem 2.3 lower-bounds by `Ω(m·N)`.
-pub fn run_bcq_protocol_with_cut(
-    q: &FaqQuery<Boolean>,
-    g: &Topology,
-    assignment: &Assignment,
-    capacity_tuples: u64,
-    side: &[bool],
-) -> Result<(BcqOutcome, u64), ProtocolError> {
-    if !q.free_vars.is_empty() {
-        return Err(ProtocolError::Invalid("BCQ has no free variables".into()));
-    }
-    run_on_ghd(
-        q,
-        g,
-        assignment,
-        capacity_tuples,
-        |answer, run, predicted| {
-            let satisfiable = !answer.total().is_zero();
-            let outcome = ProtocolOutcome::from_stats(satisfiable, run.stats(), predicted);
-            (outcome, run.bits_across(side))
-        },
-    )
-}
-
-/// What every entry point does: validate the instance and the
-/// assignment, scale the links, pick the decomposition, refuse — before
-/// the first bit moves — a query whose aggregates the carrier or the
-/// push-down order rules out and a player set the topology does not
-/// connect ([`ProtocolError::Unreachable`]), then run the protocol body.
-/// `outcome` reads the answer, the finished run and the predicted upper
-/// bound in rounds.
-fn run_on_ghd<S: Semiring, T>(
-    q: &FaqQuery<S>,
-    g: &Topology,
-    assignment: &Assignment,
-    capacity_tuples: u64,
-    outcome: impl FnOnce(Relation<S>, &NetRun<'_>, u64) -> T,
-) -> Result<T, ProtocolError> {
-    q.validate()
-        .map_err(|e| ProtocolError::Invalid(e.to_string()))?;
-    if assignment.len() != q.k() {
-        return Err(ProtocolError::Invalid(format!(
-            "{} holders for {} relations",
-            assignment.len(),
-            q.k()
-        )));
-    }
+    crate::trivial::validate(q, assignment)?;
     let scaled;
     let g = if capacity_tuples == 0 {
         g
@@ -110,12 +50,13 @@ fn run_on_ghd<S: Semiring, T>(
 
     // The bound needs a Steiner tree spanning the players; without one
     // the players cannot all reach each other either.
-    let predicted = BoundReport::evaluate(q, g, &assignment.players())
-        .ok_or_else(|| ProtocolError::Unreachable("the players are not connected".into()))?
-        .upper_rounds;
+    let players = assignment.players();
+    let bound = BoundReport::evaluate(q, g, &players)
+        .ok_or_else(|| ProtocolError::Unreachable("the players are not connected".into()))?;
     let mut run = NetRun::new(g);
     let answer = execute_on_ghd(q, ghd, assignment, &mut run)?;
-    Ok(outcome(answer, &run, predicted))
+    let inputs = Inputs::of(q, players.len());
+    ProtocolOutcome::checked::<S>(answer, &run, inputs, bound.upper_rounds, Some(bound))
 }
 
 /// Runs the BCQ protocol (Boolean semiring, `F = ∅`): `true` iff the
@@ -125,12 +66,15 @@ pub fn run_bcq_protocol(
     g: &Topology,
     assignment: &Assignment,
     capacity_tuples: u64,
-) -> Result<BcqOutcome, ProtocolError> {
+) -> Result<ProtocolOutcome<bool>, ProtocolError> {
     if !q.free_vars.is_empty() {
         return Err(ProtocolError::Invalid("BCQ has no free variables".into()));
     }
     let out = run_faq_protocol(q, g, assignment, capacity_tuples)?;
-    Ok(out.map(|rel| !rel.total().is_zero()))
+    Ok(ProtocolOutcome {
+        answer: !out.answer.total().is_zero(),
+        report: out.report,
+    })
 }
 
 /// The protocol body: star peels bottom-up, then the core finish.
@@ -171,27 +115,15 @@ fn execute_on_ghd<S: Semiring>(
             rel[center.index()].clone().expect("center covers an edge");
 
         // Build leaf messages: aggregate out the leaf-private variables
-        // (χ(leaf) ∖ χ(center)), innermost (highest index) first.
+        // (χ(leaf) ∖ χ(center)).
         let center_chi = ghd.chi(center).to_vec();
         let mut leaf_inputs = Vec::with_capacity(leaves.len());
         for &leaf in &leaves {
             let Some((leaf_rel, leaf_holder)) = rel[leaf.index()].clone() else {
                 return Err(ProtocolError::Invalid("leaf without a relation".into()));
             };
-            let mut message = leaf_rel;
-            let mut private: Vec<Var> = message
-                .schema()
-                .iter()
-                .copied()
-                .filter(|v| !center_chi.contains(v))
-                .collect();
-            private.sort_unstable_by(|a, b| b.cmp(a));
-            for v in private {
-                debug_assert!(!q.is_free(v), "free variables are never private");
-                message = message.aggregate_out(v, q.aggregates[v.index()]);
-            }
             leaf_inputs.push(LeafInput {
-                message,
+                message: aggregate_out_all_but(q, leaf_rel, &center_chi),
                 holder: leaf_holder,
             });
         }
@@ -247,18 +179,7 @@ fn execute_on_ghd<S: Semiring>(
         let Some((relation, _)) = rel[node.index()].clone() else {
             continue;
         };
-        let root_chi = ghd.chi(root).to_vec();
-        let mut message = relation;
-        let mut private: Vec<Var> = message
-            .schema()
-            .iter()
-            .copied()
-            .filter(|v| !root_chi.contains(v))
-            .collect();
-        private.sort_unstable_by(|a, b| b.cmp(a));
-        for v in private {
-            message = message.aggregate_out(v, q.aggregates[v.index()]);
-        }
+        let message = aggregate_out_all_but(q, relation, ghd.chi(root));
         combined = Some(match combined {
             Some(acc) => acc.join(&message),
             None => message,
@@ -270,23 +191,34 @@ fn execute_on_ghd<S: Semiring>(
             None => root_rel,
         });
     }
-    let mut result = combined.unwrap_or_else(Relation::unit);
-
-    // Aggregate the remaining bound variables, innermost first.
-    let mut bound: Vec<Var> = result
-        .schema()
-        .iter()
-        .copied()
-        .filter(|v| !q.is_free(*v))
-        .collect();
-    bound.sort_unstable_by(|a, b| b.cmp(a));
-    for v in bound {
-        result = result.aggregate_out(v, q.aggregates[v.index()]);
-    }
+    // Aggregate the remaining bound variables.
+    let mut result =
+        aggregate_out_all_but(q, combined.unwrap_or_else(Relation::unit), &q.free_vars);
     if result.schema() != q.free_vars.as_slice() {
         result = result.reorder(&q.free_vars);
     }
     Ok(result)
+}
+
+/// `rel` with every variable outside `kept` aggregated out under the
+/// query's aggregate, innermost (highest index) first.
+fn aggregate_out_all_but<S: Semiring>(
+    q: &FaqQuery<S>,
+    mut rel: Relation<S>,
+    kept: &[Var],
+) -> Relation<S> {
+    let mut gone: Vec<Var> = rel
+        .schema()
+        .iter()
+        .copied()
+        .filter(|v| !kept.contains(v))
+        .collect();
+    gone.sort_unstable_by(|a, b| b.cmp(a));
+    for v in gone {
+        debug_assert!(!q.is_free(v), "free variables are never aggregated out");
+        rel = rel.aggregate_out(v, q.aggregates[v.index()]);
+    }
+    rel
 }
 
 #[cfg(test)]
@@ -301,6 +233,21 @@ mod tests {
         random_boolean_instance, random_instance, BcqBuilder, RandomInstanceConfig,
     };
     use faqs_semiring::{Aggregate, Count, MinPlus, Prob};
+
+    /// `got`, with a successful run's per-link tallies held to its total
+    /// bits (the scheduler's invariant, carried into the report).
+    fn tallied<T>(
+        got: Result<ProtocolOutcome<T>, ProtocolError>,
+    ) -> Result<ProtocolOutcome<T>, ProtocolError> {
+        if let Ok(out) = &got {
+            let report = &out.report;
+            assert_eq!(
+                report.link_bits.iter().sum::<u64>(),
+                report.stats.total_bits
+            );
+        }
+        got
+    }
 
     fn all_players(g: &Topology) -> Vec<u32> {
         (0..g.num_players() as u32).collect()
@@ -321,13 +268,13 @@ mod tests {
         let q = b.finish();
         let g = Topology::line(4);
         let a = Assignment::round_robin(&q, &g, &[0, 1, 2, 3]).with_output(Player(3));
-        let out = run_bcq_protocol(&q, &g, &a, 1).unwrap();
+        let out = tallied(run_bcq_protocol(&q, &g, &a, 1)).unwrap();
         assert_eq!(out.answer, solve_bcq(&q));
         assert!(out.answer, "0 is everywhere");
         assert!(
-            out.rounds <= 2 * (n as u64) + 16,
+            out.report.stats.rounds <= 2 * (n as u64) + 16,
             "Example 2.1 shape: N + O(1), got {}",
-            out.rounds
+            out.report.stats.rounds
         );
     }
 
@@ -343,12 +290,12 @@ mod tests {
         let q = b.finish();
         let g = Topology::line(4);
         let a = Assignment::round_robin(&q, &g, &[0, 1, 2, 3]).with_output(Player(1));
-        let out = run_bcq_protocol(&q, &g, &a, 1).unwrap();
+        let out = tallied(run_bcq_protocol(&q, &g, &a, 1)).unwrap();
         assert_eq!(out.answer, solve_bcq(&q));
         assert!(
-            out.rounds <= 2 * (n as u64) + 16,
+            out.report.stats.rounds <= 2 * (n as u64) + 16,
             "Corollary 4.3 shape, got {}",
-            out.rounds
+            out.report.stats.rounds
         );
     }
 
@@ -366,14 +313,14 @@ mod tests {
         let q = b.finish();
         let line = Topology::line(4);
         let clique = Topology::clique(4);
-        let out_line = run_bcq_protocol(&q, &line, &mk(&q, &line), 1).unwrap();
-        let out_clique = run_bcq_protocol(&q, &clique, &mk(&q, &clique), 1).unwrap();
+        let out_line = tallied(run_bcq_protocol(&q, &line, &mk(&q, &line), 1)).unwrap();
+        let out_clique = tallied(run_bcq_protocol(&q, &clique, &mk(&q, &clique), 1)).unwrap();
         assert_eq!(out_line.answer, out_clique.answer);
         assert!(
-            out_clique.rounds * 3 <= out_line.rounds * 2,
+            out_clique.report.stats.rounds * 3 <= out_line.report.stats.rounds * 2,
             "clique ≈ N/2 vs line ≈ N: {} vs {}",
-            out_clique.rounds,
-            out_line.rounds
+            out_clique.report.stats.rounds,
+            out_line.report.stats.rounds
         );
     }
 
@@ -398,7 +345,7 @@ mod tests {
                 let q = random_boolean_instance(&h, &cfg, seed % 2 == 0);
                 for g in [Topology::line(4), Topology::clique(4), Topology::grid(2, 2)] {
                     let a = Assignment::round_robin(&q, &g, &all_players(&g));
-                    let out = run_bcq_protocol(&q, &g, &a, 1).unwrap();
+                    let out = tallied(run_bcq_protocol(&q, &g, &a, 1)).unwrap();
                     assert_eq!(
                         out.answer,
                         solve_bcq(&q),
@@ -425,7 +372,7 @@ mod tests {
             });
             let g = Topology::clique(4);
             let a = Assignment::round_robin(&q, &g, &all_players(&g));
-            let out = run_faq_protocol(&q, &g, &a, 1).unwrap();
+            let out = tallied(run_faq_protocol(&q, &g, &a, 1)).unwrap();
             assert_eq!(
                 out.answer.total(),
                 solve_faq_brute_force(&q).total(),
@@ -450,7 +397,7 @@ mod tests {
         });
         let g = Topology::line(3);
         let a = Assignment::round_robin(&q, &g, &[0, 1, 2]);
-        let out = run_faq_protocol(&q, &g, &a, 1).unwrap();
+        let out = tallied(run_faq_protocol(&q, &g, &a, 1)).unwrap();
         let oracle = solve_faq_brute_force(&q);
         assert!(out.answer.approx_eq(&oracle));
     }
@@ -472,12 +419,12 @@ mod tests {
         let g = Topology::barbell(3, 1);
         // Holders straddle the bridge (players 0,1 left; 3,4 right).
         let a = Assignment::new(vec![Player(0), Player(1), Player(3), Player(4)], Player(4));
-        let out = run_bcq_protocol(&q, &g, &a, 1).unwrap();
+        let out = tallied(run_bcq_protocol(&q, &g, &a, 1)).unwrap();
         assert_eq!(out.answer, solve_bcq(&q));
         assert!(
-            out.rounds as usize >= n / 2,
+            out.report.stats.rounds as usize >= n / 2,
             "the single bridge edge bottlenecks: {}",
-            out.rounds
+            out.report.stats.rounds
         );
     }
 
@@ -493,7 +440,7 @@ mod tests {
             let q = random_boolean_instance(&h, &cfg, d % 2 == 0);
             let g = Topology::random_connected(6, 0.3, d);
             let a = Assignment::round_robin(&q, &g, &all_players(&g));
-            let out = run_bcq_protocol(&q, &g, &a, 1).unwrap();
+            let out = tallied(run_bcq_protocol(&q, &g, &a, 1)).unwrap();
             assert_eq!(out.answer, solve_bcq(&q), "d = {d}");
         }
     }
@@ -511,12 +458,12 @@ mod tests {
         );
         let g = Topology::line(4);
         let a = Assignment::round_robin(&q, &g, &[0, 1, 2, 3]);
-        let out = run_bcq_protocol(&q, &g, &a, 1).unwrap();
+        let out = tallied(run_bcq_protocol(&q, &g, &a, 1)).unwrap();
         assert!(
-            out.rounds <= 4 * out.predicted_rounds + 16,
+            out.report.stats.rounds <= 4 * out.report.upper_rounds + 16,
             "measured {} vs predicted {}",
-            out.rounds,
-            out.predicted_rounds
+            out.report.stats.rounds,
+            out.report.upper_rounds
         );
     }
 
@@ -540,13 +487,13 @@ mod tests {
             }
             let g = Topology::clique(4);
             let a = Assignment::round_robin(&q, &g, &all_players(&g));
-            let out = run_faq_protocol(&q, &g, &a, 1).unwrap();
+            let out = tallied(run_faq_protocol(&q, &g, &a, 1)).unwrap();
             assert_eq!(
                 out.answer.total(),
                 solve_faq_brute_force(&q).total(),
                 "seed {seed}"
             );
-            assert!(out.rounds > 0, "distributed work happened");
+            assert!(out.report.stats.rounds > 0, "distributed work happened");
         }
     }
 

@@ -21,13 +21,10 @@
 //! byte-identical across them — and every run asserts itself against
 //! the simulator's envelope on the fly.
 //!
-//! Every run returns the semiring result **and** its [`RunReport`]: the
-//! measured [`RunStats`] and [`WireStats`] confronted with the
-//! closed-form [`BoundReport`] — the paper's inequalities as executable
-//! checks, on the model bits and on the bytes on the wire — built once,
-//! by the run that checked it. The pass carries no fold observer:
-//! calibration telemetry is the executor's (`faqs_exec::Executor`), and
-//! the placed planner scores raw estimates.
+//! Every run returns the semiring result **and** its [`RunReport`],
+//! built and checked live as every protocol's is. The pass carries no
+//! fold observer: calibration telemetry is the executor's
+//! (`faqs_exec::Executor`), and the placed planner scores raw estimates.
 //!
 //! Push-down before shipping (Corollary G.2 at the shard level): a bound
 //! `Sum` variable occurring in exactly one hyperedge (and one GHD bag) is
@@ -42,7 +39,7 @@
 
 use crate::bounds::{model_capacity_bits, BoundReport};
 use crate::hash_split::ConsistentHashSplit;
-use crate::outcome::ProtocolError;
+use crate::outcome::{Inputs, ProtocolError, RunReport};
 use faqs_core::{Pass, PassSite, QueryPlan, Timed};
 use faqs_hypergraph::{EdgeId, NodeId, Var};
 use faqs_network::{
@@ -155,8 +152,8 @@ pub struct DistributedOutcome<S: Semiring> {
     /// The result relation over the free variables, identical to
     /// `faqs_core::solve_faq` on the same query.
     pub result: Relation<S>,
-    /// Measured rounds / bits / transmissions of the run — identical
-    /// across transports (shadow accounting).
+    /// `report.stats`, copied for frozen `benchmark/` (ROADMAP 3(h));
+    /// read [`RunReport::stats`] instead.
     pub stats: RunStats,
     /// The aggregation player chosen for each GHD node (dense by node
     /// index; the root always aggregates at the output player).
@@ -165,7 +162,8 @@ pub struct DistributedOutcome<S: Semiring> {
     pub completed_at: u64,
     /// Which transport carried the run.
     pub transport: TransportKind,
-    /// Frame bytes delivered — identical across transports.
+    /// `report.wire`, copied for frozen `benchmark/`; read
+    /// [`RunReport::wire`] instead.
     pub wire: WireStats,
     /// The run's measurement against the paper's bounds, as the live
     /// oracle checked it.
@@ -333,7 +331,10 @@ impl<'a, S: Semiring> DistributedFaqRun<'a, S> {
                 .ok_or_else(|| {
                     ProtocolError::Unreachable("the players are not connected".into())
                 })?;
-        let report = self.report(bound, transport.stats(), transport.wire());
+        let link_bits = transport.link_bits().to_vec();
+        let measured = (transport.stats(), transport.wire(), link_bits);
+        let (inputs, upper) = (Inputs::of(self.q, players.len()), bound.upper_rounds);
+        let report = RunReport::new::<S>(&self.scaled, inputs, upper, Some(bound), measured);
         report.check()?;
         Ok(DistributedOutcome {
             result,
@@ -346,57 +347,27 @@ impl<'a, S: Semiring> DistributedFaqRun<'a, S> {
         })
     }
 
-    /// The one [`RunReport`] constructor: `bound`, evaluated for this
-    /// query, scaled topology and player set, turned into the envelopes
-    /// `stats` and `wire` are judged against.
-    fn report(&self, bound: BoundReport, stats: RunStats, wire: WireStats) -> RunReport {
-        let g = &self.scaled;
-        let upper_bits = if self.placement.players().len() < 2 {
-            0
-        } else {
-            let per_round: u64 = g.links().map(|l| 2 * g.capacity(l)).sum();
-            let additive = per_round.saturating_mul(g.diameter() as u64 + self.q.k() as u64 + 1);
-            CONFORMANCE_SLACK
-                .saturating_mul(bound.upper_rounds)
-                .saturating_mul(per_round)
-                .saturating_add(additive)
-        };
-        let log_d = (32 - self.q.domain.saturating_sub(1).leading_zeros()).max(1) as u64;
-        let vb = S::value_bits();
-        let wire_value_bits = 8 * S::WIRE_VALUE_BYTES as u64;
-        let max_arity = self.q.hypergraph.num_vars().max(1);
-        let blowup = (1..=max_arity as u64)
-            .map(|r| (32 * r + wire_value_bits).div_ceil(r * log_d + vb))
-            .fold(1, u64::max);
-        let header_bits_per_frame = faqs_relation::frame_bits(max_arity, 0, S::WIRE_VALUE_BYTES);
-        RunReport {
-            bound,
-            stats,
-            wire,
-            upper_bits,
-            blowup,
-            header_bits_per_frame,
-            upper_wire_bits: blowup
-                .saturating_mul(upper_bits)
-                .saturating_add(header_bits_per_frame.saturating_mul(wire.frames)),
-        }
-    }
-
     /// The report of a run that measured `stats`, its bound evaluated
     /// afresh and no wire traffic counted. Kept for frozen `benchmark/`;
     /// read [`DistributedOutcome::report`] instead.
     #[doc(hidden)]
     pub fn conformance(&self, stats: RunStats) -> RunReport {
-        let bound = BoundReport::evaluate(self.q, &self.scaled, &self.placement.players())
+        let players = self.placement.players();
+        let bound = BoundReport::evaluate(self.q, &self.scaled, &players)
             .expect("`new` refused a player set the live links do not connect");
-        self.report(bound, stats, WireStats::default())
+        let (inputs, upper) = (Inputs::of(self.q, players.len()), bound.upper_rounds);
+        let measured = (stats, WireStats::default(), vec![]);
+        RunReport::new::<S>(&self.scaled, inputs, upper, Some(bound), measured)
     }
 
     /// `report` with `wire` counted. Kept for frozen `benchmark/`; read
     /// [`DistributedOutcome::report`] instead.
     #[doc(hidden)]
     pub fn wire_conformance(&self, report: &RunReport, wire: WireStats) -> RunReport {
-        self.report(report.bound.clone(), report.stats, wire)
+        let inputs = Inputs::of(self.q, self.placement.players().len());
+        let (upper, bound) = (report.upper_rounds, report.bound.clone());
+        let measured = (report.stats, wire, report.link_bits.clone());
+        RunReport::new::<S>(&self.scaled, inputs, upper, bound, measured)
     }
 
     /// Per-edge shard relations, pre-aggregated at their holders: each
@@ -485,13 +456,7 @@ impl<'a, S: Semiring> DistributedFaqRun<'a, S> {
             members.push(to);
             members.sort_unstable();
             members.dedup();
-            let cap_min = self
-                .scaled
-                .links()
-                .map(|l| self.scaled.capacity(l))
-                .min()
-                .unwrap_or(1)
-                .max(1);
+            let cap_min = self.scaled.min_live_capacity();
             let total_bits: u64 = remote().map(|(_, r)| r.bits(domain)).sum();
             let packed = packings
                 .entry(members)
@@ -612,106 +577,6 @@ impl<S: Semiring, T: Transport + ?Sized> PassSite<S> for Routed<'_, '_, S, T> {
     }
 }
 
-/// Documented slack constant of the executable bound inequalities: the
-/// paper's bounds are `Õ(·)` / `Ω̃(·)` with unspecified constants; the
-/// conformance envelope grants the upper bound this multiplicative
-/// factor (plus a latency additive) before declaring a violation.
-pub const CONFORMANCE_SLACK: u64 = 4;
-
-/// One run's verdict, built once by [`DistributedFaqRun::execute_on`]:
-/// its measured [`RunStats`] and [`WireStats`] confronted with
-/// [`BoundReport::evaluate`] translated into two envelopes.
-///
-/// * `upper_bits` — the paper's round upper bound times the network's
-///   per-round throughput (every link, both directions), with the
-///   [`CONFORMANCE_SLACK`] constants: a protocol meeting the paper's
-///   round bound can never move more.
-/// * `upper_wire_bits = blowup · upper_bits + header_bits_per_frame ·
-///   frames`, where `blowup` is the worst per-tuple ratio of codec frame
-///   bits (`32r + 8W` per row) to Model 2.1 bits
-///   (`r·⌈log₂D⌉ + value_bits`) over the arities the query can ship, and
-///   the header covers each frame's fixed-plus-schema prefix — exact
-///   closed forms from [`faqs_relation::frame_bytes`], the function the
-///   codec sizes its frames with.
-///
-/// A co-located placement (`|K| < 2`) gets zero envelopes: the run must
-/// be communication-free. The nominal lower bound
-/// [`BoundReport::lower_rounds`] holds only for adversarially spread
-/// placements on hard instances, so no verdict reads it.
-///
-/// # Example
-///
-/// ```
-/// use faqs_hypergraph::star_query;
-/// use faqs_network::{Player, Topology};
-/// use faqs_protocols::{DistributedFaqRun, InputPlacement, RunReport};
-/// use faqs_relation::{random_boolean_instance, RandomInstanceConfig};
-///
-/// let q = random_boolean_instance(&star_query(3), &RandomInstanceConfig::default(), true);
-/// let g = Topology::line(4);
-/// let players: Vec<Player> = (0..4).map(Player).collect();
-/// let run = DistributedFaqRun::new(
-///     &q,
-///     &g,
-///     InputPlacement::hash_split(q.k(), &players, Player(3)),
-///     1,
-/// )
-/// .unwrap();
-/// let out = run.execute().unwrap();
-///
-/// let report: &RunReport = &out.report;
-/// assert!(report.conforms(), "measured bits inside the paper's envelope");
-/// assert!(out.stats.total_bits <= report.upper_bits);
-/// assert!(out.wire.wire_bits() <= report.upper_wire_bits);
-/// ```
-#[derive(Clone, Debug)]
-pub struct RunReport {
-    /// The closed-form bound quantities this run is checked against.
-    pub bound: BoundReport,
-    /// The measured model cost.
-    pub stats: RunStats,
-    /// The measured wire traffic.
-    pub wire: WireStats,
-    /// Upper bit envelope.
-    pub upper_bits: u64,
-    /// Worst per-tuple ratio of codec frame bits to Model 2.1 bits for
-    /// this query's semiring/domain/arities.
-    pub blowup: u64,
-    /// Fixed-plus-schema frame prefix allowance, in bits per frame.
-    pub header_bits_per_frame: u64,
-    /// The wire-unit upper envelope.
-    pub upper_wire_bits: u64,
-}
-
-impl RunReport {
-    /// Both live-oracle verdicts: [`ProtocolError::BoundViolated`] when
-    /// the measured model bits escape `upper_bits` (for a co-located
-    /// placement: when the run communicated at all), then
-    /// [`ProtocolError::WireBoundViolated`] when the wire bits escape
-    /// `upper_wire_bits`.
-    pub fn check(&self) -> Result<(), ProtocolError> {
-        if self.stats.total_bits > self.upper_bits {
-            return Err(ProtocolError::BoundViolated {
-                measured_bits: self.stats.total_bits,
-                upper_bits: self.upper_bits,
-            });
-        }
-        let measured_bits = self.wire.wire_bits();
-        if measured_bits > self.upper_wire_bits {
-            return Err(ProtocolError::WireBoundViolated {
-                measured_bits,
-                upper_bits: self.upper_wire_bits,
-            });
-        }
-        Ok(())
-    }
-
-    /// Whether [`RunReport::check`] passes.
-    pub fn conforms(&self) -> bool {
-        self.check().is_ok()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -776,7 +641,7 @@ mod tests {
         let report = &out.report;
         assert_eq!(report.upper_bits, 0, "co-located envelope is zero");
         assert_eq!(report.upper_wire_bits, 0, "no frame may ship");
-        assert!(out.stats.total_bits >= report.bound.lower_rounds);
+        assert!(out.stats.total_bits >= report.bound.as_ref().unwrap().lower_rounds);
         assert!(report.conforms(), "{report:?}");
     }
 

@@ -13,11 +13,11 @@
 //! is accounted in the predicted bound.
 
 use crate::bounds::model_capacity_bits;
-use crate::outcome::{ProtocolError, ProtocolOutcome};
-use crate::star::{broadcast_over_packing, convergecast_over_packing};
+use crate::outcome::{Inputs, ProtocolError, ProtocolOutcome};
+use crate::star::{broadcast_over_packing, convergecast_over_packing, pack};
 use faqs_core::solve_bcq;
 use faqs_hypergraph::Var;
-use faqs_network::{best_delta, NetRun, Player, Topology};
+use faqs_network::{NetRun, Player, Topology};
 use faqs_relation::{FaqQuery, Relation};
 use faqs_semiring::{Boolean, Semiring};
 use std::collections::HashMap;
@@ -62,7 +62,8 @@ impl ConsistentHashSplit {
 
 /// Runs the hash-split BCQ protocol for a *star* query: every relation
 /// is sharded across `players` by the consistent hash of its center
-/// value; `output` learns the answer.
+/// value; `output` learns the answer. The run is checked against
+/// Theorem G.8's bound.
 pub fn run_hash_split_protocol(
     q: &FaqQuery<Boolean>,
     g: &Topology,
@@ -103,15 +104,7 @@ pub fn run_hash_split_protocol(
         .position(|v| *v == center_var)
         .expect("center variable in schema");
 
-    let cap_min = scaled
-        .links()
-        .map(|l| scaled.capacity(l))
-        .min()
-        .unwrap_or(1);
-    let center_bits = center.bits(q.domain);
-    let Some((delta, packing)) = best_delta(&scaled, &k, center_bits.div_ceil(cap_min)) else {
-        return Err(ProtocolError::Unreachable("players not connected".into()));
-    };
+    let (delta, packing) = pack(&scaled, &k, center.bits(q.domain))?;
 
     // 1. Every center shard is broadcast from its owner; all players
     //    reassemble the full center listing.
@@ -174,7 +167,8 @@ pub fn run_hash_split_protocol(
     let n = q.n_max() as u64;
     let st = packing.len() as u64;
     let predicted = n.div_ceil(st) + (k.len() as u64) * delta as u64;
-    Ok(ProtocolOutcome::from_stats(answer, run.stats(), predicted))
+    let inputs = Inputs::of(q, k.len());
+    ProtocolOutcome::checked::<Boolean>(answer, &run, inputs, predicted, None)
 }
 
 #[cfg(test)]
@@ -213,7 +207,10 @@ mod tests {
         let players: Vec<Player> = (0..4u32).map(Player).collect();
         let out = run_hash_split_protocol(&q, &g, &players, Player(3)).unwrap();
         assert!(out.answer);
-        assert!(out.rounds > 0, "sharded inputs force communication");
+        assert!(
+            out.report.stats.rounds > 0,
+            "sharded inputs force communication"
+        );
     }
 
     #[test]

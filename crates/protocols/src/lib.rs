@@ -20,16 +20,18 @@
 //!   [`faqs_network::Topology`], any [`InputPlacement`] of factor shards,
 //!   one `faqs_plan::QueryPlan`; shards travel Steiner-tree /
 //!   shortest-path schedules and the one GHD upward pass
-//!   (`faqs_core::Pass`) runs at per-node aggregation players. Every
-//!   run returns its [`RunReport`]: the measured
-//!   [`faqs_network::RunStats`] and [`faqs_network::WireStats`]
-//!   confronted with [`BoundReport`] — the paper's inequalities as
-//!   executable checks, built once and checked live.
+//!   (`faqs_core::Pass`) runs at per-node aggregation players.
 //!
-//! Every run returns a [`ProtocolOutcome`]: the actual answer (validated
-//! against the centralized engine in tests), the measured rounds and
-//! bits, and the closed-form predicted bound for comparison in the
-//! experiment harness.
+//! Every run, of the paper's protocols and of the runtime alike, builds
+//! one [`RunReport`] through one constructor and is checked against it
+//! live ([`RunReport::check`]): the measured [`faqs_network::RunStats`],
+//! [`faqs_network::WireStats`] and per-link bits confronted with the
+//! run's own theorem's round bound (`upper_rounds`; [`BoundReport`]
+//! where Theorem 4.1 prices the run). A run that escapes it fails with
+//! [`ProtocolError::BoundViolated`]. A paper protocol returns its answer
+//! with the report as a [`ProtocolOutcome`]; the runtime returns a
+//! [`DistributedOutcome`]. The cut Model 2.2 charges is a reading of
+//! any report ([`RunReport::bits_across`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -44,11 +46,9 @@ pub mod star;
 mod trivial;
 
 pub use bounds::{model_capacity_bits, BoundReport};
-pub use degenerate::{run_bcq_protocol, run_bcq_protocol_with_cut, run_faq_protocol, BcqOutcome};
-pub use distributed::{
-    DistributedFaqRun, DistributedOutcome, InputPlacement, RunReport, CONFORMANCE_SLACK,
-};
+pub use degenerate::{run_bcq_protocol, run_faq_protocol};
+pub use distributed::{DistributedFaqRun, DistributedOutcome, InputPlacement};
 pub use hash_split::{run_hash_split_protocol, ConsistentHashSplit};
-pub use outcome::{ProtocolError, ProtocolOutcome};
+pub use outcome::{ProtocolError, ProtocolOutcome, RunReport, CONFORMANCE_SLACK};
 pub use setint::run_set_intersection;
 pub use trivial::run_trivial;

@@ -3,15 +3,16 @@
 //! `Θ(min_Δ (N / ST(G,K,Δ) + Δ))` rounds over a bounded-diameter
 //! Steiner-tree packing.
 
-use crate::outcome::{ProtocolError, ProtocolOutcome};
-use crate::star::convergecast_over_packing;
-use faqs_network::{best_delta, NetRun, Player, Topology};
+use crate::outcome::{Inputs, ProtocolError, ProtocolOutcome};
+use crate::star::{convergecast_over_packing, pack};
+use faqs_network::{NetRun, Player, Topology};
 use faqs_semiring::Boolean;
 use std::collections::HashMap;
 
 /// Runs the Theorem 3.11 protocol: every `(player, vector)` input pair
 /// contributes a `{0,1}^N` vector (a player may appear once); `output`
-/// learns the AND of all vectors. Vectors must share one length.
+/// learns the AND of all vectors. Vectors must share one length. The run
+/// is checked against Theorem 3.11's bound.
 pub fn run_set_intersection(
     g: &Topology,
     inputs: &[(Player, Vec<bool>)],
@@ -44,13 +45,9 @@ pub fn run_set_intersection(
         answer = local_and(inputs, n);
         predicted = 0;
     } else {
-        let cap_min = g.links().map(|l| g.capacity(l)).min().unwrap_or(1);
-        let Some((delta, packing)) = best_delta(g, &k, (n as u64).div_ceil(cap_min)) else {
-            return Err(ProtocolError::Unreachable(
-                "participants are not connected".into(),
-            ));
-        };
-        predicted = (n as u64).div_ceil(packing.len() as u64 * cap_min) + delta as u64;
+        let (delta, packing) = pack(g, &k, n as u64)?;
+        predicted =
+            (n as u64).div_ceil(packing.len() as u64 * g.min_live_capacity()) + delta as u64;
 
         let vectors: HashMap<Player, Vec<Boolean>> = inputs
             .iter()
@@ -61,7 +58,14 @@ pub fn run_set_intersection(
             convergecast_over_packing(&mut run, &packing, output, &vectors, 1, &ready)?;
         answer = product.into_iter().map(|b| b.get()).collect();
     }
-    Ok(ProtocolOutcome::from_stats(answer, run.stats(), predicted))
+    // Example 2.1's instance: one unary relation over `[N]` per input.
+    let instance = Inputs {
+        relations: inputs.len(),
+        vars: 1,
+        domain: n as u32,
+        players: k.len(),
+    };
+    ProtocolOutcome::checked::<Boolean>(answer, &run, instance, predicted, None)
 }
 
 fn local_and(inputs: &[(Player, Vec<bool>)], n: usize) -> Vec<bool> {
@@ -104,7 +108,11 @@ mod tests {
         let out = run_set_intersection(&g, &inputs, Player(3)).unwrap();
         assert_eq!(out.answer, reference_and(&inputs));
         // One tree on a line: ≈ N/cap + diameter rounds.
-        assert!(out.rounds <= 64 / 4 + 3 + 2, "rounds = {}", out.rounds);
+        assert!(
+            out.report.stats.rounds <= 64 / 4 + 3 + 2,
+            "rounds = {}",
+            out.report.stats.rounds
+        );
     }
 
     #[test]
@@ -117,10 +125,10 @@ mod tests {
         let clique = run_set_intersection(&gc, &inputs, Player(0)).unwrap();
         assert_eq!(line.answer, clique.answer);
         assert!(
-            clique.rounds * 2 <= line.rounds,
+            clique.report.stats.rounds * 2 <= line.report.stats.rounds,
             "clique {} vs line {}",
-            clique.rounds,
-            line.rounds
+            clique.report.stats.rounds,
+            line.report.stats.rounds
         );
     }
 
@@ -137,11 +145,11 @@ mod tests {
             let inputs = random_inputs(&players, 128, 3);
             let out = run_set_intersection(&g, &inputs, Player(players[0])).unwrap();
             assert!(
-                out.rounds <= 4 * out.predicted_rounds + 8,
+                out.report.stats.rounds <= 4 * out.report.upper_rounds + 8,
                 "{}: measured {} vs predicted {}",
                 g.name(),
-                out.rounds,
-                out.predicted_rounds
+                out.report.stats.rounds,
+                out.report.upper_rounds
             );
         }
     }
@@ -151,7 +159,7 @@ mod tests {
         let g = Topology::line(2);
         let inputs = random_inputs(&[0], 32, 4);
         let out = run_set_intersection(&g, &inputs, Player(0)).unwrap();
-        assert_eq!(out.rounds, 0);
+        assert_eq!(out.report.stats.rounds, 0);
         assert_eq!(out.answer, reference_and(&inputs));
     }
 

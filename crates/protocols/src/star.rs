@@ -15,7 +15,7 @@
 //! generalised to `⊗`.
 
 use crate::outcome::ProtocolError;
-use faqs_network::{best_delta, NetRun, Player, SteinerTree};
+use faqs_network::{best_delta, NetRun, Player, SteinerTree, Topology};
 use faqs_relation::Relation;
 use faqs_semiring::Semiring;
 use std::collections::{BTreeSet, HashMap, VecDeque};
@@ -236,10 +236,21 @@ pub fn convergecast_over_packing<S: Semiring>(
     Ok((result, completed))
 }
 
+/// The Steiner packing best suited to moving `bits` among `k` on `g`
+/// ([`best_delta`], the work counted in `g`'s smallest live capacity);
+/// [`ProtocolError::Unreachable`] when `g` does not connect `k`.
+pub(crate) fn pack(
+    g: &Topology,
+    k: &[Player],
+    bits: u64,
+) -> Result<(u32, Vec<SteinerTree>), ProtocolError> {
+    best_delta(g, k, bits.div_ceil(g.min_live_capacity()))
+        .ok_or_else(|| ProtocolError::Unreachable("no Steiner tree connects the players".into()))
+}
+
 /// Executes one star phase: broadcast the center relation to every
 /// participant, build leaf-message value vectors locally, converge-cast
 /// their product to `output`, and form `R'_P` there.
-#[allow(clippy::too_many_arguments)]
 pub fn run_star_phase<S: Semiring>(
     run: &mut NetRun,
     center: &Relation<S>,
@@ -264,19 +275,8 @@ pub fn run_star_phase<S: Semiring>(
         });
     }
 
-    let cap_min = run
-        .topology()
-        .links()
-        .map(|l| run.topology().capacity(l))
-        .min()
-        .unwrap_or(1);
     let center_bits = center.bits(domain);
-    let Some((_delta, packing)) = best_delta(run.topology(), &k, center_bits.div_ceil(cap_min))
-    else {
-        return Err(ProtocolError::Unreachable(
-            "no Steiner tree connects the participants".into(),
-        ));
-    };
+    let (_delta, packing) = pack(run.topology(), &k, center_bits)?;
 
     // 1. Broadcast the center relation.
     let arrival =

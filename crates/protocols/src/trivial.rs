@@ -4,28 +4,21 @@
 //! compared against, and the sub-protocol handling the cyclic core
 //! `C(H)` in the d-degenerate pipeline.
 
-use crate::outcome::{ProtocolError, ProtocolOutcome};
+use crate::outcome::{Inputs, ProtocolError, ProtocolOutcome};
 use faqs_core::{solve_faq, EngineError};
 use faqs_network::{tau_mcf, Assignment, NetRun, Topology};
 use faqs_relation::{FaqQuery, Relation};
 use faqs_semiring::Semiring;
 
 /// Runs the trivial protocol for an arbitrary FAQ: ship everything,
-/// solve centrally at the output player with the engine.
+/// solve centrally at the output player with the engine. The run is
+/// checked against Lemma 3.1's `τ_MCF` bound.
 pub fn run_trivial<S: Semiring>(
     q: &FaqQuery<S>,
     g: &Topology,
     assignment: &Assignment,
 ) -> Result<ProtocolOutcome<Relation<S>>, ProtocolError> {
-    q.validate()
-        .map_err(|e| ProtocolError::Invalid(e.to_string()))?;
-    if assignment.len() != q.k() {
-        return Err(ProtocolError::Invalid(format!(
-            "{} holders for {} relations",
-            assignment.len(),
-            q.k()
-        )));
-    }
+    validate(q, assignment)?;
     let output = assignment.output();
     let mut run = NetRun::new(g);
 
@@ -51,7 +44,19 @@ pub fn run_trivial<S: Semiring>(
         let n_prime = (q.k() as u64) * (q.arity() as u64) * (q.n_max() as u64);
         tau_mcf(g, &players, n_prime.max(2))
     };
-    Ok(ProtocolOutcome::from_stats(answer, run.stats(), predicted))
+    let inputs = Inputs::of(q, players.len());
+    ProtocolOutcome::checked::<S>(answer, &run, inputs, predicted, None)
+}
+
+/// Refuses an invalid query, or an assignment of another relation count.
+pub(crate) fn validate<S: Semiring>(q: &FaqQuery<S>, a: &Assignment) -> Result<(), ProtocolError> {
+    q.validate()
+        .map_err(|e| ProtocolError::Invalid(e.to_string()))?;
+    if a.len() != q.k() {
+        let holders = format!("{} holders for {} relations", a.len(), q.k());
+        return Err(ProtocolError::Invalid(holders));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -102,10 +107,10 @@ mod tests {
         let small = run_trivial(&q_small, &g, &a(&q_small)).unwrap();
         let big = run_trivial(&q_big, &g, &a(&q_big)).unwrap();
         assert!(
-            big.rounds >= 6 * small.rounds,
+            big.report.stats.rounds >= 6 * small.report.stats.rounds,
             "3·N tuples to move: {} vs {}",
-            big.rounds,
-            small.rounds
+            big.report.stats.rounds,
+            small.report.stats.rounds
         );
     }
 
@@ -115,7 +120,7 @@ mod tests {
         let g = Topology::line(2);
         let a = Assignment::concentrated(&q, Player(0));
         let out = run_trivial(&q, &g, &a).unwrap();
-        assert_eq!(out.rounds, 0);
-        assert_eq!(out.total_bits, 0);
+        assert_eq!(out.report.stats.rounds, 0);
+        assert_eq!(out.report.stats.total_bits, 0);
     }
 }

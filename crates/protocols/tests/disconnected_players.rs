@@ -5,13 +5,17 @@
 //!
 //! The fixture: four players in two halves, links 0–1 and 2–3 only,
 //! with every player in `K`.
+//!
+//! A second fixture keeps the player set connected over live links but
+//! holds one down link (capacity 0): every paper protocol on it answers
+//! as the engine does or refuses with `Unreachable`, and none divides
+//! by the down link's capacity.
 
 use faqs_hypergraph::star_query;
-use faqs_network::{Assignment, Player, Topology};
+use faqs_network::{Assignment, LinkId, Player, Topology};
 use faqs_protocols::{
-    run_bcq_protocol, run_bcq_protocol_with_cut, run_faq_protocol, run_hash_split_protocol,
-    run_set_intersection, run_trivial, BoundReport, DistributedFaqRun, InputPlacement,
-    ProtocolError,
+    run_bcq_protocol, run_faq_protocol, run_hash_split_protocol, run_set_intersection, run_trivial,
+    BoundReport, DistributedFaqRun, InputPlacement, ProtocolError,
 };
 use faqs_relation::{random_boolean_instance, FaqQuery, RandomInstanceConfig};
 use faqs_semiring::{Boolean, Semiring};
@@ -72,18 +76,6 @@ fn faq_protocol_refuses_a_disconnected_player_set() {
 }
 
 #[test]
-fn bcq_protocol_with_cut_refuses_a_disconnected_player_set() {
-    let side = [true, true, false, false];
-    assert_unreachable(run_bcq_protocol_with_cut(
-        &star_bcq(),
-        &split_topology(),
-        &spread(),
-        1,
-        &side,
-    ));
-}
-
-#[test]
 fn hash_split_protocol_refuses_a_disconnected_player_set() {
     assert_unreachable(run_hash_split_protocol(
         &star_bcq(),
@@ -136,4 +128,65 @@ fn each_connected_half_still_runs() {
         !run.execute().unwrap().result.total().is_zero(),
         faqs_core::solve_bcq(&q)
     );
+}
+
+/// A connected topology with a down link: the ring of four players at
+/// 8 bits per round, its link 0 (players 0–1) at capacity 0.
+fn ring_with_a_down_link() -> Topology {
+    let mut g = Topology::ring(4).with_uniform_capacity(8);
+    g.set_capacity(LinkId(0), 0);
+    g
+}
+
+/// The three factors at players 0, 1 and 2 of the ring, output at 3:
+/// the players are connected over live links.
+fn around_the_down_link() -> Assignment {
+    Assignment::new(vec![Player(0), Player(1), Player(2)], Player(3))
+}
+
+/// A door on the ring with a down link either answers as the engine
+/// does or refuses with a typed error; it never panics.
+fn answers_or_refuses<T: PartialEq + std::fmt::Debug>(got: Result<T, ProtocolError>, engine: T) {
+    match got {
+        Ok(answer) => assert_eq!(answer, engine),
+        Err(e) => assert!(matches!(e, ProtocolError::Unreachable(_)), "{e:?}"),
+    }
+}
+
+#[test]
+fn faq_protocol_survives_a_down_link() {
+    let q = star_bcq();
+    let got = run_faq_protocol(&q, &ring_with_a_down_link(), &around_the_down_link(), 0);
+    answers_or_refuses(got.map(|o| o.answer), faqs_core::solve_faq(&q).unwrap());
+}
+
+#[test]
+fn bcq_protocol_survives_a_down_link() {
+    let q = star_bcq();
+    let got = run_bcq_protocol(&q, &ring_with_a_down_link(), &around_the_down_link(), 0);
+    answers_or_refuses(got.map(|o| o.answer), faqs_core::solve_bcq(&q));
+}
+
+#[test]
+fn trivial_protocol_survives_a_down_link() {
+    let q = star_bcq();
+    let got = run_trivial(&q, &ring_with_a_down_link(), &around_the_down_link());
+    answers_or_refuses(got.map(|o| o.answer), faqs_core::solve_faq(&q).unwrap());
+}
+
+#[test]
+fn set_intersection_survives_a_down_link() {
+    let inputs: Vec<(Player, Vec<bool>)> = everyone()
+        .into_iter()
+        .map(|p| (p, vec![true, p.0 != 2, true]))
+        .collect();
+    let got = run_set_intersection(&ring_with_a_down_link(), &inputs, Player(0));
+    answers_or_refuses(got.map(|o| o.answer), vec![true, false, true]);
+}
+
+#[test]
+fn hash_split_protocol_survives_a_down_link() {
+    let q = star_bcq();
+    let got = run_hash_split_protocol(&q, &ring_with_a_down_link(), &everyone(), Player(0));
+    answers_or_refuses(got.map(|o| o.answer), faqs_core::solve_bcq(&q));
 }

@@ -58,6 +58,10 @@ impl Transport for Inflated<'_> {
         wire
     }
 
+    fn link_bits(&self) -> &[u64] {
+        self.inner.link_bits()
+    }
+
     fn kind(&self) -> TransportKind {
         self.inner.kind()
     }

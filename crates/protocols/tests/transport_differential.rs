@@ -55,15 +55,31 @@ fn race_transports<S: Semiring>(
         |out: &DistributedOutcome<S>| (out.report.upper_bits, out.report.upper_wire_bits);
     assert_eq!(envelopes(&sim), envelopes(&tcp), "envelopes sim vs tcp");
 
+    // The per-link tallies are the shadow's too: the same on both
+    // transports, one entry per link, summing to the run's model bits.
+    assert_eq!(
+        sim.report.link_bits, tcp.report.link_bits,
+        "link bits sim vs tcp"
+    );
+    assert_eq!(tcp.report.link_bits.len(), g.num_links());
+    let tallied: u64 = tcp.report.link_bits.iter().sum();
+    assert_eq!(
+        tallied,
+        tcp.report.stats.total_bits,
+        "link bits sum on {}",
+        g.name()
+    );
+
     // The measurement inside both envelopes (execute_on checks the upper
     // sides live; re-read here so the test fails with the full ledger)
     // and above the nominal lower bound of this spread placement.
     let report = &tcp.report;
     assert!(report.conforms(), "{report:?} on {}", g.name());
-    assert!(
-        tcp.stats.total_bits >= report.bound.lower_rounds,
-        "{report:?}"
-    );
+    let bound = report
+        .bound
+        .as_ref()
+        .expect("Theorem 4.1 prices the runtime");
+    assert!(tcp.stats.total_bits >= bound.lower_rounds, "{report:?}");
     tcp
 }
 

@@ -99,6 +99,10 @@ impl Transport for Faulty<'_> {
         self.inner.wire()
     }
 
+    fn link_bits(&self) -> &[u64] {
+        self.inner.link_bits()
+    }
+
     fn kind(&self) -> TransportKind {
         self.inner.kind()
     }

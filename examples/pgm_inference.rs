@@ -54,7 +54,7 @@ fn main() {
     println!(
         "distributed over {}: {} rounds, {} bits — identical marginal ✓",
         g.name(),
-        out.rounds,
-        out.total_bits
+        out.report.stats.rounds,
+        out.report.stats.total_bits
     );
 }

@@ -43,9 +43,10 @@ fn main() {
         "count-aggregate at the base station: {} (weighted joint configurations)",
         out.answer.total().get()
     );
+    let report = &out.report;
     println!(
-        "rounds = {}, bits = {}, paper upper bound = {}",
-        out.rounds, out.total_bits, out.predicted_rounds
+        "rounds = {}, bits = {}, paper upper bound = {} rounds ({} bits, checked live)",
+        report.stats.rounds, report.stats.total_bits, report.upper_rounds, report.upper_bits
     );
 
     // Contrast with the trivial protocol (ship all readings up).
@@ -55,10 +56,12 @@ fn main() {
             .with_uniform_capacity(faqs::protocols::model_capacity_bits(&q)),
         &assignment,
     )
-    .expect("tree is connected");
+    .expect("tree is connected")
+    .report;
+    let speedup = trivial.stats.rounds as f64 / report.stats.rounds.max(1) as f64;
     println!(
         "trivial protocol for comparison: {} rounds ({}x)",
-        trivial.rounds,
-        (trivial.rounds as f64 / out.rounds.max(1) as f64 * 10.0).round() / 10.0
+        trivial.stats.rounds,
+        (speedup * 10.0).round() / 10.0
     );
 }

@@ -10,7 +10,6 @@
 
 use faqs::lowerbounds::bcq_lower_bound;
 use faqs::prelude::*;
-use faqs::protocols::BoundReport;
 
 fn main() {
     let n = 256usize;
@@ -40,17 +39,19 @@ fn main() {
         let assignment = Assignment::round_robin(&q, &g, &players);
         let out = run_bcq_protocol(&q, &g, &assignment, 1).expect("connected");
         assert_eq!(out.answer, expected, "{}", g.name());
-        let bounds = BoundReport::evaluate(&q, &g, &assignment.players()).expect("connected");
+        // The run's report carries the Theorem 4.1 quantities it was
+        // checked against.
+        let report = &out.report;
+        let terms = report.bound.as_ref().map_or("-".into(), |b| {
+            format!("{:>8} {:>6} {:>6}", b.min_cut, b.y, b.n2)
+        });
         let lb = bcq_lower_bound(&q.hypergraph, &g, &assignment.players(), n as u64);
         println!(
-            "{:<12} {:>8} {:>10} {:>10} {:>8} {:>6} {:>6}",
+            "{:<12} {:>8} {:>10} {:>10} {terms}",
             g.name(),
-            out.rounds,
-            bounds.upper_rounds,
+            report.stats.rounds,
+            report.upper_rounds,
             lb.rounds,
-            bounds.min_cut,
-            bounds.y,
-            bounds.n2
         );
     }
 }

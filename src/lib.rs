@@ -64,8 +64,10 @@
 //! let assignment = Assignment::round_robin(&query, &g, &[0, 1, 2, 3]);
 //! let outcome = run_bcq_protocol(&query, &g, &assignment, 1).unwrap();
 //! assert!(outcome.answer);
-//! // The paper's Example 2.2: N + O(k) rounds on the line.
-//! assert!(outcome.rounds <= (n as u64) + 16);
+//! // The paper's Example 2.2: N + O(k) rounds on the line, held live to
+//! // the run's own bound.
+//! assert!(outcome.report.stats.rounds <= (n as u64) + 16);
+//! assert!(outcome.report.conforms());
 //! ```
 
 pub use faqs_core as engine;

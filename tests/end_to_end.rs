@@ -118,15 +118,15 @@ fn example_2_1_round_complexity_shape() {
     .unwrap();
     assert_eq!(smart.answer, !trivial.answer.total().is_zero());
     assert!(
-        smart.rounds <= 2 * n as u64 + 16,
+        smart.report.stats.rounds <= 2 * n as u64 + 16,
         "semijoin chain ≈ N: {}",
-        smart.rounds
+        smart.report.stats.rounds
     );
     assert!(
-        trivial.rounds >= 2 * smart.rounds,
+        trivial.report.stats.rounds >= 2 * smart.report.stats.rounds,
         "trivial {} ≫ smart {}",
-        trivial.rounds,
-        smart.rounds
+        trivial.report.stats.rounds,
+        smart.report.stats.rounds
     );
 }
 
@@ -141,7 +141,7 @@ fn example_2_3_clique_speedup_is_about_half() {
     let q = b.finish();
     let run = |g: &Topology| {
         let a = Assignment::round_robin(&q, g, &[0, 1, 2, 3]).with_output(Player(1));
-        run_bcq_protocol(&q, g, &a, 1).unwrap().rounds
+        run_bcq_protocol(&q, g, &a, 1).unwrap().report.stats.rounds
     };
     let line = run(&Topology::line(4));
     let clique = run(&Topology::clique(4));
@@ -170,9 +170,9 @@ fn hard_instances_respect_the_certified_lower_bound() {
 
     let lb = bcq_lower_bound(&e.query.hypergraph, &g, &k, e.query.n_max() as u64);
     assert!(
-        4 * out.rounds >= lb.rounds,
+        4 * out.report.stats.rounds >= lb.rounds,
         "measured {} must sit above the certified bound {} (mod constants)",
-        out.rounds,
+        out.report.stats.rounds,
         lb.rounds
     );
 }
@@ -183,7 +183,6 @@ fn hard_instances_move_omega_mn_bits_across_the_cut() {
     // see Ω(m·N) bits on TRIBES-hard instances (Theorem 2.3). Measure
     // the actual cross-cut traffic of our protocol.
     use faqs::network::min_cut_partition;
-    use faqs::protocols::run_bcq_protocol_with_cut;
     let h = tree_query(2, 2);
     let m = forest_capacity(&h) as u64;
     let n_universe = 128u32;
@@ -193,8 +192,9 @@ fn hard_instances_move_omega_mn_bits_across_the_cut() {
     let k: Vec<Player> = (0..6u32).map(Player).collect();
     let a = hard_assignment(&e, &g, &k);
     let (_, side) = min_cut_partition(&g, &k);
-    let (out, cut_bits) = run_bcq_protocol_with_cut(&e.query, &g, &a, 1, &side).unwrap();
+    let out = run_bcq_protocol(&e.query, &g, &a, 1).unwrap();
     assert_eq!(out.answer, tribes.eval());
+    let cut_bits = out.report.bits_across(&g, &side).unwrap();
     // Each of the m pairs forces ≈ N set elements across the cut; one
     // element costs ⌈log₂ D⌉ bits. Allow the protocol's constants.
     let log_d = 64 - (e.query.domain as u64 - 1).leading_zeros() as u64;
@@ -237,17 +237,17 @@ fn table1_row_bcq_upper_vs_lower_gap_is_small_for_constant_d() {
         let lb = bcq_lower_bound(&q.hypergraph, &g, &a.players(), n as u64);
         let bounds = BoundReport::evaluate(&q, &g, &a.players()).expect("g connects K");
         assert!(
-            out.rounds >= lb.rounds / 8,
+            out.report.stats.rounds >= lb.rounds / 8,
             "{}:{} vs {}",
             g.name(),
-            out.rounds,
+            out.report.stats.rounds,
             lb.rounds
         );
         assert!(
-            out.rounds <= 8 * bounds.upper_rounds + 64,
+            out.report.stats.rounds <= 8 * bounds.upper_rounds + 64,
             "{}: measured {} vs UB {}",
             g.name(),
-            out.rounds,
+            out.report.stats.rounds,
             bounds.upper_rounds
         );
     }
@@ -299,10 +299,10 @@ fn min_cut_governs_hard_instance_cost() {
     let slow = run_bcq_protocol(&q, &barbell, &a_barbell, 1).unwrap();
     assert_eq!(fast.answer, slow.answer);
     assert!(
-        slow.rounds > fast.rounds,
+        slow.report.stats.rounds > fast.report.stats.rounds,
         "bridge bottleneck: {} vs {}",
-        slow.rounds,
-        fast.rounds
+        slow.report.stats.rounds,
+        fast.report.stats.rounds
     );
 }
 
@@ -465,7 +465,7 @@ fn solve_faq_matches_across_assignment_layouts() {
     for a in layouts {
         let out = run_bcq_protocol(&q, &g, &a, 1).unwrap();
         assert_eq!(out.answer, expected);
-        rounds.push(out.rounds);
+        rounds.push(out.report.stats.rounds);
     }
     assert_eq!(rounds[1], 0, "concentrated layout is free");
     assert!(rounds[0] > 0 && rounds[2] > 0);

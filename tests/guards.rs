@@ -70,6 +70,8 @@ const ENGINE: &[&str] = &[
     "crates/protocols/src/",
 ];
 const PASS: &[&str] = &["crates/core/src/pass.rs"];
+/// The file that defines `RunReport`.
+const REPORT: &str = "crates/protocols/src/outcome.rs";
 
 #[rustfmt::skip]
 static GUARDS: &[Guard] = &[
@@ -263,6 +265,20 @@ static GUARDS: &[Guard] = &[
         limit: Limit::Banned,
         reason: "a run returns the report it checked (DistributedOutcome::report); nothing re-evaluates it",
         origin: "item 24",
+    },
+    Guard {
+        name: "one run report",
+        rules: &[
+            rule(r"\brun_bcq_protocol_with_cut\b|from_stats(", ALL, &[],
+                "let outcome = ProtocolOutcome::from_stats(answer, run.stats(), predicted);"),
+            rule(r"\bfn bits_across\b", ALL, &[REPORT],
+                "pub fn bits_across(&self, side: &[bool]) -> u64 {"),
+            rule(".bits_across(", ALL, &[REPORT, "crates/bench/src/experiments.rs"],
+                "Ok((outcome, run.bits_across(side)))"),
+        ],
+        limit: Limit::Banned,
+        reason: "every protocol returns one RunReport from one constructor; a cut is read from it, and only E4 prints one",
+        origin: "item 19(e)",
     },
     Guard {
         name: "calibration observes",
