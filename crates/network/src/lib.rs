@@ -19,7 +19,9 @@
 //! * [`NetRun`], a capacity-respecting transmission scheduler: protocol
 //!   implementations issue `transmit(from, to, bits, ready_at)` calls and
 //!   the scheduler fits them first-fit per directed link, yielding exact
-//!   round counts under Model 2.1's constraints,
+//!   round counts under Model 2.1's constraints; a pipelined send along a
+//!   checked simple path reserves each hop's chunk train in one pass,
+//!   with `O(1)` map operations per hop on an idle link,
 //! * [`Assignment`] of input functions to players (`K ⊆ V`),
 //! * pluggable [`Transport`]s — in memory ([`SimTransport`]) and
 //!   loopback TCP — that both deliver the frame's bytes and both

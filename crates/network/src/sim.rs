@@ -14,15 +14,22 @@
 //! emerge naturally: a relay that receives a tuple at round `t` forwards
 //! it with `ready_at = t + 1`.
 //!
-//! Cost: per directed link the schedule keeps the partly used rounds in
-//! a hash map and the completely full rounds as maximal runs in an
-//! ordered map, so a transmission skips any stretch of full rounds in
-//! one `O(log runs)` lookup. It visits only rounds it takes bits from,
-//! and every visit but its last fills that round for good:
-//! `⌈bits/capacity⌉ + 1` visits at most when the rounds it finds are
-//! empty, `transmissions + full rounds` visits over a whole run in any
-//! case, `O(log runs)` each — independent of how long the link has
-//! been busy and of how late `ready_at` is.
+//! Cost: per directed link the schedule keeps the partly used rounds and
+//! the completely full rounds (as maximal runs) in two ordered maps, so
+//! a transmission skips any stretch of full rounds in one `O(log runs)`
+//! lookup. It visits only rounds it takes bits from, and every visit but
+//! its last fills that round for good: `⌈bits/capacity⌉ + 1` visits at
+//! most when the rounds it finds are empty, `transmissions + full
+//! rounds` visits over a whole run in any case, `O(log runs)` each —
+//! independent of how long the link has been busy and of how late
+//! `ready_at` is. A pipelined send ([`NetRun::send_along_path`],
+//! [`NetRun::route_causal`]) is still one transmission per chunk per
+//! hop, but reserves each hop's whole chunk train in one pass: chunk `c`
+//! never looks before the round chunk `c − 1` landed in, so the pass
+//! keeps that frontier in locals and makes `O(1)` map operations on an
+//! idle link, plus one or two per partial round or full run it crosses
+//! and per chunk that finds the link free before the previous chunk has
+//! landed (a hop wider than the bottleneck) — not several per chunk.
 //!
 //! Causality is the caller's contract: a payload may only be sent with
 //! `ready_at` after the round the sender learned it (the protocols in
@@ -32,8 +39,9 @@
 //! hop departs the round after the payload was learned.
 
 use crate::topology::{LinkId, Player, Topology};
-use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::btree_map::Entry;
+use std::collections::BTreeMap;
+use std::iter;
 
 /// Error from an impossible transmission request.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -48,6 +56,9 @@ pub enum TransmitError {
     /// No positive-capacity route connects the two players (they may
     /// still be connected through down links).
     NoRoute(Player, Player),
+    /// A path given to [`NetRun::send_along_path`] visits this player
+    /// twice, so a directed link could carry the same chunk twice.
+    NotSimple(Player),
     /// The physical medium failed while carrying a frame the shadow
     /// simulator had already scheduled (e.g. a refused or reset socket).
     Io {
@@ -70,6 +81,7 @@ impl std::fmt::Display for TransmitError {
             TransmitError::NoRoute(a, b) => {
                 write!(f, "no positive-capacity route from {a} to {b}")
             }
+            TransmitError::NotSimple(p) => write!(f, "the path visits {p} twice"),
             TransmitError::Io { from, to, kind } => {
                 write!(f, "I/O failure shipping from {from} to {to}: {kind}")
             }
@@ -92,10 +104,10 @@ pub struct RunStats {
 }
 
 /// One directed link's schedule: which rounds still have free capacity.
-#[derive(Default, Clone)]
+#[derive(Default, Clone, Debug, PartialEq)]
 struct LinkSchedule {
     /// Bits reserved in each round with `0 < used < capacity`.
-    partial: HashMap<u64, u64>,
+    partial: BTreeMap<u64, u64>,
     /// Maximal runs of completely full rounds, `first → last`: no two
     /// runs overlap or touch.
     full: BTreeMap<u64, u64>,
@@ -158,6 +170,138 @@ impl LinkSchedule {
                 return (round, visited);
             }
             round += 1;
+        }
+    }
+
+    /// First-fit reservation of a chunk train on a link of capacity
+    /// `cap`: `bits > 0` in chunks of `chunk` bits (the last one takes
+    /// the rest), `times.len() == ⌈bits/chunk⌉`. On entry `times[c]` is
+    /// the round chunk `c` reached the sending end, and must not
+    /// decrease with `c`; the chunk is ready the round after. On return
+    /// `times[c]` is the round it landed — what one [`Self::reserve`]
+    /// per chunk, in order, returns, leaving the same schedule behind.
+    ///
+    /// Chunk `c` never looks before the round chunk `c − 1` landed in
+    /// (every round it passed on the way is full), so the train keeps
+    /// its frontier in a [`Train`] and touches the maps only to jump to
+    /// a chunk ready past the frontier, to cross a full run or partial
+    /// round already there, and once at the end. Returns how many map
+    /// operations it made.
+    fn reserve_train(&mut self, cap: u64, chunk: u64, bits: u64, times: &mut [u64]) -> u64 {
+        let Some(&first) = times.first() else {
+            return 0;
+        };
+        let mut train = Train::default();
+        train.seek(self, first + 1);
+        let mut rest = bits;
+        for t in times.iter_mut() {
+            if *t + 1 > train.open {
+                train.jump(self, *t + 1);
+            }
+            let mut left = chunk.min(rest);
+            rest -= left;
+            loop {
+                let take = (cap - train.used).min(left);
+                train.used += take;
+                left -= take;
+                let landed = train.open;
+                if train.used == cap {
+                    train.advance(self);
+                }
+                if left == 0 {
+                    *t = landed;
+                    break;
+                }
+            }
+        }
+        train.flush(self);
+        train.touches
+    }
+}
+
+/// A chunk train's frontier on one [`LinkSchedule`], kept in locals
+/// between map operations. The rounds `stretch..open` are full and out
+/// of `full` (runs the train crossed are taken out with them), the
+/// round `open` holds `used < cap` bits and is out of `partial`, and
+/// `next_full` / `next_partial` are the first entries after `open`
+/// still in the maps. [`Train::flush`] writes the frontier back.
+#[derive(Default)]
+struct Train {
+    open: u64,
+    used: u64,
+    stretch: u64,
+    next_full: Option<(u64, u64)>,
+    next_partial: Option<(u64, u64)>,
+    /// Map operations so far.
+    touches: u64,
+}
+
+impl Train {
+    /// Puts the frontier at `round`, looking its surroundings up: a run
+    /// holding `round` or ending just before it starts the stretch.
+    fn seek(&mut self, s: &mut LinkSchedule, round: u64) {
+        (self.open, self.used, self.stretch) = (round, 0, round);
+        self.touches += 3;
+        if let Some((&first, &last)) = s.full.range(..=round).next_back() {
+            if last + 1 >= round {
+                s.full.remove(&first);
+                self.touches += 1;
+                self.stretch = first;
+                self.open = round.max(last + 1);
+            }
+        }
+        self.next_full = s.full.range(self.open..).next().map(|(&a, &b)| (a, b));
+        self.next_partial = s.partial.range(self.open..).next().map(|(&r, &u)| (r, u));
+        self.enter(s);
+    }
+
+    /// Moves the frontier forward to `round`: the rounds in between
+    /// are untouched. Looks nothing up unless it passes a cached entry.
+    fn jump(&mut self, s: &mut LinkSchedule, round: u64) {
+        self.flush(s);
+        let passed = |next: Option<(u64, u64)>| next.is_some_and(|(r, _)| r < round);
+        if passed(self.next_full) || passed(self.next_partial) {
+            self.seek(s, round);
+        } else {
+            (self.open, self.used, self.stretch) = (round, 0, round);
+            self.enter(s);
+        }
+    }
+
+    /// The round `open` is full: the stretch grows by it.
+    fn advance(&mut self, s: &mut LinkSchedule) {
+        self.open += 1;
+        self.used = 0;
+        self.enter(s);
+    }
+
+    /// The frontier just reached `open`: a run starting there joins the
+    /// stretch, and a partial round there is taken out to be filled.
+    fn enter(&mut self, s: &mut LinkSchedule) {
+        if let Some((first, last)) = self.next_full.filter(|&(first, _)| first == self.open) {
+            s.full.remove(&first);
+            self.open = last + 1;
+            self.next_full = s.full.range(self.open..).next().map(|(&a, &b)| (a, b));
+            self.touches += 2;
+        }
+        if let Some((_, used)) = self.next_partial.filter(|&(r, _)| r == self.open) {
+            s.partial.remove(&self.open);
+            self.used = used;
+            self.next_partial = s.partial.range(self.open..).next().map(|(&r, &u)| (r, u));
+            self.touches += 2;
+        }
+    }
+
+    /// Writes the frontier back: the open round if partly used, the
+    /// stretch as one run.
+    fn flush(&mut self, s: &mut LinkSchedule) {
+        if self.used > 0 {
+            s.partial.insert(self.open, self.used);
+            self.touches += 1;
+        }
+        if self.stretch < self.open {
+            s.full.insert(self.stretch, self.open - 1);
+            self.touches += 1;
         }
     }
 }
@@ -277,21 +421,21 @@ impl<'a> NetRun<'a> {
         if dist[from.index()] == u32::MAX {
             return Err(TransmitError::NoRoute(from, to));
         }
-        let mut nodes = vec![from];
-        let mut links = Vec::new();
-        let mut cur = from;
-        while cur != to {
-            let (next, link) = self
-                .g
-                .neighbors(cur)
+        // Each hop moves to the first live neighbour closer to `to`; only
+        // `to` has none, so the walk ends there.
+        let g = self.g;
+        let closer = |cur: Player| {
+            g.neighbors(cur)
                 .iter()
                 .copied()
-                .find(|(v, l)| self.g.capacity(*l) > 0 && dist[v.index()] < dist[cur.index()])
-                .expect("BFS distance decreases toward target");
-            nodes.push(next);
-            links.push(link);
-            cur = next;
-        }
+                .find(|&(v, l)| g.capacity(l) > 0 && dist[v.index()] < dist[cur.index()])
+        };
+        let hops: Vec<(Player, LinkId)> =
+            iter::successors(closer(from), |&(cur, _)| closer(cur)).collect();
+        let nodes: Vec<Player> = iter::once(from)
+            .chain(hops.iter().map(|&(v, _)| v))
+            .collect();
+        let links: Vec<LinkId> = hops.iter().map(|&(_, l)| l).collect();
         self.send_along_path(&nodes, &links, bits, ready_at)
     }
 
@@ -313,8 +457,23 @@ impl<'a> NetRun<'a> {
     /// Steiner-tree path from `SteinerTree::path`): the payload is
     /// chunked to the bottleneck capacity and every relay forwards a
     /// chunk the round after receiving it. `nodes`/`links` come in the
-    /// `path()` shape (`nodes.len() == links.len() + 1`). Returns the
-    /// arrival-completion round at the last hop.
+    /// `path()` shape: `links[i]` joins `nodes[i]` and `nodes[i + 1]`.
+    /// Returns the arrival-completion round at the last hop.
+    ///
+    /// The path is checked before anything is reserved:
+    /// [`TransmitError::NotAdjacent`] for a hop whose link does not join
+    /// its two players, or for `nodes.len() != links.len() + 1` (naming
+    /// the path's two ends); [`TransmitError::NotSimple`] for a repeated
+    /// player; then [`TransmitError::ZeroCapacity`] for a down link.
+    ///
+    /// Cost: one pass over the chunk train per hop — `O(1)` map
+    /// operations on an idle link or one queued behind earlier trains,
+    /// plus one per partial round or full run met and per chunk that
+    /// finds the link free before the previous chunk has landed.
+    ///
+    /// # Panics
+    ///
+    /// If `nodes` is empty: a path names at least its sender.
     pub fn send_along_path(
         &mut self,
         nodes: &[Player],
@@ -322,32 +481,55 @@ impl<'a> NetRun<'a> {
         bits: u64,
         ready_at: u64,
     ) -> Result<u64, TransmitError> {
-        assert_eq!(nodes.len(), links.len() + 1, "hop/link shape mismatch");
+        self.check_path(nodes, links)?;
         if let Some(&dead) = links.iter().find(|&&l| self.g.capacity(l) == 0) {
             return Err(TransmitError::ZeroCapacity(dead));
         }
-        if links.is_empty() || bits == 0 {
-            return Ok(ready_at.max(1) - 1);
+        let start = ready_at.max(1);
+        let bottleneck = links.iter().map(|&l| self.g.capacity(l)).min();
+        let Some(chunk) = bottleneck.filter(|_| bits > 0) else {
+            return Ok(start - 1);
+        };
+        // Chunk `c` is at `nodes[0]` by round `start − 1 + c`; each hop
+        // turns the rounds the chunks reached its sender into the rounds
+        // they landed. A simple path's hops are distinct directed links,
+        // so hop by hop builds the schedule chunk by chunk would.
+        let chunks = bits.div_ceil(chunk);
+        let mut times: Vec<u64> = (start - 1..start - 1 + chunks).collect();
+        for (&from, &link) in nodes.iter().zip(links) {
+            let dir = usize::from(from != self.g.link(link).0);
+            let sched = &mut self.schedules[link.index()][dir];
+            sched.reserve_train(self.g.capacity(link), chunk, bits, &mut times);
+            self.link_bits[link.index()] += bits;
         }
-        let chunk = links
-            .iter()
-            .map(|&l| self.g.capacity(l))
-            .min()
-            .expect("non-empty path");
-        let mut remaining = bits;
-        let mut last = ready_at.max(1) - 1;
-        let mut chunk_ready = ready_at.max(1);
-        while remaining > 0 {
-            let sz = chunk.min(remaining);
-            remaining -= sz;
-            let mut t = chunk_ready - 1;
-            for (i, &l) in links.iter().enumerate() {
-                t = self.transmit_on(l, nodes[i], sz, t + 1)?;
-            }
-            last = last.max(t);
-            chunk_ready += 1;
-        }
+        let hops = links.len() as u64;
+        self.stats.transmissions += chunks * hops;
+        self.stats.total_bits += bits * hops;
+        // Landing rounds do not decrease along the train.
+        let last = times[times.len() - 1];
+        self.stats.rounds = self.stats.rounds.max(last);
         Ok(last)
+    }
+
+    /// `Ok` when `nodes`/`links` is a simple path (see
+    /// [`NetRun::send_along_path`]).
+    fn check_path(&self, nodes: &[Player], links: &[LinkId]) -> Result<(), TransmitError> {
+        let (Some(&first), Some(&last)) = (nodes.first(), nodes.last()) else {
+            panic!("a path names at least its sender");
+        };
+        if nodes.len() != links.len() + 1 {
+            return Err(TransmitError::NotAdjacent(first, last));
+        }
+        for (i, (pair, &link)) in nodes.windows(2).zip(links).enumerate() {
+            let (a, b) = self.g.link(link);
+            if (a, b) != (pair[0], pair[1]) && (b, a) != (pair[0], pair[1]) {
+                return Err(TransmitError::NotAdjacent(pair[0], pair[1]));
+            }
+            if nodes[..=i].contains(&pair[1]) {
+                return Err(TransmitError::NotSimple(pair[1]));
+            }
+        }
+        Ok(())
     }
 
     /// Current statistics (rounds = completion round of the latest
@@ -366,6 +548,7 @@ impl<'a> NetRun<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn single_message_rounds() {
@@ -540,7 +723,7 @@ mod tests {
         assert_eq!(send(5, 1), 4);
         let sched = &run.schedules[0][0];
         assert_eq!(sched.full, BTreeMap::from([(1, 3)]), "one run, 1 → 3");
-        assert_eq!(sched.partial, HashMap::from([(4, 2)]));
+        assert_eq!(sched.partial, BTreeMap::from([(4, 2)]));
         assert_eq!(run.stats().rounds, 4);
     }
 
@@ -568,6 +751,229 @@ mod tests {
             assert!(visited <= 2, "chunk {chunk}: {visited} visits");
         }
         assert_eq!(sched.full.len(), 1, "still one run");
+    }
+
+    /// `reserve_train` as one `reserve` per chunk, in order, on a copy:
+    /// the landing rounds and the schedule it leaves behind.
+    fn chunk_by_chunk(
+        sched: &LinkSchedule,
+        cap: u64,
+        chunk: u64,
+        bits: u64,
+        times: &[u64],
+    ) -> (Vec<u64>, LinkSchedule) {
+        let mut copy = sched.clone();
+        let mut rest = bits;
+        let landed = times
+            .iter()
+            .map(|&t| {
+                let size = chunk.min(rest);
+                rest -= size;
+                copy.reserve(cap, t + 1, size).0
+            })
+            .collect();
+        (landed, copy)
+    }
+
+    /// Runs one train on `sched`, checks it against [`chunk_by_chunk`]
+    /// and returns its map operations.
+    fn train(sched: &mut LinkSchedule, cap: u64, chunk: u64, bits: u64, times: &mut [u64]) -> u64 {
+        let (landed, after) = chunk_by_chunk(sched, cap, chunk, bits, times);
+        let touches = sched.reserve_train(cap, chunk, bits, times);
+        assert_eq!(times, &landed[..]);
+        assert_eq!(*sched, after);
+        touches
+    }
+
+    #[test]
+    fn a_chunk_train_costs_a_few_map_operations_per_hop_not_one_per_chunk() {
+        // 256 capacity-sized chunks learned at round 300 over three idle
+        // hops, as `send_along_path` reserves them: each hop's landing
+        // rounds are the next hop's arrival rounds.
+        let (cap, chunks) = (16, 256);
+        let mut hops = vec![LinkSchedule::default(); 3];
+        let learned = || (300..300 + chunks).collect::<Vec<u64>>();
+        let mut times = learned();
+        for (h, sched) in (1..).zip(&mut hops) {
+            let touches = train(sched, cap, cap, chunks * cap, &mut times);
+            assert!(touches <= 4, "hop {h}: {touches} map operations");
+            assert_eq!(times, (300 + h..300 + h + chunks).collect::<Vec<_>>());
+            assert_eq!(sched.full, BTreeMap::from([(300 + h, 299 + h + chunks)]));
+        }
+        // A second train behind the first on hop 1 crosses its one run.
+        let mut times = learned();
+        let touches = train(&mut hops[0], cap, cap, chunks * cap, &mut times);
+        assert!(touches <= 6, "queued train: {touches} map operations");
+        assert_eq!((times[0], times[255]), (557, 812));
+        assert_eq!(hops[0].full, BTreeMap::from([(301, 812)]));
+        // Scatter 20 partial rounds and 20 one-round runs past the end,
+        // then a train whose tail is 5 bits short of a chunk: a few
+        // operations more per entry it crosses, none per chunk.
+        let sched = &mut hops[0];
+        for i in 0..20 {
+            sched.reserve(cap, 850 + 10 * i, cap);
+            sched.reserve(cap, 855 + 10 * i, 3);
+        }
+        let crossed = (sched.full.len() - 1 + sched.partial.len()) as u64;
+        let mut times = learned();
+        let touches = train(sched, cap, cap, chunks * cap - 5, &mut times);
+        assert!(touches <= 6 + 2 * crossed, "{touches} map operations");
+        let partial: Vec<&u64> = sched.partial.keys().collect();
+        assert_eq!(
+            partial,
+            [&times[255]],
+            "only the tail's round is partly used"
+        );
+    }
+
+    #[test]
+    fn trains_match_chunk_by_chunk_reservation_on_a_busy_link() {
+        // Random traffic first, then trains of every shape: chunks
+        // smaller than the capacity, arrival rounds that repeat or skip,
+        // tails that are not a multiple of the chunk.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        for seed in 0..200 {
+            let cap = rng.random_range(1..=12u64);
+            let mut sched = LinkSchedule::default();
+            for _ in 0..rng.random_range(0..30) {
+                let bits = rng.random_range(1..=3 * cap);
+                sched.reserve(cap, rng.random_range(1..=60), bits);
+            }
+            for _ in 0..4 {
+                let chunk = rng.random_range(1..=cap);
+                let bits = rng.random_range(1..=40 * chunk);
+                let mut t = rng.random_range(0..50u64);
+                let mut times: Vec<u64> = (0..bits.div_ceil(chunk))
+                    .map(|_| {
+                        t += rng.random_range(0..3u64);
+                        t
+                    })
+                    .collect();
+                let (landed, after) = chunk_by_chunk(&sched, cap, chunk, bits, &times);
+                sched.reserve_train(cap, chunk, bits, &mut times);
+                assert_eq!(times, landed, "seed {seed}");
+                assert_eq!(sched, after, "seed {seed}");
+            }
+        }
+    }
+
+    #[test]
+    fn send_along_path_leaves_the_schedules_chunk_by_chunk_sends_leave() {
+        // A line with unequal capacities, so the path between two players
+        // is unique and its chunk is the bottleneck's, smaller than what
+        // most hops carry. The reference sends each chunk hop by hop with
+        // `transmit_on`, the way `send_along_path` did.
+        let mut g = Topology::line(6).with_uniform_capacity(8);
+        for (l, cap) in [(1, 3), (2, 5), (4, 2)] {
+            g.set_capacity(LinkId(l), cap);
+        }
+        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+        for seed in 0..60 {
+            let (mut run, mut reference) = (NetRun::new(&g), NetRun::new(&g));
+            for step in 0..60 {
+                let (a, b) = (rng.random_range(0..6u32), rng.random_range(0..6u32));
+                let ids: Vec<u32> = if a <= b {
+                    (a..=b).collect()
+                } else {
+                    (b..=a).rev().collect()
+                };
+                let nodes: Vec<Player> = ids.iter().map(|&i| Player(i)).collect();
+                let links: Vec<LinkId> = ids.windows(2).map(|w| LinkId(w[0].min(w[1]))).collect();
+                let (bits, ready_at) = (rng.random_range(0..200u64), rng.random_range(0..40u64));
+                if rng.random_bool(0.3) && !links.is_empty() {
+                    // A bare message on the first hop, between the trains.
+                    assert_eq!(
+                        run.transmit_on(links[0], nodes[0], bits, ready_at),
+                        reference.transmit_on(links[0], nodes[0], bits, ready_at)
+                    );
+                    continue;
+                }
+                let chunk = links.iter().map(|&l| g.capacity(l)).min().unwrap_or(1);
+                let mut remaining = if links.is_empty() { 0 } else { bits };
+                let mut last = ready_at.max(1) - 1;
+                let mut chunk_ready = ready_at.max(1);
+                while remaining > 0 {
+                    let size = chunk.min(remaining);
+                    remaining -= size;
+                    let mut t = chunk_ready - 1;
+                    for (&from, &link) in nodes.iter().zip(&links) {
+                        t = reference.transmit_on(link, from, size, t + 1).unwrap();
+                    }
+                    last = last.max(t);
+                    chunk_ready += 1;
+                }
+                assert_eq!(
+                    run.send_along_path(&nodes, &links, bits, ready_at),
+                    Ok(last),
+                    "seed {seed}, step {step}"
+                );
+                assert_eq!(run.stats(), reference.stats(), "seed {seed}, step {step}");
+            }
+            assert_eq!(run.link_bits(), reference.link_bits(), "seed {seed}");
+            assert!(run.schedules == reference.schedules, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn send_along_path_refuses_a_path_that_is_not_one() {
+        let g = Topology::line(4).with_uniform_capacity(4);
+        let mut run = NetRun::new(&g);
+        let p = |ids: &[u32]| ids.iter().map(|&i| Player(i)).collect::<Vec<_>>();
+        let l = |ids: &[u32]| ids.iter().map(|&i| LinkId(i)).collect::<Vec<_>>();
+        let refusals = [
+            (
+                p(&[0, 1, 2]),
+                l(&[0]),
+                TransmitError::NotAdjacent(Player(0), Player(2)),
+            ),
+            (
+                p(&[0, 1]),
+                l(&[0, 1]),
+                TransmitError::NotAdjacent(Player(0), Player(1)),
+            ),
+            (
+                p(&[0, 1, 2]),
+                l(&[0, 2]),
+                TransmitError::NotAdjacent(Player(1), Player(2)),
+            ),
+            (
+                p(&[0, 2]),
+                l(&[1]),
+                TransmitError::NotAdjacent(Player(0), Player(2)),
+            ),
+            (
+                p(&[0, 1, 0]),
+                l(&[0, 0]),
+                TransmitError::NotSimple(Player(0)),
+            ),
+            (
+                p(&[2, 1, 2, 3]),
+                l(&[1, 1, 2]),
+                TransmitError::NotSimple(Player(2)),
+            ),
+        ];
+        for (nodes, links, error) in refusals {
+            for bits in [0, 9] {
+                assert_eq!(
+                    run.send_along_path(&nodes, &links, bits, 1),
+                    Err(error.clone())
+                );
+            }
+        }
+        assert_eq!(run.stats(), RunStats::default(), "nothing was accounted");
+        assert_eq!(run.link_bits(), [0, 0, 0]);
+        // The same players and links in order are a path.
+        assert_eq!(
+            run.send_along_path(&p(&[2, 1, 0]), &l(&[1, 0]), 8, 1),
+            Ok(3)
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "at least its sender")]
+    fn an_empty_path_has_no_sender() {
+        let g = Topology::line(2);
+        let _ = NetRun::new(&g).send_along_path(&[], &[], 1, 1);
     }
 
     #[test]

@@ -139,7 +139,7 @@ impl SteinerTree {
 
 /// Greedily packs edge-disjoint Steiner trees for `K` with terminal
 /// diameter at most `delta`: while some candidate (path, hub, BFS tree,
-/// in that order) on the still available links is a valid tree within
+/// in that order) on the still available live links is a valid tree within
 /// the bound, take the first one with the fewest links. The single-Δ
 /// entry point of the loop [`DeltaPackings::new`] runs for every
 /// candidate Δ.
@@ -169,7 +169,8 @@ impl<'g> Candidates<'g> {
 
     /// The greedy packing at diameter bound `delta`.
     fn pack(&mut self, delta: u32) -> Vec<SteinerTree> {
-        let mut avail: BTreeSet<LinkId> = self.g.links().collect();
+        let g = self.g;
+        let mut avail: BTreeSet<LinkId> = g.links().filter(|&l| g.capacity(l) > 0).collect();
         let mut packing = Vec::new();
         // Among valid candidates within the diameter bound, prefer the
         // one using the fewest links (leaving more for later trees).
@@ -466,6 +467,19 @@ mod tests {
             );
             assert!(st <= mc, "packing can never exceed the min cut");
         }
+    }
+
+    #[test]
+    fn packings_use_live_links_only() {
+        // The ring's link 0 (players 0–1) is down: every packing routes
+        // round it, and the live links still connect all four players.
+        let mut g = Topology::ring(4);
+        g.set_capacity(LinkId(0), 0);
+        let k = players(&[0, 1, 2, 3]);
+        let (_, packing) = best_delta(&g, &k, 10).expect("live links connect K");
+        assert_eq!(packing.len(), 1);
+        assert!(packing[0].is_valid_for(&g, &k));
+        assert!(!packing[0].links().contains(&LinkId(0)));
     }
 
     #[test]

@@ -137,10 +137,11 @@ impl Topology {
         live.min().map_or(1, |&c| c)
     }
 
-    /// Returns a copy with every link capacity set to `bits`.
+    /// Returns a copy with every live link's capacity set to `bits`; a
+    /// down link (capacity `0`) stays down.
     pub fn with_uniform_capacity(mut self, bits: u64) -> Self {
         assert!(bits > 0);
-        for c in &mut self.capacity {
+        for c in self.capacity.iter_mut().filter(|c| **c > 0) {
             *c = bits;
         }
         self
@@ -406,6 +407,11 @@ mod tests {
     fn capacity_override() {
         let g = Topology::line(3).with_uniform_capacity(64);
         assert_eq!(g.capacity(LinkId(0)), 64);
+        let mut g = Topology::ring(4);
+        g.set_capacity(LinkId(2), 0);
+        let g = g.with_uniform_capacity(8);
+        let caps: Vec<u64> = g.links().map(|l| g.capacity(l)).collect();
+        assert_eq!(caps, [8, 8, 0, 8], "a down link stays down");
     }
 
     #[test]

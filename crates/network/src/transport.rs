@@ -323,8 +323,8 @@ impl Transport for TcpTransport<'_> {
             .memory
             .shadow
             .send_along_path(nodes, links, model_bits, ready_at);
-        // The shadow asserted `nodes.len() == links.len() + 1`, so the
-        // path has both ends.
+        // The shadow panics on an empty `nodes`, so the path has both
+        // ends.
         let (from, to) = (nodes[0], nodes[nodes.len() - 1]);
         self.memory
             .land(arrived, || self.sockets.ship(from, to, frame))

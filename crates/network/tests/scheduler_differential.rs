@@ -1,9 +1,11 @@
-//! The round scheduler against the schedule it replaced. `NetRun` keeps
-//! full rounds as runs in an ordered map; the reference below is the
-//! old fill loop — one hash-map probe per round from the start round on
-//! — and the two must agree on every completion round and on the final
-//! `RunStats`, because the schedule's semantics (first-fit per directed
-//! link) did not change, only its cost.
+//! The round scheduler against the schedules it replaced. `NetRun` keeps
+//! full rounds as runs in an ordered map; the first reference below is
+//! the old fill loop — one hash-map probe per round from the start round
+//! on — and the two must agree on every completion round and on the
+//! final `RunStats`, because the schedule's semantics (first-fit per
+//! directed link) did not change, only its cost. The second reference
+//! pipelines a send chunk by chunk, one `transmit_on` per chunk per
+//! hop, where `NetRun` reserves the whole chunk train one hop at a time.
 
 use faqs_network::{LinkId, NetRun, Player, RunStats, Topology, TransmitError};
 use rand::rngs::StdRng;
@@ -114,5 +116,157 @@ fn completion_rounds_and_stats_match_the_probing_schedule() {
         assert_eq!(run.stats(), reference.stats, "seed {seed}");
         assert!(run.stats().rounds > 1 << 40, "late rounds were used");
         assert_eq!(run.link_bits()[3], 0, "the down link stayed dark");
+    }
+}
+
+/// Pipelined sends the way `NetRun` made them before it reserved chunk
+/// trains: every capacity-sized chunk crosses every hop by its own
+/// `transmit_on`, chunk after chunk.
+struct ChunkByChunk<'a> {
+    run: NetRun<'a>,
+}
+
+impl ChunkByChunk<'_> {
+    fn send_along_path(
+        &mut self,
+        nodes: &[Player],
+        links: &[LinkId],
+        bits: u64,
+        ready_at: u64,
+    ) -> Result<u64, TransmitError> {
+        let g = self.run.topology();
+        if let Some(&dead) = links.iter().find(|&&l| g.capacity(l) == 0) {
+            return Err(TransmitError::ZeroCapacity(dead));
+        }
+        let chunk = links.iter().map(|&l| g.capacity(l)).min().unwrap_or(1);
+        let mut remaining = if links.is_empty() { 0 } else { bits };
+        let mut last = ready_at.max(1) - 1;
+        let mut chunk_ready = ready_at.max(1);
+        while remaining > 0 {
+            let size = chunk.min(remaining);
+            remaining -= size;
+            let mut t = chunk_ready - 1;
+            for (&from, &link) in nodes.iter().zip(links) {
+                t = self.run.transmit_on(link, from, size, t + 1)?;
+            }
+            last = last.max(t);
+            chunk_ready += 1;
+        }
+        Ok(last)
+    }
+
+    /// The shortest live path, each hop to the first live neighbour
+    /// closer to `to`, then sent as above.
+    fn route_causal(
+        &mut self,
+        from: Player,
+        to: Player,
+        bits: u64,
+        learned_at: u64,
+    ) -> Result<u64, TransmitError> {
+        let g = self.run.topology().clone();
+        let dist = g.live_distances(to);
+        if from != to && dist[from.index()] == u32::MAX {
+            return Err(TransmitError::NoRoute(from, to));
+        }
+        let (mut nodes, mut links) = (vec![from], vec![]);
+        while let Some(&(v, l)) = g.neighbors(nodes[nodes.len() - 1]).iter().find(|(v, l)| {
+            g.capacity(*l) > 0 && dist[v.index()] < dist[nodes[nodes.len() - 1].index()]
+        }) {
+            nodes.push(v);
+            links.push(l);
+        }
+        self.send_along_path(&nodes, &links, bits, learned_at + 1)
+    }
+}
+
+/// A ring of six with unequal capacities and one link down: most paths'
+/// chunk is a bottleneck smaller than what their other hops carry.
+fn uneven_ring() -> Topology {
+    let mut g = Topology::ring(6).with_uniform_capacity(8);
+    for (l, cap) in [(1, 3), (2, 5), (4, 2), (5, 0)] {
+        g.set_capacity(LinkId(l), cap);
+    }
+    g
+}
+
+/// A random walk of one to four hops from a random player, visiting no
+/// player twice; it may cross the down link.
+fn simple_path(g: &Topology, rng: &mut StdRng) -> (Vec<Player>, Vec<LinkId>) {
+    let mut nodes = vec![Player(rng.random_range(0..g.num_players() as u32))];
+    let mut links = vec![];
+    for _ in 0..rng.random_range(1..=4) {
+        let here = nodes[nodes.len() - 1];
+        let next: Vec<(Player, LinkId)> = g
+            .neighbors(here)
+            .iter()
+            .copied()
+            .filter(|(v, _)| !nodes.contains(v))
+            .collect();
+        if next.is_empty() {
+            break;
+        }
+        let (v, l) = next[rng.random_range(0..next.len())];
+        nodes.push(v);
+        links.push(l);
+    }
+    (nodes, links)
+}
+
+#[test]
+fn chunk_trains_match_chunk_by_chunk_sends() {
+    let g = uneven_ring();
+    for seed in 0..60u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (mut run, mut reference) = (
+            NetRun::new(&g),
+            ChunkByChunk {
+                run: NetRun::new(&g),
+            },
+        );
+        let horizon = [6u64, 30, 300][seed as usize % 3];
+        for step in 0..150 {
+            // Tails are rarely a multiple of the chunk.
+            let bits = match rng.random_range(0..5) {
+                0 => 0,
+                1 => rng.random_range(1..10),
+                _ => rng.random_range(10..400),
+            };
+            let at = rng.random_range(0..horizon);
+            let (what, got, want) = match rng.random_range(0..3) {
+                0 => {
+                    let (nodes, links) = simple_path(&g, &mut rng);
+                    let got = run.send_along_path(&nodes, &links, bits, at);
+                    let want = reference.send_along_path(&nodes, &links, bits, at);
+                    (format!("path {nodes:?}"), got, want)
+                }
+                1 => {
+                    let from = Player(rng.random_range(0..6));
+                    let to = Player(rng.random_range(0..6));
+                    let got = run.route_causal(from, to, bits, at);
+                    let want = reference.route_causal(from, to, bits, at);
+                    (format!("route {from}→{to}"), got, want)
+                }
+                _ => {
+                    let (from, to) = match simple_path(&g, &mut rng).0[..] {
+                        [from, to, ..] => (from, to),
+                        _ => unreachable!("a ring player has neighbours"),
+                    };
+                    let got = run.transmit(from, to, bits, at);
+                    let want = reference.run.transmit(from, to, bits, at);
+                    (format!("transmit {from}→{to}"), got, want)
+                }
+            };
+            let context = format!("seed {seed}, step {step}: {bits} bits, {what}, at {at}");
+            assert_eq!(got, want, "{context}");
+            assert_eq!(run.stats(), reference.run.stats(), "{context}");
+            assert_eq!(run.link_bits(), reference.run.link_bits(), "{context}");
+        }
+        assert_eq!(
+            run.link_bits()[5],
+            0,
+            "seed {seed}: the down link stayed dark"
+        );
+        assert!(run.stats().transmissions > 0, "seed {seed}");
     }
 }

@@ -8,14 +8,14 @@
 //!
 //! A second fixture keeps the player set connected over live links but
 //! holds one down link (capacity 0): every paper protocol on it answers
-//! as the engine does or refuses with `Unreachable`, and none divides
-//! by the down link's capacity.
+//! as the engine does, sends nothing over the down link, and none
+//! divides by its capacity.
 
 use faqs_hypergraph::star_query;
 use faqs_network::{Assignment, LinkId, Player, Topology};
 use faqs_protocols::{
     run_bcq_protocol, run_faq_protocol, run_hash_split_protocol, run_set_intersection, run_trivial,
-    BoundReport, DistributedFaqRun, InputPlacement, ProtocolError,
+    BoundReport, DistributedFaqRun, InputPlacement, ProtocolError, ProtocolOutcome,
 };
 use faqs_relation::{random_boolean_instance, FaqQuery, RandomInstanceConfig};
 use faqs_semiring::{Boolean, Semiring};
@@ -144,34 +144,44 @@ fn around_the_down_link() -> Assignment {
     Assignment::new(vec![Player(0), Player(1), Player(2)], Player(3))
 }
 
-/// A door on the ring with a down link either answers as the engine
-/// does or refuses with a typed error; it never panics.
-fn answers_or_refuses<T: PartialEq + std::fmt::Debug>(got: Result<T, ProtocolError>, engine: T) {
-    match got {
-        Ok(answer) => assert_eq!(answer, engine),
-        Err(e) => assert!(matches!(e, ProtocolError::Unreachable(_)), "{e:?}"),
-    }
+/// A door on the ring with a down link answers as the engine does and
+/// sends nothing over the down link.
+fn answers_around_the_down_link<T: PartialEq + std::fmt::Debug>(
+    got: Result<ProtocolOutcome<T>, ProtocolError>,
+    engine: T,
+) {
+    let out = got.expect("live links connect the players");
+    assert_eq!(out.answer, engine);
+    assert_eq!(out.report.link_bits[0], 0, "{:?}", out.report.link_bits);
 }
 
 #[test]
 fn faq_protocol_survives_a_down_link() {
     let q = star_bcq();
-    let got = run_faq_protocol(&q, &ring_with_a_down_link(), &around_the_down_link(), 0);
-    answers_or_refuses(got.map(|o| o.answer), faqs_core::solve_faq(&q).unwrap());
+    let engine = faqs_core::solve_faq(&q).unwrap();
+    for capacity_tuples in [0, 1] {
+        let got = run_faq_protocol(
+            &q,
+            &ring_with_a_down_link(),
+            &around_the_down_link(),
+            capacity_tuples,
+        );
+        answers_around_the_down_link(got, engine.clone());
+    }
 }
 
 #[test]
 fn bcq_protocol_survives_a_down_link() {
     let q = star_bcq();
     let got = run_bcq_protocol(&q, &ring_with_a_down_link(), &around_the_down_link(), 0);
-    answers_or_refuses(got.map(|o| o.answer), faqs_core::solve_bcq(&q));
+    answers_around_the_down_link(got, faqs_core::solve_bcq(&q));
 }
 
 #[test]
 fn trivial_protocol_survives_a_down_link() {
     let q = star_bcq();
     let got = run_trivial(&q, &ring_with_a_down_link(), &around_the_down_link());
-    answers_or_refuses(got.map(|o| o.answer), faqs_core::solve_faq(&q).unwrap());
+    answers_around_the_down_link(got, faqs_core::solve_faq(&q).unwrap());
 }
 
 #[test]
@@ -181,12 +191,22 @@ fn set_intersection_survives_a_down_link() {
         .map(|p| (p, vec![true, p.0 != 2, true]))
         .collect();
     let got = run_set_intersection(&ring_with_a_down_link(), &inputs, Player(0));
-    answers_or_refuses(got.map(|o| o.answer), vec![true, false, true]);
+    answers_around_the_down_link(got, vec![true, false, true]);
 }
 
 #[test]
 fn hash_split_protocol_survives_a_down_link() {
     let q = star_bcq();
     let got = run_hash_split_protocol(&q, &ring_with_a_down_link(), &everyone(), Player(0));
-    answers_or_refuses(got.map(|o| o.answer), faqs_core::solve_bcq(&q));
+    answers_around_the_down_link(got, faqs_core::solve_bcq(&q));
+}
+
+#[test]
+fn distributed_run_survives_a_down_link() {
+    let q = star_bcq();
+    let placement = InputPlacement::hash_split(q.k(), &everyone(), Player(0));
+    let run = DistributedFaqRun::new(&q, &ring_with_a_down_link(), placement, 1).unwrap();
+    let out = run.execute().unwrap();
+    assert_eq!(!out.result.total().is_zero(), faqs_core::solve_bcq(&q));
+    assert_eq!(out.report.link_bits[0], 0, "{:?}", out.report.link_bits);
 }
