@@ -228,7 +228,9 @@ mod tests {
         let r = h.arity();
         let sis = strong_independent_set(&h);
         assert!(is_strong_independent(&h, &sis));
-        let covered = h.covered_vars().len();
+        let covered = (h.edges().flat_map(|(_, e)| e.iter()))
+            .collect::<BTreeSet<_>>()
+            .len();
         assert!(
             sis.len() * (d * (r - 1) + 1) >= covered,
             "greedy guarantee: {} picks, d={d}, r={r}, covered={covered}",

@@ -192,11 +192,6 @@ impl Hypergraph {
         best
     }
 
-    /// The set of variables covered by at least one edge.
-    pub fn covered_vars(&self) -> BTreeSet<Var> {
-        self.edges.iter().flatten().copied().collect()
-    }
-
     /// Renders the query in Datalog-ish form, e.g.
     /// `q() :- e0(A,B), e1(A,C)`.
     pub fn to_datalog(&self) -> String {

@@ -40,16 +40,6 @@ impl BitVec {
         v
     }
 
-    /// Builds from bits (little-endian by index).
-    pub fn from_bits<I: IntoIterator<Item = bool>>(bits: I) -> Self {
-        let bits: Vec<bool> = bits.into_iter().collect();
-        let mut v = BitVec::zero(bits.len());
-        for (i, b) in bits.iter().enumerate() {
-            v.set(i, *b);
-        }
-        v
-    }
-
     /// Builds the `n`-bit vector encoding the integer `enc` (bit `i` of
     /// `enc` = coordinate `i`). Panics if `n > 64`.
     pub fn from_u64(n: usize, enc: u64) -> Self {
@@ -370,7 +360,10 @@ mod tests {
     #[test]
     fn from_bits_roundtrip() {
         let bits = [true, false, true, true];
-        let v = BitVec::from_bits(bits);
+        let mut v = BitVec::zero(bits.len());
+        for (i, b) in bits.into_iter().enumerate() {
+            v.set(i, b);
+        }
         assert_eq!(v.to_u64(), 0b1101);
         assert_eq!(v.len(), 4);
     }

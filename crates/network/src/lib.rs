@@ -16,12 +16,12 @@
 //!   of Theorem 3.10 on the families we use),
 //! * the multicommodity-flow routing bound `τ_MCF(G, K, N′)`
 //!   (Definition 3.12) by store-and-forward simulation,
-//! * [`NetRun`], a capacity-respecting transmission scheduler: protocol
-//!   implementations issue `transmit(from, to, bits, ready_at)` calls and
-//!   the scheduler fits them first-fit per directed link, yielding exact
-//!   round counts under Model 2.1's constraints; a pipelined send along a
-//!   checked simple path reserves each hop's chunk train in one pass,
-//!   with `O(1)` map operations per hop on an idle link,
+//! * [`NetRun`], a capacity-respecting transmission scheduler: every
+//!   send is a chunk train through one door, `send_train(link, from,
+//!   chunk, bits, times)`, fitted first-fit per directed link in one pass
+//!   (`O(1)` map operations on an idle link), yielding exact round counts
+//!   under Model 2.1's constraints; `transmit` is a one-chunk train and a
+//!   pipelined send along a checked simple path is one train per hop,
 //! * [`Assignment`] of input functions to players (`K ⊆ V`),
 //! * pluggable [`Transport`]s — in memory ([`SimTransport`]) and
 //!   loopback TCP — that both deliver the frame's bytes and both
@@ -43,7 +43,7 @@ pub use assignment::Assignment;
 pub use cuts::{max_flow, min_cut, min_cut_partition};
 pub use flow::{route_to_sink, tau_mcf, SourceLoad};
 pub use sim::{NetRun, RunStats, TransmitError};
-pub use steiner::{best_delta, steiner_packing, DeltaPackings, SteinerTree};
+pub use steiner::{steiner_packing, DeltaPackings, SteinerTree};
 pub use topology::{LinkId, Player, Topology};
 #[doc(hidden)]
 pub use transport::ChannelTransport;

@@ -1,45 +1,40 @@
 //! The capacity-respecting transmission scheduler: round accounting for
 //! Model 2.1.
 //!
-//! Protocol implementations issue [`NetRun::transmit`] calls: "starting
-//! no earlier than round `ready_at`, move `bits` from `from` to `to`
-//! across their link". The scheduler is *first-fit* per directed link:
-//! a message takes the free capacity of the earliest rounds `≥ ready_at`
-//! in call order, splitting across partly used rounds — so a later call
-//! with an earlier `ready_at` back-fills capacity an earlier call left
-//! free; it is not a FIFO queue. Every link direction carries up to its
-//! capacity per round (any subset of edges may communicate
-//! simultaneously, as the model allows), and the scheduler reports the
-//! round at which the message has fully arrived. Pipelined protocols
-//! emerge naturally: a relay that receives a tuple at round `t` forwards
-//! it with `ready_at = t + 1`.
+//! Every send is a chunk train through one door, [`NetRun::send_train`]:
+//! "move `bits` from `from` across `link` in chunks of `chunk` bits,
+//! chunk `c` departing no earlier than the round after `times[c]`".
+//! [`NetRun::transmit`] is a one-chunk train to a neighbour,
+//! [`NetRun::send_along_path`] one train per hop of a checked simple
+//! path, and [`NetRun::send_via_shortest_path`] that along a shortest
+//! live path. The scheduler is *first-fit* per directed link: each chunk
+//! takes the free capacity of the earliest rounds at or after its
+//! departure round, in call order, splitting across partly used rounds —
+//! so a later call with an earlier departure back-fills capacity an
+//! earlier call left free; it is not a FIFO queue. Every link direction
+//! carries up to its capacity per round (any subset of edges may
+//! communicate simultaneously, as the model allows), and the scheduler
+//! reports the round at which each chunk has fully arrived. Pipelined
+//! protocols emerge naturally: a relay that receives a chunk at round `t`
+//! forwards it with departure round `t + 1`.
 //!
 //! Cost: per directed link the schedule keeps the partly used rounds and
-//! the completely full rounds (as maximal runs) in two ordered maps, so
-//! a transmission skips any stretch of full rounds in one `O(log runs)`
-//! lookup. It visits only rounds it takes bits from, and every visit but
-//! its last fills that round for good: `⌈bits/capacity⌉ + 1` visits at
-//! most when the rounds it finds are empty, `transmissions + full
-//! rounds` visits over a whole run in any case, `O(log runs)` each —
-//! independent of how long the link has been busy and of how late
-//! `ready_at` is. A pipelined send ([`NetRun::send_along_path`],
-//! [`NetRun::route_causal`]) is still one transmission per chunk per
-//! hop, but reserves each hop's whole chunk train in one pass: chunk `c`
-//! never looks before the round chunk `c − 1` landed in, so the pass
-//! keeps that frontier in locals and makes `O(1)` map operations on an
-//! idle link, plus one or two per partial round or full run it crosses
-//! and per chunk that finds the link free before the previous chunk has
-//! landed (a hop wider than the bottleneck) — not several per chunk.
+//! the completely full rounds (as maximal runs) in two ordered maps. A
+//! chunk never looks before the round the previous one landed in, so a
+//! train keeps that frontier in locals and makes `O(1)` map operations on an
+//! idle link or one queued behind earlier trains, plus one or two per
+//! partial round or full run it crosses and per chunk that finds the
+//! link free before the previous chunk has landed (a hop wider than the
+//! bottleneck) — not several per chunk, and independent of how long the
+//! link has been busy and of how late the train departs.
 //!
-//! Causality is the caller's contract: a payload may only be sent with
-//! `ready_at` after the round the sender learned it (the protocols in
-//! `faqs-protocols` thread arrival rounds through their dataflow, so the
-//! discipline is enforced by construction and asserted in tests).
-//! [`NetRun::route_causal`] makes the declaration explicit: the first
-//! hop departs the round after the payload was learned.
+//! Causality is the caller's contract: a payload may only depart after
+//! the round the sender learned it (the protocols in `faqs-protocols`
+//! thread arrival rounds through their dataflow, so the discipline holds
+//! by construction and is asserted in tests): a payload learned at the
+//! end of round `learned_at` is sent with `ready_at = learned_at + 1`.
 
 use crate::topology::{LinkId, Player, Topology};
-use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::iter;
 
@@ -49,9 +44,7 @@ pub enum TransmitError {
     /// `from` and `to` are not adjacent in the topology.
     NotAdjacent(Player, Player),
     /// The link is administratively down ([`Topology::set_capacity`] to
-    /// `0`): it can carry no bits in any round. Before this variant a
-    /// zero-capacity request span forever inside the fill loop — the
-    /// stall is now an explicit, testable error.
+    /// `0`): it can carry no bits in any round.
     ZeroCapacity(LinkId),
     /// No positive-capacity route connects the two players (they may
     /// still be connected through down links).
@@ -99,7 +92,8 @@ pub struct RunStats {
     pub rounds: u64,
     /// Total bits moved across all links.
     pub total_bits: u64,
-    /// Number of `transmit` calls.
+    /// Chunks sent, counted once per link each crosses (a
+    /// [`NetRun::transmit`] is one).
     pub transmissions: u64,
 }
 
@@ -114,72 +108,13 @@ struct LinkSchedule {
 }
 
 impl LinkSchedule {
-    /// The earliest round `≥ round` that is not completely full.
-    fn next_open(&self, round: u64) -> u64 {
-        match self.full.range(..=round).next_back() {
-            Some((_, &last)) if last >= round => last + 1,
-            _ => round,
-        }
-    }
-
-    /// Records that `round` just became full, merging it with the runs
-    /// ending at `round − 1` and starting at `round + 1`.
-    fn close(&mut self, round: u64) {
-        let last = self.full.remove(&(round + 1)).unwrap_or(round);
-        match self.full.range_mut(..round).next_back() {
-            Some((_, before)) if *before + 1 == round => *before = last,
-            _ => {
-                self.full.insert(round, last);
-            }
-        }
-    }
-
-    /// First-fit reservation of `bits > 0` on a link of capacity `cap`:
-    /// takes the free capacity of the earliest rounds `≥ start`.
-    /// Returns the last round used and how many rounds were visited —
-    /// every one of them gave bits, and all but the last are now full.
-    fn reserve(&mut self, cap: u64, start: u64, bits: u64) -> (u64, u64) {
-        let (mut round, mut remaining, mut visited) = (start, bits, 0);
-        loop {
-            round = self.next_open(round);
-            visited += 1;
-            let filled = match self.partial.entry(round) {
-                Entry::Occupied(mut used) => {
-                    let take = (cap - *used.get()).min(remaining);
-                    remaining -= take;
-                    *used.get_mut() += take;
-                    let filled = *used.get() == cap;
-                    if filled {
-                        used.remove();
-                    }
-                    filled
-                }
-                Entry::Vacant(unused) => {
-                    let take = cap.min(remaining);
-                    remaining -= take;
-                    if take < cap {
-                        unused.insert(take);
-                    }
-                    take == cap
-                }
-            };
-            if filled {
-                self.close(round);
-            }
-            if remaining == 0 {
-                return (round, visited);
-            }
-            round += 1;
-        }
-    }
-
     /// First-fit reservation of a chunk train on a link of capacity
     /// `cap`: `bits > 0` in chunks of `chunk` bits (the last one takes
     /// the rest), `times.len() == ⌈bits/chunk⌉`. On entry `times[c]` is
     /// the round chunk `c` reached the sending end, and must not
     /// decrease with `c`; the chunk is ready the round after. On return
-    /// `times[c]` is the round it landed — what one [`Self::reserve`]
-    /// per chunk, in order, returns, leaving the same schedule behind.
+    /// `times[c]` is the round it landed: each chunk takes the free
+    /// capacity of the earliest rounds from the one it is ready in.
     ///
     /// Chunk `c` never looks before the round chunk `c − 1` landed in
     /// (every round it passed on the way is full), so the train keeps
@@ -334,8 +269,13 @@ impl<'a> NetRun<'a> {
         self.g
     }
 
-    /// Finds the link between two adjacent players.
+    /// Finds the link between two adjacent players;
+    /// [`TransmitError::NotAdjacent`] also when `a` is not in the
+    /// topology.
     pub fn link_between(&self, a: Player, b: Player) -> Result<LinkId, TransmitError> {
+        if a.index() >= self.g.num_players() {
+            return Err(TransmitError::NotAdjacent(a, b));
+        }
         self.g
             .neighbors(a)
             .iter()
@@ -352,9 +292,7 @@ impl<'a> NetRun<'a> {
     /// Returns the round at the end of which the message has fully
     /// arrived (the receiver may use it from the next round). Zero-bit
     /// messages arrive instantly at `ready_at.max(1) − 1`, modelling
-    /// "nothing to say". Visits only the rounds it takes bits from, at
-    /// `O(log runs)` each, however many full rounds lie between
-    /// `ready_at` and the first free one (see the module docs).
+    /// "nothing to say". A one-chunk [`NetRun::send_train`].
     pub fn transmit(
         &mut self,
         from: Player,
@@ -363,38 +301,59 @@ impl<'a> NetRun<'a> {
         ready_at: u64,
     ) -> Result<u64, TransmitError> {
         let link = self.link_between(from, to)?;
-        self.transmit_on(link, from, bits, ready_at)
+        let mut times = [ready_at.max(1) - 1];
+        let chunks = usize::from(bits > 0);
+        self.send_train(link, from, bits.max(1), bits, &mut times[..chunks])?;
+        Ok(times[0])
     }
 
-    /// [`NetRun::transmit`] on an explicit link (used when routing along
-    /// a Steiner tree whose links are known). Zero-capacity (down) links
-    /// carry nothing — not even zero-bit "nothing to say" messages.
-    pub fn transmit_on(
+    /// Moves a chunk train from `from` across `link` to its other end:
+    /// `bits` in chunks of `chunk` bits (the last one takes the rest),
+    /// `times.len() == ⌈bits/chunk⌉`. On entry `times[c]` is the round
+    /// chunk `c` reached `from` — it departs the round after — and must
+    /// not decrease with `c`; on return it is the round the chunk fully
+    /// arrived. Each chunk is one first-fit transmission on the directed
+    /// link, in order (see [`NetRun::transmit`]). Every send is built on
+    /// this door: it alone reserves and tallies.
+    ///
+    /// A down link (capacity `0`) is [`TransmitError::ZeroCapacity`],
+    /// even for an empty train; a `from` that is not an end of `link` is
+    /// [`TransmitError::NotAdjacent`]. Nothing is reserved on an error.
+    ///
+    /// # Panics
+    ///
+    /// If `times` does not hold one round per chunk (so `chunk > 0`
+    /// whenever `bits > 0`).
+    pub fn send_train(
         &mut self,
         link: LinkId,
         from: Player,
+        chunk: u64,
         bits: u64,
-        ready_at: u64,
-    ) -> Result<u64, TransmitError> {
+        times: &mut [u64],
+    ) -> Result<(), TransmitError> {
         let cap = self.g.capacity(link);
         if cap == 0 {
             return Err(TransmitError::ZeroCapacity(link));
         }
-        let start = ready_at.max(1);
-        if bits == 0 {
-            return Ok(start - 1);
+        let (a, b) = self.g.link(link);
+        if from != a && from != b {
+            return Err(TransmitError::NotAdjacent(from, a));
         }
-        let (a, _b) = self.g.link(link);
-        let dir = usize::from(from != a);
-        let sched = &mut self.schedules[link.index()][dir];
-
-        self.stats.transmissions += 1;
+        let chunks = if bits == 0 { 0 } else { bits.div_ceil(chunk) };
+        assert_eq!(times.len() as u64, chunks, "one round per chunk");
+        if bits == 0 {
+            return Ok(());
+        }
+        debug_assert!(times.windows(2).all(|w| w[0] <= w[1]), "{times:?}");
+        let sched = &mut self.schedules[link.index()][usize::from(from != a)];
+        sched.reserve_train(cap, chunk, bits, times);
+        self.stats.transmissions += chunks;
         self.stats.total_bits += bits;
         self.link_bits[link.index()] += bits;
-
-        let (round, _visited) = sched.reserve(cap, start, bits);
-        self.stats.rounds = self.stats.rounds.max(round);
-        Ok(round)
+        // Landing rounds do not decrease along the train.
+        self.stats.rounds = self.stats.rounds.max(times[times.len() - 1]);
+        Ok(())
     }
 
     /// Sends `bits` from `from` to an arbitrary (possibly distant)
@@ -402,8 +361,10 @@ impl<'a> NetRun<'a> {
     /// capacity-sized chunks with single-round relay latency (so the
     /// cost is `≈ bits/capacity + distance`, not their product). Down
     /// links ([`Topology::set_capacity`] to `0`) are routed around;
-    /// [`TransmitError::NoRoute`] when no live path exists. Returns the
-    /// arrival-completion round.
+    /// [`TransmitError::NoRoute`] when no live path exists or either
+    /// player is not in the topology. Returns the arrival-completion
+    /// round. A payload the sender learned at the end of round
+    /// `learned_at` is sent with `ready_at = learned_at + 1`.
     pub fn send_via_shortest_path(
         &mut self,
         from: Player,
@@ -411,12 +372,16 @@ impl<'a> NetRun<'a> {
         bits: u64,
         ready_at: u64,
     ) -> Result<u64, TransmitError> {
+        let n = self.g.num_players();
+        if from.index() >= n || to.index() >= n {
+            return Err(TransmitError::NoRoute(from, to));
+        }
         if from == to {
             return Ok(ready_at.max(1) - 1);
         }
         // BFS over live links only — checked even for zero-bit sends, so
         // a partitioned pair reports `NoRoute` instead of a silent `Ok`
-        // (matching `transmit_on`'s dead-link policy).
+        // (matching `send_train`'s dead-link policy).
         let dist = self.g.live_distances(to);
         if dist[from.index()] == u32::MAX {
             return Err(TransmitError::NoRoute(from, to));
@@ -439,20 +404,6 @@ impl<'a> NetRun<'a> {
         self.send_along_path(&nodes, &links, bits, ready_at)
     }
 
-    /// [`NetRun::send_via_shortest_path`] with a causality declaration:
-    /// the payload is known to `from` at the end of round `learned_at`,
-    /// so the first hop departs at `learned_at + 1` and every relay hop
-    /// forwards each chunk the round after it arrives.
-    pub fn route_causal(
-        &mut self,
-        from: Player,
-        to: Player,
-        bits: u64,
-        learned_at: u64,
-    ) -> Result<u64, TransmitError> {
-        self.send_via_shortest_path(from, to, bits, learned_at.saturating_add(1))
-    }
-
     /// Pipelines `bits` along an explicit hop sequence (e.g. a
     /// Steiner-tree path from `SteinerTree::path`): the payload is
     /// chunked to the bottleneck capacity and every relay forwards a
@@ -465,11 +416,8 @@ impl<'a> NetRun<'a> {
     /// its two players, or for `nodes.len() != links.len() + 1` (naming
     /// the path's two ends); [`TransmitError::NotSimple`] for a repeated
     /// player; then [`TransmitError::ZeroCapacity`] for a down link.
-    ///
-    /// Cost: one pass over the chunk train per hop — `O(1)` map
-    /// operations on an idle link or one queued behind earlier trains,
-    /// plus one per partial round or full run met and per chunk that
-    /// finds the link free before the previous chunk has landed.
+    /// Then each hop is one [`NetRun::send_train`]: that hop's landing
+    /// rounds are the next hop's arrival rounds.
     ///
     /// # Panics
     ///
@@ -482,36 +430,22 @@ impl<'a> NetRun<'a> {
         ready_at: u64,
     ) -> Result<u64, TransmitError> {
         self.check_path(nodes, links)?;
-        if let Some(&dead) = links.iter().find(|&&l| self.g.capacity(l) == 0) {
-            return Err(TransmitError::ZeroCapacity(dead));
-        }
         let start = ready_at.max(1);
         let bottleneck = links.iter().map(|&l| self.g.capacity(l)).min();
         let Some(chunk) = bottleneck.filter(|_| bits > 0) else {
             return Ok(start - 1);
         };
-        // Chunk `c` is at `nodes[0]` by round `start − 1 + c`; each hop
-        // turns the rounds the chunks reached its sender into the rounds
-        // they landed. A simple path's hops are distinct directed links,
-        // so hop by hop builds the schedule chunk by chunk would.
-        let chunks = bits.div_ceil(chunk);
-        let mut times: Vec<u64> = (start - 1..start - 1 + chunks).collect();
+        // Chunk `c` is at `nodes[0]` by round `start − 1 + c`. A simple
+        // path's hops are distinct directed links, so hop by hop builds
+        // the schedule chunk by chunk would.
+        let mut times: Vec<u64> = (start - 1..start - 1 + bits.div_ceil(chunk)).collect();
         for (&from, &link) in nodes.iter().zip(links) {
-            let dir = usize::from(from != self.g.link(link).0);
-            let sched = &mut self.schedules[link.index()][dir];
-            sched.reserve_train(self.g.capacity(link), chunk, bits, &mut times);
-            self.link_bits[link.index()] += bits;
+            self.send_train(link, from, chunk, bits, &mut times)?;
         }
-        let hops = links.len() as u64;
-        self.stats.transmissions += chunks * hops;
-        self.stats.total_bits += bits * hops;
-        // Landing rounds do not decrease along the train.
-        let last = times[times.len() - 1];
-        self.stats.rounds = self.stats.rounds.max(last);
-        Ok(last)
+        Ok(times[times.len() - 1])
     }
 
-    /// `Ok` when `nodes`/`links` is a simple path (see
+    /// `Ok` when `nodes`/`links` is a simple path over live links (see
     /// [`NetRun::send_along_path`]).
     fn check_path(&self, nodes: &[Player], links: &[LinkId]) -> Result<(), TransmitError> {
         let (Some(&first), Some(&last)) = (nodes.first(), nodes.last()) else {
@@ -529,7 +463,10 @@ impl<'a> NetRun<'a> {
                 return Err(TransmitError::NotSimple(pair[1]));
             }
         }
-        Ok(())
+        match links.iter().find(|&&l| self.g.capacity(l) == 0) {
+            Some(&dead) => Err(TransmitError::ZeroCapacity(dead)),
+            None => Ok(()),
+        }
     }
 
     /// Current statistics (rounds = completion round of the latest
@@ -549,6 +486,70 @@ impl<'a> NetRun<'a> {
 mod tests {
     use super::*;
     use rand::{Rng, SeedableRng};
+    use std::collections::btree_map::Entry;
+
+    /// Per-message first-fit, the reference every chunk train is raced
+    /// against: one message at a time, one map lookup per round visited.
+    impl LinkSchedule {
+        /// The earliest round `≥ round` that is not completely full.
+        fn next_open(&self, round: u64) -> u64 {
+            match self.full.range(..=round).next_back() {
+                Some((_, &last)) if last >= round => last + 1,
+                _ => round,
+            }
+        }
+
+        /// Records that `round` just became full, merging it with the runs
+        /// ending at `round − 1` and starting at `round + 1`.
+        fn close(&mut self, round: u64) {
+            let last = self.full.remove(&(round + 1)).unwrap_or(round);
+            match self.full.range_mut(..round).next_back() {
+                Some((_, before)) if *before + 1 == round => *before = last,
+                _ => {
+                    self.full.insert(round, last);
+                }
+            }
+        }
+
+        /// First-fit reservation of `bits > 0` on a link of capacity `cap`:
+        /// takes the free capacity of the earliest rounds `≥ start`.
+        /// Returns the last round used and how many rounds were visited —
+        /// every one of them gave bits, and all but the last are now full.
+        fn reserve(&mut self, cap: u64, start: u64, bits: u64) -> (u64, u64) {
+            let (mut round, mut remaining, mut visited) = (start, bits, 0);
+            loop {
+                round = self.next_open(round);
+                visited += 1;
+                let filled = match self.partial.entry(round) {
+                    Entry::Occupied(mut used) => {
+                        let take = (cap - *used.get()).min(remaining);
+                        remaining -= take;
+                        *used.get_mut() += take;
+                        let filled = *used.get() == cap;
+                        if filled {
+                            used.remove();
+                        }
+                        filled
+                    }
+                    Entry::Vacant(unused) => {
+                        let take = cap.min(remaining);
+                        remaining -= take;
+                        if take < cap {
+                            unused.insert(take);
+                        }
+                        take == cap
+                    }
+                };
+                if filled {
+                    self.close(round);
+                }
+                if remaining == 0 {
+                    return (round, visited);
+                }
+                round += 1;
+            }
+        }
+    }
 
     #[test]
     fn single_message_rounds() {
@@ -730,8 +731,8 @@ mod tests {
     #[test]
     fn a_busy_link_costs_one_visit_per_chunk_not_one_per_full_round() {
         // Four messages of 256 capacity-sized chunks over one link, all
-        // learned at round 300 — `send_along_path`'s chunk loop, chunk
-        // `i` ready at `301 + i`. Every message after the first finds
+        // learned at round 300 and sent chunk by chunk, chunk `i` ready
+        // at `301 + i`. Every message after the first finds
         // 256·m full rounds behind each chunk's start; probing them one
         // by one cost 256, 512, 768 lookups per chunk.
         let cap = 16;
@@ -829,8 +830,9 @@ mod tests {
     #[test]
     fn trains_match_chunk_by_chunk_reservation_on_a_busy_link() {
         // Random traffic first, then trains of every shape: chunks
-        // smaller than the capacity, arrival rounds that repeat or skip,
-        // tails that are not a multiple of the chunk.
+        // smaller or larger than the capacity, one-chunk trains, arrival
+        // rounds that repeat or skip, tails that are not a multiple of
+        // the chunk.
         let mut rng = rand::rngs::StdRng::seed_from_u64(7);
         for seed in 0..200 {
             let cap = rng.random_range(1..=12u64);
@@ -839,9 +841,25 @@ mod tests {
                 let bits = rng.random_range(1..=3 * cap);
                 sched.reserve(cap, rng.random_range(1..=60), bits);
             }
-            for _ in 0..4 {
-                let chunk = rng.random_range(1..=cap);
-                let bits = rng.random_range(1..=40 * chunk);
+            for _ in 0..6 {
+                let (chunk, bits) = match rng.random_range(0..3) {
+                    // Chunks up to the capacity, as a path's bottleneck
+                    // cuts them.
+                    0 => {
+                        let chunk = rng.random_range(1..=cap);
+                        (chunk, rng.random_range(1..=40 * chunk))
+                    }
+                    // Chunks wider than the capacity span several rounds.
+                    1 => {
+                        let chunk = rng.random_range(cap + 1..=4 * cap);
+                        (chunk, rng.random_range(1..=10 * chunk))
+                    }
+                    // One chunk covering the payload: a `transmit`.
+                    _ => {
+                        let bits = rng.random_range(1..=5 * cap);
+                        (bits + rng.random_range(0..3u64), bits)
+                    }
+                };
                 let mut t = rng.random_range(0..50u64);
                 let mut times: Vec<u64> = (0..bits.div_ceil(chunk))
                     .map(|_| {
@@ -861,8 +879,8 @@ mod tests {
     fn send_along_path_leaves_the_schedules_chunk_by_chunk_sends_leave() {
         // A line with unequal capacities, so the path between two players
         // is unique and its chunk is the bottleneck's, smaller than what
-        // most hops carry. The reference sends each chunk hop by hop with
-        // `transmit_on`, the way `send_along_path` did.
+        // most hops carry. The reference sends each chunk hop by hop as a
+        // one-chunk train.
         let mut g = Topology::line(6).with_uniform_capacity(8);
         for (l, cap) in [(1, 3), (2, 5), (4, 2)] {
             g.set_capacity(LinkId(l), cap);
@@ -883,8 +901,8 @@ mod tests {
                 if rng.random_bool(0.3) && !links.is_empty() {
                     // A bare message on the first hop, between the trains.
                     assert_eq!(
-                        run.transmit_on(links[0], nodes[0], bits, ready_at),
-                        reference.transmit_on(links[0], nodes[0], bits, ready_at)
+                        run.transmit(nodes[0], nodes[1], bits, ready_at),
+                        reference.transmit(nodes[0], nodes[1], bits, ready_at)
                     );
                     continue;
                 }
@@ -895,11 +913,13 @@ mod tests {
                 while remaining > 0 {
                     let size = chunk.min(remaining);
                     remaining -= size;
-                    let mut t = chunk_ready - 1;
+                    let mut t = [chunk_ready - 1];
                     for (&from, &link) in nodes.iter().zip(&links) {
-                        t = reference.transmit_on(link, from, size, t + 1).unwrap();
+                        reference
+                            .send_train(link, from, size, size, &mut t)
+                            .unwrap();
                     }
-                    last = last.max(t);
+                    last = last.max(t[0]);
                     chunk_ready += 1;
                 }
                 assert_eq!(

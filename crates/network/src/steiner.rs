@@ -251,14 +251,6 @@ impl DeltaPackings {
     }
 }
 
-/// [`DeltaPackings::best`] for a single `work`: `(delta, packing)` for
-/// the minimising Δ, `None` when `g` does not connect `k`.
-pub fn best_delta(g: &Topology, k: &[Player], work: u64) -> Option<(u32, Vec<SteinerTree>)> {
-    let packings = DeltaPackings::new(g, k);
-    let (delta, packing) = packings.best(work)?;
-    Some((delta, packing.to_vec()))
-}
-
 /// Candidate: nearest-neighbour path through all terminals over
 /// available links.
 fn candidate_path(g: &Topology, k: &[Player], avail: &BTreeSet<LinkId>) -> Option<Vec<LinkId>> {
@@ -476,7 +468,8 @@ mod tests {
         let mut g = Topology::ring(4);
         g.set_capacity(LinkId(0), 0);
         let k = players(&[0, 1, 2, 3]);
-        let (_, packing) = best_delta(&g, &k, 10).expect("live links connect K");
+        let packings = DeltaPackings::new(&g, &k);
+        let (_, packing) = packings.best(10).expect("live links connect K");
         assert_eq!(packing.len(), 1);
         assert!(packing[0].is_valid_for(&g, &k));
         assert!(!packing[0].links().contains(&LinkId(0)));
@@ -488,9 +481,10 @@ mod tests {
         // prefer small Δ.
         let g = Topology::clique(6);
         let k: Vec<Player> = (0..6u32).map(Player).collect();
-        let (_, packing_large) = best_delta(&g, &k, 10_000).unwrap();
+        let packings = DeltaPackings::new(&g, &k);
+        let (_, packing_large) = packings.best(10_000).unwrap();
         assert!(packing_large.len() >= 2);
-        let (delta_small, _) = best_delta(&g, &k, 1).unwrap();
+        let (delta_small, _) = packings.best(1).unwrap();
         assert!(delta_small <= 2);
     }
 
@@ -594,12 +588,12 @@ mod tests {
         g.add_link(Player(2), Player(3), 1);
         let k = players(&[0, 1, 2, 3]);
         assert!(DeltaPackings::new(&g, &k).best(8).is_none());
-        assert!(best_delta(&g, &k, 8).is_none());
         // Each half alone is connected.
-        assert_eq!(best_delta(&g, &players(&[2, 3]), 8).unwrap().1.len(), 1);
+        let half = DeltaPackings::new(&g, &players(&[2, 3]));
+        assert_eq!(half.best(8).unwrap().1.len(), 1);
     }
 
-    /// `best_delta` as it was before [`DeltaPackings`]: every candidate
+    /// The best packing as it was chosen before [`DeltaPackings`]: every candidate
     /// Δ re-packed (by the frozen greedy) per call, the unbounded case
     /// always packed again.
     fn repacking_best_delta(g: &Topology, k: &[Player], work: u64) -> (u32, Vec<SteinerTree>) {
@@ -657,12 +651,6 @@ mod tests {
                     let what = format!("{} K = {ids:?} work = {work}", g.name());
                     assert_eq!(delta, want_delta, "{what}");
                     assert_eq!(tree_links(packing), tree_links(&want), "{what}");
-                    let (delta, packing) = best_delta(&g, &k, work).unwrap();
-                    assert_eq!(
-                        (delta, tree_links(&packing)),
-                        (want_delta, tree_links(&want)),
-                        "{what}"
-                    );
                 }
             }
         }

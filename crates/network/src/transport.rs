@@ -80,13 +80,15 @@ pub struct Delivery {
 /// A byte transport with Model 2.1 shadow accounting.
 ///
 /// Both entry points mirror the two routing schedules the distributed
-/// runtime uses ([`NetRun::route_causal`] and [`NetRun::send_along_path`]);
+/// runtime uses ([`NetRun::send_via_shortest_path`] and
+/// [`NetRun::send_along_path`]);
 /// `model_bits` is the Model 2.1 price of the frame's relation, charged
 /// to the shadow simulator identically on every implementation.
 pub trait Transport {
     /// Ships `frame` from `from` to `to` along a shortest live path,
-    /// with the payload learned at the end of round `learned_at`
-    /// (shadow: [`NetRun::route_causal`]).
+    /// with the payload learned at the end of round `learned_at`, so it
+    /// departs at `learned_at + 1` (shadow:
+    /// [`NetRun::send_via_shortest_path`]).
     fn route(
         &mut self,
         from: Player,
@@ -173,7 +175,10 @@ impl Transport for SimTransport<'_> {
         model_bits: u64,
         learned_at: u64,
     ) -> Result<Delivery, TransmitError> {
-        let arrived = self.shadow.route_causal(from, to, model_bits, learned_at);
+        let ready_at = learned_at.saturating_add(1);
+        let arrived = self
+            .shadow
+            .send_via_shortest_path(from, to, model_bits, ready_at);
         self.land(arrived, || Ok(frame.to_vec()))
     }
 
@@ -303,10 +308,11 @@ impl Transport for TcpTransport<'_> {
         model_bits: u64,
         learned_at: u64,
     ) -> Result<Delivery, TransmitError> {
+        let ready_at = learned_at.saturating_add(1);
         let arrived = self
             .memory
             .shadow
-            .route_causal(from, to, model_bits, learned_at);
+            .send_via_shortest_path(from, to, model_bits, ready_at);
         self.memory
             .land(arrived, || self.sockets.ship(from, to, frame))
     }

@@ -4,8 +4,9 @@
 //! on — and the two must agree on every completion round and on the
 //! final `RunStats`, because the schedule's semantics (first-fit per
 //! directed link) did not change, only its cost. The second reference
-//! pipelines a send chunk by chunk, one `transmit_on` per chunk per
-//! hop, where `NetRun` reserves the whole chunk train one hop at a time.
+//! pipelines a send chunk by chunk, one one-chunk `send_train` per chunk
+//! per hop, where `NetRun` reserves the whole chunk train one hop at a
+//! time.
 
 use faqs_network::{LinkId, NetRun, Player, RunStats, Topology, TransmitError};
 use rand::rngs::StdRng;
@@ -120,8 +121,8 @@ fn completion_rounds_and_stats_match_the_probing_schedule() {
 }
 
 /// Pipelined sends the way `NetRun` made them before it reserved chunk
-/// trains: every capacity-sized chunk crosses every hop by its own
-/// `transmit_on`, chunk after chunk.
+/// trains: every capacity-sized chunk crosses every hop as its own
+/// one-chunk train, chunk after chunk.
 struct ChunkByChunk<'a> {
     run: NetRun<'a>,
 }
@@ -145,11 +146,11 @@ impl ChunkByChunk<'_> {
         while remaining > 0 {
             let size = chunk.min(remaining);
             remaining -= size;
-            let mut t = chunk_ready - 1;
+            let mut t = [chunk_ready - 1];
             for (&from, &link) in nodes.iter().zip(links) {
-                t = self.run.transmit_on(link, from, size, t + 1)?;
+                self.run.send_train(link, from, size, size, &mut t)?;
             }
-            last = last.max(t);
+            last = last.max(t[0]);
             chunk_ready += 1;
         }
         Ok(last)
@@ -157,12 +158,12 @@ impl ChunkByChunk<'_> {
 
     /// The shortest live path, each hop to the first live neighbour
     /// closer to `to`, then sent as above.
-    fn route_causal(
+    fn send_via_shortest_path(
         &mut self,
         from: Player,
         to: Player,
         bits: u64,
-        learned_at: u64,
+        ready_at: u64,
     ) -> Result<u64, TransmitError> {
         let g = self.run.topology().clone();
         let dist = g.live_distances(to);
@@ -176,7 +177,7 @@ impl ChunkByChunk<'_> {
             nodes.push(v);
             links.push(l);
         }
-        self.send_along_path(&nodes, &links, bits, learned_at + 1)
+        self.send_along_path(&nodes, &links, bits, ready_at)
     }
 }
 
@@ -243,8 +244,8 @@ fn chunk_trains_match_chunk_by_chunk_sends() {
                 1 => {
                     let from = Player(rng.random_range(0..6));
                     let to = Player(rng.random_range(0..6));
-                    let got = run.route_causal(from, to, bits, at);
-                    let want = reference.route_causal(from, to, bits, at);
+                    let got = run.send_via_shortest_path(from, to, bits, at + 1);
+                    let want = reference.send_via_shortest_path(from, to, bits, at + 1);
                     (format!("route {from}→{to}"), got, want)
                 }
                 _ => {

@@ -33,7 +33,7 @@ pub fn run_faq_protocol<S: Semiring>(
     assignment: &Assignment,
     capacity_tuples: u64,
 ) -> Result<ProtocolOutcome<Relation<S>>, ProtocolError> {
-    crate::trivial::validate(q, assignment)?;
+    crate::trivial::validate(q, g, assignment)?;
     let scaled;
     let g = if capacity_tuples == 0 {
         g

@@ -9,8 +9,8 @@
 //! shortest-path schedules on a pluggable [`Transport`], and the upward
 //! pass of Theorem G.3 runs at per-GHD-node *aggregation players* with
 //! the columnar join kernel. Arrival rounds thread through the dataflow
-//! (`route_causal` semantics), so pipelining and causality hold by
-//! construction.
+//! (a payload learned at round `t` departs at `t + 1`), so pipelining
+//! and causality hold by construction.
 //!
 //! Every remote shard and every message travels as a codec frame
 //! ([`Relation::encode_frame`]) over the transport
@@ -39,7 +39,7 @@
 
 use crate::bounds::{model_capacity_bits, BoundReport};
 use crate::hash_split::ConsistentHashSplit;
-use crate::outcome::{Inputs, ProtocolError, RunReport};
+use crate::outcome::{check_players, Inputs, ProtocolError, RunReport};
 use faqs_core::{Pass, PassSite, QueryPlan, Timed};
 use faqs_hypergraph::{EdgeId, NodeId, Var};
 use faqs_network::{
@@ -135,12 +135,7 @@ impl InputPlacement {
                 "factor {e} has no shard holder"
             )));
         }
-        for p in self.players() {
-            if p.index() >= g.num_players() {
-                return Err(ProtocolError::Invalid(format!("{p} not in topology")));
-            }
-        }
-        Ok(())
+        check_players(g, self.players())
     }
 }
 

@@ -13,7 +13,7 @@
 //! is accounted in the predicted bound.
 
 use crate::bounds::model_capacity_bits;
-use crate::outcome::{Inputs, ProtocolError, ProtocolOutcome};
+use crate::outcome::{check_players, Inputs, ProtocolError, ProtocolOutcome};
 use crate::star::{broadcast_over_packing, convergecast_over_packing, pack};
 use faqs_core::solve_bcq;
 use faqs_hypergraph::Var;
@@ -75,6 +75,7 @@ pub fn run_hash_split_protocol(
     if players.len() < 2 {
         return Err(ProtocolError::Invalid("need at least two shards".into()));
     }
+    check_players(g, players.iter().copied().chain([output]))?;
     // The star's center: a variable present in every hyperedge.
     let center_var: Var = q
         .hypergraph

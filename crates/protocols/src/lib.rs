@@ -6,10 +6,10 @@
 //!   packing in `min_Δ (N / ST(G,K,Δ) + Δ)` rounds.
 //! * [`run_trivial`] — Lemma 3.1: ship every relation to the output
 //!   player (`τ_MCF` rounds) and solve locally.
-//! * [`star`] — Algorithm 1 (BCQ) / Algorithm 3 (general FAQ with
+//! * the star phase — Algorithm 1 (BCQ) / Algorithm 3 (general FAQ with
 //!   aggregate push-down): broadcast the star's center relation over the
 //!   packing, compute leaf messages locally, converge-cast their
-//!   `⊗`-product back.
+//!   `⊗`-product back, each as one chunk train per tree edge.
 //! * [`run_faq_protocol`] / [`run_bcq_protocol`] — the full d-degenerate
 //!   pipeline of Theorem 4.1 / F.1 / G.4: peel `y(H)` stars off the
 //!   GYO-GHD bottom-up, then finish the core with the trivial protocol
@@ -42,7 +42,7 @@ mod distributed;
 mod hash_split;
 mod outcome;
 mod setint;
-pub mod star;
+mod star;
 mod trivial;
 
 pub use bounds::{model_capacity_bits, BoundReport};

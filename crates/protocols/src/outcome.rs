@@ -3,7 +3,7 @@
 //! and checked live.
 
 use crate::bounds::BoundReport;
-use faqs_network::{NetRun, RunStats, Topology, WireStats};
+use faqs_network::{NetRun, Player, RunStats, Topology, WireStats};
 use faqs_relation::{CodecError, FaqQuery};
 use faqs_semiring::Semiring;
 
@@ -67,6 +67,19 @@ impl std::fmt::Display for ProtocolError {
 }
 
 impl std::error::Error for ProtocolError {}
+
+/// [`ProtocolError::Invalid`] naming the first of `players` that `g`
+/// does not have: every protocol door refuses such a player before it
+/// indexes anything by it.
+pub(crate) fn check_players(
+    g: &Topology,
+    players: impl IntoIterator<Item = Player>,
+) -> Result<(), ProtocolError> {
+    match players.into_iter().find(|p| p.index() >= g.num_players()) {
+        Some(p) => Err(ProtocolError::Invalid(format!("{p} not in topology"))),
+        None => Ok(()),
+    }
+}
 
 /// The result of one run of the paper's protocols: the answer and the
 /// report the run was checked against.

@@ -3,7 +3,7 @@
 //! `Θ(min_Δ (N / ST(G,K,Δ) + Δ))` rounds over a bounded-diameter
 //! Steiner-tree packing.
 
-use crate::outcome::{Inputs, ProtocolError, ProtocolOutcome};
+use crate::outcome::{check_players, Inputs, ProtocolError, ProtocolOutcome};
 use crate::star::{convergecast_over_packing, pack};
 use faqs_network::{NetRun, Player, Topology};
 use faqs_semiring::Boolean;
@@ -25,6 +25,7 @@ pub fn run_set_intersection(
     if inputs.iter().any(|(_, v)| v.len() != n) {
         return Err(ProtocolError::Invalid("vector lengths differ".into()));
     }
+    check_players(g, inputs.iter().map(|(p, _)| *p).chain([output]))?;
 
     let mut k: Vec<Player> = inputs.iter().map(|(p, _)| *p).collect();
     k.sort_unstable();

@@ -15,10 +15,10 @@
 //! generalised to `⊗`.
 
 use crate::outcome::ProtocolError;
-use faqs_network::{best_delta, NetRun, Player, SteinerTree, Topology};
+use faqs_network::{DeltaPackings, LinkId, NetRun, Player, SteinerTree, Topology, TransmitError};
 use faqs_relation::Relation;
 use faqs_semiring::Semiring;
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, HashMap};
 
 /// One leaf's contribution to a star phase.
 #[derive(Clone, Debug)]
@@ -39,29 +39,44 @@ pub struct StarPhaseResult<S: Semiring> {
     pub completed_at: u64,
 }
 
-/// Orientation of a Steiner tree from a chosen root: `(bfs order,
-/// parent map)`.
-fn orient(tree: &SteinerTree, root: Player) -> (Vec<Player>, HashMap<Player, Player>) {
+/// A Steiner tree oriented from `root`: its players in BFS order (`root`
+/// first) and, for each player after the root, its parent's position in
+/// that order and the tree link joining them (`up[i]` for `order[i + 1]`).
+fn orient(tree: &SteinerTree, root: Player) -> (Vec<Player>, Vec<(usize, LinkId)>) {
     let mut order = vec![root];
-    let mut parent = HashMap::new();
+    let mut up = Vec::new();
     let mut seen: BTreeSet<Player> = BTreeSet::from([root]);
-    let mut q = VecDeque::from([root]);
-    while let Some(u) = q.pop_front() {
-        for &(v, _) in tree.neighbors(u) {
+    let mut parent = 0;
+    while let Some(&u) = order.get(parent) {
+        for &(v, link) in tree.neighbors(u) {
             if seen.insert(v) {
-                parent.insert(v, u);
                 order.push(v);
-                q.push_back(v);
+                up.push((parent, link));
             }
         }
+        parent += 1;
     }
-    (order, parent)
+    (order, up)
+}
+
+/// The chunk a train over `tree` is cut to: its smallest link capacity,
+/// at least one bit.
+fn tree_chunk(run: &NetRun, tree: &SteinerTree) -> u64 {
+    let g = run.topology();
+    let smallest = tree.links().iter().map(|&l| g.capacity(l)).min();
+    smallest.unwrap_or(1).max(1)
+}
+
+/// A tree edge the scheduler refused: the packing does not connect.
+fn unreachable_by(e: TransmitError) -> ProtocolError {
+    ProtocolError::Unreachable(e.to_string())
 }
 
 /// Broadcasts `total_bits` of data from `source` to every player of
-/// `members` over the packing: the payload is split round-robin across
-/// the trees; within each tree the part is flooded from the source with
-/// per-chunk pipelining. Returns each member's completion round.
+/// `members` over the packing: the payload is split evenly across the
+/// trees; within each tree the part is flooded from the source as one
+/// chunk train per tree edge, pipelined. Returns each member's
+/// completion round.
 pub fn broadcast_over_packing(
     run: &mut NetRun,
     packing: &[SteinerTree],
@@ -86,34 +101,23 @@ pub fn broadcast_over_packing(
                 "broadcast source {source} not spanned by packing tree"
             )));
         }
-        let (order, parent) = orient(tree, source);
-        // Chunk the part to the smallest link capacity in the tree.
-        let chunk = tree
-            .links()
-            .iter()
-            .map(|l| run.topology().capacity(*l))
-            .min()
-            .unwrap_or(1);
-        let chunks: Vec<u64> = split_chunks(part, chunk);
-        // ready[player][chunk] = round after which the chunk is local.
-        let mut ready: HashMap<Player, Vec<u64>> =
-            HashMap::from([(source, vec![phase_start.saturating_sub(1); chunks.len()])]);
-        for &node in order.iter().skip(1) {
-            let p = parent[&node];
-            let up = ready[&p].clone();
-            let mut mine = Vec::with_capacity(chunks.len());
-            for (c, &sz) in chunks.iter().enumerate() {
-                let done = run
-                    .transmit(p, node, sz, up[c] + 1)
-                    .map_err(|e| ProtocolError::Unreachable(e.to_string()))?;
-                mine.push(done);
-            }
-            ready.insert(node, mine);
+        let (order, up) = orient(tree, source);
+        let chunk = tree_chunk(run, tree);
+        // ready[i][c] = round after which chunk `c` is at `order[i]`.
+        let mut ready = vec![vec![
+            phase_start.saturating_sub(1);
+            part.div_ceil(chunk) as usize
+        ]];
+        for &(p, link) in &up {
+            let mut times = ready[p].clone();
+            run.send_train(link, order[p], chunk, part, &mut times)
+                .map_err(unreachable_by)?;
+            ready.push(times);
         }
-        for (&player, times) in &ready {
-            if let Some(t) = times.last() {
-                let e = arrival.entry(player).or_insert(0);
-                *e = (*e).max(*t);
+        for (player, times) in order.iter().zip(&ready) {
+            if let Some(&t) = times.last() {
+                let e = arrival.entry(*player).or_insert(0);
+                *e = (*e).max(t);
             }
         }
     }
@@ -128,27 +132,13 @@ pub fn broadcast_over_packing(
     Ok(arrival)
 }
 
-fn split_chunks(total: u64, chunk: u64) -> Vec<u64> {
-    let chunk = chunk.max(1);
-    let mut out = Vec::with_capacity((total / chunk + 1) as usize);
-    let mut rem = total;
-    while rem > 0 {
-        let c = chunk.min(rem);
-        out.push(c);
-        rem -= c;
-    }
-    if out.is_empty() {
-        out.push(0);
-    }
-    out
-}
-
 /// Converge-casts the `⊗`-product of per-player value vectors to
 /// `output` over the packing: coordinates are split across trees; within
 /// a tree, each node combines its own entries with its children's and
-/// forwards upward, chunk-pipelined. `ready[p]` is the round after which
-/// player `p`'s vector is available locally. Entries cost `entry_bits`
-/// on the wire. Returns the combined vector and the completion round.
+/// forwards upward as one chunk train per tree edge, pipelined.
+/// `ready[p]` is the round after which player `p`'s vector is available
+/// locally. Entries cost `entry_bits` on the wire. Returns the combined
+/// vector and the completion round.
 pub fn convergecast_over_packing<S: Semiring>(
     run: &mut NetRun,
     packing: &[SteinerTree],
@@ -171,6 +161,7 @@ pub fn convergecast_over_packing<S: Semiring>(
     let blocks: Vec<Vec<usize>> = (0..trees)
         .map(|t| (t..n).step_by(trees).collect())
         .collect();
+    let entry_bits = entry_bits.max(1);
 
     for (tree, block) in packing.iter().zip(blocks.iter()) {
         if block.is_empty() {
@@ -181,53 +172,37 @@ pub fn convergecast_over_packing<S: Semiring>(
                 "output {output} not spanned by packing tree"
             )));
         }
-        let (order, parent) = orient(tree, output);
-        let chunk_entries = {
-            let min_cap = tree
-                .links()
-                .iter()
-                .map(|l| run.topology().capacity(*l))
-                .min()
-                .unwrap_or(1);
-            (min_cap / entry_bits.max(1)).max(1) as usize
-        };
-        // Per node: (vector over block, per-chunk ready rounds).
-        let mut acc: HashMap<Player, (Vec<S>, Vec<u64>)> = HashMap::new();
-        let n_chunks = block.len().div_ceil(chunk_entries);
-        for &p in order.iter() {
-            let own: Vec<S> = match vectors.get(&p) {
-                Some(v) => block.iter().map(|&i| v[i].clone()).collect(),
-                None => vec![S::one(); block.len()],
-            };
-            let t0 = ready.get(&p).copied().unwrap_or(0);
-            acc.insert(p, (own, vec![t0; n_chunks]));
-        }
+        let (order, up) = orient(tree, output);
+        // A chunk is as many whole entries as the smallest link carries
+        // per round, at least one.
+        let chunk = (tree_chunk(run, tree) / entry_bits).max(1) * entry_bits;
+        let bits = block.len() as u64 * entry_bits;
+        let chunks = bits.div_ceil(chunk) as usize;
+        // Per node, in `order`: (vector over block, per-chunk ready rounds).
+        let mut acc: Vec<(Vec<S>, Vec<u64>)> = order
+            .iter()
+            .map(|p| {
+                let own: Vec<S> = match vectors.get(p) {
+                    Some(v) => block.iter().map(|&i| v[i].clone()).collect(),
+                    None => vec![S::one(); block.len()],
+                };
+                (own, vec![ready.get(p).copied().unwrap_or(0); chunks])
+            })
+            .collect();
         // Children before parents: reverse BFS order.
-        for &node in order.iter().rev() {
-            if node == output {
-                continue;
-            }
-            let p = parent[&node];
-            let (vec_n, ready_n) = acc.remove(&node).expect("node present");
-            let mut times = Vec::with_capacity(n_chunks);
-            for (c, r) in ready_n.iter().enumerate() {
-                let lo = c * chunk_entries;
-                let hi = ((c + 1) * chunk_entries).min(block.len());
-                let bits = (hi - lo) as u64 * entry_bits.max(1);
-                let done = run
-                    .transmit(node, p, bits, r + 1)
-                    .map_err(|e| ProtocolError::Unreachable(e.to_string()))?;
-                times.push(done);
-            }
-            let entry = acc.get_mut(&p).expect("parent present");
-            for (e, v) in entry.0.iter_mut().zip(vec_n.iter()) {
+        for (i, &(p, link)) in up.iter().enumerate().rev() {
+            let (vec_n, mut times) = std::mem::take(&mut acc[i + 1]);
+            run.send_train(link, order[i + 1], chunk, bits, &mut times)
+                .map_err(unreachable_by)?;
+            let (vec_p, ready_p) = &mut acc[p];
+            for (e, v) in vec_p.iter_mut().zip(&vec_n) {
                 *e = e.mul(v);
             }
-            for (c, t) in times.iter().enumerate() {
-                entry.1[c] = entry.1[c].max(*t);
+            for (r, t) in ready_p.iter_mut().zip(&times) {
+                *r = (*r).max(*t);
             }
         }
-        let (vec_out, ready_out) = &acc[&output];
+        let (vec_out, ready_out) = &acc[0];
         for (slot, &i) in block.iter().enumerate() {
             result[i] = result[i].mul(&vec_out[slot]);
         }
@@ -237,15 +212,19 @@ pub fn convergecast_over_packing<S: Semiring>(
 }
 
 /// The Steiner packing best suited to moving `bits` among `k` on `g`
-/// ([`best_delta`], the work counted in `g`'s smallest live capacity);
-/// [`ProtocolError::Unreachable`] when `g` does not connect `k`.
+/// ([`DeltaPackings::best`], the work counted in `g`'s smallest live
+/// capacity); [`ProtocolError::Unreachable`] when `g` does not connect
+/// `k`.
 pub(crate) fn pack(
     g: &Topology,
     k: &[Player],
     bits: u64,
 ) -> Result<(u32, Vec<SteinerTree>), ProtocolError> {
-    best_delta(g, k, bits.div_ceil(g.min_live_capacity()))
-        .ok_or_else(|| ProtocolError::Unreachable("no Steiner tree connects the players".into()))
+    let packings = DeltaPackings::new(g, k);
+    let (delta, packing) = packings
+        .best(bits.div_ceil(g.min_live_capacity()))
+        .ok_or_else(|| ProtocolError::Unreachable("no Steiner tree connects the players".into()))?;
+    Ok((delta, packing.to_vec()))
 }
 
 /// Executes one star phase: broadcast the center relation to every
@@ -463,7 +442,7 @@ mod tests {
         let g = Topology::clique(4).with_uniform_capacity(8);
         let mut run = NetRun::new(&g);
         let k: Vec<Player> = (0..4u32).map(Player).collect();
-        let (_, packing) = best_delta(&g, &k, n).unwrap();
+        let (_, packing) = pack(&g, &k, n * 8).unwrap();
         assert!(packing.len() >= 2);
         let arrival = broadcast_over_packing(&mut run, &packing, Player(0), &k, n * 8, 1).unwrap();
         let worst = arrival.values().max().unwrap();
@@ -478,7 +457,7 @@ mod tests {
         let g = Topology::star(4).with_uniform_capacity(4);
         let mut run = NetRun::new(&g);
         let k: Vec<Player> = (1..4u32).map(Player).collect();
-        let (_, packing) = best_delta(&g, &k, 8).unwrap();
+        let (_, packing) = pack(&g, &k, 8 * 4).unwrap();
         let vectors: HashMap<Player, Vec<Count>> = [
             (Player(1), vec![Count(2), Count(3)]),
             (Player(2), vec![Count(5), Count(1)]),

@@ -4,7 +4,7 @@
 //! compared against, and the sub-protocol handling the cyclic core
 //! `C(H)` in the d-degenerate pipeline.
 
-use crate::outcome::{Inputs, ProtocolError, ProtocolOutcome};
+use crate::outcome::{check_players, Inputs, ProtocolError, ProtocolOutcome};
 use faqs_core::{solve_faq, EngineError};
 use faqs_network::{tau_mcf, Assignment, NetRun, Topology};
 use faqs_relation::{FaqQuery, Relation};
@@ -18,7 +18,7 @@ pub fn run_trivial<S: Semiring>(
     g: &Topology,
     assignment: &Assignment,
 ) -> Result<ProtocolOutcome<Relation<S>>, ProtocolError> {
-    validate(q, assignment)?;
+    validate(q, g, assignment)?;
     let output = assignment.output();
     let mut run = NetRun::new(g);
 
@@ -48,15 +48,20 @@ pub fn run_trivial<S: Semiring>(
     ProtocolOutcome::checked::<S>(answer, &run, inputs, predicted, None)
 }
 
-/// Refuses an invalid query, or an assignment of another relation count.
-pub(crate) fn validate<S: Semiring>(q: &FaqQuery<S>, a: &Assignment) -> Result<(), ProtocolError> {
+/// Refuses an invalid query, an assignment of another relation count,
+/// or one naming a player `g` does not have.
+pub(crate) fn validate<S: Semiring>(
+    q: &FaqQuery<S>,
+    g: &Topology,
+    a: &Assignment,
+) -> Result<(), ProtocolError> {
     q.validate()
         .map_err(|e| ProtocolError::Invalid(e.to_string()))?;
     if a.len() != q.k() {
         let holders = format!("{} holders for {} relations", a.len(), q.k());
         return Err(ProtocolError::Invalid(holders));
     }
-    Ok(())
+    check_players(g, a.players())
 }
 
 #[cfg(test)]

@@ -276,7 +276,7 @@ impl<S: Semiring> Relation<S> {
     }
 
     /// The variables shared with `other`, in this schema's order.
-    pub fn shared_vars(&self, other: &Relation<S>) -> Vec<Var> {
+    fn shared_vars(&self, other: &Relation<S>) -> Vec<Var> {
         self.schema
             .iter()
             .copied()
@@ -467,13 +467,6 @@ impl<S: Semiring> Relation<S> {
             schema: self.schema.clone(),
             arena: Arena::new(data, values),
         }
-    }
-
-    /// Replaces every annotation with `1` — the "identity map" trick of
-    /// Algorithm 3 (step 8) that stops the star center's values being
-    /// multiplied in more than once.
-    pub fn identity_map(&self) -> Relation<S> {
-        self.map_values(|_| S::one())
     }
 
     /// `⊕`-total of all annotations: with `F = ∅` this is the FAQ answer
@@ -753,7 +746,7 @@ mod tests {
     #[test]
     fn identity_map_resets_values() {
         let r = count_rel(&[0], &[(&[1], 5), (&[2], 9)]);
-        let id = r.identity_map();
+        let id = r.map_values(|_| Count(1));
         assert_eq!(id.get(&[1]), Some(&Count(1)));
         assert_eq!(id.get(&[2]), Some(&Count(1)));
     }

@@ -76,10 +76,16 @@ fn assert_canonical<S: Semiring>(r: &Relation<S>, what: &str) {
     }
 }
 
+/// The variables `a` shares with `b`, in `a`'s order.
+fn shared_vars<S: Semiring>(a: &Relation<S>, b: &Relation<S>) -> Vec<Var> {
+    let shared = a.schema().iter().copied();
+    shared.filter(|v| b.schema().contains(v)).collect()
+}
+
 /// Nested-loop reference join: every pair of tuples agreeing on the
 /// shared variables contributes the ⊗-product.
 fn ref_join<S: Semiring>(a: &Relation<S>, b: &Relation<S>) -> Relation<S> {
-    let shared = a.shared_vars(b);
+    let shared = shared_vars(a, b);
     let a_pos: Vec<usize> = shared
         .iter()
         .map(|v| a.schema().iter().position(|w| w == v).unwrap())
@@ -116,7 +122,7 @@ fn ref_join<S: Semiring>(a: &Relation<S>, b: &Relation<S>) -> Relation<S> {
 /// Nested-loop reference semijoin: keep `a`'s entries with a witness in
 /// `b` on the shared variables, annotations untouched.
 fn ref_semijoin<S: Semiring>(a: &Relation<S>, b: &Relation<S>) -> Relation<S> {
-    let shared = a.shared_vars(b);
+    let shared = shared_vars(a, b);
     let a_pos: Vec<usize> = shared
         .iter()
         .map(|v| a.schema().iter().position(|w| w == v).unwrap())

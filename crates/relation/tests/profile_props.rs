@@ -70,7 +70,7 @@ fn message(r: &Relation<Count>, rng: &mut StdRng) -> Relation<Count> {
         .filter(|_| rng.random_range(0..2) == 0)
         .map(|t| (pos.iter().map(|&p| t[p]).collect(), Count(1)))
         .collect();
-    Relation::from_pairs(schema, rows).identity_map()
+    Relation::from_pairs(schema, rows).map_values(|_| Count(1))
 }
 
 /// One random operation on `r`; returns its name for failure messages.

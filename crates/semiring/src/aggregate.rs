@@ -59,15 +59,6 @@ impl Aggregate {
             })
         }
     }
-
-    /// Whether this aggregate is a semiring aggregate (as opposed to the
-    /// product aggregate). The distributed push-down rule (Corollary G.2)
-    /// treats both uniformly, but the centralized engine orders semiring
-    /// aggregates after product aggregates within a bag.
-    #[must_use]
-    pub fn is_semiring_aggregate(self) -> bool {
-        !matches!(self, Aggregate::Product)
-    }
 }
 
 #[cfg(test)]
@@ -118,7 +109,5 @@ mod tests {
     #[test]
     fn default_is_sum() {
         assert_eq!(Aggregate::default(), Aggregate::Sum);
-        assert!(Aggregate::Sum.is_semiring_aggregate());
-        assert!(!Aggregate::Product.is_semiring_aggregate());
     }
 }

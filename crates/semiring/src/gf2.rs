@@ -14,12 +14,6 @@ use crate::traits::{Ring, Semiring};
 pub struct Gf2(pub bool);
 
 impl Gf2 {
-    /// Constructs from the low bit of `v`.
-    #[inline]
-    pub fn from_bit(v: u64) -> Self {
-        Gf2(v & 1 == 1)
-    }
-
     /// Returns the value as `0` or `1`.
     #[inline]
     pub fn bit(self) -> u64 {
@@ -125,7 +119,7 @@ mod tests {
 
     #[test]
     fn bit_roundtrip() {
-        assert_eq!(Gf2::from_bit(3).bit(), 1);
-        assert_eq!(Gf2::from_bit(2).bit(), 0);
+        assert_eq!(Gf2(3 & 1 == 1).bit(), 1);
+        assert_eq!(Gf2(2 & 1 == 1).bit(), 0);
     }
 }

@@ -281,11 +281,6 @@ impl<S: Semiring> FaqServer<S> {
             cache: s.executor.cache_stats(),
         }
     }
-
-    /// The batch width: [`ServeConfig::max_batch`], at least 1.
-    pub fn batch_width(&self) -> usize {
-        self.shared.width()
-    }
 }
 
 impl<S: Semiring> Drop for FaqServer<S> {
