@@ -52,6 +52,8 @@ pub enum TransmitError {
     /// A path given to [`NetRun::send_along_path`] visits this player
     /// twice, so a directed link could carry the same chunk twice.
     NotSimple(Player),
+    /// The topology has no link with this id.
+    NoSuchLink(LinkId),
     /// The physical medium failed while carrying a frame the shadow
     /// simulator had already scheduled (e.g. a refused or reset socket).
     Io {
@@ -75,6 +77,7 @@ impl std::fmt::Display for TransmitError {
                 write!(f, "no positive-capacity route from {a} to {b}")
             }
             TransmitError::NotSimple(p) => write!(f, "the path visits {p} twice"),
+            TransmitError::NoSuchLink(l) => write!(f, "the topology has no link {}", l.0),
             TransmitError::Io { from, to, kind } => {
                 write!(f, "I/O failure shipping from {from} to {to}: {kind}")
             }
@@ -316,9 +319,11 @@ impl<'a> NetRun<'a> {
     /// link, in order (see [`NetRun::transmit`]). Every send is built on
     /// this door: it alone reserves and tallies.
     ///
-    /// A down link (capacity `0`) is [`TransmitError::ZeroCapacity`],
-    /// even for an empty train; a `from` that is not an end of `link` is
-    /// [`TransmitError::NotAdjacent`]. Nothing is reserved on an error.
+    /// A `link` the topology does not have is
+    /// [`TransmitError::NoSuchLink`]; a down link (capacity `0`) is
+    /// [`TransmitError::ZeroCapacity`], even for an empty train; a `from`
+    /// that is not an end of `link` is [`TransmitError::NotAdjacent`].
+    /// Nothing is reserved on an error.
     ///
     /// # Panics
     ///
@@ -332,6 +337,9 @@ impl<'a> NetRun<'a> {
         bits: u64,
         times: &mut [u64],
     ) -> Result<(), TransmitError> {
+        if link.index() >= self.g.num_links() {
+            return Err(TransmitError::NoSuchLink(link));
+        }
         let cap = self.g.capacity(link);
         if cap == 0 {
             return Err(TransmitError::ZeroCapacity(link));
@@ -413,7 +421,8 @@ impl<'a> NetRun<'a> {
     ///
     /// The path is checked before anything is reserved:
     /// [`TransmitError::NotAdjacent`] for a hop whose link does not join
-    /// its two players, or for `nodes.len() != links.len() + 1` (naming
+    /// its two players (a link the topology does not have included), or
+    /// for `nodes.len() != links.len() + 1` (naming
     /// the path's two ends); [`TransmitError::NotSimple`] for a repeated
     /// player; then [`TransmitError::ZeroCapacity`] for a down link.
     /// Then each hop is one [`NetRun::send_train`]: that hop's landing
@@ -455,8 +464,8 @@ impl<'a> NetRun<'a> {
             return Err(TransmitError::NotAdjacent(first, last));
         }
         for (i, (pair, &link)) in nodes.windows(2).zip(links).enumerate() {
-            let (a, b) = self.g.link(link);
-            if (a, b) != (pair[0], pair[1]) && (b, a) != (pair[0], pair[1]) {
+            let joins = |(a, b)| (a, b) == (pair[0], pair[1]) || (b, a) == (pair[0], pair[1]);
+            if link.index() >= self.g.num_links() || !joins(self.g.link(link)) {
                 return Err(TransmitError::NotAdjacent(pair[0], pair[1]));
             }
             if nodes[..=i].contains(&pair[1]) {
@@ -971,6 +980,16 @@ mod tests {
                 l(&[1, 1, 2]),
                 TransmitError::NotSimple(Player(2)),
             ),
+            (
+                p(&[0, 1]),
+                l(&[9]),
+                TransmitError::NotAdjacent(Player(0), Player(1)),
+            ),
+            (
+                p(&[0, 1, 2]),
+                l(&[0, 3]),
+                TransmitError::NotAdjacent(Player(1), Player(2)),
+            ),
         ];
         for (nodes, links, error) in refusals {
             for bits in [0, 9] {
@@ -987,6 +1006,20 @@ mod tests {
             run.send_along_path(&p(&[2, 1, 0]), &l(&[1, 0]), 8, 1),
             Ok(3)
         );
+    }
+
+    #[test]
+    fn send_train_refuses_a_link_the_topology_does_not_have() {
+        let g = Topology::line(3).with_uniform_capacity(4);
+        let mut run = NetRun::new(&g);
+        for (bits, mut times) in [(0, vec![]), (8, vec![0, 0])] {
+            assert_eq!(
+                run.send_train(LinkId(2), Player(0), 4, bits, &mut times),
+                Err(TransmitError::NoSuchLink(LinkId(2)))
+            );
+        }
+        assert_eq!(run.stats(), RunStats::default(), "nothing was accounted");
+        assert_eq!(run.link_bits(), [0, 0]);
     }
 
     #[test]

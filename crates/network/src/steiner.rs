@@ -16,23 +16,25 @@
 //!   (general fallback).
 
 use crate::topology::{LinkId, Player, Topology};
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::iter;
 
 /// An edge-disjoint Steiner tree of a packing.
 #[derive(Clone, Debug)]
 pub struct SteinerTree {
     links: Vec<LinkId>,
-    adj: HashMap<Player, Vec<(Player, LinkId)>>,
+    /// Tree neighbours by player index, each in the order its links
+    /// were added; empty off the tree.
+    adj: Vec<Vec<(Player, LinkId)>>,
 }
 
 impl SteinerTree {
     fn new(g: &Topology, links: Vec<LinkId>) -> Self {
-        let mut adj: HashMap<Player, Vec<(Player, LinkId)>> = HashMap::new();
+        let mut adj = vec![Vec::new(); g.num_players()];
         for &l in &links {
             let (a, b) = g.link(l);
-            adj.entry(a).or_default().push((b, l));
-            adj.entry(b).or_default().push((a, l));
+            adj[a.index()].push((b, l));
+            adj[b.index()].push((a, l));
         }
         SteinerTree { links, adj }
     }
@@ -42,30 +44,26 @@ impl SteinerTree {
         &self.links
     }
 
-    /// Nodes of the tree.
-    pub fn nodes(&self) -> impl Iterator<Item = Player> + '_ {
-        self.adj.keys().copied()
-    }
-
     /// Whether `p` belongs to the tree.
     pub fn contains(&self, p: Player) -> bool {
-        self.adj.contains_key(&p)
+        !self.neighbors(p).is_empty()
     }
 
-    /// Tree neighbours of `p`.
+    /// Tree neighbours of `p`, in the order the tree's links list them.
     pub fn neighbors(&self, p: Player) -> &[(Player, LinkId)] {
-        self.adj.get(&p).map(|v| v.as_slice()).unwrap_or(&[])
+        self.adj.get(p.index()).map_or(&[], Vec::as_slice)
     }
 
-    /// Tree distances from `s` (nodes off the tree: absent).
-    pub fn distances(&self, s: Player) -> HashMap<Player, u32> {
-        let mut dist = HashMap::from([(s, 0u32)]);
+    /// Tree distances from `s` by player index (`u32::MAX` off the tree).
+    fn distances(&self, s: Player) -> Vec<u32> {
+        let mut dist = vec![u32::MAX; self.adj.len()];
+        dist[s.index()] = 0;
         let mut q = VecDeque::from([s]);
         while let Some(u) = q.pop_front() {
-            let du = dist[&u];
+            let du = dist[u.index()];
             for &(v, _) in self.neighbors(u) {
-                if let std::collections::hash_map::Entry::Vacant(e) = dist.entry(v) {
-                    e.insert(du + 1);
+                if dist[v.index()] == u32::MAX {
+                    dist[v.index()] = du + 1;
                     q.push_back(v);
                 }
             }
@@ -74,59 +72,61 @@ impl SteinerTree {
     }
 
     /// The paper's tree diameter: max distance between two *terminals*.
-    pub fn terminal_diameter(&self, k: &[Player]) -> u32 {
+    fn terminal_diameter(&self, k: &[Player]) -> u32 {
         let mut best = 0;
         for &a in k {
             let d = self.distances(a);
             for &b in k {
-                best = best.max(*d.get(&b).unwrap_or(&u32::MAX));
+                best = best.max(d[b.index()]);
             }
         }
         best
     }
 
     /// Whether the tree spans all terminals and is connected and acyclic.
-    pub fn is_valid_for(&self, g: &Topology, k: &[Player]) -> bool {
-        if self.links.is_empty() {
+    fn is_valid_for(&self, k: &[Player]) -> bool {
+        let Some(&start) = k.first() else {
             return false;
-        }
-        let _ = g;
-        let start = *k.first().expect("terminals non-empty");
-        if !self.contains(start) {
+        };
+        if self.links.is_empty() || !self.contains(start) {
             return false;
         }
         let dist = self.distances(start);
-        if !k.iter().all(|t| dist.contains_key(t)) {
+        if k.iter().any(|t| dist[t.index()] == u32::MAX) {
             return false;
         }
         // Connected with |nodes| = |links| + 1 ⇔ tree.
-        dist.len() == self.links.len() + 1 && dist.len() == self.adj.len()
+        let reached = dist.iter().filter(|&&d| d != u32::MAX).count();
+        let nodes = self.adj.iter().filter(|n| !n.is_empty()).count();
+        reached == self.links.len() + 1 && reached == nodes
     }
 
     /// The path between two tree nodes, as `(hop player sequence, links)`.
     pub fn path(&self, from: Player, to: Player) -> Option<(Vec<Player>, Vec<LinkId>)> {
-        let mut parent: HashMap<Player, (Player, LinkId)> = HashMap::new();
-        let mut seen = BTreeSet::from([from]);
+        if from == to {
+            return Some((vec![from], Vec::new()));
+        }
+        if !self.contains(from) || !self.contains(to) {
+            return None;
+        }
+        let mut parent: Vec<Option<(Player, LinkId)>> = vec![None; self.adj.len()];
         let mut q = VecDeque::from([from]);
         while let Some(u) = q.pop_front() {
             if u == to {
                 break;
             }
             for &(v, l) in self.neighbors(u) {
-                if seen.insert(v) {
-                    parent.insert(v, (u, l));
+                if v != from && parent[v.index()].is_none() {
+                    parent[v.index()] = Some((u, l));
                     q.push_back(v);
                 }
             }
-        }
-        if !seen.contains(&to) {
-            return None;
         }
         let mut nodes = vec![to];
         let mut links = Vec::new();
         let mut cur = to;
         while cur != from {
-            let (p, l) = parent[&cur];
+            let (p, l) = parent[cur.index()]?;
             links.push(l);
             nodes.push(p);
             cur = p;
@@ -147,14 +147,15 @@ pub fn steiner_packing(g: &Topology, k: &[Player], delta: u32) -> Vec<SteinerTre
     Candidates::new(g, k).pack(delta)
 }
 
-/// The valid candidate trees of one `(G, K)` per available-link set,
-/// each with its terminal diameter. Neither depends on Δ, so every Δ
-/// packed through one `Candidates` generates and checks a link set's
-/// candidates once; the memo lives as long as that one packing call.
+/// The valid candidate trees of one `(G, K)` per available-link set
+/// (`avail[l]` for link `l`), each with its terminal diameter. Neither
+/// depends on Δ, so every Δ packed through one `Candidates` generates
+/// and checks a link set's candidates once; the memo lives as long as
+/// that one packing call.
 struct Candidates<'g> {
     g: &'g Topology,
     k: &'g [Player],
-    by_avail: HashMap<BTreeSet<LinkId>, Vec<(u32, SteinerTree)>>,
+    by_avail: HashMap<Vec<bool>, Vec<(u32, SteinerTree)>>,
 }
 
 impl<'g> Candidates<'g> {
@@ -170,7 +171,7 @@ impl<'g> Candidates<'g> {
     /// The greedy packing at diameter bound `delta`.
     fn pack(&mut self, delta: u32) -> Vec<SteinerTree> {
         let g = self.g;
-        let mut avail: BTreeSet<LinkId> = g.links().filter(|&l| g.capacity(l) > 0).collect();
+        let mut avail: Vec<bool> = g.links().map(|l| g.capacity(l) > 0).collect();
         let mut packing = Vec::new();
         // Among valid candidates within the diameter bound, prefer the
         // one using the fewest links (leaving more for later trees).
@@ -182,7 +183,7 @@ impl<'g> Candidates<'g> {
             .min_by_key(|t| t.links().len())
         {
             for l in tree.links() {
-                avail.remove(l);
+                avail[l.index()] = false;
             }
             packing.push(tree.clone());
         }
@@ -191,10 +192,10 @@ impl<'g> Candidates<'g> {
 
     /// The valid candidates on `avail` with their terminal diameters, in
     /// generator order.
-    fn on(&mut self, avail: &BTreeSet<LinkId>) -> &[(u32, SteinerTree)] {
+    fn on(&mut self, avail: &[bool]) -> &[(u32, SteinerTree)] {
         let (g, k) = (self.g, self.k);
-        self.by_avail.entry(avail.clone()).or_insert_with(|| {
-            [
+        if !self.by_avail.contains_key(avail) {
+            let valid = [
                 candidate_path(g, k, avail),
                 candidate_hub(g, k, avail),
                 candidate_bfs(g, k, avail),
@@ -202,10 +203,12 @@ impl<'g> Candidates<'g> {
             .into_iter()
             .flatten()
             .map(|links| SteinerTree::new(g, links))
-            .filter(|t| t.is_valid_for(g, k))
+            .filter(|t| t.is_valid_for(k))
             .map(|t| (t.terminal_diameter(k), t))
-            .collect()
-        })
+            .collect();
+            self.by_avail.insert(avail.to_vec(), valid);
+        }
+        &self.by_avail[avail]
     }
 }
 
@@ -253,25 +256,29 @@ impl DeltaPackings {
 
 /// Candidate: nearest-neighbour path through all terminals over
 /// available links.
-fn candidate_path(g: &Topology, k: &[Player], avail: &BTreeSet<LinkId>) -> Option<Vec<LinkId>> {
-    let mut remaining: BTreeSet<Player> = k.iter().copied().collect();
+fn candidate_path(g: &Topology, k: &[Player], avail: &[bool]) -> Option<Vec<LinkId>> {
+    let mut remaining = vec![false; g.num_players()];
+    k.iter().for_each(|t| remaining[t.index()] = true);
     let mut cur = k[0];
-    remaining.remove(&cur);
+    remaining[cur.index()] = false;
+    let mut left = remaining.iter().filter(|&&r| r).count();
     let mut used_links: Vec<LinkId> = Vec::new();
-    let mut used_set: BTreeSet<LinkId> = BTreeSet::new();
-    let mut visited_nodes: BTreeSet<Player> = BTreeSet::from([cur]);
-    while !remaining.is_empty() {
+    let mut used = vec![false; g.num_links()];
+    let mut visited = vec![false; g.num_players()];
+    visited[cur.index()] = true;
+    while left > 0 {
         // BFS over available, unused links, avoiding revisiting nodes
         // (keeps the result a simple path/tree).
-        let (target, path) = bfs_to_nearest(g, cur, &remaining, avail, &used_set, &visited_nodes)?;
+        let (target, path) = bfs_to_nearest(g, cur, &remaining, avail, &used, &visited)?;
         for &l in &path {
             used_links.push(l);
-            used_set.insert(l);
+            used[l.index()] = true;
             let (a, b) = g.link(l);
-            visited_nodes.insert(a);
-            visited_nodes.insert(b);
+            visited[a.index()] = true;
+            visited[b.index()] = true;
         }
-        remaining.remove(&target);
+        remaining[target.index()] = false;
+        left -= 1;
         cur = target;
     }
     Some(used_links)
@@ -279,41 +286,43 @@ fn candidate_path(g: &Topology, k: &[Player], avail: &BTreeSet<LinkId>) -> Optio
 
 /// BFS from `from` to the nearest player in `targets` using available
 /// links not yet used by this candidate; interior nodes must be fresh.
+/// The flags are indexed by player (`targets`, `visited`) or link.
 fn bfs_to_nearest(
     g: &Topology,
     from: Player,
-    targets: &BTreeSet<Player>,
-    avail: &BTreeSet<LinkId>,
-    used: &BTreeSet<LinkId>,
-    visited_nodes: &BTreeSet<Player>,
+    targets: &[bool],
+    avail: &[bool],
+    used: &[bool],
+    visited: &[bool],
 ) -> Option<(Player, Vec<LinkId>)> {
-    let mut parent: HashMap<Player, (Player, LinkId)> = HashMap::new();
-    let mut seen: BTreeSet<Player> = BTreeSet::from([from]);
+    let mut parent: Vec<Option<(Player, LinkId)>> = vec![None; g.num_players()];
+    let mut seen = vec![false; g.num_players()];
+    seen[from.index()] = true;
     let mut q = VecDeque::from([from]);
     while let Some(u) = q.pop_front() {
         for &(v, l) in g.neighbors(u) {
-            if !avail.contains(&l) || used.contains(&l) || seen.contains(&v) {
+            if !avail[l.index()] || used[l.index()] || seen[v.index()] {
                 continue;
             }
             // Interior nodes must not revisit the partial path (except
             // the target itself which ends the hop).
-            if visited_nodes.contains(&v) && !targets.contains(&v) {
+            let target = targets[v.index()];
+            if visited[v.index()] && !target {
                 continue;
             }
-            parent.insert(v, (u, l));
-            if targets.contains(&v) {
-                // Reconstruct.
+            parent[v.index()] = Some((u, l));
+            if target {
+                // Only `from` has no parent.
                 let mut links = Vec::new();
                 let mut cur = v;
-                while cur != from {
-                    let (p, l) = parent[&cur];
+                while let Some((p, l)) = parent[cur.index()] {
                     links.push(l);
                     cur = p;
                 }
                 links.reverse();
                 return Some((v, links));
             }
-            seen.insert(v);
+            seen[v.index()] = true;
             q.push_back(v);
         }
     }
@@ -322,18 +331,20 @@ fn bfs_to_nearest(
 
 /// Candidate: a hub node directly connected (by available links) to all
 /// terminals (other than itself).
-fn candidate_hub(g: &Topology, k: &[Player], avail: &BTreeSet<LinkId>) -> Option<Vec<LinkId>> {
-    let kset: BTreeSet<Player> = k.iter().copied().collect();
+fn candidate_hub(g: &Topology, k: &[Player], avail: &[bool]) -> Option<Vec<LinkId>> {
+    let mut terminals = k.to_vec();
+    terminals.sort_unstable();
+    terminals.dedup();
     'hub: for h in g.players() {
         let mut links = Vec::new();
-        for &t in &kset {
+        for &t in &terminals {
             if t == h {
                 continue;
             }
             let found = g
                 .neighbors(h)
                 .iter()
-                .find(|(v, l)| *v == t && avail.contains(l));
+                .find(|(v, l)| *v == t && avail[l.index()]);
             match found {
                 Some((_, l)) => links.push(*l),
                 None => continue 'hub,
@@ -347,37 +358,39 @@ fn candidate_hub(g: &Topology, k: &[Player], avail: &BTreeSet<LinkId>) -> Option
 }
 
 /// Candidate: union of BFS shortest paths from a terminal root (tried
-/// from every root, shortest result kept).
-fn candidate_bfs(g: &Topology, k: &[Player], avail: &BTreeSet<LinkId>) -> Option<Vec<LinkId>> {
+/// from every root, shortest result kept), its links ascending.
+fn candidate_bfs(g: &Topology, k: &[Player], avail: &[bool]) -> Option<Vec<LinkId>> {
     let mut best: Option<Vec<LinkId>> = None;
     for &root in k {
-        let mut parent: HashMap<Player, (Player, LinkId)> = HashMap::new();
-        let mut seen: BTreeSet<Player> = BTreeSet::from([root]);
+        let mut parent: Vec<Option<(Player, LinkId)>> = vec![None; g.num_players()];
+        let mut seen = vec![false; g.num_players()];
+        seen[root.index()] = true;
         let mut q = VecDeque::from([root]);
         while let Some(u) = q.pop_front() {
             for &(v, l) in g.neighbors(u) {
-                if avail.contains(&l) && seen.insert(v) {
-                    parent.insert(v, (u, l));
+                if avail[l.index()] && !seen[v.index()] {
+                    seen[v.index()] = true;
+                    parent[v.index()] = Some((u, l));
                     q.push_back(v);
                 }
             }
         }
-        if !k.iter().all(|t| seen.contains(t)) {
+        if !k.iter().all(|t| seen[t.index()]) {
             continue;
         }
-        let mut links: BTreeSet<LinkId> = BTreeSet::new();
+        let mut in_tree = vec![false; g.num_links()];
         for &t in k {
             let mut cur = t;
-            while cur != root {
-                let (p, l) = parent[&cur];
-                if !links.insert(l) {
+            while let Some((p, l)) = parent[cur.index()] {
+                if in_tree[l.index()] {
                     break; // joined an existing branch
                 }
+                in_tree[l.index()] = true;
                 cur = p;
             }
         }
-        let links: Vec<LinkId> = links.into_iter().collect();
-        if best.as_ref().map(|b| links.len() < b.len()).unwrap_or(true) {
+        let links: Vec<LinkId> = g.links().filter(|l| in_tree[l.index()]).collect();
+        if best.as_ref().is_none_or(|b| links.len() < b.len()) {
             best = Some(links);
         }
     }
@@ -388,6 +401,7 @@ fn candidate_bfs(g: &Topology, k: &[Player], avail: &BTreeSet<LinkId>) -> Option
 mod tests {
     use super::*;
     use crate::cuts::min_cut;
+    use std::collections::BTreeSet;
 
     fn players(ids: &[u32]) -> Vec<Player> {
         ids.iter().copied().map(Player).collect()
@@ -399,7 +413,7 @@ mod tests {
         let k = players(&[0, 1, 2, 3]);
         let p = steiner_packing(&g, &k, 3);
         assert_eq!(p.len(), 1);
-        assert!(p[0].is_valid_for(&g, &k));
+        assert!(p[0].is_valid_for(&k));
         assert!(steiner_packing(&g, &k, 2).is_empty(), "diameter too tight");
     }
 
@@ -412,7 +426,7 @@ mod tests {
         let p = steiner_packing(&g, &k, 3);
         assert_eq!(p.len(), 2, "two edge-disjoint Hamiltonian paths");
         for t in &p {
-            assert!(t.is_valid_for(&g, &k));
+            assert!(t.is_valid_for(&k));
             assert!(t.terminal_diameter(&k) <= 3);
         }
         // Edge-disjointness.
@@ -471,7 +485,7 @@ mod tests {
         let packings = DeltaPackings::new(&g, &k);
         let (_, packing) = packings.best(10).expect("live links connect K");
         assert_eq!(packing.len(), 1);
-        assert!(packing[0].is_valid_for(&g, &k));
+        assert!(packing[0].is_valid_for(&k));
         assert!(!packing[0].links().contains(&LinkId(0)));
     }
 
@@ -489,12 +503,12 @@ mod tests {
     }
 
     /// The greedy packer as it stood before candidates were shared
-    /// across Δ, kept verbatim: all three generators and both checks
-    /// re-run at every step of every Δ. The oracle the shared generation
-    /// must match link for link.
+    /// across Δ: all three generators and both checks re-run at every
+    /// step of every Δ. The oracle the shared generation must match link
+    /// for link.
     fn frozen_steiner_packing(g: &Topology, k: &[Player], delta: u32) -> Vec<SteinerTree> {
         assert!(k.len() >= 2, "need at least two terminals");
-        let mut avail: BTreeSet<LinkId> = g.links().collect();
+        let mut avail = vec![true; g.num_links()];
         let mut packing = Vec::new();
         loop {
             let candidates = [
@@ -508,12 +522,12 @@ mod tests {
                 .into_iter()
                 .flatten()
                 .map(|links| SteinerTree::new(g, links))
-                .filter(|t| t.is_valid_for(g, k) && t.terminal_diameter(k) <= delta)
+                .filter(|t| t.is_valid_for(k) && t.terminal_diameter(k) <= delta)
                 .min_by_key(|t| t.links().len());
             match best {
                 Some(tree) => {
                     for l in tree.links() {
-                        avail.remove(l);
+                        avail[l.index()] = false;
                     }
                     packing.push(tree);
                 }
@@ -578,6 +592,90 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// Every Δ's packing, tree by tree and link by link, and
+    /// `.best(work)` as `(Δ, trees)` at four work values, read off the
+    /// packer before its sets and maps became dense arrays; the third
+    /// terminal set of each topology runs with one link down.
+    #[test]
+    fn packings_are_pinned_link_for_link() {
+        let cases: [(Topology, Vec<u32>, Option<u32>); 21] = [
+            (Topology::line(6), vec![0, 5], None),
+            (Topology::line(6), vec![1, 2, 4], None),
+            (Topology::line(6), vec![0, 3], Some(4)),
+            (Topology::ring(7), vec![0, 3], None),
+            (Topology::ring(7), (0..7).collect(), None),
+            (Topology::ring(7), vec![0, 2, 4, 6], Some(0)),
+            (Topology::star(6), vec![1, 2, 3], None),
+            (Topology::star(6), vec![0, 5], None),
+            (Topology::star(6), vec![1, 2, 3, 4], Some(4)),
+            (Topology::grid(3, 3), vec![0, 8], None),
+            (Topology::grid(3, 3), vec![0, 2, 6, 8], None),
+            (Topology::grid(3, 3), (0..9).collect(), Some(0)),
+            (Topology::barbell(3, 2), vec![0, 6], None),
+            (Topology::barbell(3, 2), (0..7).collect(), None),
+            (Topology::barbell(3, 2), vec![0, 1, 5, 6], Some(0)),
+            (Topology::clique(6), vec![0, 1], None),
+            (Topology::clique(6), (0..6).collect(), None),
+            (Topology::clique(6), (0..6).collect(), Some(0)),
+            (Topology::mpc(4, 3), vec![0, 1, 2, 3], None),
+            (Topology::mpc(4, 3), vec![0, 1], None),
+            (Topology::mpc(4, 3), vec![0, 1, 2, 3], Some(3)),
+        ];
+        let got: Vec<String> = cases
+            .into_iter()
+            .map(|(mut g, ids, down)| {
+                if let Some(l) = down {
+                    g.set_capacity(LinkId(l), 0);
+                }
+                let packings = DeltaPackings::new(&g, &players(&ids));
+                let deltas: Vec<String> = packings
+                    .candidates
+                    .iter()
+                    .map(|(delta, p)| {
+                        let trees: Vec<Vec<u32>> = p
+                            .iter()
+                            .map(|t| t.links().iter().map(|l| l.0).collect())
+                            .collect();
+                        format!("Δ{delta} {trees:?}")
+                    })
+                    .collect();
+                let best = [1, 8, 64, 1_000_000]
+                    .map(|work| packings.best(work).map(|(delta, p)| (delta, p.len())));
+                let deltas = deltas.join("; ");
+                format!(
+                    "{} K={ids:?} down={down:?}: {deltas} | best {best:?}",
+                    g.name()
+                )
+            })
+            .collect();
+        let pinned = [
+            "line6 K=[0, 5] down=None: Δ6 [[0, 1, 2, 3, 4]] | best [Some((6, 1)), Some((6, 1)), Some((6, 1)), Some((6, 1))]",
+            "line6 K=[1, 2, 4] down=None: Δ3 [[1, 2, 3]]; Δ4 [[1, 2, 3]]; Δ6 [[1, 2, 3]] | best [Some((3, 1)), Some((3, 1)), Some((3, 1)), Some((3, 1))]",
+            "line6 K=[0, 3] down=Some(4): Δ3 [[0, 1, 2]]; Δ4 [[0, 1, 2]]; Δ6 [[0, 1, 2]] | best [Some((3, 1)), Some((3, 1)), Some((3, 1)), Some((3, 1))]",
+            "ring7 K=[0, 3] down=None: Δ3 [[0, 1, 2]]; Δ4 [[0, 1, 2], [6, 5, 4, 3]]; Δ7 [[0, 1, 2], [6, 5, 4, 3]] | best [Some((3, 1)), Some((4, 2)), Some((4, 2)), Some((4, 2))]",
+            "ring7 K=[0, 1, 2, 3, 4, 5, 6] down=None: Δ7 [[0, 1, 2, 3, 4, 5]] | best [Some((7, 1)), Some((7, 1)), Some((7, 1)), Some((7, 1))]",
+            "ring7 K=[0, 2, 4, 6] down=Some(0): Δ7 [[6, 5, 4, 3, 2]] | best [Some((7, 1)), Some((7, 1)), Some((7, 1)), Some((7, 1))]",
+            "star6 K=[1, 2, 3] down=None: Δ2 [[0, 1, 2]]; Δ3 [[0, 1, 2]]; Δ4 [[0, 1, 2]]; Δ6 [[0, 1, 2]] | best [Some((2, 1)), Some((2, 1)), Some((2, 1)), Some((2, 1))]",
+            "star6 K=[0, 5] down=None: Δ1 [[4]]; Δ2 [[4]]; Δ3 [[4]]; Δ4 [[4]]; Δ6 [[4]] | best [Some((1, 1)), Some((1, 1)), Some((1, 1)), Some((1, 1))]",
+            "star6 K=[1, 2, 3, 4] down=Some(4): Δ2 [[0, 1, 2, 3]]; Δ3 [[0, 1, 2, 3]]; Δ4 [[0, 1, 2, 3]]; Δ6 [[0, 1, 2, 3]] | best [Some((2, 1)), Some((2, 1)), Some((2, 1)), Some((2, 1))]",
+            "grid3x3 K=[0, 8] down=None: Δ4 [[0, 2, 4, 9], [1, 5, 8, 11]]; Δ8 [[0, 2, 4, 9], [1, 5, 8, 11]]; Δ9 [[0, 2, 4, 9], [1, 5, 8, 11]] | best [Some((4, 2)), Some((4, 2)), Some((4, 2)), Some((4, 2))]",
+            "grid3x3 K=[0, 2, 6, 8] down=None: Δ8 [[0, 2, 4, 9, 11, 10]]; Δ9 [[0, 2, 4, 9, 11, 10]] | best [Some((8, 1)), Some((8, 1)), Some((8, 1)), Some((8, 1))]",
+            "grid3x3 K=[0, 1, 2, 3, 4, 5, 6, 7, 8] down=Some(0): Δ4 [[1, 2, 3, 5, 6, 7, 8, 9]]; Δ8 [[1, 5, 3, 2, 4, 9, 11, 10]]; Δ9 [[1, 5, 3, 2, 4, 9, 11, 10]] | best [Some((4, 1)), Some((4, 1)), Some((4, 1)), Some((4, 1))]",
+            "barbell3x2 K=[0, 6] down=None: Δ2 [[1, 6]]; Δ3 [[1, 6]]; Δ4 [[1, 6]]; Δ7 [[1, 6]] | best [Some((2, 1)), Some((2, 1)), Some((2, 1)), Some((2, 1))]",
+            "barbell3x2 K=[0, 1, 2, 3, 4, 5, 6] down=None: Δ7 [[0, 2, 6, 7, 3, 5]] | best [Some((7, 1)), Some((7, 1)), Some((7, 1)), Some((7, 1))]",
+            "barbell3x2 K=[0, 1, 5, 6] down=Some(0): Δ4 [[1, 2, 4, 6, 7]]; Δ7 [[1, 2, 4, 6, 7]] | best [Some((4, 1)), Some((4, 1)), Some((4, 1)), Some((4, 1))]",
+            "clique6 K=[0, 1] down=None: Δ1 [[0]]; Δ2 [[0], [1, 5], [2, 6], [3, 7], [4, 8]]; Δ3 [[0], [1, 5], [2, 6], [3, 7], [4, 8]]; Δ4 [[0], [1, 5], [2, 6], [3, 7], [4, 8]]; Δ6 [[0], [1, 5], [2, 6], [3, 7], [4, 8]] | best [Some((1, 1)), Some((2, 5)), Some((2, 5)), Some((2, 5))]",
+            "clique6 K=[0, 1, 2, 3, 4, 5] down=None: Δ2 [[0, 1, 2, 3, 4]]; Δ3 [[0, 1, 2, 3, 4]]; Δ4 [[0, 1, 2, 3, 4]]; Δ6 [[0, 5, 9, 12, 14], [1, 10, 7, 6, 13], [2, 3, 4, 8, 11]] | best [Some((2, 1)), Some((6, 3)), Some((6, 3)), Some((6, 3))]",
+            "clique6 K=[0, 1, 2, 3, 4, 5] down=Some(0): Δ2 [[1, 5, 9, 10, 11]]; Δ3 [[1, 5, 9, 10, 11]]; Δ4 [[1, 5, 9, 10, 11]]; Δ6 [[1, 5, 6, 12, 14], [2, 9, 10, 7, 8]] | best [Some((2, 1)), Some((2, 1)), Some((6, 2)), Some((6, 2))]",
+            "mpc4+3 K=[0, 1, 2, 3] down=None: Δ2 [[3, 6, 9, 12], [4, 7, 10, 13], [5, 8, 11, 14]]; Δ3 [[3, 6, 9, 12], [4, 7, 10, 13], [5, 8, 11, 14]]; Δ4 [[3, 6, 9, 12], [4, 7, 10, 13], [5, 8, 11, 14]]; Δ7 [[3, 6, 9, 12], [4, 7, 10, 13], [5, 8, 11, 14]] | best [Some((2, 3)), Some((2, 3)), Some((2, 3)), Some((2, 3))]",
+            "mpc4+3 K=[0, 1] down=None: Δ2 [[3, 6], [4, 7], [5, 8]]; Δ3 [[3, 6], [4, 7], [5, 8]]; Δ4 [[3, 6], [4, 7], [5, 8]]; Δ7 [[3, 6], [4, 7], [5, 8]] | best [Some((2, 3)), Some((2, 3)), Some((2, 3)), Some((2, 3))]",
+            "mpc4+3 K=[0, 1, 2, 3] down=Some(3): Δ2 [[4, 7, 10, 13], [5, 8, 11, 14]]; Δ3 [[4, 7, 10, 13], [5, 8, 11, 14]]; Δ4 [[4, 7, 10, 13], [5, 8, 11, 14]]; Δ7 [[4, 7, 10, 13], [5, 8, 11, 14]] | best [Some((2, 2)), Some((2, 2)), Some((2, 2)), Some((2, 2))]",
+        ];
+        for (got, pinned) in got.iter().zip(pinned) {
+            assert_eq!(got, pinned);
         }
     }
 

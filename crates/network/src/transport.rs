@@ -405,6 +405,13 @@ mod tests {
         g.set_capacity(LinkId(0), 0);
         let mut sim = SimTransport::new(&g);
         assert!(sim.route(Player(0), Player(1), &frame(), 8, 0).is_err());
+        // A link the topology does not have is a refused hop.
+        let path = [Player(0), Player(1)];
+        assert_eq!(
+            sim.send_along_path(&path, &[LinkId(9)], &frame(), 8, 1)
+                .unwrap_err(),
+            TransmitError::NotAdjacent(Player(0), Player(1))
+        );
         assert_eq!(sim.wire(), WireStats::default(), "nothing shipped");
     }
 

@@ -474,7 +474,9 @@ impl<'a, S: Semiring> DistributedFaqRun<'a, S> {
                 // Shards round-robin over the packing's trees.
                 Some(trees) => {
                     let tree = &trees[shipped % trees.len()];
-                    let (nodes, links) = tree.path(*p, to).expect("terminals are spanned");
+                    let (nodes, links) = tree.path(*p, to).ok_or_else(|| {
+                        ProtocolError::Unreachable(format!("no packing tree joins {p} to {to}"))
+                    })?;
                     transport.send_along_path(&nodes, &links, &frame, rel.bits(domain), 1)
                 }
                 // `route(.., learned_at = 0)` departs at round 1 —

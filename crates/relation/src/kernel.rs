@@ -62,7 +62,7 @@ pub(crate) fn binary_search_row(
 /// Canonicalises a freshly gathered arena: sorts rows lexicographically,
 /// `combine`-accumulates duplicate rows, and drops rows whose combined
 /// annotation is the semiring zero. This is the single sort behind
-/// `from_pairs`, `union_all`, `reorder` and the general projection path —
+/// `from_pairs`, `from_columns`, `reorder` and the general projection path —
 /// no intermediate `HashMap` is ever built.
 pub(crate) fn sort_merge_rows<S: Semiring>(
     arity: usize,
@@ -146,6 +146,83 @@ pub(crate) fn compact_zeros<S: Semiring>(arity: usize, data: &mut Vec<u32>, valu
     }
     values.truncate(kept);
     data.truncate(kept * arity);
+}
+
+/// [`Relation::union_all`]: merges canonical same-schema arenas into
+/// one. Each step takes the least front row among the parts (the
+/// earliest part on a tie) and `⊕`s in the equal front rows of the later
+/// parts, in part order; a zero sum is not a row. The fronts' leading
+/// columns sit in one array, so a step is a scan of `parts.len()`
+/// integers, and whole rows are compared only among fronts that share
+/// the least leading value.
+pub(crate) fn merge_parts<S: Semiring>(arity: usize, parts: &[Relation<S>]) -> (Vec<u32>, Vec<S>) {
+    if arity == 0 {
+        let mut values = parts.iter().flat_map(|p| p.raw_values());
+        let sum = values.next().map(|first| {
+            let mut sum = first.clone();
+            values.for_each(|v| sum.add_assign(v));
+            sum
+        });
+        return (
+            Vec::new(),
+            sum.into_iter().filter(|v| !v.is_zero()).collect(),
+        );
+    }
+    let parts: Vec<(&[u32], &[S])> = parts
+        .iter()
+        .map(|p| (p.raw_data(), p.raw_values()))
+        .collect();
+    let row = |j: usize, i: usize| &parts[j].0[i * arity..(i + 1) * arity];
+    // The leading value of part `j`'s row `i`; `u64::MAX` past its end.
+    let lead = |j: usize, i: usize| {
+        parts[j]
+            .0
+            .get(i * arity)
+            .map_or(u64::MAX, |&x| u64::from(x))
+    };
+    let mut at = vec![0usize; parts.len()];
+    let mut leads: Vec<u64> = (0..parts.len()).map(|j| lead(j, 0)).collect();
+    let rows = parts.iter().map(|(_, values)| values.len()).sum::<usize>();
+    let mut data = Vec::with_capacity(rows * arity);
+    let mut values = Vec::with_capacity(rows);
+    loop {
+        // The earliest part holding the least front row, and whether a
+        // later part's front shares its leading value.
+        let (mut first, mut shared) = (0, false);
+        for j in 1..parts.len() {
+            match leads[j].cmp(&leads[first]) {
+                Ordering::Less => (first, shared) = (j, false),
+                Ordering::Equal if leads[j] != u64::MAX => {
+                    shared = true;
+                    if row(j, at[j])[1..] < row(first, at[first])[1..] {
+                        first = j;
+                    }
+                }
+                _ => {}
+            }
+        }
+        let least = leads[first];
+        if least == u64::MAX {
+            break;
+        }
+        let least_row = row(first, at[first]);
+        let mut sum = parts[first].1[at[first]].clone();
+        let later = if shared { first + 1 } else { parts.len() };
+        for j in later..parts.len() {
+            if leads[j] == least && row(j, at[j]) == least_row {
+                sum.add_assign(&parts[j].1[at[j]]);
+                at[j] += 1;
+                leads[j] = lead(j, at[j]);
+            }
+        }
+        if !sum.is_zero() {
+            data.extend_from_slice(least_row);
+            values.push(sum);
+        }
+        at[first] += 1;
+        leads[first] = lead(first, at[first]);
+    }
+    (data, values)
 }
 
 /// Galloping (exponential + binary) search over a flat `arity`-strided
@@ -396,24 +473,24 @@ pub(crate) fn trailing_nest(schema: &[Var], nest: &[(Var, Aggregate)]) -> Option
     Some(schema.len() - kept)
 }
 
-/// Aggregates a nest of variables out of rows pushed in layout order
-/// (see [`trailing_nest`]): one open partial per nest level, each level
+/// Aggregates a nest of variables out of rows in layout order (see
+/// [`trailing_nest`]): one open partial per nest level, each level
 /// folding one trailing column under its own operator.
 ///
-/// When a pushed row leaves a level's group, the level closes: its
-/// partial folds into the level above under *that* level's operator —
-/// level 0's becomes an output row — unless it is the semiring zero,
-/// which is dropped exactly where the listing representation drops the
-/// row between two single-variable aggregations (so a `Product` or
-/// `Max` level above a cancelling `Sum` sees the same operands). Every
-/// group thus folds in ascending row order, as a chain of sorted-prefix
-/// [`project_with`] scans does. Push-style, so that whatever produces
-/// rows in layout order can drive it. It has two drivers: a stored
-/// relation's scan ([`NestFold::push`], which finds where a group ends
-/// by comparing each row with the one before), and the generic join
-/// (`generic_join_aggregated`, which folds each binding in with
-/// [`NestFold::fold`] and knows where a group ends — with the loop that
-/// binds its level's variable — so it calls [`NestFold::close`] itself).
+/// When the rows leave a level's group, the level closes: its partial
+/// folds into the level above under *that* level's operator — level
+/// 0's becomes an output row — unless it is the semiring zero, which is
+/// dropped exactly where the listing representation drops the row
+/// between two single-variable aggregations (so a `Product` or `Max`
+/// level above a cancelling `Sum` sees the same operands). Every group
+/// thus folds in ascending row order, as a chain of sorted-prefix
+/// [`project_with`] scans does. It has two drivers: a stored arena
+/// ([`NestFold::fold_rows`], which compares each row with the one
+/// before and folds each innermost group into a plain accumulator), and
+/// the generic join (`generic_join_aggregated`, which folds each binding
+/// in with [`NestFold::fold`] and knows where a group ends — with the
+/// loop that binds its level's variable — so it calls
+/// [`NestFold::close`] itself).
 pub(crate) struct NestFold<S: Semiring> {
     /// The kept columns' variables.
     schema: Vec<Var>,
@@ -424,10 +501,6 @@ pub(crate) struct NestFold<S: Semiring> {
     /// `(operator, open partial)` per trailing column, outermost first:
     /// level `j` folds column `kept + j`.
     levels: Vec<(Aggregate, Option<S>)>,
-    /// The previous pushed row but for its innermost column; empty
-    /// before the first push, and for a driver that closes levels
-    /// itself.
-    last: Vec<u32>,
 }
 
 impl<S: Semiring> NestFold<S> {
@@ -439,25 +512,40 @@ impl<S: Semiring> NestFold<S> {
             data: Vec::new(),
             values: Vec::new(),
             levels: ops.into_iter().map(|op| (op, None)).collect(),
-            last: Vec::new(),
         }
     }
 
-    /// Folds one row in; rows must arrive strictly increasing.
-    pub(crate) fn push(&mut self, row: &[u32], value: &S) {
-        // The innermost column only tells rows of one group apart.
-        let head = &row[..row.len() - 1];
-        if self.last.len() < head.len() {
-            self.last.extend_from_slice(head);
-        } else if let Some(same) = head.iter().zip(&self.last).position(|(a, b)| a != b) {
-            debug_assert!(self.last[same] < head[same], "rows arrive in order");
+    /// Folds a canonical arena whose columns are the kept ones, then one
+    /// per level, in one scan: rows that agree on all but the innermost
+    /// column are that level's whole group, so their values fold into a
+    /// plain accumulator, and the first column where the next row
+    /// differs says which levels close.
+    pub(crate) fn fold_rows(&mut self, data: &[u32], values: &[S]) {
+        let Some(&(op, _)) = self.levels.last() else {
+            // No level: every row is its own group.
+            self.data.extend_from_slice(data);
+            self.values.extend_from_slice(values);
+            return;
+        };
+        let (kept, arity) = (self.schema.len(), self.schema.len() + self.levels.len());
+        let mut rows = data.chunks_exact(arity).zip(values);
+        let Some((row, value)) = rows.next() else {
+            return;
+        };
+        let (mut head, mut acc) = (&row[..arity - 1], value.clone());
+        for (row, value) in rows {
             // A level's group is keyed by the columns before its own.
-            let last = std::mem::take(&mut self.last);
-            self.close((same + 1).saturating_sub(self.schema.len()), &last);
-            self.last = last;
-            self.last[same..].copy_from_slice(&head[same..]);
+            match head.iter().zip(row).position(|(a, b)| a != b) {
+                None => acc = acc.fold(op, value),
+                Some(c) => {
+                    self.fold(head, acc);
+                    self.close((c + 1).saturating_sub(kept), head);
+                    (head, acc) = (&row[..arity - 1], value.clone());
+                }
+            }
         }
-        self.fold(row, value.clone());
+        self.fold(head, acc);
+        self.close(0, head);
     }
 
     /// Folds `value` into the innermost level's open partial; with no
@@ -496,10 +584,9 @@ impl<S: Semiring> NestFold<S> {
         self.values.push(value);
     }
 
-    /// The relation over the kept columns.
-    pub(crate) fn finish(mut self) -> Relation<S> {
-        let last = std::mem::take(&mut self.last);
-        self.close(0, &last);
+    /// The relation over the kept columns; every level has closed.
+    pub(crate) fn finish(self) -> Relation<S> {
+        debug_assert!(self.levels.iter().all(|(_, open)| open.is_none()));
         let mut out = Relation::new(self.schema);
         out.set_parts(self.data, self.values);
         out
@@ -566,8 +653,8 @@ fn layout_order<S: Semiring>(rel: &Relation<S>, kept: &[usize], trailing: &[usiz
 
 /// [`Relation::aggregate_out_many`]: drives one [`NestFold`] over
 /// `rel`'s rows — as they stand when [`trailing_nest`] finds them in
-/// layout order, otherwise through [`layout_order`]'s permutation of the
-/// row ids, however many variables go.
+/// layout order, otherwise copied out in [`layout_order`]'s permutation
+/// of the row ids, however many variables go.
 pub(crate) fn aggregate_nest<S: Semiring>(
     rel: Relation<S>,
     nest: &[(Var, Aggregate)],
@@ -587,21 +674,20 @@ pub(crate) fn aggregate_nest<S: Semiring>(
         .collect();
 
     let mut fold = NestFold::new(kept.iter().map(|&c| schema[c]).collect(), ops);
+    let (data, values) = (rel.raw_data(), rel.raw_values());
     if in_layout {
-        for (row, value) in rel.iter() {
-            fold.push(row, value);
-        }
+        fold.fold_rows(data, values);
     } else {
+        // The rows regrouped into layout order, columns and all.
+        let (arity, order) = (schema.len(), layout_order(&rel, &kept, &trailing));
         let pos = [kept.as_slice(), trailing.as_slice()].concat();
-        let mut out = vec![0u32; pos.len()];
-        let (arity, data, values) = (schema.len(), rel.raw_data(), rel.raw_values());
-        for i in layout_order(&rel, &kept, &trailing) {
+        let mut moved = Vec::with_capacity(data.len());
+        for &i in &order {
             let t = row(data, arity, i as usize);
-            for (x, &p) in out.iter_mut().zip(&pos) {
-                *x = t[p];
-            }
-            fold.push(&out, &values[i as usize]);
+            moved.extend(pos.iter().map(|&p| t[p]));
         }
+        let moved_values: Vec<S> = order.iter().map(|&i| values[i as usize].clone()).collect();
+        fold.fold_rows(&moved, &moved_values);
     }
     fold.finish()
 }
@@ -904,11 +990,14 @@ mod tests {
                     let level_ops = trailing.iter().map(|&c| ops[c]).collect();
                     let mut fold =
                         NestFold::new(kept.iter().map(|&c| schema[c]).collect(), level_ops);
-                    for &i in &sorted {
-                        let t = rel.tuple_at(i as usize);
-                        let row: Vec<u32> = pos.iter().map(|&p| t[p]).collect();
-                        fold.push(&row, rel.value_at(i as usize));
-                    }
+                    let t = |i: &u32| rel.tuple_at(*i as usize);
+                    let moved: Vec<u32> = sorted
+                        .iter()
+                        .flat_map(|i| pos.iter().map(|&p| t(i)[p]))
+                        .collect();
+                    let values: Vec<Count> =
+                        sorted.iter().map(|&i| *rel.value_at(i as usize)).collect();
+                    fold.fold_rows(&moved, &values);
                     assert_eq!(aggregate_nest(rel, &nest), fold.finish(), "{what}");
                 }
             }

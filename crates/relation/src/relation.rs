@@ -356,13 +356,15 @@ impl<S: Semiring> Relation<S> {
     /// as the trailing columns, outermost first. A relation already
     /// there (what a generic-join bag is planned to be, and any relation
     /// whose one private variable is its last column) is folded as it
-    /// stands; any other has its row ids put in that order first,
-    /// however many variables go — by one counting pass per kept column
-    /// when the nest's columns ascend and the kept ones are densely
-    /// valued, else by one comparison sort. Variables of `nest` that
-    /// the schema does not list are skipped; when none is listed, `self`
-    /// comes back untouched. Each kept row's value folds its group in
-    /// ascending order of the nest columns, outermost first — so on a
+    /// stands: one scan that compares each row with the one before and
+    /// folds each innermost group's values into a plain accumulator.
+    /// Any other has its rows copied out in that order first, however
+    /// many variables go — the row ids ordered by one counting pass per
+    /// kept column when the nest's columns ascend and the kept ones are
+    /// densely valued, else by one comparison sort. Variables of `nest`
+    /// that the schema does not list are skipped; when none is listed,
+    /// `self` comes back untouched. Each kept row's value folds its group
+    /// in ascending order of the nest columns, outermost first — so on a
     /// float carrier the result does not depend on the column order the
     /// relation arrived in.
     pub fn aggregate_out_many(self, nest: &[(Var, Aggregate)]) -> Relation<S> {
@@ -516,18 +518,26 @@ impl<S: Semiring> Relation<S> {
 
     /// Partitions the listing by an owner function (e.g. a consistent
     /// hash of the join-key value): tuple `t` lands in part
-    /// `owner_of(t) % parts`. Canonical order is preserved inside every
-    /// part, so the parts reassemble with [`Relation::union_all`] on the
-    /// presorted fast path.
+    /// `owner_of(t) % parts`. `owner_of` is called once per row, in
+    /// order; each part is sized before it is filled. Canonical order is
+    /// preserved inside every part, so the parts reassemble with
+    /// [`Relation::union_all`]'s merge.
     pub fn split_by(
         &self,
         parts: usize,
         mut owner_of: impl FnMut(&[u32]) -> usize,
     ) -> Vec<Relation<S>> {
         assert!(parts >= 1);
-        let mut out: Vec<(Vec<u32>, Vec<S>)> = vec![(Vec::new(), Vec::new()); parts];
-        for (t, v) in self.iter() {
-            let (data, values) = &mut out[owner_of(t) % parts];
+        let owners: Vec<usize> = self.tuples().map(|t| owner_of(t) % parts).collect();
+        let mut sizes = vec![0usize; parts];
+        owners.iter().for_each(|&o| sizes[o] += 1);
+        let arity = self.schema.len();
+        let mut out: Vec<(Vec<u32>, Vec<S>)> = sizes
+            .iter()
+            .map(|&n| (Vec::with_capacity(n * arity), Vec::with_capacity(n)))
+            .collect();
+        for ((t, v), &o) in self.iter().zip(&owners) {
+            let (data, values) = &mut out[o];
             data.extend_from_slice(t);
             values.push(v.clone());
         }
@@ -540,19 +550,23 @@ impl<S: Semiring> Relation<S> {
     }
 
     /// Union of same-schema relations with `⊕`-accumulation of duplicate
-    /// tuples (inverse of [`Relation::split_by`]): concatenate the arenas,
-    /// then one sort-merge.
+    /// tuples (inverse of [`Relation::split_by`]). Every part is
+    /// canonical already, so the parts are merged, not re-sorted: one
+    /// pass that picks the least front row among the parts, comparing
+    /// leading columns first. A tuple held by several parts sums in
+    /// part order — `((p₀ ⊕ p₁) ⊕ p₂) …` over the parts that hold it —
+    /// and is dropped when that sum is zero.
     pub fn union_all(parts: &[Relation<S>]) -> Relation<S> {
         assert!(!parts.is_empty());
         let schema = parts[0].schema.clone();
-        let mut data: Vec<u32> = Vec::with_capacity(parts.iter().map(|p| p.raw_data().len()).sum());
-        let mut values: Vec<S> = Vec::with_capacity(parts.iter().map(Relation::len).sum());
         for p in parts {
             assert_eq!(p.schema, schema, "schemas must match");
-            data.extend_from_slice(p.raw_data());
-            values.extend_from_slice(p.raw_values());
         }
-        Relation::from_columns(schema, data, values)
+        let (data, values) = kernel::merge_parts(schema.len(), parts);
+        Relation {
+            schema,
+            arena: Arena::new(data, values),
+        }
     }
 }
 

@@ -832,6 +832,70 @@ proptest! {
         prop_assert_eq!(split.len(), parts);
         prop_assert_eq!(Relation::union_all(&split), a);
     }
+
+    #[test]
+    fn union_all_merges_overlapping_parts(
+        seed: u64,
+        schema in 0usize..4,
+        parts in 1usize..6,
+        n in 0usize..30,
+        domain in 1u32..5,
+    ) {
+        // Parts drawn independently over a small domain share rows, so
+        // the merge must `⊕` them; on `Gf2` equal rows can cancel.
+        let schema: &[u32] = [&[0, 1][..], &[0], &[1, 0, 2], &[]][schema];
+        let mut rng = StdRng::seed_from_u64(seed);
+        let counted: Vec<Relation<Count>> = (0..parts)
+            .map(|_| random_rel(schema, n, domain, &mut rng, |r| Count(r.random_range(1..4))))
+            .collect();
+        let all = counted.iter().flat_map(rows_of);
+        let union = Relation::union_all(&counted);
+        assert_canonical(&union, "Count union");
+        prop_assert_eq!(union, Relation::from_pairs(vars(schema), all));
+        let parity: Vec<Relation<Gf2>> = (0..parts)
+            .map(|_| random_rel(schema, n, domain, &mut rng, |r| Gf2(r.random_range(0..2) == 1)))
+            .collect();
+        let all = parity.iter().flat_map(rows_of);
+        let union = Relation::union_all(&parity);
+        assert_canonical(&union, "Gf2 union");
+        prop_assert_eq!(union, Relation::from_pairs(vars(schema), all));
+    }
+}
+
+/// A tuple several parts hold sums in part order, whichever rows lead:
+/// `(0.1 ⊕ 0.2) ⊕ 0.3` and `(0.3 ⊕ 0.2) ⊕ 0.1` differ in the last bit.
+#[test]
+fn union_all_sums_duplicates_in_part_order() {
+    let part = |rows: &[(&[u32], f64)]| {
+        let rows = rows.iter().map(|(t, p)| (t.to_vec(), Prob(*p)));
+        Relation::from_pairs(vars(&[0, 1]), rows)
+    };
+    let parts = [
+        part(&[(&[1, 4], 0.1), (&[2, 0], 1.0)]),
+        part(&[(&[1, 3], 0.5), (&[1, 4], 0.2)]),
+        part(&[(&[0, 9], 0.25), (&[1, 4], 0.3)]),
+    ];
+    let bits = |parts: &[Relation<Prob>]| -> Vec<(Vec<u32>, u64)> {
+        let union = Relation::union_all(parts);
+        union
+            .iter()
+            .map(|(t, p)| (t.to_vec(), p.0.to_bits()))
+            .collect()
+    };
+    let forward = ((0.1f64 + 0.2) + 0.3).to_bits();
+    let backward = ((0.3f64 + 0.2) + 0.1).to_bits();
+    assert_ne!(forward, backward);
+    let rows = |at_14: u64| {
+        vec![
+            (vec![0, 9], 0.25f64.to_bits()),
+            (vec![1, 3], 0.5f64.to_bits()),
+            (vec![1, 4], at_14),
+            (vec![2, 0], 1.0f64.to_bits()),
+        ]
+    };
+    assert_eq!(bits(&parts), rows(forward));
+    let reversed: Vec<Relation<Prob>> = parts.iter().rev().cloned().collect();
+    assert_eq!(bits(&reversed), rows(backward));
 }
 
 #[test]

@@ -204,7 +204,7 @@ static GUARDS: &[Guard] = &[
     Guard {
         name: "unwrap/expect ratchet",
         rules: &[rule(".unwrap()|.expect(", ALL, &[], "let x = parse(s).unwrap();")],
-        limit: Limit::Ratchet(67),
+        limit: Limit::Ratchet(65),
         reason: "return a typed error or state the invariant; the count only falls",
         origin: "item 5(f)",
     },

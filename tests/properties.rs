@@ -94,8 +94,17 @@ proptest! {
         let packing = steiner_packing(&g, &k, delta);
         let mut seen = std::collections::BTreeSet::new();
         for tree in &packing {
-            prop_assert!(tree.is_valid_for(&g, &k));
-            prop_assert!(tree.terminal_diameter(&k) <= delta);
+            // A tree: connected, with one node more than it has links.
+            let nodes: Vec<Player> = g.players().filter(|&p| tree.contains(p)).collect();
+            prop_assert_eq!(nodes.len(), tree.links().len() + 1);
+            prop_assert!(nodes.iter().all(|&p| tree.path(k[0], p).is_some()));
+            // Spanning K, every two terminals at most Δ apart on it.
+            for &a in &k {
+                for &b in &k {
+                    let hops = tree.path(a, b).map(|(_, links)| links.len() as u32);
+                    prop_assert!(hops.is_some_and(|h| h <= delta));
+                }
+            }
             for l in tree.links() {
                 prop_assert!(seen.insert(*l), "edge reused across trees");
             }
