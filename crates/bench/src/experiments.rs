@@ -225,7 +225,7 @@ pub fn e2_figures() {
     ]);
     row(&[
         "MinCut(G2, K)".to_string(),
-        min_cut(&g2, &k).to_string(),
+        min_cut(&g2, &k).map_or_else(|| "-".into(), |c| c.to_string()),
         "3".into(),
     ]);
     for (i, t) in packing.iter().enumerate() {
@@ -367,7 +367,7 @@ pub fn e4_lowerbounds(n_universe: u32, trials: u64) {
         let e = embed_forest(&h, &t).expect("forest");
         let k: Vec<Player> = players_of(&g).iter().map(|&i| Player(i)).collect();
         let a = hard_assignment(&e, &g, &k);
-        let (_, side) = faqs_network::min_cut_partition(&g, &k);
+        let (_, side) = faqs_network::min_cut_partition(&g, &k).expect("K spans g");
         let out = run_bcq_protocol(&e.query, &g, &a, 1).unwrap();
         assert_eq!(out.answer, t.eval());
         let report = &out.report;

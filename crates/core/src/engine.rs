@@ -78,9 +78,10 @@ mod tests {
     use super::*;
     use crate::brute::solve_faq_brute_force;
     use faqs_hypergraph::{
-        cycle_query, example_h0, example_h1, example_h2, path_query, star_query, Hypergraph, Var,
+        cycle_query, example_h0, example_h1, example_h2, internal_node_width, path_query,
+        star_query, Hypergraph, Var,
     };
-    use faqs_plan::{check_push_down, decomposition_covering_free_vars, ghd_for_query};
+    use faqs_plan::{check_push_down, decomposition_covering_free_vars};
     use faqs_relation::{random_boolean_instance, BcqBuilder, RandomInstanceConfig};
     use faqs_semiring::{Aggregate, Count, Prob};
 
@@ -283,7 +284,8 @@ mod tests {
                 q = q.with_aggregate(Var(v), Aggregate::Max);
             }
         }
-        let ghd = ghd_for_query(&q).unwrap();
+        // `F = ∅`: the structural default is the width witness.
+        let ghd = internal_node_width(&h).ghd;
         check_push_down(&q, &ghd).expect("star leaves never co-occur");
 
         // And a genuine conflict is still caught: two differently
@@ -294,7 +296,7 @@ mod tests {
                 Count(1)
             })
             .with_aggregate(Var(1), Aggregate::Max);
-        let ghd2 = ghd_for_query(&q2).unwrap();
+        let ghd2 = internal_node_width(&h2).ghd;
         assert!(matches!(
             check_push_down(&q2, &ghd2),
             Err(EngineError::IncompatibleAggregateOrder(_, _))

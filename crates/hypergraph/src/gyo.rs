@@ -1,7 +1,7 @@
 //! The GYO elimination algorithm (Definition 2.6) and the core/forest
 //! decomposition `C(H)` / `W(H)` (Definition 2.7).
 
-use crate::hypergraph::{EdgeId, Hypergraph, Var};
+use crate::hypergraph::{is_subset, EdgeId, Hypergraph, Var};
 use std::collections::BTreeSet;
 
 /// One step of the GYO run, recorded for inspection and testing.
@@ -86,11 +86,11 @@ impl GyoTrace {
 ///    out with no witness left; it is removed with `witness = None`.
 pub fn gyo(h: &Hypergraph) -> GyoTrace {
     let k = h.num_edges();
-    // current vertex sets
-    let mut cur: Vec<BTreeSet<Var>> = h
-        .edges()
-        .map(|(_, e)| e.iter().copied().collect())
-        .collect();
+    // Current vertex sets (each edge's sorted vertex list, shrinking) and
+    // each vertex's degree over the live edges.
+    let mut cur: Vec<Vec<Var>> = h.edges().map(|(_, e)| e.to_vec()).collect();
+    let mut degree = vec![0usize; h.num_vars()];
+    cur.iter().flatten().for_each(|v| degree[v.index()] += 1);
     let mut live: Vec<bool> = vec![true; k];
     let mut steps = Vec::new();
     // For each removed edge: every witness candidate at removal time.
@@ -100,34 +100,19 @@ pub fn gyo(h: &Hypergraph) -> GyoTrace {
     loop {
         let mut progressed = false;
 
-        // Rule (a): eliminate vertices of degree one.
-        loop {
-            let mut var_hit = None;
-            'outer: for ei in 0..k {
-                if !live[ei] {
-                    continue;
-                }
-                for &v in cur[ei].iter() {
-                    let deg = (0..k)
-                        .filter(|&fi| live[fi] && cur[fi].contains(&v))
-                        .count();
-                    if deg == 1 {
-                        var_hit = Some((v, ei));
-                        break 'outer;
-                    }
-                }
-            }
-            match var_hit {
-                Some((v, ei)) => {
-                    cur[ei].remove(&v);
-                    steps.push(GyoStep::EliminateVar {
-                        var: v,
-                        edge: EdgeId(ei as u32),
-                    });
-                    progressed = true;
-                }
-                None => break,
-            }
+        // Rule (a): eliminate vertices of degree one, the first such
+        // vertex of the first live edge holding one each time.
+        while let Some((ei, at)) = (0..k).filter(|&ei| live[ei]).find_map(|ei| {
+            let at = cur[ei].iter().position(|v| degree[v.index()] == 1)?;
+            Some((ei, at))
+        }) {
+            let v = cur[ei].remove(at);
+            degree[v.index()] -= 1;
+            steps.push(GyoStep::EliminateVar {
+                var: v,
+                edge: EdgeId(ei as u32),
+            });
+            progressed = true;
         }
 
         // Rule (b): delete one contained edge (then loop back to rule (a)).
@@ -146,7 +131,7 @@ pub fn gyo(h: &Hypergraph) -> GyoTrace {
                 if fi == ei || !live[fi] {
                     continue;
                 }
-                let contained = cur[ei].is_subset(&cur[fi]);
+                let contained = is_subset(&cur[ei], &cur[fi]);
                 // Equal sets: delete exactly one of the pair; break the tie
                 // by index so the pass is deterministic.
                 let equal = cur[ei] == cur[fi];
@@ -163,6 +148,7 @@ pub fn gyo(h: &Hypergraph) -> GyoTrace {
         }
         if let Some((ei, wits)) = deletion {
             live[ei] = false;
+            cur[ei].iter().for_each(|v| degree[v.index()] -= 1);
             candidates[ei] = wits;
             removal_order.push(EdgeId(ei as u32));
             steps.push(GyoStep::DeleteEdge {
@@ -240,31 +226,38 @@ impl Decomposition {
 
     /// Builds the decomposition from an existing GYO trace.
     pub fn from_trace(h: &Hypergraph, trace: &GyoTrace) -> Self {
-        let core_edges = trace.reduction.clone();
-        let forest_roots = trace.roots();
-        let forest_edges = trace.removal_order.clone();
+        let mut d = Decomposition {
+            core_edges: trace.reduction.clone(),
+            forest_roots: trace.roots(),
+            forest_edges: trace.removal_order.clone(),
+            forest_parent: trace.parent.clone(),
+            core_vars: BTreeSet::new(),
+            forest_vars: BTreeSet::new(),
+        };
+        d.refresh_vars(h);
+        d
+    }
 
-        let mut core_vars: BTreeSet<Var> = BTreeSet::new();
-        for &e in core_edges.iter().chain(forest_roots.iter()) {
-            core_vars.extend(h.edge(e).iter().copied());
+    /// Recomputes `V(C(H))` and `V(W(H))` from the edge lists: the core
+    /// edges' and forest roots' vertices, then the other forest edges'
+    /// vertices outside them (Appendix C.1's convention), both dense by
+    /// variable.
+    fn refresh_vars(&mut self, h: &Hypergraph) {
+        let n = h.num_vars();
+        let mut in_core = vec![false; n];
+        for &e in self.core_edges.iter().chain(&self.forest_roots) {
+            h.edge(e).iter().for_each(|v| in_core[v.index()] = true);
         }
-        let root_set: BTreeSet<EdgeId> = forest_roots.iter().copied().collect();
-        let mut forest_vars: BTreeSet<Var> = BTreeSet::new();
-        for &e in &forest_edges {
-            if !root_set.contains(&e) {
-                forest_vars.extend(h.edge(e).iter().copied());
+        let mut in_forest = vec![false; n];
+        for &e in &self.forest_edges {
+            if self.forest_parent[e.index()].is_some() {
+                h.edge(e).iter().for_each(|v| in_forest[v.index()] = true);
             }
         }
-        // Appendix C.1: vertices already in C(H) are excluded from W(H).
-        forest_vars.retain(|v| !core_vars.contains(v));
-        Decomposition {
-            core_edges,
-            forest_roots,
-            forest_edges,
-            forest_parent: trace.parent.clone(),
-            core_vars,
-            forest_vars,
-        }
+        let var = |i: usize| Var(i as u32);
+        self.core_vars = (0..n).filter(|&i| in_core[i]).map(var).collect();
+        let forest_only = (0..n).filter(|&i| in_forest[i] && !in_core[i]);
+        self.forest_vars = forest_only.map(var).collect();
     }
 
     /// `n2(H) = |V(C(H))|` (Definition 3.1), the size of the core's vertex
@@ -307,53 +300,31 @@ impl Decomposition {
     /// Re-roots the join tree containing `new_root` at `new_root`
     /// (Construction 2.8 allows rooting each reduced-GHD "arbitrarily";
     /// the choice affects both `y(H)` and `n2(H)` since the root edge
-    /// joins `C(H)`). Parent pointers inside the tree are re-oriented and
-    /// the core vertex set recomputed.
+    /// joins `C(H)`). The parent pointers on the path from `new_root` up
+    /// to the old root are reversed — a tree has one rooting per root,
+    /// so this is the orientation a search from `new_root` finds — and
+    /// the vertex sets recomputed. Re-rooting is therefore
+    /// path-independent: re-rooting a re-rooted decomposition at `e`
+    /// equals re-rooting the original at `e`.
     pub fn reroot(&mut self, h: &Hypergraph, new_root: EdgeId) {
-        let tree = self.tree_of(new_root);
-        let old_root = *tree.first().expect("tree non-empty");
-        if old_root == new_root {
+        assert!(
+            self.is_forest_edge(new_root),
+            "{new_root} is not a forest edge"
+        );
+        if self.forest_parent[new_root.index()].is_none() {
             return;
         }
-        // Undirected tree adjacency.
-        let mut adj: std::collections::HashMap<EdgeId, Vec<EdgeId>> = Default::default();
-        for &n in &tree {
-            if let Some(p) = self.forest_parent[n.index()] {
-                adj.entry(n).or_default().push(p);
-                adj.entry(p).or_default().push(n);
-            }
+        let (mut cur, mut below) = (new_root, None);
+        while let Some(up) = std::mem::replace(&mut self.forest_parent[cur.index()], below) {
+            (below, cur) = (Some(cur), up);
         }
-        // BFS from the new root.
-        let mut seen: BTreeSet<EdgeId> = [new_root].into_iter().collect();
-        let mut queue = std::collections::VecDeque::from([new_root]);
-        self.forest_parent[new_root.index()] = None;
-        while let Some(cur) = queue.pop_front() {
-            for &nb in adj.get(&cur).into_iter().flatten() {
-                if seen.insert(nb) {
-                    self.forest_parent[nb.index()] = Some(cur);
-                    queue.push_back(nb);
-                }
-            }
-        }
-        // Update roots and vertex sets.
+        // `cur` is the old root; its tree now hangs from `new_root`.
         for r in &mut self.forest_roots {
-            if *r == old_root {
+            if *r == cur {
                 *r = new_root;
             }
         }
-        self.core_vars.clear();
-        for &e in self.core_edges.iter().chain(self.forest_roots.iter()) {
-            self.core_vars.extend(h.edge(e).iter().copied());
-        }
-        let root_set: BTreeSet<EdgeId> = self.forest_roots.iter().copied().collect();
-        self.forest_vars.clear();
-        for &e in &self.forest_edges {
-            if !root_set.contains(&e) {
-                self.forest_vars.extend(h.edge(e).iter().copied());
-            }
-        }
-        let core = self.core_vars.clone();
-        self.forest_vars.retain(|v| !core.contains(v));
+        self.refresh_vars(h);
     }
 }
 

@@ -53,6 +53,5 @@ pub use graph::SimpleGraph;
 pub use gyo::{gyo, is_acyclic, Decomposition, GyoStep, GyoTrace};
 pub use hypergraph::{EdgeId, Hypergraph, Var};
 pub use width::{
-    candidate_decompositions, cyclic_core_candidates, exact_internal_node_width,
-    internal_node_width, WidthReport,
+    exact_internal_node_width, internal_node_width, QueryStructure, WidthReport, WidthTerms,
 };

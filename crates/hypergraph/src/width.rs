@@ -33,13 +33,207 @@ impl WidthReport {
     pub fn n2(&self) -> usize {
         self.decomposition.n2()
     }
+
+    /// What Theorem 4.1's bound reads off this witness.
+    pub fn terms(&self) -> WidthTerms {
+        let d = &self.decomposition;
+        WidthTerms {
+            y: self.y,
+            n2: d.n2(),
+            acyclic_single_tree: d.core_edges.is_empty() && d.forest_roots.len() == 1,
+        }
+    }
 }
 
-fn build_hoisted(h: &Hypergraph, d: &Decomposition) -> (Ghd, usize) {
-    let mut ghd = Ghd::from_decomposition(h, d);
-    let before = ghd.internal_count();
+/// The structural terms of Theorem 4.1's bound: `y(H)` and `n2(H)` of the
+/// width witness, and whether `H` is acyclic with one join tree (then
+/// Lemma 4.1 peels it to the root and the bound has no core term). Every
+/// rooting of `H`'s join forest has the same core edges and the same
+/// number of trees, so the flag is a property of `H`; `y` and `n2` are
+/// the witness's.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct WidthTerms {
+    /// `y(H)`: the witness's internal node count.
+    pub y: usize,
+    /// `n2(H)`: the witness's core vertex count.
+    pub n2: usize,
+    /// Whether `H` is acyclic and its join forest is one tree.
+    pub acyclic_single_tree: bool,
+}
+
+/// One structural analysis of a hypergraph, from one GYO run: the width
+/// witness and the re-rooted decompositions a cost-based planner scores
+/// ([`QueryStructure::core_candidates`] adds the cyclic-core merges).
+#[derive(Clone, Debug)]
+pub struct QueryStructure {
+    /// The width witness [`internal_node_width`] returns.
+    pub width: WidthReport,
+    /// Every core/forest decomposition Construction 2.8 reaches by
+    /// re-rooting one removed join tree of the canonical GYO run, each
+    /// with its MD-hoisted GHD: the canonical decomposition first, then
+    /// one variant per alternative root of each tree, in tree order.
+    /// The width search walks the same set; where its steps coincide
+    /// with these it reads them instead of building them again.
+    pub reroots: Vec<(Decomposition, Ghd)>,
+}
+
+impl QueryStructure {
+    /// Runs GYO once on `h` and derives the width witness and every
+    /// single-tree re-rooting from that run.
+    pub fn of(h: &Hypergraph) -> Self {
+        let base = Decomposition::of(h);
+        let mut ghd0 = Ghd::from_decomposition(h, &base);
+        let y_before_hoist = ghd0.internal_count();
+        ghd0.hoist_md();
+        let mut reroots = vec![(base.clone(), ghd0)];
+        // Per join tree: its edges, root first, and the index in
+        // `reroots` of the decomposition rooted at each.
+        let mut trees = Vec::with_capacity(base.forest_roots.len());
+        for &root in &base.forest_roots {
+            let tree = base.tree_of(root);
+            let mut at = Vec::with_capacity(tree.len());
+            for &cand in &tree {
+                if cand == root {
+                    at.push(0);
+                    continue;
+                }
+                let mut d = base.clone();
+                d.reroot(h, cand);
+                at.push(reroots.len());
+                reroots.push(hoisted(h, d));
+            }
+            trees.push((tree, at));
+        }
+        let width = descend(h, &reroots, &trees, y_before_hoist);
+        QueryStructure { width, reroots }
+    }
+
+    /// The canonical decomposition: the GYO run's own rooting.
+    pub fn canonical(&self) -> &Decomposition {
+        &self.reroots[0].0
+    }
+
+    /// GHD candidates for *cyclic* cores, beyond Construction 2.8's
+    /// reroots: bag-merge decompositions of the canonical GYO core toward
+    /// fractional / submodular width, for the cost-based planner to race
+    /// against the canonical flat root. `h` is the hypergraph the
+    /// analysis was built from.
+    ///
+    /// Construction 2.8 puts the whole core vertex set in the root bag
+    /// but hangs every contained edge as a leaf child with `λ = {e}` — so
+    /// a triangle still materialises through a binary join cascade of
+    /// child messages. The candidates produced here change *λ assignment
+    /// and bag shape*, which is what a worst-case-optimal generic-join
+    /// operator needs to apply:
+    ///
+    /// 1. **Flat core** — one root bag `χ = V(C(H))` whose λ absorbs
+    ///    every edge it contains (the multiway-join bag), remaining
+    ///    forest attached below;
+    /// 2. **Core 2-splits** — for cores of ≥ 4 edges, the core edges are
+    ///    walked into a shared-variable chain, cut into two contiguous
+    ///    arcs, and each arc becomes one bag (both rootings are emitted)
+    ///    — the greedy "merge adjacent cycle bags" family between the
+    ///    flat root and the canonical decomposition.
+    ///
+    /// Every candidate is MD-hoisted and validated against the full GHD
+    /// checks (coverage, λ-containment, RIP, tree shape); invalid merges
+    /// — e.g. splits whose arcs interleave on a chord — are silently
+    /// dropped. Acyclic hypergraphs (empty core) yield no candidates,
+    /// leaving [`QueryStructure::reroots`] the complete story there.
+    pub fn core_candidates(&self, h: &Hypergraph) -> Vec<Ghd> {
+        let d = self.canonical();
+        if d.core_edges.is_empty() {
+            return Vec::new();
+        }
+        let core_vars: Vec<Var> = d.core_vars.iter().copied().collect();
+        let mut out = Vec::new();
+
+        if let Some(g) = assemble_merged(h, d, &[(core_vars, None)]) {
+            out.push(g);
+        }
+
+        let m = d.core_edges.len();
+        if m >= 4 {
+            if let Some(order) = core_walk(h, &d.core_edges) {
+                // Contiguous 2-splits of the walk: all cuts for small
+                // cores, balanced cuts only once the quadratic family
+                // gets large.
+                let lens: Vec<usize> = if m <= 8 {
+                    (2..=m - 2).collect()
+                } else {
+                    vec![m / 2]
+                };
+                for s in 0..m {
+                    for &l in &lens {
+                        let arc1: Vec<EdgeId> = (0..l).map(|i| order[(s + i) % m]).collect();
+                        let arc2: Vec<EdgeId> = (l..m).map(|i| order[(s + i) % m]).collect();
+                        let b1 = edge_union_vars(h, &arc1);
+                        let b2 = edge_union_vars(h, &arc2);
+                        for (first, second) in [(&b1, &b2), (&b2, &b1)] {
+                            let bags = [(first.clone(), None), (second.clone(), Some(0))];
+                            if let Some(g) = assemble_merged(h, d, &bags) {
+                                out.push(g);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        out
+    }
+}
+
+/// `d` with its MD-hoisted Construction 2.8 GHD.
+fn hoisted(h: &Hypergraph, d: Decomposition) -> (Decomposition, Ghd) {
+    let mut ghd = Ghd::from_decomposition(h, &d);
     ghd.hoist_md();
-    (ghd, before)
+    (d, ghd)
+}
+
+/// The width search: a coordinate descent that re-roots the best
+/// decomposition so far at each edge of each removed join tree in turn,
+/// and keeps a step that lowers `y`, or keeps `y` and lowers `n2`.
+///
+/// While every earlier tree still has its canonical root, re-rooting the
+/// best so far at an edge of the current tree equals re-rooting the
+/// canonical decomposition there ([`Decomposition::reroot`] is
+/// path-independent), which `reroots` already holds, hoisted. Once an
+/// earlier tree has moved, a step builds its own.
+fn descend(
+    h: &Hypergraph,
+    reroots: &[(Decomposition, Ghd)],
+    trees: &[(Vec<EdgeId>, Vec<usize>)],
+    y_before_hoist: usize,
+) -> WidthReport {
+    let (base, ghd0) = &reroots[0];
+    let mut best = (base.clone(), ghd0.clone());
+    let mut best_y = ghd0.internal_count();
+    for (t, (tree, at)) in trees.iter().enumerate() {
+        let shared = best.0.forest_roots[..t] == base.forest_roots[..t];
+        for (&cand, &i) in tree.iter().zip(at) {
+            let own;
+            let (d, g) = if shared {
+                (&reroots[i].0, &reroots[i].1)
+            } else {
+                let mut d = best.0.clone();
+                d.reroot(h, cand);
+                own = hoisted(h, d);
+                (&own.0, &own.1)
+            };
+            let y = g.internal_count();
+            if y < best_y || (y == best_y && d.n2() < best.0.n2()) {
+                best_y = y;
+                best = (d.clone(), g.clone());
+            }
+        }
+    }
+    let (decomposition, ghd) = best;
+    WidthReport {
+        y: best_y,
+        y_before_hoist,
+        ghd,
+        decomposition,
+    }
 }
 
 /// Computes (an upper bound on) `y(H)` constructively:
@@ -55,7 +249,9 @@ fn build_hoisted(h: &Hypergraph, d: &Decomposition) -> (Ghd, usize) {
 /// distributed forest protocol runs on. The paper only needs an
 /// O(1)-approximation of `y(H)` (Appendix F); the crate's tests certify
 /// exactness on all of the paper's worked examples via
-/// [`exact_internal_node_width`].
+/// [`exact_internal_node_width`]. It is the witness of
+/// [`QueryStructure::of`]; a planner that also wants the re-rooted
+/// candidates builds that analysis instead of running GYO twice.
 ///
 /// ```
 /// use faqs_hypergraph::{example_h2, internal_node_width};
@@ -65,125 +261,7 @@ fn build_hoisted(h: &Hypergraph, d: &Decomposition) -> (Ghd, usize) {
 /// report.ghd.validate(&example_h2()).unwrap();
 /// ```
 pub fn internal_node_width(h: &Hypergraph) -> WidthReport {
-    let base = Decomposition::of(h);
-    let (ghd0, before) = build_hoisted(h, &base);
-
-    let mut best_decomp = base.clone();
-    let mut best_ghd = ghd0;
-    let mut best_y = best_ghd.internal_count();
-
-    // Coordinate descent: re-root each tree at each of its nodes.
-    for &orig_root in &base.forest_roots {
-        for &cand in &base.tree_of(orig_root) {
-            let mut d = best_decomp.clone();
-            d.reroot(h, cand);
-            let (g, _) = build_hoisted(h, &d);
-            let y = g.internal_count();
-            if y < best_y || (y == best_y && d.n2() < best_decomp.n2()) {
-                best_y = y;
-                best_ghd = g;
-                best_decomp = d;
-            }
-        }
-    }
-
-    WidthReport {
-        y: best_y,
-        y_before_hoist: before,
-        ghd: best_ghd,
-        decomposition: best_decomp,
-    }
-}
-
-/// Every core/forest decomposition Construction 2.8 can reach by
-/// re-rooting one removed join tree of the canonical GYO run: the
-/// canonical decomposition first, then one variant per alternative root
-/// of each tree. This is the candidate set the cost-based planner
-/// (`faqs-plan`) scores — the same set [`internal_node_width`]'s
-/// coordinate descent walks, but returned instead of folded, so a
-/// *statistics*-driven objective can pick a different winner than the
-/// width-minimising one.
-pub fn candidate_decompositions(h: &Hypergraph) -> Vec<Decomposition> {
-    let base = Decomposition::of(h);
-    let mut out = vec![base.clone()];
-    for &orig_root in &base.forest_roots {
-        for &cand in &base.tree_of(orig_root) {
-            if cand == orig_root {
-                continue;
-            }
-            let mut d = base.clone();
-            d.reroot(h, cand);
-            out.push(d);
-        }
-    }
-    out
-}
-
-/// GHD candidates for *cyclic* cores, beyond Construction 2.8's reroots:
-/// bag-merge decompositions of the GYO core toward fractional /
-/// submodular width, for the cost-based planner to race against the
-/// canonical flat root.
-///
-/// Construction 2.8 puts the whole core vertex set in the root bag but
-/// hangs every contained edge as a leaf child with `λ = {e}` — so a
-/// triangle still materialises through a binary join cascade of child
-/// messages. The candidates produced here change *λ assignment and bag
-/// shape*, which is what a worst-case-optimal generic-join operator
-/// needs to apply:
-///
-/// 1. **Flat core** — one root bag `χ = V(C(H))` whose λ absorbs every
-///    edge it contains (the multiway-join bag), remaining forest
-///    attached below;
-/// 2. **Core 2-splits** — for cores of ≥ 4 edges, the core edges are
-///    walked into a shared-variable chain, cut into two contiguous
-///    arcs, and each arc becomes one bag (both rootings are emitted) —
-///    the greedy "merge adjacent cycle bags" family between the flat
-///    root and the canonical decomposition.
-///
-/// Every candidate is MD-hoisted and validated against the full GHD
-/// checks (coverage, λ-containment, RIP, tree shape); invalid merges —
-/// e.g. splits whose arcs interleave on a chord — are silently dropped.
-/// Acyclic hypergraphs (empty core) yield no candidates, leaving
-/// [`candidate_decompositions`] the complete story there.
-pub fn cyclic_core_candidates(h: &Hypergraph) -> Vec<Ghd> {
-    let d = Decomposition::of(h);
-    if d.core_edges.is_empty() {
-        return Vec::new();
-    }
-    let core_vars: Vec<Var> = d.core_vars.iter().copied().collect();
-    let mut out = Vec::new();
-
-    if let Some(g) = assemble_merged(h, &d, &[(core_vars, None)]) {
-        out.push(g);
-    }
-
-    let m = d.core_edges.len();
-    if m >= 4 {
-        if let Some(order) = core_walk(h, &d.core_edges) {
-            // Contiguous 2-splits of the walk: all cuts for small cores,
-            // balanced cuts only once the quadratic family gets large.
-            let lens: Vec<usize> = if m <= 8 {
-                (2..=m - 2).collect()
-            } else {
-                vec![m / 2]
-            };
-            for s in 0..m {
-                for &l in &lens {
-                    let arc1: Vec<EdgeId> = (0..l).map(|i| order[(s + i) % m]).collect();
-                    let arc2: Vec<EdgeId> = (l..m).map(|i| order[(s + i) % m]).collect();
-                    let b1 = edge_union_vars(h, &arc1);
-                    let b2 = edge_union_vars(h, &arc2);
-                    for (first, second) in [(&b1, &b2), (&b2, &b1)] {
-                        let bags = [(first.clone(), None), (second.clone(), Some(0))];
-                        if let Some(g) = assemble_merged(h, &d, &bags) {
-                            out.push(g);
-                        }
-                    }
-                }
-            }
-        }
-    }
-    out
+    QueryStructure::of(h).width
 }
 
 /// The sorted union of the given edges' vertex sets.
@@ -412,24 +490,50 @@ mod tests {
     }
 
     #[test]
-    fn candidate_decompositions_cover_every_reroot() {
+    fn reroots_cover_every_root_choice() {
         // A star's single join tree has one canonical root plus one
         // variant per other edge; every candidate is a valid base for
         // Construction 2.8 and together they realise every root choice.
         let h = star_query(4);
-        let cands = candidate_decompositions(&h);
+        let cands = QueryStructure::of(&h).reroots;
         assert_eq!(cands.len(), 4, "canonical + 3 reroots");
-        let mut roots: Vec<_> = cands.iter().map(|d| d.forest_roots.clone()).collect();
+        let mut roots: Vec<_> = cands.iter().map(|(d, _)| d.forest_roots.clone()).collect();
         roots.sort();
         roots.dedup();
         assert_eq!(roots.len(), 4, "each candidate has a distinct root");
-        for d in &cands {
-            let g = Ghd::from_decomposition(&h, d);
+        for (d, g) in &cands {
             g.validate(&h)
                 .expect("every candidate materialises validly");
+            let (_, built) = hoisted(&h, d.clone());
+            assert_eq!(
+                format!("{g:?}"),
+                format!("{built:?}"),
+                "the held GHD is d's"
+            );
         }
         // Cyclic-core graphs have no forest to re-root.
-        assert_eq!(candidate_decompositions(&cycle_query(3)).len(), 1);
+        assert_eq!(QueryStructure::of(&cycle_query(3)).reroots.len(), 1);
+    }
+
+    #[test]
+    fn reroot_is_path_independent() {
+        // Re-rooting a re-rooted decomposition at `c` equals re-rooting
+        // the canonical one at `c`: the width search reads the latter
+        // where it would build the former.
+        for h in [path_query(5), example_h2(), example_h3()] {
+            let base = Decomposition::of(&h);
+            let tree = base.tree_of(base.forest_roots[0]);
+            for &a in &tree {
+                for &c in &tree {
+                    let mut twice = base.clone();
+                    twice.reroot(&h, a);
+                    twice.reroot(&h, c);
+                    let mut once = base.clone();
+                    once.reroot(&h, c);
+                    assert_eq!(format!("{twice:?}"), format!("{once:?}"), "{a} then {c}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -437,7 +541,7 @@ mod tests {
         // The flat-core candidate absorbs all three edges into one
         // multiway root bag — the shape the generic-join operator needs.
         let h = cycle_query(3);
-        let cands = cyclic_core_candidates(&h);
+        let cands = QueryStructure::of(&h).core_candidates(&h);
         assert!(!cands.is_empty());
         let flat = &cands[0];
         flat.validate(&h).unwrap();
@@ -451,7 +555,7 @@ mod tests {
     #[test]
     fn cyclic_candidates_split_longer_cycles() {
         let h = cycle_query(6);
-        let cands = cyclic_core_candidates(&h);
+        let cands = QueryStructure::of(&h).core_candidates(&h);
         assert!(cands.len() > 1, "flat + at least one 2-split");
         for g in &cands {
             g.validate(&h).unwrap();
@@ -469,15 +573,16 @@ mod tests {
     #[test]
     fn cyclic_candidates_cover_cliques_and_skip_acyclic() {
         let h = clique_query(4);
-        let cands = cyclic_core_candidates(&h);
+        let cands = QueryStructure::of(&h).core_candidates(&h);
         assert!(!cands.is_empty());
         for g in &cands {
             g.validate(&h).unwrap();
         }
         assert_eq!(cands[0].node(cands[0].root()).lambda.len(), 6);
         // Acyclic shapes produce nothing — reroots already cover them.
-        assert!(cyclic_core_candidates(&star_query(3)).is_empty());
-        assert!(cyclic_core_candidates(&path_query(4)).is_empty());
+        for h in [star_query(3), path_query(4)] {
+            assert!(QueryStructure::of(&h).core_candidates(&h).is_empty());
+        }
     }
 
     #[test]
@@ -490,7 +595,7 @@ mod tests {
         h.add_edge([Var(0), Var(2)]);
         h.add_edge([Var(2), Var(3)]);
         h.add_edge([Var(3), Var(4)]);
-        let cands = cyclic_core_candidates(&h);
+        let cands = QueryStructure::of(&h).core_candidates(&h);
         assert!(!cands.is_empty());
         for g in &cands {
             g.validate(&h).unwrap();

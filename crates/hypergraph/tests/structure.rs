@@ -5,8 +5,8 @@
 
 use faqs_hypergraph::{
     clique_query, cycle_query, exact_internal_node_width, example_h0, example_h1, example_h2,
-    example_h3, gyo, internal_node_width, is_acyclic, path_query, star_query, Decomposition,
-    EdgeId,
+    example_h3, gyo, internal_node_width, is_acyclic, path_query, star_query, tree_query,
+    Decomposition, EdgeId, Hypergraph, Var,
 };
 
 #[test]
@@ -151,4 +151,79 @@ fn width_report_decomposition_is_consistent_with_gyo() {
         assert_eq!(report.n2(), d.n2());
         assert!(report.y >= usize::from(!d.core_edges.is_empty()));
     }
+}
+
+/// A triangle core with a branching tail hanging off two of its
+/// vertices: a join forest of two trees, each of which the width
+/// search's coordinate descent re-roots away from its canonical root.
+fn triangle_with_two_tails() -> Hypergraph {
+    let mut h = Hypergraph::new(11);
+    let tails = [
+        (1, 3),
+        (3, 4),
+        (3, 5),
+        (5, 10),
+        (2, 6),
+        (6, 7),
+        (6, 8),
+        (8, 9),
+    ];
+    for (a, b) in [(0, 1), (1, 2), (0, 2)].into_iter().chain(tails) {
+        h.add_edge([Var(a), Var(b)]);
+    }
+    h
+}
+
+/// `y`, `y` before hoisting, `n2`, the forest roots and the witness GHD
+/// node by node.
+fn render_width(h: &Hypergraph) -> String {
+    let r = internal_node_width(h);
+    let mut out = format!(
+        "y {} before {} n2 {} roots {:?} |",
+        r.y,
+        r.y_before_hoist,
+        r.n2(),
+        r.decomposition.forest_roots
+    );
+    for n in r.ghd.node_ids() {
+        let node = r.ghd.node(n);
+        let chi: Vec<u32> = node.chi.iter().map(|v| v.0).collect();
+        let lambda: Vec<u32> = node.lambda.iter().map(|e| e.0).collect();
+        let parent = node.parent.map(|p| p.index() as i64).unwrap_or(-1);
+        out.push_str(&format!(" n{} {chi:?} {lambda:?} ^{parent};", n.index()));
+    }
+    out
+}
+
+#[test]
+fn width_witnesses_are_pinned() {
+    let corpus = [
+        ("star4", star_query(4)),
+        ("path4", path_query(4)),
+        ("tree(2,2)", tree_query(2, 2)),
+        ("tree(2,3)", tree_query(2, 3)),
+        ("example_h1", example_h1()),
+        ("example_h2", example_h2()),
+        ("example_h3", example_h3()),
+        ("cycle4", cycle_query(4)),
+        ("clique4", clique_query(4)),
+        ("triangle+tails", triangle_with_two_tails()),
+    ];
+    let got: Vec<String> = corpus
+        .iter()
+        .map(|(name, h)| format!("{name}: {}", render_width(h)))
+        .collect();
+    let want = [
+        "star4: y 1 before 1 n2 2 roots [EdgeId(0)] | n0 [0, 1] [0] ^-1; n1 [0, 2] [1] ^0; n2 [0, 3] [2] ^0; n3 [0, 4] [3] ^0;",
+        "path4: y 2 before 2 n2 2 roots [EdgeId(2)] | n0 [2, 3] [2] ^-1; n1 [1, 2] [1] ^0; n2 [3, 4] [3] ^0; n3 [0, 1] [0] ^1;",
+        "tree(2,2): y 2 before 2 n2 2 roots [EdgeId(1)] | n0 [0, 2] [1] ^-1; n1 [0, 1] [0] ^0; n2 [2, 5] [4] ^0; n3 [2, 6] [5] ^0; n4 [1, 3] [2] ^1; n5 [1, 4] [3] ^1;",
+        "tree(2,3): y 6 before 6 n2 2 roots [EdgeId(5)] | n0 [2, 6] [5] ^-1; n1 [2, 5] [4] ^0; n2 [6, 13] [12] ^0; n3 [6, 14] [13] ^0; n4 [0, 2] [1] ^0; n5 [5, 11] [10] ^1; n6 [5, 12] [11] ^1; n7 [0, 1] [0] ^4; n8 [1, 3] [2] ^7; n9 [1, 4] [3] ^7; n10 [3, 7] [6] ^8; n11 [3, 8] [7] ^8; n12 [4, 9] [8] ^9; n13 [4, 10] [9] ^9;",
+        "example_h1: y 1 before 1 n2 2 roots [EdgeId(0)] | n0 [0, 1] [0] ^-1; n1 [0, 2] [1] ^0; n2 [0, 3] [2] ^0; n3 [0, 4] [3] ^0;",
+        "example_h2: y 1 before 1 n2 3 roots [EdgeId(0)] | n0 [0, 1, 2] [0] ^-1; n1 [1, 3] [1] ^0; n2 [2, 5] [2] ^0; n3 [0, 1, 4] [3] ^0;",
+        "example_h3: y 1 before 3 n2 5 roots [EdgeId(5)] | n0 [0, 1, 2, 3, 6] [] ^-1; n1 [0, 1, 2] [0] ^0; n2 [1, 2, 3] [1] ^0; n3 [0, 2, 3] [2] ^0; n4 [1, 6] [5] ^0; n5 [6, 7] [6] ^0; n6 [0, 1, 4] [3] ^0; n7 [0, 5] [4] ^0;",
+        "cycle4: y 1 before 1 n2 4 roots [] | n0 [0, 1, 2, 3] [] ^-1; n1 [0, 1] [0] ^0; n2 [1, 2] [1] ^0; n3 [2, 3] [2] ^0; n4 [0, 3] [3] ^0;",
+        "clique4: y 1 before 1 n2 4 roots [] | n0 [0, 1, 2, 3] [] ^-1; n1 [0, 1] [0] ^0; n2 [0, 2] [1] ^0; n3 [0, 3] [2] ^0; n4 [1, 2] [3] ^0; n5 [1, 3] [4] ^0; n6 [2, 3] [5] ^0;",
+        "triangle+tails: y 1 before 5 n2 7 roots [EdgeId(5), EdgeId(9)] | n0 [0, 1, 2, 3, 5, 6, 8] [] ^-1; n1 [0, 1] [0] ^0; n2 [1, 2] [1] ^0; n3 [0, 2] [2] ^0; n4 [1, 3] [3] ^0; n5 [3, 5] [5] ^0; n6 [2, 6] [7] ^0; n7 [6, 8] [9] ^0; n8 [3, 4] [4] ^0; n9 [5, 10] [6] ^0; n10 [6, 7] [8] ^0; n11 [8, 9] [10] ^0;",
+    ];
+    assert_eq!(got, want);
 }

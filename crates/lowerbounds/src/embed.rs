@@ -487,9 +487,15 @@ pub fn hypergraph_capacity(h: &Hypergraph) -> usize {
 /// player on the `A` side of a witnessing min cut of `(G, K)`, every
 /// `R_{T_i}` to the `B` side, padding relations round-robin. The output
 /// player is the first terminal.
+///
+/// # Panics
+///
+/// When `k` is not two or more players of `g`, or no cut of `g`
+/// separates it.
 pub fn hard_assignment(embedding: &Embedding, g: &Topology, k: &[Player]) -> Assignment {
-    assert!(k.len() >= 2);
-    let (_, side) = min_cut_partition(g, k);
+    let Some((_, side)) = min_cut_partition(g, k) else {
+        panic!("K must be two or more players of g");
+    };
     let a_players: Vec<Player> = k.iter().copied().filter(|p| side[p.index()]).collect();
     let b_players: Vec<Player> = k.iter().copied().filter(|p| !side[p.index()]).collect();
     assert!(
@@ -634,7 +640,7 @@ mod tests {
         let g = Topology::line(4);
         let k: Vec<Player> = (0..4u32).map(Player).collect();
         let a = hard_assignment(&e, &g, &k);
-        let (_, side) = min_cut_partition(&g, &k);
+        let (_, side) = min_cut_partition(&g, &k).unwrap();
         for (i, &se) in e.s_edges.iter().enumerate() {
             assert!(side[a.holder(se).index()], "S relation on side A");
             assert!(

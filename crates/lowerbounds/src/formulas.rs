@@ -41,7 +41,9 @@ pub fn bcq_lower_bound(h: &Hypergraph, g: &Topology, k: &[Player], n: u64) -> Lo
     let report = internal_node_width(h);
     let y = report.y;
     let n2 = report.n2();
-    let mc = min_cut(g, k).max(1);
+    // A `K` that `g` does not connect cuts at 0, one that is not two
+    // players of `g` has no cut: both divide by one.
+    let mc = min_cut(g, k).map_or(1, |c| c.max(1));
     // The strongest applicable reduction: forests (Lemma 4.3), cyclic
     // cores (Theorem 4.4), hypergraphs (Theorem F.8). For mixed H the
     // paper takes the max of the forest and core embeddings.

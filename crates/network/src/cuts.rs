@@ -58,33 +58,34 @@ fn residual_cut(g: &Topology, s: Player, t: Player) -> (usize, Vec<bool>) {
 /// `MinCut(G, K)` (Definition 3.6): the minimum number of edges whose
 /// removal disconnects some pair of players in `K`. Computed as the
 /// minimum over `t ∈ K∖{k₀}` of the `k₀`–`t` max-flow (every cut
-/// separating `K` separates `k₀` from some other terminal).
+/// separating `K` separates `k₀` from some other terminal). `None` when
+/// `K` has fewer than two players or names a player `g` lacks.
 ///
 /// ```
 /// use faqs_network::{min_cut, Player, Topology};
 /// let g = Topology::clique(4); // G2 of Figure 1
 /// let k: Vec<Player> = (0..4).map(Player).collect();
-/// assert_eq!(min_cut(&g, &k), 3);
+/// assert_eq!(min_cut(&g, &k), Some(3));
+/// assert_eq!(min_cut(&g, &[Player(0), Player(7)]), None);
 /// ```
-pub fn min_cut(g: &Topology, k: &[Player]) -> usize {
-    min_cut_partition(g, k).0
+pub fn min_cut(g: &Topology, k: &[Player]) -> Option<usize> {
+    min_cut_partition(g, k).map(|(cut, _)| cut)
 }
 
 /// A witnessing minimum cut `(A, B)` of `G` separating `K`
 /// (Lemma 4.4 needs the cut *sides* to place the `S`/`T` relations):
 /// returns `(cut size, side)` where `side[v] = true` ⇔ `v ∈ A` (the
 /// source side, containing `k[0]`) — the residual side of the first
-/// terminal whose flow from `k[0]` is minimal.
-pub fn min_cut_partition(g: &Topology, k: &[Player]) -> (usize, Vec<bool>) {
-    assert!(k.len() >= 2, "need at least two terminals");
-    let mut best = residual_cut(g, k[0], k[1]);
-    for &t in &k[2..] {
-        let cut = residual_cut(g, k[0], t);
-        if cut.0 < best.0 {
-            best = cut;
-        }
+/// terminal whose flow from `k[0]` is minimal. `None` as for
+/// [`min_cut`].
+pub fn min_cut_partition(g: &Topology, k: &[Player]) -> Option<(usize, Vec<bool>)> {
+    let (&first, rest) = k.split_first()?;
+    if rest.is_empty() || k.iter().any(|p| p.index() >= g.num_players()) {
+        return None;
     }
-    best
+    rest.iter()
+        .map(|&t| residual_cut(g, first, t))
+        .reduce(|best, cut| if cut.0 < best.0 { cut } else { best })
 }
 
 #[cfg(test)]
@@ -104,8 +105,8 @@ mod tests {
             (Topology::clique(4), vec![0, 1, 2, 3]),
         ] {
             let k = players(&kids);
-            let (cut, side) = min_cut_partition(&g, &k);
-            assert_eq!(cut, min_cut(&g, &k));
+            let (cut, side) = min_cut_partition(&g, &k).unwrap();
+            assert_eq!(Some(cut), min_cut(&g, &k));
             // k0 on side A, some terminal on side B.
             assert!(side[k[0].index()]);
             assert!(k.iter().any(|t| !side[t.index()]));
@@ -124,44 +125,44 @@ mod tests {
     #[test]
     fn line_min_cut_is_one() {
         let g = Topology::line(5);
-        assert_eq!(min_cut(&g, &players(&[0, 4])), 1);
-        assert_eq!(min_cut(&g, &players(&[0, 2, 4])), 1);
+        assert_eq!(min_cut(&g, &players(&[0, 4])), Some(1));
+        assert_eq!(min_cut(&g, &players(&[0, 2, 4])), Some(1));
     }
 
     #[test]
     fn clique_min_cut() {
         let g = Topology::clique(5);
-        assert_eq!(min_cut(&g, &players(&[0, 1, 2, 3, 4])), 4);
+        assert_eq!(min_cut(&g, &players(&[0, 1, 2, 3, 4])), Some(4));
         assert_eq!(max_flow(&g, Player(0), Player(1)), 4);
     }
 
     #[test]
     fn ring_min_cut_is_two() {
         let g = Topology::ring(6);
-        assert_eq!(min_cut(&g, &players(&[0, 3])), 2);
+        assert_eq!(min_cut(&g, &players(&[0, 3])), Some(2));
     }
 
     #[test]
     fn grid_corner_cut() {
         let g = Topology::grid(3, 3);
         // Corner has degree 2.
-        assert_eq!(min_cut(&g, &players(&[0, 8])), 2);
+        assert_eq!(min_cut(&g, &players(&[0, 8])), Some(2));
     }
 
     #[test]
     fn barbell_cut_is_bridge() {
         let g = Topology::barbell(4, 1);
         // Terminals on opposite sides: the single bridge edge is the cut.
-        assert_eq!(min_cut(&g, &players(&[0, 7])), 1);
+        assert_eq!(min_cut(&g, &players(&[0, 7])), Some(1));
         // Terminals on the same side: K4 edge connectivity.
-        assert_eq!(min_cut(&g, &players(&[0, 1])), 3);
+        assert_eq!(min_cut(&g, &players(&[0, 1])), Some(3));
     }
 
     #[test]
     fn mpc_cut_is_p() {
         let g = Topology::mpc(4, 3);
         // Each source has degree p = 3.
-        assert_eq!(min_cut(&g, &players(&[0, 1, 2, 3])), 3);
+        assert_eq!(min_cut(&g, &players(&[0, 1, 2, 3])), Some(3));
     }
 
     #[test]

@@ -98,49 +98,54 @@ pub fn route_to_sink(g: &Topology, loads: &[SourceLoad], sink: Player, bits_per_
 /// `τ_MCF(G, K, N′)`: rounds to route `N′·log₂(N′)` bits from `K` to the
 /// best sink in `K`, maximised over two canonical worst-case
 /// distributions (everything at the source farthest from the sink;
-/// everything spread uniformly).
-pub fn tau_mcf(g: &Topology, k: &[Player], n_prime: u64) -> u64 {
-    assert!(k.len() >= 2);
+/// everything spread uniformly). `None` when `K` has fewer than two
+/// players, names a player `g` lacks, or `g` does not connect it.
+pub fn tau_mcf(g: &Topology, k: &[Player], n_prime: u64) -> Option<u64> {
+    if k.len() < 2 || k.iter().any(|p| p.index() >= g.num_players()) {
+        return None;
+    }
     let n_prime = n_prime.max(2);
     let log = 64 - (n_prime - 1).leading_zeros() as u64; // ⌈log₂ N′⌉
     let total_bits = n_prime * log;
     let per_round = log;
 
-    k.iter()
-        .map(|&sink| {
-            let dist = g.distances(sink);
-            // Distribution 1: all bits at the farthest source in K.
-            let far = k
-                .iter()
-                .copied()
-                .filter(|p| *p != sink)
-                .max_by_key(|p| dist[p.index()])
-                .expect("|K| >= 2");
-            let concentrated = route_to_sink(
-                g,
-                &[SourceLoad {
-                    player: far,
-                    bits: total_bits,
-                }],
-                sink,
-                per_round,
-            );
-            // Distribution 2: bits spread uniformly over K.
-            let share = total_bits.div_ceil(k.len() as u64);
-            let loads: Vec<SourceLoad> = k
-                .iter()
-                .copied()
-                .filter(|p| *p != sink)
-                .map(|player| SourceLoad {
-                    player,
-                    bits: share,
-                })
-                .collect();
-            let uniform = route_to_sink(g, &loads, sink, per_round);
-            concentrated.max(uniform)
-        })
-        .min()
-        .expect("non-empty K")
+    let mut best: Option<u64> = None;
+    for &sink in k {
+        let dist = g.distances(sink);
+        if k.iter().any(|p| dist[p.index()] == u32::MAX) {
+            return None;
+        }
+        // Distribution 1: all bits at the farthest source in K.
+        let far = k
+            .iter()
+            .copied()
+            .filter(|p| *p != sink)
+            .max_by_key(|p| dist[p.index()])?;
+        let concentrated = route_to_sink(
+            g,
+            &[SourceLoad {
+                player: far,
+                bits: total_bits,
+            }],
+            sink,
+            per_round,
+        );
+        // Distribution 2: bits spread uniformly over K.
+        let share = total_bits.div_ceil(k.len() as u64);
+        let loads: Vec<SourceLoad> = k
+            .iter()
+            .copied()
+            .filter(|p| *p != sink)
+            .map(|player| SourceLoad {
+                player,
+                bits: share,
+            })
+            .collect();
+        let uniform = route_to_sink(g, &loads, sink, per_round);
+        let rounds = concentrated.max(uniform);
+        best = Some(best.map_or(rounds, |b| b.min(rounds)));
+    }
+    best
 }
 
 #[cfg(test)]
@@ -219,8 +224,8 @@ mod tests {
     fn tau_mcf_line_scales_linearly() {
         let g = Topology::line(4);
         let k: Vec<Player> = (0..4u32).map(Player).collect();
-        let t64 = tau_mcf(&g, &k, 64);
-        let t256 = tau_mcf(&g, &k, 256);
+        let t64 = tau_mcf(&g, &k, 64).unwrap();
+        let t256 = tau_mcf(&g, &k, 256).unwrap();
         // N′ bits at log N′ per round ⇒ ≈ N′ rounds; quadrupling N′
         // roughly quadruples rounds.
         assert!(t256 > 3 * t64, "{t256} vs {t64}");
@@ -242,8 +247,8 @@ mod tests {
         ] {
             let k: Vec<Player> = kids.iter().copied().map(Player).collect();
             let n_prime = 512u64;
-            let tau = tau_mcf(&g, &k, n_prime);
-            let mc = min_cut(&g, &k) as u64;
+            let tau = tau_mcf(&g, &k, n_prime).unwrap();
+            let mc = min_cut(&g, &k).unwrap() as u64;
             let floor = n_prime / mc;
             assert!(
                 tau + g.diameter() as u64 >= floor,
@@ -261,8 +266,8 @@ mod tests {
     #[test]
     fn tau_mcf_clique_beats_line() {
         let kline: Vec<Player> = (0..6u32).map(Player).collect();
-        let line = tau_mcf(&Topology::line(6), &kline, 128);
-        let clique = tau_mcf(&Topology::clique(6), &kline, 128);
+        let line = tau_mcf(&Topology::line(6), &kline, 128).unwrap();
+        let clique = tau_mcf(&Topology::clique(6), &kline, 128).unwrap();
         assert!(clique < line, "{clique} < {line}");
     }
 }

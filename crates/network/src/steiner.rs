@@ -142,7 +142,7 @@ impl SteinerTree {
 /// in that order) on the still available live links is a valid tree within
 /// the bound, take the first one with the fewest links. The single-Δ
 /// entry point of the loop [`DeltaPackings::new`] runs for every
-/// candidate Δ.
+/// candidate Δ. A terminal `g` lacks packs nothing.
 pub fn steiner_packing(g: &Topology, k: &[Player], delta: u32) -> Vec<SteinerTree> {
     Candidates::new(g, k).pack(delta)
 }
@@ -171,6 +171,9 @@ impl<'g> Candidates<'g> {
     /// The greedy packing at diameter bound `delta`.
     fn pack(&mut self, delta: u32) -> Vec<SteinerTree> {
         let g = self.g;
+        if self.k.iter().any(|p| p.index() >= g.num_players()) {
+            return Vec::new(); // no tree reaches a terminal `g` lacks
+        }
         let mut avail: Vec<bool> = g.links().map(|l| g.capacity(l) > 0).collect();
         let mut packing = Vec::new();
         // Among valid candidates within the diameter bound, prefer the
@@ -228,7 +231,8 @@ pub struct DeltaPackings {
 }
 
 impl DeltaPackings {
-    /// Packs every candidate Δ for terminals `k` on `g`.
+    /// Packs every candidate Δ for terminals `k` on `g`. A terminal `g`
+    /// lacks packs nothing at any Δ.
     pub fn new(g: &Topology, k: &[Player]) -> Self {
         let max_delta = (g.num_players() as u32).max(1);
         let bounded = iter::successors(Some(1), |&d| Some(if d < 4 { d + 1 } else { d * 2 }));
@@ -464,7 +468,7 @@ mod tests {
             (Topology::random_connected(12, 0.4, 7), vec![0, 5, 11]),
         ] {
             let k = players(&kids);
-            let mc = min_cut(&g, &k);
+            let mc = min_cut(&g, &k).unwrap();
             let st = steiner_packing(&g, &k, g.num_players() as u32).len();
             assert!(
                 4 * st >= mc,

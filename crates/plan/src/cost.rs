@@ -311,14 +311,11 @@ impl<'a> CostModel<'a> {
                     }
                 }
             }
-            let agg = choose_aggregation_players(ctx.topology, plan, ctx.output, &node_shards);
+            let agg = choose_aggregation_players(ctx.distances(), plan, ctx.output, &node_shards);
             // Gather cost: every remote shard travels holder → player.
-            let mut dists: BTreeMap<Player, Vec<u32>> = BTreeMap::new();
             for node in ghd.node_ids() {
                 let to = agg[node.index()];
-                let dist = dists
-                    .entry(to)
-                    .or_insert_with(|| ctx.topology.live_distances(to));
+                let dist = ctx.distances().from(to);
                 for &(p, bits) in &node_shards[node.index()] {
                     if p != to {
                         if dist[p.index()] == u32::MAX {
@@ -334,7 +331,7 @@ impl<'a> CostModel<'a> {
                     }
                 }
             }
-            Placed { ctx, agg, dists }
+            Placed { ctx, agg }
         });
 
         let mut node_rows = vec![0u64; plan.slots()];
@@ -355,12 +352,11 @@ impl<'a> CostModel<'a> {
     }
 }
 
-/// A placement as one candidate's dry run sees it: the context, each
-/// node's aggregation player and the live distances from each of them.
+/// A placement as one candidate's dry run sees it: the context and each
+/// node's aggregation player.
 struct Placed<'c, 'g> {
     ctx: &'c PlacementContext<'g>,
     agg: Vec<Player>,
-    dists: BTreeMap<Player, Vec<u32>>,
 }
 
 /// One dry run of the upward pass over a candidate plan: what it has
@@ -399,13 +395,10 @@ impl DryRun<'_, '_> {
         for &child in plan.children(node) {
             let sub = self.subtree(child);
             let msg = model.project(sub, plan.ghd.chi(node), &mut self.cost);
-            if let Some(Placed { ctx, agg, dists }) = self.placed {
+            if let Some(Placed { ctx, agg }) = self.placed {
                 let (from, to) = (agg[child.index()], agg[node.index()]);
                 if from != to {
-                    let dist = dists
-                        .get(&to)
-                        .map(|d| d[from.index()])
-                        .unwrap_or_else(|| ctx.topology.live_distances(to)[from.index()]);
+                    let dist = ctx.distances().from(to)[from.index()];
                     let bits = if dist == u32::MAX {
                         // Unroutable message leg ⇒ inexecutable plan
                         // (see the gather loop of `simulate`).

@@ -24,7 +24,7 @@
 //!                                  │  strict-improvement argmin
 //!                                  ▼
 //!       QueryPlan { ghd, joins, var_orders, nests, children,
-//!                   shard nests, cost, node_rows, … }
+//!                   shard nests, cost, node_rows, width, … }
 //! ```
 //!
 //! * [`QueryStats`] / [`StatsDigest`] — per-factor cardinality and
@@ -32,10 +32,10 @@
 //!   ([`faqs_relation::Relation::stats`]), plus the coarse
 //!   scale-invariant digest the `faqs-exec` plan cache keys on.
 //! * [`plan_query_with`] — the one planning door: candidate
-//!   enumeration (the structural default first, then every reroot of
-//!   the canonical join forest via
-//!   [`faqs_hypergraph::candidate_decompositions`], each re-rooted
-//!   further for free-variable coverage) and cost-based selection under
+//!   enumeration from one GYO run ([`faqs_hypergraph::QueryStructure`]:
+//!   the structural default first, then every reroot of the canonical
+//!   join forest, each re-rooted further for free-variable coverage,
+//!   then the cyclic-core merges) and cost-based selection under
 //!   optional placement and statistics. The
 //!   default wins all ties, so uniform instances plan exactly as the
 //!   structural planner did; [`structural_plan`] is that default on its
@@ -47,13 +47,16 @@
 //!   shipping. The cost model dry-runs exactly this value, and
 //!   `faqs-core::solve_faq`, the `faqs-exec` executor, the incremental
 //!   session and `DistributedFaqRun` run it; no consumer derives any of
-//!   it again. It records its query's structural [`PlanKey`] — the
+//!   it again. It carries the width terms Theorem 4.1's bound reads
+//!   (`y`, `n2`, single tree) from the same analysis, and records its
+//!   query's structural [`PlanKey`] — the
 //!   plan cache's key — and every door that takes a caller's plan
 //!   refuses a query of another shape ([`QueryPlan::check_query`]).
 //! * [`choose_aggregation_players`] — the placement-aware
 //!   `argmin Σ bits·distance` choice of per-GHD-node aggregation
 //!   players, shared verbatim by the cost model's predictions and the
-//!   distributed runtime's actual routing.
+//!   distributed runtime's actual routing, over one [`LiveDistances`]
+//!   table per placed run.
 //!
 //! Validation (`check_push_down`, free-variable coverage) and the
 //! free-variable re-rooting search live here too; callers import them
@@ -78,8 +81,8 @@ pub use fingerprint::PlanKey;
 pub use plan::QueryPlan;
 pub use planner::{
     choose_aggregation_players, cost_quote_calibrated, decomposition_covering_free_vars,
-    decomposition_for_free_vars, ghd_for_query, plan_query, plan_query_placed, plan_query_with,
-    structural_plan, CandidateReport, PlacementContext, PlannerConfig,
+    plan_query, plan_query_placed, plan_query_with, structural_plan, CandidateReport,
+    LiveDistances, PlacementContext, PlannerConfig,
 };
 pub use stats::{MaintainedQueryStats, QueryStats, StatsDigest};
 pub use validate::{check_elimination_order, check_product_aggregates, check_push_down};
@@ -106,14 +109,17 @@ mod tests {
     }
 
     #[test]
-    fn structural_mode_reproduces_ghd_for_query() {
-        // `structural_plan` — the reference plan — is exactly the
-        // default GHD with smallest-first join orders.
+    fn structural_mode_reproduces_the_width_witness() {
+        // `structural_plan` — the reference plan — is exactly the width
+        // witness (its core covers `F = ∅`) with smallest-first join
+        // orders, and carries the witness's bound terms.
         for h in [star_query(3), path_query(4), example_h2()] {
             let q = count_instance(&h, 7);
             let plan = structural_plan(&q).unwrap();
             assert_eq!(plan.candidates.len(), 1);
-            let reference = ghd_for_query(&q).unwrap();
+            let witness = faqs_hypergraph::internal_node_width(&h);
+            assert_eq!(plan.width, witness.terms());
+            let reference = witness.ghd;
             assert_eq!(plan.ghd.root(), reference.root());
             assert_eq!(plan.ghd.len(), reference.len());
             for n in reference.node_ids() {
@@ -206,6 +212,10 @@ mod tests {
         );
     }
 
+    fn all_sources(g: &Topology) -> LiveDistances {
+        LiveDistances::new(g, g.players())
+    }
+
     #[test]
     fn aggregation_players_pin_root_and_minimise_mass() {
         let q: FaqQuery<Boolean> = skewed_star_instance(3, 8);
@@ -220,7 +230,7 @@ mod tests {
                 shards[n.index()].push((Player(0), 1_000u64));
             }
         }
-        let agg = choose_aggregation_players(&g, &plan, Player(3), &shards);
+        let agg = choose_aggregation_players(&all_sources(&g), &plan, Player(3), &shards);
         assert_eq!(agg[plan.ghd.root().index()], Player(3), "root at output");
         for n in plan.ghd.node_ids() {
             if n != plan.ghd.root() {
@@ -249,7 +259,7 @@ mod tests {
                 shards[n.index()].push((Player(1), 0u64));
             }
         }
-        let agg = choose_aggregation_players(&g, &plan, Player(3), &shards);
+        let agg = choose_aggregation_players(&all_sources(&g), &plan, Player(3), &shards);
         for n in plan.ghd.node_ids() {
             if n != plan.ghd.root() {
                 assert_ne!(
@@ -623,7 +633,7 @@ mod tests {
 
     #[test]
     fn candidate_dedup_drops_the_re_enumerated_canonical_base() {
-        // candidate_decompositions re-enumerates the canonical rooting;
+        // The analysis's reroots re-enumerate the canonical rooting;
         // the fingerprint dedup must keep exactly one copy of each
         // distinct shape in the explain table.
         let q = skewed_star_instance(3, 16);

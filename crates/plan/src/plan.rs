@@ -13,7 +13,7 @@ use crate::cost::PlanCost;
 use crate::error::EngineError;
 use crate::fingerprint::PlanKey;
 use crate::planner::{check_runnable, validate_query, CandidateReport};
-use faqs_hypergraph::{EdgeId, Ghd, NodeId, Var};
+use faqs_hypergraph::{internal_node_width, EdgeId, Ghd, NodeId, Var, WidthTerms};
 use faqs_relation::FaqQuery;
 use faqs_semiring::{Aggregate, Semiring};
 use std::cmp::Reverse;
@@ -46,6 +46,15 @@ pub struct QueryPlan {
     /// The full scored candidate table (one entry, the default, for the
     /// structural plan).
     pub candidates: Vec<CandidateReport>,
+    /// `y(H)`, `n2(H)` and the single-tree flag of the query's width
+    /// witness — what Theorem 4.1's bound reads — taken from the one
+    /// structural analysis the planner built this plan from (the
+    /// witness's, not this plan's GHD's: a cost-chosen candidate may
+    /// have more internal nodes). They equal a fresh
+    /// [`internal_node_width`] of the query's hypergraph because the
+    /// analysis runs that same search on it, and
+    /// [`QueryPlan::check_query`] refuses a query of any other shape.
+    pub width: WidthTerms,
     /// λ factors per node, smallest listing first (stable on the λ
     /// declaration order): the order a bag's factors are gathered and
     /// joined.
@@ -66,8 +75,9 @@ pub struct QueryPlan {
 impl QueryPlan {
     /// The plan of `ghd` for `q`, unscored: every per-node and per-edge
     /// table, no cost, no predicted rows and no candidate table. The
-    /// caller has validated `ghd` for `q`.
-    pub(crate) fn build<S: Semiring>(q: &FaqQuery<S>, ghd: Ghd) -> QueryPlan {
+    /// caller has validated `ghd` for `q`, and `width` is the terms of
+    /// `q`'s width witness.
+    pub(crate) fn build<S: Semiring>(q: &FaqQuery<S>, ghd: Ghd, width: WidthTerms) -> QueryPlan {
         let slots = ghd.node_ids().map(|n| n.index() + 1).max().unwrap_or(1);
         let mut joins = vec![Vec::new(); slots];
         let mut var_orders = vec![Vec::new(); slots];
@@ -93,6 +103,7 @@ impl QueryPlan {
             cost: PlanCost::default(),
             node_rows: Vec::new(),
             candidates: Vec::new(),
+            width,
             joins,
             children,
             nests,
@@ -109,7 +120,8 @@ impl QueryPlan {
         ghd.validate(&q.hypergraph)
             .map_err(|e| EngineError::Invalid(e.to_string()))?;
         check_runnable(q, &ghd)?;
-        Ok(QueryPlan::build(q, ghd))
+        let width = internal_node_width(&q.hypergraph).terms();
+        Ok(QueryPlan::build(q, ghd, width))
     }
 
     /// Refuses a query whose hypergraph, free-variable list, aggregates

@@ -10,14 +10,12 @@ use crate::stats::QueryStats;
 use crate::validate::{
     check_aggregates_admitted, check_elimination_order, check_product_aggregates,
 };
-use faqs_hypergraph::{
-    candidate_decompositions, cyclic_core_candidates, internal_node_width, Decomposition, Ghd,
-    Hypergraph, NodeId, Var,
-};
+use faqs_hypergraph::{Decomposition, Ghd, Hypergraph, NodeId, QueryStructure, Var};
 use faqs_network::{Player, Topology};
 use faqs_relation::FaqQuery;
 use faqs_semiring::{Aggregate, Semiring};
-use std::collections::{BTreeMap, BTreeSet};
+use std::borrow::Cow;
+use std::collections::BTreeSet;
 
 /// Shim for `benchmark/`, which builds `PlannerConfig::default()` and
 /// hands it to [`plan_query`] / [`plan_query_placed`]: planning has one
@@ -40,25 +38,71 @@ pub struct PlacementContext<'a> {
     /// The player that must learn the answer (the root's aggregation
     /// player is pinned here).
     pub output: Player,
+    /// Live distances from every holder and the output, built by
+    /// [`PlacementContext::new`]: every aggregation player a candidate
+    /// plan can pick is one of them.
+    distances: LiveDistances,
+}
+
+/// Live hop distances on one topology from a fixed set of sources, one
+/// breadth-first search each ([`Topology::live_distances`]; `u32::MAX`
+/// = no live route). A placed run builds one from its players and every
+/// placement decision — the planner's candidates, its gather and
+/// message pricing, and the runtime's aggregation players — reads it.
+#[derive(Clone, Debug)]
+pub struct LiveDistances {
+    /// Dense by player: the distances from a source, empty otherwise.
+    rows: Vec<Vec<u32>>,
+}
+
+impl LiveDistances {
+    /// The distances on `g` from each of `sources`.
+    pub fn new(g: &Topology, sources: impl IntoIterator<Item = Player>) -> Self {
+        let mut rows = vec![Vec::new(); g.num_players()];
+        for s in sources {
+            if rows[s.index()].is_empty() {
+                rows[s.index()] = g.live_distances(s);
+            }
+        }
+        LiveDistances { rows }
+    }
+
+    /// The live distance from `source`, one of the sources the table was
+    /// built from, to every player (dense by player).
+    pub fn from(&self, source: Player) -> &[u32] {
+        &self.rows[source.index()]
+    }
 }
 
 impl<'a> PlacementContext<'a> {
-    /// The context of `holders` and `output` on `topology`. What each
-    /// shard sums out before it ships is the candidate plan's
-    /// [`QueryPlan::shard_nest`], so `_q` is read by nothing; it stays
-    /// in the signature for `benchmark/` until the next `[benchmark]`
-    /// revision (ROADMAP 3(h)).
+    /// The context of `holders` and `output` on `topology`, with the
+    /// live distances from each of them. What each shard sums out before
+    /// it ships is the candidate plan's [`QueryPlan::shard_nest`], so
+    /// `_q` is read by nothing; it stays in the signature for
+    /// `benchmark/` until the next `[benchmark]` revision (ROADMAP 3(h)).
     pub fn new<S: Semiring>(
         _q: &FaqQuery<S>,
         topology: &'a Topology,
         holders: Vec<Vec<Player>>,
         output: Player,
     ) -> Self {
+        let sources = holders.iter().flatten().copied().chain([output]);
         PlacementContext {
+            distances: LiveDistances::new(topology, sources),
             topology,
             holders,
             output,
         }
+    }
+
+    /// The live distances from every holder and the output.
+    pub fn distances(&self) -> &LiveDistances {
+        &self.distances
+    }
+
+    /// The distance table, for a run that keeps it past planning.
+    pub fn into_distances(self) -> LiveDistances {
+        self.distances
     }
 }
 
@@ -77,71 +121,49 @@ pub struct CandidateReport {
 }
 
 /// A canonical serialisation of a rooted GHD, invariant under child
-/// order: `(sorted χ | sorted λ : sorted child fingerprints)`. Bag-merge
+/// order: `(sorted χ | sorted λ | sorted child fingerprints)` as a token
+/// list, the brackets and bars taken from the top of `u32`. Bag-merge
 /// enumeration re-derives the same decomposition from many rotations;
 /// deduplicating on this fingerprint keeps each shape's cost simulation
 /// from running more than once.
-fn ghd_fingerprint(ghd: &Ghd) -> String {
-    fn ser(ghd: &Ghd, n: NodeId, out: &mut String) {
-        out.push('(');
-        let mut chi = ghd.chi(n).to_vec();
+fn ghd_fingerprint(ghd: &Ghd) -> Vec<u32> {
+    const OPEN: u32 = u32::MAX;
+    const BAR: u32 = u32::MAX - 1;
+    const CLOSE: u32 = u32::MAX - 2;
+    fn ser(ghd: &Ghd, n: NodeId) -> Vec<u32> {
+        let mut chi: Vec<u32> = ghd.chi(n).iter().map(|v| v.0).collect();
         chi.sort_unstable();
-        for v in chi {
-            out.push_str(&format!("{},", v.0));
-        }
-        out.push('|');
-        let mut lambda = ghd.node(n).lambda.clone();
+        let mut lambda: Vec<u32> = ghd.node(n).lambda.iter().map(|e| e.0).collect();
         lambda.sort_unstable();
-        for e in lambda {
-            out.push_str(&format!("{},", e.0));
-        }
-        out.push(':');
-        let mut kids: Vec<String> = ghd
-            .children(n)
-            .into_iter()
-            .map(|c| {
-                let mut s = String::new();
-                ser(ghd, c, &mut s);
-                s
-            })
-            .collect();
-        kids.sort();
-        for k in kids {
-            out.push_str(&k);
-        }
-        out.push(')');
+        let mut kids: Vec<Vec<u32>> = ghd.children(n).into_iter().map(|c| ser(ghd, c)).collect();
+        kids.sort_unstable();
+        let mut out = vec![OPEN];
+        out.extend(chi);
+        out.push(BAR);
+        out.extend(lambda);
+        out.push(BAR);
+        out.extend(kids.into_iter().flatten());
+        out.push(CLOSE);
+        out
     }
-    let mut s = String::new();
-    ser(ghd, ghd.root(), &mut s);
-    s
+    ser(ghd, ghd.root())
 }
 
-/// Finds a core/forest decomposition whose core vertex set contains all
-/// `free` variables, re-rooting removed join trees when needed.
+/// Re-roots removed join trees of `base` (any rooting of `h`'s join
+/// forest, e.g. the canonical one or a width-minimising one) until its
+/// core vertex set contains all `free` variables.
 ///
-/// Strategy: start from the canonical decomposition; every free variable
-/// already in `V(C(H))` is fine; otherwise consider every forest edge
-/// containing a missing free variable as a candidate new root for its
-/// join tree. Each candidate is evaluated on a *cloned* decomposition
-/// (re-rooting evicts the old root's vertices from the core, so the net
-/// coverage change depends on the whole tree, not on the candidate edge
-/// alone) and we commit to the candidate that strictly grows the number
-/// of covered free variables, preferring the largest gain. Fails only
-/// when no candidate re-rooting makes progress — e.g. two free variables
-/// demand conflicting roots of the same tree and no single edge contains
-/// both. Terminates because coverage strictly increases every round.
-pub fn decomposition_for_free_vars(
-    h: &Hypergraph,
-    free: &[Var],
-) -> Result<Decomposition, EngineError> {
-    decomposition_covering_free_vars(h, Decomposition::of(h), free)
-}
-
-/// [`decomposition_for_free_vars`] from an explicit starting
-/// decomposition (any rooting of `h`'s join forest, e.g. one produced by
-/// [`Decomposition::reroot`] or a width-minimising search). The greedy
-/// ranking bug this fixes is masked from the canonical start — GYO
-/// places every tree root core-adjacent — but bites on re-rooted states.
+/// Strategy: every free variable already in `V(C(H))` is fine;
+/// otherwise consider every forest edge containing a missing free
+/// variable as a candidate new root for its join tree. Each candidate is
+/// evaluated on a *cloned* decomposition (re-rooting evicts the old
+/// root's vertices from the core, so the net coverage change depends on
+/// the whole tree, not on the candidate edge alone) and we commit to the
+/// candidate that strictly grows the number of covered free variables,
+/// preferring the largest gain. Fails only when no candidate re-rooting
+/// makes progress — e.g. two free variables demand conflicting roots of
+/// the same tree and no single edge contains both. Terminates because
+/// coverage strictly increases every round.
 pub fn decomposition_covering_free_vars(
     h: &Hypergraph,
     base: Decomposition,
@@ -185,20 +207,20 @@ pub fn decomposition_covering_free_vars(
     }
 }
 
-/// The *structural default* GHD: the width-minimising one when its core
-/// already contains `F`, otherwise a re-rooted decomposition. This is
-/// the GHD of the [`structural_plan`] and candidate 0 of every
-/// cost-based search — the cost model must beat it strictly to deviate.
-pub fn ghd_for_query<S: Semiring>(q: &FaqQuery<S>) -> Result<Ghd, EngineError> {
-    let report = internal_node_width(&q.hypergraph);
-    let covers = q
-        .free_vars
+/// The *structural default* GHD: the width witness when its core already
+/// contains `F`, otherwise the canonical decomposition re-rooted to
+/// cover it. This is the GHD of the [`structural_plan`] and candidate 0
+/// of every cost-based search — the cost model must beat it strictly to
+/// deviate.
+fn default_ghd<S: Semiring>(q: &FaqQuery<S>, s: &QueryStructure) -> Result<Ghd, EngineError> {
+    let width = &s.width;
+    if q.free_vars
         .iter()
-        .all(|v| report.decomposition.core_vars.contains(v));
-    if covers {
-        return Ok(report.ghd);
+        .all(|v| width.decomposition.core_vars.contains(v))
+    {
+        return Ok(width.ghd.clone());
     }
-    let d = decomposition_for_free_vars(&q.hypergraph, &q.free_vars)?;
+    let d = decomposition_covering_free_vars(&q.hypergraph, s.canonical().clone(), &q.free_vars)?;
     let mut ghd = Ghd::from_decomposition(&q.hypergraph, &d);
     ghd.hoist_md();
     Ok(ghd)
@@ -306,25 +328,28 @@ pub(crate) fn check_runnable<S: Semiring>(q: &FaqQuery<S>, ghd: &Ghd) -> Result<
     check_elimination_order(q, ghd)
 }
 
-/// [`validate_query`], then the structural default — candidate 0 of
-/// every search — as an unscored plan, once [`check_runnable`] passes.
-/// Its failure is the caller's error: the cost model never papers over
-/// an invalid default.
-fn default_plan<S: Semiring>(q: &FaqQuery<S>) -> Result<QueryPlan, EngineError> {
+/// The one structural analysis a plan is built from: [`validate_query`],
+/// then one GYO run ([`QueryStructure::of`]) and the structural default
+/// it yields — candidate 0 of every search — as an unscored plan, once
+/// [`check_runnable`] passes. Its failure is the caller's error: the
+/// cost model never papers over an invalid default.
+fn analyse<S: Semiring>(q: &FaqQuery<S>) -> Result<(QueryStructure, QueryPlan), EngineError> {
     validate_query(q)?;
-    let ghd = ghd_for_query(q)?;
+    let structure = QueryStructure::of(&q.hypergraph);
+    let ghd = default_ghd(q, &structure)?;
     check_runnable(q, &ghd)?;
-    Ok(QueryPlan::build(q, ghd))
+    let plan = QueryPlan::build(q, ghd, structure.width.terms());
+    Ok((structure, plan))
 }
 
 /// The structural default as a plan, without reading any data: the
-/// width-minimising GYO-GHD ([`ghd_for_query`]) with smallest-first join
-/// orders, no predicted cost or rows. It is candidate 0 of every
-/// [`plan_query_with`] search; on its own it is the
-/// reference plan (`faqs_core::solve_faq_reference`), identical for
+/// width-minimising GYO-GHD (re-rooted when `F` needs it) with
+/// smallest-first join orders, no predicted cost or rows. It is
+/// candidate 0 of every [`plan_query_with`] search; on its own it is
+/// the reference plan (`faqs_core::solve_faq_reference`), identical for
 /// equal data whatever the statistics say.
 pub fn structural_plan<S: Semiring>(q: &FaqQuery<S>) -> Result<QueryPlan, EngineError> {
-    let mut plan = default_plan(q)?;
+    let (_, mut plan) = analyse(q)?;
     plan.candidates = vec![CandidateReport {
         label: "structural default".into(),
         y: plan.ghd.internal_count(),
@@ -350,7 +375,7 @@ pub fn plan_query_with<S: Semiring>(
     if let Some(s) = stats {
         check_stats_len(q, s)?;
     }
-    let mut default = default_plan(q)?;
+    let (structure, mut default) = analyse(q)?;
 
     let gathered;
     let stats = match stats {
@@ -372,14 +397,14 @@ pub fn plan_query_with<S: Semiring>(
     // Structurally identical candidates (reroot + bag-merge enumeration
     // both re-derive the canonical shape) are deduplicated on their
     // rooted-tree fingerprint before any cost simulation runs.
-    let mut seen: BTreeSet<String> = BTreeSet::from([ghd_fingerprint(&default.ghd)]);
+    let mut seen: BTreeSet<Vec<u32>> = BTreeSet::from([ghd_fingerprint(&default.ghd)]);
     // The winner so far, scored, and its row in the candidate table.
     let mut best = (default, 0usize);
 
-    let consider = |ghd: Ghd,
+    let consider = |ghd: Cow<'_, Ghd>,
                     label: String,
                     candidates: &mut Vec<CandidateReport>,
-                    seen: &mut BTreeSet<String>,
+                    seen: &mut BTreeSet<Vec<u32>>,
                     best: &mut (QueryPlan, usize)| {
         // A candidate may miss a free variable at its root or be
         // push-down-illegal where the default is legal (different
@@ -387,7 +412,7 @@ pub fn plan_query_with<S: Semiring>(
         if check_runnable(q, &ghd).is_err() || !seen.insert(ghd_fingerprint(&ghd)) {
             return;
         }
-        let mut plan = QueryPlan::build(q, ghd);
+        let mut plan = QueryPlan::build(q, ghd.into_owned(), structure.width.terms());
         (plan.cost, plan.node_rows) = model.simulate(&plan, placement);
         candidates.push(CandidateReport {
             label,
@@ -402,17 +427,19 @@ pub fn plan_query_with<S: Semiring>(
         }
     };
 
-    for d in candidate_decompositions(&q.hypergraph) {
+    for (d, ghd) in &structure.reroots {
         // Free variables must end up in the candidate's core; re-root
         // further if needed, drop the candidate if no rooting works.
-        let covered = q.free_vars.iter().all(|v| d.core_vars.contains(v));
-        let d = if covered {
-            d
+        let (d, ghd) = if q.free_vars.iter().all(|v| d.core_vars.contains(v)) {
+            (Cow::Borrowed(d), Cow::Borrowed(ghd))
         } else {
-            match decomposition_covering_free_vars(&q.hypergraph, d, &q.free_vars) {
-                Ok(d) => d,
-                Err(_) => continue,
-            }
+            let base = d.clone();
+            let Ok(d) = decomposition_covering_free_vars(&q.hypergraph, base, &q.free_vars) else {
+                continue;
+            };
+            let mut ghd = Ghd::from_decomposition(&q.hypergraph, &d);
+            ghd.hoist_md();
+            (Cow::Owned(d), Cow::Owned(ghd))
         };
         let label = format!(
             "reroot [{}]",
@@ -422,14 +449,13 @@ pub fn plan_query_with<S: Semiring>(
                 .collect::<Vec<_>>()
                 .join(", ")
         );
-        let mut ghd = Ghd::from_decomposition(&q.hypergraph, &d);
-        ghd.hoist_md();
         consider(ghd, label, &mut candidates, &mut seen, &mut best);
     }
 
     // Cyclic cores: the flat merged bag plus every RIP-valid 2-split of
     // the cycle walk — the shapes the generic join exists to serve.
-    for (i, ghd) in cyclic_core_candidates(&q.hypergraph)
+    for (i, ghd) in structure
+        .core_candidates(&q.hypergraph)
         .into_iter()
         .enumerate()
     {
@@ -438,7 +464,13 @@ pub fn plan_query_with<S: Semiring>(
         } else {
             format!("core split {i}")
         };
-        consider(ghd, label, &mut candidates, &mut seen, &mut best);
+        consider(
+            Cow::Owned(ghd),
+            label,
+            &mut candidates,
+            &mut seen,
+            &mut best,
+        );
     }
 
     // Every candidate priced at the unreachable sentinel means no
@@ -479,17 +511,17 @@ pub fn plan_query_with<S: Semiring>(
 /// candidate is viable the node falls back to `output`; the cost model
 /// then prices the unroutable legs at the unreachable sentinel and the
 /// planner rejects the placement loudly.
+///
+/// `distances` holds a row for the output and every shard holder in
+/// `node_shards`, as a [`PlacementContext`]'s table does.
 pub fn choose_aggregation_players(
-    g: &Topology,
+    distances: &LiveDistances,
     plan: &QueryPlan,
     output: Player,
     node_shards: &[Vec<(Player, u64)>],
 ) -> Vec<Player> {
     let ghd = &plan.ghd;
     let mut agg = vec![output; plan.slots()];
-    // One BFS per distinct candidate across all nodes (the output is a
-    // candidate for every node; shard holders repeat too).
-    let mut dist_cache: BTreeMap<Player, Vec<u32>> = BTreeMap::new();
     for node in ghd.node_ids() {
         if node == ghd.root() {
             continue; // output player, fixed above
@@ -503,7 +535,7 @@ pub fn choose_aggregation_players(
         for &c in &candidates {
             // Live distances: a down link must not make a candidate
             // look closer than its actual detour.
-            let dist = dist_cache.entry(c).or_insert_with(|| g.live_distances(c));
+            let dist = distances.from(c);
             // Viability: every shard (even a zero-bit one — the runtime
             // routes it regardless) and the upward message must have a
             // route. Distances are symmetric here (undirected links),

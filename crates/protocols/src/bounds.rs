@@ -3,7 +3,7 @@
 //! runtime carry the result in their `RunReport` (`bound`), and its
 //! `upper_rounds` is the round bound each run is checked against.
 
-use faqs_hypergraph::internal_node_width;
+use faqs_hypergraph::{internal_node_width, WidthTerms};
 use faqs_network::{min_cut, tau_mcf, DeltaPackings, Player, Topology};
 use faqs_relation::FaqQuery;
 use faqs_semiring::Semiring;
@@ -17,7 +17,7 @@ pub fn model_capacity_bits<S: Semiring>(q: &FaqQuery<S>) -> u64 {
 
 /// The paper's bound quantities for one query/topology/player-set
 /// triple (Theorem 4.1 / F.1 shape).
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct BoundReport {
     /// `y(H)` — internal-node-width achieved by the witness GHD.
     pub y: usize,
@@ -48,25 +48,37 @@ pub struct BoundReport {
 
 impl BoundReport {
     /// Evaluates the bound formulas for computing `q` on `g` with
-    /// players `k`. `None` when `k` has two or more players and `g` does
-    /// not connect them: no Steiner tree spans `k`, so `ST(G, K, Δ)` is
-    /// zero at every Δ and the bound is undefined.
+    /// players `k`, the width terms computed afresh
+    /// ([`internal_node_width`]). `None` when `k` names a player `g`
+    /// lacks, or has two or more players and `g` does not connect them:
+    /// no Steiner tree spans `k`, so `ST(G, K, Δ)` is zero at every Δ and
+    /// the bound is undefined.
     pub fn evaluate<S: Semiring>(q: &FaqQuery<S>, g: &Topology, k: &[Player]) -> Option<Self> {
-        Self::evaluate_with(q, g, k, None)
+        let width = internal_node_width(&q.hypergraph).terms();
+        Self::evaluate_with(q, g, k, width, None)
     }
 
-    /// [`BoundReport::evaluate`] reusing Steiner packings the caller
-    /// already holds for this `(g, k)` (a distributed run's own);
-    /// `None` packs afresh.
+    /// [`BoundReport::evaluate`] with the width terms and Steiner
+    /// packings the caller already holds. A run passes its plan's
+    /// [`faqs_plan::QueryPlan::width`]: the planner read it off the same
+    /// width search on the same hypergraph, so the report equals a fresh
+    /// [`BoundReport::evaluate`] field for field. `packings` are for
+    /// this `(g, k)` (a distributed run's own); `None` packs afresh.
     pub(crate) fn evaluate_with<S: Semiring>(
         q: &FaqQuery<S>,
         g: &Topology,
         k: &[Player],
+        width: WidthTerms,
         packings: Option<&DeltaPackings>,
     ) -> Option<Self> {
-        let report = internal_node_width(&q.hypergraph);
-        let y = report.y;
-        let n2 = report.n2();
+        if k.iter().any(|p| p.index() >= g.num_players()) {
+            return None;
+        }
+        let WidthTerms {
+            y,
+            n2,
+            acyclic_single_tree,
+        } = width;
         let d = q.hypergraph.degeneracy().max(1);
         let r = q.arity().max(1);
         let n = q.n_max() as u64;
@@ -81,7 +93,7 @@ impl BoundReport {
                 ..BoundReport::default()
             });
         }
-        let mc = min_cut(g, k).max(1);
+        let mc = min_cut(g, k)?.max(1);
         let pick = |packings: &DeltaPackings| {
             let (delta, packing) = packings.best(n)?;
             Some((delta, packing.len()))
@@ -92,10 +104,8 @@ impl BoundReport {
         // Acyclic single-tree queries are star-peeled all the way to the
         // root (Lemma 4.1): no trivial-protocol core term. Otherwise the
         // core costs τ_MCF(G, K, n2·d·r·N) (Lemma 4.2 / F.2).
-        let acyclic_single_tree = report.decomposition.core_edges.is_empty()
-            && report.decomposition.forest_roots.len() == 1;
         let core_rounds = if n2 > 0 && !acyclic_single_tree && k.len() >= 2 {
-            tau_mcf(g, k, (n2 as u64) * (d as u64) * (r as u64) * n)
+            tau_mcf(g, k, (n2 as u64) * (d as u64) * (r as u64) * n)?
         } else {
             0
         };

@@ -44,17 +44,18 @@ pub fn run_faq_protocol<S: Semiring>(
         &scaled
     };
 
-    // Decomposition: width-minimising, or re-rooted to cover F.
-    let ghd = faqs_plan::ghd_for_query(q).map_err(|e| ProtocolError::Engine(e.to_string()))?;
-    faqs_plan::check_push_down(q, &ghd).map_err(|e| ProtocolError::Engine(e.to_string()))?;
+    // Decomposition: the structural plan's width-minimising GHD, or
+    // re-rooted to cover F, refused unless its elimination order is
+    // legal — and, from the same analysis, the width terms of the bound.
+    let plan = faqs_plan::structural_plan(q).map_err(|e| ProtocolError::Engine(e.to_string()))?;
 
     // The bound needs a Steiner tree spanning the players; without one
     // the players cannot all reach each other either.
     let players = assignment.players();
-    let bound = BoundReport::evaluate(q, g, &players)
+    let bound = BoundReport::evaluate_with(q, g, &players, plan.width, None)
         .ok_or_else(|| ProtocolError::Unreachable("the players are not connected".into()))?;
     let mut run = NetRun::new(g);
-    let answer = execute_on_ghd(q, ghd, assignment, &mut run)?;
+    let answer = execute_on_ghd(q, plan.ghd, assignment, &mut run)?;
     let inputs = Inputs::of(q, players.len());
     ProtocolOutcome::checked::<S>(answer, &run, inputs, bound.upper_rounds, Some(bound))
 }

@@ -46,7 +46,7 @@ use faqs_network::{
     Assignment, DeltaPackings, Player, RunStats, SimTransport, Topology, Transport, TransportKind,
     WireStats,
 };
-use faqs_plan::PlacementContext;
+use faqs_plan::{LiveDistances, PlacementContext};
 use faqs_relation::{FaqQuery, Relation};
 use faqs_semiring::{Aggregate, Semiring};
 use std::collections::{BTreeMap, BTreeSet};
@@ -199,6 +199,10 @@ pub struct DistributedFaqRun<'a, S: Semiring> {
     plan: QueryPlan,
     /// The capacity-scaled topology the run executes on.
     scaled: Topology,
+    /// Live distances on `scaled` from every player of the placement:
+    /// built once, read by the planner and by the aggregation-player
+    /// choice of every execution.
+    distances: LiveDistances,
     all_links_live: bool,
 }
 
@@ -227,31 +231,33 @@ impl<'a, S: Semiring> DistributedFaqRun<'a, S> {
             g.clone()
                 .with_uniform_capacity(capacity_tuples * model_capacity_bits(q))
         };
+        // The cost model prices each shard at the width its plan's shard
+        // nest leaves — the nest `materialise_shards` sums out before
+        // routing.
+        let output = placement.output();
+        let ctx = PlacementContext::new(q, &scaled, placement.shards.clone(), output);
         // Every shard and message ends at the output player, so a player
         // its live links cannot reach leaves no executable plan.
-        let reach = scaled.live_distances(placement.output());
+        let reach = ctx.distances().from(output);
         if let Some(p) = placement
             .players()
             .into_iter()
             .find(|p| reach[p.index()] == u32::MAX)
         {
             return Err(ProtocolError::Unreachable(format!(
-                "placement unreachable: {p} has no live route to the output player {}",
-                placement.output()
+                "placement unreachable: {p} has no live route to the output player {output}"
             )));
         }
-        // The cost model prices each shard at the width its plan's shard
-        // nest leaves — the nest `materialise_shards` sums out before
-        // routing.
-        let ctx = PlacementContext::new(q, &scaled, placement.shards.clone(), placement.output());
         let plan = faqs_plan::plan_query_with(q, Some(&ctx), None)
             .map_err(|e| ProtocolError::Engine(e.to_string()))?;
+        let distances = ctx.into_distances();
         let all_links_live = scaled.links().all(|l| scaled.capacity(l) > 0);
         Ok(DistributedFaqRun {
             q,
             placement,
             plan,
             scaled,
+            distances,
             all_links_live,
         })
     }
@@ -266,6 +272,11 @@ impl<'a, S: Semiring> DistributedFaqRun<'a, S> {
             .map_err(|e| ProtocolError::Invalid(e.to_string()))?;
         self.plan = plan;
         Ok(self)
+    }
+
+    /// The plan this run executes.
+    pub fn plan(&self) -> &QueryPlan {
+        &self.plan
     }
 
     /// The capacity-scaled topology the run executes on.
@@ -321,11 +332,9 @@ impl<'a, S: Semiring> DistributedFaqRun<'a, S> {
         // protocol bug, not a measurement to report. `K` is usually the
         // member set the gathers already packed.
         let players = self.placement.players();
-        let bound =
-            BoundReport::evaluate_with(self.q, &self.scaled, &players, packings.get(&players))
-                .ok_or_else(|| {
-                    ProtocolError::Unreachable("the players are not connected".into())
-                })?;
+        let (width, packed) = (self.plan.width, packings.get(&players));
+        let bound = BoundReport::evaluate_with(self.q, &self.scaled, &players, width, packed)
+            .ok_or_else(|| ProtocolError::Unreachable("the players are not connected".into()))?;
         let link_bits = transport.link_bits().to_vec();
         let measured = (transport.stats(), transport.wire(), link_bits);
         let (inputs, upper) = (Inputs::of(self.q, players.len()), bound.upper_rounds);
@@ -417,7 +426,7 @@ impl<'a, S: Semiring> DistributedFaqRun<'a, S> {
             }
         }
         faqs_plan::choose_aggregation_players(
-            &self.scaled,
+            &self.distances,
             &self.plan,
             self.placement.output(),
             &node_shards,

@@ -43,6 +43,7 @@ pub fn run_trivial<S: Semiring>(
     } else {
         let n_prime = (q.k() as u64) * (q.arity() as u64) * (q.n_max() as u64);
         tau_mcf(g, &players, n_prime.max(2))
+            .ok_or_else(|| ProtocolError::Unreachable("the players are not connected".into()))?
     };
     let inputs = Inputs::of(q, players.len());
     ProtocolOutcome::checked::<S>(answer, &run, inputs, predicted, None)

@@ -1,15 +1,19 @@
 //! A player the topology does not have is refused with a typed error at
 //! every door — `ProtocolError::Invalid("P… not in topology")` at the
-//! protocols, `TransmitError::NoRoute` / `NotAdjacent` at the scheduler —
-//! never an index-out-of-bounds panic.
+//! protocols, `TransmitError::NoRoute` / `NotAdjacent` at the scheduler,
+//! `None` from the public bound helpers — never an index-out-of-bounds
+//! panic.
 //!
 //! The fixture: the line of three players `P0 — P1 — P2`, and `P7`.
 
 use faqs_hypergraph::star_query;
-use faqs_network::{Assignment, LinkId, NetRun, Player, RunStats, Topology, TransmitError};
+use faqs_network::{
+    min_cut, min_cut_partition, steiner_packing, tau_mcf, Assignment, DeltaPackings, LinkId,
+    NetRun, Player, RunStats, Topology, TransmitError,
+};
 use faqs_protocols::{
     run_bcq_protocol, run_faq_protocol, run_hash_split_protocol, run_set_intersection, run_trivial,
-    DistributedFaqRun, InputPlacement, ProtocolError,
+    BoundReport, DistributedFaqRun, InputPlacement, ProtocolError,
 };
 use faqs_relation::{random_boolean_instance, FaqQuery, RandomInstanceConfig};
 use faqs_semiring::Boolean;
@@ -118,4 +122,27 @@ fn scheduler_doors_refuse_a_foreign_player() {
         Err(TransmitError::NotAdjacent(Player(2), Player(0)))
     );
     assert_eq!(run.stats(), RunStats::default(), "nothing was accounted");
+}
+
+#[test]
+fn bound_helpers_refuse_a_foreign_terminal() {
+    let g = line();
+    for k in [[Player(0), FOREIGN], [FOREIGN, Player(0)]] {
+        assert_eq!(min_cut(&g, &k), None, "{k:?}");
+        assert_eq!(min_cut_partition(&g, &k), None, "{k:?}");
+        assert_eq!(tau_mcf(&g, &k, 64), None, "{k:?}");
+        assert!(DeltaPackings::new(&g, &k).best(64).is_none(), "{k:?}");
+        assert!(steiner_packing(&g, &k, 4).is_empty(), "{k:?}");
+        assert_eq!(BoundReport::evaluate(&star_bcq(), &g, &k), None, "{k:?}");
+    }
+    // A lone foreign player: no cut, no routing, no bound.
+    assert_eq!(min_cut(&g, &[FOREIGN]), None);
+    assert_eq!(tau_mcf(&g, &[FOREIGN], 64), None);
+    assert_eq!(BoundReport::evaluate(&star_bcq(), &g, &[FOREIGN]), None);
+    // The same helpers on the line's own players answer.
+    let k = [Player(0), Player(2)];
+    assert_eq!(min_cut(&g, &k), Some(1));
+    assert!(tau_mcf(&g, &k, 64).is_some());
+    assert!(DeltaPackings::new(&g, &k).best(64).is_some());
+    assert!(BoundReport::evaluate(&star_bcq(), &g, &k).is_some());
 }

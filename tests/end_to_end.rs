@@ -191,7 +191,7 @@ fn hard_instances_move_omega_mn_bits_across_the_cut() {
     let g = Topology::line(6);
     let k: Vec<Player> = (0..6u32).map(Player).collect();
     let a = hard_assignment(&e, &g, &k);
-    let (_, side) = min_cut_partition(&g, &k);
+    let (_, side) = min_cut_partition(&g, &k).unwrap();
     let out = run_bcq_protocol(&e.query, &g, &a, 1).unwrap();
     assert_eq!(out.answer, tribes.eval());
     let cut_bits = out.report.bits_across(&g, &side).unwrap();
