@@ -17,11 +17,13 @@
 //! * the multicommodity-flow routing bound `τ_MCF(G, K, N′)`
 //!   (Definition 3.12) by store-and-forward simulation,
 //! * [`NetRun`], a capacity-respecting transmission scheduler: every
-//!   send is a chunk train through one door, `send_train(link, from,
-//!   chunk, bits, times)`, fitted first-fit per directed link in one pass
-//!   (`O(1)` map operations on an idle link), yielding exact round counts
-//!   under Model 2.1's constraints; `transmit` is a one-chunk train and a
-//!   pipelined send along a checked simple path is one train per hop,
+//!   send is a [`ChunkTrain`] through one door, `send_train(link, from,
+//!   train)`, fitted first-fit per directed link in one pass and yielding
+//!   exact round counts under Model 2.1's constraints. A train keeps its
+//!   chunks' rounds as runs of evenly spaced rounds, so a train of any
+//!   length lands on an idle link in one step and `O(1)` map operations;
+//!   `transmit` is a one-chunk train and a pipelined send along a checked
+//!   simple path is one train per hop,
 //! * [`Assignment`] of input functions to players (`K ⊆ V`),
 //! * pluggable [`Transport`]s — in memory ([`SimTransport`]) and
 //!   loopback TCP — that both deliver the frame's bytes and both
@@ -42,7 +44,7 @@ mod transport;
 pub use assignment::Assignment;
 pub use cuts::{max_flow, min_cut, min_cut_partition};
 pub use flow::{route_to_sink, tau_mcf, SourceLoad};
-pub use sim::{NetRun, RunStats, TransmitError};
+pub use sim::{ChunkTrain, NetRun, RunStats, TransmitError};
 pub use steiner::{steiner_packing, DeltaPackings, SteinerTree};
 pub use topology::{LinkId, Player, Topology};
 #[doc(hidden)]

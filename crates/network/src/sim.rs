@@ -1,9 +1,11 @@
 //! The capacity-respecting transmission scheduler: round accounting for
 //! Model 2.1.
 //!
-//! Every send is a chunk train through one door, [`NetRun::send_train`]:
-//! "move `bits` from `from` across `link` in chunks of `chunk` bits,
-//! chunk `c` departing no earlier than the round after `times[c]`".
+//! Every send is a [`ChunkTrain`] through one door,
+//! [`NetRun::send_train`]: "move the train's chunks from `from` across
+//! `link`, each departing no earlier than the round after the one it
+//! reached `from` in". A train keeps its chunks' rounds as runs of
+//! evenly spaced rounds, never one round per chunk.
 //! [`NetRun::transmit`] is a one-chunk train to a neighbour,
 //! [`NetRun::send_along_path`] one train per hop of a checked simple
 //! path, and [`NetRun::send_via_shortest_path`] that along a shortest
@@ -21,12 +23,16 @@
 //! Cost: per directed link the schedule keeps the partly used rounds and
 //! the completely full rounds (as maximal runs) in two ordered maps. A
 //! chunk never looks before the round the previous one landed in, so a
-//! train keeps that frontier in locals and makes `O(1)` map operations on an
-//! idle link or one queued behind earlier trains, plus one or two per
-//! partial round or full run it crosses and per chunk that finds the
-//! link free before the previous chunk has landed (a hop wider than the
-//! bottleneck) — not several per chunk, and independent of how long the
-//! link has been busy and of how late the train departs.
+//! train keeps that frontier in locals. Chunks that each fill whole
+//! rounds and arrive no faster than the link carries them land as one
+//! run per stretch of free rounds, so a train on an idle link, or one
+//! queued behind earlier trains, takes one step and `O(1)` map
+//! operations, plus a step or two and one or two map operations per
+//! partial round or full run it crosses — whatever its length, however
+//! long the link has been busy and however late the train departs.
+//! A chunk that shares a round with another, or that finds the link
+//! free before the previous chunk has landed (a hop wider than the
+//! bottleneck), is one step of its own.
 //!
 //! Causality is the caller's contract: a payload may only depart after
 //! the round the sender learned it (the protocols in `faqs-protocols`
@@ -36,7 +42,7 @@
 
 use crate::topology::{LinkId, Player, Topology};
 use std::collections::BTreeMap;
-use std::iter;
+use std::{iter, mem};
 
 /// Error from an impossible transmission request.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -100,6 +106,135 @@ pub struct RunStats {
     pub transmissions: u64,
 }
 
+/// `count ≥ 1` consecutive chunks of a train, chunk `i` of them at round
+/// `first + i·stride`.
+#[derive(Clone, Copy, Debug)]
+struct Run {
+    first: u64,
+    count: u64,
+    stride: u64,
+}
+
+impl Run {
+    fn at(&self, i: u64) -> u64 {
+        self.first + i * self.stride
+    }
+
+    /// Its chunks `skip..skip + count`.
+    fn part(&self, skip: u64, count: u64) -> Run {
+        Run {
+            first: self.at(skip),
+            count,
+            stride: self.stride,
+        }
+    }
+}
+
+/// Appends `run` to `runs`, extending the last run when `run` continues
+/// its progression (a one-chunk run continues any run at or after it).
+fn push(runs: &mut Vec<Run>, run: Run) {
+    if let Some(last) = runs.last_mut() {
+        let step = if last.count == 1 {
+            run.first - last.first
+        } else {
+            last.stride
+        };
+        if (run.count == 1 || run.stride == step) && run.first == last.at(last.count - 1) + step {
+            last.count += run.count;
+            last.stride = step;
+            return;
+        }
+    }
+    runs.push(run);
+}
+
+/// A chunk train: `bits` cut into chunks of `chunk` bits (the last one
+/// takes the rest) and the round each chunk is at — before a send, the
+/// round it reached the sending end; after, the round it fully arrived.
+/// Those rounds never decrease along the train, and they are kept as
+/// runs of evenly spaced rounds: a pipelined train that crossed idle
+/// links is one run, however long.
+#[derive(Clone, Debug)]
+pub struct ChunkTrain {
+    chunk: u64,
+    bits: u64,
+    runs: Vec<Run>,
+}
+
+impl ChunkTrain {
+    /// `bits` in chunks of `chunk` bits (a `chunk` of `0` is taken as
+    /// `1`), every chunk at the sending end by round `round`.
+    pub fn new(chunk: u64, bits: u64, round: u64) -> Self {
+        Self::spaced(chunk, bits, round, 0)
+    }
+
+    /// As [`ChunkTrain::new`], but chunk `c` reaches the sending end by
+    /// round `round + c`: a source that hands over one chunk per round.
+    fn paced(chunk: u64, bits: u64, round: u64) -> Self {
+        Self::spaced(chunk, bits, round, 1)
+    }
+
+    fn spaced(chunk: u64, bits: u64, first: u64, stride: u64) -> Self {
+        let chunk = chunk.max(1);
+        let count = bits.div_ceil(chunk);
+        let runs = if count == 0 {
+            Vec::new()
+        } else {
+            vec![Run {
+                first,
+                count,
+                stride,
+            }]
+        };
+        ChunkTrain { chunk, bits, runs }
+    }
+
+    /// The round of the last chunk — after a send, the round the whole
+    /// train has arrived; `None` for an empty train.
+    pub fn last_round(&self) -> Option<u64> {
+        self.runs.last().map(|r| r.at(r.count - 1))
+    }
+
+    /// Holds each chunk until `other`'s chunk of the same index is there
+    /// too: each round becomes the later of the two. One step per run
+    /// of either train, not one per chunk.
+    ///
+    /// # Panics
+    ///
+    /// If `other` is cut differently (its `chunk` or `bits` differ).
+    pub fn wait_for(&mut self, other: &ChunkTrain) {
+        assert_eq!(
+            (self.chunk, self.bits),
+            (other.chunk, other.bits),
+            "trains cut alike"
+        );
+        let mut merged = Vec::with_capacity(self.runs.len().max(other.runs.len()));
+        let (mut a, mut b) = ((0, 0), (0, 0));
+        while let (Some(&p), Some(&q)) = (self.runs.get(a.0), other.runs.get(b.0)) {
+            let n = (p.count - a.1).min(q.count - b.1);
+            let (x, y) = (p.part(a.1, n), q.part(b.1, n));
+            // On `0..n` the two progressions cross at most once: the one
+            // that starts later leads until the other overtakes it.
+            let (lead, trail) = if x.first >= y.first { (x, y) } else { (y, x) };
+            let led = match trail.stride.checked_sub(lead.stride) {
+                Some(gain) if gain > 0 => ((lead.first - trail.first) / gain + 1).min(n),
+                _ => n,
+            };
+            push(&mut merged, lead.part(0, led));
+            if led < n {
+                push(&mut merged, trail.part(led, n - led));
+            }
+            for (cursor, run) in [(&mut a, p), (&mut b, q)] {
+                cursor.1 += n;
+                if cursor.1 == run.count {
+                    *cursor = (cursor.0 + 1, 0);
+                }
+            }
+        }
+        self.runs = merged;
+    }
+}
+
 /// One directed link's schedule: which rounds still have free capacity.
 #[derive(Default, Clone, Debug, PartialEq)]
 struct LinkSchedule {
@@ -110,50 +245,87 @@ struct LinkSchedule {
     full: BTreeMap<u64, u64>,
 }
 
+/// What one [`LinkSchedule::reserve_train`] did.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct Work {
+    /// Map operations (lookups, inserts, removals).
+    touches: u64,
+    /// Landing steps: each lands a run of chunks or one chunk.
+    steps: u64,
+}
+
 impl LinkSchedule {
-    /// First-fit reservation of a chunk train on a link of capacity
-    /// `cap`: `bits > 0` in chunks of `chunk` bits (the last one takes
-    /// the rest), `times.len() == ⌈bits/chunk⌉`. On entry `times[c]` is
-    /// the round chunk `c` reached the sending end, and must not
-    /// decrease with `c`; the chunk is ready the round after. On return
-    /// `times[c]` is the round it landed: each chunk takes the free
-    /// capacity of the earliest rounds from the one it is ready in.
+    /// First-fit reservation of a chunk train of `chunk`-bit chunks
+    /// (`bits` in all, the last chunk takes the rest) on a link of
+    /// capacity `cap`. `arrivals` are the rounds the chunks reached the
+    /// sending end, as runs; each chunk is ready the round after its
+    /// own and takes the free capacity of the earliest rounds from
+    /// there, in chunk order. The rounds they landed in are pushed to
+    /// `landed`.
     ///
-    /// Chunk `c` never looks before the round chunk `c − 1` landed in
+    /// A chunk never looks before the round the previous one landed in
     /// (every round it passed on the way is full), so the train keeps
-    /// its frontier in a [`Train`] and touches the maps only to jump to
-    /// a chunk ready past the frontier, to cross a full run or partial
-    /// round already there, and once at the end. Returns how many map
-    /// operations it made.
-    fn reserve_train(&mut self, cap: u64, chunk: u64, bits: u64, times: &mut [u64]) -> u64 {
-        let Some(&first) = times.first() else {
-            return 0;
+    /// its frontier in a [`Frontier`]. When a chunk is a whole number
+    /// `k` of rounds and its run arrives no faster than one chunk per
+    /// `k` rounds, every chunk of the run is ready by the time the one
+    /// before it has landed: the chunks up to the next map entry land
+    /// `k` rounds apart, as one run, in one step. A chunk that straddles
+    /// that entry, or any chunk of another shape, is one step.
+    fn reserve_train(
+        &mut self,
+        cap: u64,
+        chunk: u64,
+        bits: u64,
+        arrivals: &[Run],
+        landed: &mut Vec<Run>,
+    ) -> Work {
+        let Some(first) = arrivals.first() else {
+            return Work::default();
         };
-        let mut train = Train::default();
-        train.seek(self, first + 1);
-        let mut rest = bits;
-        for t in times.iter_mut() {
-            if *t + 1 > train.open {
-                train.jump(self, *t + 1);
-            }
-            let mut left = chunk.min(rest);
-            rest -= left;
-            loop {
-                let take = (cap - train.used).min(left);
-                train.used += take;
-                left -= take;
-                let landed = train.open;
-                if train.used == cap {
-                    train.advance(self);
+        let mut front = Frontier::default();
+        front.seek(self, first.first + 1);
+        let whole = chunk.is_multiple_of(cap).then_some(chunk / cap);
+        let (mut rest, mut steps) = (bits, 0);
+        for run in arrivals {
+            let mut c = 0;
+            while c < run.count {
+                let ready = run.at(c) + 1;
+                if ready > front.open {
+                    front.jump(self, ready);
                 }
-                if left == 0 {
-                    *t = landed;
-                    break;
-                }
+                steps += 1;
+                let bulk = match whole {
+                    Some(k) if run.stride <= k => (run.count - c)
+                        .min(rest / chunk)
+                        .min(front.room(cap) / chunk),
+                    _ => 0,
+                };
+                let lands = if bulk > 0 {
+                    let first = front.open + (front.used + chunk - 1) / cap;
+                    front.fill(self, cap, bulk * chunk);
+                    Run {
+                        first,
+                        count: bulk,
+                        stride: chunk / cap,
+                    }
+                } else {
+                    let first = front.take(self, cap, chunk.min(rest));
+                    Run {
+                        first,
+                        count: 1,
+                        stride: 0,
+                    }
+                };
+                rest -= (lands.count * chunk).min(rest);
+                c += lands.count;
+                push(landed, lands);
             }
         }
-        train.flush(self);
-        train.touches
+        front.flush(self);
+        Work {
+            touches: front.touches,
+            steps,
+        }
     }
 }
 
@@ -162,9 +334,10 @@ impl LinkSchedule {
 /// of `full` (runs the train crossed are taken out with them), the
 /// round `open` holds `used < cap` bits and is out of `partial`, and
 /// `next_full` / `next_partial` are the first entries after `open`
-/// still in the maps. [`Train::flush`] writes the frontier back.
+/// still in the maps, so the rounds between `open` and the earlier of
+/// the two are free. [`Frontier::flush`] writes the frontier back.
 #[derive(Default)]
-struct Train {
+struct Frontier {
     open: u64,
     used: u64,
     stretch: u64,
@@ -174,7 +347,7 @@ struct Train {
     touches: u64,
 }
 
-impl Train {
+impl Frontier {
     /// Puts the frontier at `round`, looking its surroundings up: a run
     /// holding `round` or ending just before it starts the stretch.
     fn seek(&mut self, s: &mut LinkSchedule, round: u64) {
@@ -206,11 +379,37 @@ impl Train {
         }
     }
 
-    /// The round `open` is full: the stretch grows by it.
-    fn advance(&mut self, s: &mut LinkSchedule) {
-        self.open += 1;
-        self.used = 0;
+    /// The free bits from the frontier up to the next entry in the maps
+    /// (saturating when there is none): always more than zero.
+    fn room(&self, cap: u64) -> u64 {
+        let at = |next: Option<(u64, u64)>| next.map_or(u64::MAX, |(r, _)| r);
+        let end = at(self.next_full).min(at(self.next_partial));
+        (end - self.open).saturating_mul(cap) - self.used
+    }
+
+    /// Fills `bits ≤ room(cap)` more bits from the frontier on and
+    /// returns the round the last one went into; the rounds it fills
+    /// join the stretch, and an entry the frontier reaches is entered.
+    fn fill(&mut self, s: &mut LinkSchedule, cap: u64, bits: u64) -> u64 {
+        let total = self.used + bits;
+        let landed = self.open + (total - 1) / cap;
+        self.open += total / cap;
+        self.used = total % cap;
         self.enter(s);
+        landed
+    }
+
+    /// Takes `bits > 0` from the frontier on, across whatever entries
+    /// lie in the way; returns the round the last one went into.
+    fn take(&mut self, s: &mut LinkSchedule, cap: u64, mut bits: u64) -> u64 {
+        loop {
+            let room = self.room(cap);
+            if bits <= room {
+                return self.fill(s, cap, bits);
+            }
+            self.fill(s, cap, room);
+            bits -= room;
+        }
     }
 
     /// The frontier just reached `open`: a run starting there joins the
@@ -254,6 +453,8 @@ pub struct NetRun<'a> {
     // Total bits ever sent per link (both directions).
     link_bits: Vec<u64>,
     stats: RunStats,
+    // A train's runs before its last hop, kept to take the next hop's.
+    spare: Vec<Run>,
 }
 
 impl<'a> NetRun<'a> {
@@ -264,6 +465,7 @@ impl<'a> NetRun<'a> {
             schedules: vec![[LinkSchedule::default(), LinkSchedule::default()]; g.num_links()],
             link_bits: vec![0; g.num_links()],
             stats: RunStats::default(),
+            spare: Vec::new(),
         }
     }
 
@@ -304,38 +506,29 @@ impl<'a> NetRun<'a> {
         ready_at: u64,
     ) -> Result<u64, TransmitError> {
         let link = self.link_between(from, to)?;
-        let mut times = [ready_at.max(1) - 1];
-        let chunks = usize::from(bits > 0);
-        self.send_train(link, from, bits.max(1), bits, &mut times[..chunks])?;
-        Ok(times[0])
+        let start = ready_at.max(1) - 1;
+        let mut train = ChunkTrain::new(bits, bits, start);
+        self.send_train(link, from, &mut train)?;
+        Ok(train.last_round().unwrap_or(start))
     }
 
-    /// Moves a chunk train from `from` across `link` to its other end:
-    /// `bits` in chunks of `chunk` bits (the last one takes the rest),
-    /// `times.len() == ⌈bits/chunk⌉`. On entry `times[c]` is the round
-    /// chunk `c` reached `from` — it departs the round after — and must
-    /// not decrease with `c`; on return it is the round the chunk fully
-    /// arrived. Each chunk is one first-fit transmission on the directed
-    /// link, in order (see [`NetRun::transmit`]). Every send is built on
-    /// this door: it alone reserves and tallies.
+    /// Moves a chunk train from `from` across `link` to its other end.
+    /// On entry each chunk's round is the one it reached `from` in — it
+    /// departs the round after; on return it is the round the chunk
+    /// fully arrived. Each chunk is one first-fit transmission on the
+    /// directed link, in order (see [`NetRun::transmit`]). Every send is
+    /// built on this door: it alone reserves and tallies.
     ///
     /// A `link` the topology does not have is
     /// [`TransmitError::NoSuchLink`]; a down link (capacity `0`) is
     /// [`TransmitError::ZeroCapacity`], even for an empty train; a `from`
     /// that is not an end of `link` is [`TransmitError::NotAdjacent`].
     /// Nothing is reserved on an error.
-    ///
-    /// # Panics
-    ///
-    /// If `times` does not hold one round per chunk (so `chunk > 0`
-    /// whenever `bits > 0`).
     pub fn send_train(
         &mut self,
         link: LinkId,
         from: Player,
-        chunk: u64,
-        bits: u64,
-        times: &mut [u64],
+        train: &mut ChunkTrain,
     ) -> Result<(), TransmitError> {
         if link.index() >= self.g.num_links() {
             return Err(TransmitError::NoSuchLink(link));
@@ -348,19 +541,19 @@ impl<'a> NetRun<'a> {
         if from != a && from != b {
             return Err(TransmitError::NotAdjacent(from, a));
         }
-        let chunks = if bits == 0 { 0 } else { bits.div_ceil(chunk) };
-        assert_eq!(times.len() as u64, chunks, "one round per chunk");
-        if bits == 0 {
+        if train.runs.is_empty() {
             return Ok(());
         }
-        debug_assert!(times.windows(2).all(|w| w[0] <= w[1]), "{times:?}");
         let sched = &mut self.schedules[link.index()][usize::from(from != a)];
-        sched.reserve_train(cap, chunk, bits, times);
-        self.stats.transmissions += chunks;
-        self.stats.total_bits += bits;
-        self.link_bits[link.index()] += bits;
+        let arrivals = mem::replace(&mut train.runs, mem::take(&mut self.spare));
+        sched.reserve_train(cap, train.chunk, train.bits, &arrivals, &mut train.runs);
+        self.spare = arrivals;
+        self.spare.clear();
+        self.stats.transmissions += train.bits.div_ceil(train.chunk);
+        self.stats.total_bits += train.bits;
+        self.link_bits[link.index()] += train.bits;
         // Landing rounds do not decrease along the train.
-        self.stats.rounds = self.stats.rounds.max(times[times.len() - 1]);
+        self.stats.rounds = self.stats.rounds.max(train.last_round().unwrap_or(0));
         Ok(())
     }
 
@@ -425,8 +618,9 @@ impl<'a> NetRun<'a> {
     /// for `nodes.len() != links.len() + 1` (naming
     /// the path's two ends); [`TransmitError::NotSimple`] for a repeated
     /// player; then [`TransmitError::ZeroCapacity`] for a down link.
-    /// Then each hop is one [`NetRun::send_train`]: that hop's landing
-    /// rounds are the next hop's arrival rounds.
+    /// Then each hop is one [`NetRun::send_train`] of one
+    /// [`ChunkTrain`]: that hop's landing rounds are the next hop's
+    /// arrival rounds.
     ///
     /// # Panics
     ///
@@ -447,11 +641,11 @@ impl<'a> NetRun<'a> {
         // Chunk `c` is at `nodes[0]` by round `start − 1 + c`. A simple
         // path's hops are distinct directed links, so hop by hop builds
         // the schedule chunk by chunk would.
-        let mut times: Vec<u64> = (start - 1..start - 1 + bits.div_ceil(chunk)).collect();
+        let mut train = ChunkTrain::paced(chunk, bits, start - 1);
         for (&from, &link) in nodes.iter().zip(links) {
-            self.send_train(link, from, chunk, bits, &mut times)?;
+            self.send_train(link, from, &mut train)?;
         }
-        Ok(times[times.len() - 1])
+        Ok(train.last_round().unwrap_or(start - 1))
     }
 
     /// `Ok` when `nodes`/`links` is a simple path over live links (see
@@ -763,6 +957,32 @@ mod tests {
         assert_eq!(sched.full.len(), 1, "still one run");
     }
 
+    impl ChunkTrain {
+        /// Each chunk's round, in chunk order.
+        fn rounds(&self) -> impl Iterator<Item = u64> + '_ {
+            self.runs
+                .iter()
+                .flat_map(|r| (0..r.count).map(move |i| r.at(i)))
+        }
+
+        /// A train whose chunk `c` is at round `rounds[c]`.
+        fn from_rounds(chunk: u64, bits: u64, rounds: &[u64]) -> Self {
+            assert_eq!(bits.div_ceil(chunk), rounds.len() as u64);
+            let mut train = ChunkTrain::new(chunk, 0, 0);
+            train.bits = bits;
+            for (w, &round) in rounds.iter().enumerate() {
+                assert!(w == 0 || rounds[w - 1] <= round, "{rounds:?}");
+                let run = Run {
+                    first: round,
+                    count: 1,
+                    stride: 0,
+                };
+                push(&mut train.runs, run);
+            }
+            train
+        }
+    }
+
     /// `reserve_train` as one `reserve` per chunk, in order, on a copy:
     /// the landing rounds and the schedule it leaves behind.
     fn chunk_by_chunk(
@@ -785,14 +1005,30 @@ mod tests {
         (landed, copy)
     }
 
+    /// One hop of `train` on `sched`, as [`NetRun::send_train`] makes it.
+    fn hop(sched: &mut LinkSchedule, cap: u64, train: &mut ChunkTrain) -> Work {
+        let arrivals = mem::take(&mut train.runs);
+        sched.reserve_train(cap, train.chunk, train.bits, &arrivals, &mut train.runs)
+    }
+
     /// Runs one train on `sched`, checks it against [`chunk_by_chunk`]
-    /// and returns its map operations.
-    fn train(sched: &mut LinkSchedule, cap: u64, chunk: u64, bits: u64, times: &mut [u64]) -> u64 {
-        let (landed, after) = chunk_by_chunk(sched, cap, chunk, bits, times);
-        let touches = sched.reserve_train(cap, chunk, bits, times);
-        assert_eq!(times, &landed[..]);
-        assert_eq!(*sched, after);
-        touches
+    /// and returns its work.
+    fn train(sched: &mut LinkSchedule, cap: u64, train: &mut ChunkTrain) -> Work {
+        let times: Vec<u64> = train.rounds().collect();
+        let (landed, after) = chunk_by_chunk(sched, cap, train.chunk, train.bits, &times);
+        let work = hop(sched, cap, train);
+        let got: Vec<u64> = train.rounds().collect();
+        assert!(
+            got == landed,
+            "cap {cap}, chunk {}, from {times:?}",
+            train.chunk
+        );
+        assert!(
+            *sched == after,
+            "cap {cap}, chunk {}, from {times:?}",
+            train.chunk
+        );
+        work
     }
 
     #[test]
@@ -802,38 +1038,78 @@ mod tests {
         // rounds are the next hop's arrival rounds.
         let (cap, chunks) = (16, 256);
         let mut hops = vec![LinkSchedule::default(); 3];
-        let learned = || (300..300 + chunks).collect::<Vec<u64>>();
-        let mut times = learned();
+        let learned = |bits| ChunkTrain::paced(cap, bits, 300);
+        let mut times = learned(chunks * cap);
         for (h, sched) in (1..).zip(&mut hops) {
-            let touches = train(sched, cap, cap, chunks * cap, &mut times);
-            assert!(touches <= 4, "hop {h}: {touches} map operations");
-            assert_eq!(times, (300 + h..300 + h + chunks).collect::<Vec<_>>());
+            let work = train(sched, cap, &mut times);
+            assert!(work.touches <= 4, "hop {h}: {work:?}");
+            assert_eq!(work.steps, 1, "hop {h}: one run lands in one step");
+            assert!(times.rounds().eq(300 + h..300 + h + chunks));
+            assert_eq!(times.runs.len(), 1);
             assert_eq!(sched.full, BTreeMap::from([(300 + h, 299 + h + chunks)]));
         }
         // A second train behind the first on hop 1 crosses its one run.
-        let mut times = learned();
-        let touches = train(&mut hops[0], cap, cap, chunks * cap, &mut times);
-        assert!(touches <= 6, "queued train: {touches} map operations");
-        assert_eq!((times[0], times[255]), (557, 812));
+        let mut times = learned(chunks * cap);
+        let work = train(&mut hops[0], cap, &mut times);
+        assert!(work.touches <= 6, "queued train: {work:?}");
+        assert_eq!(work.steps, 1, "queued train: {work:?}");
+        assert_eq!(times.rounds().next(), Some(557));
+        assert_eq!(times.last_round(), Some(812));
         assert_eq!(hops[0].full, BTreeMap::from([(301, 812)]));
         // Scatter 20 partial rounds and 20 one-round runs past the end,
         // then a train whose tail is 5 bits short of a chunk: a few
-        // operations more per entry it crosses, none per chunk.
+        // operations and steps more per entry it crosses, none per
+        // chunk.
         let sched = &mut hops[0];
         for i in 0..20 {
             sched.reserve(cap, 850 + 10 * i, cap);
             sched.reserve(cap, 855 + 10 * i, 3);
         }
         let crossed = (sched.full.len() - 1 + sched.partial.len()) as u64;
-        let mut times = learned();
-        let touches = train(sched, cap, cap, chunks * cap - 5, &mut times);
-        assert!(touches <= 6 + 2 * crossed, "{touches} map operations");
-        let partial: Vec<&u64> = sched.partial.keys().collect();
+        let mut times = learned(chunks * cap - 5);
+        let work = train(sched, cap, &mut times);
+        assert!(work.touches <= 6 + 2 * crossed, "{work:?}");
+        assert!(work.steps <= 2 + 2 * crossed, "{work:?}");
+        let partial: Vec<u64> = sched.partial.keys().copied().collect();
         assert_eq!(
             partial,
-            [&times[255]],
+            [times.last_round().unwrap()],
             "only the tail's round is partly used"
         );
+    }
+
+    #[test]
+    fn scheduler_work_does_not_grow_with_the_train() {
+        // Capacity-sized chunks down three hops, as `send_along_path`
+        // paces them: on idle links, and with the middle hop already
+        // carrying a full run, a partial round, another run and a
+        // partial round in the train's way. Doubling the train doubles
+        // neither the map operations nor the landing steps.
+        let cap = 8;
+        let work = |chunks: u64, busy: bool| {
+            let mut hops = vec![LinkSchedule::default(); 3];
+            if busy {
+                hops[1].reserve(cap, 40, 5 * cap);
+                hops[1].reserve(cap, 60, 3);
+                hops[1].reserve(cap, 70, 2 * cap);
+                hops[1].reserve(cap, 90, 5);
+            }
+            let mut times = ChunkTrain::paced(cap, chunks * cap, 10);
+            let mut total = Work::default();
+            for sched in &mut hops {
+                let work = train(sched, cap, &mut times);
+                total.touches += work.touches;
+                total.steps += work.steps;
+            }
+            total
+        };
+        for busy in [false, true] {
+            let base = work(1 << 10, busy);
+            for chunks in [1 << 11, 1 << 12, 100_000] {
+                assert_eq!(work(chunks, busy), base, "{chunks} chunks, busy {busy}");
+            }
+        }
+        assert_eq!(work(1 << 10, false).steps, 3, "one step per idle hop");
     }
 
     #[test]
@@ -843,7 +1119,7 @@ mod tests {
         // rounds that repeat or skip, tails that are not a multiple of
         // the chunk.
         let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-        for seed in 0..200 {
+        for _ in 0..200 {
             let cap = rng.random_range(1..=12u64);
             let mut sched = LinkSchedule::default();
             for _ in 0..rng.random_range(0..30) {
@@ -851,7 +1127,7 @@ mod tests {
                 sched.reserve(cap, rng.random_range(1..=60), bits);
             }
             for _ in 0..6 {
-                let (chunk, bits) = match rng.random_range(0..3) {
+                let (chunk, bits) = match rng.random_range(0..4) {
                     // Chunks up to the capacity, as a path's bottleneck
                     // cuts them.
                     0 => {
@@ -863,6 +1139,11 @@ mod tests {
                         let chunk = rng.random_range(cap + 1..=4 * cap);
                         (chunk, rng.random_range(1..=10 * chunk))
                     }
+                    // Chunks a whole number of rounds wide.
+                    2 => {
+                        let chunk = cap * rng.random_range(1..=3u64);
+                        (chunk, rng.random_range(1..=20 * chunk))
+                    }
                     // One chunk covering the payload: a `transmit`.
                     _ => {
                         let bits = rng.random_range(1..=5 * cap);
@@ -870,18 +1151,95 @@ mod tests {
                     }
                 };
                 let mut t = rng.random_range(0..50u64);
-                let mut times: Vec<u64> = (0..bits.div_ceil(chunk))
+                // Half the trains arrive at random steps of 0 to 2
+                // rounds, half in runs of one spacing with jumps between.
+                let (irregular, stride) = (rng.random_bool(0.5), rng.random_range(0..4u64));
+                let times: Vec<u64> = (0..bits.div_ceil(chunk))
                     .map(|_| {
-                        t += rng.random_range(0..3u64);
+                        t += match rng.random_range(0..8) {
+                            _ if irregular => rng.random_range(0..3u64),
+                            0 => rng.random_range(0..5u64),
+                            _ => stride,
+                        };
                         t
                     })
                     .collect();
-                let (landed, after) = chunk_by_chunk(&sched, cap, chunk, bits, &times);
-                sched.reserve_train(cap, chunk, bits, &mut times);
-                assert_eq!(times, landed, "seed {seed}");
-                assert_eq!(sched, after, "seed {seed}");
+                let mut times = ChunkTrain::from_rounds(chunk, bits, &times);
+                train(&mut sched, cap, &mut times);
             }
         }
+    }
+
+    #[test]
+    fn long_trains_match_chunk_by_chunk_reservation() {
+        // Trains of 10⁵ chunks and more through links that already carry
+        // random reservations: capacity-sized chunks, chunks a few
+        // rounds wide, and chunks smaller than the link so that several
+        // share a round, arriving together, one per round or a few
+        // rounds apart. Each train then takes a second, idle hop.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(23);
+        for seed in 0..6 {
+            let cap = rng.random_range(2..=9u64);
+            let chunk = match seed % 3 {
+                0 => cap,
+                1 => cap * rng.random_range(2..=3u64),
+                _ => rng.random_range(1..cap),
+            };
+            let bits = chunk * rng.random_range(100_000..110_000u64) - rng.random_range(0..chunk);
+            let mut sched = LinkSchedule::default();
+            for _ in 0..200 {
+                let at = rng.random_range(1..=400_000);
+                sched.reserve(cap, at, rng.random_range(1..=4 * cap));
+            }
+            let mut times = match rng.random_range(0..3) {
+                0 => ChunkTrain::new(chunk, bits, rng.random_range(0..100)),
+                1 => ChunkTrain::paced(chunk, bits, rng.random_range(0..100)),
+                _ => {
+                    let times: Vec<u64> = (0..bits.div_ceil(chunk)).map(|c| c / 3 * 2).collect();
+                    ChunkTrain::from_rounds(chunk, bits, &times)
+                }
+            };
+            let crossed = (sched.full.len() + sched.partial.len()) as u64;
+            let work = train(&mut sched, cap, &mut times);
+            if chunk == cap {
+                assert!(work.steps <= 2 + 2 * crossed, "seed {seed}: {work:?}");
+            }
+            train(&mut LinkSchedule::default(), cap + 1, &mut times);
+        }
+    }
+
+    #[test]
+    fn waiting_for_a_train_takes_the_later_round_of_each_chunk() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        for seed in 0..300 {
+            let chunks = rng.random_range(1..60usize);
+            let mut draw = || {
+                let mut t = rng.random_range(0..30u64);
+                let stride = rng.random_range(0..4u64);
+                let times: Vec<u64> = (0..chunks)
+                    .map(|_| {
+                        t += if rng.random_bool(0.2) {
+                            rng.random_range(0..9u64)
+                        } else {
+                            stride
+                        };
+                        t
+                    })
+                    .collect();
+                (ChunkTrain::from_rounds(3, 3 * chunks as u64, &times), times)
+            };
+            let ((mut a, ta), (b, tb)) = (draw(), draw());
+            let runs = a.runs.len() + b.runs.len();
+            a.wait_for(&b);
+            let want: Vec<u64> = ta.iter().zip(&tb).map(|(x, y)| *x.max(y)).collect();
+            assert!(a.rounds().eq(want.iter().copied()), "seed {seed}");
+            assert!(a.runs.len() <= 2 * runs, "seed {seed}");
+        }
+        // Two evenly spaced trains that cross are three runs at most.
+        let mut a = ChunkTrain::paced(1, 1000, 0);
+        a.wait_for(&ChunkTrain::new(1, 1000, 500));
+        assert!(a.rounds().eq((0..1000).map(|c| c.max(500))));
+        assert_eq!(a.runs.len(), 2);
     }
 
     #[test]
@@ -922,13 +1280,11 @@ mod tests {
                 while remaining > 0 {
                     let size = chunk.min(remaining);
                     remaining -= size;
-                    let mut t = [chunk_ready - 1];
+                    let mut t = ChunkTrain::new(size, size, chunk_ready - 1);
                     for (&from, &link) in nodes.iter().zip(&links) {
-                        reference
-                            .send_train(link, from, size, size, &mut t)
-                            .unwrap();
+                        reference.send_train(link, from, &mut t).unwrap();
                     }
-                    last = last.max(t[0]);
+                    last = last.max(t.last_round().unwrap());
                     chunk_ready += 1;
                 }
                 assert_eq!(
@@ -1012,9 +1368,9 @@ mod tests {
     fn send_train_refuses_a_link_the_topology_does_not_have() {
         let g = Topology::line(3).with_uniform_capacity(4);
         let mut run = NetRun::new(&g);
-        for (bits, mut times) in [(0, vec![]), (8, vec![0, 0])] {
+        for bits in [0, 8] {
             assert_eq!(
-                run.send_train(LinkId(2), Player(0), 4, bits, &mut times),
+                run.send_train(LinkId(2), Player(0), &mut ChunkTrain::new(4, bits, 0)),
                 Err(TransmitError::NoSuchLink(LinkId(2)))
             );
         }

@@ -142,7 +142,8 @@ impl SteinerTree {
 /// in that order) on the still available live links is a valid tree within
 /// the bound, take the first one with the fewest links. The single-Δ
 /// entry point of the loop [`DeltaPackings::new`] runs for every
-/// candidate Δ. A terminal `g` lacks packs nothing.
+/// candidate Δ. Fewer than two terminals, or a terminal `g` lacks, pack
+/// nothing.
 pub fn steiner_packing(g: &Topology, k: &[Player], delta: u32) -> Vec<SteinerTree> {
     Candidates::new(g, k).pack(delta)
 }
@@ -160,7 +161,6 @@ struct Candidates<'g> {
 
 impl<'g> Candidates<'g> {
     fn new(g: &'g Topology, k: &'g [Player]) -> Self {
-        assert!(k.len() >= 2, "need at least two terminals");
         Candidates {
             g,
             k,
@@ -171,8 +171,9 @@ impl<'g> Candidates<'g> {
     /// The greedy packing at diameter bound `delta`.
     fn pack(&mut self, delta: u32) -> Vec<SteinerTree> {
         let g = self.g;
-        if self.k.iter().any(|p| p.index() >= g.num_players()) {
-            return Vec::new(); // no tree reaches a terminal `g` lacks
+        // Nothing to connect, or no tree reaches a terminal `g` lacks.
+        if self.k.len() < 2 || self.k.iter().any(|p| p.index() >= g.num_players()) {
+            return Vec::new();
         }
         let mut avail: Vec<bool> = g.links().map(|l| g.capacity(l) > 0).collect();
         let mut packing = Vec::new();
@@ -231,8 +232,8 @@ pub struct DeltaPackings {
 }
 
 impl DeltaPackings {
-    /// Packs every candidate Δ for terminals `k` on `g`. A terminal `g`
-    /// lacks packs nothing at any Δ.
+    /// Packs every candidate Δ for terminals `k` on `g`. Fewer than two
+    /// terminals, or a terminal `g` lacks, pack nothing at any Δ.
     pub fn new(g: &Topology, k: &[Player]) -> Self {
         let max_delta = (g.num_players() as u32).max(1);
         let bounded = iter::successors(Some(1), |&d| Some(if d < 4 { d + 1 } else { d * 2 }));

@@ -6,9 +6,9 @@
 //! directed link) did not change, only its cost. The second reference
 //! pipelines a send chunk by chunk, one one-chunk `send_train` per chunk
 //! per hop, where `NetRun` reserves the whole chunk train one hop at a
-//! time.
+//! time, its chunks' rounds kept as runs.
 
-use faqs_network::{LinkId, NetRun, Player, RunStats, Topology, TransmitError};
+use faqs_network::{ChunkTrain, LinkId, NetRun, Player, RunStats, Topology, TransmitError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
@@ -146,11 +146,11 @@ impl ChunkByChunk<'_> {
         while remaining > 0 {
             let size = chunk.min(remaining);
             remaining -= size;
-            let mut t = [chunk_ready - 1];
+            let mut t = ChunkTrain::new(size, size, chunk_ready - 1);
             for (&from, &link) in nodes.iter().zip(links) {
-                self.run.send_train(link, from, size, size, &mut t)?;
+                self.run.send_train(link, from, &mut t)?;
             }
-            last = last.max(t[0]);
+            last = last.max(t.last_round().unwrap_or(0));
             chunk_ready += 1;
         }
         Ok(last)
@@ -269,5 +269,45 @@ fn chunk_trains_match_chunk_by_chunk_sends() {
             "seed {seed}: the down link stayed dark"
         );
         assert!(run.stats().transmissions > 0, "seed {seed}");
+    }
+}
+
+#[test]
+fn long_trains_match_chunk_by_chunk_sends() {
+    // Trains of about 10⁵ chunks through links that earlier sends left
+    // busy at random: on the uneven ring most paths' chunk is a
+    // bottleneck smaller than what their other hops carry, so a train
+    // queued behind that traffic drains several chunks per round there.
+    let g = uneven_ring();
+    for seed in 0..2u64 {
+        let mut rng = StdRng::seed_from_u64(100 + seed);
+        let (mut run, mut reference) = (
+            NetRun::new(&g),
+            ChunkByChunk {
+                run: NetRun::new(&g),
+            },
+        );
+        for step in 0..80 {
+            let (nodes, links) = simple_path(&g, &mut rng);
+            let (bits, at) = (rng.random_range(1..2_000), rng.random_range(0..200_000));
+            let got = run.send_along_path(&nodes, &links, bits, at);
+            let want = reference.send_along_path(&nodes, &links, bits, at);
+            assert_eq!(got, want, "seed {seed}, traffic {step}");
+        }
+        // Player 0 to player 3 the long way round: links 0, 1 and 2, of
+        // capacities 8, 3 and 5, so 3-bit chunks.
+        let nodes: Vec<Player> = (0..4).map(Player).collect();
+        let links: Vec<LinkId> = (0..3).map(LinkId).collect();
+        let bits = 3 * 100_000 - rng.random_range(0..3u64);
+        let at = rng.random_range(0..1_000);
+        let got = run.send_along_path(&nodes, &links, bits, at);
+        assert_eq!(
+            got,
+            reference.send_along_path(&nodes, &links, bits, at),
+            "seed {seed}"
+        );
+        assert!(got.unwrap() > 100_000, "seed {seed}: the train is long");
+        assert_eq!(run.stats(), reference.run.stats(), "seed {seed}");
+        assert_eq!(run.link_bits(), reference.run.link_bits(), "seed {seed}");
     }
 }

@@ -2,7 +2,7 @@
 //! returns its answer with one [`RunReport`], built by one constructor
 //! and checked live.
 
-use crate::bounds::BoundReport;
+use crate::bounds::{model_capacity_bits, BoundReport};
 use faqs_network::{NetRun, Player, RunStats, Topology, WireStats};
 use faqs_relation::{CodecError, FaqQuery};
 use faqs_semiring::Semiring;
@@ -118,22 +118,26 @@ pub const CONFORMANCE_SLACK: u64 = 4;
 
 /// What a run's envelopes read of its instance: `relations` input
 /// relations over `vars` variables with values in `[domain]`, among
-/// `players` players (`|K|`, the output included).
+/// `players` players (`|K|`, the output included), and the bits of the
+/// unit its round bound counts one per link and round (`tuple_bits`).
 pub(crate) struct Inputs {
     pub(crate) relations: usize,
     pub(crate) vars: usize,
     pub(crate) domain: u32,
     pub(crate) players: usize,
+    pub(crate) tuple_bits: u64,
 }
 
 impl Inputs {
-    /// `q`'s relations among `players` players.
+    /// `q`'s relations among `players` players, its round bound counted
+    /// in Model 2.1 rounds of one tuple per link ([`model_capacity_bits`]).
     pub(crate) fn of<S: Semiring>(q: &FaqQuery<S>, players: usize) -> Self {
         Inputs {
             relations: q.k(),
             vars: q.hypergraph.num_vars(),
             domain: q.domain,
             players,
+            tuple_bits: model_capacity_bits(q),
         }
     }
 }
@@ -145,9 +149,10 @@ impl Inputs {
 /// two envelopes.
 ///
 /// * `upper_bits` — `upper_rounds` times the network's per-round
-///   throughput (every link, both directions), with the
-///   [`CONFORMANCE_SLACK`] constants: a protocol meeting its round bound
-///   can never move more.
+///   throughput (every live link, both directions, at least one tuple of
+///   the bound's unit each: a round of the bound is a Model 2.1 round,
+///   even where a link is thinner), with the [`CONFORMANCE_SLACK`]
+///   constants: a protocol meeting its round bound can never move more.
 /// * `upper_wire_bits = blowup · upper_bits + header_bits_per_frame ·
 ///   frames`, where `blowup` is the worst per-tuple ratio of codec frame
 ///   bits (`32r + 8W` per row) to Model 2.1 bits
@@ -225,7 +230,8 @@ impl RunReport {
         let upper_bits = if inputs.players < 2 {
             0
         } else {
-            let per_round: u64 = g.links().map(|l| 2 * g.capacity(l)).sum();
+            let live = g.links().map(|l| g.capacity(l)).filter(|&cap| cap > 0);
+            let per_round: u64 = live.map(|cap| 2 * cap.max(inputs.tuple_bits)).sum();
             let additive =
                 per_round.saturating_mul(g.diameter() as u64 + inputs.relations as u64 + 1);
             CONFORMANCE_SLACK
@@ -318,6 +324,7 @@ mod tests {
             vars: 1,
             domain: 64,
             players,
+            tuple_bits: 7,
         };
         let stats = RunStats {
             rounds: 1,

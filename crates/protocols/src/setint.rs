@@ -59,12 +59,14 @@ pub fn run_set_intersection(
             convergecast_over_packing(&mut run, &packing, output, &vectors, 1, &ready)?;
         answer = product.into_iter().map(|b| b.get()).collect();
     }
-    // Example 2.1's instance: one unary relation over `[N]` per input.
+    // Example 2.1's instance: one unary relation over `[N]` per input;
+    // its round bound counts the converge-cast's one-bit entries.
     let instance = Inputs {
         relations: inputs.len(),
         vars: 1,
         domain: n as u32,
         players: k.len(),
+        tuple_bits: 1,
     };
     ProtocolOutcome::checked::<Boolean>(answer, &run, instance, predicted, None)
 }

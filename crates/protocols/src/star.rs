@@ -15,7 +15,9 @@
 //! generalised to `⊗`.
 
 use crate::outcome::ProtocolError;
-use faqs_network::{DeltaPackings, LinkId, NetRun, Player, SteinerTree, Topology, TransmitError};
+use faqs_network::{
+    ChunkTrain, DeltaPackings, LinkId, NetRun, Player, SteinerTree, Topology, TransmitError,
+};
 use faqs_relation::Relation;
 use faqs_semiring::Semiring;
 use std::collections::{BTreeSet, HashMap};
@@ -102,20 +104,17 @@ pub fn broadcast_over_packing(
             )));
         }
         let (order, up) = orient(tree, source);
+        // ready[i]: the rounds after which each chunk is at `order[i]`.
         let chunk = tree_chunk(run, tree);
-        // ready[i][c] = round after which chunk `c` is at `order[i]`.
-        let mut ready = vec![vec![
-            phase_start.saturating_sub(1);
-            part.div_ceil(chunk) as usize
-        ]];
+        let mut ready = vec![ChunkTrain::new(chunk, part, phase_start.saturating_sub(1))];
         for &(p, link) in &up {
-            let mut times = ready[p].clone();
-            run.send_train(link, order[p], chunk, part, &mut times)
+            let mut train = ready[p].clone();
+            run.send_train(link, order[p], &mut train)
                 .map_err(unreachable_by)?;
-            ready.push(times);
+            ready.push(train);
         }
-        for (player, times) in order.iter().zip(&ready) {
-            if let Some(&t) = times.last() {
+        for (player, train) in order.iter().zip(&ready) {
+            if let Some(t) = train.last_round() {
                 let e = arrival.entry(*player).or_insert(0);
                 *e = (*e).max(t);
             }
@@ -177,36 +176,37 @@ pub fn convergecast_over_packing<S: Semiring>(
         // per round, at least one.
         let chunk = (tree_chunk(run, tree) / entry_bits).max(1) * entry_bits;
         let bits = block.len() as u64 * entry_bits;
-        let chunks = bits.div_ceil(chunk) as usize;
-        // Per node, in `order`: (vector over block, per-chunk ready rounds).
-        let mut acc: Vec<(Vec<S>, Vec<u64>)> = order
+        // Per node, in `order`: its vector over the block and the train
+        // of it, each chunk's round the one it is ready after.
+        let mut acc: Vec<(Vec<S>, ChunkTrain)> = order
             .iter()
             .map(|p| {
                 let own: Vec<S> = match vectors.get(p) {
                     Some(v) => block.iter().map(|&i| v[i].clone()).collect(),
                     None => vec![S::one(); block.len()],
                 };
-                (own, vec![ready.get(p).copied().unwrap_or(0); chunks])
+                let at = ready.get(p).copied().unwrap_or(0);
+                (own, ChunkTrain::new(chunk, bits, at))
             })
             .collect();
-        // Children before parents: reverse BFS order.
+        // Children before parents: reverse BFS order. A parent forwards
+        // a chunk once its own and every child's have arrived.
         for (i, &(p, link)) in up.iter().enumerate().rev() {
-            let (vec_n, mut times) = std::mem::take(&mut acc[i + 1]);
-            run.send_train(link, order[i + 1], chunk, bits, &mut times)
+            // A parent comes before its child in `order`.
+            let (parents, rest) = acc.split_at_mut(i + 1);
+            let ((vec_n, train), (vec_p, ready_p)) = (&mut rest[0], &mut parents[p]);
+            run.send_train(link, order[i + 1], train)
                 .map_err(unreachable_by)?;
-            let (vec_p, ready_p) = &mut acc[p];
-            for (e, v) in vec_p.iter_mut().zip(&vec_n) {
+            for (e, v) in vec_p.iter_mut().zip(vec_n.iter()) {
                 *e = e.mul(v);
             }
-            for (r, t) in ready_p.iter_mut().zip(&times) {
-                *r = (*r).max(*t);
-            }
+            ready_p.wait_for(train);
         }
         let (vec_out, ready_out) = &acc[0];
         for (slot, &i) in block.iter().enumerate() {
             result[i] = result[i].mul(&vec_out[slot]);
         }
-        completed = completed.max(ready_out.iter().copied().max().unwrap_or(0));
+        completed = completed.max(ready_out.last_round().unwrap_or(0));
     }
     Ok((result, completed))
 }

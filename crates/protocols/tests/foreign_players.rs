@@ -8,8 +8,8 @@
 
 use faqs_hypergraph::star_query;
 use faqs_network::{
-    min_cut, min_cut_partition, steiner_packing, tau_mcf, Assignment, DeltaPackings, LinkId,
-    NetRun, Player, RunStats, Topology, TransmitError,
+    min_cut, min_cut_partition, steiner_packing, tau_mcf, Assignment, ChunkTrain, DeltaPackings,
+    LinkId, NetRun, Player, RunStats, Topology, TransmitError,
 };
 use faqs_protocols::{
     run_bcq_protocol, run_faq_protocol, run_hash_split_protocol, run_set_intersection, run_trivial,
@@ -116,9 +116,8 @@ fn scheduler_doors_refuse_a_foreign_player() {
         );
     }
     // A sender that is not an end of the link it names.
-    let mut times = [0];
     assert_eq!(
-        run.send_train(LinkId(0), Player(2), 9, 9, &mut times),
+        run.send_train(LinkId(0), Player(2), &mut ChunkTrain::new(9, 9, 0)),
         Err(TransmitError::NotAdjacent(Player(2), Player(0)))
     );
     assert_eq!(run.stats(), RunStats::default(), "nothing was accounted");
@@ -135,10 +134,15 @@ fn bound_helpers_refuse_a_foreign_terminal() {
         assert!(steiner_packing(&g, &k, 4).is_empty(), "{k:?}");
         assert_eq!(BoundReport::evaluate(&star_bcq(), &g, &k), None, "{k:?}");
     }
-    // A lone foreign player: no cut, no routing, no bound.
+    // A lone foreign player: no cut, no routing, no packing, no bound.
     assert_eq!(min_cut(&g, &[FOREIGN]), None);
     assert_eq!(tau_mcf(&g, &[FOREIGN], 64), None);
+    assert!(DeltaPackings::new(&g, &[FOREIGN]).best(64).is_none());
+    assert!(steiner_packing(&g, &[FOREIGN], 4).is_empty());
     assert_eq!(BoundReport::evaluate(&star_bcq(), &g, &[FOREIGN]), None);
+    // A lone player of the line has nothing to connect: no packing.
+    assert!(DeltaPackings::new(&g, &[Player(1)]).best(64).is_none());
+    assert!(steiner_packing(&g, &[Player(1)], 4).is_empty());
     // The same helpers on the line's own players answer.
     let k = [Player(0), Player(2)];
     assert_eq!(min_cut(&g, &k), Some(1));

@@ -175,6 +175,18 @@ static GUARDS: &[Guard] = &[
         origin: "aim 2",
     },
     Guard {
+        name: "chunk trains as runs",
+        rules: &[Rule {
+            exempt: &["-> &[u64]"],
+            ..rule(r"&mut [u64]|&[u64]|Vec<u64> = (|\btimes\b|; chunks]|div_ceil(chunk) as usize",
+                &["crates/network/src/", "crates/protocols/src/star.rs"], &[],
+                "fn reserve_train(&mut self, cap: u64, chunk: u64, bits: u64, times: &mut [u64]) -> u64 {")
+        }],
+        limit: Limit::Banned,
+        reason: "a train keeps its chunks' rounds as runs (ChunkTrain); one round per chunk lives only in the tests' reference",
+        origin: "item 23",
+    },
+    Guard {
         name: "trie-level intersection",
         rules: &[rule(r"\bfn gallop\b|\branges\s*:", &["crates/relation/src/genjoin.rs"], &[],
             "fn gallop(run: &[u32], key: u32) -> usize {")],
