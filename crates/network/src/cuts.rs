@@ -3,9 +3,10 @@
 use crate::topology::{Player, Topology};
 use std::collections::VecDeque;
 
-/// Edmonds–Karp max-flow between `s` and `t`, treating every undirected
-/// link as a pair of unit-capacity arcs — i.e. the number of pairwise
-/// edge-disjoint `s`–`t` paths (edge connectivity).
+/// Edmonds–Karp max-flow between `s` and `t`, treating every live
+/// undirected link as a pair of unit-capacity arcs — i.e. the number of
+/// pairwise edge-disjoint `s`–`t` paths (edge connectivity). A down
+/// link (capacity 0) carries nothing, so it is no arc.
 pub fn max_flow(g: &Topology, s: Player, t: Player) -> usize {
     residual_cut(g, s, t).0
 }
@@ -18,7 +19,7 @@ fn residual_cut(g: &Topology, s: Player, t: Player) -> (usize, Vec<bool>) {
     let (n, s, t) = (g.num_players(), s.index(), t.index());
     // Residual adjacency matrix of arc capacities (unit per direction).
     let mut cap = vec![vec![0u32; n]; n];
-    for l in g.links() {
+    for l in g.links().filter(|&l| g.capacity(l) > 0) {
         let (a, b) = g.link(l);
         cap[a.index()][b.index()] += 1;
         cap[b.index()][a.index()] += 1;
@@ -55,8 +56,8 @@ fn residual_cut(g: &Topology, s: Player, t: Player) -> (usize, Vec<bool>) {
     }
 }
 
-/// `MinCut(G, K)` (Definition 3.6): the minimum number of edges whose
-/// removal disconnects some pair of players in `K`. Computed as the
+/// `MinCut(G, K)` (Definition 3.6): the minimum number of live links
+/// whose removal disconnects some pair of players in `K`. Computed as the
 /// minimum over `t ∈ K∖{k₀}` of the `k₀`–`t` max-flow (every cut
 /// separating `K` separates `k₀` from some other terminal). `None` when
 /// `K` has fewer than two players or names a player `g` lacks.
@@ -174,5 +175,24 @@ mod tests {
         g.add_link(Player(0), Player(2), 1);
         g.add_link(Player(2), Player(3), 1);
         assert_eq!(max_flow(&g, Player(0), Player(3)), 2);
+    }
+
+    #[test]
+    fn a_down_link_is_no_arc() {
+        // ring6 with link 0 down cuts like ring6 with link 0 removed:
+        // the path 0-5-4-3-2-1.
+        let mut down = Topology::ring(6);
+        down.set_capacity(crate::LinkId(0), 0);
+        let mut absent = Topology::empty("ring6", 6);
+        for i in 1..6u32 {
+            absent.add_link(Player(i), Player((i + 1) % 6), 1);
+        }
+        let k = players(&[0, 1, 2, 3, 4, 5]);
+        assert_eq!(min_cut(&down, &k), Some(1));
+        assert_eq!(min_cut_partition(&down, &k), min_cut_partition(&absent, &k));
+        assert_eq!(max_flow(&down, Player(0), Player(1)), 1);
+        // Both links of player 0 down: nothing joins it to the rest.
+        down.set_capacity(crate::LinkId(5), 0);
+        assert_eq!(min_cut(&down, &k), Some(0));
     }
 }

@@ -20,12 +20,13 @@ pub struct SourceLoad {
 }
 
 /// Store-and-forward routing of the given source loads to `sink`:
-/// each round, every directed link pointing "downhill" (toward the sink
-/// in BFS distance) forwards up to `bits_per_round` buffered bits.
-/// Returns the number of rounds until everything arrives.
+/// each round, every directed live link pointing "downhill" (toward the
+/// sink in BFS distance over live links) forwards up to
+/// `bits_per_round` buffered bits; a down link (capacity 0) carries
+/// nothing. Returns the number of rounds until everything arrives.
 pub fn route_to_sink(g: &Topology, loads: &[SourceLoad], sink: Player, bits_per_round: u64) -> u64 {
     assert!(bits_per_round > 0);
-    let dist = g.distances(sink);
+    let dist = g.live_distances(sink);
     let mut buffer: Vec<u64> = vec![0; g.num_players()];
     let mut total = 0u64;
     for l in loads {
@@ -52,7 +53,7 @@ pub fn route_to_sink(g: &Topology, loads: &[SourceLoad], sink: Player, bits_per_
         .map(|u| {
             g.neighbors(u)
                 .iter()
-                .filter(|(v, _)| dist[v.index()] < dist[u.index()])
+                .filter(|&&(v, l)| g.capacity(l) > 0 && dist[v.index()] < dist[u.index()])
                 .map(|(v, _)| *v)
                 .collect()
         })
@@ -99,7 +100,8 @@ pub fn route_to_sink(g: &Topology, loads: &[SourceLoad], sink: Player, bits_per_
 /// best sink in `K`, maximised over two canonical worst-case
 /// distributions (everything at the source farthest from the sink;
 /// everything spread uniformly). `None` when `K` has fewer than two
-/// players, names a player `g` lacks, or `g` does not connect it.
+/// players, names a player `g` lacks, or `g`'s live links do not
+/// connect it.
 pub fn tau_mcf(g: &Topology, k: &[Player], n_prime: u64) -> Option<u64> {
     if k.len() < 2 || k.iter().any(|p| p.index() >= g.num_players()) {
         return None;
@@ -111,7 +113,7 @@ pub fn tau_mcf(g: &Topology, k: &[Player], n_prime: u64) -> Option<u64> {
 
     let mut best: Option<u64> = None;
     for &sink in k {
-        let dist = g.distances(sink);
+        let dist = g.live_distances(sink);
         if k.iter().any(|p| dist[p.index()] == u32::MAX) {
             return None;
         }
@@ -269,5 +271,30 @@ mod tests {
         let line = tau_mcf(&Topology::line(6), &kline, 128).unwrap();
         let clique = tau_mcf(&Topology::clique(6), &kline, 128).unwrap();
         assert!(clique < line, "{clique} < {line}");
+    }
+
+    #[test]
+    fn a_down_link_carries_nothing() {
+        // ring6 with link 0 down routes like ring6 with link 0 removed.
+        let mut down = Topology::ring(6);
+        down.set_capacity(crate::LinkId(0), 0);
+        let mut absent = Topology::empty("ring6", 6);
+        for i in 1..6u32 {
+            absent.add_link(Player(i), Player((i + 1) % 6), 1);
+        }
+        let k: Vec<Player> = (0..6u32).map(Player).collect();
+        for n_prime in [16, 512] {
+            assert_eq!(tau_mcf(&down, &k, n_prime), tau_mcf(&absent, &k, n_prime));
+        }
+        let load = [SourceLoad {
+            player: Player(1),
+            bits: 64,
+        }];
+        let around = route_to_sink(&down, &load, Player(0), 8);
+        assert_eq!(around, route_to_sink(&absent, &load, Player(0), 8));
+        assert_eq!(around, 8 + 4, "five hops around, not one across");
+        // Cut off from the sink over live links: no τ.
+        down.set_capacity(crate::LinkId(5), 0);
+        assert_eq!(tau_mcf(&down, &k, 16), None);
     }
 }

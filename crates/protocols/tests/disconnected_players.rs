@@ -9,13 +9,14 @@
 //! A second fixture keeps the player set connected over live links but
 //! holds one down link (capacity 0): every paper protocol on it answers
 //! as the engine does, sends nothing over the down link, and none
-//! divides by its capacity.
+//! divides by its capacity. Nor does the bound count it: the run reports
+//! what it reports on the same ring with that link absent.
 
 use faqs_hypergraph::star_query;
-use faqs_network::{Assignment, LinkId, Player, Topology};
+use faqs_network::{min_cut, tau_mcf, Assignment, LinkId, Player, Topology};
 use faqs_protocols::{
     run_bcq_protocol, run_faq_protocol, run_hash_split_protocol, run_set_intersection, run_trivial,
-    BoundReport, DistributedFaqRun, InputPlacement, ProtocolError, ProtocolOutcome,
+    BoundReport, DistributedFaqRun, InputPlacement, ProtocolError, ProtocolOutcome, RunReport,
 };
 use faqs_relation::{random_boolean_instance, FaqQuery, RandomInstanceConfig};
 use faqs_semiring::{Boolean, Semiring};
@@ -209,4 +210,74 @@ fn distributed_run_survives_a_down_link() {
     let out = run.execute().unwrap();
     assert_eq!(!out.result.total().is_zero(), faqs_core::solve_bcq(&q));
     assert_eq!(out.report.link_bits[0], 0, "{:?}", out.report.link_bits);
+}
+
+/// [`ring_with_a_down_link`] with its link 0 absent rather than down.
+fn ring_without_the_down_link() -> Topology {
+    let mut g = Topology::empty("ring4", 4);
+    for (a, b) in [(1, 2), (2, 3), (3, 0)] {
+        g.add_link(Player(a), Player(b), 8);
+    }
+    g
+}
+
+/// What a run reports of the network: the paper's bound, its envelope,
+/// the rounds and the total bits.
+fn network_terms(r: &RunReport) -> (Option<BoundReport>, u64, u64, u64) {
+    (
+        r.bound.clone(),
+        r.upper_rounds,
+        r.stats.rounds,
+        r.stats.total_bits,
+    )
+}
+
+#[test]
+fn a_down_link_counts_as_an_absent_one() {
+    let (down, absent) = (ring_with_a_down_link(), ring_without_the_down_link());
+    let k = everyone();
+    assert_eq!(min_cut(&down, &k), Some(1));
+    assert_eq!(min_cut(&down, &k), min_cut(&absent, &k));
+    assert_eq!(tau_mcf(&down, &k, 64), tau_mcf(&absent, &k, 64));
+    let q = star_bcq();
+    assert_eq!(
+        BoundReport::evaluate(&q, &down, &k),
+        BoundReport::evaluate(&q, &absent, &k)
+    );
+
+    let same = |door: &str, run: &dyn Fn(&Topology) -> RunReport| {
+        let (on_down, on_absent) = (run(&down), run(&absent));
+        assert_eq!(network_terms(&on_down), network_terms(&on_absent), "{door}");
+    };
+    let spread = around_the_down_link();
+    for capacity_tuples in [0, 1] {
+        same("run_faq_protocol", &|g| {
+            run_faq_protocol(&q, g, &spread, capacity_tuples)
+                .unwrap()
+                .report
+        });
+        same("run_bcq_protocol", &|g| {
+            run_bcq_protocol(&q, g, &spread, capacity_tuples)
+                .unwrap()
+                .report
+        });
+    }
+    same("run_trivial", &|g| {
+        run_trivial(&q, g, &spread).unwrap().report
+    });
+    let inputs: Vec<(Player, Vec<bool>)> =
+        k.iter().map(|&p| (p, vec![true, p.0 != 2, true])).collect();
+    same("run_set_intersection", &|g| {
+        run_set_intersection(g, &inputs, Player(0)).unwrap().report
+    });
+    same("run_hash_split_protocol", &|g| {
+        run_hash_split_protocol(&q, g, &k, Player(0))
+            .unwrap()
+            .report
+    });
+    same("DistributedFaqRun", &|g| {
+        let placement = InputPlacement::hash_split(q.k(), &k, Player(0));
+        let run = DistributedFaqRun::new(&q, g, placement, 1).unwrap();
+        run.execute().unwrap().report
+    });
 }

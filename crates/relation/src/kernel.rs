@@ -149,12 +149,11 @@ pub(crate) fn compact_zeros<S: Semiring>(arity: usize, data: &mut Vec<u32>, valu
 }
 
 /// [`Relation::union_all`]: merges canonical same-schema arenas into
-/// one. Each step takes the least front row among the parts (the
-/// earliest part on a tie) and `⊕`s in the equal front rows of the later
-/// parts, in part order; a zero sum is not a row. The fronts' leading
-/// columns sit in one array, so a step is a scan of `parts.len()`
-/// integers, and whole rows are compared only among fronts that share
-/// the least leading value.
+/// one; a tuple several parts hold sums in part order, and a zero sum
+/// is not a row. When the parts' leading values span at most
+/// [`dense_span`] of their rows, one counting pass buckets the rows
+/// ([`merge_counted`]); otherwise they are merged by comparison
+/// ([`merge_compared`]), the one way a sparse leading column goes.
 pub(crate) fn merge_parts<S: Semiring>(arity: usize, parts: &[Relation<S>]) -> (Vec<u32>, Vec<S>) {
     if arity == 0 {
         let mut values = parts.iter().flat_map(|p| p.raw_values());
@@ -172,6 +171,30 @@ pub(crate) fn merge_parts<S: Semiring>(arity: usize, parts: &[Relation<S>]) -> (
         .iter()
         .map(|p| (p.raw_data(), p.raw_values()))
         .collect();
+    let rows = parts.iter().map(|(_, values)| values.len()).sum::<usize>();
+    // Each part is sorted, so its first and last rows bound its leads.
+    let held = parts.iter().filter(|(_, values)| !values.is_empty());
+    let lo = held.clone().map(|(data, _)| data[0]).min();
+    let hi = held.map(|(data, _)| data[data.len() - arity]).max();
+    match (lo, hi) {
+        (Some(lo), Some(hi)) if u64::from(hi - lo) <= dense_span(rows) => {
+            merge_counted(arity, &parts, lo, hi, rows)
+        }
+        _ => merge_compared(arity, &parts, rows),
+    }
+}
+
+/// [`merge_parts`] by comparison: each step takes the least front row
+/// among the parts (the earliest part on a tie) and `⊕`s in the equal
+/// front rows of the later parts, in part order. The fronts' leading
+/// columns sit in one array, so a step is a scan of `parts.len()`
+/// integers, and whole rows are compared only among fronts that share
+/// the least leading value.
+fn merge_compared<S: Semiring>(
+    arity: usize,
+    parts: &[(&[u32], &[S])],
+    rows: usize,
+) -> (Vec<u32>, Vec<S>) {
     let row = |j: usize, i: usize| &parts[j].0[i * arity..(i + 1) * arity];
     // The leading value of part `j`'s row `i`; `u64::MAX` past its end.
     let lead = |j: usize, i: usize| {
@@ -182,7 +205,6 @@ pub(crate) fn merge_parts<S: Semiring>(arity: usize, parts: &[Relation<S>]) -> (
     };
     let mut at = vec![0usize; parts.len()];
     let mut leads: Vec<u64> = (0..parts.len()).map(|j| lead(j, 0)).collect();
-    let rows = parts.iter().map(|(_, values)| values.len()).sum::<usize>();
     let mut data = Vec::with_capacity(rows * arity);
     let mut values = Vec::with_capacity(rows);
     loop {
@@ -221,6 +243,102 @@ pub(crate) fn merge_parts<S: Semiring>(arity: usize, parts: &[Relation<S>]) -> (
         }
         at[first] += 1;
         leads[first] = lead(first, at[first]);
+    }
+    (data, values)
+}
+
+/// [`merge_parts`] over `rows` rows whose leading values lie in
+/// `lo..=hi`, by one counting pass that files every row under its
+/// leading value, the parts in order.
+///
+/// One column: a row is its leading value, so its bucket folds the
+/// values filed there as they come — in part order. Wider rows: the
+/// bucket notes the one part that holds the value, or that several do.
+/// A value one part holds lists that part's run of rows as it stands;
+/// one several parts hold lists their runs in part order, sorted stably
+/// on the other columns, so a tuple several parts hold sums in part
+/// order.
+fn merge_counted<S: Semiring>(
+    arity: usize,
+    parts: &[(&[u32], &[S])],
+    lo: u32,
+    hi: u32,
+    rows: usize,
+) -> (Vec<u32>, Vec<S>) {
+    let span = (hi - lo) as usize + 1;
+    let mut data = Vec::with_capacity(rows * arity);
+    let mut values = Vec::with_capacity(rows);
+    if arity == 1 {
+        let mut sums: Vec<Option<S>> = vec![None; span];
+        for (part_data, part_values) in parts {
+            for (&x, v) in part_data.iter().zip(*part_values) {
+                match &mut sums[(x - lo) as usize] {
+                    Some(sum) => sum.add_assign(v),
+                    empty => *empty = Some(v.clone()),
+                }
+            }
+        }
+        for (k, sum) in sums.into_iter().enumerate() {
+            if let Some(sum) = sum.filter(|sum| !sum.is_zero()) {
+                data.push(lo + k as u32);
+                values.push(sum);
+            }
+        }
+        return (data, values);
+    }
+    const NONE: u32 = u32::MAX;
+    const SHARED: u32 = u32::MAX - 1;
+    // `holder[x − lo]`: the part holding rows led by `x`, `NONE` or `SHARED`.
+    let mut holder = vec![NONE; span];
+    for (j, (part_data, _)) in parts.iter().enumerate() {
+        for &x in part_data.iter().step_by(arity) {
+            let h = &mut holder[(x - lo) as usize];
+            if *h == NONE {
+                *h = j as u32;
+            } else if *h != j as u32 {
+                *h = SHARED;
+            }
+        }
+    }
+    // Each part's first row not yet listed: its run for the next value.
+    let mut at = vec![0usize; parts.len()];
+    let lead = |j: usize, i: usize| parts[j].0.get(i * arity).copied();
+    let row = |(j, i): (usize, usize)| &parts[j].0[i * arity..(i + 1) * arity];
+    let mut shared: Vec<(usize, usize)> = Vec::new();
+    for (k, h) in holder.into_iter().enumerate() {
+        let x = lo + k as u32;
+        match h {
+            NONE => {}
+            SHARED => {
+                shared.clear();
+                for (j, at) in at.iter_mut().enumerate() {
+                    while lead(j, *at) == Some(x) {
+                        shared.push((j, *at));
+                        *at += 1;
+                    }
+                }
+                shared.sort_by(|&a, &b| row(a)[1..].cmp(&row(b)[1..]));
+                for equal in shared.chunk_by(|&a, &b| row(a) == row(b)) {
+                    let (j, i) = equal[0];
+                    let mut sum = parts[j].1[i].clone();
+                    equal[1..]
+                        .iter()
+                        .for_each(|&(j, i)| sum.add_assign(&parts[j].1[i]));
+                    if !sum.is_zero() {
+                        data.extend_from_slice(row(equal[0]));
+                        values.push(sum);
+                    }
+                }
+            }
+            j => {
+                let j = j as usize;
+                while lead(j, at[j]) == Some(x) {
+                    data.extend_from_slice(row((j, at[j])));
+                    values.push(parts[j].1[at[j]].clone());
+                    at[j] += 1;
+                }
+            }
+        }
     }
     (data, values)
 }
@@ -284,8 +402,8 @@ pub(crate) fn key_run(data: &[u32], arity: usize, rows: Range<usize>, key: &[u32
 
 /// How wide a value range (`max − min`) one column of `rows` rows may
 /// span and still be addressed directly ([`KeyLookup::Table`],
-/// [`counting_order`]): a few words per row plus a page, so filling the
-/// array costs no more than the scan it serves.
+/// [`counting_order`], [`merge_counted`]): a few words per row plus a
+/// page, so filling the array costs no more than the scan it serves.
 const fn dense_span(rows: usize) -> u64 {
     4 * rows as u64 + 1024
 }
@@ -485,9 +603,10 @@ pub(crate) fn trailing_nest(schema: &[Var], nest: &[(Var, Aggregate)]) -> Option
 /// level above a cancelling `Sum` sees the same operands). Every group
 /// thus folds in ascending row order, as a chain of sorted-prefix
 /// [`project_with`] scans does. It has two drivers: a stored arena
-/// ([`NestFold::fold_rows`], which compares each row with the one
-/// before and folds each innermost group into a plain accumulator), and
-/// the generic join (`generic_join_aggregated`, which folds each binding
+/// ([`NestFold::fold_rows`], which compares each row's group key with
+/// the one before, column by column at a width fixed when the scan
+/// compiles, and folds each innermost group into a plain accumulator),
+/// and the generic join (`generic_join_aggregated`, which folds each binding
 /// in with [`NestFold::fold`] and knows where a group ends — with the
 /// loop that binds its level's variable — so it calls
 /// [`NestFold::close`] itself).
@@ -520,6 +639,14 @@ impl<S: Semiring> NestFold<S> {
     /// column are that level's whole group, so their values fold into a
     /// plain accumulator, and the first column where the next row
     /// differs says which levels close.
+    ///
+    /// The group key — every column but the innermost — is compared
+    /// column by column, never as a slice: the one scan body
+    /// ([`NestFold::scan`]) is instantiated for each key width up to
+    /// three ([`Fixed`]), where the compare unrolls into that many
+    /// integer tests, and once over a width read at run time for wider
+    /// rows. The innermost operator is matched once per call, not per
+    /// row.
     pub(crate) fn fold_rows(&mut self, data: &[u32], values: &[S]) {
         let Some(&(op, _)) = self.levels.last() else {
             // No level: every row is its own group.
@@ -527,20 +654,51 @@ impl<S: Semiring> NestFold<S> {
             self.values.extend_from_slice(values);
             return;
         };
-        let (kept, arity) = (self.schema.len(), self.schema.len() + self.levels.len());
-        let mut rows = data.chunks_exact(arity).zip(values);
+        match self.schema.len() + self.levels.len() - 1 {
+            0 => self.fold_keyed_by(Fixed::<0>, op, data, values),
+            1 => self.fold_keyed_by(Fixed::<1>, op, data, values),
+            2 => self.fold_keyed_by(Fixed::<2>, op, data, values),
+            3 => self.fold_keyed_by(Fixed::<3>, op, data, values),
+            width => self.fold_keyed_by(width, op, data, values),
+        }
+    }
+
+    /// [`NestFold::scan`] with the innermost operator `op` fixed.
+    fn fold_keyed_by<K: KeyWidth>(&mut self, key: K, op: Aggregate, data: &[u32], values: &[S]) {
+        match op {
+            Aggregate::Sum => self.scan(key, data, values, |a, v| a.fold(Aggregate::Sum, v)),
+            Aggregate::Product => {
+                self.scan(key, data, values, |a, v| a.fold(Aggregate::Product, v))
+            }
+            Aggregate::Max => self.scan(key, data, values, |a, v| a.fold(Aggregate::Max, v)),
+            Aggregate::Min => self.scan(key, data, values, |a, v| a.fold(Aggregate::Min, v)),
+        }
+    }
+
+    /// The one scan of [`NestFold::fold_rows`]: rows of `key` + 1
+    /// columns, each innermost group folded with `fold`.
+    #[inline]
+    fn scan<K: KeyWidth>(
+        &mut self,
+        key: K,
+        data: &[u32],
+        values: &[S],
+        fold: impl Fn(&S, &S) -> S,
+    ) {
+        let (kept, width) = (self.schema.len(), key.width());
+        let mut rows = data.chunks_exact(width + 1).zip(values);
         let Some((row, value)) = rows.next() else {
             return;
         };
-        let (mut head, mut acc) = (&row[..arity - 1], value.clone());
+        let (mut head, mut acc) = (&row[..width], value.clone());
         for (row, value) in rows {
             // A level's group is keyed by the columns before its own.
-            match head.iter().zip(row).position(|(a, b)| a != b) {
-                None => acc = acc.fold(op, value),
+            match key.first_difference(head, row) {
+                None => acc = fold(&acc, value),
                 Some(c) => {
                     self.fold(head, acc);
                     self.close((c + 1).saturating_sub(kept), head);
-                    (head, acc) = (&row[..arity - 1], value.clone());
+                    (head, acc) = (&row[..width], value.clone());
                 }
             }
         }
@@ -590,6 +748,37 @@ impl<S: Semiring> NestFold<S> {
         let mut out = Relation::new(self.schema);
         out.set_parts(self.data, self.values);
         out
+    }
+}
+
+/// The width of [`NestFold::scan`]'s group key: a compile-time constant
+/// ([`Fixed`]) or a `usize` read at run time.
+trait KeyWidth: Copy {
+    fn width(self) -> usize;
+
+    /// The first of the key's columns where rows `a` and `b` differ.
+    #[inline]
+    fn first_difference(self, a: &[u32], b: &[u32]) -> Option<usize> {
+        let (a, b) = (&a[..self.width()], &b[..self.width()]);
+        (0..a.len()).find(|&c| a[c] != b[c])
+    }
+}
+
+/// A key `W` columns wide, known when the scan compiles.
+#[derive(Clone, Copy)]
+struct Fixed<const W: usize>;
+
+impl<const W: usize> KeyWidth for Fixed<W> {
+    #[inline]
+    fn width(self) -> usize {
+        W
+    }
+}
+
+impl KeyWidth for usize {
+    #[inline]
+    fn width(self) -> usize {
+        self
     }
 }
 
@@ -754,7 +943,7 @@ pub(crate) fn merge_signed<S: Semiring>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use faqs_semiring::Count;
+    use faqs_semiring::{Count, Prob};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -999,6 +1188,96 @@ mod tests {
                         sorted.iter().map(|&i| *rel.value_at(i as usize)).collect();
                     fold.fold_rows(&moved, &values);
                     assert_eq!(aggregate_nest(rel, &nest), fold.finish(), "{what}");
+                }
+            }
+        }
+    }
+
+    /// Canonical parts of `arity` columns drawn from a small domain, so
+    /// they share tuples, with their leading column relabelled in order
+    /// onto `base..=base + span` (both ends taken), every part alike.
+    fn parts_spanning(
+        arity: usize,
+        span: impl Fn(usize) -> u64,
+        top: bool,
+        rng: &mut StdRng,
+    ) -> Vec<Relation<Prob>> {
+        let schema: Vec<Var> = (0..arity as u32).map(Var).collect();
+        let drawn: Vec<Vec<(Vec<u32>, Prob)>> = (0..rng.random_range(1..=6))
+            .map(|_| {
+                (0..rng.random_range(0..40))
+                    .map(|_| {
+                        let t = (0..arity).map(|_| rng.random_range(0..4)).collect();
+                        (t, Prob(f64::from(rng.random_range(1..1000u32)) / 7.0))
+                    })
+                    .collect()
+            })
+            .collect();
+        let canonical = |rows: Vec<(Vec<u32>, Prob)>| {
+            let rel = Relation::from_pairs(schema.clone(), rows);
+            rel.iter()
+                .map(|(t, p)| (t.to_vec(), *p))
+                .collect::<Vec<_>>()
+        };
+        let drawn: Vec<Vec<(Vec<u32>, Prob)>> = drawn.into_iter().map(canonical).collect();
+        let leads = drawn.iter().flatten().map(|(t, _)| t[0]);
+        let (min, max) = (leads.clone().min().unwrap_or(0), leads.max().unwrap_or(0));
+        let rows = drawn.iter().map(Vec::len).sum::<usize>();
+        let span = span(rows).min(u64::from(u32::MAX));
+        let base = if top { u64::from(u32::MAX) - span } else { 0 };
+        let relabel = |x: u32| match max - min {
+            0 => base as u32,
+            gap => (base + u64::from(x - min) * span / u64::from(gap)) as u32,
+        };
+        drawn
+            .into_iter()
+            .map(|part| {
+                let part = part.into_iter().map(|(mut t, p)| {
+                    t[0] = relabel(t[0]);
+                    (t, p)
+                });
+                Relation::from_pairs(schema.clone(), part)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn counted_and_compared_merges_sum_in_part_order() {
+        use std::collections::BTreeMap;
+        let mut rng = StdRng::seed_from_u64(48);
+        let bits = |(data, values): (Vec<u32>, Vec<Prob>), arity: usize| {
+            let rows = data.chunks(arity.max(1)).map(<[u32]>::to_vec);
+            rows.zip(values.iter().map(|p| p.0.to_bits()))
+                .collect::<Vec<_>>()
+        };
+        // Leading spans just inside and just past the counted merge's
+        // bound, and the whole `u32` range.
+        type Span = fn(usize) -> u64;
+        let spans: [(&str, Span); 4] = [
+            ("under", |rows| dense_span(rows) - 1),
+            ("at", dense_span),
+            ("over", |rows| dense_span(rows) + 1),
+            ("whole", |_| u64::from(u32::MAX)),
+        ];
+        for arity in 1..=4 {
+            for (what, span) in spans {
+                for case in 0..40 {
+                    let parts = parts_spanning(arity, span, case % 2 == 1, &mut rng);
+                    // Each tuple summed over the parts, in part order.
+                    let mut want: BTreeMap<Vec<u32>, f64> = BTreeMap::new();
+                    for (t, p) in parts.iter().flat_map(|part| part.iter()) {
+                        *want.entry(t.to_vec()).or_insert(0.0) += p.0;
+                    }
+                    let want: Vec<_> = want.into_iter().map(|(t, p)| (t, p.to_bits())).collect();
+                    let what = format!("{arity} columns, span {what}, case {case}");
+                    assert_eq!(bits(merge_parts(arity, &parts), arity), want, "{what}");
+                    let raw: Vec<(&[u32], &[Prob])> = parts
+                        .iter()
+                        .map(|p| (p.raw_data(), p.raw_values()))
+                        .collect();
+                    let rows = raw.iter().map(|(_, v)| v.len()).sum();
+                    let compared = merge_compared(arity, &raw, rows);
+                    assert_eq!(bits(compared, arity), want, "{what}: compared");
                 }
             }
         }

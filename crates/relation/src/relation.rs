@@ -357,7 +357,11 @@ impl<S: Semiring> Relation<S> {
     /// there (what a generic-join bag is planned to be, and any relation
     /// whose one private variable is its last column) is folded as it
     /// stands: one scan that compares each row with the one before and
-    /// folds each innermost group's values into a plain accumulator.
+    /// folds each innermost group's values into a plain accumulator. The
+    /// compare reads the group key — every column but the innermost —
+    /// column by column, in a scan compiled for each key width up to
+    /// three and once for wider keys, with the innermost operator chosen
+    /// once per call.
     /// Any other has its rows copied out in that order first, however
     /// many variables go — the row ids ordered by one counting pass per
     /// kept column when the nest's columns ascend and the kept ones are
@@ -551,11 +555,15 @@ impl<S: Semiring> Relation<S> {
 
     /// Union of same-schema relations with `⊕`-accumulation of duplicate
     /// tuples (inverse of [`Relation::split_by`]). Every part is
-    /// canonical already, so the parts are merged, not re-sorted: one
-    /// pass that picks the least front row among the parts, comparing
-    /// leading columns first. A tuple held by several parts sums in
-    /// part order — `((p₀ ⊕ p₁) ⊕ p₂) …` over the parts that hold it —
-    /// and is dropped when that sum is zero.
+    /// canonical already, so the parts are merged, not re-sorted. When
+    /// the leading column is dense — its values span at most
+    /// `4·rows + 1024`, the bound the direct-address regroup and message
+    /// lookup use — one counting pass files each part's rows under their
+    /// leading value, the parts in order. Otherwise one pass picks the
+    /// least front row among the parts, comparing leading columns first.
+    /// Either way a tuple held by several parts sums in part order —
+    /// `((p₀ ⊕ p₁) ⊕ p₂) …` over the parts that hold it — and is dropped
+    /// when that sum is zero.
     pub fn union_all(parts: &[Relation<S>]) -> Relation<S> {
         assert!(!parts.is_empty());
         let schema = parts[0].schema.clone();

@@ -57,6 +57,17 @@ fn random_rel<S: Semiring>(
     Relation::from_pairs(vars(schema), pairs)
 }
 
+/// `rel` with its leading column, if any, spread over the whole `u32`
+/// range (an order-preserving relabelling of values below 5).
+fn spread_lead<S: Semiring>(rel: &Relation<S>) -> Relation<S> {
+    let rows = rel.iter().map(|(t, v)| {
+        let mut t = t.to_vec();
+        t.iter_mut().take(1).for_each(|x| *x *= u32::MAX / 4);
+        (t, v.clone())
+    });
+    Relation::from_pairs(rel.schema().to_vec(), rows)
+}
+
 /// A deep copy of the listing, tuple by tuple: holds nothing a clone
 /// could share with `r`.
 fn rows_of<S: Semiring>(r: &Relation<S>) -> Vec<(Vec<u32>, S)> {
@@ -372,10 +383,11 @@ fn assert_same<S: Semiring>(
 }
 
 /// Races `aggregate_out_many` against
-/// [`ref_aggregate_out_many`] on one random relation: arity 1–5,
-/// columns in a random order, up to 60 draws from a domain of 1–3, a
-/// random subset of the variables — none to all — private, each with an
-/// operator drawn from `ops`.
+/// [`ref_aggregate_out_many`] on one random relation: arity 1–7 (group
+/// keys up to six columns wide, past the widest the scan is compiled
+/// for), columns in a random order, up to 60 draws from a domain of
+/// 1–3, a random subset of the variables — none to all — private, each
+/// with an operator drawn from `ops`.
 fn check_nest<S: Semiring>(
     seed: u64,
     ops: &[Aggregate],
@@ -383,7 +395,7 @@ fn check_nest<S: Semiring>(
     same: fn(&S, &S) -> bool,
 ) {
     let mut rng = StdRng::seed_from_u64(seed);
-    let arity = rng.random_range(1..6usize);
+    let arity = rng.random_range(1..8usize);
     let mut schema: Vec<u32> = (0..arity as u32).collect();
     for i in (1..arity).rev() {
         schema.swap(i, rng.random_range(0..=i));
@@ -820,10 +832,12 @@ proptest! {
         n in 0usize..60,
         parts in 1usize..5,
         domain in 1u32..6,
+        wide: bool,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let a: Relation<Count> =
             random_rel(&[0, 1], n, domain, &mut rng, |r| Count(r.random_range(1..4)));
+        let a = if wide { spread_lead(&a) } else { a };
         let mut next = 0;
         let split = a.split_by(parts, |_| {
             next += 1;
@@ -836,17 +850,23 @@ proptest! {
     #[test]
     fn union_all_merges_overlapping_parts(
         seed: u64,
-        schema in 0usize..4,
+        schema in 0usize..5,
         parts in 1usize..6,
         n in 0usize..30,
         domain in 1u32..5,
+        wide: bool,
     ) {
         // Parts drawn independently over a small domain share rows, so
-        // the merge must `⊕` them; on `Gf2` equal rows can cancel.
-        let schema: &[u32] = [&[0, 1][..], &[0], &[1, 0, 2], &[]][schema];
+        // the merge must `⊕` them; on `Gf2` equal rows can cancel. A
+        // small domain is a dense leading column, which the union
+        // counts; `wide` spreads it over the whole `u32` range, which
+        // it merges by comparison.
+        let schema: &[u32] = [&[0, 1][..], &[0], &[1, 0, 2], &[2, 0, 3, 1], &[]][schema];
         let mut rng = StdRng::seed_from_u64(seed);
+        let spread = |r: Relation<_>| if wide { spread_lead(&r) } else { r };
         let counted: Vec<Relation<Count>> = (0..parts)
             .map(|_| random_rel(schema, n, domain, &mut rng, |r| Count(r.random_range(1..4))))
+            .map(spread)
             .collect();
         let all = counted.iter().flat_map(rows_of);
         let union = Relation::union_all(&counted);
@@ -854,6 +874,7 @@ proptest! {
         prop_assert_eq!(union, Relation::from_pairs(vars(schema), all));
         let parity: Vec<Relation<Gf2>> = (0..parts)
             .map(|_| random_rel(schema, n, domain, &mut rng, |r| Gf2(r.random_range(0..2) == 1)))
+            .map(|r| if wide { spread_lead(&r) } else { r })
             .collect();
         let all = parity.iter().flat_map(rows_of);
         let union = Relation::union_all(&parity);
@@ -864,17 +885,14 @@ proptest! {
 
 /// A tuple several parts hold sums in part order, whichever rows lead:
 /// `(0.1 ⊕ 0.2) ⊕ 0.3` and `(0.3 ⊕ 0.2) ⊕ 0.1` differ in the last bit.
+/// Held on leading values 0–2, which the union counts, on the same
+/// values spread over the whole `u32` range, which it merges by
+/// comparison, and on one column.
 #[test]
 fn union_all_sums_duplicates_in_part_order() {
-    let part = |rows: &[(&[u32], f64)]| {
-        let rows = rows.iter().map(|(t, p)| (t.to_vec(), Prob(*p)));
-        Relation::from_pairs(vars(&[0, 1]), rows)
-    };
-    let parts = [
-        part(&[(&[1, 4], 0.1), (&[2, 0], 1.0)]),
-        part(&[(&[1, 3], 0.5), (&[1, 4], 0.2)]),
-        part(&[(&[0, 9], 0.25), (&[1, 4], 0.3)]),
-    ];
+    let forward = ((0.1f64 + 0.2) + 0.3).to_bits();
+    let backward = ((0.3f64 + 0.2) + 0.1).to_bits();
+    assert_ne!(forward, backward);
     let bits = |parts: &[Relation<Prob>]| -> Vec<(Vec<u32>, u64)> {
         let union = Relation::union_all(parts);
         union
@@ -882,20 +900,49 @@ fn union_all_sums_duplicates_in_part_order() {
             .map(|(t, p)| (t.to_vec(), p.0.to_bits()))
             .collect()
     };
-    let forward = ((0.1f64 + 0.2) + 0.3).to_bits();
-    let backward = ((0.3f64 + 0.2) + 0.1).to_bits();
-    assert_ne!(forward, backward);
-    let rows = |at_14: u64| {
-        vec![
-            (vec![0, 9], 0.25f64.to_bits()),
-            (vec![1, 3], 0.5f64.to_bits()),
-            (vec![1, 4], at_14),
-            (vec![2, 0], 1.0f64.to_bits()),
-        ]
+    let check = |parts: [Relation<Prob>; 3], rows: &dyn Fn(u64) -> Vec<(Vec<u32>, u64)>| {
+        assert_eq!(bits(&parts), rows(forward));
+        let reversed: Vec<Relation<Prob>> = parts.iter().rev().cloned().collect();
+        assert_eq!(bits(&reversed), rows(backward));
     };
-    assert_eq!(bits(&parts), rows(forward));
-    let reversed: Vec<Relation<Prob>> = parts.iter().rev().cloned().collect();
-    assert_eq!(bits(&reversed), rows(backward));
+    for scale in [1, u32::MAX / 2] {
+        let part = |rows: &[(&[u32], f64)]| {
+            let rows = rows
+                .iter()
+                .map(|(t, p)| (vec![t[0] * scale, t[1]], Prob(*p)));
+            Relation::from_pairs(vars(&[0, 1]), rows)
+        };
+        let parts = [
+            part(&[(&[1, 4], 0.1), (&[2, 0], 1.0)]),
+            part(&[(&[1, 3], 0.5), (&[1, 4], 0.2)]),
+            part(&[(&[0, 9], 0.25), (&[1, 4], 0.3)]),
+        ];
+        check(parts, &|at_14| {
+            vec![
+                (vec![0, 9], 0.25f64.to_bits()),
+                (vec![scale, 3], 0.5f64.to_bits()),
+                (vec![scale, 4], at_14),
+                (vec![2 * scale, 0], 1.0f64.to_bits()),
+            ]
+        });
+    }
+    let part = |rows: &[(u32, f64)]| {
+        let rows = rows.iter().map(|&(x, p)| (vec![x], Prob(p)));
+        Relation::from_pairs(vars(&[0]), rows)
+    };
+    let parts = [
+        part(&[(1, 0.1), (2, 1.0)]),
+        part(&[(1, 0.2), (3, 0.5)]),
+        part(&[(0, 0.25), (1, 0.3)]),
+    ];
+    check(parts, &|at_1| {
+        vec![
+            (vec![0], 0.25f64.to_bits()),
+            (vec![1], at_1),
+            (vec![2], 1.0f64.to_bits()),
+            (vec![3], 0.5f64.to_bits()),
+        ]
+    });
 }
 
 #[test]

@@ -187,6 +187,15 @@ static GUARDS: &[Guard] = &[
         origin: "item 23",
     },
     Guard {
+        name: "live links only",
+        rules: &[rule(".distances(",
+            &["crates/network/src/cuts.rs", "crates/network/src/flow.rs", "crates/protocols/src/bounds.rs"],
+            &[], "let dist = g.distances(sink);")],
+        limit: Limit::Banned,
+        reason: "MinCut and τ_MCF count live links only (live_distances), as the Steiner packings do: a down link is an absent one",
+        origin: "item 29",
+    },
+    Guard {
         name: "trie-level intersection",
         rules: &[rule(r"\bfn gallop\b|\branges\s*:", &["crates/relation/src/genjoin.rs"], &[],
             "fn gallop(run: &[u32], key: u32) -> usize {")],
