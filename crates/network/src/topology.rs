@@ -190,9 +190,20 @@ impl Topology {
 
     /// Graph diameter (max finite pairwise distance).
     pub fn diameter(&self) -> u32 {
+        self.widest(Self::distances)
+    }
+
+    /// The diameter over *live* links only ([`Topology::live_distances`]):
+    /// the diameter of the graph with its down links absent.
+    pub fn live_diameter(&self) -> u32 {
+        self.widest(Self::live_distances)
+    }
+
+    /// The largest finite distance `distances` reports from any player.
+    fn widest(&self, distances: fn(&Self, Player) -> Vec<u32>) -> u32 {
         self.players()
             .map(|p| {
-                self.distances(p)
+                distances(self, p)
                     .into_iter()
                     .filter(|&d| d != u32::MAX)
                     .max()
@@ -420,6 +431,11 @@ mod tests {
         g.set_capacity(LinkId(0), 0); // 0—1 down
         assert_eq!(g.distances(Player(0))[1], 1, "structurally adjacent");
         assert_eq!(g.live_distances(Player(0))[1], 3, "live detour 0—3—2—1");
+        assert_eq!(
+            (g.diameter(), g.live_diameter()),
+            (2, 3),
+            "the line 1—2—3—0"
+        );
         g.set_capacity(LinkId(1), 0); // 1—2 down too: P1 partitioned
         assert_eq!(g.live_distances(Player(0))[1], u32::MAX);
     }

@@ -233,7 +233,7 @@ impl RunReport {
             let live = g.links().map(|l| g.capacity(l)).filter(|&cap| cap > 0);
             let per_round: u64 = live.map(|cap| 2 * cap.max(inputs.tuple_bits)).sum();
             let additive =
-                per_round.saturating_mul(g.diameter() as u64 + inputs.relations as u64 + 1);
+                per_round.saturating_mul(g.live_diameter() as u64 + inputs.relations as u64 + 1);
             CONFORMANCE_SLACK
                 .saturating_mul(upper_rounds)
                 .saturating_mul(per_round)

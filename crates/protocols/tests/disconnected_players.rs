@@ -221,14 +221,19 @@ fn ring_without_the_down_link() -> Topology {
     g
 }
 
-/// What a run reports of the network: the paper's bound, its envelope,
-/// the rounds and the total bits.
-fn network_terms(r: &RunReport) -> (Option<BoundReport>, u64, u64, u64) {
+/// What a run reports of the network: the paper's bound, its round
+/// bound, the rounds, the total bits and the live oracle's bit and wire
+/// envelopes.
+fn network_terms(r: &RunReport) -> (Option<BoundReport>, [u64; 5]) {
     (
         r.bound.clone(),
-        r.upper_rounds,
-        r.stats.rounds,
-        r.stats.total_bits,
+        [
+            r.upper_rounds,
+            r.stats.rounds,
+            r.stats.total_bits,
+            r.upper_bits,
+            r.upper_wire_bits,
+        ],
     )
 }
 

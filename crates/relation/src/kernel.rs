@@ -150,10 +150,10 @@ pub(crate) fn compact_zeros<S: Semiring>(arity: usize, data: &mut Vec<u32>, valu
 
 /// [`Relation::union_all`]: merges canonical same-schema arenas into
 /// one; a tuple several parts hold sums in part order, and a zero sum
-/// is not a row. When the parts' leading values span at most
-/// [`dense_span`] of their rows, one counting pass buckets the rows
-/// ([`merge_counted`]); otherwise they are merged by comparison
-/// ([`merge_compared`]), the one way a sparse leading column goes.
+/// is not a row. One column whose values span at most [`dense_span`] of
+/// the rows is summed in one counting pass ([`merge_counted`]); wider
+/// rows and a sparse column are merged by comparison
+/// ([`merge_compared`]).
 pub(crate) fn merge_parts<S: Semiring>(arity: usize, parts: &[Relation<S>]) -> (Vec<u32>, Vec<S>) {
     if arity == 0 {
         let mut values = parts.iter().flat_map(|p| p.raw_values());
@@ -177,8 +177,8 @@ pub(crate) fn merge_parts<S: Semiring>(arity: usize, parts: &[Relation<S>]) -> (
     let lo = held.clone().map(|(data, _)| data[0]).min();
     let hi = held.map(|(data, _)| data[data.len() - arity]).max();
     match (lo, hi) {
-        (Some(lo), Some(hi)) if u64::from(hi - lo) <= dense_span(rows) => {
-            merge_counted(arity, &parts, lo, hi, rows)
+        (Some(lo), Some(hi)) if arity == 1 && u64::from(hi - lo) <= dense_span(rows) => {
+            merge_counted(&parts, lo, hi, rows)
         }
         _ => merge_compared(arity, &parts, rows),
     }
@@ -247,97 +247,29 @@ fn merge_compared<S: Semiring>(
     (data, values)
 }
 
-/// [`merge_parts`] over `rows` rows whose leading values lie in
-/// `lo..=hi`, by one counting pass that files every row under its
-/// leading value, the parts in order.
-///
-/// One column: a row is its leading value, so its bucket folds the
-/// values filed there as they come — in part order. Wider rows: the
-/// bucket notes the one part that holds the value, or that several do.
-/// A value one part holds lists that part's run of rows as it stands;
-/// one several parts hold lists their runs in part order, sorted stably
-/// on the other columns, so a tuple several parts hold sums in part
-/// order.
+/// [`merge_parts`] over `rows` rows of one column whose values lie in
+/// `lo..=hi`: a row is its value, so one pass over the parts in order folds each
+/// into a direct-address table of sums — in part order.
 fn merge_counted<S: Semiring>(
-    arity: usize,
     parts: &[(&[u32], &[S])],
     lo: u32,
     hi: u32,
     rows: usize,
 ) -> (Vec<u32>, Vec<S>) {
-    let span = (hi - lo) as usize + 1;
-    let mut data = Vec::with_capacity(rows * arity);
-    let mut values = Vec::with_capacity(rows);
-    if arity == 1 {
-        let mut sums: Vec<Option<S>> = vec![None; span];
-        for (part_data, part_values) in parts {
-            for (&x, v) in part_data.iter().zip(*part_values) {
-                match &mut sums[(x - lo) as usize] {
-                    Some(sum) => sum.add_assign(v),
-                    empty => *empty = Some(v.clone()),
-                }
-            }
-        }
-        for (k, sum) in sums.into_iter().enumerate() {
-            if let Some(sum) = sum.filter(|sum| !sum.is_zero()) {
-                data.push(lo + k as u32);
-                values.push(sum);
-            }
-        }
-        return (data, values);
-    }
-    const NONE: u32 = u32::MAX;
-    const SHARED: u32 = u32::MAX - 1;
-    // `holder[x − lo]`: the part holding rows led by `x`, `NONE` or `SHARED`.
-    let mut holder = vec![NONE; span];
-    for (j, (part_data, _)) in parts.iter().enumerate() {
-        for &x in part_data.iter().step_by(arity) {
-            let h = &mut holder[(x - lo) as usize];
-            if *h == NONE {
-                *h = j as u32;
-            } else if *h != j as u32 {
-                *h = SHARED;
+    let mut sums: Vec<Option<S>> = vec![None; (hi - lo) as usize + 1];
+    for (part_data, part_values) in parts {
+        for (&x, v) in part_data.iter().zip(*part_values) {
+            match &mut sums[(x - lo) as usize] {
+                Some(sum) => sum.add_assign(v),
+                empty => *empty = Some(v.clone()),
             }
         }
     }
-    // Each part's first row not yet listed: its run for the next value.
-    let mut at = vec![0usize; parts.len()];
-    let lead = |j: usize, i: usize| parts[j].0.get(i * arity).copied();
-    let row = |(j, i): (usize, usize)| &parts[j].0[i * arity..(i + 1) * arity];
-    let mut shared: Vec<(usize, usize)> = Vec::new();
-    for (k, h) in holder.into_iter().enumerate() {
-        let x = lo + k as u32;
-        match h {
-            NONE => {}
-            SHARED => {
-                shared.clear();
-                for (j, at) in at.iter_mut().enumerate() {
-                    while lead(j, *at) == Some(x) {
-                        shared.push((j, *at));
-                        *at += 1;
-                    }
-                }
-                shared.sort_by(|&a, &b| row(a)[1..].cmp(&row(b)[1..]));
-                for equal in shared.chunk_by(|&a, &b| row(a) == row(b)) {
-                    let (j, i) = equal[0];
-                    let mut sum = parts[j].1[i].clone();
-                    equal[1..]
-                        .iter()
-                        .for_each(|&(j, i)| sum.add_assign(&parts[j].1[i]));
-                    if !sum.is_zero() {
-                        data.extend_from_slice(row(equal[0]));
-                        values.push(sum);
-                    }
-                }
-            }
-            j => {
-                let j = j as usize;
-                while lead(j, at[j]) == Some(x) {
-                    data.extend_from_slice(row((j, at[j])));
-                    values.push(parts[j].1[at[j]].clone());
-                    at[j] += 1;
-                }
-            }
+    let (mut data, mut values) = (Vec::with_capacity(rows), Vec::with_capacity(rows));
+    for (k, sum) in sums.into_iter().enumerate() {
+        if let Some(sum) = sum.filter(|sum| !sum.is_zero()) {
+            data.push(lo + k as u32);
+            values.push(sum);
         }
     }
     (data, values)
@@ -642,11 +574,11 @@ impl<S: Semiring> NestFold<S> {
     ///
     /// The group key — every column but the innermost — is compared
     /// column by column, never as a slice: the one scan body
-    /// ([`NestFold::scan`]) is instantiated for each key width up to
-    /// three ([`Fixed`]), where the compare unrolls into that many
-    /// integer tests, and once over a width read at run time for wider
-    /// rows. The innermost operator is matched once per call, not per
-    /// row.
+    /// ([`NestFold::scan`]) is instantiated for a one-column key
+    /// ([`Fixed`], the hash-split shard shape `[x0, xi]`), where the
+    /// compare is one integer test, and once over a width read at run
+    /// time for every other key. An innermost `Sum` is matched once per
+    /// call, not per row ([`NestFold::scan_under`]).
     pub(crate) fn fold_rows(&mut self, data: &[u32], values: &[S]) {
         let Some(&(op, _)) = self.levels.last() else {
             // No level: every row is its own group.
@@ -655,23 +587,18 @@ impl<S: Semiring> NestFold<S> {
             return;
         };
         match self.schema.len() + self.levels.len() - 1 {
-            0 => self.fold_keyed_by(Fixed::<0>, op, data, values),
-            1 => self.fold_keyed_by(Fixed::<1>, op, data, values),
-            2 => self.fold_keyed_by(Fixed::<2>, op, data, values),
-            3 => self.fold_keyed_by(Fixed::<3>, op, data, values),
-            width => self.fold_keyed_by(width, op, data, values),
+            1 => self.scan_under(Fixed::<1>, op, data, values),
+            width => self.scan_under(width, op, data, values),
         }
     }
 
-    /// [`NestFold::scan`] with the innermost operator `op` fixed.
-    fn fold_keyed_by<K: KeyWidth>(&mut self, key: K, op: Aggregate, data: &[u32], values: &[S]) {
+    /// [`NestFold::scan`] folding under `op`. A `Sum` — what a shard
+    /// sums out — is matched once per call, so its per-row fold is `⊕`
+    /// itself; any other operator is matched per row.
+    fn scan_under<K: KeyWidth>(&mut self, key: K, op: Aggregate, data: &[u32], values: &[S]) {
         match op {
             Aggregate::Sum => self.scan(key, data, values, |a, v| a.fold(Aggregate::Sum, v)),
-            Aggregate::Product => {
-                self.scan(key, data, values, |a, v| a.fold(Aggregate::Product, v))
-            }
-            Aggregate::Max => self.scan(key, data, values, |a, v| a.fold(Aggregate::Max, v)),
-            Aggregate::Min => self.scan(key, data, values, |a, v| a.fold(Aggregate::Min, v)),
+            op => self.scan(key, data, values, |a, v| a.fold(op, v)),
         }
     }
 
@@ -1251,7 +1178,8 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         // Leading spans just inside and just past the counted merge's
-        // bound, and the whole `u32` range.
+        // bound (one column counts, wider rows compare either way), and
+        // the whole `u32` range.
         type Span = fn(usize) -> u64;
         let spans: [(&str, Span); 4] = [
             ("under", |rows| dense_span(rows) - 1),

@@ -359,9 +359,9 @@ impl<S: Semiring> Relation<S> {
     /// stands: one scan that compares each row with the one before and
     /// folds each innermost group's values into a plain accumulator. The
     /// compare reads the group key — every column but the innermost —
-    /// column by column, in a scan compiled for each key width up to
-    /// three and once for wider keys, with the innermost operator chosen
-    /// once per call.
+    /// column by column, never as a slice, in a scan compiled for a
+    /// one-column key (the hash-split shard shape) and once for any
+    /// other width.
     /// Any other has its rows copied out in that order first, however
     /// many variables go — the row ids ordered by one counting pass per
     /// kept column when the nest's columns ascend and the kept ones are
@@ -555,13 +555,13 @@ impl<S: Semiring> Relation<S> {
 
     /// Union of same-schema relations with `⊕`-accumulation of duplicate
     /// tuples (inverse of [`Relation::split_by`]). Every part is
-    /// canonical already, so the parts are merged, not re-sorted. When
-    /// the leading column is dense — its values span at most
-    /// `4·rows + 1024`, the bound the direct-address regroup and message
-    /// lookup use — one counting pass files each part's rows under their
-    /// leading value, the parts in order. Otherwise one pass picks the
-    /// least front row among the parts, comparing leading columns first.
-    /// Either way a tuple held by several parts sums in part order —
+    /// canonical already, so the parts are merged, not re-sorted. One
+    /// dense column — its values span at most `4·rows + 1024`, the bound
+    /// the direct-address regroup and message lookup use — is summed by
+    /// one counting pass into a direct-address table, the parts in
+    /// order. Wider rows and a sparse column go by one pass that picks
+    /// the least front row among the parts, comparing leading columns
+    /// first. Either way a tuple held by several parts sums in part order —
     /// `((p₀ ⊕ p₁) ⊕ p₂) …` over the parts that hold it — and is dropped
     /// when that sum is zero.
     pub fn union_all(parts: &[Relation<S>]) -> Relation<S> {

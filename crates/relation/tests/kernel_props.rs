@@ -885,9 +885,9 @@ proptest! {
 
 /// A tuple several parts hold sums in part order, whichever rows lead:
 /// `(0.1 ⊕ 0.2) ⊕ 0.3` and `(0.3 ⊕ 0.2) ⊕ 0.1` differ in the last bit.
-/// Held on leading values 0–2, which the union counts, on the same
-/// values spread over the whole `u32` range, which it merges by
-/// comparison, and on one column.
+/// Held on two columns and on one, each with its values 0–3 and spread
+/// over the whole `u32` range: the union counts the dense single
+/// column and merges every other case by comparison.
 #[test]
 fn union_all_sums_duplicates_in_part_order() {
     let forward = ((0.1f64 + 0.2) + 0.3).to_bits();
@@ -926,23 +926,25 @@ fn union_all_sums_duplicates_in_part_order() {
             ]
         });
     }
-    let part = |rows: &[(u32, f64)]| {
-        let rows = rows.iter().map(|&(x, p)| (vec![x], Prob(p)));
-        Relation::from_pairs(vars(&[0]), rows)
-    };
-    let parts = [
-        part(&[(1, 0.1), (2, 1.0)]),
-        part(&[(1, 0.2), (3, 0.5)]),
-        part(&[(0, 0.25), (1, 0.3)]),
-    ];
-    check(parts, &|at_1| {
-        vec![
-            (vec![0], 0.25f64.to_bits()),
-            (vec![1], at_1),
-            (vec![2], 1.0f64.to_bits()),
-            (vec![3], 0.5f64.to_bits()),
-        ]
-    });
+    for scale in [1, u32::MAX / 3] {
+        let part = |rows: &[(u32, f64)]| {
+            let rows = rows.iter().map(|&(x, p)| (vec![x * scale], Prob(p)));
+            Relation::from_pairs(vars(&[0]), rows)
+        };
+        let parts = [
+            part(&[(1, 0.1), (2, 1.0)]),
+            part(&[(1, 0.2), (3, 0.5)]),
+            part(&[(0, 0.25), (1, 0.3)]),
+        ];
+        check(parts, &|at_1| {
+            vec![
+                (vec![0], 0.25f64.to_bits()),
+                (vec![scale], at_1),
+                (vec![2 * scale], 1.0f64.to_bits()),
+                (vec![3 * scale], 0.5f64.to_bits()),
+            ]
+        });
+    }
 }
 
 #[test]

@@ -188,11 +188,11 @@ static GUARDS: &[Guard] = &[
     },
     Guard {
         name: "live links only",
-        rules: &[rule(".distances(",
-            &["crates/network/src/cuts.rs", "crates/network/src/flow.rs", "crates/protocols/src/bounds.rs"],
+        rules: &[rule(".distances(|.diameter(",
+            &["crates/network/src/cuts.rs", "crates/network/src/flow.rs", "crates/protocols/src/bounds.rs", REPORT],
             &[], "let dist = g.distances(sink);")],
         limit: Limit::Banned,
-        reason: "MinCut and τ_MCF count live links only (live_distances), as the Steiner packings do: a down link is an absent one",
+        reason: "MinCut, τ_MCF and the live oracle's envelope count live links only (live_distances, live_diameter), as the Steiner packings do: a down link is an absent one",
         origin: "item 29",
     },
     Guard {
