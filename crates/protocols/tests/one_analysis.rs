@@ -12,7 +12,7 @@
 
 use faqs_hypergraph::{
     clique_query, cycle_query, example_h1, example_h2, internal_node_width, path_query, star_query,
-    tree_query, EdgeId, Hypergraph,
+    tree_query, EdgeId, Hypergraph, Var,
 };
 use faqs_network::{Assignment, Player, Topology};
 use faqs_plan::{plan_query_with, PlacementContext, PlanCost, QueryPlan};
@@ -24,17 +24,22 @@ use faqs_relation::{random_boolean_instance, random_instance, FaqQuery, RandomIn
 use faqs_semiring::Count;
 use std::fmt::Write;
 
-/// The query shapes: acyclic single trees, a multi-bag acyclic shape and
-/// two cyclic cores.
-fn shapes() -> Vec<(&'static str, Hypergraph)> {
+/// The query shapes and their free variables: acyclic single trees, a
+/// multi-bag acyclic shape, two cyclic cores, then two shapes whose free
+/// variable lies outside the width witness's root (the structural default
+/// and every candidate re-root to cover it) and a star of eight candidates.
+fn shapes() -> Vec<(&'static str, Hypergraph, Vec<Var>)> {
     vec![
-        ("star4", star_query(4)),
-        ("path4", path_query(4)),
-        ("tree(2,2)", tree_query(2, 2)),
-        ("example_h1", example_h1()),
-        ("example_h2", example_h2()),
-        ("cycle4", cycle_query(4)),
-        ("clique4", clique_query(4)),
+        ("star4", star_query(4), vec![]),
+        ("path4", path_query(4), vec![]),
+        ("tree(2,2)", tree_query(2, 2), vec![]),
+        ("example_h1", example_h1(), vec![]),
+        ("example_h2", example_h2(), vec![]),
+        ("cycle4", cycle_query(4), vec![]),
+        ("clique4", clique_query(4), vec![]),
+        ("star4 free leaf", star_query(4), vec![Var(4)]),
+        ("path4 free end", path_query(4), vec![Var(0)]),
+        ("star8", star_query(8), vec![]),
     ]
 }
 
@@ -46,8 +51,8 @@ fn config(seed: u64) -> RandomInstanceConfig {
     }
 }
 
-fn count_instance(h: &Hypergraph, seed: u64) -> FaqQuery<Count> {
-    random_instance(h, &config(seed), vec![], |r| {
+fn count_instance(h: &Hypergraph, free: &[Var], seed: u64) -> FaqQuery<Count> {
+    random_instance(h, &config(seed), free.to_vec(), |r| {
         use rand::Rng;
         Count(r.random_range(1..4))
     })
@@ -105,8 +110,8 @@ fn render(plan: &QueryPlan, out: &mut String) {
 /// `DistributedFaqRun::new` picks for the same placement.
 fn rendered_corpus() -> String {
     let mut out = String::new();
-    for (seed, (name, h)) in shapes().into_iter().enumerate() {
-        let q = count_instance(&h, seed as u64 + 1);
+    for (seed, (name, h, free)) in shapes().into_iter().enumerate() {
+        let q = count_instance(&h, &free, seed as u64 + 1);
         writeln!(out, "{name} unplaced").unwrap();
         render(&plan_query_with(&q, None, None).unwrap(), &mut out);
         for g in topologies() {
@@ -143,8 +148,8 @@ fn plans_do_not_move() {
 
 #[test]
 fn the_runtime_bound_equals_a_fresh_one() {
-    for (seed, (name, h)) in shapes().into_iter().enumerate() {
-        let q = count_instance(&h, seed as u64 + 1);
+    for (seed, (name, h, free)) in shapes().into_iter().enumerate() {
+        let q = count_instance(&h, &free, seed as u64 + 1);
         for g in topologies() {
             for (how, placement) in placements(q.k(), &g) {
                 let run = DistributedFaqRun::new(&q, &g, placement, 1).unwrap();
@@ -162,8 +167,8 @@ fn the_runtime_bound_equals_a_fresh_one() {
 
 #[test]
 fn the_paper_doors_bound_equals_a_fresh_one() {
-    for (seed, (name, h)) in shapes().into_iter().enumerate() {
-        let faq = count_instance(&h, seed as u64 + 1);
+    for (seed, (name, h, free)) in shapes().into_iter().enumerate() {
+        let faq = count_instance(&h, &free, seed as u64 + 1);
         let bcq = random_boolean_instance(&h, &config(seed as u64 + 1), true);
         for g in topologies() {
             let players: Vec<Player> = g.players().collect();
