@@ -1,7 +1,7 @@
 //! Generalized hypertree decompositions (Definition 2.4), the GYO-GHD of
 //! Construction 2.8, and the MD-GHD hoisting of Construction F.6.
 
-use crate::gyo::{gyo, Decomposition};
+use crate::gyo::Decomposition;
 use crate::hypergraph::{intersect, is_subset, EdgeId, Hypergraph, Var};
 use std::collections::BTreeSet;
 
@@ -117,11 +117,10 @@ impl Ghd {
             .filter(move |n| self.alive[n.index()])
     }
 
-    /// Live children of `n`.
-    pub fn children(&self, n: NodeId) -> Vec<NodeId> {
+    /// Live children of `n`, ascending.
+    pub fn children(&self, n: NodeId) -> impl Iterator<Item = NodeId> + '_ {
         self.node_ids()
-            .filter(|&c| self.nodes[c.index()].parent == Some(n))
-            .collect()
+            .filter(move |&c| self.nodes[c.index()].parent == Some(n))
     }
 
     /// Live parent of `n`.
@@ -159,9 +158,7 @@ impl Ghd {
                 order.push(n);
             } else {
                 stack.push((n, true));
-                for c in self.children(n) {
-                    stack.push((c, false));
-                }
+                stack.extend(self.children(n).map(|c| (c, false)));
             }
         }
         order
@@ -272,15 +269,13 @@ impl Ghd {
     /// is merged with that edge's node (this is how the paper's Figure 2
     /// decomposition `T1` arises with root `(A,B,C)`).
     pub fn gyo_ghd(h: &Hypergraph) -> Ghd {
-        let trace = gyo(h);
-        let decomp = Decomposition::from_trace(h, &trace);
-        Self::from_decomposition(h, &decomp)
+        Self::from_decomposition(h, &Decomposition::of(h))
     }
 
     /// Materialises Construction 2.8 for a given core/forest decomposition
     /// (possibly re-rooted via [`Decomposition::reroot`]).
     pub fn from_decomposition(h: &Hypergraph, decomp: &Decomposition) -> Ghd {
-        let core_vars: Vec<Var> = decomp.core_vars.iter().copied().collect();
+        let core_vars = &decomp.core_vars;
 
         let mut nodes: Vec<GhdNode> = Vec::with_capacity(h.num_edges() + 1);
         let root = NodeId(0);
@@ -306,7 +301,7 @@ impl Ghd {
             if Some(e) == merged {
                 continue;
             }
-            if is_subset(vars, &core_vars) {
+            if is_subset(vars, core_vars) {
                 let id = NodeId(nodes.len() as u32);
                 nodes.push(GhdNode {
                     chi: vars.to_vec(),
@@ -318,17 +313,15 @@ impl Ghd {
         }
 
         // Remaining forest edges: attach along join-forest parents, placed
-        // top-down (BFS from already-placed nodes) so every parent exists
-        // before its children.
-        let mut pending: Vec<EdgeId> = decomp
-            .forest_edges
-            .iter()
-            .copied()
-            .filter(|e| node_of_edge[e.index()].is_none())
-            .collect();
-        while !pending.is_empty() {
-            let before = pending.len();
-            pending.retain(|&e| {
+        // top-down (passes over the forest in removal order, each placing
+        // every edge whose parent is placed) so every parent exists before
+        // its children.
+        loop {
+            let (mut placed, mut waiting) = (false, false);
+            for &e in &decomp.forest_edges {
+                if node_of_edge[e.index()].is_some() {
+                    continue;
+                }
                 let parent_node = match decomp.forest_parent[e.index()] {
                     Some(p) => node_of_edge[p.index()],
                     // A forest root not contained in V(C(H)) cannot occur
@@ -345,15 +338,15 @@ impl Ghd {
                             parent: Some(pn),
                         });
                         node_of_edge[e.index()] = Some(id);
-                        false
+                        placed = true;
                     }
-                    None => true,
+                    None => waiting = true,
                 }
-            });
-            assert!(
-                pending.len() < before,
-                "forest parent structure contains a cycle"
-            );
+            }
+            if !waiting {
+                break;
+            }
+            assert!(placed, "forest parent structure contains a cycle");
         }
 
         Ghd::from_nodes(nodes, root)
@@ -370,19 +363,25 @@ impl Ghd {
     pub fn hoist_md(&mut self) {
         loop {
             let mut changed = false;
-            for v in self.node_ids().collect::<Vec<_>>() {
-                let Some(u) = self.nodes[v.index()].parent else {
+            for v in (0..self.nodes.len()).filter(|&v| self.alive[v]) {
+                let Some(u) = self.nodes[v].parent else {
                     continue;
                 };
-                let shared = intersect(&self.nodes[v.index()].chi, &self.nodes[u.index()].chi);
-                // Topmost ancestor of u whose bag contains the shared vars.
-                // Topmost qualifying ancestor (nearest-first list).
-                let target = self
-                    .ancestors(u)
-                    .into_iter()
-                    .rfind(|w| is_subset(&shared, &self.nodes[w.index()].chi));
+                // The topmost strict ancestor of u whose bag holds every
+                // variable v shares with u.
+                let (chi_v, chi_u) = (&self.nodes[v].chi, &self.nodes[u.index()].chi);
+                let shared = chi_v.iter().filter(|x| chi_u.contains(x));
+                let mut target = None;
+                let mut up = self.nodes[u.index()].parent;
+                while let Some(w) = up {
+                    let chi_w = &self.nodes[w.index()].chi;
+                    if shared.clone().all(|x| chi_w.contains(x)) {
+                        target = Some(w);
+                    }
+                    up = self.nodes[w.index()].parent;
+                }
                 if let Some(w) = target {
-                    self.nodes[v.index()].parent = Some(w);
+                    self.nodes[v].parent = Some(w);
                     changed = true;
                 }
             }
@@ -400,25 +399,25 @@ impl Ghd {
     pub fn lowest_star(&self) -> Option<(NodeId, Vec<NodeId>)> {
         let mut best: Option<(usize, NodeId)> = None;
         for n in self.node_ids() {
-            let ch = self.children(n);
-            if ch.is_empty() {
+            let mut ch = self.children(n).peekable();
+            if ch.peek().is_none() {
                 continue;
             }
-            if ch.iter().all(|c| self.children(*c).is_empty()) {
+            if ch.all(|c| self.children(c).next().is_none()) {
                 let d = self.depth(n);
                 if best.map(|(bd, _)| d > bd).unwrap_or(true) {
                     best = Some((d, n));
                 }
             }
         }
-        best.map(|(_, n)| (n, self.children(n)))
+        best.map(|(_, n)| (n, self.children(n).collect()))
     }
 
     /// Removes (marks dead) the given leaves — used after a star peel.
     pub fn remove_leaves(&mut self, leaves: &[NodeId]) {
         for &l in leaves {
             assert!(
-                self.children(l).is_empty(),
+                self.children(l).next().is_none(),
                 "can only remove leaf nodes, {l:?} has children"
             );
             self.alive[l.index()] = false;
@@ -444,8 +443,8 @@ impl Ghd {
     pub fn private_pairs(&self) -> Vec<(NodeId, NodeId, Var)> {
         let mut out = Vec::new();
         for u in self.post_order() {
-            let ch = self.children(u);
-            if ch.is_empty() {
+            let mut ch = self.children(u).peekable();
+            if ch.peek().is_none() {
                 continue;
             }
             // Variables in bags outside subtree(u).

@@ -2,7 +2,6 @@
 //! decomposition `C(H)` / `W(H)` (Definition 2.7).
 
 use crate::hypergraph::{is_subset, EdgeId, Hypergraph, Var};
-use std::collections::BTreeSet;
 
 /// One step of the GYO run, recorded for inspection and testing.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -92,10 +91,12 @@ pub fn gyo(h: &Hypergraph) -> GyoTrace {
     let mut degree = vec![0usize; h.num_vars()];
     cur.iter().flatten().for_each(|v| degree[v.index()] += 1);
     let mut live: Vec<bool> = vec![true; k];
-    let mut steps = Vec::new();
+    // At most one elimination per vertex occurrence and one deletion per
+    // edge.
+    let mut steps = Vec::with_capacity(cur.iter().map(Vec::len).sum::<usize>() + k);
     // For each removed edge: every witness candidate at removal time.
     let mut candidates: Vec<Vec<EdgeId>> = vec![Vec::new(); k];
-    let mut removal_order = Vec::new();
+    let mut removal_order = Vec::with_capacity(k);
 
     loop {
         let mut progressed = false;
@@ -120,36 +121,31 @@ pub fn gyo(h: &Hypergraph) -> GyoTrace {
         // vertex set: outermost ears disappear first, leaving inner ears
         // alive to serve as their join-forest parents. This reproduces the
         // Appendix C.2 execution where e5..e7 all hang under e4.
-        let mut deletion: Option<(usize, Vec<EdgeId>)> = None;
+        // `fi` witnesses `ei`'s deletion when both are live and `ei`'s
+        // set lies in `fi`'s; equal sets delete exactly one of the pair,
+        // the tie broken by index so the pass is deterministic.
+        let witnesses = |ei: usize, fi: usize| {
+            fi != ei && live[fi] && is_subset(&cur[ei], &cur[fi]) && (ei > fi || cur[ei] != cur[fi])
+        };
+        let mut deletion: Option<usize> = None;
         let mut deletion_size = usize::MAX;
-        for ei in 0..k {
-            if !live[ei] {
+        for ei in (0..k).filter(|&ei| live[ei]) {
+            if cur[ei].len() >= deletion_size {
                 continue;
             }
-            let mut wits = Vec::new();
-            for fi in 0..k {
-                if fi == ei || !live[fi] {
-                    continue;
-                }
-                let contained = is_subset(&cur[ei], &cur[fi]);
-                // Equal sets: delete exactly one of the pair; break the tie
-                // by index so the pass is deterministic.
-                let equal = cur[ei] == cur[fi];
-                if contained && (!equal || ei > fi) {
-                    wits.push(EdgeId(fi as u32));
-                }
-            }
             // Last-edge special case: an empty edge with no witnesses.
-            let deletable = !wits.is_empty() || cur[ei].is_empty();
-            if deletable && cur[ei].len() < deletion_size {
+            if cur[ei].is_empty() || (0..k).any(|fi| witnesses(ei, fi)) {
                 deletion_size = cur[ei].len();
-                deletion = Some((ei, wits));
+                deletion = Some(ei);
             }
         }
-        if let Some((ei, wits)) = deletion {
+        if let Some(ei) = deletion {
+            candidates[ei] = (0..k)
+                .filter(|&fi| witnesses(ei, fi))
+                .map(|fi| EdgeId(fi as u32))
+                .collect();
             live[ei] = false;
             cur[ei].iter().for_each(|v| degree[v.index()] -= 1);
-            candidates[ei] = wits;
             removal_order.push(EdgeId(ei as u32));
             steps.push(GyoStep::DeleteEdge {
                 edge: EdgeId(ei as u32),
@@ -211,53 +207,77 @@ pub struct Decomposition {
     /// Join-forest parent for each removed edge (roots have `None`).
     pub forest_parent: Vec<Option<EdgeId>>,
     /// `V(C(H))`: the union of the original vertex sets of `core_edges`
-    /// and `forest_roots`.
-    pub core_vars: BTreeSet<Var>,
+    /// and `forest_roots`, ascending.
+    pub core_vars: Vec<Var>,
     /// `V(W(H))`: vertices of forest edges excluding the roots
-    /// (Appendix C.1's convention).
-    pub forest_vars: BTreeSet<Var>,
+    /// (Appendix C.1's convention), ascending.
+    pub forest_vars: Vec<Var>,
 }
 
 impl Decomposition {
     /// Computes the decomposition of `h` by running GYO.
     pub fn of(h: &Hypergraph) -> Self {
-        Self::from_trace(h, &gyo(h))
+        let trace = gyo(h);
+        Self::with_edges(
+            h,
+            trace.roots(),
+            trace.reduction,
+            trace.removal_order,
+            trace.parent,
+        )
     }
 
     /// Builds the decomposition from an existing GYO trace.
     pub fn from_trace(h: &Hypergraph, trace: &GyoTrace) -> Self {
+        Self::with_edges(
+            h,
+            trace.roots(),
+            trace.reduction.clone(),
+            trace.removal_order.clone(),
+            trace.parent.clone(),
+        )
+    }
+
+    /// The decomposition of these edge lists, its vertex sets computed.
+    fn with_edges(
+        h: &Hypergraph,
+        forest_roots: Vec<EdgeId>,
+        core_edges: Vec<EdgeId>,
+        forest_edges: Vec<EdgeId>,
+        forest_parent: Vec<Option<EdgeId>>,
+    ) -> Self {
         let mut d = Decomposition {
-            core_edges: trace.reduction.clone(),
-            forest_roots: trace.roots(),
-            forest_edges: trace.removal_order.clone(),
-            forest_parent: trace.parent.clone(),
-            core_vars: BTreeSet::new(),
-            forest_vars: BTreeSet::new(),
+            core_edges,
+            forest_roots,
+            forest_edges,
+            forest_parent,
+            core_vars: Vec::new(),
+            forest_vars: Vec::new(),
         };
         d.refresh_vars(h);
         d
     }
 
-    /// Recomputes `V(C(H))` and `V(W(H))` from the edge lists: the core
-    /// edges' and forest roots' vertices, then the other forest edges'
-    /// vertices outside them (Appendix C.1's convention), both dense by
-    /// variable.
+    /// Recomputes `V(C(H))` and `V(W(H))` from the edge lists, in place:
+    /// the core edges' and forest roots' vertices, then the other forest
+    /// edges' vertices outside them (Appendix C.1's convention).
     fn refresh_vars(&mut self, h: &Hypergraph) {
-        let n = h.num_vars();
-        let mut in_core = vec![false; n];
+        let core = &mut self.core_vars;
+        core.clear();
         for &e in self.core_edges.iter().chain(&self.forest_roots) {
-            h.edge(e).iter().for_each(|v| in_core[v.index()] = true);
+            core.extend_from_slice(h.edge(e));
         }
-        let mut in_forest = vec![false; n];
+        core.sort_unstable();
+        core.dedup();
+        let forest = &mut self.forest_vars;
+        forest.clear();
         for &e in &self.forest_edges {
             if self.forest_parent[e.index()].is_some() {
-                h.edge(e).iter().for_each(|v| in_forest[v.index()] = true);
+                forest.extend(h.edge(e).iter().filter(|v| core.binary_search(v).is_err()));
             }
         }
-        let var = |i: usize| Var(i as u32);
-        self.core_vars = (0..n).filter(|&i| in_core[i]).map(var).collect();
-        let forest_only = (0..n).filter(|&i| in_forest[i] && !in_core[i]);
-        self.forest_vars = forest_only.map(var).collect();
+        forest.sort_unstable();
+        forest.dedup();
     }
 
     /// `n2(H) = |V(C(H))|` (Definition 3.1), the size of the core's vertex
@@ -337,6 +357,7 @@ pub fn is_acyclic(h: &Hypergraph) -> bool {
 mod tests {
     use super::*;
     use crate::builders::{clique_query, cycle_query, example_h2, example_h3, star_query};
+    use std::collections::BTreeSet;
 
     #[test]
     fn single_edge_is_acyclic() {

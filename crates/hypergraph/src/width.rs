@@ -11,7 +11,6 @@
 use crate::ghd::{Ghd, GhdNode, NodeId};
 use crate::gyo::Decomposition;
 use crate::hypergraph::{intersect, is_subset, EdgeId, Hypergraph, Var};
-use std::collections::BTreeSet;
 
 /// The result of a width computation.
 #[derive(Clone, Debug)]
@@ -36,12 +35,7 @@ impl WidthReport {
 
     /// What Theorem 4.1's bound reads off this witness.
     pub fn terms(&self) -> WidthTerms {
-        let d = &self.decomposition;
-        WidthTerms {
-            y: self.y,
-            n2: d.n2(),
-            acyclic_single_tree: d.core_edges.is_empty() && d.forest_roots.len() == 1,
-        }
+        WidthTerms::of(self.y, &self.decomposition)
     }
 }
 
@@ -61,13 +55,22 @@ pub struct WidthTerms {
     pub acyclic_single_tree: bool,
 }
 
+impl WidthTerms {
+    /// The terms of a witness with `y` internal nodes and decomposition `d`.
+    fn of(y: usize, d: &Decomposition) -> WidthTerms {
+        WidthTerms {
+            y,
+            n2: d.n2(),
+            acyclic_single_tree: d.core_edges.is_empty() && d.forest_roots.len() == 1,
+        }
+    }
+}
+
 /// One structural analysis of a hypergraph, from one GYO run: the width
 /// witness and the re-rooted decompositions a cost-based planner scores
 /// ([`QueryStructure::core_candidates`] adds the cyclic-core merges).
 #[derive(Clone, Debug)]
 pub struct QueryStructure {
-    /// The width witness [`internal_node_width`] returns.
-    pub width: WidthReport,
     /// Every core/forest decomposition Construction 2.8 reaches by
     /// re-rooting one removed join tree of the canonical GYO run, each
     /// with its MD-hoisted GHD: the canonical decomposition first, then
@@ -75,6 +78,13 @@ pub struct QueryStructure {
     /// The width search walks the same set; where its steps coincide
     /// with these it reads them instead of building them again.
     pub reroots: Vec<(Decomposition, Ghd)>,
+    /// The width witness [`internal_node_width`] returns: one of
+    /// `reroots`, or a re-rooting of several trees the search built.
+    witness: Witness,
+    /// The witness's internal node count `y(T)`.
+    y: usize,
+    /// [`WidthReport::y_before_hoist`].
+    y_before_hoist: usize,
 }
 
 impl QueryStructure {
@@ -85,32 +95,55 @@ impl QueryStructure {
         let mut ghd0 = Ghd::from_decomposition(h, &base);
         let y_before_hoist = ghd0.internal_count();
         ghd0.hoist_md();
-        let mut reroots = vec![(base.clone(), ghd0)];
-        // Per join tree: its edges, root first, and the index in
-        // `reroots` of the decomposition rooted at each.
-        let mut trees = Vec::with_capacity(base.forest_roots.len());
-        for &root in &base.forest_roots {
-            let tree = base.tree_of(root);
-            let mut at = Vec::with_capacity(tree.len());
-            for &cand in &tree {
-                if cand == root {
-                    at.push(0);
-                    continue;
-                }
-                let mut d = base.clone();
-                d.reroot(h, cand);
-                at.push(reroots.len());
-                reroots.push(hoisted(h, d));
-            }
-            trees.push((tree, at));
+        let trees: Vec<Vec<EdgeId>> = base.forest_roots.iter().map(|&r| base.tree_of(r)).collect();
+        let mut reroots = Vec::with_capacity(1 + trees.iter().map(|t| t.len() - 1).sum::<usize>());
+        reroots.push((base, ghd0));
+        // Every edge but its root, of every tree in turn.
+        for &cand in trees.iter().flat_map(|tree| &tree[1..]) {
+            let mut d = reroots[0].0.clone();
+            d.reroot(h, cand);
+            reroots.push(hoisted(h, d));
         }
-        let width = descend(h, &reroots, &trees, y_before_hoist);
-        QueryStructure { width, reroots }
+        let (witness, y) = descend(h, &reroots, &trees);
+        QueryStructure {
+            reroots,
+            witness,
+            y,
+            y_before_hoist,
+        }
     }
 
     /// The canonical decomposition: the GYO run's own rooting.
     pub fn canonical(&self) -> &Decomposition {
         &self.reroots[0].0
+    }
+
+    /// The width witness: its decomposition and hoisted GHD.
+    pub fn witness(&self) -> (&Decomposition, &Ghd) {
+        self.witness.get(&self.reroots)
+    }
+
+    /// What Theorem 4.1's bound reads off the width witness.
+    pub fn terms(&self) -> WidthTerms {
+        WidthTerms::of(self.y, self.witness().0)
+    }
+
+    /// The width witness, moved out, and the re-rootings other than it:
+    /// when the witness is one of [`QueryStructure::reroots`], that entry
+    /// leaves the list, and the others keep their order.
+    pub fn into_witness(self) -> (WidthReport, Vec<(Decomposition, Ghd)>) {
+        let mut reroots = self.reroots;
+        let (decomposition, ghd) = match self.witness {
+            Witness::Reroot(i) => reroots.remove(i),
+            Witness::Own(d, g) => (d, g),
+        };
+        let report = WidthReport {
+            y: self.y,
+            y_before_hoist: self.y_before_hoist,
+            ghd,
+            decomposition,
+        };
+        (report, reroots)
     }
 
     /// GHD candidates for *cyclic* cores, beyond Construction 2.8's
@@ -145,10 +178,9 @@ impl QueryStructure {
         if d.core_edges.is_empty() {
             return Vec::new();
         }
-        let core_vars: Vec<Var> = d.core_vars.iter().copied().collect();
         let mut out = Vec::new();
 
-        if let Some(g) = assemble_merged(h, d, &[(core_vars, None)]) {
+        if let Some(g) = assemble_merged(h, d, &[(d.core_vars.clone(), None)]) {
             out.push(g);
         }
 
@@ -191,48 +223,64 @@ fn hoisted(h: &Hypergraph, d: Decomposition) -> (Decomposition, Ghd) {
 }
 
 /// The width search: a coordinate descent that re-roots the best
-/// decomposition so far at each edge of each removed join tree in turn,
-/// and keeps a step that lowers `y`, or keeps `y` and lowers `n2`.
+/// decomposition so far at each edge of each removed join tree (`trees`,
+/// root first) in turn, and keeps a step that lowers `y`, or keeps `y`
+/// and lowers `n2`.
 ///
 /// While every earlier tree still has its canonical root, re-rooting the
 /// best so far at an edge of the current tree equals re-rooting the
 /// canonical decomposition there ([`Decomposition::reroot`] is
-/// path-independent), which `reroots` already holds, hoisted. Once an
-/// earlier tree has moved, a step builds its own.
+/// path-independent), which `reroots` already holds, hoisted, in tree
+/// order: the best so far is an index into it. Once an earlier tree has
+/// moved, a step builds its own. Returns the witness and its `y`.
 fn descend(
     h: &Hypergraph,
     reroots: &[(Decomposition, Ghd)],
-    trees: &[(Vec<EdgeId>, Vec<usize>)],
-    y_before_hoist: usize,
-) -> WidthReport {
-    let (base, ghd0) = &reroots[0];
-    let mut best = (base.clone(), ghd0.clone());
-    let mut best_y = ghd0.internal_count();
-    for (t, (tree, at)) in trees.iter().enumerate() {
-        let shared = best.0.forest_roots[..t] == base.forest_roots[..t];
-        for (&cand, &i) in tree.iter().zip(at) {
-            let own;
-            let (d, g) = if shared {
-                (&reroots[i].0, &reroots[i].1)
+    trees: &[Vec<EdgeId>],
+) -> (Witness, usize) {
+    let base = &reroots[0].0;
+    let mut best = Witness::Reroot(0);
+    let mut best_y = reroots[0].1.internal_count();
+    // `reroots[next]` is rooted at the current tree's next non-root edge.
+    let mut next = 1;
+    for (t, tree) in trees.iter().enumerate() {
+        let shared = best.get(reroots).0.forest_roots[..t] == base.forest_roots[..t];
+        for (j, &cand) in tree.iter().enumerate() {
+            let i = if j == 0 { 0 } else { next + j - 1 };
+            let step = if shared {
+                Witness::Reroot(i)
             } else {
-                let mut d = best.0.clone();
+                let mut d = best.get(reroots).0.clone();
                 d.reroot(h, cand);
-                own = hoisted(h, d);
-                (&own.0, &own.1)
+                let (d, g) = hoisted(h, d);
+                Witness::Own(d, g)
             };
+            let (d, g) = step.get(reroots);
             let y = g.internal_count();
-            if y < best_y || (y == best_y && d.n2() < best.0.n2()) {
+            if y < best_y || (y == best_y && d.n2() < best.get(reroots).0.n2()) {
                 best_y = y;
-                best = (d.clone(), g.clone());
+                best = step;
             }
         }
+        next += tree.len() - 1;
     }
-    let (decomposition, ghd) = best;
-    WidthReport {
-        y: best_y,
-        y_before_hoist,
-        ghd,
-        decomposition,
+    (best, best_y)
+}
+
+/// A step of the width search, and the witness it settles on: one of
+/// the analysis's re-rootings, or one the search built itself.
+#[derive(Clone, Debug)]
+enum Witness {
+    Reroot(usize),
+    Own(Decomposition, Ghd),
+}
+
+impl Witness {
+    fn get<'a>(&'a self, reroots: &'a [(Decomposition, Ghd)]) -> (&'a Decomposition, &'a Ghd) {
+        match self {
+            Witness::Reroot(i) => (&reroots[*i].0, &reroots[*i].1),
+            Witness::Own(d, g) => (d, g),
+        }
     }
 }
 
@@ -261,33 +309,33 @@ fn descend(
 /// report.ghd.validate(&example_h2()).unwrap();
 /// ```
 pub fn internal_node_width(h: &Hypergraph) -> WidthReport {
-    QueryStructure::of(h).width
+    QueryStructure::of(h).into_witness().0
 }
 
 /// The sorted union of the given edges' vertex sets.
 fn edge_union_vars(h: &Hypergraph, edges: &[EdgeId]) -> Vec<Var> {
-    let set: BTreeSet<Var> = edges
-        .iter()
-        .flat_map(|&e| h.edge(e).iter().copied())
-        .collect();
-    set.into_iter().collect()
+    let mut vars: Vec<Var> = edges.iter().flat_map(|&e| h.edge(e)).copied().collect();
+    vars.sort_unstable();
+    vars.dedup();
+    vars
 }
 
 /// Greedily walks the core edges into a chain where consecutive edges
 /// share a variable (a cycle core traces its cycle). `None` when the
 /// core's intersection graph is disconnected.
 fn core_walk(h: &Hypergraph, core: &[EdgeId]) -> Option<Vec<EdgeId>> {
-    let mut order = vec![core[0]];
+    let mut last = core[0];
+    let mut order = vec![last];
     let mut used = vec![false; core.len()];
     used[0] = true;
     while order.len() < core.len() {
-        let last = *order.last().expect("order non-empty");
-        let next = core
+        let (i, &e) = core
             .iter()
             .enumerate()
             .find(|(i, e)| !used[*i] && !intersect(h.edge(last), h.edge(**e)).is_empty())?;
-        used[next.0] = true;
-        order.push(*next.1);
+        used[i] = true;
+        order.push(e);
+        last = e;
     }
     Some(order)
 }
@@ -401,7 +449,7 @@ pub fn exact_internal_node_width(h: &Hypergraph, max_free_nodes: usize) -> Optio
         if idx == free.len() {
             // Materialise and validate.
             let mut nodes: Vec<GhdNode> = Vec::with_capacity(options.len());
-            let max_id = options.iter().map(|n| n.index()).max().unwrap() + 1;
+            let max_id = options.iter().fold(0, |m, n| m.max(n.index() + 1));
             let mut parent_of: Vec<Option<NodeId>> = vec![None; max_id];
             for (i, &n) in free.iter().enumerate() {
                 parent_of[n.index()] = Some(options[assignment[i]]);

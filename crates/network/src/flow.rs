@@ -12,7 +12,7 @@ use crate::topology::{Player, Topology};
 
 /// How many bits a source holds at the start of routing.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SourceLoad {
+pub(crate) struct SourceLoad {
     /// The source player.
     pub player: Player,
     /// Bits it must deliver to the sink.
@@ -24,7 +24,12 @@ pub struct SourceLoad {
 /// sink in BFS distance over live links) forwards up to
 /// `bits_per_round` buffered bits; a down link (capacity 0) carries
 /// nothing. Returns the number of rounds until everything arrives.
-pub fn route_to_sink(g: &Topology, loads: &[SourceLoad], sink: Player, bits_per_round: u64) -> u64 {
+pub(crate) fn route_to_sink(
+    g: &Topology,
+    loads: &[SourceLoad],
+    sink: Player,
+    bits_per_round: u64,
+) -> u64 {
     assert!(bits_per_round > 0);
     let dist = g.live_distances(sink);
     let mut buffer: Vec<u64> = vec![0; g.num_players()];

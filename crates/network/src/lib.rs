@@ -45,7 +45,7 @@ mod transport;
 
 pub use assignment::Assignment;
 pub use cuts::{max_flow, min_cut, min_cut_partition};
-pub use flow::{route_to_sink, tau_mcf, SourceLoad};
+pub use flow::tau_mcf;
 pub use sim::{ChunkTrain, NetRun, RunStats, TransmitError};
 pub use steiner::{steiner_packing, DeltaPackings, SteinerTree};
 pub use topology::{LinkId, Player, Topology};

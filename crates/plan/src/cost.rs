@@ -18,7 +18,7 @@
 //!
 //! [`PlacementContext`]: crate::PlacementContext
 
-use crate::plan::QueryPlan;
+use crate::plan::{reset, QueryPlan};
 use crate::planner::{choose_aggregation_players, PlacementContext};
 use crate::stats::QueryStats;
 use faqs_hypergraph::{weighted_cover, EdgeId, NodeId, Var};
@@ -69,20 +69,27 @@ impl PlanCost {
 #[derive(Clone, Debug)]
 struct Est {
     rows: f64,
-    /// Per-variable distinct-count estimates of the current schema.
-    distinct: BTreeMap<Var, f64>,
+    /// Per-variable distinct-count estimates of the current schema, by
+    /// ascending variable (the order every product over them runs in).
+    distinct: Vec<(Var, f64)>,
 }
 
 impl Est {
     fn unit() -> Est {
         Est {
             rows: 1.0,
-            distinct: BTreeMap::new(),
+            distinct: Vec::new(),
         }
     }
 
     fn arity(&self) -> usize {
         self.distinct.len()
+    }
+
+    /// The distinct-count estimate of `v`, when the schema has it.
+    fn get(&self, v: Var) -> Option<f64> {
+        let at = self.distinct.binary_search_by_key(&v, |&(w, _)| w);
+        at.ok().map(|i| self.distinct[i].1)
     }
 }
 
@@ -97,6 +104,11 @@ pub(crate) struct CostModel<'a> {
     /// Memoised `log₂` size bounds: one fractional-cover LP per distinct
     /// `(vars, factor set)` pair across all simulated candidates.
     vv_cache: RefCell<VvCache>,
+    /// Per node, each shard its bag gathers and the bits it ships: one
+    /// table every placed dry run of the search refills.
+    node_shards: RefCell<Vec<Vec<(Player, u64)>>>,
+    /// The storage of spent estimates, which the next estimate reuses.
+    spent: RefCell<Vec<Vec<(Var, f64)>>>,
 }
 
 /// Key = the projected variable set plus the absorbed factor set.
@@ -110,6 +122,8 @@ impl<'a> CostModel<'a> {
             log_d,
             value_bits,
             vv_cache: RefCell::new(BTreeMap::new()),
+            node_shards: RefCell::new(Vec::new()),
+            spent: RefCell::new(Vec::new()),
         }
     }
 
@@ -166,14 +180,13 @@ impl<'a> CostModel<'a> {
 
     fn factor_est(&self, e: EdgeId) -> Est {
         let s = &self.stats.factors[e.index()];
+        let mut distinct = self.spent.borrow_mut().pop().unwrap_or_default();
+        let columns = s.schema.iter().zip(&s.distinct);
+        distinct.extend(columns.map(|(&v, &d)| (v, d.max(1) as f64)));
+        distinct.sort_unstable_by_key(|&(v, _)| v);
         Est {
             rows: s.rows as f64,
-            distinct: s
-                .schema
-                .iter()
-                .zip(&s.distinct)
-                .map(|(&v, &d)| (v, d.max(1) as f64))
-                .collect(),
+            distinct,
         }
     }
 
@@ -192,19 +205,18 @@ impl<'a> CostModel<'a> {
     fn shard_bits(&self, e: EdgeId, parts: usize, nest: &[(Var, Aggregate)]) -> u64 {
         let s = &self.stats.factors[e.index()];
         let mut shard_rows = (s.rows as u64).div_ceil(parts.max(1) as u64);
-        let kept: Vec<usize> = (0..s.schema.len())
-            .filter(|&i| nest.iter().all(|&(v, _)| v != s.schema[i]))
-            .collect();
-        if kept.len() < s.schema.len() {
+        let kept = || (0..s.schema.len()).filter(|&i| nest.iter().all(|&(v, _)| v != s.schema[i]));
+        let width = kept().count();
+        if width < s.schema.len() {
             // Aggregating down to the kept columns caps the shard at
             // their distinct-combination capacity.
             let mut capacity = 1.0f64;
-            for &i in &kept {
+            for i in kept() {
                 capacity = (capacity * s.distinct[i].max(1) as f64).min(EST_CAP);
             }
             shard_rows = shard_rows.min(saturating(capacity));
         }
-        let per_tuple = kept.len() as u64 * self.log_d + self.value_bits;
+        let per_tuple = width as u64 * self.log_d + self.value_bits;
         shard_rows * per_tuple.max(1)
     }
 
@@ -215,9 +227,9 @@ impl<'a> CostModel<'a> {
     /// inputs are already capped).
     fn join(&self, cur: Est, next: Est, cap_log2: f64) -> Est {
         let mut denom = 1.0f64;
-        for (v, da) in &cur.distinct {
-            if let Some(db) = next.distinct.get(v) {
-                denom *= da.max(*db).max(1.0);
+        for &(v, da) in &cur.distinct {
+            if let Some(db) = next.get(v) {
+                denom *= da.max(db).max(1.0);
             }
         }
         let cap = if cap_log2.is_finite() {
@@ -227,11 +239,14 @@ impl<'a> CostModel<'a> {
         };
         let out_rows = (cur.rows * next.rows / denom.max(1.0)).min(cap);
         let mut distinct = cur.distinct;
-        for (v, db) in next.distinct {
-            let d = distinct.entry(v).or_insert(db);
-            *d = d.min(db);
+        for &(v, db) in &next.distinct {
+            match distinct.binary_search_by_key(&v, |&(w, _)| w) {
+                Ok(i) => distinct[i].1 = distinct[i].1.min(db),
+                Err(i) => distinct.insert(i, (v, db)),
+            }
         }
-        for d in distinct.values_mut() {
+        self.recycle(next);
+        for (_, d) in &mut distinct {
             *d = d.min(out_rows.max(1.0));
         }
         Est {
@@ -240,21 +255,25 @@ impl<'a> CostModel<'a> {
         }
     }
 
+    /// Keeps `est`'s storage for the next estimate.
+    fn recycle(&self, est: Est) {
+        let mut distinct = est.distinct;
+        distinct.clear();
+        self.spent.borrow_mut().push(distinct);
+    }
+
     /// The push-down of Corollary G.2: aggregate the estimate down onto
     /// the variables of `keep` (a merge scan over the child relation).
     fn project(&self, est: Est, keep: &[Var], cost: &mut PlanCost) -> Est {
         cost.cpu = cost.cpu.saturating_add(saturating(est.rows));
-        let mut distinct: BTreeMap<Var, f64> = est
-            .distinct
-            .into_iter()
-            .filter(|(v, _)| keep.contains(v))
-            .collect();
+        let mut distinct = est.distinct;
+        distinct.retain(|(v, _)| keep.contains(v));
         let mut capacity = 1.0f64;
-        for d in distinct.values() {
+        for (_, d) in &distinct {
             capacity = (capacity * d).min(EST_CAP);
         }
         let rows = est.rows.min(capacity);
-        for d in distinct.values_mut() {
+        for (_, d) in &mut distinct {
             *d = d.min(rows.max(1.0));
         }
         Est { rows, distinct }
@@ -269,10 +288,10 @@ impl<'a> CostModel<'a> {
         for &e in &order[1..] {
             absorbed.push(e);
             let next = self.factor_est(e);
-            let mut vars: Vec<Var> = cur.distinct.keys().copied().collect();
-            for v in next.distinct.keys() {
-                if !vars.contains(v) {
-                    vars.push(*v);
+            let mut vars: Vec<Var> = cur.distinct.iter().map(|&(v, _)| v).collect();
+            for &(v, _) in &next.distinct {
+                if !vars.contains(&v) {
+                    vars.push(v);
                 }
             }
             let cap = self.vv_log2_bound(&vars, &absorbed);
@@ -287,28 +306,39 @@ impl<'a> CostModel<'a> {
     /// bits each GHD node's gather and each upward message will ship,
     /// using the same aggregation-player choice the runtime makes and
     /// each shard at the width its [`QueryPlan::shard_nest`] leaves.
-    /// Returns the cost and the per-node predicted row counts (dense by
-    /// `NodeId`); the row predictions are what the executor's fold
-    /// points confront with `Relation::len` as calibration telemetry.
-    pub(crate) fn simulate(
+    /// Writes the cost to `plan.cost` and the per-node predicted row
+    /// counts (dense by `NodeId`) to `plan.node_rows`; the row
+    /// predictions are what the executor's fold points confront with
+    /// `Relation::len` as calibration telemetry.
+    pub(crate) fn score(&self, plan: &mut QueryPlan, placement: Option<&PlacementContext<'_>>) {
+        let mut node_rows = std::mem::take(&mut plan.node_rows);
+        node_rows.clear();
+        node_rows.resize(plan.slots(), 0);
+        plan.cost = self.simulate(plan, placement, &mut node_rows);
+        plan.node_rows = node_rows;
+    }
+
+    /// [`CostModel::score`]'s dry run: the cost, with each node's
+    /// predicted rows written to `node_rows`.
+    fn simulate(
         &self,
         plan: &QueryPlan,
         placement: Option<&PlacementContext<'_>>,
-    ) -> (PlanCost, Vec<u64>) {
+        node_rows: &mut [u64],
+    ) -> PlanCost {
         let ghd = &plan.ghd;
         let mut cost = PlanCost::default();
 
         // Placement: estimated shard masses per node, then the same
         // argmin-bit·distance aggregation players the runtime picks.
         let placed = placement.map(|ctx| {
-            let mut node_shards: Vec<Vec<(Player, u64)>> = vec![Vec::new(); plan.slots()];
+            let mut node_shards = self.node_shards.borrow_mut();
+            reset(&mut node_shards, plan.slots());
             for node in ghd.node_ids() {
                 for &e in plan.joins(node) {
                     let holders = &ctx.holders[e.index()];
                     let bits = self.shard_bits(e, holders.len(), plan.shard_nest(e));
-                    for &p in holders {
-                        node_shards[node.index()].push((p, bits));
-                    }
+                    node_shards[node.index()].extend(holders.iter().map(|&p| (p, bits)));
                 }
             }
             let agg = choose_aggregation_players(ctx.distances(), plan, ctx.output, &node_shards);
@@ -334,13 +364,12 @@ impl<'a> CostModel<'a> {
             Placed { ctx, agg }
         });
 
-        let mut node_rows = vec![0u64; plan.slots()];
         let mut dry = DryRun {
             model: self,
             plan,
             placed: placed.as_ref(),
             cost,
-            node_rows: &mut node_rows,
+            node_rows,
         };
         let root = dry.subtree(plan.root());
         // Root epilogue: one aggregation sweep over the remainder.
@@ -348,7 +377,8 @@ impl<'a> CostModel<'a> {
             cpu: dry.cost.cpu.saturating_add(saturating(root.rows)),
             ..dry.cost
         };
-        (cost, node_rows)
+        self.recycle(root);
+        cost
     }
 }
 
@@ -505,7 +535,7 @@ mod tests {
             let out = model.join(a.clone(), b.clone(), cap);
             assert!(out.rows.is_finite(), "cap {cap}: rows {}", out.rows);
             assert!(out.rows <= EST_CAP);
-            assert!(out.distinct.values().all(|d| d.is_finite()));
+            assert!(out.distinct.iter().all(|(_, d)| d.is_finite()));
         }
         // NaN cap: `exp2(NaN) = NaN`, `min(NaN, EST_CAP) = EST_CAP` via
         // f64::min's non-NaN preference — pin that it cannot poison.

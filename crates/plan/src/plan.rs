@@ -7,7 +7,11 @@
 //! its children in fold order, its push-down nest and its generic-join
 //! binding order, plus each edge's shard nest. [`QueryPlan::build`]
 //! derives them all from the query and the GHD, once; no consumer
-//! derives any of them again.
+//! derives any of them again. What no GHD changes — the query's key,
+//! its width terms and each factor's shard push-down candidates — is a
+//! [`PlanShape`], computed once per planning search and shared by every
+//! candidate, which a search builds into one spare plan's storage
+//! ([`QueryPlan::rebuild`]).
 
 use crate::cost::PlanCost;
 use crate::error::EngineError;
@@ -72,42 +76,83 @@ pub struct QueryPlan {
     key: PlanKey,
 }
 
+/// What every plan of one query shares, whatever its GHD: the query's
+/// structural key, the terms of its width witness, and per factor the
+/// GHD-independent half of its shard nest ([`pre_agg_candidates`]).
+pub(crate) struct PlanShape {
+    key: PlanKey,
+    width: WidthTerms,
+    pre_agg: Vec<Vec<Var>>,
+}
+
+impl PlanShape {
+    /// The shape of `q`, whose width witness has the terms `width`.
+    pub(crate) fn of<S: Semiring>(q: &FaqQuery<S>, width: WidthTerms) -> PlanShape {
+        PlanShape {
+            key: PlanKey::of(q),
+            width,
+            pre_agg: pre_agg_candidates(q),
+        }
+    }
+}
+
 impl QueryPlan {
     /// The plan of `ghd` for `q`, unscored: every per-node and per-edge
     /// table, no cost, no predicted rows and no candidate table. The
-    /// caller has validated `ghd` for `q`, and `width` is the terms of
-    /// `q`'s width witness.
-    pub(crate) fn build<S: Semiring>(q: &FaqQuery<S>, ghd: Ghd, width: WidthTerms) -> QueryPlan {
-        let slots = ghd.node_ids().map(|n| n.index() + 1).max().unwrap_or(1);
-        let mut joins = vec![Vec::new(); slots];
-        let mut var_orders = vec![Vec::new(); slots];
-        let mut children = vec![Vec::new(); slots];
-        let mut nests = vec![Vec::new(); slots];
-        for node in ghd.node_ids() {
-            let i = node.index();
-            if let Some(p) = ghd.parent(node) {
-                children[p.index()].push(node);
-            }
-            let mut factors = ghd.node(node).lambda.clone();
-            factors.sort_by_key(|&e| q.factor(e).len());
-            if factors.len() >= 2 {
-                var_orders[i] = binding_order(q, &ghd, node);
-            }
-            joins[i] = factors;
-            nests[i] = nest(q, &ghd, node);
-        }
-        QueryPlan {
-            shard_nests: shard_nests(q, &ghd),
+    /// caller has validated `ghd` for `q`, and `shape` is `q`'s.
+    pub(crate) fn build<S: Semiring>(q: &FaqQuery<S>, ghd: Ghd, shape: &PlanShape) -> QueryPlan {
+        let mut plan = QueryPlan {
             ghd,
-            var_orders,
+            var_orders: Vec::new(),
             cost: PlanCost::default(),
             node_rows: Vec::new(),
             candidates: Vec::new(),
-            width,
-            joins,
-            children,
-            nests,
-            key: PlanKey::of(q),
+            width: shape.width,
+            joins: Vec::new(),
+            children: Vec::new(),
+            nests: Vec::new(),
+            shard_nests: Vec::new(),
+            key: shape.key.clone(),
+        };
+        plan.fill(q, shape);
+        plan
+    }
+
+    /// This plan, built from `shape`, re-planned as
+    /// [`QueryPlan::build`] plans `ghd`: unscored, its tables refilled
+    /// in the storage they already have.
+    pub(crate) fn rebuild<S: Semiring>(&mut self, q: &FaqQuery<S>, ghd: Ghd, shape: &PlanShape) {
+        self.ghd = ghd;
+        self.cost = PlanCost::default();
+        self.node_rows.clear();
+        self.candidates.clear();
+        self.fill(q, shape);
+    }
+
+    /// Every per-node and per-edge table of `self.ghd`.
+    fn fill<S: Semiring>(&mut self, q: &FaqQuery<S>, shape: &PlanShape) {
+        let ghd = &self.ghd;
+        let slots = ghd.node_ids().map(|n| n.index() + 1).max().unwrap_or(1);
+        reset(&mut self.joins, slots);
+        reset(&mut self.children, slots);
+        reset(&mut self.var_orders, slots);
+        reset(&mut self.nests, slots);
+        for node in ghd.node_ids() {
+            let i = node.index();
+            if let Some(p) = ghd.parent(node) {
+                self.children[p.index()].push(node);
+            }
+            let factors = &mut self.joins[i];
+            factors.extend_from_slice(&ghd.node(node).lambda);
+            factors.sort_by_key(|&e| q.factor(e).len());
+            if factors.len() >= 2 {
+                self.var_orders[i] = binding_order(q, ghd, node);
+            }
+            nest(q, ghd, node, &mut self.nests[i]);
+        }
+        reset(&mut self.shard_nests, shape.pre_agg.len());
+        for (nest, vars) in self.shard_nests.iter_mut().zip(&shape.pre_agg) {
+            shard_nest(ghd, vars, nest);
         }
     }
 
@@ -121,7 +166,7 @@ impl QueryPlan {
             .map_err(|e| EngineError::Invalid(e.to_string()))?;
         check_runnable(q, &ghd)?;
         let width = internal_node_width(&q.hypergraph).terms();
-        Ok(QueryPlan::build(q, ghd, width))
+        Ok(QueryPlan::build(q, ghd, &PlanShape::of(q, width)))
     }
 
     /// Refuses a query whose hypergraph, free-variable list, aggregates
@@ -197,14 +242,21 @@ impl QueryPlan {
     }
 }
 
-/// `node`'s push-down nest: the variables of `χ(node)` the parent's bag
-/// does not see (at the root: the bound ones), innermost first.
-fn nest<S: Semiring>(q: &FaqQuery<S>, ghd: &Ghd, node: NodeId) -> Vec<(Var, Aggregate)> {
+/// `table` holding `len` empty entries, each keeping its storage.
+pub(crate) fn reset<T>(table: &mut Vec<Vec<T>>, len: usize) {
+    table.truncate(len);
+    table.iter_mut().for_each(Vec::clear);
+    table.resize_with(len, Vec::new);
+}
+
+/// `node`'s push-down nest, into the empty `nest`: the variables of
+/// `χ(node)` the parent's bag does not see (at the root: the bound
+/// ones), innermost first.
+fn nest<S: Semiring>(q: &FaqQuery<S>, ghd: &Ghd, node: NodeId, nest: &mut Vec<(Var, Aggregate)>) {
     let keep = ghd.parent(node).map_or(&q.free_vars[..], |p| ghd.chi(p));
     let private = ghd.chi(node).iter().filter(|v| !keep.contains(v));
-    let mut nest: Vec<_> = private.map(|&v| (v, q.aggregates[v.index()])).collect();
+    nest.extend(private.map(|&v| (v, q.aggregates[v.index()])));
     nest.sort_unstable_by_key(|&(v, _)| Reverse(v));
-    nest
 }
 
 /// The binding order of `node`'s bag of two or more factors. Binding
@@ -266,28 +318,18 @@ pub(crate) fn pre_agg_candidates<S: Semiring>(q: &FaqQuery<S>) -> Vec<Vec<Var>> 
         .collect()
 }
 
-/// Every edge's shard nest for `ghd` (Corollary G.2 / Appendix G.6 at
-/// the shard level): the [`pre_agg_candidates`] of the edge that sit in
-/// exactly one χ bag, summed out innermost first. `⊗` distributes over
-/// `⊕` across the other factors (the variable appears in none of them),
-/// `Sum` commutes with `Sum`, and `Product` aggregates are gated to
-/// idempotent carriers, for which `(⊕_v f)^m = ⊕_v f^m`.
-fn shard_nests<S: Semiring>(q: &FaqQuery<S>, ghd: &Ghd) -> Vec<Vec<(Var, Aggregate)>> {
-    let mut bags_of = vec![0usize; q.hypergraph.num_vars()];
-    for node in ghd.node_ids() {
-        for v in ghd.chi(node) {
-            bags_of[v.index()] += 1;
-        }
-    }
-    pre_agg_candidates(q)
-        .into_iter()
-        .map(|vars| {
-            let single_bag = vars.into_iter().filter(|v| bags_of[v.index()] == 1);
-            let mut nest: Vec<_> = single_bag.map(|v| (v, Aggregate::Sum)).collect();
-            nest.sort_unstable_by_key(|&(v, _)| Reverse(v));
-            nest
-        })
-        .collect()
+/// One edge's shard nest for `ghd`, into the empty `nest` (Corollary
+/// G.2 / Appendix G.6 at the shard level): the edge's
+/// [`pre_agg_candidates`] `vars` that sit in exactly one χ bag, summed
+/// out innermost first. `⊗` distributes over `⊕` across the other
+/// factors (the variable appears in none of them), `Sum` commutes with
+/// `Sum`, and `Product` aggregates are gated to idempotent carriers, for
+/// which `(⊕_v f)^m = ⊕_v f^m`.
+fn shard_nest(ghd: &Ghd, vars: &[Var], nest: &mut Vec<(Var, Aggregate)>) {
+    let bags = |v: &Var| ghd.node_ids().filter(|&n| ghd.chi(n).contains(v)).count();
+    let single_bag = vars.iter().filter(|v| bags(v) == 1);
+    nest.extend(single_bag.map(|&v| (v, Aggregate::Sum)));
+    nest.sort_unstable_by_key(|&(v, _)| Reverse(v));
 }
 
 #[cfg(test)]

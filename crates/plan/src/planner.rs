@@ -5,7 +5,7 @@
 use crate::calibration::CalibrationRegistry;
 use crate::cost::{CostModel, PlanCost};
 use crate::error::EngineError;
-use crate::plan::QueryPlan;
+use crate::plan::{PlanShape, QueryPlan};
 use crate::stats::QueryStats;
 use crate::validate::{
     check_aggregates_admitted, check_elimination_order, check_product_aggregates,
@@ -14,8 +14,7 @@ use faqs_hypergraph::{Decomposition, Ghd, Hypergraph, NodeId, QueryStructure, Va
 use faqs_network::{Player, Topology};
 use faqs_relation::FaqQuery;
 use faqs_semiring::{Aggregate, Semiring};
-use std::borrow::Cow;
-use std::collections::BTreeSet;
+use std::fmt::Write;
 
 /// Shim for `benchmark/`, which builds `PlannerConfig::default()` and
 /// hands it to [`plan_query`] / [`plan_query_placed`]: planning has one
@@ -100,9 +99,10 @@ impl<'a> PlacementContext<'a> {
         &self.distances
     }
 
-    /// The distance table, for a run that keeps it past planning.
-    pub fn into_distances(self) -> LiveDistances {
-        self.distances
+    /// The holders and the distance table, for a run that keeps them
+    /// past planning.
+    pub fn into_parts(self) -> (Vec<Vec<Player>>, LiveDistances) {
+        (self.holders, self.distances)
     }
 }
 
@@ -120,33 +120,80 @@ pub struct CandidateReport {
     pub chosen: bool,
 }
 
-/// A canonical serialisation of a rooted GHD, invariant under child
-/// order: `(sorted χ | sorted λ | sorted child fingerprints)` as a token
-/// list, the brackets and bars taken from the top of `u32`. Bag-merge
-/// enumeration re-derives the same decomposition from many rotations;
-/// deduplicating on this fingerprint keeps each shape's cost simulation
-/// from running more than once.
-fn ghd_fingerprint(ghd: &Ghd) -> Vec<u32> {
-    const OPEN: u32 = u32::MAX;
-    const BAR: u32 = u32::MAX - 1;
-    const CLOSE: u32 = u32::MAX - 2;
-    fn ser(ghd: &Ghd, n: NodeId) -> Vec<u32> {
-        let mut chi: Vec<u32> = ghd.chi(n).iter().map(|v| v.0).collect();
-        chi.sort_unstable();
-        let mut lambda: Vec<u32> = ghd.node(n).lambda.iter().map(|e| e.0).collect();
-        lambda.sort_unstable();
-        let mut kids: Vec<Vec<u32>> = ghd.children(n).into_iter().map(|c| ser(ghd, c)).collect();
-        kids.sort_unstable();
-        let mut out = vec![OPEN];
-        out.extend(chi);
-        out.push(BAR);
-        out.extend(lambda);
-        out.push(BAR);
-        out.extend(kids.into_iter().flatten());
-        out.push(CLOSE);
-        out
+/// The rooted GHDs one search has met, by fingerprint: a canonical
+/// serialisation invariant under child order, `(sorted χ | sorted λ |
+/// sorted child fingerprints)` as a token list, the brackets and bars
+/// taken from the top of `u32`. Bag-merge enumeration re-derives the
+/// same decomposition from many rotations; deduplicating on this
+/// fingerprint keeps each shape's cost simulation from running more
+/// than once. The fingerprints lie end to end in one buffer.
+#[derive(Default)]
+struct Seen {
+    /// Every fingerprint met, end to end.
+    tokens: Vec<u32>,
+    /// Where each fingerprint in `tokens` ends.
+    ends: Vec<usize>,
+    /// The spans in `tokens` of the children being serialised.
+    spans: Vec<(usize, usize)>,
+    /// A copy of sibling fingerprints while they are sorted.
+    siblings: Vec<u32>,
+}
+
+impl Seen {
+    /// Records `ghd`'s fingerprint: `false` when the search met it before.
+    fn insert(&mut self, ghd: &Ghd) -> bool {
+        let start = self.tokens.len();
+        self.serialise(ghd, ghd.root());
+        let (met, new) = self.tokens.split_at(start);
+        let mut from = 0;
+        let known = self.ends.iter().any(|&end| {
+            let old = &met[from..end];
+            from = end;
+            old == new
+        });
+        if known {
+            self.tokens.truncate(start);
+        } else {
+            self.ends.push(self.tokens.len());
+        }
+        !known
     }
-    ser(ghd, ghd.root())
+
+    /// Appends the fingerprint of the subtree at `n` to `tokens`.
+    fn serialise(&mut self, ghd: &Ghd, n: NodeId) {
+        const OPEN: u32 = u32::MAX;
+        const BAR: u32 = u32::MAX - 1;
+        const CLOSE: u32 = u32::MAX - 2;
+        let out = &mut self.tokens;
+        out.push(OPEN);
+        let at = out.len();
+        out.extend(ghd.chi(n).iter().map(|v| v.0));
+        out[at..].sort_unstable();
+        out.push(BAR);
+        let at = out.len();
+        out.extend(ghd.node(n).lambda.iter().map(|e| e.0));
+        out[at..].sort_unstable();
+        out.push(BAR);
+        // The children's fingerprints, then sorted as token lists.
+        let (kids, base) = (out.len(), self.spans.len());
+        for c in ghd.children(n) {
+            let from = self.tokens.len();
+            self.serialise(ghd, c);
+            self.spans.push((from, self.tokens.len()));
+        }
+        if self.spans.len() > base + 1 {
+            self.siblings.clear();
+            self.siblings.extend_from_slice(&self.tokens[kids..]);
+            let span = |&(a, b): &(usize, usize)| &self.siblings[a - kids..b - kids];
+            self.spans[base..].sort_unstable_by(|x, y| span(x).cmp(span(y)));
+            self.tokens.truncate(kids);
+            for s in &self.spans[base..] {
+                self.tokens.extend_from_slice(span(s));
+            }
+        }
+        self.spans.truncate(base);
+        self.tokens.push(CLOSE);
+    }
 }
 
 /// Re-roots removed join trees of `base` (any rooting of `h`'s join
@@ -207,23 +254,36 @@ pub fn decomposition_covering_free_vars(
     }
 }
 
-/// The *structural default* GHD: the width witness when its core already
-/// contains `F`, otherwise the canonical decomposition re-rooted to
-/// cover it. This is the GHD of the [`structural_plan`] and candidate 0
-/// of every cost-based search — the cost model must beat it strictly to
-/// deviate.
-fn default_ghd<S: Semiring>(q: &FaqQuery<S>, s: &QueryStructure) -> Result<Ghd, EngineError> {
-    let width = &s.width;
-    if q.free_vars
+/// The *structural default* as an unscored plan, once [`check_runnable`]
+/// passes, and the re-rootings left to score against it. Its GHD is the
+/// width witness when the witness's core already contains `F` — that
+/// re-rooting, scored, would repeat the default, so it leaves the list —
+/// and otherwise the canonical decomposition re-rooted to cover `F`.
+/// This is the plan of [`structural_plan`] and candidate 0 of every
+/// cost-based search — the cost model must beat it strictly to deviate.
+/// Its failure is the caller's error: the cost model never papers over
+/// an invalid default.
+fn structural_default<S: Semiring>(
+    q: &FaqQuery<S>,
+    s: QueryStructure,
+    shape: &PlanShape,
+) -> Result<(QueryPlan, Vec<(Decomposition, Ghd)>), EngineError> {
+    let (ghd, reroots) = if q
+        .free_vars
         .iter()
-        .all(|v| width.decomposition.core_vars.contains(v))
+        .all(|v| s.witness().0.core_vars.contains(v))
     {
-        return Ok(width.ghd.clone());
-    }
-    let d = decomposition_covering_free_vars(&q.hypergraph, s.canonical().clone(), &q.free_vars)?;
-    let mut ghd = Ghd::from_decomposition(&q.hypergraph, &d);
-    ghd.hoist_md();
-    Ok(ghd)
+        let (width, reroots) = s.into_witness();
+        (width.ghd, reroots)
+    } else {
+        let canonical = s.canonical().clone();
+        let d = decomposition_covering_free_vars(&q.hypergraph, canonical, &q.free_vars)?;
+        let mut ghd = Ghd::from_decomposition(&q.hypergraph, &d);
+        ghd.hoist_md();
+        (ghd, s.reroots)
+    };
+    check_runnable(q, &ghd)?;
+    Ok((QueryPlan::build(q, ghd, shape), reroots))
 }
 
 /// Shim for `benchmark/`: [`plan_query_with`] without placement or
@@ -288,10 +348,11 @@ pub fn cost_quote_calibrated<S: Semiring>(
     if !lattice {
         refuse_max_min(q)?;
     }
-    let plan = structural_plan(q)?;
+    let mut plan = structural_plan(q)?;
     let stats = QueryStats::of(q);
     let model = CostModel::new(&stats, q.domain, S::value_bits());
-    Ok(model.simulate(&plan, None).0)
+    model.score(&mut plan, None);
+    Ok(plan.cost)
 }
 
 /// Refuses statistics that do not describe one entry per factor of `q`.
@@ -329,17 +390,13 @@ pub(crate) fn check_runnable<S: Semiring>(q: &FaqQuery<S>, ghd: &Ghd) -> Result<
 }
 
 /// The one structural analysis a plan is built from: [`validate_query`],
-/// then one GYO run ([`QueryStructure::of`]) and the structural default
-/// it yields — candidate 0 of every search — as an unscored plan, once
-/// [`check_runnable`] passes. Its failure is the caller's error: the
-/// cost model never papers over an invalid default.
-fn analyse<S: Semiring>(q: &FaqQuery<S>) -> Result<(QueryStructure, QueryPlan), EngineError> {
+/// then one GYO run ([`QueryStructure::of`]) and the query's
+/// [`PlanShape`]; [`structural_default`] reads the default off it.
+fn analyse<S: Semiring>(q: &FaqQuery<S>) -> Result<(QueryStructure, PlanShape), EngineError> {
     validate_query(q)?;
     let structure = QueryStructure::of(&q.hypergraph);
-    let ghd = default_ghd(q, &structure)?;
-    check_runnable(q, &ghd)?;
-    let plan = QueryPlan::build(q, ghd, structure.width.terms());
-    Ok((structure, plan))
+    let shape = PlanShape::of(q, structure.terms());
+    Ok((structure, shape))
 }
 
 /// The structural default as a plan, without reading any data: the
@@ -349,7 +406,8 @@ fn analyse<S: Semiring>(q: &FaqQuery<S>) -> Result<(QueryStructure, QueryPlan), 
 /// the reference plan (`faqs_core::solve_faq_reference`), identical for
 /// equal data whatever the statistics say.
 pub fn structural_plan<S: Semiring>(q: &FaqQuery<S>) -> Result<QueryPlan, EngineError> {
-    let (_, mut plan) = analyse(q)?;
+    let (structure, shape) = analyse(q)?;
+    let (mut plan, _) = structural_default(q, structure, &shape)?;
     plan.candidates = vec![CandidateReport {
         label: "structural default".into(),
         y: plan.ghd.internal_count(),
@@ -375,8 +433,12 @@ pub fn plan_query_with<S: Semiring>(
     if let Some(s) = stats {
         check_stats_len(q, s)?;
     }
-    let (structure, mut default) = analyse(q)?;
-
+    let (structure, shape) = analyse(q)?;
+    // Cyclic cores: the flat merged bag plus every RIP-valid 2-split of
+    // the cycle walk — the shapes the generic join exists to serve —
+    // scored after the re-rootings.
+    let core = structure.core_candidates(&q.hypergraph);
+    let (default, reroots) = structural_default(q, structure, &shape)?;
     let gathered;
     let stats = match stats {
         Some(s) => s,
@@ -386,112 +448,148 @@ pub fn plan_query_with<S: Semiring>(
         }
     };
     let model = CostModel::new(stats, q.domain, S::value_bits());
-    let placed = placement.is_some();
-    (default.cost, default.node_rows) = model.simulate(&default, placement);
-    let mut candidates = vec![CandidateReport {
-        label: "structural default".into(),
-        y: default.ghd.internal_count(),
-        cost: default.cost,
-        chosen: true,
-    }];
-    // Structurally identical candidates (reroot + bag-merge enumeration
-    // both re-derive the canonical shape) are deduplicated on their
-    // rooted-tree fingerprint before any cost simulation runs.
-    let mut seen: BTreeSet<Vec<u32>> = BTreeSet::from([ghd_fingerprint(&default.ghd)]);
-    // The winner so far, scored, and its row in the candidate table.
-    let mut best = (default, 0usize);
+    let scored = 1 + reroots.len() + core.len();
+    let mut search = Search::new(q, placement, &model, &shape, default, scored);
 
-    let consider = |ghd: Cow<'_, Ghd>,
-                    label: String,
-                    candidates: &mut Vec<CandidateReport>,
-                    seen: &mut BTreeSet<Vec<u32>>,
-                    best: &mut (QueryPlan, usize)| {
+    for (d, ghd) in reroots {
+        // Free variables must end up in the candidate's core; re-root
+        // further if needed, drop the candidate if no rooting works.
+        let (d, ghd) = if q.free_vars.iter().all(|v| d.core_vars.contains(v)) {
+            (d, ghd)
+        } else {
+            let Ok(d) = decomposition_covering_free_vars(&q.hypergraph, d, &q.free_vars) else {
+                continue;
+            };
+            let mut ghd = Ghd::from_decomposition(&q.hypergraph, &d);
+            ghd.hoist_md();
+            (d, ghd)
+        };
+        search.consider(ghd, || {
+            let mut label = String::from("reroot [");
+            for (i, e) in d.forest_roots.iter().enumerate() {
+                let sep = if i == 0 { "" } else { ", " };
+                let _ = write!(label, "{sep}{e}");
+            }
+            label + "]"
+        });
+    }
+    for (i, ghd) in core.into_iter().enumerate() {
+        let merged = ghd.len() == 1;
+        search.consider(ghd, || match merged {
+            true => "merged core".into(),
+            false => format!("core split {i}"),
+        });
+    }
+    search.finish()
+}
+
+/// One cost-based search: the scored candidate table, the winner so far
+/// and the spare plan every further candidate is built into.
+struct Search<'s, 'q, S: Semiring> {
+    q: &'q FaqQuery<S>,
+    placement: Option<&'s PlacementContext<'s>>,
+    model: &'s CostModel<'s>,
+    shape: &'s PlanShape,
+    /// Every candidate scored so far; the default first.
+    candidates: Vec<CandidateReport>,
+    /// The fingerprints of every GHD met so far.
+    seen: Seen,
+    /// The winner so far, scored, and its row in the candidate table.
+    best: (QueryPlan, usize),
+    /// The last loser's plan, whose storage the next candidate reuses.
+    spare: Option<QueryPlan>,
+}
+
+impl<'s, 'q, S: Semiring> Search<'s, 'q, S> {
+    /// A search that has scored the structural default, and will score
+    /// at most `most` candidates, the default included.
+    fn new(
+        q: &'q FaqQuery<S>,
+        placement: Option<&'s PlacementContext<'s>>,
+        model: &'s CostModel<'s>,
+        shape: &'s PlanShape,
+        mut default: QueryPlan,
+        most: usize,
+    ) -> Self {
+        model.score(&mut default, placement);
+        let mut seen = Seen::default();
+        seen.insert(&default.ghd);
+        let mut candidates = Vec::with_capacity(most);
+        candidates.push(CandidateReport {
+            label: "structural default".into(),
+            y: default.ghd.internal_count(),
+            cost: default.cost,
+            chosen: true,
+        });
+        Search {
+            q,
+            placement,
+            model,
+            shape,
+            candidates,
+            seen,
+            best: (default, 0),
+            spare: None,
+        }
+    }
+
+    /// Scores `ghd`, labelled by `label`, unless it cannot run or an
+    /// earlier candidate had its shape: structurally identical candidates
+    /// (re-root and bag-merge enumeration both re-derive the canonical
+    /// shape) are deduplicated on their rooted-tree fingerprint before
+    /// any cost simulation runs.
+    fn consider(&mut self, ghd: Ghd, label: impl FnOnce() -> String) {
         // A candidate may miss a free variable at its root or be
         // push-down-illegal where the default is legal (different
         // elimination order); skip, never error.
-        if check_runnable(q, &ghd).is_err() || !seen.insert(ghd_fingerprint(&ghd)) {
+        if check_runnable(self.q, &ghd).is_err() || !self.seen.insert(&ghd) {
             return;
         }
-        let mut plan = QueryPlan::build(q, ghd.into_owned(), structure.width.terms());
-        (plan.cost, plan.node_rows) = model.simulate(&plan, placement);
-        candidates.push(CandidateReport {
-            label,
+        let mut plan = match self.spare.take() {
+            Some(mut plan) => {
+                plan.rebuild(self.q, ghd, self.shape);
+                plan
+            }
+            None => QueryPlan::build(self.q, ghd, self.shape),
+        };
+        self.model.score(&mut plan, self.placement);
+        self.candidates.push(CandidateReport {
+            label: label(),
             y: plan.ghd.internal_count(),
             cost: plan.cost,
             chosen: false,
         });
         // Strict improvement only: ties keep the default, so uniform
         // instances plan exactly as the structural planner did.
-        if plan.cost.key(placed) < best.0.cost.key(placed) {
-            *best = (plan, candidates.len() - 1);
+        let placed = self.placement.is_some();
+        if plan.cost.key(placed) < self.best.0.cost.key(placed) {
+            let row = self.candidates.len() - 1;
+            plan = std::mem::replace(&mut self.best, (plan, row)).0;
         }
-    };
-
-    for (d, ghd) in &structure.reroots {
-        // Free variables must end up in the candidate's core; re-root
-        // further if needed, drop the candidate if no rooting works.
-        let (d, ghd) = if q.free_vars.iter().all(|v| d.core_vars.contains(v)) {
-            (Cow::Borrowed(d), Cow::Borrowed(ghd))
-        } else {
-            let base = d.clone();
-            let Ok(d) = decomposition_covering_free_vars(&q.hypergraph, base, &q.free_vars) else {
-                continue;
-            };
-            let mut ghd = Ghd::from_decomposition(&q.hypergraph, &d);
-            ghd.hoist_md();
-            (Cow::Owned(d), Cow::Owned(ghd))
-        };
-        let label = format!(
-            "reroot [{}]",
-            d.forest_roots
-                .iter()
-                .map(|e| e.to_string())
-                .collect::<Vec<_>>()
-                .join(", ")
-        );
-        consider(ghd, label, &mut candidates, &mut seen, &mut best);
+        self.spare = Some(plan);
     }
 
-    // Cyclic cores: the flat merged bag plus every RIP-valid 2-split of
-    // the cycle walk — the shapes the generic join exists to serve.
-    for (i, ghd) in structure
-        .core_candidates(&q.hypergraph)
-        .into_iter()
-        .enumerate()
-    {
-        let label = if ghd.len() == 1 {
-            "merged core".to_string()
-        } else {
-            format!("core split {i}")
-        };
-        consider(
-            Cow::Owned(ghd),
-            label,
-            &mut candidates,
-            &mut seen,
-            &mut best,
-        );
+    /// The winner with its candidate table.
+    fn finish(self) -> Result<QueryPlan, EngineError> {
+        // Every candidate priced at the unreachable sentinel means no
+        // executable placed plan exists: some shard or message leg has no
+        // route at all. Erroring here is the contract the runtime relies
+        // on — it never has to discover `NoRoute` mid-execution on a plan
+        // the planner silently mispriced.
+        let (mut plan, chosen) = self.best;
+        if self.placement.is_some() && plan.cost.net_bits == crate::cost::UNREACHABLE_BITS {
+            return Err(EngineError::Invalid(
+                "placement unreachable: no candidate plan can route every shard and message \
+                 on the live topology"
+                    .into(),
+            ));
+        }
+        plan.candidates = self.candidates;
+        for (i, c) in plan.candidates.iter_mut().enumerate() {
+            c.chosen = i == chosen;
+        }
+        Ok(plan)
     }
-
-    // Every candidate priced at the unreachable sentinel means no
-    // executable placed plan exists: some shard or message leg has no
-    // route at all. Erroring here is the contract the runtime relies
-    // on — it never has to discover `NoRoute` mid-execution on a plan
-    // the planner silently mispriced.
-    if placed && best.0.cost.net_bits == crate::cost::UNREACHABLE_BITS {
-        return Err(EngineError::Invalid(
-            "placement unreachable: no candidate plan can route every shard and message \
-             on the live topology"
-                .into(),
-        ));
-    }
-
-    let (mut plan, chosen) = best;
-    for (i, c) in candidates.iter_mut().enumerate() {
-        c.chosen = i == chosen;
-    }
-    plan.candidates = candidates;
-    Ok(plan)
 }
 
 /// Chooses each GHD node's aggregation player given the shard masses of
@@ -522,15 +620,19 @@ pub fn choose_aggregation_players(
 ) -> Vec<Player> {
     let ghd = &plan.ghd;
     let mut agg = vec![output; plan.slots()];
+    // The output and the node's shard holders, ascending, one node at a
+    // time.
+    let mut candidates: Vec<Player> = Vec::new();
     for node in ghd.node_ids() {
         if node == ghd.root() {
             continue; // output player, fixed above
         }
         let mass = &node_shards[node.index()];
-        let mut candidates: BTreeSet<Player> = BTreeSet::from([output]);
-        for &(p, _) in mass {
-            candidates.insert(p);
-        }
+        candidates.clear();
+        candidates.push(output);
+        candidates.extend(mass.iter().map(|&(p, _)| p));
+        candidates.sort_unstable();
+        candidates.dedup();
         let mut best: Option<(u64, Player)> = None;
         for &c in &candidates {
             // Live distances: a down link must not make a candidate

@@ -92,8 +92,15 @@ pub fn check_push_down<S: Semiring>(q: &FaqQuery<S>, ghd: &Ghd) -> Result<(), En
 /// (hundreds of edges) the old inner probe dominated validation, which
 /// matters now that cached plans amortise everything *except* this
 /// check's first run. Uniformly-aggregated queries (the FAQ-SS common
-/// case) short-circuit to `Ok` without building anything.
+/// case) short-circuit to `Ok` without building anything: when every
+/// variable has one aggregate, so has every order.
 pub fn check_elimination_order<S: Semiring>(q: &FaqQuery<S>, ghd: &Ghd) -> Result<(), EngineError> {
+    let mut aggregates = q.hypergraph.vars().map(|v| q.aggregates[v.index()]);
+    if let Some(first) = aggregates.next() {
+        if aggregates.all(|a| a == first) {
+            return Ok(());
+        }
+    }
     let order = planned_elimination_order(q, ghd);
     let uniform = order
         .windows(2)

@@ -234,27 +234,26 @@ impl<'a, S: Semiring> DistributedFaqRun<'a, S> {
         // The cost model prices each shard at the width its plan's shard
         // nest leaves — the nest `materialise_shards` sums out before
         // routing.
-        let output = placement.output();
-        let ctx = PlacementContext::new(q, &scaled, placement.shards.clone(), output);
+        // The context holds the shard lists while the run plans, and hands
+        // them back.
+        let InputPlacement { shards, output } = placement;
+        let ctx = PlacementContext::new(q, &scaled, shards, output);
         // Every shard and message ends at the output player, so a player
         // its live links cannot reach leaves no executable plan.
         let reach = ctx.distances().from(output);
-        if let Some(p) = placement
-            .players()
-            .into_iter()
-            .find(|p| reach[p.index()] == u32::MAX)
-        {
+        let holders = ctx.holders.iter().flatten();
+        if let Some(p) = holders.filter(|p| reach[p.index()] == u32::MAX).min() {
             return Err(ProtocolError::Unreachable(format!(
                 "placement unreachable: {p} has no live route to the output player {output}"
             )));
         }
         let plan = faqs_plan::plan_query_with(q, Some(&ctx), None)
             .map_err(|e| ProtocolError::Engine(e.to_string()))?;
-        let distances = ctx.into_distances();
+        let (shards, distances) = ctx.into_parts();
         let all_links_live = scaled.links().all(|l| scaled.capacity(l) > 0);
         Ok(DistributedFaqRun {
             q,
-            placement,
+            placement: InputPlacement { shards, output },
             plan,
             scaled,
             distances,

@@ -225,7 +225,7 @@ static GUARDS: &[Guard] = &[
     Guard {
         name: "unwrap/expect ratchet",
         rules: &[rule(".unwrap()|.expect(", ALL, &[], "let x = parse(s).unwrap();")],
-        limit: Limit::Ratchet(63),
+        limit: Limit::Ratchet(61),
         reason: "return a typed error or state the invariant; the count only falls",
         origin: "item 5(f)",
     },
@@ -321,6 +321,19 @@ static GUARDS: &[Guard] = &[
         limit: Limit::Sites(1, 1),
         reason: "a plan runs GYO once (the planner's analyse) and carries the bound's width terms; only QueryPlan::for_ghd and the fresh BoundReport::evaluate derive them again",
         origin: "aim 2",
+    },
+    Guard {
+        name: "no per-candidate rebuild",
+        rules: &[
+            rule(r"BTreeSet<Player>|BTreeMap<Var, f64>|\bghd_fingerprint\b",
+                &["crates/plan/src/"], &[],
+                "let mut candidates: BTreeSet<Player> = BTreeSet::from([output]);"),
+            rule(r"\bfn children(&self, n: NodeId) -> Vec<", &["crates/hypergraph/src/"], &[],
+                "pub fn children(&self, n: NodeId) -> Vec<NodeId> {"),
+        ],
+        limit: Limit::Banned,
+        reason: "a planning search computes what no candidate changes once (PlanShape), builds candidates into one spare plan and one fingerprint buffer, and scores them without per-node heap sets or maps",
+        origin: "item 7(c)",
     },
     Guard {
         name: "calibration observes",
