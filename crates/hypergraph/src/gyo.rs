@@ -217,40 +217,16 @@ pub struct Decomposition {
 impl Decomposition {
     /// Computes the decomposition of `h` by running GYO.
     pub fn of(h: &Hypergraph) -> Self {
-        let trace = gyo(h);
-        Self::with_edges(
-            h,
-            trace.roots(),
-            trace.reduction,
-            trace.removal_order,
-            trace.parent,
-        )
+        Self::from_trace(h, gyo(h))
     }
 
-    /// Builds the decomposition from an existing GYO trace.
-    pub fn from_trace(h: &Hypergraph, trace: &GyoTrace) -> Self {
-        Self::with_edges(
-            h,
-            trace.roots(),
-            trace.reduction.clone(),
-            trace.removal_order.clone(),
-            trace.parent.clone(),
-        )
-    }
-
-    /// The decomposition of these edge lists, its vertex sets computed.
-    fn with_edges(
-        h: &Hypergraph,
-        forest_roots: Vec<EdgeId>,
-        core_edges: Vec<EdgeId>,
-        forest_edges: Vec<EdgeId>,
-        forest_parent: Vec<Option<EdgeId>>,
-    ) -> Self {
+    /// Builds the decomposition from a GYO trace of `h`.
+    pub fn from_trace(h: &Hypergraph, trace: GyoTrace) -> Self {
         let mut d = Decomposition {
-            core_edges,
-            forest_roots,
-            forest_edges,
-            forest_parent,
+            forest_roots: trace.roots(),
+            core_edges: trace.reduction,
+            forest_edges: trace.removal_order,
+            forest_parent: trace.parent,
             core_vars: Vec::new(),
             forest_vars: Vec::new(),
         };

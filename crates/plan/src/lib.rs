@@ -17,10 +17,12 @@
 //!                                  │ (free-var coverage re-rooting)
 //!   InputPlacement ───────────────▶│
 //!                                  ▼
-//!                    QueryPlan::build per candidate, then
-//!                    CostModel::simulate (upward-pass dry run of that
-//!                    plan: generic-join bags, message folds, push-down
-//!                    sizes, shard nests, shipped bits)
+//!                    one PlanShape per search (key, width terms, shard
+//!                    push-down candidates); per candidate QueryPlan::build
+//!                    into one spare plan's storage, then CostModel::score
+//!                    (upward-pass dry run of that plan: generic-join
+//!                    bags, message folds, push-down sizes, shard nests,
+//!                    shipped bits)
 //!                                  │  strict-improvement argmin
 //!                                  ▼
 //!       QueryPlan { ghd, joins, var_orders, nests, children,

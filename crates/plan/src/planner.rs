@@ -661,3 +661,38 @@ pub fn choose_aggregation_players(
     }
     agg
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use faqs_hypergraph::{EdgeId, GhdNode};
+
+    /// A root bag `{0, 1, 2}` over one leaf per `(χ, λ edge)`, in order.
+    fn star(leaves: [([u32; 2], u32); 2]) -> Ghd {
+        let root = GhdNode {
+            chi: vec![Var(0), Var(1), Var(2)],
+            lambda: Vec::new(),
+            parent: None,
+        };
+        let leaves = leaves.map(|(vars, e)| GhdNode {
+            chi: vars.map(Var).to_vec(),
+            lambda: vec![EdgeId(e)],
+            parent: Some(NodeId(0)),
+        });
+        Ghd::from_nodes([vec![root], leaves.to_vec()].concat(), NodeId(0))
+    }
+
+    #[test]
+    fn fingerprints_ignore_child_order_only() {
+        let mut seen = Seen::default();
+        assert!(seen.insert(&star([([0, 1], 0), ([1, 2], 1)])));
+        let swapped = star([([1, 2], 1), ([0, 1], 0)]);
+        assert!(
+            !seen.insert(&swapped),
+            "the same tree, children listed the other way"
+        );
+        let other = star([([0, 1], 1), ([1, 2], 0)]);
+        assert!(seen.insert(&other), "the same bags, λ exchanged");
+        assert!(!seen.insert(&other));
+    }
+}
