@@ -20,7 +20,7 @@ use faqs_mcm::{
     shannon::shannon_counterexample,
     trivial_protocol, McmProblem,
 };
-use faqs_network::{min_cut, steiner_packing, Assignment, Player, Topology};
+use faqs_network::{min_cut, steiner_packing, Player, Topology};
 use faqs_protocols::{
     model_capacity_bits, run_bcq_protocol, run_faq_protocol, run_hash_split_protocol,
     run_set_intersection, run_trivial, DistributedFaqRun, InputPlacement, ProtocolError,
@@ -77,12 +77,12 @@ pub fn e1_table1(n: usize) {
         let (measured, upper) = if counting {
             let q: FaqQuery<Count> =
                 random_instance(h, &cfg, vec![], |r| Count(r.random_range(1..4)));
-            let a = Assignment::round_robin(&q, g, &ids);
+            let a = InputPlacement::round_robin(&q, &ids);
             let report = run_faq_protocol(&q, g, &a, 1).expect("run").report;
             (report.stats.rounds, report.upper_rounds)
         } else {
             let q = random_boolean_instance(h, &cfg, true);
-            let a = Assignment::round_robin(&q, g, &ids);
+            let a = InputPlacement::round_robin(&q, &ids);
             let report = run_bcq_protocol(&q, g, &a, 1).expect("run").report;
             (report.stats.rounds, report.upper_rounds)
         };
@@ -258,7 +258,7 @@ pub fn e3_examples(ns: &[u32]) {
         }
         let q0 = b.finish();
         let g1 = Topology::line(4);
-        let a0 = Assignment::round_robin(&q0, &g1, &[0, 1, 2, 3]).with_output(Player(3));
+        let a0 = InputPlacement::round_robin(&q0, &[0, 1, 2, 3]).with_output(Player(3));
         let r_h0 = rounds(run_bcq_protocol(&q0, &g1, &a0, 1));
 
         // Examples 2.2 / 2.3.
@@ -268,13 +268,12 @@ pub fn e3_examples(ns: &[u32]) {
             b1.relation_from_pairs(e, (0..n).map(|x| (x, 0)));
         }
         let q1 = b1.finish();
-        let mk =
-            |g: &Topology| Assignment::round_robin(&q1, g, &[0, 1, 2, 3]).with_output(Player(1));
-        let r_line = rounds(run_bcq_protocol(&q1, &g1, &mk(&g1), 1));
+        let a1 = InputPlacement::round_robin(&q1, &[0, 1, 2, 3]).with_output(Player(1));
+        let r_line = rounds(run_bcq_protocol(&q1, &g1, &a1, 1));
         let g2 = Topology::clique(4);
-        let r_clique = rounds(run_bcq_protocol(&q1, &g2, &mk(&g2), 1));
+        let r_clique = rounds(run_bcq_protocol(&q1, &g2, &a1, 1));
         let g1_scaled = g1.clone().with_uniform_capacity(model_capacity_bits(&q1));
-        let r_trivial = rounds(run_trivial(&q1, &g1_scaled, &mk(&g1)));
+        let r_trivial = rounds(run_trivial(&q1, &g1_scaled, &a1));
 
         row(&[
             n.to_string(),
@@ -534,7 +533,7 @@ pub fn e8_gap_sweep(n: usize) {
         let q = random_boolean_instance(&h, &cfg, true);
         for g in [Topology::line(5), Topology::clique(5)] {
             let ids = players_of(&g);
-            let a = Assignment::round_robin(&q, &g, &ids);
+            let a = InputPlacement::round_robin(&q, &ids);
             let report = run_bcq_protocol(&q, &g, &a, 1).expect("run").report;
             let lb = bcq_lower_bound(&h, &g, &a.players(), n as u64);
             row(&[
@@ -577,7 +576,7 @@ pub fn e9_mpc(n: usize) {
         };
         let q = random_boolean_instance(&h, &cfg, true);
         let ids: Vec<u32> = (0..k_sources as u32).collect();
-        let a = Assignment::round_robin(&q, &g, &ids);
+        let a = InputPlacement::round_robin(&q, &ids);
         let measured = rounds(run_bcq_protocol(&q, &g, &a, 0));
         let kp: Vec<Player> = ids.iter().map(|&i| Player(i)).collect();
         let st = steiner_packing(&g, &kp, 2).len();
@@ -640,7 +639,7 @@ pub fn e11_faq_general(n: usize) {
         // Counting semiring.
         let qc: FaqQuery<Count> =
             random_instance(&h2, &cfg, vec![], |r| Count(r.random_range(1..4)));
-        let a = Assignment::round_robin(&qc, &g, &ids);
+        let a = InputPlacement::round_robin(&qc, &ids);
         let out = run_faq_protocol(&qc, &g, &a, 1).expect("run");
         let agree = out.answer.total() == solve_faq(&qc).unwrap().total();
         row(&[
@@ -656,7 +655,7 @@ pub fn e11_faq_general(n: usize) {
         let free = h2.edge(EdgeId(0)).to_vec();
         let qp: FaqQuery<Prob> =
             random_instance(&h2, &cfg, free, |r| Prob(r.random_range(0.1..1.0)));
-        let a = Assignment::round_robin(&qp, &g, &ids);
+        let a = InputPlacement::round_robin(&qp, &ids);
         let out = run_faq_protocol(&qp, &g, &a, 1).expect("run");
         let agree = out.answer.approx_eq(&solve_faq(&qp).unwrap());
         row(&[
@@ -694,7 +693,7 @@ pub fn e12_hash_split(n: usize) {
         let players: Vec<Player> = (0..k as u32).map(Player).collect();
         let split = run_hash_split_protocol(&q, &g, &players, Player(0)).expect("run");
         let ids: Vec<u32> = (0..4u32.min(g.num_players() as u32)).collect();
-        let a = Assignment::round_robin(&q, &g, &ids);
+        let a = InputPlacement::round_robin(&q, &ids);
         let whole = run_bcq_protocol(&q, &g, &a, 1).expect("run");
         row(&[
             k.to_string(),
@@ -726,8 +725,7 @@ pub fn e15_distributed(n: usize) {
         Topology::random_connected(8, 0.3, 0xE15),
     ] {
         let players: Vec<Player> = g.players().collect();
-        let whole =
-            InputPlacement::from_assignment(&Assignment::round_robin(&q, &g, &players_of(&g)));
+        let whole = InputPlacement::round_robin(&q, &players_of(&g));
         let split = InputPlacement::hash_split(q.k(), &players, *players.last().unwrap());
         for (label, placement) in [("whole", whole), ("hash-split", split)] {
             let run = DistributedFaqRun::new(&q, &g, placement, 1).expect("run");
@@ -810,14 +808,8 @@ pub fn e16_plan_explain(n: usize) {
     // Skewed instance, placement-aware: candidates ranked on predicted
     // shipped bits across a line, huge factor held far from the output.
     let g = Topology::line(4);
-    let ctx = PlacementContext::new(
-        &skewed,
-        &g,
-        (0..skewed.k())
-            .map(|e| vec![Player((e % 3) as u32)])
-            .collect(),
-        Player(3),
-    );
+    let placement = InputPlacement::round_robin(&skewed, &[0, 1, 2]).with_output(Player(3));
+    let ctx = PlacementContext::of(&g, placement);
     let plan = plan_query_with(&skewed, Some(&ctx), None).expect("plan");
     print_plan("skewed_star (placement-aware, line4, output P3)", &plan);
 }

@@ -424,17 +424,6 @@ impl Ghd {
         }
     }
 
-    /// Variables appearing in the live subtree rooted at `n`.
-    pub fn subtree_vars(&self, n: NodeId) -> BTreeSet<Var> {
-        let mut out: BTreeSet<Var> = BTreeSet::new();
-        let mut stack = vec![n];
-        while let Some(cur) = stack.pop() {
-            out.extend(self.nodes[cur.index()].chi.iter().copied());
-            stack.extend(self.children(cur));
-        }
-        out
-    }
-
     /// **Lemma F.3.** For every internal node `u` (bottom-up, synthetic
     /// roots excluded), finds a variable `p` in `χ(u) ∩ χ(c)` for some
     /// child `c` such that `p` occurs in no bag outside the subtree of
@@ -448,14 +437,12 @@ impl Ghd {
                 continue;
             }
             // Variables in bags outside subtree(u).
-            let inside = self.subtree_vars(u);
             let mut outside: BTreeSet<Var> = BTreeSet::new();
             for n in self.node_ids() {
                 if !self.in_subtree(n, u) {
                     outside.extend(self.nodes[n.index()].chi.iter().copied());
                 }
             }
-            let _ = inside;
             'child: for c in ch {
                 let shared = intersect(&self.nodes[u.index()].chi, &self.nodes[c.index()].chi);
                 for p in shared {

@@ -6,7 +6,7 @@ use faqs_hypergraph::{
     greedy_independent_set, internal_node_width, short_vertex_disjoint_cycles,
     strong_independent_set, Decomposition, EdgeId, Hypergraph, SimpleGraph, Var,
 };
-use faqs_network::{min_cut_partition, Assignment, Player, Topology};
+use faqs_network::{min_cut_partition, InputPlacement, Player, Topology};
 use faqs_relation::{FaqQuery, Relation};
 use faqs_semiring::Boolean;
 use std::collections::BTreeSet;
@@ -483,7 +483,8 @@ pub fn hypergraph_capacity(h: &Hypergraph) -> usize {
     count
 }
 
-/// **Lemma 4.4.** The worst-case assignment: every `R_{S_i}` goes to a
+/// **Lemma 4.4.** The worst-case assignment, each relation held whole:
+/// every `R_{S_i}` goes to a
 /// player on the `A` side of a witnessing min cut of `(G, K)`, every
 /// `R_{T_i}` to the `B` side, padding relations round-robin. The output
 /// player is the first terminal.
@@ -492,7 +493,7 @@ pub fn hypergraph_capacity(h: &Hypergraph) -> usize {
 ///
 /// When `k` is not two or more players of `g`, or no cut of `g`
 /// separates it.
-pub fn hard_assignment(embedding: &Embedding, g: &Topology, k: &[Player]) -> Assignment {
+pub fn hard_assignment(embedding: &Embedding, g: &Topology, k: &[Player]) -> InputPlacement {
     let Some((_, side)) = min_cut_partition(g, k) else {
         panic!("K must be two or more players of g");
     };
@@ -518,7 +519,7 @@ pub fn hard_assignment(embedding: &Embedding, g: &Topology, k: &[Player]) -> Ass
         };
         holder.push(p);
     }
-    Assignment::new(holder, k[0])
+    InputPlacement::whole(holder, k[0])
 }
 
 #[cfg(test)]
@@ -642,9 +643,9 @@ mod tests {
         let a = hard_assignment(&e, &g, &k);
         let (_, side) = min_cut_partition(&g, &k).unwrap();
         for (i, &se) in e.s_edges.iter().enumerate() {
-            assert!(side[a.holder(se).index()], "S relation on side A");
+            assert!(side[a.shard_holders(se)[0].index()], "S relation on side A");
             assert!(
-                !side[a.holder(e.t_edges[i]).index()],
+                !side[a.shard_holders(e.t_edges[i])[0].index()],
                 "T relation on side B"
             );
         }

@@ -26,7 +26,8 @@
 //!   length lands on an idle link in one step and `O(1)` map operations;
 //!   `transmit` is a one-chunk train and a pipelined send along a checked
 //!   simple path is one train per hop,
-//! * [`Assignment`] of input functions to players (`K ⊆ V`),
+//! * [`InputPlacement`] of input functions to players (`K ⊆ V`), whole
+//!   (Model 2.1) or hash-split (Appendix G.6),
 //! * pluggable [`Transport`]s — in memory ([`SimTransport`]) and
 //!   loopback TCP — that both deliver the frame's bytes and both
 //!   shadow-account it on [`NetRun`], so a run reports byte-identical
@@ -43,7 +44,7 @@ mod steiner;
 mod topology;
 mod transport;
 
-pub use assignment::Assignment;
+pub use assignment::InputPlacement;
 pub use cuts::{max_flow, min_cut, min_cut_partition};
 pub use flow::tau_mcf;
 pub use sim::{ChunkTrain, NetRun, RunStats, TransmitError};

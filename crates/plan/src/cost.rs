@@ -336,12 +336,17 @@ impl<'a> CostModel<'a> {
             reset(&mut node_shards, plan.slots());
             for node in ghd.node_ids() {
                 for &e in plan.joins(node) {
-                    let holders = &ctx.holders[e.index()];
+                    let holders = ctx.placement.shard_holders(e);
                     let bits = self.shard_bits(e, holders.len(), plan.shard_nest(e));
                     node_shards[node.index()].extend(holders.iter().map(|&p| (p, bits)));
                 }
             }
-            let agg = choose_aggregation_players(ctx.distances(), plan, ctx.output, &node_shards);
+            let agg = choose_aggregation_players(
+                ctx.distances(),
+                plan,
+                ctx.placement.output(),
+                &node_shards,
+            );
             // Gather cost: every remote shard travels holder → player.
             for node in ghd.node_ids() {
                 let to = agg[node.index()];

@@ -15,7 +15,7 @@
 //!                                  │ candidates: structural default +
 //!   hypergraph ──GYO──▶ GHD ───────┤ every reroot of the join forest
 //!                                  │ (free-var coverage re-rooting)
-//!   InputPlacement ───────────────▶│
+//!   InputPlacement on a topology ─▶│
 //!                                  ▼
 //!                    one PlanShape per search (key, width terms, shard
 //!                    push-down candidates); per candidate QueryPlan::build

@@ -11,7 +11,7 @@ use crate::validate::{
     check_aggregates_admitted, check_elimination_order, check_product_aggregates,
 };
 use faqs_hypergraph::{Decomposition, Ghd, Hypergraph, NodeId, QueryStructure, Var};
-use faqs_network::{Player, Topology};
+use faqs_network::{InputPlacement, Player, Topology};
 use faqs_relation::FaqQuery;
 use faqs_semiring::{Aggregate, Semiring};
 use std::fmt::Write;
@@ -24,22 +24,19 @@ use std::fmt::Write;
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PlannerConfig;
 
-/// Where the input shards live — everything the planner needs to
-/// predict shipped bits without depending on the protocol layer's
-/// placement type (`DistributedFaqRun` lowers its `InputPlacement` to
-/// this).
+/// Where the input shards live, on the topology a placed run executes
+/// on: everything the planner needs to predict shipped bits
+/// (`DistributedFaqRun` plans through one and takes its placement back).
 #[derive(Clone, Debug)]
 pub struct PlacementContext<'a> {
     /// The (capacity-scaled) topology the run will execute on.
     pub topology: &'a Topology,
-    /// `holders[e]` = the players holding factor `e`'s shards.
-    pub holders: Vec<Vec<Player>>,
-    /// The player that must learn the answer (the root's aggregation
-    /// player is pinned here).
-    pub output: Player,
-    /// Live distances from every holder and the output, built by
-    /// [`PlacementContext::new`]: every aggregation player a candidate
-    /// plan can pick is one of them.
+    /// Who holds each factor's shards, and the player that must learn
+    /// the answer (the root's aggregation player is pinned there).
+    pub placement: InputPlacement,
+    /// Live distances from every holder and the output, built with the
+    /// context: every aggregation player a candidate plan can pick is
+    /// one of them.
     distances: LiveDistances,
 }
 
@@ -74,24 +71,29 @@ impl LiveDistances {
 }
 
 impl<'a> PlacementContext<'a> {
-    /// The context of `holders` and `output` on `topology`, with the
-    /// live distances from each of them. What each shard sums out before
-    /// it ships is the candidate plan's [`QueryPlan::shard_nest`], so
-    /// `_q` is read by nothing; it stays in the signature for
-    /// `benchmark/` until the next `[benchmark]` revision (ROADMAP 3(h)).
+    /// The context of `placement` on `topology`, with the live distances
+    /// from each of its players.
+    pub fn of(topology: &'a Topology, placement: InputPlacement) -> Self {
+        let holders = placement.shard_lists().iter().flatten().copied();
+        PlacementContext {
+            distances: LiveDistances::new(topology, holders.chain([placement.output()])),
+            topology,
+            placement,
+        }
+    }
+
+    /// [`PlacementContext::of`] the placement of `holders` and `output`.
+    /// What each shard sums out before it ships is the candidate plan's
+    /// [`QueryPlan::shard_nest`], so `_q` is read by nothing; this door
+    /// stays for `benchmark/` until the next `[benchmark]` revision
+    /// (ROADMAP 3(h)).
     pub fn new<S: Semiring>(
         _q: &FaqQuery<S>,
         topology: &'a Topology,
         holders: Vec<Vec<Player>>,
         output: Player,
     ) -> Self {
-        let sources = holders.iter().flatten().copied().chain([output]);
-        PlacementContext {
-            distances: LiveDistances::new(topology, sources),
-            topology,
-            holders,
-            output,
-        }
+        PlacementContext::of(topology, InputPlacement::new(holders, output))
     }
 
     /// The live distances from every holder and the output.
@@ -99,10 +101,10 @@ impl<'a> PlacementContext<'a> {
         &self.distances
     }
 
-    /// The holders and the distance table, for a run that keeps them
+    /// The placement and the distance table, for a run that keeps them
     /// past planning.
-    pub fn into_parts(self) -> (Vec<Vec<Player>>, LiveDistances) {
-        (self.holders, self.distances)
+    pub fn into_parts(self) -> (InputPlacement, LiveDistances) {
+        (self.placement, self.distances)
     }
 }
 

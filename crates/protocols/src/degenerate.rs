@@ -4,10 +4,10 @@
 //! whole query is acyclic and the root carries a relation.
 
 use crate::bounds::{model_capacity_bits, BoundReport};
-use crate::outcome::{Inputs, ProtocolError, ProtocolOutcome};
+use crate::outcome::{check_whole_placement, Inputs, ProtocolError, ProtocolOutcome};
 use crate::star::{run_star_phase, LeafInput};
 use faqs_hypergraph::{Ghd, NodeId, Var};
-use faqs_network::{Assignment, NetRun, Player, Topology};
+use faqs_network::{InputPlacement, NetRun, Player, Topology};
 use faqs_relation::{FaqQuery, Relation};
 use faqs_semiring::{Boolean, Semiring};
 
@@ -25,15 +25,15 @@ use faqs_semiring::{Boolean, Semiring};
 /// Model 2.1 allowance; pass `0` to keep `g`'s own capacities.
 ///
 /// The answer relation (over the free variables) ends at
-/// `assignment.output()`; it is returned with the run's report, checked
+/// `placement.output()`; it is returned with the run's report, checked
 /// against Theorem 4.1's bound ([`BoundReport::upper_rounds`]).
 pub fn run_faq_protocol<S: Semiring>(
     q: &FaqQuery<S>,
     g: &Topology,
-    assignment: &Assignment,
+    placement: &InputPlacement,
     capacity_tuples: u64,
 ) -> Result<ProtocolOutcome<Relation<S>>, ProtocolError> {
-    crate::trivial::validate(q, g, assignment)?;
+    check_whole_placement(q, g, placement)?;
     let scaled;
     let g = if capacity_tuples == 0 {
         g
@@ -51,27 +51,27 @@ pub fn run_faq_protocol<S: Semiring>(
 
     // The bound needs a Steiner tree spanning the players; without one
     // the players cannot all reach each other either.
-    let players = assignment.players();
+    let players = placement.players();
     let bound = BoundReport::evaluate_with(q, g, &players, plan.width, None)
         .ok_or_else(|| ProtocolError::Unreachable("the players are not connected".into()))?;
     let mut run = NetRun::new(g);
-    let answer = execute_on_ghd(q, plan.ghd, assignment, &mut run)?;
+    let answer = execute_on_ghd(q, plan.ghd, placement, &mut run)?;
     let inputs = Inputs::of(q, players.len());
     ProtocolOutcome::checked::<S>(answer, &run, inputs, bound.upper_rounds, Some(bound))
 }
 
 /// Runs the BCQ protocol (Boolean semiring, `F = ∅`): `true` iff the
-/// query is satisfiable, learned by `assignment.output()`.
+/// query is satisfiable, learned by `placement.output()`.
 pub fn run_bcq_protocol(
     q: &FaqQuery<Boolean>,
     g: &Topology,
-    assignment: &Assignment,
+    placement: &InputPlacement,
     capacity_tuples: u64,
 ) -> Result<ProtocolOutcome<bool>, ProtocolError> {
     if !q.free_vars.is_empty() {
         return Err(ProtocolError::Invalid("BCQ has no free variables".into()));
     }
-    let out = run_faq_protocol(q, g, assignment, capacity_tuples)?;
+    let out = run_faq_protocol(q, g, placement, capacity_tuples)?;
     Ok(ProtocolOutcome {
         answer: !out.answer.total().is_zero(),
         report: out.report,
@@ -82,7 +82,7 @@ pub fn run_bcq_protocol(
 fn execute_on_ghd<S: Semiring>(
     q: &FaqQuery<S>,
     mut ghd: Ghd,
-    assignment: &Assignment,
+    placement: &InputPlacement,
     run: &mut NetRun<'_>,
 ) -> Result<Relation<S>, ProtocolError> {
     let root = ghd.root();
@@ -95,7 +95,7 @@ fn execute_on_ghd<S: Semiring>(
         let lambda = &ghd.node(node).lambda;
         match lambda.as_slice() {
             [] => {}
-            [e] => rel[node.index()] = Some((q.factor(*e).clone(), assignment.holder(*e))),
+            [e] => rel[node.index()] = Some((q.factor(*e).clone(), placement.shard_holders(*e)[0])),
             _ => {
                 return Err(ProtocolError::Invalid(
                     "GYO-GHD nodes cover at most one edge".into(),
@@ -112,8 +112,9 @@ fn execute_on_ghd<S: Semiring>(
         if is_root_star && rel[root.index()].is_none() {
             break; // synthetic-root core: handled by the trivial finish
         }
-        let (center_rel, center_holder) =
-            rel[center.index()].clone().expect("center covers an edge");
+        let Some((center_rel, center_holder)) = rel[center.index()].clone() else {
+            return Err(ProtocolError::Invalid("center without a relation".into()));
+        };
 
         // Build leaf messages: aggregate out the leaf-private variables
         // (χ(leaf) ∖ χ(center)).
@@ -132,7 +133,7 @@ fn execute_on_ghd<S: Semiring>(
         // Mid-protocol stars deliver to the center's holder; the final
         // (root) star delivers directly to the designated output player.
         let phase_output = if is_root_star {
-            assignment.output()
+            placement.output()
         } else {
             center_holder
         };
@@ -155,7 +156,7 @@ fn execute_on_ghd<S: Semiring>(
     }
 
     // ---- Core finish (Lemma 3.1 applied to what remains) ----
-    let output = assignment.output();
+    let output = placement.output();
     let remaining: Vec<NodeId> = ghd.node_ids().collect();
     for &node in &remaining {
         let Some((relation, holder)) = rel[node.index()].clone() else {
@@ -268,7 +269,7 @@ mod tests {
         b.relation_from_values(3, [0]);
         let q = b.finish();
         let g = Topology::line(4);
-        let a = Assignment::round_robin(&q, &g, &[0, 1, 2, 3]).with_output(Player(3));
+        let a = InputPlacement::round_robin(&q, &[0, 1, 2, 3]).with_output(Player(3));
         let out = tallied(run_bcq_protocol(&q, &g, &a, 1)).unwrap();
         assert_eq!(out.answer, solve_bcq(&q));
         assert!(out.answer, "0 is everywhere");
@@ -290,7 +291,7 @@ mod tests {
         }
         let q = b.finish();
         let g = Topology::line(4);
-        let a = Assignment::round_robin(&q, &g, &[0, 1, 2, 3]).with_output(Player(1));
+        let a = InputPlacement::round_robin(&q, &[0, 1, 2, 3]).with_output(Player(1));
         let out = tallied(run_bcq_protocol(&q, &g, &a, 1)).unwrap();
         assert_eq!(out.answer, solve_bcq(&q));
         assert!(
@@ -304,8 +305,8 @@ mod tests {
     fn example_2_3_star_on_clique_parallelises() {
         let n = 128u32;
         let h = example_h1();
-        let mk = |q: &FaqQuery<Boolean>, g: &Topology| {
-            Assignment::round_robin(q, g, &[0, 1, 2, 3]).with_output(Player(1))
+        let mk = |q: &FaqQuery<Boolean>| {
+            InputPlacement::round_robin(q, &[0, 1, 2, 3]).with_output(Player(1))
         };
         let mut b = BcqBuilder::new(&h, n as usize);
         for e in 0..4 {
@@ -314,8 +315,8 @@ mod tests {
         let q = b.finish();
         let line = Topology::line(4);
         let clique = Topology::clique(4);
-        let out_line = tallied(run_bcq_protocol(&q, &line, &mk(&q, &line), 1)).unwrap();
-        let out_clique = tallied(run_bcq_protocol(&q, &clique, &mk(&q, &clique), 1)).unwrap();
+        let out_line = tallied(run_bcq_protocol(&q, &line, &mk(&q), 1)).unwrap();
+        let out_clique = tallied(run_bcq_protocol(&q, &clique, &mk(&q), 1)).unwrap();
         assert_eq!(out_line.answer, out_clique.answer);
         assert!(
             out_clique.report.stats.rounds * 3 <= out_line.report.stats.rounds * 2,
@@ -345,7 +346,7 @@ mod tests {
                 };
                 let q = random_boolean_instance(&h, &cfg, seed % 2 == 0);
                 for g in [Topology::line(4), Topology::clique(4), Topology::grid(2, 2)] {
-                    let a = Assignment::round_robin(&q, &g, &all_players(&g));
+                    let a = InputPlacement::round_robin(&q, &all_players(&g));
                     let out = tallied(run_bcq_protocol(&q, &g, &a, 1)).unwrap();
                     assert_eq!(
                         out.answer,
@@ -372,7 +373,7 @@ mod tests {
                 Count(r.random_range(1..4))
             });
             let g = Topology::clique(4);
-            let a = Assignment::round_robin(&q, &g, &all_players(&g));
+            let a = InputPlacement::round_robin(&q, &all_players(&g));
             let out = tallied(run_faq_protocol(&q, &g, &a, 1)).unwrap();
             assert_eq!(
                 out.answer.total(),
@@ -397,7 +398,7 @@ mod tests {
             Prob(r.random_range(0.1..1.0))
         });
         let g = Topology::line(3);
-        let a = Assignment::round_robin(&q, &g, &[0, 1, 2]);
+        let a = InputPlacement::round_robin(&q, &[0, 1, 2]);
         let out = tallied(run_faq_protocol(&q, &g, &a, 1)).unwrap();
         let oracle = solve_faq_brute_force(&q);
         assert!(out.answer.approx_eq(&oracle));
@@ -419,7 +420,7 @@ mod tests {
         );
         let g = Topology::barbell(3, 1);
         // Holders straddle the bridge (players 0,1 left; 3,4 right).
-        let a = Assignment::new(vec![Player(0), Player(1), Player(3), Player(4)], Player(4));
+        let a = InputPlacement::whole(vec![Player(0), Player(1), Player(3), Player(4)], Player(4));
         let out = tallied(run_bcq_protocol(&q, &g, &a, 1)).unwrap();
         assert_eq!(out.answer, solve_bcq(&q));
         assert!(
@@ -440,7 +441,7 @@ mod tests {
             };
             let q = random_boolean_instance(&h, &cfg, d % 2 == 0);
             let g = Topology::random_connected(6, 0.3, d);
-            let a = Assignment::round_robin(&q, &g, &all_players(&g));
+            let a = InputPlacement::round_robin(&q, &all_players(&g));
             let out = tallied(run_bcq_protocol(&q, &g, &a, 1)).unwrap();
             assert_eq!(out.answer, solve_bcq(&q), "d = {d}");
         }
@@ -458,7 +459,7 @@ mod tests {
             true,
         );
         let g = Topology::line(4);
-        let a = Assignment::round_robin(&q, &g, &[0, 1, 2, 3]);
+        let a = InputPlacement::round_robin(&q, &[0, 1, 2, 3]);
         let out = tallied(run_bcq_protocol(&q, &g, &a, 1)).unwrap();
         assert!(
             out.report.stats.rounds <= 4 * out.report.upper_rounds + 16,
@@ -487,7 +488,7 @@ mod tests {
                 q = q.with_aggregate(v, Aggregate::Max);
             }
             let g = Topology::clique(4);
-            let a = Assignment::round_robin(&q, &g, &all_players(&g));
+            let a = InputPlacement::round_robin(&q, &all_players(&g));
             let out = tallied(run_faq_protocol(&q, &g, &a, 1)).unwrap();
             assert_eq!(
                 out.answer.total(),
@@ -511,7 +512,7 @@ mod tests {
         let q: FaqQuery<Count> =
             random_instance(&h, &cfg, vec![], |_| Count(1)).with_aggregate(Var(1), Aggregate::Max);
         let g = Topology::line(4);
-        let a = Assignment::round_robin(&q, &g, &[0, 1, 2]);
+        let a = InputPlacement::round_robin(&q, &[0, 1, 2]);
         assert!(matches!(
             run_faq_protocol(&q, &g, &a, 1),
             Err(ProtocolError::Engine(_))
@@ -543,7 +544,7 @@ mod tests {
 
         let tropical: FaqQuery<MinPlus> = random_instance(&h, &cfg, vec![], |_| MinPlus::new(1.0))
             .with_aggregate(Var(2), Aggregate::Max);
-        let a = Assignment::round_robin(&tropical, &g, &[0, 1, 2]);
+        let a = InputPlacement::round_robin(&tropical, &[0, 1, 2]);
         let err = run_faq_protocol(&tropical, &g, &a, 1).unwrap_err();
         refused(err, "Max", "min-plus");
 
@@ -557,7 +558,18 @@ mod tests {
     fn rejects_mismatched_assignment() {
         let q = random_boolean_instance(&example_h1(), &RandomInstanceConfig::default(), true);
         let g = Topology::line(2);
-        let a = Assignment::new(vec![Player(0)], Player(0)); // too few
+        let a = InputPlacement::whole(vec![Player(0)], Player(0)); // too few
         assert!(run_bcq_protocol(&q, &g, &a, 1).is_err());
+        // Model 2.1 assigns each function whole: a split factor is
+        // refused before anything is sent, at both doors.
+        let split = InputPlacement::hash_split(q.k(), &[Player(0), Player(1)], Player(0));
+        assert!(matches!(
+            run_bcq_protocol(&q, &g, &split, 1),
+            Err(ProtocolError::Invalid(_))
+        ));
+        assert!(matches!(
+            run_faq_protocol(&q, &g, &split, 1),
+            Err(ProtocolError::Invalid(_))
+        ));
     }
 }

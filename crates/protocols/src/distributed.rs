@@ -39,105 +39,17 @@
 
 use crate::bounds::{model_capacity_bits, BoundReport};
 use crate::hash_split::ConsistentHashSplit;
-use crate::outcome::{check_players, Inputs, ProtocolError, RunReport};
+use crate::outcome::{check_placement, Inputs, ProtocolError, RunReport};
 use faqs_core::{Pass, PassSite, QueryPlan, Timed};
 use faqs_hypergraph::{EdgeId, NodeId, Var};
 use faqs_network::{
-    Assignment, DeltaPackings, Player, RunStats, SimTransport, Topology, Transport, TransportKind,
-    WireStats,
+    DeltaPackings, InputPlacement, Player, RunStats, SimTransport, Topology, Transport,
+    TransportKind, WireStats,
 };
 use faqs_plan::{LiveDistances, PlacementContext};
 use faqs_relation::{FaqQuery, Relation};
 use faqs_semiring::{Aggregate, Semiring};
-use std::collections::{BTreeMap, BTreeSet};
-
-/// Which player holds which shard of each input factor (`K ⊆ V`
-/// generalised to sharded inputs, Definition G.7 / Appendix G.6).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct InputPlacement {
-    /// `shards[e]` = the players holding factor `e`'s shards; a factor
-    /// with one entry is held whole. Multi-shard factors are partitioned
-    /// by [`ConsistentHashSplit`] over the factor's first variable.
-    shards: Vec<Vec<Player>>,
-    output: Player,
-}
-
-impl InputPlacement {
-    /// An explicit placement: `shards[e]` lists the holders of factor
-    /// `e`'s shards (at least one each, which
-    /// [`DistributedFaqRun::new`] checks); `output` must learn the
-    /// answer.
-    pub fn new(shards: Vec<Vec<Player>>, output: Player) -> Self {
-        InputPlacement { shards, output }
-    }
-
-    /// Whole-relation placement from a protocol [`Assignment`]: one
-    /// shard per factor, at the assignment's holder.
-    pub fn from_assignment(a: &Assignment) -> Self {
-        let shards = (0..a.len())
-            .map(|e| vec![a.holder(EdgeId(e as u32))])
-            .collect();
-        InputPlacement::new(shards, a.output())
-    }
-
-    /// Hash-split placement (Appendix G.6): every one of the `k` factors
-    /// is sharded across all of `players` by the consistent hash of its
-    /// first variable's value.
-    pub fn hash_split(k: usize, players: &[Player], output: Player) -> Self {
-        InputPlacement::new(vec![players.to_vec(); k], output)
-    }
-
-    /// A random placement for property tests, deterministic in `seed`:
-    /// each factor is held whole or split across up to three random
-    /// players of `g`; the output player is random too.
-    pub fn random(k: usize, g: &Topology, seed: u64) -> Self {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let n = g.num_players() as u32;
-        assert!(n > 0);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let shards = (0..k)
-            .map(|_| {
-                let parts = rng.random_range(1..=3usize);
-                (0..parts).map(|_| Player(rng.random_range(0..n))).collect()
-            })
-            .collect();
-        InputPlacement::new(shards, Player(rng.random_range(0..n)))
-    }
-
-    /// The designated output player.
-    pub fn output(&self) -> Player {
-        self.output
-    }
-
-    /// The shard holders of factor `e`.
-    pub fn shard_holders(&self, e: EdgeId) -> &[Player] {
-        &self.shards[e.index()]
-    }
-
-    /// The distinct player set `K` (all shard holders plus the output).
-    pub fn players(&self) -> Vec<Player> {
-        let mut set: BTreeSet<Player> = self.shards.iter().flatten().copied().collect();
-        set.insert(self.output);
-        set.into_iter().collect()
-    }
-
-    fn validate<S: Semiring>(&self, q: &FaqQuery<S>, g: &Topology) -> Result<(), ProtocolError> {
-        if self.shards.len() != q.k() {
-            return Err(ProtocolError::Invalid(format!(
-                "{} shard lists for {} relations",
-                self.shards.len(),
-                q.k()
-            )));
-        }
-        if let Some(e) = self.shards.iter().position(Vec::is_empty) {
-            return Err(ProtocolError::Invalid(format!(
-                "factor {e} has no shard holder"
-            )));
-        }
-        check_players(g, self.players())
-    }
-}
+use std::collections::BTreeMap;
 
 /// Result of one distributed run: the semiring answer (materialised at
 /// the output player) plus the scheduler's measurements and the report
@@ -222,9 +134,7 @@ impl<'a, S: Semiring> DistributedFaqRun<'a, S> {
         placement: InputPlacement,
         capacity_tuples: u64,
     ) -> Result<Self, ProtocolError> {
-        q.validate()
-            .map_err(|e| ProtocolError::Invalid(e.to_string()))?;
-        placement.validate(q, g)?;
+        check_placement(q, g, &placement)?;
         let scaled = if capacity_tuples == 0 {
             g.clone()
         } else {
@@ -234,14 +144,14 @@ impl<'a, S: Semiring> DistributedFaqRun<'a, S> {
         // The cost model prices each shard at the width its plan's shard
         // nest leaves — the nest `materialise_shards` sums out before
         // routing.
-        // The context holds the shard lists while the run plans, and hands
-        // them back.
-        let InputPlacement { shards, output } = placement;
-        let ctx = PlacementContext::new(q, &scaled, shards, output);
+        // The context holds the placement while the run plans, and hands
+        // it back.
+        let ctx = PlacementContext::of(&scaled, placement);
         // Every shard and message ends at the output player, so a player
         // its live links cannot reach leaves no executable plan.
+        let output = ctx.placement.output();
         let reach = ctx.distances().from(output);
-        let holders = ctx.holders.iter().flatten();
+        let holders = ctx.placement.shard_lists().iter().flatten();
         if let Some(p) = holders.filter(|p| reach[p.index()] == u32::MAX).min() {
             return Err(ProtocolError::Unreachable(format!(
                 "placement unreachable: {p} has no live route to the output player {output}"
@@ -249,11 +159,11 @@ impl<'a, S: Semiring> DistributedFaqRun<'a, S> {
         }
         let plan = faqs_plan::plan_query_with(q, Some(&ctx), None)
             .map_err(|e| ProtocolError::Engine(e.to_string()))?;
-        let (shards, distances) = ctx.into_parts();
+        let (placement, distances) = ctx.into_parts();
         let all_links_live = scaled.links().all(|l| scaled.capacity(l) > 0);
         Ok(DistributedFaqRun {
             q,
-            placement: InputPlacement { shards, output },
+            placement,
             plan,
             scaled,
             distances,
@@ -611,9 +521,8 @@ mod tests {
         for seed in 0..6 {
             let q = count_instance(&star_query(3), seed);
             let g = Topology::line(4);
-            let a = Assignment::round_robin(&q, &g, &[0, 1, 2, 3]);
-            let run =
-                DistributedFaqRun::new(&q, &g, InputPlacement::from_assignment(&a), 1).unwrap();
+            let a = InputPlacement::round_robin(&q, &[0, 1, 2, 3]);
+            let run = DistributedFaqRun::new(&q, &g, a, 1).unwrap();
             let out = run.execute().unwrap();
             assert_eq!(out.result, solve_faq(&q).unwrap(), "seed {seed}");
             assert_eq!(out.result, solve_faq_brute_force(&q), "seed {seed}");
@@ -667,9 +576,9 @@ mod tests {
         // Ring with one down link: still connected through the long way.
         let mut g = Topology::ring(4).with_uniform_capacity(64);
         g.set_capacity(faqs_network::LinkId(0), 0);
-        let a = Assignment::round_robin(&q, &g, &[0, 1, 2, 3]);
+        let a = InputPlacement::round_robin(&q, &[0, 1, 2, 3]);
         // capacity_tuples = 0 keeps the heterogeneous (down) capacities.
-        let run = DistributedFaqRun::new(&q, &g, InputPlacement::from_assignment(&a), 0).unwrap();
+        let run = DistributedFaqRun::new(&q, &g, a, 0).unwrap();
         let out = run.execute().unwrap();
         assert_eq!(out.result, solve_faq(&q).unwrap());
     }

@@ -47,7 +47,8 @@ mod trivial;
 
 pub use bounds::{model_capacity_bits, BoundReport};
 pub use degenerate::{run_bcq_protocol, run_faq_protocol};
-pub use distributed::{DistributedFaqRun, DistributedOutcome, InputPlacement};
+pub use distributed::{DistributedFaqRun, DistributedOutcome};
+pub use faqs_network::InputPlacement;
 pub use hash_split::{run_hash_split_protocol, ConsistentHashSplit};
 pub use outcome::{ProtocolError, ProtocolOutcome, RunReport, CONFORMANCE_SLACK};
 pub use setint::run_set_intersection;

@@ -3,7 +3,7 @@
 //! and checked live.
 
 use crate::bounds::{model_capacity_bits, BoundReport};
-use faqs_network::{NetRun, Player, RunStats, Topology, WireStats};
+use faqs_network::{InputPlacement, NetRun, Player, RunStats, Topology, WireStats};
 use faqs_relation::{CodecError, FaqQuery};
 use faqs_semiring::Semiring;
 
@@ -77,6 +77,44 @@ pub(crate) fn check_players(
 ) -> Result<(), ProtocolError> {
     match players.into_iter().find(|p| p.index() >= g.num_players()) {
         Some(p) => Err(ProtocolError::Invalid(format!("{p} not in topology"))),
+        None => Ok(()),
+    }
+}
+
+/// Refuses an invalid query, or a placement of another relation count,
+/// with a factor nobody holds, or naming a player `g` does not have:
+/// every placement door runs this before it indexes anything.
+pub(crate) fn check_placement<S: Semiring>(
+    q: &FaqQuery<S>,
+    g: &Topology,
+    placement: &InputPlacement,
+) -> Result<(), ProtocolError> {
+    q.validate()
+        .map_err(|e| ProtocolError::Invalid(e.to_string()))?;
+    let shards = placement.shard_lists();
+    if shards.len() != q.k() {
+        let lists = format!("{} shard lists for {} relations", shards.len(), q.k());
+        return Err(ProtocolError::Invalid(lists));
+    }
+    if let Some(e) = shards.iter().position(Vec::is_empty) {
+        let holder = format!("factor {e} has no shard holder");
+        return Err(ProtocolError::Invalid(holder));
+    }
+    check_players(g, placement.players())
+}
+
+/// [`check_placement`], then the refusal of a factor split across
+/// players: Model 2.1's protocols are given each function whole.
+pub(crate) fn check_whole_placement<S: Semiring>(
+    q: &FaqQuery<S>,
+    g: &Topology,
+    placement: &InputPlacement,
+) -> Result<(), ProtocolError> {
+    check_placement(q, g, placement)?;
+    match placement.shard_lists().iter().position(|s| s.len() > 1) {
+        Some(e) => Err(ProtocolError::Invalid(format!(
+            "factor {e} is split across players; Model 2.1 assigns each function whole"
+        ))),
         None => Ok(()),
     }
 }

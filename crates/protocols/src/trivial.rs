@@ -4,26 +4,28 @@
 //! compared against, and the sub-protocol handling the cyclic core
 //! `C(H)` in the d-degenerate pipeline.
 
-use crate::outcome::{check_players, Inputs, ProtocolError, ProtocolOutcome};
+use crate::outcome::{check_whole_placement, Inputs, ProtocolError, ProtocolOutcome};
 use faqs_core::{solve_faq, EngineError};
-use faqs_network::{tau_mcf, Assignment, NetRun, Topology};
+use faqs_network::{tau_mcf, InputPlacement, NetRun, Topology};
 use faqs_relation::{FaqQuery, Relation};
 use faqs_semiring::Semiring;
 
 /// Runs the trivial protocol for an arbitrary FAQ: ship everything,
 /// solve centrally at the output player with the engine. The run is
-/// checked against Lemma 3.1's `τ_MCF` bound.
+/// checked against Lemma 3.1's `τ_MCF` bound. Each function is held
+/// whole (Model 2.1): a split factor is refused with
+/// [`ProtocolError::Invalid`] before anything is sent.
 pub fn run_trivial<S: Semiring>(
     q: &FaqQuery<S>,
     g: &Topology,
-    assignment: &Assignment,
+    placement: &InputPlacement,
 ) -> Result<ProtocolOutcome<Relation<S>>, ProtocolError> {
-    validate(q, g, assignment)?;
-    let output = assignment.output();
+    check_whole_placement(q, g, placement)?;
+    let output = placement.output();
     let mut run = NetRun::new(g);
 
     for (e, _) in q.hypergraph.edges() {
-        let holder = assignment.holder(e);
+        let holder = placement.shard_holders(e)[0];
         if holder == output {
             continue;
         }
@@ -37,7 +39,7 @@ pub fn run_trivial<S: Semiring>(
     // Predicted: τ_MCF with N′ = k·r·N in tuple units, expressed in this
     // topology's round currency (the τ definition's own log-sized words
     // roughly match one tuple per round when capacities are model-sized).
-    let players = assignment.players();
+    let players = placement.players();
     let predicted = if players.len() < 2 {
         0
     } else {
@@ -47,22 +49,6 @@ pub fn run_trivial<S: Semiring>(
     };
     let inputs = Inputs::of(q, players.len());
     ProtocolOutcome::checked::<S>(answer, &run, inputs, predicted, None)
-}
-
-/// Refuses an invalid query, an assignment of another relation count,
-/// or one naming a player `g` does not have.
-pub(crate) fn validate<S: Semiring>(
-    q: &FaqQuery<S>,
-    g: &Topology,
-    a: &Assignment,
-) -> Result<(), ProtocolError> {
-    q.validate()
-        .map_err(|e| ProtocolError::Invalid(e.to_string()))?;
-    if a.len() != q.k() {
-        let holders = format!("{} holders for {} relations", a.len(), q.k());
-        return Err(ProtocolError::Invalid(holders));
-    }
-    check_players(g, a.players())
 }
 
 #[cfg(test)]
@@ -87,7 +73,7 @@ mod tests {
                 seed % 2 == 0,
             );
             let g = Topology::line(3).with_uniform_capacity(model_capacity_bits(&q));
-            let a = Assignment::round_robin(&q, &g, &[0, 1, 2]);
+            let a = InputPlacement::round_robin(&q, &[0, 1, 2]);
             let out = run_trivial(&q, &g, &a).unwrap();
             assert_eq!(!out.answer.total().is_zero(), solve_bcq(&q), "seed {seed}");
         }
@@ -109,7 +95,7 @@ mod tests {
         let q_small = mk(32);
         let q_big = mk(256);
         let g = Topology::line(4).with_uniform_capacity(model_capacity_bits(&q_small));
-        let a = |q: &FaqQuery<_>| Assignment::round_robin(q, &g, &[0, 1, 2, 3]);
+        let a = |q: &FaqQuery<_>| InputPlacement::round_robin(q, &[0, 1, 2, 3]);
         let small = run_trivial(&q_small, &g, &a(&q_small)).unwrap();
         let big = run_trivial(&q_big, &g, &a(&q_big)).unwrap();
         assert!(
@@ -121,10 +107,21 @@ mod tests {
     }
 
     #[test]
+    fn rejects_a_split_factor() {
+        let q = random_boolean_instance(&example_h1(), &RandomInstanceConfig::default(), true);
+        let g = Topology::line(2);
+        let split = InputPlacement::hash_split(q.k(), &[Player(0), Player(1)], Player(0));
+        assert!(matches!(
+            run_trivial(&q, &g, &split),
+            Err(ProtocolError::Invalid(_))
+        ));
+    }
+
+    #[test]
     fn colocated_trivial_is_free() {
         let q = random_boolean_instance(&example_h1(), &RandomInstanceConfig::default(), true);
         let g = Topology::line(2);
-        let a = Assignment::concentrated(&q, Player(0));
+        let a = InputPlacement::concentrated(&q, Player(0));
         let out = run_trivial(&q, &g, &a).unwrap();
         assert_eq!(out.report.stats.rounds, 0);
         assert_eq!(out.report.stats.total_bits, 0);

@@ -13,7 +13,7 @@
 //! what it reports on the same ring with that link absent.
 
 use faqs_hypergraph::star_query;
-use faqs_network::{min_cut, tau_mcf, Assignment, LinkId, Player, Topology};
+use faqs_network::{min_cut, tau_mcf, LinkId, Player, Topology};
 use faqs_protocols::{
     run_bcq_protocol, run_faq_protocol, run_hash_split_protocol, run_set_intersection, run_trivial,
     BoundReport, DistributedFaqRun, InputPlacement, ProtocolError, ProtocolOutcome, RunReport,
@@ -45,8 +45,8 @@ fn star_bcq() -> FaqQuery<Boolean> {
 }
 
 /// The three factors at players 0, 1 and 2; player 3 learns the answer.
-fn spread() -> Assignment {
-    Assignment::new(vec![Player(0), Player(1), Player(2)], Player(3))
+fn spread() -> InputPlacement {
+    InputPlacement::whole(vec![Player(0), Player(1), Player(2)], Player(3))
 }
 
 fn assert_unreachable<T: std::fmt::Debug>(got: Result<T, ProtocolError>) {
@@ -120,7 +120,7 @@ fn bound_report_documents_its_connectivity_precondition() {
 fn each_connected_half_still_runs() {
     // Control: the same fixture with `K` inside one half.
     let q = star_bcq();
-    let half = Assignment::new(vec![Player(0), Player(1), Player(0)], Player(1));
+    let half = InputPlacement::whole(vec![Player(0), Player(1), Player(0)], Player(1));
     let out = run_bcq_protocol(&q, &split_topology(), &half, 1).unwrap();
     assert_eq!(out.answer, faqs_core::solve_bcq(&q));
     let placement = InputPlacement::hash_split(q.k(), &[Player(2), Player(3)], Player(3));
@@ -141,8 +141,8 @@ fn ring_with_a_down_link() -> Topology {
 
 /// The three factors at players 0, 1 and 2 of the ring, output at 3:
 /// the players are connected over live links.
-fn around_the_down_link() -> Assignment {
-    Assignment::new(vec![Player(0), Player(1), Player(2)], Player(3))
+fn around_the_down_link() -> InputPlacement {
+    InputPlacement::whole(vec![Player(0), Player(1), Player(2)], Player(3))
 }
 
 /// A door on the ring with a down link answers as the engine does and

@@ -8,8 +8,8 @@
 
 use faqs_hypergraph::star_query;
 use faqs_network::{
-    min_cut, min_cut_partition, steiner_packing, tau_mcf, Assignment, ChunkTrain, DeltaPackings,
-    LinkId, NetRun, Player, RunStats, Topology, TransmitError,
+    min_cut, min_cut_partition, steiner_packing, tau_mcf, ChunkTrain, DeltaPackings, LinkId,
+    NetRun, Player, RunStats, Topology, TransmitError,
 };
 use faqs_protocols::{
     run_bcq_protocol, run_faq_protocol, run_hash_split_protocol, run_set_intersection, run_trivial,
@@ -45,10 +45,10 @@ fn assert_foreign<T>(got: Result<T, ProtocolError>) {
 
 /// The three factors on the line, once with a foreign holder and once
 /// with a foreign output.
-fn foreign_assignments() -> [Assignment; 2] {
+fn foreign_assignments() -> [InputPlacement; 2] {
     [
-        Assignment::new(vec![Player(0), FOREIGN, Player(2)], Player(2)),
-        Assignment::new(vec![Player(0), Player(1), Player(2)], FOREIGN),
+        InputPlacement::whole(vec![Player(0), FOREIGN, Player(2)], Player(2)),
+        InputPlacement::whole(vec![Player(0), Player(1), Player(2)], FOREIGN),
     ]
 }
 

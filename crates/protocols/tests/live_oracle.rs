@@ -7,8 +7,8 @@
 
 use faqs_hypergraph::{star_query, Var};
 use faqs_network::{
-    Assignment, Delivery, LinkId, Player, RunStats, SimTransport, Topology, TransmitError,
-    Transport, TransportKind, WireStats,
+    Delivery, LinkId, Player, RunStats, SimTransport, Topology, TransmitError, Transport,
+    TransportKind, WireStats,
 };
 use faqs_protocols::{run_faq_protocol, DistributedFaqRun, InputPlacement, ProtocolError};
 use faqs_relation::{random_instance, FaqQuery, RandomInstanceConfig, Relation};
@@ -150,7 +150,8 @@ fn links_thinner_than_a_tuple_still_carry_a_tuple_per_model_round() {
         seed: 3,
     };
     let q = random_instance(&star_query(4), &cfg, vec![], |_| Count(1));
-    let assignment = Assignment::new(vec![Player(1), Player(2), Player(3), Player(0)], Player(0));
+    let assignment =
+        InputPlacement::whole(vec![Player(1), Player(2), Player(3), Player(0)], Player(0));
     for g in [
         Topology::line(4),
         Topology::star(5),

@@ -12,9 +12,9 @@
 
 use faqs_hypergraph::{
     clique_query, cycle_query, example_h1, example_h2, internal_node_width, path_query, star_query,
-    tree_query, EdgeId, Hypergraph, Var,
+    tree_query, Hypergraph, Var,
 };
-use faqs_network::{Assignment, Player, Topology};
+use faqs_network::{Player, Topology};
 use faqs_plan::{plan_query_with, PlacementContext, PlanCost, QueryPlan};
 use faqs_protocols::{
     model_capacity_bits, run_bcq_protocol, run_faq_protocol, BoundReport, DistributedFaqRun,
@@ -105,8 +105,8 @@ fn render(plan: &QueryPlan, out: &mut String) {
 }
 
 /// The whole corpus rendered: per shape, the unplaced plan, then the
-/// placed plan on every topology and placement — planned through the
-/// frozen `PlacementContext::new` door, and checked equal to the plan
+/// placed plan on every topology and placement — planned through a
+/// `PlacementContext`, and checked equal to the plan
 /// `DistributedFaqRun::new` picks for the same placement.
 fn rendered_corpus() -> String {
     let mut out = String::new();
@@ -118,10 +118,7 @@ fn rendered_corpus() -> String {
             for (how, placement) in placements(q.k(), &g) {
                 writeln!(out, "{name} {} {how}", g.name()).unwrap();
                 let scaled = g.clone().with_uniform_capacity(model_capacity_bits(&q));
-                let holders = (0..q.k())
-                    .map(|e| placement.shard_holders(EdgeId(e as u32)).to_vec())
-                    .collect();
-                let ctx = PlacementContext::new(&q, &scaled, holders, placement.output());
+                let ctx = PlacementContext::of(&scaled, placement.clone());
                 let plan = plan_query_with(&q, Some(&ctx), None).unwrap();
                 let mut text = String::new();
                 render(&plan, &mut text);
@@ -173,7 +170,7 @@ fn the_paper_doors_bound_equals_a_fresh_one() {
         for g in topologies() {
             let players: Vec<Player> = g.players().collect();
             let holders = (0..h.num_edges()).map(|e| players[e % players.len()]);
-            let a = Assignment::new(holders.collect(), Player(0));
+            let a = InputPlacement::whole(holders.collect(), Player(0));
             let at = format!("{name} {}", g.name());
             let scaled = g.clone().with_uniform_capacity(model_capacity_bits(&faq));
             let fresh = BoundReport::evaluate(&faq, &scaled, &a.players());

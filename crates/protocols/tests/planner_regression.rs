@@ -73,14 +73,7 @@ fn predicted_bits_respect_the_paper_envelope() {
     // The same capacity scaling DistributedFaqRun applies for
     // capacity_tuples = 1.
     let scaled = g.clone().with_uniform_capacity(model_capacity_bits(&q));
-    let holders: Vec<Vec<Player>> = (0..q.k())
-        .map(|e| {
-            placement
-                .shard_holders(faqs_hypergraph::EdgeId(e as u32))
-                .to_vec()
-        })
-        .collect();
-    let ctx = PlacementContext::new(&q, &scaled, holders, placement.output());
+    let ctx = PlacementContext::of(&scaled, placement.clone());
     let plan = plan_query_with(&q, Some(&ctx), None).unwrap();
     // The envelope depends on the query, topology and player set, not
     // on the measurement: read it off the run's report.
@@ -126,14 +119,7 @@ fn pre_aggregation_closes_the_predicted_vs_measured_gap() {
     assert!(measured > 0, "remote shards must communicate");
 
     let scaled = g.clone().with_uniform_capacity(model_capacity_bits(&q));
-    let holders: Vec<Vec<Player>> = (0..q.k())
-        .map(|e| {
-            placement
-                .shard_holders(faqs_hypergraph::EdgeId(e as u32))
-                .to_vec()
-        })
-        .collect();
-    let ctx = PlacementContext::new(&q, &scaled, holders, placement.output());
+    let ctx = PlacementContext::of(&scaled, placement.clone());
     let predict = |q| plan_query_with(q, Some(&ctx), None).unwrap().cost.net_bits;
     let fixed = predict(&q);
     let raw = predict(&raw_q);

@@ -45,7 +45,7 @@ fn main() {
     qf.free_vars = h.edge(edge).to_vec();
     let g = Topology::line(chain_len);
     let players: Vec<u32> = (0..chain_len as u32).collect();
-    let assignment = Assignment::round_robin(&qf, &g, &players);
+    let assignment = InputPlacement::round_robin(&qf, &players);
     let out = run_faq_protocol(&qf, &g, &assignment, 1).expect("line is connected");
     assert!(
         out.answer.approx_eq(&marginal),

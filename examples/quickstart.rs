@@ -27,12 +27,13 @@ fn main() {
     let expected = solve_bcq(&query);
     println!("centralized answer: {expected}");
 
+    // One relation per player, P1..P4 in order.
+    let placement = InputPlacement::round_robin(&query, &[0, 1, 2, 3]);
     for g in [Topology::line(4), Topology::clique(4)] {
-        let assignment = Assignment::round_robin(&query, &g, &[0, 1, 2, 3]);
-        let out = run_bcq_protocol(&query, &g, &assignment, 1).expect("connected topology");
+        let out = run_bcq_protocol(&query, &g, &placement, 1).expect("connected topology");
         assert_eq!(out.answer, expected);
         let report = &out.report;
-        let lb = bcq_lower_bound(&query.hypergraph, &g, &assignment.players(), n as u64);
+        let lb = bcq_lower_bound(&query.hypergraph, &g, &placement.players(), n as u64);
         println!(
             "{:<10} measured {:>5} rounds | paper upper bound {:>5} | lower bound Ω({}) | conforms {}",
             g.name(),

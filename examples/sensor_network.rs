@@ -32,7 +32,7 @@ fn main() {
     let g = Topology::binary_tree(sensors + 1);
     let players: Vec<u32> = (1..=sensors as u32).collect();
     let assignment =
-        Assignment::round_robin(&q, &g, &players).with_output(faqs::network::Player(0));
+        InputPlacement::round_robin(&q, &players).with_output(faqs::network::Player(0));
 
     let out = run_faq_protocol(&q, &g, &assignment, 1).expect("tree is connected");
     let expected = solve_faq(&q).expect("star query");

@@ -36,7 +36,7 @@ fn main() {
         Topology::random_connected(6, 0.4, 11),
     ] {
         let players: Vec<u32> = (0..6).collect();
-        let assignment = Assignment::round_robin(&q, &g, &players);
+        let assignment = InputPlacement::round_robin(&q, &players);
         let out = run_bcq_protocol(&q, &g, &assignment, 1).expect("connected");
         assert_eq!(out.answer, expected, "{}", g.name());
         // The run's report carries the Theorem 4.1 quantities it was

@@ -61,8 +61,8 @@
 //! assert!(solve_bcq(&query));
 //!
 //! // Distributed answer: one relation per player, P1..P4 in order.
-//! let assignment = Assignment::round_robin(&query, &g, &[0, 1, 2, 3]);
-//! let outcome = run_bcq_protocol(&query, &g, &assignment, 1).unwrap();
+//! let placement = InputPlacement::round_robin(&query, &[0, 1, 2, 3]);
+//! let outcome = run_bcq_protocol(&query, &g, &placement, 1).unwrap();
 //! assert!(outcome.answer);
 //! // The paper's Example 2.2: N + O(k) rounds on the line, held live to
 //! // the run's own bound.
@@ -88,13 +88,11 @@ pub mod prelude {
     pub use faqs_exec::{Executor, ExecutorConfig, IncrementalFaq};
     pub use faqs_hypergraph::{clique_query, cycle_query, path_query, star_query, Hypergraph, Var};
     pub use faqs_lowerbounds::{bcq_lower_bound, Tribes};
-    pub use faqs_network::{Assignment, Topology, Transport, TransportKind, WireStats};
+    pub use faqs_network::{InputPlacement, Topology, Transport, TransportKind, WireStats};
     pub use faqs_plan::{
         plan_query_with, CalibrationRegistry, CalibrationStats, PlanCost, QueryPlan, QueryStats,
     };
-    pub use faqs_protocols::{
-        run_bcq_protocol, run_faq_protocol, DistributedFaqRun, InputPlacement, RunReport,
-    };
+    pub use faqs_protocols::{run_bcq_protocol, run_faq_protocol, DistributedFaqRun, RunReport};
     pub use faqs_relation::{
         frame_bits, frame_bytes, BcqBuilder, CodecError, FaqQuery, Relation, RelationDelta,
         Snapshot, SnapshotCell,

@@ -59,7 +59,7 @@ fn protocol_engine_and_oracle_agree_everywhere() {
                 "{name} engine vs oracle, seed {seed}"
             );
             for g in &topologies {
-                let a = Assignment::round_robin(&q, g, &all_player_ids(g));
+                let a = InputPlacement::round_robin(&q, &all_player_ids(g));
                 let out = run_bcq_protocol(&q, g, &a, 1)
                     .unwrap_or_else(|e| panic!("{name} on {}: {e}", g.name()));
                 assert_eq!(out.answer, oracle, "{name} on {} seed {seed}", g.name());
@@ -81,7 +81,7 @@ fn counting_and_probability_semirings_distribute_correctly() {
         let qc: FaqQuery<Count> =
             random_instance(&h, &cfg, vec![], |r| Count(r.random_range(1..5)));
         let g = Topology::grid(2, 2);
-        let a = Assignment::round_robin(&qc, &g, &all_player_ids(&g));
+        let a = InputPlacement::round_robin(&qc, &all_player_ids(&g));
         let out = run_faq_protocol(&qc, &g, &a, 1).unwrap();
         assert_eq!(out.answer.total(), solve_faq_brute_force(&qc).total());
 
@@ -89,7 +89,7 @@ fn counting_and_probability_semirings_distribute_correctly() {
         let free = h.edge(faqs::hypergraph::EdgeId(0)).to_vec();
         let qp: FaqQuery<Prob> =
             random_instance(&h, &cfg, free, |r| Prob(r.random_range(0.1..1.0)));
-        let a2 = Assignment::round_robin(&qp, &g, &all_player_ids(&g));
+        let a2 = InputPlacement::round_robin(&qp, &all_player_ids(&g));
         let out2 = run_faq_protocol(&qp, &g, &a2, 1).unwrap();
         assert!(out2.answer.approx_eq(&solve_faq_brute_force(&qp)));
     }
@@ -107,7 +107,7 @@ fn example_2_1_round_complexity_shape() {
     }
     let q = b.finish();
     let g = Topology::line(4);
-    let a = Assignment::round_robin(&q, &g, &[0, 1, 2, 3]).with_output(Player(3));
+    let a = InputPlacement::round_robin(&q, &[0, 1, 2, 3]).with_output(Player(3));
     let smart = run_bcq_protocol(&q, &g, &a, 1).unwrap();
     let trivial = run_trivial(
         &q,
@@ -140,7 +140,7 @@ fn example_2_3_clique_speedup_is_about_half() {
     }
     let q = b.finish();
     let run = |g: &Topology| {
-        let a = Assignment::round_robin(&q, g, &[0, 1, 2, 3]).with_output(Player(1));
+        let a = InputPlacement::round_robin(&q, &[0, 1, 2, 3]).with_output(Player(1));
         run_bcq_protocol(&q, g, &a, 1).unwrap().report.stats.rounds
     };
     let line = run(&Topology::line(4));
@@ -232,7 +232,7 @@ fn table1_row_bcq_upper_vs_lower_gap_is_small_for_constant_d() {
     let q = random_boolean_instance(&h, &cfg, true);
     for g in [Topology::line(6), Topology::clique(6)] {
         let ids = all_player_ids(&g);
-        let a = Assignment::round_robin(&q, &g, &ids);
+        let a = InputPlacement::round_robin(&q, &ids);
         let out = run_bcq_protocol(&q, &g, &a, 1).unwrap();
         let lb = bcq_lower_bound(&q.hypergraph, &g, &a.players(), n as u64);
         let bounds = BoundReport::evaluate(&q, &g, &a.players()).expect("g connects K");
@@ -293,7 +293,8 @@ fn min_cut_governs_hard_instance_cost() {
 
     let clique = Topology::clique(6);
     let barbell = Topology::barbell(3, 1);
-    let a_clique = Assignment::new(vec![Player(0), Player(1), Player(4), Player(5)], Player(5));
+    let a_clique =
+        InputPlacement::whole(vec![Player(0), Player(1), Player(4), Player(5)], Player(5));
     let a_barbell = a_clique.clone();
     let fast = run_bcq_protocol(&q, &clique, &a_clique, 1).unwrap();
     let slow = run_bcq_protocol(&q, &barbell, &a_barbell, 1).unwrap();
@@ -320,7 +321,7 @@ fn engine_solves_what_protocols_solve_identically_on_h3() {
         };
         let q = random_boolean_instance(&h, &cfg, seed % 2 == 0);
         let g = Topology::random_connected(7, 0.3, seed);
-        let a = Assignment::round_robin(&q, &g, &all_player_ids(&g));
+        let a = InputPlacement::round_robin(&q, &all_player_ids(&g));
         let out = run_bcq_protocol(&q, &g, &a, 1).unwrap();
         assert_eq!(out.answer, solve_bcq(&q), "seed {seed}");
     }
@@ -345,7 +346,7 @@ fn faq_with_max_aggregate_via_engine() {
     assert_eq!(fast, slow);
 
     let g = Topology::line(3);
-    let a = Assignment::round_robin(&q, &g, &[0, 1, 2]);
+    let a = InputPlacement::round_robin(&q, &[0, 1, 2]);
     assert_eq!(
         run_faq_protocol(&q, &g, &a, 1).unwrap().answer.total(),
         slow
@@ -431,7 +432,7 @@ fn trivial_protocol_always_agrees() {
         };
         let q = random_boolean_instance(&h, &cfg, seed % 2 == 1);
         let g = Topology::ring(5).with_uniform_capacity(16);
-        let a = Assignment::round_robin(&q, &g, &all_player_ids(&g));
+        let a = InputPlacement::round_robin(&q, &all_player_ids(&g));
         let smart = run_bcq_protocol(&q, &g, &a, 1).unwrap();
         let trivial = run_trivial(&q, &g, &a).unwrap();
         assert_eq!(
@@ -457,9 +458,9 @@ fn solve_faq_matches_across_assignment_layouts() {
     let expected = solve_bcq(&q);
 
     let layouts = [
-        Assignment::round_robin(&q, &g, &[0, 1, 2, 3]),
-        Assignment::concentrated(&q, Player(2)),
-        Assignment::new(vec![Player(0), Player(0), Player(3), Player(3)], Player(3)),
+        InputPlacement::round_robin(&q, &[0, 1, 2, 3]),
+        InputPlacement::concentrated(&q, Player(2)),
+        InputPlacement::whole(vec![Player(0), Player(0), Player(3), Player(3)], Player(3)),
     ];
     let mut rounds = Vec::new();
     for a in layouts {
@@ -487,13 +488,13 @@ fn distributed_runtime_matches_every_other_strategy() {
     assert_eq!(solve_bcq(&q), expected);
 
     for g in [Topology::line(4), Topology::clique(4), Topology::grid(2, 2)] {
-        let a = Assignment::round_robin(&q, &g, &all_player_ids(&g));
+        let a = InputPlacement::round_robin(&q, &all_player_ids(&g));
         let protocol = run_bcq_protocol(&q, &g, &a, 1).unwrap();
         assert_eq!(protocol.answer, expected, "specialised on {}", g.name());
 
         let players: Vec<Player> = g.players().collect();
         for placement in [
-            InputPlacement::from_assignment(&a),
+            a.clone(),
             InputPlacement::hash_split(q.k(), &players, a.output()),
         ] {
             let run = DistributedFaqRun::new(&q, &g, placement, 1).unwrap();

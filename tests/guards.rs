@@ -225,7 +225,7 @@ static GUARDS: &[Guard] = &[
     Guard {
         name: "unwrap/expect ratchet",
         rules: &[rule(".unwrap()|.expect(", ALL, &[], "let x = parse(s).unwrap();")],
-        limit: Limit::Ratchet(61),
+        limit: Limit::Ratchet(60),
         reason: "return a typed error or state the invariant; the count only falls",
         origin: "item 5(f)",
     },
@@ -343,6 +343,14 @@ static GUARDS: &[Guard] = &[
         limit: Limit::Banned,
         reason: "the planner scores raw estimates; the registry records and never steers",
         origin: "item 20",
+    },
+    Guard {
+        name: "one placement type",
+        rules: &[rule(r"\bstruct Assignment\b|\bfrom_assignment\b", ALL, &[],
+            "pub fn from_assignment(a: &Assignment) -> Self {")],
+        limit: Limit::Banned,
+        reason: "who holds which input is one faqs_network::InputPlacement, whole (Model 2.1) or hash-split (Appendix G.6)",
+        origin: "item 30",
     },
 ];
 

@@ -6,8 +6,8 @@ use faqs::hypergraph::{
     internal_node_width, is_acyclic, random_degenerate_query, Decomposition, Ghd, Hypergraph, Var,
 };
 use faqs::lowerbounds::{embed_forest, forest_capacity, Tribes};
-use faqs::network::{min_cut, min_cut_partition, steiner_packing, Assignment, Player, Topology};
-use faqs::protocols::run_bcq_protocol;
+use faqs::network::{min_cut, min_cut_partition, steiner_packing, Player, Topology};
+use faqs::protocols::{run_bcq_protocol, InputPlacement};
 use faqs::relation::{random_boolean_instance, RandomInstanceConfig};
 use faqs::semiring::Semiring;
 use proptest::prelude::*;
@@ -77,7 +77,7 @@ proptest! {
 
         let g = Topology::random_connected(5, 0.3, hseed ^ iseed);
         let ids: Vec<u32> = (0..5).collect();
-        let a = Assignment::round_robin(&q, &g, &ids);
+        let a = InputPlacement::round_robin(&q, &ids);
         let out = run_bcq_protocol(&q, &g, &a, 1).unwrap();
         prop_assert_eq!(out.answer, oracle);
     }
