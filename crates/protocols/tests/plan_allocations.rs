@@ -4,12 +4,13 @@
 //! its candidate loop: on the hash-split star of four factors (four
 //! candidates) over line4 / star5 / grid3×3, and on a star of eight
 //! factors (eight candidates), whose difference prices one added
-//! candidate.
+//! candidate. With the leaf variable `Var(k)` free, one rooting covers
+//! it and the search scores one candidate.
 //!
 //! The test is its own binary, so no other test's allocations reach the
 //! tally, and it counts only the planning thread's.
 
-use faqs_hypergraph::star_query;
+use faqs_hypergraph::{star_query, Var};
 use faqs_network::{Player, Topology};
 use faqs_plan::{plan_query_with, PlacementContext};
 use faqs_protocols::model_capacity_bits;
@@ -66,14 +67,14 @@ fn allocations(f: impl FnOnce()) -> u64 {
 }
 
 /// The benchmark's distributed instance at `k` factors: a star of 2 048
-/// rows per factor over a domain of 256.
-fn star(k: usize) -> FaqQuery<Count> {
+/// rows per factor over a domain of 256, with the variables `free`.
+fn star(k: usize, free: Vec<Var>) -> FaqQuery<Count> {
     let cfg = RandomInstanceConfig {
         tuples_per_factor: 2048,
         domain: 256,
         seed: 7,
     };
-    random_instance(&star_query(k), &cfg, vec![], |_| Count(1))
+    random_instance(&star_query(k), &cfg, free, |_| Count(1))
 }
 
 /// The allocations of one placed plan of `q`, every factor hash-split
@@ -103,7 +104,7 @@ const BEFORE: [(u64, u64); 3] = [(662, 2188), (678, 2252), (694, 2316)];
 
 #[test]
 fn a_placed_plan_allocates_a_third_of_what_it_did() {
-    let (four, eight) = (star(4), star(8));
+    let (four, eight) = (star(4, vec![]), star(8, vec![]));
     for (g, (was4, was8)) in sites().iter().zip(BEFORE) {
         let (now4, c4) = planning_allocations(&four, g);
         let (now8, c8) = planning_allocations(&eight, g);
@@ -121,5 +122,26 @@ fn a_placed_plan_allocates_a_third_of_what_it_did() {
             "{}: four added candidates made {added}, against {was_added}",
             g.name()
         );
+    }
+}
+
+/// The allocations a placed plan of star4 and star8 with the leaf
+/// variable free made on each site while every rooting was its own
+/// `Decomposition`.
+const FREE_BEFORE: [(u64, u64); 3] = [(230, 544); 3];
+
+#[test]
+fn a_free_leaf_scores_one_candidate() {
+    let (four, eight) = (star(4, vec![Var(4)]), star(8, vec![Var(8)]));
+    for (g, (was4, was8)) in sites().iter().zip(FREE_BEFORE) {
+        let (now4, c4) = planning_allocations(&four, g);
+        let (now8, c8) = planning_allocations(&eight, g);
+        assert_eq!((c4, c8), (1, 1), "{}: the candidates scored", g.name());
+        println!(
+            "{}: star4 free leaf {was4} -> {now4}, star8 free leaf {was8} -> {now8}",
+            g.name()
+        );
+        assert!(now4 <= was4, "{}: star4 free leaf made {now4}", g.name());
+        assert!(now8 <= was8, "{}: star8 free leaf made {now8}", g.name());
     }
 }
