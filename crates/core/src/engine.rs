@@ -81,7 +81,7 @@ mod tests {
         cycle_query, example_h0, example_h1, example_h2, internal_node_width, path_query,
         star_query, Hypergraph, Var,
     };
-    use faqs_plan::{check_push_down, decomposition_covering_free_vars};
+    use faqs_plan::check_push_down;
     use faqs_relation::{random_boolean_instance, BcqBuilder, RandomInstanceConfig};
     use faqs_semiring::{Aggregate, Count, Prob};
 
@@ -213,37 +213,6 @@ mod tests {
             "GYO roots the tree at e_bad"
         );
         h
-    }
-
-    #[test]
-    fn rerooting_commits_only_to_strict_coverage_growth() {
-        // Regression for the greedy re-rooting bug: the old code ranked
-        // candidates by *total* free-variable count but measured success
-        // by *newly covered* ones. From the decomposition rooted at
-        // `r{x0,x5}` with F = {x0,x1,x2,x3}, only x1 is missing; the old
-        // ranking preferred e_bad{x1,x2,x3} (three free variables) over
-        // e_good{x0,x1} (two) — but re-rooting at e_bad evicts x0 from
-        // the core, coverage stalls at 3, and the old loop bailed with
-        // FreeVarsOutsideCore even though e_good covers everything. The
-        // fixed search evaluates each candidate on a cloned
-        // decomposition and commits to strict growth.
-        use faqs_hypergraph::{Decomposition, EdgeId};
-        let h = reroot_regression_hypergraph();
-        let free = [Var(0), Var(1), Var(2), Var(3)];
-
-        let mut start = Decomposition::of(&h);
-        start.reroot(&h, EdgeId(3)); // root the tree at r{x0,x5}
-        assert!(
-            !start.core_vars.contains(&Var(1)),
-            "x1 must start outside the core"
-        );
-        let d = decomposition_covering_free_vars(&h, start, &free)
-            .expect("F is placeable: e_good{x0,x1} plus the triangle covers it");
-        for v in free {
-            assert!(d.core_vars.contains(&v), "{v} must end up in the core");
-        }
-        // The winning root is e_good, not the free-var-dense e_bad.
-        assert_eq!(d.forest_roots, vec![EdgeId(4)]);
     }
 
     #[test]

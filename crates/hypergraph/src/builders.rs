@@ -104,11 +104,7 @@ pub fn clique_query(n: usize) -> Hypergraph {
 pub fn tree_query(branching: usize, depth: usize) -> Hypergraph {
     assert!(branching >= 1 && depth >= 1);
     // Count vertices: 1 + b + b² + … + b^depth.
-    let mut layers = vec![1usize];
-    for _ in 0..depth {
-        layers.push(layers.last().unwrap() * branching);
-    }
-    let total: usize = layers.iter().sum();
+    let total: usize = (0..=depth as u32).map(|d| branching.pow(d)).sum();
     let mut h = Hypergraph::new(total);
     let mut next = 1u32;
     let mut frontier = vec![0u32];

@@ -16,16 +16,12 @@ use std::collections::BTreeSet;
 pub fn greedy_independent_set(g: &SimpleGraph) -> Vec<Var> {
     let mut alive: BTreeSet<Var> = g.used_vertices().into_iter().collect();
     let mut out = Vec::new();
-    while !alive.is_empty() {
-        let &v = alive
+    while let Some(&v) = alive.iter().min_by_key(|v| {
+        g.neighbors(**v)
             .iter()
-            .min_by_key(|v| {
-                g.neighbors(**v)
-                    .iter()
-                    .filter(|(w, _)| alive.contains(w))
-                    .count()
-            })
-            .expect("alive non-empty");
+            .filter(|(w, _)| alive.contains(w))
+            .count()
+    }) {
         out.push(v);
         let neigh: Vec<Var> = g
             .neighbors(v)
@@ -77,17 +73,13 @@ pub fn short_vertex_disjoint_cycles(
 pub fn strong_independent_set(h: &Hypergraph) -> Vec<Var> {
     let mut alive: BTreeSet<Var> = h.vars().filter(|v| h.degree(*v) > 0).collect();
     let mut out = Vec::new();
-    while !alive.is_empty() {
-        // Pick the vertex excluding the fewest alive peers.
-        let &v = alive
-            .iter()
-            .min_by_key(|v| {
-                h.edges()
-                    .filter(|(_, e)| e.contains(v))
-                    .map(|(_, e)| e.iter().filter(|w| alive.contains(w)).count() - 1)
-                    .sum::<usize>()
-            })
-            .expect("alive non-empty");
+    // Pick the vertex excluding the fewest alive peers.
+    while let Some(&v) = alive.iter().min_by_key(|v| {
+        h.edges()
+            .filter(|(_, e)| e.contains(v))
+            .map(|(_, e)| e.iter().filter(|w| alive.contains(w)).count() - 1)
+            .sum::<usize>()
+    }) {
         out.push(v);
         let mut forbidden: BTreeSet<Var> = BTreeSet::new();
         for (_, e) in h.edges() {

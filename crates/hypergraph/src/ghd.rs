@@ -273,7 +273,7 @@ impl Ghd {
     }
 
     /// Materialises Construction 2.8 for a given core/forest decomposition
-    /// (possibly re-rooted via [`Decomposition::reroot`]).
+    /// (the canonical one, or one with its join forest rooted elsewhere).
     pub fn from_decomposition(h: &Hypergraph, decomp: &Decomposition) -> Ghd {
         let core_vars = &decomp.core_vars;
 

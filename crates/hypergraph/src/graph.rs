@@ -106,14 +106,13 @@ impl SimpleGraph {
         for comp in self.components() {
             let root = comp[0];
             color[root.index()] = Some(false);
-            let mut q = VecDeque::from([root]);
-            while let Some(v) = q.pop_front() {
-                let c = color[v.index()].unwrap();
+            let mut q = VecDeque::from([(root, false)]);
+            while let Some((v, c)) = q.pop_front() {
                 for &(w, _) in &self.adj[v.index()] {
                     match color[w.index()] {
                         None => {
                             color[w.index()] = Some(!c);
-                            q.push_back(w);
+                            q.push_back((w, !c));
                         }
                         Some(cw) => assert_ne!(cw, c, "graph is not bipartite"),
                     }

@@ -3,35 +3,10 @@
 
 use crate::hypergraph::{is_subset, EdgeId, Hypergraph, Var};
 
-/// One step of the GYO run, recorded for inspection and testing.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum GyoStep {
-    /// Rule (a): vertex `var` was present in only `edge` and was deleted
-    /// from it.
-    EliminateVar {
-        /// The eliminated vertex.
-        var: Var,
-        /// The edge it was removed from.
-        edge: EdgeId,
-    },
-    /// Rule (b): `edge`'s remaining vertex set was contained in `witness`'s
-    /// remaining set, so `edge` was deleted (hanging onto `witness` in the
-    /// join forest).
-    DeleteEdge {
-        /// The deleted edge.
-        edge: EdgeId,
-        /// The containing edge chosen as its join-forest parent, if any
-        /// (`None` only when `edge` was the last live edge and became
-        /// empty).
-        witness: Option<EdgeId>,
-    },
-}
-
-/// The full trace of a GYO run on a hypergraph.
+/// The outcome of a GYO run on a hypergraph: what it removed, in which
+/// order, and the join forest it hung the removed edges on.
 #[derive(Clone, Debug)]
 pub struct GyoTrace {
-    /// The steps in execution order.
-    pub steps: Vec<GyoStep>,
     /// Edges surviving in the GYO-reduction `H'` (the paper's leftover
     /// hypergraph), with their *original* vertex sets.
     pub reduction: Vec<EdgeId>,
@@ -59,14 +34,6 @@ impl GyoTrace {
             .filter(|e| self.removed[e.index()] && self.parent[e.index()].is_none())
             .collect()
     }
-
-    /// Children of a removed edge in the join forest.
-    pub fn children(&self, e: EdgeId) -> Vec<EdgeId> {
-        (0..self.parent.len())
-            .map(|i| EdgeId(i as u32))
-            .filter(|c| self.parent[c.index()] == Some(e))
-            .collect()
-    }
 }
 
 /// Runs the GYO algorithm (Definition 2.6) on `h`, returning the trace.
@@ -82,7 +49,7 @@ impl GyoTrace {
 ///    preferred witness is removed *later*, parent pointers follow removal
 ///    order and the structure is acyclic.
 /// 2. **The last empty edge.** An acyclic hypergraph's final edge empties
-///    out with no witness left; it is removed with `witness = None`.
+///    out with no witness left; it is removed as a forest root.
 pub fn gyo(h: &Hypergraph) -> GyoTrace {
     let k = h.num_edges();
     // Current vertex sets (each edge's sorted vertex list, shrinking) and
@@ -91,9 +58,6 @@ pub fn gyo(h: &Hypergraph) -> GyoTrace {
     let mut degree = vec![0usize; h.num_vars()];
     cur.iter().flatten().for_each(|v| degree[v.index()] += 1);
     let mut live: Vec<bool> = vec![true; k];
-    // At most one elimination per vertex occurrence and one deletion per
-    // edge.
-    let mut steps = Vec::with_capacity(cur.iter().map(Vec::len).sum::<usize>() + k);
     // For each removed edge: every witness candidate at removal time.
     let mut candidates: Vec<Vec<EdgeId>> = vec![Vec::new(); k];
     let mut removal_order = Vec::with_capacity(k);
@@ -109,10 +73,6 @@ pub fn gyo(h: &Hypergraph) -> GyoTrace {
         }) {
             let v = cur[ei].remove(at);
             degree[v.index()] -= 1;
-            steps.push(GyoStep::EliminateVar {
-                var: v,
-                edge: EdgeId(ei as u32),
-            });
             progressed = true;
         }
 
@@ -147,10 +107,6 @@ pub fn gyo(h: &Hypergraph) -> GyoTrace {
             live[ei] = false;
             cur[ei].iter().for_each(|v| degree[v.index()] -= 1);
             removal_order.push(EdgeId(ei as u32));
-            steps.push(GyoStep::DeleteEdge {
-                edge: EdgeId(ei as u32),
-                witness: None, // resolved below once survival is known
-            });
             progressed = true;
         }
 
@@ -171,12 +127,6 @@ pub fn gyo(h: &Hypergraph) -> GyoTrace {
         // therefore removed later, so parent pointers follow removal order.
         parent[ei] = candidates[ei].iter().copied().find(|w| removed[w.index()]);
     }
-    // Back-fill the witnesses in the recorded steps for debuggability.
-    for s in &mut steps {
-        if let GyoStep::DeleteEdge { edge, witness } = s {
-            *witness = parent[edge.index()];
-        }
-    }
 
     let reduction = (0..k)
         .filter(|&i| !removed[i])
@@ -184,7 +134,6 @@ pub fn gyo(h: &Hypergraph) -> GyoTrace {
         .collect();
 
     GyoTrace {
-        steps,
         reduction,
         parent,
         removed,
@@ -232,6 +181,23 @@ impl Decomposition {
         };
         d.refresh_vars(h);
         d
+    }
+
+    /// Re-roots the join forest in place at `roots`, one root edge per
+    /// tree in [`Decomposition::forest_roots`] order (Construction 2.8
+    /// roots each tree "arbitrarily"; the root edges join `C(H)`, so the
+    /// choice moves both `y(H)` and `n2(H)`). Each tree's path from its
+    /// new root up to its old one is reversed: a tree has one rooting
+    /// per root, so the result depends on `roots` alone.
+    pub(crate) fn root_at(&mut self, h: &Hypergraph, roots: &[EdgeId]) {
+        for (old, &new) in self.forest_roots.iter_mut().zip(roots) {
+            let (mut cur, mut below) = (new, None);
+            while let Some(up) = std::mem::replace(&mut self.forest_parent[cur.index()], below) {
+                (below, cur) = (Some(cur), up);
+            }
+            *old = new;
+        }
+        self.refresh_vars(h);
     }
 
     /// Recomputes `V(C(H))` and `V(W(H))` from the edge lists, in place:
@@ -291,36 +257,6 @@ impl Decomposition {
             }
         }
         tree
-    }
-
-    /// Re-roots the join tree containing `new_root` at `new_root`
-    /// (Construction 2.8 allows rooting each reduced-GHD "arbitrarily";
-    /// the choice affects both `y(H)` and `n2(H)` since the root edge
-    /// joins `C(H)`). The parent pointers on the path from `new_root` up
-    /// to the old root are reversed — a tree has one rooting per root,
-    /// so this is the orientation a search from `new_root` finds — and
-    /// the vertex sets recomputed. Re-rooting is therefore
-    /// path-independent: re-rooting a re-rooted decomposition at `e`
-    /// equals re-rooting the original at `e`.
-    pub fn reroot(&mut self, h: &Hypergraph, new_root: EdgeId) {
-        assert!(
-            self.is_forest_edge(new_root),
-            "{new_root} is not a forest edge"
-        );
-        if self.forest_parent[new_root.index()].is_none() {
-            return;
-        }
-        let (mut cur, mut below) = (new_root, None);
-        while let Some(up) = std::mem::replace(&mut self.forest_parent[cur.index()], below) {
-            (below, cur) = (Some(cur), up);
-        }
-        // `cur` is the old root; its tree now hangs from `new_root`.
-        for r in &mut self.forest_roots {
-            if *r == cur {
-                *r = new_root;
-            }
-        }
-        self.refresh_vars(h);
     }
 }
 

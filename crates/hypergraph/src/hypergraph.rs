@@ -177,12 +177,11 @@ impl Hypergraph {
         // Restrict to vertices that actually occur in some edge.
         alive.retain(|v| self.degree(*v) > 0);
         let mut best = 0usize;
-        while !alive.is_empty() {
-            let (&v, deg) = alive
-                .iter()
-                .map(|v| (v, live_edges.iter().filter(|e| e.contains(v)).count()))
-                .min_by_key(|&(_, d)| d)
-                .expect("alive non-empty");
+        while let Some((&v, deg)) = alive
+            .iter()
+            .map(|v| (v, live_edges.iter().filter(|e| e.contains(v)).count()))
+            .min_by_key(|&(_, d)| d)
+        {
             best = best.max(deg);
             alive.remove(&v);
             // Deleting a vertex deletes every hyperedge containing it:

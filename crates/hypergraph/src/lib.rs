@@ -50,7 +50,7 @@ pub use cover::{
 };
 pub use ghd::{Ghd, GhdNode, GhdValidationError, NodeId};
 pub use graph::SimpleGraph;
-pub use gyo::{gyo, is_acyclic, Decomposition, GyoStep, GyoTrace};
+pub use gyo::{gyo, is_acyclic, Decomposition, GyoTrace};
 pub use hypergraph::{EdgeId, Hypergraph, Var};
 pub use width::{
     exact_internal_node_width, internal_node_width, QueryStructure, WidthReport, WidthTerms,

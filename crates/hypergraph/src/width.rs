@@ -7,6 +7,12 @@
 //! [`exact_internal_node_width`] performs an exhaustive search over parent
 //! assignments of the same node set for small instances, used by tests to
 //! certify the heuristic on the paper's examples.
+//!
+//! The heuristic searches the rootings of the canonical GYO run's join
+//! forest. A tree has one rooting per root, so [`QueryStructure`] names
+//! a rooting by its root vector (one root edge per tree) over the one
+//! canonical [`Decomposition`], and builds a rooting's GHD only when the
+//! search or a planner reads it.
 
 use crate::ghd::{Ghd, GhdNode, NodeId};
 use crate::gyo::Decomposition;
@@ -66,88 +72,164 @@ impl WidthTerms {
     }
 }
 
-/// One structural analysis of a hypergraph, from one GYO run: the width
-/// witness and the re-rooted decompositions a cost-based planner scores
+/// One structural analysis of a hypergraph, from one GYO run: the
+/// canonical decomposition, the rootings of its join forest a
+/// cost-based planner scores, and the width witness among them
 /// ([`QueryStructure::core_candidates`] adds the cyclic-core merges).
+///
+/// A tree has one rooting per root, so a rooting is named by its *root
+/// vector*: one root edge per join tree, in the canonical
+/// [`Decomposition::forest_roots`] order. Its MD-hoisted GHD is built
+/// when the width search or a planner first reads it, and at most once,
+/// by re-rooting the one canonical decomposition there and back.
 #[derive(Clone, Debug)]
 pub struct QueryStructure {
-    /// Every core/forest decomposition Construction 2.8 reaches by
-    /// re-rooting one removed join tree of the canonical GYO run, each
-    /// with its MD-hoisted GHD: the canonical decomposition first, then
-    /// one variant per alternative root of each tree, in tree order.
-    /// The width search walks the same set; where its steps coincide
-    /// with these it reads them instead of building them again.
-    pub reroots: Vec<(Decomposition, Ghd)>,
-    /// The width witness [`internal_node_width`] returns: one of
-    /// `reroots`, or a re-rooting of several trees the search built.
-    witness: Witness,
-    /// The witness's internal node count `y(T)`.
-    y: usize,
+    /// The GYO run's own rooting; building a GHD re-roots it and back.
+    canonical: Decomposition,
+    /// The root vectors met, end to end: the canonical rooting, then one
+    /// per other edge of each join tree in tree order (the first
+    /// `family`), then the width search's moves of several trees.
+    roots: Vec<EdgeId>,
+    /// How many root vectors [`QueryStructure::rootings`] lists.
+    family: usize,
+    /// Each met rooting's hoisted GHD, once built and until taken.
+    ghds: Vec<Option<Ghd>>,
+    /// The width witness's place among the met rootings.
+    witness: usize,
+    /// What Theorem 4.1's bound reads off the witness.
+    terms: WidthTerms,
     /// [`WidthReport::y_before_hoist`].
     y_before_hoist: usize,
 }
 
 impl QueryStructure {
-    /// Runs GYO once on `h` and derives the width witness and every
-    /// single-tree re-rooting from that run.
+    /// Runs GYO once on `h`, lists every single-tree re-rooting of its
+    /// join forest and runs the width search over them.
+    ///
+    /// The width search is a coordinate descent: it moves the best
+    /// rooting so far to each other edge of each removed join tree in
+    /// turn, and keeps a move that lowers `y`, or keeps `y` and lowers
+    /// `n2`.
     pub fn of(h: &Hypergraph) -> Self {
-        let base = Decomposition::of(h);
-        let mut ghd0 = Ghd::from_decomposition(h, &base);
+        let canonical = Decomposition::of(h);
+        let mut ghd0 = Ghd::from_decomposition(h, &canonical);
         let y_before_hoist = ghd0.internal_count();
         ghd0.hoist_md();
-        let trees: Vec<Vec<EdgeId>> = base.forest_roots.iter().map(|&r| base.tree_of(r)).collect();
-        let mut reroots = Vec::with_capacity(1 + trees.iter().map(|t| t.len() - 1).sum::<usize>());
-        reroots.push((base, ghd0));
-        // Every edge but its root, of every tree in turn.
-        for &cand in trees.iter().flat_map(|tree| &tree[1..]) {
-            let mut d = reroots[0].0.clone();
-            d.reroot(h, cand);
-            reroots.push(hoisted(h, d));
+        let trees: Vec<Vec<EdgeId>> = canonical
+            .forest_roots
+            .iter()
+            .map(|&r| canonical.tree_of(r))
+            .collect();
+        let family = 1 + trees.iter().map(|t| t.len() - 1).sum::<usize>();
+        // Room for the width search's trial vector after the family.
+        let mut roots = Vec::with_capacity((family + 1) * trees.len());
+        roots.extend_from_slice(&canonical.forest_roots);
+        for (t, tree) in trees.iter().enumerate() {
+            for &e in &tree[1..] {
+                let at = roots.len();
+                roots.extend_from_slice(&canonical.forest_roots);
+                roots[at + t] = e;
+            }
         }
-        let (witness, y) = descend(h, &reroots, &trees);
-        QueryStructure {
-            reroots,
-            witness,
-            y,
+        let (mut best_y, mut best_n2) = (ghd0.internal_count(), canonical.n2());
+        let mut ghds = vec![None; family];
+        ghds[0] = Some(ghd0);
+        let mut s = QueryStructure {
+            terms: WidthTerms::of(best_y, &canonical),
+            canonical,
+            roots,
+            family,
+            ghds,
+            witness: 0,
             y_before_hoist,
+        };
+        for (t, tree) in trees.iter().enumerate() {
+            for &e in &tree[1..] {
+                let i = s.meet(s.witness, t, e);
+                let ghd = s.ghd(h, i);
+                let (y, n2) = (ghd.internal_count(), ghd.chi(ghd.root()).len());
+                if y < best_y || (y == best_y && n2 < best_n2) {
+                    (s.witness, best_y, best_n2) = (i, y, n2);
+                }
+            }
         }
+        s.terms.y = best_y;
+        s.terms.n2 = best_n2;
+        s
     }
 
     /// The canonical decomposition: the GYO run's own rooting.
     pub fn canonical(&self) -> &Decomposition {
-        &self.reroots[0].0
+        &self.canonical
     }
 
-    /// The width witness: its decomposition and hoisted GHD.
-    pub fn witness(&self) -> (&Decomposition, &Ghd) {
-        self.witness.get(&self.reroots)
+    /// The width witness's root vector.
+    pub fn witness(&self) -> &[EdgeId] {
+        self.rooting(self.witness)
     }
 
     /// What Theorem 4.1's bound reads off the width witness.
     pub fn terms(&self) -> WidthTerms {
-        WidthTerms::of(self.y, self.witness().0)
+        self.terms
     }
 
-    /// The width witness, moved out, and the re-rootings other than it:
-    /// when the witness is one of [`QueryStructure::reroots`], that entry
-    /// leaves the list, and the others keep their order.
-    pub fn into_witness(self) -> (WidthReport, Vec<(Decomposition, Ghd)>) {
-        let mut reroots = self.reroots;
-        let (decomposition, ghd) = match self.witness {
-            Witness::Reroot(i) => reroots.remove(i),
-            Witness::Own(d, g) => (d, g),
-        };
-        let report = WidthReport {
-            y: self.y,
-            y_before_hoist: self.y_before_hoist,
-            ghd,
-            decomposition,
-        };
-        (report, reroots)
+    /// The rootings a planner scores, as root vectors: the canonical
+    /// rooting first, then one per other edge of each join tree, in
+    /// tree order.
+    pub fn rootings(&self) -> impl ExactSizeIterator<Item = &[EdgeId]> {
+        (0..self.family).map(|i| self.rooting(i))
+    }
+
+    /// The MD-hoisted Construction 2.8 GHD of the rooting at `roots`,
+    /// moved out: the one the width search built, if it met that
+    /// rooting, and otherwise built now.
+    pub fn take_ghd(&mut self, h: &Hypergraph, roots: &[EdgeId]) -> Ghd {
+        let met = (0..self.ghds.len()).find(|&i| self.rooting(i) == roots);
+        match met.and_then(|i| self.ghds[i].take()) {
+            Some(ghd) => ghd,
+            None => {
+                let home = &self.roots[..self.canonical.forest_roots.len()];
+                hoisted(h, &mut self.canonical, roots, home)
+            }
+        }
+    }
+
+    /// The `i`-th met root vector.
+    fn rooting(&self, i: usize) -> &[EdgeId] {
+        let trees = self.canonical.forest_roots.len();
+        &self.roots[i * trees..(i + 1) * trees]
+    }
+
+    /// The place among the met rootings of the `from`-th with tree `t`
+    /// rooted at `e` instead, which joins them if it is new.
+    fn meet(&mut self, from: usize, t: usize, e: EdgeId) -> usize {
+        let trees = self.canonical.forest_roots.len();
+        let (n, at) = (self.ghds.len(), self.roots.len());
+        self.roots
+            .extend_from_within(from * trees..(from + 1) * trees);
+        self.roots[at + t] = e;
+        match (0..n).find(|&i| self.rooting(i) == &self.roots[at..]) {
+            Some(i) => {
+                self.roots.truncate(at);
+                i
+            }
+            None => {
+                self.ghds.push(None);
+                n
+            }
+        }
+    }
+
+    /// The hoisted GHD of the `i`-th met rooting, built on first read.
+    fn ghd(&mut self, h: &Hypergraph, i: usize) -> &Ghd {
+        let trees = self.canonical.forest_roots.len();
+        let roots = &self.roots[i * trees..(i + 1) * trees];
+        let (home, d) = (&self.roots[..trees], &mut self.canonical);
+        self.ghds[i].get_or_insert_with(|| hoisted(h, d, roots, home))
     }
 
     /// GHD candidates for *cyclic* cores, beyond Construction 2.8's
-    /// reroots: bag-merge decompositions of the canonical GYO core toward
+    /// rootings: bag-merge decompositions of the canonical GYO core toward
     /// fractional / submodular width, for the cost-based planner to race
     /// against the canonical flat root. `h` is the hypergraph the
     /// analysis was built from.
@@ -172,7 +254,7 @@ impl QueryStructure {
     /// checks (coverage, λ-containment, RIP, tree shape); invalid merges
     /// — e.g. splits whose arcs interleave on a chord — are silently
     /// dropped. Acyclic hypergraphs (empty core) yield no candidates,
-    /// leaving [`QueryStructure::reroots`] the complete story there.
+    /// leaving [`QueryStructure::rootings`] the complete story there.
     pub fn core_candidates(&self, h: &Hypergraph) -> Vec<Ghd> {
         let d = self.canonical();
         if d.core_edges.is_empty() {
@@ -215,73 +297,14 @@ impl QueryStructure {
     }
 }
 
-/// `d` with its MD-hoisted Construction 2.8 GHD.
-fn hoisted(h: &Hypergraph, d: Decomposition) -> (Decomposition, Ghd) {
-    let mut ghd = Ghd::from_decomposition(h, &d);
+/// The MD-hoisted Construction 2.8 GHD of the rooting at `roots` of
+/// `d`'s join forest, built by re-rooting `d` there and back to `home`.
+fn hoisted(h: &Hypergraph, d: &mut Decomposition, roots: &[EdgeId], home: &[EdgeId]) -> Ghd {
+    d.root_at(h, roots);
+    let mut ghd = Ghd::from_decomposition(h, d);
+    d.root_at(h, home);
     ghd.hoist_md();
-    (d, ghd)
-}
-
-/// The width search: a coordinate descent that re-roots the best
-/// decomposition so far at each edge of each removed join tree (`trees`,
-/// root first) in turn, and keeps a step that lowers `y`, or keeps `y`
-/// and lowers `n2`.
-///
-/// While every earlier tree still has its canonical root, re-rooting the
-/// best so far at an edge of the current tree equals re-rooting the
-/// canonical decomposition there ([`Decomposition::reroot`] is
-/// path-independent), which `reroots` already holds, hoisted, in tree
-/// order: the best so far is an index into it. Once an earlier tree has
-/// moved, a step builds its own. Returns the witness and its `y`.
-fn descend(
-    h: &Hypergraph,
-    reroots: &[(Decomposition, Ghd)],
-    trees: &[Vec<EdgeId>],
-) -> (Witness, usize) {
-    let base = &reroots[0].0;
-    let mut best = Witness::Reroot(0);
-    let mut best_y = reroots[0].1.internal_count();
-    // `reroots[next]` is rooted at the current tree's next non-root edge.
-    let mut next = 1;
-    for (t, tree) in trees.iter().enumerate() {
-        let shared = best.get(reroots).0.forest_roots[..t] == base.forest_roots[..t];
-        for (j, &cand) in tree.iter().enumerate() {
-            let i = if j == 0 { 0 } else { next + j - 1 };
-            let step = if shared {
-                Witness::Reroot(i)
-            } else {
-                let mut d = best.get(reroots).0.clone();
-                d.reroot(h, cand);
-                let (d, g) = hoisted(h, d);
-                Witness::Own(d, g)
-            };
-            let (d, g) = step.get(reroots);
-            let y = g.internal_count();
-            if y < best_y || (y == best_y && d.n2() < best.get(reroots).0.n2()) {
-                best_y = y;
-                best = step;
-            }
-        }
-        next += tree.len() - 1;
-    }
-    (best, best_y)
-}
-
-/// A step of the width search, and the witness it settles on: one of
-/// the analysis's re-rootings, or one the search built itself.
-#[derive(Clone, Debug)]
-enum Witness {
-    Reroot(usize),
-    Own(Decomposition, Ghd),
-}
-
-impl Witness {
-    fn get<'a>(&'a self, reroots: &'a [(Decomposition, Ghd)]) -> (&'a Decomposition, &'a Ghd) {
-        match self {
-            Witness::Reroot(i) => (&reroots[*i].0, &reroots[*i].1),
-            Witness::Own(d, g) => (d, g),
-        }
-    }
+    ghd
 }
 
 /// Computes (an upper bound on) `y(H)` constructively:
@@ -309,7 +332,16 @@ impl Witness {
 /// report.ghd.validate(&example_h2()).unwrap();
 /// ```
 pub fn internal_node_width(h: &Hypergraph) -> WidthReport {
-    QueryStructure::of(h).into_witness().0
+    let mut s = QueryStructure::of(h);
+    let roots = s.witness().to_vec();
+    let ghd = s.take_ghd(h, &roots);
+    s.canonical.root_at(h, &roots);
+    WidthReport {
+        y: s.terms.y,
+        y_before_hoist: s.y_before_hoist,
+        ghd,
+        decomposition: s.canonical,
+    }
 }
 
 /// The sorted union of the given edges' vertex sets.
@@ -538,47 +570,66 @@ mod tests {
     }
 
     #[test]
-    fn reroots_cover_every_root_choice() {
+    fn rootings_cover_every_root_choice() {
         // A star's single join tree has one canonical root plus one
-        // variant per other edge; every candidate is a valid base for
+        // variant per other edge; every rooting is a valid base for
         // Construction 2.8 and together they realise every root choice.
         let h = star_query(4);
-        let cands = QueryStructure::of(&h).reroots;
-        assert_eq!(cands.len(), 4, "canonical + 3 reroots");
-        let mut roots: Vec<_> = cands.iter().map(|(d, _)| d.forest_roots.clone()).collect();
+        let mut s = QueryStructure::of(&h);
+        let rootings: Vec<Vec<EdgeId>> = s.rootings().map(<[EdgeId]>::to_vec).collect();
+        assert_eq!(rootings.len(), 4, "canonical + 3 reroots");
+        let mut roots = rootings.clone();
         roots.sort();
         roots.dedup();
-        assert_eq!(roots.len(), 4, "each candidate has a distinct root");
-        for (d, g) in &cands {
-            g.validate(&h)
-                .expect("every candidate materialises validly");
-            let (_, built) = hoisted(&h, d.clone());
+        assert_eq!(roots.len(), 4, "each rooting has a distinct root");
+        for r in &rootings {
+            let g = s.take_ghd(&h, r);
+            g.validate(&h).expect("every rooting materialises validly");
+            let mut d = Decomposition::of(&h);
+            d.root_at(&h, r);
+            let mut built = Ghd::from_decomposition(&h, &d);
+            built.hoist_md();
             assert_eq!(
                 format!("{g:?}"),
                 format!("{built:?}"),
-                "the held GHD is d's"
+                "the held GHD is the rooting's"
             );
         }
         // Cyclic-core graphs have no forest to re-root.
-        assert_eq!(QueryStructure::of(&cycle_query(3)).reroots.len(), 1);
+        assert_eq!(QueryStructure::of(&cycle_query(3)).rootings().count(), 1);
     }
 
     #[test]
-    fn reroot_is_path_independent() {
-        // Re-rooting a re-rooted decomposition at `c` equals re-rooting
-        // the canonical one at `c`: the width search reads the latter
-        // where it would build the former.
+    fn rooting_at_an_edge_roots_its_tree_there() {
+        // A tree has one rooting per root: rooted at any of its edges,
+        // every edge of the tree climbs along tree links to that edge,
+        // and rooting a re-rooted decomposition at `c` equals rooting
+        // the canonical one at `c`.
         for h in [path_query(5), example_h2(), example_h3()] {
             let base = Decomposition::of(&h);
             let tree = base.tree_of(base.forest_roots[0]);
-            for &a in &tree {
+            for &r in &tree {
+                let mut d = base.clone();
+                d.root_at(&h, &[r]);
+                assert_eq!(d.forest_roots, [r]);
+                for &e in &tree {
+                    let (mut cur, mut hops) = (e, 0);
+                    while let Some(up) = d.forest_parent[cur.index()] {
+                        let link = [
+                            base.forest_parent[cur.index()],
+                            base.forest_parent[up.index()],
+                        ];
+                        assert!(link.contains(&Some(up)) || link.contains(&Some(cur)));
+                        (cur, hops) = (up, hops + 1);
+                        assert!(hops < tree.len(), "{e} climbs in a cycle");
+                    }
+                    assert_eq!(cur, r, "{e} hangs below {r}");
+                }
                 for &c in &tree {
-                    let mut twice = base.clone();
-                    twice.reroot(&h, a);
-                    twice.reroot(&h, c);
-                    let mut once = base.clone();
-                    once.reroot(&h, c);
-                    assert_eq!(format!("{twice:?}"), format!("{once:?}"), "{a} then {c}");
+                    let (mut twice, mut once) = (d.clone(), base.clone());
+                    twice.root_at(&h, &[c]);
+                    once.root_at(&h, &[c]);
+                    assert_eq!(format!("{twice:?}"), format!("{once:?}"), "{r} then {c}");
                 }
             }
         }
@@ -627,7 +678,7 @@ mod tests {
             g.validate(&h).unwrap();
         }
         assert_eq!(cands[0].node(cands[0].root()).lambda.len(), 6);
-        // Acyclic shapes produce nothing — reroots already cover them.
+        // Acyclic shapes produce nothing — the rootings already cover them.
         for h in [star_query(3), path_query(4)] {
             assert!(QueryStructure::of(&h).core_candidates(&h).is_empty());
         }

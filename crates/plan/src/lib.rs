@@ -13,8 +13,8 @@
 //! ```text
 //!   factors ──stats──▶ QueryStats ─┐
 //!                                  │ candidates: structural default +
-//!   hypergraph ──GYO──▶ GHD ───────┤ every reroot of the join forest
-//!                                  │ (free-var coverage re-rooting)
+//!   hypergraph ──GYO──▶ GHD ───────┤ every rooting of the join forest
+//!                                  │ (root vectors, moved to cover F)
 //!   InputPlacement on a topology ─▶│
 //!                                  ▼
 //!                    one PlanShape per search (key, width terms, shard
@@ -35,8 +35,9 @@
 //!   scale-invariant digest the `faqs-exec` plan cache keys on.
 //! * [`plan_query_with`] — the one planning door: candidate
 //!   enumeration from one GYO run ([`faqs_hypergraph::QueryStructure`]:
-//!   the structural default first, then every reroot of the canonical
-//!   join forest, each re-rooted further for free-variable coverage,
+//!   the structural default first, then every rooting of the canonical
+//!   join forest as a root vector, each moved further for free-variable
+//!   coverage and deduplicated on its vector before its GHD is built,
 //!   then the cyclic-core merges) and cost-based selection under
 //!   optional placement and statistics. The
 //!   default wins all ties, so uniform instances plan exactly as the
@@ -60,9 +61,9 @@
 //!   distributed runtime's actual routing, over one [`LiveDistances`]
 //!   table per placed run.
 //!
-//! Validation (`check_push_down`, free-variable coverage) and the
-//! free-variable re-rooting search live here too; callers import them
-//! from this crate.
+//! Validation (`check_push_down`, free-variable coverage) lives here
+//! too; callers import it from this crate. The free-variable re-rooting
+//! search is private to the planner.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -82,9 +83,9 @@ pub use error::EngineError;
 pub use fingerprint::PlanKey;
 pub use plan::QueryPlan;
 pub use planner::{
-    choose_aggregation_players, cost_quote_calibrated, decomposition_covering_free_vars,
-    plan_query, plan_query_placed, plan_query_with, structural_plan, CandidateReport,
-    LiveDistances, PlacementContext, PlannerConfig,
+    choose_aggregation_players, cost_quote_calibrated, plan_query, plan_query_placed,
+    plan_query_with, structural_plan, CandidateReport, LiveDistances, PlacementContext,
+    PlannerConfig,
 };
 pub use stats::{MaintainedQueryStats, QueryStats, StatsDigest};
 pub use validate::{check_elimination_order, check_product_aggregates, check_push_down};
@@ -635,9 +636,9 @@ mod tests {
 
     #[test]
     fn candidate_dedup_drops_the_re_enumerated_canonical_base() {
-        // The analysis's reroots re-enumerate the canonical rooting;
-        // the fingerprint dedup must keep exactly one copy of each
-        // distinct shape in the explain table.
+        // The analysis's rootings re-enumerate the default's rooting;
+        // the root-vector and fingerprint dedups must keep exactly one
+        // copy of each distinct shape in the explain table.
         let q = skewed_star_instance(3, 16);
         let plan = plan_query_with(&q, None, None).unwrap();
         let mut labels: Vec<&str> = plan.candidates.iter().map(|c| c.label.as_str()).collect();

@@ -10,7 +10,7 @@ use crate::stats::QueryStats;
 use crate::validate::{
     check_aggregates_admitted, check_elimination_order, check_product_aggregates,
 };
-use faqs_hypergraph::{Decomposition, Ghd, Hypergraph, NodeId, QueryStructure, Var};
+use faqs_hypergraph::{Decomposition, EdgeId, Ghd, Hypergraph, NodeId, QueryStructure, Var};
 use faqs_network::{InputPlacement, Player, Topology};
 use faqs_relation::FaqQuery;
 use faqs_semiring::{Aggregate, Semiring};
@@ -198,94 +198,87 @@ impl Seen {
     }
 }
 
-/// Re-roots removed join trees of `base` (any rooting of `h`'s join
-/// forest, e.g. the canonical one or a width-minimising one) until its
-/// core vertex set contains all `free` variables.
+/// Whether `v` is a core vertex of the rooting at `roots` of `d`'s join
+/// forest: a vertex of a core edge or of a root edge.
+fn in_core(h: &Hypergraph, d: &Decomposition, roots: &[EdgeId], v: Var) -> bool {
+    let mut edges = d.core_edges.iter().chain(roots);
+    edges.any(|&e| h.edge(e).contains(&v))
+}
+
+/// Moves roots of the rooting at `roots` of `d`'s join forest (`d` the
+/// canonical decomposition; one root edge per tree, in
+/// `d.forest_roots` order) until its core vertex set contains all
+/// `free` variables.
 ///
-/// Strategy: every free variable already in `V(C(H))` is fine;
-/// otherwise consider every forest edge containing a missing free
-/// variable as a candidate new root for its join tree. Each candidate is
-/// evaluated on a *cloned* decomposition (re-rooting evicts the old
-/// root's vertices from the core, so the net coverage change depends on
-/// the whole tree, not on the candidate edge alone) and we commit to the
-/// candidate that strictly grows the number of covered free variables,
-/// preferring the largest gain. Fails only when no candidate re-rooting
-/// makes progress — e.g. two free variables demand conflicting roots of
-/// the same tree and no single edge contains both. Terminates because
-/// coverage strictly increases every round.
-pub fn decomposition_covering_free_vars(
+/// Each round counts the covered free variables of every trial move of
+/// one tree's root to one forest edge, in `d.forest_edges` order
+/// (re-rooting evicts the old root's vertices from the core, so the net
+/// change depends on the whole root vector, not on the candidate edge
+/// alone), and commits to the first that strictly grows the count the
+/// most. Ranking candidates by a static proxy (e.g. how many free
+/// variables the edge holds) is wrong: an edge dense in already-covered
+/// free variables can win the ranking yet evict exactly as many covered
+/// variables as it adds, stalling the loop on an answerable query.
+/// Fails only when no move makes progress — e.g. two free variables
+/// demand conflicting roots of the same tree and no single edge
+/// contains both.
+fn roots_covering_free_vars(
     h: &Hypergraph,
-    base: Decomposition,
+    d: &Decomposition,
+    roots: &mut [EdgeId],
     free: &[Var],
-) -> Result<Decomposition, EngineError> {
-    let mut d = base;
+) -> Result<(), EngineError> {
+    let covered = |roots: &[EdgeId]| free.iter().filter(|&&v| in_core(h, d, roots, v)).count();
     loop {
-        let missing: Vec<Var> = free
-            .iter()
-            .copied()
-            .filter(|v| !d.core_vars.contains(v))
-            .collect();
-        if missing.is_empty() {
-            return Ok(d);
+        let mut best = (covered(roots), None);
+        if best.0 == free.len() {
+            return Ok(());
         }
-        let covered_now = free.len() - missing.len();
-        // Trial-run every candidate re-rooting on a clone and keep the
-        // best strict improvement. Ranking candidates by a static proxy
-        // (e.g. how many free variables the edge holds) is wrong: an
-        // edge dense in already-covered free variables can win the
-        // ranking yet evict exactly as many covered variables as it
-        // adds, stalling the loop on an answerable query.
-        let mut best: Option<(usize, Decomposition)> = None;
-        for e in d
-            .forest_edges
-            .iter()
-            .copied()
-            .filter(|e| missing.iter().any(|v| h.edge(*e).contains(v)))
-        {
-            let mut trial = d.clone();
-            trial.reroot(h, e);
-            let covered = free.iter().filter(|v| trial.core_vars.contains(v)).count();
-            if covered > covered_now && best.as_ref().map(|(c, _)| covered > *c).unwrap_or(true) {
-                best = Some((covered, trial));
+        for &e in &d.forest_edges {
+            // The tree of `e`: the root its canonical parents climb to.
+            let mut root = e;
+            while let Some(up) = d.forest_parent[root.index()] {
+                root = up;
+            }
+            let t = d.forest_roots.iter().take_while(|&&r| r != root).count();
+            let was = std::mem::replace(&mut roots[t], e);
+            let trial = covered(roots);
+            roots[t] = was;
+            if trial > best.0 {
+                best = (trial, Some((t, e)));
             }
         }
-        match best {
-            Some((_, trial)) => d = trial,
-            None => return Err(EngineError::FreeVarsOutsideCore(missing)),
-        }
+        let (_, Some((t, e))) = best else {
+            let missing = free.iter().copied().filter(|&v| !in_core(h, d, roots, v));
+            return Err(EngineError::FreeVarsOutsideCore(missing.collect()));
+        };
+        roots[t] = e;
     }
 }
 
 /// The *structural default* as an unscored plan, once [`check_runnable`]
-/// passes, and the re-rootings left to score against it. Its GHD is the
-/// width witness when the witness's core already contains `F` — that
-/// re-rooting, scored, would repeat the default, so it leaves the list —
-/// and otherwise the canonical decomposition re-rooted to cover `F`.
-/// This is the plan of [`structural_plan`] and candidate 0 of every
-/// cost-based search — the cost model must beat it strictly to deviate.
-/// Its failure is the caller's error: the cost model never papers over
-/// an invalid default.
+/// passes, with its root vector written to `roots`: the width witness
+/// when its core already contains `F`, and otherwise the canonical
+/// rooting moved to cover `F`. This is the plan of [`structural_plan`]
+/// and candidate 0 of every cost-based search — the cost model must
+/// beat it strictly to deviate. Its failure is the caller's error: the
+/// cost model never papers over an invalid default.
 fn structural_default<S: Semiring>(
     q: &FaqQuery<S>,
-    s: QueryStructure,
+    s: &mut QueryStructure,
     shape: &PlanShape,
-) -> Result<(QueryPlan, Vec<(Decomposition, Ghd)>), EngineError> {
-    let (ghd, reroots) = if q
-        .free_vars
-        .iter()
-        .all(|v| s.witness().0.core_vars.contains(v))
-    {
-        let (width, reroots) = s.into_witness();
-        (width.ghd, reroots)
-    } else {
-        let canonical = s.canonical().clone();
-        let d = decomposition_covering_free_vars(&q.hypergraph, canonical, &q.free_vars)?;
-        let mut ghd = Ghd::from_decomposition(&q.hypergraph, &d);
-        ghd.hoist_md();
-        (ghd, s.reroots)
-    };
+    roots: &mut Vec<EdgeId>,
+) -> Result<QueryPlan, EngineError> {
+    let (h, d) = (&q.hypergraph, s.canonical());
+    roots.clear();
+    roots.extend_from_slice(s.witness());
+    if !q.free_vars.iter().all(|&v| in_core(h, d, roots, v)) {
+        roots.copy_from_slice(&d.forest_roots);
+        roots_covering_free_vars(h, d, roots, &q.free_vars)?;
+    }
+    let ghd = s.take_ghd(h, roots);
     check_runnable(q, &ghd)?;
-    Ok((QueryPlan::build(q, ghd, shape), reroots))
+    Ok(QueryPlan::build(q, ghd, shape))
 }
 
 /// Shim for `benchmark/`: [`plan_query_with`] without placement or
@@ -408,8 +401,8 @@ fn analyse<S: Semiring>(q: &FaqQuery<S>) -> Result<(QueryStructure, PlanShape), 
 /// the reference plan (`faqs_core::solve_faq_reference`), identical for
 /// equal data whatever the statistics say.
 pub fn structural_plan<S: Semiring>(q: &FaqQuery<S>) -> Result<QueryPlan, EngineError> {
-    let (structure, shape) = analyse(q)?;
-    let (mut plan, _) = structural_default(q, structure, &shape)?;
+    let (mut structure, shape) = analyse(q)?;
+    let mut plan = structural_default(q, &mut structure, &shape, &mut Vec::new())?;
     plan.candidates = vec![CandidateReport {
         label: "structural default".into(),
         y: plan.ghd.internal_count(),
@@ -435,12 +428,31 @@ pub fn plan_query_with<S: Semiring>(
     if let Some(s) = stats {
         check_stats_len(q, s)?;
     }
-    let (structure, shape) = analyse(q)?;
+    let (mut structure, shape) = analyse(q)?;
     // Cyclic cores: the flat merged bag plus every RIP-valid 2-split of
     // the cycle walk — the shapes the generic join exists to serve —
     // scored after the re-rootings.
-    let core = structure.core_candidates(&q.hypergraph);
-    let (default, reroots) = structural_default(q, structure, &shape)?;
+    let h = &q.hypergraph;
+    let core = structure.core_candidates(h);
+    // Each rooting moved to cover `F` (dropped if no move does), once,
+    // in rooting order: `met` holds the default's root vector and then
+    // each new one, end to end; a rooting on trial is the last.
+    let trees = structure.canonical().forest_roots.len();
+    let mut met = Vec::with_capacity(trees * (structure.rootings().len() + 1));
+    let default = structural_default(q, &mut structure, &shape, &mut met)?;
+    let canonical = structure.canonical();
+    let mut rootings = 1;
+    for roots in structure.rootings() {
+        let at = met.len();
+        met.extend_from_slice(roots);
+        let (old, new) = met.split_at_mut(at);
+        let covered = roots_covering_free_vars(h, canonical, new, &q.free_vars).is_ok();
+        if covered && !(0..rootings).any(|i| old[i * trees..(i + 1) * trees] == *new) {
+            rootings += 1;
+        } else {
+            met.truncate(at);
+        }
+    }
     let gathered;
     let stats = match stats {
         Some(s) => s,
@@ -450,25 +462,14 @@ pub fn plan_query_with<S: Semiring>(
         }
     };
     let model = CostModel::new(stats, q.domain, S::value_bits());
-    let scored = 1 + reroots.len() + core.len();
+    let scored = rootings + core.len();
     let mut search = Search::new(q, placement, &model, &shape, default, scored);
 
-    for (d, ghd) in reroots {
-        // Free variables must end up in the candidate's core; re-root
-        // further if needed, drop the candidate if no rooting works.
-        let (d, ghd) = if q.free_vars.iter().all(|v| d.core_vars.contains(v)) {
-            (d, ghd)
-        } else {
-            let Ok(d) = decomposition_covering_free_vars(&q.hypergraph, d, &q.free_vars) else {
-                continue;
-            };
-            let mut ghd = Ghd::from_decomposition(&q.hypergraph, &d);
-            ghd.hoist_md();
-            (d, ghd)
-        };
-        search.consider(ghd, || {
+    for i in 1..rootings {
+        let roots = &met[i * trees..(i + 1) * trees];
+        search.consider(structure.take_ghd(h, roots), || {
             let mut label = String::from("reroot [");
-            for (i, e) in d.forest_roots.iter().enumerate() {
+            for (i, e) in roots.iter().enumerate() {
                 let sep = if i == 0 { "" } else { ", " };
                 let _ = write!(label, "{sep}{e}");
             }
@@ -667,7 +668,7 @@ pub fn choose_aggregation_players(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use faqs_hypergraph::{EdgeId, GhdNode};
+    use faqs_hypergraph::GhdNode;
 
     /// A root bag `{0, 1, 2}` over one leaf per `(χ, λ edge)`, in order.
     fn star(leaves: [([u32; 2], u32); 2]) -> Ghd {
@@ -696,5 +697,49 @@ mod tests {
         let other = star([([0, 1], 1), ([1, 2], 0)]);
         assert!(seen.insert(&other), "the same bags, λ exchanged");
         assert!(!seen.insert(&other));
+    }
+
+    #[test]
+    fn rerooting_commits_only_to_strict_coverage_growth() {
+        // Regression for the greedy re-rooting bug: the old code ranked
+        // candidates by *total* free-variable count but measured success
+        // by *newly covered* ones. The hypergraph is a triangle core on
+        // `{x2,x3,x4}` plus one removed join tree, the chain
+        // `r{x0,x5} — e_good{x0,x1} — e_bad{x1,x2,x3}` (GYO roots it at
+        // `e_bad`). From the rooting at `r{x0,x5}` with
+        // F = {x0,x1,x2,x3}, only x1 is missing; the old ranking
+        // preferred e_bad{x1,x2,x3} (three free variables) over
+        // e_good{x0,x1} (two) — but re-rooting at e_bad evicts x0 from
+        // the core, coverage stalls at 3, and the old loop bailed with
+        // FreeVarsOutsideCore even though e_good covers everything. The
+        // fixed search counts each candidate's trial root vector and
+        // commits to strict growth.
+        let mut h = Hypergraph::new(6);
+        h.add_edge([Var(2), Var(4)]);
+        h.add_edge([Var(4), Var(3)]);
+        h.add_edge([Var(3), Var(2)]);
+        h.add_edge([Var(0), Var(5)]); // r
+        h.add_edge([Var(0), Var(1)]); // e_good
+        h.add_edge([Var(1), Var(2), Var(3)]); // e_bad
+        let d = Decomposition::of(&h);
+        assert_eq!(
+            d.forest_roots,
+            vec![EdgeId(5)],
+            "GYO roots the tree at e_bad"
+        );
+        let free = [Var(0), Var(1), Var(2), Var(3)];
+
+        let mut roots = vec![EdgeId(3)]; // root the tree at r{x0,x5}
+        assert!(
+            !in_core(&h, &d, &roots, Var(1)),
+            "x1 must start outside the core"
+        );
+        roots_covering_free_vars(&h, &d, &mut roots, &free)
+            .expect("F is placeable: e_good{x0,x1} plus the triangle covers it");
+        for v in free {
+            assert!(in_core(&h, &d, &roots, v), "{v} must end up in the core");
+        }
+        // The winning root is e_good, not the free-var-dense e_bad.
+        assert_eq!(roots, vec![EdgeId(4)]);
     }
 }

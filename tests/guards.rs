@@ -225,7 +225,7 @@ static GUARDS: &[Guard] = &[
     Guard {
         name: "unwrap/expect ratchet",
         rules: &[rule(".unwrap()|.expect(", ALL, &[], "let x = parse(s).unwrap();")],
-        limit: Limit::Ratchet(60),
+        limit: Limit::Ratchet(55),
         reason: "return a typed error or state the invariant; the count only falls",
         origin: "item 5(f)",
     },
@@ -334,6 +334,15 @@ static GUARDS: &[Guard] = &[
         limit: Limit::Banned,
         reason: "a planning search computes what no candidate changes once (PlanShape), builds candidates into one spare plan and one fingerprint buffer, and scores them without per-node heap sets or maps",
         origin: "item 7(c)",
+    },
+    Guard {
+        name: "rootings as indices",
+        rules: &[rule(r"\bfn reroot(|\bWitness::Own\b|Vec<(Decomposition, Ghd)>|\bGyoStep\b",
+            &["crates/hypergraph/src/", "crates/plan/src/"], &[],
+            "pub fn reroot(&mut self, h: &Hypergraph, new_root: EdgeId) {")],
+        limit: Limit::Banned,
+        reason: "a rooting of the join forest is its root vector over the one canonical Decomposition; no rooting is cloned, rebuilt or traced on its own",
+        origin: "item 33",
     },
     Guard {
         name: "calibration observes",
