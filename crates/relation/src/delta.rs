@@ -11,7 +11,7 @@
 //! by multilinearity: `Δ(f ⋈ rest) = Δf ⋈ rest`.
 
 use crate::kernel;
-use crate::relation::Relation;
+use crate::relation::{assert_distinct, Relation};
 use faqs_hypergraph::Var;
 use faqs_semiring::Semiring;
 use std::borrow::Cow;
@@ -65,14 +65,7 @@ impl<S: Semiring> RelationDelta<S> {
     /// An empty delta over the given schema (distinct variables).
     pub fn new<I: IntoIterator<Item = Var>>(schema: I) -> Self {
         let schema: Vec<Var> = schema.into_iter().collect();
-        let mut sorted = schema.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(
-            sorted.len(),
-            schema.len(),
-            "schema variables must be distinct"
-        );
+        assert_distinct(&schema);
         RelationDelta {
             schema,
             rows: Vec::new(),
@@ -323,6 +316,12 @@ mod tests {
 
     fn v(i: u32) -> Var {
         Var(i)
+    }
+
+    #[test]
+    #[should_panic(expected = "schema variables must be distinct")]
+    fn schema_rejects_duplicates() {
+        let _: RelationDelta<Count> = RelationDelta::new([v(1), v(0), v(1)]);
     }
 
     fn rel(rows: &[([u32; 2], u64)]) -> Relation<Count> {

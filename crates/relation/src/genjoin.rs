@@ -1,5 +1,6 @@
-//! The worst-case-optimal **generic join**: a leapfrog intersection over
-//! per-call tries of the sorted columnar arenas.
+//! The worst-case-optimal **generic join**: list intersections (position
+//! table probes, merges and a leapfrog) over per-call tries of the
+//! sorted columnar arenas.
 //!
 //! A binary join cascade over a cyclic bag (triangle, 4-cycle, clique)
 //! can materialise an intermediate quadratically larger than the final
@@ -25,19 +26,37 @@
 //! the gain (640 vs 470 µs on the benchmark suite's triangle). A trie
 //! level lists each value once, so no run-end search exists anywhere.
 //!
-//! **Three loops.** The recursion reads a `Shape` (tries, annotation
-//! columns, which levels meet at which depth) by `&` and writes a
-//! `State` (selected entry per level, bound prefix, output fold) by
-//! `&mut`, so the sibling lists meeting at a depth are slices held
-//! across the recursive call. Per depth it dispatches on how many lists
-//! meet: **one** — iterate; **two** — a two-pointer merge, both cursors
-//! stepping branch-free when the lists are of similar length, the
-//! lagging side `seek`ing (linear, then exponential, then binary) when
-//! they are not; **three or more** — a max-driven leapfrog over the
-//! same `seek`. The last depth folds the annotations of the selected
-//! rows. Bindings are discovered in lexicographic `var_order` order, so
-//! a plain join appends each non-zero product as a row and the output
-//! is canonical as it stands: no sort, no zero sweep.
+//! **Four loops.** The recursion reads a `Shape` (tries, annotation
+//! columns, how the levels meet at each depth) by `&` and writes a
+//! `State` (selected entry per level, bound prefix, position tables,
+//! output fold) by `&mut`, so the sibling lists meeting at a depth are
+//! slices held across the recursive call. How they intersect is fixed
+//! once per depth (`Meet`), from how many meet and which depths bind
+//! their parents: **one** — iterate; **two** — a probe or a merge;
+//! **three or more** — a max-driven leapfrog over `seek` (linear, then
+//! exponential, then binary). Two lists whose parents are bound at
+//! different depths are *steady* and *moving*: the steady one (parent
+//! bound earlier, or a factor's first level, whose parent never
+//! changes) stays put across the loop enclosing the depth — the
+//! triangle's `T[a]` under the loop over `b`, `S`'s whole first level
+//! under the loop over `a`. It is tabulated in a direct-address
+//! position table (value → entry, each slot stamped with the run that
+//! wrote it, so a refill writes only the new run's entries), refilled
+//! only when its parent entry changes, and the moving list is walked in
+//! order and looked up value by value: the hits come in increasing
+//! order, as a merge finds them. The table is used only when the steady
+//! level's values span at most `dense_span` of its length (the rule of
+//! the kernel's other direct-address tables) and its factor's columns
+//! before it are bound at the join's first depths, so its parent entries
+//! arrive in increasing order and each run is tabulated at most once;
+//! and a moving list more than four times the steady one's length is
+//! merged instead, seeking through it. Any other two lists merge by two
+//! pointers, both stepping branch-free when the lists are of similar
+//! length, the lagging side `seek`ing when they are not. The last depth
+//! folds the annotations of the selected rows. Bindings are discovered
+//! in lexicographic `var_order` order, so a plain join appends each
+//! non-zero product as a row and the output is canonical as it stands:
+//! no sort, no zero sweep.
 //!
 //! **Aggregate as you join.** A GHD node's bag is never wanted for
 //! itself: the pass needs its push-down message, the bag with the
@@ -58,10 +77,20 @@
 //!
 //! **Cost.** One sweep per factor (at most `rows × arity` reads and as
 //! many pushed `u32`s — 2.6 ns per row on 200 000-row factors, ≈ 4 on
-//! 3 000-row ones) plus the leapfrog, which pays a small constant per
-//! candidate binding: a merge step per entry of the lists that meet, a
-//! `seek` per entry of the shorter list when they are lopsided. The
-//! output costs one fold per non-zero binding and one row per kept
+//! 3 000-row ones) plus the intersections, which pay a small constant
+//! per candidate binding: a table lookup per entry of the moving list
+//! where two lists probe, a merge step per entry of the lists that meet
+//! where they merge, a `seek` per entry of the shorter list when they
+//! are lopsided. Every call thus costs a constant times its shorter
+//! list, up to the seeks' log factor. A probing depth's table adds one
+//! write per entry of its steady level over the whole join and a pair
+//! of `u32`s per value of that level's span — at most `dense_span`, a
+//! few words per entry. Probing against the list that stays put took
+//! the benchmark suite's triangle from ≈ 530 to ≈ 210 µs per solve
+//! (≈ 75 ns per `(a, b)` binding, of which it has 2 893, against
+//! ≈ 185) and its 4-cycle from ≈ 740 to ≈ 335 µs, on a 2-core VM;
+//! a merge of the same lists re-walked the steady one on every call.
+//! The output costs one fold per non-zero binding and one row per kept
 //! prefix: a BCQ count over the benchmark suite's triangle folds its
 //! 3 013 bindings into one row, where listing them cost a
 //! `from_columns` of 16–23 µs and a push-down scan of 43–53 µs of a
@@ -90,7 +119,7 @@
 //! planner picks for the push-down and which need not be the cascade's
 //! concatenation schema.
 
-use crate::kernel::{aggregate_nest, trailing_nest, NestFold};
+use crate::kernel::{aggregate_nest, dense_span, trailing_nest, NestFold};
 use crate::relation::Relation;
 use faqs_hypergraph::Var;
 use faqs_semiring::{Aggregate, Semiring};
@@ -241,13 +270,116 @@ impl<'a, S> EmitSource<'a, S> {
     }
 }
 
+/// How the lists meeting at one depth intersect, fixed once per join
+/// from how many meet there and which depths bind their parents.
+enum Meet {
+    /// One list: every entry binds.
+    One(usize),
+    /// Two lists merged ([`merge`]).
+    Merge(usize, usize),
+    /// Two lists, the `steady` one's parent bound at an earlier depth
+    /// than the `moving` one's (or never: a factor's first level). Its
+    /// list stays put across the loop enclosing this depth, so it is
+    /// tabulated once per parent entry and the moving list probes the
+    /// table ([`probe`]). Its parent entries come in order, so each run
+    /// is tabulated at most once, and its level's values span at most
+    /// [`dense_span`] of its length: `span` slots from `min` on.
+    Probe {
+        steady: usize,
+        moving: usize,
+        min: u32,
+        span: usize,
+    },
+    /// Three or more lists: a [`leapfrog`].
+    Leapfrog(Vec<usize>),
+}
+
+/// Where a level's parent entry is bound.
+#[derive(Clone, Copy)]
+struct Parent {
+    /// The depth that binds it; `None` at a factor's first level, whose
+    /// one parent never changes.
+    depth: Option<usize>,
+    /// Whether the factor's columns before the level are bound at the
+    /// join's first depths. Then the recursion meets the level's parent
+    /// entries in increasing order; otherwise a depth the factor skips
+    /// brings each of them back once per value it binds.
+    in_order: bool,
+}
+
+impl Meet {
+    /// How `lists` meet, given each level's [`Parent`].
+    fn of(levels: &[Level], parents: &[Parent], lists: Vec<usize>) -> Meet {
+        let (a, b) = match lists[..] {
+            [a] => return Meet::One(a),
+            [a, b] => (a, b),
+            _ => return Meet::Leapfrog(lists),
+        };
+        let (steady, moving) = match parents[a].depth.cmp(&parents[b].depth) {
+            Ordering::Less => (a, b),
+            Ordering::Greater => (b, a),
+            // Both lists change together: nothing to keep.
+            Ordering::Equal => return Meet::Merge(a, b),
+        };
+        // A run that comes back would be tabulated again each time.
+        if !parents[steady].in_order {
+            return Meet::Merge(a, b);
+        }
+        let vals = &levels[steady].vals;
+        let (min, max) = vals
+            .iter()
+            .fold((u32::MAX, 0), |(lo, hi), &x| (lo.min(x), hi.max(x)));
+        // Slots hold entries and parent stamps as `u32`s, each at most
+        // the level's length.
+        if u64::from(max - min) > dense_span(vals.len()) || u32::try_from(vals.len()).is_err() {
+            return Meet::Merge(a, b);
+        }
+        Meet::Probe {
+            steady,
+            moving,
+            min,
+            span: (max - min) as usize + 1,
+        }
+    }
+}
+
+/// The position table of one [`Meet::Probe`] depth: `slots[x − min]`
+/// holds the stamp of the run that last wrote value `x` and `x`'s entry
+/// in the steady level. A run's stamp is its parent entry plus one, so
+/// filling a new run writes only that run's entries and every slot
+/// another run wrote reads as a miss.
+#[derive(Default)]
+struct Table {
+    slots: Vec<[u32; 2]>,
+    /// The stamp of the run the table holds; `0` before the first fill.
+    stamp: u32,
+}
+
+impl Table {
+    /// `xs`, the run stamped `stamp` starting at entry `offset` of its
+    /// level, tabulated.
+    fn fill(&mut self, xs: &[u32], offset: usize, min: u32, stamp: u32) {
+        for (i, &x) in xs.iter().enumerate() {
+            self.slots[(x - min) as usize] = [stamp, (offset + i) as u32];
+        }
+        self.stamp = stamp;
+    }
+
+    /// The entry of `y` in the tabulated run, if it lists `y`.
+    #[inline]
+    fn find(&self, y: u32, min: u32) -> Option<usize> {
+        // Below `min` wraps past every slot.
+        let [stamp, entry] = *self.slots.get((y as usize).wrapping_sub(min as usize))?;
+        (stamp == self.stamp).then_some(entry as usize)
+    }
+}
+
 /// What the recursion reads.
 struct Shape<'a, S> {
     /// Every proper factor's trie, factor after factor.
     levels: Vec<Level>,
-    /// `active[d]` = the levels (indices into `levels`) whose column is
-    /// `var_order[d]`.
-    active: Vec<Vec<usize>>,
+    /// `meets[d]`: how the levels whose column is `var_order[d]` meet.
+    meets: Vec<Meet>,
     /// The first factor's annotation, which seeds the `⊗`-fold, and the
     /// others', folded into it in slice order.
     first: EmitSource<'a, S>,
@@ -255,6 +387,59 @@ struct Shape<'a, S> {
     /// Depths `kept..` bind the nest: when the loop at one of them ends,
     /// its level closes.
     kept: usize,
+}
+
+impl<'a, S: Semiring> Shape<'a, S> {
+    /// The tries of `prepared` (each factor with its columns' depths,
+    /// none of them empty), bound over `depths` depths of which the
+    /// first `kept` are kept.
+    fn new(prepared: &'a [Prepared<'a, S>], depths: usize, kept: usize) -> Shape<'a, S> {
+        let mut levels = Vec::new();
+        let mut parents = Vec::new();
+        let mut active = vec![Vec::new(); depths];
+        let mut slots = 0usize;
+        let mut emit_sources: Vec<EmitSource<'_, S>> = prepared
+            .iter()
+            .map(|(f, depths)| {
+                let arity = depths.len();
+                if arity == 0 {
+                    return EmitSource::Scalar(f.value_at(0));
+                }
+                for (col, &d) in depths.iter().enumerate() {
+                    active[d].push(levels.len() + col);
+                    let up = col.checked_sub(1).map(|up| depths[up]);
+                    parents.push(Parent {
+                        depth: up,
+                        // Depths rise column by column, so the ones before
+                        // `col` are `0..col` exactly when the last of them
+                        // is `col - 1`.
+                        in_order: up.is_none_or(|p| p + 1 == col),
+                    });
+                }
+                levels.extend(trie(f.raw_data(), arity, slots));
+                slots += arity + 1;
+                EmitSource::Row {
+                    values: f.raw_values(),
+                    at: slots - 1,
+                }
+            })
+            .collect();
+        assert!(
+            active.iter().all(|a| !a.is_empty()),
+            "every var_order variable must be bound by some factor"
+        );
+        let meets = active
+            .into_iter()
+            .map(|lists| Meet::of(&levels, &parents, lists))
+            .collect();
+        Shape {
+            levels,
+            meets,
+            first: emit_sources.remove(0),
+            rest: emit_sources,
+            kept,
+        }
+    }
 }
 
 impl<S> Shape<'_, S> {
@@ -279,6 +464,17 @@ struct Cursor<'a> {
     at: usize,
 }
 
+/// Per depth, how its two-list intersections ran: position tables
+/// filled, probing walks, and merges. Only test builds count them
+/// (`cfg!(test)`, so other builds compile the counting out), and the
+/// unit tests pin them.
+#[derive(Clone, Copy, Default, Debug, PartialEq)]
+struct Tally {
+    builds: usize,
+    probes: usize,
+    merges: usize,
+}
+
 /// What the recursion writes.
 struct State<'a, S: Semiring> {
     /// The selected entry of every level, each factor's levels preceded
@@ -289,18 +485,51 @@ struct State<'a, S: Semiring> {
     /// Per depth, the cursors of a leapfrog over three or more lists:
     /// taken on entry and put back on exit, so a depth allocates once.
     cursors: Vec<Vec<Cursor<'a>>>,
+    /// Per depth, its position table: empty unless it probes, taken and
+    /// put back like the cursors.
+    tables: Vec<Table>,
     /// Non-zero products so far: the rows of the un-aggregated join.
     rows: usize,
     /// The output: one level per nest depth — level `j` folds depth
     /// `kept + j` — and the rows over the kept depths.
     nest: NestFold<S>,
+    /// Per depth, its [`Tally`]; empty outside test builds.
+    tally: Vec<Tally>,
+}
+
+impl<'a, S: Semiring> State<'a, S> {
+    /// A fresh state for `shape`, folding its nest depths under `ops`
+    /// into rows over `kept`.
+    fn new(shape: &Shape<'a, S>, kept: Vec<Var>, ops: Vec<Aggregate>) -> State<'a, S> {
+        let depths = shape.meets.len();
+        State {
+            // Each factor's slots end with its last level's selection.
+            sel: vec![0; shape.levels.last().map_or(0, |l| l.up + 2)],
+            prefix: vec![0; depths],
+            cursors: (0..depths).map(|_| Vec::new()).collect(),
+            tables: shape
+                .meets
+                .iter()
+                .map(|meet| match *meet {
+                    Meet::Probe { span, .. } => Table {
+                        slots: vec![[0; 2]; span],
+                        stamp: 0,
+                    },
+                    _ => Table::default(),
+                })
+                .collect(),
+            rows: 0,
+            nest: NestFold::new(kept, ops),
+            tally: vec![Tally::default(); if cfg!(test) { depths } else { 0 }],
+        }
+    }
 }
 
 /// Binds `var_order[depth]` to every value all lists meeting there
 /// offer under the current prefix, descending once per value.
 fn recurse<'a, S: Semiring>(shape: &'a Shape<'a, S>, st: &mut State<'a, S>, depth: usize) {
-    match *shape.active[depth].as_slice() {
-        [a] => {
+    match shape.meets[depth] {
+        Meet::One(a) => {
             let at = shape.levels[a].up + 1;
             let (offset, xs) = shape.list(a, &st.sel);
             for (i, &x) in xs.iter().enumerate() {
@@ -308,25 +537,17 @@ fn recurse<'a, S: Semiring>(shape: &'a Shape<'a, S>, st: &mut State<'a, S>, dept
                 descend(shape, st, depth, x);
             }
         }
-        [a, b] => {
-            let (a_at, b_at) = (shape.levels[a].up + 1, shape.levels[b].up + 1);
-            let (a_offset, xs) = shape.list(a, &st.sel);
-            let (b_offset, ys) = shape.list(b, &st.sel);
-            let hit = |i: usize, j: usize| {
-                st.sel[a_at] = a_offset + i;
-                st.sel[b_at] = b_offset + j;
-                descend(shape, st, depth, xs[i]);
-            };
-            if xs.len() <= SIMILAR_LENGTH * ys.len() && ys.len() <= SIMILAR_LENGTH * xs.len() {
-                merge_stepping(xs, ys, hit);
-            } else {
-                merge_seeking(xs, ys, hit);
-            }
-        }
-        _ => {
+        Meet::Merge(a, b) => merge(shape, st, depth, a, b),
+        Meet::Probe {
+            steady,
+            moving,
+            min,
+            ..
+        } => probe(shape, st, depth, (steady, moving), min),
+        Meet::Leapfrog(ref lists) => {
             let mut cursors = std::mem::take(&mut st.cursors[depth]);
             cursors.clear();
-            cursors.extend(shape.active[depth].iter().map(|&level| {
+            cursors.extend(lists.iter().map(|&level| {
                 let (offset, list) = shape.list(level, &st.sel);
                 Cursor {
                     list,
@@ -344,6 +565,74 @@ fn recurse<'a, S: Semiring>(shape: &'a Shape<'a, S>, st: &mut State<'a, S>, dept
     if let Some(level) = depth.checked_sub(shape.kept) {
         st.nest.close(level, &st.prefix);
     }
+}
+
+/// Two lists intersected by a two-pointer merge: both cursors stepping
+/// when the lists are of similar length, the lagging one seeking when
+/// they are not.
+fn merge<'a, S: Semiring>(
+    shape: &'a Shape<'a, S>,
+    st: &mut State<'a, S>,
+    depth: usize,
+    a: usize,
+    b: usize,
+) {
+    if cfg!(test) {
+        st.tally[depth].merges += 1;
+    }
+    let (a_at, b_at) = (shape.levels[a].up + 1, shape.levels[b].up + 1);
+    let (a_offset, xs) = shape.list(a, &st.sel);
+    let (b_offset, ys) = shape.list(b, &st.sel);
+    let hit = |i: usize, j: usize| {
+        st.sel[a_at] = a_offset + i;
+        st.sel[b_at] = b_offset + j;
+        descend(shape, st, depth, xs[i]);
+    };
+    if xs.len() <= SIMILAR_LENGTH * ys.len() && ys.len() <= SIMILAR_LENGTH * xs.len() {
+        merge_stepping(xs, ys, hit);
+    } else {
+        merge_seeking(xs, ys, hit);
+    }
+}
+
+/// Two lists intersected by walking the moving one and looking each
+/// value up in the steady one's position table, filled anew only when
+/// the steady list's parent entry has changed. Hits come in increasing
+/// order, as a merge finds them. A moving list more than
+/// [`SIMILAR_LENGTH`] times the steady one's length is merged instead,
+/// seeking through it, so no depth costs more than a merge would.
+fn probe<'a, S: Semiring>(
+    shape: &'a Shape<'a, S>,
+    st: &mut State<'a, S>,
+    depth: usize,
+    (steady, moving): (usize, usize),
+    min: u32,
+) {
+    let (s_offset, xs) = shape.list(steady, &st.sel);
+    let (m_offset, ys) = shape.list(moving, &st.sel);
+    if ys.len() > SIMILAR_LENGTH * xs.len() {
+        return merge(shape, st, depth, steady, moving);
+    }
+    let (s_at, m_at) = (shape.levels[steady].up + 1, shape.levels[moving].up + 1);
+    let mut table = std::mem::take(&mut st.tables[depth]);
+    let stamp = st.sel[shape.levels[steady].up] as u32 + 1;
+    if table.stamp != stamp {
+        table.fill(xs, s_offset, min, stamp);
+        if cfg!(test) {
+            st.tally[depth].builds += 1;
+        }
+    }
+    if cfg!(test) {
+        st.tally[depth].probes += 1;
+    }
+    for (j, &y) in ys.iter().enumerate() {
+        if let Some(entry) = table.find(y, min) {
+            st.sel[s_at] = entry;
+            st.sel[m_at] = m_offset + j;
+            descend(shape, st, depth, y);
+        }
+    }
+    st.tables[depth] = table;
 }
 
 /// The intersection of three or more lists: cursors take turns seeking
@@ -398,7 +687,7 @@ fn descend<'a, S: Semiring>(
     value: u32,
 ) {
     st.prefix[depth] = value;
-    if depth + 1 < shape.active.len() {
+    if depth + 1 < shape.meets.len() {
         recurse(shape, st, depth + 1);
     } else {
         emit(shape, st);
@@ -529,9 +818,31 @@ fn fold_join<S: Semiring>(
         return (Relation::new(var_order[..kept].to_vec()), 0);
     }
 
-    // Each factor with its columns bound in var_order order — reordered
-    // once, unless its schema already agrees — and each column's depth.
-    let prepared: Vec<(Cow<'_, Relation<S>>, Vec<usize>)> = factors
+    let prepared = prepare(factors, var_order);
+    let shape = Shape::new(&prepared, var_order.len(), kept);
+    let mut st = State::new(&shape, var_order[..kept].to_vec(), ops);
+    if var_order.is_empty() {
+        // Only nullary factors: the one empty tuple, their product.
+        emit(&shape, &mut st);
+    } else {
+        recurse(&shape, &mut st, 0);
+    }
+    // Bindings come in lexicographic order and every level has closed,
+    // so the listed rows are canonical as they stand.
+    (st.nest.finish(), st.rows)
+}
+
+/// A factor with its columns bound in `var_order` order, and each
+/// column's depth.
+type Prepared<'a, S> = (Cow<'a, Relation<S>>, Vec<usize>);
+
+/// Each factor reordered once onto `var_order`, unless its schema
+/// already agrees.
+fn prepare<'a, S: Semiring>(
+    factors: &[&'a Relation<S>],
+    var_order: &[Var],
+) -> Vec<Prepared<'a, S>> {
+    factors
         .iter()
         .map(|&f| {
             let (depths, target): (Vec<usize>, Vec<Var>) = var_order
@@ -545,57 +856,7 @@ fn fold_join<S: Semiring>(
             };
             (f, depths)
         })
-        .collect();
-
-    let mut levels = Vec::new();
-    let mut active = vec![Vec::new(); var_order.len()];
-    let mut slots = 0usize;
-    let mut emit_sources: Vec<EmitSource<'_, S>> = prepared
-        .iter()
-        .map(|(f, depths)| {
-            let arity = depths.len();
-            if arity == 0 {
-                return EmitSource::Scalar(f.value_at(0));
-            }
-            for (col, &d) in depths.iter().enumerate() {
-                active[d].push(levels.len() + col);
-            }
-            levels.extend(trie(f.raw_data(), arity, slots));
-            slots += arity + 1;
-            EmitSource::Row {
-                values: f.raw_values(),
-                at: slots - 1,
-            }
-        })
-        .collect();
-    assert!(
-        active.iter().all(|a| !a.is_empty()),
-        "every var_order variable must be bound by some factor"
-    );
-    let shape = Shape {
-        levels,
-        active,
-        first: emit_sources.remove(0),
-        rest: emit_sources,
-        kept,
-    };
-
-    let mut st = State {
-        sel: vec![0; slots],
-        prefix: vec![0; var_order.len()],
-        cursors: var_order.iter().map(|_| Vec::new()).collect(),
-        rows: 0,
-        nest: NestFold::new(var_order[..kept].to_vec(), ops),
-    };
-    if var_order.is_empty() {
-        // Only nullary factors: the one empty tuple, their product.
-        emit(&shape, &mut st);
-    } else {
-        recurse(&shape, &mut st, 0);
-    }
-    // Bindings come in lexicographic order and every level has closed,
-    // so the listed rows are canonical as they stand.
-    (st.nest.finish(), st.rows)
+        .collect()
 }
 
 #[cfg(test)]
@@ -716,18 +977,12 @@ mod tests {
         let (two, three, five) = (Z6(2), Z6(3), Z6(5));
         let scalars = |a, b| Shape {
             levels: Vec::new(),
-            active: Vec::new(),
+            meets: Vec::new(),
             first: EmitSource::Scalar(a),
             rest: vec![EmitSource::Scalar(b)],
             kept: 0,
         };
-        let mut st = State {
-            sel: Vec::new(),
-            prefix: Vec::new(),
-            cursors: Vec::new(),
-            rows: 0,
-            nest: NestFold::new(Vec::new(), Vec::new()),
-        };
+        let mut st = State::new(&scalars(&two, &three), Vec::new(), Vec::new());
         emit(&scalars(&two, &three), &mut st);
         emit(&scalars(&two, &five), &mut st);
         assert_eq!(st.rows, 1, "only the non-zero product counts");
@@ -822,6 +1077,170 @@ mod tests {
         let unary = trie(&[2, 5, 6], 1, 0);
         assert_eq!(unary[0].vals, [2, 5, 6]);
         assert_eq!(unary[0].starts, [0, 3]);
+    }
+
+    /// The listed join of `factors` in `order`, how each depth's two-list
+    /// intersections ran, and each depth's position-table slot count.
+    fn tallied(
+        factors: &[&Relation<Count>],
+        order: &[Var],
+    ) -> (Relation<Count>, Vec<Tally>, Vec<usize>) {
+        let prepared = prepare(factors, order);
+        let shape = Shape::new(&prepared, order.len(), order.len());
+        let mut st = State::new(&shape, order.to_vec(), Vec::new());
+        recurse(&shape, &mut st, 0);
+        let slots = st.tables.iter().map(|t| t.slots.len()).collect();
+        (st.nest.finish(), st.tally, slots)
+    }
+
+    /// Every `(x, y)` of `0..n` × `0..n` that `keep` admits.
+    fn pattern(a: u32, b: u32, n: u32, keep: impl Fn(u32, u32) -> bool) -> Relation<Count> {
+        let rows: Vec<(u32, u32)> = (0..n)
+            .flat_map(|x| (0..n).map(move |y| (x, y)))
+            .filter(|&(x, y)| keep(x, y))
+            .collect();
+        edge(a, b, &rows)
+    }
+
+    fn tally(builds: usize, probes: usize, merges: usize) -> Tally {
+        Tally {
+            builds,
+            probes,
+            merges,
+        }
+    }
+
+    #[test]
+    fn the_triangle_tabulates_each_steady_run_once() {
+        let r = pattern(0, 1, 12, |x, y| (x + 2 * y) % 3 != 0);
+        let s = pattern(1, 2, 12, |y, z| (y * z + 1) % 4 != 0);
+        let t = pattern(0, 2, 12, |x, z| (x + z) % 5 != 0);
+        let order = [Var(0), Var(1), Var(2)];
+        let (got, tallies, slots) = tallied(&[&r, &s, &t], &order);
+        assert_eq!(got, r.join(&s).join(&t).reorder(&order));
+        // Every a has a partner in T and every b in S, so the (a, b)
+        // bindings are R's rows.
+        let ab = r.len();
+        assert_eq!(ab, 96);
+        assert_eq!(
+            tallies,
+            [
+                // Depth 0: two first levels, both fixed — one merge.
+                tally(0, 0, 1),
+                // Depth 1: S's first level never moves — one table for
+                // the whole join, probed once per a.
+                tally(1, 12, 0),
+                // Depth 2: T[a] is bound at depth 0 — one table per a,
+                // probed once per (a, b).
+                tally(12, ab, 0),
+            ]
+        );
+        // Tables span their level's values, not the domain of u32.
+        assert_eq!(slots, [0, 12, 12]);
+    }
+
+    #[test]
+    fn the_four_cycle_tabulates_each_steady_run_once() {
+        let r = pattern(0, 1, 10, |x, y| (x + y) % 3 != 1);
+        let s = pattern(1, 2, 10, |y, z| (2 * y + z) % 4 != 0);
+        let t = pattern(2, 3, 10, |z, w| (z * w) % 5 != 2);
+        let u = pattern(0, 3, 10, |x, w| (x + 3 * w) % 7 != 3);
+        let order = [Var(0), Var(1), Var(2), Var(3)];
+        let (got, tallies, _) = tallied(&[&r, &s, &t, &u], &order);
+        assert_eq!(got, r.join(&s).join(&t).join(&u).reorder(&order));
+        // Every a, b and c of the domain has a partner in each factor.
+        let (ab, abc) = (r.len(), r.join(&s).len());
+        assert_eq!((ab, abc), (67, 502));
+        assert_eq!(
+            tallies,
+            [
+                tally(0, 0, 1),
+                tally(1, 10, 0),
+                // T's first level: one table, probed once per (a, b).
+                tally(1, ab, 0),
+                // U[a], bound at depth 0: one table per a, probed once
+                // per (a, b, c).
+                tally(10, abc, 0),
+            ]
+        );
+    }
+
+    #[test]
+    fn a_steady_run_that_comes_back_is_merged() {
+        // At depth 3, B[b] stays put across the loop over c, but B skips
+        // depth 0, so each b comes back under every a: its runs would be
+        // tabulated again and again, and the depth merges. Depths 1 and
+        // 2 meet first levels and probe.
+        let a = pattern(0, 1, 8, |x, y| (x + y) % 3 != 0);
+        let b = pattern(1, 3, 8, |y, w| (y * w) % 4 != 1);
+        let c = pattern(2, 3, 8, |z, w| (z + 2 * w) % 5 != 0);
+        let d = pattern(0, 2, 8, |x, z| (x * z) % 3 != 2);
+        let order = [Var(0), Var(1), Var(2), Var(3)];
+        let (got, tallies, _) = tallied(&[&a, &b, &c, &d], &order);
+        assert_eq!(got, a.join(&b).join(&c).join(&d).reorder(&order));
+        // Every b is in B and every c in C: the (a, b, c) are A ⋈ D.
+        let abc = a.join(&d).len();
+        assert_eq!(
+            tallies,
+            [
+                tally(0, 0, 1),
+                tally(1, 8, 0),
+                tally(1, a.len(), 0),
+                tally(0, 0, abc)
+            ]
+        );
+    }
+
+    #[test]
+    fn a_long_moving_list_merges_where_the_steady_one_is_short() {
+        // T[0] lists one c and T[1..] all twelve, so under a = 0 the
+        // 12-entry S[b] is seeked through, under the others probed.
+        let r = pattern(0, 1, 12, |_, _| true);
+        let s = pattern(1, 2, 12, |_, _| true);
+        let t = pattern(0, 2, 12, |x, z| x > 0 || z == 5);
+        let order = [Var(0), Var(1), Var(2)];
+        let (got, tallies, _) = tallied(&[&r, &s, &t], &order);
+        assert_eq!(got, r.join(&s).join(&t).reorder(&order));
+        assert_eq!(tallies[2], tally(11, 11 * 12, 12));
+    }
+
+    /// `rel` with `f` applied to column `col` of every row.
+    fn relabelled(rel: &Relation<Count>, col: usize, f: impl Fn(u32) -> u32) -> Relation<Count> {
+        let rows = rel.iter().map(|(row, v)| {
+            let mut row = row.to_vec();
+            row[col] = f(row[col]);
+            (row, *v)
+        });
+        Relation::from_pairs(rel.schema().to_vec(), rows)
+    }
+
+    #[test]
+    fn sparse_steady_levels_merge_without_a_table() {
+        // The triangle's c moved to both ends of the u32 range: T[a]'s
+        // level spans it, so a table would take 2³² slots, and depth 2
+        // merges. Moved to the top of the range only, it is dense and
+        // probes.
+        let r = pattern(0, 1, 12, |x, y| (x + 2 * y) % 3 != 0);
+        let s = pattern(1, 2, 12, |y, z| (y * z + 1) % 4 != 0);
+        let t = pattern(0, 2, 12, |x, z| (x + z) % 5 != 0);
+        let order = [Var(0), Var(1), Var(2)];
+        let top = u32::MAX - 11;
+        let ends = |z: u32| if z < 6 { z } else { z - 6 + top };
+        for (c, probed) in [
+            (&ends as &dyn Fn(u32) -> u32, false),
+            (&|z: u32| z + top, true),
+        ] {
+            let (s, t) = (relabelled(&s, 1, c), relabelled(&t, 1, c));
+            let (got, tallies, slots) = tallied(&[&r, &s, &t], &order);
+            assert_eq!(got, r.join(&s).join(&t).reorder(&order));
+            assert_eq!(got.len(), 804);
+            let ab = r.len();
+            let want = match probed {
+                true => (tally(12, ab, 0), 12),
+                false => (tally(0, 0, ab), 0),
+            };
+            assert_eq!((tallies[2], slots[2]), want, "probed: {probed}");
+        }
     }
 
     /// Strictly increasing lists of the lengths on both sides of the

@@ -336,7 +336,7 @@ pub(crate) fn key_run(data: &[u32], arity: usize, rows: Range<usize>, key: &[u32
 /// span and still be addressed directly ([`KeyLookup::Table`],
 /// [`counting_order`], [`merge_counted`]): a few words per row plus a
 /// page, so filling the array costs no more than the scan it serves.
-const fn dense_span(rows: usize) -> u64 {
+pub(crate) const fn dense_span(rows: usize) -> u64 {
     4 * rows as u64 + 1024
 }
 

@@ -49,18 +49,23 @@ impl<S: Semiring> fmt::Debug for Relation<S> {
     }
 }
 
+/// Panics unless `schema`'s variables are distinct. Checked in place,
+/// without a sorted copy: a schema holds a few variables.
+pub(crate) fn assert_distinct(schema: &[Var]) {
+    assert!(
+        schema
+            .iter()
+            .enumerate()
+            .all(|(i, v)| !schema[..i].contains(v)),
+        "schema variables must be distinct"
+    );
+}
+
 impl<S: Semiring> Relation<S> {
     /// An empty relation over the given schema (distinct variables).
     pub fn new<I: IntoIterator<Item = Var>>(schema: I) -> Self {
         let schema: Vec<Var> = schema.into_iter().collect();
-        let mut sorted = schema.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(
-            sorted.len(),
-            schema.len(),
-            "schema variables must be distinct"
-        );
+        assert_distinct(&schema);
         Relation {
             schema,
             arena: Arena::new(Vec::new(), Vec::new()),
@@ -627,7 +632,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "distinct")]
+    #[should_panic(expected = "schema variables must be distinct")]
     fn schema_rejects_duplicates() {
         let _: Relation<Count> = Relation::new([v(0), v(0)]);
     }

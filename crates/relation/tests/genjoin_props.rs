@@ -6,7 +6,8 @@
 //! aggregating form — a GHD node's bag with its child messages joined
 //! in and its nest folded as the join binds — must agree, bit for bit,
 //! with listing the bag, folding the messages into it and pushing the
-//! nest down, whether the nest trails the binding order or not.
+//! nest down, whether the nest trails the binding order or not — also
+//! on dense values, where the join probes position tables.
 
 use faqs_hypergraph::Var;
 use faqs_relation::{generic_join, generic_join_aggregated, Aggregate, Relation};
@@ -84,7 +85,7 @@ fn random_rel<S: Semiring>(
     n: usize,
     domain: u32,
     rng: &mut StdRng,
-    mut value_of: impl FnMut(&mut StdRng) -> S,
+    value_of: impl FnMut(&mut StdRng) -> S,
 ) -> Relation<S> {
     // The domain's top value is listed as `u32::MAX`, so columns hold
     // both ends of the value range.
@@ -92,6 +93,17 @@ fn random_rel<S: Semiring>(
         x if x + 1 == domain => u32::MAX,
         x => x,
     };
+    drawn_rel(schema, n, rng, draw, value_of)
+}
+
+/// `n` rows over `schema`, each value drawn by `draw`.
+fn drawn_rel<S: Semiring>(
+    schema: &[u32],
+    n: usize,
+    rng: &mut StdRng,
+    draw: impl Fn(&mut StdRng) -> u32,
+    mut value_of: impl FnMut(&mut StdRng) -> S,
+) -> Relation<S> {
     let pairs: Vec<(Vec<u32>, S)> = (0..n)
         .map(|_| {
             let t: Vec<u32> = schema.iter().map(|_| draw(rng)).collect();
@@ -232,6 +244,73 @@ fn check_aggregated<S: Semiring>(
     assert_eq!(bits(&got), bits(&want), "shape {shape}, nest {nest:?}");
 }
 
+/// A bag of `SHAPES[shape]` over a dense run of values — up to 40, from
+/// 0 or ending at `u32::MAX` — so a two-list depth whose lists' parents
+/// are bound at different depths probes a position table of the steady
+/// list: a first level (the triangle's depth 1) or a run under an
+/// earlier depth. Factors come in a random slice order, so the steady
+/// list sits on an earlier factor than the moving one or a later one,
+/// and their sizes are drawn apart, so a short steady run next to a long
+/// moving one merges at a depth that probes elsewhere. Zero to two child
+/// messages join as further factors, and the nest is a random suffix of
+/// the binding order, so its levels close while the join goes on. The
+/// result is held bit for bit to the listed join pushed down, and the
+/// listed join to the binary cascade.
+fn check_probe<S: Semiring>(
+    shape: usize,
+    seed: u64,
+    value_of: impl FnMut(&mut StdRng) -> S + Copy,
+) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut schemas = SHAPES[shape].to_vec();
+    schemas.shuffle(&mut rng);
+    let domain = rng.random_range(2..=40u32);
+    let base = match rng.random() {
+        true => 0,
+        false => u32::MAX - (domain - 1),
+    };
+    let rel = |schema: &[u32], rng: &mut StdRng| {
+        let cap = rng.random_range(0..=400);
+        let n = rng.random_range(0..=cap);
+        let draw = |rng: &mut StdRng| base + rng.random_range(0..domain);
+        drawn_rel(schema, n, rng, draw, value_of)
+    };
+    let factors: Vec<Relation<S>> = schemas.iter().map(|s| rel(s, &mut rng)).collect();
+    let order = binding_order(&schemas, true, &mut rng);
+    let messages: Vec<Relation<S>> = (0..rng.random_range(0..=2))
+        .map(|_| {
+            let mut listed = order.clone();
+            listed.shuffle(&mut rng);
+            listed.truncate(rng.random_range(0..=2));
+            rel(&listed, &mut rng)
+        })
+        .collect();
+    let ops = admitted::<S>();
+    let kept = rng.random_range(0..=order.len());
+    let nest: Vec<(Var, Aggregate)> = order[kept..]
+        .iter()
+        .rev()
+        .map(|&v| (Var(v), ops[rng.random_range(0..ops.len())]))
+        .collect();
+    let var_order = vars(&order);
+
+    let inputs: Vec<&Relation<S>> = factors.iter().chain(&messages).collect();
+    let (got, rows) = generic_join_aggregated(&inputs, &var_order, &nest);
+    let own: Vec<&Relation<S>> = factors.iter().collect();
+    let folded: Vec<&Relation<S>> = messages.iter().collect();
+    let listed = generic_join(&own, &var_order);
+    assert_eq!(
+        bits(&listed),
+        bits(&cascade(&factors, &var_order)),
+        "shape {shape}: listed join"
+    );
+    let listed = listed.fold_keyed(&folded);
+    assert_eq!(rows, listed.len(), "shape {shape}: rows of the listed bag");
+    let want = listed.aggregate_out_many(&nest);
+    assert_eq!(got.schema(), want.schema(), "shape {shape}, nest {nest:?}");
+    assert_eq!(bits(&got), bits(&want), "shape {shape}, nest {nest:?}");
+}
+
 /// ℤ/6ℤ: `2 ⊗ 3 = 0` although neither is zero. No workspace carrier
 /// has zero divisors, so only this one reaches an output tuple whose
 /// factors all match and whose product is still dropped.
@@ -316,6 +395,25 @@ proptest! {
         shape in 0..SHAPES.len(), seed: u64, wide: bool, trailing: bool,
     ) {
         check_aggregated(shape, seed, wide, trailing, |r: &mut StdRng| {
+            Prob(f64::from(r.random_range(1..1000u32)) / 1000.3)
+        });
+    }
+
+    #[test]
+    fn counting_probed_bag_matches_the_cascade(shape in 0..SHAPES.len(), seed: u64) {
+        check_probe(shape, seed, |r: &mut StdRng| Count(r.random_range(0..4)));
+    }
+
+    #[test]
+    fn minplus_probed_bag_matches_the_cascade_to_the_bit(shape in 0..SHAPES.len(), seed: u64) {
+        check_probe(shape, seed, |r: &mut StdRng| {
+            MinPlus(f64::from(r.random_range(0..1000u32)) / 7.3)
+        });
+    }
+
+    #[test]
+    fn prob_probed_bag_matches_the_cascade_to_the_bit(shape in 0..SHAPES.len(), seed: u64) {
+        check_probe(shape, seed, |r: &mut StdRng| {
             Prob(f64::from(r.random_range(1..1000u32)) / 1000.3)
         });
     }
