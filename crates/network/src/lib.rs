@@ -15,9 +15,9 @@
 //!   (Definitions 3.8/3.9; greedily achieving the `Ω(MinCut)` guarantee
 //!   of Theorem 3.10 on the families we use),
 //! * the multicommodity-flow routing bound `τ_MCF(G, K, N′)`
-//!   (Definition 3.12) by store-and-forward simulation — it, the cut and
-//!   the packing read live links only, so a down link (capacity 0) is an
-//!   absent one,
+//!   (Definition 3.12) in closed form, from the min-cost path lengths of
+//!   a temporally repeated flow — it, the cut and the packing read live
+//!   links only, so a down link (capacity 0) is an absent one,
 //! * [`NetRun`], a capacity-respecting transmission scheduler: every
 //!   send is a [`ChunkTrain`] through one door, `send_train(link, from,
 //!   train)`, fitted first-fit per directed link in one pass and yielding

@@ -36,9 +36,9 @@ pub fn run_trivial<S: Semiring>(
 
     let answer = solve_faq(q).map_err(|e: EngineError| ProtocolError::Engine(e.to_string()))?;
 
-    // Predicted: τ_MCF with N′ = k·r·N in tuple units, expressed in this
-    // topology's round currency (the τ definition's own log-sized words
-    // roughly match one tuple per round when capacities are model-sized).
+    // Predicted: τ_MCF with N′ = k·r·N tuples, the quickest routing of
+    // N′ words from the worst holder to the best sink in K (a log-sized
+    // word roughly matches one tuple per round at model-sized capacities).
     let players = placement.players();
     let predicted = if players.len() < 2 {
         0

@@ -107,8 +107,11 @@ impl fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-fn read_u32(bytes: &[u8], at: usize) -> u32 {
-    u32::from_le_bytes(bytes[at..at + 4].try_into().expect("bounds checked"))
+/// The `N` bytes at `at`, or `Truncated` when the frame ends first.
+fn field<const N: usize>(bytes: &[u8], at: usize) -> Result<[u8; N], CodecError> {
+    let (expected, got) = (at + N, bytes.len());
+    let field = bytes.get(at..).and_then(<[u8]>::first_chunk).copied();
+    field.ok_or(CodecError::Truncated { expected, got })
 }
 
 impl<S: Semiring> Relation<S> {
@@ -163,17 +166,17 @@ impl<S: Semiring> Relation<S> {
                 got: bytes.len(),
             });
         }
-        let magic = read_u32(bytes, 0);
+        let magic = u32::from_le_bytes(field(bytes, 0)?);
         if magic != FRAME_MAGIC {
             return Err(CodecError::BadMagic(magic));
         }
-        let version = u16::from_le_bytes(bytes[4..6].try_into().expect("bounds checked"));
+        let version = u16::from_le_bytes(field(bytes, 4)?);
         if version != FRAME_VERSION {
             return Err(CodecError::BadVersion(version));
         }
-        let arity = u16::from_le_bytes(bytes[6..8].try_into().expect("bounds checked")) as usize;
-        let rows = read_u32(bytes, 8) as u64;
-        let width = read_u32(bytes, 12);
+        let arity = u16::from_le_bytes(field(bytes, 6)?) as usize;
+        let rows = u32::from_le_bytes(field(bytes, 8)?) as u64;
+        let width = u32::from_le_bytes(field(bytes, 12)?);
         if width != S::WIRE_VALUE_BYTES as u32 {
             return Err(CodecError::ValueWidthMismatch {
                 frame: width,
@@ -189,7 +192,7 @@ impl<S: Semiring> Relation<S> {
         }
         let mut schema = Vec::with_capacity(arity);
         for i in 0..arity {
-            let id = read_u32(bytes, FRAME_FIXED_BYTES + 4 * i);
+            let id = u32::from_le_bytes(field(bytes, FRAME_FIXED_BYTES + 4 * i)?);
             let var = Var(id);
             if schema.contains(&var) {
                 return Err(CodecError::DuplicateVar(id));
@@ -200,7 +203,7 @@ impl<S: Semiring> Relation<S> {
         let arena_len = (4 * arity as u64 * rows) as usize;
         let data: Vec<u32> = bytes[arena_at..arena_at + arena_len]
             .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().expect("exact chunks")))
+            .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
             .collect();
         let values: Vec<S> = if S::WIRE_VALUE_BYTES == 0 {
             vec![S::one(); rows as usize]
